@@ -1,16 +1,20 @@
 # Tier-1 verification gate: everything a change must pass before merge.
-# `make check` = vet + build + full test suite, then a race-detector pass
-# over the packages with the most cross-goroutine traffic (the node
-# workloop + group commit, the reply tracker, and the transaction log).
+# `make check` = vet + build + full test suite, a race-detector pass over
+# the packages with the most cross-goroutine traffic (the node workloop +
+# group commit, the reply tracker, and the transaction log), then the
+# fixed-seed fault gates below. scripts/check.sh is `exec make check`.
 
 GO ?= go
 
-.PHONY: check vet build test race bench crash obs shards reads soak forkless
+.PHONY: check vet build test race benchmark-module fuzz chaos crash obs shards reads soak forkless bench
 
-check: vet build test race crash obs shards reads soak forkless
+check: vet build test race benchmark-module fuzz chaos crash obs shards reads soak forkless
 
+# staticcheck is optional tooling: run it when the runner has it on PATH,
+# skip silently otherwise (the container image does not bake it in).
 vet:
 	$(GO) vet ./...
+	if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; fi
 
 build:
 	$(GO) build ./...
@@ -21,50 +25,74 @@ test:
 race:
 	$(GO) test -race ./internal/core/ ./internal/tracker/ ./internal/txlog/
 
-# Deterministic crash-fault gate: the kill/restart/zombie schedules must
-# reproduce at two pinned seeds under the race detector — every
-# registered fault site exercised, zero acknowledged writes lost,
+# The frozen benchmark is its own module importing this one (`go build
+# ./...` never sees it): a change to the surface it uses must fail here,
+# not in the pipeline.
+benchmark-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+# Hostile-input gate: 10 s of native fuzzing over the snapshot decoder
+# every restore funnels through (`go test` alone replays only its corpus).
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 10s ./internal/snapshot/
+
+# matrix runs the internal/cluster tests matching $(1) under the race
+# detector in every cell of seeds {1,2} × execution shards {1,8}: fault
+# schedules must reproduce at two pinned seeds so fault-path regressions
+# are deterministic, at both one shard (the legacy single-workloop
+# configuration, so schedules don't drift with the runner's GOMAXPROCS)
+# and eight (cross-shard barriers, the shared sequencer, per-shard group
+# commit). Chaos-family tests read the chaos seed, crash-family the other.
+define matrix
+	@set -e; for shards in 1 8; do for seed in 1 2; do \
+		echo "MEMORYDB_SHARDS=$$shards seed=$$seed $(GO) test -race -run '$(1)' ./internal/cluster/"; \
+		MEMORYDB_SHARDS=$$shards MEMORYDB_CHAOS_SEED=$$seed MEMORYDB_CRASH_SEED=$$seed \
+			$(GO) test -race -run '$(1)' ./internal/cluster/; \
+	done; done
+endef
+
+# Chaos gate: AZ outages, rolling maintenance, flaky-AZ storm, randomized
+# fault storm.
+chaos:
+	$(call matrix,Chaos)
+
+# Deterministic crash-fault gate: the kill/restart/zombie schedules —
+# every registered fault site exercised, torn-snapshot fallback,
+# committed-but-unacknowledged writes — zero acknowledged writes lost,
 # linearizability clean.
 crash:
-	MEMORYDB_CRASH_SEED=1 $(GO) test -race -run CrashRestart ./internal/cluster/
-	MEMORYDB_CRASH_SEED=2 $(GO) test -race -run CrashRestart ./internal/cluster/
+	$(call matrix,CrashRestart)
 
 # Metrics-overhead guard: recording with sampling off must stay
 # zero-alloc (internal/obs) and within 5% of an uninstrumented node's
-# write throughput (internal/core, armed by MEMORYDB_OBS_GUARD=1).
+# write throughput (internal/core, armed by MEMORYDB_OBS_GUARD=1); the
+# Tracing variant holds the same bar with distributed-trace sampling and
+# the flight recorder enabled.
 obs:
 	MEMORYDB_OBS_GUARD=1 $(GO) test -run TestObsOverheadGuard -count=1 ./internal/obs/ ./internal/core/
 
-# Sharded-execution gate: the core suite and the fixed-seed chaos/crash
-# schedules must hold at both one execution shard (the legacy
-# single-workloop configuration) and eight, under the race detector,
-# followed by the Figure 4b single-vs-sharded throughput comparison
-# (scripts/bench_shards.sh enforces the 1.8x bar on >= 4-vCPU runners).
+# Sharded-execution gate: the core suite must hold at both one execution
+# shard and eight under the race detector, followed by the Figure 4b
+# single-vs-sharded throughput comparison (scripts/bench_shards.sh
+# enforces the 1.8x bar on >= 4-vCPU runners).
 shards:
 	MEMORYDB_SHARDS=1 $(GO) test -race ./internal/core/
 	MEMORYDB_SHARDS=8 $(GO) test -race ./internal/core/
-	MEMORYDB_SHARDS=8 MEMORYDB_CHAOS_SEED=1 $(GO) test -race -run Chaos ./internal/cluster/
-	MEMORYDB_SHARDS=8 MEMORYDB_CHAOS_SEED=2 $(GO) test -race -run Chaos ./internal/cluster/
-	MEMORYDB_SHARDS=8 MEMORYDB_CRASH_SEED=1 $(GO) test -race -run CrashRestart ./internal/cluster/
-	MEMORYDB_SHARDS=8 MEMORYDB_CRASH_SEED=2 $(GO) test -race -run CrashRestart ./internal/cluster/
 	sh scripts/bench_shards.sh
 
 # Consistent replica-read gate: the replica-read fault schedules
 # (failover storm, bounded-staleness partition, log-trim rebootstrap)
 # must hold linearizability — no stale value ever served as
-# linearizable, bounded-stale serves within their declared bound — at
-# two pinned seeds, at one and eight execution shards, under the race
-# detector; then the replica-read throughput figure must show reads
-# scaling with the replica count while the primary's write throughput
-# holds (scripts/bench_reads.sh, bars enforced on >= 4-vCPU runners).
+# linearizable, bounded-stale serves within their declared bound; then
+# the replica-read throughput figure must show reads scaling with the
+# replica count while the primary's write throughput holds
+# (scripts/bench_reads.sh, bars enforced on >= 4-vCPU runners).
 reads:
-	MEMORYDB_SHARDS=1 MEMORYDB_CHAOS_SEED=1 $(GO) test -race -run ReplicaReads ./internal/cluster/
-	MEMORYDB_SHARDS=1 MEMORYDB_CHAOS_SEED=2 $(GO) test -race -run ReplicaReads ./internal/cluster/
-	MEMORYDB_SHARDS=8 MEMORYDB_CHAOS_SEED=1 $(GO) test -race -run ReplicaReads ./internal/cluster/
-	MEMORYDB_SHARDS=8 MEMORYDB_CHAOS_SEED=2 $(GO) test -race -run ReplicaReads ./internal/cluster/
+	$(call matrix,ReplicaReads)
 	sh scripts/bench_reads.sh
 
-# Bounded-log soak gate: sustained write load with the snapshot scheduler
+# Bounded-log soak gate: sustained write load with the snapshot builder
 # and trim coordinator at their normal cadence must keep live log bytes
 # under twice the segment threshold after every maintenance pass — the
 # log may never grow without bound.
@@ -74,15 +102,11 @@ soak:
 # Forkless-snapshot gate: the log-tailing builder's crash schedules
 # (crash mid-delta, crash mid-compaction, corrupt-delta-in-chain
 # fallback, restore from a deep full+delta chain) must restore the exact
-# acknowledged state at two pinned seeds, at one and eight execution
-# shards, under the race detector — zero trimmed-gap retries, zero
-# restore failures through quarantined chains. The snapshot package's
-# chain-fallback property test and builder-vs-trimmer race run alongside.
+# acknowledged state — zero trimmed-gap retries, zero restore failures
+# through quarantined chains. The snapshot package's chain-fallback
+# property test and builder-vs-trimmer race run alongside.
 forkless:
-	MEMORYDB_SHARDS=1 MEMORYDB_CRASH_SEED=1 $(GO) test -race -run 'SnapshotCrash' ./internal/cluster/
-	MEMORYDB_SHARDS=1 MEMORYDB_CRASH_SEED=2 $(GO) test -race -run 'SnapshotCrash' ./internal/cluster/
-	MEMORYDB_SHARDS=8 MEMORYDB_CRASH_SEED=1 $(GO) test -race -run 'SnapshotCrash' ./internal/cluster/
-	MEMORYDB_SHARDS=8 MEMORYDB_CRASH_SEED=2 $(GO) test -race -run 'SnapshotCrash' ./internal/cluster/
+	$(call matrix,SnapshotCrash)
 	$(GO) test -race -run 'Builder|ChainFallback' ./internal/snapshot/
 
 # Regenerate the paper figures (long; not part of the tier-1 gate).

@@ -338,20 +338,22 @@ func BenchmarkAblationSnapshotFreshness(b *testing.B) {
 				}
 			}
 			appendN(500) // base state
-			ob := &snapshot.Offbox{Manager: mgr, EngineVersion: 2}
-			if _, err := ob.Run(ctx, "fresh", log); err != nil {
+			builder := &snapshot.Builder{Manager: mgr, Log: log, ShardID: "fresh", EngineVersion: 2}
+			if _, err := builder.Full(ctx); err != nil {
 				b.Fatal(err)
 			}
 			appendN(replay) // staleness
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				restored := engine.New(clock.NewReal())
-				db, meta, ok, err := mgr.Latest("fresh")
+				chain, ok, err := mgr.Resolve("fresh", false)
 				if err != nil || !ok {
 					b.Fatal(err)
 				}
-				restored.ResetDB(db)
-				if err := snapshot.ReplayRange(ctx, log, restored, meta.LogPos, log.CommittedTail()); err != nil {
+				restored.ResetDB(chain.DB)
+				replay := txlog.NewReplayer(engine.Version, chain.Tip.LogChecksum)
+				if _, err := replay.Range(log, chain.Tip.LogPos, log.CommittedTail(),
+					func(e txlog.Entry) error { return restored.Apply(e.Payload) }); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -58,19 +58,17 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Background control plane: monitoring + snapshot scheduling.
+	// Background control plane: monitoring and, per shard, a forkless
+	// snapshot builder plus a trim coordinator that verifies each new tip
+	// before it lets the log drop the segments below it.
 	mon := &cluster.Monitor{Cluster: c, Interval: 5 * time.Second}
 	go mon.Run(ctx)
-	sched := &snapshot.Scheduler{
-		Policy:   snapshot.DefaultPolicy(),
-		Offbox:   &snapshot.Offbox{Manager: snaps, EngineVersion: 2},
-		Interval: 10 * time.Second,
-		Verify:   true,
-	}
 	for _, sh := range c.Shards() {
-		sched.AddShard(snapshot.Shard{ShardID: sh.ID, Log: sh.Log})
+		builder := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 2}
+		go builder.Run(ctx)
+		trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID, Interval: 10 * time.Second}
+		go trimmer.Run(ctx)
 	}
-	go sched.Run(ctx)
 
 	srv := server.New(server.Config{Addr: *addr, Backend: server.ClusterBackend{Cluster: c}, Multiplex: true})
 	if err := srv.Start(); err != nil {

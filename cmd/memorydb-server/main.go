@@ -73,11 +73,11 @@ func main() {
 	segmentBytes := flag.Int("segment-bytes", envInt("MEMORYDB_SEGMENT_BYTES", 0),
 		"rotate transaction-log segments at this payload size (0 = 1MiB default)")
 	trimInterval := flag.Duration("trim-interval", envDuration("MEMORYDB_TRIM_INTERVAL", 0),
-		"run the snapshot scheduler and log trim coordinator at this cadence (0 = disabled)")
+		"verify new snapshots and trim the log behind them at this cadence; also starts the snapshot builder (0 = disabled)")
 	deltaInterval := flag.Int("delta-interval", envInt("MEMORYDB_DELTA_INTERVAL", 0),
-		"forkless builder: emit an incremental delta snapshot every N log entries (0 = disabled)")
+		"snapshot builder: emit an incremental delta snapshot every N log entries (0 = disabled unless -trim-interval is set, then 512)")
 	compactEvery := flag.Int("compact-every", envInt("MEMORYDB_COMPACT_EVERY", 8),
-		"forkless builder: compact the full+delta chain into a new full snapshot after N deltas")
+		"snapshot builder: compact the full+delta chain into a new full snapshot after N deltas")
 	replicaReadTimeout := flag.Duration("replica-read-timeout", envDuration("MEMORYDB_REPLICA_READ_TIMEOUT", 0),
 		"max time a linearizable replica read waits for its freshness proof before degrading (0 = 50ms default)")
 	flag.Parse()
@@ -137,39 +137,12 @@ func main() {
 		for node.Role() != election.RolePrimary {
 			time.Sleep(5 * time.Millisecond)
 		}
-		// Bounded durable log: at -trim-interval cadence, produce off-box
-		// snapshots (distance-triggered) and let the trim coordinator drop
-		// every sealed segment the newest verified snapshot covers.
-		if *trimInterval > 0 {
-			sched := &snapshot.Scheduler{
-				Policy: snapshot.DefaultPolicy(),
-				Offbox: &snapshot.Offbox{Manager: snaps, EngineVersion: 1, Obs: metrics},
-			}
-			sched.AddShard(snapshot.Shard{ShardID: "shard-0", Log: logHandle})
-			trimmer := &snapshot.Trimmer{Manager: snaps, Interval: *trimInterval}
-			trimmer.AddShard(snapshot.Shard{ShardID: "shard-0", Log: logHandle})
-			done := make(chan struct{})
-			defer close(done)
-			go func() {
-				tick := time.NewTicker(*trimInterval)
-				defer tick.Stop()
-				for {
-					select {
-					case <-done:
-						return
-					case <-tick.C:
-						sched.Tick(context.Background())
-						trimmer.Tick()
-					}
-				}
-			}()
-			fmt.Printf("log trim coordinator running every %v\n", *trimInterval)
-		}
 		// Forkless snapshots: a log-tailing builder materializes the
 		// keyspace off the critical path and streams delta snapshots to
 		// S3 — the engine never forks (contrast Figure 6's BGSave
 		// collapse). Compaction bounds restore chains at -compact-every.
-		if *deltaInterval > 0 {
+		// Trimming needs snapshots to trim behind, so either flag starts it.
+		if *deltaInterval > 0 || *trimInterval > 0 {
 			builder := &snapshot.Builder{
 				Manager: snaps, Log: logHandle, ShardID: "shard-0",
 				EngineVersion: 1,
@@ -178,11 +151,19 @@ func main() {
 				Obs:           metrics,
 				Flight:        node.FlightRecorder(),
 			}
-			bctx, bcancel := context.WithCancel(context.Background())
-			defer bcancel()
-			go builder.Run(bctx)
-			fmt.Printf("forkless snapshot builder running (delta every %d entries, compact every %d deltas)\n",
+			sctx, scancel := context.WithCancel(context.Background())
+			defer scancel()
+			go builder.Run(sctx)
+			fmt.Printf("forkless snapshot builder running (-delta-interval %d, -compact-every %d; 0 = default)\n",
 				*deltaInterval, *compactEvery)
+			// Bounded durable log: at -trim-interval cadence the trim
+			// coordinator rehearses a restore from each new snapshot tip and
+			// drops every sealed segment the verified chain's base covers.
+			if *trimInterval > 0 {
+				trimmer := &snapshot.Trimmer{Manager: snaps, Log: logHandle, ShardID: "shard-0", Interval: *trimInterval}
+				go trimmer.Run(sctx)
+				fmt.Printf("log trim coordinator running every %v\n", *trimInterval)
+			}
 		}
 		backend = server.NodeBackend{Node: node}
 	case "redis":

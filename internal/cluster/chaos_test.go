@@ -107,7 +107,6 @@ func TestChaosAcknowledgedWritesSurvive(t *testing.T) {
 
 	// Fault storm.
 	chaosRng := rand.New(rand.NewSource(chaosSeed(t)))
-	ob := &snapshot.Offbox{Manager: snaps, EngineVersion: 2}
 	deadline := time.Now().Add(2 * time.Second)
 	faults := 0
 	for time.Now().Before(deadline) {
@@ -136,7 +135,8 @@ func TestChaosAcknowledgedWritesSurvive(t *testing.T) {
 			}
 		case 3: // off-box snapshot of a random shard
 			cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			if _, err := ob.Run(cctx, sh.ID, sh.Log); err == nil {
+			cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 2}
+			if _, err := cp.Full(cctx); err == nil {
 				faults++
 			}
 			cancel()

@@ -242,8 +242,8 @@ func TestCrashRestartRecovery(t *testing.T) {
 	// Snapshot leg: a good snapshot, then a bit-rotted build, then a torn
 	// upload — each at a fresh log position — and a primary restart that
 	// must fall back through the damaged versions.
-	obFaults := faultpoint.New(seed ^ 0x5eed)
-	ob := &snapshot.Offbox{Manager: snaps, EngineVersion: 1, Faults: obFaults}
+	cpFaults := faultpoint.New(seed ^ 0x5eed)
+	cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1, Faults: cpFaults}
 	ctx := context.Background()
 	client := c.Client()
 	advance := func(tag string) {
@@ -254,18 +254,18 @@ func TestCrashRestartRecovery(t *testing.T) {
 		}
 	}
 	advance("good")
-	if _, err := ob.Run(ctx, sh.ID, sh.Log); err != nil {
-		t.Fatalf("good offbox run: %v", err)
+	if _, err := cp.Full(ctx); err != nil {
+		t.Fatalf("good snapshot: %v", err)
 	}
 	advance("rot")
-	obFaults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
-	if _, err := ob.Run(ctx, sh.ID, sh.Log); err != nil {
-		t.Fatalf("corrupt-build offbox run: %v", err)
+	cpFaults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
+	if _, err := cp.Full(ctx); err != nil {
+		t.Fatalf("corrupt-build snapshot: %v", err)
 	}
 	advance("torn")
-	obFaults.Arm(faultpoint.SiteSnapUpload, faultpoint.Corrupt, 0)
-	if _, err := ob.Run(ctx, sh.ID, sh.Log); err != nil {
-		t.Fatalf("torn-upload offbox run: %v", err)
+	cpFaults.Arm(faultpoint.SiteSnapUpload, faultpoint.Corrupt, 0)
+	if _, err := cp.Full(ctx); err != nil {
+		t.Fatalf("torn-upload snapshot: %v", err)
 	}
 	p, err := sh.WaitForPrimary(c.Clock(), 5*time.Second)
 	if err != nil {
@@ -286,12 +286,14 @@ func TestCrashRestartRecovery(t *testing.T) {
 	// builder.lag site under this seed.
 	builder := &snapshot.Builder{
 		Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1,
-		DeltaInterval: 4, CompactEvery: 2, Faults: obFaults,
+		DeltaInterval: 4, CompactEvery: 2, Faults: cpFaults,
 	}
-	obFaults.Arm(faultpoint.SiteDeltaUpload, faultpoint.Crash, 0)
+	cpFaults.Arm(faultpoint.SiteDeltaUpload, faultpoint.Crash, 0)
 	builderCrashed := false
+	// The snapshot leg's three fulls already count as compactions.
+	fulls := snaps.Health().Compactions.Load()
 	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline) &&
-		snaps.Health().Compactions.Load() == 0; {
+		snaps.Health().Compactions.Load() == fulls; {
 		advance("builder")
 		if err := builder.Tick(ctx); errors.Is(err, snapshot.ErrBuilderCrashed) {
 			builderCrashed = true
@@ -303,17 +305,16 @@ func TestCrashRestartRecovery(t *testing.T) {
 	if builder.Stats().Rebootstraps == 0 {
 		t.Fatal("crashed builder never re-bootstrapped from the durable chain")
 	}
-	if snaps.Health().DeltasEmitted.Load() == 0 || snaps.Health().Compactions.Load() == 0 {
+	if snaps.Health().DeltasEmitted.Load() == 0 || snaps.Health().Compactions.Load() == fulls {
 		t.Fatalf("builder leg produced %d deltas, %d compactions — want both nonzero",
-			snaps.Health().DeltasEmitted.Load(), snaps.Health().Compactions.Load())
+			snaps.Health().DeltasEmitted.Load(), snaps.Health().Compactions.Load()-fulls)
 	}
 
 	// Trim leg: with a verified snapshot in the store, the coordinator may
 	// drop every sealed segment it covers — exercising txlog.trim.* and
 	// forcing any tailer still below the base through the re-bootstrap
 	// path rather than a demotion.
-	trimmer := &snapshot.Trimmer{Manager: snaps}
-	trimmer.AddShard(snapshot.Shard{ShardID: sh.ID, Log: sh.Log})
+	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
 	trimmer.Tick()
 	if trimmed, _ := trimmer.Stats(); trimmed == 0 {
 		t.Error("trim leg dropped no segments — segment threshold too large for the workload?")
@@ -357,7 +358,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 		for _, id := range initialIDs {
 			hits += c.NodeFaults(id).Hits(site)
 		}
-		hits += obFaults.Hits(site)
+		hits += cpFaults.Hits(site)
 		hits += svcFaults.Hits(site)
 		if hits == 0 {
 			t.Errorf("fault site %s never exercised", site)
@@ -552,21 +553,21 @@ func TestCrashRestartTornSnapshotFallback(t *testing.T) {
 		}
 	}
 
-	obFaults := faultpoint.New(seed)
-	ob := &snapshot.Offbox{Manager: snaps, EngineVersion: 1, Faults: obFaults}
+	cpFaults := faultpoint.New(seed)
+	cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1, Faults: cpFaults}
 
 	set("torn-a", "1")
-	if _, err := ob.Run(ctx, sh.ID, sh.Log); err != nil {
+	if _, err := cp.Full(ctx); err != nil {
 		t.Fatalf("good run: %v", err)
 	}
 	set("torn-b", "2")
-	obFaults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
-	if _, err := ob.Run(ctx, sh.ID, sh.Log); err != nil {
+	cpFaults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
+	if _, err := cp.Full(ctx); err != nil {
 		t.Fatalf("bit-rot run: %v", err)
 	}
 	set("torn-c", "3")
-	obFaults.Arm(faultpoint.SiteSnapUpload, faultpoint.Corrupt, 0)
-	if _, err := ob.Run(ctx, sh.ID, sh.Log); err != nil {
+	cpFaults.Arm(faultpoint.SiteSnapUpload, faultpoint.Corrupt, 0)
+	if _, err := cp.Full(ctx); err != nil {
 		t.Fatalf("torn run: %v", err)
 	}
 
@@ -614,10 +615,11 @@ func TestCrashRestartTornSnapshotFallback(t *testing.T) {
 	}
 }
 
-// TestCrashRestartSchedulerQuarantine: a verification-enabled scheduler
-// that produces a corrupt snapshot must quarantine it (delete, so no
-// restore can use it) and page through the monitor's alarm channel.
-func TestCrashRestartSchedulerQuarantine(t *testing.T) {
+// TestCrashRestartVerifyQuarantine: when the builder uploads a corrupt
+// snapshot, the trim coordinator's restore rehearsal must quarantine it
+// (delete, so no restore can use it), trim nothing on its authority, and
+// page through the monitor's alarm channel.
+func TestCrashRestartVerifyQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash harness skipped in -short mode")
 	}
@@ -634,22 +636,19 @@ func TestCrashRestartSchedulerQuarantine(t *testing.T) {
 		cancel()
 	}
 
-	obFaults := faultpoint.New(seed)
-	obFaults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
+	cpFaults := faultpoint.New(seed)
+	cpFaults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
 	mon := &Monitor{Cluster: c}
-	sched := &snapshot.Scheduler{
-		Policy:  snapshot.Policy{MaxLogDistance: 1},
-		Offbox:  &snapshot.Offbox{Manager: snaps, EngineVersion: 1, Faults: obFaults},
-		Verify:  true,
-		AlarmFn: mon.RaiseAlarm,
+	snaps.AlarmFn = mon.RaiseAlarm
+	cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1, Faults: cpFaults}
+	if _, err := cp.Full(ctx); err != nil {
+		t.Fatalf("corrupt-build snapshot: %v", err)
 	}
-	sched.AddShard(snapshot.Shard{ShardID: sh.ID, Log: sh.Log})
-	sched.Tick(ctx)
+	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
+	trimmer.Tick()
 
-	created, verified, failures := sched.Stats()
-	if created != 1 || verified != 0 || failures == 0 {
-		t.Fatalf("scheduler stats = (%d created, %d verified, %d failures), want (1, 0, >0)",
-			created, verified, failures)
+	if trimmed, passes := trimmer.Stats(); trimmed != 0 || passes != 1 {
+		t.Fatalf("trimmer stats = (%d segments trimmed, %d passes), want (0, 1)", trimmed, passes)
 	}
 	alarms := mon.Alarms()
 	if len(alarms) == 0 || !strings.Contains(alarms[0], "verification failed") {
@@ -657,8 +656,8 @@ func TestCrashRestartSchedulerQuarantine(t *testing.T) {
 	}
 	// Quarantined: the corrupt version is gone, so a restore sees a clean
 	// (empty) snapshot store and replays the log — never the bad bytes.
-	if _, _, skipped, ok, err := snaps.LatestUsable(sh.ID); err != nil || ok || skipped != 0 {
-		t.Fatalf("corrupt snapshot not quarantined: skipped=%d ok=%v err=%v", skipped, ok, err)
+	if chain, ok, err := snaps.Resolve(sh.ID, false); err != nil || ok || chain.Skipped != 0 {
+		t.Fatalf("corrupt snapshot not quarantined: skipped=%d ok=%v err=%v", chain.Skipped, ok, err)
 	}
 }
 
@@ -719,13 +718,12 @@ func TestCrashRestartMidSealTrimStorm(t *testing.T) {
 	// Storm: snapshot + trim every round so the coordinator runs against
 	// the faulty lifecycle, with two primary kill/restart cycles in the
 	// middle of it.
-	ob := &snapshot.Offbox{Manager: snaps, EngineVersion: 1}
-	trimmer := &snapshot.Trimmer{Manager: snaps}
-	trimmer.AddShard(snapshot.Shard{ShardID: sh.ID, Log: sh.Log})
+	cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1}
+	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
 	for round := 0; round < 6; round++ {
 		time.Sleep(120 * time.Millisecond)
-		if _, err := ob.Run(ctx, sh.ID, sh.Log); err != nil {
-			t.Fatalf("round %d offbox run: %v", round, err)
+		if _, err := cp.Full(ctx); err != nil {
+			t.Fatalf("round %d snapshot: %v", round, err)
 		}
 		trimmer.Tick()
 		if round == 1 || round == 3 {
@@ -785,8 +783,8 @@ func TestCrashRestartMidSealTrimStorm(t *testing.T) {
 	}
 
 	// Once the faults clear, one clean snapshot+trim pass catches up.
-	if _, err := ob.Run(ctx, sh.ID, sh.Log); err != nil {
-		t.Fatalf("final offbox run: %v", err)
+	if _, err := cp.Full(ctx); err != nil {
+		t.Fatalf("final snapshot: %v", err)
 	}
 	trimmer.Tick()
 
@@ -846,6 +844,12 @@ func TestCrashRestartTailerRebootstrapAfterTrim(t *testing.T) {
 		t.Fatal("no replica to freeze")
 	}
 	lag := reps[0]
+	// Freeze it only once it is tailing: a replica frozen before its first
+	// restore would, on waking, restore straight from the new snapshot and
+	// never exercise the tailer path this test pins.
+	if err := waitCaughtUp(c, sh, lag); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
 	if err := c.Kill(lag.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -861,11 +865,10 @@ func TestCrashRestartTailerRebootstrapAfterTrim(t *testing.T) {
 		cancel()
 	}
 	tail := sh.Log.CommittedTail()
-	if _, err := (&snapshot.Offbox{Manager: snaps, EngineVersion: 1}).Run(ctx, sh.ID, sh.Log); err != nil {
+	if _, err := (&snapshot.Builder{Manager: snaps, EngineVersion: 1, Log: sh.Log, ShardID: sh.ID}).Full(ctx); err != nil {
 		t.Fatal(err)
 	}
-	trimmer := &snapshot.Trimmer{Manager: snaps}
-	trimmer.AddShard(snapshot.Shard{ShardID: sh.ID, Log: sh.Log})
+	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
 	trimmer.Tick()
 	if trimmed, _ := trimmer.Stats(); trimmed == 0 {
 		t.Fatal("setup: nothing trimmed")
@@ -944,8 +947,8 @@ func TestCrashRestartCorruptSegmentRecovery(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		set(fmt.Sprintf("cor-%d", i), fmt.Sprintf("v%d", i))
 	}
-	ob := &snapshot.Offbox{Manager: snaps, EngineVersion: 1}
-	meta, err := ob.Run(ctx, sh.ID, sh.Log)
+	cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1}
+	meta, err := cp.Full(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1013,7 +1016,7 @@ func TestCrashRestartCorruptSegmentRecovery(t *testing.T) {
 	if dmg2 == 0 {
 		t.Fatal("setup: found no record to damage above the snapshot")
 	}
-	if _, err := ob.Run(ctx, sh.ID, sh.Log); !errors.Is(err, txlog.ErrCorruptSegment) {
+	if _, err := cp.Full(ctx); !errors.Is(err, txlog.ErrCorruptSegment) {
 		t.Fatalf("replay over damaged suffix returned %v, want ErrCorruptSegment", err)
 	}
 }

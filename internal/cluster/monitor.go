@@ -56,8 +56,8 @@ func (m *Monitor) Alarms() []string {
 	return out
 }
 
-// RaiseAlarm records an externally detected fault — e.g. the snapshot
-// scheduler's verification failures feed here, so a bad snapshot pages
+// RaiseAlarm records an externally detected fault — e.g. wired as the
+// snapshot manager's AlarmFn, so a snapshot that fails verification pages
 // through the same channel as a primaryless shard.
 func (m *Monitor) RaiseAlarm(msg string) {
 	m.AlarmLog().Raise(msg)

@@ -384,13 +384,17 @@ func TestReplicaReadsTrimRebootstrap(t *testing.T) {
 	// Nemesis: freeze one replica, push the trim base past its tailer,
 	// then wake it into a log that no longer contains its next entry.
 	lag := sh.Replicas()[0]
+	// Freeze it only once it is tailing: frozen before its first restore
+	// it would wake, restore from the new snapshot, and skip this path.
+	if err := waitCaughtUp(c, sh, lag); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
 	if err := c.Kill(lag.ID()); err != nil {
 		t.Fatal(err)
 	}
 	frozen := lag.AppliedSeq()
-	ob := &snapshot.Offbox{Manager: snaps, EngineVersion: 1}
-	trimmer := &snapshot.Trimmer{Manager: snaps}
-	trimmer.AddShard(snapshot.Shard{ShardID: sh.ID, Log: sh.Log})
+	cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1}
+	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
 	for round := 0; round < 10 && sh.Log.TrimBase().Seq <= frozen; round++ {
 		for i := 0; i < 40; i++ {
 			cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
@@ -400,7 +404,7 @@ func TestReplicaReadsTrimRebootstrap(t *testing.T) {
 			}
 			cancel()
 		}
-		if _, err := ob.Run(ctx, sh.ID, sh.Log); err != nil {
+		if _, err := cp.Full(ctx); err != nil {
 			t.Fatal(err)
 		}
 		trimmer.Tick()

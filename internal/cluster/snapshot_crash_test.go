@@ -181,7 +181,7 @@ func TestSnapshotCrashMidCompaction(t *testing.T) {
 		t.Fatalf("tick with armed compact crash returned %v, want ErrBuilderCrashed", err)
 	}
 	// The old chain survived the failed compaction: full + 1 delta.
-	if _, chain, _, ok, err := snaps.LatestUsableChain(c.Shards()[0].ID); err != nil || !ok || chain.Depth != 1 {
+	if chain, ok, err := snaps.Resolve(c.Shards()[0].ID, false); err != nil || !ok || chain.Depth != 1 {
 		t.Fatalf("chain after compact crash: ok=%v depth=%d err=%v, want intact depth 1",
 			ok, chain.Depth, err)
 	}
@@ -307,7 +307,7 @@ func TestSnapshotCrashDeepChainRestore(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	_, chain, _, ok, err := snaps.LatestUsableChain(sh.ID)
+	chain, ok, err := snaps.Resolve(sh.ID, false)
 	if err != nil || !ok {
 		t.Fatalf("chain: ok=%v err=%v", ok, err)
 	}
@@ -317,8 +317,7 @@ func TestSnapshotCrashDeepChainRestore(t *testing.T) {
 
 	// Trim everything the chain base covers: the restore below cannot
 	// substitute log replay for the chain prefix.
-	trimmer := &snapshot.Trimmer{Manager: snaps}
-	trimmer.AddShard(snapshot.Shard{ShardID: sh.ID, Log: sh.Log})
+	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
 	trimmer.Tick()
 	if trimmed, _ := trimmer.Stats(); trimmed == 0 {
 		t.Fatal("setup: nothing trimmed below the chain base")

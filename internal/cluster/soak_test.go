@@ -18,7 +18,7 @@ import (
 
 // TestSoakBoundedLog is the bounded-log gate (`make soak`, armed by
 // MEMORYDB_SOAK=1): under sustained write load with the snapshot
-// scheduler and trim coordinator running at their normal cadence, the
+// builder and trim coordinator running at their normal cadence, the
 // live transaction log must stay bounded — after every maintenance pass
 // the retained bytes may never exceed twice the segment threshold (the
 // partial active segment plus at most one sealed segment the newest
@@ -58,16 +58,18 @@ func TestSoakBoundedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Production wiring: a distance-triggered scheduler produces the
-	// snapshots and the trim coordinator follows them.
-	ctx := context.Background()
-	sched := &snapshot.Scheduler{
-		Policy: snapshot.Policy{MaxLogDistance: 64},
-		Offbox: &snapshot.Offbox{Manager: snaps, EngineVersion: 1},
+	// Production wiring: the builder tails the log on its own cadence —
+	// every other snapshot a full, so the chain base the trimmer may trim
+	// to stays within a few dozen entries of the tail — and the trim
+	// coordinator follows it.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	builder := &snapshot.Builder{
+		Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1,
+		DeltaInterval: 16, CompactEvery: 1,
 	}
-	sched.AddShard(snapshot.Shard{ShardID: sh.ID, Log: sh.Log})
-	trimmer := &snapshot.Trimmer{Manager: snaps}
-	trimmer.AddShard(snapshot.Shard{ShardID: sh.ID, Log: sh.Log})
+	go builder.Run(ctx)
+	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
 
 	stop := make(chan struct{})
 	var writers sync.WaitGroup
@@ -105,7 +107,6 @@ func TestSoakBoundedLog(t *testing.T) {
 	samples := 0
 	for time.Since(start) < duration {
 		time.Sleep(150 * time.Millisecond)
-		sched.Tick(ctx)
 		trimmer.Tick()
 		if time.Since(start) < warmup {
 			continue
@@ -122,7 +123,9 @@ func TestSoakBoundedLog(t *testing.T) {
 	}
 	close(stop)
 	writers.Wait()
-	sched.Tick(ctx)
+	if err := builder.Tick(ctx); err != nil {
+		t.Fatalf("final builder pass: %v", err)
+	}
 	trimmer.Tick()
 
 	if samples == 0 {

@@ -310,23 +310,31 @@ func (n *Node) installState(newEng *engine.Engine, newApplied txlog.EntryID, set
 	return true
 }
 
-// applyEntry applies one replicated log entry (role loop only).
+// applyEntry consumes one replicated log entry through the node's
+// replayer (role loop only), so the tailer enforces exactly what restore
+// enforced on the prefix below it. A stall marks the node and leaves the
+// applied position before the refused entry.
 func (n *Node) applyEntry(e txlog.Entry) error {
-	if e.Type != txlog.EntryData {
-		n.applied = e.ID
-		n.appliedSeq.Store(e.ID.Seq)
-		n.readGate.Advance(e.ID.Seq)
-		return nil
+	if err := n.replay.Step(e, n.applyData); err != nil {
+		switch {
+		case errors.Is(err, txlog.ErrUpgradeStall):
+			n.mu.Lock()
+			n.stalled = true
+			n.mu.Unlock()
+		case errors.Is(err, txlog.ErrChecksumMismatch):
+			n.flight.Recordf(trace.EvAlarm, e.ID.Seq, "replica state diverged from the log: %v", err)
+		}
+		return err
 	}
-	if e.EngineVersion > n.cfg.EngineVersion {
-		// Upgrade protection (§7.1): a replica running an older engine
-		// must not misinterpret records from a newer one; it stops
-		// consuming the log.
-		n.mu.Lock()
-		n.stalled = true
-		n.mu.Unlock()
-		return errUpgradeStall
-	}
+	n.applied = e.ID
+	n.appliedSeq.Store(e.ID.Seq)
+	n.readGate.Advance(e.ID.Seq)
+	return nil
+}
+
+// applyData applies one data entry's payload to the keyspace: the
+// replayer's callback on the tailer.
+func (n *Node) applyData(e txlog.Entry) error {
 	// A traced entry extends the originating command's span tree onto this
 	// node: the apply interval parents to the primary's append span.
 	var applyStart int64
@@ -371,9 +379,6 @@ func (n *Node) applyEntry(e txlog.Entry) error {
 			return err
 		}
 	}
-	n.applied = e.ID
-	n.appliedSeq.Store(e.ID.Seq)
-	n.readGate.Advance(e.ID.Seq)
 	n.stats.EntriesApplied.Add(1)
 	if traced {
 		n.trace.Emit(trace.SpanContext{TraceID: e.TraceID, SpanID: e.TraceSpan},

@@ -36,8 +36,8 @@ func TestResyncTrimmedGapFails(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		mustDo(t, p, "SET", "pre", "v")
 	}
-	ob := &snapshot.Offbox{Manager: snaps, EngineVersion: 1}
-	meta, err := ob.Run(context.Background(), log.ShardID(), log)
+	cp := &snapshot.Builder{Manager: snaps, Log: log, ShardID: log.ShardID(), EngineVersion: 1}
+	meta, err := cp.Full(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +94,15 @@ func TestResyncSkipsTornSnapshotAndCounts(t *testing.T) {
 	waitRole(t, p, election.RolePrimary, 2*time.Second)
 
 	mustDo(t, p, "SET", "good", "1")
-	ob := &snapshot.Offbox{Manager: snaps, EngineVersion: 1}
-	if _, err := ob.Run(context.Background(), log.ShardID(), log); err != nil {
+	cp := &snapshot.Builder{Manager: snaps, Log: log, ShardID: log.ShardID(), EngineVersion: 1}
+	if _, err := cp.Full(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	mustDo(t, p, "SET", "later", "2")
 	faults := faultpoint.New(3)
 	faults.Arm(faultpoint.SiteSnapUpload, faultpoint.Corrupt, 0)
-	obBad := &snapshot.Offbox{Manager: snaps, EngineVersion: 1, Faults: faults}
-	if _, err := obBad.Run(context.Background(), log.ShardID(), log); err != nil {
+	cpBad := &snapshot.Builder{Manager: snaps, Log: log, ShardID: log.ShardID(), EngineVersion: 1, Faults: faults}
+	if _, err := cpBad.Full(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

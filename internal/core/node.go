@@ -294,6 +294,10 @@ type Node struct {
 	// applied is owned by the role loop — the single apply driver on both
 	// the replica tail path and the install paths (promotion, resync).
 	applied txlog.EntryID
+	// replay consumes every entry above applied: resync seeds it from
+	// the restored snapshot's log checksum and the tailer keeps stepping
+	// it. Role loop only.
+	replay *txlog.Replayer
 	// appliedSeq mirrors applied.Seq for lock-free monitoring reads.
 	appliedSeq atomic.Uint64
 	// readGate parks linearizable replica reads until the applied

@@ -210,9 +210,9 @@ func TestRecoveryFromSnapshotAndLogSuffix(t *testing.T) {
 		mustDo(t, primary, "SET", "k"+string(rune('a'+i)), "v")
 	}
 	// Off-box snapshot, then more writes that exist only in the log.
-	ob := &snapshot.Offbox{Manager: mgr, EngineVersion: 2}
-	if _, err := ob.Run(context.Background(), "shard-1", log); err != nil {
-		t.Fatalf("offbox: %v", err)
+	cp := &snapshot.Builder{Manager: mgr, Log: log, ShardID: "shard-1", EngineVersion: 2}
+	if _, err := cp.Full(context.Background()); err != nil {
+		t.Fatalf("snapshot: %v", err)
 	}
 	mustDo(t, primary, "SET", "after-snap", "yes")
 
@@ -297,5 +297,81 @@ func TestUpgradeProtectionStallsOldReplica(t *testing.T) {
 			t.Fatal("old replica did not stall on newer-version stream")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestUpgradeProtectionEntryCommittedBeforeStart closes the restore-path
+// hole: the newer-engine record is already committed when the old replica
+// starts (or is killed and restarted), so it is restore — not the tailer —
+// that meets it first. The replica must stall there without applying it,
+// and must never campaign, even once the primary is gone.
+func TestUpgradeProtectionEntryCommittedBeforeStart(t *testing.T) {
+	cfg := func(id string, log *txlog.Log, version uint32) Config {
+		return Config{
+			NodeID: id, ShardID: log.ShardID(), Log: log, EngineVersion: version,
+			Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
+			RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		}
+	}
+	start := func(t *testing.T, c Config) *Node {
+		t.Helper()
+		n, err := NewNode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Start()
+		t.Cleanup(n.Stop)
+		return n
+	}
+	for _, restart := range []bool{false, true} {
+		name := "start"
+		if restart {
+			name = "kill-restart"
+		}
+		t.Run(name, func(t *testing.T) {
+			svc := testService(t, netsim.Zero{})
+			log, _ := svc.CreateLog("shard-1")
+			newPrimary := start(t, cfg("new-engine", log, 3))
+			waitRole(t, newPrimary, election.RolePrimary, 2*time.Second)
+
+			var killed *Node
+			if restart {
+				// The old replica lived through nothing but control entries,
+				// then dies before the first newer-engine record commits.
+				killed = start(t, cfg("old-engine", log, 2))
+				waitRole(t, killed, election.RoleReplica, 2*time.Second)
+				killed.Freeze()
+			}
+			mustDo(t, newPrimary, "SET", "k", "v")
+			stallAt := log.CommittedTail().Seq
+			if killed != nil {
+				killed.Stop()
+			}
+
+			old := start(t, cfg("old-engine", log, 2))
+			deadline := time.Now().Add(2 * time.Second)
+			for !old.Stalled() {
+				if time.Now().After(deadline) {
+					t.Fatalf("old replica did not stall (applied %d, newer-engine record at or before %d)",
+						old.AppliedSeq(), stallAt)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if _, ok := old.dbPtr.Load().Peek("k"); ok {
+				t.Fatal("old replica applied the newer-engine record")
+			}
+			if got := old.AppliedSeq(); got >= stallAt {
+				t.Fatalf("old replica applied through %d, past the newer-engine record at %d", got, stallAt)
+			}
+
+			// With the primary gone the lease lapses; a stalled replica is
+			// not caught up and must sit out every election.
+			epoch := log.CurrentEpoch()
+			newPrimary.Stop()
+			time.Sleep(3 * 160 * time.Millisecond)
+			if role := old.Role(); role != election.RoleReplica || log.CurrentEpoch() != epoch {
+				t.Fatalf("stalled replica campaigned: role %v, epoch %d -> %d", role, epoch, log.CurrentEpoch())
+			}
+		})
 	}
 }

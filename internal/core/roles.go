@@ -5,7 +5,6 @@ import (
 
 	"memorydb/internal/election"
 	"memorydb/internal/engine"
-	"memorydb/internal/snapshot"
 	"memorydb/internal/trace"
 	"memorydb/internal/tracker"
 	"memorydb/internal/txlog"
@@ -191,12 +190,14 @@ func (n *Node) runReplica() {
 				n.applyEntry(e)
 			default:
 				if err := n.applyEntry(e); err != nil {
-					if errors.Is(err, errUpgradeStall) {
+					if errors.Is(err, txlog.ErrUpgradeStall) {
 						// Stop consuming the log (§7.1) but keep serving
 						// stale reads until the control plane replaces us.
 						n.waitUntilStopped()
 						return
 					}
+					// Apply failure or checksum divergence: this copy can
+					// no longer be trusted, rebuild it from durable sources.
 					n.setRole(election.RoleDemoted, 0)
 					return
 				}
@@ -327,15 +328,17 @@ func (n *Node) runPrimary() {
 // needed to bridge snapshot → tail no longer exists, and a restore must
 // fail loudly rather than replay across the gap — a gapped replay would
 // silently drop committed writes. Recovery needs a newer snapshot to
-// appear (the scheduler's next run), so callers may retry.
+// appear (the builder's next pass), so callers may retry.
 var ErrLogTrimmedGap = errors.New("core: log trimmed past newest usable snapshot; refusing gapped replay")
 
 // resync rebuilds the node's state from durable sources: the latest
-// usable snapshot in S3 (when configured) plus the transaction log suffix
-// (§4.2.1). It runs entirely against shared, separately scaled services —
-// no interaction with live peers. Corrupt or torn snapshot versions are
-// skipped (counted in TornSnapshotsDetected), falling back to the next
-// older version or pure log replay (§7.2.1).
+// usable snapshot chain in S3 (when configured) plus the transaction log
+// suffix (§4.2.1). It runs entirely against shared, separately scaled
+// services — no interaction with live peers. Corrupt or torn snapshot
+// versions are skipped (counted in TornSnapshotsDetected), falling back
+// to the next older version or pure log replay (§7.2.1). The replayer it
+// seeds from the snapshot's log checksum is handed to the tailer, so the
+// running checksum never restarts between restore and tailing.
 func (n *Node) resync() error {
 	if !n.gate() {
 		return ErrStopped
@@ -348,39 +351,45 @@ func (n *Node) resync() error {
 	eng.SetTrace(n.trace)
 	eng.SetFlight(n.flight)
 	from := txlog.ZeroID
+	var sum uint64
 	if n.cfg.Snapshots != nil {
-		db, meta, skipped, ok, err := n.cfg.Snapshots.LatestUsable(n.cfg.ShardID)
-		if skipped > 0 {
-			n.stats.TornSnapshotsDetected.Add(int64(skipped))
+		chain, ok, err := n.cfg.Snapshots.Resolve(n.cfg.ShardID, false)
+		if chain.Skipped > 0 {
+			n.stats.TornSnapshotsDetected.Add(int64(chain.Skipped))
 		}
 		if err != nil {
 			return err
 		}
 		if ok {
-			if meta.EngineVersion > n.cfg.EngineVersion {
+			if chain.Tip.EngineVersion > n.cfg.EngineVersion {
 				return errors.New("core: snapshot produced by newer engine version")
 			}
-			eng.ResetDB(db)
-			from = meta.LogPos
+			eng.ResetDB(chain.DB)
+			from, sum = chain.Tip.LogPos, chain.Tip.LogChecksum
 			n.stats.SnapshotRestores.Add(1)
 		}
 	}
 	// Replay the suffix up to the committed tail at restore time; the
-	// replica tailer continues from there.
-	target := n.cfg.Log.CommittedTail()
-	if err := snapshot.ReplayRange(n.stopCtx, n.cfg.Log, eng, from, target); err != nil {
-		if errors.Is(err, txlog.ErrTrimmed) {
-			return ErrLogTrimmedGap
-		}
+	// replica tailer continues from there. An entry from a newer engine
+	// ends the replay early with the prefix intact: the tailer meets the
+	// same entry through the same replayer and stalls there (§7.1).
+	replay := txlog.NewReplayer(n.cfg.EngineVersion, sum)
+	applied, err := replay.Range(n.cfg.Log, from, n.cfg.Log.CommittedTail(),
+		func(e txlog.Entry) error { return eng.Apply(e.Payload) })
+	if errors.Is(err, txlog.ErrTrimmed) {
+		return ErrLogTrimmedGap
+	}
+	if err != nil && !errors.Is(err, txlog.ErrUpgradeStall) {
 		return err
 	}
 	// Install the rebuilt state under an all-shard barrier, then a fresh
 	// tracker.
-	if !n.installState(eng, target, false, 0) {
+	if !n.installState(eng, applied, false, 0) {
 		return ErrStopped
 	}
+	n.replay = replay
 	n.mu.Lock()
-	n.trk = tracker.New(target.Seq)
+	n.trk = tracker.New(applied.Seq)
 	n.stalled = false
 	n.mu.Unlock()
 	return nil

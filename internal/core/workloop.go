@@ -711,5 +711,3 @@ func isAlwaysLocal(name string) bool {
 	}
 	return false
 }
-
-var errUpgradeStall = errors.New("core: replication stream from newer engine version; consumption stopped")

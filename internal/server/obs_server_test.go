@@ -29,6 +29,11 @@ func TestServerRecordsFrontEndStages(t *testing.T) {
 		}
 	}
 
+	// The server stamps reply_write after the write returns, which can be
+	// after the client has already read the reply: wait for the last stamp.
+	for deadline := time.Now().Add(time.Second); m.Stage(obs.StageReplyWrite).Count() < cmds && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := m.Stage(obs.StageReadParse).Count(); got < cmds {
 		t.Errorf("read_parse count = %d, want >= %d", got, cmds)
 	}

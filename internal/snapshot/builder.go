@@ -34,22 +34,25 @@ type BuilderHealth struct {
 	LagAlarms atomic.Int64
 }
 
-// Builder is the forkless checkpointer (Taurus-style "the log is the
-// database"): instead of forking the engine and paying COW+swap for a
-// BGSave, it runs a dedicated transaction-log reader — exactly like a
-// replica tailer — into a private materialized keyspace that lives
-// entirely off the critical path. At a configurable log-distance cadence
-// it emits an *incremental delta* (only the objects changed since the
-// previous snapshot, plus tombstones for deletions), and every
-// CompactEvery deltas it compacts the chain by dumping its materialized
-// copy as a fresh full snapshot. The engine never forks, never pauses,
-// and write latency stays flat while snapshots stream out.
+// Builder is the one snapshot producer: the forkless checkpointer
+// (Taurus-style "the log is the database"). Instead of forking the
+// engine and paying COW+swap for a BGSave, it runs a dedicated
+// transaction-log reader — exactly like a replica tailer — into a private
+// materialized keyspace that lives entirely off the critical path
+// (§4.2.2). At a configurable log-distance cadence it emits an
+// *incremental delta* (only the objects changed since the previous
+// snapshot, plus tombstones for deletions), and every CompactEvery deltas
+// it compacts the chain by dumping its materialized copy as a fresh full
+// snapshot. The engine never forks, never pauses, and write latency stays
+// flat while snapshots stream out.
 type Builder struct {
 	Manager *Manager
 	Log     *txlog.Log
 	ShardID string
 	// EngineVersion stamps produced snapshots (pinned to the oldest
-	// running version during mixed-version upgrades, §7.1).
+	// running version during mixed-version upgrades, §7.1, so every node
+	// can restore from them). It is not the version the builder replays
+	// at: that is always this binary's engine.Version.
 	EngineVersion uint32
 	// DeltaInterval is the log-distance cadence: a delta is emitted once
 	// this many entries accumulated since the last snapshot (default 512).
@@ -60,25 +63,28 @@ type Builder struct {
 	// Interval paces Run's ticks (default 25ms).
 	Interval time.Duration
 	Clock    clock.Clock
-	// Retry shapes S3 upload backoff, like the off-box path.
+	// Retry shapes the backoff applied to the S3 restore and upload legs,
+	// so a brief storage blip degrades one pass's latency instead of
+	// failing it. The zero value uses the library defaults.
 	Retry retry.Policy
-	// Faults injects crash faults into the delta/compaction pipeline
-	// (snapshot.delta.build, snapshot.delta.upload, snapshot.compact,
-	// builder.lag). Production leaves it nil.
+	// Faults injects crash faults into the pipeline (the emitSites of a
+	// full or a delta, plus builder.lag). Production leaves it nil.
 	Faults *faultpoint.Registry
-	// Obs, when set, records snapshot_delta_build and
-	// snapshot_delta_upload durations into named histograms.
+	// Obs, when set, records snapshot_build / snapshot_upload (fulls) and
+	// snapshot_delta_build / snapshot_delta_upload durations into named
+	// histograms.
 	Obs *obs.Metrics
-	// AlarmFn pages when the builder falls behind the log's trim horizon
-	// — the monitoring hook for a checkpointer that stopped keeping up.
-	AlarmFn func(msg string)
 	// Flight, when set, records builder-lag incidents on the node's
 	// black-box timeline alongside the page.
 	Flight *trace.Flight
 
-	mu       sync.Mutex
-	eng      *engine.Engine
-	reader   *txlog.Reader
+	mu     sync.Mutex
+	eng    *engine.Engine
+	reader *txlog.Reader
+	// replay consumes every entry the reader delivers: seeded from the
+	// chain tip's log checksum at bootstrap, its running sum is what the
+	// next snapshot records.
+	replay   *txlog.Replayer
 	pos      txlog.EntryID // last log entry applied to the private copy
 	lastEmit txlog.EntryID // position of the last emitted snapshot
 	// chain bookkeeping for the next emit's meta
@@ -130,50 +136,37 @@ func (b *Builder) mgr() *Manager {
 // BuilderStats is a test/inspection view of builder progress.
 type BuilderStats struct {
 	Pos             txlog.EntryID
-	LastEmit        txlog.EntryID
-	ChainDepth      uint32
 	DeltasSinceFull int
 	Rebootstraps    int64
-	DirtyKeys       int
 }
 
 // Stats returns the builder's current progress counters.
 func (b *Builder) Stats() BuilderStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BuilderStats{
-		Pos: b.pos, LastEmit: b.lastEmit,
-		ChainDepth: b.chainDepth, DeltasSinceFull: b.deltasSinceFull,
-		Rebootstraps: b.rebootstraps, DirtyKeys: len(b.dirty),
-	}
+	return BuilderStats{Pos: b.pos, DeltasSinceFull: b.deltasSinceFull, Rebootstraps: b.rebootstraps}
 }
 
 // bootstrap (re)builds the private materialized copy from the durable
 // chain — the same path a recovering replica takes — and points the
 // tailer at the chain tip.
 func (b *Builder) bootstrap() error {
-	eng := engine.New(b.clk())
-	pos := txlog.ZeroID
-	depth := uint32(0)
-	deltas := 0
-	db, chain, _, ok, err := b.mgr().LatestUsableChain(b.ShardID)
+	chain, ok, err := b.mgr().Resolve(b.ShardID, false)
 	if err != nil {
 		return fmt.Errorf("builder: bootstrap: %w", err)
 	}
+	b.eng = engine.New(b.clk())
 	if ok {
-		eng.ResetDB(db)
-		pos = chain.Tip.LogPos
-		depth = chain.Tip.ChainDepth
-		deltas = chain.Depth
+		b.eng.ResetDB(chain.DB)
 	}
-	b.eng = eng
-	b.pos = pos
-	b.lastEmit = pos
-	b.chainDepth = depth
-	b.deltasSinceFull = deltas
+	b.pos = chain.Tip.LogPos
+	b.lastEmit = b.pos
+	b.chainDepth = chain.Tip.ChainDepth
+	b.deltasSinceFull = chain.Depth
 	b.dirty = make(map[string]struct{})
 	b.needFull = !ok
-	b.reader = b.Log.NewReader(pos)
+	b.reader = b.Log.NewReader(b.pos)
+	b.replay = txlog.NewReplayer(engine.Version, chain.Tip.LogChecksum)
 	b.booted = true
 	return nil
 }
@@ -185,19 +178,40 @@ func (b *Builder) rebootstrap() {
 	b.rebootstraps++
 }
 
-// Tick performs one builder pass: check the trim horizon, drain every
-// committed entry into the private copy (tracking changed keys), and emit
-// a delta or compaction snapshot when the log-distance cadence is due.
-// Transient log unavailability ends the drain early; ErrTrimmed or a
-// quarantined segment under the tailer re-bootstraps from the chain, and
-// a crash decision kills the in-memory copy (ErrBuilderCrashed).
+// Tick performs one builder pass: catch the private copy up with the
+// log and emit a delta or compaction snapshot when the log-distance
+// cadence is due. Transient log unavailability ends the drain early;
+// ErrTrimmed or a quarantined segment under the tailer re-bootstraps from
+// the chain, and a crash decision kills the in-memory copy
+// (ErrBuilderCrashed).
 func (b *Builder) Tick(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.tickLocked(ctx)
+	if err := b.catchUp(); err != nil {
+		return err
+	}
+	if b.pos.Seq-b.lastEmit.Seq < b.deltaInterval() {
+		return nil
+	}
+	_, err := b.emit(b.needFull || b.deltasSinceFull >= b.compactEvery())
+	return err
 }
 
-func (b *Builder) tickLocked(ctx context.Context) error {
+// Full catches up with the log and dumps the private copy as a full
+// snapshot at that position regardless of cadence, returning its meta —
+// what an operator-requested or pre-trim checkpoint runs.
+func (b *Builder) Full(ctx context.Context) (Meta, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.catchUp(); err != nil {
+		return Meta{}, err
+	}
+	return b.emit(true)
+}
+
+// catchUp checks the trim horizon and drains every committed entry into
+// the private copy.
+func (b *Builder) catchUp() error {
 	// Lag gate: every pass consults builder.lag with the current horizon.
 	switch d := b.Faults.Hit(faultpoint.SiteBuilderLag); d.Kind {
 	case faultpoint.Crash:
@@ -221,10 +235,8 @@ func (b *Builder) tickLocked(ctx context.Context) error {
 	if base := b.Log.TrimBase(); b.pos.Seq < base.Seq {
 		b.Manager.Health().LagAlarms.Add(1)
 		b.Flight.Recordf(trace.EvBuilderLag, b.pos.Seq, "%s lag exceeded trim horizon (base %d)", b.ShardID, base.Seq)
-		if b.AlarmFn != nil {
-			b.AlarmFn(fmt.Sprintf("builder: %s lag exceeded trim horizon (pos %d < base %d)",
-				b.ShardID, b.pos.Seq, base.Seq))
-		}
+		b.Manager.alarm(fmt.Sprintf("builder: %s lag exceeded trim horizon (pos %d < base %d)",
+			b.ShardID, b.pos.Seq, base.Seq))
 		if err := b.bootstrap(); err != nil {
 			return err
 		}
@@ -232,184 +244,183 @@ func (b *Builder) tickLocked(ctx context.Context) error {
 	if err := b.drain(); err != nil {
 		return err
 	}
-	health := b.Manager.Health()
-	health.LagEntries.Store(int64(b.Log.CommittedTail().Seq - b.pos.Seq))
-	if b.pos.Seq-b.lastEmit.Seq >= b.deltaInterval() {
-		return b.emit(ctx)
-	}
+	b.Manager.Health().LagEntries.Store(int64(b.Log.CommittedTail().Seq - b.pos.Seq))
 	return nil
 }
 
-// drain applies every currently committed entry to the private copy.
+// drain steps every currently committed entry through the replayer into
+// the private copy.
 func (b *Builder) drain() error {
 	for {
 		e, ok, err := b.reader.TryNext()
+		if errors.Is(err, txlog.ErrUnavailable) {
+			return nil // transient: cursor unchanged, retry next tick
+		}
+		if errors.Is(err, txlog.ErrTrimmed) || errors.Is(err, txlog.ErrCorruptSegment) {
+			// The log no longer serves this position, but the chain may
+			// cover it. If bootstrapping from the chain does not get past
+			// it, nothing does: fail loudly instead of spinning.
+			stuck := b.pos
+			b.rebootstrap()
+			if err := b.bootstrap(); err != nil {
+				return err
+			}
+			if !stuck.Less(b.pos) {
+				return fmt.Errorf("builder: no snapshot covers the log past %v: %w", stuck, err)
+			}
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, txlog.ErrUnavailable) {
-				return nil // transient: cursor unchanged, retry next tick
-			}
-			if errors.Is(err, txlog.ErrTrimmed) || errors.Is(err, txlog.ErrCorruptSegment) {
-				b.rebootstrap()
-				return b.bootstrap()
-			}
 			return err
 		}
 		if !ok {
 			return nil // caught up
 		}
+		if err := b.replay.Step(e, b.applyTracked); err != nil {
+			// An entry this builder may not consume (newer engine) or whose
+			// outcome contradicts the log: the cursor is already past it,
+			// so drop the private copy — the next pass rebuilds from the
+			// chain and meets the same entry again, never emitting past it.
+			b.rebootstrap()
+			return fmt.Errorf("builder: %w", err)
+		}
 		b.pos = e.ID
-		if e.Type != txlog.EntryData {
-			continue
-		}
-		keys, wholesale, err := b.eng.ApplyTracked(e.Payload)
-		if err != nil {
-			return fmt.Errorf("builder: apply at %v: %w", e.ID, err)
-		}
-		if wholesale {
-			// FLUSHALL-style rewrites invalidate per-key tracking; the
-			// next emit must be a full image.
-			b.needFull = true
-			b.dirty = make(map[string]struct{})
-		}
-		for _, k := range keys {
-			b.dirty[k] = struct{}{}
-		}
 	}
 }
 
-// emit produces the due snapshot: a compaction (full dump of the private
-// copy, resetting the chain) when forced or when the chain hit
-// CompactEvery, otherwise an incremental delta of the dirty keys.
-func (b *Builder) emit(ctx context.Context) error {
-	_ = ctx
-	full := b.needFull || b.deltasSinceFull >= b.compactEvery()
-	pos := b.pos
-	sum, err := b.Log.ChecksumAt(pos)
+// applyTracked is the replayer's callback: apply one data entry to the
+// private copy, remembering which keys it changed.
+func (b *Builder) applyTracked(e txlog.Entry) error {
+	keys, wholesale, err := b.eng.ApplyTracked(e.Payload)
 	if err != nil {
-		return fmt.Errorf("builder: checksum at %v: %w", pos, err)
+		return err
 	}
-	if full {
-		return b.emitFull(pos, sum)
+	if wholesale {
+		// FLUSHALL-style rewrites invalidate per-key tracking; the
+		// next emit must be a full image.
+		b.needFull = true
+		b.dirty = make(map[string]struct{})
 	}
-	return b.emitDelta(pos, sum)
-}
-
-func (b *Builder) emitFull(pos txlog.EntryID, sum uint64) error {
-	meta := Meta{
-		ShardID: b.ShardID, EngineVersion: b.EngineVersion,
-		LogPos: pos, LogChecksum: sum,
-		Kind: KindFull, BasePos: txlog.ZeroID, ChainDepth: 0,
+	for _, k := range keys {
+		b.dirty[k] = struct{}{}
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, b.eng.DB(), meta); err != nil {
-		return fmt.Errorf("builder: compact serialize: %w", err)
-	}
-	data := buf.Bytes()
-	// Crash-mid-compaction site: a crash here leaves the previous chain
-	// intact in S3 — restores keep working off the old links.
-	switch d := b.Faults.Hit(faultpoint.SiteCompact); d.Kind {
-	case faultpoint.Crash:
-		b.rebootstrap()
-		return ErrBuilderCrashed
-	case faultpoint.Error:
-		return errors.New("builder: compact: injected fault")
-	case faultpoint.Delay:
-		b.clk().Sleep(d.Delay)
-	case faultpoint.Corrupt:
-		data = b.Faults.FlipByte(data)
-	}
-	if err := b.mgr().SaveRaw(b.ShardID, pos, data); err != nil {
-		return fmt.Errorf("builder: compact upload: %w", err)
-	}
-	b.lastEmit = pos
-	b.chainDepth = 0
-	b.deltasSinceFull = 0
-	b.dirty = make(map[string]struct{})
-	b.needFull = false
-	health := b.Manager.Health()
-	health.Compactions.Add(1)
-	health.ChainDepth.Store(0)
 	return nil
 }
 
-func (b *Builder) emitDelta(pos txlog.EntryID, sum uint64) error {
-	buildStart := obs.Now()
-	keys := make([]string, 0, len(b.dirty))
-	for k := range b.dirty {
-		keys = append(keys, k)
+// emitSite is one fault site on the emit tail and the damage a Corrupt
+// decision does there (nil: none).
+type emitSite struct {
+	name    string
+	corrupt func(*faultpoint.Registry, []byte) []byte
+}
+
+// Corrupt at a build site is silent bit rot in the serialized image; at
+// an upload site it is a torn write (§7.2.1) — both upload bytes that
+// chain resolution's per-link checksum must later reject, falling back to
+// the longest intact prefix. A crash anywhere leaves the previous chain
+// intact in S3: restores keep working off the old links.
+var (
+	fullSites = []emitSite{
+		{faultpoint.SiteCompact, (*faultpoint.Registry).FlipByte},
+		{faultpoint.SiteSnapBuild, (*faultpoint.Registry).FlipByte},
+		{faultpoint.SiteSnapUpload, (*faultpoint.Registry).TornWrite},
+		{faultpoint.SiteS3Put, nil},
 	}
-	sort.Strings(keys) // deterministic bodies for a given dirty set
+	deltaSites = []emitSite{
+		{faultpoint.SiteDeltaBuild, (*faultpoint.Registry).FlipByte},
+		{faultpoint.SiteDeltaUpload, (*faultpoint.Registry).TornWrite},
+		{faultpoint.SiteS3Put, nil},
+	}
+)
+
+// emit produces one snapshot of the private copy at the current
+// position: a full dump (compaction, resetting the chain) or an
+// incremental delta of the dirty keys. Both kinds share one tail —
+// serialize, fault sites, upload, bookkeeping.
+func (b *Builder) emit(full bool) (Meta, error) {
+	buildStart := obs.Now()
 	meta := Meta{
 		ShardID: b.ShardID, EngineVersion: b.EngineVersion,
-		LogPos: pos, LogChecksum: sum,
-		Kind: KindDelta, BasePos: b.lastEmit, ChainDepth: b.chainDepth + 1,
+		LogPos: b.pos, LogChecksum: b.replay.Sum(), Kind: KindFull,
 	}
+	sites, hist := fullSites, "snapshot"
 	var buf bytes.Buffer
-	if err := WriteDelta(&buf, b.eng.DB(), keys, meta); err != nil {
-		return fmt.Errorf("builder: delta serialize: %w", err)
+	var err error
+	if full {
+		err = Write(&buf, b.eng.DB(), meta)
+	} else {
+		sites, hist = deltaSites, "snapshot_delta"
+		meta.Kind, meta.BasePos, meta.ChainDepth = KindDelta, b.lastEmit, b.chainDepth+1
+		keys := make([]string, 0, len(b.dirty))
+		for k := range b.dirty {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys) // deterministic bodies for a given dirty set
+		err = WriteDelta(&buf, b.eng.DB(), keys, meta)
+	}
+	if err != nil {
+		return Meta{}, fmt.Errorf("builder: %s serialize: %w", meta.Kind, err)
 	}
 	data := buf.Bytes()
 	if b.Obs != nil {
-		b.Obs.Named("snapshot_delta_build").ObserveNanos(obs.Now() - buildStart)
-	}
-	// Crash-mid-delta sites. Corrupt at the build site is silent bit rot
-	// inside a chain link; at the upload site it is a torn delta — both
-	// must be caught by chain resolution's per-link checksum, falling
-	// back to the longest intact prefix of the chain.
-	switch d := b.Faults.Hit(faultpoint.SiteDeltaBuild); d.Kind {
-	case faultpoint.Crash:
-		b.rebootstrap()
-		return ErrBuilderCrashed
-	case faultpoint.Error:
-		return errors.New("builder: delta build: injected fault")
-	case faultpoint.Delay:
-		b.clk().Sleep(d.Delay)
-	case faultpoint.Corrupt:
-		data = b.Faults.FlipByte(data)
+		b.Obs.Named(hist + "_build").ObserveNanos(obs.Now() - buildStart)
 	}
 	uploadStart := obs.Now()
-	switch d := b.Faults.Hit(faultpoint.SiteDeltaUpload); d.Kind {
-	case faultpoint.Crash:
-		b.rebootstrap()
-		return ErrBuilderCrashed
-	case faultpoint.Error:
-		return errors.New("builder: delta upload: injected fault")
-	case faultpoint.Delay:
-		b.clk().Sleep(d.Delay)
-	case faultpoint.Corrupt:
-		data = b.Faults.TornWrite(data)
+	for _, site := range sites {
+		switch d := b.Faults.Hit(site.name); d.Kind {
+		case faultpoint.Crash:
+			b.rebootstrap()
+			return Meta{}, ErrBuilderCrashed
+		case faultpoint.Error:
+			return Meta{}, fmt.Errorf("builder: %s: injected fault", site.name)
+		case faultpoint.Delay:
+			b.clk().Sleep(d.Delay)
+		case faultpoint.Corrupt:
+			if site.corrupt != nil {
+				data = site.corrupt(b.Faults, data)
+			}
+		}
 	}
-	if err := b.mgr().SaveRaw(b.ShardID, pos, data); err != nil {
-		return fmt.Errorf("builder: delta upload: %w", err)
+	if err := b.mgr().SaveRaw(b.ShardID, meta.LogPos, data); err != nil {
+		return Meta{}, fmt.Errorf("builder: %s upload: %w", meta.Kind, err)
 	}
 	if b.Obs != nil {
-		b.Obs.Named("snapshot_delta_upload").ObserveNanos(obs.Now() - uploadStart)
+		b.Obs.Named(hist + "_upload").ObserveNanos(obs.Now() - uploadStart)
 	}
-	b.lastEmit = pos
-	b.chainDepth++
-	b.deltasSinceFull++
+	b.lastEmit = meta.LogPos
+	b.chainDepth = meta.ChainDepth
 	b.dirty = make(map[string]struct{})
 	health := b.Manager.Health()
-	health.DeltasEmitted.Add(1)
+	if full {
+		b.deltasSinceFull = 0
+		b.needFull = false
+		health.Compactions.Add(1)
+	} else {
+		b.deltasSinceFull++
+		health.DeltasEmitted.Add(1)
+	}
 	health.ChainDepth.Store(int64(b.chainDepth))
-	return nil
+	return meta, nil
 }
 
 // Run ticks until ctx is cancelled. Emit failures (including injected
 // crashes) are absorbed: the dirty set and cursor survive — or
 // re-bootstrap from the chain — and the next tick retries.
 func (b *Builder) Run(ctx context.Context) {
-	clk := b.clk()
-	interval := b.Interval
+	every(ctx, b.clk(), b.Interval, 25*time.Millisecond, func() { _ = b.Tick(ctx) })
+}
+
+// every calls fn once per interval (def when unset) until ctx is cancelled.
+func every(ctx context.Context, clk clock.Clock, interval, def time.Duration, fn func()) {
 	if interval <= 0 {
-		interval = 25 * time.Millisecond
+		interval = def
 	}
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-clk.After(interval):
-			_ = b.Tick(ctx)
+			fn()
 		}
 	}
 }

@@ -10,15 +10,15 @@ import (
 	"memorydb/internal/s3"
 )
 
-// TestOffboxSurvivesBriefS3Outage: a scheduled off-box snapshot must not
-// fail because S3 blipped — the retrying wrapper absorbs the outage and
-// the run completes (satellite: snapshot/S3 retry discipline).
-func TestOffboxSurvivesBriefS3Outage(t *testing.T) {
+// TestBuilderSurvivesBriefS3Outage: a snapshot pass must not fail because
+// S3 blipped — the retrying wrapper absorbs the outage and the pass
+// completes (snapshot/S3 retry discipline).
+func TestBuilderSurvivesBriefS3Outage(t *testing.T) {
 	log, _ := buildLoggedShard(t, 10)
 	store := s3.New()
 	mgr := NewManager(store, "snaps")
-	ob := &Offbox{
-		Manager:       mgr,
+	b := &Builder{
+		Manager: mgr, Log: log, ShardID: "s1",
 		EngineVersion: 2,
 		Retry:         retry.Policy{Base: time.Millisecond, Max: 10 * time.Millisecond, Attempts: 12},
 	}
@@ -30,20 +30,20 @@ func TestOffboxSurvivesBriefS3Outage(t *testing.T) {
 		time.Sleep(15 * time.Millisecond)
 		store.SetUnavailable(false)
 	}()
-	meta, err := ob.Run(context.Background(), "s1", log)
+	meta, err := b.Full(context.Background())
 	if err != nil {
-		t.Fatalf("off-box run across S3 blip: %v", err)
+		t.Fatalf("snapshot pass across S3 blip: %v", err)
 	}
 	if meta.LogPos != log.CommittedTail() {
 		t.Fatalf("snapshot at %v, want %v", meta.LogPos, log.CommittedTail())
 	}
-	if _, _, ok, err := mgr.Latest("s1"); err != nil || !ok {
-		t.Fatalf("snapshot not retrievable after run: %v %v", ok, err)
+	if _, ok, err := mgr.Resolve("s1", false); err != nil || !ok {
+		t.Fatalf("snapshot not retrievable after the pass: %v %v", ok, err)
 	}
 
 	// A persistent outage still fails (bounded attempts, not forever).
 	store.SetUnavailable(true)
-	if _, err := ob.Run(context.Background(), "s1", log); !errors.Is(err, s3.ErrUnavailable) {
+	if _, err := b.Full(context.Background()); !errors.Is(err, s3.ErrUnavailable) {
 		t.Fatalf("persistent outage: err = %v, want ErrUnavailable", err)
 	}
 }

@@ -68,31 +68,18 @@ func (h *shardHarness) do(args ...string) {
 // suffix above its tip, and requires the result to equal the model.
 func (h *shardHarness) checkRestore(mgr *Manager) Chain {
 	h.t.Helper()
-	db, chain, _, ok, err := mgr.LatestUsableChain("s1")
+	chain, ok, err := mgr.Resolve("s1", false)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	replayFrom := txlog.ZeroID
 	eng := engine.New(clock.NewReal())
 	if ok {
-		eng.ResetDB(db)
-		replayFrom = chain.Tip.LogPos
+		eng.ResetDB(chain.DB)
 	}
-	r := h.log.NewReader(replayFrom)
-	for {
-		e, more, err := r.TryNext()
-		if err != nil {
-			h.t.Fatalf("replay above chain tip %v: %v", replayFrom, err)
-		}
-		if !more {
-			break
-		}
-		if e.Type != txlog.EntryData {
-			continue
-		}
-		if err := eng.Apply(e.Payload); err != nil {
-			h.t.Fatalf("replay apply at %v: %v", e.ID, err)
-		}
+	replay := txlog.NewReplayer(engine.Version, chain.Tip.LogChecksum)
+	if _, err := replay.Range(h.log, chain.Tip.LogPos, h.log.CommittedTail(),
+		func(e txlog.Entry) error { return eng.Apply(e.Payload) }); err != nil {
+		h.t.Fatalf("replay above chain tip %v: %v", chain.Tip.LogPos, err)
 	}
 	if got, want := eng.DB().Len(), len(h.want); got != want {
 		h.t.Fatalf("restored keyspace has %d keys, want %d", got, want)
@@ -202,14 +189,10 @@ func TestBuilderDeltaCarriesTombstones(t *testing.T) {
 	if chain.Tip.Kind != KindDelta {
 		t.Fatalf("second emit kind = %v, want delta", chain.Tip.Kind)
 	}
-	db, _, _, ok, err := mgr.LatestUsableChain("s1")
-	if err != nil || !ok {
-		t.Fatalf("chain restore: ok=%v err=%v", ok, err)
-	}
-	if _, present := db.Peek("doomed"); present {
+	if _, present := chain.DB.Peek("doomed"); present {
 		t.Fatal("deleted key resurrected by chain restore — delta lacks its tombstone")
 	}
-	if _, present := db.Peek("keep"); !present {
+	if _, present := chain.DB.Peek("keep"); !present {
 		t.Fatal("kept key missing after chain restore")
 	}
 }
@@ -240,12 +223,8 @@ func TestBuilderFlushAllForcesFull(t *testing.T) {
 	if chain.Tip.Kind != KindFull {
 		t.Fatalf("emit after FLUSHALL = %v, want full", chain.Tip.Kind)
 	}
-	db, _, _, _, err := mgr.LatestUsableChain("s1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Len() != 1 {
-		t.Fatalf("post-FLUSHALL snapshot has %d keys, want 1", db.Len())
+	if chain.DB.Len() != 1 {
+		t.Fatalf("post-FLUSHALL snapshot has %d keys, want 1", chain.DB.Len())
 	}
 }
 
@@ -313,7 +292,7 @@ func TestChainFallbackAnyDamagedSuffix(t *testing.T) {
 						}
 					}
 				}
-				db, chain, _, ok, err := mgr.LatestUsableChain("s1")
+				chain, ok, err := mgr.Resolve("s1", false)
 				if err != nil {
 					t.Fatalf("resolution failed hard: %v", err)
 				}
@@ -324,7 +303,6 @@ func TestChainFallbackAnyDamagedSuffix(t *testing.T) {
 					if wantDepth := depth - j; chain.Depth != wantDepth {
 						t.Fatalf("restored chain depth %d, want %d", chain.Depth, wantDepth)
 					}
-					_ = db
 				} else if ok {
 					t.Fatal("every link damaged but resolution still claimed a chain")
 				}
@@ -348,8 +326,7 @@ func TestBuilderTrimRace(t *testing.T) {
 	mgr := NewManager(s3.New(), "snaps")
 	b := &Builder{Manager: mgr, Log: h.log, ShardID: "s1", EngineVersion: 1,
 		DeltaInterval: 4, CompactEvery: 3}
-	tr := &Trimmer{Manager: mgr}
-	tr.AddShard(Shard{ShardID: "s1", Log: h.log})
+	tr := &Trimmer{Manager: mgr, Log: h.log, ShardID: "s1"}
 	ctx := context.Background()
 
 	stop := make(chan struct{})

@@ -194,7 +194,11 @@ func Read(r io.Reader) (*store.DB, Meta, error) {
 // + body) is verified before any record is applied, so a torn or
 // bit-rotted file never half-applies.
 func ReadInto(r io.Reader, db *store.DB) (Meta, error) {
-	meta, body, err := readFile(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return Meta{}, err
+	}
+	meta, body, err := readFile(data)
 	if err != nil {
 		return meta, err
 	}
@@ -213,71 +217,51 @@ func applyBody(body []byte, db *store.DB) error {
 }
 
 // readFile verifies a snapshot file's framing and whole-file checksum and
-// returns its meta plus the still-encoded body. Chain resolution uses
-// this to validate and order every link before applying any of them.
-func readFile(r io.Reader) (Meta, []byte, error) {
-	br := bufio.NewReaderSize(r, 256<<10)
-	h := crc64.New(crcTable)
-	tr := io.TeeReader(br, h)
+// returns its meta plus the still-encoded body (a subslice of data).
+// Chain resolution uses this to validate and order every link before
+// applying any of them. Every length it reads is checked against the
+// bytes actually present, so a hostile header cannot make it allocate.
+func readFile(data []byte) (Meta, []byte, error) {
+	rd := bytes.NewReader(data)
 	var meta Meta
 	hdr := make([]byte, len(magicHeaderV2))
-	if _, err := io.ReadFull(tr, hdr); err != nil {
+	if _, err := io.ReadFull(rd, hdr); err != nil {
 		return meta, nil, fmt.Errorf("%w: short header: %v", ErrBadSnapshot, err)
 	}
 	v2 := bytes.Equal(hdr, magicHeaderV2)
 	if !v2 && !bytes.Equal(hdr, magicHeaderV1) {
 		return meta, nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	shardID, err := readString(tr)
+	shardID, err := readString(rd)
 	if err != nil {
 		return meta, nil, err
 	}
 	meta.ShardID = shardID
-	if err := binary.Read(tr, binary.BigEndian, &meta.EngineVersion); err != nil {
-		return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if err := binary.Read(tr, binary.BigEndian, &meta.LogPos.Seq); err != nil {
-		return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if err := binary.Read(tr, binary.BigEndian, &meta.LogChecksum); err != nil {
-		return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if v2 {
-		var kind uint8
-		if err := binary.Read(tr, binary.BigEndian, &kind); err != nil {
-			return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		if kind > uint8(KindDelta) {
-			return meta, nil, fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, kind)
-		}
-		meta.Kind = Kind(kind)
-		if err := binary.Read(tr, binary.BigEndian, &meta.BasePos.Seq); err != nil {
-			return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		if err := binary.Read(tr, binary.BigEndian, &meta.ChainDepth); err != nil {
-			return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-	}
+	var kind uint8
 	var bodyLen uint64
-	if err := binary.Read(tr, binary.BigEndian, &bodyLen); err != nil {
-		return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	fields := []any{&meta.EngineVersion, &meta.LogPos.Seq, &meta.LogChecksum}
+	if v2 {
+		fields = append(fields, &kind, &meta.BasePos.Seq, &meta.ChainDepth)
 	}
-	if bodyLen > 16<<30 {
-		return meta, nil, fmt.Errorf("%w: implausible body length %d", ErrBadSnapshot, bodyLen)
+	for _, f := range append(fields, &bodyLen) {
+		if err := binary.Read(rd, binary.BigEndian, f); err != nil {
+			return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		}
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(tr, body); err != nil {
-		return meta, nil, fmt.Errorf("%w: short body: %v", ErrBadSnapshot, err)
+	if kind > uint8(KindDelta) {
+		return meta, nil, fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, kind)
 	}
-	var storedSum uint64
-	if err := binary.Read(br, binary.BigEndian, &storedSum); err != nil {
-		return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	meta.Kind = Kind(kind)
+	trailer := 8 + len(magicFooter) // stored sum + footer
+	if rd.Len() < trailer || bodyLen != uint64(rd.Len()-trailer) {
+		return meta, nil, fmt.Errorf("%w: body length %d does not fit the %d bytes present", ErrBadSnapshot, bodyLen, rd.Len())
 	}
-	ftr := make([]byte, len(magicFooter))
-	if _, err := io.ReadFull(br, ftr); err != nil || !bytes.Equal(ftr, magicFooter) {
+	covered := data[:len(data)-trailer]
+	body := covered[len(covered)-int(bodyLen):]
+	if !bytes.Equal(data[len(data)-len(magicFooter):], magicFooter) {
 		return meta, nil, fmt.Errorf("%w: bad footer", ErrBadSnapshot)
 	}
-	if h.Sum64() != storedSum {
+	if crc64.Checksum(covered, crcTable) != binary.BigEndian.Uint64(data[len(covered):]) {
 		return meta, nil, ErrChecksum
 	}
 	return meta, body, nil
@@ -402,7 +386,7 @@ func encodeObject(w *bytes.Buffer, key string, obj *store.Object, expireAt int64
 }
 
 func decodeObject(r *bytes.Reader, db *store.DB) error {
-	key, err := readStringR(r)
+	key, err := readString(r)
 	if err != nil {
 		return err
 	}
@@ -434,7 +418,7 @@ func decodeObject(r *bytes.Reader, db *store.DB) error {
 		}
 		obj.Hash = make(map[string][]byte, n)
 		for i := 0; i < n; i++ {
-			f, err := readStringR(r)
+			f, err := readString(r)
 			if err != nil {
 				return err
 			}
@@ -466,7 +450,7 @@ func decodeObject(r *bytes.Reader, db *store.DB) error {
 		}
 		obj.Set = make(map[string]struct{}, n)
 		for i := 0; i < n; i++ {
-			m, err := readStringR(r)
+			m, err := readString(r)
 			if err != nil {
 				return err
 			}
@@ -480,7 +464,7 @@ func decodeObject(r *bytes.Reader, db *store.DB) error {
 		}
 		obj.ZSet = store.NewZSet()
 		for i := 0; i < n; i++ {
-			m, err := readStringR(r)
+			m, err := readString(r)
 			if err != nil {
 				return err
 			}
@@ -539,8 +523,9 @@ func readCount(r *bytes.Reader) (int, error) {
 	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if n > 1<<28 {
-		return 0, fmt.Errorf("%w: implausible count %d", ErrBadSnapshot, n)
+	// Every counted element occupies at least one byte of what remains.
+	if int64(n) > int64(r.Len()) {
+		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrBadSnapshot, n, r.Len())
 	}
 	return int(n), nil
 }
@@ -561,13 +546,13 @@ func writeBytes(w *bytes.Buffer, b []byte) error {
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
+func readString(r *bytes.Reader) (string, error) {
 	var n uint32
 	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if n > 1<<28 {
-		return "", fmt.Errorf("%w: implausible string length %d", ErrBadSnapshot, n)
+	if int64(n) > int64(r.Len()) {
+		return "", fmt.Errorf("%w: string length %d exceeds the %d bytes left", ErrBadSnapshot, n, r.Len())
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {
@@ -575,8 +560,6 @@ func readString(r io.Reader) (string, error) {
 	}
 	return string(b), nil
 }
-
-func readStringR(r *bytes.Reader) (string, error) { return readString(r) }
 
 func readBytesR(r *bytes.Reader) ([]byte, error) {
 	s, err := readString(r)

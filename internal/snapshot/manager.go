@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"memorydb/internal/obs"
 	"memorydb/internal/retry"
 	"memorydb/internal/s3"
 	"memorydb/internal/store"
@@ -21,15 +22,18 @@ type Manager struct {
 	store  s3.Interface
 	prefix string
 	// torn counts corrupt/truncated snapshot versions skipped by
-	// LatestUsable across all shards. Shared (by pointer) with every
+	// Resolve across all shards. Shared (by pointer) with every
 	// WithRetries derivative so the count survives rewrapping.
 	torn *atomic.Int64
 	// health carries the forkless builder's exported gauges/counters,
 	// shared with derivatives so nodes can read them off any handle.
 	health *BuilderHealth
-	// AlarmFn, when set, is invoked each time chain resolution
-	// quarantines a damaged link — the same monitoring hook the
-	// scheduler's verification failures page through.
+	// alarms retains the last alarms raised through this manager, so
+	// history survives with no pager wired up. Shared with derivatives.
+	alarms *obs.AlarmLog
+	// AlarmFn, when set, is the pager: invoked for every alarm — a
+	// quarantined chain link, a snapshot that failed its restore
+	// rehearsal, a builder that fell behind the trim horizon.
 	AlarmFn func(msg string)
 }
 
@@ -40,14 +44,15 @@ func NewManager(st s3.Interface, prefix string) *Manager {
 	if prefix == "" {
 		prefix = "snapshots"
 	}
-	return &Manager{store: st, prefix: prefix, torn: new(atomic.Int64), health: &BuilderHealth{}}
+	return &Manager{store: st, prefix: prefix, torn: new(atomic.Int64), health: &BuilderHealth{},
+		alarms: obs.NewAlarmLog(64)}
 }
 
 // WithRetries returns a Manager reading and writing through a retrying
 // wrapper with the given policy, sharing the underlying store.
 func (m *Manager) WithRetries(pol retry.Policy) *Manager {
 	return &Manager{store: s3.WithRetry(m.store, pol), prefix: m.prefix,
-		torn: m.torn, health: m.health, AlarmFn: m.AlarmFn}
+		torn: m.torn, health: m.health, alarms: m.alarms, AlarmFn: m.AlarmFn}
 }
 
 // Health returns the builder health block shared by every derivative of
@@ -55,12 +60,18 @@ func (m *Manager) WithRetries(pol retry.Policy) *Manager {
 // compaction counts from here.
 func (m *Manager) Health() *BuilderHealth { return m.health }
 
-// alarm forwards a quarantine description to AlarmFn when wired.
+// alarm is the one alarm path of the snapshot pipeline: msg is retained
+// in the bounded ring and forwarded to AlarmFn when wired.
 func (m *Manager) alarm(msg string) {
+	m.alarms.Raise(msg)
 	if m.AlarmFn != nil {
 		m.AlarmFn(msg)
 	}
 }
+
+// RecentAlarms returns up to n retained alarms, newest first — the
+// post-mortem view of quarantined snapshots and builder lag.
+func (m *Manager) RecentAlarms(n int) []obs.Alarm { return m.alarms.Recent(n) }
 
 // TornDetected returns how many corrupt or torn snapshot versions this
 // manager (and its retrying derivatives) has skipped during restores.
@@ -79,27 +90,24 @@ func (m *Manager) Save(db *store.DB, meta Meta) error {
 	return m.store.Put(m.key(meta.ShardID, meta.LogPos), buf.Bytes())
 }
 
-// SaveRaw uploads pre-serialized snapshot bytes (used by verification
-// rehearsal, which must store exactly what it validated).
+// SaveRaw uploads pre-serialized snapshot bytes.
 func (m *Manager) SaveRaw(shardID string, pos txlog.EntryID, data []byte) error {
 	return m.store.Put(m.key(shardID, pos), data)
 }
 
-// Latest fetches the freshest usable snapshot for shardID. ok=false when
-// the shard has no usable snapshot yet (cold start replays the whole
-// log). Corrupt or torn versions are skipped; see LatestUsable.
-func (m *Manager) Latest(shardID string) (*store.DB, Meta, bool, error) {
-	db, meta, _, ok, err := m.LatestUsable(shardID)
-	return db, meta, ok, err
-}
-
-// Chain describes a resolved restore chain: the full snapshot at its
-// base, zero or more deltas, and the tip whose LogPos restore replays
-// from. Depth is the number of deltas layered on the base.
+// Chain is a resolved restore chain: the full snapshot at its base, zero
+// or more deltas, and the tip whose LogPos restore replays from, with
+// the keyspace they materialize.
 type Chain struct {
-	Tip   Meta
-	Base  Meta
+	// DB is the base with every delta layered on in order.
+	DB   *store.DB
+	Tip  Meta
+	Base Meta
+	// Depth is the number of deltas layered on the base.
 	Depth int
+	// Skipped counts the newer, unusable tips resolution passed over
+	// (damaged files are also accumulated in TornDetected).
+	Skipped int
 }
 
 // MaxChainDepth bounds chain resolution: a chain longer than this (the
@@ -111,165 +119,104 @@ const MaxChainDepth = 64
 // (torn/corrupt/missing link); resolution falls back to an older tip.
 var errChainDamaged = errors.New("snapshot: damaged chain link")
 
-// LatestUsable walks the shard's snapshot versions newest → oldest and
-// returns the materialized keyspace of the first *restorable chain*: a
-// full snapshot for a self-contained version, or full+deltas layered in
-// order for an incremental tip. A version whose chain is damaged — a
-// link truncated by a torn write, silently corrupted at rest, or missing
-// — fails the §7.2.1 checksum gates and is skipped, falling back to the
-// next-older tip; damaged *parent* links are quarantined (removed +
-// alarmed) so no later restore retries a chain through them, while a
-// damaged candidate tip is left in place so every recovering node counts
-// it independently. Exhausting every version falls back to
-// pure log replay (ok=false), never a hard restore failure. skipped
-// reports how many unusable tips were passed over (damaged files are
-// also accumulated in TornDetected). Only genuine storage errors abort
-// the walk: a restore must not silently time-travel past a snapshot that
-// is merely unreachable right now.
-func (m *Manager) LatestUsable(shardID string) (*store.DB, Meta, int, bool, error) {
-	db, chain, skipped, ok, err := m.LatestUsableChain(shardID)
-	return db, chain.Tip, skipped, ok, err
-}
-
-// LatestUsableChain is LatestUsable exposing the whole chain: trim
-// coordination needs the *base* position (trimming past it would strand
-// the deltas above), and observability reports the depth.
-func (m *Manager) LatestUsableChain(shardID string) (*store.DB, Chain, int, bool, error) {
+// Resolve is the one way snapshot bytes become a keyspace. It walks the
+// shard's versions newest → oldest and returns the first *restorable
+// chain*: a full snapshot for a self-contained version, or full+deltas
+// layered in order for an incremental tip. A version whose chain is
+// damaged — a link truncated by a torn write, silently corrupted at
+// rest, or missing — fails the §7.2.1 checksum gates and is skipped,
+// falling back to the next-older tip; damaged *parent* links are
+// quarantined (removed + alarmed) so no later restore retries a chain
+// through them, while a damaged candidate tip is left in place so every
+// recovering node counts it independently. Exhausting every version
+// falls back to pure log replay (ok=false, Skipped still set), never a
+// hard restore failure. Only genuine storage errors abort the walk: a
+// restore must not silently time-travel past a snapshot that is merely
+// unreachable right now.
+//
+// With newestOnly set there is no falling back: verification must judge
+// the snapshot just produced, not whatever older survivor a restore
+// would settle for. Damage to the newest chain fails the call, and the
+// returned Tip.LogPos names the version judged.
+func (m *Manager) Resolve(shardID string, newestOnly bool) (Chain, bool, error) {
 	keys, err := m.store.List(m.prefix + "/" + shardID + "/")
 	if err != nil {
-		return nil, Chain{}, 0, false, err
-	}
-	index := make(map[uint64]string, len(keys))
-	for _, k := range keys {
-		if seq, ok := seqOfKey(k); ok {
-			index[seq] = k
-		}
+		return Chain{}, false, err
 	}
 	skipped := 0
 	for i := len(keys) - 1; i >= 0; i-- {
-		files, err := m.walkChain(shardID, index, keys[i])
+		seq, ok := seqOfKey(keys[i])
+		if !ok {
+			continue
+		}
+		tip := txlog.EntryID{Seq: seq}
+		chain, found, err := m.loadChain(shardID, tip)
+		if err == nil && found {
+			chain.Skipped = skipped
+			return chain, true, nil
+		}
+		if err != nil && !errors.Is(err, errChainDamaged) {
+			return Chain{Skipped: skipped}, false, err
+		}
+		if newestOnly {
+			return Chain{Tip: Meta{LogPos: tip}}, false, err
+		}
 		if err != nil {
-			if errors.Is(err, errChainDamaged) {
-				skipped++
-				continue
-			}
-			return nil, Chain{}, skipped, false, err
-		}
-		if files == nil {
-			// Tip vanished between List and Get (quarantine or trim races
-			// are benign): not even a skip.
-			continue
-		}
-		db := store.NewDB()
-		applied := true
-		for _, f := range files {
-			if err := applyBody(f.body, db); err != nil {
-				// The CRC passed but the body does not decode — treat as
-				// damage at that link and fall back.
-				m.torn.Add(1)
-				m.quarantine(shardID, f.meta.LogPos, fmt.Sprintf("body decode failed: %v", err))
-				applied = false
-				break
-			}
-		}
-		if !applied {
 			skipped++
-			continue
 		}
-		tip, base := files[len(files)-1].meta, files[0].meta
-		return db, Chain{Tip: tip, Base: base, Depth: len(files) - 1}, skipped, true, nil
+		// else: the tip vanished between List and Get (quarantine or trim
+		// races are benign) — not even a skip.
 	}
-	return nil, Chain{}, skipped, false, nil
+	return Chain{Skipped: skipped}, false, nil
 }
 
-// NewestChain resolves the chain ending at the newest stored version
-// *without falling back*: verification must judge the snapshot just
-// produced, not whatever older survivor a restore would settle for. A
-// damaged link fails the call (after quarantining it); ok=false means the
-// shard has no snapshot at all.
-func (m *Manager) NewestChain(shardID string) (*store.DB, Chain, bool, error) {
-	keys, err := m.store.List(m.prefix + "/" + shardID + "/")
-	if err != nil {
-		return nil, Chain{}, false, err
+// loadChain fetches and checksum-verifies the chain ending at tip, then
+// layers its bodies base → tip into a fresh keyspace. A damaged *parent*
+// link (bad CRC, malformed frame, implausible parent pointer, a body that
+// does not decode) is quarantined via the Remove/alarm path — every delta
+// above it is already unrestorable, so no later restore should retry it.
+// A damaged candidate *tip* is only skipped, not removed: every resolver
+// (each recovering node) must see and count it independently, exactly
+// like the flat-version fallback always has. A link missing from the
+// store fails the walk without quarantining (the file is already gone).
+// found=false with a nil error means the tip itself disappeared between
+// List and Get. Genuine storage errors are returned verbatim.
+func (m *Manager) loadChain(shardID string, tip txlog.EntryID) (Chain, bool, error) {
+	type link struct {
+		meta Meta
+		body []byte // verified, still encoded
 	}
-	if len(keys) == 0 {
-		return nil, Chain{}, false, nil
-	}
-	index := make(map[uint64]string, len(keys))
-	for _, k := range keys {
-		if seq, ok := seqOfKey(k); ok {
-			index[seq] = k
-		}
-	}
-	files, err := m.walkChain(shardID, index, keys[len(keys)-1])
-	if err != nil {
-		return nil, Chain{}, false, err
-	}
-	if files == nil {
-		return nil, Chain{}, false, nil
-	}
-	db := store.NewDB()
-	for _, f := range files {
-		if err := applyBody(f.body, db); err != nil {
-			m.torn.Add(1)
-			m.quarantine(shardID, f.meta.LogPos, fmt.Sprintf("body decode failed: %v", err))
-			return nil, Chain{}, false, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-	}
-	tip, base := files[len(files)-1].meta, files[0].meta
-	return db, Chain{Tip: tip, Base: base, Depth: len(files) - 1}, true, nil
-}
-
-// chainFile is one verified link: its meta plus the still-encoded body.
-type chainFile struct {
-	meta Meta
-	body []byte
-}
-
-// walkChain fetches and checksum-verifies the chain ending at tipKey,
-// returning its links ordered base → tip. A damaged *parent* link (bad
-// CRC, malformed frame, implausible parent pointer) is quarantined via the
-// Remove/alarm path — every delta above it is already unrestorable, so no
-// later restore should retry it. A damaged candidate *tip* is only
-// skipped, not removed: every resolver (each recovering node) must see and
-// count it independently, exactly like the flat-version fallback always
-// has. A link missing from the store fails the walk without quarantining
-// (the file is already gone). (nil, nil) means the tip itself disappeared
-// between List and Get. Genuine storage errors are returned verbatim.
-func (m *Manager) walkChain(shardID string, index map[uint64]string, tipKey string) ([]chainFile, error) {
-	var down []chainFile // tip → base while walking
-	key := tipKey
-	for {
+	var down []link // tip → base
+	for pos := tip; ; {
 		if len(down) > MaxChainDepth {
 			m.torn.Add(1)
-			m.quarantine(shardID, down[len(down)-1].meta.LogPos,
-				fmt.Sprintf("chain deeper than %d links", MaxChainDepth))
-			return nil, errChainDamaged
+			m.quarantine(shardID, down[len(down)-1].meta.LogPos, fmt.Sprintf("chain deeper than %d links", MaxChainDepth))
+			return Chain{}, false, errChainDamaged
 		}
-		data, err := m.store.Get(key)
-		if err != nil {
-			if errors.Is(err, s3.ErrNoSuchKey) {
-				if len(down) == 0 {
-					return nil, nil
-				}
-				// A parent link was quarantined or lost: every delta above
-				// it is unrestorable from this tip.
-				return nil, errChainDamaged
+		data, err := m.store.Get(m.key(shardID, pos))
+		if errors.Is(err, s3.ErrNoSuchKey) {
+			if len(down) == 0 {
+				return Chain{}, false, nil // the tip itself vanished
 			}
-			return nil, err
+			// A parent link was quarantined or lost: every delta above it
+			// is unrestorable from this tip.
+			return Chain{}, false, errChainDamaged
 		}
-		meta, body, err := readFile(bytes.NewReader(data))
 		if err != nil {
-			if errors.Is(err, ErrBadSnapshot) || errors.Is(err, ErrChecksum) {
-				m.torn.Add(1)
-				if len(down) > 0 {
-					m.quarantineKey(shardID, key, fmt.Sprintf("checksum/framing: %v", err))
-				}
-				return nil, errChainDamaged
-			}
-			return nil, err
+			return Chain{}, false, err
 		}
-		down = append(down, chainFile{meta: meta, body: body})
+		meta, body, err := readFile(data)
+		if errors.Is(err, ErrBadSnapshot) || errors.Is(err, ErrChecksum) {
+			m.torn.Add(1)
+			if len(down) > 0 {
+				m.quarantine(shardID, pos, fmt.Sprintf("checksum/framing: %v", err))
+			}
+			return Chain{}, false, errChainDamaged
+		}
+		if err != nil {
+			return Chain{}, false, err
+		}
+		down = append(down, link{meta, body})
 		if meta.Kind == KindFull {
 			break
 		}
@@ -277,35 +224,30 @@ func (m *Manager) walkChain(shardID string, index map[uint64]string, tipKey stri
 			// A delta claiming a parent at or above itself is corrupt
 			// provenance even with a valid CRC.
 			m.torn.Add(1)
-			m.quarantineKey(shardID, key, fmt.Sprintf("delta base %d not below tip %d",
+			m.quarantine(shardID, pos, fmt.Sprintf("delta base %d not below tip %d",
 				meta.BasePos.Seq, meta.LogPos.Seq))
-			return nil, errChainDamaged
+			return Chain{}, false, errChainDamaged
 		}
-		parent, ok := index[meta.BasePos.Seq]
-		if !ok {
-			return nil, errChainDamaged
+		pos = meta.BasePos
+	}
+	db := store.NewDB()
+	for i := len(down) - 1; i >= 0; i-- {
+		if err := applyBody(down[i].body, db); err != nil {
+			// The CRC passed but the body does not decode.
+			m.torn.Add(1)
+			m.quarantine(shardID, down[i].meta.LogPos, fmt.Sprintf("body decode failed: %v", err))
+			return Chain{}, false, fmt.Errorf("%w: %v", errChainDamaged, err)
 		}
-		key = parent
 	}
-	// Reverse to base → tip application order.
-	for i, j := 0, len(down)-1; i < j; i, j = i+1, j-1 {
-		down[i], down[j] = down[j], down[i]
-	}
-	return down, nil
+	return Chain{DB: db, Tip: down[0].meta, Base: down[len(down)-1].meta, Depth: len(down) - 1}, true, nil
 }
 
-// quarantine removes a damaged chain link and pages through AlarmFn —
-// the same Remove/alarm path the scheduler uses for snapshots that fail
+// quarantine removes a damaged chain link and alarms — the same
+// Remove/alarm path the trim coordinator uses for snapshots that fail
 // their restore rehearsal.
 func (m *Manager) quarantine(shardID string, pos txlog.EntryID, reason string) {
 	_ = m.Remove(shardID, pos)
 	m.alarm(fmt.Sprintf("snapshot: quarantined %s seq %d: %s", shardID, pos.Seq, reason))
-}
-
-func (m *Manager) quarantineKey(shardID, key, reason string) {
-	_ = m.store.Delete(key)
-	seq, _ := seqOfKey(key)
-	m.alarm(fmt.Sprintf("snapshot: quarantined %s seq %d: %s", shardID, seq, reason))
 }
 
 // seqOfKey parses the log position encoded in a snapshot key.
@@ -314,37 +256,16 @@ func seqOfKey(key string) (uint64, bool) {
 	return seq, err == nil
 }
 
-// Remove deletes the snapshot version at pos (idempotent). The scheduler
-// quarantines a just-produced snapshot that fails verification so it can
-// never be picked up by a restore.
+// Remove deletes the snapshot version at pos (idempotent): a snapshot
+// that fails verification is quarantined this way so no restore can pick
+// it up.
 func (m *Manager) Remove(shardID string, pos txlog.EntryID) error {
 	return m.store.Delete(m.key(shardID, pos))
 }
 
-// LatestRaw returns the freshest snapshot's raw bytes and log position.
-func (m *Manager) LatestRaw(shardID string) ([]byte, txlog.EntryID, bool, error) {
-	keys, err := m.store.List(m.prefix + "/" + shardID + "/")
-	if err != nil {
-		return nil, txlog.ZeroID, false, err
-	}
-	if len(keys) == 0 {
-		return nil, txlog.ZeroID, false, nil
-	}
-	k := keys[len(keys)-1]
-	data, err := m.store.Get(k)
-	if err != nil {
-		return nil, txlog.ZeroID, false, err
-	}
-	seqStr := k[strings.LastIndexByte(k, '/')+1:]
-	seq, err := strconv.ParseUint(seqStr, 10, 64)
-	if err != nil {
-		return nil, txlog.ZeroID, false, fmt.Errorf("snapshot: bad key %q: %w", k, err)
-	}
-	return data, txlog.EntryID{Seq: seq}, true, nil
-}
-
 // LatestPos returns the log position of the freshest snapshot without
-// fetching its body (the scheduler polls this to compute freshness).
+// fetching its body (the trim coordinator's cheap has-anything-changed
+// probe).
 func (m *Manager) LatestPos(shardID string) (txlog.EntryID, bool, error) {
 	keys, err := m.store.List(m.prefix + "/" + shardID + "/")
 	if err != nil {
@@ -354,9 +275,9 @@ func (m *Manager) LatestPos(shardID string) (txlog.EntryID, bool, error) {
 		return txlog.ZeroID, false, nil
 	}
 	k := keys[len(keys)-1]
-	seq, err := strconv.ParseUint(k[strings.LastIndexByte(k, '/')+1:], 10, 64)
-	if err != nil {
-		return txlog.ZeroID, false, fmt.Errorf("snapshot: bad key %q: %w", k, err)
+	seq, ok := seqOfKey(k)
+	if !ok {
+		return txlog.ZeroID, false, fmt.Errorf("snapshot: bad key %q", k)
 	}
 	return txlog.EntryID{Seq: seq}, true, nil
 }

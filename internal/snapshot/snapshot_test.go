@@ -14,7 +14,7 @@ import (
 	"memorydb/internal/txlog"
 )
 
-func populatedEngine(t *testing.T) *engine.Engine {
+func populatedEngine(t testing.TB) *engine.Engine {
 	t.Helper()
 	e := engine.New(clock.NewSim(time.Unix(1700000000, 0)))
 	for _, cmd := range [][]string{
@@ -117,24 +117,24 @@ func TestManagerLatestOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, meta, ok, err := mgr.Latest("s1")
+	chain, ok, err := mgr.Resolve("s1", false)
 	if err != nil || !ok {
-		t.Fatalf("Latest: %v %v", ok, err)
+		t.Fatalf("Resolve: %v %v", ok, err)
 	}
-	if meta.LogPos.Seq != 100 {
-		t.Fatalf("Latest picked seq %d, want 100 (zero-padded key ordering)", meta.LogPos.Seq)
+	if chain.Tip.LogPos.Seq != 100 {
+		t.Fatalf("Resolve picked seq %d, want 100 (zero-padded key ordering)", chain.Tip.LogPos.Seq)
 	}
 	pos, ok, _ := mgr.LatestPos("s1")
 	if !ok || pos.Seq != 100 {
 		t.Fatalf("LatestPos = %v %v", pos, ok)
 	}
-	if _, _, ok, _ := mgr.Latest("other-shard"); ok {
-		t.Fatal("Latest for unknown shard reported ok")
+	if _, ok, _ := mgr.Resolve("other-shard", false); ok {
+		t.Fatal("Resolve for unknown shard reported ok")
 	}
 }
 
 // buildLoggedShard appends n SET commands to a log through an engine and
-// returns (log, engine) — a minimal primary stand-in for offbox tests.
+// returns (log, engine) — a minimal primary stand-in for builder tests.
 func buildLoggedShard(t *testing.T, n int) (*txlog.Log, *engine.Engine) {
 	t.Helper()
 	svc := txlog.NewService(txlog.Config{})
@@ -154,36 +154,36 @@ func buildLoggedShard(t *testing.T, n int) (*txlog.Log, *engine.Engine) {
 	return log, e
 }
 
-func TestOffboxSnapshotAndRestore(t *testing.T) {
+func TestBuilderFullSnapshotAndRestore(t *testing.T) {
 	log, primary := buildLoggedShard(t, 40)
 	mgr := NewManager(s3.New(), "snaps")
-	ob := &Offbox{Manager: mgr, EngineVersion: 2}
 	ctx := context.Background()
-	meta, err := ob.Run(ctx, "s1", log)
+	meta, err := (&Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}).Full(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.LogPos != log.CommittedTail() {
 		t.Fatalf("snapshot pos %v, tail %v", meta.LogPos, log.CommittedTail())
 	}
-	db, gotMeta, ok, err := mgr.Latest("s1")
+	chain, ok, err := mgr.Resolve("s1", false)
 	if err != nil || !ok {
-		t.Fatalf("Latest: %v %v", ok, err)
+		t.Fatalf("Resolve: %v %v", ok, err)
 	}
-	if gotMeta.LogChecksum == 0 {
-		t.Fatal("snapshot did not record the running log checksum")
+	if want, _ := log.ChecksumAt(meta.LogPos); chain.Tip.LogChecksum == 0 || chain.Tip.LogChecksum != want {
+		t.Fatalf("snapshot recorded log checksum %#x, log has %#x", chain.Tip.LogChecksum, want)
 	}
-	if db.Len() != primary.DB().Len() {
-		t.Fatalf("offbox snapshot has %d keys, primary %d", db.Len(), primary.DB().Len())
+	if chain.DB.Len() != primary.DB().Len() {
+		t.Fatalf("full snapshot has %d keys, primary %d", chain.DB.Len(), primary.DB().Len())
 	}
 }
 
-func TestOffboxIncrementalFromPreviousSnapshot(t *testing.T) {
+// TestBuilderFullFromPreviousSnapshot: a fresh builder (a restarted
+// process) starts from the stored chain, not from the head of the log.
+func TestBuilderFullFromPreviousSnapshot(t *testing.T) {
 	log, _ := buildLoggedShard(t, 10)
 	mgr := NewManager(s3.New(), "snaps")
-	ob := &Offbox{Manager: mgr, EngineVersion: 2}
 	ctx := context.Background()
-	if _, err := ob.Run(ctx, "s1", log); err != nil {
+	if _, err := (&Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}).Full(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// More writes, then a second snapshot that starts from the first.
@@ -193,15 +193,19 @@ func TestOffboxIncrementalFromPreviousSnapshot(t *testing.T) {
 	if _, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: engine.EncodeRecord(res.Effects)}); err != nil {
 		t.Fatal(err)
 	}
-	meta2, err := ob.Run(ctx, "s1", log)
+	second := &Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}
+	meta2, err := second.Full(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta2.LogPos != log.CommittedTail() {
 		t.Fatalf("second snapshot pos %v", meta2.LogPos)
 	}
-	db, _, _, _ := mgr.Latest("s1")
-	if _, ok := db.Peek("extra"); !ok {
+	if st := second.Stats(); st.Pos != meta2.LogPos || mgr.Health().Compactions.Load() != 2 {
+		t.Fatalf("second builder at %v after %d fulls", st.Pos, mgr.Health().Compactions.Load())
+	}
+	chain, _, _ := mgr.Resolve("s1", false)
+	if _, ok := chain.DB.Peek("extra"); !ok {
 		t.Fatal("second snapshot missing suffix write")
 	}
 }
@@ -209,12 +213,11 @@ func TestOffboxIncrementalFromPreviousSnapshot(t *testing.T) {
 func TestVerifyAcceptsGoodSnapshot(t *testing.T) {
 	log, _ := buildLoggedShard(t, 30)
 	mgr := NewManager(s3.New(), "snaps")
-	ob := &Offbox{Manager: mgr, EngineVersion: 2}
 	ctx := context.Background()
-	if _, err := ob.Run(ctx, "s1", log); err != nil {
+	if _, err := (&Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}).Full(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(ctx, mgr, "s1", log, nil); err != nil {
+	if _, err := Verify(mgr, "s1", log, nil); err != nil {
 		t.Fatalf("Verify rejected a good snapshot: %v", err)
 	}
 }
@@ -222,9 +225,8 @@ func TestVerifyAcceptsGoodSnapshot(t *testing.T) {
 func TestVerifyRejectsTamperedSnapshot(t *testing.T) {
 	log, _ := buildLoggedShard(t, 30)
 	mgr := NewManager(s3.New(), "snaps")
-	ob := &Offbox{Manager: mgr, EngineVersion: 2}
 	ctx := context.Background()
-	meta, err := ob.Run(ctx, "s1", log)
+	meta, err := (&Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}).Full(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +242,8 @@ func TestVerifyRejectsTamperedSnapshot(t *testing.T) {
 	if err := mgr.SaveRaw("s1", meta.LogPos, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(ctx, mgr, "s1", log, nil); err == nil {
-		t.Fatal("Verify accepted a snapshot whose checksum does not match its log prefix")
+	if _, err := Verify(mgr, "s1", log, nil); !errors.Is(err, txlog.ErrChecksumMismatch) {
+		t.Fatalf("Verify of a snapshot whose checksum does not match its log prefix = %v, want ErrChecksumMismatch", err)
 	}
 }
 
@@ -276,43 +278,15 @@ func TestVerifyChecksumEntriesDuringReplay(t *testing.T) {
 	if err := mgr.Save(store.NewDB(), Meta{ShardID: "s1", LogPos: txlog.ZeroID}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(ctx, mgr, "s1", log, nil); err != nil {
+	if _, err := Verify(mgr, "s1", log, nil); err != nil {
 		t.Fatalf("Verify with checksum entries: %v", err)
 	}
-}
-
-func TestSchedulerPolicy(t *testing.T) {
-	p := DefaultPolicy()
-	if p.Stale(0, 1<<30) {
-		t.Fatal("zero distance must not be stale")
+	// A checksum entry that disagrees with the chain over the payloads
+	// before it fails the rehearsal.
+	if _, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryChecksum, Payload: txlog.EncodeChecksumPayload(running + 1)}); err != nil {
+		t.Fatal(err)
 	}
-	if !p.Stale(p.MaxLogDistance+1, 0) {
-		t.Fatal("distance over limit must be stale")
-	}
-	// Dominance rule: long replay over a small dataset.
-	if !p.Stale(9000, 1024) {
-		t.Fatal("replay-dominant restore must trigger a snapshot")
-	}
-}
-
-func TestSchedulerTickCreatesAndVerifies(t *testing.T) {
-	log, e := buildLoggedShard(t, 50)
-	mgr := NewManager(s3.New(), "snaps")
-	sched := &Scheduler{
-		Policy: Policy{MaxLogDistance: 10},
-		Offbox: &Offbox{Manager: mgr, EngineVersion: 2},
-		Verify: true,
-	}
-	sched.AddShard(Shard{ShardID: "s1", Log: log, DatasetSize: func() int64 { return e.DB().UsedBytes() }})
-	sched.Tick(context.Background())
-	created, verified, failures := sched.Stats()
-	if created != 1 || verified != 1 || failures != 0 {
-		t.Fatalf("stats = %d %d %d", created, verified, failures)
-	}
-	// Fresh snapshot: second tick does nothing.
-	sched.Tick(context.Background())
-	created, _, _ = sched.Stats()
-	if created != 1 {
-		t.Fatalf("second tick created another snapshot (created=%d)", created)
+	if _, err := Verify(mgr, "s1", log, nil); !errors.Is(err, txlog.ErrChecksumMismatch) {
+		t.Fatalf("Verify across a wrong checksum entry = %v, want ErrChecksumMismatch", err)
 	}
 }

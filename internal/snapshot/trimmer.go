@@ -2,15 +2,19 @@ package snapshot
 
 import (
 	"context"
-	"sync"
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"time"
 
 	"memorydb/internal/clock"
+	"memorydb/internal/s3"
+	"memorydb/internal/txlog"
 )
 
 // Trimmer is the snapshot-coordinated log-trim coordinator (paper §4.2.3:
 // the log is bounded because everything below the latest snapshot is
-// redundant). It watches each shard's snapshot store and trims the
+// redundant). It watches one shard's snapshot store and trims its
 // transaction log only up to positions that a *durable, verified* snapshot
 // strictly covers — and the log itself only drops whole sealed segments at
 // or below that position. The two gates compose into the trim-safety
@@ -20,89 +24,69 @@ import (
 // found a coordinator bug, which core surfaces as the loud
 // ErrLogTrimmedGap — never a normal condition.
 //
-// Trimmer deliberately re-verifies via Manager.LatestUsable rather than
-// trusting LatestPos: a snapshot that exists but fails its checksum or
-// replay rehearsal must not authorize discarding the log suffix that could
-// rebuild it.
+// Every new tip is put through the full §7.2.1 restore rehearsal (Verify)
+// before it authorizes anything: a snapshot that exists but fails its
+// checksums or its replay must not let the log suffix that could rebuild
+// it be discarded. A tip that fails is quarantined and alarmed, so the
+// next pass judges the version below it.
 type Trimmer struct {
 	Manager  *Manager
+	Log      *txlog.Log
+	ShardID  string
 	Interval time.Duration
 	Clock    clock.Clock
 
-	mu     sync.Mutex
-	shards []Shard
-	// lastPos memoizes the snapshot position each shard was last trimmed
+	// lastPos memoizes the snapshot position the log was last trimmed
 	// against, so an unchanged snapshot store costs one List, not a full
 	// verification pass.
-	lastPos map[string]uint64
+	lastPos atomic.Uint64
 	// counters for tests/metrics
-	trimmed int64 // segments dropped across all shards
-	passes  int64 // verification passes actually run
-}
-
-// AddShard registers a shard for trim coordination.
-func (t *Trimmer) AddShard(sh Shard) {
-	t.mu.Lock()
-	t.shards = append(t.shards, sh)
-	t.mu.Unlock()
+	trimmed atomic.Int64 // segments dropped
+	passes  atomic.Int64 // verification passes actually run
 }
 
 // Stats returns (segments trimmed, verification passes run).
 func (t *Trimmer) Stats() (trimmed, passes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.trimmed, t.passes
+	return t.trimmed.Load(), t.passes.Load()
 }
 
-// Tick performs one trim pass over all shards. Run calls this on an
-// interval; tests may call it directly after forcing a snapshot.
+// Tick performs one trim pass. Run calls this on an interval; tests may
+// call it directly after forcing a snapshot.
 func (t *Trimmer) Tick() {
-	t.mu.Lock()
-	shards := append([]Shard(nil), t.shards...)
-	t.mu.Unlock()
-	for _, sh := range shards {
-		t.tickShard(sh)
-	}
-}
-
-func (t *Trimmer) tickShard(sh Shard) {
 	// Cheap freshness probe first: if the newest snapshot position hasn't
 	// moved past what we already trimmed against, skip the expensive
 	// verified-read entirely.
-	pos, ok, err := t.Manager.LatestPos(sh.ShardID)
-	if err != nil || !ok {
+	pos, ok, err := t.Manager.LatestPos(t.ShardID)
+	if err != nil || !ok || pos.Seq <= t.lastPos.Load() {
 		return
 	}
-	t.mu.Lock()
-	if t.lastPos == nil {
-		t.lastPos = make(map[string]uint64)
-	}
-	seen := t.lastPos[sh.ShardID]
-	t.mu.Unlock()
-	if pos.Seq <= seen {
+	// The verified gate. Only the chain's *base* (its full snapshot) may
+	// authorize a trim: restoring past a damaged tip delta falls back to
+	// an older prefix of the chain and needs log replay from that lower
+	// position, so trimming to the tip would strand every delta above the
+	// base. The horizon advances to the tip only when the builder compacts
+	// (the new full becomes its own base).
+	chain, err := Verify(t.Manager, t.ShardID, t.Log, t.Clock)
+	t.passes.Add(1)
+	if err != nil {
+		if errors.Is(err, s3.ErrUnavailable) || errors.Is(err, txlog.ErrUnavailable) {
+			return // storage blip, not a verdict: judge it next pass
+		}
+		// The freshest version failed its restore rehearsal. When the
+		// evidence is against the snapshot itself, quarantine it
+		// (idempotent delete) so no restore can pick it up and the next
+		// pass judges the version below; a log that cannot be replayed
+		// past it is not the snapshot's fault. Either way page — a shard
+		// that cannot verify snapshots is one trim away from unrecoverable.
+		if errors.Is(err, errChainDamaged) {
+			_ = t.Manager.Remove(t.ShardID, chain.Tip.LogPos)
+		}
+		t.Manager.alarm(fmt.Sprintf("snapshot verification failed for shard %s at seq %d: %v",
+			t.ShardID, chain.Tip.LogPos.Seq, err))
 		return
 	}
-
-	// The verified gate: LatestUsableChain re-checks every link's
-	// checksum and walks back to the newest chain that actually loads.
-	// Only that chain's *base* (its full snapshot) may authorize a trim:
-	// restoring past a damaged tip delta falls back to an older prefix of
-	// the chain and needs log replay from that lower position, so
-	// trimming to the tip would strand every delta above the base. The
-	// horizon advances to the tip only when the builder compacts (the new
-	// full becomes its own base).
-	_, chain, _, usable, err := t.Manager.LatestUsableChain(sh.ShardID)
-	t.mu.Lock()
-	t.passes++
-	t.mu.Unlock()
-	if err != nil || !usable {
-		return
-	}
-	n := sh.Log.Trim(chain.Base.LogPos)
-	t.mu.Lock()
-	t.trimmed += int64(n)
-	t.lastPos[sh.ShardID] = chain.Tip.LogPos.Seq
-	t.mu.Unlock()
+	t.trimmed.Add(int64(t.Log.Trim(chain.Base.LogPos)))
+	t.lastPos.Store(chain.Tip.LogPos.Seq)
 }
 
 // Run ticks until ctx is cancelled.
@@ -111,16 +95,5 @@ func (t *Trimmer) Run(ctx context.Context) {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	interval := t.Interval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-clk.After(interval):
-			t.Tick()
-		}
-	}
+	every(ctx, clk, t.Interval, 5*time.Second, t.Tick)
 }

@@ -34,15 +34,13 @@ func buildSegmentedShard(t *testing.T, n, segEntries int) (*txlog.Log, *engine.E
 func TestTrimmerTrimsBehindVerifiedSnapshot(t *testing.T) {
 	log, _ := buildSegmentedShard(t, 40, 8)
 	mgr := NewManager(s3.New(), "snaps")
-	ob := &Offbox{Manager: mgr, EngineVersion: 2}
 	ctx := context.Background()
-	meta, err := ob.Run(ctx, "s1", log)
+	meta, err := (&Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}).Full(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tr := &Trimmer{Manager: mgr}
-	tr.AddShard(Shard{ShardID: "s1", Log: log})
+	tr := &Trimmer{Manager: mgr, Log: log, ShardID: "s1"}
 	tr.Tick()
 	trimmed, passes := tr.Stats()
 	if trimmed == 0 || passes != 1 {
@@ -83,9 +81,8 @@ func TestTrimmerTrimsBehindVerifiedSnapshot(t *testing.T) {
 func TestTrimmerRefusesUnverifiedSnapshot(t *testing.T) {
 	log, _ := buildSegmentedShard(t, 24, 8)
 	mgr := NewManager(s3.New(), "snaps")
-	ob := &Offbox{Manager: mgr, EngineVersion: 2}
 	ctx := context.Background()
-	good, err := ob.Run(ctx, "s1", log)
+	good, err := (&Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}).Full(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +109,55 @@ func TestTrimmerRefusesUnverifiedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := &Trimmer{Manager: mgr}
-	tr.AddShard(Shard{ShardID: "s1", Log: log})
+	tr := &Trimmer{Manager: mgr, Log: log, ShardID: "s1"}
 	tr.Tick()
 	// The corrupt snapshot must not authorize trimming past the last good
-	// one: everything above good.LogPos stays readable.
+	// one: everything above good.LogPos stays readable. It is quarantined,
+	// so the next pass judges — and trims behind — the good one.
 	if base := log.TrimBase(); base.Seq > good.LogPos.Seq {
 		t.Fatalf("trimmer advanced base to %v past last verified snapshot %v", base, good.LogPos)
 	}
 	if _, ok := log.Get(txlog.EntryID{Seq: good.LogPos.Seq + 1}); !ok {
 		t.Fatal("entries above the last verified snapshot were trimmed")
+	}
+	if pos, _, _ := mgr.LatestPos("s1"); pos != good.LogPos {
+		t.Fatalf("newest snapshot after the pass is %v, want the corrupt tip quarantined down to %v", pos, good.LogPos)
+	}
+	tr.Tick()
+	if base := log.TrimBase(); base.Seq == 0 || base.Seq > good.LogPos.Seq {
+		t.Fatalf("trim base %v after verifying the good snapshot, want in (0, %v]", base, good.LogPos)
+	}
+	if _, ok := log.Get(txlog.EntryID{Seq: good.LogPos.Seq + 1}); !ok {
+		t.Fatal("entries above the last verified snapshot were trimmed")
+	}
+}
+
+// TestTrimmerKeepsGoodSnapshotWhenLogSuffixFails: once a snapshot's own
+// checksums pass, a rehearsal failure further up the log is the log's
+// fault. The snapshot must survive (deleting it, and then each older one
+// in turn, would leave nothing to restore from), nothing is trimmed, and
+// the failure pages.
+func TestTrimmerKeepsGoodSnapshotWhenLogSuffixFails(t *testing.T) {
+	log, _ := buildSegmentedShard(t, 24, 8)
+	mgr := NewManager(s3.New(), "snaps")
+	ctx := context.Background()
+	good, err := (&Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}).Full(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := txlog.Entry{Type: txlog.EntryChecksum, Payload: txlog.EncodeChecksumPayload(good.LogChecksum + 1)}
+	if _, err := log.Append(ctx, log.CommittedTail(), bad); err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trimmer{Manager: mgr, Log: log, ShardID: "s1"}
+	tr.Tick()
+	if pos, ok, _ := mgr.LatestPos("s1"); !ok || pos != good.LogPos {
+		t.Fatalf("newest snapshot = %v (present %v), want the good one at %v kept", pos, ok, good.LogPos)
+	}
+	if trimmed, _ := tr.Stats(); trimmed != 0 || log.TrimBase().Seq != 0 {
+		t.Fatalf("trimmed %d segments to base %v behind an unverifiable suffix", trimmed, log.TrimBase())
+	}
+	if alarms := mgr.RecentAlarms(4); len(alarms) != 1 {
+		t.Fatalf("alarms = %+v, want one verification failure", alarms)
 	}
 }

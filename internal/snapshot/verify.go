@@ -1,18 +1,15 @@
 package snapshot
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 
 	"memorydb/internal/clock"
 	"memorydb/internal/engine"
 	"memorydb/internal/txlog"
 )
 
-// Verify rehearses restoring the freshest snapshot chain of shardID on
-// an off-box cluster (paper §7.2.1):
+// Verify rehearses restoring the freshest snapshot chain of shardID
+// (paper §7.2.1):
 //
 //  1. validate every link of the newest chain — full base plus each
 //     delta — against its own whole-file checksum, and materialize the
@@ -21,64 +18,46 @@ import (
 //  2. confirm the tip's stored log checksum matches the log's running
 //     checksum at the tip's positional identifier — i.e. the chain is
 //     equivalent to its corresponding log prefix;
-//  3. replay the subsequent transaction log, recomputing the running
-//     checksum from the tip's stored value and comparing it against
-//     every checksum entry encountered.
+//  3. replay the subsequent transaction log exactly as a restoring node
+//     would: the replayer chains the running checksum from the tip's
+//     stored value and compares it against every checksum entry.
 //
-// Only snapshots that pass all three gates should be made available for
-// customer restores.
-func Verify(ctx context.Context, m *Manager, shardID string, log *txlog.Log, clk clock.Clock) error {
+// Only snapshots that pass all three gates may authorize a log trim. The
+// returned chain is the one judged, its DB advanced by the rehearsal; on
+// failure its Tip.LogPos still names the version that failed. A failure of gate 1 or 2 is evidence
+// against the snapshot (errChainDamaged); once those pass, a gate 3
+// failure can only be the log disagreeing with itself.
+func Verify(m *Manager, shardID string, log *txlog.Log, clk clock.Clock) (Chain, error) {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
 	// Gate 1: every link's checksum is validated during chain resolution.
-	db, chain, ok, err := m.NewestChain(shardID)
+	chain, ok, err := m.Resolve(shardID, true)
 	if err != nil {
-		return fmt.Errorf("snapshot: content validation failed: %w", err)
+		return chain, fmt.Errorf("snapshot: content validation failed: %w", err)
 	}
 	if !ok {
-		return fmt.Errorf("snapshot: no snapshot to verify for %q", shardID)
+		return chain, fmt.Errorf("snapshot: no snapshot to verify for %q", shardID)
 	}
-	meta := chain.Tip
+	tip := chain.Tip
 	// Gate 2: tip checksum vs the log prefix the chain claims to capture.
-	want, err := log.ChecksumAt(meta.LogPos)
+	want, err := log.ChecksumAt(tip.LogPos)
 	if err != nil {
-		return fmt.Errorf("snapshot: log prefix unavailable at %v: %w", meta.LogPos, err)
+		return chain, fmt.Errorf("snapshot: log prefix unavailable at %v: %w", tip.LogPos, err)
 	}
-	if want != meta.LogChecksum {
-		return fmt.Errorf("snapshot: log checksum mismatch at %v: snapshot has %#x, log has %#x",
-			meta.LogPos, meta.LogChecksum, want)
+	if want != tip.LogChecksum {
+		return chain, fmt.Errorf("%w: %w at %v: snapshot has %#x, log has %#x",
+			errChainDamaged, txlog.ErrChecksumMismatch, tip.LogPos, tip.LogChecksum, want)
 	}
-	// Gate 3: restore rehearsal — replay the suffix, chaining the running
-	// checksum from the tip's stored value and comparing against every
-	// checksum entry encountered.
+	// Gate 3: restore rehearsal over the suffix. The replayer runs at
+	// this binary's engine version, not the tip's stamp: the stamp is
+	// pinned to the oldest version in the fleet (§7.1).
 	eng := engine.New(clk)
-	eng.ResetDB(db)
-	running := meta.LogChecksum
-	table := crc64.MakeTable(crc64.ECMA)
-	r := log.NewReader(meta.LogPos)
-	target := log.CommittedTail()
-	for r.Position().Less(target) {
-		e, err := r.Next(ctx)
-		if err != nil {
-			return err
-		}
-		switch e.Type {
-		case txlog.EntryData:
-			running = crc64.Update(running, table, e.Payload)
-			if err := eng.Apply(e.Payload); err != nil {
-				return fmt.Errorf("snapshot: rehearsal replay failed at %v: %w", e.ID, err)
-			}
-		case txlog.EntryChecksum:
-			persisted := binary.BigEndian.Uint64(e.Payload)
-			if persisted != running {
-				return fmt.Errorf("snapshot: rehearsal checksum mismatch at %v: recomputed %#x, log persisted %#x",
-					e.ID, running, persisted)
-			}
-		}
-		if e.ID.Seq >= target.Seq {
-			break
-		}
+	eng.ResetDB(chain.DB)
+	_, err = txlog.NewReplayer(engine.Version, tip.LogChecksum).Range(log, tip.LogPos, log.CommittedTail(),
+		func(e txlog.Entry) error { return eng.Apply(e.Payload) })
+	if err != nil {
+		return chain, fmt.Errorf("snapshot: restore rehearsal from %v: %w", tip.LogPos, err)
 	}
-	return nil
+	return chain, nil
 }

@@ -1,78 +1,4 @@
 #!/usr/bin/env sh
-# Tier-1 verification gate (same steps as `make check`): vet, build, the
-# full test suite, and a race-detector pass over the concurrency-heavy
-# packages (core workloop/group commit, tracker, transaction log).
-set -eux
-cd "$(dirname "$0")/.."
-go vet ./...
-# staticcheck is optional tooling: run it when the runner has it on PATH,
-# skip silently otherwise (the container image does not bake it in).
-if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; fi
-go build ./...
-go test ./...
-go test -race ./internal/core/ ./internal/tracker/ ./internal/txlog/
-# Fixed-seed chaos gate: the fault schedules (AZ outages, rolling
-# maintenance, flaky-AZ storm, randomized fault storm) must reproduce at
-# two pinned seeds so fault-path regressions are deterministic. Pinned to
-# one execution shard — the legacy single-workloop configuration — so the
-# schedules don't drift with the runner's GOMAXPROCS; the `shards` gate
-# below repeats them at eight.
-MEMORYDB_SHARDS=1 MEMORYDB_CHAOS_SEED=1 go test -race -run Chaos ./internal/cluster/
-MEMORYDB_SHARDS=1 MEMORYDB_CHAOS_SEED=2 go test -race -run Chaos ./internal/cluster/
-# Fixed-seed crash gate: the deterministic crash-fault schedules (kill /
-# restart / zombie resurrection at registered fault sites, torn-snapshot
-# fallback, committed-but-unacknowledged writes) must hold linearizability
-# and lose zero acknowledged writes at two pinned seeds under the race
-# detector.
-MEMORYDB_SHARDS=1 MEMORYDB_CRASH_SEED=1 go test -race -run CrashRestart ./internal/cluster/
-MEMORYDB_SHARDS=1 MEMORYDB_CRASH_SEED=2 go test -race -run CrashRestart ./internal/cluster/
-# Sharded-execution gate (same as `make shards`): the core suite plus the
-# chaos and crash schedules must also hold at eight execution shards —
-# cross-shard barriers, the shared sequencer, and per-shard group commit
-# all under the race detector — and the Figure 4b single-vs-sharded
-# comparison must show the sharded arm ahead (1.8x enforced on >= 4-vCPU
-# runners).
-MEMORYDB_SHARDS=1 go test -race ./internal/core/
-MEMORYDB_SHARDS=8 go test -race ./internal/core/
-MEMORYDB_SHARDS=8 MEMORYDB_CHAOS_SEED=1 go test -race -run Chaos ./internal/cluster/
-MEMORYDB_SHARDS=8 MEMORYDB_CHAOS_SEED=2 go test -race -run Chaos ./internal/cluster/
-MEMORYDB_SHARDS=8 MEMORYDB_CRASH_SEED=1 go test -race -run CrashRestart ./internal/cluster/
-MEMORYDB_SHARDS=8 MEMORYDB_CRASH_SEED=2 go test -race -run CrashRestart ./internal/cluster/
-sh scripts/bench_shards.sh
-# Consistent replica-read gate (same as `make reads`): the replica-read
-# fault schedules — failover storm, bounded-staleness partition,
-# log-trim rebootstrap — must hold linearizability at two pinned seeds,
-# at one and eight execution shards, under the race detector: no stale
-# value is ever served as linearizable and bounded-stale serves stay
-# within their declared bound. Then the replica-read throughput figure
-# must show reads scaling with the replica count while the primary's
-# write throughput holds (bars enforced on >= 4-vCPU runners).
-MEMORYDB_SHARDS=1 MEMORYDB_CHAOS_SEED=1 go test -race -run ReplicaReads ./internal/cluster/
-MEMORYDB_SHARDS=1 MEMORYDB_CHAOS_SEED=2 go test -race -run ReplicaReads ./internal/cluster/
-MEMORYDB_SHARDS=8 MEMORYDB_CHAOS_SEED=1 go test -race -run ReplicaReads ./internal/cluster/
-MEMORYDB_SHARDS=8 MEMORYDB_CHAOS_SEED=2 go test -race -run ReplicaReads ./internal/cluster/
-sh scripts/bench_reads.sh
-# Metrics-overhead guard: with sampling off the instrumented hot path
-# must record zero allocations per command (internal/obs) and cost no
-# more than 5% of write throughput against a NoObs node (internal/core);
-# the Tracing variant repeats the core comparison with distributed-trace
-# sampling and the flight recorder enabled and holds the same 5% bar.
-MEMORYDB_OBS_GUARD=1 go test -run TestObsOverheadGuard -count=1 ./internal/obs/ ./internal/core/
-# Bounded-log soak gate: with the snapshot scheduler and trim coordinator
-# running at their normal cadence, sustained write load must never push
-# the live transaction log past twice the segment threshold — trimming
-# has to keep up, not just happen once.
-MEMORYDB_SOAK=1 go test -run TestSoakBoundedLog -count=1 ./internal/cluster/
-# Forkless-snapshot gate (same as `make forkless`): the log-tailing
-# builder's crash schedules — crash mid-delta, crash mid-compaction,
-# corrupt-delta-in-chain fallback, restore from a deep full+delta chain —
-# must restore the exact acknowledged state at two pinned seeds, at one
-# and eight execution shards, under the race detector, with zero
-# trimmed-gap retries and zero restore failures through quarantined
-# chains; plus the chain-fallback property test and the builder-vs-trim
-# race in the snapshot package.
-MEMORYDB_SHARDS=1 MEMORYDB_CRASH_SEED=1 go test -race -run 'SnapshotCrash' ./internal/cluster/
-MEMORYDB_SHARDS=1 MEMORYDB_CRASH_SEED=2 go test -race -run 'SnapshotCrash' ./internal/cluster/
-MEMORYDB_SHARDS=8 MEMORYDB_CRASH_SEED=1 go test -race -run 'SnapshotCrash' ./internal/cluster/
-MEMORYDB_SHARDS=8 MEMORYDB_CRASH_SEED=2 go test -race -run 'SnapshotCrash' ./internal/cluster/
-go test -race -run 'Builder|ChainFallback' ./internal/snapshot/
+# The tier-1 verification gate is `make check`; the Makefile is its only
+# definition. This wrapper keeps the script path working.
+cd "$(dirname "$0")/.." && exec make check
