@@ -8,7 +8,7 @@ GO ?= go
 
 .PHONY: check vet build test race benchmark-module fuzz chaos crash obs shards reads soak forkless bench
 
-check: vet build test race benchmark-module fuzz chaos crash obs shards reads soak forkless
+check: vet build test race benchmark-module fuzz chaos crash shards reads soak forkless obs
 
 # staticcheck is optional tooling: run it when the runner has it on PATH,
 # skip silently otherwise (the container image does not bake it in).
@@ -32,18 +32,27 @@ benchmark-module:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# Hostile-input gate: 10 s of native fuzzing over the snapshot decoder
-# every restore funnels through (`go test` alone replays only its corpus).
+# Hostile-input gate: 10 s of native fuzzing for every Fuzz* target in the
+# tree — the decoders of bytes from a socket (resp), the log (engine
+# records, txlog segments), S3 (snapshots) and the environment
+# (faultpoint specs). `go test` alone replays only their corpora, and
+# -fuzz takes one target in one package per run, hence the loop.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime 10s ./internal/snapshot/
+	@set -e; grep -rE --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+\(' internal | \
+	sed -E 's|^(.*)/[^/]+_test\.go:func (Fuzz[A-Za-z0-9_]+)\(.*|\1 \2|' | sort -u | \
+	while read pkg target; do \
+		echo "fuzzing $$target in ./$$pkg/ for 10s"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./$$pkg/; \
+	done
 
 # matrix runs the internal/cluster tests matching $(1) under the race
 # detector in every cell of seeds {1,2} × execution shards {1,8}: fault
 # schedules must reproduce at two pinned seeds so fault-path regressions
-# are deterministic, at both one shard (the legacy single-workloop
-# configuration, so schedules don't drift with the runner's GOMAXPROCS)
-# and eight (cross-shard barriers, the shared sequencer, per-shard group
-# commit). Chaos-family tests read the chaos seed, crash-family the other.
+# are deterministic, at both one shard (the general path with N=1 — no
+# cross-shard traffic, and pinned so schedules don't drift with the
+# runner's GOMAXPROCS) and eight (cross-shard barriers, shards contending
+# for the sequencer). Chaos-family tests read the chaos seed, crash-family
+# the other.
 define matrix
 	@set -e; for shards in 1 8; do for seed in 1 2; do \
 		echo "MEMORYDB_SHARDS=$$shards seed=$$seed $(GO) test -race -run '$(1)' ./internal/cluster/"; \
@@ -64,17 +73,18 @@ chaos:
 crash:
 	$(call matrix,CrashRestart)
 
-# Metrics-overhead guard: recording with sampling off must stay
-# zero-alloc (internal/obs) and within 5% of an uninstrumented node's
-# write throughput (internal/core, armed by MEMORYDB_OBS_GUARD=1); the
-# Tracing variant holds the same bar with distributed-trace sampling and
-# the flight recorder enabled.
+# Metrics-overhead guard: recording must stay zero-alloc (internal/obs),
+# and a node with metrics on — and one with 1% trace sampling and the
+# flight recorder on top — must stay within 5% of a NoObs node's CPU time
+# per write (internal/core TestObsOverheadGuard, armed by
+# MEMORYDB_OBS_GUARD=1). Known red: it measures 7–11% (ROADMAP 5d), which
+# is why `check` runs it last.
 obs:
 	MEMORYDB_OBS_GUARD=1 $(GO) test -run TestObsOverheadGuard -count=1 ./internal/obs/ ./internal/core/
 
 # Sharded-execution gate: the core suite must hold at both one execution
-# shard and eight under the race detector, followed by the Figure 4b
-# single-vs-sharded throughput comparison (scripts/bench_shards.sh
+# shard (the same path, N=1) and eight under the race detector, followed by
+# the Figure 4b single-vs-sharded throughput comparison (scripts/bench_shards.sh
 # enforces the 1.8x bar on >= 4-vCPU runners).
 shards:
 	MEMORYDB_SHARDS=1 $(GO) test -race ./internal/core/

@@ -38,7 +38,7 @@ func runFigure4Point(b *testing.B, sys bench.System, it bench.InstanceType, w be
 
 func runFigure4PointShards(b *testing.B, sys bench.System, it bench.InstanceType, w bench.Workload, shards int) {
 	ctx := context.Background()
-	t, err := bench.NewTargetShards(sys, it, 0, shards)
+	t, err := bench.NewTarget(sys, it, bench.TargetOpts{Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func runFigure5Point(b *testing.B, sys bench.System, w bench.Workload, frac floa
 	if c := bench.Capacity(bench.SystemRedis, kind, it); c < lo {
 		lo = c
 	}
-	t, err := bench.NewTarget(sys, it)
+	t, err := bench.NewTarget(sys, it, bench.TargetOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func BenchmarkPipelinedWrites(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ctx := context.Background()
-			t, err := bench.NewTargetShards(bench.SystemMemoryDB, it, mode.batch, mode.shards)
+			t, err := bench.NewTarget(bench.SystemMemoryDB, it, bench.TargetOpts{Batch: mode.batch, Shards: mode.shards})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -85,14 +85,12 @@ func main() {
 	// One shared metrics registry spans the front-end (read_parse,
 	// reply_write), the node's workloop and commit pipeline, and the
 	// per-AZ log replicas — so /metrics and INFO see the whole path.
-	metrics := obs.New(obs.Options{
-		SlowlogThreshold: *slowlogThresh,
-		TraceSampleRate:  *traceSample,
-	})
+	metrics := obs.New(obs.Options{SlowlogThreshold: *slowlogThresh})
 	// The distributed span collector and the log service's flight ring are
 	// shared by every component in the process, so one sampled command's
 	// spans — front-end, workloop stages, log quorum acks — assemble into
-	// a single tree behind TRACE GET.
+	// a single tree behind TRACE GET (and its LATENCY TRACES summary):
+	// -trace-sample drives the one sampling coin.
 	collector := trace.NewCollector(*traceSample, 1, 0)
 
 	var backend server.Backend

@@ -107,7 +107,7 @@ func TestTargetEndToEnd(t *testing.T) {
 	// the MemoryDB target (commit latency visible in write latency).
 	ctx := context.Background()
 	for _, sys := range []System{SystemRedis, SystemMemoryDB} {
-		tg, err := NewTarget(sys, R7gSweep[0])
+		tg, err := NewTarget(sys, R7gSweep[0], TargetOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestTargetEndToEnd(t *testing.T) {
 
 func TestMemoryDBWriteLatencyReflectsCommit(t *testing.T) {
 	ctx := context.Background()
-	tg, err := NewTarget(SystemMemoryDB, R7g16xlarge)
+	tg, err := NewTarget(SystemMemoryDB, R7g16xlarge, TargetOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func Figure4(ctx context.Context, w Workload, opts Options, out io.Writer) ([]Ro
 		row := Row{Label: it.Name, Values: map[string]float64{},
 			Order: []string{"redis_ops", "memorydb_ops", "memorydb_sharded_ops"}}
 		for _, arm := range arms {
-			t, err := NewTargetShards(arm.sys, it, 0, arm.shards)
+			t, err := NewTarget(arm.sys, it, TargetOpts{Shards: arm.shards})
 			if err != nil {
 				return nil, err
 			}
@@ -100,7 +100,7 @@ func Figure5(ctx context.Context, w Workload, opts Options, out io.Writer) ([]Ro
 	fractions := []float64{0.1, 0.3, 0.5, 0.7, 0.85, 0.9}
 	var rows []Row
 	for _, sys := range []System{SystemRedis, SystemMemoryDB} {
-		t, err := NewTarget(sys, it)
+		t, err := NewTarget(sys, it, TargetOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +221,7 @@ func FigureGroupCommit(ctx context.Context, opts Options, out io.Writer) ([]Row,
 		{"batch=default", 0, 1},
 		{fmt.Sprintf("batch=default,shards=%d", ShardedArmShards()), 0, ShardedArmShards()},
 	} {
-		t, err := NewTargetShards(SystemMemoryDB, R7g16xlarge, mode.batch, mode.shards)
+		t, err := NewTarget(SystemMemoryDB, R7g16xlarge, TargetOpts{Batch: mode.batch, Shards: mode.shards})
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +256,7 @@ func FigureGroupCommit(ctx context.Context, opts Options, out io.Writer) ([]Row,
 // (pipelined) SETs of valueBytes each are driven through the shard and
 // the achieved payload bandwidth is returned in MB/s.
 func WriteBandwidth(ctx context.Context, valueBytes, pipeline int, duration time.Duration) (float64, error) {
-	t, err := NewTarget(SystemMemoryDB, R7g16xlarge)
+	t, err := NewTarget(SystemMemoryDB, R7g16xlarge, TargetOpts{})
 	if err != nil {
 		return 0, err
 	}

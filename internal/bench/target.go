@@ -44,30 +44,24 @@ func DefaultCommitLatency() netsim.LatencyModel {
 	return netsim.NewLogNormalish(2200*time.Microsecond, 500*time.Microsecond, 7)
 }
 
-// NewTarget builds a target for the given system and instance type with
-// the default group-commit settings and a single execution shard (the
-// classic single-workloop configuration, so existing comparisons are
-// unaffected by the host's GOMAXPROCS).
-func NewTarget(sys System, it InstanceType) (*Target, error) {
-	return NewTargetBatch(sys, it, 0)
+// TargetOpts are the MemoryDB node settings a figure varies; the zero
+// value is the default group-commit batch cap on a single execution shard
+// (so comparisons are unaffected by the host's GOMAXPROCS).
+type TargetOpts struct {
+	// Batch is the group-commit batch cap (0 = core default, 1 = one log
+	// entry per mutation).
+	Batch int
+	// Shards is the node's execution-shard count (< 1 = 1). The capacity
+	// model gives each shard its own single-threaded service lane (the
+	// engine parallelism sharding buys), capped at the instance's vCPUs;
+	// the commit path is the real sharded node, so append pipelining
+	// across shard buffers is measured, not modeled.
+	Shards int
 }
 
-// NewTargetBatch is NewTarget with an explicit group-commit batch cap for
-// the MemoryDB node (0 = core default, 1 = per-mutation legacy appends).
-func NewTargetBatch(sys System, it InstanceType, batch int) (*Target, error) {
-	return NewTargetShards(sys, it, batch, 1)
-}
-
-// NewTargetShards is NewTargetBatch with an explicit execution-shard
-// count for the MemoryDB node. The capacity model gives each shard its
-// own single-threaded service lane (the engine parallelism sharding
-// buys), capped at the instance's vCPUs; the commit path is the real
-// sharded node, so append pipelining across shard buffers is measured,
-// not modeled.
-func NewTargetShards(sys System, it InstanceType, batch, shards int) (*Target, error) {
-	if shards < 1 {
-		shards = 1
-	}
+// NewTarget builds a target for the given system and instance type.
+func NewTarget(sys System, it InstanceType, opts TargetOpts) (*Target, error) {
+	shards := max(opts.Shards, 1)
 	t := &Target{Sys: sys, IT: it, shards: shards}
 	lanes := shards
 	if lanes > it.VCPUs {
@@ -92,7 +86,7 @@ func NewTargetShards(sys System, it InstanceType, batch, shards int) (*Target, e
 			Log:     log,
 			Lease:   500 * time.Millisecond, Backoff: 650 * time.Millisecond,
 			RenewEvery:      100 * time.Millisecond,
-			MaxBatchRecords: batch,
+			MaxBatchRecords: opts.Batch,
 			Shards:          shards,
 		})
 		if err != nil {

@@ -2,27 +2,24 @@ package core
 
 import (
 	"errors"
-	"strings"
 
-	"memorydb/internal/election"
 	"memorydb/internal/engine"
-	"memorydb/internal/faultpoint"
-	"memorydb/internal/resp"
 	"memorydb/internal/trace"
 	"memorydb/internal/txlog"
 )
 
 // Barrier path. Commands whose keys span execution shards — or whose
 // result reflects the whole keyspace (KEYS, FLUSHALL, WAIT, …) — cannot
-// run inside any single shard workloop. A coordinator goroutine quiesces
-// the shards instead: each receives a park task, flushes its group-commit
-// buffer (so all of its writes have log sequences), signals arrival, and
-// blocks until release. With every affected shard parked the coordinator
-// observes a consistent cut of the keyspace: it executes on the node's
-// whole-keyspace engine, issues at most one sequencer entry for the
-// effects, and releases the shards. Coordinators serialize on barrierMu;
-// the same machinery drives replica apply at Shards>1, control entries,
-// and state installs (promotion, resync).
+// run inside any single shard workloop. They run on the barrier shard
+// instead: a nodeShard like the others (own engine view, own group-commit
+// buffer) whose engine spans the whole keyspace and which has no workloop.
+// A coordinator goroutine quiesces the execution shards — each receives a
+// park task, flushes its group-commit buffer (so all of its writes have
+// log sequences), signals arrival, and blocks until release — and with
+// every shard parked runs the ordinary client handler on the barrier
+// shard over a consistent cut of the keyspace. Coordinators serialize on
+// barrierMu; the same quiesce drives replica apply, control entries, and
+// state installs (promotion, resync).
 
 // holdShards parks every given shard: each flushes its buffer, signals
 // arrival, and blocks until the returned release function is called.
@@ -51,9 +48,7 @@ func (n *Node) holdShards(shards []*nodeShard) (release func(), ok bool) {
 	return func() { close(rel) }, true
 }
 
-// runBarrier coordinates one client task across shards. It mirrors
-// handleCmd/handleBatch, with the whole-keyspace engine standing in for a
-// shard engine and the quiesced shards guaranteeing a consistent cut.
+// runBarrier coordinates one client task across shards.
 func (n *Node) runBarrier(t *task) {
 	n.stats.BarrierOps.Add(1)
 	n.barrierMu.Lock()
@@ -62,203 +57,21 @@ func (n *Node) runBarrier(t *task) {
 		// Stopped while frozen: drop without replying, like handleTask.
 		return
 	}
-	n.stats.Commands.Add(1)
-	var name string
-	var cmd *engine.Command
-	if t.kind == taskCmd {
-		name = strings.ToUpper(string(t.argv[0]))
-		cmd, _ = engine.LookupCommand(name)
-	} else {
-		name = "EXEC"
-	}
-	if n.obs != nil && t.enq != 0 {
-		t.name = name
-		n.obsDequeued(t)
-	}
-	n.flight.Recordf(trace.EvBarrier, 0, "all-shard barrier for %s", name)
+	n.flight.Recordf(trace.EvBarrier, 0, "all-shard barrier for %s", t.name)
 	release, ok := n.holdShards(n.shards)
 	if !ok {
 		return
 	}
 	defer release()
-
-	// Role snapshot AFTER the quiesce: parking may have demoted the node
-	// (a shard's flush failed), and a coordinator must not append under a
-	// leadership the flush already lost.
-	n.mu.Lock()
-	role := n.role
-	lease := n.lease
-	trk := n.trk
-	stalled := n.stalled
-	gate := n.slotGate
-	n.mu.Unlock()
-
-	if gate != nil && cmd != nil && !isAlwaysLocal(name) {
-		if errReply, rejected := gate(name, cmd.Keys(t.argv), cmd.Writes()); rejected {
-			t.reply(errReply)
-			return
-		}
-	}
-
-	if t.kind == taskCmd && name == "WAIT" {
-		if role != election.RolePrimary {
-			t.reply(errNotPrimary)
-			return
-		}
-		// Every shard flushed on park, so the sequencer tail covers every
-		// outstanding write.
-		seq := n.lastIssuedSeq()
-		trk.RegisterWrite(seq, nil, func(aborted bool) {
-			if aborted {
-				t.reply(errDemoted)
-			} else {
-				t.reply(resp.Int64(2))
-			}
-		})
-		return
-	}
-
-	switch role {
-	case election.RolePrimary:
-		if lease == nil || !lease.Valid() {
-			n.demote()
-			t.reply(errDemoted)
-			return
-		}
-	case election.RoleReplica:
-		if stalled {
-			t.reply(errStalledVal)
-			return
-		}
-		// Only reads legitimately barrier on a replica — whole-keyspace
-		// commands or all-read batches — and only with READONLY set AND
-		// the read verified (or explicitly eventual) by the DoRead ladder:
-		// a bare readonly task must never be served here as if it were
-		// linearizable.
-		if !t.readonly || !t.readVerified {
-			t.reply(errNotPrimary)
-			return
-		}
-		var res engine.Result
-		switch {
-		case t.kind == taskCmd && cmd != nil && !cmd.Writes():
-			res = n.gEng.Exec(t.argv)
-		case t.kind == taskBatch && batchIsReadOnly(t.batch):
-			res = n.gEng.ExecBatch(t.batch)
-		default:
-			t.reply(errNotPrimary)
-			return
-		}
-		if t.deq != 0 {
-			n.obsExecuted(t)
-		}
-		t.reply(res.Reply)
-		return
-	default:
-		t.reply(errDemoted)
-		return
-	}
-
-	// Primary path.
-	var res engine.Result
-	if t.kind == taskBatch {
-		res = n.gEng.ExecBatch(t.batch)
-	} else {
-		res = n.gEng.Exec(t.argv)
-	}
-	if t.deq != 0 {
-		n.obsExecuted(t)
-	}
-	if !res.Mutated() {
-		// Every buffer flushed on park, so gating at the sequencer tail
-		// covers everything this read could have observed.
-		n.stats.GatedReads.Add(1)
-		seq := n.lastIssuedSeq()
-		trk.RegisterWrite(seq, nil, func(aborted bool) {
-			if aborted {
-				t.reply(errDemoted)
-			} else {
-				t.reply(res.Reply)
-			}
-		})
-		return
-	}
-	n.stats.Mutations.Add(1)
-	n.forwardEffectsParked(res.Keys, res.Effects)
-	n.issueBarrierEntry(t, res, trk)
-}
-
-// issueBarrierEntry appends a barrier mutation's effects as one
-// single-record EntryData and gates the reply on its commit.
-func (n *Node) issueBarrierEntry(t *task, res engine.Result, trk trackerIface) {
-	n.mu.Lock()
-	epoch := n.epoch
-	n.mu.Unlock()
-	payload := engine.AppendRecord(nil, res.Effects)
-	entry := txlog.Entry{
-		Type:          txlog.EntryData,
-		Epoch:         epoch,
-		EngineVersion: n.cfg.EngineVersion,
-		Records:       1,
-		Watermark:     trk.Committed(),
-		Payload:       payload,
-	}
-	// A sampled barrier mutation stamps its context on the entry like a
-	// group-commit flush does, so AZ acks and replica applies attach.
-	var appendSpanID uint64
-	var appendStart int64
-	if t.tr != nil {
-		appendSpanID = t.tr.c.NewSpanID()
-		entry.TraceID = t.tr.sc.TraceID
-		entry.TraceSpan = appendSpanID
-		appendStart = trace.Now()
-	}
-	n.seqMu.Lock()
-	p, err := n.startAppendRetry(n.lastIssued, entry, &n.stats.AppendsRetried)
-	if err != nil {
-		n.seqMu.Unlock()
-		n.stats.AppendsFailed.Add(1)
-		n.demote()
-		if errors.Is(err, txlog.ErrConditionFailed) {
-			t.reply(errDemoted)
-		} else {
-			t.reply(errLogDown)
-		}
-		return
-	}
-	n.lastIssued = p.ID()
-	n.runningChecksum = txlog.ChainChecksum(n.runningChecksum, payload)
-	n.dataSinceSum++
-	var cp *txlog.Pending
-	if n.cfg.ChecksumEvery > 0 && n.dataSinceSum >= n.cfg.ChecksumEvery {
-		cp = n.injectChecksumLocked()
-	}
-	n.seqMu.Unlock()
-	seq := p.ID().Seq
-	n.stats.BatchFlushes.Add(1)
-	n.stats.BatchedRecords.Add(1)
-	if t.tr != nil {
-		t.tr.c.EmitWithID(appendSpanID, t.tr.sc, "append", n.cfg.NodeID, -1, appendStart, trace.Now())
-	}
-	trk.RegisterWrite(seq, res.Keys, func(aborted bool) {
-		if aborted {
-			t.reply(errDemoted)
-		} else {
-			t.reply(res.Reply)
-		}
-	})
-	go func() {
-		if _, err := p.Wait(n.stopCtx); err == nil {
-			if n.checkpoint(faultpoint.SiteFlushPost) == nil &&
-				n.checkpoint(faultpoint.SiteTrackerRelease) == nil {
-				n.noteAZHealth(p)
-				trk.Commit(seq)
-			}
-		}
-	}()
-	if cp != nil {
-		n.commitWatermarkAsync(cp, trk)
-	}
+	// The handler snapshots the role AFTER the quiesce: parking may have
+	// demoted the node (a shard's flush failed). Every shard flushed on
+	// park, so the tracker's hazards and the sequencer tail cover
+	// everything this command can observe.
+	n.handleClient(n.barrier, t)
+	// No workloop will ever drain this buffer on an append ack, so a
+	// mutation left behind a full pipeline is flushed now, before the
+	// shards resume.
+	n.flushPending(n.barrier)
 }
 
 // installState atomically replaces the node's engine state and/or log
@@ -266,8 +79,10 @@ func (n *Node) issueBarrierEntry(t *task, res engine.Result, trk trackerIface) {
 // installs a rebuilt engine). All shards are parked; any buffered,
 // never-logged mutations are discarded with errors — their clients must
 // see failures, not silence (the node demoted before the resync that
-// produced this install). Returns false when the node stopped.
-func (n *Node) installState(newEng *engine.Engine, newApplied txlog.EntryID, setIssued bool, newChecksum uint64) bool {
+// produced this install). issued and checksum reposition the sequencer:
+// the claim entry and the log's checksum there on promotion, zero on
+// resync. Returns false when the node stopped.
+func (n *Node) installState(newEng *engine.Engine, newApplied, issued txlog.EntryID, checksum uint64) bool {
 	n.barrierMu.Lock()
 	defer n.barrierMu.Unlock()
 	release, ok := n.holdShards(n.shards)
@@ -281,13 +96,9 @@ func (n *Node) installState(newEng *engine.Engine, newApplied txlog.EntryID, set
 	if newEng != nil {
 		db := newEng.DB()
 		n.dbPtr.Store(db)
-		n.gEng = newEng
+		n.barrier.eng = newEng
 		for _, sh := range n.shards {
-			eng := engine.NewShared(n.clk, db)
-			eng.SetObs(n.obs)
-			eng.SetTrace(n.trace)
-			eng.SetFlight(n.flight)
-			sh.eng = eng
+			sh.eng = n.newEngine(db)
 		}
 	}
 	n.applied = newApplied
@@ -298,15 +109,7 @@ func (n *Node) installState(newEng *engine.Engine, newApplied txlog.EntryID, set
 	// resync the swap is atomic under the all-shard barrier, so a released
 	// read can never observe a half-rebuilt store.
 	n.readGate.Advance(newApplied.Seq)
-	n.seqMu.Lock()
-	if setIssued {
-		n.lastIssued = newApplied
-		n.runningChecksum = newChecksum
-		n.dataSinceSum = 0
-	} else {
-		n.lastIssued = txlog.ZeroID
-	}
-	n.seqMu.Unlock()
+	n.resetSequencer(issued, checksum)
 	return true
 }
 
@@ -342,42 +145,22 @@ func (n *Node) applyData(e txlog.Entry) error {
 	if traced {
 		applyStart = trace.Now()
 	}
-	if len(n.shards) == 1 {
-		// Single shard: round-trip through the workloop, exactly the
-		// pre-sharding apply path.
-		t := &task{kind: taskApply, entry: e, applyCh: make(chan error, 1), shard: 0}
-		select {
-		case n.shards[0].tasks <- t:
-		case <-n.stopCtx.Done():
-			return ErrStopped
-		}
-		select {
-		case err := <-t.applyCh:
-			if err != nil {
-				return err
-			}
-		case <-n.stopCtx.Done():
-			return ErrStopped
-		}
-	} else {
-		// Record boundaries inside an entry payload are not framed, so an
-		// entry cannot be split across shards; apply it atomically on the
-		// whole-keyspace engine under an all-shard barrier. Replica
-		// workloops only serve reads, so the barrier never waits on a
-		// flush — and primaries never apply, keeping this off the
-		// benchmark write path.
-		n.barrierMu.Lock()
-		release, ok := n.holdShards(n.shards)
-		if !ok {
-			n.barrierMu.Unlock()
-			return ErrStopped
-		}
-		err := n.gEng.Apply(e.Payload)
-		release()
+	// Record boundaries inside an entry payload are not framed, so an
+	// entry cannot be split across shards; apply it atomically on the
+	// barrier shard's whole-keyspace engine with every shard parked.
+	// Replica workloops only serve reads, so the quiesce never waits on a
+	// flush — and primaries never apply, keeping this off the write path.
+	n.barrierMu.Lock()
+	release, ok := n.holdShards(n.shards)
+	if !ok {
 		n.barrierMu.Unlock()
-		if err != nil {
-			return err
-		}
+		return ErrStopped
+	}
+	err := n.barrier.eng.Apply(e.Payload)
+	release()
+	n.barrierMu.Unlock()
+	if err != nil {
+		return err
 	}
 	n.stats.EntriesApplied.Add(1)
 	if traced {

@@ -23,11 +23,10 @@ import (
 // ONE EntryData whose payload is the concatenation of every buffered
 // record, and a single tracker.Commit releases every reply gated on it.
 //
-// With keyspace sharding each shard owns one of these buffers and flushes
-// independently; the flush acquires the node's sequencer (seqMu) to issue
-// its append, which is the only point where shards serialize. Per-shard
-// pipeline depth means total append concurrency is Shards ×
-// MaxInflightAppends.
+// Each shard — the barrier shard included — owns one of these buffers and
+// flushes independently through the node's sequencer (Node.sequence), the
+// only point where shards serialize. Per-shard pipeline depth means total
+// append concurrency is Shards × MaxInflightAppends.
 //
 // Correctness invariants:
 //   - A mutation's reply is withheld until its covering entry commits
@@ -47,10 +46,12 @@ import (
 //     the affected buffers first, so the log order of entries always
 //     matches execution order where it is observable.
 //   - The running checksum chains over data payloads in sequencer issue
-//     order, and checksum injection happens inside the same seqMu
-//     critical section as the data append that triggered it, so an
-//     EntryChecksum's payload always equals the chain over the exact log
-//     prefix preceding it — even with other shards flushing concurrently.
+//     order (see Node.sequence), so an EntryChecksum's payload always
+//     equals the chain over the exact log prefix preceding it.
+
+// maxBatchBytes caps the combined payload of one batched entry
+// (flush-on-bytes).
+const maxBatchBytes = 256 << 10
 
 // gatedReply is one client reply parked in the group-commit buffer.
 type gatedReply struct {
@@ -122,14 +123,6 @@ func (n *Node) bufferMutation(sh *nodeShard, t *task, res engine.Result) {
 	}
 }
 
-// gateReadOnBatch parks a read (or WAIT barrier) whose result must not be
-// delivered before the buffered mutations it observed become durable. It
-// is registered with the tracker at the batch's seq when the batch
-// flushes.
-func (n *Node) gateReadOnBatch(sh *nodeShard, t *task, val resp.Value) {
-	sh.gc.reads = append(sh.gc.reads, gatedReply{val: val, send: t.reply})
-}
-
 // shouldFlush reports whether the shard's buffer must be flushed now: a
 // cap was hit, or the shard's append pipeline has room (flushing while
 // the window is open adds no latency — appends to the log pipeline commit
@@ -140,7 +133,7 @@ func (n *Node) shouldFlush(sh *nodeShard) bool {
 		return false
 	}
 	return gc.records >= n.cfg.MaxBatchRecords ||
-		len(gc.payload) >= n.cfg.MaxBatchBytes ||
+		len(gc.payload) >= maxBatchBytes ||
 		gc.inflight.Load() < int64(n.cfg.MaxInflightAppends)
 }
 
@@ -154,7 +147,6 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 	}
 	n.mu.Lock()
 	role := n.role
-	epoch := n.epoch
 	trk := n.trk
 	n.mu.Unlock()
 	if role != election.RolePrimary {
@@ -162,16 +154,6 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		// writer must not append, and the replies were already promised an
 		// error by the demotion.
 		n.abortPending(sh, errDemoted)
-		return false
-	}
-	if err := n.checkpoint(faultpoint.SiteFlushPre); err != nil {
-		// Crashed (and later stopped) or transiently failed at the head of
-		// the flush: nothing reached the log, so the buffered mutations can
-		// never become durable under this node — same treatment as a
-		// lost append.
-		n.stats.AppendsFailed.Add(1)
-		n.demote()
-		n.abortPending(sh, errLogDown)
 		return false
 	}
 	var flushStart int64
@@ -188,7 +170,6 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 			}
 		}
 	}
-	payload := gc.payload
 	// The first traced write in the batch owns the batch-level spans: the
 	// append and quorum intervals are shared by every buffered reply, so
 	// one trace records them, and the entry carries that trace's context
@@ -204,41 +185,19 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 			break
 		}
 	}
-	entry := txlog.Entry{
-		Type:          txlog.EntryData,
-		Epoch:         epoch,
-		EngineVersion: n.cfg.EngineVersion,
-		Records:       uint32(gc.records),
-		// Piggyback the committed (client-acked) watermark so tailing
-		// replicas continuously learn the primary's ack frontier.
-		Watermark: trk.Committed(),
-		Payload:   payload,
-	}
+	entry := txlog.Entry{Type: txlog.EntryData, Records: uint32(gc.records), Payload: gc.payload}
 	if ownerTr != nil {
 		appendSpanID = ownerTr.c.NewSpanID()
 		entry.TraceID = ownerTr.sc.TraceID
 		entry.TraceSpan = appendSpanID
 	}
-	// Sequencer critical section: the append is issued, the chain
-	// checksum advances, and a due checksum entry is injected before any
-	// other shard can slot in an append.
-	n.seqMu.Lock()
-	p, err := n.startAppendRetry(n.lastIssued, entry, &n.stats.AppendsRetried)
+	p, err := n.sequence(entry, &n.stats.AppendsRetried)
 	if err != nil {
-		n.seqMu.Unlock()
 		// Transient failures were already absorbed by the retry loop
 		// (replies stayed withheld throughout); reaching here means the
-		// append is genuinely lost — fenced by another writer, or the
-		// lease-bounded retry deadline is exhausted. Either way none of the
-		// buffered changes may be acknowledged or stay visible (§3.2).
-		// Demote, then fail every gated reply — clients must observe the
-		// error only once the node has stepped down; resync discards the
-		// un-logged local mutations.
-		n.stats.AppendsFailed.Add(1)
-		if errors.Is(err, txlog.ErrConditionFailed) {
-			n.flight.Recordf(trace.EvFencing, epoch, "shard %d append fenced by newer writer", sh.idx)
-		}
-		n.demote()
+		// append is genuinely lost and the node has demoted. None of the
+		// buffered changes may be acknowledged or stay visible (§3.2);
+		// resync discards the un-logged local mutations.
 		if errors.Is(err, txlog.ErrConditionFailed) {
 			n.abortPending(sh, errDemoted)
 		} else {
@@ -246,14 +205,6 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		}
 		return false
 	}
-	n.lastIssued = p.ID()
-	n.runningChecksum = txlog.ChainChecksum(n.runningChecksum, payload)
-	n.dataSinceSum++
-	var cp *txlog.Pending
-	if n.cfg.ChecksumEvery > 0 && n.dataSinceSum >= n.cfg.ChecksumEvery {
-		cp = n.injectChecksumLocked()
-	}
-	n.seqMu.Unlock()
 	seq := p.ID().Seq
 	n.stats.BatchFlushes.Add(1)
 	n.stats.BatchedRecords.Add(int64(gc.records))
@@ -291,14 +242,7 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		})
 	}
 	for _, r := range gc.reads {
-		r := r
-		trk.RegisterWrite(seq, nil, func(aborted bool) {
-			if aborted {
-				r.send(errDemoted)
-			} else {
-				r.send(r.val)
-			}
-		})
+		trk.RegisterWrite(seq, nil, gateReply(r.send, r.val))
 	}
 	gc.reset()
 	gc.inflight.Add(1)
@@ -329,44 +273,14 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		}
 		gc.inflight.Add(-1)
 		// Coalesced poke: wake the shard workloop so the batch that
-		// accumulated behind this round-trip flushes promptly.
+		// accumulated behind this round-trip flushes promptly (the barrier
+		// shard has no workloop and a nil channel: never ready).
 		select {
 		case sh.appendAcked <- struct{}{}:
 		default:
 		}
 	}()
-	if cp != nil {
-		n.commitWatermarkAsync(cp, trk)
-	}
 	return true
-}
-
-// injectChecksumLocked appends the primary's running log checksum so
-// snapshot verification can rehearse against it (§7.2.1). Called with
-// seqMu held, immediately after the data append that made the checksum
-// due, so the checksum entry is contiguous with the prefix it covers.
-// Returns the pending append (the caller advances the tracker watermark
-// once it commits), or nil when the append failed and the node demoted.
-func (n *Node) injectChecksumLocked() *txlog.Pending {
-	n.mu.Lock()
-	epoch := n.epoch
-	n.mu.Unlock()
-	p, err := n.startAppendRetry(n.lastIssued, txlog.Entry{
-		Type:          txlog.EntryChecksum,
-		Epoch:         epoch,
-		EngineVersion: n.cfg.EngineVersion,
-		Watermark:     n.committedWatermark(),
-		Payload:       txlog.EncodeChecksumPayload(n.runningChecksum),
-	}, &n.stats.AppendsRetried)
-	if err != nil {
-		// Fenced or retried out the lease: step down.
-		n.stats.AppendsFailed.Add(1)
-		n.demote()
-		return nil
-	}
-	n.lastIssued = p.ID()
-	n.dataSinceSum = 0
-	return p
 }
 
 // abortPending fails every reply parked in the shard's buffer with

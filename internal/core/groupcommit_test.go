@@ -61,10 +61,9 @@ func TestGroupCommitBatchesUnderLoad(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneIsLegacyBehavior pins the MaxBatchRecords=1 contract:
-// with batching disabled every data entry carries exactly one record, the
-// pre-group-commit wire behavior.
-func TestBatchSizeOneIsLegacyBehavior(t *testing.T) {
+// TestBatchSizeOneAppendsPerMutation pins the MaxBatchRecords=1 contract:
+// with batching disabled every data entry carries exactly one record.
+func TestBatchSizeOneAppendsPerMutation(t *testing.T) {
 	svc := testService(t, netsim.Fixed(time.Millisecond))
 	log, _ := svc.CreateLog("shard-1")
 	n := testNodeBatch(t, "node-a", log, nil, 1)

@@ -131,12 +131,7 @@ func (n *Node) runControl(typ txlog.EntryType, payload []byte, ch chan ctlResult
 		ch <- ctlResult{err: ErrStopped}
 		return
 	}
-	n.mu.Lock()
-	role := n.role
-	epoch := n.epoch
-	trk := n.trk
-	n.mu.Unlock()
-	if role != election.RolePrimary {
+	if n.Role() != election.RolePrimary {
 		ch <- ctlResult{err: errNotPrimaryErr}
 		return
 	}
@@ -148,27 +143,16 @@ func (n *Node) runControl(typ txlog.EntryType, payload []byte, ch chan ctlResult
 	defer release()
 	// Parking flushed every shard; a flush failure demotes, so re-check.
 	n.mu.Lock()
-	role = n.role
+	role := n.role
+	trk := n.trk
 	n.mu.Unlock()
 	if role != election.RolePrimary {
 		ch <- ctlResult{err: errNotPrimaryErr}
 		return
 	}
-	n.seqMu.Lock()
-	p, err := n.startAppendRetry(n.lastIssued, txlog.Entry{
-		Type:          typ,
-		Epoch:         epoch,
-		EngineVersion: n.cfg.EngineVersion,
-		Payload:       payload,
-	}, &n.stats.AppendsRetried)
-	if err == nil {
-		n.lastIssued = p.ID()
-	}
-	n.seqMu.Unlock()
+	p, err := n.sequence(txlog.Entry{Type: typ, Payload: payload}, &n.stats.AppendsRetried)
 	if err != nil {
-		// Fenced or retried out the lease: step down.
-		n.stats.AppendsFailed.Add(1)
-		n.demote()
+		// Fenced or retried out the lease: the sequencer stepped down.
 		ch <- ctlResult{err: err}
 		return
 	}
@@ -255,35 +239,23 @@ func (n *Node) SlotKeyCount(ctx context.Context, slot uint16) (int, error) {
 	return len(keys), err
 }
 
-// forwardEffects mirrors a mutation's effects into the shard's migration
-// stream when any touched key belongs to the migrating slot. Called from
-// the shard workloop right after the effects were accepted by the log.
+// forwardEffects mirrors a mutation's effects into every migration stream
+// (of the shards sh covers) whose slot one of the touched keys belongs to.
+// Called right after the effects entered sh's group-commit buffer.
 func (n *Node) forwardEffects(sh *nodeShard, keys []string, effects [][]byte) {
-	ms := sh.migStream
-	if ms == nil {
-		return
-	}
-	match := false
-	for _, k := range keys {
-		if crc16.Slot(k) == ms.Slot {
-			match = true
-			break
+	for _, o := range sh.covers {
+		ms := o.migStream
+		if ms == nil {
+			continue
 		}
-	}
-	if !match {
-		return
-	}
-	select {
-	case ms.C <- ForwardItem{Effects: effects}:
-	case <-n.stopCtx.Done():
-	}
-}
-
-// forwardEffectsParked is forwardEffects for barrier mutations: every
-// shard is parked (so its migStream field is safe to read), and a
-// cross-slot mutation may touch the migrating slot on any of them.
-func (n *Node) forwardEffectsParked(keys []string, effects [][]byte) {
-	for _, sh := range n.shards {
-		n.forwardEffects(sh, keys, effects)
+		for _, k := range keys {
+			if crc16.Slot(k) == ms.Slot {
+				select {
+				case ms.C <- ForwardItem{Effects: effects}:
+				case <-n.stopCtx.Done():
+				}
+				break
+			}
+		}
 	}
 }

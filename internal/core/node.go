@@ -67,12 +67,9 @@ type Config struct {
 	// flight the workloop keeps executing queued mutations and buffers
 	// their effects; the buffer is flushed as a single entry when the
 	// in-flight append acknowledges or a cap is hit. 1 disables batching
-	// (every mutation gets its own entry — the pre-group-commit behavior).
-	// Defaults to 64.
+	// (every mutation gets its own entry). Defaults to 64; a batch also
+	// flushes once its payload reaches 256 KiB.
 	MaxBatchRecords int
-	// MaxBatchBytes caps the combined payload size of one batched entry
-	// (flush-on-bytes). Defaults to 256 KiB.
-	MaxBatchBytes int
 	// MaxInflightAppends is the group-commit pipeline depth: the buffer is
 	// flushed eagerly while fewer than this many batched data appends are
 	// awaiting quorum acknowledgement, and held (accumulating records)
@@ -89,10 +86,9 @@ type Config struct {
 	// all shards feed one shared transaction-log sequencer that assigns
 	// commit order at flush time. Single-key commands route by slot and
 	// execute in parallel; cross-slot and whole-keyspace commands take a
-	// barrier path that quiesces the affected shards. 1 reproduces the
-	// single-workloop behavior exactly. Defaults to the MEMORYDB_SHARDS
-	// environment variable when set, otherwise GOMAXPROCS, clamped to
-	// [1, store.NumParts].
+	// barrier path that quiesces the shards. Defaults to the
+	// MEMORYDB_SHARDS environment variable when set, otherwise GOMAXPROCS,
+	// clamped to [1, store.NumParts].
 	Shards int
 	// Partition, when set, injects a network partition between THIS node
 	// and the transaction log service: its appends and reads fail while
@@ -113,14 +109,9 @@ type Config struct {
 	// REDIRECT to the primary) instead of hanging on a feed that may
 	// never advance. Defaults to 50ms.
 	ReplicaReadTimeout time.Duration
-	// RetryBase and RetryMax shape the capped exponential backoff (full
-	// jitter) used when a transaction-log call fails transiently. Retrying
-	// is bounded by the leadership lease: a primary that cannot reach the
-	// log keeps replies withheld and retries until the append lands, the
-	// log fences it, or its lease runs out. Defaults: 1ms / 16ms.
-	RetryBase, RetryMax time.Duration
-	// RetrySeed makes retry jitter deterministic for fixed-seed chaos
-	// runs. Each node salts it so a fleet does not retry in lockstep.
+	// RetrySeed makes the jitter of transient-failure retries against the
+	// log deterministic for fixed-seed chaos runs. Each node salts it so a
+	// fleet does not retry in lockstep.
 	RetrySeed int64
 	// Faults, when set, is the node's crash-fault registry: named sites on
 	// the critical write paths consult it and may crash the node exactly
@@ -132,20 +123,13 @@ type Config struct {
 	// write-path stage latencies, per-command histograms, slowlog entries
 	// and sampled traces into it, and the server front-end / log service /
 	// metrics endpoint read the same instance. Nil creates a private
-	// registry (instrumentation is always on unless NoObs is set).
+	// registry with obs defaults (instrumentation is always on unless
+	// NoObs is set).
 	Obs *obs.Metrics
 	// NoObs disables latency instrumentation entirely. This is the
 	// ablation arm of the overhead-guard benchmark, not a production
 	// setting.
 	NoObs bool
-	// SlowlogThreshold, TraceSampleRate and TraceSeed configure the
-	// private registry created when Obs is nil: commands slower than the
-	// threshold end-to-end enter the slowlog (default 10ms), and
-	// TraceSampleRate in [0,1] of commands get a stage-breakdown trace
-	// (default 0 — sampling off keeps the hot path allocation-free).
-	SlowlogThreshold time.Duration
-	TraceSampleRate  float64
-	TraceSeed        int64
 	// Alarms, when set, is surfaced in INFO's # Slowlog section so
 	// operational alarms (snapshot quarantines, primaryless shards) are
 	// visible next to the latency outliers they usually explain.
@@ -154,7 +138,8 @@ type Config struct {
 	// commands carry a span context from submit through group commit
 	// onto the log entry, and this node's stages (plus replica applies
 	// of remote entries) are recorded as spans into the shared
-	// collector. Nil disables tracing entirely (zero overhead).
+	// collector — the one sampler behind both TRACE GET and LATENCY
+	// TRACES. Nil disables tracing entirely (zero overhead).
 	Trace *trace.Collector
 	// Flight, when set, is this node's black-box flight recorder ring.
 	// Nil creates a private one — the recorder is always on. The cluster
@@ -198,20 +183,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchRecords < 1 {
 		c.MaxBatchRecords = 1
 	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = 256 << 10
-	}
 	if c.MaxInflightAppends == 0 {
 		c.MaxInflightAppends = 8
 	}
 	if c.MaxInflightAppends < 1 {
 		c.MaxInflightAppends = 1
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = time.Millisecond
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 16 * time.Millisecond
 	}
 	if c.Shards == 0 {
 		if env := os.Getenv("MEMORYDB_SHARDS"); env != "" {
@@ -265,24 +241,24 @@ type Node struct {
 	// per-shard state inside is owned by that shard's workloop goroutine
 	// (or by a barrier coordinator while the shard is parked).
 	shards []*nodeShard
-	// gEng is the whole-keyspace engine barrier operations execute on
-	// (cross-slot commands, FLUSHALL, KEYS, replica apply at Shards>1).
-	// Guarded by barrierMu together with parked shards.
-	gEng *engine.Engine
+	// barrier is the shard barrier operations execute on (cross-slot
+	// commands, FLUSHALL, KEYS, replica apply): its engine spans the
+	// whole keyspace and it has no workloop. Guarded by barrierMu
+	// together with parked shards.
+	barrier *nodeShard
 	// dbPtr is the current keyspace, for lock-free monitoring reads
 	// (INFO keyspace section). Swapped by installState.
 	dbPtr atomic.Pointer[store.DB]
 
 	// barrierMu serializes barrier coordinators: cross-slot/whole-keyspace
-	// commands, replica apply at Shards>1, control entries, and state
-	// installs (promotion, resync). Lock order: barrierMu → seqMu → mu.
+	// commands, replica apply, control entries, and state installs
+	// (promotion, resync). Lock order: barrierMu → seqMu → mu.
 	barrierMu sync.Mutex
 
-	// Sequencer state: every transaction-log append on this node is issued
-	// while holding seqMu, so shards flushing concurrently receive commit
-	// order at flush time. Holding seqMu across a (lease-bounded) append
-	// retry is deliberate — it is exactly the serialization the single
-	// workloop used to provide. Never acquire seqMu while holding mu.
+	// Sequencer state (sequencer.go): every transaction-log append on this
+	// node is issued while holding seqMu, so shards flushing concurrently
+	// receive commit order at flush time. Never acquire seqMu while
+	// holding mu.
 	seqMu      sync.Mutex
 	lastIssued txlog.EntryID
 	// Running checksum over data payloads this primary appended, chained
@@ -478,38 +454,17 @@ func NewNode(cfg Config) (*Node, error) {
 		readGate:    NewReadGate(0),
 		roleChanged: make(chan struct{}, 4),
 		retryPol: retry.Policy{
-			Base:  cfg.RetryBase,
-			Max:   cfg.RetryMax,
+			Base:  retryBase,
+			Max:   retryMax,
 			Clock: cfg.Clock,
 			Seed:  retry.SaltSeed(cfg.RetrySeed),
 		},
-	}
-	db := store.NewDB()
-	n.dbPtr.Store(db)
-	n.gEng = engine.NewShared(cfg.Clock, db)
-	n.shards = make([]*nodeShard, cfg.Shards)
-	for i := range n.shards {
-		n.shards[i] = &nodeShard{
-			idx:         i,
-			n:           n,
-			eng:         engine.NewShared(cfg.Clock, db),
-			tasks:       make(chan *task, 4096),
-			appendAcked: make(chan struct{}, 1),
-			partLo:      ceilDiv(i*store.NumParts, cfg.Shards),
-			partHi:      ceilDiv((i+1)*store.NumParts, cfg.Shards),
-		}
 	}
 	n.stopCtx, n.stopFn = context.WithCancel(context.Background())
 	n.trace = cfg.Trace
 	n.flight = cfg.Flight
 	if n.flight == nil {
 		n.flight = trace.NewFlight(cfg.NodeID, cfg.FlightEvents)
-	}
-	n.gEng.SetTrace(n.trace)
-	n.gEng.SetFlight(n.flight)
-	for _, sh := range n.shards {
-		sh.eng.SetTrace(n.trace)
-		sh.eng.SetFlight(n.flight)
 	}
 	if cfg.Faults != nil {
 		// Injected faults that actually fire land on the flight timeline,
@@ -523,20 +478,38 @@ func NewNode(cfg Config) (*Node, error) {
 	if !cfg.NoObs {
 		n.obs = cfg.Obs
 		if n.obs == nil {
-			n.obs = obs.New(obs.Options{
-				SlowlogThreshold: cfg.SlowlogThreshold,
-				TraceSampleRate:  cfg.TraceSampleRate,
-				TraceSeed:        cfg.TraceSeed,
-			})
+			n.obs = obs.New(obs.Options{})
 		}
-		n.gEng.SetObs(n.obs)
-		for _, sh := range n.shards {
-			sh.eng.SetObs(n.obs)
-		}
-		n.obs.EnsureShards(len(n.shards))
+		n.obs.EnsureShards(cfg.Shards)
 		n.registerCounters()
 	}
+	db := store.NewDB()
+	n.dbPtr.Store(db)
+	n.shards = make([]*nodeShard, cfg.Shards)
+	for i := range n.shards {
+		n.shards[i] = &nodeShard{
+			idx:         i,
+			n:           n,
+			eng:         n.newEngine(db),
+			tasks:       make(chan *task, 4096),
+			appendAcked: make(chan struct{}, 1),
+			partLo:      ceilDiv(i*store.NumParts, cfg.Shards),
+			partHi:      ceilDiv((i+1)*store.NumParts, cfg.Shards),
+		}
+		n.shards[i].covers = n.shards[i : i+1]
+	}
+	n.barrier = &nodeShard{idx: -1, n: n, eng: n.newEngine(db), covers: n.shards}
 	return n, nil
+}
+
+// newEngine returns an engine over db wired to the node's observability,
+// tracing and flight sinks.
+func (n *Node) newEngine(db *store.DB) *engine.Engine {
+	eng := engine.NewShared(n.clk, db)
+	eng.SetObs(n.obs)
+	eng.SetTrace(n.trace)
+	eng.SetFlight(n.flight)
+	return eng
 }
 
 // Obs returns the node's observability registry (nil when disabled).
@@ -612,14 +585,6 @@ func (n *Node) QueueDepths() []int {
 		out[i] = len(sh.tasks)
 	}
 	return out
-}
-
-// lastIssuedSeq reads the sequencer tail (the highest log sequence this
-// node has issued an append for).
-func (n *Node) lastIssuedSeq() uint64 {
-	n.seqMu.Lock()
-	defer n.seqMu.Unlock()
-	return n.lastIssued.Seq
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -749,65 +714,6 @@ func (n *Node) checkpoint(site string) error {
 		return txlog.ErrUnavailable
 	}
 	return nil
-}
-
-// startAppend wraps Log.StartAppend with the node-level partition check
-// and the pre/post crash gates. A crash between assignment and return
-// models the nastiest case: the log owns a durable entry the dead node
-// never learned the ID of.
-func (n *Node) startAppend(after txlog.EntryID, e txlog.Entry) (*txlog.Pending, error) {
-	if err := n.checkpoint(faultpoint.SiteAppendPre); err != nil {
-		return nil, err
-	}
-	if n.partitioned() {
-		return nil, txlog.ErrUnavailable
-	}
-	p, err := n.cfg.Log.StartAppend(after, e)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.checkpoint(faultpoint.SiteAppendPost); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// startAppendRetry is startAppend with the transient-failure retry
-// discipline (§4.1.3): a transient error (service blip, below-quorum AZ
-// set, partition) leaves the caller's log position unchanged, so the
-// identical append is retried under capped exponential backoff with full
-// jitter until it lands, the log fences us (fatal — returned immediately),
-// or the leadership lease runs out. The lease is the natural deadline:
-// renewals are workloop tasks, and while the workloop blocks here the
-// lease cannot extend, so exhaustion and self-demotion coincide exactly as
-// the paper prescribes. retried counts retry attempts into Stats.
-func (n *Node) startAppendRetry(after txlog.EntryID, e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, error) {
-	p, err := n.startAppend(after, e)
-	if err == nil || !txlog.IsTransient(err) {
-		return p, err
-	}
-	bo := n.retryPol.New()
-	defer func() {
-		// Backoff sleeps are time the primary spent unable to commit:
-		// degraded but available (replies withheld, no errors surfaced).
-		if ms := bo.Slept().Milliseconds(); ms > 0 {
-			n.stats.DegradedMillis.Add(ms)
-		}
-	}()
-	for {
-		n.mu.Lock()
-		lease := n.lease
-		n.mu.Unlock()
-		if lease == nil || !lease.Valid() || n.stopCtx.Err() != nil {
-			return nil, err
-		}
-		retried.Add(1)
-		bo.Sleep()
-		p, err = n.startAppend(after, e)
-		if err == nil || !txlog.IsTransient(err) {
-			return p, err
-		}
-	}
 }
 
 // noteAZHealth folds one committed append's acknowledgement count into the

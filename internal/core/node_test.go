@@ -29,8 +29,8 @@ func testNode(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Manager) 
 }
 
 // testNodeBatch is testNode with an explicit group-commit batch cap, so
-// safety tests can run both with batching enabled and in per-mutation
-// legacy mode (batch = 1).
+// safety tests can run both with batching enabled and with one log entry
+// per mutation (batch = 1).
 func testNodeBatch(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Manager, batch int) *Node {
 	t.Helper()
 	n, err := NewNode(Config{
@@ -54,8 +54,7 @@ func testNodeBatch(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Mana
 }
 
 // batchModes enumerates the group-commit settings safety-critical tests
-// run under: the default (batching on) and the pre-group-commit legacy
-// behavior of one log entry per mutation.
+// run under: the default (batching on) and one log entry per mutation.
 var batchModes = []struct {
 	name  string
 	batch int

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -134,113 +136,59 @@ func TestInfoLatencyNonZeroAfterPipelinedWrites(t *testing.T) {
 	}
 }
 
-// TestObsOverheadGuardWorkloop is the timing half of the metrics-overhead
-// guard (the zero-alloc half lives in internal/obs): an instrumented node
-// must stay within 5% of a NoObs node's throughput on an identical write
-// workload. Wall-clock comparisons flake under CI noise, so the guard only
-// arms when MEMORYDB_OBS_GUARD=1 (scripts/check.sh and `make obs` set it).
-func TestObsOverheadGuardWorkloop(t *testing.T) {
-	if os.Getenv("MEMORYDB_OBS_GUARD") != "1" {
-		t.Skip("set MEMORYDB_OBS_GUARD=1 to run the throughput-overhead guard")
-	}
+// obsOverheadBar is the observability budget: the most extra CPU per
+// write an instrumented node may spend over a NoObs node. The guard below
+// resolves ±1%, and measured that way the record path does NOT meet it
+// today — eight clock reads (≈38 ns each on the CI box), ten histogram
+// observes (≈24 ns each) and a per-command map lookup come to ≈0.6 µs of
+// this workload's 8 µs write: 7–9% with metrics alone, 8–11% with 1%
+// tracing on top, on the commit that introduced the measurement and on
+// its parent alike (the wall-clock guard this replaces was too noisy to
+// show it and failed every other run). The bar stays where the budget is;
+// `make obs` is red until the record path is cut (ROADMAP item 5d).
+const obsOverheadBar = 0.05
 
-	run := func(noObs bool) time.Duration {
+// TestObsOverheadGuard is the cost half of the observability budget (the
+// zero-alloc half lives in internal/obs): a node with metrics on, and one
+// with metrics plus the production tracing posture (1% sampling, flight
+// recorder armed), against a NoObs node on an identical write workload —
+// the node-level path at zero commit latency, where instrumentation is
+// the largest share it can be. It compares process CPU time per burst,
+// not wall clock, on one P so no idle spinning dilutes or blurs it; the
+// three nodes live side by side taking short bursts in rotation, so
+// host-speed drift and noisy neighbours (±15% on a small shared runner)
+// land on every arm alike and divide out of each round's ratio, and the
+// median over many rounds discards the rounds a disturbance split. Arms
+// only when MEMORYDB_OBS_GUARD=1 (`make obs`).
+func TestObsOverheadGuard(t *testing.T) {
+	if os.Getenv("MEMORYDB_OBS_GUARD") != "1" {
+		t.Skip("set MEMORYDB_OBS_GUARD=1 to run the CPU-overhead guard")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	arms := []struct {
+		name string
+		cfg  func(*Config)
+		node *Node
+	}{
+		{name: "noobs", cfg: func(c *Config) { c.NoObs = true }},
+		{name: "metrics", cfg: func(*Config) {}},
+		{name: "metrics+tracing+flight", cfg: func(c *Config) {
+			c.Trace = trace.NewCollector(0.01, 1, 0)
+			c.Flight = trace.NewFlight("node-a", 0)
+		}},
+	}
+	for i := range arms {
 		svc := testService(t, netsim.Zero{})
 		log, _ := svc.CreateLog("shard-guard")
-		n, err := NewNode(Config{
-			NodeID:      "node-a",
-			ShardID:     log.ShardID(),
-			Log:         log,
-			Lease:       120 * time.Millisecond,
-			Backoff:     160 * time.Millisecond,
-			RenewEvery:  30 * time.Millisecond,
-			ReplicaPoll: time.Millisecond,
-			NoObs:       noObs,
-		})
-		if err != nil {
-			t.Fatalf("NewNode: %v", err)
-		}
-		n.Start()
-		defer n.Stop()
-		waitRole(t, n, election.RolePrimary, 2*time.Second)
-
-		// Long enough (~150ms per run) that scheduler jitter amortizes;
-		// a 40ms run swings ±10% between identical binaries.
-		const goroutines, perG = 8, 2000
-		start := time.Now()
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < perG; i++ {
-					argv := [][]byte{[]byte("SET"), []byte(fmt.Sprintf("g%d-%d", g, i)), []byte("v")}
-					if _, err := n.Do(context.Background(), argv); err != nil {
-						t.Errorf("SET: %v", err)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		return time.Since(start)
-	}
-
-	// Machine-wide drift (thermal, scheduler phase) swings identical runs
-	// by ~10%, far more than the instrumentation itself, so min-of-trials
-	// per side is unstable. Instead run back-to-back pairs — drift within
-	// a pair is correlated and divides out — and take the median ratio.
-	// Order alternates within pairs so warm-up never favors one side.
-	const pairs = 7
-	ratios := make([]float64, 0, pairs)
-	for i := 0; i < pairs; i++ {
-		var instr, plain time.Duration
-		if i%2 == 0 {
-			instr, plain = run(false), run(true)
-		} else {
-			plain, instr = run(true), run(false)
-		}
-		ratios = append(ratios, float64(instr)/float64(plain))
-	}
-	sort.Float64s(ratios)
-	median := ratios[pairs/2]
-	t.Logf("paired instr/noobs ratios %v, median %.4f (%.2f%% overhead)",
-		ratios, median, 100*(median-1))
-	if median > 1.05 {
-		t.Fatalf("instrumentation overhead too high: median ratio %.4f (>1.05)", median)
-	}
-}
-
-// TestObsOverheadGuardTracing holds the distributed-tracing addition to
-// the same 5% bar as the base metrics guard: an instrumented node with
-// the trace collector sampling at 1% and the flight recorder armed (the
-// production observability posture) must stay within 5% of an identical
-// instrumented node with tracing off. Comparing tracing-on against
-// tracing-off — rather than against NoObs — isolates exactly what the
-// tracing layer adds; the obs-vs-NoObs gap is the base guard's job. The
-// name shares the TestObsOverheadGuard prefix so scripts/check.sh's
-// single -run pattern arms both guards.
-func TestObsOverheadGuardTracing(t *testing.T) {
-	if os.Getenv("MEMORYDB_OBS_GUARD") != "1" {
-		t.Skip("set MEMORYDB_OBS_GUARD=1 to run the throughput-overhead guard")
-	}
-
-	run := func(tracing bool) time.Duration {
-		svc := testService(t, netsim.Zero{})
-		log, _ := svc.CreateLog("shard-guard-tr")
 		cfg := Config{
 			NodeID:      "node-a",
 			ShardID:     log.ShardID(),
 			Log:         log,
-			Lease:       120 * time.Millisecond,
-			Backoff:     160 * time.Millisecond,
-			RenewEvery:  30 * time.Millisecond,
+			Lease:       2 * time.Second,
+			Backoff:     3 * time.Second,
 			ReplicaPoll: time.Millisecond,
 		}
-		if tracing {
-			cfg.Trace = trace.NewCollector(0.01, 1, 0)
-			cfg.Flight = trace.NewFlight("node-a", 0)
-		}
+		arms[i].cfg(&cfg)
 		n, err := NewNode(cfg)
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
@@ -248,9 +196,22 @@ func TestObsOverheadGuardTracing(t *testing.T) {
 		n.Start()
 		defer n.Stop()
 		waitRole(t, n, election.RolePrimary, 2*time.Second)
-
-		const goroutines, perG = 8, 2000
-		start := time.Now()
+		arms[i].node = n
+	}
+	cpuTime := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatalf("getrusage: %v", err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	// burst returns the process CPU time spent while n takes one burst of
+	// writes (the other nodes only tick their leases meanwhile). Every
+	// burst rewrites the same keys, so the heap stays in steady state.
+	burst := func(n *Node) time.Duration {
+		const goroutines, perG = 8, 500
+		runtime.GC() // every burst starts from the same collector state
+		start := cpuTime()
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
@@ -266,27 +227,36 @@ func TestObsOverheadGuardTracing(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		return time.Since(start)
+		return cpuTime() - start
 	}
 
-	// Same paired-ratio methodology as the base guard: back-to-back pairs
-	// so machine-wide drift divides out, order alternated, median taken.
-	const pairs = 7
-	ratios := make([]float64, 0, pairs)
-	for i := 0; i < pairs; i++ {
-		var traced, plain time.Duration
-		if i%2 == 0 {
-			traced, plain = run(true), run(false)
-		} else {
-			plain, traced = run(false), run(true)
+	const rounds = 60
+	ratios := make([][]float64, len(arms))
+	for r := 0; r < rounds+3; r++ {
+		cost := make([]float64, len(arms))
+		for k := range arms {
+			// Rotate who goes first and alternate the direction, so neither
+			// position in the round nor a fixed predecessor favors an arm.
+			i := (r + k) % len(arms)
+			if r%2 == 1 {
+				i = len(arms) - 1 - i
+			}
+			cost[i] = float64(burst(arms[i].node))
 		}
-		ratios = append(ratios, float64(traced)/float64(plain))
+		if r < 3 {
+			continue // warm-up: first bursts grow the heap and the key set
+		}
+		for i := 1; i < len(arms); i++ {
+			ratios[i] = append(ratios[i], cost[i]/cost[0])
+		}
 	}
-	sort.Float64s(ratios)
-	median := ratios[pairs/2]
-	t.Logf("paired tracing+flight/plain ratios %v, median %.4f (%.2f%% overhead)",
-		ratios, median, 100*(median-1))
-	if median > 1.05 {
-		t.Fatalf("tracing+flight overhead too high: median ratio %.4f (>1.05)", median)
+	for i := 1; i < len(arms); i++ {
+		sort.Float64s(ratios[i])
+		median := ratios[i][rounds/2]
+		t.Logf("%s: CPU ratio vs NoObs over %d rounds: quartiles %.3f / %.3f / %.3f (%.2f%% overhead)",
+			arms[i].name, rounds, ratios[i][rounds/4], median, ratios[i][3*rounds/4], 100*(median-1))
+		if median > 1+obsOverheadBar {
+			t.Errorf("%s overhead too high: median CPU ratio %.4f (> %.2f)", arms[i].name, median, 1+obsOverheadBar)
+		}
 	}
 }

@@ -17,13 +17,10 @@ import (
 // Everything here is gated on n.obs != nil so NoObs nodes pay one
 // pointer check per site.
 
-// obsFinish runs inside the reply closure: it computes the end-to-end
-// span and the queue/execute breakdown and hands them to the registry
-// (e2e + per-command histograms, slowlog check, trace sampling).
+// obsFinish runs inside the reply closure of a stamped task: it computes
+// the end-to-end span and the queue/execute breakdown and hands them to
+// the registry (e2e + per-command histograms, slowlog check).
 func (n *Node) obsFinish(t *task) {
-	if t.enq == 0 {
-		return
-	}
 	now := obs.Now()
 	total := now - t.enq
 	var queue, exec int64
@@ -37,17 +34,13 @@ func (n *Node) obsFinish(t *task) {
 }
 
 // obsDequeued stamps a client task's dequeue and records its queue wait,
-// both node-wide and on the handling shard. Per-shard recording is
-// skipped on single-shard nodes, where it would only duplicate the
-// node-wide histogram (keeping the legacy hot path cost unchanged), and
-// for barrier tasks (shard -1), which no one shard handled.
+// both node-wide and on the handling shard (the barrier shard, -1, has no
+// per-shard histograms: no one execution shard handled the task).
 func (n *Node) obsDequeued(t *task) {
 	t.deq = obs.Now()
 	n.obs.Stage(obs.StageQueueWait).ObserveNanos(t.deq - t.enq)
-	if t.shard >= 0 && len(n.shards) > 1 {
-		if ss := n.obs.ShardStage(t.shard); ss != nil {
-			ss.QueueWait.ObserveNanos(t.deq - t.enq)
-		}
+	if ss := n.obs.ShardStage(t.shard); ss != nil {
+		ss.QueueWait.ObserveNanos(t.deq - t.enq)
 	}
 	if t.tr != nil {
 		t.tr.c.Emit(t.tr.sc, "queue_wait", n.cfg.NodeID, -1, t.shard, t.enq, t.deq)
@@ -58,10 +51,8 @@ func (n *Node) obsDequeued(t *task) {
 func (n *Node) obsExecuted(t *task) {
 	t.execDone = obs.Now()
 	n.obs.Stage(obs.StageExecute).ObserveNanos(t.execDone - t.deq)
-	if t.shard >= 0 && len(n.shards) > 1 {
-		if ss := n.obs.ShardStage(t.shard); ss != nil {
-			ss.Execute.ObserveNanos(t.execDone - t.deq)
-		}
+	if ss := n.obs.ShardStage(t.shard); ss != nil {
+		ss.Execute.ObserveNanos(t.execDone - t.deq)
 	}
 	if t.tr != nil {
 		t.tr.c.Emit(t.tr.sc, "execute", n.cfg.NodeID, -1, t.shard, t.deq, t.execDone)
@@ -190,9 +181,6 @@ func (n *Node) obsInfoSections() string {
 			s, h.Count(), usec(q.P50), usec(q.P95), usec(q.P99), usec(q.P999), usec(q.Max))
 	}
 	for i := range n.shards {
-		if len(n.shards) == 1 {
-			break // per-shard stages not recorded on single-shard nodes
-		}
 		ss := n.obs.ShardStage(i)
 		if ss == nil {
 			continue

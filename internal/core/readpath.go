@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"memorydb/internal/election"
-	"memorydb/internal/engine"
 	"memorydb/internal/obs"
 	"memorydb/internal/resp"
 	"memorydb/internal/txlog"
@@ -92,100 +91,61 @@ func IsRedirect(v resp.Value) bool {
 	return v.IsError() && strings.HasPrefix(string(v.Str), "REDIRECT")
 }
 
-// DoRead executes a read-eligible command under an explicit consistency
-// level and reports which ladder rung served it. Non-read commands
-// (writes, unknown, always-local, INFO/WAIT) fall through to the
-// default execution path — on a replica the workloop rejects writes
-// exactly as before.
-func (n *Node) DoRead(ctx context.Context, argv [][]byte, opts ReadOpts) (resp.Value, ReadOutcome, error) {
-	t := &task{kind: taskCmd, argv: argv, readonly: true}
-	if len(argv) == 0 {
-		v, err := n.submit(ctx, t)
-		return v, ReadOutcomePrimary, err
-	}
-	name := strings.ToUpper(string(argv[0]))
-	cmd, known := engine.LookupCommand(name)
-	if !known || cmd.Writes() || isAlwaysLocal(name) || name == "INFO" || name == "WAIT" {
-		v, err := n.submit(ctx, t)
-		return v, ReadOutcomePrimary, err
-	}
-	if opts.Consistency == ReadEventual {
-		t.readVerified = true
-		v, err := n.submit(ctx, t)
-		return v, ReadOutcomeEventual, err
-	}
-	n.mu.Lock()
-	role := n.role
-	n.mu.Unlock()
-	if role != election.RoleReplica || n.Frozen() {
-		// The primary path is already linearizable (key-hazard gating);
-		// demoted nodes fail in the workloop. A frozen node behaves like
-		// a dead process: enqueue and let the caller time out rather
-		// than emitting a REDIRECT no crashed process could send.
-		v, err := n.submit(ctx, t)
-		return v, ReadOutcomePrimary, err
-	}
-
-	outcome, err := n.verifyReplicaRead(ctx, opts)
-	if err != nil {
-		return resp.Value{}, outcome, err
-	}
-	switch outcome {
-	case ReadOutcomeLinearizable:
-		n.stats.ReplicaReadsServed.Add(1)
-	case ReadOutcomeStale:
-		n.stats.ReplicaReadsStale.Add(1)
-	case ReadOutcomeRedirected:
-		n.stats.ReplicaReadsRedirected.Add(1)
-		return errRedirect, ReadOutcomeRedirected, nil
-	}
-	t.readVerified = true
-	v, err := n.submit(ctx, t)
-	return v, outcome, err
-}
-
-// DoBatchReadOnly executes an atomic batch with replica reads permitted
-// (READONLY pipeline). All-read batches take the same freshness ladder
-// as single reads; batches containing writes fall through to the
-// default path (primary-only).
-func (n *Node) DoBatchReadOnly(ctx context.Context, cmds [][][]byte) (resp.Value, error) {
-	v, _, err := n.DoBatchRead(ctx, cmds, ReadOpts{})
+// DoReadOnly executes a command with replica reads permitted (the client
+// issued READONLY) at the default, linearizable consistency.
+func (n *Node) DoReadOnly(ctx context.Context, argv [][]byte) (resp.Value, error) {
+	v, _, err := n.DoRead(ctx, argv, ReadOpts{})
 	return v, err
 }
 
-// DoBatchRead is DoBatchReadOnly with an explicit consistency level.
+// DoRead executes a read-eligible command under an explicit consistency
+// level and reports which ladder rung served it. Non-read commands
+// (writes, unknown, always-local, INFO/WAIT) fall through to the
+// default execution path — on a replica the workloop rejects writes.
+func (n *Node) DoRead(ctx context.Context, argv [][]byte, opts ReadOpts) (resp.Value, ReadOutcome, error) {
+	t := &task{kind: taskCmd, argv: argv, readonly: true}
+	t.resolve()
+	eligible := t.cmd != nil && !t.cmd.Writes() && !isAlwaysLocal(t.name)
+	return n.readLadder(ctx, t, eligible, opts)
+}
+
+// DoBatchRead executes an atomic batch with replica reads permitted
+// (READONLY pipeline). All-read batches take the same freshness ladder
+// as single reads; batches containing writes fall through to the
+// default path (primary-only).
 func (n *Node) DoBatchRead(ctx context.Context, cmds [][][]byte, opts ReadOpts) (resp.Value, ReadOutcome, error) {
-	t := &task{kind: taskBatch, batch: cmds, readonly: true}
-	if !batchIsReadOnly(cmds) {
-		v, err := n.submit(ctx, t)
-		return v, ReadOutcomePrimary, err
-	}
-	if opts.Consistency == ReadEventual {
+	return n.readLadder(ctx, &task{kind: taskBatch, batch: cmds, readonly: true}, batchIsReadOnly(cmds), opts)
+}
+
+// readLadder submits a readonly task, first clearing an eligible read for
+// replica serving (task.readVerified) at the rung the client asked for.
+func (n *Node) readLadder(ctx context.Context, t *task, eligible bool, opts ReadOpts) (resp.Value, ReadOutcome, error) {
+	// Off a live replica the default path is right: the primary is already
+	// linearizable (key-hazard gating), demoted nodes fail in the workloop,
+	// and a frozen node behaves like a dead process — enqueue and let the
+	// caller time out rather than emit a REDIRECT no crashed process could
+	// send.
+	outcome := ReadOutcomePrimary
+	switch {
+	case !eligible:
+	case opts.Consistency == ReadEventual:
+		t.readVerified, outcome = true, ReadOutcomeEventual
+	case n.Role() == election.RoleReplica && !n.Frozen():
+		var err error
+		if outcome, err = n.verifyReplicaRead(ctx, opts); err != nil {
+			return resp.Value{}, outcome, err
+		}
+		switch outcome {
+		case ReadOutcomeLinearizable:
+			n.stats.ReplicaReadsServed.Add(1)
+		case ReadOutcomeStale:
+			n.stats.ReplicaReadsStale.Add(1)
+		case ReadOutcomeRedirected:
+			n.stats.ReplicaReadsRedirected.Add(1)
+			return errRedirect, outcome, nil
+		}
 		t.readVerified = true
-		v, err := n.submit(ctx, t)
-		return v, ReadOutcomeEventual, err
 	}
-	n.mu.Lock()
-	role := n.role
-	n.mu.Unlock()
-	if role != election.RoleReplica || n.Frozen() {
-		v, err := n.submit(ctx, t)
-		return v, ReadOutcomePrimary, err
-	}
-	outcome, err := n.verifyReplicaRead(ctx, opts)
-	if err != nil {
-		return resp.Value{}, outcome, err
-	}
-	switch outcome {
-	case ReadOutcomeLinearizable:
-		n.stats.ReplicaReadsServed.Add(1)
-	case ReadOutcomeStale:
-		n.stats.ReplicaReadsStale.Add(1)
-	case ReadOutcomeRedirected:
-		n.stats.ReplicaReadsRedirected.Add(1)
-		return errRedirect, ReadOutcomeRedirected, nil
-	}
-	t.readVerified = true
 	v, err := n.submit(ctx, t)
 	return v, outcome, err
 }
@@ -250,13 +210,4 @@ func (n *Node) verifyReplicaRead(ctx context.Context, opts ReadOpts) (ReadOutcom
 		return ReadOutcomeStale, nil
 	}
 	return ReadOutcomeRedirected, nil
-}
-
-// committedWatermark returns the current tracker's committed (acked)
-// watermark — the value piggybacked on appended entries.
-func (n *Node) committedWatermark() uint64 {
-	n.mu.Lock()
-	trk := n.trk
-	n.mu.Unlock()
-	return trk.Committed()
 }

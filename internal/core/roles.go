@@ -4,7 +4,7 @@ import (
 	"errors"
 
 	"memorydb/internal/election"
-	"memorydb/internal/engine"
+	"memorydb/internal/store"
 	"memorydb/internal/trace"
 	"memorydb/internal/tracker"
 	"memorydb/internal/txlog"
@@ -268,7 +268,7 @@ func (n *Node) campaign(observedTail txlog.EntryID) bool {
 	// the claim (the claim is committed, so ChecksumAt cannot fail except
 	// on a concurrent trim, in which case zero restarts verification).
 	sum, _ := n.cfg.Log.ChecksumAt(claimID)
-	if !n.installState(nil, claimID, true, sum) {
+	if !n.installState(nil, claimID, claimID, sum) {
 		return false
 	}
 	n.setRole(election.RolePrimary, lease.Epoch())
@@ -346,10 +346,7 @@ func (n *Node) resync() error {
 	if n.partitioned() {
 		return errors.New("core: partitioned from durable sources")
 	}
-	eng := engine.New(n.clk)
-	eng.SetObs(n.obs)
-	eng.SetTrace(n.trace)
-	eng.SetFlight(n.flight)
+	eng := n.newEngine(store.NewDB())
 	from := txlog.ZeroID
 	var sum uint64
 	if n.cfg.Snapshots != nil {
@@ -384,7 +381,7 @@ func (n *Node) resync() error {
 	}
 	// Install the rebuilt state under an all-shard barrier, then a fresh
 	// tracker.
-	if !n.installState(eng, applied, false, 0) {
+	if !n.installState(eng, applied, txlog.ZeroID, 0) {
 		return ErrStopped
 	}
 	n.replay = replay
@@ -400,7 +397,7 @@ func (n *Node) resync() error {
 // handled on each. Returns false when the node stopped instead.
 func (n *Node) drainWorkloop() bool {
 	for _, sh := range n.shards {
-		t := &task{kind: taskBarrier, shard: sh.idx, swapCh: make(chan struct{})}
+		t := &task{kind: taskDrain, shard: sh.idx, swapCh: make(chan struct{})}
 		select {
 		case sh.tasks <- t:
 		case <-n.stopCtx.Done():

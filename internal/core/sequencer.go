@@ -1,0 +1,190 @@
+package core
+
+import (
+	"errors"
+	"sync/atomic"
+	"time"
+
+	"memorydb/internal/faultpoint"
+	"memorydb/internal/trace"
+	"memorydb/internal/tracker"
+	"memorydb/internal/txlog"
+)
+
+// The sequencer is the issue-side twin of txlog.Replayer: every entry this
+// node appends — group-commit flushes (shard or barrier), running-checksum
+// injections, lease renewals, control records — goes through sequence, and
+// nothing outside this file takes seqMu. Shards flushing concurrently
+// receive their commit order here; holding seqMu across a (lease-bounded)
+// append retry is deliberate — it is the serialization one workloop would
+// provide. Lock order: barrierMu → seqMu → mu.
+
+// Retry shape for transient log failures: capped exponential backoff with
+// full jitter, bounded overall by the leadership lease.
+const (
+	retryBase = time.Millisecond
+	retryMax  = 16 * time.Millisecond
+)
+
+// sequence appends e at the node's log tail. It stamps the writer's epoch,
+// engine version and committed watermark (so tailing replicas continuously
+// learn the primary's ack frontier), retries transient failures, advances
+// lastIssued, chains a data payload into the running checksum and — inside
+// the same critical section, so the checksum entry is contiguous with the
+// prefix it covers even with other shards flushing — injects the
+// EntryChecksum that payload made due (§7.2.1). A lost append — fenced by
+// another writer, or the lease-bounded retry deadline exhausted — is
+// counted, a fencing is recorded on the flight ring, and the node demotes
+// before the error returns: callers only fail the replies they hold, so
+// clients observe the error once the step-down is visible.
+func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, error) {
+	n.mu.Lock()
+	e.Epoch = n.epoch
+	trk := n.trk
+	n.mu.Unlock()
+	e.EngineVersion = n.cfg.EngineVersion
+	e.Watermark = trk.Committed()
+
+	var p, sum *txlog.Pending
+	var err error
+	if e.Type == txlog.EntryData {
+		// Crashed (and later stopped) or transiently failed at the head of
+		// a flush: nothing reached the log, so the buffered mutations can
+		// never become durable under this node — a lost append.
+		err = n.checkpoint(faultpoint.SiteFlushPre)
+	}
+	if err == nil {
+		n.seqMu.Lock()
+		p, err = n.startAppendRetry(e, retried)
+		if err == nil && e.Type == txlog.EntryData {
+			n.runningChecksum = txlog.ChainChecksum(n.runningChecksum, e.Payload)
+			n.dataSinceSum++
+			if n.cfg.ChecksumEvery > 0 && n.dataSinceSum >= n.cfg.ChecksumEvery {
+				sum, err = n.startAppendRetry(txlog.Entry{
+					Type:          txlog.EntryChecksum,
+					Epoch:         e.Epoch,
+					EngineVersion: e.EngineVersion,
+					Watermark:     e.Watermark,
+					Payload:       txlog.EncodeChecksumPayload(n.runningChecksum),
+				}, &n.stats.AppendsRetried)
+				if err == nil {
+					n.dataSinceSum = 0
+				}
+			}
+		}
+		n.seqMu.Unlock()
+	}
+
+	if err != nil {
+		n.stats.AppendsFailed.Add(1)
+		if errors.Is(err, txlog.ErrConditionFailed) {
+			n.flight.Recordf(trace.EvFencing, e.Epoch, "%s append fenced by newer writer", e.Type)
+		}
+		n.demote()
+	}
+	if sum != nil {
+		n.commitWatermarkAsync(sum, trk)
+	}
+	if p == nil {
+		return nil, err
+	}
+	// The entry itself landed; a failed checksum injection behind it has
+	// already demoted the node, which aborts whatever the caller gates on p.
+	return p, nil
+}
+
+// lastIssuedSeq reads the sequencer tail (the highest log sequence this
+// node has issued an append for).
+func (n *Node) lastIssuedSeq() uint64 {
+	n.seqMu.Lock()
+	defer n.seqMu.Unlock()
+	return n.lastIssued.Seq
+}
+
+// resetSequencer repositions the sequencer under an all-shard barrier: a
+// promotion chains appends after its claim entry with the log's checksum
+// there; a resync clears the tail (replicas issue nothing).
+func (n *Node) resetSequencer(tail txlog.EntryID, sum uint64) {
+	n.seqMu.Lock()
+	n.lastIssued = tail
+	n.runningChecksum = sum
+	n.dataSinceSum = 0
+	n.seqMu.Unlock()
+}
+
+// commitWatermarkAsync advances the tracker's durable watermark once a
+// non-data entry commits, so reads gated at lastIssued are not stuck
+// behind control traffic.
+func (n *Node) commitWatermarkAsync(p *txlog.Pending, trk *tracker.Tracker) {
+	go func() {
+		if id, err := p.Wait(n.stopCtx); err == nil {
+			// Crash gate before the watermark advances: a kill here leaves
+			// the entry durable but every gated reply undelivered — clients
+			// time out and must treat the write as ambiguous.
+			if n.checkpoint(faultpoint.SiteTrackerRelease) != nil {
+				return
+			}
+			n.noteAZHealth(p)
+			trk.Commit(id.Seq)
+		}
+	}()
+}
+
+// startAppend wraps Log.StartAppend with the node-level partition check
+// and the pre/post crash gates. A crash between assignment and return
+// models the nastiest case: the log owns a durable entry the dead node
+// never learned the ID of.
+func (n *Node) startAppend(after txlog.EntryID, e txlog.Entry) (*txlog.Pending, error) {
+	if err := n.checkpoint(faultpoint.SiteAppendPre); err != nil {
+		return nil, err
+	}
+	if n.partitioned() {
+		return nil, txlog.ErrUnavailable
+	}
+	p, err := n.cfg.Log.StartAppend(after, e)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.checkpoint(faultpoint.SiteAppendPost); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// startAppendRetry is startAppend after lastIssued (seqMu held) with the
+// transient-failure retry discipline (§4.1.3): a transient error (service
+// blip, below-quorum AZ set, partition) leaves the log position unchanged,
+// so the identical append is retried under capped exponential backoff with
+// full jitter until it lands — advancing lastIssued — the log fences us
+// (fatal — returned immediately), or the leadership lease runs out. The
+// lease is the natural deadline: renewals are workloop tasks, and while the
+// workloop blocks here the lease cannot extend, so exhaustion and
+// self-demotion coincide exactly as the paper prescribes. retried counts
+// retry attempts into Stats.
+func (n *Node) startAppendRetry(e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, error) {
+	p, err := n.startAppend(n.lastIssued, e)
+	if err != nil && txlog.IsTransient(err) {
+		bo := n.retryPol.New()
+		for err != nil && txlog.IsTransient(err) {
+			n.mu.Lock()
+			lease := n.lease
+			n.mu.Unlock()
+			if lease == nil || !lease.Valid() || n.stopCtx.Err() != nil {
+				break
+			}
+			retried.Add(1)
+			bo.Sleep()
+			p, err = n.startAppend(n.lastIssued, e)
+		}
+		// Backoff sleeps are time the primary spent unable to commit:
+		// degraded but available (replies withheld, no errors surfaced).
+		if ms := bo.Slept().Milliseconds(); ms > 0 {
+			n.stats.DegradedMillis.Add(ms)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	n.lastIssued = p.ID()
+	return p, nil
+}

@@ -17,9 +17,11 @@ import (
 // order: every shard's flush acquires the node's sequencer (seqMu) to
 // issue its transaction-log append, so the log remains one totally
 // ordered stream regardless of shard count. Cross-slot and
-// whole-keyspace commands take the barrier path in barrier.go.
+// whole-keyspace commands run on the barrier shard (barrier.go). One
+// shard is not special: it is this path with N=1.
 
-// nodeShard is one keyspace execution shard.
+// nodeShard is one keyspace execution shard — or, with idx -1, no tasks
+// queue and no workloop, the barrier shard whose engine spans them all.
 type nodeShard struct {
 	idx int
 	n   *Node
@@ -32,8 +34,12 @@ type nodeShard struct {
 	// quorum append is in flight accumulate here until flush.
 	gc groupCommit
 	// migStream, when non-nil, mirrors effects touching the migrating
-	// slot (the slot's owner shard holds the stream).
+	// slot (the slot's owner shard holds the stream). covers lists the
+	// shards whose keys this shard's engine can mutate, and therefore
+	// whose streams its mutations must reach: itself, or for the barrier
+	// shard every execution shard (all parked while it runs).
 	migStream *MigrationStream
+	covers    []*nodeShard
 
 	tasks chan *task
 	// appendAcked is a coalesced wakeup: append-waiter goroutines poke it
@@ -107,68 +113,65 @@ func ShardOfSlot(slot uint16, shards int) int {
 }
 
 // route decides where a client task executes: a single shard's workloop,
-// or (true) the barrier path quiescing multiple shards. With one shard
-// everything lands on it, reproducing the single-workloop node exactly.
-func (n *Node) route(t *task) (*nodeShard, bool) {
-	if len(n.shards) == 1 {
-		return n.shards[0], false
-	}
+// or the barrier shard with every workloop quiesced.
+func (n *Node) route(t *task) *nodeShard {
 	switch t.kind {
 	case taskCmd:
-		name := strings.ToUpper(string(t.argv[0]))
+		name := t.name
 		if name == "INFO" || isAlwaysLocal(name) {
-			return n.shards[0], false
+			return n.shards[0]
 		}
 		if name == "WAIT" {
-			// WAIT barriers on every outstanding write, which at N>1 means
-			// every shard's buffer must flush.
-			return nil, true
+			// WAIT covers every outstanding write, so every shard's buffer
+			// must flush.
+			return n.barrier
 		}
-		cmd, known := engine.LookupCommand(name)
-		if !known {
+		cmd := t.cmd
+		if cmd == nil {
 			// Unknown command: any shard can produce the error reply.
-			return n.shards[0], false
+			return n.shards[0]
 		}
-		keys := cmd.Keys(t.argv)
+		keys := t.keys
 		if len(keys) == 0 {
 			// Keyless: whole-keyspace writes (FLUSHALL) and reads whose
 			// results reflect every shard (KEYS, DBSIZE, …) take the
 			// barrier; other keyless commands are shard-agnostic.
 			if cmd.Writes() || gatesOnFullKeyspace(name) {
-				return nil, true
+				return n.barrier
 			}
-			return n.shards[0], false
+			return n.shards[0]
 		}
 		if n.cfg.GlobalReadGate && !cmd.Writes() {
 			// Ablation knob: every read gates on ALL outstanding writes,
 			// which requires every shard's buffer flushed.
-			return nil, true
+			return n.barrier
 		}
 		si := n.shardOfKey(keys[0])
 		for _, k := range keys[1:] {
 			if n.shardOfKey(k) != si {
 				n.stats.CrossSlotOps.Add(1)
-				return nil, true
+				return n.barrier
 			}
 		}
-		return n.shards[si], false
+		return n.shards[si]
 	case taskBatch:
 		if n.cfg.GlobalReadGate {
-			return nil, true
+			return n.barrier
 		}
 		si := -1
 		for _, argv := range t.batch {
 			if len(argv) == 0 {
 				continue
 			}
-			cmd, known := engine.LookupCommand(strings.ToUpper(string(argv[0])))
+			name := strings.ToUpper(string(argv[0]))
+			cmd, known := engine.LookupCommand(name)
 			if !known {
 				continue
 			}
 			keys := cmd.Keys(argv)
 			if len(keys) == 0 {
-				if cmd.Writes() || gatesOnFullKeyspace(strings.ToUpper(string(argv[0]))) {
-					return nil, true
+				if cmd.Writes() || gatesOnFullKeyspace(name) {
+					return n.barrier
 				}
 				continue
 			}
@@ -178,16 +181,16 @@ func (n *Node) route(t *task) (*nodeShard, bool) {
 					si = s
 				} else if s != si {
 					n.stats.CrossSlotOps.Add(1)
-					return nil, true
+					return n.barrier
 				}
 			}
 		}
 		if si == -1 {
 			si = 0
 		}
-		return n.shards[si], false
+		return n.shards[si]
 	}
-	return n.shards[0], false
+	return n.shards[0]
 }
 
 // slotShard returns the shard owning a crc16 slot (migration routing).

@@ -354,10 +354,10 @@ func TestShardedReplicaApply(t *testing.T) {
 	}
 }
 
-// TestSingleShardMatchesLegacyLog pins the N=1 compatibility contract:
-// Shards=1 must produce exactly the log a pre-sharding node produced for
-// the same workload — same entry count, same records per entry.
-func TestSingleShardMatchesLegacyLog(t *testing.T) {
+// TestSingleShardLogsEveryRecord pins what Shards=1 means now that it is
+// the general path with one shard: serialized single-key writes still
+// reach the log as exactly one record each.
+func TestSingleShardLogsEveryRecord(t *testing.T) {
 	run := func(shards int) txlog.Stats {
 		svc := testService(t, netsim.Fixed(time.Millisecond))
 		log, _ := svc.CreateLog("shard-1")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -20,13 +19,12 @@ type taskKind int
 const (
 	taskCmd taskKind = iota
 	taskBatch
-	taskApply
 	taskRenew
 	taskSweep
 	taskMigCtl
 	taskMigDump
 	taskSlotInfo
-	taskBarrier
+	taskDrain
 	taskPark
 )
 
@@ -35,13 +33,13 @@ type task struct {
 	argv     [][]byte
 	batch    [][][]byte
 	readonly bool // client opted into replica reads (READONLY)
-	// readVerified marks a readonly task the DoRead ladder has cleared
-	// for replica serving: either its freshness proof succeeded (the
-	// applied position covers the committed tail captured at arrival),
-	// the client's declared staleness bound holds, or the client opted
-	// into eventual consistency. Replica execution paths serve ONLY
-	// verified readonly tasks; anything else is redirected, so stale
-	// data is never silently returned as consistent.
+	// readVerified marks a readonly task the read ladder has cleared for
+	// replica serving: either its freshness proof succeeded (the applied
+	// position covers the committed tail captured at arrival), the
+	// client's declared staleness bound holds, or the client opted into
+	// eventual consistency. Replicas serve ONLY verified readonly tasks;
+	// anything else is redirected, so stale data is never silently
+	// returned as consistent.
 	readVerified bool
 	reply        func(v resp.Value)
 
@@ -49,23 +47,22 @@ type task struct {
 	// (or arrived with a span context minted by the server front-end).
 	tr *taskSpan
 
-	// shard is the execution shard the task was routed to, -1 on the
-	// barrier path (per-shard stage histograms are skipped there).
+	// name is the uppercase command name ("EXEC" for a batch), cmd its
+	// command-table entry (nil for a batch or an unknown command) and
+	// keys the keys it names, all set by resolve; shard is the index of
+	// the shard submit routed the task to (-1 = the barrier shard).
+	name  string
+	cmd   *engine.Command
+	keys  []string
 	shard int
 
 	// Observability stamps (obs.Now monotonic nanos; 0 = not stamped):
-	// enq at submit, deq at workloop dequeue, execDone after engine
-	// execution. name is the uppercase command name for per-command
-	// stats. Only set when the node's obs registry is enabled.
+	// enq at submit, deq at dequeue, execDone after engine execution.
+	// Only set when the node's obs registry is enabled.
 	enq, deq, execDone int64
-	name               string
 
-	// taskApply
-	entry   txlog.Entry
-	applyCh chan error
-
-	// taskBarrier (drain): closed once every task queued ahead of the
-	// barrier has been fully handled.
+	// taskDrain: closed once every task queued ahead of it has been fully
+	// handled.
 	swapCh chan struct{}
 
 	// taskPark: quiesce this shard for a barrier coordinator. The shard
@@ -87,52 +84,54 @@ func (n *Node) Do(ctx context.Context, argv [][]byte) (resp.Value, error) {
 	return n.submit(ctx, &task{kind: taskCmd, argv: argv})
 }
 
-// DoReadOnly executes a command with replica reads permitted (the client
-// issued READONLY). Replica reads default to the linearizable ladder:
-// the read is served locally only after the replica proves its applied
-// position covers the committed tail captured at arrival, and degrades
-// to a REDIRECT otherwise (see DoRead for the staleness opt-ins).
-func (n *Node) DoReadOnly(ctx context.Context, argv [][]byte) (resp.Value, error) {
-	v, _, err := n.DoRead(ctx, argv, ReadOpts{})
-	return v, err
-}
-
 // DoBatch executes an atomic MULTI/EXEC group: all commands run
-// back-to-back in one workloop (or under an all-shard barrier when the
-// group spans shards) and their effects are logged as a single record, so
-// the group is atomic both locally and in the log (§2.1).
+// back-to-back on one shard (the barrier shard when the group spans
+// shards) and their effects are logged as a single record, so the group is
+// atomic both locally and in the log (§2.1).
 func (n *Node) DoBatch(ctx context.Context, cmds [][][]byte) (resp.Value, error) {
 	return n.submit(ctx, &task{kind: taskBatch, batch: cmds})
 }
 
+// resolve names a client task and looks its command up, once: routing,
+// admission and the read ladder all read the result.
+func (t *task) resolve() {
+	switch {
+	case t.name != "":
+	case t.kind == taskBatch:
+		t.name = "EXEC"
+	case len(t.argv) > 0:
+		t.name = strings.ToUpper(string(t.argv[0]))
+		if t.cmd, _ = engine.LookupCommand(t.name); t.cmd != nil {
+			t.keys = t.cmd.Keys(t.argv)
+		}
+	}
+}
+
 func (n *Node) submit(ctx context.Context, t *task) (resp.Value, error) {
+	t.resolve()
 	ch := make(chan resp.Value, 1)
 	if n.trace != nil {
 		n.traceStart(ctx, t)
 	}
-	// The reply closure only calls traceFinish when the task was actually
-	// sampled: with tracing off (or a sampling miss) the closures below
-	// are instruction-identical to an untraced build, so the obs-overhead
-	// guard measures metrics cost alone.
-	switch {
-	case n.obs != nil && t.tr != nil:
+	if n.obs != nil {
 		t.enq = obs.Now()
-		t.reply = func(v resp.Value) { n.obsFinish(t); t.traceFinish(); ch <- v }
-	case n.obs != nil:
-		t.enq = obs.Now()
-		t.reply = func(v resp.Value) { n.obsFinish(t); ch <- v }
-	case t.tr != nil:
-		t.reply = func(v resp.Value) { t.traceFinish(); ch <- v }
-	default:
-		t.reply = func(v resp.Value) { ch <- v }
 	}
-	if sh, barrier := n.route(t); barrier {
-		t.shard = -1
+	t.reply = func(v resp.Value) {
+		if t.enq != 0 {
+			n.obsFinish(t)
+		}
+		if t.tr != nil {
+			t.tr.finish()
+		}
+		ch <- v
+	}
+	sh := n.route(t)
+	t.shard = sh.idx
+	if sh == n.barrier {
 		// The coordinator runs in its own goroutine so this submit keeps
 		// honoring ctx cancellation while shards quiesce.
 		go n.runBarrier(t)
 	} else {
-		t.shard = sh.idx
 		select {
 		case sh.tasks <- t:
 		case <-ctx.Done():
@@ -159,12 +158,8 @@ func (n *Node) handleTask(sh *nodeShard, t *task) {
 		return
 	}
 	switch t.kind {
-	case taskCmd:
-		n.handleCmd(sh, t)
-	case taskBatch:
-		n.handleBatch(sh, t)
-	case taskApply:
-		t.applyCh <- sh.eng.Apply(t.entry.Payload)
+	case taskCmd, taskBatch:
+		n.handleClient(sh, t)
 	case taskRenew:
 		n.handleRenew(sh)
 	case taskSweep:
@@ -175,17 +170,14 @@ func (n *Node) handleTask(sh *nodeShard, t *task) {
 		n.handleMigDump(sh, t)
 	case taskSlotInfo:
 		t.slotCh <- sh.eng.DB().SlotKeys(t.slot, 0)
-	case taskBarrier:
+	case taskDrain:
 		// Pure synchronization: reaching this point proves every task
-		// queued ahead of the barrier — including a flush whose retry
-		// loop was failing out gated replies — has been fully handled.
-		// On a node that is no longer primary, buffered mutations can
-		// never become durable; fail their replies now, while the
-		// step-down is externally observable.
-		n.mu.Lock()
-		role := n.role
-		n.mu.Unlock()
-		if role != election.RolePrimary {
+		// queued ahead of the drain — including a flush whose retry loop
+		// was failing out gated replies — has been fully handled. On a
+		// node that is no longer primary, buffered mutations can never
+		// become durable; fail their replies now, while the step-down is
+		// externally observable.
+		if n.Role() != election.RolePrimary {
 			n.abortPending(sh, errDemoted)
 		}
 		close(t.swapCh)
@@ -211,23 +203,38 @@ var (
 	errLogDown    = resp.Err("CLUSTERDOWN transaction log unavailable")
 )
 
-func (n *Node) handleCmd(sh *nodeShard, t *task) {
-	n.stats.Commands.Add(1)
-	name := strings.ToUpper(string(t.argv[0]))
-	if n.obs != nil && t.enq != 0 {
-		t.name = name
-		n.obsDequeued(t)
+// gateReply is the tracker deliver callback for a withheld reply: v once
+// the covering entry commits, errDemoted when the tracker aborts.
+func gateReply(send func(resp.Value), v resp.Value) func(aborted bool) {
+	return func(aborted bool) {
+		if aborted {
+			send(errDemoted)
+		} else {
+			send(v)
+		}
 	}
-	if name == "WAIT" {
-		n.handleWait(sh, t)
-		return
+}
+
+// handleClient is the one client command path (§3.2): admit, execute on
+// the shard's engine, then either buffer the mutation's effects for the
+// log or gate the read on the writes it observed. It runs on a shard's
+// workloop, or — for the barrier shard, whose engine spans the keyspace —
+// on a coordinator holding every workloop parked; a command and an atomic
+// batch differ only in Exec vs ExecBatch.
+func (n *Node) handleClient(sh *nodeShard, t *task) {
+	n.stats.Commands.Add(1)
+	batch, name, cmd := t.kind == taskBatch, t.name, t.cmd
+	if t.enq != 0 {
+		n.obsDequeued(t)
 	}
 	if name == "INFO" {
 		t.reply(resp.BulkStr(n.infoText()))
 		return
 	}
-	cmd, known := engine.LookupCommand(name)
+	local := isAlwaysLocal(name)
 
+	// The admission ladder: the one place a client task reads the node's
+	// role, lease, stall flag and slot gate.
 	n.mu.Lock()
 	role := n.role
 	lease := n.lease
@@ -236,13 +243,12 @@ func (n *Node) handleCmd(sh *nodeShard, t *task) {
 	gate := n.slotGate
 	n.mu.Unlock()
 
-	if gate != nil && known && !isAlwaysLocal(name) {
-		if errReply, rejected := gate(name, cmd.Keys(t.argv), cmd.Writes()); rejected {
+	if gate != nil && cmd != nil && !local {
+		if errReply, rejected := gate(name, t.keys, cmd.Writes()); rejected {
 			t.reply(errReply)
 			return
 		}
 	}
-
 	switch role {
 	case election.RolePrimary:
 		if lease == nil || !lease.Valid() {
@@ -254,153 +260,80 @@ func (n *Node) handleCmd(sh *nodeShard, t *task) {
 			return
 		}
 	case election.RoleReplica:
-		if stalled {
+		// A replica serves always-local commands, and reads the client
+		// opted into (READONLY) that passed the read ladder's freshness
+		// proof before enqueue. A readonly read that arrives unverified
+		// (e.g. the node became a replica between verification and
+		// execution) must not be served as consistent: bounce it.
+		writes := cmd == nil || (cmd.Writes() && name != "PING")
+		if batch {
+			// Only an all-read batch is ever verified, so an unverified
+			// READONLY batch — one with a write in it included — bounces
+			// to the primary below instead of failing the pipeline.
+			writes = t.readVerified && !batchIsReadOnly(t.batch)
+		}
+		switch {
+		case stalled:
 			t.reply(errStalledVal)
 			return
-		}
-		if !known || (cmd.Writes() && name != "PING") {
+		case writes, !local && !t.readonly:
 			t.reply(errNotPrimary)
 			return
+		case !local && !t.readVerified:
+			n.stats.ReplicaReadsRedirected.Add(1)
+			t.reply(errRedirect)
+			return
 		}
-		if !isAlwaysLocal(name) {
-			if !t.readonly {
-				t.reply(errNotPrimary)
-				return
-			}
-			if !t.readVerified {
-				// A readonly read that reached the replica without
-				// passing the DoRead freshness ladder (e.g. the node
-				// became a replica between verification and execution)
-				// must not be served as consistent: bounce it.
-				n.stats.ReplicaReadsRedirected.Add(1)
-				t.reply(errRedirect)
-				return
-			}
-		}
-		// Verified replica read: the freshness proof (or explicit
-		// staleness opt-in) happened before enqueue; mutations only
-		// become visible once committed to the log (§3.2).
-		res := sh.eng.Exec(t.argv)
-		if t.deq != 0 {
-			n.obsExecuted(t)
-		}
-		t.reply(res.Reply)
-		return
 	default:
 		t.reply(errDemoted)
 		return
 	}
 
-	// Primary path.
-	res := sh.eng.Exec(t.argv)
+	var res engine.Result
+	switch {
+	case batch:
+		res = sh.eng.ExecBatch(t.batch)
+	case name == "WAIT":
+		// Every acknowledged write is already durable across AZs, so WAIT
+		// degenerates to a read of the whole keyspace: it gates on the
+		// client's outstanding writes and replies with the number of
+		// replicating AZs beyond the primary's.
+		res.Reply = resp.Int64(2)
+	default:
+		res = sh.eng.Exec(t.argv)
+	}
 	if t.deq != 0 {
 		n.obsExecuted(t)
 	}
-	if !res.Mutated() {
-		// Read: delay the reply if any observed key has a not-yet-durable
-		// mutation (key-level hazards, §3.2).
-		keys := readKeys(cmd, t.argv, name)
-		gateAll := (keys == nil && gatesOnFullKeyspace(name)) || n.cfg.GlobalReadGate
-		if sh.gc.pending() && (gateAll || sh.gc.touchesAny(keys)) {
-			// The read observed a mutation still sitting in the
-			// group-commit buffer (no log seq yet): gate it on the batch
-			// itself; it is released once the batch entry commits.
-			n.stats.GatedReads.Add(1)
-			n.gateReadOnBatch(sh, t, res.Reply)
-			return
-		}
-		if gateAll {
-			seq := n.lastIssuedSeq()
-			n.stats.GatedReads.Add(1)
-			trk.RegisterWrite(seq, nil, func(aborted bool) {
-				if aborted {
-					t.reply(errDemoted)
-				} else {
-					t.reply(res.Reply)
-				}
-			})
-			return
-		}
-		trk.GateRead(keys, func(aborted bool) {
-			if aborted {
-				t.reply(errDemoted)
-			} else {
-				t.reply(res.Reply)
-			}
-		})
-		return
-	}
-	n.logMutation(sh, t, res)
-}
-
-func (n *Node) handleBatch(sh *nodeShard, t *task) {
-	n.stats.Commands.Add(1)
-	if n.obs != nil && t.enq != 0 {
-		t.name = "EXEC"
-		n.obsDequeued(t)
-	}
-	n.mu.Lock()
-	role := n.role
-	lease := n.lease
-	trk := n.trk
-	stalled := n.stalled
-	n.mu.Unlock()
-	if role == election.RoleReplica && t.readonly {
-		// READONLY pipeline on a replica: serve only all-read batches
-		// that the DoRead ladder verified, mirroring handleCmd.
-		if stalled {
-			t.reply(errStalledVal)
-			return
-		}
-		if !t.readVerified {
-			n.stats.ReplicaReadsRedirected.Add(1)
-			t.reply(errRedirect)
-			return
-		}
-		if !batchIsReadOnly(t.batch) {
-			t.reply(errNotPrimary)
-			return
-		}
-		res := sh.eng.ExecBatch(t.batch)
-		if t.deq != 0 {
-			n.obsExecuted(t)
-		}
+	if role == election.RoleReplica {
+		// Mutations only become visible here once committed to the log.
 		t.reply(res.Reply)
 		return
 	}
-	if role != election.RolePrimary {
-		t.reply(errNotPrimary)
+	if res.Mutated() {
+		n.logMutation(sh, t, res)
 		return
 	}
-	if lease == nil || !lease.Valid() {
-		n.abortPending(sh, errDemoted)
-		n.demote()
-		t.reply(errDemoted)
-		return
+	// Read: delay the reply while any observed key has a not-yet-durable
+	// mutation (key-level hazards, §3.2). Keyless whole-keyspace reads,
+	// WAIT and read-only transactions (computing the union of read keys
+	// across the group costs more than the conservative gate) wait for
+	// everything outstanding.
+	keys := t.keys
+	gateAll := batch || name == "WAIT" || n.cfg.GlobalReadGate || (keys == nil && gatesOnFullKeyspace(name))
+	switch {
+	case sh.gc.pending() && (gateAll || sh.gc.touchesAny(keys)):
+		// The read observed a mutation still sitting in the group-commit
+		// buffer (no log seq yet): gate it on the batch itself; it is
+		// released once the batch entry commits.
+		n.stats.GatedReads.Add(1)
+		sh.gc.reads = append(sh.gc.reads, gatedReply{val: res.Reply, send: t.reply})
+	case gateAll:
+		n.stats.GatedReads.Add(1)
+		trk.RegisterWrite(n.lastIssuedSeq(), nil, gateReply(t.reply, res.Reply))
+	default:
+		trk.GateRead(keys, gateReply(t.reply, res.Reply))
 	}
-	res := sh.eng.ExecBatch(t.batch)
-	if t.deq != 0 {
-		n.obsExecuted(t)
-	}
-	if !res.Mutated() {
-		// Read-only transaction: gate on everything outstanding, since
-		// computing the union of read keys across the group costs more
-		// than the conservative barrier.
-		if sh.gc.pending() {
-			n.gateReadOnBatch(sh, t, res.Reply)
-			return
-		}
-		seq := n.lastIssuedSeq()
-		trk.RegisterWrite(seq, nil, func(aborted bool) {
-			if aborted {
-				t.reply(errDemoted)
-			} else {
-				t.reply(res.Reply)
-			}
-		})
-		return
-	}
-	n.logMutation(sh, t, res)
 }
 
 // logMutation routes the effects of an executed mutation into the shard's
@@ -417,53 +350,6 @@ func (n *Node) logMutation(sh *nodeShard, t *task, res engine.Result) {
 	if n.shouldFlush(sh) {
 		n.flushPending(sh)
 	}
-}
-
-// commitWatermarkAsync advances the tracker's durable watermark once a
-// non-data entry commits, so reads gated at lastIssued are not stuck
-// behind control traffic.
-func (n *Node) commitWatermarkAsync(p *txlog.Pending, trk trackerIface) {
-	go func() {
-		if id, err := p.Wait(n.stopCtx); err == nil {
-			// Crash gate before the watermark advances: a kill here leaves
-			// the entry durable but every gated reply undelivered — clients
-			// time out and must treat the write as ambiguous.
-			if n.checkpoint(faultpoint.SiteTrackerRelease) != nil {
-				return
-			}
-			n.noteAZHealth(p)
-			trk.Commit(id.Seq)
-		}
-	}()
-}
-
-// handleWait implements WAIT: on MemoryDB every acknowledged write is
-// already durable across AZs, so WAIT degenerates to a barrier on the
-// client's outstanding writes; the reply is the number of replicating
-// AZs beyond the primary's. At Shards>1 WAIT routes through the barrier
-// path instead (every shard's buffer must flush first).
-func (n *Node) handleWait(sh *nodeShard, t *task) {
-	n.mu.Lock()
-	role := n.role
-	trk := n.trk
-	n.mu.Unlock()
-	if role != election.RolePrimary {
-		t.reply(errNotPrimary)
-		return
-	}
-	if sh.gc.pending() {
-		// Buffered writes have no seq yet; the barrier must cover them.
-		n.gateReadOnBatch(sh, t, resp.Int64(2))
-		return
-	}
-	seq := n.lastIssuedSeq()
-	trk.RegisterWrite(seq, nil, func(aborted bool) {
-		if aborted {
-			t.reply(errDemoted)
-		} else {
-			t.reply(resp.Int64(2))
-		}
-	})
 }
 
 // infoText renders the INFO reply: the per-node view the monitoring
@@ -551,11 +437,10 @@ func (n *Node) infoText() string {
 }
 
 // handleRenew appends a lease renewal (primary only; routed to shard 0).
-// The append is pipelined like any other: assignment happens synchronously
-// (so the chain stays intact) and the lease extends from issue time — safe
-// because the backoff replicas observe is strictly longer than the lease.
-// Only shard 0's buffer is flushed first: a lease entry carries no data,
-// so its order relative to OTHER shards' buffered mutations is
+// The append is pipelined like any other and the lease extends from issue
+// time — safe because the backoff replicas observe is strictly longer than
+// the lease. Only shard 0's buffer is flushed first: a lease entry carries
+// no data, so its order relative to OTHER shards' buffered mutations is
 // unconstrained — each shard's own flush keeps its per-key order.
 func (n *Node) handleRenew(sh *nodeShard) {
 	n.mu.Lock()
@@ -586,28 +471,11 @@ func (n *Node) handleRenew(sh *nodeShard) {
 	}
 	r := election.Renewal{NodeID: n.cfg.NodeID, Epoch: epoch, LeaseMs: n.cfg.Lease.Milliseconds()}
 	issued := n.clk.Now()
-	n.seqMu.Lock()
-	p, err := n.startAppendRetry(n.lastIssued, txlog.Entry{
-		Type:      txlog.EntryLease,
-		Epoch:     epoch,
-		Watermark: trk.Committed(),
-		Payload:   election.EncodeRenewal(r),
-	}, &n.stats.RenewalsRetried)
-	if err == nil {
-		n.lastIssued = p.ID()
-	}
-	n.seqMu.Unlock()
+	p, err := n.sequence(txlog.Entry{Type: txlog.EntryLease, Payload: election.EncodeRenewal(r)}, &n.stats.RenewalsRetried)
 	if err != nil {
-		n.stats.AppendsFailed.Add(1)
-		if errors.Is(err, txlog.ErrConditionFailed) || !lease.Valid() {
-			// Fenced by another writer, or the lease expired while the
-			// retry loop was absorbing an outage: step down now.
-			n.abortPending(sh, errDemoted)
-			n.demote()
-			return
-		}
-		// Transient failure with lease time still left: serve out the
-		// current lease; the next renew tick retries again.
+		// Fenced by another writer, or the lease expired while the retry
+		// loop was absorbing an outage: the sequencer stepped down.
+		n.abortPending(sh, errDemoted)
 		return
 	}
 	lease.Renewed(issued)
@@ -662,13 +530,6 @@ func (n *Node) demote() {
 	}
 }
 
-// trackerIface narrows tracker.Tracker for the append-commit paths.
-type trackerIface interface {
-	RegisterWrite(seq uint64, keys []string, deliver func(aborted bool))
-	Commit(seq uint64)
-	Committed() uint64
-}
-
 // batchIsReadOnly reports whether every command in an atomic batch is a
 // known read command — the only batches a replica may serve.
 func batchIsReadOnly(batch [][][]byte) bool {
@@ -682,14 +543,6 @@ func batchIsReadOnly(batch [][][]byte) bool {
 		}
 	}
 	return true
-}
-
-// readKeys returns the keys a read command observed.
-func readKeys(cmd *engine.Command, argv [][]byte, name string) []string {
-	if cmd == nil {
-		return nil
-	}
-	return cmd.Keys(argv)
 }
 
 // gatesOnFullKeyspace lists keyless reads whose results reflect the whole

@@ -12,6 +12,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -209,28 +210,15 @@ func (e *Engine) ExecBatch(cmds [][][]byte) Result {
 // commands, applied without generating further effects. Replicas and
 // recovering nodes use this to consume the transaction log.
 func (e *Engine) Apply(record []byte) error {
-	cmds, err := DecodeRecord(record)
-	if err != nil {
-		return err
-	}
-	e.applying = true
-	defer func() { e.applying = false }()
-	for _, argv := range cmds {
-		e.effects = nil
-		e.dirtyKeys = nil
-		if reply := e.dispatch(argv); reply.IsError() {
-			return fmt.Errorf("engine: replicated command %s failed: %s",
-				strings.ToUpper(string(argv[0])), reply.Text())
-		}
-	}
-	return nil
+	_, _, err := e.ApplyTracked(record)
+	return err
 }
 
-// ApplyTracked is Apply for consumers that need change attribution (the
-// forkless snapshot builder): it returns the deduplicated set of keys the
-// record mutated. wholesale reports a command that rewrote the keyspace
-// without touching individual keys (FLUSHALL/FLUSHDB) — per-key deltas
-// cannot describe it, so the caller must fall back to a full snapshot.
+// ApplyTracked is Apply with change attribution (the forkless snapshot
+// builder needs it): it returns the deduplicated set of keys the record
+// mutated. wholesale reports a command that rewrote the keyspace without
+// touching individual keys (FLUSHALL/FLUSHDB) — per-key deltas cannot
+// describe it, so the caller must fall back to a full snapshot.
 func (e *Engine) ApplyTracked(record []byte) (keys []string, wholesale bool, err error) {
 	cmds, err := DecodeRecord(record)
 	if err != nil {
@@ -245,14 +233,15 @@ func (e *Engine) ApplyTracked(record []byte) (keys []string, wholesale bool, err
 			return nil, false, fmt.Errorf("engine: replicated command %s failed: %s",
 				strings.ToUpper(string(argv[0])), reply.Text())
 		}
-		switch strings.ToUpper(string(argv[0])) {
-		case "FLUSHALL", "FLUSHDB":
+		if bytes.EqualFold(argv[0], flushAll) || bytes.EqualFold(argv[0], flushDB) {
 			wholesale = true
 		}
 		keys = append(keys, e.dirtyKeys...)
 	}
 	return dedup(keys), wholesale, nil
 }
+
+var flushAll, flushDB = []byte("FLUSHALL"), []byte("FLUSHDB")
 
 func (e *Engine) dispatch(argv [][]byte) resp.Value {
 	if len(argv) == 0 {

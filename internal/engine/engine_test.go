@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +219,29 @@ func TestApplySuppressesEffects(t *testing.T) {
 		t.Fatal("read after Apply leaked effects")
 	}
 	wantText(t, res.Reply, "v")
+}
+
+// TestApplyAllocationBound pins the replica apply path's footprint: one
+// log entry carrying one SET must not cost a socket-sized read buffer
+// (it used to allocate bufio's 64 KiB per entry).
+func TestApplyAllocationBound(t *testing.T) {
+	e, _, _ := testEngine(t)
+	record := resp.EncodeCommandStrings("SET", "k", "v")
+	if err := e.Apply(record); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := e.Apply(record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+		t.Fatalf("Apply of a one-SET record allocates %d B, want < 4 KiB", per)
+	}
 }
 
 func TestApplyRejectsMalformedRecord(t *testing.T) {

@@ -26,6 +26,9 @@ func usecV(d time.Duration) resp.Value { return resp.Int64(int64(d / time.Micros
 // cmdLatency: LATENCY [STAGES] | HISTOGRAM <stage> | TRACES [n] | RESET.
 // STAGES (the default) returns one row per write-path stage:
 // [name, count, p50_usec, p95_usec, p99_usec, p999_usec, max_usec].
+// TRACES summarises the n most recent sampled commands (TRACE GET <id>
+// has the full tree), one row each:
+// [trace_id, cmd, total_usec, queue_usec, exec_usec, commit_usec, shard].
 func cmdLatency(e *Engine, argv [][]byte) resp.Value {
 	if e.obs == nil {
 		return errObsDisabled
@@ -72,15 +75,19 @@ func cmdLatency(e *Engine, argv [][]byte) resp.Value {
 			}
 			n = v
 		}
-		traces := e.obs.Traces.Recent(n)
-		rows := make([]resp.Value, 0, len(traces))
-		for _, t := range traces {
-			rows = append(rows, resp.ArrayV(
-				resp.Int64(t.Seq),
-				resp.BulkStr(t.Cmd),
-				usecV(t.Total), usecV(t.Queue), usecV(t.Exec), usecV(t.Commit),
-				resp.Int64(int64(t.Shard)),
-			))
+		// Rendered from the span collector (no sampler of its own): empty
+		// when tracing is off.
+		var rows []resp.Value
+		if e.trace != nil {
+			for _, t := range e.trace.RecentCommands(n) {
+				rows = append(rows, resp.ArrayV(
+					resp.Int64(int64(t.TraceID)),
+					resp.BulkStr(t.Cmd),
+					usecV(time.Duration(t.Total)), usecV(time.Duration(t.Queue)), usecV(time.Duration(t.Exec)),
+					usecV(time.Duration(max(t.Total-t.Queue-t.Exec, 0))),
+					resp.Int64(int64(t.Shard)),
+				))
+			}
 		}
 		return resp.ArrayV(rows...)
 	case "RESET":

@@ -36,9 +36,11 @@ func AppendRecord(dst []byte, effects [][]byte) []byte {
 	return dst
 }
 
-// DecodeRecord parses a record payload back into its command argvs.
+// DecodeRecord parses a record payload back into its command argvs. It
+// runs once per log entry on the replica apply path, so the reader's
+// buffer is sized to the record rather than to a socket.
 func DecodeRecord(record []byte) ([][][]byte, error) {
-	r := resp.NewReader(bytes.NewReader(record))
+	r := resp.NewReaderSize(bytes.NewReader(record), len(record))
 	var cmds [][][]byte
 	for {
 		argv, err := r.ReadCommand()

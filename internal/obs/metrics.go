@@ -8,7 +8,7 @@ import (
 )
 
 // Options parameterizes a Metrics instance. The zero value is usable:
-// a 10ms slowlog threshold, 128-entry slowlog, trace sampling off.
+// a 10ms slowlog threshold, 128-entry slowlog.
 type Options struct {
 	// SlowlogThreshold: commands slower than this end-to-end are noted
 	// in the slowlog. <=0 uses the 10ms default; use a huge value to
@@ -16,20 +16,12 @@ type Options struct {
 	SlowlogThreshold time.Duration
 	// SlowlogSize bounds the slowlog ring (default 128).
 	SlowlogSize int
-	// TraceSampleRate in [0,1] is the fraction of commands whose stage
-	// breakdown is captured in the trace ring. 0 disables sampling and
-	// keeps the per-command path allocation-free.
-	TraceSampleRate float64
-	// TraceSeed fixes the sampling PRNG for deterministic tests.
-	TraceSeed int64
-	// TraceRingSize bounds the trace ring (default 256).
-	TraceRingSize int
 }
 
 // Metrics is the shared observability registry: fixed per-stage
 // histograms, a per-command histogram map, named histograms and counter
-// callbacks registered by other layers for export, plus the slowlog and
-// trace ring. One instance is shared by the server front-end, the node,
+// callbacks registered by other layers for export, plus the slowlog.
+// One instance is shared by the server front-end, the node,
 // and the log service so INFO, the RESP commands, and /metrics all read
 // the same data.
 type Metrics struct {
@@ -50,8 +42,6 @@ type Metrics struct {
 
 	// Slow is the slowlog; always non-nil on instances from New.
 	Slow *Slowlog
-	// Traces is the sampled stage-span ring; always non-nil from New.
-	Traces *Tracer
 }
 
 // NamedHistogram is a histogram registered for export under an explicit
@@ -100,13 +90,9 @@ func New(opts Options) *Metrics {
 	if opts.SlowlogSize <= 0 {
 		opts.SlowlogSize = 128
 	}
-	if opts.TraceRingSize <= 0 {
-		opts.TraceRingSize = 256
-	}
 	return &Metrics{
-		cmds:   make(map[string]*Histogram),
-		Slow:   newSlowlog(opts.SlowlogThreshold, opts.SlowlogSize),
-		Traces: newTracer(opts.TraceSampleRate, opts.TraceSeed, opts.TraceRingSize),
+		cmds: make(map[string]*Histogram),
+		Slow: newSlowlog(opts.SlowlogThreshold, opts.SlowlogSize),
 	}
 }
 
@@ -283,14 +269,12 @@ func (m *Metrics) counterSnapshot() []Counter {
 }
 
 // FinishCommand records a completed command: end-to-end and per-command
-// histograms, slowlog check, and (if sampled) a trace-ring entry. The
-// stage inputs are nanoseconds; commit time — everything between engine
-// execution and reply delivery (batch wait, append, quorum, release) —
-// is derived as total-queue-exec. shard is the execution shard that
-// handled the command (-1 for the barrier path), retained on slowlog and
-// trace entries so hot-shard skew shows up in LATENCY TRACES / SLOWLOG
-// output. With sampling off and the command under the slowlog threshold
-// this path performs zero allocations.
+// histograms and the slowlog check. The stage inputs are nanoseconds;
+// commit time — everything between engine execution and reply delivery
+// (batch wait, append, quorum, release) — is derived as total-queue-exec. shard is the execution shard that
+// handled the command (-1 for the barrier shard), retained on slowlog
+// entries so hot-shard skew shows up in SLOWLOG output. With the command
+// under the slowlog threshold this path performs zero allocations.
 func (m *Metrics) FinishCommand(name string, argv [][]byte, totalNanos, queueNanos, execNanos int64, shard int) {
 	if m == nil {
 		return
@@ -304,7 +288,6 @@ func (m *Metrics) FinishCommand(name string, argv [][]byte, totalNanos, queueNan
 		commit = 0
 	}
 	m.Slow.maybeNote(name, argv, totalNanos, queueNanos, execNanos, commit, shard)
-	m.Traces.maybeRecord(name, totalNanos, queueNanos, execNanos, commit, shard)
 }
 
 // ResetLatency zeroes every stage and per-command histogram (the RESP

@@ -1,6 +1,6 @@
 // Package obs is the dependency-free observability substrate: lock-free
 // log-linear latency histograms, per-command write-path stage spans, a
-// sampled trace ring, a slowlog, a bounded alarm ring, and Prometheus
+// slowlog, a bounded alarm ring, and Prometheus
 // text exposition over stdlib net/http. It imports nothing from the
 // rest of the tree so every layer (server, core, txlog, snapshot,
 // cluster, bench) can record into one shared Metrics instance.

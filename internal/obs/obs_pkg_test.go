@@ -11,65 +11,6 @@ import (
 	"time"
 )
 
-func TestTracerDeterministicSampling(t *testing.T) {
-	// Two tracers with the same seed and rate must make identical
-	// sampling decisions over the same command stream.
-	run := func() []Trace {
-		tr := newTracer(0.25, 1234, 64)
-		for i := 0; i < 400; i++ {
-			tr.maybeRecord(fmt.Sprintf("CMD%d", i), int64(i+1), 0, 0, int64(i+1), 0)
-		}
-		return tr.Recent(64)
-	}
-	a, b := run(), run()
-	if len(a) == 0 {
-		t.Fatal("rate 0.25 over 400 commands sampled nothing")
-	}
-	if len(a) != len(b) {
-		t.Fatalf("non-deterministic sample count: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Cmd != b[i].Cmd || a[i].Seq != b[i].Seq || a[i].Total != b[i].Total {
-			t.Fatalf("trace %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// Sanity: ~25% of 400 should be sampled, not everything.
-	tr := newTracer(0.25, 1234, 1024)
-	for i := 0; i < 400; i++ {
-		tr.maybeRecord("X", 1, 0, 0, 1, 0)
-	}
-	if s := tr.Sampled(); s < 50 || s > 200 {
-		t.Fatalf("sampled %d of 400 at rate 0.25", s)
-	}
-}
-
-func TestTracerRateZeroSamplesNothing(t *testing.T) {
-	tr := newTracer(0, 99, 16)
-	for i := 0; i < 1000; i++ {
-		tr.maybeRecord("SET", 1000, 10, 10, 980, 0)
-	}
-	if tr.Sampled() != 0 || len(tr.Recent(16)) != 0 {
-		t.Fatalf("rate-0 tracer recorded traces")
-	}
-}
-
-func TestTracerRingWraps(t *testing.T) {
-	tr := newTracer(1.0, 5, 8)
-	for i := 0; i < 20; i++ {
-		tr.maybeRecord("C", int64(i+1), 0, 0, 0, 0)
-	}
-	rec := tr.Recent(100)
-	if len(rec) != 8 {
-		t.Fatalf("ring holds %d, want 8", len(rec))
-	}
-	if rec[0].Total != 20 || rec[7].Total != 13 {
-		t.Fatalf("ring order wrong: newest=%v oldest=%v", rec[0].Total, rec[7].Total)
-	}
-	if tr.Sampled() != 20 {
-		t.Fatalf("sampled=%d want 20", tr.Sampled())
-	}
-}
-
 func TestSlowlogThreshold(t *testing.T) {
 	s := newSlowlog(5*time.Millisecond, 4)
 	argv := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}
@@ -135,7 +76,7 @@ func TestAlarmLogRing(t *testing.T) {
 }
 
 func TestFinishCommandRecordsEverything(t *testing.T) {
-	m := New(Options{SlowlogThreshold: 5 * time.Millisecond, TraceSampleRate: 1.0, TraceSeed: 1})
+	m := New(Options{SlowlogThreshold: 5 * time.Millisecond})
 	m.FinishCommand("SET", [][]byte{[]byte("SET"), []byte("k")}, int64(10*time.Millisecond), int64(time.Millisecond), int64(2*time.Millisecond), 0)
 	if m.Stage(StageE2E).Count() != 1 {
 		t.Fatal("e2e histogram not recorded")
@@ -146,9 +87,8 @@ func TestFinishCommandRecordsEverything(t *testing.T) {
 	if m.Slow.Len() != 1 {
 		t.Fatal("slowlog missed a 10ms command at 5ms threshold")
 	}
-	tr := m.Traces.Recent(1)
-	if len(tr) != 1 || tr[0].Cmd != "SET" || tr[0].Commit != 7*time.Millisecond {
-		t.Fatalf("trace wrong: %+v", tr)
+	if e := m.Slow.Recent(1); len(e) != 1 || e[0].Commit != 7*time.Millisecond {
+		t.Fatalf("slowlog entry wrong: %+v", e)
 	}
 	m.ResetLatency()
 	if m.Stage(StageE2E).Count() != 0 || m.Command("SET").Count() != 0 {

@@ -164,8 +164,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	// Slowlog depth as a gauge-ish counter pair for alerting.
 	fmt.Fprintf(w, "# TYPE memorydb_slowlog_entries_total counter\n")
 	fmt.Fprintf(w, "memorydb_slowlog_entries_total %d\n", m.Slow.Total())
-	fmt.Fprintf(w, "# TYPE memorydb_traces_sampled_total counter\n")
-	fmt.Fprintf(w, "memorydb_traces_sampled_total %d\n", m.Traces.Sampled())
 	writeRuntimeMetrics(w)
 }
 

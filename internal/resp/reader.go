@@ -13,15 +13,29 @@ const MaxBulkLen = 512 << 20
 // MaxArrayLen caps a single array (defensive bound).
 const MaxArrayLen = 1 << 20
 
+// maxPrealloc and maxPreallocBytes cap what is reserved on the strength
+// of a declared length alone: a header of a few hostile bytes must not buy
+// an allocation near MaxArrayLen elements or MaxBulkLen bytes before any
+// of the promised data has arrived. Everything up to the cap is read
+// exactly as if the length were trusted.
+const (
+	maxPrealloc      = 1024
+	maxPreallocBytes = 1 << 20
+)
+
 // Reader decodes RESP values from a stream. It also accepts the inline
 // command format ("PING\r\n") that redis-cli style tools emit.
 type Reader struct {
 	br *bufio.Reader
 }
 
-// NewReader wraps r in a RESP decoder.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
+// NewReader wraps r in a RESP decoder with a socket-sized buffer.
+func NewReader(r io.Reader) *Reader { return NewReaderSize(r, 64<<10) }
+
+// NewReaderSize is NewReader with a read buffer of at most size bytes (and
+// at most NewReader's): for decoding an in-memory payload of known length.
+func NewReaderSize(r io.Reader, size int) *Reader {
+	return &Reader{br: bufio.NewReaderSize(r, min(size, 64<<10))}
 }
 
 // ReadValue decodes the next RESP value.
@@ -78,7 +92,7 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 	if n < 0 || n > MaxArrayLen {
 		return nil, fmt.Errorf("%w: bad multibulk length %d", ErrProtocol, n)
 	}
-	argv := make([][]byte, 0, n)
+	argv := make([][]byte, 0, min(n, maxPrealloc))
 	for i := int64(0); i < n; i++ {
 		tb, err := r.br.ReadByte()
 		if err != nil {
@@ -128,9 +142,19 @@ func (r *Reader) readBulk() (Value, error) {
 	if n < 0 || n > MaxBulkLen {
 		return Value{}, fmt.Errorf("%w: bad bulk length %d", ErrProtocol, n)
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return Value{}, err
+	// Past maxPreallocBytes, grow toward the declared length fourfold as
+	// the bytes arrive rather than trusting it up front.
+	buf := make([]byte, min(n, maxPreallocBytes)+2)
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r.br, buf[filled:]); err != nil {
+			return Value{}, err
+		}
+		if filled = len(buf); int64(filled) == n+2 {
+			break
+		}
+		grown := make([]byte, min(n+2, 4*int64(filled)))
+		copy(grown, buf)
+		buf = grown
 	}
 	if buf[n] != '\r' || buf[n+1] != '\n' {
 		return Value{}, fmt.Errorf("%w: bulk not CRLF terminated", ErrProtocol)
@@ -149,7 +173,7 @@ func (r *Reader) readArray() (Value, error) {
 	if n < 0 || n > MaxArrayLen {
 		return Value{}, fmt.Errorf("%w: bad array length %d", ErrProtocol, n)
 	}
-	vs := make([]Value, 0, n)
+	vs := make([]Value, 0, min(n, maxPrealloc))
 	for i := int64(0); i < n; i++ {
 		v, err := r.ReadValue()
 		if err != nil {

@@ -3,6 +3,7 @@ package resp
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -214,5 +215,36 @@ func TestValueStringRendering(t *testing.T) {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// A declared length is trusted only up to maxPreallocBytes (or maxPrealloc
+// elements) before its bytes arrive: a truncated 512 MB bulk or
+// million-element array costs at most that, and a bulk past the cap still
+// reads back whole through the growth loop.
+func TestHostileLengthsDoNotPreallocate(t *testing.T) {
+	for _, in := range []string{"$536870000\r\nxy", "*1\r\n$536870000\r\nxy", "*1000000\r\n$1\r\na\r\n"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewReader(strings.NewReader(in)).ReadValue()
+		NewReader(strings.NewReader(in)).ReadCommand()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%q: truncated input accepted", in)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxPreallocBytes+(256<<10) {
+			t.Errorf("%q: decoding allocated %d B", in, got)
+		}
+	}
+	big := bytes.Repeat([]byte("0123456789abcdef"), (5*maxPreallocBytes+48)/16)
+	var wire bytes.Buffer
+	w := NewWriter(&wire)
+	if err := w.WriteCommand([]byte("SET"), []byte("k"), big); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	argv, err := NewReader(&wire).ReadCommand()
+	if err != nil || len(argv) != 3 || !bytes.Equal(argv[2], big) {
+		t.Fatalf("%d-byte bulk did not survive the growth loop: %d args, err %v", len(big), len(argv), err)
 	}
 }

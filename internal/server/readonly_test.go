@@ -123,14 +123,15 @@ func TestReadonlyPipelineRoutesReadOnly(t *testing.T) {
 	}
 
 	// A pipeline containing a write never executes on the replica, even
-	// on a READONLY connection.
+	// on a READONLY connection: it bounces to the primary with REDIRECT
+	// like any read the replica cannot verify.
 	if v := c.do(t, "MULTI"); v.Text() != "OK" {
 		t.Fatalf("MULTI = %v", v)
 	}
 	c.do(t, "GET", "k0")
 	c.do(t, "SET", "k0", "mutated")
-	if v := c.do(t, "EXEC"); !v.IsError() {
-		t.Fatalf("replica served a write pipeline under READONLY: %v", v)
+	if v := c.do(t, "EXEC"); !core.IsRedirect(v) {
+		t.Fatalf("write pipeline under READONLY on a replica = %v, want REDIRECT", v)
 	}
 
 	// READWRITE drops the opt-in again.

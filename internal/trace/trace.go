@@ -8,8 +8,9 @@
 // and the replica tailers — so one sampled SET yields a single span
 // tree covering primary stages, log-service AZ acks, and replica
 // applies on other nodes. Sampling is deterministic and seed-driven
-// (same xorshift64* discipline as the internal/obs tracer) so chaos
-// schedules replay with the same commands traced.
+// (xorshift64*) so chaos schedules replay with the same commands traced;
+// this is the process's one command sampler — LATENCY TRACES is a
+// per-command summary of the same span trees TRACE GET returns.
 //
 // The flight recorder is a fixed-size per-node ring of significant
 // events (role transitions, fencings, fault fires, segment lifecycle,
@@ -24,6 +25,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -273,6 +275,53 @@ func (c *Collector) RecentTraces(n int) []uint64 {
 		}
 	}
 	c.mu.Unlock()
+	return out
+}
+
+// CommandSummary is one traced command's stage breakdown, read off its
+// span tree: Total is the node-level cmd:* span, Queue and Exec its
+// queue_wait and execute children (nanoseconds); what remains of Total is
+// commit time (batch residency, append, quorum wait, tracker release).
+type CommandSummary struct {
+	TraceID            uint64
+	Cmd                string
+	Total, Queue, Exec int64
+	// Shard is the execution shard that handled the command (-1 for the
+	// barrier shard).
+	Shard int
+}
+
+// RecentCommands summarises up to n recent traces whose command span has
+// completed, newest first.
+func (c *Collector) RecentCommands(n int) []CommandSummary {
+	var out []CommandSummary
+	for _, id := range c.RecentTraces(n) {
+		spans := c.Trace(id)
+		// Spans sort by start, so the last cmd:* span is the node's even
+		// when the server front-end minted a root of the same name.
+		cmd := -1
+		for i, s := range spans {
+			if strings.HasPrefix(s.Name, "cmd:") {
+				cmd = i
+			}
+		}
+		if cmd < 0 {
+			continue
+		}
+		sum := CommandSummary{TraceID: id, Cmd: spans[cmd].Name[len("cmd:"):], Total: spans[cmd].Dur(), Shard: -1}
+		for _, s := range spans {
+			if s.ParentID != spans[cmd].SpanID {
+				continue
+			}
+			switch s.Name {
+			case "queue_wait":
+				sum.Queue, sum.Shard = s.Dur(), s.Shard
+			case "execute":
+				sum.Exec = s.Dur()
+			}
+		}
+		out = append(out, sum)
+	}
 	return out
 }
 
