@@ -11,9 +11,13 @@ GO ?= go
 check: vet build test race benchmark-module fuzz chaos crash shards reads soak forkless obs
 
 # staticcheck is optional tooling: run it when the runner has it on PATH,
-# skip silently otherwise (the container image does not bake it in).
+# skip silently otherwise (the container image does not bake it in). The
+# tree stays gofmt-clean: any file gofmt would rewrite fails the gate
+# (.bench_build/ is the benchmark's build cache, not source).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/' || true); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; fi
 
 build:

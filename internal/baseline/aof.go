@@ -86,13 +86,6 @@ func (a *AOF) fsyncLocked() {
 	a.fsyncs++
 }
 
-// Fsync forces a flush (clean shutdown path).
-func (a *AOF) Fsync() {
-	a.mu.Lock()
-	a.fsyncLocked()
-	a.mu.Unlock()
-}
-
 // DurableBytes returns the size of the synced prefix.
 func (a *AOF) DurableBytes() int {
 	a.mu.Lock()

@@ -1,9 +1,5 @@
 package baseline
 
-import (
-	"context"
-)
-
 // Shard groups a primary with its replicas and implements the ranked
 // failover of Redis cluster (§2.2.1, §4.1): on primary failure, the
 // replica with the highest locally observed replication offset is
@@ -81,11 +77,4 @@ func (s *Shard) Stop() {
 	for _, r := range s.Replicas {
 		r.Stop()
 	}
-}
-
-// Quiesce waits until every replica has applied the primary's full
-// stream (test helper).
-func (s *Shard) Quiesce(ctx context.Context) error {
-	_, err := s.Primary.Wait(ctx, len(s.Replicas))
-	return err
 }

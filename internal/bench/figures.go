@@ -38,13 +38,6 @@ type Options struct {
 	Prefill  int
 }
 
-// DefaultOptions suit a laptop run of a few seconds per figure. 512
-// clients keep even the highest-latency configuration (MemoryDB writes
-// at ~3 ms commit) saturated well past the largest modeled capacity.
-func DefaultOptions() Options {
-	return Options{Clients: 512, Duration: 400 * time.Millisecond, Prefill: 5000}
-}
-
 // Figure4 regenerates Figure 4: maximum throughput per instance type for
 // read-only (a) and write-only (b) workloads — Redis, single-workloop
 // MemoryDB, and keyspace-sharded MemoryDB (Shards=ShardedArmShards).
@@ -184,11 +177,11 @@ func FigureForkless(out io.Writer) []Row {
 		row := Row{
 			Label: fmt.Sprintf("%gGB", gb),
 			Values: map[string]float64{
-				"dataset_gb":           gb,
-				"fork_peak_p100_ms":    memsim.MaxP100(fork),
-				"fork_min_ops":         memsim.MinThroughput(fork),
-				"fork_peak_mem_gb":     memsim.MaxMemUsedGB(fork),
-				"fork_peak_swap_pct":   memsim.PeakSwapPct(fork),
+				"dataset_gb":            gb,
+				"fork_peak_p100_ms":     memsim.MaxP100(fork),
+				"fork_min_ops":          memsim.MinThroughput(fork),
+				"fork_peak_mem_gb":      memsim.MaxMemUsedGB(fork),
+				"fork_peak_swap_pct":    memsim.PeakSwapPct(fork),
 				"forkless_peak_p100_ms": memsim.MaxP100(forkless),
 				"forkless_min_ops":      memsim.MinThroughput(forkless),
 				"forkless_peak_mem_gb":  memsim.MaxMemUsedGB(forkless),

@@ -72,7 +72,7 @@ func newReadFleet(replicas int) (*readFleet, error) {
 		n, err := core.NewNode(core.Config{
 			NodeID: id, ShardID: "bench-reads", Log: log,
 			Lease: 500 * time.Millisecond, Backoff: 650 * time.Millisecond,
-			RenewEvery: 100 * time.Millisecond, ReplicaPoll: time.Millisecond,
+			RenewEvery: 100 * time.Millisecond,
 		})
 		if err != nil {
 			return nil, err

@@ -55,7 +55,7 @@ func TestChaosAcknowledgedWritesSurvive(t *testing.T) {
 		Name: "chaos", NumShards: 2, ReplicasPerShard: 1,
 		LogService: svc, Snapshots: snaps,
 		Lease: 100 * time.Millisecond, Backoff: 140 * time.Millisecond,
-		RenewEvery: 25 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery:    25 * time.Millisecond,
 		ChecksumEvery: 16,
 	})
 	if err != nil {
@@ -212,8 +212,8 @@ func chaosCluster(t *testing.T, seed int64) (*txlog.Service, *Cluster) {
 		Name: "azchaos", NumShards: 2, ReplicasPerShard: 1,
 		LogService: svc, Snapshots: snapshot.NewManager(s3.New(), "snaps"),
 		Lease: 100 * time.Millisecond, Backoff: 140 * time.Millisecond,
-		RenewEvery: 25 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		RetrySeed: seed,
+		RenewEvery: 25 * time.Millisecond,
+		RetrySeed:  seed,
 	})
 	if err != nil {
 		t.Fatal(err)

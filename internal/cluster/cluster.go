@@ -34,7 +34,7 @@ type Config struct {
 	Clock            clock.Clock
 	AZs              []string
 	// Node timing knobs, applied to every provisioned node.
-	Lease, Backoff, RenewEvery, ReplicaPoll time.Duration
+	Lease, Backoff, RenewEvery time.Duration
 	// ReplicaReadTimeout bounds how long a linearizable replica read
 	// parks for its freshness proof before degrading (0 = core default).
 	ReplicaReadTimeout time.Duration
@@ -305,7 +305,6 @@ func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
 		Lease:              c.cfg.Lease,
 		Backoff:            c.cfg.Backoff,
 		RenewEvery:         c.cfg.RenewEvery,
-		ReplicaPoll:        c.cfg.ReplicaPoll,
 		ReplicaReadTimeout: c.cfg.ReplicaReadTimeout,
 		Snapshots:          c.cfg.Snapshots,
 		ChecksumEvery:      c.cfg.ChecksumEvery,

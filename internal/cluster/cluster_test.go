@@ -24,7 +24,6 @@ func testCluster(t *testing.T, shards, replicas int) *Cluster {
 		Lease:            120 * time.Millisecond,
 		Backoff:          160 * time.Millisecond,
 		RenewEvery:       30 * time.Millisecond,
-		ReplicaPoll:      time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -69,7 +69,7 @@ func crashCluster(t *testing.T, seed int64) (*Cluster, *snapshot.Manager, *fault
 		Name: "crash", NumShards: 1, ReplicasPerShard: 2,
 		LogService: svc, Snapshots: snaps,
 		Lease: 100 * time.Millisecond, Backoff: 140 * time.Millisecond,
-		RenewEvery: 25 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery:    25 * time.Millisecond,
 		ChecksumEvery: 16, RetrySeed: seed,
 		Faults: true, FaultSeed: seed,
 	})

@@ -24,11 +24,6 @@ func (c *Cluster) nodeFlight(nodeID string) *trace.Flight {
 	return f
 }
 
-// NodeFlight exposes nodeID's flight-recorder ring.
-func (c *Cluster) NodeFlight(nodeID string) *trace.Flight {
-	return c.nodeFlight(nodeID)
-}
-
 // MergedTimeline merges every node's flight ring — plus the shared log
 // service's, which records segment seals, trims and quarantines — into
 // one causally-ordered cluster timeline. This is the black-box readout:

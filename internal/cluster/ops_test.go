@@ -23,7 +23,7 @@ func upgradableCluster(t *testing.T, version uint32) *Cluster {
 		LogService: svc, Snapshots: snaps,
 		EngineVersion: version,
 		Lease:         120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,8 +48,8 @@ func replicaReadCluster(t *testing.T, seed int64, numShards, replicas int) (*txl
 		Name: "readstorm", NumShards: numShards, ReplicasPerShard: replicas,
 		LogService: svc, Snapshots: snaps,
 		Lease: 100 * time.Millisecond, Backoff: 140 * time.Millisecond,
-		RenewEvery: 25 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		RetrySeed: seed,
+		RenewEvery: 25 * time.Millisecond,
+		RetrySeed:  seed,
 	})
 	if err != nil {
 		t.Fatal(err)

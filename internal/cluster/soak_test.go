@@ -46,7 +46,7 @@ func TestSoakBoundedLog(t *testing.T) {
 		Name: "soak", NumShards: 1, ReplicasPerShard: 2,
 		LogService: svc, Snapshots: snaps,
 		Lease: 100 * time.Millisecond, Backoff: 140 * time.Millisecond,
-		RenewEvery: 25 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery:    25 * time.Millisecond,
 		ChecksumEvery: 64, RetrySeed: seed,
 	})
 	if err != nil {

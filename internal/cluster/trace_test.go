@@ -36,7 +36,6 @@ func tracedCluster(t *testing.T, shards, replicas int) (*Cluster, *trace.Collect
 		Lease:            120 * time.Millisecond,
 		Backoff:          160 * time.Millisecond,
 		RenewEvery:       30 * time.Millisecond,
-		ReplicaPoll:      time.Millisecond,
 		Trace:            col,
 	})
 	if err != nil {
@@ -220,8 +219,8 @@ func TestTraceShardAttribution(t *testing.T) {
 		Name: "shattr", NumShards: 1, ReplicasPerShard: 0,
 		LogService: svc, NodeShards: 4,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		Trace: col,
+		RenewEvery: 30 * time.Millisecond,
+		Trace:      col,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +276,8 @@ func TestChaosFlightTimelineRecordsNemesis(t *testing.T) {
 		Name: "flt", NumShards: 1, ReplicasPerShard: 2,
 		LogService: svc, Snapshots: snapshot.NewManager(s3.New(), "snaps"),
 		Lease: 100 * time.Millisecond, Backoff: 140 * time.Millisecond,
-		RenewEvery: 25 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		Faults: true, FaultSeed: 1,
+		RenewEvery: 25 * time.Millisecond,
+		Faults:     true, FaultSeed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -57,8 +57,8 @@ func TestResyncTrimmedGapFails(t *testing.T) {
 	fresh, err := NewNode(Config{
 		NodeID: "node-fresh", ShardID: log.ShardID(), Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		Snapshots: snaps,
+		RenewEvery: 30 * time.Millisecond,
+		Snapshots:  snaps,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestResyncTrimmedGapFails(t *testing.T) {
 	bare, err := NewNode(Config{
 		NodeID: "node-bare", ShardID: log.ShardID(), Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +170,8 @@ func TestCheckpointErrorIsTransient(t *testing.T) {
 	n, err := NewNode(Config{
 		NodeID: "node-a", ShardID: log.ShardID(), Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		Faults: faults,
+		RenewEvery: 30 * time.Millisecond,
+		Faults:     faults,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -103,7 +103,6 @@ func testNodeDepth1(t *testing.T, id string, log *txlog.Log) *Node {
 		Lease:              120 * time.Millisecond,
 		Backoff:            160 * time.Millisecond,
 		RenewEvery:         30 * time.Millisecond,
-		ReplicaPoll:        time.Millisecond,
 		ChecksumEvery:      8,
 		MaxInflightAppends: 1,
 	})
@@ -241,7 +240,6 @@ func TestGlobalReadGateAppliesToKeyedReads(t *testing.T) {
 		Lease:          120 * time.Millisecond,
 		Backoff:        160 * time.Millisecond,
 		RenewEvery:     30 * time.Millisecond,
-		ReplicaPoll:    time.Millisecond,
 		GlobalReadGate: true,
 	})
 	if err != nil {

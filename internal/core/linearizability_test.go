@@ -155,23 +155,25 @@ func readYourWritesGating(t *testing.T, batch int) {
 
 	ctx := context.Background()
 	writeDone := make(chan time.Duration, 1)
+	writeIssued := time.Now()
 	go func() {
-		start := time.Now()
 		n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
-		writeDone <- time.Since(start)
+		writeDone <- time.Since(writeIssued)
 	}()
 	time.Sleep(2 * time.Millisecond) // let the write execute (not commit)
-	start := time.Now()
 	v, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("k")})
-	readLatency := time.Since(start)
+	// Measured from the write's issue, not the read's: however late this
+	// goroutine was scheduled, a gated read cannot return before the
+	// commit latency has passed since the write began.
+	sinceWrite := time.Since(writeIssued)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Text() != "v" {
 		t.Fatalf("read missed the in-flight write: %v", v)
 	}
-	if readLatency < commit/2 {
-		t.Fatalf("read returned in %v — before the %v commit, exposing undurable data", readLatency, commit)
+	if sinceWrite < commit {
+		t.Fatalf("read returned %v after the write was issued — before the %v commit, exposing undurable data", sinceWrite, commit)
 	}
 	if wl := <-writeDone; wl < commit {
 		t.Fatalf("write acknowledged in %v, before the %v commit latency", wl, commit)
@@ -180,7 +182,7 @@ func readYourWritesGating(t *testing.T, batch int) {
 	n.Do(ctx, [][]byte{[]byte("SET"), []byte("other"), []byte("x")})
 	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v2")})
 	time.Sleep(2 * time.Millisecond)
-	start = time.Now()
+	start := time.Now()
 	if _, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("other")}); err != nil {
 		t.Fatal(err)
 	}

@@ -99,9 +99,6 @@ type Config struct {
 	// every role transition — the cluster bus uses it to propagate role
 	// changes to the rest of the cluster.
 	OnRoleChange func(nodeID string, role election.Role, epoch uint64)
-	// ReplicaPoll is the idle polling interval of the replica log tailer.
-	// Defaults to 1ms.
-	ReplicaPoll time.Duration
 	// ReplicaReadTimeout bounds how long a linearizable replica read may
 	// park waiting for the replica's applied position to cover the
 	// committed tail captured at read arrival. On expiry the read
@@ -167,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RenewEvery == 0 {
 		c.RenewEvery = c.Lease / 4
-	}
-	if c.ReplicaPoll == 0 {
-		c.ReplicaPoll = time.Millisecond
 	}
 	if c.ReplicaReadTimeout == 0 {
 		c.ReplicaReadTimeout = 50 * time.Millisecond
@@ -517,9 +511,6 @@ func (n *Node) Obs() *obs.Metrics { return n.obs }
 
 // FlightRecorder returns the node's black-box event ring (never nil).
 func (n *Node) FlightRecorder() *trace.Flight { return n.flight }
-
-// TraceCollector returns the node's span collector (nil = tracing off).
-func (n *Node) TraceCollector() *trace.Collector { return n.trace }
 
 // ID returns the node ID.
 func (n *Node) ID() string { return n.cfg.NodeID }

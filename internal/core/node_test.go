@@ -40,7 +40,6 @@ func testNodeBatch(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Mana
 		Lease:           120 * time.Millisecond,
 		Backoff:         160 * time.Millisecond,
 		RenewEvery:      30 * time.Millisecond,
-		ReplicaPoll:     time.Millisecond,
 		Snapshots:       snaps,
 		ChecksumEvery:   8,
 		MaxBatchRecords: batch,
@@ -267,7 +266,7 @@ func TestUpgradeProtectionStallsOldReplica(t *testing.T) {
 		NodeID: "new-engine", ShardID: "shard-1", Log: log,
 		EngineVersion: 3,
 		Lease:         120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +279,7 @@ func TestUpgradeProtectionStallsOldReplica(t *testing.T) {
 		NodeID: "old-engine", ShardID: "shard-1", Log: log,
 		EngineVersion: 2,
 		Lease:         120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +308,7 @@ func TestUpgradeProtectionEntryCommittedBeforeStart(t *testing.T) {
 		return Config{
 			NodeID: id, ShardID: log.ShardID(), Log: log, EngineVersion: version,
 			Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-			RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
+			RenewEvery: 30 * time.Millisecond,
 		}
 	}
 	start := func(t *testing.T, c Config) *Node {

@@ -181,12 +181,11 @@ func TestObsOverheadGuard(t *testing.T) {
 		svc := testService(t, netsim.Zero{})
 		log, _ := svc.CreateLog("shard-guard")
 		cfg := Config{
-			NodeID:      "node-a",
-			ShardID:     log.ShardID(),
-			Log:         log,
-			Lease:       2 * time.Second,
-			Backoff:     3 * time.Second,
-			ReplicaPoll: time.Millisecond,
+			NodeID:  "node-a",
+			ShardID: log.ShardID(),
+			Log:     log,
+			Lease:   2 * time.Second,
+			Backoff: 3 * time.Second,
 		}
 		arms[i].cfg(&cfg)
 		n, err := NewNode(cfg)

@@ -24,7 +24,6 @@ func onePathNode(t *testing.T, id string, log *txlog.Log, cfg Config) *Node {
 	t.Helper()
 	cfg.NodeID, cfg.ShardID, cfg.Log = id, log.ShardID(), log
 	cfg.Lease, cfg.Backoff, cfg.RenewEvery = 120*time.Millisecond, 160*time.Millisecond, 30*time.Millisecond
-	cfg.ReplicaPoll = time.Millisecond
 	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)

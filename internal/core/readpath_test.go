@@ -20,8 +20,8 @@ func testReplicaWithPartition(t *testing.T, id string, log *txlog.Log, part *net
 	n, err := NewNode(Config{
 		NodeID: id, ShardID: log.ShardID(), Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		Partition: part,
+		RenewEvery: 30 * time.Millisecond,
+		Partition:  part,
 	})
 	if err != nil {
 		t.Fatalf("NewNode(%s): %v", id, err)
@@ -206,8 +206,8 @@ func TestDeposedPrimaryServesConsistentReplicaReads(t *testing.T) {
 	a, err := NewNode(Config{
 		NodeID: "node-a", ShardID: "shard-rrskew", Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		Clock: slow, Partition: &partA,
+		RenewEvery: 30 * time.Millisecond,
+		Clock:      slow, Partition: &partA,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -80,7 +80,7 @@ func workloopNode(t *testing.T, log *txlog.Log) *Node {
 	n, err := NewNode(Config{
 		NodeID: "old-engine", ShardID: log.ShardID(), Log: log, EngineVersion: 2,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func workloopNode(t *testing.T, log *txlog.Log) *Node {
 // tail steps n through every entry above its applied position, as
 // runReplica does, stopping at the first error.
 func tail(n *Node) error {
-	rd := n.cfg.Log.NewReader(n.appliedPos())
+	rd := n.cfg.Log.NewReader(n.applied)
 	for {
 		e, ok, err := rd.TryNext()
 		if err != nil || !ok {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"time"
 
 	"memorydb/internal/election"
+	"memorydb/internal/retry"
 	"memorydb/internal/store"
 	"memorydb/internal/trace"
 	"memorydb/internal/tracker"
@@ -25,20 +27,11 @@ func (n *Node) electionConfig() election.Config {
 // demoted (resynchronize) → replica.
 func (n *Node) roleLoop() {
 	defer n.wg.Done()
-	// Initial bootstrap: restore state before serving, retrying through
-	// transient log/S3 unavailability.
-	for n.resync() != nil {
-		if n.stopCtx.Err() != nil {
-			return
-		}
-		n.clk.Sleep(n.cfg.ReplicaPoll * 10)
+	// Initial bootstrap: restore state before serving.
+	if !n.resyncRetry() {
+		return
 	}
 	for {
-		select {
-		case <-n.stopCtx.Done():
-			return
-		default:
-		}
 		if !n.gate() {
 			return
 		}
@@ -67,182 +60,197 @@ func (n *Node) roleLoop() {
 			// leadership, so the rejoin replays the new regime's history
 			// rather than racing its election.
 			n.clk.Sleep(n.cfg.Backoff)
-			if n.stopCtx.Err() != nil {
+			if !n.resyncRetry() {
 				return
-			}
-			if err := n.resync(); err != nil {
-				if n.stopCtx.Err() != nil {
-					return
-				}
-				// Transient restore failure (log/S3 unavailable): retry.
-				n.clk.Sleep(n.cfg.ReplicaPoll * 10)
-				continue
 			}
 			n.setRole(election.RoleReplica, 0)
 		}
 	}
 }
 
-// runReplica tails the transaction log, applying entries through the
-// workloop, observing lease renewals, and campaigning for leadership when
-// the backoff window elapses with no renewal observed (§4.1).
+// runReplica follows the transaction log as a subscriber (§3, §4.1): it
+// applies every committed entry through the workloop, observes lease
+// renewals, and once caught up parks until the log commits again or the
+// backoff window elapses with no renewal observed — then it campaigns.
+// The tailer keeps no timer of its own between "committed" and "applied":
+// how soon a commit wakes it is the log's push cadence (txlog.notifyEvery).
 func (n *Node) runReplica() {
-	reader := n.cfg.Log.NewReader(n.appliedPos())
+	reader := n.cfg.Log.NewReader(n.applied)
 	obs := election.NewObserver(n.electionConfig())
-	// A pristine shard has never had a leader; there is no lease to
-	// respect, so the first replica may campaign immediately.
-	bootstrap := n.cfg.Log.CurrentEpoch() == 0 && n.cfg.Log.CommittedTail() == txlog.ZeroID
-
+	if n.cfg.Log.CurrentEpoch() == 0 && n.cfg.Log.CommittedTail() == txlog.ZeroID {
+		// A pristine shard has never had a leader; there is no lease to
+		// respect, so the first replica may campaign immediately.
+		obs.Release()
+	}
+	// cut is the backoff of a tailer that cannot read — the node-local
+	// partition flag or a service outage, neither of which has a signal to
+	// wait on. Nil while reads succeed, so every outage starts it afresh.
+	var cut *retry.Backoff
+	// due fires at armed, the campaign deadline it was last set for: one
+	// timer per observed renewal, not one per park.
+	var (
+		armed time.Time
+		due   <-chan time.Time
+	)
 	for {
-		select {
-		case <-n.stopCtx.Done():
-			return
-		default:
-		}
 		if !n.gate() {
-			// Stopped while crash-frozen: unwind without campaigning — a
-			// dead replica must never become primary.
+			// Stopped (possibly while crash-frozen): unwind without
+			// campaigning — a dead replica must never become primary.
 			return
 		}
-		if n.partitioned() {
-			// Cut off from the log service: no reads, no campaigning.
-			n.clk.Sleep(n.cfg.ReplicaPoll)
-			continue
+		// Cut off from the log service: no reads, no campaigning.
+		e, ok, err := txlog.Entry{}, false, error(txlog.ErrUnavailable)
+		if !n.partitioned() {
+			e, ok, err = reader.TryNext()
 		}
-		progressed := false
-		for {
-			e, ok, err := reader.TryNext()
-			if err != nil {
-				if errors.Is(err, txlog.ErrUnavailable) {
-					// Transient service outage: the cursor is unchanged, so
-					// the tailer reconnects by polling again — resuming from
-					// the last delivered entry with no gaps or duplicates.
-					// Demoting here would turn every log blip into replica
-					// churn (and a pointless full restore).
-					break
-				}
-				if errors.Is(err, txlog.ErrTrimmed) || errors.Is(err, txlog.ErrCorruptSegment) {
-					// The trim coordinator dropped segments behind us (a
-					// lagging tailer on a healthy, bounded log), or the
-					// segment under the cursor was quarantined. Either way
-					// the log can no longer serve our position — but a
-					// snapshot can: re-bootstrap in place from the latest
-					// usable snapshot plus the retained suffix, staying a
-					// replica throughout. No demotion, no quarantine sleep.
-					if !n.rebootstrapTailer() {
-						return
-					}
-					reader = n.cfg.Log.NewReader(n.appliedPos())
-					// The restore may have taken a while; treat it as having
-					// just observed the primary so the fresh tailer does not
-					// instantly campaign against a live lease it simply
-					// hasn't read yet.
-					obs.ObserveRenewal()
-					bootstrap = false
-					break
-				}
-				// Any other fatal read error: fall back to a full restore
-				// through the demotion path.
-				n.setRole(election.RoleDemoted, 0)
+		switch {
+		case err == nil:
+			cut = nil
+		case errors.Is(err, txlog.ErrUnavailable):
+			// Transient: the cursor is unchanged, so the tailer reconnects
+			// by reading again — resuming from the last delivered entry
+			// with no gaps or duplicates. Demoting here would turn every
+			// log blip into replica churn (and a pointless full restore).
+			if cut == nil {
+				cut = n.retryPol.New()
+			}
+			if !n.pause(cut) {
 				return
 			}
-			if !ok {
-				// Clean caught-up break: the reader drained the log to
-				// its committed tail with the service answering — a
-				// replica-LOCAL freshness proof (never the primary's
-				// clock) that bounded-staleness serving measures from.
-				// Under a partition or outage this point is never
-				// reached, so the proof freezes and staleness grows.
-				if !n.partitioned() {
-					n.readGate.NoteFresh(n.clk.Now())
-				}
-				break
+			continue
+		case errors.Is(err, txlog.ErrTrimmed) || errors.Is(err, txlog.ErrCorruptSegment):
+			// The trim coordinator dropped segments behind us (a lagging
+			// tailer on a healthy, bounded log), or the segment under the
+			// cursor was quarantined. Either way the log can no longer
+			// serve our position — but a snapshot can: re-bootstrap in
+			// place from the latest usable snapshot plus the retained
+			// suffix, staying a replica throughout. No demotion, no
+			// quarantine sleep.
+			n.stats.ReaderRebootstraps.Add(1)
+			n.flight.Record(trace.EvTailerRebootstrap, n.applied.Seq, "tailer position trimmed or quarantined; restoring from snapshot")
+			if !n.resyncRetry() {
+				return
 			}
-			progressed = true
-			// Fold in the piggybacked primary watermark. Entries arrive
-			// in log order, so an in-log epoch regression is impossible
-			// (conditional appends fence stale writers); the epoch check
-			// is defense-in-depth against a replayed feed, and anything
-			// it rejects is counted — a deposed primary's view must not
-			// advance staleness accounting.
-			if !n.readGate.NoteWatermark(e.EpochValue(), e.Watermark) {
-				n.stats.WatermarksFenced.Add(1)
-				n.flight.Recordf(trace.EvWatermarkFence, e.ID.Seq, "stale watermark from epoch %d rejected", e.EpochValue())
-			}
-			switch e.Type {
-			case txlog.EntryLease, txlog.EntryLeadership:
-				obs.ObserveRenewal()
-				bootstrap = false
-				if e.Type == txlog.EntryLeadership {
-					n.mu.Lock()
-					if e.Epoch > n.epoch {
-						n.epoch = e.Epoch
-					}
-					n.mu.Unlock()
-				}
-				n.applyEntry(e)
-			case txlog.EntryControl:
-				if string(e.Payload) == string(LeaseReleasePayload) {
-					// Collaborative hand-over: the primary released its
-					// lease, so the backoff no longer applies.
-					bootstrap = true
-				}
-				n.applyEntry(e)
-			default:
-				if err := n.applyEntry(e); err != nil {
-					if errors.Is(err, txlog.ErrUpgradeStall) {
-						// Stop consuming the log (§7.1) but keep serving
-						// stale reads until the control plane replaces us.
-						n.waitUntilStopped()
-						return
-					}
-					// Apply failure or checksum divergence: this copy can
-					// no longer be trusted, rebuild it from durable sources.
-					n.setRole(election.RoleDemoted, 0)
-					return
-				}
-			}
+			reader = n.cfg.Log.NewReader(n.applied)
+			// The restore may have taken a while; treat it as having just
+			// observed the primary so the fresh tailer does not instantly
+			// campaign against a live lease it simply hasn't read yet.
+			obs.ObserveRenewal()
+			continue
+		case errors.Is(err, txlog.ErrNoSuchLog):
+			// The log was destroyed (end of a scale-in): nothing to tail,
+			// nothing to lead. Keep serving stale reads until stopped.
+			n.waitUntilStopped()
+			return
+		default:
+			// Any other fatal read error: fall back to a full restore
+			// through the demotion path.
+			n.setRole(election.RoleDemoted, 0)
+			return
 		}
-		if !progressed {
-			if (bootstrap || obs.CanCampaign()) && reader.CaughtUp() && !n.Stalled() {
+
+		if !ok {
+			// Caught up: the reader drained the log to its committed tail
+			// with the service answering — a replica-LOCAL freshness proof
+			// (never the primary's clock) that bounded-staleness serving
+			// measures from. Under a partition or outage this point is
+			// never reached, so the proof freezes and staleness grows.
+			now := n.clk.Now()
+			n.readGate.NoteFresh(now)
+			at := obs.CampaignAt()
+			if !now.Before(at) {
 				if n.campaign(reader.Position()) {
 					return // promoted; role loop switches to runPrimary
 				}
-				// Lost the race or log unavailable; refresh the reader
-				// position view and keep tailing.
+				// Lost the race or log unavailable: keep tailing.
 				obs.ObserveRenewal()
-				bootstrap = false
+				continue
 			}
-			n.clk.Sleep(n.cfg.ReplicaPoll)
+			if !at.Equal(armed) {
+				armed, due = at, n.clk.After(at.Sub(now))
+			}
+			select {
+			case <-reader.Ready():
+			case <-due:
+				armed = time.Time{} // spent; re-arm should the clock disagree
+			case <-n.stopCtx.Done():
+				return
+			}
+			continue
+		}
+
+		// Fold in the piggybacked primary watermark. Entries arrive in log
+		// order, so an in-log epoch regression is impossible (conditional
+		// appends fence stale writers); the epoch check is
+		// defense-in-depth against a replayed feed, and anything it
+		// rejects is counted — a deposed primary's view must not advance
+		// staleness accounting.
+		if !n.readGate.NoteWatermark(e.EpochValue(), e.Watermark) {
+			n.stats.WatermarksFenced.Add(1)
+			n.flight.Recordf(trace.EvWatermarkFence, e.ID.Seq, "stale watermark from epoch %d rejected", e.EpochValue())
+		}
+		switch e.Type {
+		case txlog.EntryLeadership:
+			n.mu.Lock()
+			if e.Epoch > n.epoch {
+				n.epoch = e.Epoch
+			}
+			n.mu.Unlock()
+			obs.ObserveRenewal()
+		case txlog.EntryLease:
+			obs.ObserveRenewal()
+		case txlog.EntryControl:
+			if string(e.Payload) == string(LeaseReleasePayload) {
+				// Collaborative hand-over: the primary released its
+				// lease, so the backoff no longer applies.
+				obs.Release()
+			}
+		}
+		if err := n.applyEntry(e); err != nil {
+			if errors.Is(err, txlog.ErrUpgradeStall) {
+				// Stop consuming the log (§7.1) but keep serving stale
+				// reads until the control plane replaces us.
+				n.waitUntilStopped()
+				return
+			}
+			// Apply failure or checksum divergence: this copy can no
+			// longer be trusted, rebuild it from durable sources.
+			n.setRole(election.RoleDemoted, 0)
+			return
 		}
 	}
 }
 
-// rebootstrapTailer rebuilds the replica's state from the latest usable
-// snapshot plus the retained log suffix after its tailer fell behind the
-// trim base (or hit a quarantined segment). It retries through transient
-// failures and — the one loud case — through ErrLogTrimmedGap, which means
-// the trim coordinator discarded entries no snapshot covers; each gap
-// retry is counted so tests and alarms can assert it never happens.
-// Returns false when the node stopped instead.
-func (n *Node) rebootstrapTailer() bool {
-	n.stats.ReaderRebootstraps.Add(1)
-	n.flight.Record(trace.EvTailerRebootstrap, n.applied.Seq, "tailer position trimmed or quarantined; restoring from snapshot")
+// resyncRetry runs resync until it succeeds, backing off between attempts
+// through transient failures (log/S3 unavailable, partition) and — the one
+// loud case — through ErrLogTrimmedGap, which means the trim coordinator
+// discarded entries no snapshot covers; each gap retry is counted so tests
+// and alarms can assert it never happens. Returns false when the node
+// stopped instead.
+func (n *Node) resyncRetry() bool {
+	bo := n.retryPol.New()
 	for {
 		err := n.resync()
 		if err == nil {
 			return true
 		}
-		if n.stopCtx.Err() != nil {
-			return false
-		}
 		if errors.Is(err, ErrLogTrimmedGap) {
 			n.stats.LogGapRetries.Add(1)
 		}
-		n.clk.Sleep(n.cfg.ReplicaPoll * 10)
-		if !n.gate() {
+		if !n.pause(bo) {
 			return false
 		}
+	}
+}
+
+// pause sleeps one step of bo — less when the node stops first. It
+// returns false when the node stopped instead.
+func (n *Node) pause(bo *retry.Backoff) bool {
+	select {
+	case <-n.clk.After(bo.Next()):
+		return true
+	case <-n.stopCtx.Done():
+		return false
 	}
 }
 
@@ -410,12 +418,6 @@ func (n *Node) drainWorkloop() bool {
 		}
 	}
 	return true
-}
-
-func (n *Node) appliedPos() txlog.EntryID {
-	// applied is owned by the role loop (the single apply driver), so
-	// reading it from here is always safe.
-	return n.applied
 }
 
 func (n *Node) waitUntilStopped() {

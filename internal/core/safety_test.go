@@ -31,8 +31,8 @@ func TestLeaderSingularityUnderPartition(t *testing.T) {
 	a, err := NewNode(Config{
 		NodeID: "node-a", ShardID: "shard-1", Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		Partition: &partA,
+		RenewEvery: 30 * time.Millisecond,
+		Partition:  &partA,
 	})
 	if err != nil {
 		t.Fatal(err)

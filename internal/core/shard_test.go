@@ -29,7 +29,6 @@ func testNodeShards(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Man
 		Lease:         120 * time.Millisecond,
 		Backoff:       160 * time.Millisecond,
 		RenewEvery:    30 * time.Millisecond,
-		ReplicaPoll:   time.Millisecond,
 		Snapshots:     snaps,
 		ChecksumEvery: 8,
 		Shards:        shards,

@@ -30,8 +30,8 @@ func TestSkewedPrimaryIsFenced(t *testing.T) {
 	a, err := NewNode(Config{
 		NodeID: "node-a", ShardID: "shard-skew", Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond, ReplicaPoll: time.Millisecond,
-		Clock: slow, Partition: &partA,
+		RenewEvery: 30 * time.Millisecond,
+		Clock:      slow, Partition: &partA,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -115,32 +115,37 @@ func (c Config) Validate() error {
 }
 
 // Observer is the replica-side lease state machine: it watches lease and
-// leadership entries streaming from the log and answers "may I campaign?".
+// leadership entries streaming from the log and answers "when may I
+// campaign?" — a deadline the tailer can wait on, not a flag it must poll.
 type Observer struct {
-	cfg          Config
-	lastRenewal  time.Time
-	everObserved bool
+	cfg        Config
+	campaignAt time.Time
 }
 
 // NewObserver returns an observer that, having seen nothing, starts its
 // backoff window at construction time (a fresh replica must not instantly
 // campaign against a healthy primary it hasn't heard from yet).
 func NewObserver(cfg Config) *Observer {
-	return &Observer{cfg: cfg, lastRenewal: cfg.Clock.Now()}
+	return &Observer{cfg: cfg, campaignAt: cfg.Clock.Now().Add(cfg.Backoff)}
 }
 
 // ObserveRenewal records a lease renewal or leadership claim seen in the
-// log at the observer's local clock.
+// log at the observer's local clock: no campaign for a full Backoff.
 func (o *Observer) ObserveRenewal() {
-	o.lastRenewal = o.cfg.Clock.Now()
-	o.everObserved = true
+	o.campaignAt = o.cfg.Clock.Now().Add(o.cfg.Backoff)
 }
 
-// CanCampaign reports whether the backoff window since the last observed
-// renewal has fully elapsed.
-func (o *Observer) CanCampaign() bool {
-	return o.cfg.Clock.Now().Sub(o.lastRenewal) > o.cfg.Backoff
+// Release ends the backoff window now: there is no lease to respect (a
+// pristine shard that never had a leader, or a collaborative hand-over in
+// which the primary released its lease).
+func (o *Observer) Release() {
+	o.campaignAt = o.cfg.Clock.Now()
 }
+
+// CampaignAt returns the instant, on the observer's clock, at which the
+// backoff window since the last observed renewal has fully elapsed: from
+// then on the observer may campaign.
+func (o *Observer) CampaignAt() time.Time { return o.campaignAt }
 
 // Lease is the primary-side state: the wall-clock deadline until which
 // this node may serve reads and writes. Safe for concurrent use (the

@@ -60,19 +60,29 @@ func TestClaimRenewalPayloadRoundTrip(t *testing.T) {
 func TestObserverBackoffWindow(t *testing.T) {
 	clk := clock.NewSim(time.Unix(0, 0))
 	o := NewObserver(cfg(clk, "n"))
-	if o.CanCampaign() {
+	mayCampaign := func() bool { return !clk.Now().Before(o.CampaignAt()) }
+	if mayCampaign() {
 		t.Fatal("fresh observer must wait out the backoff")
 	}
-	clk.Advance(131 * time.Millisecond)
-	if !o.CanCampaign() {
+	clk.Advance(130 * time.Millisecond)
+	if !mayCampaign() {
 		t.Fatal("backoff elapsed; campaigning must be allowed")
 	}
 	o.ObserveRenewal()
-	if o.CanCampaign() {
+	if mayCampaign() {
 		t.Fatal("renewal observed; backoff must restart")
 	}
-	clk.Advance(131 * time.Millisecond)
-	if !o.CanCampaign() {
+	o.Release()
+	if !mayCampaign() {
+		t.Fatal("lease released; campaigning must be allowed at once")
+	}
+	o.ObserveRenewal()
+	clk.Advance(129 * time.Millisecond)
+	if mayCampaign() {
+		t.Fatal("campaign allowed before the second backoff elapsed")
+	}
+	clk.Advance(time.Millisecond)
+	if !mayCampaign() {
 		t.Fatal("second backoff elapsed")
 	}
 }
@@ -126,7 +136,7 @@ func TestLeaseBackoffDisjointness(t *testing.T) {
 	// lease must already be invalid.
 	for i := 0; i < 300; i++ {
 		clk.Advance(time.Millisecond)
-		if obs.CanCampaign() && lease.Valid() {
+		if !clk.Now().Before(obs.CampaignAt()) && lease.Valid() {
 			t.Fatalf("at +%dms both lease valid and campaign allowed", 10+i)
 		}
 	}

@@ -64,7 +64,7 @@ func TestSkewedLeaseOutlivesHonestBackoff(t *testing.T) {
 	lease := NewLease(c, 1)
 	honest := NewObserver(cfg(sim, "honest"))
 	sim.Advance(131 * time.Millisecond)
-	if !honest.CanCampaign() {
+	if sim.Now().Before(honest.CampaignAt()) {
 		t.Fatal("honest backoff should have elapsed")
 	}
 	if !lease.Valid() {

@@ -100,7 +100,7 @@ func cmdLatency(e *Engine, argv [][]byte) resp.Value {
 // cmdSlowlog: SLOWLOG GET [n] | LEN | RESET | THRESHOLD [usec].
 // GET returns entries newest first as
 // [id, unix_seconds, total_usec, [args...],
-//  [queue_usec, exec_usec, commit_usec], shard].
+// [queue_usec, exec_usec, commit_usec], shard].
 func cmdSlowlog(e *Engine, argv [][]byte) resp.Value {
 	if e.obs == nil {
 		return errObsDisabled

@@ -39,11 +39,6 @@ func WithLatency(m netsim.LatencyModel) Option {
 	return func(s *Store) { s.latency = m }
 }
 
-// WithClock overrides the clock used for latency simulation.
-func WithClock(c clock.Clock) Option {
-	return func(s *Store) { s.clk = c }
-}
-
 // New returns an empty store.
 func New(opts ...Option) *Store {
 	s := &Store{

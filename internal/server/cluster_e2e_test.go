@@ -21,7 +21,7 @@ func startClusterServer(t *testing.T) (*Server, *cluster.Cluster) {
 		Name: "e2e", NumShards: 2, ReplicasPerShard: 1,
 		LogService: svc,
 		Lease:      200 * time.Millisecond, Backoff: 260 * time.Millisecond,
-		RenewEvery: 50 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

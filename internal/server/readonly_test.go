@@ -27,7 +27,7 @@ func startReplicaServer(t *testing.T) (*Server, *core.Node, *core.Node) {
 		n, err := core.NewNode(core.Config{
 			NodeID: id, ShardID: "s1", Log: log,
 			Lease: 200 * time.Millisecond, Backoff: 260 * time.Millisecond,
-			RenewEvery: 50 * time.Millisecond, ReplicaPoll: time.Millisecond,
+			RenewEvery: 50 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ func startMemoryDBServer(t *testing.T, multiplex bool) (*Server, *core.Node) {
 	n, err := core.NewNode(core.Config{
 		NodeID: "n1", ShardID: "s1", Log: log,
 		Lease: 200 * time.Millisecond, Backoff: 260 * time.Millisecond,
-		RenewEvery: 50 * time.Millisecond, ReplicaPoll: time.Millisecond,
+		RenewEvery: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,9 +60,7 @@ type Builder struct {
 	// CompactEvery bounds chain length: after this many deltas the next
 	// emit is a full snapshot, resetting the chain (default 8).
 	CompactEvery int
-	// Interval paces Run's ticks (default 25ms).
-	Interval time.Duration
-	Clock    clock.Clock
+	Clock        clock.Clock
 	// Retry shapes the backoff applied to the S3 restore and upload legs,
 	// so a brief storage blip degrades one pass's latency instead of
 	// failing it. The zero value uses the library defaults.
@@ -403,18 +401,20 @@ func (b *Builder) emit(full bool) (Meta, error) {
 	return meta, nil
 }
 
+// passInterval paces Run: the builder is throughput work that drains what
+// accumulated since its last pass (builder.lag is counted per pass), so it
+// keeps a cadence rather than waking per commit like a replica tailer.
+const passInterval = 25 * time.Millisecond
+
 // Run ticks until ctx is cancelled. Emit failures (including injected
 // crashes) are absorbed: the dirty set and cursor survive — or
 // re-bootstrap from the chain — and the next tick retries.
 func (b *Builder) Run(ctx context.Context) {
-	every(ctx, b.clk(), b.Interval, 25*time.Millisecond, func() { _ = b.Tick(ctx) })
+	every(ctx, b.clk(), passInterval, func() { _ = b.Tick(ctx) })
 }
 
-// every calls fn once per interval (def when unset) until ctx is cancelled.
-func every(ctx context.Context, clk clock.Clock, interval, def time.Duration, fn func()) {
-	if interval <= 0 {
-		interval = def
-	}
+// every calls fn once per interval until ctx is cancelled.
+func every(ctx context.Context, clk clock.Clock, interval time.Duration, fn func()) {
 	for {
 		select {
 		case <-ctx.Done():

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -95,5 +96,5 @@ func (t *Trimmer) Run(ctx context.Context) {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	every(ctx, clk, t.Interval, 5*time.Second, t.Tick)
+	every(ctx, clk, cmp.Or(t.Interval, 5*time.Second), t.Tick)
 }

@@ -153,9 +153,6 @@ func (db *DB) Dirty() int64 { return db.dirty.Load() }
 // ResetDirty zeroes the dirty counter (called after a snapshot).
 func (db *DB) ResetDirty() { db.dirty.Store(0) }
 
-// MarkDirty records n logical mutations.
-func (db *DB) MarkDirty(n int64) { db.dirty.Add(n) }
-
 // Lookup returns the object at key if present and not expired at now.
 // Expired keys are lazily reaped (caller is the engine workloop owning the
 // key's part, so this mutation is safe). The reaped flag reports whether a

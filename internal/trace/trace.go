@@ -46,9 +46,6 @@ type SpanContext struct {
 	SpanID  uint64
 }
 
-// Sampled reports whether the context belongs to a sampled trace.
-func (sc SpanContext) Sampled() bool { return sc.TraceID != 0 }
-
 // Span is one completed operation in a trace. Start/End are Now()
 // nanoseconds. AZ is -1 except for per-AZ log acks; Shard is -1 when
 // the span is not bound to an execution shard.

@@ -22,19 +22,17 @@ func (l *Log) NewReader(from EntryID) *Reader {
 // Position returns the ID of the last entry this reader consumed.
 func (r *Reader) Position() EntryID { return EntryID{Seq: r.pos} }
 
-// CaughtUp reports whether the reader has consumed every committed entry —
-// the control signal that makes a replica eligible for promotion (§4.1.2).
-func (r *Reader) CaughtUp() bool {
-	return r.pos >= r.log.CommittedTail().Seq
-}
-
-// TryNext returns the next committed entry without blocking. During a
-// service outage (or a below-quorum zone set) it fails with the transient
-// ErrUnavailable: the cursor is unchanged, so the caller reconnects by
-// simply retrying later — no gaps, no duplicates. A cursor behind the
-// trim point fails with ErrTrimmed and a cursor entering a quarantined
-// segment with ErrCorruptSegment — both fatal: the caller re-bootstraps
-// from a snapshot instead of retrying.
+// TryNext returns the next committed entry without blocking — the one
+// place an entry is read. ok=false with a nil error means the reader has
+// consumed every committed entry: the control signal that makes a replica
+// eligible for promotion (§4.1.2). During a service outage (or a
+// below-quorum zone set) it fails with the transient ErrUnavailable: the
+// cursor is unchanged, so the caller reconnects by simply retrying later —
+// no gaps, no duplicates. A cursor behind the trim point fails with
+// ErrTrimmed and a cursor entering a quarantined segment with
+// ErrCorruptSegment — both fatal: the caller re-bootstraps from a snapshot
+// instead of retrying. A destroyed log (Service.DeleteLog) fails with
+// ErrNoSuchLog: nothing will ever be readable again.
 func (r *Reader) TryNext() (Entry, bool, error) {
 	l := r.log
 	if err := l.svc.readErr(); err != nil {
@@ -44,6 +42,9 @@ func (r *Reader) TryNext() (Entry, bool, error) {
 	defer l.mu.Unlock()
 	if r.pos < l.trimBase() {
 		return Entry{}, false, ErrTrimmed
+	}
+	if l.closed {
+		return Entry{}, false, ErrNoSuchLog
 	}
 	if r.pos >= l.committed {
 		return Entry{}, false, nil
@@ -62,46 +63,41 @@ func (r *Reader) TryNext() (Entry, bool, error) {
 	return e, true, nil
 }
 
-// Next blocks until a committed entry past the cursor is available, the
-// context is cancelled, or the log is destroyed. Like TryNext it surfaces
-// a service outage as ErrUnavailable with the cursor unchanged, and trim
-// or quarantine as the fatal ErrTrimmed / ErrCorruptSegment.
+// closedCh is what Ready returns when TryNext has an answer right now.
+var closedCh = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// Ready returns a channel that is closed once TryNext has something other
+// than "nothing yet" to say: already closed when the cursor is behind the
+// committed tail or the trim base or the log is destroyed, otherwise the
+// log's subscriber signal, which a commit closes notifyEvery later — asked
+// for and read under the log mutex, so a commit racing the call schedules
+// the wake-up of the returned channel and can never be missed. A service
+// outage is not a signal: TryNext keeps failing with ErrUnavailable on a
+// closed Ready, and the caller backs off.
+func (r *Reader) Ready() <-chan struct{} {
+	l := r.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if r.pos < l.committed || r.pos < l.trimBase() || l.closed {
+		return closedCh
+	}
+	l.notifyWanted = true
+	return l.notify
+}
+
+// Next blocks until TryNext delivers an entry or fails, or the context is
+// cancelled.
 func (r *Reader) Next(ctx context.Context) (Entry, error) {
 	for {
-		l := r.log
-		if err := l.svc.readErr(); err != nil {
-			return Entry{}, err
+		if e, ok, err := r.TryNext(); ok || err != nil {
+			return e, err
 		}
-		l.mu.Lock()
-		if r.pos < l.trimBase() {
-			l.mu.Unlock()
-			return Entry{}, ErrTrimmed
-		}
-		if l.closed {
-			l.mu.Unlock()
-			return Entry{}, ErrNoSuchLog
-		}
-		if r.pos < l.committed {
-			seq := r.pos + 1
-			s := l.segFor(seq)
-			if s == nil {
-				l.mu.Unlock()
-				return Entry{}, ErrTrimmed
-			}
-			if !l.verifyRecordLocked(s, seq) {
-				l.mu.Unlock()
-				return Entry{}, ErrCorruptSegment
-			}
-			e := *s.entry(seq)
-			r.pos = seq
-			l.mu.Unlock()
-			e.Epoch = e.EpochValue()
-			return e, nil
-		}
-		wake := l.commitWake
-		l.mu.Unlock()
 		select {
-		case <-wake:
+		case <-r.Ready():
 		case <-ctx.Done():
 			return Entry{}, ctx.Err()
 		}

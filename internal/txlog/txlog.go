@@ -403,6 +403,11 @@ type Log struct {
 	committed uint64     // highest committed Seq (visible watermark)
 	// commitWake is closed and replaced each time the watermark advances.
 	commitWake chan struct{}
+	// notify is what a caught-up Reader.Ready waits on: closed and replaced
+	// notifyEvery after the watermark advances, if a reader asked since the
+	// last wake-up was scheduled (notifyWanted) — see notifyLocked.
+	notify       chan struct{}
+	notifyWanted bool
 
 	// Running checksum over committed data-entry payloads, chained CRC64.
 	checksum     uint64
@@ -498,6 +503,7 @@ func newLog(s *Service, shardID string) *Log {
 		shardID:    shardID,
 		segs:       []*segment{{}},
 		commitWake: make(chan struct{}),
+		notify:     make(chan struct{}),
 	}
 }
 
@@ -713,6 +719,7 @@ func (l *Log) commitEntry(id EntryID) {
 	if advanced {
 		close(l.commitWake)
 		l.commitWake = make(chan struct{})
+		l.notifyLocked()
 	}
 	l.mu.Unlock()
 	if sealDue {
@@ -1104,5 +1111,35 @@ func (l *Log) closeAll() {
 	l.closed = true
 	close(l.commitWake)
 	l.commitWake = make(chan struct{})
+	l.wakeReadersLocked()
 	l.mu.Unlock()
+}
+
+// notifyEvery is the cadence of the log's push to subscribers: a commit
+// wakes the readers parked on Ready notifyEvery later, and they then drain
+// everything committed since — however fast the primary commits, a caught-up
+// subscriber is woken about once per notifyEvery. A reader that is behind
+// never waits on it (its Ready is already closed). This one constant is the
+// floor under replication lag; ROADMAP item 4 says what deleting it needs.
+const notifyEvery = time.Millisecond
+
+// notifyLocked schedules one wake-up of the readers parked on notify, if
+// one asked since the last was scheduled. Caller holds mu.
+func (l *Log) notifyLocked() {
+	if !l.notifyWanted {
+		return
+	}
+	l.notifyWanted = false
+	due := l.svc.cfg.Clock.After(notifyEvery)
+	go func() {
+		<-due
+		l.mu.Lock()
+		l.wakeReadersLocked()
+		l.mu.Unlock()
+	}()
+}
+
+func (l *Log) wakeReadersLocked() {
+	close(l.notify)
+	l.notify = make(chan struct{})
 }
