@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"memorydb/internal/clock"
 	"memorydb/internal/core"
 	"memorydb/internal/engine"
 	"memorydb/internal/txlog"
@@ -76,9 +77,17 @@ func (c *Cluster) MigrateSlot(ctx context.Context, slot uint16, toID string) (er
 	// order, applying each item on the target primary (which commits it
 	// to its own transaction log so target replicas converge too).
 	stream := srcP.StartSlotMigration(slot)
+	// A forwarder that failed keeps draining, or the dump would wedge the
+	// source's workloop on a full stream; forwardErr is closed after its
+	// one result, so abort can wait for the forwarder whether or not the
+	// result was already taken.
 	forwardErr := make(chan error, 1)
 	go func() {
-		forwardErr <- forwardStream(ctx, stream, dstP)
+		err := forwardStream(ctx, stream, dstP)
+		for range stream.C {
+		}
+		forwardErr <- err
+		close(forwardErr)
 	}()
 
 	abort := func(cause error) error {
@@ -90,7 +99,7 @@ func (c *Cluster) MigrateSlot(ctx context.Context, slot uint16, toID string) (er
 		msg := encodeSlotMsg(slotMsg{Phase: "abort", Slot: slot, From: src.ID, To: dst.ID})
 		_, _ = srcP.AppendControl(ctx, txlog.EntrySlot, msg)
 		_, _ = dstP.AppendControl(ctx, txlog.EntrySlot, msg)
-		deleteSlotKeys(ctx, dstP, slot)
+		deleteSlotKeys(ctx, c.cfg.Clock, dstP, slot)
 		return cause
 	}
 
@@ -141,10 +150,7 @@ func (c *Cluster) MigrateSlot(ctx context.Context, slot uint16, toID string) (er
 
 	// The old owner now redirects (the gate consults slotOwner) and
 	// deletes the transferred data in a rate-limited background task.
-	go func() {
-		bg := context.Background()
-		deleteSlotKeysRateLimited(bg, c.cfg.Clock, srcP, slot)
-	}()
+	go deleteSlotKeys(context.Background(), c.cfg.Clock, srcP, slot)
 	return nil
 }
 
@@ -202,35 +208,34 @@ func slotKeyCount(ctx context.Context, n *core.Node, slot uint16) (int, error) {
 	return n.SlotKeyCount(ctx, slot)
 }
 
-func deleteSlotKeys(ctx context.Context, n *core.Node, slot uint16) {
-	keys, err := n.SlotKeys(ctx, slot)
-	if err != nil {
-		return
-	}
-	for _, k := range keys {
-		_, _ = n.Do(ctx, [][]byte{[]byte("DEL"), []byte(k)})
-	}
-}
-
-// deleteSlotKeysRateLimited drains the slot's keys in small batches with
-// pauses so the deletion does not disturb foreground traffic (§5.2).
-func deleteSlotKeysRateLimited(ctx context.Context, clk interface {
-	Sleep(time.Duration)
-}, n *core.Node, slot uint16) {
+// deleteSlotKeys drains slot on n. It lists the slot once — a scan of the
+// slot's part inside the workloop — deletes in batches of 64 with a pause
+// between them so the deletion does not disturb foreground traffic
+// (§5.2), and lists again only while the O(1) count says a key is left.
+// n does not own the slot (any more, or yet) and the slot gate would
+// bounce a plain DEL with MOVED; like the migration stream's, the deletes
+// go in as batches, which the gate does not judge.
+func deleteSlotKeys(ctx context.Context, clk clock.Clock, n *core.Node, slot uint16) {
 	for {
-		keys, err := n.SlotKeys(ctx, slot)
-		if err != nil || len(keys) == 0 {
+		if left, err := n.SlotKeyCount(ctx, slot); err != nil || left == 0 {
 			return
 		}
-		if len(keys) > 64 {
-			keys = keys[:64]
+		keys, err := n.SlotKeys(ctx, slot)
+		if err != nil {
+			return
 		}
-		for _, k := range keys {
-			if _, err := n.Do(ctx, [][]byte{[]byte("DEL"), []byte(k)}); err != nil {
+		for len(keys) > 0 {
+			batch := min(64, len(keys))
+			del := [][]byte{[]byte("DEL")}
+			for _, k := range keys[:batch] {
+				del = append(del, []byte(k))
+			}
+			keys = keys[batch:]
+			if v, err := n.DoBatch(ctx, [][][]byte{del}); err != nil || v.IsError() {
 				return
 			}
+			clk.Sleep(time.Millisecond)
 		}
-		clk.Sleep(time.Millisecond)
 	}
 }
 

@@ -223,8 +223,8 @@ func StateDigest(e *engine.Engine) string {
 	var b strings.Builder
 	for _, k := range keys {
 		obj, _ := db.Peek(k)
-		fmt.Fprintf(&b, "%q %s ", k, obj.Kind)
-		switch obj.Kind {
+		fmt.Fprintf(&b, "%q %s ", k, obj.Kind())
+		switch obj.Kind() {
 		case store.KindString:
 			fmt.Fprintf(&b, "%q", obj.Str)
 		case store.KindHash:

@@ -180,7 +180,7 @@ func (n *Node) handleMigDump(sh *nodeShard, t *task) {
 	if sh.migStream == nil {
 		return
 	}
-	for _, key := range sh.eng.DB().SlotKeys(t.slot, 0) {
+	for _, key := range sh.eng.DB().SlotKeys(t.slot) {
 		cmds := sh.eng.DumpCommands(key)
 		if len(cmds) == 0 {
 			continue
@@ -211,32 +211,45 @@ func (n *Node) StepDown(ctx context.Context) error {
 	return nil
 }
 
-// SlotKeys returns the keys currently stored in slot, read inside the
-// owner shard's workloop so the view is serialized against writes.
-func (n *Node) SlotKeys(ctx context.Context, slot uint16) ([]string, error) {
+// slotInfo is what a taskSlotInfo reads inside the slot's owner shard
+// workloop, so the view is serialized against writes.
+type slotInfo struct {
+	count int
+	keys  []string
+}
+
+func (n *Node) slotInfo(ctx context.Context, slot uint16, wantKeys bool) (slotInfo, error) {
 	sh := n.slotShard(slot)
-	t := &task{kind: taskSlotInfo, shard: sh.idx, slot: slot, slotCh: make(chan []string, 1)}
+	t := &task{kind: taskSlotInfo, shard: sh.idx, slot: slot, wantKeys: wantKeys, slotCh: make(chan slotInfo, 1)}
 	select {
 	case sh.tasks <- t:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return slotInfo{}, ctx.Err()
 	case <-n.stopCtx.Done():
-		return nil, ErrStopped
+		return slotInfo{}, ErrStopped
 	}
 	select {
-	case keys := <-t.slotCh:
-		return keys, nil
+	case info := <-t.slotCh:
+		return info, nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return slotInfo{}, ctx.Err()
 	case <-n.stopCtx.Done():
-		return nil, ErrStopped
+		return slotInfo{}, ErrStopped
 	}
 }
 
-// SlotKeyCount returns the number of keys in slot.
+// SlotKeys returns the keys currently stored in slot: a scan of the
+// slot's 1/64 of the keyspace inside the workloop, so a caller working
+// through a slot takes the list once and polls SlotKeyCount.
+func (n *Node) SlotKeys(ctx context.Context, slot uint16) ([]string, error) {
+	info, err := n.slotInfo(ctx, slot, true)
+	return info.keys, err
+}
+
+// SlotKeyCount returns the number of keys in slot, in O(1).
 func (n *Node) SlotKeyCount(ctx context.Context, slot uint16) (int, error) {
-	keys, err := n.SlotKeys(ctx, slot)
-	return len(keys), err
+	info, err := n.slotInfo(ctx, slot, false)
+	return info.count, err
 }
 
 // forwardEffects mirrors a mutation's effects into every migration stream

@@ -71,10 +71,11 @@ type task struct {
 	parkRelease <-chan struct{}
 
 	// taskMigCtl / taskMigDump / taskSlotInfo
-	mig    *MigrationStream
-	migOn  bool
-	slot   uint16
-	slotCh chan []string
+	mig      *MigrationStream
+	migOn    bool
+	slot     uint16
+	wantKeys bool // taskSlotInfo: list the slot's keys, not just count them
+	slotCh   chan slotInfo
 }
 
 // Do executes a client command on this node. Writes require the node to
@@ -169,7 +170,11 @@ func (n *Node) handleTask(sh *nodeShard, t *task) {
 	case taskMigDump:
 		n.handleMigDump(sh, t)
 	case taskSlotInfo:
-		t.slotCh <- sh.eng.DB().SlotKeys(t.slot, 0)
+		info := slotInfo{count: sh.eng.DB().SlotCount(t.slot)}
+		if t.wantKeys {
+			info.keys = sh.eng.DB().SlotKeys(t.slot)
+		}
+		t.slotCh <- info
 	case taskDrain:
 		// Pure synchronization: reaching this point proves every task
 		// queued ahead of the drain — including a flush whose retry loop

@@ -26,7 +26,7 @@ func (e *Engine) DumpCommands(key string) [][][]byte {
 		cmds = append(cmds, argv)
 	}
 	add("DEL", key)
-	switch obj.Kind {
+	switch obj.Kind() {
 	case store.KindString:
 		add("SET", key, string(obj.Str))
 	case store.KindHash:

@@ -312,7 +312,7 @@ func (e *Engine) lookupKind(key string, kind store.Kind) (*store.Object, resp.Va
 	if obj == nil {
 		return nil, resp.Value{}, true
 	}
-	if obj.Kind != kind {
+	if obj.Kind() != kind {
 		return nil, wrongType(), false
 	}
 	return obj, resp.Value{}, true

@@ -257,7 +257,6 @@ func cmdLInsert(e *Engine, argv [][]byte) resp.Value {
 		return resp.Int64(-1)
 	}
 	obj.List = rebuilt
-	e.db.Touch(key)
 	e.db.AdjustUsed(int64(len(argv[4])))
 	e.touch(key)
 	e.propagateVerbatim(argv)
@@ -447,7 +446,6 @@ func cmdSetBit(e *Engine, argv [][]byte) resp.Value {
 	if obj != nil {
 		e.db.AdjustUsed(int64(len(cur) - len(obj.Str)))
 		obj.Str = cur
-		e.db.Touch(key)
 	} else {
 		e.db.Set(key, strObject(cur))
 	}

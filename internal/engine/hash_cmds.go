@@ -32,7 +32,7 @@ func hashAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool
 		return nil, errReply, false
 	}
 	if obj == nil && create {
-		obj = &store.Object{Kind: store.KindHash, Hash: make(map[string][]byte)}
+		obj = store.New(store.KindHash)
 		e.db.Set(key, obj)
 	}
 	return obj, resp.Value{}, true
@@ -57,7 +57,6 @@ func cmdHSet(e *Engine, argv [][]byte) resp.Value {
 		e.db.AdjustUsed(int64(len(argv[i+1]) - len(old)))
 		obj.Hash[f] = argv[i+1]
 	}
-	e.db.Touch(key)
 	e.touch(key)
 	e.propagateVerbatim(argv)
 	return resp.Int64(added)
@@ -82,7 +81,6 @@ func cmdHSetNX(e *Engine, argv [][]byte) resp.Value {
 	}
 	obj.Hash[f] = argv[3]
 	e.db.AdjustUsed(int64(len(argv[3])))
-	e.db.Touch(key)
 	e.touch(key)
 	e.propagateVerbatim(argv)
 	return resp.Int64(1)
@@ -144,7 +142,6 @@ func cmdHDel(e *Engine, argv [][]byte) resp.Value {
 		if len(obj.Hash) == 0 {
 			e.db.Delete(key, e.Now())
 		}
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateVerbatim(argv)
 	}
@@ -268,7 +265,6 @@ func cmdHIncrBy(e *Engine, argv [][]byte) resp.Value {
 	cur += delta
 	s := strconv.AppendInt(nil, cur, 10)
 	obj.Hash[f] = s
-	e.db.Touch(key)
 	e.touch(key)
 	e.propagateStrings("HSET", key, f, string(s))
 	return resp.Int64(cur)
@@ -296,7 +292,6 @@ func cmdHIncrByFloat(e *Engine, argv [][]byte) resp.Value {
 	cur += delta
 	s := strconv.FormatFloat(cur, 'f', -1, 64)
 	obj.Hash[f] = []byte(s)
-	e.db.Touch(key)
 	e.touch(key)
 	e.propagateStrings("HSET", key, f, s)
 	return resp.BulkStr(s)

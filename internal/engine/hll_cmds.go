@@ -20,7 +20,7 @@ func hllAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool)
 		return nil, resp.Err("WRONGTYPE Key is not a valid HyperLogLog string value."), false
 	}
 	if obj == nil && create {
-		obj = &store.Object{Kind: store.KindString, Str: store.NewHLL()}
+		obj = strObject(store.NewHLL())
 		e.db.Set(key, obj)
 	}
 	return obj, resp.Value{}, true
@@ -41,7 +41,6 @@ func cmdPFAdd(e *Engine, argv [][]byte) resp.Value {
 		changed = changed || c
 	}
 	if changed || len(argv) == 2 {
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateVerbatim(argv)
 	}
@@ -111,7 +110,6 @@ func cmdPFMerge(e *Engine, argv [][]byte) resp.Value {
 			return resp.Err(err.Error())
 		}
 	}
-	e.db.Touch(dst)
 	e.touch(dst)
 	e.propagateVerbatim(argv)
 	return resp.OK

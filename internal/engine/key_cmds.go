@@ -64,7 +64,7 @@ func cmdType(e *Engine, argv [][]byte) resp.Value {
 	if obj == nil {
 		return resp.Simple("none")
 	}
-	return resp.Simple(obj.Kind.String())
+	return resp.Simple(obj.Kind().String())
 }
 
 func cmdExpire(e *Engine, argv [][]byte) resp.Value {

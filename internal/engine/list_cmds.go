@@ -29,7 +29,7 @@ func listAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool
 		return nil, errReply, false
 	}
 	if obj == nil && create {
-		obj = &store.Object{Kind: store.KindList, List: store.NewList()}
+		obj = store.New(store.KindList)
 		e.db.Set(key, obj)
 	}
 	return obj, resp.Value{}, true
@@ -52,7 +52,6 @@ func pushGeneric(e *Engine, argv [][]byte, front, mustExist bool) resp.Value {
 		}
 		e.db.AdjustUsed(int64(len(v)))
 	}
-	e.db.Touch(key)
 	e.touch(key)
 	e.propagateVerbatim(argv)
 	return resp.Int64(int64(obj.List.Len()))
@@ -102,7 +101,6 @@ func popGeneric(e *Engine, argv [][]byte, front bool) resp.Value {
 		if obj.List.Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
-		e.db.Touch(key)
 		e.touch(key)
 		// Deterministic: replicate the pop with the exact count performed.
 		name := "RPOP"
@@ -154,7 +152,6 @@ func cmdRPopLPush(e *Engine, argv [][]byte) resp.Value {
 	if srcObj.List.Len() == 0 && src != dst {
 		e.db.Delete(src, e.Now())
 	}
-	e.db.Touch(src)
 	e.touch(src)
 	e.touch(dst)
 	e.propagateVerbatim(argv)
@@ -228,7 +225,6 @@ func cmdLSet(e *Engine, argv [][]byte) resp.Value {
 	if !obj.List.SetIndex(int(idx), argv[3]) {
 		return resp.Err("ERR index out of range")
 	}
-	e.db.Touch(key)
 	e.touch(key)
 	e.propagateVerbatim(argv)
 	return resp.OK
@@ -252,7 +248,6 @@ func cmdLRem(e *Engine, argv [][]byte) resp.Value {
 		if obj.List.Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateVerbatim(argv)
 	}
@@ -277,7 +272,6 @@ func cmdLTrim(e *Engine, argv [][]byte) resp.Value {
 		if obj.List.Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateVerbatim(argv)
 	}

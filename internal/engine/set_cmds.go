@@ -30,7 +30,7 @@ func setAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool)
 		return nil, errReply, false
 	}
 	if obj == nil && create {
-		obj = &store.Object{Kind: store.KindSet, Set: make(map[string]struct{})}
+		obj = store.New(store.KindSet)
 		e.db.Set(key, obj)
 	}
 	return obj, resp.Value{}, true
@@ -52,7 +52,6 @@ func cmdSAdd(e *Engine, argv [][]byte) resp.Value {
 		}
 	}
 	if n > 0 {
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateVerbatim(argv)
 	}
@@ -81,7 +80,6 @@ func cmdSRem(e *Engine, argv [][]byte) resp.Value {
 		if len(obj.Set) == 0 {
 			e.db.Delete(key, e.Now())
 		}
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateVerbatim(argv)
 	}
@@ -181,7 +179,6 @@ func cmdSPop(e *Engine, argv [][]byte) resp.Value {
 		if len(obj.Set) == 0 {
 			e.db.Delete(key, e.Now())
 		}
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateStrings(eff...)
 	}
@@ -255,7 +252,6 @@ func cmdSMove(e *Engine, argv [][]byte) resp.Value {
 	if len(srcObj.Set) == 0 {
 		e.db.Delete(src, e.Now())
 	}
-	e.db.Touch(src)
 	e.touch(src)
 	e.touch(dst)
 	e.propagateVerbatim(argv)
@@ -352,9 +348,9 @@ func setOpStore(e *Engine, argv [][]byte, op byte) resp.Value {
 		}
 		return resp.Int64(0)
 	}
-	obj := &store.Object{Kind: store.KindSet, Set: acc}
+	obj := store.New(store.KindSet)
+	obj.Set = acc
 	e.db.Set(dst, obj)
-	e.db.Touch(dst)
 	e.touch(dst)
 	// Deterministic store result: replicate DEL + SADD of the exact
 	// resulting members (in sorted order) rather than re-running the op.

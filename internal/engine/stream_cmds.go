@@ -23,7 +23,7 @@ func streamAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bo
 		return nil, errReply, false
 	}
 	if obj == nil && create {
-		obj = &store.Object{Kind: store.KindStream, Stream: store.NewStream()}
+		obj = store.New(store.KindStream)
 		e.db.Set(key, obj)
 	}
 	return obj, resp.Value{}, true
@@ -66,7 +66,7 @@ func cmdXAdd(e *Engine, argv [][]byte) resp.Value {
 	}
 	created := false
 	if obj == nil {
-		obj = &store.Object{Kind: store.KindStream, Stream: store.NewStream()}
+		obj = store.New(store.KindStream)
 		created = true
 	}
 	auto := idArg == "*"
@@ -108,7 +108,6 @@ func cmdXAdd(e *Engine, argv [][]byte) resp.Value {
 	if maxLen >= 0 {
 		removed = obj.Stream.TrimMaxLen(maxLen)
 	}
-	e.db.Touch(key)
 	e.touch(key)
 	eff := make([][]byte, 0, 3+len(fields))
 	eff = append(eff, []byte("XADD"), argv[1], []byte(assigned.String()))
@@ -190,7 +189,6 @@ func cmdXDel(e *Engine, argv [][]byte) resp.Value {
 		}
 	}
 	if n > 0 {
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateVerbatim(argv)
 	}
@@ -222,7 +220,6 @@ func cmdXTrim(e *Engine, argv [][]byte) resp.Value {
 	}
 	removed := obj.Stream.TrimMaxLen(int(n))
 	if removed > 0 {
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateStrings("XTRIM", key, "MAXLEN", strconv.FormatInt(n, 10))
 	}

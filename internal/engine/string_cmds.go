@@ -31,7 +31,7 @@ func init() {
 }
 
 func strObject(v []byte) *store.Object {
-	return &store.Object{Kind: store.KindString, Str: v}
+	return &store.Object{Str: v}
 }
 
 // relativeDeadline computes nowMs + n*unitMs with overflow detection:
@@ -115,7 +115,7 @@ func cmdSet(e *Engine, argv [][]byte) resp.Value {
 	if withGet {
 		if prev == nil {
 			prevReply = resp.Nil
-		} else if prev.Kind != store.KindString {
+		} else if prev.Kind() != store.KindString {
 			return wrongType()
 		} else {
 			prevReply = resp.Bulk(prev.Str)
@@ -232,7 +232,6 @@ func cmdAppend(e *Engine, argv [][]byte) resp.Value {
 	} else {
 		obj.Str = append(obj.Str, argv[2]...)
 		e.db.AdjustUsed(int64(len(argv[2])))
-		e.db.Touch(key)
 	}
 	e.touch(key)
 	e.propagateVerbatim(argv)
@@ -356,7 +355,6 @@ func incrBy(e *Engine, key string, delta int64) resp.Value {
 	if obj != nil {
 		e.db.AdjustUsed(int64(len(s) - len(obj.Str)))
 		obj.Str = s
-		e.db.Touch(key)
 	} else {
 		e.db.SetKeepTTL(key, strObject(s))
 	}
@@ -391,7 +389,6 @@ func cmdIncrByFloat(e *Engine, argv [][]byte) resp.Value {
 	if obj != nil {
 		e.db.AdjustUsed(int64(len(s) - len(obj.Str)))
 		obj.Str = []byte(s)
-		e.db.Touch(key)
 	} else {
 		e.db.SetKeepTTL(key, strObject([]byte(s)))
 	}
@@ -405,7 +402,7 @@ func cmdMGet(e *Engine, argv [][]byte) resp.Value {
 	out := make([]resp.Value, 0, len(argv)-1)
 	for _, k := range argv[1:] {
 		obj := e.lookup(string(k))
-		if obj == nil || obj.Kind != store.KindString {
+		if obj == nil || obj.Kind() != store.KindString {
 			out = append(out, resp.Nil)
 		} else {
 			out = append(out, resp.Bulk(obj.Str))

@@ -32,7 +32,7 @@ func zsetAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool
 		return nil, errReply, false
 	}
 	if obj == nil && create {
-		obj = &store.Object{Kind: store.KindZSet, ZSet: store.NewZSet()}
+		obj = store.New(store.KindZSet)
 		e.db.Set(key, obj)
 	}
 	return obj, resp.Value{}, true
@@ -132,7 +132,6 @@ scanOpts:
 		}
 	}
 	if added+changed > 0 || incr {
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateVerbatim(argv)
 	} else if obj.ZSet.Len() == 0 {
@@ -158,7 +157,6 @@ func cmdZIncrBy(e *Engine, argv [][]byte) resp.Value {
 		return errReply
 	}
 	s := obj.ZSet.IncrBy(string(argv[3]), delta)
-	e.db.Touch(key)
 	e.touch(key)
 	// Replicate the resulting absolute score for determinism.
 	e.propagateStrings("ZADD", key, fmtScore(s), string(argv[3]))
@@ -184,7 +182,6 @@ func cmdZRem(e *Engine, argv [][]byte) resp.Value {
 		if obj.ZSet.Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
-		e.db.Touch(key)
 		e.touch(key)
 		e.propagateVerbatim(argv)
 	}
@@ -379,7 +376,6 @@ func zpopGeneric(e *Engine, argv [][]byte, min bool) resp.Value {
 		if obj.ZSet.Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
-		e.db.Touch(key)
 		e.touch(key)
 		eff := []string{"ZREM", key}
 		for _, en := range popped {
@@ -445,7 +441,6 @@ func zremVictims(e *Engine, key string, obj *store.Object, victims []store.Entry
 	if obj.ZSet.Len() == 0 {
 		e.db.Delete(key, e.Now())
 	}
-	e.db.Touch(key)
 	e.touch(key)
 	e.propagateStrings(eff...)
 	return resp.Int64(int64(len(victims)))

@@ -84,7 +84,7 @@ func zsetMembersOf(e *Engine, key string) (map[string]float64, resp.Value, bool)
 		return nil, resp.Value{}, true
 	}
 	out := make(map[string]float64)
-	switch obj.Kind {
+	switch obj.Kind() {
 	case store.KindZSet:
 		for _, en := range obj.ZSet.Range(0, obj.ZSet.Len()-1) {
 			out[en.Member] = en.Score
@@ -153,11 +153,12 @@ func materializeZSet(e *Engine, dst string, acc map[string]float64) resp.Value {
 		}
 		return resp.Int64(0)
 	}
-	z := store.NewZSet()
+	obj := store.New(store.KindZSet)
+	z := obj.ZSet
 	for m, s := range acc {
 		z.Add(m, s)
 	}
-	e.db.Set(dst, &store.Object{Kind: store.KindZSet, ZSet: z})
+	e.db.Set(dst, obj)
 	e.touch(dst)
 	eff := []string{"ZADD", dst}
 	for _, en := range z.Range(0, z.Len()-1) {

@@ -6,7 +6,6 @@
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -91,65 +90,36 @@ func timeZero() time.Time { return time.Time{} }
 // the restore rehearsal or snap the chain) is detected before a restore
 // is attempted.
 func writeFile(w io.Writer, meta Meta, body []byte) error {
-	bw := bufio.NewWriterSize(w, 256<<10)
-	h := crc64.New(crcTable)
-	mw := io.MultiWriter(bw, h)
-	if _, err := mw.Write(magicHeaderV2); err != nil {
-		return err
+	var hdr bytes.Buffer
+	hdr.Write(magicHeaderV2)
+	putString(&hdr, meta.ShardID)
+	putU32(&hdr, meta.EngineVersion)
+	putU64(&hdr, meta.LogPos.Seq)
+	putU64(&hdr, meta.LogChecksum)
+	hdr.WriteByte(uint8(meta.Kind))
+	putU64(&hdr, meta.BasePos.Seq)
+	putU32(&hdr, meta.ChainDepth)
+	putU64(&hdr, uint64(len(body)))
+	sum := crc64.Update(crc64.Checksum(hdr.Bytes(), crcTable), crcTable, body)
+	trailer := append(binary.BigEndian.AppendUint64(nil, sum), magicFooter...)
+	for _, b := range [][]byte{hdr.Bytes(), body, trailer} {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
 	}
-	if err := writeString(mw, meta.ShardID); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.BigEndian, meta.EngineVersion); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.BigEndian, meta.LogPos.Seq); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.BigEndian, meta.LogChecksum); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.BigEndian, uint8(meta.Kind)); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.BigEndian, meta.BasePos.Seq); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.BigEndian, meta.ChainDepth); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.BigEndian, uint64(len(body))); err != nil {
-		return err
-	}
-	if _, err := mw.Write(body); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, h.Sum64()); err != nil {
-		return err
-	}
-	if _, err := bw.Write(magicFooter); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return nil
 }
 
 // Write serializes db and meta to w as a full snapshot body.
 func Write(w io.Writer, db *store.DB, meta Meta) error {
 	var body bytes.Buffer
-	var encodeErr error
 	// Snapshot writers run on quiescent copies (off-box replicas, the
 	// builder's private keyspace), so a plain iteration is a consistent
 	// cut.
 	db.ForEach(timeZero(), func(key string, obj *store.Object, expireAt int64) bool {
-		if err := encodeObject(&body, key, obj, expireAt); err != nil {
-			encodeErr = err
-			return false
-		}
+		encodeObject(&body, key, obj, expireAt)
 		return true
 	})
-	if encodeErr != nil {
-		return encodeErr
-	}
 	return writeFile(w, meta, body.Bytes())
 }
 
@@ -160,16 +130,13 @@ func Write(w io.Writer, db *store.DB, meta Meta) error {
 func WriteDelta(w io.Writer, db *store.DB, keys []string, meta Meta) error {
 	var body bytes.Buffer
 	for _, key := range keys {
-		obj, ok := db.Peek(key)
-		if !ok {
-			if err := encodeTombstone(&body, key); err != nil {
-				return err
-			}
-			continue
-		}
-		expireAt, _ := db.ExpireAt(key)
-		if err := encodeObject(&body, key, obj, expireAt); err != nil {
-			return err
+		if obj, ok := db.Peek(key); ok {
+			expireAt, _ := db.ExpireAt(key)
+			encodeObject(&body, key, obj, expireAt)
+		} else {
+			putString(&body, key) // a deletion record: no expiry, no payload
+			putU64(&body, 0)
+			body.WriteByte(wireTombstone)
 		}
 	}
 	return writeFile(w, meta, body.Bytes())
@@ -207,8 +174,8 @@ func ReadInto(r io.Reader, db *store.DB) (Meta, error) {
 
 // applyBody decodes a verified body's records into db.
 func applyBody(body []byte, db *store.DB) error {
-	rd := bytes.NewReader(body)
-	for rd.Len() > 0 {
+	rd := &cursor{body}
+	for len(rd.b) > 0 {
 		if err := decodeObject(rd, db); err != nil {
 			return err
 		}
@@ -222,39 +189,45 @@ func applyBody(body []byte, db *store.DB) error {
 // applying any of them. Every length it reads is checked against the
 // bytes actually present, so a hostile header cannot make it allocate.
 func readFile(data []byte) (Meta, []byte, error) {
-	rd := bytes.NewReader(data)
+	rd := &cursor{data}
 	var meta Meta
-	hdr := make([]byte, len(magicHeaderV2))
-	if _, err := io.ReadFull(rd, hdr); err != nil {
-		return meta, nil, fmt.Errorf("%w: short header: %v", ErrBadSnapshot, err)
+	hdr, err := rd.take(uint32(len(magicHeaderV2)))
+	if err != nil {
+		return meta, nil, err
 	}
 	v2 := bytes.Equal(hdr, magicHeaderV2)
 	if !v2 && !bytes.Equal(hdr, magicHeaderV1) {
 		return meta, nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	shardID, err := readString(rd)
+	if meta.ShardID, err = rd.str(); err != nil {
+		return meta, nil, err
+	}
+	// The fixed-width fields, then the body length.
+	width := 4 + 8 + 8 + 8
+	if v2 {
+		width += 1 + 8 + 4
+	}
+	f, err := rd.take(uint32(width))
 	if err != nil {
 		return meta, nil, err
 	}
-	meta.ShardID = shardID
-	var kind uint8
-	var bodyLen uint64
-	fields := []any{&meta.EngineVersion, &meta.LogPos.Seq, &meta.LogChecksum}
+	meta.EngineVersion = binary.BigEndian.Uint32(f)
+	meta.LogPos.Seq = binary.BigEndian.Uint64(f[4:])
+	meta.LogChecksum = binary.BigEndian.Uint64(f[12:])
+	f = f[20:]
 	if v2 {
-		fields = append(fields, &kind, &meta.BasePos.Seq, &meta.ChainDepth)
-	}
-	for _, f := range append(fields, &bodyLen) {
-		if err := binary.Read(rd, binary.BigEndian, f); err != nil {
-			return meta, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		if f[0] > uint8(KindDelta) {
+			return meta, nil, fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, f[0])
 		}
+		meta.Kind = Kind(f[0])
+		meta.BasePos.Seq = binary.BigEndian.Uint64(f[1:])
+		meta.ChainDepth = binary.BigEndian.Uint32(f[9:])
+		f = f[13:]
 	}
-	if kind > uint8(KindDelta) {
-		return meta, nil, fmt.Errorf("%w: unknown snapshot kind %d", ErrBadSnapshot, kind)
-	}
-	meta.Kind = Kind(kind)
+	bodyLen := binary.BigEndian.Uint64(f)
 	trailer := 8 + len(magicFooter) // stored sum + footer
-	if rd.Len() < trailer || bodyLen != uint64(rd.Len()-trailer) {
-		return meta, nil, fmt.Errorf("%w: body length %d does not fit the %d bytes present", ErrBadSnapshot, bodyLen, rd.Len())
+	if len(rd.b) < trailer || bodyLen != uint64(len(rd.b)-trailer) {
+		return meta, nil, fmt.Errorf("%w: body length %d does not fit the %d bytes present", ErrBadSnapshot, bodyLen, len(rd.b))
 	}
 	covered := data[:len(data)-trailer]
 	body := covered[len(covered)-int(bodyLen):]
@@ -280,223 +253,163 @@ const (
 	wireTombstone byte = 7
 )
 
-// encodeTombstone writes a deletion record for key (delta bodies only).
-func encodeTombstone(w *bytes.Buffer, key string) error {
-	if err := writeString(w, key); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.BigEndian, int64(0)); err != nil {
-		return err
-	}
-	w.WriteByte(wireTombstone)
-	return nil
-}
-
-func encodeObject(w *bytes.Buffer, key string, obj *store.Object, expireAt int64) error {
-	if err := writeString(w, key); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.BigEndian, expireAt); err != nil {
-		return err
-	}
-	switch obj.Kind {
+// encodeObject appends key's record to a body: the key, its expiration,
+// the wire kind, then the value. A bytes.Buffer takes every write.
+func encodeObject(w *bytes.Buffer, key string, obj *store.Object, expireAt int64) {
+	putString(w, key)
+	putU64(w, uint64(expireAt))
+	switch obj.Kind() {
 	case store.KindString:
 		w.WriteByte(wireString)
-		return writeBytes(w, obj.Str)
+		putBytes(w, obj.Str)
 	case store.KindHash:
 		w.WriteByte(wireHash)
-		if err := writeCount(w, len(obj.Hash)); err != nil {
-			return err
-		}
+		putU32(w, uint32(len(obj.Hash)))
 		for f, v := range obj.Hash {
-			if err := writeString(w, f); err != nil {
-				return err
-			}
-			if err := writeBytes(w, v); err != nil {
-				return err
-			}
+			putString(w, f)
+			putBytes(w, v)
 		}
-		return nil
 	case store.KindList:
 		w.WriteByte(wireList)
-		if err := writeCount(w, obj.List.Len()); err != nil {
-			return err
-		}
-		var walkErr error
+		putU32(w, uint32(obj.List.Len()))
 		obj.List.Walk(func(v []byte) bool {
-			walkErr = writeBytes(w, v)
-			return walkErr == nil
+			putBytes(w, v)
+			return true
 		})
-		return walkErr
 	case store.KindSet:
 		w.WriteByte(wireSet)
-		if err := writeCount(w, len(obj.Set)); err != nil {
-			return err
-		}
+		putU32(w, uint32(len(obj.Set)))
 		for m := range obj.Set {
-			if err := writeString(w, m); err != nil {
-				return err
-			}
+			putString(w, m)
 		}
-		return nil
 	case store.KindZSet:
 		w.WriteByte(wireZSet)
-		if err := writeCount(w, obj.ZSet.Len()); err != nil {
-			return err
-		}
+		putU32(w, uint32(obj.ZSet.Len()))
 		for _, en := range obj.ZSet.Range(0, obj.ZSet.Len()-1) {
-			if err := writeString(w, en.Member); err != nil {
-				return err
-			}
-			if err := binary.Write(w, binary.BigEndian, math.Float64bits(en.Score)); err != nil {
-				return err
-			}
+			putString(w, en.Member)
+			putU64(w, math.Float64bits(en.Score))
 		}
-		return nil
 	case store.KindStream:
 		w.WriteByte(wireStream)
-		if err := writeCount(w, obj.Stream.Len()); err != nil {
-			return err
-		}
-		var walkErr error
+		putU32(w, uint32(obj.Stream.Len()))
 		obj.Stream.Walk(func(en store.StreamEntry) bool {
-			if err := binary.Write(w, binary.BigEndian, en.ID.Ms); err != nil {
-				walkErr = err
-				return false
-			}
-			if err := binary.Write(w, binary.BigEndian, en.ID.Seq); err != nil {
-				walkErr = err
-				return false
-			}
-			if err := writeCount(w, len(en.Fields)); err != nil {
-				walkErr = err
-				return false
-			}
+			putU64(w, en.ID.Ms)
+			putU64(w, en.ID.Seq)
+			putU32(w, uint32(len(en.Fields)))
 			for _, f := range en.Fields {
-				if err := writeBytes(w, f); err != nil {
-					walkErr = err
-					return false
-				}
+				putBytes(w, f)
 			}
 			return true
 		})
-		return walkErr
 	}
-	return fmt.Errorf("snapshot: cannot encode kind %v", obj.Kind)
 }
 
-func decodeObject(r *bytes.Reader, db *store.DB) error {
-	key, err := readString(r)
+func decodeObject(r *cursor, db *store.DB) error {
+	key, err := r.str()
 	if err != nil {
 		return err
 	}
-	var expireAt int64
-	if err := binary.Read(r, binary.BigEndian, &expireAt); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	kind, err := r.ReadByte()
+	exp, err := r.u64()
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return err
 	}
-	if kind == wireTombstone {
+	expireAt := int64(exp)
+	kind, err := r.take(1)
+	if err != nil {
+		return err
+	}
+	var obj *store.Object
+	switch kind[0] {
+	case wireTombstone:
 		db.Delete(key, timeZero())
 		return nil
-	}
-	obj := &store.Object{}
-	switch kind {
 	case wireString:
-		obj.Kind = store.KindString
-		obj.Str, err = readBytesR(r)
+		v, err := r.bytes()
 		if err != nil {
 			return err
 		}
+		obj = &store.Object{Str: v}
 	case wireHash:
-		obj.Kind = store.KindHash
-		n, err := readCount(r)
+		n, err := r.count()
 		if err != nil {
 			return err
 		}
+		obj = store.New(store.KindHash)
 		obj.Hash = make(map[string][]byte, n)
 		for i := 0; i < n; i++ {
-			f, err := readString(r)
+			f, err := r.str()
 			if err != nil {
 				return err
 			}
-			v, err := readBytesR(r)
-			if err != nil {
+			if obj.Hash[f], err = r.bytes(); err != nil {
 				return err
 			}
-			obj.Hash[f] = v
 		}
 	case wireList:
-		obj.Kind = store.KindList
-		n, err := readCount(r)
+		n, err := r.count()
 		if err != nil {
 			return err
 		}
-		obj.List = store.NewList()
+		obj = store.New(store.KindList)
 		for i := 0; i < n; i++ {
-			v, err := readBytesR(r)
+			v, err := r.bytes()
 			if err != nil {
 				return err
 			}
 			obj.List.PushBack(v)
 		}
 	case wireSet:
-		obj.Kind = store.KindSet
-		n, err := readCount(r)
+		n, err := r.count()
 		if err != nil {
 			return err
 		}
+		obj = store.New(store.KindSet)
 		obj.Set = make(map[string]struct{}, n)
 		for i := 0; i < n; i++ {
-			m, err := readString(r)
+			m, err := r.str()
 			if err != nil {
 				return err
 			}
 			obj.Set[m] = struct{}{}
 		}
 	case wireZSet:
-		obj.Kind = store.KindZSet
-		n, err := readCount(r)
+		n, err := r.count()
 		if err != nil {
 			return err
 		}
-		obj.ZSet = store.NewZSet()
+		obj = store.New(store.KindZSet)
 		for i := 0; i < n; i++ {
-			m, err := readString(r)
+			m, err := r.str()
 			if err != nil {
 				return err
 			}
-			var bits uint64
-			if err := binary.Read(r, binary.BigEndian, &bits); err != nil {
-				return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+			bits, err := r.u64()
+			if err != nil {
+				return err
 			}
 			obj.ZSet.Add(m, math.Float64frombits(bits))
 		}
 	case wireStream:
-		obj.Kind = store.KindStream
-		n, err := readCount(r)
+		n, err := r.count()
 		if err != nil {
 			return err
 		}
-		obj.Stream = store.NewStream()
+		obj = store.New(store.KindStream)
 		for i := 0; i < n; i++ {
 			var id store.StreamID
-			if err := binary.Read(r, binary.BigEndian, &id.Ms); err != nil {
-				return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+			if id.Ms, err = r.u64(); err != nil {
+				return err
 			}
-			if err := binary.Read(r, binary.BigEndian, &id.Seq); err != nil {
-				return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+			if id.Seq, err = r.u64(); err != nil {
+				return err
 			}
-			nf, err := readCount(r)
+			nf, err := r.count()
 			if err != nil {
 				return err
 			}
 			fields := make([][]byte, nf)
-			for j := 0; j < nf; j++ {
-				fields[j], err = readBytesR(r)
-				if err != nil {
+			for j := range fields {
+				if fields[j], err = r.bytes(); err != nil {
 					return err
 				}
 			}
@@ -505,7 +418,7 @@ func decodeObject(r *bytes.Reader, db *store.DB) error {
 			}
 		}
 	default:
-		return fmt.Errorf("%w: unknown object kind %d", ErrBadSnapshot, kind)
+		return fmt.Errorf("%w: unknown object kind %d", ErrBadSnapshot, kind[0])
 	}
 	db.Set(key, obj)
 	if expireAt > 0 {
@@ -514,57 +427,83 @@ func decodeObject(r *bytes.Reader, db *store.DB) error {
 	return nil
 }
 
-func writeCount(w *bytes.Buffer, n int) error {
-	return binary.Write(w, binary.BigEndian, uint32(n))
+func putU32(w *bytes.Buffer, n uint32) {
+	w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), n))
 }
 
-func readCount(r *bytes.Reader) (int, error) {
-	var n uint32
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	// Every counted element occupies at least one byte of what remains.
-	if int64(n) > int64(r.Len()) {
-		return 0, fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrBadSnapshot, n, r.Len())
-	}
-	return int(n), nil
+func putU64(w *bytes.Buffer, n uint64) {
+	w.Write(binary.BigEndian.AppendUint64(w.AvailableBuffer(), n))
 }
 
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.BigEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
+func putString(w *bytes.Buffer, s string) {
+	putU32(w, uint32(len(s)))
+	w.WriteString(s)
 }
 
-func writeBytes(w *bytes.Buffer, b []byte) error {
-	if err := binary.Write(w, binary.BigEndian, uint32(len(b))); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
+func putBytes(w *bytes.Buffer, b []byte) {
+	putU32(w, uint32(len(b)))
+	w.Write(b)
 }
 
-func readString(r *bytes.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+// cursor reads encoded bytes front to back. Every length it meets is
+// checked against the bytes left before anything is allocated for it, and
+// each string or value is copied out once, into its final allocation.
+type cursor struct{ b []byte }
+
+// take returns the next n bytes, still part of the encoded data.
+func (c *cursor) take(n uint32) ([]byte, error) {
+	if uint64(n) > uint64(len(c.b)) {
+		return nil, fmt.Errorf("%w: %d bytes wanted, %d left", ErrBadSnapshot, n, len(c.b))
 	}
-	if int64(n) > int64(r.Len()) {
-		return "", fmt.Errorf("%w: string length %d exceeds the %d bytes left", ErrBadSnapshot, n, r.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return string(b), nil
+	b := c.b[:n]
+	c.b = c.b[n:]
+	return b, nil
 }
 
-func readBytesR(r *bytes.Reader) ([]byte, error) {
-	s, err := readString(r)
+func (c *cursor) u32() (uint32, error) {
+	b, err := c.take(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(b), nil
+}
+
+func (c *cursor) u64() (uint64, error) {
+	b, err := c.take(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint64(b), nil
+}
+
+// count reads an element count; every counted element occupies at least
+// one byte of what remains.
+func (c *cursor) count() (int, error) {
+	n, err := c.u32()
+	if err == nil && uint64(n) > uint64(len(c.b)) {
+		err = fmt.Errorf("%w: count %d exceeds the %d bytes left", ErrBadSnapshot, n, len(c.b))
+	}
+	return int(n), err
+}
+
+// lenPrefixed returns the next length-prefixed run of bytes, uncopied.
+func (c *cursor) lenPrefixed() ([]byte, error) {
+	n, err := c.u32()
 	if err != nil {
 		return nil, err
 	}
-	return []byte(s), nil
+	return c.take(n)
+}
+
+func (c *cursor) str() (string, error) {
+	b, err := c.lenPrefixed()
+	return string(b), err
+}
+
+func (c *cursor) bytes() ([]byte, error) {
+	b, err := c.lenPrefixed()
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 0, len(b)), b...), nil
 }

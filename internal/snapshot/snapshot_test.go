@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"memorydb/internal/clock"
+	"memorydb/internal/conformance"
 	"memorydb/internal/engine"
 	"memorydb/internal/s3"
 	"memorydb/internal/store"
@@ -27,15 +28,20 @@ func populatedEngine(t testing.TB) *engine.Engine {
 		{"XADD", "stream", "5-1", "f", "v"},
 		{"PFADD", "hll", "e1", "e2", "e3"},
 	} {
-		argv := make([][]byte, len(cmd))
-		for i, a := range cmd {
-			argv[i] = []byte(a)
-		}
-		if r := e.Exec(argv); r.Reply.IsError() {
-			t.Fatalf("%v: %v", cmd, r.Reply)
-		}
+		mustExec(t, e, cmd)
 	}
 	return e
+}
+
+func mustExec(t testing.TB, e *engine.Engine, cmd []string) {
+	t.Helper()
+	argv := make([][]byte, len(cmd))
+	for i, a := range cmd {
+		argv[i] = []byte(a)
+	}
+	if r := e.Exec(argv); r.Reply.IsError() {
+		t.Fatalf("%v: %v", cmd, r.Reply)
+	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -73,6 +79,56 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !a.Equal(b) {
 			t.Fatalf("%v: original %v, restored %v", probe, a, b)
 		}
+	}
+}
+
+// TestFullPlusDeltaRoundTripAllKinds layers a delta that rewrites a key of
+// every kind (the HyperLogLog string included), drops one and adds a
+// volatile one onto the full image it follows, and demands the exact
+// keyspace back: kinds, contents, TTLs, and the tombstoned key gone.
+func TestFullPlusDeltaRoundTripAllKinds(t *testing.T) {
+	e := populatedEngine(t)
+	meta := Meta{ShardID: "s1", EngineVersion: 2, LogPos: txlog.EntryID{Seq: 42}, LogChecksum: 0xabc}
+	var full, delta bytes.Buffer
+	if err := Write(&full, e.DB(), meta); err != nil {
+		t.Fatal(err)
+	}
+	var touched []string
+	for _, cmd := range [][]string{
+		{"APPEND", "str", "+more"},
+		{"DEL", "volatile"},
+		{"SET", "fresh", "v", "PX", "5000"},
+		{"HSET", "hash", "f3", "c"},
+		{"LPUSH", "list", "w"},
+		{"SREM", "set", "m1"},
+		{"ZADD", "zset", "7", "c"},
+		{"XADD", "stream", "6-0", "g", "w"},
+		{"PFADD", "hll", "e4"},
+	} {
+		mustExec(t, e, cmd)
+		touched = append(touched, cmd[1])
+	}
+	dmeta := Meta{ShardID: "s1", EngineVersion: 2, LogPos: txlog.EntryID{Seq: 51}, Kind: KindDelta, BasePos: meta.LogPos, ChainDepth: 1}
+	if err := WriteDelta(&delta, e.DB(), touched, dmeta); err != nil {
+		t.Fatal(err)
+	}
+	db, _, err := Read(&full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := db.Peek("volatile"); !ok {
+		t.Fatal("the full image lost the key the delta is about to tombstone")
+	}
+	if got, err := ReadInto(&delta, db); err != nil || got != dmeta {
+		t.Fatalf("delta: meta %+v, err %v", got, err)
+	}
+	restored := engine.New(clock.NewSim(time.Unix(1700000000, 0)))
+	restored.ResetDB(db)
+	if got, want := conformance.StateDigest(restored), conformance.StateDigest(e); got != want {
+		t.Fatalf("full+delta restored\n%s\nwant\n%s", got, want)
+	}
+	if db.Len() != e.DB().Len() || db.Len() != 8 {
+		t.Fatalf("restored %d keys, original %d, want 8", db.Len(), e.DB().Len())
 	}
 }
 

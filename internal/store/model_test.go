@@ -1,0 +1,216 @@
+package store
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"memorydb/internal/crc16"
+)
+
+// modelEntry is what the reference keyspace remembers of a key: its value
+// and its expiration (0: none). Like the DB it keeps a key whose TTL has
+// passed until something reaps it.
+type modelEntry struct {
+	val string
+	exp int64
+}
+
+// modelRun drives one owner's share of a DB — the parts [lo, hi) — and a
+// plain map side by side through random operations, checking after every
+// step that the two agree on the touched key, on its slot's count and on
+// its slot's key list. whole marks a run that owns every part: only then
+// are the keyspace-wide counters this goroutine's alone to predict, and
+// only then may it Flush.
+type modelRun struct {
+	db     *DB
+	rng    *rand.Rand
+	lo, hi int
+	whole  bool
+	keys   []string
+	model  map[string]modelEntry
+	now    time.Time
+}
+
+func newModelRun(db *DB, seed int64, lo, hi int) *modelRun {
+	r := &modelRun{db: db, rng: rand.New(rand.NewSource(seed)), lo: lo, hi: hi,
+		whole: lo == 0 && hi == NumParts, model: map[string]modelEntry{}, now: t0}
+	// Hash tags put several keys in one slot; keep the tags whose slot
+	// falls in this owner's parts.
+	for tag := 0; len(r.keys) < 96; tag++ {
+		if p := PartOfKey(fmt.Sprintf("{t%d}", tag)); p < lo || p >= hi {
+			continue
+		}
+		for i := 0; i < 8; i++ {
+			r.keys = append(r.keys, fmt.Sprintf("{t%d}k%d", tag, i))
+		}
+	}
+	return r
+}
+
+func (r *modelRun) expired(e modelEntry) bool { return e.exp != 0 && e.exp <= r.now.UnixMilli() }
+
+// reap mirrors the lazy expiry of DB.Lookup, which Expire and Persist go
+// through: it reports whether key is live, dropping it if its TTL passed.
+func (r *modelRun) reap(key string) bool {
+	e, ok := r.model[key]
+	if ok && r.expired(e) {
+		delete(r.model, key)
+		return false
+	}
+	return ok
+}
+
+// step applies one random operation to both sides and returns how they
+// came to differ, if they did.
+func (r *modelRun) step() error {
+	db, key := r.db, r.keys[r.rng.Intn(len(r.keys))]
+	r.now = r.now.Add(time.Duration(r.rng.Intn(40)) * time.Millisecond)
+	nowMs := r.now.UnixMilli()
+	val := fmt.Sprintf("v%d", r.rng.Intn(1000))
+	switch op := r.rng.Intn(100); {
+	case op < 30:
+		db.Set(key, str(val))
+		r.model[key] = modelEntry{val: val}
+	case op < 45:
+		db.SetKeepTTL(key, str(val))
+		r.model[key] = modelEntry{val: val, exp: r.model[key].exp}
+	case op < 60:
+		e, ok := r.model[key]
+		delete(r.model, key)
+		if got, want := db.Delete(key, r.now), ok && !r.expired(e); got != want {
+			return fmt.Errorf("Delete(%s) = %v, want %v", key, got, want)
+		}
+	case op < 80:
+		at := nowMs + int64(r.rng.Intn(400)) - 50
+		want := r.reap(key)
+		if want && at <= nowMs {
+			delete(r.model, key)
+		} else if want {
+			r.model[key] = modelEntry{val: r.model[key].val, exp: at}
+		}
+		if got := db.Expire(key, at, r.now); got != want {
+			return fmt.Errorf("Expire(%s) = %v, want %v", key, got, want)
+		}
+	case op < 88:
+		want := r.reap(key) && r.model[key].exp != 0
+		if want {
+			r.model[key] = modelEntry{val: r.model[key].val}
+		}
+		if got := db.Persist(key, r.now); got != want {
+			return fmt.Errorf("Persist(%s) = %v, want %v", key, got, want)
+		}
+	case op < 98:
+		limit := 1 + r.rng.Intn(4)
+		swept := db.SweepExpiredParts(r.now, limit, r.lo, r.hi)
+		for _, k := range swept {
+			e, ok := r.model[k]
+			if !ok || !r.expired(e) {
+				return fmt.Errorf("sweep reaped %s, which the model holds as %+v (present %v)", k, e, ok)
+			}
+			delete(r.model, k)
+		}
+		if len(swept) < limit {
+			for k, e := range r.model {
+				if r.expired(e) {
+					return fmt.Errorf("sweep stopped at %d of %d with %s still expired", len(swept), limit, k)
+				}
+			}
+		}
+	default:
+		if !r.whole {
+			return nil
+		}
+		db.Flush()
+		r.model = map[string]modelEntry{}
+	}
+	return r.check(key)
+}
+
+func (r *modelRun) check(key string) error {
+	db := r.db
+	obj, present := db.Peek(key)
+	e, want := r.model[key]
+	if present != want || (present && string(obj.Str) != e.val) {
+		return fmt.Errorf("%s: stored %v %v, model %v %+v", key, present, obj, want, e)
+	}
+	if exp, _ := db.ExpireAt(key); exp != e.exp {
+		return fmt.Errorf("%s: expires at %d, model says %d", key, exp, e.exp)
+	}
+	slot := crc16.Slot(key)
+	var inSlot []string
+	for k := range r.model {
+		if crc16.Slot(k) == slot {
+			inSlot = append(inSlot, k)
+		}
+	}
+	got := db.SlotKeys(slot)
+	sort.Strings(got)
+	sort.Strings(inSlot)
+	if fmt.Sprint(got) != fmt.Sprint(inSlot) || db.SlotCount(slot) != len(inSlot) {
+		return fmt.Errorf("slot %d: SlotKeys %v, SlotCount %d, model %v", slot, got, db.SlotCount(slot), inSlot)
+	}
+	if used := db.UsedBytes(); used < 0 {
+		return fmt.Errorf("UsedBytes = %d", used)
+	}
+	if !r.whole {
+		return nil
+	}
+	if db.Len() != len(r.model) {
+		return fmt.Errorf("Len = %d, model holds %d", db.Len(), len(r.model))
+	}
+	if used := db.UsedBytes(); (used == 0) != (len(r.model) == 0) {
+		return fmt.Errorf("UsedBytes = %d with %d keys", used, len(r.model))
+	}
+	return nil
+}
+
+func TestDBAgainstModel(t *testing.T) {
+	r := newModelRun(NewDB(), 1, 0, NumParts)
+	for i := 0; i < 20000; i++ {
+		if err := r.step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+}
+
+// TestDBAgainstModelTwoOwners is the ownership rule under the race
+// detector: two goroutines, each the only one to touch its half of the
+// parts (and so its slots' counts), share one DB and its atomic counters.
+func TestDBAgainstModelTwoOwners(t *testing.T) {
+	db := NewDB()
+	runs := []*modelRun{newModelRun(db, 2, 0, NumParts/2), newModelRun(db, 3, NumParts/2, NumParts)}
+	var wg sync.WaitGroup
+	for _, r := range runs {
+		wg.Add(1)
+		go func(r *modelRun) {
+			defer wg.Done()
+			for i := 0; i < 10000; i++ {
+				if err := r.step(); err != nil {
+					t.Errorf("owner of parts [%d,%d), step %d: %v", r.lo, r.hi, i, err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if want := len(runs[0].model) + len(runs[1].model); want == 0 || db.Len() != want {
+		t.Fatalf("Len = %d, the two models hold %d (0 proves nothing)", db.Len(), want)
+	}
+	for _, r := range runs {
+		for k := range r.model {
+			db.Delete(k, time.Time{})
+		}
+	}
+	if db.Len() != 0 || db.UsedBytes() != 0 {
+		t.Fatalf("drained keyspace: Len = %d, UsedBytes = %d", db.Len(), db.UsedBytes())
+	}
+	for slot := 0; slot < crc16.NumSlots; slot++ {
+		if n := db.SlotCount(uint16(slot)); n != 0 {
+			t.Fatalf("drained keyspace: slot %d counts %d keys", slot, n)
+		}
+	}
+}

@@ -1,16 +1,17 @@
 // Package store implements the in-memory data structures of the execution
 // engine: strings, hashes, lists, sets, sorted sets (skiplist), streams and
-// HyperLogLogs, with per-key TTLs and a slot index used by cluster
+// HyperLogLogs, with per-key TTLs and per-slot key counts used by cluster
 // resharding. The keyspace is striped into NumParts slot-aligned parts so
 // that sharded engine workloops (package core) can each own a disjoint
 // subset of parts without locking: a part is only ever touched by the
 // workloop that owns its slot range (or by a coordinator that has quiesced
 // every workloop). Within a part the store is not internally synchronized,
-// like Redis. The aggregate counters (key count, footprint, dirty) are
-// atomics so monitoring can read them without stopping the workloops.
+// like Redis. The aggregate counters (key count, footprint) are atomics so
+// monitoring can read them without stopping the workloops.
 package store
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -66,12 +67,20 @@ func (k Kind) String() string {
 	return "none"
 }
 
-// Object is a single keyspace value. Exactly one of the typed fields is
-// populated, according to Kind. HyperLogLogs are stored as KindString with
-// the dense HLL representation in Str, matching Redis.
+// Object is a single keyspace value. A string — and a HyperLogLog, which is
+// its dense representation in Str, matching Redis — is Str alone: 32 bytes
+// beside the value itself. Every other kind keeps its representation behind
+// the embedded pointer, nil for strings, whose fields read as obj.Hash,
+// obj.List and so on.
 type Object struct {
-	Kind   Kind
-	Str    []byte
+	Str []byte
+	*aggregate
+}
+
+// aggregate is the representation of a non-string object: the one field
+// kind names is populated.
+type aggregate struct {
+	kind   Kind
 	Hash   map[string][]byte
 	Set    map[string]struct{}
 	List   *List
@@ -79,13 +88,62 @@ type Object struct {
 	Stream *Stream
 }
 
-// SizeOf estimates the in-memory footprint of o in bytes. The estimate
-// feeds maxmemory accounting and the memsim fork/COW model.
+// New returns an empty object of the given kind.
+func New(kind Kind) *Object {
+	a := &aggregate{kind: kind}
+	switch kind {
+	case KindHash:
+		a.Hash = make(map[string][]byte)
+	case KindSet:
+		a.Set = make(map[string]struct{})
+	case KindList:
+		a.List = NewList()
+	case KindZSet:
+		a.ZSet = NewZSet()
+	case KindStream:
+		a.Stream = NewStream()
+	default:
+		return &Object{}
+	}
+	return &Object{aggregate: a}
+}
+
+// Kind returns the object's value type.
+func (o *Object) Kind() Kind {
+	if o.aggregate == nil {
+		return KindString
+	}
+	return o.kind
+}
+
+// What the Go heap charges for a key beyond the bytes of its name and
+// value (go1.24 swiss maps, 64-bit): a map[string]*Object slot is 24 bytes
+// plus a control byte, and tables run between 7/16 and 7/8 full; an Object
+// is 32 bytes and an aggregate 48.
+const (
+	entrySize     = 36
+	objectSize    = 32
+	aggregateSize = 48
+)
+
+// allocSize approximates what the allocator hands out for n bytes: its
+// size classes step by 16 up to 256 bytes and by about an eighth of the
+// size above that.
+func allocSize(n int) int64 {
+	step := 16
+	if n > 256 {
+		step = 1 << (bits.Len(uint(n-1)) - 4)
+	}
+	return int64((n + step - 1) / step * step)
+}
+
+// SizeOf estimates the in-memory footprint of o in bytes; together with
+// the per-key share Set adds it is INFO's used_bytes.
 func (o *Object) SizeOf() int64 {
-	const overhead = 48
-	switch o.Kind {
+	const overhead = objectSize + aggregateSize
+	switch o.Kind() {
 	case KindString:
-		return overhead + int64(len(o.Str))
+		return objectSize + allocSize(len(o.Str))
 	case KindHash:
 		var n int64
 		for f, v := range o.Hash {
@@ -114,28 +172,45 @@ type part struct {
 	expires map[string]int64 // unix ms; present only for volatile keys
 }
 
+// expired reports whether key carries a TTL that has passed at nowMs. Most
+// parts hold no volatile key, so the common case is one length test.
+func (p *part) expired(key string, nowMs int64) bool {
+	if len(p.expires) == 0 {
+		return false
+	}
+	exp, ok := p.expires[key]
+	return ok && exp <= nowMs
+}
+
 // DB is the keyspace: keys to objects with expirations in unix
-// milliseconds, striped into NumParts slot-aligned parts, plus a per-slot
-// key index maintained for slot migration.
+// milliseconds, striped into NumParts slot-aligned parts. A part's data map
+// is the only dictionary a key is in; slot migration, the one reader that
+// wants a slot's keys, gets them by scanning the slot's part (SlotKeys),
+// and slotKeys keeps the per-slot counts exact so that counting is O(1).
+// A slot's count belongs to the owner of its part, like the part itself.
 type DB struct {
-	parts [NumParts]part
-	slots [crc16.NumSlots]map[string]struct{}
+	parts    [NumParts]part
+	slotKeys [crc16.NumSlots]uint32
 
 	length    atomic.Int64 // live key count (including not-yet-reaped)
 	usedBytes atomic.Int64 // running footprint estimate
-	dirty     atomic.Int64 // mutations since last snapshot
 }
 
 // NewDB returns an empty keyspace.
 func NewDB() *DB {
 	db := &DB{}
+	db.reset()
+	return db
+}
+
+func (db *DB) reset() {
 	for i := range db.parts {
 		db.parts[i] = part{
 			data:    make(map[string]*Object),
 			expires: make(map[string]int64),
 		}
 	}
-	return db
+	db.slotKeys = [crc16.NumSlots]uint32{}
 }
 
 func (db *DB) part(key string) *part { return &db.parts[PartOfKey(key)] }
@@ -146,12 +221,6 @@ func (db *DB) Len() int { return int(db.length.Load()) }
 
 // UsedBytes returns the running memory footprint estimate.
 func (db *DB) UsedBytes() int64 { return db.usedBytes.Load() }
-
-// Dirty returns the number of mutations applied since the last ResetDirty.
-func (db *DB) Dirty() int64 { return db.dirty.Load() }
-
-// ResetDirty zeroes the dirty counter (called after a snapshot).
-func (db *DB) ResetDirty() { db.dirty.Store(0) }
 
 // Lookup returns the object at key if present and not expired at now.
 // Expired keys are lazily reaped (caller is the engine workloop owning the
@@ -164,7 +233,7 @@ func (db *DB) Lookup(key string, now time.Time) (obj *Object, reaped bool) {
 	if !ok {
 		return nil, false
 	}
-	if exp, ok := p.expires[key]; ok && exp <= now.UnixMilli() {
+	if p.expired(key, now.UnixMilli()) {
 		db.remove(key)
 		return nil, true
 	}
@@ -179,34 +248,25 @@ func (db *DB) Peek(key string) (*Object, bool) {
 
 // Set stores obj at key, replacing any previous value and clearing any TTL
 // (matching SET semantics; commands that preserve TTL must re-arm it).
-func (db *DB) Set(key string, obj *Object) {
-	db.remove(key)
-	slot := crc16.Slot(key)
-	p := &db.parts[PartOfSlot(slot)]
-	p.data[key] = obj
-	db.length.Add(1)
-	db.usedBytes.Add(int64(len(key)) + obj.SizeOf())
-	if db.slots[slot] == nil {
-		db.slots[slot] = make(map[string]struct{})
-	}
-	db.slots[slot][key] = struct{}{}
-	db.dirty.Add(1)
-}
+func (db *DB) Set(key string, obj *Object) { db.set(key, obj, false) }
 
 // SetKeepTTL stores obj at key preserving an existing expiration.
-func (db *DB) SetKeepTTL(key string, obj *Object) {
-	p := db.part(key)
-	exp, hadTTL := p.expires[key]
-	db.Set(key, obj)
-	if hadTTL {
-		p.expires[key] = exp
-	}
-}
+func (db *DB) SetKeepTTL(key string, obj *Object) { db.set(key, obj, true) }
 
-// Touch bumps the dirty counter after an in-place mutation of key's
-// object. Callers that changed the footprint pair it with AdjustUsed.
-func (db *DB) Touch(key string) {
-	db.dirty.Add(1)
+func (db *DB) set(key string, obj *Object, keepTTL bool) {
+	slot := crc16.Slot(key)
+	p := &db.parts[PartOfSlot(slot)]
+	if old, ok := p.data[key]; ok {
+		db.AdjustUsed(obj.SizeOf() - old.SizeOf())
+		if !keepTTL && len(p.expires) > 0 {
+			delete(p.expires, key)
+		}
+	} else {
+		db.slotKeys[slot]++
+		db.length.Add(1)
+		db.usedBytes.Add(entrySize + allocSize(len(key)) + obj.SizeOf())
+	}
+	p.data[key] = obj
 }
 
 // AdjustUsed applies a footprint delta after an in-place mutation.
@@ -223,13 +283,9 @@ func (db *DB) Delete(key string, now time.Time) bool {
 	if _, ok := p.data[key]; !ok {
 		return false
 	}
-	if exp, ok := p.expires[key]; ok && exp <= now.UnixMilli() {
-		db.remove(key)
-		return false
-	}
+	live := !p.expired(key, now.UnixMilli())
 	db.remove(key)
-	db.dirty.Add(1)
-	return true
+	return live
 }
 
 func (db *DB) remove(key string) {
@@ -239,15 +295,11 @@ func (db *DB) remove(key string) {
 	if !ok {
 		return
 	}
-	if v := db.usedBytes.Add(-(int64(len(key)) + o.SizeOf())); v < 0 {
-		db.usedBytes.Store(0)
-	}
+	db.AdjustUsed(-(entrySize + allocSize(len(key)) + o.SizeOf()))
 	delete(p.data, key)
 	delete(p.expires, key)
+	db.slotKeys[slot]--
 	db.length.Add(-1)
-	if s := db.slots[slot]; s != nil {
-		delete(s, key)
-	}
 }
 
 // Expire sets the expiration of key to at (unix ms). Returns false if the
@@ -258,11 +310,9 @@ func (db *DB) Expire(key string, at int64, now time.Time) bool {
 	}
 	if at <= now.UnixMilli() {
 		db.remove(key)
-		db.dirty.Add(1)
 		return true
 	}
 	db.part(key).expires[key] = at
-	db.dirty.Add(1)
 	return true
 }
 
@@ -276,7 +326,6 @@ func (db *DB) Persist(key string, now time.Time) bool {
 		return false
 	}
 	delete(p.expires, key)
-	db.dirty.Add(1)
 	return true
 }
 
@@ -306,10 +355,7 @@ func (db *DB) Keys(pattern string, now time.Time) []string {
 	for i := range db.parts {
 		p := &db.parts[i]
 		for k := range p.data {
-			if exp, ok := p.expires[k]; ok && exp <= nowMs {
-				continue
-			}
-			if GlobMatch(pattern, k) {
+			if !p.expired(k, nowMs) && GlobMatch(pattern, k) {
 				out = append(out, k)
 			}
 		}
@@ -317,21 +363,24 @@ func (db *DB) Keys(pattern string, now time.Time) []string {
 	return out
 }
 
-// SlotKeys returns up to limit keys stored in slot (limit<=0: all).
-func (db *DB) SlotKeys(slot uint16, limit int) []string {
-	s := db.slots[slot]
-	out := make([]string, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-		if limit > 0 && len(out) >= limit {
+// SlotKeys returns the keys stored in slot by scanning the slot's part
+// for them: O(keys in that 1/NumParts of the keyspace), so a caller
+// working through a slot takes the list once and polls SlotCount.
+func (db *DB) SlotKeys(slot uint16) []string {
+	out := make([]string, 0, db.slotKeys[slot])
+	for k := range db.parts[PartOfSlot(slot)].data {
+		if len(out) == cap(out) {
 			break
+		}
+		if crc16.Slot(k) == slot {
+			out = append(out, k)
 		}
 	}
 	return out
 }
 
 // SlotCount returns the number of keys in slot.
-func (db *DB) SlotCount(slot uint16) int { return len(db.slots[slot]) }
+func (db *DB) SlotCount(slot uint16) int { return int(db.slotKeys[slot]) }
 
 // SweepExpired removes up to limit keys whose TTL has passed at now and
 // returns them. The engine replicates each as a delete so that replicas and
@@ -373,9 +422,6 @@ func (db *DB) ForEach(now time.Time, fn func(key string, obj *Object, expireAt i
 			if has && exp <= nowMs {
 				continue
 			}
-			if !has {
-				exp = 0
-			}
 			if !fn(k, o, exp) {
 				return
 			}
@@ -385,18 +431,9 @@ func (db *DB) ForEach(now time.Time, fn func(key string, obj *Object, expireAt i
 
 // Flush drops the entire keyspace.
 func (db *DB) Flush() {
-	for i := range db.parts {
-		db.parts[i] = part{
-			data:    make(map[string]*Object),
-			expires: make(map[string]int64),
-		}
-	}
-	for i := range db.slots {
-		db.slots[i] = nil
-	}
+	db.reset()
 	db.length.Store(0)
 	db.usedBytes.Store(0)
-	db.dirty.Add(1)
 }
 
 // RandomKey returns an arbitrary live key at now, or "" if empty.
@@ -405,10 +442,9 @@ func (db *DB) RandomKey(now time.Time) (string, bool) {
 	for i := range db.parts {
 		p := &db.parts[i]
 		for k := range p.data {
-			if exp, ok := p.expires[k]; ok && exp <= nowMs {
-				continue
+			if !p.expired(k, nowMs) {
+				return k, true
 			}
-			return k, true
 		}
 	}
 	return "", false

@@ -10,7 +10,7 @@ import (
 
 var t0 = time.Unix(1700000000, 0)
 
-func str(v string) *Object { return &Object{Kind: KindString, Str: []byte(v)} }
+func str(v string) *Object { return &Object{Str: []byte(v)} }
 
 func TestSetLookupDelete(t *testing.T) {
 	db := NewDB()
@@ -149,7 +149,7 @@ func TestSlotIndexTracksKeys(t *testing.T) {
 	if got := db.SlotCount(slot); got != 1 {
 		t.Fatalf("SlotCount after delete = %d, want 1", got)
 	}
-	keys := db.SlotKeys(slot, 0)
+	keys := db.SlotKeys(slot)
 	if len(keys) != 1 || keys[0] != "{tag}k2" {
 		t.Fatalf("SlotKeys = %v", keys)
 	}
@@ -168,20 +168,6 @@ func TestUsedBytesAccounting(t *testing.T) {
 	db.Delete("k", t0)
 	if db.UsedBytes() != 0 {
 		t.Fatalf("UsedBytes after delete = %d, want 0", db.UsedBytes())
-	}
-}
-
-func TestDirtyCounter(t *testing.T) {
-	db := NewDB()
-	db.Set("a", str("1"))
-	db.Set("b", str("2"))
-	db.Delete("a", t0)
-	if db.Dirty() < 3 {
-		t.Fatalf("Dirty = %d, want >= 3", db.Dirty())
-	}
-	db.ResetDirty()
-	if db.Dirty() != 0 {
-		t.Fatal("ResetDirty did not zero the counter")
 	}
 }
 
