@@ -70,7 +70,7 @@ func main() {
 		go trimmer.Run(ctx)
 	}
 
-	srv := server.New(server.Config{Addr: *addr, Backend: server.ClusterBackend{Cluster: c}, Multiplex: true})
+	srv := server.New(server.Config{Addr: *addr, Backend: server.ClusterBackend{Cluster: c}})
 	if err := srv.Start(); err != nil {
 		log.Fatalf("listen: %v", err)
 	}

@@ -58,7 +58,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6379", "listen address")
 	mode := flag.String("mode", "memorydb", "memorydb or redis")
-	multiplex := flag.Bool("multiplex", true, "enable Enhanced IO Multiplexing")
 	commitLat := flag.Duration("commit-latency", 2*time.Millisecond, "base multi-AZ commit latency")
 	metricsAddr := flag.String("metrics-addr", os.Getenv("MEMORYDB_METRICS_ADDR"),
 		"serve Prometheus metrics on this address (empty = disabled)")
@@ -172,12 +171,12 @@ func main() {
 		log.Fatalf("unknown mode %q", *mode)
 	}
 
-	srv := server.New(server.Config{Addr: *addr, Backend: backend, Multiplex: *multiplex, Obs: metrics, Trace: collector})
+	srv := server.New(server.Config{Addr: *addr, Backend: backend, Obs: metrics, Trace: collector})
 	if err := srv.Start(); err != nil {
 		log.Fatalf("listen: %v", err)
 	}
 	defer srv.Close()
-	fmt.Printf("%s-mode server listening on %s (multiplex=%v)\n", *mode, srv.Addr(), *multiplex)
+	fmt.Printf("%s-mode server listening on %s\n", *mode, srv.Addr())
 
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()

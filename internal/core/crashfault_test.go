@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -192,5 +195,71 @@ func TestCheckpointErrorIsTransient(t *testing.T) {
 	}
 	if v := mustDo(t, n, "GET", "k"); v.Text() != "v1" {
 		t.Fatalf("GET = %q after retried append, want v1", v.Text())
+	}
+}
+
+// A primary that crashes between quorum and release — its completion loop
+// frozen at core.flush.post with writes in flight — stalls its own
+// acknowledgements and nothing else: the log keeps committing for everyone,
+// so the other node on it wins the election once the backoff has run and
+// acknowledges a write, and the frozen node spawns nothing meanwhile. A
+// completion run on the log's committer would park the log with the node.
+func TestFrozenPrimaryDoesNotHoldTheLog(t *testing.T) {
+	svc := testService(t, netsim.Fixed(2*time.Millisecond))
+	log, _ := svc.CreateLog("shard-frozen")
+	faults := faultpoint.New(1)
+	a, err := NewNode(Config{
+		NodeID: "node-a", ShardID: log.ShardID(), Log: log,
+		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
+		RenewEvery: 30 * time.Millisecond,
+		Faults:     faults,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	t.Cleanup(a.Stop)
+	waitRole(t, a, election.RolePrimary, 2*time.Second)
+	mustDo(t, a, "SET", "k", "before")
+	b := testNode(t, "node-b", log, nil)
+	waitApplied(t, b, log.CommittedTail().Seq, 5*time.Second)
+
+	faults.Arm(faultpoint.SiteFlushPost, faultpoint.Crash, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	var writers sync.WaitGroup
+	defer writers.Wait()
+	defer cancel()
+	for i := 0; i < 16; i++ {
+		writers.Add(1)
+		go func(i int) {
+			defer writers.Done()
+			// Durable or not, none of these is ever answered: the node died
+			// before releasing anything.
+			if v, err := a.Do(ctx, [][]byte{[]byte("SET"), []byte(fmt.Sprintf("k%d", i)), []byte("v")}); err == nil {
+				t.Errorf("write %d answered by a crashed primary: %v", i, v)
+			}
+		}(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !a.Frozen(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("core.flush.post never crashed the primary")
+		}
+	}
+	frozenWith := runtime.NumGoroutine()
+
+	waitRole(t, b, election.RolePrimary, 5*time.Second)
+	if v := mustDo(t, b, "SET", "k", "after"); v.Text() != "OK" {
+		t.Fatalf("write on the successor: %v", v)
+	}
+	// Entries keep committing behind the frozen node's completion loop; it
+	// waits on them one at a time, from one goroutine. (The log's wake-up
+	// of a tailing replica lives a millisecond: wait it out.)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > frozenWith; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d while the primary was frozen", frozenWith, runtime.NumGoroutine())
+		}
+	}
+	if !a.Frozen() {
+		t.Fatal("the crashed primary thawed by itself")
 	}
 }

@@ -74,7 +74,7 @@ type groupCommit struct {
 	reads   []gatedReply // reads/barriers gated on this batch
 	keys    map[string]struct{}
 	// inflight counts flushed-but-unacknowledged data appends. Written by
-	// append-waiter goroutines, read by the workloop (hence atomic —
+	// the completion loop too, read by the workloop (hence atomic —
 	// everything else in this struct is workloop-only).
 	inflight atomic.Int64
 }
@@ -209,9 +209,9 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 	n.stats.BatchFlushes.Add(1)
 	n.stats.BatchedRecords.Add(int64(gc.records))
 	// ackAt is the batch's quorum-acknowledgement stamp, written by the
-	// waiter goroutine and read by the tracker deliver closures (which
-	// may run on the waiter's Commit or on an Abort from elsewhere —
-	// hence atomic). One cell is shared by every reply in the batch.
+	// completion loop and read by the tracker deliver closures (which
+	// may run on its Commit or on an Abort from elsewhere — hence
+	// atomic). One cell is shared by every reply in the batch.
 	var ackAt *atomic.Int64
 	var appendDone int64
 	if n.obs != nil {
@@ -246,8 +246,8 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 	}
 	gc.reset()
 	gc.inflight.Add(1)
-	go func() {
-		if _, err := p.Wait(n.stopCtx); err == nil {
+	n.onCommit(p, func(err error) {
+		if err == nil {
 			if ackAt != nil {
 				now := obs.Now()
 				ackAt.Store(now)
@@ -279,7 +279,7 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		case sh.appendAcked <- struct{}{}:
 		default:
 		}
-	}()
+	})
 	return true
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,5 +288,98 @@ func TestWaitCoversBufferedWrites(t *testing.T) {
 	}
 	if lat := time.Since(start); lat < commit/2 {
 		t.Fatalf("WAIT returned in %v with a mutation still buffered (commit %v)", lat, commit)
+	}
+}
+
+// Goroutines are flat in in-flight depth: hundreds of writes waiting out a
+// slow commit are waited for by the log's committer and the node's
+// completion loop, which exist already — the only goroutines they add are
+// the callers blocked in Do.
+func TestInflightWritesAddNoGoroutines(t *testing.T) {
+	svc := testService(t, netsim.Fixed(20*time.Millisecond))
+	log, _ := svc.CreateLog("shard-flat")
+	n := testNode(t, "node-a", log, nil)
+	waitRole(t, n, election.RolePrimary, 2*time.Second)
+	mustDo(t, n, "SET", "warm", "v")
+
+	const writers = 256
+	issued := n.Stats().Mutations.Load()
+	before := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if v, err := n.Do(context.Background(), [][]byte{[]byte("SET"), []byte(fmt.Sprintf("k%d", i)), []byte("v")}); err != nil || v.IsError() {
+				t.Errorf("write %d: %v %v", i, v, err)
+			}
+		}(i)
+	}
+	// Every write executed and none acknowledged yet (the first commit is
+	// 20 ms away): the append windows are as full as they get.
+	for deadline := time.Now().Add(5 * time.Second); n.Stats().Mutations.Load() < issued+writers; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d writes executed", n.Stats().Mutations.Load()-issued, writers)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew > writers {
+		t.Errorf("%d writes in flight grew the process by %d goroutines: %d beyond the callers", writers, grew, grew-writers)
+	}
+	wg.Wait()
+}
+
+// stepLatency is a commit latency a test changes under a running log.
+type stepLatency struct{ d atomic.Int64 }
+
+func (s *stepLatency) Sample() time.Duration { return time.Duration(s.d.Load()) }
+
+// A write whose entry the log gives up — a torn tail truncated by the log
+// service's restart pass — is never acknowledged: the node steps down, so
+// the reply fails like every other reply gated under the lost leadership.
+func TestTruncatedEntryFailsItsWriteAndDemotes(t *testing.T) {
+	var lat stepLatency
+	svc := testService(t, &lat)
+	log, _ := svc.CreateLog("shard-torn-tail")
+	// No renewal falls inside the wait below: a later append would be fenced
+	// by the truncated tail and demote the node too, hiding what is tested.
+	n, err := NewNode(Config{
+		NodeID: "node-a", ShardID: log.ShardID(), Log: log,
+		Lease: 1500 * time.Millisecond, Backoff: 1600 * time.Millisecond, RenewEvery: 1400 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	t.Cleanup(n.Stop)
+	waitRole(t, n, election.RolePrimary, 2*time.Second)
+	mustDo(t, n, "SET", "k", "durable")
+
+	// From here on nothing commits by itself within the test.
+	lat.d.Store(int64(time.Minute))
+	appended := log.Stats().DataAppends
+	answered := make(chan struct{})
+	go func() {
+		v, err := n.Do(context.Background(), [][]byte{[]byte("SET"), []byte("k"), []byte("torn")})
+		if err == nil && !v.IsError() {
+			t.Errorf("write acknowledged (%v) though the log truncated its entry", v)
+		}
+		close(answered)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); log.Stats().DataAppends == appended; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the write never reached the log")
+		}
+	}
+	if _, truncated := log.RecoverChain(); truncated == 0 {
+		t.Fatal("RecoverChain found no torn tail")
+	}
+	lat.d.Store(0)
+	select {
+	case <-answered:
+	case <-time.After(time.Second):
+		t.Fatal("write on a truncated entry was left without an answer")
+	}
+	if n.Stats().Demotions.Load() == 0 {
+		t.Fatal("node kept its leadership after the log dropped an entry it had issued")
 	}
 }

@@ -156,13 +156,12 @@ func (n *Node) runControl(typ txlog.EntryType, payload []byte, ch chan ctlResult
 		ch <- ctlResult{err: err}
 		return
 	}
-	go func() {
-		id, err := p.Wait(n.stopCtx)
+	n.onCommit(p, func(err error) {
 		if err == nil {
-			trk.Commit(id.Seq)
+			trk.Commit(p.ID().Seq)
 		}
-		ch <- ctlResult{id: id, err: err}
-	}()
+		ch <- ctlResult{id: p.ID(), err: err}
+	})
 }
 
 func (n *Node) handleMigCtl(sh *nodeShard, t *task) {

@@ -293,6 +293,10 @@ type Node struct {
 	frozenMu sync.Mutex
 	frozenCh chan struct{}
 
+	// completions is the completion loop's FIFO (sequencer.go): every
+	// issued append whose commit the node acts on, in issue order.
+	completions chan completion
+
 	roleChanged chan struct{}
 	stopCtx     context.Context
 	stopFn      context.CancelFunc
@@ -446,6 +450,7 @@ func NewNode(cfg Config) (*Node, error) {
 		role:        election.RoleReplica,
 		trk:         tracker.New(0),
 		readGate:    NewReadGate(0),
+		completions: make(chan completion, completionBacklog),
 		roleChanged: make(chan struct{}, 4),
 		retryPol: retry.Policy{
 			Base:  retryBase,
@@ -556,12 +561,14 @@ func (n *Node) AppliedSeq() uint64 { return n.appliedSeq.Load() }
 // EngineVersion returns the engine version this node runs.
 func (n *Node) EngineVersion() uint32 { return n.cfg.EngineVersion }
 
-// Start launches the shard workloops and role management.
+// Start launches the shard workloops, the completion loop and role
+// management.
 func (n *Node) Start() {
-	n.wg.Add(len(n.shards) + 1)
+	n.wg.Add(len(n.shards) + 2)
 	for _, sh := range n.shards {
 		go sh.workloop()
 	}
+	go n.completionLoop()
 	go n.roleLoop()
 }
 
@@ -710,7 +717,7 @@ func (n *Node) checkpoint(site string) error {
 // noteAZHealth folds one committed append's acknowledgement count into the
 // degraded-time accounting: the first partial-quorum commit opens a
 // degraded window, the first fully replicated commit after it closes the
-// window into Stats.DegradedMillis. Called from append-waiter goroutines.
+// window into Stats.DegradedMillis. Called from the completion loop.
 func (n *Node) noteAZHealth(p *txlog.Pending) {
 	if p.Acks() < p.AZTotal() {
 		n.degradedSince.CompareAndSwap(0, n.clk.Now().UnixNano())

@@ -185,9 +185,9 @@ func (n *Node) runReplica() {
 		// defense-in-depth against a replayed feed, and anything it
 		// rejects is counted — a deposed primary's view must not advance
 		// staleness accounting.
-		if !n.readGate.NoteWatermark(e.EpochValue(), e.Watermark) {
+		if !n.readGate.NoteWatermark(e.Epoch, e.Watermark) {
 			n.stats.WatermarksFenced.Add(1)
-			n.flight.Recordf(trace.EvWatermarkFence, e.ID.Seq, "stale watermark from epoch %d rejected", e.EpochValue())
+			n.flight.Recordf(trace.EvWatermarkFence, e.ID.Seq, "stale watermark from epoch %d rejected", e.Epoch)
 		}
 		switch e.Type {
 		case txlog.EntryLeadership:

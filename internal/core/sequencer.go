@@ -116,18 +116,69 @@ func (n *Node) resetSequencer(tail txlog.EntryID, sum uint64) {
 // non-data entry commits, so reads gated at lastIssued are not stuck
 // behind control traffic.
 func (n *Node) commitWatermarkAsync(p *txlog.Pending, trk *tracker.Tracker) {
-	go func() {
-		if id, err := p.Wait(n.stopCtx); err == nil {
-			// Crash gate before the watermark advances: a kill here leaves
-			// the entry durable but every gated reply undelivered — clients
-			// time out and must treat the write as ambiguous.
-			if n.checkpoint(faultpoint.SiteTrackerRelease) != nil {
+	n.onCommit(p, func(err error) {
+		// Crash gate before the watermark advances: a kill here leaves
+		// the entry durable but every gated reply undelivered — clients
+		// time out and must treat the write as ambiguous.
+		if err != nil || n.checkpoint(faultpoint.SiteTrackerRelease) != nil {
+			return
+		}
+		n.noteAZHealth(p)
+		trk.Commit(p.ID().Seq)
+	})
+}
+
+// completion is one issued append and what the node does once the log has
+// answered for it: err is nil when the entry committed, the log's reason
+// when it never will.
+type completion struct {
+	p    *txlog.Pending
+	then func(err error)
+}
+
+// completionBacklog sizes the completion FIFO far above what the shards'
+// append windows let be in flight at once; should it ever fill, the issuer
+// waits in onCommit — a completion is never dropped.
+const completionBacklog = 1024
+
+// onCommit queues then behind p on the completion loop.
+func (n *Node) onCommit(p *txlog.Pending, then func(err error)) {
+	select {
+	case n.completions <- completion{p, then}:
+	case <-n.stopCtx.Done():
+	}
+}
+
+// completionLoop is the node's one waiter on the log, the acknowledgement
+// side of the sequencer: appends are issued in order and the log commits
+// in order, so it waits on each Pending in turn and then runs what its
+// issuer queued — stage stamps, the crash gates between quorum and
+// release, tracker.Commit, the shard's flush-on-ack poke. It is node code
+// on a node goroutine on purpose: checkpoint parks while the node is
+// frozen, which must stall this node's acknowledgements and nothing else —
+// run on the log's committer it would stop the log for every other node,
+// the successor's election claim included. A log error (the entry was
+// truncated from a torn tail, or the log destroyed) means nothing gated on
+// the entry may ever be acknowledged: the node steps down, which fails
+// every withheld reply.
+func (n *Node) completionLoop() {
+	defer n.wg.Done()
+	for {
+		select {
+		case c := <-n.completions:
+			_, err := c.p.Wait(n.stopCtx)
+			if n.stopCtx.Err() != nil {
 				return
 			}
-			n.noteAZHealth(p)
-			trk.Commit(id.Seq)
+			if err != nil {
+				n.flight.Recordf(trace.EvAlarm, c.p.ID().Seq, "log gave up an issued entry: %v", err)
+				n.demote()
+			}
+			c.then(err)
+		case <-n.stopCtx.Done():
+			return
 		}
-	}()
+	}
 }
 
 // startAppend wraps Log.StartAppend with the node-level partition check

@@ -42,9 +42,9 @@ type nodeShard struct {
 	covers    []*nodeShard
 
 	tasks chan *task
-	// appendAcked is a coalesced wakeup: append-waiter goroutines poke it
-	// after one of this shard's flushed entries commits so the workloop
-	// flushes the batch that accumulated behind the quorum round-trip.
+	// appendAcked is a coalesced wakeup: the completion loop pokes it after
+	// one of this shard's flushed entries commits so the workloop flushes
+	// the batch that accumulated behind the quorum round-trip.
 	appendAcked chan struct{}
 
 	// partLo and partHi bound the store parts this shard owns: [lo, hi).

@@ -50,11 +50,3 @@ func (n *Node) traceStart(ctx context.Context, t *task) {
 	ts.sc = trace.SpanContext{TraceID: ts.root.TraceID, SpanID: ts.root.SpanID}
 	t.tr = ts
 }
-
-// finish closes the task's node-level span. Kept out of line: submit's
-// reply closure runs at the bottom of a fresh append-waiter goroutine's
-// call chain, and a by-value Span in its frame is what tips that 2 KiB
-// starting stack into a copy on every unsampled write.
-//
-//go:noinline
-func (ts *taskSpan) finish() { ts.c.Finish(ts.root) }

@@ -122,7 +122,7 @@ func (n *Node) submit(ctx context.Context, t *task) (resp.Value, error) {
 			n.obsFinish(t)
 		}
 		if t.tr != nil {
-			t.tr.finish()
+			t.tr.c.Finish(t.tr.root)
 		}
 		ch <- v
 	}

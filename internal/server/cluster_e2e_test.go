@@ -32,7 +32,7 @@ func startClusterServer(t *testing.T) (*Server, *cluster.Cluster) {
 			t.Fatal(err)
 		}
 	}
-	srv := New(Config{Addr: "127.0.0.1:0", Backend: ClusterBackend{Cluster: c}, Multiplex: true})
+	srv := New(Config{Addr: "127.0.0.1:0", Backend: ClusterBackend{Cluster: c}})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

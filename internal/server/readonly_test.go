@@ -52,7 +52,7 @@ func startReplicaServer(t *testing.T) (*Server, *core.Node, *core.Node) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	srv := New(Config{Addr: "127.0.0.1:0", Backend: NodeBackend{Node: replica}, Multiplex: false})
+	srv := New(Config{Addr: "127.0.0.1:0", Backend: NodeBackend{Node: replica}})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestReadonlyPipelineRoutesReadOnly(t *testing.T) {
 }
 
 func TestReadonlyStalenessGrammar(t *testing.T) {
-	srv, _ := startMemoryDBServer(t, false)
+	srv, _ := startMemoryDBServer(t)
 	c := dial(t, srv.Addr().String())
 	if v := c.do(t, "READONLY", "STALE", "50"); v.Text() != "OK" {
 		t.Fatalf("READONLY STALE 50 = %v", v)

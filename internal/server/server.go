@@ -1,10 +1,10 @@
 // Package server is the TCP front-end: it speaks RESP to clients,
 // maintains per-connection state (MULTI transactions, READONLY opt-in),
 // and forwards commands to a backend — a single node or a cluster
-// dispatcher. It models both IO paths from the paper's §6.1.1: plain
-// threaded IO (one goroutine per connection, like Redis io-threads) and
-// Enhanced IO Multiplexing (connections aggregated into a shared
-// dispatch channel, reducing engine wakeups and fan-in/fan-out overhead).
+// dispatcher. One goroutine per connection reads a command, calls the
+// backend itself and writes the reply; the paper's §6.1.1 Enhanced IO
+// Multiplexing is reproduced as a capacity model in internal/bench, not
+// here.
 package server
 
 import (
@@ -55,13 +55,10 @@ type Config struct {
 	// Addr to listen on, e.g. "127.0.0.1:0".
 	Addr    string
 	Backend Backend
-	// Multiplex enables Enhanced IO Multiplexing: commands from all
-	// connections are aggregated into a shared dispatch queue consumed
-	// by a fixed pool, instead of each connection driving the backend
-	// directly.
+	// Multiplex has no effect and nothing reads it: it stays only because
+	// the frozen benchmark/ module (stack.go, ladder.go) still sets it.
+	// Delete it once benchmark/ stops (ROADMAP item 1).
 	Multiplex bool
-	// MuxWorkers is the dispatcher pool size when Multiplex is on.
-	MuxWorkers int
 	// Obs, when set, records the front-end's two write-path stages:
 	// read_parse (reading+parsing a command off the socket — includes
 	// wire idle time on keepalive connections) and reply_write
@@ -86,33 +83,12 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	muxQ chan muxItem
 	ctx  context.Context
 	stop context.CancelFunc
 }
 
-type muxItem struct {
-	argv [][]byte
-	mode ReadMode
-	// ctx carries a sampled command's span context into the dispatcher
-	// pool; nil means use the server ctx (unsampled).
-	ctx     context.Context
-	replyCh chan resp.Value
-}
-
 // New creates a server (not yet listening).
 func New(cfg Config) *Server {
-	if cfg.MuxWorkers <= 0 {
-		// Each worker blocks in Backend.Do until the command's reply is
-		// durable, so the pool size caps the mutations concurrently inside
-		// the node. It must exceed the node's total append-pipeline depth
-		// — execution shards (core.Config.Shards) × per-shard inflight
-		// appends (core.Config.MaxInflightAppends, default 8) — or group
-		// commit never sees a mutation to buffer and every entry carries
-		// one record. 128 covers 8 shards at the default depth with
-		// headroom; it was 64 when nodes had a single workloop.
-		cfg.MuxWorkers = 128
-	}
 	s := &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
 	s.ctx, s.stop = context.WithCancel(context.Background())
 	return s
@@ -125,13 +101,6 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	if s.cfg.Multiplex {
-		s.muxQ = make(chan muxItem, 4096)
-		for i := 0; i < s.cfg.MuxWorkers; i++ {
-			s.wg.Add(1)
-			go s.muxWorker()
-		}
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return nil
@@ -180,26 +149,6 @@ func (s *Server) acceptLoop() {
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) muxWorker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case item := <-s.muxQ:
-			ctx := item.ctx
-			if ctx == nil {
-				ctx = s.ctx
-			}
-			v, err := s.cfg.Backend.Do(ctx, item.argv, item.mode)
-			if err != nil {
-				v = resp.Errf("ERR backend: %v", err)
-			}
-			item.replyCh <- v
-		}
 	}
 }
 
@@ -361,27 +310,6 @@ func (s *Server) handle(st *connState, argv [][]byte) (reply resp.Value, quit bo
 	}
 
 	ctx, root, traced := s.mintSpan("cmd:" + name)
-	if s.cfg.Multiplex {
-		item := muxItem{argv: argv, mode: st.mode, replyCh: make(chan resp.Value, 1)}
-		if traced {
-			item.ctx = ctx
-		}
-		select {
-		case s.muxQ <- item:
-		case <-s.ctx.Done():
-			return resp.Err("ERR server shutting down"), true
-		}
-		select {
-		case v := <-item.replyCh:
-			if traced {
-				// The root covers queue wait in the dispatch pool too.
-				s.cfg.Trace.Finish(root)
-			}
-			return v, false
-		case <-s.ctx.Done():
-			return resp.Err("ERR server shutting down"), true
-		}
-	}
 	v, err := s.cfg.Backend.Do(ctx, argv, st.mode)
 	if traced {
 		s.cfg.Trace.Finish(root)

@@ -15,7 +15,7 @@ import (
 )
 
 // startMemoryDBServer boots a single-node MemoryDB behind a TCP server.
-func startMemoryDBServer(t *testing.T, multiplex bool) (*Server, *core.Node) {
+func startMemoryDBServer(t *testing.T) (*Server, *core.Node) {
 	t.Helper()
 	svc := txlog.NewService(txlog.Config{Clock: clock.NewReal(), CommitLatency: netsim.Zero{}})
 	log, _ := svc.CreateLog("s1")
@@ -36,7 +36,7 @@ func startMemoryDBServer(t *testing.T, multiplex bool) (*Server, *core.Node) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	srv := New(Config{Addr: "127.0.0.1:0", Backend: NodeBackend{Node: n}, Multiplex: multiplex})
+	srv := New(Config{Addr: "127.0.0.1:0", Backend: NodeBackend{Node: n}})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,26 +76,24 @@ func (c *testClient) do(t *testing.T, args ...string) resp.Value {
 }
 
 func TestServerBasicCommands(t *testing.T) {
-	for _, multiplex := range []bool{false, true} {
-		srv, _ := startMemoryDBServer(t, multiplex)
-		c := dial(t, srv.Addr().String())
-		if v := c.do(t, "PING"); v.Text() != "PONG" {
-			t.Fatalf("PING = %v", v)
-		}
-		if v := c.do(t, "SET", "k", "v"); v.Text() != "OK" {
-			t.Fatalf("SET = %v", v)
-		}
-		if v := c.do(t, "GET", "k"); v.Text() != "v" {
-			t.Fatalf("GET = %v", v)
-		}
-		if v := c.do(t, "HSET", "h", "f", "1"); v.Int != 1 {
-			t.Fatalf("HSET = %v", v)
-		}
+	srv, _ := startMemoryDBServer(t)
+	c := dial(t, srv.Addr().String())
+	if v := c.do(t, "PING"); v.Text() != "PONG" {
+		t.Fatalf("PING = %v", v)
+	}
+	if v := c.do(t, "SET", "k", "v"); v.Text() != "OK" {
+		t.Fatalf("SET = %v", v)
+	}
+	if v := c.do(t, "GET", "k"); v.Text() != "v" {
+		t.Fatalf("GET = %v", v)
+	}
+	if v := c.do(t, "HSET", "h", "f", "1"); v.Int != 1 {
+		t.Fatalf("HSET = %v", v)
 	}
 }
 
 func TestServerMultiExec(t *testing.T) {
-	srv, _ := startMemoryDBServer(t, false)
+	srv, _ := startMemoryDBServer(t)
 	c := dial(t, srv.Addr().String())
 	if v := c.do(t, "MULTI"); v.Text() != "OK" {
 		t.Fatalf("MULTI = %v", v)
@@ -117,7 +115,7 @@ func TestServerMultiExec(t *testing.T) {
 }
 
 func TestServerMultiDiscardAndErrors(t *testing.T) {
-	srv, _ := startMemoryDBServer(t, false)
+	srv, _ := startMemoryDBServer(t)
 	c := dial(t, srv.Addr().String())
 	if v := c.do(t, "EXEC"); !v.IsError() {
 		t.Fatalf("EXEC without MULTI = %v", v)
@@ -139,7 +137,7 @@ func TestServerMultiDiscardAndErrors(t *testing.T) {
 }
 
 func TestServerReadOnlyState(t *testing.T) {
-	srv, _ := startMemoryDBServer(t, false)
+	srv, _ := startMemoryDBServer(t)
 	c := dial(t, srv.Addr().String())
 	if v := c.do(t, "READONLY"); v.Text() != "OK" {
 		t.Fatalf("READONLY = %v", v)
@@ -150,7 +148,7 @@ func TestServerReadOnlyState(t *testing.T) {
 }
 
 func TestServerSelectAndAuth(t *testing.T) {
-	srv, _ := startMemoryDBServer(t, false)
+	srv, _ := startMemoryDBServer(t)
 	c := dial(t, srv.Addr().String())
 	if v := c.do(t, "SELECT", "0"); v.Text() != "OK" {
 		t.Fatalf("SELECT 0 = %v", v)
@@ -164,7 +162,7 @@ func TestServerSelectAndAuth(t *testing.T) {
 }
 
 func TestServerQuitClosesConnection(t *testing.T) {
-	srv, _ := startMemoryDBServer(t, false)
+	srv, _ := startMemoryDBServer(t)
 	c := dial(t, srv.Addr().String())
 	if v := c.do(t, "QUIT"); v.Text() != "OK" {
 		t.Fatalf("QUIT = %v", v)
@@ -176,7 +174,7 @@ func TestServerQuitClosesConnection(t *testing.T) {
 }
 
 func TestServerInlineCommands(t *testing.T) {
-	srv, _ := startMemoryDBServer(t, false)
+	srv, _ := startMemoryDBServer(t)
 	c := dial(t, srv.Addr().String())
 	if _, err := c.conn.Write([]byte("PING\r\n")); err != nil {
 		t.Fatal(err)
@@ -205,7 +203,7 @@ func TestServerBaselineBackend(t *testing.T) {
 }
 
 func TestServerConcurrentClients(t *testing.T) {
-	srv, _ := startMemoryDBServer(t, true)
+	srv, _ := startMemoryDBServer(t)
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(id int) {

@@ -3,9 +3,14 @@ package txlog
 import (
 	"context"
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"memorydb/internal/clock"
+	"memorydb/internal/netsim"
 )
 
 // Property: under arbitrary interleavings of appends from multiple
@@ -58,6 +63,104 @@ func TestQuickSingleTotalOrder(t *testing.T) {
 		}
 		_, ok, _ := r.TryNext()
 		return !ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: under any interleaving of pipelined appends and clock advances,
+// with jittered per-zone latencies, the committer is indistinguishable from
+// the model — entry k is due at its append time plus the second fastest of
+// three zone draws and commits at max(due_1 … due_k). After every step the
+// committed tail is exactly the model's prefix, a Pending is complete iff it
+// is inside it (with nil), checksums and zone copies are the sequential
+// fold; truncating what is left fails the rest with ErrTruncated. A Pending
+// completed twice would panic on its closed channel.
+func TestQuickCommitterMatchesModel(t *testing.T) {
+	const lo, hi = time.Millisecond, 20 * time.Millisecond
+	f := func(seed int64, steps []uint8) bool {
+		sim := clock.NewSim(time.Unix(0, 0))
+		svc := NewService(Config{Clock: sim, CommitLatency: netsim.NewUniform(lo, hi, seed)})
+		l, _ := svc.CreateLog("q")
+		defer svc.DeleteLog("q")
+		twin := netsim.NewUniform(lo, hi, seed)
+		var (
+			now      time.Duration
+			commitAt []time.Duration // model: when entry i+1 commits; non-decreasing
+			sums     []uint64        // model: running checksum after entry i+1
+			pendings []*Pending
+		)
+		for _, s := range steps {
+			if s&1 == 0 {
+				draws := []time.Duration{twin.Sample(), twin.Sample(), twin.Sample()}
+				sort.Slice(draws, func(i, j int) bool { return draws[i] < draws[j] })
+				at, sum := now+draws[1], uint64(0)
+				if n := len(commitAt); n > 0 {
+					at, sum = max(at, commitAt[n-1]), sums[n-1]
+				}
+				commitAt, sums = append(commitAt, at), append(sums, ChainChecksum(sum, []byte{s}))
+				p, err := l.StartAppend(EntryID{Seq: uint64(len(pendings))}, Entry{Type: EntryData, Payload: []byte{s}})
+				if err != nil {
+					return false
+				}
+				pendings = append(pendings, p)
+			} else {
+				d := time.Duration(s) * 100 * time.Microsecond
+				now += d
+				sim.Advance(d)
+			}
+			want := sort.Search(len(commitAt), func(i int) bool { return commitAt[i] > now })
+			// Settled: the watermark is where the model says and the
+			// committer is asleep until its head is due (or on nothing).
+			asleep := 0
+			if want < len(pendings) {
+				asleep = 1
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+				got := int(l.CommittedTail().Seq)
+				if got == want && sim.PendingWaiters() == asleep {
+					break
+				}
+				if got > want || time.Now().After(deadline) {
+					t.Logf("committed %d with %d timers armed, model says %d and %d", got, sim.PendingWaiters(), want, asleep)
+					return false
+				}
+			}
+			for i, p := range pendings {
+				if i < want {
+					<-p.done
+					if p.err != nil {
+						return false
+					}
+					continue
+				}
+				select {
+				case <-p.done:
+					return false
+				default:
+				}
+			}
+			if want > 0 {
+				if sum, err := l.ChecksumAt(EntryID{Seq: uint64(want)}); err != nil || sum != sums[want-1] {
+					return false
+				}
+			}
+			if l.AZCopies() != int64(3*want) {
+				return false
+			}
+		}
+		committed := int(l.CommittedTail().Seq)
+		if _, truncated := l.RecoverChain(); truncated != len(pendings)-committed {
+			return false
+		}
+		for _, p := range pendings[committed:] {
+			<-p.done
+			if !errors.Is(p.err, ErrTruncated) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

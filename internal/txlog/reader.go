@@ -57,10 +57,8 @@ func (r *Reader) TryNext() (Entry, bool, error) {
 	if !l.verifyRecordLocked(s, seq) {
 		return Entry{}, false, ErrCorruptSegment
 	}
-	e := *s.entry(seq)
 	r.pos = seq
-	e.Epoch = e.EpochValue()
-	return e, true, nil
+	return *s.entry(seq), true, nil
 }
 
 // closedCh is what Ready returns when TryNext has an answer right now.

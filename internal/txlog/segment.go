@@ -24,10 +24,9 @@ type segment struct {
 	crcs    []uint32 // per-record CRC32, fixed at append time
 	bytes   int64    // payload bytes held
 
-	closed  bool // rotation happened: no further appends land here
-	sealing bool // a sealer goroutine owns the in-flight seal attempt
-	sealed  bool // footer computed over a fully committed segment
-	footer  uint32
+	closed bool // rotation happened: no further appends land here
+	sealed bool // footer computed over a fully committed segment
+	footer uint32
 
 	// quarantined marks a segment in which a record failed CRC
 	// verification: every read from it fails with ErrCorruptSegment.
@@ -51,13 +50,12 @@ var crc32Table = crc32.MakeTable(crc32.Castagnoli)
 // recordCRC is the per-record integrity checksum stored alongside every
 // entry at append time. It covers the sequence number, type, writer
 // epoch, piggybacked watermark and payload, so both payload rot and
-// record misplacement are detectable on read. The internal committed
-// bit is excluded (it is commit-state bookkeeping, not record content).
+// record misplacement are detectable on read.
 func recordCRC(e *Entry) uint32 {
 	var hdr [29]byte
 	binary.BigEndian.PutUint64(hdr[0:], e.ID.Seq)
 	hdr[8] = byte(e.Type)
-	binary.BigEndian.PutUint64(hdr[9:], e.EpochValue())
+	binary.BigEndian.PutUint64(hdr[9:], e.Epoch)
 	binary.BigEndian.PutUint32(hdr[17:], e.Records)
 	binary.BigEndian.PutUint64(hdr[21:], e.Watermark)
 	sum := crc32.Update(0, crc32Table, hdr[:])

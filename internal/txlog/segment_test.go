@@ -215,16 +215,72 @@ func TestRecoverChainTruncatesTornTail(t *testing.T) {
 	if st := l.SegmentStats(); st.TornTruncated != 3 {
 		t.Fatalf("TornTruncated = %d, want 3", st.TornTruncated)
 	}
-	// The log accepts appends from the truncated tail.
-	appendData(t, l, ZeroID, "fresh")
-	// Orphaned commit goroutines drain without reviving torn entries.
+	// The torn entries' waiters are told so: never a success for an entry
+	// the log no longer holds.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, err := last.Wait(ctx); err != nil {
-		t.Fatalf("orphan Wait: %v", err)
+	if _, err := last.Wait(ctx); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Wait on a truncated entry: %v, want ErrTruncated", err)
+	}
+	// The log accepts appends from the truncated tail.
+	appendData(t, l, ZeroID, "fresh")
+	if got := l.CommittedTail().Seq; got != 1 {
+		t.Fatalf("committed after the fresh append = %d, want 1", got)
+	}
+}
+
+// waitTimers parks until n timers are armed on sim — the committer asleep
+// until its head is due is one — so the Advance that follows cannot race
+// the arming.
+func waitTimers(t *testing.T, sim *clock.Sim, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); sim.PendingWaiters() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d timers armed on the log's clock, want %d", sim.PendingWaiters(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// A truncated entry leaves nothing behind that could commit whichever
+// entry is assigned its sequence number next: the fresh entry commits at
+// its own due time, not at the torn one's.
+func TestTruncatedSequenceIsNotCommittedEarly(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0))
+	l := segTestLog(t, Config{Clock: sim, CommitLatency: netsim.Fixed(50 * time.Millisecond)})
+	torn, err := l.StartAppend(ZeroID, Entry{Type: EntryData, Payload: []byte("torn")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTimers(t, sim, 1)
+	sim.Advance(40 * time.Millisecond)
+	if _, trunc := l.RecoverChain(); trunc != 1 {
+		t.Fatalf("RecoverChain truncated %d entries, want 1", trunc)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	// Told at once, on a clock that has not reached the old due time.
+	if _, err := torn.Wait(ctx); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Wait on the truncated entry: %v, want ErrTruncated", err)
+	}
+	fresh, err := l.StartAppend(ZeroID, Entry{Type: EntryData, Payload: []byte("fresh")})
+	if err != nil || fresh.ID().Seq != 1 {
+		t.Fatalf("fresh append: %v %v, want seq 1", fresh, err)
+	}
+	waitTimers(t, sim, 2)              // the torn entry's timer (50 ms) and the fresh one's (90 ms)
+	sim.Advance(10 * time.Millisecond) // 50 ms: the torn entry's due time
+	// Nothing is due, so there is no event to wait for: watch for a while.
+	for until := time.Now().Add(30 * time.Millisecond); time.Now().Before(until); time.Sleep(time.Millisecond) {
+		if got := l.CommittedTail().Seq; got != 0 {
+			t.Fatalf("seq %d committed at the truncated entry's due time, 40 ms before its own", got)
+		}
+	}
+	sim.Advance(40 * time.Millisecond) // 90 ms
+	if _, err := fresh.Wait(ctx); err != nil {
+		t.Fatalf("fresh entry at its due time: %v", err)
 	}
 	if got := l.CommittedTail().Seq; got != 1 {
-		t.Fatalf("committed after orphan drain = %d, want 1", got)
+		t.Fatalf("committed = %d, want 1", got)
 	}
 }
 

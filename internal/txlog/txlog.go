@@ -123,9 +123,6 @@ type Entry struct {
 	// byte-identical durable records.
 	TraceID   uint64
 	TraceSpan uint64
-	// acks is the number of AZ replicas that acknowledged this entry's
-	// append (set by StartAppend; drives the AZCopies metric).
-	acks uint8
 }
 
 // RecordCount returns the number of logical records the entry carries.
@@ -145,7 +142,7 @@ func (e Entry) RecordCount() int {
 //     safe and correct. IsTransient reports this class.
 //   - Fatal: ErrConditionFailed (the fencing primitive — another writer
 //     owns the tail; retrying can never succeed and the caller must
-//     demote), ErrNoSuchLog, ErrTrimmed. Retrying is wrong.
+//     demote), ErrNoSuchLog, ErrTrimmed, ErrTruncated. Retrying is wrong.
 var (
 	// ErrConditionFailed reports that After did not name the current tail
 	// — another writer appended first. This is the fencing primitive.
@@ -164,6 +161,10 @@ var (
 	// snapshot covers it, recovery fails loudly rather than replaying
 	// corrupt data.
 	ErrCorruptSegment = errors.New("txlog: segment quarantined (corrupt record)")
+	// ErrTruncated reports, from Pending.Wait, that the assigned entry was
+	// part of a torn tail RecoverChain dropped: it never committed and
+	// never will, and its sequence number may be assigned again.
+	ErrTruncated = errors.New("txlog: entry truncated before it committed")
 )
 
 // IsTransient reports whether err is a retryable service condition (the
@@ -401,8 +402,12 @@ type Log struct {
 	segs      []*segment // non-empty; ordered, contiguous; last = active
 	assigned  uint64     // highest assigned Seq
 	committed uint64     // highest committed Seq (visible watermark)
-	// commitWake is closed and replaced each time the watermark advances.
-	commitWake chan struct{}
+	// inflight holds the appends in (committed, assigned] in sequence
+	// order: the committer's FIFO. kick wakes the committer when an append
+	// lands on an empty FIFO (or the log is destroyed); otherwise it is
+	// asleep until the head's due time and needs no telling.
+	inflight []*Pending
+	kick     chan struct{}
 	// notify is what a caught-up Reader.Ready waits on: closed and replaced
 	// notifyEvery after the watermark advances, if a reader asked since the
 	// last wake-up was scheduled (notifyWanted) — see notifyLocked.
@@ -498,13 +503,15 @@ func (s Stats) MeanRecordsPerEntry() float64 {
 }
 
 func newLog(s *Service, shardID string) *Log {
-	return &Log{
-		svc:        s,
-		shardID:    shardID,
-		segs:       []*segment{{}},
-		commitWake: make(chan struct{}),
-		notify:     make(chan struct{}),
+	l := &Log{
+		svc:     s,
+		shardID: shardID,
+		segs:    []*segment{{}},
+		kick:    make(chan struct{}, 1),
+		notify:  make(chan struct{}),
 	}
+	go l.commitLoop()
+	return l
 }
 
 // ShardID returns the owning shard's ID.
@@ -517,14 +524,21 @@ func (l *Log) FailAppends(on bool) { l.appendsFailed.Set(on) }
 // replication (at least one AZ down) while still meeting quorum.
 func (l *Log) Degraded() bool { return l.svc.Degraded() }
 
-// Pending is an assigned-but-possibly-not-yet-durable append. The entry
-// is guaranteed to commit (the service is internally reliable); Wait
-// blocks until it is durable in a quorum of AZs.
+// Pending is an assigned-but-possibly-not-yet-durable append. The service
+// is internally reliable, so the entry commits — unless the log itself
+// loses it first (RecoverChain drops a torn tail, DeleteLog destroys the
+// log). Wait blocks until one or the other is known.
 type Pending struct {
 	id      EntryID
 	acks    int // AZ replicas that acknowledged (>= quorum)
 	azTotal int // configured AZ count
-	done    chan struct{}
+	// due is when the quorum-th fastest zone's acknowledgement arrives: the
+	// entry commits once due has passed for it and for every entry before
+	// it.
+	due time.Time
+	// err is why the entry will never commit; written before done closes.
+	err  error
+	done chan struct{}
 }
 
 // ID returns the assigned entry ID.
@@ -538,15 +552,26 @@ func (p *Pending) Acks() int { return p.acks }
 // AZTotal returns the configured number of AZ replicas.
 func (p *Pending) AZTotal() int { return p.azTotal }
 
-// Wait blocks until the entry is durably committed or ctx is cancelled.
-// A cancelled wait does not abort the append: the entry still commits —
-// mirroring a timed-out client whose write nevertheless persisted.
+// Wait blocks until the entry is durably committed (nil), the log has
+// given it up (ErrTruncated, ErrNoSuchLog — it will never commit) or ctx
+// is cancelled. A cancelled wait does not abort the append: the entry
+// still commits — mirroring a timed-out client whose write nevertheless
+// persisted.
 func (p *Pending) Wait(ctx context.Context) (EntryID, error) {
 	select {
 	case <-p.done:
-		return p.id, nil
+		return p.id, p.err
 	case <-ctx.Done():
 		return p.id, ctx.Err()
+	}
+}
+
+// complete releases every waiter with err. Each Pending is completed once,
+// by whoever took it off the log's in-flight FIFO under mu.
+func complete(ps []*Pending, err error) {
+	for _, p := range ps {
+		p.err = err
+		close(p.done)
 	}
 }
 
@@ -564,12 +589,15 @@ func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
 	// Per-AZ quorum: sample every zone's acknowledgement before assigning a
 	// sequence number, so a below-quorum service rejects the append with no
 	// state change (the caller's position is intact and a retry is safe).
-	// Once assigned, the entry is guaranteed to commit.
+	// Once assigned, the entry is guaranteed to commit. The append is
+	// durable at the quorum-th fastest acknowledgement (with one zone down,
+	// the slower of the remaining two — degraded latency, preserved
+	// availability).
 	commitLat, acked, ok := l.svc.quorumAck()
 	if !ok {
 		return nil, ErrUnavailable
 	}
-	acks := len(acked)
+	p := &Pending{acks: len(acked), azTotal: l.svc.cfg.AZCount, due: l.svc.cfg.Clock.Now().Add(commitLat), done: make(chan struct{})}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -590,7 +618,7 @@ func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
 	}
 	l.assigned++
 	e.ID = EntryID{Seq: l.assigned}
-	e.acks = uint8(acks)
+	p.id = e.ID
 	// The record CRC is fixed now, over what the writer sent; a Corrupt
 	// decision at txlog.corrupt_record then silently damages the stored
 	// copy (bit rot the CRC no longer matches) — read-time verification
@@ -607,7 +635,7 @@ func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
 	act.crcs = append(act.crcs, crc)
 	act.bytes += int64(len(e.Payload))
 	l.stats.Appends++
-	if acks < l.svc.cfg.AZCount {
+	if p.acks < p.azTotal {
 		l.stats.DegradedAppends++
 	}
 	if e.Type == EntryData {
@@ -626,8 +654,10 @@ func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
 		act.closed = true
 		l.segs = append(l.segs, &segment{base: act.maxSeq()})
 	}
-	p := &Pending{id: e.ID, acks: acks, azTotal: l.svc.cfg.AZCount, done: make(chan struct{})}
-	clk := l.svc.cfg.Clock
+	l.inflight = append(l.inflight, p)
+	if len(l.inflight) == 1 {
+		l.wakeCommitter()
+	}
 	l.mu.Unlock()
 
 	// Traced entry: attach one span per acknowledging zone under the
@@ -642,38 +672,7 @@ func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
 			}
 		}
 	}
-
-	go func() {
-		// Quorum commit: the append is durable at the quorum-th fastest
-		// per-AZ acknowledgement (with one zone down, the slower of the
-		// remaining two — degraded latency, preserved availability).
-		if commitLat > 0 {
-			<-clk.After(commitLat)
-		}
-		l.commitEntry(p.id)
-		// Acknowledgement implies the whole prefix is durable: hold the
-		// done signal until the in-order watermark covers this entry
-		// (timers of earlier entries may still be running).
-		l.waitCommitted(p.id.Seq)
-		close(p.done)
-	}()
 	return p, nil
-}
-
-// waitCommitted blocks until the committed watermark reaches seq. It
-// also returns if the entry no longer exists (RecoverChain truncated a
-// torn tail past it) or the log was destroyed.
-func (l *Log) waitCommitted(seq uint64) {
-	for {
-		l.mu.Lock()
-		if l.committed >= seq || l.assigned < seq || l.closed {
-			l.mu.Unlock()
-			return
-		}
-		wake := l.commitWake
-		l.mu.Unlock()
-		<-wake
-	}
 }
 
 // Append is StartAppend followed by Wait: it blocks for the quorum commit
@@ -686,74 +685,107 @@ func (l *Log) Append(ctx context.Context, after EntryID, e Entry) (EntryID, erro
 	return p.Wait(ctx)
 }
 
-func (l *Log) commitEntry(id EntryID) {
-	l.mu.Lock()
-	// Commits apply in ID order: mark this entry committable and advance
-	// the watermark over any in-order committable prefix.
-	if s := l.segFor(id.Seq); s != nil {
-		s.entry(id.Seq).committedMark()
-	}
-	advanced := false
+// commitLoop is the log's one committer, started with the log and stopped
+// by its destruction. An acknowledgement implies the whole prefix is
+// durable, so entry k commits at max(due_1 … due_k): the committer only
+// ever looks at the head of the in-flight FIFO — whatever the latency
+// model, no entry can commit before the one ahead of it. Each round it
+// pops every head that is due, advances the watermark over them in order,
+// seals what that made due and only then completes their Pendings; with
+// nothing due it sleeps until the head is. It touches log state only and
+// takes no lock but mu: what a caller does on completion (a node's reply
+// path, its crash gates) runs on the caller's goroutines, so one stalled
+// consumer cannot hold up the log for the others.
+func (l *Log) commitLoop() {
+	clk := l.svc.cfg.Clock
+	var headDue <-chan time.Time // nil, never ready, while nothing is in flight
+	var batch []*Pending
 	for {
-		s := l.segFor(l.committed + 1)
-		if s == nil {
-			break
+		select {
+		case <-l.kick:
+		case <-headDue:
 		}
-		next := s.entry(l.committed + 1)
-		if !next.isCommitted() {
-			break
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
+			return
 		}
-		l.committed++
-		advanced = true
-		copies := int64(next.acks)
-		if copies == 0 {
-			copies = int64(l.svc.cfg.AZCount) // pre-quorum-model entries
+		now := clk.Now()
+		n := 0
+		for n < len(l.inflight) && !l.inflight[n].due.After(now) {
+			l.commitLocked(l.inflight[n])
+			n++
 		}
-		l.azCopies += copies
-		if next.Type == EntryData {
-			l.checksum = crc64.Update(l.checksum, crcTable, next.Payload)
+		batch = append(batch[:0], l.inflight[:n]...)
+		rest := copy(l.inflight, l.inflight[n:])
+		clear(l.inflight[rest:])
+		l.inflight = l.inflight[:rest]
+		headDue = nil
+		if rest > 0 {
+			headDue = clk.After(l.inflight[0].due.Sub(now))
 		}
-		s.cums[l.committed-s.base-1] = l.checksum
-	}
-	sealDue := l.sealDueLocked() != nil
-	if advanced {
-		close(l.commitWake)
-		l.commitWake = make(chan struct{})
-		l.notifyLocked()
-	}
-	l.mu.Unlock()
-	if sealDue {
-		l.finalizeSeals()
+		if n > 0 {
+			l.notifyLocked()
+		}
+		sealDue := l.sealDueLocked() != nil
+		l.mu.Unlock()
+		if sealDue {
+			l.finalizeSeals()
+		}
+		complete(batch, nil)
 	}
 }
 
+// wakeCommitter makes the committer look at the log again; wake-ups
+// coalesce.
+func (l *Log) wakeCommitter() {
+	select {
+	case l.kick <- struct{}{}:
+	default:
+	}
+}
+
+// commitLocked moves the watermark over p's entry, the next in sequence.
+// Caller holds mu.
+func (l *Log) commitLocked(p *Pending) {
+	seq := p.id.Seq
+	s := l.segFor(seq)
+	l.committed = seq
+	l.azCopies += int64(p.acks)
+	if e := s.entry(seq); e.Type == EntryData {
+		l.checksum = crc64.Update(l.checksum, crcTable, e.Payload)
+	}
+	s.cums[seq-s.base-1] = l.checksum
+}
+
 // sealDueLocked returns a closed, fully committed, not-yet-sealed
-// segment with no sealer already working on it. Caller holds mu.
+// segment. Caller holds mu.
 func (l *Log) sealDueLocked() *segment {
 	for _, s := range l.segs {
-		if s.closed && !s.sealed && !s.sealing && s.maxSeq() <= l.committed {
+		if s.closed && !s.sealed && s.maxSeq() <= l.committed {
 			return s
 		}
 	}
 	return nil
 }
 
-// finalizeSeals seals every due segment. It runs on commit goroutines
-// after the log lock is released, so an injected sealer stall
-// (txlog.seal.pre Delay) never blocks writers. Error/Crash at
-// txlog.seal.pre models the sealer dying before the footer write: the
-// segment stays closed-but-unsealed (and untrimmable) until a later
-// commit retries; Corrupt writes a bad footer the restart verification
-// pass must catch. txlog.seal.post fires once the segment is immutable.
+// finalizeSeals seals every due segment. It runs on the committer — the
+// only sealer — with the log lock released, between advancing the
+// watermark and acknowledging the entries that advanced it: a segment is
+// sealed by the time the append that completed it returns, and an injected
+// sealer stall (txlog.seal.pre Delay) never blocks StartAppend but does
+// hold back the acknowledgements queued behind it, as a stalled log
+// service would. Error/Crash at txlog.seal.pre models the sealer dying
+// before the footer write: the segment stays closed-but-unsealed (and
+// untrimmable) until a later commit retries; Corrupt writes a bad footer
+// the restart verification pass must catch. txlog.seal.post fires once the
+// segment is immutable.
 func (l *Log) finalizeSeals() {
 	faults := l.svc.cfg.Faults
 	clk := l.svc.cfg.Clock
 	for {
 		l.mu.Lock()
 		target := l.sealDueLocked()
-		if target != nil {
-			target.sealing = true
-		}
 		l.mu.Unlock()
 		if target == nil {
 			return
@@ -763,7 +795,6 @@ func (l *Log) finalizeSeals() {
 			clk.Sleep(d.Delay)
 		}
 		l.mu.Lock()
-		target.sealing = false
 		if d.Kind == faultpoint.Error || d.Kind == faultpoint.Crash {
 			l.sealsDeferred++
 			l.mu.Unlock()
@@ -786,18 +817,6 @@ func (l *Log) finalizeSeals() {
 		}
 	}
 }
-
-// committedMark / isCommitted piggyback on Epoch's high bit to avoid a
-// parallel bookkeeping slice. Epochs are far below 2^62 in practice.
-const committedBit = uint64(1) << 63
-
-func (e *Entry) committedMark() { e.Epoch |= committedBit }
-func (e *Entry) isCommitted() bool {
-	return e.Epoch&committedBit != 0
-}
-
-// EpochValue returns the writer epoch without the internal committed bit.
-func (e Entry) EpochValue() uint64 { return e.Epoch &^ committedBit }
 
 // ChainChecksum extends a running log checksum with one more data-entry
 // payload. The primary uses this to maintain its local running checksum,
@@ -926,9 +945,7 @@ func (l *Log) Get(id EntryID) (Entry, bool) {
 	if s == nil || !l.verifyRecordLocked(s, id.Seq) {
 		return Entry{}, false
 	}
-	e := *s.entry(id.Seq)
-	e.Epoch = e.EpochValue()
-	return e, true
+	return *s.entry(id.Seq), true
 }
 
 // TrimBase returns the current trim point: the position reads at or
@@ -1020,6 +1037,7 @@ func (l *Log) Trim(upTo EntryID) int {
 // flight). Returns the number of segments quarantined and entries
 // truncated by this pass.
 func (l *Log) RecoverChain() (quarantined, truncated int) {
+	var torn []*Pending
 	l.mu.Lock()
 	for i, s := range l.segs {
 		if i > 0 && s.base != l.segs[i-1].maxSeq() && !s.quarantined {
@@ -1073,15 +1091,17 @@ func (l *Log) RecoverChain() (quarantined, truncated int) {
 		}
 		l.assigned = l.committed
 		l.tornTruncated += int64(truncated)
-		// Wake any torn-entry waiters so they observe the truncation.
-		close(l.commitWake)
-		l.commitWake = make(chan struct{})
+		// Everything in flight is the torn tail: off the committer's FIFO
+		// here, under the lock that dropped the entries, so no timer armed
+		// for one of them can commit whichever entry reuses its sequence.
+		torn, l.inflight = l.inflight, nil
 	}
 	// Guarantee an appendable active segment.
 	if act := l.active(); act.sealed || act.closed || act.quarantined {
 		l.segs = append(l.segs, &segment{base: act.maxSeq()})
 	}
 	l.mu.Unlock()
+	complete(torn, ErrTruncated)
 	return quarantined, truncated
 }
 
@@ -1106,13 +1126,17 @@ func (l *Log) DamageRecord(seq uint64) bool {
 	return true
 }
 
+// closeAll destroys the log: readers wake to ErrNoSuchLog, appends still
+// in flight fail with it, and the committer exits.
 func (l *Log) closeAll() {
 	l.mu.Lock()
 	l.closed = true
-	close(l.commitWake)
-	l.commitWake = make(chan struct{})
+	lost := l.inflight
+	l.inflight = nil
 	l.wakeReadersLocked()
 	l.mu.Unlock()
+	complete(lost, ErrNoSuchLog)
+	l.wakeCommitter()
 }
 
 // notifyEvery is the cadence of the log's push to subscribers: a commit

@@ -3,6 +3,7 @@ package txlog
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -356,5 +357,65 @@ func TestWaitAbandonedStillCommits(t *testing.T) {
 			t.Fatal("abandoned append never committed")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// In-flight appends cost no goroutine each: a thousand of them wait on the
+// log's one committer, which is asleep on one timer — the head's — and one
+// Advance past their due time completes all of them, in order.
+func TestInflightAppendsShareOneCommitter(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0))
+	l := segTestLog(t, Config{Clock: sim, CommitLatency: netsim.Fixed(50 * time.Millisecond)})
+	before := runtime.NumGoroutine()
+	const n = 1000
+	pendings := make([]*Pending, n)
+	after := ZeroID
+	for i := range pendings {
+		p, err := l.StartAppend(after, Entry{Type: EntryData, Payload: []byte{byte(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pendings[i], after = p, p.ID()
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 2 {
+		t.Fatalf("%d appends in flight grew the process by %d goroutines, want <= 2", n, grew)
+	}
+	waitTimers(t, sim, 1)
+	sim.Advance(50 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if id, err := pendings[n-1].Wait(ctx); err != nil || l.CommittedTail() != id {
+		t.Fatalf("last append: %v, committed tail %v, want %v", err, l.CommittedTail(), id)
+	}
+	for i, p := range pendings {
+		select {
+		case <-p.done:
+		default:
+			t.Fatalf("append %d still pending after append %d completed", i+1, n)
+		}
+	}
+}
+
+// Destroying a log fails the appends still in flight on it, at once: a
+// waiter is never told an entry committed that no log holds, and is not
+// left waiting for a due time nobody will act on.
+func TestDeleteLogFailsInflightAppends(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0))
+	svc := NewService(Config{Clock: sim, CommitLatency: netsim.Fixed(50 * time.Millisecond)})
+	l, err := svc.CreateLog("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := l.StartAppend(ZeroID, Entry{Type: EntryData, Payload: []byte("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.DeleteLog("a"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := p.Wait(ctx); !errors.Is(err, ErrNoSuchLog) {
+		t.Fatalf("Wait on a destroyed log: %v, want ErrNoSuchLog", err)
 	}
 }
