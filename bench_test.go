@@ -234,7 +234,7 @@ func BenchmarkPipelinedWrites(b *testing.B) {
 
 // --- Ablation benches (design choices called out in DESIGN.md) ---
 
-func newBenchNode(b *testing.B, commit netsim.LatencyModel, globalGate bool) *core.Node {
+func newBenchNode(b *testing.B, commit netsim.LatencyModel) *core.Node {
 	b.Helper()
 	svc := txlog.NewService(txlog.Config{Clock: clock.NewReal(), CommitLatency: commit})
 	log, err := svc.CreateLog(fmt.Sprintf("ablate-%p", &svc))
@@ -244,7 +244,7 @@ func newBenchNode(b *testing.B, commit netsim.LatencyModel, globalGate bool) *co
 	n, err := core.NewNode(core.Config{
 		NodeID: "bench", ShardID: log.ShardID(), Log: log,
 		Lease: 500 * time.Millisecond, Backoff: 650 * time.Millisecond,
-		RenewEvery: 100 * time.Millisecond, GlobalReadGate: globalGate,
+		RenewEvery: 100 * time.Millisecond,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -257,53 +257,12 @@ func newBenchNode(b *testing.B, commit netsim.LatencyModel, globalGate bool) *co
 	return n
 }
 
-// BenchmarkAblationTrackerGranularity compares key-level hazard tracking
-// (MemoryDB's design) against a global read barrier: reads of untouched
-// keys under a concurrent write stream. Key-level gating keeps them at
-// engine latency; a global barrier adds the full commit latency.
-func BenchmarkAblationTrackerGranularity(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		global bool
-	}{{"key-level", false}, {"global", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			n := newBenchNode(b, netsim.Fixed(2*time.Millisecond), mode.global)
-			ctx := context.Background()
-			stop := make(chan struct{})
-			// Enough concurrent writers to keep a not-yet-durable write
-			// in flight essentially always (one serial writer leaves the
-			// pipeline empty between its commit and its next submit).
-			for w := 0; w < 8; w++ {
-				go func() {
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-							n.Do(ctx, [][]byte{[]byte("SET"), []byte("hot"), []byte("v")})
-						}
-					}
-				}()
-			}
-			defer close(stop)
-			n.Do(ctx, [][]byte{[]byte("SET"), []byte("cold"), []byte("v")})
-			time.Sleep(5 * time.Millisecond)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("cold")}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationQuorumLatency sweeps the multi-AZ commit latency and
 // reports acknowledged-write latency — the direct cost of durability.
 func BenchmarkAblationQuorumLatency(b *testing.B) {
 	for _, commit := range []time.Duration{0, 500 * time.Microsecond, 2 * time.Millisecond, 4 * time.Millisecond} {
 		b.Run(fmt.Sprintf("commit=%v", commit), func(b *testing.B) {
-			n := newBenchNode(b, netsim.Fixed(commit), false)
+			n := newBenchNode(b, netsim.Fixed(commit))
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -330,7 +289,7 @@ func BenchmarkAblationSnapshotFreshness(b *testing.B) {
 			appendN := func(n int) {
 				for i := 0; i < n; i++ {
 					res := eng.Exec([][]byte{[]byte("SET"), []byte(fmt.Sprintf("k%d", i%500)), []byte("value-of-moderate-size")})
-					id, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: engine.EncodeRecord(res.Effects)})
+					id, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: res.Effects})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -365,7 +324,7 @@ func BenchmarkAblationSnapshotFreshness(b *testing.B) {
 // workloop (tracker + dispatch + engine), no commit latency — the
 // fixed overhead MemoryDB adds over a bare engine call.
 func BenchmarkNodeOpPath(b *testing.B) {
-	n := newBenchNode(b, netsim.Zero{}, false)
+	n := newBenchNode(b, netsim.Zero{})
 	ctx := context.Background()
 	n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
 	b.Run("GET", func(b *testing.B) {

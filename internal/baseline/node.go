@@ -58,7 +58,7 @@ type Node struct {
 
 type replItem struct {
 	offset  int64
-	effects [][]byte
+	effects []byte
 }
 
 type task struct {
@@ -208,7 +208,7 @@ func (n *Node) workloop() {
 			}
 			res := n.eng.Exec(t.argv)
 			if res.Mutated() && n.IsPrimary() {
-				payload := engine.EncodeRecord(res.Effects)
+				payload := res.Effects
 				off := n.masterOffset.Add(int64(len(payload)))
 				if n.cfg.AOF != nil {
 					n.cfg.AOF.Append(payload)
@@ -245,9 +245,7 @@ func (n *Node) replApplyLoop() {
 			}
 			t := &task{argv: nil, reply: make(chan resp.Value, 1)}
 			t.snapshotW = func() {
-				for _, eff := range item.effects {
-					_ = n.eng.Apply(eff)
-				}
+				_ = n.eng.Apply(item.effects)
 				n.ackedOffset.Store(item.offset)
 			}
 			select {

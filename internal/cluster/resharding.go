@@ -166,19 +166,14 @@ func (c *Cluster) setSlotBlocked(slot uint16, blocked bool) {
 
 // forwardStream applies the migration stream to the target primary in
 // order. Dump items arrive as decoded commands; live effects arrive as
-// RESP-encoded payloads.
+// one RESP-encoded record.
 func forwardStream(ctx context.Context, ms *core.MigrationStream, dst *core.Node) error {
 	for item := range ms.C {
-		var batch [][][]byte
-		if item.Cmds != nil {
-			batch = item.Cmds
-		} else {
-			for _, eff := range item.Effects {
-				cmds, err := engine.DecodeRecord(eff)
-				if err != nil {
-					return err
-				}
-				batch = append(batch, cmds...)
+		batch := item.Cmds
+		if batch == nil {
+			var err error
+			if batch, err = engine.DecodeRecord(item.Effects); err != nil {
+				return err
 			}
 		}
 		if len(batch) == 0 {

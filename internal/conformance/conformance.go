@@ -293,7 +293,7 @@ func RunDifferential(g *Generator, primary, replica *engine.Engine, rounds int) 
 		}
 		okCount++
 		if res.Mutated() {
-			if err := replica.Apply(engine.EncodeRecord(res.Effects)); err != nil {
+			if err := replica.Apply(res.Effects); err != nil {
 				return fmt.Sprintf("replica rejected effects of %q: %v", args, err), okCount, errCount
 			}
 		}

@@ -57,7 +57,7 @@ func TestTwoReplicasConverge(t *testing.T) {
 		if res.Reply.IsError() || !res.Mutated() {
 			continue
 		}
-		record := engine.EncodeRecord(res.Effects)
+		record := res.Effects
 		if err := r1.Apply(record); err != nil {
 			t.Fatalf("r1: %v", err)
 		}

@@ -5,11 +5,11 @@ import (
 	"sync/atomic"
 
 	"memorydb/internal/election"
-	"memorydb/internal/engine"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/obs"
 	"memorydb/internal/resp"
 	"memorydb/internal/trace"
+	"memorydb/internal/tracker"
 	"memorydb/internal/txlog"
 )
 
@@ -29,9 +29,11 @@ import (
 // append concurrency is Shards × MaxInflightAppends.
 //
 // Correctness invariants:
-//   - A mutation's reply is withheld until its covering entry commits
-//     (buffered replies are registered with the tracker at flush, all at
-//     the batch entry's seq).
+//   - A task's reply is delivered exactly once, by whoever holds it: the
+//     shard buffer before the flush (a lost append or a demotion fails it),
+//     the flushed entry after (the tracker releases the entry once, on
+//     Commit or on Abort). A mutation's reply is thereby withheld until its
+//     covering entry commits.
 //   - Reads that observed a buffered-but-unflushed mutation gate on the
 //     batch itself (the workloop tracks the buffer's dirty-key set), so
 //     undurable data is never exposed even before a seq exists. A key's
@@ -53,26 +55,16 @@ import (
 // (flush-on-bytes).
 const maxBatchBytes = 256 << 10
 
-// gatedReply is one client reply parked in the group-commit buffer.
-type gatedReply struct {
-	keys []string // dirty keys (mutations only; nil for gated reads)
-	val  resp.Value
-	send func(v resp.Value)
-	// execDone is the mutation's engine-execution stamp (obs.Now nanos,
-	// 0 when unstamped) — batch residency is measured from it at flush.
-	execDone int64
-	// tr carries the originating task's tracing state into the flush
-	// (nil unless the task was sampled).
-	tr *taskSpan
-}
-
-// groupCommit is one shard's workloop-owned batching buffer.
+// groupCommit is one shard's workloop-owned batching buffer. A buffered
+// task's reply is parked on the task itself (task.val).
 type groupCommit struct {
-	payload []byte       // concatenated effect records for the next entry
-	records int          // logical records in payload
-	writes  []gatedReply // mutation replies awaiting flush
-	reads   []gatedReply // reads/barriers gated on this batch
-	keys    map[string]struct{}
+	payload []byte  // concatenated effect records for the next entry
+	writes  []*task // the mutations behind them, one per record, in execution order
+	reads   []*task // reads/barriers gated on this batch
+	// keys is the set of keys the buffered mutations dirtied (touchesAny);
+	// dirty lists the same keys, repeats included, for the tracker.
+	keys  map[string]struct{}
+	dirty []string
 	// inflight counts flushed-but-unacknowledged data appends. Written by
 	// the completion loop too, read by the workloop (hence atomic —
 	// everything else in this struct is workloop-only).
@@ -80,7 +72,7 @@ type groupCommit struct {
 }
 
 // pending reports whether the buffer holds anything to flush or gate on.
-func (g *groupCommit) pending() bool { return g.records > 0 }
+func (g *groupCommit) pending() bool { return len(g.writes) > 0 }
 
 // touchesAny reports whether any of keys was dirtied by a buffered
 // mutation.
@@ -97,30 +89,11 @@ func (g *groupCommit) touchesAny(keys []string) bool {
 }
 
 func (g *groupCommit) reset() {
-	// The flushed payload slice is owned by the log entry now; start a
-	// fresh one rather than reusing the backing array.
-	g.payload = nil
-	g.records = 0
-	g.writes = g.writes[:0]
-	g.reads = g.reads[:0]
+	// The log entry owns the flushed payload now and the flushed entry the
+	// task lists; start fresh ones rather than reusing the backing arrays.
+	g.payload, g.writes, g.reads = nil, nil, nil
+	g.dirty = g.dirty[:0]
 	clear(g.keys)
-}
-
-// bufferMutation parks an executed mutation's effects and reply in the
-// shard's batch. The engine already applied the mutation locally;
-// visibility to other clients is controlled by the read-gating below, and
-// the reply is withheld until the batch entry commits.
-func (n *Node) bufferMutation(sh *nodeShard, t *task, res engine.Result) {
-	gc := &sh.gc
-	gc.payload = engine.AppendRecord(gc.payload, res.Effects)
-	gc.records++
-	gc.writes = append(gc.writes, gatedReply{keys: res.Keys, val: res.Reply, send: t.reply, execDone: t.execDone, tr: t.tr})
-	if gc.keys == nil {
-		gc.keys = make(map[string]struct{}, 16)
-	}
-	for _, k := range res.Keys {
-		gc.keys[k] = struct{}{}
-	}
 }
 
 // shouldFlush reports whether the shard's buffer must be flushed now: a
@@ -132,14 +105,40 @@ func (n *Node) shouldFlush(sh *nodeShard) bool {
 	if !gc.pending() {
 		return false
 	}
-	return gc.records >= n.cfg.MaxBatchRecords ||
+	return len(gc.writes) >= n.cfg.MaxBatchRecords ||
 		len(gc.payload) >= maxBatchBytes ||
 		gc.inflight.Load() < int64(n.cfg.MaxInflightAppends)
 }
 
+// flushedEntry is one flushed batch from append to release: the holder of
+// its tasks' replies once they left the shard buffer. Two things happen to
+// it, each once: the log answers for it (committed) and the tracker lets
+// its replies go (released).
+type flushedEntry struct {
+	sh     *nodeShard
+	trk    *tracker.Tracker
+	p      *txlog.Pending
+	writes []*task // the batch's mutations, in execution order
+	reads  []*task // reads that observed one of them while it was buffered
+	// owner is the first traced write. The append and quorum intervals are
+	// shared by every reply in the batch, so one trace records them, and
+	// the entry carries that trace's context into the log so per-AZ acks
+	// and remote replica applies attach to the same tree. appendSpan is
+	// allocated up front — it must be on the entry before the append is
+	// issued, but the span itself is only emitted once the append returns.
+	owner      *taskSpan
+	appendSpan uint64
+	// Stage stamps (obs.Now nanos, 0 = not taken): the flush began, the
+	// append returned, the quorum acknowledged. ackAt is written by
+	// committed and read by released — both on the completion loop, or
+	// released first, on the flushing workloop, before committed is queued.
+	flushStart, appendDone, ackAt int64
+}
+
 // flushPending appends the shard's buffered batch as one EntryData and
-// gates every buffered reply on its commit. Returns false when the append
-// failed (the node demoted and all buffered replies were failed).
+// hands every buffered reply to the entry, gated on its commit. Returns
+// false when the append failed (the node demoted and all buffered replies
+// were failed).
 func (n *Node) flushPending(sh *nodeShard) bool {
 	gc := &sh.gc
 	if !gc.pending() {
@@ -156,43 +155,31 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		n.abortPending(sh, errDemoted)
 		return false
 	}
-	var flushStart int64
+	fe := &flushedEntry{sh: sh, trk: trk, writes: gc.writes, reads: gc.reads}
 	if n.obs != nil {
 		// Batch residency ends here: every buffered mutation waited from
 		// its engine execution until this flush began.
-		flushStart = obs.Now()
-		for _, w := range gc.writes {
-			if w.execDone != 0 {
-				n.obs.Stage(obs.StageBatchWait).ObserveNanos(flushStart - w.execDone)
-				if w.tr != nil {
-					w.tr.c.Emit(w.tr.sc, "batch_wait", n.cfg.NodeID, -1, sh.idx, w.execDone, flushStart)
-				}
+		fe.flushStart = obs.Now()
+	}
+	for _, w := range fe.writes {
+		if w.execDone != 0 {
+			n.obs.Stage(obs.StageBatchWait).ObserveNanos(fe.flushStart - w.execDone)
+			if w.tr != nil {
+				w.tr.c.Emit(w.tr.sc, "batch_wait", n.cfg.NodeID, -1, sh.idx, w.execDone, fe.flushStart)
 			}
 		}
-	}
-	// The first traced write in the batch owns the batch-level spans: the
-	// append and quorum intervals are shared by every buffered reply, so
-	// one trace records them, and the entry carries that trace's context
-	// into the log so per-AZ acks and remote replica applies attach to
-	// the same tree. The append span's ID is allocated up front — it must
-	// be on the entry before the append is issued, but the span itself is
-	// only emitted once the append returns.
-	var ownerTr *taskSpan
-	var appendSpanID uint64
-	for _, w := range gc.writes {
-		if w.tr != nil {
-			ownerTr = w.tr
-			break
+		if fe.owner == nil {
+			fe.owner = w.tr
 		}
 	}
-	entry := txlog.Entry{Type: txlog.EntryData, Records: uint32(gc.records), Payload: gc.payload}
-	if ownerTr != nil {
-		appendSpanID = ownerTr.c.NewSpanID()
-		entry.TraceID = ownerTr.sc.TraceID
-		entry.TraceSpan = appendSpanID
+	entry := txlog.Entry{Type: txlog.EntryData, Records: uint32(len(fe.writes)), Payload: gc.payload}
+	if fe.owner != nil {
+		fe.appendSpan = fe.owner.c.NewSpanID()
+		entry.TraceID = fe.owner.sc.TraceID
+		entry.TraceSpan = fe.appendSpan
 	}
-	p, err := n.sequence(entry, &n.stats.AppendsRetried)
-	if err != nil {
+	var err error
+	if fe.p, err = n.sequence(entry, &n.stats.AppendsRetried); err != nil {
 		// Transient failures were already absorbed by the retry loop
 		// (replies stayed withheld throughout); reaching here means the
 		// append is genuinely lost and the node has demoted. None of the
@@ -205,82 +192,77 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		}
 		return false
 	}
-	seq := p.ID().Seq
 	n.stats.BatchFlushes.Add(1)
-	n.stats.BatchedRecords.Add(int64(gc.records))
-	// ackAt is the batch's quorum-acknowledgement stamp, written by the
-	// completion loop and read by the tracker deliver closures (which
-	// may run on its Commit or on an Abort from elsewhere — hence
-	// atomic). One cell is shared by every reply in the batch.
-	var ackAt *atomic.Int64
-	var appendDone int64
+	n.stats.BatchedRecords.Add(int64(len(fe.writes)))
 	if n.obs != nil {
-		appendDone = obs.Now()
-		n.obs.Stage(obs.StageAppend).ObserveNanos(appendDone - flushStart)
-		ackAt = new(atomic.Int64)
-		if ownerTr != nil {
-			ownerTr.c.EmitWithID(appendSpanID, ownerTr.sc, "append", n.cfg.NodeID, sh.idx, flushStart, appendDone)
+		fe.appendDone = obs.Now()
+		n.obs.Stage(obs.StageAppend).ObserveNanos(fe.appendDone - fe.flushStart)
+		if fe.owner != nil {
+			fe.owner.c.EmitWithID(fe.appendSpan, fe.owner.sc, "append", n.cfg.NodeID, sh.idx, fe.flushStart, fe.appendDone)
 		}
 	}
-	for _, w := range gc.writes {
-		w := w
-		trk.RegisterWrite(seq, w.keys, func(aborted bool) {
-			if aborted {
-				w.send(errDemoted)
-				return
-			}
-			if ackAt != nil {
-				if at := ackAt.Load(); at != 0 {
-					now := obs.Now()
-					n.obs.Stage(obs.StageTrackerRelease).ObserveNanos(now - at)
-					if w.tr != nil {
-						w.tr.c.Emit(w.tr.sc, "tracker_release", n.cfg.NodeID, -1, sh.idx, at, now)
-					}
-				}
-			}
-			w.send(w.val)
-		})
-	}
-	for _, r := range gc.reads {
-		trk.RegisterWrite(seq, nil, gateReply(r.send, r.val))
-	}
+	trk.RegisterWrite(fe.p.ID().Seq, gc.dirty, fe.released)
 	gc.reset()
 	gc.inflight.Add(1)
-	n.onCommit(p, func(err error) {
-		if err == nil {
-			if ackAt != nil {
-				now := obs.Now()
-				ackAt.Store(now)
-				n.obs.Stage(obs.StageQuorumWait).ObserveNanos(now - appendDone)
-				if ownerTr != nil {
-					// Child of the append span, sibling of the per-AZ acks
-					// the log service emitted for the same entry.
-					ownerTr.c.Emit(trace.SpanContext{TraceID: ownerTr.sc.TraceID, SpanID: appendSpanID},
-						"quorum_wait", n.cfg.NodeID, -1, sh.idx, appendDone, now)
-				}
-			}
-			// Two crash gates inside the committed-but-unacknowledged
-			// window: the entry is quorum-durable, but a kill at either
-			// point means no gated reply is ever delivered — the harness's
-			// "durable yet unacknowledged" case. On a checkpoint failure the
-			// commit is skipped but the inflight decrement and wakeup below
-			// still run, so a thawed zombie's workloop is not wedged.
-			if n.checkpoint(faultpoint.SiteFlushPost) == nil &&
-				n.checkpoint(faultpoint.SiteTrackerRelease) == nil {
-				n.noteAZHealth(p)
-				trk.Commit(seq)
-			}
-		}
-		gc.inflight.Add(-1)
-		// Coalesced poke: wake the shard workloop so the batch that
-		// accumulated behind this round-trip flushes promptly (the barrier
-		// shard has no workloop and a nil channel: never ready).
-		select {
-		case sh.appendAcked <- struct{}{}:
-		default:
-		}
-	})
+	n.onCommit(fe.p, fe.committed)
 	return true
+}
+
+// committed is the completion-loop half: the log has answered for the
+// entry, with err nil when it is quorum-durable.
+func (fe *flushedEntry) committed(err error) {
+	n, sh := fe.sh.n, fe.sh
+	if err == nil {
+		if fe.appendDone != 0 {
+			fe.ackAt = obs.Now()
+			n.obs.Stage(obs.StageQuorumWait).ObserveNanos(fe.ackAt - fe.appendDone)
+			if fe.owner != nil {
+				// Child of the append span, sibling of the per-AZ acks
+				// the log service emitted for the same entry.
+				fe.owner.c.Emit(trace.SpanContext{TraceID: fe.owner.sc.TraceID, SpanID: fe.appendSpan},
+					"quorum_wait", n.cfg.NodeID, -1, sh.idx, fe.appendDone, fe.ackAt)
+			}
+		}
+		// Two crash gates inside the committed-but-unacknowledged
+		// window: the entry is quorum-durable, but a kill at either
+		// point means no gated reply is ever delivered — the harness's
+		// "durable yet unacknowledged" case. On a checkpoint failure the
+		// commit is skipped but the inflight decrement and wakeup below
+		// still run, so a thawed zombie's workloop is not wedged.
+		if n.checkpoint(faultpoint.SiteFlushPost) == nil &&
+			n.checkpoint(faultpoint.SiteTrackerRelease) == nil {
+			n.noteAZHealth(fe.p)
+			fe.trk.Commit(fe.p.ID().Seq)
+		}
+	}
+	sh.gc.inflight.Add(-1)
+	// Coalesced poke: wake the shard workloop so the batch that
+	// accumulated behind this round-trip flushes promptly (the barrier
+	// shard has no workloop and a nil channel: never ready).
+	select {
+	case sh.appendAcked <- struct{}{}:
+	default:
+	}
+}
+
+// released is the tracker's deliver for the entry: its Commit let the
+// replies go, or — aborted — the node lost the ability to commit and every
+// write and batch-gated read fails with errDemoted.
+func (fe *flushedEntry) released(aborted bool) {
+	n := fe.sh.n
+	for _, w := range fe.writes {
+		if !aborted && fe.ackAt != 0 {
+			now := obs.Now()
+			n.obs.Stage(obs.StageTrackerRelease).ObserveNanos(now - fe.ackAt)
+			if w.tr != nil {
+				w.tr.c.Emit(w.tr.sc, "tracker_release", n.cfg.NodeID, -1, fe.sh.idx, fe.ackAt, now)
+			}
+		}
+		n.release(w, aborted)
+	}
+	for _, r := range fe.reads {
+		n.release(r, aborted)
+	}
 }
 
 // abortPending fails every reply parked in the shard's buffer with
@@ -288,14 +270,11 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 // were buffered.
 func (n *Node) abortPending(sh *nodeShard, errVal resp.Value) {
 	gc := &sh.gc
-	if gc.records == 0 && len(gc.reads) == 0 {
-		return
-	}
 	for _, w := range gc.writes {
-		w.send(errVal)
+		n.reply(w, errVal)
 	}
 	for _, r := range gc.reads {
-		r.send(errVal)
+		n.reply(r, errVal)
 	}
 	gc.reset()
 }

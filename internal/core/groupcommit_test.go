@@ -227,43 +227,6 @@ func TestFlushFailureAbortsWholeBatch(t *testing.T) {
 	}
 }
 
-// TestGlobalReadGateAppliesToKeyedReads is the regression test for the
-// read-gate condition's operator precedence: with the GlobalReadGate
-// ablation enabled, a read WITH keys must still wait for all outstanding
-// writes — not only keyless full-keyspace reads.
-func TestGlobalReadGateAppliesToKeyedReads(t *testing.T) {
-	commit := 10 * time.Millisecond
-	svc := testService(t, netsim.Fixed(commit))
-	log, _ := svc.CreateLog("shard-1")
-	n, err := NewNode(Config{
-		NodeID:         "node-a",
-		ShardID:        log.ShardID(),
-		Log:            log,
-		Lease:          120 * time.Millisecond,
-		Backoff:        160 * time.Millisecond,
-		RenewEvery:     30 * time.Millisecond,
-		GlobalReadGate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	t.Cleanup(n.Stop)
-	waitRole(t, n, election.RolePrimary, 2*time.Second)
-
-	ctx := context.Background()
-	mustDo(t, n, "SET", "unrelated", "x")
-	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("hot"), []byte("v")})
-	time.Sleep(2 * time.Millisecond)
-	start := time.Now()
-	if _, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("unrelated")}); err != nil {
-		t.Fatal(err)
-	}
-	if lat := time.Since(start); lat < commit/2 {
-		t.Fatalf("GlobalReadGate: keyed read of an unrelated key returned in %v — must wait for ALL outstanding writes (%v commit)", lat, commit)
-	}
-}
-
 // TestWaitCoversBufferedWrites checks the WAIT barrier extends over
 // mutations still in the group-commit buffer, which have no log seq yet.
 func TestWaitCoversBufferedWrites(t *testing.T) {

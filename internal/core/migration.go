@@ -30,8 +30,8 @@ var errNotPrimaryErr = errors.New("core: not the primary")
 type ForwardItem struct {
 	// Cmds are decoded commands to apply at the target (dump path).
 	Cmds [][][]byte
-	// Effects are RESP-encoded effect commands (live mutation path).
-	Effects [][]byte
+	// Effects is the replication record of one mutation (live path).
+	Effects []byte
 }
 
 // MigrationStream receives the ordered dump+effect stream for one slot.
@@ -254,7 +254,7 @@ func (n *Node) SlotKeyCount(ctx context.Context, slot uint16) (int, error) {
 // forwardEffects mirrors a mutation's effects into every migration stream
 // (of the shards sh covers) whose slot one of the touched keys belongs to.
 // Called right after the effects entered sh's group-commit buffer.
-func (n *Node) forwardEffects(sh *nodeShard, keys []string, effects [][]byte) {
+func (n *Node) forwardEffects(sh *nodeShard, keys []string, effects []byte) {
 	for _, o := range sh.covers {
 		ms := o.migStream
 		if ms == nil {

@@ -57,11 +57,6 @@ type Config struct {
 	// an EntryChecksum after every N data entries (§7.2.1). Defaults to
 	// 64; negative disables injection.
 	ChecksumEvery int
-	// GlobalReadGate is an ablation knob: when set, every read waits for
-	// ALL outstanding writes instead of only writes covering its keys.
-	// MemoryDB uses key-level hazards (§3.2); this measures what that
-	// design choice buys.
-	GlobalReadGate bool
 	// MaxBatchRecords caps how many mutation records group commit may
 	// coalesce into one transaction-log entry. While a quorum append is in
 	// flight the workloop keeps executing queued mutations and buffers
@@ -303,6 +298,9 @@ type Node struct {
 	wg          sync.WaitGroup
 
 	stats Stats
+	// abortedReplies counts withheld replies a tracker abort failed; a
+	// step-down reports its share on the flight ring.
+	abortedReplies atomic.Int64
 
 	// obs is the observability registry (nil when Config.NoObs). Histogram
 	// recording is lock-free, so every goroutine may record; the map-backed

@@ -13,11 +13,11 @@ import (
 // and the INFO sections (# Latency, # Commandstats, # Slowlog).
 //
 // Stage stamps live on the task (enq/deq/execDone, obs.Now monotonic
-// nanos, 0 = unset) and on the per-batch ack cell in groupcommit.go.
+// nanos, 0 = unset) and on the flushed entry in groupcommit.go.
 // Everything here is gated on n.obs != nil so NoObs nodes pay one
 // pointer check per site.
 
-// obsFinish runs inside the reply closure of a stamped task: it computes
+// obsFinish runs as a stamped task's reply is delivered: it computes
 // the end-to-end span and the queue/execute breakdown and hands them to
 // the registry (e2e + per-command histograms, slowlog check).
 func (n *Node) obsFinish(t *task) {

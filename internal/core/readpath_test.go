@@ -105,14 +105,17 @@ func TestReplicaReadDegradesUnderAsymmetricPartition(t *testing.T) {
 	waitRole(t, replica, election.RoleReplica, time.Second)
 
 	mustDo(t, primary, "SET", "k", "v1")
-	// Let the replica catch up and prove it at least once.
+	// Let the replica catch up and prove it at least once: the tailer
+	// stamps the proof when it parks, a moment after the apply that lets
+	// the read through.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		v, outcome, err := replica.DoRead(context.Background(), getArgv("k"), ReadOpts{})
 		if err != nil {
 			t.Fatalf("DoRead: %v", err)
 		}
-		if outcome == ReadOutcomeLinearizable && v.Text() == "v1" {
+		if outcome == ReadOutcomeLinearizable && v.Text() == "v1" &&
+			replica.readGate.Staleness(time.Now()) < time.Second {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -51,7 +51,7 @@ func (h *handLog) append(e txlog.Entry) {
 func (h *handLog) set(version uint32, key, val string) {
 	h.t.Helper()
 	res := h.model.Exec([][]byte{[]byte("SET"), []byte(key), []byte(val)})
-	payload := engine.EncodeRecord(res.Effects)
+	payload := res.Effects
 	h.running = txlog.ChainChecksum(h.running, payload)
 	h.append(txlog.Entry{Type: txlog.EntryData, EngineVersion: version, Payload: payload})
 }

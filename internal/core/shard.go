@@ -141,11 +141,6 @@ func (n *Node) route(t *task) *nodeShard {
 			}
 			return n.shards[0]
 		}
-		if n.cfg.GlobalReadGate && !cmd.Writes() {
-			// Ablation knob: every read gates on ALL outstanding writes,
-			// which requires every shard's buffer flushed.
-			return n.barrier
-		}
 		si := n.shardOfKey(keys[0])
 		for _, k := range keys[1:] {
 			if n.shardOfKey(k) != si {
@@ -155,9 +150,6 @@ func (n *Node) route(t *task) *nodeShard {
 		}
 		return n.shards[si]
 	case taskBatch:
-		if n.cfg.GlobalReadGate {
-			return n.barrier
-		}
 		si := -1
 		for _, argv := range t.batch {
 			if len(argv) == 0 {

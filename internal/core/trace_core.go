@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the node side of cross-node causal tracing: adopting (or
-// minting) a span context at submit; submit's reply closure finishes the
-// task's root span when the reply is delivered — for a mutation that is
-// after the tracker released it, so the span covers the full
-// submit→durable→reply interval. Stage child spans are emitted next to
+// minting) a span context at submit; Node.reply finishes the task's root
+// span when the reply is delivered — for a mutation that is after the
+// tracker released it, so the span covers the full submit→durable→reply
+// interval. Stage child spans are emitted next to
 // the existing obs stage stamps (observe.go, groupcommit.go), reusing
 // the timestamps already taken there; the group-commit flush stamps the
 // context onto the txlog entry so AZ acks and remote replica applies

@@ -41,7 +41,13 @@ type task struct {
 	// anything else is redirected, so stale data is never silently
 	// returned as consistent.
 	readVerified bool
-	reply        func(v resp.Value)
+
+	// The task is its own reply future: Node.reply writes val, then signals
+	// done (one slot, one send; nil on the expiry sweep's task, which nobody
+	// waits for). While a reply is withheld for durability, val parks the
+	// value it will carry if the covering entry commits.
+	val  resp.Value
+	done chan struct{}
 
 	// tr is the task's tracing state; nil unless the task was sampled
 	// (or arrived with a span context minted by the server front-end).
@@ -110,21 +116,12 @@ func (t *task) resolve() {
 
 func (n *Node) submit(ctx context.Context, t *task) (resp.Value, error) {
 	t.resolve()
-	ch := make(chan resp.Value, 1)
+	t.done = make(chan struct{}, 1)
 	if n.trace != nil {
 		n.traceStart(ctx, t)
 	}
 	if n.obs != nil {
 		t.enq = obs.Now()
-	}
-	t.reply = func(v resp.Value) {
-		if t.enq != 0 {
-			n.obsFinish(t)
-		}
-		if t.tr != nil {
-			t.tr.c.Finish(t.tr.root)
-		}
-		ch <- v
 	}
 	sh := n.route(t)
 	t.shard = sh.idx
@@ -142,12 +139,41 @@ func (n *Node) submit(ctx context.Context, t *task) (resp.Value, error) {
 		}
 	}
 	select {
-	case v := <-ch:
-		return v, nil
+	case <-t.done:
+		return t.val, nil
 	case <-ctx.Done():
 		return resp.Value{}, ctx.Err()
 	case <-n.stopCtx.Done():
 		return resp.Value{}, ErrStopped
+	}
+}
+
+// reply delivers a client task's reply — exactly once per task, by whoever
+// holds it: the handler, the shard buffer or the flushed entry. For a
+// mutation that is after the tracker released it, so the latency observed
+// and the root span cover submit → durable → reply.
+func (n *Node) reply(t *task, v resp.Value) {
+	if t.done == nil {
+		return
+	}
+	if t.enq != 0 {
+		n.obsFinish(t)
+	}
+	if t.tr != nil {
+		t.tr.c.Finish(t.tr.root)
+	}
+	t.val = v
+	t.done <- struct{}{}
+}
+
+// release delivers a withheld reply: the value parked on the task once its
+// covering entry committed, errDemoted when it never will.
+func (n *Node) release(t *task, aborted bool) {
+	if !aborted {
+		n.reply(t, t.val)
+	} else if t.done != nil { // the sweep's task holds no reply to fail
+		n.abortedReplies.Add(1)
+		n.reply(t, errDemoted)
 	}
 }
 
@@ -208,18 +234,6 @@ var (
 	errLogDown    = resp.Err("CLUSTERDOWN transaction log unavailable")
 )
 
-// gateReply is the tracker deliver callback for a withheld reply: v once
-// the covering entry commits, errDemoted when the tracker aborts.
-func gateReply(send func(resp.Value), v resp.Value) func(aborted bool) {
-	return func(aborted bool) {
-		if aborted {
-			send(errDemoted)
-		} else {
-			send(v)
-		}
-	}
-}
-
 // handleClient is the one client command path (§3.2): admit, execute on
 // the shard's engine, then either buffer the mutation's effects for the
 // log or gate the read on the writes it observed. It runs on a shard's
@@ -233,7 +247,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 		n.obsDequeued(t)
 	}
 	if name == "INFO" {
-		t.reply(resp.BulkStr(n.infoText()))
+		n.reply(t, resp.BulkStr(n.infoText()))
 		return
 	}
 	local := isAlwaysLocal(name)
@@ -250,7 +264,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 
 	if gate != nil && cmd != nil && !local {
 		if errReply, rejected := gate(name, t.keys, cmd.Writes()); rejected {
-			t.reply(errReply)
+			n.reply(t, errReply)
 			return
 		}
 	}
@@ -261,7 +275,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 			// reads and writes at the end of its lease (§4.1.3).
 			n.abortPending(sh, errDemoted)
 			n.demote()
-			t.reply(errDemoted)
+			n.reply(t, errDemoted)
 			return
 		}
 	case election.RoleReplica:
@@ -279,18 +293,18 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 		}
 		switch {
 		case stalled:
-			t.reply(errStalledVal)
+			n.reply(t, errStalledVal)
 			return
 		case writes, !local && !t.readonly:
-			t.reply(errNotPrimary)
+			n.reply(t, errNotPrimary)
 			return
 		case !local && !t.readVerified:
 			n.stats.ReplicaReadsRedirected.Add(1)
-			t.reply(errRedirect)
+			n.reply(t, errRedirect)
 			return
 		}
 	default:
-		t.reply(errDemoted)
+		n.reply(t, errDemoted)
 		return
 	}
 
@@ -312,7 +326,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 	}
 	if role == election.RoleReplica {
 		// Mutations only become visible here once committed to the log.
-		t.reply(res.Reply)
+		n.reply(t, res.Reply)
 		return
 	}
 	if res.Mutated() {
@@ -324,34 +338,53 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 	// WAIT and read-only transactions (computing the union of read keys
 	// across the group costs more than the conservative gate) wait for
 	// everything outstanding.
-	keys := t.keys
-	gateAll := batch || name == "WAIT" || n.cfg.GlobalReadGate || (keys == nil && gatesOnFullKeyspace(name))
-	switch {
-	case sh.gc.pending() && (gateAll || sh.gc.touchesAny(keys)):
-		// The read observed a mutation still sitting in the group-commit
-		// buffer (no log seq yet): gate it on the batch itself; it is
-		// released once the batch entry commits.
-		n.stats.GatedReads.Add(1)
-		sh.gc.reads = append(sh.gc.reads, gatedReply{val: res.Reply, send: t.reply})
-	case gateAll:
-		n.stats.GatedReads.Add(1)
-		trk.RegisterWrite(n.lastIssuedSeq(), nil, gateReply(t.reply, res.Reply))
-	default:
-		trk.GateRead(keys, gateReply(t.reply, res.Reply))
+	gateAll := batch || name == "WAIT" || (t.keys == nil && gatesOnFullKeyspace(name))
+	// A mutation the read observed may still sit in the group-commit buffer
+	// (no log seq yet): the read then joins the batch and is released with
+	// it. Otherwise the tracker says which issued entry covers it, if any.
+	buffered := sh.gc.pending() && (gateAll || sh.gc.touchesAny(t.keys))
+	var seq uint64
+	if !buffered {
+		if gateAll {
+			seq = n.lastIssuedSeq()
+		}
+		if seq = trk.Covering(seq, t.keys); seq == 0 {
+			n.reply(t, res.Reply)
+			return
+		}
+	}
+	t.val = res.Reply
+	n.stats.GatedReads.Add(1)
+	if buffered {
+		sh.gc.reads = append(sh.gc.reads, t)
+	} else {
+		trk.RegisterWrite(seq, nil, func(aborted bool) { n.release(t, aborted) })
 	}
 }
 
-// logMutation routes the effects of an executed mutation into the shard's
-// group-commit buffer and flushes when warranted: immediately when the
-// append pipeline has room (no latency added), on records/bytes caps, and
-// otherwise when an in-flight append acknowledges (flush-on-ack, driven
-// by the shard's appendAcked wakeup).
+// logMutation parks an executed mutation in the shard's group-commit
+// buffer — its effects for the log, its reply on the task until the batch
+// entry commits; the engine already applied it, and the read gating above
+// controls what other clients see of it meanwhile — and flushes when
+// warranted: immediately when the append pipeline has room (no latency
+// added), on records/bytes caps, and otherwise when an in-flight append
+// acknowledges (flush-on-ack, driven by the shard's appendAcked wakeup).
 func (n *Node) logMutation(sh *nodeShard, t *task, res engine.Result) {
 	n.stats.Mutations.Add(1)
 	// Mirror into the migration stream at execution order — the same
 	// position the effects take in the batch payload.
 	n.forwardEffects(sh, res.Keys, res.Effects)
-	n.bufferMutation(sh, t, res)
+	gc := &sh.gc
+	gc.payload = append(gc.payload, res.Effects...)
+	t.val = res.Reply
+	gc.writes = append(gc.writes, t)
+	gc.dirty = append(gc.dirty, res.Keys...)
+	if gc.keys == nil {
+		gc.keys = make(map[string]struct{}, 16)
+	}
+	for _, k := range res.Keys {
+		gc.keys[k] = struct{}{}
+	}
 	if n.shouldFlush(sh) {
 		n.flushPending(sh)
 	}
@@ -382,6 +415,7 @@ func (n *Node) infoText() string {
 	fmt.Fprintf(&b, "# Stats\r\n")
 	fmt.Fprintf(&b, "commands:%d\r\n", st.Commands)
 	fmt.Fprintf(&b, "mutations:%d\r\n", st.Mutations)
+	fmt.Fprintf(&b, "gated_reads:%d\r\n", st.GatedReads)
 	fmt.Fprintf(&b, "entries_applied:%d\r\n", st.EntriesApplied)
 	fmt.Fprintf(&b, "promotions:%d\r\n", st.Promotions)
 	fmt.Fprintf(&b, "demotions:%d\r\n", st.Demotions)
@@ -502,8 +536,7 @@ func (n *Node) handleSweep(sh *nodeShard) {
 	if !res.Mutated() {
 		return
 	}
-	t := &task{shard: sh.idx, reply: func(resp.Value) {}}
-	n.logMutation(sh, t, res)
+	n.logMutation(sh, &task{shard: sh.idx}, res)
 }
 
 // demote moves the node to the demoted role; the role loop will
@@ -520,10 +553,11 @@ func (n *Node) demote() {
 	epoch := n.epoch
 	cb := n.cfg.OnRoleChange
 	n.mu.Unlock()
-	if pc := trk.PendingCount(); pc > 0 {
-		n.flight.Recordf(trace.EvAbort, uint64(pc), "aborting %d gated replies on step-down", pc)
-	}
+	failed := n.abortedReplies.Load()
 	trk.Abort()
+	if failed = n.abortedReplies.Load() - failed; failed > 0 {
+		n.flight.Recordf(trace.EvAbort, uint64(failed), "aborted %d gated replies on step-down", failed)
+	}
 	n.stats.Demotions.Add(1)
 	n.flight.Record(trace.EvDemotion, epoch, "lease lost or fenced")
 	select {

@@ -107,9 +107,11 @@ func CommandNames() []string {
 // Result is the outcome of executing one command (or one atomic batch).
 type Result struct {
 	Reply resp.Value
-	// Effects are the RESP-encoded deterministic commands to replicate.
-	// Empty for pure reads that caused no lazy expiry.
-	Effects [][]byte
+	// Effects is the replication record (§3.1): the deterministic commands
+	// to replicate, RESP-encoded back to back — the framing delimits itself,
+	// so records concatenate into larger records. Empty for a pure read that
+	// caused no lazy expiry. The engine never writes to it again.
+	Effects []byte
 	// Keys are the keys whose data changed; the tracker hazards reads on
 	// them until the covering log entry commits.
 	Keys []string
@@ -133,8 +135,9 @@ type Engine struct {
 	trace  *trace.Collector
 	flight *trace.Flight
 
-	// Per-command scratch state, reset by Exec.
-	effects   [][]byte
+	// Per-command scratch state, reset by Exec — to nil, never truncated:
+	// the previous command's slices belong to whoever took its Result.
+	effects   []byte
 	dirtyKeys []string
 	applying  bool // true while replaying replicated effects
 }
@@ -272,7 +275,7 @@ func (e *Engine) propagate(argv ...[]byte) {
 	if e.applying {
 		return
 	}
-	e.effects = append(e.effects, resp.EncodeCommand(argv...))
+	e.effects = resp.AppendCommand(e.effects, argv...)
 }
 
 // propagateStrings is propagate over strings.
@@ -280,7 +283,7 @@ func (e *Engine) propagateStrings(argv ...string) {
 	if e.applying {
 		return
 	}
-	e.effects = append(e.effects, resp.EncodeCommandStrings(argv...))
+	e.effects = resp.AppendCommand(e.effects, argv...)
 }
 
 // propagateVerbatim replicates the command exactly as received — the

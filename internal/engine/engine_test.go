@@ -157,8 +157,8 @@ func TestExecBatchAtomicReplyAndEffects(t *testing.T) {
 	if res.Reply.Array[2].Text() != "2" {
 		t.Fatalf("batch GET = %v", res.Reply.Array[2])
 	}
-	if len(res.Effects) != 2 {
-		t.Fatalf("effects = %d, want 2", len(res.Effects))
+	if cmds, err := DecodeRecord(res.Effects); err != nil || len(cmds) != 2 {
+		t.Fatalf("effects = %q (%v), want 2 commands", cmds, err)
 	}
 	if len(res.Keys) != 1 || res.Keys[0] != "a" {
 		t.Fatalf("keys = %v", res.Keys)
@@ -189,8 +189,7 @@ func TestApplyReplicatesDeterministically(t *testing.T) {
 		if res.Reply.IsError() {
 			t.Fatalf("%v: %v", cmd, res.Reply)
 		}
-		record := EncodeRecord(res.Effects)
-		if err := r.Apply(record); err != nil {
+		if err := r.Apply(res.Effects); err != nil {
 			t.Fatalf("Apply(%v): %v", cmd, err)
 		}
 	}
@@ -260,7 +259,7 @@ func TestSweepExpiredEmitsDeleteEffects(t *testing.T) {
 	if !res.Mutated() {
 		t.Fatal("sweep produced no effects")
 	}
-	cmds, err := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, err := DecodeRecord(res.Effects)
 	if err != nil || len(cmds) != 1 || string(cmds[0][0]) != "DEL" {
 		t.Fatalf("sweep effects = %v (%v)", cmds, err)
 	}
@@ -273,21 +272,18 @@ func TestLazyExpiryOnReadEmitsDelete(t *testing.T) {
 	clk.Advance(time.Second)
 	res := exec(e, "GET", "k")
 	wantNil(t, res.Reply)
-	if len(res.Effects) != 1 {
-		t.Fatalf("lazy expiry effects = %d", len(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
+	if len(cmds) != 1 {
+		t.Fatalf("lazy expiry effects = %d", len(cmds))
 	}
-	cmds, _ := DecodeRecord(res.Effects[0])
 	if string(cmds[0][0]) != "DEL" || string(cmds[0][1]) != "k" {
 		t.Fatalf("effect = %q", cmds[0])
 	}
 }
 
 func TestRecordEncodeDecodeMulti(t *testing.T) {
-	effects := [][]byte{
-		resp.EncodeCommandStrings("SET", "a", "1"),
-		resp.EncodeCommandStrings("DEL", "b"),
-	}
-	cmds, err := DecodeRecord(EncodeRecord(effects))
+	record := append(resp.EncodeCommandStrings("SET", "a", "1"), resp.EncodeCommandStrings("DEL", "b")...)
+	cmds, err := DecodeRecord(record)
 	if err != nil || len(cmds) != 2 {
 		t.Fatalf("decode: %v %v", cmds, err)
 	}

@@ -26,7 +26,7 @@ func TestGetExReplicatesTTLEffect(t *testing.T) {
 	e, _, do := testEngine(t)
 	do("SET", "k", "v")
 	res := exec(e, "GETEX", "k", "EX", "10")
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if len(cmds) != 1 || string(cmds[0][0]) != "PEXPIREAT" {
 		t.Fatalf("GETEX effect = %q", cmds)
 	}
@@ -186,7 +186,7 @@ func TestExtraCommandsReplicate(t *testing.T) {
 		if res.Reply.IsError() {
 			t.Fatalf("%v: %v", cmd, res.Reply)
 		}
-		if err := r.Apply(EncodeRecord(res.Effects)); err != nil {
+		if err := r.Apply(res.Effects); err != nil {
 			t.Fatalf("Apply(%v): %v", cmd, err)
 		}
 	}

@@ -87,7 +87,7 @@ func TestHIncrByFloat(t *testing.T) {
 func TestHIncrByReplicatesResult(t *testing.T) {
 	e, _, _ := testEngine(t)
 	res := exec(e, "HINCRBY", "h", "n", "7")
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if string(cmds[0][0]) != "HSET" || string(cmds[0][3]) != "7" {
 		t.Fatalf("HINCRBY effect = %q", cmds[0])
 	}

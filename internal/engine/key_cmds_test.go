@@ -53,7 +53,7 @@ func TestExpireInPastDeletes(t *testing.T) {
 	wantInt(t, res.Reply, 1)
 	wantNil(t, do("GET", "k"))
 	// Replicates as DEL, not PEXPIREAT.
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if string(cmds[0][0]) != "DEL" {
 		t.Fatalf("past expiry effect = %q", cmds[0])
 	}
@@ -63,7 +63,7 @@ func TestExpireReplicatesAbsolute(t *testing.T) {
 	e, clk, do := testEngine(t)
 	do("SET", "k", "v")
 	res := exec(e, "EXPIRE", "k", "10")
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if string(cmds[0][0]) != "PEXPIREAT" {
 		t.Fatalf("EXPIRE effect = %q", cmds[0])
 	}

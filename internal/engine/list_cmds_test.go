@@ -45,7 +45,7 @@ func TestPopReplicatesExactCount(t *testing.T) {
 	e, _, do := testEngine(t)
 	do("RPUSH", "l", "a", "b", "c")
 	res := exec(e, "LPOP", "l", "5")
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if string(cmds[0][0]) != "LPOP" || string(cmds[0][2]) != "3" {
 		t.Fatalf("LPOP effect = %q", cmds[0])
 	}

@@ -34,7 +34,7 @@ func TestSPopReplicatesAsSRem(t *testing.T) {
 		t.Fatal("SPOP returned nil on non-empty set")
 	}
 	popped := res.Reply.Text()
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if string(cmds[0][0]) != "SREM" || string(cmds[0][2]) != popped {
 		t.Fatalf("SPOP effect = %q, popped %q", cmds[0], popped)
 	}
@@ -120,7 +120,7 @@ func TestSetOpStoreReplicatesMaterializedResult(t *testing.T) {
 	exec(e, "SADD", "s1", "a", "b")
 	exec(e, "SADD", "s2", "b", "c")
 	res := exec(e, "SUNIONSTORE", "dst", "s1", "s2")
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	// DEL dst; SADD dst a b c — the result, not the recipe.
 	if len(cmds) != 2 || string(cmds[0][0]) != "DEL" || string(cmds[1][0]) != "SADD" || len(cmds[1]) != 5 {
 		t.Fatalf("store effects = %q", cmds)

@@ -28,7 +28,7 @@ func TestXAddReplicatesExplicitID(t *testing.T) {
 	e, _, _ := testEngine(t)
 	res := exec(e, "XADD", "s", "*", "f", "v")
 	id := res.Reply.Text()
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if string(cmds[0][0]) != "XADD" || string(cmds[0][2]) != id {
 		t.Fatalf("XADD effect = %q, assigned %q", cmds[0], id)
 	}

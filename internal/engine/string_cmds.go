@@ -138,13 +138,15 @@ func cmdSet(e *Engine, argv [][]byte) resp.Value {
 	}
 	e.touch(key)
 	// Replicate deterministically: SET key val [PXAT ms] [KEEPTTL].
-	eff := []string{"SET", key, string(val)}
-	if expireAtMs > 0 {
-		eff = append(eff, "PXAT", strconv.FormatInt(expireAtMs, 10))
-	} else if keepTTL {
-		eff = append(eff, "KEEPTTL")
+	switch {
+	case expireAtMs > 0:
+		var ms [20]byte
+		e.propagate([]byte("SET"), argv[1], val, []byte("PXAT"), strconv.AppendInt(ms[:0], expireAtMs, 10))
+	case keepTTL:
+		e.propagate([]byte("SET"), argv[1], val, []byte("KEEPTTL"))
+	default:
+		e.propagate([]byte("SET"), argv[1], val)
 	}
-	e.propagateStrings(eff...)
 	if withGet {
 		return prevReply
 	}

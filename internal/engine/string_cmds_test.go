@@ -63,7 +63,7 @@ func TestSetKeepTTLOption(t *testing.T) {
 func TestSetReplicatesAbsoluteExpiry(t *testing.T) {
 	e, clk, _ := testEngine(t)
 	res := exec(e, "SET", "k", "v", "EX", "10")
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if len(cmds) != 1 || string(cmds[0][3]) != "PXAT" {
 		t.Fatalf("SET EX must replicate as PXAT: %q", cmds)
 	}
@@ -182,7 +182,7 @@ func TestIncrReplicatesResultingValue(t *testing.T) {
 	e, _, do := testEngine(t)
 	do("SET", "n", "41")
 	res := exec(e, "INCR", "n")
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if string(cmds[0][0]) != "SET" || string(cmds[0][2]) != "42" {
 		t.Fatalf("INCR effect = %q", cmds[0])
 	}

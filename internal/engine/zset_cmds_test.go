@@ -120,7 +120,7 @@ func TestZPopReplicatesAsZRem(t *testing.T) {
 	e, _, _ := testEngine(t)
 	exec(e, "ZADD", "z", "1", "a", "2", "b")
 	res := exec(e, "ZPOPMIN", "z")
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if string(cmds[0][0]) != "ZREM" || string(cmds[0][2]) != "a" {
 		t.Fatalf("ZPOPMIN effect = %q", cmds[0])
 	}

@@ -93,12 +93,12 @@ func TestZStoreReplicatesMaterializedResult(t *testing.T) {
 	exec(p, "ZADD", "z1", "1", "a", "2", "b")
 	exec(p, "ZADD", "z2", "10", "b")
 	res := exec(p, "ZUNIONSTORE", "dst", "2", "z1", "z2", "AGGREGATE", "MAX")
-	cmds, _ := DecodeRecord(EncodeRecord(res.Effects))
+	cmds, _ := DecodeRecord(res.Effects)
 	if len(cmds) != 2 || string(cmds[0][0]) != "DEL" || string(cmds[1][0]) != "ZADD" {
 		t.Fatalf("effects = %q", cmds)
 	}
 	// Replica applying only the effects converges (needs no source keys).
-	if err := r.Apply(EncodeRecord(res.Effects)); err != nil {
+	if err := r.Apply(res.Effects); err != nil {
 		t.Fatal(err)
 	}
 	a := exec(p, "ZRANGE", "dst", "0", "-1", "WITHSCORES").Reply

@@ -3,6 +3,7 @@ package resp
 import (
 	"bufio"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -115,35 +116,35 @@ func (w *Writer) writeHeader(prefix byte, n int64) error {
 	return err
 }
 
-// EncodeCommand renders argv in RESP command format into a fresh byte
-// slice. Used for replication records, AOF, and snapshots.
-func EncodeCommand(argv ...[]byte) []byte {
+// AppendCommand appends argv — strings or []byte alike — to dst in RESP
+// command format: a client command, a replication effect, an AOF record.
+// dst grows at most once, by exactly the command's size, so a record built
+// on a nil dst carries no spare capacity beyond its size class.
+func AppendCommand[T ~string | ~[]byte](dst []byte, argv ...T) []byte {
 	size := 1 + intLen(int64(len(argv))) + 2
 	for _, a := range argv {
 		size += 1 + intLen(int64(len(a))) + 2 + len(a) + 2
 	}
-	out := make([]byte, 0, size)
-	out = append(out, '*')
-	out = strconv.AppendInt(out, int64(len(argv)), 10)
-	out = append(out, '\r', '\n')
+	dst = slices.Grow(dst, size)
+	dst = append(dst, '*')
+	dst = strconv.AppendInt(dst, int64(len(argv)), 10)
+	dst = append(dst, '\r', '\n')
 	for _, a := range argv {
-		out = append(out, '$')
-		out = strconv.AppendInt(out, int64(len(a)), 10)
-		out = append(out, '\r', '\n')
-		out = append(out, a...)
-		out = append(out, '\r', '\n')
+		dst = append(dst, '$')
+		dst = strconv.AppendInt(dst, int64(len(a)), 10)
+		dst = append(dst, '\r', '\n')
+		dst = append(dst, a...)
+		dst = append(dst, '\r', '\n')
 	}
-	return out
+	return dst
 }
 
+// EncodeCommand renders argv in RESP command format into a fresh byte
+// slice.
+func EncodeCommand(argv ...[]byte) []byte { return AppendCommand(nil, argv...) }
+
 // EncodeCommandStrings is EncodeCommand over strings.
-func EncodeCommandStrings(argv ...string) []byte {
-	bs := make([][]byte, len(argv))
-	for i, s := range argv {
-		bs[i] = []byte(s)
-	}
-	return EncodeCommand(bs...)
-}
+func EncodeCommandStrings(argv ...string) []byte { return AppendCommand(nil, argv...) }
 
 func intLen(n int64) int {
 	if n == 0 {

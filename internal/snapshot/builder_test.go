@@ -49,7 +49,7 @@ func (h *shardHarness) do(args ...string) {
 		h.t.Fatalf("%v: %s", args, res.Reply.Text())
 	}
 	id, err := h.log.Append(context.Background(), h.after,
-		txlog.Entry{Type: txlog.EntryData, Payload: engine.EncodeRecord(res.Effects)})
+		txlog.Entry{Type: txlog.EntryData, Payload: res.Effects})
 	if err != nil {
 		h.t.Fatal(err)
 	}

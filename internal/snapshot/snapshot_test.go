@@ -200,7 +200,7 @@ func buildLoggedShard(t *testing.T, n int) (*txlog.Log, *engine.Engine) {
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
 		res := e.Exec([][]byte{[]byte("SET"), []byte("k" + string(rune('a'+i%26))), []byte{byte('0' + i%10)}})
-		payload := engine.EncodeRecord(res.Effects)
+		payload := res.Effects
 		id, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: payload})
 		if err != nil {
 			t.Fatal(err)
@@ -246,7 +246,7 @@ func TestBuilderFullFromPreviousSnapshot(t *testing.T) {
 	e := engine.New(clock.NewReal())
 	after := log.CommittedTail()
 	res := e.Exec([][]byte{[]byte("SET"), []byte("extra"), []byte("v")})
-	if _, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: engine.EncodeRecord(res.Effects)}); err != nil {
+	if _, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: res.Effects}); err != nil {
 		t.Fatal(err)
 	}
 	second := &Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}
@@ -314,7 +314,7 @@ func TestVerifyChecksumEntriesDuringReplay(t *testing.T) {
 	var running uint64
 	for i := 0; i < 20; i++ {
 		res := e.Exec([][]byte{[]byte("SET"), []byte{byte('a' + i%26)}, []byte("v")})
-		payload := engine.EncodeRecord(res.Effects)
+		payload := res.Effects
 		id, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: payload})
 		if err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ func buildSegmentedShard(t *testing.T, n, segEntries int) (*txlog.Log, *engine.E
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
 		res := e.Exec([][]byte{[]byte("SET"), []byte("k" + string(rune('a'+i%26))), []byte{byte('0' + i%10)}})
-		id, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: engine.EncodeRecord(res.Effects)})
+		id, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: res.Effects})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestTrimmerRefusesUnverifiedSnapshot(t *testing.T) {
 	after := log.CommittedTail()
 	for i := 0; i < 16; i++ {
 		res := e2.Exec([][]byte{[]byte("SET"), []byte("x"), []byte("y")})
-		id, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: engine.EncodeRecord(res.Effects)})
+		id, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryData, Payload: res.Effects})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// gateRead withholds a read the way the node does: Covering says what the
+// read must wait for, and only a read that has to wait is registered.
+func gateRead(trk *Tracker, keys []string, deliver func(aborted bool)) {
+	if seq := trk.Covering(0, keys); seq == 0 {
+		deliver(false)
+	} else {
+		trk.RegisterWrite(seq, nil, deliver)
+	}
+}
+
 // TestGateReadDeliveredAfterCoveringWrite pins the delivery ordering
 // contract: a read gated behind a pending write on the same key is
 // released by the covering Commit, and only after the write's own reply
@@ -26,8 +36,8 @@ func TestGateReadDeliveredAfterCoveringWrite(t *testing.T) {
 		}
 	}
 	tr.RegisterWrite(5, []string{"k"}, record("write5"))
-	tr.GateRead([]string{"k"}, record("read@5"))
-	tr.GateRead([]string{"other"}, record("read-clean")) // no hazard: immediate
+	gateRead(tr, []string{"k"}, record("read@5"))
+	gateRead(tr, []string{"other"}, record("read-clean")) // no hazard: immediate
 	mu.Lock()
 	if len(order) != 1 || order[0] != "read-clean" {
 		t.Fatalf("before commit, order = %v, want [read-clean]", order)
@@ -49,7 +59,7 @@ func TestGateReadDeliveredAfterCoveringWrite(t *testing.T) {
 	}
 }
 
-// TestGateReadConcurrentCommitExactlyOnce hammers GateRead from many
+// TestGateReadConcurrentCommitExactlyOnce hammers gated reads from many
 // goroutines while a committer advances the watermark, verifying (under
 // -race) that every reply is delivered exactly once and never aborted.
 func TestGateReadConcurrentCommitExactlyOnce(t *testing.T) {
@@ -89,7 +99,7 @@ func TestGateReadConcurrentCommitExactlyOnce(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < reads; i++ {
 				done := make(chan struct{})
-				tr.GateRead([]string{"hot"}, func(aborted bool) {
+				gateRead(tr, []string{"hot"}, func(aborted bool) {
 					if aborted {
 						t.Error("read delivery aborted in commit-only test")
 					}
@@ -127,7 +137,7 @@ func TestGateReadConcurrentCommitExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestGateReadConcurrentAbortExactlyOnce races GateRead against Abort:
+// TestGateReadConcurrentAbortExactlyOnce races gated reads against Abort:
 // every gated reply must be delivered exactly once — either verified
 // (released by a Commit that won the race) or aborted — and reads gated
 // after the abort must fail fast.
@@ -146,7 +156,7 @@ func TestGateReadConcurrentAbortExactlyOnce(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < reads; i++ {
-				tr.GateRead([]string{"hot"}, func(aborted bool) {
+				gateRead(tr, []string{"hot"}, func(aborted bool) {
 					delivered.Add(1)
 					if aborted {
 						abortedCount.Add(1)
@@ -165,20 +175,99 @@ func TestGateReadConcurrentAbortExactlyOnce(t *testing.T) {
 	wg.Wait()
 
 	if got := delivered.Load(); got != readers*reads {
-		t.Fatalf("delivered %d, want %d (exactly once per GateRead)", got, readers*reads)
+		t.Fatalf("delivered %d, want %d (exactly once per read)", got, readers*reads)
 	}
 	if abortedCount.Load() == 0 {
 		t.Fatal("abort raced but no read observed it")
 	}
 	// Post-abort reads abort immediately, even hazard-free ones.
 	fired := false
-	tr.GateRead([]string{"cold"}, func(aborted bool) {
+	gateRead(tr, []string{"cold"}, func(aborted bool) {
 		fired = true
 		if !aborted {
-			t.Fatal("post-Abort GateRead delivered verified")
+			t.Fatal("post-Abort read delivered verified")
 		}
 	})
 	if !fired {
-		t.Fatal("post-Abort GateRead did not fire synchronously")
+		t.Fatal("post-Abort read did not fire synchronously")
+	}
+}
+
+// TestCoveringShedsStaleHazardsLazily: a hazard whose write has committed
+// gates nothing, and the read that finds it removes it from the map.
+func TestCoveringShedsStaleHazardsLazily(t *testing.T) {
+	trk := New(0)
+	trk.RegisterWrite(1, []string{"a", "b"}, func(bool) {})
+	trk.RegisterWrite(2, []string{"b"}, func(bool) {})
+	trk.Commit(1)
+	if seq := trk.Covering(0, []string{"a", "b"}); seq != 2 {
+		t.Fatalf("Covering = %d, want 2 (b was re-dirtied at 2)", seq)
+	}
+	if _, stale := trk.hazards["a"]; stale || len(trk.hazards) != 1 {
+		t.Fatalf("hazards = %v, want only b", trk.hazards)
+	}
+	trk.Commit(2)
+	if seq := trk.Covering(0, []string{"a", "b"}); seq != 0 || len(trk.hazards) != 0 {
+		t.Fatalf("Covering = %d with hazards %v after full commit, want 0 and none", seq, trk.hazards)
+	}
+}
+
+// TestCoveringWholeKeyspaceRead: a read of everything waits for the seq it
+// is given (the sequencer tail) exactly while that seq is not durable, and
+// an aborted tracker covers every read with a seq that fails it.
+func TestCoveringWholeKeyspaceRead(t *testing.T) {
+	trk := New(4)
+	trk.RegisterWrite(6, []string{"k"}, func(bool) {})
+	for _, c := range []struct {
+		tail uint64
+		keys []string
+		want uint64
+	}{
+		{0, nil, 0}, {4, nil, 0}, {7, nil, 7}, {5, []string{"k"}, 6}, {7, []string{"k"}, 7},
+	} {
+		if got := trk.Covering(c.tail, c.keys); got != c.want {
+			t.Errorf("Covering(%d, %v) = %d, want %d", c.tail, c.keys, got, c.want)
+		}
+	}
+	trk.Abort()
+	seq := trk.Covering(0, nil)
+	if seq == 0 {
+		t.Fatal("aborted tracker let a read through")
+	}
+	failed := false
+	trk.RegisterWrite(seq, nil, func(aborted bool) { failed = aborted })
+	if !failed {
+		t.Fatal("read registered at an aborted tracker's covering seq was not failed")
+	}
+}
+
+// TestRegisterCommitCycleAllocatesNothing pins the steady state of the
+// write path's tracker work: one entry registered, one commit releasing it.
+func TestRegisterCommitCycleAllocatesNothing(t *testing.T) {
+	trk := New(0)
+	keys := []string{"k"}
+	deliver := func(bool) {}
+	seq := uint64(0)
+	cycle := func() {
+		seq++
+		trk.RegisterWrite(seq, keys, deliver)
+		trk.Commit(seq)
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("RegisterWrite+Commit allocates %.1f times per cycle, want 0", allocs)
+	}
+	// A window of entries in flight, as under a commit latency: still none.
+	const window = 8
+	for i := 0; i < window; i++ {
+		seq++
+		trk.RegisterWrite(seq, keys, deliver)
+	}
+	windowed := func() {
+		seq++
+		trk.RegisterWrite(seq, keys, deliver)
+		trk.Commit(seq - window)
+	}
+	if allocs := testing.AllocsPerRun(1000, windowed); allocs != 0 {
+		t.Fatalf("with %d entries in flight: %.1f allocations per cycle, want 0", window, allocs)
 	}
 }

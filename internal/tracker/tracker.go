@@ -8,6 +8,7 @@
 package tracker
 
 import (
+	"math"
 	"sync"
 )
 
@@ -18,9 +19,15 @@ type Tracker struct {
 	mu sync.Mutex
 	// hazards maps key -> highest pending log seq that mutated it.
 	hazards map[string]uint64
-	// pending holds gated replies in ascending seq order (seqs are
-	// assigned monotonically by the log, so appends keep it sorted).
+	// pending holds gated deliveries — a log entry's replies, or one read's
+	// — in ascending seq order (seqs are assigned monotonically by the log,
+	// so appends keep it sorted).
 	pending []gated
+	// spare is the array pending does not occupy: Commit moves what stays
+	// gated there and swaps the two, so a steady register/commit cycle
+	// allocates nothing. Nil while a Commit still delivers out of it, outside
+	// mu: a racing registration must not overwrite an undelivered entry.
+	spare []gated
 	// committed is the durable watermark: every seq <= committed has been
 	// acknowledged by the log.
 	committed uint64
@@ -38,61 +45,54 @@ func New(start uint64) *Tracker {
 	return &Tracker{hazards: make(map[string]uint64), committed: start}
 }
 
-// RegisterWrite records that the mutation covered by log seq touched keys,
-// and gates its reply until seq commits. deliver is invoked exactly once —
+// RegisterWrite records that the log entry at seq touched keys, and gates
+// deliver until seq commits. deliver is invoked exactly once —
 // immediately if seq is somehow already durable, else on Commit or Abort
-// (aborted=true means the write never became durable and the client must
-// see an error, not the buffered reply).
+// (aborted=true means the entry never became durable and the client must
+// see an error, not the buffered reply). A read waits the same way, with
+// no keys, at the seq Covering gave it.
 func (t *Tracker) RegisterWrite(seq uint64, keys []string, deliver func(aborted bool)) {
 	t.mu.Lock()
+	if !t.aborted {
+		for _, k := range keys {
+			if t.hazards[k] < seq {
+				t.hazards[k] = seq
+			}
+		}
+		if seq > t.committed {
+			t.insertLocked(gated{seq: seq, deliver: deliver})
+			t.mu.Unlock()
+			return
+		}
+	}
+	aborted := t.aborted
+	t.mu.Unlock()
+	deliver(aborted)
+}
+
+// Covering returns the seq a read must wait for: the highest one not yet
+// durable among seq itself (the sequencer tail for a read of the whole
+// keyspace, 0 for a keyed read) and the writes registered on keys — 0 when
+// everything the read can have observed is durable. An aborted tracker
+// cannot say that of anything: it answers with a seq that never commits,
+// so registering the read at it fails the read.
+func (t *Tracker) Covering(seq uint64, keys []string) uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.aborted {
-		t.mu.Unlock()
-		deliver(true)
-		return
+		return math.MaxUint64
 	}
 	for _, k := range keys {
-		if cur, ok := t.hazards[k]; !ok || cur < seq {
-			t.hazards[k] = seq
+		if h, ok := t.hazards[k]; ok && h <= t.committed {
+			delete(t.hazards, k) // lazily clear stale hazards
+		} else if h > seq {
+			seq = h
 		}
 	}
 	if seq <= t.committed {
-		t.mu.Unlock()
-		deliver(false)
-		return
+		return 0
 	}
-	t.insertLocked(gated{seq: seq, deliver: deliver})
-	t.mu.Unlock()
-}
-
-// GateRead delivers a read reply as soon as every key it observed is
-// durable: immediately when none of keys carries a pending hazard,
-// otherwise once the highest covering seq commits.
-func (t *Tracker) GateRead(keys []string, deliver func(aborted bool)) {
-	t.mu.Lock()
-	if t.aborted {
-		t.mu.Unlock()
-		deliver(true)
-		return
-	}
-	var maxSeq uint64
-	for _, k := range keys {
-		if seq, ok := t.hazards[k]; ok {
-			if seq <= t.committed {
-				delete(t.hazards, k) // lazily clear stale hazards
-				continue
-			}
-			if seq > maxSeq {
-				maxSeq = seq
-			}
-		}
-	}
-	if maxSeq == 0 {
-		t.mu.Unlock()
-		deliver(false)
-		return
-	}
-	t.insertLocked(gated{seq: maxSeq, deliver: deliver})
-	t.mu.Unlock()
+	return seq
 }
 
 // insertLocked keeps pending sorted by seq. Appends are the common case;
@@ -117,12 +117,14 @@ func (t *Tracker) Commit(seq uint64) {
 		return
 	}
 	t.committed = seq
-	var release []gated
 	i := 0
-	for ; i < len(t.pending) && t.pending[i].seq <= seq; i++ {
-		release = append(release, t.pending[i])
+	for i < len(t.pending) && t.pending[i].seq <= seq {
+		i++
 	}
-	t.pending = t.pending[i:]
+	release := t.pending[:i]
+	if i > 0 {
+		t.pending, t.spare = append(t.spare[:0], t.pending[i:]...), nil
+	}
 	// Opportunistically shed stale hazards to bound the map.
 	if len(t.hazards) > 1024 {
 		for k, s := range t.hazards {
@@ -132,9 +134,18 @@ func (t *Tracker) Commit(seq uint64) {
 		}
 	}
 	t.mu.Unlock()
-	for _, g := range release {
-		g.deliver(false)
+	if i == 0 {
+		return
 	}
+	for k := range release {
+		release[k].deliver(false)
+		release[k] = gated{}
+	}
+	t.mu.Lock()
+	if t.spare == nil {
+		t.spare = release[:0]
+	}
+	t.mu.Unlock()
 }
 
 // Abort fails every gated reply: the node lost the ability to commit
@@ -164,7 +175,7 @@ func (t *Tracker) Committed() uint64 {
 	return t.committed
 }
 
-// PendingCount returns the number of gated replies (metrics/tests).
+// PendingCount returns the number of gated deliveries (metrics/tests).
 func (t *Tracker) PendingCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

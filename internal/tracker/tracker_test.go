@@ -37,7 +37,7 @@ func TestAlreadyDurableWriteDeliversImmediately(t *testing.T) {
 func TestReadOnCleanKeyImmediate(t *testing.T) {
 	trk := New(0)
 	got := make(chan bool, 1)
-	trk.GateRead([]string{"clean"}, func(aborted bool) { got <- aborted })
+	gateRead(trk, []string{"clean"}, func(aborted bool) { got <- aborted })
 	select {
 	case <-got:
 	default:
@@ -50,7 +50,7 @@ func TestReadOnHazardedKeyWaitsForCoveringCommit(t *testing.T) {
 	wrote := make(chan bool, 1)
 	trk.RegisterWrite(1, []string{"k"}, func(bool) { wrote <- true })
 	read := make(chan bool, 1)
-	trk.GateRead([]string{"k"}, func(aborted bool) { read <- aborted })
+	gateRead(trk, []string{"k"}, func(aborted bool) { read <- aborted })
 	select {
 	case <-read:
 		t.Fatal("hazarded read released before commit")
@@ -68,7 +68,7 @@ func TestReadGatesOnHighestCoveringSeq(t *testing.T) {
 	trk.RegisterWrite(1, []string{"k"}, func(bool) {})
 	trk.RegisterWrite(2, []string{"k"}, func(bool) {})
 	read := make(chan bool, 1)
-	trk.GateRead([]string{"k"}, func(aborted bool) { read <- aborted })
+	gateRead(trk, []string{"k"}, func(aborted bool) { read <- aborted })
 	trk.Commit(1)
 	select {
 	case <-read:
@@ -83,7 +83,7 @@ func TestReadOnOtherKeyNotGated(t *testing.T) {
 	trk := New(0)
 	trk.RegisterWrite(1, []string{"a"}, func(bool) {})
 	read := make(chan bool, 1)
-	trk.GateRead([]string{"b"}, func(aborted bool) { read <- aborted })
+	gateRead(trk, []string{"b"}, func(aborted bool) { read <- aborted })
 	select {
 	case <-read:
 	default:
@@ -95,7 +95,7 @@ func TestMultiKeyReadGatesOnAnyHazard(t *testing.T) {
 	trk := New(0)
 	trk.RegisterWrite(3, []string{"b"}, func(bool) {})
 	read := make(chan bool, 1)
-	trk.GateRead([]string{"a", "b", "c"}, func(aborted bool) { read <- aborted })
+	gateRead(trk, []string{"a", "b", "c"}, func(aborted bool) { read <- aborted })
 	select {
 	case <-read:
 		t.Fatal("multi-key read missed the hazard on b")
@@ -140,7 +140,7 @@ func TestAbortFailsAllPendingAndFuture(t *testing.T) {
 	w := make(chan bool, 1)
 	r := make(chan bool, 1)
 	trk.RegisterWrite(1, []string{"k"}, func(aborted bool) { w <- aborted })
-	trk.GateRead([]string{"k"}, func(aborted bool) { r <- aborted })
+	gateRead(trk, []string{"k"}, func(aborted bool) { r <- aborted })
 	trk.Abort()
 	if !<-w || !<-r {
 		t.Fatal("pending replies not aborted")
@@ -152,7 +152,7 @@ func TestAbortFailsAllPendingAndFuture(t *testing.T) {
 		t.Fatal("post-abort registration not failed")
 	}
 	afterRead := make(chan bool, 1)
-	trk.GateRead([]string{"k"}, func(aborted bool) { afterRead <- aborted })
+	gateRead(trk, []string{"k"}, func(aborted bool) { afterRead <- aborted })
 	if !<-afterRead {
 		t.Fatal("post-abort read not failed")
 	}
@@ -207,7 +207,7 @@ func TestAbortFailsEveryBatchedReply(t *testing.T) {
 	for i := 0; i < batch; i++ {
 		trk.RegisterWrite(3, []string{"k"}, func(aborted bool) { got <- aborted })
 	}
-	trk.GateRead([]string{"k"}, func(aborted bool) { got <- aborted })
+	gateRead(trk, []string{"k"}, func(aborted bool) { got <- aborted })
 	trk.Abort()
 	for i := 0; i < batch+1; i++ {
 		select {

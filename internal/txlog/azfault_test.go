@@ -148,6 +148,62 @@ func TestSlowAZBoundsCommitLatencyWhenInQuorum(t *testing.T) {
 	}
 }
 
+// TestQuorumAckPicksQuorumthFastest pins which acknowledgement bounds a
+// commit, on a simulated clock with fixed latencies so the due time is
+// exact: the quorum-th fastest of the zones that answered, with the
+// answers kept fastest-first for the az_ack spans.
+func TestQuorumAckPicksQuorumthFastest(t *testing.T) {
+	const base, extra = 2 * time.Millisecond, 7 * time.Millisecond
+	for _, c := range []struct {
+		name       string
+		slow, down []int
+		want       time.Duration // commit latency; 0 = ErrUnavailable
+	}{
+		{"no zone slow", nil, nil, base},
+		{"one slow: the quorum is the two fast zones", []int{0}, nil, base},
+		{"two slow", []int{0, 2}, nil, base + extra},
+		{"one down, one slow", []int{1}, []int{0}, base + extra},
+		{"two down", nil, []int{0, 1}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clk := clock.NewSim(time.Unix(1700000000, 0))
+			svc, l := newFaultService(t, Config{Clock: clk, CommitLatency: netsim.Fixed(base), SlowExtra: netsim.Fixed(extra)})
+			for _, az := range c.slow {
+				svc.AZ(az).SetSlow(true)
+			}
+			for _, az := range c.down {
+				svc.AZ(az).SetDown(true)
+			}
+			p, err := l.StartAppend(ZeroID, Entry{Type: EntryData, Payload: []byte("a")})
+			if c.want == 0 {
+				if !errors.Is(err, ErrUnavailable) || l.AssignedTail() != ZeroID {
+					t.Fatalf("below quorum: err = %v, tail %v; want ErrUnavailable and the tail unchanged", err, l.AssignedTail())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.due.Sub(clk.Now()); got != c.want {
+				t.Fatalf("commit due in %v, want %v", got, c.want)
+			}
+			commit, acked, ok := svc.quorumAck()
+			if !ok || commit != c.want || len(acked) != 3-len(c.down) {
+				t.Fatalf("quorumAck = %v, %v, %v", commit, acked, ok)
+			}
+			for i, a := range acked {
+				wantLat := base
+				if i >= len(acked)-len(c.slow) {
+					wantLat = base + extra // the slow zones sort last
+				}
+				if a.lat != wantLat || (i > 0 && acked[i-1].lat > a.lat) {
+					t.Fatalf("acked = %v, want fastest-first with %d slow at the end", acked, len(c.slow))
+				}
+			}
+		})
+	}
+}
+
 // TestTailReaderReconnectsAcrossOutage is the satellite coverage for tail
 // readers: a whole-service outage surfaces ErrUnavailable, the cursor
 // stays put, and after healing the reader resumes from the next

@@ -51,8 +51,9 @@ var crc32Table = crc32.MakeTable(crc32.Castagnoli)
 // entry at append time. It covers the sequence number, type, writer
 // epoch, piggybacked watermark and payload, so both payload rot and
 // record misplacement are detectable on read.
-func recordCRC(e *Entry) uint32 {
-	var hdr [29]byte
+// hdr is scratch for the fixed fields (the log's, under mu): crc32.Update
+// calls through a function value, so a local buffer would escape per call.
+func recordCRC(e *Entry, hdr *[29]byte) uint32 {
 	binary.BigEndian.PutUint64(hdr[0:], e.ID.Seq)
 	hdr[8] = byte(e.Type)
 	binary.BigEndian.PutUint64(hdr[9:], e.Epoch)
@@ -81,12 +82,12 @@ func (s *segment) computeFooter() uint32 {
 
 // verify re-checks a sealed segment end to end: footer over the CRC
 // index, then every record against its CRC.
-func (s *segment) verify() bool {
+func (s *segment) verify(hdr *[29]byte) bool {
 	if s.computeFooter() != s.footer {
 		return false
 	}
 	for i := range s.entries {
-		if recordCRC(&s.entries[i]) != s.crcs[i] {
+		if recordCRC(&s.entries[i], hdr) != s.crcs[i] {
 			return false
 		}
 	}

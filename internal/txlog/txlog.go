@@ -334,15 +334,19 @@ type azAck struct {
 // the Quorum-th fastest ack. ok=false means quorum was not reached and the
 // append must be rejected as unavailable. acked is sorted fastest-first.
 func (s *Service) quorumAck() (commit time.Duration, acked []azAck, ok bool) {
+	acked = make([]azAck, 0, len(s.azs))
 	for i, az := range s.azs {
 		if d, ok := az.ack(); ok {
 			acked = append(acked, azAck{az: i, lat: d})
+			// A handful of zones, nearly in order: sink it into place.
+			for j := len(acked) - 1; j > 0 && acked[j-1].lat > d; j-- {
+				acked[j-1], acked[j] = acked[j], acked[j-1]
+			}
 		}
 	}
 	if len(acked) < s.cfg.Quorum {
 		return 0, acked, false
 	}
-	sort.Slice(acked, func(i, j int) bool { return acked[i].lat < acked[j].lat })
 	return acked[s.cfg.Quorum-1].lat, acked, true
 }
 
@@ -420,6 +424,7 @@ type Log struct {
 	currentEpoch uint64
 	azCopies     int64 // total (entry × AZ) durable copies, for tests/metrics
 	stats        Stats
+	crcHdr       [29]byte // recordCRC's scratch
 
 	// Segment lifecycle totals (surfaced via SegmentStats).
 	sealedTotal      int64
@@ -623,7 +628,7 @@ func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
 	// decision at txlog.corrupt_record then silently damages the stored
 	// copy (bit rot the CRC no longer matches) — read-time verification
 	// must catch it.
-	crc := recordCRC(&e)
+	crc := recordCRC(&e, &l.crcHdr)
 	if e.Type == EntryData {
 		if d := l.svc.cfg.Faults.Hit(faultpoint.SiteLogCorruptRecord); d.Kind == faultpoint.Corrupt && len(e.Payload) > 0 {
 			e.Payload = l.svc.cfg.Faults.FlipByte(e.Payload)
@@ -926,7 +931,7 @@ func (l *Log) verifyRecordLocked(s *segment, seq uint64) bool {
 	if s.quarantined {
 		return false
 	}
-	if recordCRC(s.entry(seq)) == s.crc(seq) {
+	if recordCRC(s.entry(seq), &l.crcHdr) == s.crc(seq) {
 		return true
 	}
 	l.quarantineLocked(s, fmt.Sprintf("record %d failed CRC verification", seq))
@@ -1049,14 +1054,14 @@ func (l *Log) RecoverChain() (quarantined, truncated int) {
 			continue
 		}
 		if s.sealed {
-			if !s.verify() {
+			if !s.verify(&l.crcHdr) {
 				l.quarantineLocked(s, "sealed segment failed footer/CRC verification")
 				quarantined++
 			}
 			continue
 		}
 		for seq := s.minSeq(); seq <= s.maxSeq() && seq <= l.committed; seq++ {
-			if recordCRC(s.entry(seq)) != s.crc(seq) {
+			if recordCRC(s.entry(seq), &l.crcHdr) != s.crc(seq) {
 				l.quarantineLocked(s, fmt.Sprintf("record %d failed CRC verification", seq))
 				quarantined++
 				break
