@@ -3,8 +3,8 @@
 # the packages with the most cross-goroutine traffic (the node workloop +
 # group commit, the reply tracker, the transaction log, and the front-end's
 # goroutine per connection) and over the keyspace whose only synchronization
-# is "one owner per part" (store, and the engine that drives it), then the
-# fixed-seed fault gates below. scripts/check.sh is `exec make check`.
+# is "one owner per part" (store, the engine that drives it, and the
+# snapshot restore that builds it), then the fixed-seed fault gates below. scripts/check.sh is `exec make check`.
 
 GO ?= go
 
@@ -29,7 +29,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/tracker/ ./internal/txlog/ ./internal/store/ ./internal/engine/ ./internal/server/
+	$(GO) test -race ./internal/core/ ./internal/tracker/ ./internal/txlog/ ./internal/store/ ./internal/engine/ ./internal/snapshot/ ./internal/server/
 
 # The frozen benchmark is its own module importing this one (`go build
 # ./...` never sees it): a change to the surface it uses must fail here,

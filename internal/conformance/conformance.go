@@ -215,7 +215,7 @@ func NewEnginePair() (primary, replica *engine.Engine) {
 func StateDigest(e *engine.Engine) string {
 	db := e.DB()
 	var keys []string
-	db.ForEach(time.Time{}, func(k string, _ *store.Object, _ int64) bool {
+	db.ForEach(time.Time{}, func(k string, _ store.Object, _ int64) bool {
 		keys = append(keys, k)
 		return true
 	})
@@ -226,24 +226,24 @@ func StateDigest(e *engine.Engine) string {
 		fmt.Fprintf(&b, "%q %s ", k, obj.Kind())
 		switch obj.Kind() {
 		case store.KindString:
-			fmt.Fprintf(&b, "%q", obj.Str)
+			fmt.Fprintf(&b, "%q", obj.Str())
 		case store.KindHash:
-			fields := make([]string, 0, len(obj.Hash))
-			for f := range obj.Hash {
+			fields := make([]string, 0, len(obj.Hash()))
+			for f := range obj.Hash() {
 				fields = append(fields, f)
 			}
 			sort.Strings(fields)
 			for _, f := range fields {
-				fmt.Fprintf(&b, "%q=%q ", f, obj.Hash[f])
+				fmt.Fprintf(&b, "%q=%q ", f, obj.Hash()[f])
 			}
 		case store.KindList:
-			obj.List.Walk(func(v []byte) bool {
+			obj.List().Walk(func(v []byte) bool {
 				fmt.Fprintf(&b, "%q ", v)
 				return true
 			})
 		case store.KindSet:
-			members := make([]string, 0, len(obj.Set))
-			for m := range obj.Set {
+			members := make([]string, 0, len(obj.Set()))
+			for m := range obj.Set() {
 				members = append(members, m)
 			}
 			sort.Strings(members)
@@ -251,11 +251,11 @@ func StateDigest(e *engine.Engine) string {
 				fmt.Fprintf(&b, "%q ", m)
 			}
 		case store.KindZSet:
-			for _, en := range obj.ZSet.Range(0, obj.ZSet.Len()-1) {
+			for _, en := range obj.ZSet().Range(0, obj.ZSet().Len()-1) {
 				fmt.Fprintf(&b, "%q=%v ", en.Member, en.Score)
 			}
 		case store.KindStream:
-			obj.Stream.Walk(func(en store.StreamEntry) bool {
+			obj.Stream().Walk(func(en store.StreamEntry) bool {
 				fmt.Fprintf(&b, "%s[", en.ID)
 				for _, f := range en.Fields {
 					fmt.Fprintf(&b, "%q ", f)

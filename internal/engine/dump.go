@@ -28,34 +28,34 @@ func (e *Engine) DumpCommands(key string) [][][]byte {
 	add("DEL", key)
 	switch obj.Kind() {
 	case store.KindString:
-		add("SET", key, string(obj.Str))
+		add("SET", key, string(obj.Str()))
 	case store.KindHash:
 		args := []string{"HSET", key}
-		for f, v := range obj.Hash {
+		for f, v := range obj.Hash() {
 			args = append(args, f, string(v))
 		}
 		add(args...)
 	case store.KindList:
 		args := []string{"RPUSH", key}
-		obj.List.Walk(func(v []byte) bool {
+		obj.List().Walk(func(v []byte) bool {
 			args = append(args, string(v))
 			return true
 		})
 		add(args...)
 	case store.KindSet:
 		args := []string{"SADD", key}
-		for m := range obj.Set {
+		for m := range obj.Set() {
 			args = append(args, m)
 		}
 		add(args...)
 	case store.KindZSet:
 		args := []string{"ZADD", key}
-		for _, en := range obj.ZSet.Range(0, obj.ZSet.Len()-1) {
+		for _, en := range obj.ZSet().Range(0, obj.ZSet().Len()-1) {
 			args = append(args, fmtScore(en.Score), en.Member)
 		}
 		add(args...)
 	case store.KindStream:
-		obj.Stream.Walk(func(en store.StreamEntry) bool {
+		obj.Stream().Walk(func(en store.StreamEntry) bool {
 			args := []string{"XADD", key, en.ID.String()}
 			for _, f := range en.Fields {
 				args = append(args, string(f))

@@ -298,25 +298,28 @@ func (e *Engine) touch(key string) {
 }
 
 // lookup reads key, propagating a DEL effect if a lazy expiry fired (so
-// replicas and the log observe deterministic expiry, §2.1).
-func (e *Engine) lookup(key string) *store.Object {
+// replicas and the log observe deterministic expiry, §2.1). key does not
+// escape — the dirty-key list gets its own copy of a reaped key — so a
+// caller's string(argv[i]) conversion can stay off the heap.
+func (e *Engine) lookup(key string) store.Object {
 	obj, reaped := e.db.Lookup(key, e.Now())
 	if reaped {
-		e.propagateStrings("DEL", key)
-		e.touch(key)
+		k := strings.Clone(key)
+		e.propagateStrings("DEL", k)
+		e.touch(k)
 	}
 	return obj
 }
 
-// lookupKind reads key and enforces its kind, returning (nil, errReply)
-// on a WRONGTYPE violation; (nil, Nil-kind ok) when absent.
-func (e *Engine) lookupKind(key string, kind store.Kind) (*store.Object, resp.Value, bool) {
+// lookupKind reads key and enforces its kind, returning (zero, errReply)
+// on a WRONGTYPE violation; (zero, ok) when absent.
+func (e *Engine) lookupKind(key string, kind store.Kind) (store.Object, resp.Value, bool) {
 	obj := e.lookup(key)
-	if obj == nil {
-		return nil, resp.Value{}, true
+	if !obj.Exists() {
+		return store.Object{}, resp.Value{}, true
 	}
 	if obj.Kind() != kind {
-		return nil, wrongType(), false
+		return store.Object{}, wrongType(), false
 	}
 	return obj, resp.Value{}, true
 }

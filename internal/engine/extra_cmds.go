@@ -34,7 +34,7 @@ func cmdGetEx(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Nil
 	}
 	now := e.Now()
@@ -88,7 +88,7 @@ func cmdGetEx(e *Engine, argv [][]byte) resp.Value {
 			}
 		}
 	}
-	return resp.Bulk(obj.Str)
+	return resp.Bulk(obj.Str())
 }
 
 // cmdTouch counts existing keys (cache-warming no-op in our model; Redis
@@ -96,7 +96,7 @@ func cmdGetEx(e *Engine, argv [][]byte) resp.Value {
 func cmdTouch(e *Engine, argv [][]byte) resp.Value {
 	n := int64(0)
 	for _, k := range argv[1:] {
-		if e.lookup(string(k)) != nil {
+		if e.lookup(string(k)).Exists() {
 			n++
 		}
 	}
@@ -113,7 +113,7 @@ func cmdExpireTime(e *Engine, argv [][]byte) resp.Value {
 
 func cmdPExpireTime(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	if e.lookup(key) == nil {
+	if !e.lookup(key).Exists() {
 		return resp.Int64(-2)
 	}
 	at, has := e.db.ExpireAt(key)
@@ -161,7 +161,7 @@ func cmdLPos(e *Engine, argv [][]byte) resp.Value {
 	if single {
 		count = 1
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		if single {
 			return resp.Nil
 		}
@@ -171,7 +171,7 @@ func cmdLPos(e *Engine, argv [][]byte) resp.Value {
 	var positions []int64
 	if rank > 0 {
 		idx, skip := int64(0), rank-1
-		obj.List.Walk(func(v []byte) bool {
+		obj.List().Walk(func(v []byte) bool {
 			if string(v) == target {
 				if skip > 0 {
 					skip--
@@ -189,7 +189,7 @@ func cmdLPos(e *Engine, argv [][]byte) resp.Value {
 		// Negative rank: scan from the tail.
 		var all []int64
 		idx := int64(0)
-		obj.List.Walk(func(v []byte) bool {
+		obj.List().Walk(func(v []byte) bool {
 			if string(v) == target {
 				all = append(all, idx)
 			}
@@ -230,37 +230,16 @@ func cmdLInsert(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	pivot := string(argv[3])
-	// Rebuild via walk (the List API has no mid-insert; LINSERT is rare
-	// and O(n) in Redis too).
-	rebuilt := store.NewList()
-	inserted := false
-	obj.List.Walk(func(v []byte) bool {
-		if !inserted && string(v) == pivot {
-			inserted = true
-			if before {
-				rebuilt.PushBack(argv[4])
-				rebuilt.PushBack(v)
-			} else {
-				rebuilt.PushBack(v)
-				rebuilt.PushBack(argv[4])
-			}
-			return true
-		}
-		rebuilt.PushBack(v)
-		return true
-	})
-	if !inserted {
+	if !obj.List().Insert(argv[3], argv[4], before) {
 		return resp.Int64(-1)
 	}
-	obj.List = rebuilt
 	e.db.AdjustUsed(int64(len(argv[4])))
 	e.touch(key)
 	e.propagateVerbatim(argv)
-	return resp.Int64(int64(obj.List.Len()))
+	return resp.Int64(int64(obj.List().Len()))
 }
 
 func cmdSMIsMember(e *Engine, argv [][]byte) resp.Value {
@@ -271,8 +250,8 @@ func cmdSMIsMember(e *Engine, argv [][]byte) resp.Value {
 	out := make([]resp.Value, 0, len(argv)-2)
 	for _, m := range argv[2:] {
 		present := int64(0)
-		if obj != nil {
-			if _, exists := obj.Set[string(m)]; exists {
+		if obj.Exists() {
+			if _, exists := obj.Set()[string(m)]; exists {
 				present = 1
 			}
 		}
@@ -324,11 +303,11 @@ func cmdZMScore(e *Engine, argv [][]byte) resp.Value {
 	}
 	out := make([]resp.Value, 0, len(argv)-2)
 	for _, m := range argv[2:] {
-		if obj == nil {
+		if !obj.Exists() {
 			out = append(out, resp.Nil)
 			continue
 		}
-		if s, exists := obj.ZSet.Score(string(m)); exists {
+		if s, exists := obj.ZSet().Score(string(m)); exists {
 			out = append(out, resp.BulkStr(fmtScore(s)))
 		} else {
 			out = append(out, resp.Nil)
@@ -344,7 +323,7 @@ func cmdHRandField(e *Engine, argv [][]byte) resp.Value {
 		return errReply
 	}
 	if len(argv) == 2 {
-		if obj == nil {
+		if !obj.Exists() {
 			return resp.Nil
 		}
 		fields := sortedHashFields(obj)
@@ -363,7 +342,7 @@ func cmdHRandField(e *Engine, argv [][]byte) resp.Value {
 	} else if len(argv) > 4 {
 		return errSyntax()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
 	fields := sortedHashFields(obj)
@@ -384,15 +363,15 @@ func cmdHRandField(e *Engine, argv [][]byte) resp.Value {
 	for _, f := range chosen {
 		out = append(out, resp.BulkStr(f))
 		if withValues {
-			out = append(out, resp.Bulk(obj.Hash[f]))
+			out = append(out, resp.Bulk(obj.Hash()[f]))
 		}
 	}
 	return resp.ArrayV(out...)
 }
 
-func sortedHashFields(obj *store.Object) []string {
-	fields := make([]string, 0, len(obj.Hash))
-	for f := range obj.Hash {
+func sortedHashFields(obj store.Object) []string {
+	fields := make([]string, 0, len(obj.Hash()))
+	for f := range obj.Hash() {
 		fields = append(fields, f)
 	}
 	// Sorted for determinism of tests that seed the engine RNG.
@@ -423,16 +402,10 @@ func cmdSetBit(e *Engine, argv [][]byte) resp.Value {
 	if !okK {
 		return errReply
 	}
-	var cur []byte
-	if obj != nil {
-		cur = obj.Str
-	}
+	// The stored value is immutable: flip the bit in a copy.
 	byteIdx := int(off / 8)
-	if byteIdx >= len(cur) {
-		grown := make([]byte, byteIdx+1)
-		copy(grown, cur)
-		cur = grown
-	}
+	cur := make([]byte, max(byteIdx+1, len(obj.Str())))
+	copy(cur, obj.Str())
 	mask := byte(1) << (7 - uint(off%8))
 	old := int64(0)
 	if cur[byteIdx]&mask != 0 {
@@ -443,13 +416,7 @@ func cmdSetBit(e *Engine, argv [][]byte) resp.Value {
 	} else {
 		cur[byteIdx] &^= mask
 	}
-	if obj != nil {
-		e.db.AdjustUsed(int64(len(cur) - len(obj.Str)))
-		obj.Str = cur
-	} else {
-		e.db.Set(key, strObject(cur))
-	}
-	e.touch(key)
+	e.touch(e.db.SetStringKeepTTL(key, cur))
 	e.propagateVerbatim(argv)
 	return resp.Int64(old)
 }
@@ -463,14 +430,14 @@ func cmdGetBit(e *Engine, argv [][]byte) resp.Value {
 	if !okK {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
 	byteIdx := int(off / 8)
-	if byteIdx >= len(obj.Str) {
+	if byteIdx >= len(obj.Str()) {
 		return resp.Int64(0)
 	}
-	if obj.Str[byteIdx]&(1<<(7-uint(off%8))) != 0 {
+	if obj.Str()[byteIdx]&(1<<(7-uint(off%8))) != 0 {
 		return resp.Int64(1)
 	}
 	return resp.Int64(0)
@@ -482,10 +449,10 @@ func cmdBitCount(e *Engine, argv [][]byte) resp.Value {
 	if !okK {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	data := obj.Str
+	data := obj.Str()
 	if len(argv) == 4 {
 		start, ok1 := parseInt(argv[2])
 		end, ok2 := parseInt(argv[3])

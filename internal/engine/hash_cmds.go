@@ -26,12 +26,12 @@ func init() {
 }
 
 // hashAt returns the hash at key, creating it when create is set.
-func hashAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool) {
+func hashAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
 	obj, errReply, ok := e.lookupKind(key, store.KindHash)
 	if !ok {
-		return nil, errReply, false
+		return store.Object{}, errReply, false
 	}
-	if obj == nil && create {
+	if !obj.Exists() && create {
 		obj = store.New(store.KindHash)
 		e.db.Set(key, obj)
 	}
@@ -50,12 +50,12 @@ func cmdHSet(e *Engine, argv [][]byte) resp.Value {
 	added := int64(0)
 	for i := 2; i < len(argv); i += 2 {
 		f := string(argv[i])
-		old, existed := obj.Hash[f]
+		old, existed := obj.Hash()[f]
 		if !existed {
 			added++
 		}
 		e.db.AdjustUsed(int64(len(argv[i+1]) - len(old)))
-		obj.Hash[f] = argv[i+1]
+		obj.Hash()[f] = argv[i+1]
 	}
 	e.touch(key)
 	e.propagateVerbatim(argv)
@@ -76,10 +76,10 @@ func cmdHSetNX(e *Engine, argv [][]byte) resp.Value {
 		return errReply
 	}
 	f := string(argv[2])
-	if _, exists := obj.Hash[f]; exists {
+	if _, exists := obj.Hash()[f]; exists {
 		return resp.Int64(0)
 	}
-	obj.Hash[f] = argv[3]
+	obj.Hash()[f] = argv[3]
 	e.db.AdjustUsed(int64(len(argv[3])))
 	e.touch(key)
 	e.propagateVerbatim(argv)
@@ -91,10 +91,10 @@ func cmdHGet(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Nil
 	}
-	v, exists := obj.Hash[string(argv[2])]
+	v, exists := obj.Hash()[string(argv[2])]
 	if !exists {
 		return resp.Nil
 	}
@@ -108,11 +108,11 @@ func cmdHMGet(e *Engine, argv [][]byte) resp.Value {
 	}
 	out := make([]resp.Value, 0, len(argv)-2)
 	for _, f := range argv[2:] {
-		if obj == nil {
+		if !obj.Exists() {
 			out = append(out, resp.Nil)
 			continue
 		}
-		if v, exists := obj.Hash[string(f)]; exists {
+		if v, exists := obj.Hash()[string(f)]; exists {
 			out = append(out, resp.Bulk(v))
 		} else {
 			out = append(out, resp.Nil)
@@ -127,19 +127,19 @@ func cmdHDel(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
 	n := int64(0)
 	for _, f := range argv[2:] {
-		if v, exists := obj.Hash[string(f)]; exists {
+		if v, exists := obj.Hash()[string(f)]; exists {
 			e.db.AdjustUsed(-int64(len(f) + len(v)))
-			delete(obj.Hash, string(f))
+			delete(obj.Hash(), string(f))
 			n++
 		}
 	}
 	if n > 0 {
-		if len(obj.Hash) == 0 {
+		if len(obj.Hash()) == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -153,17 +153,17 @@ func cmdHGetAll(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	fields := make([]string, 0, len(obj.Hash))
-	for f := range obj.Hash {
+	fields := make([]string, 0, len(obj.Hash()))
+	for f := range obj.Hash() {
 		fields = append(fields, f)
 	}
 	sort.Strings(fields) // deterministic reply order (diverges from Redis, which is unordered)
 	out := make([]resp.Value, 0, len(fields)*2)
 	for _, f := range fields {
-		out = append(out, resp.BulkStr(f), resp.Bulk(obj.Hash[f]))
+		out = append(out, resp.BulkStr(f), resp.Bulk(obj.Hash()[f]))
 	}
 	return resp.ArrayV(out...)
 }
@@ -173,10 +173,10 @@ func cmdHExists(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	if _, exists := obj.Hash[string(argv[2])]; exists {
+	if _, exists := obj.Hash()[string(argv[2])]; exists {
 		return resp.Int64(1)
 	}
 	return resp.Int64(0)
@@ -187,10 +187,10 @@ func cmdHLen(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(len(obj.Hash)))
+	return resp.Int64(int64(len(obj.Hash())))
 }
 
 func cmdHKeys(e *Engine, argv [][]byte) resp.Value {
@@ -198,11 +198,11 @@ func cmdHKeys(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	fields := make([]string, 0, len(obj.Hash))
-	for f := range obj.Hash {
+	fields := make([]string, 0, len(obj.Hash()))
+	for f := range obj.Hash() {
 		fields = append(fields, f)
 	}
 	sort.Strings(fields)
@@ -214,17 +214,17 @@ func cmdHVals(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	fields := make([]string, 0, len(obj.Hash))
-	for f := range obj.Hash {
+	fields := make([]string, 0, len(obj.Hash()))
+	for f := range obj.Hash() {
 		fields = append(fields, f)
 	}
 	sort.Strings(fields)
 	out := make([]resp.Value, 0, len(fields))
 	for _, f := range fields {
-		out = append(out, resp.Bulk(obj.Hash[f]))
+		out = append(out, resp.Bulk(obj.Hash()[f]))
 	}
 	return resp.ArrayV(out...)
 }
@@ -234,10 +234,10 @@ func cmdHStrlen(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(len(obj.Hash[string(argv[2])])))
+	return resp.Int64(int64(len(obj.Hash()[string(argv[2])])))
 }
 
 func cmdHIncrBy(e *Engine, argv [][]byte) resp.Value {
@@ -252,7 +252,7 @@ func cmdHIncrBy(e *Engine, argv [][]byte) resp.Value {
 	}
 	f := string(argv[2])
 	var cur int64
-	if v, exists := obj.Hash[f]; exists {
+	if v, exists := obj.Hash()[f]; exists {
 		n, ok := parseInt(v)
 		if !ok {
 			return resp.Err("ERR hash value is not an integer")
@@ -264,7 +264,7 @@ func cmdHIncrBy(e *Engine, argv [][]byte) resp.Value {
 	}
 	cur += delta
 	s := strconv.AppendInt(nil, cur, 10)
-	obj.Hash[f] = s
+	obj.Hash()[f] = s
 	e.touch(key)
 	e.propagateStrings("HSET", key, f, string(s))
 	return resp.Int64(cur)
@@ -282,7 +282,7 @@ func cmdHIncrByFloat(e *Engine, argv [][]byte) resp.Value {
 	}
 	f := string(argv[2])
 	var cur float64
-	if v, exists := obj.Hash[f]; exists {
+	if v, exists := obj.Hash()[f]; exists {
 		x, ok := parseFloat(v)
 		if !ok {
 			return resp.Err("ERR hash value is not a float")
@@ -291,7 +291,7 @@ func cmdHIncrByFloat(e *Engine, argv [][]byte) resp.Value {
 	}
 	cur += delta
 	s := strconv.FormatFloat(cur, 'f', -1, 64)
-	obj.Hash[f] = []byte(s)
+	obj.Hash()[f] = []byte(s)
 	e.touch(key)
 	e.propagateStrings("HSET", key, f, s)
 	return resp.BulkStr(s)

@@ -52,7 +52,7 @@ func cmdDel(e *Engine, argv [][]byte) resp.Value {
 func cmdExists(e *Engine, argv [][]byte) resp.Value {
 	n := int64(0)
 	for _, k := range argv[1:] {
-		if e.lookup(string(k)) != nil {
+		if e.lookup(string(k)).Exists() {
 			n++
 		}
 	}
@@ -61,7 +61,7 @@ func cmdExists(e *Engine, argv [][]byte) resp.Value {
 
 func cmdType(e *Engine, argv [][]byte) resp.Value {
 	obj := e.lookup(string(argv[1]))
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Simple("none")
 	}
 	return resp.Simple(obj.Kind().String())
@@ -241,10 +241,10 @@ func cmdRenameNX(e *Engine, argv [][]byte) resp.Value {
 func renameGeneric(e *Engine, argv [][]byte, nx bool) resp.Value {
 	src, dst := string(argv[1]), string(argv[2])
 	obj := e.lookup(src)
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Err("ERR no such key")
 	}
-	if nx && e.lookup(dst) != nil {
+	if nx && e.lookup(dst).Exists() {
 		return resp.Int64(0)
 	}
 	exp, hadTTL := e.db.ExpireAt(src)

@@ -23,12 +23,12 @@ func init() {
 	register(&Command{Name: "LTRIM", Arity: -4, Flags: FlagWrite, Handler: cmdLTrim, FirstKey: 1, LastKey: 1, KeyStep: 1})
 }
 
-func listAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool) {
+func listAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
 	obj, errReply, ok := e.lookupKind(key, store.KindList)
 	if !ok {
-		return nil, errReply, false
+		return store.Object{}, errReply, false
 	}
-	if obj == nil && create {
+	if !obj.Exists() && create {
 		obj = store.New(store.KindList)
 		e.db.Set(key, obj)
 	}
@@ -41,20 +41,20 @@ func pushGeneric(e *Engine, argv [][]byte, front, mustExist bool) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
 	for _, v := range argv[2:] {
 		if front {
-			obj.List.PushFront(v)
+			obj.List().PushFront(v)
 		} else {
-			obj.List.PushBack(v)
+			obj.List().PushBack(v)
 		}
 		e.db.AdjustUsed(int64(len(v)))
 	}
 	e.touch(key)
 	e.propagateVerbatim(argv)
-	return resp.Int64(int64(obj.List.Len()))
+	return resp.Int64(int64(obj.List().Len()))
 }
 
 func cmdLPush(e *Engine, argv [][]byte) resp.Value  { return pushGeneric(e, argv, true, false) }
@@ -68,7 +68,7 @@ func popGeneric(e *Engine, argv [][]byte, front bool) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Nil
 	}
 	count := 1
@@ -87,9 +87,9 @@ func popGeneric(e *Engine, argv [][]byte, front bool) resp.Value {
 		var v []byte
 		var got bool
 		if front {
-			v, got = obj.List.PopFront()
+			v, got = obj.List().PopFront()
 		} else {
-			v, got = obj.List.PopBack()
+			v, got = obj.List().PopBack()
 		}
 		if !got {
 			break
@@ -98,7 +98,7 @@ func popGeneric(e *Engine, argv [][]byte, front bool) resp.Value {
 		e.db.AdjustUsed(-int64(len(v)))
 	}
 	if len(popped) > 0 {
-		if obj.List.Len() == 0 {
+		if obj.List().Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -134,22 +134,22 @@ func cmdRPopLPush(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if srcObj == nil {
+	if !srcObj.Exists() {
 		return resp.Nil
 	}
 	dstObj, errReply, ok := listAt(e, dst, true)
 	if !ok {
 		return errReply
 	}
-	v, got := srcObj.List.PopBack()
+	v, got := srcObj.List().PopBack()
 	if !got {
 		return resp.Nil
 	}
 	if src == dst {
 		dstObj = srcObj
 	}
-	dstObj.List.PushFront(v)
-	if srcObj.List.Len() == 0 && src != dst {
+	dstObj.List().PushFront(v)
+	if srcObj.List().Len() == 0 && src != dst {
 		e.db.Delete(src, e.Now())
 	}
 	e.touch(src)
@@ -163,10 +163,10 @@ func cmdLLen(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(obj.List.Len()))
+	return resp.Int64(int64(obj.List().Len()))
 }
 
 func cmdLRange(e *Engine, argv [][]byte) resp.Value {
@@ -179,10 +179,10 @@ func cmdLRange(e *Engine, argv [][]byte) resp.Value {
 	if !ok1 || !ok2 {
 		return errNotInt()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	vals := obj.List.Range(int(start), int(stop))
+	vals := obj.List().Range(int(start), int(stop))
 	out := make([]resp.Value, len(vals))
 	for i, v := range vals {
 		out[i] = resp.Bulk(v)
@@ -199,10 +199,10 @@ func cmdLIndex(e *Engine, argv [][]byte) resp.Value {
 	if !okN {
 		return errNotInt()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Nil
 	}
-	v, got := obj.List.Index(int(idx))
+	v, got := obj.List().Index(int(idx))
 	if !got {
 		return resp.Nil
 	}
@@ -219,10 +219,10 @@ func cmdLSet(e *Engine, argv [][]byte) resp.Value {
 	if !okN {
 		return errNotInt()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Err("ERR no such key")
 	}
-	if !obj.List.SetIndex(int(idx), argv[3]) {
+	if !obj.List().SetIndex(int(idx), argv[3]) {
 		return resp.Err("ERR index out of range")
 	}
 	e.touch(key)
@@ -240,12 +240,12 @@ func cmdLRem(e *Engine, argv [][]byte) resp.Value {
 	if !okN {
 		return errNotInt()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	n := obj.List.Remove(int(count), argv[3])
+	n := obj.List().Remove(int(count), argv[3])
 	if n > 0 {
-		if obj.List.Len() == 0 {
+		if obj.List().Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -265,11 +265,11 @@ func cmdLTrim(e *Engine, argv [][]byte) resp.Value {
 	if !ok1 || !ok2 {
 		return errNotInt()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.OK
 	}
-	if obj.List.Trim(int(start), int(stop)) > 0 {
-		if obj.List.Len() == 0 {
+	if obj.List().Trim(int(start), int(stop)) > 0 {
+		if obj.List().Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)

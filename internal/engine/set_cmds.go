@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"sort"
 
 	"memorydb/internal/resp"
@@ -24,12 +25,12 @@ func init() {
 	register(&Command{Name: "SDIFFSTORE", Arity: 3, Flags: FlagWrite, Handler: cmdSDiffStore, FirstKey: 1, LastKey: -1, KeyStep: 1})
 }
 
-func setAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool) {
+func setAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
 	obj, errReply, ok := e.lookupKind(key, store.KindSet)
 	if !ok {
-		return nil, errReply, false
+		return store.Object{}, errReply, false
 	}
-	if obj == nil && create {
+	if !obj.Exists() && create {
 		obj = store.New(store.KindSet)
 		e.db.Set(key, obj)
 	}
@@ -45,8 +46,8 @@ func cmdSAdd(e *Engine, argv [][]byte) resp.Value {
 	n := int64(0)
 	for _, m := range argv[2:] {
 		member := string(m)
-		if _, exists := obj.Set[member]; !exists {
-			obj.Set[member] = struct{}{}
+		if _, exists := obj.Set()[member]; !exists {
+			obj.Set()[member] = struct{}{}
 			e.db.AdjustUsed(int64(len(member)))
 			n++
 		}
@@ -64,20 +65,20 @@ func cmdSRem(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
 	n := int64(0)
 	for _, m := range argv[2:] {
 		member := string(m)
-		if _, exists := obj.Set[member]; exists {
-			delete(obj.Set, member)
+		if _, exists := obj.Set()[member]; exists {
+			delete(obj.Set(), member)
 			e.db.AdjustUsed(-int64(len(member)))
 			n++
 		}
 	}
 	if n > 0 {
-		if len(obj.Set) == 0 {
+		if len(obj.Set()) == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -91,10 +92,10 @@ func cmdSCard(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(len(obj.Set)))
+	return resp.Int64(int64(len(obj.Set())))
 }
 
 func cmdSIsMember(e *Engine, argv [][]byte) resp.Value {
@@ -102,18 +103,18 @@ func cmdSIsMember(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	if _, exists := obj.Set[string(argv[2])]; exists {
+	if _, exists := obj.Set()[string(argv[2])]; exists {
 		return resp.Int64(1)
 	}
 	return resp.Int64(0)
 }
 
-func sortedMembers(obj *store.Object) []string {
-	out := make([]string, 0, len(obj.Set))
-	for m := range obj.Set {
+func sortedMembers(obj store.Object) []string {
+	out := make([]string, 0, len(obj.Set()))
+	for m := range obj.Set() {
 		out = append(out, m)
 	}
 	sort.Strings(out)
@@ -125,7 +126,7 @@ func cmdSMembers(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
 	return resp.BulkArray(sortedMembers(obj)...)
@@ -151,7 +152,7 @@ func cmdSPop(e *Engine, argv [][]byte) resp.Value {
 	} else if len(argv) > 3 {
 		return wrongArity("SPOP")
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		if withCount {
 			return resp.ArrayV()
 		}
@@ -171,12 +172,12 @@ func cmdSPop(e *Engine, argv [][]byte) resp.Value {
 	eff := make([]string, 0, 2+len(picked))
 	eff = append(eff, "SREM", key)
 	for _, m := range picked {
-		delete(obj.Set, m)
+		delete(obj.Set(), m)
 		e.db.AdjustUsed(-int64(len(m)))
 		eff = append(eff, m)
 	}
 	if len(picked) > 0 {
-		if len(obj.Set) == 0 {
+		if len(obj.Set()) == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -197,7 +198,7 @@ func cmdSRandMember(e *Engine, argv [][]byte) resp.Value {
 		return errReply
 	}
 	withCount := len(argv) == 3
-	if obj == nil {
+	if !obj.Exists() {
 		if withCount {
 			return resp.ArrayV()
 		}
@@ -237,19 +238,19 @@ func cmdSMove(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if srcObj == nil {
+	if !srcObj.Exists() {
 		return resp.Int64(0)
 	}
-	if _, exists := srcObj.Set[member]; !exists {
+	if _, exists := srcObj.Set()[member]; !exists {
 		return resp.Int64(0)
 	}
 	dstObj, errReply, ok := setAt(e, dst, true)
 	if !ok {
 		return errReply
 	}
-	delete(srcObj.Set, member)
-	dstObj.Set[member] = struct{}{}
-	if len(srcObj.Set) == 0 {
+	delete(srcObj.Set(), member)
+	dstObj.Set()[member] = struct{}{}
+	if len(srcObj.Set()) == 0 {
 		e.db.Delete(src, e.Now())
 	}
 	e.touch(src)
@@ -266,8 +267,8 @@ func setOp(e *Engine, keys [][]byte, op byte) (map[string]struct{}, resp.Value, 
 			return nil, errReply, false
 		}
 		cur := map[string]struct{}{}
-		if obj != nil {
-			cur = obj.Set
+		if obj.Exists() {
+			cur = obj.Set()
 		}
 		switch op {
 		case 'u':
@@ -349,7 +350,7 @@ func setOpStore(e *Engine, argv [][]byte, op byte) resp.Value {
 		return resp.Int64(0)
 	}
 	obj := store.New(store.KindSet)
-	obj.Set = acc
+	maps.Copy(obj.Set(), acc)
 	e.db.Set(dst, obj)
 	e.touch(dst)
 	// Deterministic store result: replicate DEL + SADD of the exact

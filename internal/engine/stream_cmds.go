@@ -17,12 +17,12 @@ func init() {
 	register(&Command{Name: "XREAD", Arity: 4, Flags: FlagReadOnly, Handler: cmdXRead})
 }
 
-func streamAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool) {
+func streamAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
 	obj, errReply, ok := e.lookupKind(key, store.KindStream)
 	if !ok {
-		return nil, errReply, false
+		return store.Object{}, errReply, false
 	}
-	if obj == nil && create {
+	if !obj.Exists() && create {
 		obj = store.New(store.KindStream)
 		e.db.Set(key, obj)
 	}
@@ -65,7 +65,7 @@ func cmdXAdd(e *Engine, argv [][]byte) resp.Value {
 		return errReply
 	}
 	created := false
-	if obj == nil {
+	if !obj.Exists() {
 		obj = store.New(store.KindStream)
 		created = true
 	}
@@ -78,7 +78,7 @@ func cmdXAdd(e *Engine, argv [][]byte) resp.Value {
 			if err != nil {
 				return resp.Err("ERR Invalid stream ID specified as stream command argument")
 			}
-			last := obj.Stream.LastID()
+			last := obj.Stream().LastID()
 			if last.Ms == ms {
 				id = store.StreamID{Ms: ms, Seq: last.Seq + 1}
 			} else {
@@ -96,7 +96,7 @@ func cmdXAdd(e *Engine, argv [][]byte) resp.Value {
 	for j, f := range fields {
 		copied[j] = append([]byte(nil), f...)
 	}
-	assigned, err := obj.Stream.Add(id, auto, uint64(e.Now().UnixMilli()), copied)
+	assigned, err := obj.Stream().Add(id, auto, uint64(e.Now().UnixMilli()), copied)
 	if err != nil {
 		// A failed XADD must not leave an empty stream object behind.
 		return resp.Errf("ERR %s", err.Error())
@@ -106,7 +106,7 @@ func cmdXAdd(e *Engine, argv [][]byte) resp.Value {
 	}
 	var removed int
 	if maxLen >= 0 {
-		removed = obj.Stream.TrimMaxLen(maxLen)
+		removed = obj.Stream().TrimMaxLen(maxLen)
 	}
 	e.touch(key)
 	eff := make([][]byte, 0, 3+len(fields))
@@ -124,10 +124,10 @@ func cmdXLen(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(obj.Stream.Len()))
+	return resp.Int64(int64(obj.Stream().Len()))
 }
 
 func entryReply(en store.StreamEntry) resp.Value {
@@ -158,10 +158,10 @@ func cmdXRange(e *Engine, argv [][]byte) resp.Value {
 	} else if len(argv) > 4 {
 		return errSyntax()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	entries := obj.Stream.Range(start, end, count)
+	entries := obj.Stream().Range(start, end, count)
 	out := make([]resp.Value, len(entries))
 	for i, en := range entries {
 		out[i] = entryReply(en)
@@ -175,7 +175,7 @@ func cmdXDel(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
 	n := int64(0)
@@ -184,7 +184,7 @@ func cmdXDel(e *Engine, argv [][]byte) resp.Value {
 		if err != nil {
 			return resp.Err("ERR Invalid stream ID specified as stream command argument")
 		}
-		if obj.Stream.Delete(id) {
+		if obj.Stream().Delete(id) {
 			n++
 		}
 	}
@@ -215,10 +215,10 @@ func cmdXTrim(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	removed := obj.Stream.TrimMaxLen(int(n))
+	removed := obj.Stream().TrimMaxLen(int(n))
 	if removed > 0 {
 		e.touch(key)
 		e.propagateStrings("XTRIM", key, "MAXLEN", strconv.FormatInt(n, 10))
@@ -259,12 +259,12 @@ func cmdXRead(e *Engine, argv [][]byte) resp.Value {
 		if !ok {
 			return errReply
 		}
-		if obj == nil {
+		if !obj.Exists() {
 			continue
 		}
 		var from store.StreamID
 		if idArg == "$" {
-			from = obj.Stream.LastID()
+			from = obj.Stream().LastID()
 		} else {
 			var err error
 			from, err = store.ParseStreamID(idArg, 0)
@@ -272,7 +272,7 @@ func cmdXRead(e *Engine, argv [][]byte) resp.Value {
 				return resp.Err("ERR Invalid stream ID specified as stream command argument")
 			}
 		}
-		entries := obj.Stream.After(from, count)
+		entries := obj.Stream().After(from, count)
 		if len(entries) == 0 {
 			continue
 		}

@@ -30,10 +30,6 @@ func init() {
 	register(&Command{Name: "MSETNX", Arity: 3, Flags: FlagWrite, Handler: cmdMSetNX, FirstKey: 1, LastKey: -1, KeyStep: 2})
 }
 
-func strObject(v []byte) *store.Object {
-	return &store.Object{Str: v}
-}
-
 // relativeDeadline computes nowMs + n*unitMs with overflow detection:
 // ok=false means the requested expiry is unrepresentable (Redis rejects
 // it as an invalid expire time rather than wrapping).
@@ -48,22 +44,21 @@ func relativeDeadline(nowMs, n, unitMs int64) (int64, bool) {
 }
 
 func cmdGet(e *Engine, argv [][]byte) resp.Value {
-	key := string(argv[1])
-	obj, errReply, ok := e.lookupKind(key, store.KindString)
+	obj, errReply, ok := e.lookupKind(string(argv[1]), store.KindString)
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Nil
 	}
-	return resp.Bulk(obj.Str)
+	return resp.Bulk(obj.Str())
 }
 
 // cmdSet implements SET with NX/XX/EX/PX/EXAT/PXAT/KEEPTTL/GET. Relative
 // expirations replicate as absolute PXAT so replicas and recovery apply
 // the same deadline (§2.1 deterministic replication).
 func cmdSet(e *Engine, argv [][]byte) resp.Value {
-	key, val := string(argv[1]), argv[2]
+	val := argv[2]
 	var (
 		nx, xx, keepTTL, withGet bool
 		expireAtMs               int64 // 0 = none
@@ -110,28 +105,28 @@ func cmdSet(e *Engine, argv [][]byte) resp.Value {
 	if nx && xx {
 		return errSyntax()
 	}
-	prev := e.lookup(key)
+	prev := e.lookup(string(argv[1]))
 	var prevReply resp.Value
 	if withGet {
-		if prev == nil {
+		if !prev.Exists() {
 			prevReply = resp.Nil
 		} else if prev.Kind() != store.KindString {
 			return wrongType()
 		} else {
-			prevReply = resp.Bulk(prev.Str)
+			prevReply = resp.Bulk(prev.Str())
 		}
 	}
-	if (nx && prev != nil) || (xx && prev == nil) {
+	if (nx && prev.Exists()) || (xx && !prev.Exists()) {
 		if withGet {
 			return prevReply
 		}
 		return resp.Nil
 	}
-	obj := strObject(val)
+	var key string
 	if keepTTL {
-		e.db.SetKeepTTL(key, obj)
+		key = e.db.SetStringKeepTTL(string(argv[1]), val)
 	} else {
-		e.db.Set(key, obj)
+		key = e.db.SetString(string(argv[1]), val)
 	}
 	if expireAtMs > 0 {
 		e.db.Expire(key, expireAtMs, now)
@@ -154,12 +149,10 @@ func cmdSet(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdSetNX(e *Engine, argv [][]byte) resp.Value {
-	key := string(argv[1])
-	if e.lookup(key) != nil {
+	if e.lookup(string(argv[1])).Exists() {
 		return resp.Int64(0)
 	}
-	e.db.Set(key, strObject(argv[2]))
-	e.touch(key)
+	e.touch(e.db.SetString(string(argv[1]), argv[2]))
 	e.propagateVerbatim(argv)
 	return resp.Int64(1)
 }
@@ -183,7 +176,7 @@ func setWithTTL(e *Engine, argv [][]byte, unitMs int64) resp.Value {
 	if n <= 0 || !okTTL {
 		return resp.Errf("ERR invalid expire time in '%s' command", strings.ToLower(string(argv[0])))
 	}
-	e.db.Set(key, strObject(argv[3]))
+	key = e.db.SetString(key, argv[3])
 	e.db.Expire(key, at, now)
 	e.touch(key)
 	e.propagateStrings("SET", key, string(argv[3]), "PXAT", strconv.FormatInt(at, 10))
@@ -197,11 +190,10 @@ func cmdGetSet(e *Engine, argv [][]byte) resp.Value {
 		return errReply
 	}
 	reply := resp.Nil
-	if obj != nil {
-		reply = resp.Bulk(obj.Str)
+	if obj.Exists() {
+		reply = resp.Bulk(obj.Str())
 	}
-	e.db.Set(key, strObject(argv[2]))
-	e.touch(key)
+	e.touch(e.db.SetString(key, argv[2]))
 	e.propagateStrings("SET", key, string(argv[2]))
 	return reply
 }
@@ -212,10 +204,10 @@ func cmdGetDel(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Nil
 	}
-	reply := resp.Bulk(obj.Str)
+	reply := resp.Bulk(obj.Str())
 	e.db.Delete(key, e.Now())
 	e.touch(key)
 	e.propagateStrings("DEL", key)
@@ -228,16 +220,13 @@ func cmdAppend(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
-		e.db.Set(key, strObject(append([]byte(nil), argv[2]...)))
-		obj, _ = e.db.Peek(key)
-	} else {
-		obj.Str = append(obj.Str, argv[2]...)
-		e.db.AdjustUsed(int64(len(argv[2])))
+	if len(obj.Str())+len(argv[2]) > resp.MaxBulkLen {
+		return errTooLong()
 	}
-	e.touch(key)
+	stored, n := e.db.Append(key, argv[2])
+	e.touch(stored)
 	e.propagateVerbatim(argv)
-	return resp.Int64(int64(len(obj.Str)))
+	return resp.Int64(int64(n))
 }
 
 func cmdStrlen(e *Engine, argv [][]byte) resp.Value {
@@ -245,10 +234,10 @@ func cmdStrlen(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(len(obj.Str)))
+	return resp.Int64(int64(len(obj.Str())))
 }
 
 func cmdGetRange(e *Engine, argv [][]byte) resp.Value {
@@ -261,10 +250,10 @@ func cmdGetRange(e *Engine, argv [][]byte) resp.Value {
 	if !ok1 || !ok2 {
 		return errNotInt()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Bulk(nil)
 	}
-	n := int64(len(obj.Str))
+	n := int64(len(obj.Str()))
 	if start < 0 {
 		start += n
 	}
@@ -280,7 +269,7 @@ func cmdGetRange(e *Engine, argv [][]byte) resp.Value {
 	if n == 0 || start > end {
 		return resp.Bulk(nil)
 	}
-	return resp.Bulk(obj.Str[start : end+1])
+	return resp.Bulk(obj.Str()[start : end+1])
 }
 
 func cmdSetRange(e *Engine, argv [][]byte) resp.Value {
@@ -296,24 +285,26 @@ func cmdSetRange(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	var cur []byte
-	if obj != nil {
-		cur = obj.Str
-	}
+	cur := obj.Str()
 	if len(argv[3]) == 0 {
 		return resp.Int64(int64(len(cur)))
 	}
-	need := int(off) + len(argv[3])
-	if need > len(cur) {
-		grown := make([]byte, need)
-		copy(grown, cur)
-		cur = grown
+	if off > resp.MaxBulkLen-int64(len(argv[3])) {
+		return errTooLong()
 	}
-	copy(cur[off:], argv[3])
-	e.db.Set(key, strObject(cur))
-	e.touch(key)
+	// The stored value is immutable: build the new one beside it.
+	next := make([]byte, max(int(off)+len(argv[3]), len(cur)))
+	copy(next, cur)
+	copy(next[off:], argv[3])
+	e.touch(e.db.SetString(key, next))
 	e.propagateVerbatim(argv)
-	return resp.Int64(int64(len(cur)))
+	return resp.Int64(int64(len(next)))
+}
+
+// errTooLong is Redis's reply to a write that would grow a string past
+// proto-max-bulk-len.
+func errTooLong() resp.Value {
+	return resp.Err("ERR string exceeds maximum allowed size (proto-max-bulk-len)")
 }
 
 func cmdIncr(e *Engine, argv [][]byte) resp.Value { return incrBy(e, string(argv[1]), 1) }
@@ -341,8 +332,8 @@ func incrBy(e *Engine, key string, delta int64) resp.Value {
 		return errReply
 	}
 	var cur int64
-	if obj != nil {
-		v, ok := parseInt(obj.Str)
+	if obj.Exists() {
+		v, ok := parseInt(obj.Str())
 		if !ok {
 			return errNotInt()
 		}
@@ -353,14 +344,9 @@ func incrBy(e *Engine, key string, delta int64) resp.Value {
 		return resp.Err("ERR increment or decrement would overflow")
 	}
 	cur += delta
-	s := strconv.AppendInt(nil, cur, 10)
-	if obj != nil {
-		e.db.AdjustUsed(int64(len(s) - len(obj.Str)))
-		obj.Str = s
-	} else {
-		e.db.SetKeepTTL(key, strObject(s))
-	}
-	e.touch(key)
+	var num [20]byte
+	s := strconv.AppendInt(num[:0], cur, 10)
+	e.touch(e.db.SetStringKeepTTL(key, s))
 	// INCR is deterministic; replicate the resulting SET to keep replicas
 	// byte-identical even across engine versions with different overflow
 	// edge behaviour.
@@ -379,8 +365,8 @@ func cmdIncrByFloat(e *Engine, argv [][]byte) resp.Value {
 		return errReply
 	}
 	var cur float64
-	if obj != nil {
-		v, ok := parseFloat(obj.Str)
+	if obj.Exists() {
+		v, ok := parseFloat(obj.Str())
 		if !ok {
 			return errNotFloat()
 		}
@@ -388,13 +374,7 @@ func cmdIncrByFloat(e *Engine, argv [][]byte) resp.Value {
 	}
 	cur += delta
 	s := strconv.FormatFloat(cur, 'f', -1, 64)
-	if obj != nil {
-		e.db.AdjustUsed(int64(len(s) - len(obj.Str)))
-		obj.Str = []byte(s)
-	} else {
-		e.db.SetKeepTTL(key, strObject([]byte(s)))
-	}
-	e.touch(key)
+	e.touch(e.db.SetStringKeepTTL(key, []byte(s)))
 	// Float math is replicated as its effect (Redis does the same).
 	e.propagateStrings("SET", key, s, "KEEPTTL")
 	return resp.BulkStr(s)
@@ -404,10 +384,10 @@ func cmdMGet(e *Engine, argv [][]byte) resp.Value {
 	out := make([]resp.Value, 0, len(argv)-1)
 	for _, k := range argv[1:] {
 		obj := e.lookup(string(k))
-		if obj == nil || obj.Kind() != store.KindString {
+		if !obj.Exists() || obj.Kind() != store.KindString {
 			out = append(out, resp.Nil)
 		} else {
-			out = append(out, resp.Bulk(obj.Str))
+			out = append(out, resp.Bulk(obj.Str()))
 		}
 	}
 	return resp.ArrayV(out...)
@@ -418,9 +398,7 @@ func cmdMSet(e *Engine, argv [][]byte) resp.Value {
 		return wrongArity("MSET")
 	}
 	for i := 1; i < len(argv); i += 2 {
-		key := string(argv[i])
-		e.db.Set(key, strObject(argv[i+1]))
-		e.touch(key)
+		e.touch(e.db.SetString(string(argv[i]), argv[i+1]))
 	}
 	e.propagateVerbatim(argv)
 	return resp.OK
@@ -431,14 +409,12 @@ func cmdMSetNX(e *Engine, argv [][]byte) resp.Value {
 		return wrongArity("MSETNX")
 	}
 	for i := 1; i < len(argv); i += 2 {
-		if e.lookup(string(argv[i])) != nil {
+		if e.lookup(string(argv[i])).Exists() {
 			return resp.Int64(0)
 		}
 	}
 	for i := 1; i < len(argv); i += 2 {
-		key := string(argv[i])
-		e.db.Set(key, strObject(argv[i+1]))
-		e.touch(key)
+		e.touch(e.db.SetString(string(argv[i]), argv[i+1]))
 	}
 	e.propagateVerbatim(argv)
 	return resp.Int64(1)

@@ -142,6 +142,10 @@ func TestSetRange(t *testing.T) {
 		t.Fatalf("padded = %q", got.Str)
 	}
 	wantErrPrefix(t, do("SETRANGE", "k", "-1", "x"), "ERR offset is out of range")
+	// A value may not outgrow proto-max-bulk-len (512 MB): refused before
+	// anything is allocated.
+	wantErrPrefix(t, do("SETRANGE", "k", "536870912", "x"), "ERR string exceeds maximum allowed size")
+	wantText(t, do("GET", "k"), "Hello Redis")
 }
 
 func TestIncrDecrFamily(t *testing.T) {
@@ -214,5 +218,46 @@ func TestMGetSkipsWrongType(t *testing.T) {
 	v := do("MGET", "l", "s")
 	if !v.Array[0].Null || v.Array[1].Text() != "v" {
 		t.Fatalf("MGET over wrong type = %v", v)
+	}
+}
+
+// TestReplyUnchangedByLaterWrite is the immutability rule: a GET reply
+// shares the stored value's bytes, and the connection writes it after the
+// workloop has moved on, so no later command may rewrite them in place —
+// the earlier reply must stay byte-identical whatever comes next.
+func TestReplyUnchangedByLaterWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		setup, write [][]string
+	}{
+		{"SETRANGE", [][]string{{"SET", "k", "hello"}}, [][]string{{"SETRANGE", "k", "0", "J"}}},
+		{"SETBIT", [][]string{{"SET", "k", "hello"}}, [][]string{{"SETBIT", "k", "0", "1"}}},
+		{"APPEND", [][]string{{"SET", "k", "hello"}, {"APPEND", "k", "!"}}, [][]string{{"APPEND", "k", "?"}, {"APPEND", "k", "??"}}},
+		{"INCR", [][]string{{"SET", "k", "41"}}, [][]string{{"INCR", "k"}, {"INCRBYFLOAT", "k", "0.5"}}},
+		{"SET", [][]string{{"SET", "k", "hello"}}, [][]string{{"SET", "k", "jello"}, {"MSET", "k", "yello"}, {"GETSET", "k", "cello"}}},
+		{"PFADD", [][]string{{"PFADD", "k", "a"}}, [][]string{{"PFADD", "k", "b", "c", "d", "e", "f"}}},
+		{"PFMERGE", [][]string{{"PFADD", "k", "a"}, {"PFADD", "src", "b", "c", "d"}}, [][]string{{"PFMERGE", "k", "src"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _, do := testEngine(t)
+			for _, c := range tc.setup {
+				if r := do(c...); r.IsError() {
+					t.Fatalf("%v: %v", c, r)
+				}
+			}
+			reply := do("GET", "k")
+			before := string(reply.Str)
+			for _, c := range tc.write {
+				if r := do(c...); r.IsError() {
+					t.Fatalf("%v: %v", c, r)
+				}
+			}
+			if string(reply.Str) != before {
+				t.Fatalf("an earlier GET reply changed under %v", tc.write)
+			}
+			if now := exec(e, "GET", "k").Reply; string(now.Str) == before {
+				t.Fatalf("%v did not change the value", tc.write)
+			}
+		})
 	}
 }

@@ -26,12 +26,12 @@ func init() {
 	register(&Command{Name: "ZREMRANGEBYSCORE", Arity: -4, Flags: FlagWrite, Handler: cmdZRemRangeByScore, FirstKey: 1, LastKey: 1, KeyStep: 1})
 }
 
-func zsetAt(e *Engine, key string, create bool) (*store.Object, resp.Value, bool) {
+func zsetAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
 	obj, errReply, ok := e.lookupKind(key, store.KindZSet)
 	if !ok {
-		return nil, errReply, false
+		return store.Object{}, errReply, false
 	}
-	if obj == nil && create {
+	if !obj.Exists() && create {
 		obj = store.New(store.KindZSet)
 		e.db.Set(key, obj)
 	}
@@ -112,7 +112,7 @@ scanOpts:
 	for j := 0; j < len(rest); j += 2 {
 		score := scores[j/2]
 		member := string(rest[j+1])
-		old, exists := obj.ZSet.Score(member)
+		old, exists := obj.ZSet().Score(member)
 		if (nx && exists) || (xx && !exists) {
 			continue
 		}
@@ -122,7 +122,7 @@ scanOpts:
 		if exists && ((gt && score <= old) || (lt && score >= old)) {
 			continue
 		}
-		if obj.ZSet.Add(member, score) {
+		if obj.ZSet().Add(member, score) {
 			added++
 		} else if score != old {
 			changed++
@@ -134,7 +134,7 @@ scanOpts:
 	if added+changed > 0 || incr {
 		e.touch(key)
 		e.propagateVerbatim(argv)
-	} else if obj.ZSet.Len() == 0 {
+	} else if obj.ZSet().Len() == 0 {
 		e.db.Delete(key, e.Now())
 	}
 	if incr {
@@ -156,7 +156,7 @@ func cmdZIncrBy(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	s := obj.ZSet.IncrBy(string(argv[3]), delta)
+	s := obj.ZSet().IncrBy(string(argv[3]), delta)
 	e.touch(key)
 	// Replicate the resulting absolute score for determinism.
 	e.propagateStrings("ZADD", key, fmtScore(s), string(argv[3]))
@@ -169,17 +169,17 @@ func cmdZRem(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
 	n := int64(0)
 	for _, m := range argv[2:] {
-		if obj.ZSet.Remove(string(m)) {
+		if obj.ZSet().Remove(string(m)) {
 			n++
 		}
 	}
 	if n > 0 {
-		if obj.ZSet.Len() == 0 {
+		if obj.ZSet().Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -193,10 +193,10 @@ func cmdZScore(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Nil
 	}
-	s, exists := obj.ZSet.Score(string(argv[2]))
+	s, exists := obj.ZSet().Score(string(argv[2]))
 	if !exists {
 		return resp.Nil
 	}
@@ -208,10 +208,10 @@ func cmdZCard(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(obj.ZSet.Len()))
+	return resp.Int64(int64(obj.ZSet().Len()))
 }
 
 func cmdZRank(e *Engine, argv [][]byte) resp.Value {
@@ -219,10 +219,10 @@ func cmdZRank(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Nil
 	}
-	r, exists := obj.ZSet.Rank(string(argv[2]))
+	r, exists := obj.ZSet().Rank(string(argv[2]))
 	if !exists {
 		return resp.Nil
 	}
@@ -234,14 +234,14 @@ func cmdZRevRank(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errReply
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Nil
 	}
-	r, exists := obj.ZSet.Rank(string(argv[2]))
+	r, exists := obj.ZSet().Rank(string(argv[2]))
 	if !exists {
 		return resp.Nil
 	}
-	return resp.Int64(int64(obj.ZSet.Len() - 1 - r))
+	return resp.Int64(int64(obj.ZSet().Len() - 1 - r))
 }
 
 func zrangeReply(entries []store.Entry, withScores bool) resp.Value {
@@ -282,14 +282,14 @@ func zrangeGeneric(e *Engine, argv [][]byte, rev bool) resp.Value {
 	} else if len(argv) > 5 {
 		return errSyntax()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
 	var entries []store.Entry
 	if rev {
-		entries = obj.ZSet.RevRange(int(start), int(stop))
+		entries = obj.ZSet().RevRange(int(start), int(stop))
 	} else {
-		entries = obj.ZSet.Range(int(start), int(stop))
+		entries = obj.ZSet().Range(int(start), int(stop))
 	}
 	return zrangeReply(entries, withScores)
 }
@@ -325,10 +325,10 @@ func cmdZRangeByScore(e *Engine, argv [][]byte) resp.Value {
 			return errSyntax()
 		}
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	return zrangeReply(obj.ZSet.ScoreRange(min, max, minEx, maxEx, offset, limit), withScores)
+	return zrangeReply(obj.ZSet().ScoreRange(min, max, minEx, maxEx, offset, limit), withScores)
 }
 
 func cmdZCount(e *Engine, argv [][]byte) resp.Value {
@@ -341,10 +341,10 @@ func cmdZCount(e *Engine, argv [][]byte) resp.Value {
 	if !ok1 || !ok2 {
 		return resp.Err("ERR min or max is not a float")
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(obj.ZSet.Count(min, max, minEx, maxEx)))
+	return resp.Int64(int64(obj.ZSet().Count(min, max, minEx, maxEx)))
 }
 
 func zpopGeneric(e *Engine, argv [][]byte, min bool) resp.Value {
@@ -363,17 +363,17 @@ func zpopGeneric(e *Engine, argv [][]byte, min bool) resp.Value {
 	} else if len(argv) > 3 {
 		return wrongArity(string(argv[0]))
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.ArrayV()
 	}
 	var popped []store.Entry
 	if min {
-		popped = obj.ZSet.PopMin(count)
+		popped = obj.ZSet().PopMin(count)
 	} else {
-		popped = obj.ZSet.PopMax(count)
+		popped = obj.ZSet().PopMax(count)
 	}
 	if len(popped) > 0 {
-		if obj.ZSet.Len() == 0 {
+		if obj.ZSet().Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -404,10 +404,10 @@ func cmdZRemRangeByRank(e *Engine, argv [][]byte) resp.Value {
 	if !ok1 || !ok2 {
 		return errNotInt()
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	victims := obj.ZSet.Range(int(start), int(stop))
+	victims := obj.ZSet().Range(int(start), int(stop))
 	return zremVictims(e, key, obj, victims)
 }
 
@@ -422,23 +422,23 @@ func cmdZRemRangeByScore(e *Engine, argv [][]byte) resp.Value {
 	if !ok1 || !ok2 {
 		return resp.Err("ERR min or max is not a float")
 	}
-	if obj == nil {
+	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	victims := obj.ZSet.ScoreRange(min, max, minEx, maxEx, 0, -1)
+	victims := obj.ZSet().ScoreRange(min, max, minEx, maxEx, 0, -1)
 	return zremVictims(e, key, obj, victims)
 }
 
-func zremVictims(e *Engine, key string, obj *store.Object, victims []store.Entry) resp.Value {
+func zremVictims(e *Engine, key string, obj store.Object, victims []store.Entry) resp.Value {
 	if len(victims) == 0 {
 		return resp.Int64(0)
 	}
 	eff := []string{"ZREM", key}
 	for _, v := range victims {
-		obj.ZSet.Remove(v.Member)
+		obj.ZSet().Remove(v.Member)
 		eff = append(eff, v.Member)
 	}
-	if obj.ZSet.Len() == 0 {
+	if obj.ZSet().Len() == 0 {
 		e.db.Delete(key, e.Now())
 	}
 	e.touch(key)

@@ -80,17 +80,17 @@ func parseZStoreArgs(e *Engine, argv [][]byte) (keys []string, weights []float64
 // score 1), matching Redis's ZUNIONSTORE input flexibility.
 func zsetMembersOf(e *Engine, key string) (map[string]float64, resp.Value, bool) {
 	obj := e.lookup(key)
-	if obj == nil {
+	if !obj.Exists() {
 		return nil, resp.Value{}, true
 	}
 	out := make(map[string]float64)
 	switch obj.Kind() {
 	case store.KindZSet:
-		for _, en := range obj.ZSet.Range(0, obj.ZSet.Len()-1) {
+		for _, en := range obj.ZSet().Range(0, obj.ZSet().Len()-1) {
 			out[en.Member] = en.Score
 		}
 	case store.KindSet:
-		for m := range obj.Set {
+		for m := range obj.Set() {
 			out[m] = 1
 		}
 	default:
@@ -154,7 +154,7 @@ func materializeZSet(e *Engine, dst string, acc map[string]float64) resp.Value {
 		return resp.Int64(0)
 	}
 	obj := store.New(store.KindZSet)
-	z := obj.ZSet
+	z := obj.ZSet()
 	for m, s := range acc {
 		z.Add(m, s)
 	}
@@ -212,7 +212,7 @@ func cmdZRangeStore(e *Engine, argv [][]byte) resp.Value {
 		return errReply
 	}
 	var entries []store.Entry
-	if obj != nil {
+	if obj.Exists() {
 		if byScore {
 			min, minEx, ok1 := parseScoreBound(argv[3])
 			max, maxEx, ok2 := parseScoreBound(argv[4])
@@ -222,7 +222,7 @@ func cmdZRangeStore(e *Engine, argv [][]byte) resp.Value {
 			if rev {
 				min, max, minEx, maxEx = max, min, maxEx, minEx
 			}
-			entries = obj.ZSet.ScoreRange(min, max, minEx, maxEx, offset, limit)
+			entries = obj.ZSet().ScoreRange(min, max, minEx, maxEx, offset, limit)
 		} else {
 			start, ok1 := parseInt(argv[3])
 			stop, ok2 := parseInt(argv[4])
@@ -230,9 +230,9 @@ func cmdZRangeStore(e *Engine, argv [][]byte) resp.Value {
 				return errNotInt()
 			}
 			if rev {
-				entries = obj.ZSet.RevRange(int(start), int(stop))
+				entries = obj.ZSet().RevRange(int(start), int(stop))
 			} else {
-				entries = obj.ZSet.Range(int(start), int(stop))
+				entries = obj.ZSet().Range(int(start), int(stop))
 			}
 		}
 	}

@@ -116,7 +116,7 @@ func Write(w io.Writer, db *store.DB, meta Meta) error {
 	// Snapshot writers run on quiescent copies (off-box replicas, the
 	// builder's private keyspace), so a plain iteration is a consistent
 	// cut.
-	db.ForEach(timeZero(), func(key string, obj *store.Object, expireAt int64) bool {
+	db.ForEach(timeZero(), func(key string, obj store.Object, expireAt int64) bool {
 		encodeObject(&body, key, obj, expireAt)
 		return true
 	})
@@ -255,44 +255,44 @@ const (
 
 // encodeObject appends key's record to a body: the key, its expiration,
 // the wire kind, then the value. A bytes.Buffer takes every write.
-func encodeObject(w *bytes.Buffer, key string, obj *store.Object, expireAt int64) {
+func encodeObject(w *bytes.Buffer, key string, obj store.Object, expireAt int64) {
 	putString(w, key)
 	putU64(w, uint64(expireAt))
 	switch obj.Kind() {
 	case store.KindString:
 		w.WriteByte(wireString)
-		putBytes(w, obj.Str)
+		putBytes(w, obj.Str())
 	case store.KindHash:
 		w.WriteByte(wireHash)
-		putU32(w, uint32(len(obj.Hash)))
-		for f, v := range obj.Hash {
+		putU32(w, uint32(len(obj.Hash())))
+		for f, v := range obj.Hash() {
 			putString(w, f)
 			putBytes(w, v)
 		}
 	case store.KindList:
 		w.WriteByte(wireList)
-		putU32(w, uint32(obj.List.Len()))
-		obj.List.Walk(func(v []byte) bool {
+		putU32(w, uint32(obj.List().Len()))
+		obj.List().Walk(func(v []byte) bool {
 			putBytes(w, v)
 			return true
 		})
 	case store.KindSet:
 		w.WriteByte(wireSet)
-		putU32(w, uint32(len(obj.Set)))
-		for m := range obj.Set {
+		putU32(w, uint32(len(obj.Set())))
+		for m := range obj.Set() {
 			putString(w, m)
 		}
 	case store.KindZSet:
 		w.WriteByte(wireZSet)
-		putU32(w, uint32(obj.ZSet.Len()))
-		for _, en := range obj.ZSet.Range(0, obj.ZSet.Len()-1) {
+		putU32(w, uint32(obj.ZSet().Len()))
+		for _, en := range obj.ZSet().Range(0, obj.ZSet().Len()-1) {
 			putString(w, en.Member)
 			putU64(w, math.Float64bits(en.Score))
 		}
 	case store.KindStream:
 		w.WriteByte(wireStream)
-		putU32(w, uint32(obj.Stream.Len()))
-		obj.Stream.Walk(func(en store.StreamEntry) bool {
+		putU32(w, uint32(obj.Stream().Len()))
+		obj.Stream().Walk(func(en store.StreamEntry) bool {
 			putU64(w, en.ID.Ms)
 			putU64(w, en.ID.Seq)
 			putU32(w, uint32(len(en.Fields)))
@@ -318,7 +318,7 @@ func decodeObject(r *cursor, db *store.DB) error {
 	if err != nil {
 		return err
 	}
-	var obj *store.Object
+	var obj store.Object // strings are stored as they are read
 	switch kind[0] {
 	case wireTombstone:
 		db.Delete(key, timeZero())
@@ -328,20 +328,19 @@ func decodeObject(r *cursor, db *store.DB) error {
 		if err != nil {
 			return err
 		}
-		obj = &store.Object{Str: v}
+		key = db.SetString(key, v)
 	case wireHash:
 		n, err := r.count()
 		if err != nil {
 			return err
 		}
 		obj = store.New(store.KindHash)
-		obj.Hash = make(map[string][]byte, n)
 		for i := 0; i < n; i++ {
 			f, err := r.str()
 			if err != nil {
 				return err
 			}
-			if obj.Hash[f], err = r.bytes(); err != nil {
+			if obj.Hash()[f], err = r.bytes(); err != nil {
 				return err
 			}
 		}
@@ -356,7 +355,7 @@ func decodeObject(r *cursor, db *store.DB) error {
 			if err != nil {
 				return err
 			}
-			obj.List.PushBack(v)
+			obj.List().PushBack(v)
 		}
 	case wireSet:
 		n, err := r.count()
@@ -364,13 +363,12 @@ func decodeObject(r *cursor, db *store.DB) error {
 			return err
 		}
 		obj = store.New(store.KindSet)
-		obj.Set = make(map[string]struct{}, n)
 		for i := 0; i < n; i++ {
 			m, err := r.str()
 			if err != nil {
 				return err
 			}
-			obj.Set[m] = struct{}{}
+			obj.Set()[m] = struct{}{}
 		}
 	case wireZSet:
 		n, err := r.count()
@@ -387,7 +385,7 @@ func decodeObject(r *cursor, db *store.DB) error {
 			if err != nil {
 				return err
 			}
-			obj.ZSet.Add(m, math.Float64frombits(bits))
+			obj.ZSet().Add(m, math.Float64frombits(bits))
 		}
 	case wireStream:
 		n, err := r.count()
@@ -413,14 +411,16 @@ func decodeObject(r *cursor, db *store.DB) error {
 					return err
 				}
 			}
-			if _, err := obj.Stream.Add(id, false, 0, fields); err != nil {
+			if _, err := obj.Stream().Add(id, false, 0, fields); err != nil {
 				return fmt.Errorf("%w: out-of-order stream entry: %v", ErrBadSnapshot, err)
 			}
 		}
 	default:
 		return fmt.Errorf("%w: unknown object kind %d", ErrBadSnapshot, kind[0])
 	}
-	db.Set(key, obj)
+	if obj.Exists() {
+		db.Set(key, obj)
+	}
 	if expireAt > 0 {
 		db.Expire(key, expireAt, timeZero())
 	}

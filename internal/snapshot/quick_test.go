@@ -19,7 +19,7 @@ func TestQuickStringRoundTrip(t *testing.T) {
 			if k == "" {
 				continue
 			}
-			db.Set(k, &store.Object{Str: []byte(v)})
+			db.SetString(k, []byte(v))
 		}
 		meta := Meta{ShardID: "q", EngineVersion: 2, LogPos: txlog.EntryID{Seq: seq}, LogChecksum: sum}
 		var buf bytes.Buffer
@@ -35,7 +35,7 @@ func TestQuickStringRoundTrip(t *testing.T) {
 				continue
 			}
 			obj, ok := got.Peek(k)
-			if !ok || string(obj.Str) != v {
+			if !ok || string(obj.Str()) != v {
 				return false
 			}
 		}
@@ -51,7 +51,7 @@ func TestQuickStringRoundTrip(t *testing.T) {
 func TestQuickCorruptionAlwaysDetected(t *testing.T) {
 	db := store.NewDB()
 	for i := 0; i < 20; i++ {
-		db.Set(fmt.Sprintf("k%02d", i), &store.Object{Str: []byte("payload-payload")})
+		db.SetString(fmt.Sprintf("k%02d", i), []byte("payload-payload"))
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, db, Meta{ShardID: "q"}); err != nil {

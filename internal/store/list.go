@@ -84,6 +84,37 @@ func (l *List) PopBack() ([]byte, bool) {
 	return n.val, true
 }
 
+// Insert puts v just before (or after) the first element equal to pivot,
+// reporting whether pivot was found (LINSERT semantics).
+func (l *List) Insert(pivot, v []byte, before bool) bool {
+	at := l.head
+	for at != nil && string(at.val) != string(pivot) {
+		at = at.next
+	}
+	if at == nil {
+		return false
+	}
+	n := &listNode{val: v}
+	if before {
+		n.prev, n.next = at.prev, at
+	} else {
+		n.prev, n.next = at, at.next
+	}
+	if n.prev != nil {
+		n.prev.next = n
+	} else {
+		l.head = n
+	}
+	if n.next != nil {
+		n.next.prev = n
+	} else {
+		l.tail = n
+	}
+	l.length++
+	l.bytes += int64(len(v))
+	return true
+}
+
 // Index returns the element at idx (negative counts from the tail).
 func (l *List) Index(idx int) ([]byte, bool) {
 	n := l.nodeAt(idx)

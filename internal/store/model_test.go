@@ -12,11 +12,12 @@ import (
 )
 
 // modelEntry is what the reference keyspace remembers of a key: its value
-// and its expiration (0: none). Like the DB it keeps a key whose TTL has
-// passed until something reaps it.
+// — a string, or a hash's one field "f" — and its expiration (0: none).
+// Like the DB it keeps a key whose TTL has passed until something reaps it.
 type modelEntry struct {
-	val string
-	exp int64
+	val  string
+	hash bool
+	exp  int64
 }
 
 // modelRun drives one owner's share of a DB — the parts [lo, hi) — and a
@@ -71,13 +72,33 @@ func (r *modelRun) step() error {
 	r.now = r.now.Add(time.Duration(r.rng.Intn(40)) * time.Millisecond)
 	nowMs := r.now.UnixMilli()
 	val := fmt.Sprintf("v%d", r.rng.Intn(1000))
+	if r.rng.Intn(8) == 0 {
+		val = "" // an empty value still owns a buffer with its key
+	}
 	switch op := r.rng.Intn(100); {
-	case op < 30:
-		db.Set(key, str(val))
+	case op < 22:
+		db.SetString(key, []byte(val))
 		r.model[key] = modelEntry{val: val}
-	case op < 45:
-		db.SetKeepTTL(key, str(val))
+	case op < 30:
+		// A hash replaces whatever the key held, and a string it.
+		h := New(KindHash)
+		h.Hash()["f"] = []byte(val)
+		db.Set(key, h)
+		r.model[key] = modelEntry{val: val, hash: true}
+	case op < 38:
+		db.SetStringKeepTTL(key, []byte(val))
 		r.model[key] = modelEntry{val: val, exp: r.model[key].exp}
+	case op < 45:
+		// APPEND's contract: the caller has reaped key and seen a string
+		// or nothing.
+		if !r.reap(key) {
+			db.Lookup(key, r.now)
+		} else if r.model[key].hash {
+			return r.check(key)
+		}
+		db.Append(key, []byte(val))
+		e := r.model[key]
+		r.model[key] = modelEntry{val: e.val + val, exp: e.exp}
 	case op < 60:
 		e, ok := r.model[key]
 		delete(r.model, key)
@@ -90,7 +111,9 @@ func (r *modelRun) step() error {
 		if want && at <= nowMs {
 			delete(r.model, key)
 		} else if want {
-			r.model[key] = modelEntry{val: r.model[key].val, exp: at}
+			e := r.model[key]
+			e.exp = at
+			r.model[key] = e
 		}
 		if got := db.Expire(key, at, r.now); got != want {
 			return fmt.Errorf("Expire(%s) = %v, want %v", key, got, want)
@@ -98,7 +121,9 @@ func (r *modelRun) step() error {
 	case op < 88:
 		want := r.reap(key) && r.model[key].exp != 0
 		if want {
-			r.model[key] = modelEntry{val: r.model[key].val}
+			e := r.model[key]
+			e.exp = 0
+			r.model[key] = e
 		}
 		if got := db.Persist(key, r.now); got != want {
 			return fmt.Errorf("Persist(%s) = %v, want %v", key, got, want)
@@ -134,8 +159,14 @@ func (r *modelRun) check(key string) error {
 	db := r.db
 	obj, present := db.Peek(key)
 	e, want := r.model[key]
-	if present != want || (present && string(obj.Str) != e.val) {
-		return fmt.Errorf("%s: stored %v %v, model %v %+v", key, present, obj, want, e)
+	if present != want {
+		return fmt.Errorf("%s: stored %v, model %v %+v", key, present, want, e)
+	}
+	if present && e.hash && (obj.Kind() != KindHash || len(obj.Hash()) != 1 || string(obj.Hash()["f"]) != e.val) {
+		return fmt.Errorf("%s: stored a %v, model holds hash f=%q", key, obj.Kind(), e.val)
+	}
+	if present && !e.hash && (obj.Kind() != KindString || string(obj.Str()) != e.val) {
+		return fmt.Errorf("%s: stored %v %q, model holds string %q", key, obj.Kind(), obj.Str(), e.val)
 	}
 	if exp, _ := db.ExpireAt(key); exp != e.exp {
 		return fmt.Errorf("%s: expires at %d, model says %d", key, exp, e.exp)

@@ -11,9 +11,12 @@
 package store
 
 import (
+	"math"
 	"math/bits"
+	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"memorydb/internal/crc16"
 )
@@ -67,62 +70,135 @@ func (k Kind) String() string {
 	return "none"
 }
 
-// Object is a single keyspace value. A string — and a HyperLogLog, which is
-// its dense representation in Str, matching Redis — is Str alone: 32 bytes
-// beside the value itself. Every other kind keeps its representation behind
-// the embedded pointer, nil for strings, whose fields read as obj.Hash,
-// obj.List and so on.
+// Object is a keyspace value, held by value in its part's table: 16 bytes.
+//
+// A string — and a HyperLogLog, which is its dense representation in a
+// string, matching Redis — is one allocation: a buffer that holds the key's
+// bytes and then the value's, where p addresses the value's first byte and
+// the table's key for it is a view of the buffer's key bytes. A published
+// buffer is immutable up to the longest length any object over it has had:
+// a reply may still hold the value, so a command that changes a string
+// stores a new buffer, and only APPEND writes into an old one, past its
+// end. Every other kind's p is its *aggregate, whose one populated field
+// the accessors (Hash, Set, List, ZSet, Stream) read.
+//
+// The zero Object is no value: Lookup and Peek return it for a missing key.
 type Object struct {
-	Str []byte
-	*aggregate
+	p    unsafe.Pointer
+	n    uint32 // a string's value length
+	kind Kind
+	// grown marks a string buffer APPEND sized: its value capacity is the
+	// power of two at or above n, so appends up to it write in place.
+	grown bool
 }
 
 // aggregate is the representation of a non-string object: the one field
-// kind names is populated.
+// the object's kind names is populated.
 type aggregate struct {
-	kind   Kind
-	Hash   map[string][]byte
-	Set    map[string]struct{}
-	List   *List
-	ZSet   *ZSet
-	Stream *Stream
+	hash   map[string][]byte
+	set    map[string]struct{}
+	list   *List
+	zset   *ZSet
+	stream *Stream
 }
 
-// New returns an empty object of the given kind.
-func New(kind Kind) *Object {
-	a := &aggregate{kind: kind}
+// New returns an empty object of the given aggregate kind. Strings are
+// only ever made by the DB, with their key (SetString).
+func New(kind Kind) Object {
+	a := &aggregate{}
 	switch kind {
 	case KindHash:
-		a.Hash = make(map[string][]byte)
+		a.hash = make(map[string][]byte)
 	case KindSet:
-		a.Set = make(map[string]struct{})
+		a.set = make(map[string]struct{})
 	case KindList:
-		a.List = NewList()
+		a.list = NewList()
 	case KindZSet:
-		a.ZSet = NewZSet()
+		a.zset = NewZSet()
 	case KindStream:
-		a.Stream = NewStream()
+		a.stream = NewStream()
 	default:
-		return &Object{}
+		panic("store: New of kind " + kind.String())
 	}
-	return &Object{aggregate: a}
+	return Object{p: unsafe.Pointer(a), kind: kind}
 }
 
-// Kind returns the object's value type.
-func (o *Object) Kind() Kind {
-	if o.aggregate == nil {
-		return KindString
+// newString builds the one buffer of a string key: the key, then the
+// values concatenated, with room for a value of capacity bytes. An empty
+// value still gets a byte of its own, so p never points one past the end
+// of the allocation. It returns the key as a view of the buffer.
+func newString(key string, capacity int, vals ...[]byte) (string, Object) {
+	buf := make([]byte, len(key)+max(capacity, 1))
+	n := copy(buf, key)
+	for _, v := range vals {
+		n += copy(buf[n:], v)
 	}
-	return o.kind
+	n -= len(key)
+	if n > math.MaxUint32 {
+		panic("store: string value longer than 4 GiB")
+	}
+	o := Object{p: unsafe.Pointer(&buf[len(key)]), n: uint32(n), kind: KindString, grown: capacity > n}
+	return unsafe.String(unsafe.SliceData(buf), len(key)), o
 }
+
+// keyView returns a string's key as the view of its buffer the table
+// holds; klen is the key's length.
+func (o Object) keyView(klen int) string {
+	return unsafe.String((*byte)(unsafe.Add(o.p, -klen)), klen)
+}
+
+// capacity is a string's value capacity: n, or for a buffer APPEND sized
+// the power of two at or above it.
+func (o Object) capacity() int {
+	if o.grown {
+		return 1 << bits.Len32(o.n-1)
+	}
+	return int(o.n)
+}
+
+// Kind returns the object's value type; KindNone for the zero Object.
+func (o Object) Kind() Kind { return o.kind }
+
+// Exists reports whether o is a value rather than the zero Object.
+func (o Object) Exists() bool { return o.kind != KindNone }
+
+// Str returns a string's value. The bytes are shared with the keyspace and
+// with every reply that returned them: they must never be written.
+func (o Object) Str() []byte {
+	if o.kind != KindString {
+		return nil
+	}
+	return unsafe.Slice((*byte)(o.p), o.n)
+}
+
+func (o Object) agg() *aggregate {
+	if o.kind <= KindString {
+		return nil
+	}
+	return (*aggregate)(o.p)
+}
+
+// Hash returns a hash's field map.
+func (o Object) Hash() map[string][]byte { return o.agg().hash }
+
+// Set returns a set's member map.
+func (o Object) Set() map[string]struct{} { return o.agg().set }
+
+// List returns a list.
+func (o Object) List() *List { return o.agg().list }
+
+// ZSet returns a sorted set.
+func (o Object) ZSet() *ZSet { return o.agg().zset }
+
+// Stream returns a stream.
+func (o Object) Stream() *Stream { return o.agg().stream }
 
 // What the Go heap charges for a key beyond the bytes of its name and
-// value (go1.24 swiss maps, 64-bit): a map[string]*Object slot is 24 bytes
-// plus a control byte, and tables run between 7/16 and 7/8 full; an Object
-// is 32 bytes and an aggregate 48.
+// value (go1.24 swiss maps, 64-bit): a map[string]Object slot is 32 bytes
+// plus a control byte, and tables run between 7/16 and 7/8 full; an
+// aggregate is 48 bytes.
 const (
-	entrySize     = 36
-	objectSize    = 32
+	entrySize     = 48
 	aggregateSize = 48
 )
 
@@ -137,38 +213,35 @@ func allocSize(n int) int64 {
 	return int64((n + step - 1) / step * step)
 }
 
-// SizeOf estimates the in-memory footprint of o in bytes; together with
-// the per-key share Set adds it is INFO's used_bytes.
-func (o *Object) SizeOf() int64 {
-	const overhead = objectSize + aggregateSize
-	switch o.Kind() {
-	case KindString:
-		return objectSize + allocSize(len(o.Str))
+// size estimates what o stored under key costs beyond its table entry;
+// together with entrySize it is INFO's used_bytes share of the key.
+func (o Object) size(key string) int64 {
+	if o.kind == KindString {
+		return allocSize(len(key) + max(o.capacity(), 1))
+	}
+	n := allocSize(len(key)) + aggregateSize
+	switch o.kind {
 	case KindHash:
-		var n int64
-		for f, v := range o.Hash {
+		for f, v := range o.Hash() {
 			n += int64(len(f)+len(v)) + 64
 		}
-		return overhead + n
 	case KindSet:
-		var n int64
-		for m := range o.Set {
+		for m := range o.Set() {
 			n += int64(len(m)) + 48
 		}
-		return overhead + n
 	case KindList:
-		return overhead + o.List.MemUsage()
+		n += o.List().MemUsage()
 	case KindZSet:
-		return overhead + o.ZSet.MemUsage()
+		n += o.ZSet().MemUsage()
 	case KindStream:
-		return overhead + o.Stream.MemUsage()
+		n += o.Stream().MemUsage()
 	}
-	return overhead
+	return n
 }
 
 // part is one slot-aligned stripe of the keyspace.
 type part struct {
-	data    map[string]*Object
+	data    map[string]Object
 	expires map[string]int64 // unix ms; present only for volatile keys
 }
 
@@ -206,7 +279,7 @@ func NewDB() *DB {
 func (db *DB) reset() {
 	for i := range db.parts {
 		db.parts[i] = part{
-			data:    make(map[string]*Object),
+			data:    make(map[string]Object),
 			expires: make(map[string]int64),
 		}
 	}
@@ -222,49 +295,110 @@ func (db *DB) Len() int { return int(db.length.Load()) }
 // UsedBytes returns the running memory footprint estimate.
 func (db *DB) UsedBytes() int64 { return db.usedBytes.Load() }
 
-// Lookup returns the object at key if present and not expired at now.
-// Expired keys are lazily reaped (caller is the engine workloop owning the
-// key's part, so this mutation is safe). The reaped flag reports whether a
-// lazy expiry happened, which the engine must replicate as a deterministic
-// delete.
-func (db *DB) Lookup(key string, now time.Time) (obj *Object, reaped bool) {
+// Lookup returns the object at key if present and not expired at now, or
+// the zero Object. Expired keys are lazily reaped (caller is the engine
+// workloop owning the key's part, so this mutation is safe). The reaped flag
+// reports whether a lazy expiry happened, which the engine must replicate as
+// a deterministic delete.
+func (db *DB) Lookup(key string, now time.Time) (obj Object, reaped bool) {
 	p := db.part(key)
 	o, ok := p.data[key]
 	if !ok {
-		return nil, false
+		return Object{}, false
 	}
 	if p.expired(key, now.UnixMilli()) {
 		db.remove(key)
-		return nil, true
+		return Object{}, true
 	}
 	return o, false
 }
 
 // Peek returns the object at key without expiry processing.
-func (db *DB) Peek(key string) (*Object, bool) {
+func (db *DB) Peek(key string) (Object, bool) {
 	o, ok := db.part(key).data[key]
 	return o, ok
 }
 
 // Set stores obj at key, replacing any previous value and clearing any TTL
-// (matching SET semantics; commands that preserve TTL must re-arm it).
-func (db *DB) Set(key string, obj *Object) { db.set(key, obj, false) }
+// (matching SET semantics; commands that preserve TTL must re-arm it). A
+// string is copied into a buffer with key, as SetString does.
+func (db *DB) Set(key string, obj Object) { db.put(key, obj, false) }
 
 // SetKeepTTL stores obj at key preserving an existing expiration.
-func (db *DB) SetKeepTTL(key string, obj *Object) { db.set(key, obj, true) }
+func (db *DB) SetKeepTTL(key string, obj Object) { db.put(key, obj, true) }
 
-func (db *DB) set(key string, obj *Object, keepTTL bool) {
+func (db *DB) put(key string, obj Object, keepTTL bool) {
+	if obj.kind == KindString {
+		k, s := newString(key, int(obj.n), obj.Str())
+		db.set(k, s, keepTTL)
+		return
+	}
+	db.set(key, obj, keepTTL)
+}
+
+// SetString stores val at key as a string, replacing any previous value
+// and clearing any TTL. It is the one place a string is made: key and val
+// are copied into one buffer, and the returned key is the view of it the
+// table holds — a caller that keeps the key (the dirty-key list) keeps no
+// second copy of it.
+func (db *DB) SetString(key string, val []byte) string {
+	k, obj := newString(key, len(val), val)
+	db.set(k, obj, false)
+	return k
+}
+
+// SetStringKeepTTL is SetString preserving an existing expiration.
+func (db *DB) SetStringKeepTTL(key string, val []byte) string {
+	k, obj := newString(key, len(val), val)
+	db.set(k, obj, true)
+	return k
+}
+
+// Append appends tail to the string at key — the caller has checked that
+// key holds a live string or nothing — and returns the stored key and the
+// value's new length. It keeps APPEND amortized O(1) without rewriting a
+// published byte: a string's first append moves it to a buffer whose value
+// capacity is the next power of two, and later appends that fit write past
+// the current end, which every reply taken so far stops short of.
+func (db *DB) Append(key string, tail []byte) (string, int) {
+	old, ok := db.part(key).data[key]
+	if !ok {
+		return db.SetString(key, tail), len(tail)
+	}
+	n := int(old.n) + len(tail)
+	if n > old.capacity() {
+		k, obj := newString(key, 1<<bits.Len(uint(n-1)), old.Str(), tail)
+		db.set(k, obj, true)
+		return k, n
+	}
+	copy(unsafe.Slice((*byte)(old.p), n)[old.n:], tail)
+	obj := old
+	obj.n = uint32(n)
+	k := old.keyView(len(key))
+	db.set(k, obj, true)
+	return k, n
+}
+
+// set stores obj under key, which for a string is the view of its buffer:
+// assigning over an existing entry replaces the table's key with it, so
+// the old buffer is not kept alive by its key.
+func (db *DB) set(key string, obj Object, keepTTL bool) {
 	slot := crc16.Slot(key)
 	p := &db.parts[PartOfSlot(slot)]
+	size := obj.size(key)
 	if old, ok := p.data[key]; ok {
-		db.AdjustUsed(obj.SizeOf() - old.SizeOf())
-		if !keepTTL && len(p.expires) > 0 {
-			delete(p.expires, key)
+		db.AdjustUsed(size - old.size(key))
+		if len(p.expires) > 0 {
+			if !keepTTL {
+				delete(p.expires, key)
+			} else if exp, ok := p.expires[key]; ok {
+				p.expires[key] = exp // re-keyed onto the new key, like data
+			}
 		}
 	} else {
 		db.slotKeys[slot]++
 		db.length.Add(1)
-		db.usedBytes.Add(entrySize + allocSize(len(key)) + obj.SizeOf())
+		db.usedBytes.Add(entrySize + size)
 	}
 	p.data[key] = obj
 }
@@ -295,7 +429,7 @@ func (db *DB) remove(key string) {
 	if !ok {
 		return
 	}
-	db.AdjustUsed(-(entrySize + allocSize(len(key)) + o.SizeOf()))
+	db.AdjustUsed(-(entrySize + o.size(key)))
 	delete(p.data, key)
 	delete(p.expires, key)
 	db.slotKeys[slot]--
@@ -305,7 +439,7 @@ func (db *DB) remove(key string) {
 // Expire sets the expiration of key to at (unix ms). Returns false if the
 // key does not exist.
 func (db *DB) Expire(key string, at int64, now time.Time) bool {
-	if o, _ := db.Lookup(key, now); o == nil {
+	if o, _ := db.Lookup(key, now); !o.Exists() {
 		return false
 	}
 	if at <= now.UnixMilli() {
@@ -318,7 +452,7 @@ func (db *DB) Expire(key string, at int64, now time.Time) bool {
 
 // Persist removes the TTL from key; reports whether a TTL was removed.
 func (db *DB) Persist(key string, now time.Time) bool {
-	if o, _ := db.Lookup(key, now); o == nil {
+	if o, _ := db.Lookup(key, now); !o.Exists() {
 		return false
 	}
 	p := db.part(key)
@@ -332,7 +466,7 @@ func (db *DB) Persist(key string, now time.Time) bool {
 // TTL returns the remaining lifetime of key at now.
 // ok=false: key missing. hasTTL=false: key exists but is persistent.
 func (db *DB) TTL(key string, now time.Time) (d time.Duration, hasTTL, ok bool) {
-	if o, _ := db.Lookup(key, now); o == nil {
+	if o, _ := db.Lookup(key, now); !o.Exists() {
 		return 0, false, false
 	}
 	exp, has := db.part(key).expires[key]
@@ -392,13 +526,16 @@ func (db *DB) SweepExpired(now time.Time, limit int) []string {
 // SweepExpiredParts is SweepExpired restricted to parts [lo, hi). Sharded
 // workloops sweep only the parts they own, so an expired delete is always
 // emitted by — and group-committed behind — the same buffer as the writes
-// that created the key, preserving replica apply order per key.
+// that created the key, preserving replica apply order per key. The keys
+// are strings of their own: a string key's table key was a view of a
+// buffer that is now garbage, and the caller's dirty-key list outlives it.
 func (db *DB) SweepExpiredParts(now time.Time, limit, lo, hi int) []string {
 	nowMs := now.UnixMilli()
 	var out []string
 	for i := lo; i < hi && i < NumParts; i++ {
 		for k, exp := range db.parts[i].expires {
 			if exp <= nowMs {
+				k = strings.Clone(k)
 				db.remove(k)
 				out = append(out, k)
 				if len(out) >= limit {
@@ -413,7 +550,7 @@ func (db *DB) SweepExpiredParts(now time.Time, limit, lo, hi int) []string {
 // ForEach visits every live key/object pair at now. Iteration order is the
 // part order, then map order within a part (unspecified). The callback must
 // not mutate the keyspace.
-func (db *DB) ForEach(now time.Time, fn func(key string, obj *Object, expireAt int64) bool) {
+func (db *DB) ForEach(now time.Time, fn func(key string, obj Object, expireAt int64) bool) {
 	nowMs := now.UnixMilli()
 	for i := range db.parts {
 		p := &db.parts[i]

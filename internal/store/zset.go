@@ -1,26 +1,37 @@
 package store
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // ZSet is a sorted set: members ordered by (score, member) implemented as
 // a skiplist plus a member→score dictionary, mirroring Redis's design.
 type ZSet struct {
 	dict map[string]float64
 	sl   *skiplist
-	rng  *rand.Rand
+	rng  splitmix64
 }
 
-// NewZSet returns an empty sorted set. Skiplist level coin flips use a
-// fixed-seed PRNG so data structure shape is reproducible in tests.
+// NewZSet returns an empty sorted set. Skiplist level coin flips come from
+// the set's own fixed-seed generator, so data structure shape is
+// reproducible in tests and sets owned by different workloops share
+// nothing.
 func NewZSet() *ZSet {
 	return &ZSet{
 		dict: make(map[string]float64),
 		sl:   newSkiplist(),
-		rng:  rand.New(rand.NewSource(0x5eed)),
+		rng:  0x5eed,
 	}
+}
+
+// splitmix64 is an 8-byte pseudo-random generator (Steele, Lea and Flood's
+// SplitMix64): all a skiplist's level coin flips need.
+type splitmix64 uint64
+
+func (s *splitmix64) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Len returns the cardinality.
@@ -47,13 +58,13 @@ func (z *ZSet) Add(member string, score float64) bool {
 	if old, ok := z.dict[member]; ok {
 		if old != score {
 			z.sl.delete(old, member)
-			z.sl.insert(score, member, z.rng)
+			z.sl.insert(score, member, &z.rng)
 			z.dict[member] = score
 		}
 		return false
 	}
 	z.dict[member] = score
-	z.sl.insert(score, member, z.rng)
+	z.sl.insert(score, member, &z.rng)
 	return true
 }
 
@@ -234,15 +245,16 @@ func entryLess(s1 float64, m1 string, s2 float64, m2 string) bool {
 	return m1 < m2
 }
 
-func randomLevel(rng *rand.Rand) int {
+// randomLevel draws a level with P(level > l) = 4^-l, two bits a flip.
+func randomLevel(rng *splitmix64) int {
 	lvl := 1
-	for lvl < maxLevel && rng.Intn(4) == 0 {
+	for r := rng.next(); lvl < maxLevel && r&3 == 0; r >>= 2 {
 		lvl++
 	}
 	return lvl
 }
 
-func (sl *skiplist) insert(score float64, member string, rng *rand.Rand) {
+func (sl *skiplist) insert(score float64, member string, rng *splitmix64) {
 	var update [maxLevel]*slNode
 	var rankAt [maxLevel]int
 	x := sl.head
