@@ -83,8 +83,9 @@ crash:
 # and a node with metrics on — and one with 1% trace sampling and the
 # flight recorder on top — must stay within 5% of a NoObs node's CPU time
 # per write (internal/core TestObsOverheadGuard, armed by
-# MEMORYDB_OBS_GUARD=1). Known red: it measures 7–11% (ROADMAP 5d), which
-# is why `check` runs it last.
+# MEMORYDB_OBS_GUARD=1). Known red: it measures 7–14% until the per-stage
+# stamps are sampled rather than taken for every command, which is why
+# `check` runs it last.
 obs:
 	MEMORYDB_OBS_GUARD=1 $(GO) test -run TestObsOverheadGuard -count=1 ./internal/obs/ ./internal/core/
 

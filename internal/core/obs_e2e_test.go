@@ -145,7 +145,8 @@ func TestInfoLatencyNonZeroAfterPipelinedWrites(t *testing.T) {
 // tracing on top, on the commit that introduced the measurement and on
 // its parent alike (the wall-clock guard this replaces was too noisy to
 // show it and failed every other run). The bar stays where the budget is;
-// `make obs` is red until the record path is cut (ROADMAP item 5d).
+// `make obs` is red until the record path is cut: per-stage stamps only
+// for commands the trace coin already sampled.
 const obsOverheadBar = 0.05
 
 // TestObsOverheadGuard is the cost half of the observability budget (the

@@ -212,8 +212,7 @@ func matchScan(pattern, key string) bool {
 }
 
 func cmdDBSize(e *Engine, argv [][]byte) resp.Value {
-	// Sweep lazily so the count reflects live keys.
-	return resp.Int64(int64(len(e.db.Keys("*", e.Now()))))
+	return resp.Int64(int64(e.db.LiveLen(e.Now())))
 }
 
 func cmdFlushAll(e *Engine, argv [][]byte) resp.Value {

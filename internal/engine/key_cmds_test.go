@@ -96,6 +96,26 @@ func TestKeysAndDBSize(t *testing.T) {
 	wantInt(t, do("DBSIZE"), 3)
 }
 
+// TestDBSizeIsACount pins DBSIZE as a count of live keys that allocates
+// nothing per key: it once listed the whole keyspace to take its length.
+func TestDBSizeIsACount(t *testing.T) {
+	e, clk, do := testEngine(t)
+	const keys = 10_000
+	for i := 0; i < keys; i++ {
+		k := "key:" + formatInt(int64(i))
+		do("SET", k, "v")
+		if i%10 == 0 {
+			do("PEXPIRE", k, formatInt(int64(500+i%20*100))) // half pass in the second below
+		}
+	}
+	clk.Advance(time.Second)
+	argv := [][]byte{[]byte("DBSIZE")}
+	wantInt(t, e.Exec(argv).Reply, keys-keys/20)
+	if allocs := testing.AllocsPerRun(100, func() { e.Exec(argv) }); allocs > 2 {
+		t.Errorf("DBSIZE over %d keys allocates %.0f times, want <= 2", keys, allocs)
+	}
+}
+
 func TestScanIteratesEverything(t *testing.T) {
 	_, _, do := testEngine(t)
 	for i := 0; i < 25; i++ {
@@ -136,6 +156,13 @@ func TestRename(t *testing.T) {
 	wantText(t, do("GET", "b"), "v")
 	wantInt(t, do("TTL", "b"), 50) // TTL travels with the key
 	wantErrPrefix(t, do("RENAME", "missing", "x"), "ERR no such key")
+	// An aggregate carries its key: it must be found under the new one.
+	do("HSET", "h", "f", "v")
+	wantText(t, do("RENAME", "h", "h2"), "OK")
+	wantInt(t, do("EXISTS", "h"), 0)
+	wantText(t, do("HGET", "h2", "f"), "v")
+	wantText(t, do("RENAME", "h2", "h"), "OK")
+	wantText(t, do("HGET", "h", "f"), "v")
 }
 
 func TestRenameNX(t *testing.T) {

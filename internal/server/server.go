@@ -57,7 +57,7 @@ type Config struct {
 	Backend Backend
 	// Multiplex has no effect and nothing reads it: it stays only because
 	// the frozen benchmark/ module (stack.go, ladder.go) still sets it.
-	// Delete it once benchmark/ stops (ROADMAP item 1).
+	// Delete it once benchmark/ stops setting it.
 	Multiplex bool
 	// Obs, when set, records the front-end's two write-path stages:
 	// read_parse (reading+parsing a command off the socket — includes

@@ -208,6 +208,150 @@ func TestDBAgainstModel(t *testing.T) {
 	}
 }
 
+// tableRun drives one part's table and a map side by side, bypassing the
+// DB so that any key lands in the one table: insert, overwrite (string over
+// hash and back), delete, lookup, iteration and flush, each step followed
+// by a check of the touched key and of the table's own invariants.
+type tableRun struct {
+	db    *DB
+	t     *table
+	model map[string]modelEntry
+	steps int
+}
+
+func newTableRun() *tableRun {
+	db := NewDB()
+	return &tableRun{db: db, t: &db.parts[0].table, model: map[string]modelEntry{}}
+}
+
+// step applies operation op to key.
+func (r *tableRun) step(op byte, key string) error {
+	r.steps++
+	val := fmt.Sprintf("v%d", r.steps)
+	switch op % 16 {
+	case 0, 1, 2, 3, 4:
+		r.t.put(key, newString(key, len(val), []byte(val)))
+		r.model[key] = modelEntry{val: val}
+	case 5, 6:
+		h := New(KindHash)
+		h.Hash()["f"] = []byte(val)
+		r.t.put(key, h.keyed(key))
+		r.model[key] = modelEntry{val: val, hash: true}
+	case 7, 8, 9, 10:
+		_, want := r.model[key]
+		delete(r.model, key)
+		if got := r.t.del(key).Exists(); got != want {
+			return fmt.Errorf("del(%s) found %v, model %v", key, got, want)
+		}
+	case 11, 12, 13:
+	case 14:
+		return r.checkAll()
+	case 15:
+		if op != 0xff {
+			return r.checkAll()
+		}
+		r.db.Flush()
+		r.model = map[string]modelEntry{}
+	}
+	return r.check(key)
+}
+
+// check compares key's slot with the model, and the table's count and
+// charged bytes with what it holds.
+func (r *tableRun) check(key string) error {
+	t := r.t
+	s := t.get(key)
+	e, ok := r.model[key]
+	switch {
+	case (s != nil) != ok:
+		return fmt.Errorf("%s: slot %v, model %v", key, s != nil, ok)
+	case s == nil:
+	case s.key() != key:
+		return fmt.Errorf("%s: found under %q", key, s.key())
+	case e.hash && (s.Kind() != KindHash || string(s.Hash()["f"]) != e.val):
+		return fmt.Errorf("%s: holds a %v, model a hash f=%q", key, s.Kind(), e.val)
+	case !e.hash && (s.Kind() != KindString || string(s.Str()) != e.val):
+		return fmt.Errorf("%s: holds %v %q, model the string %q", key, s.Kind(), s.Str(), e.val)
+	}
+	if t.n != len(r.model) {
+		return fmt.Errorf("table holds %d keys, model %d", t.n, len(r.model))
+	}
+	if used, want := r.db.UsedBytes(), arrayBytes(len(t.cur.tags))+arrayBytes(len(t.old.tags)); used != want {
+		return fmt.Errorf("used_bytes %d, arrays %d", used, want)
+	}
+	if t.n > len(t.cur.tags)*7/8 {
+		return fmt.Errorf("%d keys in %d slots: past the 7/8 ceiling", t.n, len(t.cur.tags))
+	}
+	return nil
+}
+
+// checkAll walks every slot: a full slot's tag is its key's, no probe path
+// crosses an empty slot, only a draining array holds deleted slots, and the
+// iteration visits the model's keys once each.
+func (r *tableRun) checkAll() error {
+	t := r.t
+	for _, a := range []*array{&t.cur, &t.old} {
+		mask := len(a.tags) - 1
+		for j, tag := range a.tags {
+			if tag == tagDeleted && a == &t.cur {
+				return fmt.Errorf("the live array has a deleted slot at %d", j)
+			}
+			if tag < tagFull {
+				continue
+			}
+			h := t.hash(a.slots[j].key())
+			if tag != tagOf(h) {
+				return fmt.Errorf("slot %d: tag %#x, its key's %#x", j, tag, tagOf(h))
+			}
+			for i := int(h >> a.shift); i != j; i = (i + 1) & mask {
+				if a.tags[i] == tagEmpty {
+					return fmt.Errorf("%q at %d: its probe path crosses an empty slot at %d", a.slots[j].key(), j, i)
+				}
+			}
+		}
+	}
+	seen := map[string]bool{}
+	t.each(r.steps, func(o Object) bool {
+		seen[o.key()] = !seen[o.key()]
+		return true
+	})
+	for k := range r.model {
+		if !seen[k] {
+			return fmt.Errorf("iteration missed %q or saw it twice", k)
+		}
+	}
+	if len(seen) != len(r.model) {
+		return fmt.Errorf("iteration saw %d keys, model holds %d", len(seen), len(r.model))
+	}
+	for k := range r.model {
+		if err := r.check(k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestTableAgainstModel runs the table through key spaces from one that a
+// single slot word holds to ones that grow it five times, so tags collide
+// and growths, deletes and overwrites meet mid-drain.
+func TestTableAgainstModel(t *testing.T) {
+	for _, keys := range []int{3, 40, 300, 2000} {
+		r, rng := newTableRun(), rand.New(rand.NewSource(int64(keys)))
+		for i := 0; i < 30000; i++ {
+			op := byte(rng.Intn(255)) // 0xff, the flush, comes below
+			if i%5000 == 4999 {
+				op = 0xff
+			}
+			if err := r.step(op, fmt.Sprintf("k%d", rng.Intn(keys))); err != nil {
+				t.Fatalf("%d keys, step %d: %v", keys, i, err)
+			}
+		}
+		if err := r.checkAll(); err != nil {
+			t.Fatalf("%d keys: %v", keys, err)
+		}
+	}
+}
+
 // TestDBAgainstModelTwoOwners is the ownership rule under the race
 // detector: two goroutines, each the only one to touch its half of the
 // parts (and so its slots' counts), share one DB and its atomic counters.

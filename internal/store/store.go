@@ -11,8 +11,9 @@
 package store
 
 import (
-	"math"
+	"hash/maphash"
 	"math/bits"
+	"math/rand/v2"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -70,31 +71,52 @@ func (k Kind) String() string {
 	return "none"
 }
 
-// Object is a keyspace value, held by value in its part's table: 16 bytes.
+// Object is a keyspace value, and the slot of its part's table that holds
+// it: a pointer and a word of lengths and flags, 16 bytes.
 //
 // A string — and a HyperLogLog, which is its dense representation in a
 // string, matching Redis — is one allocation: a buffer that holds the key's
-// bytes and then the value's, where p addresses the value's first byte and
-// the table's key for it is a view of the buffer's key bytes. A published
-// buffer is immutable up to the longest length any object over it has had:
-// a reply may still hold the value, so a command that changes a string
-// stores a new buffer, and only APPEND writes into an old one, past its
-// end. Every other kind's p is its *aggregate, whose one populated field
-// the accessors (Hash, Set, List, ZSet, Stream) read.
+// bytes and then the value's, which p addresses. A published buffer is
+// immutable up to the longest length any object over it has had: a reply
+// may still hold the value, so a command that changes a string stores a
+// new buffer, and only APPEND writes into an old one, past its end. Every
+// other kind's p is its *aggregate, which carries the key and whose one
+// populated field the accessors (Hash, Set, List, ZSet, Stream) read.
 //
 // The zero Object is no value: Lookup and Peek return it for a missing key.
 type Object struct {
-	p    unsafe.Pointer
-	n    uint32 // a string's value length
-	kind Kind
-	// grown marks a string buffer APPEND sized: its value capacity is the
-	// power of two at or above n, so appends up to it write in place.
-	grown bool
+	p unsafe.Pointer
+	// m holds the value's length (a string's), the key's length, the kind
+	// and the grown bit: a buffer APPEND sized, whose value capacity is
+	// the power of two at or above its length, so appends up to it write
+	// in place.
+	m uint64
 }
 
-// aggregate is the representation of a non-string object: the one field
-// the object's kind names is populated.
+// The fields of Object.m. A length fits in lenBits because neither a key
+// nor a value is longer than resp.MaxBulkLen, 2^29.
+const (
+	lenBits   = 30
+	lenMask   = 1<<lenBits - 1
+	kindShift = 2 * lenBits
+	grownBit  = 1 << 63
+)
+
+func objectMeta(kind Kind, klen, n int, grown bool) uint64 {
+	if klen > lenMask || n > lenMask {
+		panic("store: key or value longer than 1 GiB")
+	}
+	m := uint64(n) | uint64(klen)<<lenBits | uint64(kind)<<kindShift
+	if grown {
+		m |= grownBit
+	}
+	return m
+}
+
+// aggregate is the representation of a non-string object: the key it is
+// stored under, and the one field the object's kind names.
 type aggregate struct {
+	key    string
 	hash   map[string][]byte
 	set    map[string]struct{}
 	list   *List
@@ -120,59 +142,85 @@ func New(kind Kind) Object {
 	default:
 		panic("store: New of kind " + kind.String())
 	}
-	return Object{p: unsafe.Pointer(a), kind: kind}
+	return Object{p: unsafe.Pointer(a), m: objectMeta(kind, 0, 0, false)}
+}
+
+// keyed returns aggregate o as stored under key: carrying key, or a copy
+// carrying it if o is another key's.
+func (o Object) keyed(key string) Object {
+	a := o.agg()
+	if a.key != key {
+		if a.key != "" {
+			c := *a
+			a = &c
+		}
+		a.key = key
+	}
+	return Object{p: unsafe.Pointer(a), m: objectMeta(o.Kind(), len(key), 0, false)}
 }
 
 // newString builds the one buffer of a string key: the key, then the
 // values concatenated, with room for a value of capacity bytes. An empty
-// value still gets a byte of its own, so p never points one past the end
-// of the allocation. It returns the key as a view of the buffer.
-func newString(key string, capacity int, vals ...[]byte) (string, Object) {
+// value still gets a byte of its own, so the value's address is never one
+// past the end of the allocation.
+func newString(key string, capacity int, vals ...[]byte) Object {
 	buf := make([]byte, len(key)+max(capacity, 1))
 	n := copy(buf, key)
 	for _, v := range vals {
 		n += copy(buf[n:], v)
 	}
 	n -= len(key)
-	if n > math.MaxUint32 {
-		panic("store: string value longer than 4 GiB")
-	}
-	o := Object{p: unsafe.Pointer(&buf[len(key)]), n: uint32(n), kind: KindString, grown: capacity > n}
-	return unsafe.String(unsafe.SliceData(buf), len(key)), o
+	return Object{p: unsafe.Pointer(unsafe.SliceData(buf)), m: objectMeta(KindString, len(key), n, capacity > n)}
 }
 
-// keyView returns a string's key as the view of its buffer the table
-// holds; klen is the key's length.
-func (o Object) keyView(klen int) string {
-	return unsafe.String((*byte)(unsafe.Add(o.p, -klen)), klen)
+// key returns the key o is stored under: a view of a string's buffer, or
+// the key an aggregate carries.
+func (o Object) key() string {
+	if o.Kind() == KindString {
+		return unsafe.String((*byte)(o.p), o.klen())
+	}
+	return o.agg().key
 }
+
+// is reports whether o is stored under key.
+func (o Object) is(key string) bool { return o.klen() == len(key) && o.key() == key }
+
+func (o Object) klen() int { return int(o.m >> lenBits & lenMask) }
+
+// n is a string's value length.
+func (o Object) n() int { return int(o.m & lenMask) }
+
+func (o Object) grown() bool { return o.m&grownBit != 0 }
+
+// value is the address of a string's value.
+func (o Object) value() *byte { return (*byte)(unsafe.Add(o.p, o.klen())) }
 
 // capacity is a string's value capacity: n, or for a buffer APPEND sized
 // the power of two at or above it.
 func (o Object) capacity() int {
-	if o.grown {
-		return 1 << bits.Len32(o.n-1)
+	if o.grown() {
+		return 1 << bits.Len32(uint32(o.n())-1)
 	}
-	return int(o.n)
+	return o.n()
 }
 
 // Kind returns the object's value type; KindNone for the zero Object.
-func (o Object) Kind() Kind { return o.kind }
+func (o Object) Kind() Kind { return Kind(o.m >> kindShift & 7) }
 
 // Exists reports whether o is a value rather than the zero Object.
-func (o Object) Exists() bool { return o.kind != KindNone }
+func (o Object) Exists() bool { return o.Kind() != KindNone }
 
 // Str returns a string's value. The bytes are shared with the keyspace and
 // with every reply that returned them: they must never be written.
 func (o Object) Str() []byte {
-	if o.kind != KindString {
+	if o.Kind() != KindString {
 		return nil
 	}
-	return unsafe.Slice((*byte)(o.p), o.n)
+	return unsafe.Slice(o.value(), o.n())
 }
 
 func (o Object) agg() *aggregate {
-	if o.kind <= KindString {
+	if o.Kind() <= KindString {
 		return nil
 	}
 	return (*aggregate)(o.p)
@@ -193,15 +241,6 @@ func (o Object) ZSet() *ZSet { return o.agg().zset }
 // Stream returns a stream.
 func (o Object) Stream() *Stream { return o.agg().stream }
 
-// What the Go heap charges for a key beyond the bytes of its name and
-// value (go1.24 swiss maps, 64-bit): a map[string]Object slot is 32 bytes
-// plus a control byte, and tables run between 7/16 and 7/8 full; an
-// aggregate is 48 bytes.
-const (
-	entrySize     = 48
-	aggregateSize = 48
-)
-
 // allocSize approximates what the allocator hands out for n bytes: its
 // size classes step by 16 up to 256 bytes and by about an eighth of the
 // size above that.
@@ -213,14 +252,14 @@ func allocSize(n int) int64 {
 	return int64((n + step - 1) / step * step)
 }
 
-// size estimates what o stored under key costs beyond its table entry;
-// together with entrySize it is INFO's used_bytes share of the key.
+// size estimates what o stored under key costs beyond its table slot, which
+// the table's arrays charge; it is INFO's used_bytes share of the key.
 func (o Object) size(key string) int64 {
-	if o.kind == KindString {
+	if o.Kind() == KindString {
 		return allocSize(len(key) + max(o.capacity(), 1))
 	}
-	n := allocSize(len(key)) + aggregateSize
-	switch o.kind {
+	n := allocSize(len(key)) + allocSize(int(unsafe.Sizeof(aggregate{})))
+	switch o.Kind() {
 	case KindHash:
 		for f, v := range o.Hash() {
 			n += int64(len(f)+len(v)) + 64
@@ -241,7 +280,7 @@ func (o Object) size(key string) int64 {
 
 // part is one slot-aligned stripe of the keyspace.
 type part struct {
-	data    map[string]Object
+	table   table
 	expires map[string]int64 // unix ms; present only for volatile keys
 }
 
@@ -256,7 +295,7 @@ func (p *part) expired(key string, nowMs int64) bool {
 }
 
 // DB is the keyspace: keys to objects with expirations in unix
-// milliseconds, striped into NumParts slot-aligned parts. A part's data map
+// milliseconds, striped into NumParts slot-aligned parts. A part's table
 // is the only dictionary a key is in; slot migration, the one reader that
 // wants a slot's keys, gets them by scanning the slot's part (SlotKeys),
 // and slotKeys keeps the per-slot counts exact so that counting is O(1).
@@ -264,6 +303,9 @@ func (p *part) expired(key string, nowMs int64) bool {
 type DB struct {
 	parts    [NumParts]part
 	slotKeys [crc16.NumSlots]uint32
+	// seed keys the tables' hash: random per DB, so no client can choose
+	// keys that share a probe path.
+	seed maphash.Seed
 
 	length    atomic.Int64 // live key count (including not-yet-reaped)
 	usedBytes atomic.Int64 // running footprint estimate
@@ -271,7 +313,7 @@ type DB struct {
 
 // NewDB returns an empty keyspace.
 func NewDB() *DB {
-	db := &DB{}
+	db := &DB{seed: maphash.MakeSeed()}
 	db.reset()
 	return db
 }
@@ -279,7 +321,7 @@ func NewDB() *DB {
 func (db *DB) reset() {
 	for i := range db.parts {
 		db.parts[i] = part{
-			data:    make(map[string]Object),
+			table:   table{db: db},
 			expires: make(map[string]int64),
 		}
 	}
@@ -292,6 +334,21 @@ func (db *DB) part(key string) *part { return &db.parts[PartOfKey(key)] }
 // keys; callers that need exactness should sweep first).
 func (db *DB) Len() int { return int(db.length.Load()) }
 
+// LiveLen returns the number of keys live at now: Len less the volatile
+// keys whose TTL has passed and that nothing has reaped yet. It allocates
+// nothing, and with no volatile key it is Len.
+func (db *DB) LiveLen(now time.Time) int {
+	n, nowMs := db.Len(), now.UnixMilli()
+	for i := range db.parts {
+		for _, exp := range db.parts[i].expires {
+			if exp <= nowMs {
+				n--
+			}
+		}
+	}
+	return n
+}
+
 // UsedBytes returns the running memory footprint estimate.
 func (db *DB) UsedBytes() int64 { return db.usedBytes.Load() }
 
@@ -302,21 +359,23 @@ func (db *DB) UsedBytes() int64 { return db.usedBytes.Load() }
 // a deterministic delete.
 func (db *DB) Lookup(key string, now time.Time) (obj Object, reaped bool) {
 	p := db.part(key)
-	o, ok := p.data[key]
-	if !ok {
+	s := p.table.get(key)
+	if s == nil {
 		return Object{}, false
 	}
 	if p.expired(key, now.UnixMilli()) {
 		db.remove(key)
 		return Object{}, true
 	}
-	return o, false
+	return *s, false
 }
 
 // Peek returns the object at key without expiry processing.
 func (db *DB) Peek(key string) (Object, bool) {
-	o, ok := db.part(key).data[key]
-	return o, ok
+	if s := db.part(key).table.get(key); s != nil {
+		return *s, true
+	}
+	return Object{}, false
 }
 
 // Set stores obj at key, replacing any previous value and clearing any TTL
@@ -328,30 +387,30 @@ func (db *DB) Set(key string, obj Object) { db.put(key, obj, false) }
 func (db *DB) SetKeepTTL(key string, obj Object) { db.put(key, obj, true) }
 
 func (db *DB) put(key string, obj Object, keepTTL bool) {
-	if obj.kind == KindString {
-		k, s := newString(key, int(obj.n), obj.Str())
-		db.set(k, s, keepTTL)
-		return
+	if obj.Kind() == KindString {
+		obj = newString(key, obj.n(), obj.Str())
+	} else {
+		obj = obj.keyed(key)
 	}
-	db.set(key, obj, keepTTL)
+	db.set(obj, keepTTL)
 }
 
 // SetString stores val at key as a string, replacing any previous value
 // and clearing any TTL. It is the one place a string is made: key and val
 // are copied into one buffer, and the returned key is the view of it the
-// table holds — a caller that keeps the key (the dirty-key list) keeps no
-// second copy of it.
+// table compares — a caller that keeps the key (the dirty-key list) keeps
+// no second copy of it.
 func (db *DB) SetString(key string, val []byte) string {
-	k, obj := newString(key, len(val), val)
-	db.set(k, obj, false)
-	return k
+	obj := newString(key, len(val), val)
+	db.set(obj, false)
+	return obj.key()
 }
 
 // SetStringKeepTTL is SetString preserving an existing expiration.
 func (db *DB) SetStringKeepTTL(key string, val []byte) string {
-	k, obj := newString(key, len(val), val)
-	db.set(k, obj, true)
-	return k
+	obj := newString(key, len(val), val)
+	db.set(obj, true)
+	return obj.key()
 }
 
 // Append appends tail to the string at key — the caller has checked that
@@ -361,46 +420,42 @@ func (db *DB) SetStringKeepTTL(key string, val []byte) string {
 // capacity is the next power of two, and later appends that fit write past
 // the current end, which every reply taken so far stops short of.
 func (db *DB) Append(key string, tail []byte) (string, int) {
-	old, ok := db.part(key).data[key]
+	old, ok := db.Peek(key)
 	if !ok {
 		return db.SetString(key, tail), len(tail)
 	}
-	n := int(old.n) + len(tail)
+	obj, n := old, old.n()+len(tail)
 	if n > old.capacity() {
-		k, obj := newString(key, 1<<bits.Len(uint(n-1)), old.Str(), tail)
-		db.set(k, obj, true)
-		return k, n
+		obj = newString(key, 1<<bits.Len(uint(n-1)), old.Str(), tail)
+	} else {
+		copy(unsafe.Slice(old.value(), n)[old.n():], tail)
+		obj.m = objectMeta(KindString, old.klen(), n, old.grown())
 	}
-	copy(unsafe.Slice((*byte)(old.p), n)[old.n:], tail)
-	obj := old
-	obj.n = uint32(n)
-	k := old.keyView(len(key))
-	db.set(k, obj, true)
-	return k, n
+	db.set(obj, true)
+	return obj.key(), n
 }
 
-// set stores obj under key, which for a string is the view of its buffer:
-// assigning over an existing entry replaces the table's key with it, so
-// the old buffer is not kept alive by its key.
-func (db *DB) set(key string, obj Object, keepTTL bool) {
+// set stores obj under the key it carries. Its slot replaces any old one
+// whole, so an overwritten string's buffer is not kept alive by the table.
+func (db *DB) set(obj Object, keepTTL bool) {
+	key := obj.key()
 	slot := crc16.Slot(key)
 	p := &db.parts[PartOfSlot(slot)]
 	size := obj.size(key)
-	if old, ok := p.data[key]; ok {
+	if old := p.table.put(key, obj); old.Exists() {
 		db.AdjustUsed(size - old.size(key))
 		if len(p.expires) > 0 {
 			if !keepTTL {
 				delete(p.expires, key)
 			} else if exp, ok := p.expires[key]; ok {
-				p.expires[key] = exp // re-keyed onto the new key, like data
+				p.expires[key] = exp // re-keyed onto the new key, like the slot
 			}
 		}
 	} else {
 		db.slotKeys[slot]++
 		db.length.Add(1)
-		db.usedBytes.Add(entrySize + size)
+		db.usedBytes.Add(size)
 	}
-	p.data[key] = obj
 }
 
 // AdjustUsed applies a footprint delta after an in-place mutation.
@@ -413,27 +468,23 @@ func (db *DB) AdjustUsed(delta int64) {
 // Delete removes key, returning whether it existed (expired keys count as
 // absent at now).
 func (db *DB) Delete(key string, now time.Time) bool {
-	p := db.part(key)
-	if _, ok := p.data[key]; !ok {
-		return false
-	}
-	live := !p.expired(key, now.UnixMilli())
-	db.remove(key)
-	return live
+	live := !db.part(key).expired(key, now.UnixMilli())
+	return db.remove(key) && live
 }
 
-func (db *DB) remove(key string) {
+// remove deletes key and reports whether it was there.
+func (db *DB) remove(key string) bool {
 	slot := crc16.Slot(key)
 	p := &db.parts[PartOfSlot(slot)]
-	o, ok := p.data[key]
-	if !ok {
-		return
+	o := p.table.del(key)
+	if !o.Exists() {
+		return false
 	}
-	db.AdjustUsed(-(entrySize + o.size(key)))
-	delete(p.data, key)
+	db.AdjustUsed(-o.size(key))
 	delete(p.expires, key)
 	db.slotKeys[slot]--
 	db.length.Add(-1)
+	return true
 }
 
 // Expire sets the expiration of key to at (unix ms). Returns false if the
@@ -488,11 +539,12 @@ func (db *DB) Keys(pattern string, now time.Time) []string {
 	nowMs := now.UnixMilli()
 	for i := range db.parts {
 		p := &db.parts[i]
-		for k := range p.data {
-			if !p.expired(k, nowMs) && GlobMatch(pattern, k) {
+		p.table.each(0, func(o Object) bool {
+			if k := o.key(); !p.expired(k, nowMs) && GlobMatch(pattern, k) {
 				out = append(out, k)
 			}
-		}
+			return true
+		})
 	}
 	return out
 }
@@ -502,14 +554,12 @@ func (db *DB) Keys(pattern string, now time.Time) []string {
 // working through a slot takes the list once and polls SlotCount.
 func (db *DB) SlotKeys(slot uint16) []string {
 	out := make([]string, 0, db.slotKeys[slot])
-	for k := range db.parts[PartOfSlot(slot)].data {
-		if len(out) == cap(out) {
-			break
-		}
-		if crc16.Slot(k) == slot {
+	db.parts[PartOfSlot(slot)].table.each(0, func(o Object) bool {
+		if k := o.key(); crc16.Slot(k) == slot {
 			out = append(out, k)
 		}
-	}
+		return len(out) < cap(out)
+	})
 	return out
 }
 
@@ -548,20 +598,18 @@ func (db *DB) SweepExpiredParts(now time.Time, limit, lo, hi int) []string {
 }
 
 // ForEach visits every live key/object pair at now. Iteration order is the
-// part order, then map order within a part (unspecified). The callback must
-// not mutate the keyspace.
+// part order, then table order within a part (unspecified). The callback
+// must not mutate the keyspace.
 func (db *DB) ForEach(now time.Time, fn func(key string, obj Object, expireAt int64) bool) {
 	nowMs := now.UnixMilli()
 	for i := range db.parts {
 		p := &db.parts[i]
-		for k, o := range p.data {
+		if !p.table.each(0, func(o Object) bool {
+			k := o.key()
 			exp, has := p.expires[k]
-			if has && exp <= nowMs {
-				continue
-			}
-			if !fn(k, o, exp) {
-				return
-			}
+			return has && exp <= nowMs || fn(k, o, exp)
+		}) {
+			return
 		}
 	}
 }
@@ -573,15 +621,19 @@ func (db *DB) Flush() {
 	db.usedBytes.Store(0)
 }
 
-// RandomKey returns an arbitrary live key at now, or "" if empty.
+// RandomKey returns an arbitrary live key at now, or "" if empty: the first
+// from a random slot of a random part on.
 func (db *DB) RandomKey(now time.Time) (string, bool) {
 	nowMs := now.UnixMilli()
+	r := rand.Uint64()
+	var key string
 	for i := range db.parts {
-		p := &db.parts[i]
-		for k := range p.data {
-			if !p.expired(k, nowMs) {
-				return k, true
-			}
+		p := &db.parts[(int(r%NumParts)+i)%NumParts]
+		if !p.table.each(int(r>>32), func(o Object) bool {
+			key = o.key()
+			return p.expired(key, nowMs)
+		}) {
+			return key, true
 		}
 	}
 	return "", false

@@ -231,12 +231,10 @@ func TestRandomKey(t *testing.T) {
 	}
 }
 
-// tableKey returns the key string the part's table holds for key.
+// tableKey returns the key string the part's table compares for key.
 func tableKey(db *DB, key string) string {
-	for k := range db.part(key).data {
-		if k == key {
-			return k
-		}
+	if s := db.part(key).table.get(key); s != nil {
+		return s.key()
 	}
 	return ""
 }
@@ -245,6 +243,7 @@ func tableKey(db *DB, key string) string {
 // collectable: the table's key is a view of the buffer, and assigning over
 // an existing entry — of any kind — must leave the table holding the new
 // value's key, not the old buffer's. So must the TTL table under KEEPTTL.
+// An aggregate carries the key it was stored under.
 func TestOverwriteRekeysTable(t *testing.T) {
 	db := NewDB()
 	key := "k"
@@ -301,7 +300,7 @@ func TestAppendAmortized(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4*appends*chunk {
 		t.Errorf("appends allocated %d B for a %d B value, want <= 4x", got, appends*chunk)
 	}
-	if used, want := db.UsedBytes(), entrySize+allocSize(1+1<<17); used != want {
+	if used, want := db.UsedBytes(), arrayBytes(minSlots)+allocSize(1+1<<17); used != want {
 		t.Errorf("UsedBytes = %d, want %d (a 2^17-byte value capacity)", used, want)
 	}
 

@@ -5,7 +5,7 @@ import (
 	"hash/crc32"
 )
 
-// Segmented storage (ROADMAP item 3). The log is a chain of segments:
+// Segmented storage. The log is a chain of segments:
 // the last one is active and accepts appends; when it crosses the
 // configured size/entry threshold it closes (no further appends) and,
 // once its every entry has committed, seals — the footer checksum over

@@ -1149,7 +1149,9 @@ func (l *Log) closeAll() {
 // everything committed since — however fast the primary commits, a caught-up
 // subscriber is woken about once per notifyEvery. A reader that is behind
 // never waits on it (its Ready is already closed). This one constant is the
-// floor under replication lag; ROADMAP item 4 says what deleting it needs.
+// floor under replication lag; deleting it — the committer closing notify
+// as it advances the watermark — waits on a benchmark that can accept the
+// gain.
 const notifyEvery = time.Millisecond
 
 // notifyLocked schedules one wake-up of the readers parked on notify, if
