@@ -90,24 +90,17 @@ obs:
 	MEMORYDB_OBS_GUARD=1 $(GO) test -run TestObsOverheadGuard -count=1 ./internal/obs/ ./internal/core/
 
 # Sharded-execution gate: the core suite must hold at both one execution
-# shard (the same path, N=1) and eight under the race detector, followed by
-# the Figure 4b single-vs-sharded throughput comparison (scripts/bench_shards.sh
-# enforces the 1.8x bar on >= 4-vCPU runners).
+# shard (the same path, N=1) and eight under the race detector.
 shards:
 	MEMORYDB_SHARDS=1 $(GO) test -race ./internal/core/
 	MEMORYDB_SHARDS=8 $(GO) test -race ./internal/core/
-	sh scripts/bench_shards.sh
 
 # Consistent replica-read gate: the replica-read fault schedules
 # (failover storm, bounded-staleness partition, log-trim rebootstrap)
 # must hold linearizability — no stale value ever served as
-# linearizable, bounded-stale serves within their declared bound; then
-# the replica-read throughput figure must show reads scaling with the
-# replica count while the primary's write throughput holds
-# (scripts/bench_reads.sh, bars enforced on >= 4-vCPU runners).
+# linearizable, bounded-stale serves within their declared bound.
 reads:
 	$(call matrix,ReplicaReads)
-	sh scripts/bench_reads.sh
 
 # Bounded-log soak gate: sustained write load with the snapshot builder
 # and trim coordinator at their normal cadence must keep live log bytes
@@ -126,6 +119,10 @@ forkless:
 	$(call matrix,SnapshotCrash)
 	$(GO) test -race -run 'Builder|ChainFallback' ./internal/snapshot/
 
-# Regenerate the paper figures (long; not part of the tier-1 gate).
+# Regenerate every table in EXPERIMENTS.md from bench_test.go (about a
+# minute; not part of the tier-1 gate). A figure point is a fixed
+# measurement window, so two iterations suffice; the per-operation
+# ablations need the default benchtime to average over enough ops.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 2x .
+	$(GO) test -run xxx -bench 'Figure|WriteBandwidth|PipelinedWrites' -benchtime 2x .
+	$(GO) test -run xxx -bench 'Ablation|NodeOpPath|EngineDispatch' -benchmem .

@@ -1,9 +1,10 @@
-// Package memorydb_bench holds the top-level benchmark harness: one
-// testing.B benchmark per table/figure of the paper's evaluation (§6),
-// plus ablation benches for the design choices DESIGN.md calls out.
-// Run everything with:
+// Package memorydb_bench holds the top-level benchmark harness and the
+// only driver of the paper's modelled figures: one testing.B benchmark
+// per table/figure of the evaluation (§6), plus ablation benches for the
+// design choices DESIGN.md calls out. Regenerate EXPERIMENTS.md's tables
+// with:
 //
-//	go test -bench=. -benchmem
+//	make bench
 //
 // Figure benches report throughput/latency via b.ReportMetric; absolute
 // numbers are machine- and scale-dependent (see bench.CapacityScale), but
@@ -28,154 +29,147 @@ import (
 	"memorydb/internal/txlog"
 )
 
-// figureOpts keeps each benchmark iteration short; `go test -bench` runs
-// the body repeatedly and averages.
-var figureOpts = bench.Options{Clients: 256, Duration: 150 * time.Millisecond, Prefill: 2000}
+// Each figure point pre-fills figurePrefill keys and then measures
+// figureClients clients over one figureWindow per iteration. The paper
+// uses 10 load generators × 100 connections and 1M keys; these are
+// scaled down but keep the client count above capacity × latency, so
+// the modelled instance stays saturated.
+const (
+	figureClients = 256
+	figureWindow  = 150 * time.Millisecond
+	figurePrefill = 2000
+)
 
-func runFigure4Point(b *testing.B, sys bench.System, it bench.InstanceType, w bench.Workload) {
-	runFigure4PointShards(b, sys, it, w, 1)
-}
+// figure5Loads are the offered loads of Figure 5, as fractions of the
+// slower system's modelled capacity, so both systems see the same
+// absolute load points like the paper's shared x-axis.
+var figure5Loads = []float64{0.1, 0.3, 0.5, 0.7, 0.85, 0.9}
 
-func runFigure4PointShards(b *testing.B, sys bench.System, it bench.InstanceType, w bench.Workload, shards int) {
-	ctx := context.Background()
-	t, err := bench.NewTarget(sys, it, bench.TargetOpts{Shards: shards})
-	if err != nil {
-		b.Fatal(err)
+// runFigure4 sweeps R7gSweep with three arms per instance: Redis,
+// single-workloop MemoryDB, and the keyspace-sharded configuration
+// (Shards=bench.ShardedArmShards).
+func runFigure4(b *testing.B, w bench.Workload) {
+	arms := []struct {
+		name   string
+		sys    bench.System
+		shards int
+	}{
+		{"Redis", bench.SystemRedis, 1},
+		{"MemoryDB", bench.SystemMemoryDB, 1},
+		{"MemoryDB-sharded", bench.SystemMemoryDB, bench.ShardedArmShards()},
 	}
-	defer t.Close()
-	if err := t.Prefill(ctx, figureOpts.Prefill, w.ValueBytes); err != nil {
-		b.Fatal(err)
+	for _, it := range bench.R7gSweep {
+		for _, arm := range arms {
+			b.Run(it.Name+"/"+arm.name, func(b *testing.B) {
+				ctx := context.Background()
+				t, err := bench.NewTarget(arm.sys, it, bench.TargetOpts{Shards: arm.shards})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer t.Close()
+				if err := t.Prefill(ctx, figurePrefill, w.ValueBytes); err != nil {
+					b.Fatal(err)
+				}
+				var total float64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					total += bench.RunClosedLoop(ctx, t, w, figureClients, figureWindow).Throughput
+				}
+				b.ReportMetric(total/float64(b.N), "ops/s")
+			})
+		}
 	}
-	var total float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := bench.RunClosedLoop(ctx, t, w, figureOpts.Clients, figureOpts.Duration)
-		total += sum.Throughput
-	}
-	b.ReportMetric(total/float64(b.N), "ops/s")
 }
 
 // BenchmarkFigure4a reproduces Figure 4a: read-only maximum throughput
-// per instance type — Redis, single-workloop MemoryDB, and the
-// keyspace-sharded configuration (Shards=bench.ShardedArmShards).
-func BenchmarkFigure4a(b *testing.B) {
-	for _, it := range bench.R7gSweep {
-		for _, sys := range []bench.System{bench.SystemRedis, bench.SystemMemoryDB} {
-			b.Run(fmt.Sprintf("%s/%s", it.Name, sys), func(b *testing.B) {
-				runFigure4Point(b, sys, it, bench.WorkloadReadOnly)
-			})
-		}
-		b.Run(fmt.Sprintf("%s/MemoryDB-sharded", it.Name), func(b *testing.B) {
-			runFigure4PointShards(b, bench.SystemMemoryDB, it, bench.WorkloadReadOnly, bench.ShardedArmShards())
-		})
-	}
-}
+// per instance type.
+func BenchmarkFigure4a(b *testing.B) { runFigure4(b, bench.WorkloadReadOnly) }
 
 // BenchmarkFigure4b reproduces Figure 4b: write-only maximum throughput
 // per instance type. MemoryDB commits every write to the multi-AZ log;
 // the sharded arm flushes one group-commit buffer per execution shard,
 // so append pipelining widens with the shard count.
-func BenchmarkFigure4b(b *testing.B) {
-	for _, it := range bench.R7gSweep {
-		for _, sys := range []bench.System{bench.SystemRedis, bench.SystemMemoryDB} {
-			b.Run(fmt.Sprintf("%s/%s", it.Name, sys), func(b *testing.B) {
-				runFigure4Point(b, sys, it, bench.WorkloadWriteOnly)
-			})
-		}
-		b.Run(fmt.Sprintf("%s/MemoryDB-sharded", it.Name), func(b *testing.B) {
-			runFigure4PointShards(b, bench.SystemMemoryDB, it, bench.WorkloadWriteOnly, bench.ShardedArmShards())
-		})
-	}
-}
+func BenchmarkFigure4b(b *testing.B) { runFigure4(b, bench.WorkloadWriteOnly) }
 
-func runFigure5Point(b *testing.B, sys bench.System, w bench.Workload, frac float64) {
-	ctx := context.Background()
+// runFigure5 sweeps figure5Loads for both systems on r7g.16xlarge.
+func runFigure5(b *testing.B, w bench.Workload) {
 	it := bench.R7g16xlarge
 	kind := bench.OpWrite
 	if w.ReadRatio == 1.0 {
 		kind = bench.OpRead
 	}
-	lo := bench.Capacity(bench.SystemMemoryDB, kind, it)
-	if c := bench.Capacity(bench.SystemRedis, kind, it); c < lo {
-		lo = c
+	lo := min(bench.Capacity(bench.SystemMemoryDB, kind, it), bench.Capacity(bench.SystemRedis, kind, it))
+	for _, sys := range []bench.System{bench.SystemRedis, bench.SystemMemoryDB} {
+		for _, frac := range figure5Loads {
+			b.Run(fmt.Sprintf("%s/load%.0f%%", sys, frac*100), func(b *testing.B) {
+				ctx := context.Background()
+				t, err := bench.NewTarget(sys, it, bench.TargetOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer t.Close()
+				if err := t.Prefill(ctx, figurePrefill, w.ValueBytes); err != nil {
+					b.Fatal(err)
+				}
+				var p50, p99 float64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sum := bench.RunOffered(ctx, t, w, lo*frac, figureClients, figureWindow)
+					p50 += float64(sum.P50) / 1e6
+					p99 += float64(sum.P99) / 1e6
+				}
+				b.ReportMetric(lo*frac, "offered_ops/s")
+				b.ReportMetric(p50/float64(b.N), "p50_ms")
+				b.ReportMetric(p99/float64(b.N), "p99_ms")
+			})
+		}
 	}
-	t, err := bench.NewTarget(sys, it, bench.TargetOpts{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer t.Close()
-	if err := t.Prefill(ctx, figureOpts.Prefill, w.ValueBytes); err != nil {
-		b.Fatal(err)
-	}
-	var p50, p99 float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := bench.RunOffered(ctx, t, w, lo*frac, figureOpts.Clients, figureOpts.Duration)
-		p50 += float64(sum.P50) / 1e6
-		p99 += float64(sum.P99) / 1e6
-	}
-	b.ReportMetric(p50/float64(b.N), "p50_ms")
-	b.ReportMetric(p99/float64(b.N), "p99_ms")
 }
 
 // BenchmarkFigure5a: read-only latency vs offered throughput (16xlarge).
-func BenchmarkFigure5a(b *testing.B) {
-	for _, sys := range []bench.System{bench.SystemRedis, bench.SystemMemoryDB} {
-		for _, frac := range []float64{0.3, 0.7, 0.9} {
-			b.Run(fmt.Sprintf("%s/load%.0f%%", sys, frac*100), func(b *testing.B) {
-				runFigure5Point(b, sys, bench.WorkloadReadOnly, frac)
-			})
-		}
-	}
-}
+func BenchmarkFigure5a(b *testing.B) { runFigure5(b, bench.WorkloadReadOnly) }
 
 // BenchmarkFigure5b: write-only latency vs offered throughput. Redis
 // stays sub-ms at the median; MemoryDB pays ~3 ms for multi-AZ commits.
-func BenchmarkFigure5b(b *testing.B) {
-	for _, sys := range []bench.System{bench.SystemRedis, bench.SystemMemoryDB} {
-		for _, frac := range []float64{0.3, 0.7, 0.9} {
-			b.Run(fmt.Sprintf("%s/load%.0f%%", sys, frac*100), func(b *testing.B) {
-				runFigure5Point(b, sys, bench.WorkloadWriteOnly, frac)
-			})
-		}
-	}
-}
+func BenchmarkFigure5b(b *testing.B) { runFigure5(b, bench.WorkloadWriteOnly) }
 
 // BenchmarkFigure5c: 80/20 mixed latency vs offered throughput.
-func BenchmarkFigure5c(b *testing.B) {
-	for _, sys := range []bench.System{bench.SystemRedis, bench.SystemMemoryDB} {
-		for _, frac := range []float64{0.3, 0.7, 0.9} {
-			b.Run(fmt.Sprintf("%s/load%.0f%%", sys, frac*100), func(b *testing.B) {
-				runFigure5Point(b, sys, bench.WorkloadMixed8020, frac)
-			})
+func BenchmarkFigure5c(b *testing.B) { runFigure5(b, bench.WorkloadMixed8020) }
+
+// reportSnapshotSeries reports the headline values of a Figure 6/7
+// series: the fork step's p100 (0 when nothing forks), the deepest
+// throughput, the worst p100 and the peak swap share of memory.
+func reportSnapshotSeries(b *testing.B, samples []memsim.Sample) {
+	var forkP100 float64
+	for _, s := range samples {
+		if s.Phase == "fork" {
+			forkP100 = s.P100LatencyMs
 		}
 	}
+	b.ReportMetric(forkP100, "fork_p100_ms")
+	b.ReportMetric(memsim.MinThroughput(samples), "min_ops/s")
+	b.ReportMetric(memsim.MaxP100(samples), "max_p100_ms")
+	b.ReportMetric(memsim.PeakSwapPct(samples), "peak_swap_%")
 }
 
 // BenchmarkFigure6 regenerates the Redis BGSave memory-pressure series
-// (the discrete simulation; metrics report the collapse depth and peak
-// tail latency).
+// (the discrete simulation): a fork spike, then collapse once swap
+// crosses the threshold.
 func BenchmarkFigure6(b *testing.B) {
-	var minTput, maxP100 float64
+	var samples []memsim.Sample
 	for i := 0; i < b.N; i++ {
-		samples := memsim.SimulateBGSave(memsim.DefaultRedisBGSave(), 10, 160)
-		minTput = memsim.MinThroughput(samples)
-		maxP100 = memsim.MaxP100(samples)
+		samples = memsim.SimulateBGSave(memsim.DefaultRedisBGSave(), 10, 160)
 	}
-	b.ReportMetric(minTput, "min_ops/s")
-	b.ReportMetric(maxP100, "max_p100_ms")
+	reportSnapshotSeries(b, samples)
 }
 
 // BenchmarkFigure7 regenerates the off-box snapshotting series (flat).
 func BenchmarkFigure7(b *testing.B) {
-	var minTput, maxP100 float64
+	var samples []memsim.Sample
 	for i := 0; i < b.N; i++ {
-		samples := memsim.SimulateOffbox(memsim.DefaultRedisBGSave(), 30, 60, 120)
-		minTput = memsim.MinThroughput(samples)
-		maxP100 = memsim.MaxP100(samples)
+		samples = memsim.SimulateOffbox(memsim.DefaultRedisBGSave(), 30, 60, 120)
 	}
-	b.ReportMetric(minTput, "min_ops/s")
-	b.ReportMetric(maxP100, "max_p100_ms")
+	reportSnapshotSeries(b, samples)
 }
 
 // BenchmarkWriteBandwidth reproduces the §6.1.2.1 claim: a single shard
@@ -216,13 +210,13 @@ func BenchmarkPipelinedWrites(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer t.Close()
-			if err := t.Prefill(ctx, figureOpts.Prefill, bench.WorkloadWriteOnly.ValueBytes); err != nil {
+			if err := t.Prefill(ctx, figurePrefill, bench.WorkloadWriteOnly.ValueBytes); err != nil {
 				b.Fatal(err)
 			}
 			var tput, rpe float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ps := bench.RunPipelined(ctx, t, bench.WorkloadWriteOnly, figureOpts.Clients, figureOpts.Duration)
+				ps := bench.RunPipelined(ctx, t, bench.WorkloadWriteOnly, figureClients, figureWindow)
 				tput += ps.Throughput
 				rpe += ps.RecordsPerEntry
 			}

@@ -16,9 +16,9 @@ import (
 	"os/signal"
 	"time"
 
-	"memorydb/internal/bench"
 	"memorydb/internal/clock"
 	"memorydb/internal/cluster"
+	"memorydb/internal/netsim"
 	"memorydb/internal/s3"
 	"memorydb/internal/server"
 	"memorydb/internal/snapshot"
@@ -33,7 +33,7 @@ func main() {
 
 	svc := txlog.NewService(txlog.Config{
 		Clock:         clock.NewReal(),
-		CommitLatency: bench.DefaultCommitLatency(),
+		CommitLatency: netsim.DefaultCommitLatency(),
 	})
 	store := s3.New()
 	snaps := snapshot.NewManager(store, "snapshots")

@@ -42,11 +42,11 @@ import (
 	"time"
 
 	"memorydb/internal/baseline"
-	"memorydb/internal/bench"
 	"memorydb/internal/clock"
 	"memorydb/internal/core"
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
+	"memorydb/internal/netsim"
 	"memorydb/internal/obs"
 	"memorydb/internal/s3"
 	"memorydb/internal/server"
@@ -266,15 +266,9 @@ func envFloat(key string, def float64) float64 {
 	return v
 }
 
-func fixedOr(d time.Duration) interface {
-	Sample() time.Duration
-} {
+func fixedOr(d time.Duration) netsim.LatencyModel {
 	if d <= 0 {
-		return bench.DefaultCommitLatency()
+		return netsim.DefaultCommitLatency()
 	}
-	return fixed(d)
+	return netsim.Fixed(d)
 }
-
-type fixed time.Duration
-
-func (f fixed) Sample() time.Duration { return time.Duration(f) }

@@ -13,9 +13,9 @@ import (
 	"log"
 	"time"
 
-	"memorydb/internal/bench"
 	"memorydb/internal/clock"
 	"memorydb/internal/cluster"
+	"memorydb/internal/netsim"
 	"memorydb/internal/s3"
 	"memorydb/internal/snapshot"
 	"memorydb/internal/txlog"
@@ -24,7 +24,7 @@ import (
 func main() {
 	svc := txlog.NewService(txlog.Config{
 		Clock:         clock.NewReal(),
-		CommitLatency: bench.DefaultCommitLatency(),
+		CommitLatency: netsim.DefaultCommitLatency(),
 	})
 	snaps := snapshot.NewManager(s3.New(), "snapshots")
 	c, err := cluster.New(cluster.Config{

@@ -12,16 +12,16 @@ import (
 	"sync"
 	"time"
 
-	"memorydb/internal/bench"
 	"memorydb/internal/clock"
 	"memorydb/internal/cluster"
+	"memorydb/internal/netsim"
 	"memorydb/internal/txlog"
 )
 
 func main() {
 	svc := txlog.NewService(txlog.Config{
 		Clock:         clock.NewReal(),
-		CommitLatency: bench.DefaultCommitLatency(),
+		CommitLatency: netsim.DefaultCommitLatency(),
 	})
 	c, err := cluster.New(cluster.Config{
 		Name: "game", NumShards: 2, ReplicasPerShard: 1, LogService: svc,

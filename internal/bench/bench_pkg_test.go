@@ -145,63 +145,3 @@ func TestMemoryDBWriteLatencyReflectsCommit(t *testing.T) {
 		t.Fatalf("avg write latency %v — multi-AZ commit not applied", avg)
 	}
 }
-
-func TestFigure6InvariantsViaBench(t *testing.T) {
-	samples := Figure6(nil)
-	if len(samples) == 0 {
-		t.Fatal("no samples")
-	}
-	// Figure 7 flat; Figure 6 collapses — the core contrast of §6.2.
-	offbox := Figure7(nil)
-	minOff, minBG := offbox[0].ThroughputOps, samples[0].ThroughputOps
-	for _, s := range offbox {
-		if s.ThroughputOps < minOff {
-			minOff = s.ThroughputOps
-		}
-	}
-	for _, s := range samples {
-		if s.ThroughputOps < minBG {
-			minBG = s.ThroughputOps
-		}
-	}
-	if minOff < offbox[0].ThroughputOps {
-		t.Fatal("off-box throughput dipped")
-	}
-	if minBG > samples[0].ThroughputOps*0.1 {
-		t.Fatal("BGSave run never collapsed")
-	}
-}
-
-func TestFigureForklessFlatWhereForkCollapses(t *testing.T) {
-	rows := FigureForkless(nil)
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	collapsed := 0
-	for _, r := range rows {
-		v := r.Values
-		// The forkless arm must stay flat at every size: bounded tail
-		// latency, throughput within a few percent of steady state, and a
-		// resident footprint that never doubles the dataset.
-		if v["forkless_peak_p100_ms"] > 50 {
-			t.Fatalf("%s: forkless p100 %.0fms not flat", r.Label, v["forkless_peak_p100_ms"])
-		}
-		if v["forkless_min_ops"] < 0.9*v["fork_min_ops"] && v["fork_peak_swap_pct"] == 0 {
-			t.Fatalf("%s: forkless throughput below healthy fork arm", r.Label)
-		}
-		if v["forkless_peak_mem_gb"] > 1.5*v["dataset_gb"] {
-			t.Fatalf("%s: forkless RSS %.1fGB ballooned past dataset %.0fGB",
-				r.Label, v["forkless_peak_mem_gb"], v["dataset_gb"])
-		}
-		// Fork collapse marker: swap engaged and tail latency in seconds.
-		if v["fork_peak_swap_pct"] > 0 && v["fork_peak_p100_ms"] > 1000 {
-			collapsed++
-			if v["forkless_peak_p100_ms"] > v["fork_peak_p100_ms"]/10 {
-				t.Fatalf("%s: forkless tail not clearly flat vs collapsed fork arm", r.Label)
-			}
-		}
-	}
-	if collapsed == 0 {
-		t.Fatal("no dataset size collapsed the fork arm — sweep too small to show the contrast")
-	}
-}

@@ -1,17 +1,15 @@
-// Package bench reproduces the paper's evaluation (§6): workload
-// generators, closed- and paced-loop clients, latency percentile
-// recording, and an instance-type capacity model. Every table and figure
-// in §6 has a Run function here; cmd/memorydb-bench and the root
-// bench_test.go print the same rows/series the paper reports.
+// Package bench is the capacity model behind the paper's evaluation
+// (§6): workload generators, closed-loop and offered-rate clients,
+// latency percentile recording, and an instance-type capacity model. The
+// root bench_test.go is its only driver — one Benchmark* function per
+// figure (`make bench`).
 //
 // The capacity model stands in for EC2 hardware: each Graviton3 instance
-// type contributes a per-op engine cost and an IO path cost, and the
-// single-threaded engine is modeled as a deterministic-service queue (the
-// Pacer). Everything else — the tracker, the transaction log commit, the
-// replication stream — is the real implementation.
+// type contributes a per-op engine cost, and the single-threaded engine
+// is modeled as a deterministic-service queue (the Pacer). Everything
+// else — the tracker, the transaction log commit, the replication
+// stream — is the real implementation.
 package bench
-
-import "fmt"
 
 // InstanceType models one EC2 shape from the paper's §6.1.1 sweep
 // (r7g.large … r7g.16xlarge).
@@ -96,26 +94,4 @@ func Capacity(sys System, kind OpKind, it InstanceType) float64 {
 		cap = plateau
 	}
 	return cap * CapacityScale
-}
-
-// Row is one formatted output line of a regenerated table/figure.
-type Row struct {
-	Label  string
-	Values map[string]float64
-	Order  []string
-}
-
-// Format renders the row as "label  k=v  k=v ...".
-func (r Row) Format() string {
-	s := fmt.Sprintf("%-14s", r.Label)
-	for _, k := range r.Order {
-		v := r.Values[k]
-		switch {
-		case v >= 1000:
-			s += fmt.Sprintf("  %s=%.0f", k, v)
-		default:
-			s += fmt.Sprintf("  %s=%.3f", k, v)
-		}
-	}
-	return s
 }

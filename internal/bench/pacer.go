@@ -28,14 +28,6 @@ func (p *Pacer) Reserve(now time.Time, cost time.Duration) time.Duration {
 	return start.Add(cost).Sub(now)
 }
 
-// Wait reserves and sleeps.
-func (p *Pacer) Wait(cost time.Duration) {
-	d := p.Reserve(time.Now(), cost)
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
 // CostFor converts a capacity in ops/sec into a per-op cost.
 func CostFor(capacity float64) time.Duration {
 	if capacity <= 0 {

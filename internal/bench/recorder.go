@@ -27,10 +27,6 @@ func (r *Recorder) RecordErr() {
 	r.errs.Add(1)
 }
 
-// Histogram exposes the underlying distribution, e.g. for merging into a
-// shared metrics registry or dumping bucket-level JSON.
-func (r *Recorder) Histogram() *obs.Histogram { return &r.hist }
-
 // Summary holds the percentile digest of a run. Percentiles come from the
 // log-linear histogram (≤6.25% bucket error, never under-reported); P100
 // is the exact maximum.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -129,4 +130,51 @@ func RunOffered(ctx context.Context, t *Target, w Workload, offered float64, cli
 	}
 	wg.Wait()
 	return rec.Summarize(duration)
+}
+
+// WriteBandwidth measures the §6.1.2.1 claim that a single shard reaches
+// ~100 MB/s of write bandwidth with pipelining and large values: batched
+// (pipelined) SETs of valueBytes each are driven through the shard and
+// the achieved payload bandwidth is returned in MB/s.
+func WriteBandwidth(ctx context.Context, valueBytes, pipeline int, duration time.Duration) (float64, error) {
+	t, err := NewTarget(SystemMemoryDB, R7g16xlarge, TargetOpts{})
+	if err != nil {
+		return 0, err
+	}
+	defer t.Close()
+	val := make([]byte, valueBytes)
+	stop := time.Now().Add(duration)
+	var bytesWritten atomic.Int64
+	// Several pipelining connections, as the paper's throughput-oriented
+	// configuration implies: appends from concurrent batches pipeline in
+	// the log, so commit latency stops bounding bandwidth.
+	const conns = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, conns)
+	for cnum := 0; cnum < conns; cnum++ {
+		wg.Add(1)
+		go func(base int) {
+			defer wg.Done()
+			i := base * 1_000_000
+			for time.Now().Before(stop) {
+				var cmds [][][]byte
+				for j := 0; j < pipeline; j++ {
+					cmds = append(cmds, [][]byte{[]byte("SET"), benchKey(i), val})
+					i++
+				}
+				if _, err := t.node.DoBatch(ctx, cmds); err != nil {
+					errs <- err
+					return
+				}
+				bytesWritten.Add(int64(pipeline * valueBytes))
+			}
+		}(cnum)
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return 0, err
+	default:
+	}
+	return float64(bytesWritten.Load()) / duration.Seconds() / (1 << 20), nil
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"memorydb/internal/baseline"
@@ -36,14 +37,6 @@ type Target struct {
 	closers []func()
 }
 
-// DefaultCommitLatency is the multi-AZ quorum commit model used by the
-// benchmarks: ~2.2 ms base with an exponential tail, yielding ~3 ms
-// median and mid-single-digit-millisecond p99 write latencies under
-// load, matching §6.1.2.2.
-func DefaultCommitLatency() netsim.LatencyModel {
-	return netsim.NewLogNormalish(2200*time.Microsecond, 500*time.Microsecond, 7)
-}
-
 // TargetOpts are the MemoryDB node settings a figure varies; the zero
 // value is the default group-commit batch cap on a single execution shard
 // (so comparisons are unaffected by the host's GOMAXPROCS).
@@ -57,6 +50,15 @@ type TargetOpts struct {
 	// the commit path is the real sharded node, so append pipelining
 	// across shard buffers is measured, not modeled.
 	Shards int
+}
+
+// ShardedArmShards is the execution-shard count of the benchmarks'
+// sharded MemoryDB arm: GOMAXPROCS, floored at 8 so the ablation stays
+// meaningful on small CI runners (where GOMAXPROCS would collapse the
+// sharded arm back to the single-workloop configuration), capped at the
+// keyspace's 64 parts.
+func ShardedArmShards() int {
+	return min(max(runtime.GOMAXPROCS(0), 8), 64)
 }
 
 // NewTarget builds a target for the given system and instance type.
@@ -74,7 +76,7 @@ func NewTarget(sys System, it InstanceType, opts TargetOpts) (*Target, error) {
 	case SystemMemoryDB:
 		svc := txlog.NewService(txlog.Config{
 			Clock:         clock.NewReal(),
-			CommitLatency: DefaultCommitLatency(),
+			CommitLatency: netsim.DefaultCommitLatency(),
 		})
 		log, err := svc.CreateLog("bench-shard")
 		if err != nil {

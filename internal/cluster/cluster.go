@@ -40,9 +40,6 @@ type Config struct {
 	ReplicaReadTimeout time.Duration
 	EngineVersion      uint32
 	ChecksumEvery      int
-	// MaxBatchRecords is forwarded to every node's group-commit buffer
-	// (0 = the core default; 1 disables batching).
-	MaxBatchRecords int
 	// NodeShards is forwarded to every node's execution-shard count
 	// (core.Config.Shards): 0 = core default (MEMORYDB_SHARDS env, else
 	// GOMAXPROCS). Distinct from NumShards, which is the number of
@@ -308,7 +305,6 @@ func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
 		ReplicaReadTimeout: c.cfg.ReplicaReadTimeout,
 		Snapshots:          c.cfg.Snapshots,
 		ChecksumEvery:      c.cfg.ChecksumEvery,
-		MaxBatchRecords:    c.cfg.MaxBatchRecords,
 		Shards:             c.cfg.NodeShards,
 		RetrySeed:          c.cfg.RetrySeed,
 		Faults:             faults,

@@ -1,6 +1,9 @@
 package memsim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestBGSaveReproducesPaperShape(t *testing.T) {
 	cfg := DefaultRedisBGSave()
@@ -101,5 +104,46 @@ func TestCOWReleasedAfterSnapshotCompletes(t *testing.T) {
 	}
 	if !done {
 		t.Fatal("snapshot never completed")
+	}
+}
+
+// TestFigureForklessFlatWhereForkCollapses contrasts the two
+// checkpointers across memory pressure: for each dataset size on the
+// paper's 16 GB host, the fork/COW BGSave arm against the forkless
+// log-tailing builder. The fork arm collapses once COW spills into swap;
+// the forkless arm stays flat at every size because the engine never
+// forks.
+func TestFigureForklessFlatWhereForkCollapses(t *testing.T) {
+	collapsed := 0
+	for _, gb := range []float64{6, 8, 10, 12, 14} {
+		cfg := DefaultRedisBGSave()
+		cfg.DatasetGB = gb
+		fork := SimulateBGSave(cfg, 10, 160)
+		forkless := SimulateForkless(cfg, 10, 60, 160)
+		label := fmt.Sprintf("%gGB", gb)
+		forkP100, forklessP100 := MaxP100(fork), MaxP100(forkless)
+		forkSwap := PeakSwapPct(fork)
+		// The forkless arm must stay flat at every size: bounded tail
+		// latency, throughput within a few percent of steady state, and a
+		// resident footprint that never doubles the dataset.
+		if forklessP100 > 50 {
+			t.Fatalf("%s: forkless p100 %.0fms not flat", label, forklessP100)
+		}
+		if MinThroughput(forkless) < 0.9*MinThroughput(fork) && forkSwap == 0 {
+			t.Fatalf("%s: forkless throughput below healthy fork arm", label)
+		}
+		if mem := MaxMemUsedGB(forkless); mem > 1.5*gb {
+			t.Fatalf("%s: forkless RSS %.1fGB ballooned past dataset %.0fGB", label, mem, gb)
+		}
+		// Fork collapse marker: swap engaged and tail latency in seconds.
+		if forkSwap > 0 && forkP100 > 1000 {
+			collapsed++
+			if forklessP100 > forkP100/10 {
+				t.Fatalf("%s: forkless tail not clearly flat vs collapsed fork arm", label)
+			}
+		}
+	}
+	if collapsed == 0 {
+		t.Fatal("no dataset size collapsed the fork arm — sweep too small to show the contrast")
 	}
 }

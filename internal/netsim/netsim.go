@@ -76,6 +76,14 @@ func (l *LogNormalish) Sample() time.Duration {
 	return l.Base + time.Duration(float64(l.Mean)*x)
 }
 
+// DefaultCommitLatency is the multi-AZ quorum commit model of the paper's
+// evaluation: ~2.2 ms base with an exponential tail, yielding ~3 ms
+// median and mid-single-digit-millisecond p99 write latencies under
+// load, matching §6.1.2.2.
+func DefaultCommitLatency() LatencyModel {
+	return NewLogNormalish(2200*time.Microsecond, 500*time.Microsecond, 7)
+}
+
 // Flag is an atomically switchable fault condition (e.g. a partition).
 // The zero value is "healthy".
 type Flag struct {

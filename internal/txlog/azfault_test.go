@@ -230,11 +230,6 @@ func TestTailReaderReconnectsAcrossOutage(t *testing.T) {
 	if _, _, err := r.TryNext(); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("TryNext during outage: err = %v, want ErrUnavailable", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	if _, err := r.Next(ctx); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("Next during outage: err = %v, want ErrUnavailable", err)
-	}
-	cancel()
 	// A below-quorum zone set is the same condition from the reader's side.
 	svc.SetUnavailable(false)
 	svc.AZ(0).SetDown(true)

@@ -1,7 +1,5 @@
 package txlog
 
-import "context"
-
 // Reader is a tailing cursor over a log's committed entries. Replicas hold
 // one reader each and stream the replication records into their engine.
 // Every read re-verifies the record's append-time CRC before returning
@@ -85,19 +83,4 @@ func (r *Reader) Ready() <-chan struct{} {
 	}
 	l.notifyWanted = true
 	return l.notify
-}
-
-// Next blocks until TryNext delivers an entry or fails, or the context is
-// cancelled.
-func (r *Reader) Next(ctx context.Context) (Entry, error) {
-	for {
-		if e, ok, err := r.TryNext(); ok || err != nil {
-			return e, err
-		}
-		select {
-		case <-r.Ready():
-		case <-ctx.Done():
-			return Entry{}, ctx.Err()
-		}
-	}
 }

@@ -86,9 +86,6 @@ func TestDeleteLogWakesParkedReader(t *testing.T) {
 	if _, _, err := r.TryNext(); !errors.Is(err, ErrNoSuchLog) {
 		t.Fatalf("TryNext on a destroyed log: %v", err)
 	}
-	if _, err := r.Next(context.Background()); !errors.Is(err, ErrNoSuchLog) {
-		t.Fatalf("Next on a destroyed log: %v", err)
-	}
 }
 
 // The log pushes to caught-up subscribers at its own cadence, on its own

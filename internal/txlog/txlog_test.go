@@ -110,39 +110,6 @@ func TestReaderSeesCommittedOrder(t *testing.T) {
 	}
 }
 
-func TestReaderBlockingNext(t *testing.T) {
-	l := newTestLog(t, netsim.Zero{})
-	r := l.NewReader(ZeroID)
-	done := make(chan Entry, 1)
-	go func() {
-		e, err := r.Next(context.Background())
-		if err != nil {
-			return
-		}
-		done <- e
-	}()
-	time.Sleep(5 * time.Millisecond)
-	appendData(t, l, ZeroID, "x")
-	select {
-	case e := <-done:
-		if string(e.Payload) != "x" {
-			t.Fatalf("payload = %q", e.Payload)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocking reader never woke")
-	}
-}
-
-func TestReaderNextContextCancel(t *testing.T) {
-	l := newTestLog(t, netsim.Zero{})
-	r := l.NewReader(ZeroID)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := r.Next(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestLeadershipEpochMonotonic(t *testing.T) {
 	l := newTestLog(t, netsim.Zero{})
 	id, err := l.Append(context.Background(), ZeroID, Entry{Type: EntryLeadership, Epoch: 1})
