@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,12 +16,13 @@ import (
 	"memorydb/internal/txlog"
 )
 
-// Constants of the fixture below: the SHA-256 of its full snapshot file and
-// of its conformance.StateDigest. They pin the snapshot format — and the
+// Constants of the fixture below: the SHA-256 of its full and delta
+// snapshot files and of its conformance.StateDigest. They pin the snapshot format — and the
 // keyspace a restore rebuilds — against any change to how the store holds
 // a value.
 const (
 	goldenSnapshotSHA256 = "c2267f64d0ceff03ab0fd7fe02cec5797b84d772c16193a5f2b5056c7e6fc16c"
+	goldenDeltaSHA256    = "0d2b86436bd7a3ddfc77e2dcb839e32f652ba7673b6607a65143c8e71e9cc391"
 	goldenDigestSHA256   = "84b0b0829bcf7f0437fa939a916ea2200718ca6e5a9c38f3766654f183296388"
 )
 
@@ -85,5 +87,33 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	restored.ResetDB(db)
 	if got := conformance.StateDigest(restored); got != digest {
 		t.Fatalf("restored\n%s\nwant\n%s", got, digest)
+	}
+}
+
+// TestSnapshotDeltaBytesGolden pins the delta kind the same way: every key
+// of the fixture, in sorted order, plus one tombstone.
+func TestSnapshotDeltaBytesGolden(t *testing.T) {
+	e := goldenEngine(t)
+	keys := append(e.DB().Keys("*", e.Now()), "gone")
+	sort.Strings(keys)
+	var buf bytes.Buffer
+	meta := Meta{ShardID: "golden", EngineVersion: 2, LogPos: txlog.EntryID{Seq: 23}, LogChecksum: 0xd1ff,
+		Kind: KindDelta, BasePos: txlog.EntryID{Seq: 17}, ChainDepth: 1}
+	if err := WriteDelta(&buf, e.DB(), keys, meta); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenDeltaSHA256 {
+		t.Errorf("delta snapshot SHA-256 = %s, want %s", got, goldenDeltaSHA256)
+	}
+	db := store.NewDB()
+	db.SetString("gone", []byte("tombstoned"))
+	if got, err := ReadInto(&buf, db); err != nil || got != meta {
+		t.Fatalf("delta: meta %+v, err %v", got, err)
+	}
+	restored := engine.New(clock.NewSim(time.Unix(1700000000, 0)))
+	restored.ResetDB(db)
+	if got, want := conformance.StateDigest(restored), conformance.StateDigest(e); got != want {
+		t.Fatalf("restored\n%s\nwant\n%s", got, want)
 	}
 }
