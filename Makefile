@@ -119,10 +119,11 @@ forkless:
 	$(call matrix,SnapshotCrash)
 	$(GO) test -race -run 'Builder|ChainFallback' ./internal/snapshot/
 
-# Regenerate every table in EXPERIMENTS.md from bench_test.go (about a
-# minute; not part of the tier-1 gate). A figure point is a fixed
-# measurement window, so two iterations suffice; the per-operation
-# ablations need the default benchtime to average over enough ops.
+# Regenerate every table in EXPERIMENTS.md from bench_test.go and the
+# per-layer benches beside the code they measure (about a minute; not part
+# of the tier-1 gate). A figure point is a fixed measurement window, so two
+# iterations suffice; the per-operation ablations and layers need the
+# default benchtime to average over enough ops.
 bench:
 	$(GO) test -run xxx -bench 'Figure|WriteBandwidth|PipelinedWrites' -benchtime 2x .
-	$(GO) test -run xxx -bench 'Ablation|NodeOpPath|EngineDispatch' -benchmem .
+	$(GO) test -run xxx -bench 'Ablation|NodeOpPath|EngineDispatch|BuilderFullPass|Restore' -benchmem . ./internal/core/ ./internal/engine/ ./internal/snapshot/

@@ -313,38 +313,3 @@ func BenchmarkAblationSnapshotFreshness(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkNodeOpPath measures the raw single-op path through the node
-// workloop (tracker + dispatch + engine), no commit latency — the
-// fixed overhead MemoryDB adds over a bare engine call.
-func BenchmarkNodeOpPath(b *testing.B) {
-	n := newBenchNode(b, netsim.Zero{})
-	ctx := context.Background()
-	n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
-	b.Run("GET", func(b *testing.B) {
-		argv := [][]byte{[]byte("GET"), []byte("k")}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n.Do(ctx, argv)
-		}
-	})
-	b.Run("SET", func(b *testing.B) {
-		argv := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n.Do(ctx, argv)
-		}
-	})
-}
-
-// BenchmarkEngineDispatch measures the bare engine (no node, no log) as
-// the baseline for BenchmarkNodeOpPath.
-func BenchmarkEngineDispatch(b *testing.B) {
-	e := engine.New(clock.NewReal())
-	e.Exec([][]byte{[]byte("SET"), []byte("k"), []byte("v")})
-	argv := [][]byte{[]byte("GET"), []byte("k")}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Exec(argv)
-	}
-}

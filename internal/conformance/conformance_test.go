@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"memorydb/internal/engine"
@@ -38,6 +39,53 @@ func TestDifferentialPureFuzz(t *testing.T) {
 	p, r := NewEnginePair()
 	if divergence, _, _ := RunDifferential(g, p, r, 3000); divergence != "" {
 		t.Fatal(divergence)
+	}
+}
+
+// TestEngineKeepsNoArgumentBytes holds the engine to its contract that it
+// copies any argument bytes it keeps: the generator drives the whole
+// command table while every argv byte is overwritten the moment Exec
+// returns, and every record byte the moment Apply returns (a log record
+// is decoded in place, so its arguments are views of it). A twin primary
+// and a twin replica get private copies nobody touches; a command body
+// that kept a view shows up as a different keyspace or dirty-key list.
+func TestEngineKeepsNoArgumentBytes(t *testing.T) {
+	scribble := func(bufs ...[]byte) {
+		for _, b := range bufs {
+			for i := range b {
+				b[i] = ^b[i]
+			}
+		}
+	}
+	for _, cfg := range []GenConfig{{Seed: 1}, {Seed: 2}, {Seed: 3, TemplateBias: -1}, {Seed: 4, TemplateBias: -1}} {
+		g := NewGenerator(cfg)
+		p, r := NewEnginePair()
+		twinP, twinR := NewEnginePair()
+		for i := 0; i < 2000; i++ {
+			args := g.Next()
+			argv, private := make([][]byte, len(args)), make([][]byte, len(args))
+			for j, a := range args {
+				argv[j], private[j] = []byte(a), []byte(a)
+			}
+			res, want := p.Exec(argv), twinP.Exec(private)
+			scribble(argv...)
+			if !slices.Equal(res.Keys, want.Keys) {
+				t.Fatalf("seed %d, %q: dirty keys %q, twin %q", cfg.Seed, args, res.Keys, want.Keys)
+			}
+			if res.Mutated() {
+				keys, _, err := r.ApplyTracked(res.Effects)
+				scribble(res.Effects)
+				wantKeys, _, wantErr := twinR.ApplyTracked(want.Effects)
+				if (err == nil) != (wantErr == nil) || !slices.Equal(keys, wantKeys) {
+					t.Fatalf("seed %d, %q applied: keys %q, %v; twin %q, %v", cfg.Seed, args, keys, err, wantKeys, wantErr)
+				}
+			}
+			for _, e := range [][2]*engine.Engine{{p, twinP}, {r, twinR}} {
+				if got, want := StateDigest(e[0]), StateDigest(e[1]); got != want {
+					t.Fatalf("seed %d, after %q the keyspace held argument bytes:\n%s\ntwin:\n%s", cfg.Seed, args, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -280,3 +280,43 @@ func TestNodeOpAllocations(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNodeOpPath measures the raw single-op path through the node
+// workloop (tracker + dispatch + engine), no commit latency — the fixed
+// overhead MemoryDB adds over a bare engine call (engine's
+// BenchmarkEngineDispatch).
+func BenchmarkNodeOpPath(b *testing.B) {
+	log, err := txlog.NewService(txlog.Config{Clock: clock.NewReal()}).CreateLog("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := NewNode(Config{
+		NodeID: "bench", ShardID: log.ShardID(), Log: log,
+		Lease: 500 * time.Millisecond, Backoff: 650 * time.Millisecond,
+		RenewEvery: 100 * time.Millisecond,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n.Start()
+	b.Cleanup(n.Stop)
+	for n.Role() != election.RolePrimary {
+		time.Sleep(time.Millisecond)
+	}
+	ctx := context.Background()
+	n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
+	b.Run("GET", func(b *testing.B) {
+		argv := [][]byte{[]byte("GET"), []byte("k")}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n.Do(ctx, argv)
+		}
+	})
+	b.Run("SET", func(b *testing.B) {
+		argv := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n.Do(ctx, argv)
+		}
+	})
+}

@@ -184,7 +184,9 @@ func (e *Engine) ResetDB(db *store.DB) { e.db = db }
 func (e *Engine) Now() time.Time { return e.clk.Now() }
 
 // Exec executes one command, returning the reply and the replication
-// effects. Only the node workloop may call it.
+// effects. Only the node workloop may call it. The engine copies any
+// argument bytes it keeps, so argv is the caller's again once Exec
+// returns; the reply may still view it.
 func (e *Engine) Exec(argv [][]byte) Result {
 	e.effects = nil
 	e.dirtyKeys = nil
@@ -211,7 +213,9 @@ func (e *Engine) ExecBatch(cmds [][][]byte) Result {
 
 // Apply executes a replicated record payload: one or more RESP-encoded
 // commands, applied without generating further effects. Replicas and
-// recovering nodes use this to consume the transaction log.
+// recovering nodes use this to consume the transaction log. The commands
+// run on views of record (DecodeRecord) and, as under Exec, the engine
+// copies what it keeps: record is the caller's again once Apply returns.
 func (e *Engine) Apply(record []byte) error {
 	_, _, err := e.ApplyTracked(record)
 	return err
@@ -239,7 +243,11 @@ func (e *Engine) ApplyTracked(record []byte) (keys []string, wholesale bool, err
 		if bytes.EqualFold(argv[0], flushAll) || bytes.EqualFold(argv[0], flushDB) {
 			wholesale = true
 		}
-		keys = append(keys, e.dirtyKeys...)
+		if keys == nil {
+			keys = e.dirtyKeys // the next command starts a new list
+		} else {
+			keys = append(keys, e.dirtyKeys...)
+		}
 	}
 	return dedup(keys), wholesale, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 
@@ -233,7 +234,7 @@ func cmdLInsert(e *Engine, argv [][]byte) resp.Value {
 	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	if !obj.List().Insert(argv[3], argv[4], before) {
+	if !obj.List().Insert(argv[3], bytes.Clone(argv[4]), before) {
 		return resp.Int64(-1)
 	}
 	e.db.AdjustUsed(int64(len(argv[4])))

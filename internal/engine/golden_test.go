@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
+
+	"memorydb/internal/clock"
 )
 
 // goldenRecordSHA256 was computed at the commit before Result.Effects
@@ -84,12 +87,26 @@ var goldenCommands = []string{
 	"PFMERGE p2 p1",
 }
 
-// TestRecordBytesGolden pins the log's byte format: the record the engine
-// produces for a fixed command list — then an expired key read lazily, a
-// MULTI group and an active-expiry sweep — hashes to a constant.
+// TestRecordBytesGolden pins the log's byte format: the records the
+// engine produces for a fixed command list — then an expired key read
+// lazily, a MULTI group and an active-expiry sweep — hash to a constant.
 func TestRecordBytesGolden(t *testing.T) {
-	e, clk, _ := testEngine(t)
-	var log []byte
+	log := bytes.Join(goldenRecords(t), nil)
+	if _, err := DecodeRecord(log); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(log)
+	if got := hex.EncodeToString(sum[:]); got != goldenRecordSHA256 {
+		t.Fatalf("record bytes moved: sha256 %s, want %s\n%q", got, goldenRecordSHA256, log)
+	}
+}
+
+// goldenRecords returns the records TestRecordBytesGolden hashes, in order.
+func goldenRecords(t testing.TB) [][]byte {
+	t.Helper()
+	clk := clock.NewSim(time.Unix(1700000000, 0))
+	e := New(clk)
+	var records [][]byte
 	for _, line := range goldenCommands {
 		res := exec(e, strings.Fields(line)...)
 		if res.Reply.IsError() {
@@ -98,7 +115,7 @@ func TestRecordBytesGolden(t *testing.T) {
 		if !res.Mutated() {
 			t.Fatalf("%s produced no effect", line)
 		}
-		log = append(log, res.Effects...)
+		records = append(records, res.Effects)
 	}
 	// s3 expires and a GET reaps it lazily; s6 expires next and is swept
 	// (one key per step: the sweep visits a map, so its order is not fixed).
@@ -107,7 +124,7 @@ func TestRecordBytesGolden(t *testing.T) {
 	if !res.Reply.Null || !res.Mutated() {
 		t.Fatalf("lazy expiry: reply %v, mutated %v", res.Reply, res.Mutated())
 	}
-	log = append(log, res.Effects...)
+	records = append(records, res.Effects)
 	res = e.ExecBatch([][][]byte{
 		{[]byte("SET"), []byte("g1"), []byte("1")},
 		{[]byte("INCR"), []byte("g1")},
@@ -115,21 +132,13 @@ func TestRecordBytesGolden(t *testing.T) {
 		{[]byte("SPOP"), []byte("t2")},
 		{[]byte("EXPIRE"), []byte("g1"), []byte("30")},
 	})
-	log = append(log, res.Effects...)
+	records = append(records, res.Effects)
 	clk.Advance(time.Second)
 	res = e.SweepExpired(100)
 	if len(res.Keys) != 1 || res.Keys[0] != "s6" {
 		t.Fatalf("sweep reaped %v, want s6", res.Keys)
 	}
-	log = append(log, res.Effects...)
-
-	if _, err := DecodeRecord(log); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(log)
-	if got := hex.EncodeToString(sum[:]); got != goldenRecordSHA256 {
-		t.Fatalf("record bytes moved: sha256 %s, want %s\n%q", got, goldenRecordSHA256, log)
-	}
+	return append(records, res.Effects)
 }
 
 // TestEffectsNeverAliased: the record one call returned is the caller's —

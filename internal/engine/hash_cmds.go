@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"sort"
 	"strconv"
 
@@ -55,7 +56,7 @@ func cmdHSet(e *Engine, argv [][]byte) resp.Value {
 			added++
 		}
 		e.db.AdjustUsed(int64(len(argv[i+1]) - len(old)))
-		obj.Hash()[f] = argv[i+1]
+		obj.Hash()[f] = bytes.Clone(argv[i+1])
 	}
 	e.touch(key)
 	e.propagateVerbatim(argv)
@@ -79,7 +80,7 @@ func cmdHSetNX(e *Engine, argv [][]byte) resp.Value {
 	if _, exists := obj.Hash()[f]; exists {
 		return resp.Int64(0)
 	}
-	obj.Hash()[f] = argv[3]
+	obj.Hash()[f] = bytes.Clone(argv[3])
 	e.db.AdjustUsed(int64(len(argv[3])))
 	e.touch(key)
 	e.propagateVerbatim(argv)

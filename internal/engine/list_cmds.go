@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strconv"
 
 	"memorydb/internal/resp"
@@ -45,6 +46,7 @@ func pushGeneric(e *Engine, argv [][]byte, front, mustExist bool) resp.Value {
 		return resp.Int64(0)
 	}
 	for _, v := range argv[2:] {
+		v = bytes.Clone(v)
 		if front {
 			obj.List().PushFront(v)
 		} else {
@@ -222,7 +224,7 @@ func cmdLSet(e *Engine, argv [][]byte) resp.Value {
 	if !obj.Exists() {
 		return resp.Err("ERR no such key")
 	}
-	if !obj.List().SetIndex(int(idx), argv[3]) {
+	if !obj.List().SetIndex(int(idx), bytes.Clone(argv[3])) {
 		return resp.Err("ERR index out of range")
 	}
 	e.touch(key)

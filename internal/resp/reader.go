@@ -30,13 +30,7 @@ type Reader struct {
 }
 
 // NewReader wraps r in a RESP decoder with a socket-sized buffer.
-func NewReader(r io.Reader) *Reader { return NewReaderSize(r, 64<<10) }
-
-// NewReaderSize is NewReader with a read buffer of at most size bytes (and
-// at most NewReader's): for decoding an in-memory payload of known length.
-func NewReaderSize(r io.Reader, size int) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, min(size, 64<<10))}
-}
+func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReaderSize(r, 64<<10)} }
 
 // ReadValue decodes the next RESP value.
 func (r *Reader) ReadValue() (Value, error) {
@@ -83,7 +77,7 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return splitInline(line), nil
+		return SplitInline(line), nil
 	}
 	n, err := r.readInt()
 	if err != nil {
@@ -113,7 +107,9 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 	return argv, nil
 }
 
-func splitInline(line []byte) [][]byte {
+// SplitInline splits an inline command line at spaces and tabs into its
+// arguments, each a capped view of line.
+func SplitInline(line []byte) [][]byte {
 	var out [][]byte
 	i := 0
 	for i < len(line) {
@@ -125,7 +121,7 @@ func splitInline(line []byte) [][]byte {
 			i++
 		}
 		if i > start {
-			out = append(out, line[start:i])
+			out = append(out, line[start:i:i])
 		}
 	}
 	return out

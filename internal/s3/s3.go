@@ -65,19 +65,21 @@ func (s *Store) simulate() error {
 	return nil
 }
 
-// Put stores data under key, copying the bytes.
+// Put stores data under key. The store keeps the caller's slice rather
+// than a copy, so the caller hands data over and must not write to it
+// again; every caller gives it a buffer it built for the upload.
 func (s *Store) Put(key string, data []byte) error {
 	if err := s.simulate(); err != nil {
 		return err
 	}
-	cp := append([]byte(nil), data...)
 	s.mu.Lock()
-	s.objects[key] = cp
+	s.objects[key] = data
 	s.mu.Unlock()
 	return nil
 }
 
-// Get returns a copy of the object at key.
+// Get returns a copy of the object at key: readers share nothing with the
+// store or with each other.
 func (s *Store) Get(key string) ([]byte, error) {
 	if err := s.simulate(); err != nil {
 		return nil, err

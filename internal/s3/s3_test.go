@@ -40,14 +40,18 @@ func TestGetReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestPutCopiesInput(t *testing.T) {
+// TestPutKeepsCallersSlice pins Put's side of the ownership contract: the
+// store keeps the slice it is handed, so an object costs what its caller
+// allocated for it and no copy. Readers still never share it (see
+// TestGetReturnsCopy).
+func TestPutKeepsCallersSlice(t *testing.T) {
 	s := New()
-	data := []byte("abc")
-	s.Put("k", data)
-	data[0] = 'X'
-	got, _ := s.Get("k")
-	if string(got) != "abc" {
-		t.Fatal("Put aliased caller's buffer")
+	data := make([]byte, 1<<16)
+	if allocs := testing.AllocsPerRun(10, func() { s.Put("k", data) }); allocs != 0 {
+		t.Fatalf("Put allocated %v times, want 0", allocs)
+	}
+	if got, err := s.Get("k"); err != nil || len(got) != len(data) || &got[0] == &data[0] {
+		t.Fatalf("Get returned %d bytes (shared: %v), %v", len(got), err == nil && &got[0] == &data[0], err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -191,8 +190,14 @@ func (b *Builder) Tick(ctx context.Context) error {
 	if b.pos.Seq-b.lastEmit.Seq < b.deltaInterval() {
 		return nil
 	}
-	_, err := b.emit(b.needFull || b.deltasSinceFull >= b.compactEvery())
+	_, err := b.emit(b.fullDue())
 	return err
+}
+
+// fullDue reports whether the next emit is a full snapshot: there is no
+// base to layer a delta on, or the chain has reached CompactEvery deltas.
+func (b *Builder) fullDue() bool {
+	return b.needFull || b.deltasSinceFull >= b.compactEvery()
 }
 
 // Full catches up with the log and dumps the private copy as a full
@@ -287,8 +292,14 @@ func (b *Builder) drain() error {
 }
 
 // applyTracked is the replayer's callback: apply one data entry to the
-// private copy, remembering which keys it changed.
+// private copy, remembering which keys it changed for the next delta. A
+// full emit reads the whole copy and clears the dirty set, and a failed
+// one leaves the full still due, so while a full is due nothing is
+// tracked.
 func (b *Builder) applyTracked(e txlog.Entry) error {
+	if b.fullDue() {
+		return b.eng.Apply(e.Payload)
+	}
 	keys, wholesale, err := b.eng.ApplyTracked(e.Payload)
 	if err != nil {
 		return err
@@ -342,24 +353,17 @@ func (b *Builder) emit(full bool) (Meta, error) {
 		LogPos: b.pos, LogChecksum: b.replay.Sum(), Kind: KindFull,
 	}
 	sites, hist := fullSites, "snapshot"
-	var buf bytes.Buffer
-	var err error
-	if full {
-		err = Write(&buf, b.eng.DB(), meta)
-	} else {
+	var keys []string
+	if !full {
 		sites, hist = deltaSites, "snapshot_delta"
 		meta.Kind, meta.BasePos, meta.ChainDepth = KindDelta, b.lastEmit, b.chainDepth+1
-		keys := make([]string, 0, len(b.dirty))
+		keys = make([]string, 0, len(b.dirty))
 		for k := range b.dirty {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys) // deterministic bodies for a given dirty set
-		err = WriteDelta(&buf, b.eng.DB(), keys, meta)
 	}
-	if err != nil {
-		return Meta{}, fmt.Errorf("builder: %s serialize: %w", meta.Kind, err)
-	}
-	data := buf.Bytes()
+	data := encodeFile(b.eng.DB(), full, keys, meta)
 	if b.Obs != nil {
 		b.Obs.Named(hist + "_build").ObserveNanos(obs.Now() - buildStart)
 	}

@@ -1,8 +1,9 @@
 // Package snapshot implements MemoryDB's point-in-time snapshots: a
 // compact, checksummed serialization of the keyspace stamped with the
 // transaction log position (and running log checksum) it covers. The
-// package also provides the off-box snapshotter (§4.2.2), the restore
-// rehearsal verifier (§7.2.1), and the freshness-based scheduler (§4.2.3).
+// package also provides the off-box snapshotter (§4.2.2), its
+// verify-then-trim coordinator, and the restore rehearsal verifier
+// (§7.2.1).
 package snapshot
 
 import (
@@ -83,44 +84,10 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // snapshot must not second-guess it with its own clock.
 func timeZero() time.Time { return time.Time{} }
 
-// writeFile frames meta+body with the V2 header and whole-file CRC64.
-// Everything before the stored sum — header, meta, body length, and body
-// — is covered, so a flipped byte anywhere in the file (not just the
-// body; a corrupted LogPos, BasePos or LogChecksum would silently poison
-// the restore rehearsal or snap the chain) is detected before a restore
-// is attempted.
-func writeFile(w io.Writer, meta Meta, body []byte) error {
-	var hdr bytes.Buffer
-	hdr.Write(magicHeaderV2)
-	putString(&hdr, meta.ShardID)
-	putU32(&hdr, meta.EngineVersion)
-	putU64(&hdr, meta.LogPos.Seq)
-	putU64(&hdr, meta.LogChecksum)
-	hdr.WriteByte(uint8(meta.Kind))
-	putU64(&hdr, meta.BasePos.Seq)
-	putU32(&hdr, meta.ChainDepth)
-	putU64(&hdr, uint64(len(body)))
-	sum := crc64.Update(crc64.Checksum(hdr.Bytes(), crcTable), crcTable, body)
-	trailer := append(binary.BigEndian.AppendUint64(nil, sum), magicFooter...)
-	for _, b := range [][]byte{hdr.Bytes(), body, trailer} {
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Write serializes db and meta to w as a full snapshot body.
+// Write serializes db and meta to w as a full snapshot.
 func Write(w io.Writer, db *store.DB, meta Meta) error {
-	var body bytes.Buffer
-	// Snapshot writers run on quiescent copies (off-box replicas, the
-	// builder's private keyspace), so a plain iteration is a consistent
-	// cut.
-	db.ForEach(timeZero(), func(key string, obj store.Object, expireAt int64) bool {
-		encodeObject(&body, key, obj, expireAt)
-		return true
-	})
-	return writeFile(w, meta, body.Bytes())
+	_, err := w.Write(encodeFile(db, true, nil, meta))
+	return err
 }
 
 // WriteDelta serializes an incremental snapshot: for each key in keys,
@@ -128,18 +95,75 @@ func Write(w io.Writer, db *store.DB, meta Meta) error {
 // a tombstone if the key no longer exists. meta must carry Kind=KindDelta
 // and the parent link in BasePos.
 func WriteDelta(w io.Writer, db *store.DB, keys []string, meta Meta) error {
-	var body bytes.Buffer
-	for _, key := range keys {
-		if obj, ok := db.Peek(key); ok {
+	_, err := w.Write(encodeFile(db, false, keys, meta))
+	return err
+}
+
+// encodeFile is the one snapshot encoder. A full body holds every key of
+// db; snapshot writers run on quiescent copies (off-box replicas, the
+// builder's private keyspace), so a plain iteration is a consistent cut,
+// and a second one visits the same keys in the same order. A delta body
+// holds each of keys, or its tombstone. The body is sized before any of
+// it is written — a string or a tombstone from its lengths, an aggregate
+// by encoding it into a reused scratch buffer — so the file is one
+// allocation of exactly its size, which the caller owns: the builder
+// uploads it as it is and S3 keeps it.
+func encodeFile(db *store.DB, full bool, keys []string, meta Meta) []byte {
+	each := func(visit func(key string, obj store.Object, expireAt int64)) {
+		if full {
+			db.ForEach(timeZero(), func(key string, obj store.Object, expireAt int64) bool {
+				visit(key, obj, expireAt)
+				return true
+			})
+		}
+		for _, key := range keys {
+			obj, _ := db.Peek(key)
 			expireAt, _ := db.ExpireAt(key)
-			encodeObject(&body, key, obj, expireAt)
-		} else {
-			putString(&body, key) // a deletion record: no expiry, no payload
-			putU64(&body, 0)
-			body.WriteByte(wireTombstone)
+			visit(key, obj, expireAt)
 		}
 	}
-	return writeFile(w, meta, body.Bytes())
+	var scratch []byte
+	bodyLen := 0
+	each(func(key string, obj store.Object, expireAt int64) {
+		switch obj.Kind() {
+		case store.KindNone:
+			bodyLen += 4 + len(key) + 8 + 1
+		case store.KindString:
+			bodyLen += 4 + len(key) + 8 + 1 + 4 + len(obj.Str())
+		default:
+			scratch = appendObject(scratch[:0], key, obj, expireAt)
+			bodyLen += len(scratch)
+		}
+	})
+	return frame(meta, bodyLen, func(b []byte) []byte {
+		each(func(key string, obj store.Object, expireAt int64) {
+			b = appendObject(b, key, obj, expireAt)
+		})
+		return b
+	})
+}
+
+// frame lays out a snapshot file around the bodyLen bytes body appends:
+// the V2 header, the body, and a whole-file CRC64. Everything before the
+// stored sum — header, meta, body length, and body — is covered, so a
+// flipped byte anywhere in the file (not just the body; a corrupted
+// LogPos, BasePos or LogChecksum would silently poison the restore
+// rehearsal or snap the chain) is detected before a restore is attempted.
+func frame(meta Meta, bodyLen int, body func([]byte) []byte) []byte {
+	const fixed = 4 + 8 + 8 + 1 + 8 + 4 + 8 // version … body length
+	b := make([]byte, 0, len(magicHeaderV2)+4+len(meta.ShardID)+fixed+bodyLen+8+len(magicFooter))
+	b = append(b, magicHeaderV2...)
+	b = appendString(b, meta.ShardID)
+	b = binary.BigEndian.AppendUint32(b, meta.EngineVersion)
+	b = binary.BigEndian.AppendUint64(b, meta.LogPos.Seq)
+	b = binary.BigEndian.AppendUint64(b, meta.LogChecksum)
+	b = append(b, uint8(meta.Kind))
+	b = binary.BigEndian.AppendUint64(b, meta.BasePos.Seq)
+	b = binary.BigEndian.AppendUint32(b, meta.ChainDepth)
+	b = binary.BigEndian.AppendUint64(b, uint64(bodyLen))
+	b = body(b)
+	b = binary.BigEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
+	return append(b, magicFooter...)
 }
 
 // Read parses a snapshot, returning a freshly built keyspace and its
@@ -253,59 +277,59 @@ const (
 	wireTombstone byte = 7
 )
 
-// encodeObject appends key's record to a body: the key, its expiration,
-// the wire kind, then the value. A bytes.Buffer takes every write.
-func encodeObject(w *bytes.Buffer, key string, obj store.Object, expireAt int64) {
-	putString(w, key)
-	putU64(w, uint64(expireAt))
+// appendObject appends key's record to a body: the key, its expiration,
+// the wire kind, then the value — or, for no object, a tombstone.
+func appendObject(b []byte, key string, obj store.Object, expireAt int64) []byte {
+	b = appendString(b, key)
+	if !obj.Exists() {
+		b = binary.BigEndian.AppendUint64(b, 0) // a deletion: no expiry, no payload
+		return append(b, wireTombstone)
+	}
+	b = binary.BigEndian.AppendUint64(b, uint64(expireAt))
 	switch obj.Kind() {
 	case store.KindString:
-		w.WriteByte(wireString)
-		putBytes(w, obj.Str())
+		b = appendString(append(b, wireString), obj.Str())
 	case store.KindHash:
-		w.WriteByte(wireHash)
-		putU32(w, uint32(len(obj.Hash())))
+		b = binary.BigEndian.AppendUint32(append(b, wireHash), uint32(len(obj.Hash())))
 		for f, v := range obj.Hash() {
-			putString(w, f)
-			putBytes(w, v)
+			b = appendString(appendString(b, f), v)
 		}
 	case store.KindList:
-		w.WriteByte(wireList)
-		putU32(w, uint32(obj.List().Len()))
+		b = binary.BigEndian.AppendUint32(append(b, wireList), uint32(obj.List().Len()))
 		obj.List().Walk(func(v []byte) bool {
-			putBytes(w, v)
+			b = appendString(b, v)
 			return true
 		})
 	case store.KindSet:
-		w.WriteByte(wireSet)
-		putU32(w, uint32(len(obj.Set())))
+		b = binary.BigEndian.AppendUint32(append(b, wireSet), uint32(len(obj.Set())))
 		for m := range obj.Set() {
-			putString(w, m)
+			b = appendString(b, m)
 		}
 	case store.KindZSet:
-		w.WriteByte(wireZSet)
-		putU32(w, uint32(obj.ZSet().Len()))
+		b = binary.BigEndian.AppendUint32(append(b, wireZSet), uint32(obj.ZSet().Len()))
 		for _, en := range obj.ZSet().Range(0, obj.ZSet().Len()-1) {
-			putString(w, en.Member)
-			putU64(w, math.Float64bits(en.Score))
+			b = binary.BigEndian.AppendUint64(appendString(b, en.Member), math.Float64bits(en.Score))
 		}
 	case store.KindStream:
-		w.WriteByte(wireStream)
-		putU32(w, uint32(obj.Stream().Len()))
+		b = binary.BigEndian.AppendUint32(append(b, wireStream), uint32(obj.Stream().Len()))
 		obj.Stream().Walk(func(en store.StreamEntry) bool {
-			putU64(w, en.ID.Ms)
-			putU64(w, en.ID.Seq)
-			putU32(w, uint32(len(en.Fields)))
+			b = binary.BigEndian.AppendUint64(b, en.ID.Ms)
+			b = binary.BigEndian.AppendUint64(b, en.ID.Seq)
+			b = binary.BigEndian.AppendUint32(b, uint32(len(en.Fields)))
 			for _, f := range en.Fields {
-				putBytes(w, f)
+				b = appendString(b, f)
 			}
 			return true
 		})
 	}
+	return b
 }
 
+// decodeObject applies one record to db. A string's key and value are
+// copied once, into the buffer SetString stores; only an aggregate's key
+// is a string of its own.
 func decodeObject(r *cursor, db *store.DB) error {
-	key, err := r.str()
+	k, err := r.lenPrefixed()
 	if err != nil {
 		return err
 	}
@@ -318,17 +342,18 @@ func decodeObject(r *cursor, db *store.DB) error {
 	if err != nil {
 		return err
 	}
-	var obj store.Object // strings are stored as they are read
+	var key string
+	var obj store.Object
 	switch kind[0] {
 	case wireTombstone:
-		db.Delete(key, timeZero())
+		db.Delete(string(k), timeZero())
 		return nil
 	case wireString:
-		v, err := r.bytes()
+		v, err := r.lenPrefixed()
 		if err != nil {
 			return err
 		}
-		key = db.SetString(key, v)
+		key = db.SetString(string(k), v)
 	case wireHash:
 		n, err := r.count()
 		if err != nil {
@@ -419,6 +444,7 @@ func decodeObject(r *cursor, db *store.DB) error {
 		return fmt.Errorf("%w: unknown object kind %d", ErrBadSnapshot, kind[0])
 	}
 	if obj.Exists() {
+		key = string(k)
 		db.Set(key, obj)
 	}
 	if expireAt > 0 {
@@ -427,22 +453,9 @@ func decodeObject(r *cursor, db *store.DB) error {
 	return nil
 }
 
-func putU32(w *bytes.Buffer, n uint32) {
-	w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), n))
-}
-
-func putU64(w *bytes.Buffer, n uint64) {
-	w.Write(binary.BigEndian.AppendUint64(w.AvailableBuffer(), n))
-}
-
-func putString(w *bytes.Buffer, s string) {
-	putU32(w, uint32(len(s)))
-	w.WriteString(s)
-}
-
-func putBytes(w *bytes.Buffer, b []byte) {
-	putU32(w, uint32(len(b)))
-	w.Write(b)
+// appendString appends a length-prefixed string or byte string.
+func appendString[T ~string | ~[]byte](b []byte, s T) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...)
 }
 
 // cursor reads encoded bytes front to back. Every length it meets is

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"io"
 	"testing"
 
 	"memorydb/internal/store"
@@ -84,4 +85,11 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// writeFile frames an arbitrary body as a snapshot file whose checksum is
+// valid.
+func writeFile(w io.Writer, meta Meta, body []byte) error {
+	_, err := w.Write(frame(meta, len(body), func(b []byte) []byte { return append(b, body...) }))
+	return err
 }

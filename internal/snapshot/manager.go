@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -83,14 +82,11 @@ func (m *Manager) key(shardID string, pos txlog.EntryID) string {
 
 // Save serializes db+meta and uploads it.
 func (m *Manager) Save(db *store.DB, meta Meta) error {
-	var buf bytes.Buffer
-	if err := Write(&buf, db, meta); err != nil {
-		return err
-	}
-	return m.store.Put(m.key(meta.ShardID, meta.LogPos), buf.Bytes())
+	return m.store.Put(m.key(meta.ShardID, meta.LogPos), encodeFile(db, true, nil, meta))
 }
 
-// SaveRaw uploads pre-serialized snapshot bytes.
+// SaveRaw uploads pre-serialized snapshot bytes. The store keeps data as
+// it is, so the caller hands it over and must not write to it again.
 func (m *Manager) SaveRaw(shardID string, pos txlog.EntryID, data []byte) error {
 	return m.store.Put(m.key(shardID, pos), data)
 }
