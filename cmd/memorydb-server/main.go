@@ -95,10 +95,15 @@ func main() {
 	var backend server.Backend
 	switch *mode {
 	case "memorydb":
+		faults, err := faultRegistryFromEnv()
+		if err != nil {
+			log.Fatalf("MEMORYDB_FAULTPOINTS: %v", err)
+		}
 		svc := txlog.NewService(txlog.Config{
 			Clock:         clock.NewReal(),
 			CommitLatency: fixedOr(*commitLat),
 			SegmentBytes:  *segmentBytes,
+			Faults:        faults,
 			Trace:         collector,
 			Flight:        trace.NewFlight("txlog", *flightEvents),
 		})
@@ -109,11 +114,7 @@ func main() {
 		for _, az := range svc.AZs() {
 			metrics.RegisterHistogram("az_append", fmt.Sprintf("az=%q", az.Name()), az.AckLatency())
 		}
-		snaps := snapshot.NewManager(s3.New(), "snapshots")
-		faults, err := faultRegistryFromEnv()
-		if err != nil {
-			log.Fatalf("MEMORYDB_FAULTPOINTS: %v", err)
-		}
+		snaps := snapshot.NewManager(s3.New(s3.WithFaults(faults)), "snapshots")
 		node, err := core.NewNode(core.Config{
 			NodeID:             "node-0",
 			ShardID:            "shard-0",
@@ -145,6 +146,7 @@ func main() {
 				EngineVersion: 1,
 				DeltaInterval: uint64(*deltaInterval),
 				CompactEvery:  *compactEvery,
+				Faults:        faults,
 				Obs:           metrics,
 				Flight:        node.FlightRecorder(),
 			}
@@ -205,10 +207,12 @@ func main() {
 	fmt.Println("shutting down")
 }
 
-// faultRegistryFromEnv builds the node's crash-fault registry from the
+// faultRegistryFromEnv builds the process's one fault registry from the
 // MEMORYDB_FAULTPOINTS spec ("site=kind[@N|:prob]" clauses separated by
-// ';' — see faultpoint.Parse) seeded by MEMORYDB_CRASH_SEED. Returns nil
-// (faults disabled, zero overhead) when the spec is unset.
+// ';' — see faultpoint.Parse) seeded by MEMORYDB_CRASH_SEED. The log
+// service, the node, the snapshot builder and the S3 store all consult
+// it, so e.g. 'txlog.az-1.ack=error:1' takes a zone down. Returns nil
+// (faults disabled) when the spec is unset.
 func faultRegistryFromEnv() (*faultpoint.Registry, error) {
 	spec := os.Getenv("MEMORYDB_FAULTPOINTS")
 	if spec == "" {

@@ -2,12 +2,10 @@ package baseline
 
 import (
 	"bytes"
-	"context"
 	"sync"
 	"time"
 
 	"memorydb/internal/clock"
-	"memorydb/internal/engine"
 )
 
 // FsyncMode selects the AOF durability policy (§2.2.1).
@@ -45,14 +43,6 @@ type AOF struct {
 	fsyncs   int64
 }
 
-// NewAOF returns an AOF with the given policy.
-func NewAOF(mode FsyncMode, fsyncLatency time.Duration, clk clock.Clock) *AOF {
-	if clk == nil {
-		clk = clock.NewReal()
-	}
-	return &AOF{Mode: mode, FsyncLatency: fsyncLatency, Clock: clk, lastSync: clk.Now()}
-}
-
 // Append records one replication record according to the fsync policy.
 func (a *AOF) Append(payload []byte) {
 	a.mu.Lock()
@@ -86,41 +76,9 @@ func (a *AOF) fsyncLocked() {
 	a.fsyncs++
 }
 
-// DurableBytes returns the size of the synced prefix.
-func (a *AOF) DurableBytes() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.synced.Len()
-}
-
-// UnsyncedBytes returns the size of the tail that a crash would lose.
-func (a *AOF) UnsyncedBytes() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.unsynced.Len()
-}
-
 // Stats returns (appends, fsyncs).
 func (a *AOF) Stats() (int64, int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.appends, a.fsyncs
-}
-
-// RecoverInto replays the durable prefix into a fresh node — the state a
-// crashed single node restarts with. Unsynced bytes are lost, exactly as
-// after a power failure.
-func (a *AOF) RecoverInto(ctx context.Context, n *Node) error {
-	a.mu.Lock()
-	data := append([]byte(nil), a.synced.Bytes()...)
-	a.mu.Unlock()
-	cmds, err := engine.DecodeRecord(data)
-	if err != nil {
-		return err
-	}
-	return n.ExecInWorkloop(ctx, func() {
-		for _, argv := range cmds {
-			n.eng.Exec(argv)
-		}
-	})
 }

@@ -264,24 +264,3 @@ func (n *Node) replApplyLoop() {
 
 // Engine exposes the node's engine (tests, snapshot experiments).
 func (n *Node) Engine() *engine.Engine { return n.eng }
-
-// ExecInWorkloop runs fn inside the workloop (BGSave-style consistent
-// access to the keyspace).
-func (n *Node) ExecInWorkloop(ctx context.Context, fn func()) error {
-	t := &task{snapshotW: fn, reply: make(chan resp.Value, 1)}
-	select {
-	case n.tasks <- t:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.stopCh:
-		return ErrStopped
-	}
-	select {
-	case <-t.reply:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.stopCh:
-		return ErrStopped
-	}
-}

@@ -17,7 +17,6 @@ import (
 	"memorydb/internal/crc16"
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
-	"memorydb/internal/netsim"
 	"memorydb/internal/resp"
 	"memorydb/internal/snapshot"
 	"memorydb/internal/trace"
@@ -49,12 +48,8 @@ type Config struct {
 	// RetrySeed seeds every node's transient-failure retry jitter, so
 	// fixed-seed chaos schedules reproduce.
 	RetrySeed int64
-	// Faults provisions every node with its own crash-fault registry
-	// (seeded from FaultSeed plus a stable per-node index), enabling the
-	// Kill/Restart/Resurrect lifecycle and site-level fault schedules.
-	// A restarted node keeps its predecessor's registry, so hit/fired
-	// accounting spans the node's whole identity, not one incarnation.
-	Faults    bool
+	// FaultSeed seeds every node's fault registry (plus a stable hash of
+	// the node's identity), so fixed-seed site schedules reproduce.
 	FaultSeed int64
 	// Trace, when set, is shared by every node (and the log service, when
 	// it carries the same collector): one command's spans land in one
@@ -95,16 +90,12 @@ type Cluster struct {
 	blockedSlots map[uint16]bool
 	nodeSeq      int
 	shardSeq     int
-	// faults maps nodeID → its crash-fault registry (Config.Faults only).
-	// Keyed by identity, not incarnation: Restart hands the replacement
-	// process the same registry.
+	// faults maps nodeID → its fault registry. Keyed by identity, not
+	// incarnation: a replacement process under the same ID gets the same
+	// registry, so hit/fired accounting spans the node's whole identity
+	// and a raised node.partition level (which cuts only the node↔txlog
+	// link — clients still reach the node) outlives a restart.
 	faults map[string]*faultpoint.Registry
-	// partitions maps nodeID → its log-partition flag. Keyed by identity
-	// like faults, so a restarted node comes back on the same (possibly
-	// still partitioned) network path. The flag cuts only the node↔txlog
-	// link — clients still reach the node — which is exactly the
-	// asymmetric partition the chaos nemesis needs.
-	partitions map[string]*netsim.Flag
 	// flights maps nodeID → its flight-recorder ring, identity-keyed like
 	// faults (see flight.go).
 	flights map[string]*trace.Flight
@@ -176,7 +167,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.LogService == nil {
 		return nil, errors.New("cluster: Config.LogService is required")
 	}
-	c := &Cluster{cfg: cfg, blockedSlots: make(map[uint16]bool)}
+	c := &Cluster{cfg: cfg, blockedSlots: make(map[uint16]bool), faults: make(map[string]*faultpoint.Registry)}
 	for i := 0; i < cfg.NumShards; i++ {
 		sh, err := c.addShard()
 		if err != nil {
@@ -214,10 +205,6 @@ func (c *Cluster) addShard() (*Shard, error) {
 	return sh, nil
 }
 
-// AddShard scales out: a new shard with no slots (use MigrateSlot to move
-// load onto it).
-func (c *Cluster) AddShard() (*Shard, error) { return c.addShard() }
-
 // addNode provisions one node into sh, placed round-robin across AZs.
 func (c *Cluster) addNode(sh *Shard) (*core.Node, error) {
 	c.mu.Lock()
@@ -228,16 +215,13 @@ func (c *Cluster) addNode(sh *Shard) (*core.Node, error) {
 	return c.addNodeAs(sh, nodeID, az)
 }
 
-// nodeFaults returns (creating on first use) the crash-fault registry for
+// nodeFaults returns (creating on first use) the fault registry for
 // nodeID. Seeds are derived from FaultSeed plus a stable FNV hash of the
 // node's identity, so a fixed seed reproduces the same per-node schedules
 // regardless of provisioning interleaving.
 func (c *Cluster) nodeFaults(nodeID string) *faultpoint.Registry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.faults == nil {
-		c.faults = make(map[string]*faultpoint.Registry)
-	}
 	r, ok := c.faults[nodeID]
 	if !ok {
 		var h uint64 = 14695981039346656037
@@ -251,47 +235,10 @@ func (c *Cluster) nodeFaults(nodeID string) *faultpoint.Registry {
 	return r
 }
 
-// NodeFaults exposes nodeID's fault registry (nil unless Config.Faults).
-// Harnesses use it to arm site schedules and to audit coverage.
-func (c *Cluster) NodeFaults(nodeID string) *faultpoint.Registry {
-	if !c.cfg.Faults {
-		return nil
-	}
-	return c.nodeFaults(nodeID)
-}
-
-// nodePartition returns (creating on first use) nodeID's log-partition
-// flag. Same identity-keyed lifetime as nodeFaults.
-func (c *Cluster) nodePartition(nodeID string) *netsim.Flag {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.partitions == nil {
-		c.partitions = make(map[string]*netsim.Flag)
-	}
-	f, ok := c.partitions[nodeID]
-	if !ok {
-		f = &netsim.Flag{}
-		c.partitions[nodeID] = f
-	}
-	return f
-}
-
-// NodePartition exposes nodeID's log-partition flag: raise it to cut the
-// node off from the transaction log service (appends and reads fail;
-// clients still reach the node), clear it to heal. Nemeses use it to
-// build asymmetric partitions.
-func (c *Cluster) NodePartition(nodeID string) *netsim.Flag {
-	return c.nodePartition(nodeID)
-}
-
 // addNodeAs provisions a node with a fixed identity — the restart path
 // reuses the killed node's ID and AZ, exactly like a replacement process
 // on the same host.
 func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
-	var faults *faultpoint.Registry
-	if c.cfg.Faults {
-		faults = c.nodeFaults(nodeID)
-	}
 	n, err := core.NewNode(core.Config{
 		NodeID:             nodeID,
 		ShardID:            sh.ID,
@@ -307,8 +254,7 @@ func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
 		ChecksumEvery:      c.cfg.ChecksumEvery,
 		Shards:             c.cfg.NodeShards,
 		RetrySeed:          c.cfg.RetrySeed,
-		Faults:             faults,
-		Partition:          c.nodePartition(nodeID),
+		Faults:             c.nodeFaults(nodeID),
 		Trace:              c.cfg.Trace,
 		Flight:             c.nodeFlight(nodeID),
 	})
@@ -331,24 +277,6 @@ func (c *Cluster) AddReplica(shardID string) (*core.Node, error) {
 		return nil, fmt.Errorf("cluster: no shard %q", shardID)
 	}
 	return c.addNode(sh)
-}
-
-// RemoveReplica terminates one replica of the shard.
-func (c *Cluster) RemoveReplica(shardID string) error {
-	sh, ok := c.ShardByID(shardID)
-	if !ok {
-		return fmt.Errorf("cluster: no shard %q", shardID)
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i, n := range sh.nodes {
-		if n.Role() == election.RoleReplica && !n.Stopped() {
-			n.Stop()
-			sh.nodes = append(sh.nodes[:i], sh.nodes[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("cluster: shard %q has no replica to remove", shardID)
 }
 
 // ReplaceNode terminates nodeID and provisions a fresh node in the same

@@ -76,7 +76,6 @@ func TestCrashRestartMixedVersionReplica(t *testing.T) {
 	svc := txlog.NewService(txlog.Config{
 		Clock:          clock.NewReal(),
 		CommitLatency:  netsim.NewUniform(100*time.Microsecond, time.Millisecond, seed),
-		Seed:           seed,
 		SegmentEntries: 16,
 	})
 	const backoff = 140 * time.Millisecond

@@ -60,18 +60,17 @@ func crashCluster(t *testing.T, seed int64) (*Cluster, *snapshot.Manager, *fault
 	svc := txlog.NewService(txlog.Config{
 		Clock:          clock.NewReal(),
 		CommitLatency:  netsim.NewUniform(100*time.Microsecond, time.Millisecond, seed),
-		Seed:           seed,
 		SegmentEntries: 16,
 		Faults:         svcFaults,
 	})
-	snaps := snapshot.NewManager(s3.New(), "snaps")
+	snaps := snapshot.NewManager(s3.New(s3.WithFaults(svcFaults)), "snaps")
 	c, err := New(Config{
 		Name: "crash", NumShards: 1, ReplicasPerShard: 2,
 		LogService: svc, Snapshots: snaps,
 		Lease: 100 * time.Millisecond, Backoff: 140 * time.Millisecond,
 		RenewEvery:    25 * time.Millisecond,
 		ChecksumEvery: 16, RetrySeed: seed,
-		Faults: true, FaultSeed: seed,
+		FaultSeed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +200,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		pid := p.ID()
-		c.NodeFaults(pid).Arm(coreSites[round], faultpoint.Crash, rng.Intn(3))
+		c.nodeFaults(pid).Arm(coreSites[round], faultpoint.Crash, rng.Intn(3))
 		if !waitFrozen(c, pid, 3*time.Second) {
 			// Site not reached in time (e.g. the node demoted first); the
 			// armed fault stays live for this identity and fires later.
@@ -356,7 +355,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	for _, site := range faultpoint.AllSites() {
 		var hits int64
 		for _, id := range initialIDs {
-			hits += c.NodeFaults(id).Hits(site)
+			hits += c.nodeFaults(id).Hits(site)
 		}
 		hits += cpFaults.Hits(site)
 		hits += svcFaults.Hits(site)
@@ -431,7 +430,7 @@ func TestCrashRestartDurableUnacknowledged(t *testing.T) {
 	client := c.Client()
 
 	// Arm: crash inside the committed-but-unacknowledged window.
-	c.NodeFaults(p.ID()).Arm(faultpoint.SiteFlushPost, faultpoint.Crash, 0)
+	c.nodeFaults(p.ID()).Arm(faultpoint.SiteFlushPost, faultpoint.Crash, 0)
 	cctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	v, err := client.Do(cctx, "SET", "durable-unacked", "v1")
 	cancel()
@@ -910,17 +909,18 @@ func TestCrashRestartTailerRebootstrapAfterTrim(t *testing.T) {
 }
 
 // TestCrashRestartCorruptSegmentRecovery covers both halves of the
-// bit-rot contract. Damage BELOW the newest snapshot: detected at first
-// read, segment quarantined, and a killed-and-restarted primary recovers
-// everything from the snapshot plus the intact suffix. Damage ABOVE every
-// snapshot: unrecoverable by construction, so the replay path must fail
-// loudly with ErrCorruptSegment rather than serve damaged bytes.
+// bit-rot contract. Damage BELOW the newest snapshot: a segment whose
+// footer rotted is quarantined by the log service's restart integrity
+// pass, and a killed-and-restarted primary recovers everything from the
+// snapshot plus the intact suffix. Damage ABOVE every snapshot:
+// unrecoverable by construction, so the replay path must fail loudly with
+// ErrCorruptSegment rather than serve damaged bytes.
 func TestCrashRestartCorruptSegmentRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash harness skipped in -short mode")
 	}
 	seed := crashSeed(t)
-	c, snaps, _ := crashCluster(t, seed)
+	c, snaps, svcFaults := crashCluster(t, seed)
 	sh := c.Shards()[0]
 	client := c.Client()
 	ctx := context.Background()
@@ -944,6 +944,10 @@ func TestCrashRestartCorruptSegmentRecovery(t *testing.T) {
 		return v.Text()
 	}
 
+	// The next segment to seal gets a footer its records no longer match.
+	// Every record keeps its CRC, so replicas and the builder read it as
+	// usual: the rot sits at rest below the snapshot taken next.
+	svcFaults.Arm(faultpoint.SiteLogSealPre, faultpoint.Corrupt, 0)
 	for i := 0; i < 60; i++ {
 		set(fmt.Sprintf("cor-%d", i), fmt.Sprintf("v%d", i))
 	}
@@ -953,28 +957,8 @@ func TestCrashRestartCorruptSegmentRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rot a record in a sealed segment well below the snapshot position.
-	var dmg uint64
-	for seq := meta.LogPos.Seq - 40; seq < meta.LogPos.Seq; seq++ {
-		if sh.Log.DamageRecord(seq) {
-			dmg = seq
-			break
-		}
-	}
-	if dmg == 0 {
-		t.Fatal("setup: found no record to damage below the snapshot")
-	}
-	// First read detects the rot and quarantines the segment.
-	if _, ok := sh.Log.Get(txlog.EntryID{Seq: dmg}); ok {
-		t.Fatalf("damaged record %d was served verbatim", dmg)
-	}
-	if q := sh.Log.SegmentStats().Quarantined; q < 1 {
-		t.Fatalf("Quarantined = %d after reading damaged record, want >= 1", q)
-	}
-
-	// The quarantined range is entirely covered by the snapshot, so a
-	// killed-and-restarted primary must recover the full dataset without
-	// ever needing the damaged segment.
+	// The primary dies and the log service restarts under it: the restart
+	// integrity pass finds the rotten footer and quarantines the segment.
 	p, err := sh.WaitForPrimary(c.Clock(), 3*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -982,6 +966,23 @@ func TestCrashRestartCorruptSegmentRecovery(t *testing.T) {
 	if err := c.Kill(p.ID()); err != nil {
 		t.Fatal(err)
 	}
+	if q, _ := sh.Log.RecoverChain(); q < 1 {
+		t.Fatalf("restart pass quarantined %d segments, want >= 1", q)
+	}
+	var dmg uint64
+	for seq := sh.Log.TrimBase().Seq + 1; seq <= meta.LogPos.Seq; seq++ {
+		if _, ok := sh.Log.Get(txlog.EntryID{Seq: seq}); !ok {
+			dmg = seq
+			break
+		}
+	}
+	if dmg == 0 {
+		t.Fatal("setup: no quarantined record below the snapshot")
+	}
+
+	// The quarantined range is entirely covered by the snapshot, so the
+	// restarted primary must recover the full dataset without ever needing
+	// the damaged segment.
 	if _, err := c.Restart(p.ID()); err != nil {
 		t.Fatal(err)
 	}
@@ -999,22 +1000,16 @@ func TestCrashRestartCorruptSegmentRecovery(t *testing.T) {
 		}
 	}
 
-	// Loud half: rot a record ABOVE the newest snapshot. No snapshot
-	// covers it, so the next replay over that range must fail with
+	// Loud half: the next data record rots as it is stored
+	// (txlog.corrupt_record), ABOVE the newest snapshot. No snapshot covers
+	// it, so the next replay over that range must fail with
 	// ErrCorruptSegment — never silently skip or serve the bytes.
+	svcFaults.Arm(faultpoint.SiteLogCorruptRecord, faultpoint.Corrupt, 0)
 	for i := 0; i < 10; i++ {
 		set(fmt.Sprintf("cor2-%d", i), "x")
 	}
-	tail := sh.Log.CommittedTail().Seq
-	var dmg2 uint64
-	for seq := tail; seq > meta.LogPos.Seq; seq-- {
-		if sh.Log.DamageRecord(seq) {
-			dmg2 = seq
-			break
-		}
-	}
-	if dmg2 == 0 {
-		t.Fatal("setup: found no record to damage above the snapshot")
+	if svcFaults.Fired(faultpoint.SiteLogCorruptRecord, faultpoint.Corrupt) == 0 {
+		t.Fatal("setup: the armed corrupt_record fault never fired")
 	}
 	if _, err := cp.Full(ctx); !errors.Is(err, txlog.ErrCorruptSegment) {
 		t.Fatalf("replay over damaged suffix returned %v, want ErrCorruptSegment", err)

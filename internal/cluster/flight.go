@@ -41,8 +41,3 @@ func (c *Cluster) MergedTimeline() []trace.Event {
 	}
 	return trace.Merge(flights...)
 }
-
-// TimelineReport renders MergedTimeline as a readable incident report.
-func (c *Cluster) TimelineReport() string {
-	return trace.FormatTimeline(c.MergedTimeline())
-}

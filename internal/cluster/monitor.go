@@ -63,13 +63,6 @@ func (m *Monitor) RaiseAlarm(msg string) {
 	m.AlarmLog().Raise(msg)
 }
 
-// Replacements returns how many dead replicas the monitor replaced.
-func (m *Monitor) Replacements() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.replaced
-}
-
 // Tick performs one monitoring pass. Run calls this on an interval; tests
 // may call it directly.
 func (m *Monitor) Tick() {

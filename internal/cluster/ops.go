@@ -74,29 +74,3 @@ func waitCaughtUp(c *Cluster, sh *Shard, node *core.Node) error {
 	}
 	return nil
 }
-
-// EngineVersions reports the distinct engine versions currently running —
-// the control plane pins off-box snapshots to the minimum during
-// upgrades (§7.1).
-func (c *Cluster) EngineVersions() map[uint32]int {
-	out := make(map[uint32]int)
-	for _, sh := range c.Shards() {
-		for _, n := range sh.Nodes() {
-			if !n.Stopped() {
-				out[n.EngineVersion()]++
-			}
-		}
-	}
-	return out
-}
-
-// MinEngineVersion returns the oldest engine version in the cluster.
-func (c *Cluster) MinEngineVersion() uint32 {
-	min := uint32(0)
-	for v := range c.EngineVersions() {
-		if min == 0 || v < min {
-			min = v
-		}
-	}
-	return min
-}

@@ -11,6 +11,7 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/core"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/lin"
 	"memorydb/internal/netsim"
 	"memorydb/internal/s3"
@@ -40,7 +41,6 @@ func replicaReadCluster(t *testing.T, seed int64, numShards, replicas int) (*txl
 	svc := txlog.NewService(txlog.Config{
 		Clock:          clock.NewReal(),
 		CommitLatency:  netsim.NewUniform(100*time.Microsecond, time.Millisecond, seed),
-		Seed:           seed,
 		SegmentEntries: 16,
 	})
 	snaps := snapshot.NewManager(s3.New(), "snaps")
@@ -252,7 +252,7 @@ func TestReplicaReadsBoundedStalenessPartition(t *testing.T) {
 	if len(reps) != 1 {
 		t.Fatalf("want exactly 1 replica, have %d", len(reps))
 	}
-	flag := c.NodePartition(reps[0].ID())
+	part := c.nodeFaults(reps[0].ID())
 
 	// Single sequential writer per key — the bounded-staleness checker's
 	// generation ordering relies on it.
@@ -275,14 +275,14 @@ func TestReplicaReadsBoundedStalenessPartition(t *testing.T) {
 		defer sched.Done()
 		rng := rand.New(rand.NewSource(seed ^ 0x9a37))
 		for {
-			flag.Set(true)
+			setLevel(part, faultpoint.SiteNodePartition, true)
 			select {
 			case <-done:
-				flag.Set(false)
+				setLevel(part, faultpoint.SiteNodePartition, false)
 				return
 			case <-time.After(time.Duration(80+rng.Intn(80)) * time.Millisecond):
 			}
-			flag.Set(false)
+			setLevel(part, faultpoint.SiteNodePartition, false)
 			windows.Add(1)
 			select {
 			case <-done:

@@ -38,7 +38,6 @@ func TestSoakBoundedLog(t *testing.T) {
 	svc := txlog.NewService(txlog.Config{
 		Clock:         clock.NewReal(),
 		CommitLatency: netsim.NewUniform(100*time.Microsecond, time.Millisecond, seed),
-		Seed:          seed,
 		SegmentBytes:  segBytes,
 	})
 	snaps := snapshot.NewManager(s3.New(), "snaps")

@@ -277,7 +277,7 @@ func TestChaosFlightTimelineRecordsNemesis(t *testing.T) {
 		LogService: svc, Snapshots: snapshot.NewManager(s3.New(), "snaps"),
 		Lease: 100 * time.Millisecond, Backoff: 140 * time.Millisecond,
 		RenewEvery: 25 * time.Millisecond,
-		Faults:     true, FaultSeed: 1,
+		FaultSeed:  1,
 	})
 	if err != nil {
 		t.Fatal(err)

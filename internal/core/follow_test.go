@@ -8,6 +8,7 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/election"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 	"memorydb/internal/txlog"
 )
@@ -15,12 +16,12 @@ import (
 // simReplica starts a replica of log whose clock is sim — which the tests
 // below advance only when they mean to, so anything the tailer does
 // meanwhile it does on the log's commit signal alone.
-func simReplica(t *testing.T, log *txlog.Log, sim *clock.Sim, part *netsim.Flag) *Node {
+func simReplica(t *testing.T, log *txlog.Log, sim *clock.Sim, part *faultpoint.Registry) *Node {
 	t.Helper()
 	n, err := NewNode(Config{
 		NodeID: "node-sim", ShardID: log.ShardID(), Log: log, Clock: sim,
 		Lease: 20 * time.Second, Backoff: 25 * time.Second, RenewEvery: 10 * time.Second,
-		Partition: part,
+		Faults: part,
 	})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -79,8 +80,8 @@ func TestPartitionedTailerSleepsOneBackoffStep(t *testing.T) {
 	mustDo(t, primary, "SET", "k0", "before")
 
 	sim := clock.NewSim(time.Unix(0, 0))
-	var part netsim.Flag
-	replica := simReplica(t, log, sim, &part)
+	part := faultpoint.New(1)
+	replica := simReplica(t, log, sim, part)
 	waitApplied(t, replica, log.CommittedTail().Seq, 5*time.Second)
 	// Caught up, the tailer parks beside its campaign timer.
 	for deadline := time.Now().Add(2 * time.Second); sim.PendingWaiters() == 0; {
@@ -92,7 +93,7 @@ func TestPartitionedTailerSleepsOneBackoffStep(t *testing.T) {
 	idle := sim.PendingWaiters()
 	cursor, appliedBefore := replica.AppliedSeq(), replica.Stats().EntriesApplied.Load()
 
-	part.Set(true)
+	setLevel(part, faultpoint.SiteNodePartition, true)
 	for i := 0; i < 25; i++ {
 		mustDo(t, primary, "SET", fmt.Sprintf("k%d", i), "during")
 	}
@@ -114,7 +115,7 @@ func TestPartitionedTailerSleepsOneBackoffStep(t *testing.T) {
 	}
 
 	// Healed, it is still asleep until its backoff step elapses…
-	part.Set(false)
+	setLevel(part, faultpoint.SiteNodePartition, false)
 	time.Sleep(20 * time.Millisecond)
 	if got := replica.AppliedSeq(); got != cursor {
 		t.Fatalf("tailer moved to %d without its clock advancing: it was not asleep", got)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"memorydb/internal/election"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 	"memorydb/internal/txlog"
 )
@@ -175,7 +176,7 @@ func TestReadGatedOnBufferedWrite(t *testing.T) {
 // the node must step down.
 func TestFlushFailureAbortsWholeBatch(t *testing.T) {
 	commit := 15 * time.Millisecond
-	svc := testService(t, netsim.Fixed(commit))
+	svc, faults := faultyService(t, netsim.Fixed(commit))
 	log, _ := svc.CreateLog("shard-1")
 	n := testNodeDepth1(t, "node-a", log)
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
@@ -199,8 +200,8 @@ func TestFlushFailureAbortsWholeBatch(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	// Fail appends before the in-flight entry acknowledges: the flush of
 	// the buffered batch will hit the unavailable log.
-	log.FailAppends(true)
-	defer log.FailAppends(false)
+	setLevel(faults, faultpoint.SiteLogUnavailable, true)
+	defer setLevel(faults, faultpoint.SiteLogUnavailable, false)
 
 	for i := 0; i < 2; i++ {
 		select {

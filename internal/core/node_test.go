@@ -8,6 +8,7 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/election"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 	"memorydb/internal/resp"
 	"memorydb/internal/s3"
@@ -21,6 +22,28 @@ func testService(t *testing.T, commit netsim.LatencyModel) *txlog.Service {
 		Clock:         clock.NewReal(),
 		CommitLatency: commit,
 	})
+}
+
+// faultyService is testService with a fault registry the test holds, for
+// raising zone and whole-service outages at the txlog.* sites.
+func faultyService(t *testing.T, commit netsim.LatencyModel) (*txlog.Service, *faultpoint.Registry) {
+	t.Helper()
+	faults := faultpoint.New(1)
+	return txlog.NewService(txlog.Config{
+		Clock:         clock.NewReal(),
+		CommitLatency: commit,
+		Faults:        faults,
+	}), faults
+}
+
+// setLevel raises (or clears) a standing Error plan at site: a zone
+// outage, a whole-service outage, or a node's partition from the log.
+func setLevel(r *faultpoint.Registry, site string, on bool) {
+	if on {
+		r.SetPlan(site, 1, 0, faultpoint.Error)
+	} else {
+		r.SetPlan(site, 0, 0)
+	}
 }
 
 func testNode(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Manager) *Node {
@@ -169,7 +192,7 @@ func TestFailoverPromotesCaughtUpReplicaWithoutDataLoss(t *testing.T) {
 }
 
 func TestFencedOldPrimaryCannotCommit(t *testing.T) {
-	svc := testService(t, netsim.Zero{})
+	svc, faults := faultyService(t, netsim.Zero{})
 	log, _ := svc.CreateLog("shard-1")
 	primary := testNode(t, "node-a", log, nil)
 	waitRole(t, primary, election.RolePrimary, 2*time.Second)
@@ -177,7 +200,7 @@ func TestFencedOldPrimaryCannotCommit(t *testing.T) {
 	// Simulate a partition between the primary and the log service: its
 	// appends fail, it cannot renew, and it must self-demote rather than
 	// serve stale data (§4.1.3).
-	log.FailAppends(true)
+	setLevel(faults, faultpoint.SiteLogUnavailable, true)
 	v, err := primary.Do(context.Background(), [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
 	if err != nil {
 		t.Fatalf("Do: %v", err)
@@ -186,7 +209,7 @@ func TestFencedOldPrimaryCannotCommit(t *testing.T) {
 		t.Fatalf("write acknowledged while log unavailable: %v", v)
 	}
 	waitRole(t, primary, election.RoleDemoted, 2*time.Second)
-	log.FailAppends(false)
+	setLevel(faults, faultpoint.SiteLogUnavailable, false)
 	// With the partition healed the node resynchronizes and can campaign
 	// again (it is the only node).
 	waitRole(t, primary, election.RolePrimary, 3*time.Second)

@@ -68,9 +68,6 @@ func (g *ReadGate) Advance(seq uint64) {
 // Applied returns the gate's current applied position.
 func (g *ReadGate) Applied() uint64 { return g.trk.Committed() }
 
-// Parked returns the number of reads currently parked.
-func (g *ReadGate) Parked() int { return g.trk.PendingCount() }
-
 // Stop aborts every parked read and makes future Parks abort
 // immediately. Used on role change and node shutdown so no read ever
 // waits on a feed that will not advance.
@@ -129,11 +126,4 @@ func (g *ReadGate) Watermark() (epoch, wm uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.epoch, g.watermark
-}
-
-// Fenced returns how many watermark pairs were rejected by epoch fencing.
-func (g *ReadGate) Fenced() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.fenced
 }

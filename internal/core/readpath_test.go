@@ -8,6 +8,7 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/election"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 	"memorydb/internal/txlog"
 )
@@ -15,13 +16,13 @@ import (
 // testReplicaWithPartition builds a replica whose log connectivity is
 // governed by part, for asymmetric-partition scenarios: the node stays
 // reachable by "clients" (direct DoRead calls) while its log feed dies.
-func testReplicaWithPartition(t *testing.T, id string, log *txlog.Log, part *netsim.Flag) *Node {
+func testReplicaWithPartition(t *testing.T, id string, log *txlog.Log, part *faultpoint.Registry) *Node {
 	t.Helper()
 	n, err := NewNode(Config{
 		NodeID: id, ShardID: log.ShardID(), Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
 		RenewEvery: 30 * time.Millisecond,
-		Partition:  part,
+		Faults:     part,
 	})
 	if err != nil {
 		t.Fatalf("NewNode(%s): %v", id, err)
@@ -100,8 +101,8 @@ func TestReplicaReadDegradesUnderAsymmetricPartition(t *testing.T) {
 	log, _ := svc.CreateLog("shard-rr")
 	primary := testNode(t, "node-a", log, nil)
 	waitRole(t, primary, election.RolePrimary, 2*time.Second)
-	var part netsim.Flag
-	replica := testReplicaWithPartition(t, "node-b", log, &part)
+	part := faultpoint.New(1)
+	replica := testReplicaWithPartition(t, "node-b", log, part)
 	waitRole(t, replica, election.RoleReplica, time.Second)
 
 	mustDo(t, primary, "SET", "k", "v1")
@@ -124,7 +125,7 @@ func TestReplicaReadDegradesUnderAsymmetricPartition(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	part.Set(true)
+	setLevel(part, faultpoint.SiteNodePartition, true)
 
 	// Linearizable: immediate explicit degrade, no hang.
 	start := time.Now()
@@ -179,7 +180,7 @@ func TestReplicaReadDegradesUnderAsymmetricPartition(t *testing.T) {
 	}
 
 	// Heal: linearizable reads recover without restarting anything.
-	part.Set(false)
+	setLevel(part, faultpoint.SiteNodePartition, false)
 	deadline = time.Now().Add(2 * time.Second)
 	for {
 		v, outcome, err := replica.DoRead(context.Background(), getArgv("k"), ReadOpts{})
@@ -204,13 +205,13 @@ func TestReplicaReadDegradesUnderAsymmetricPartition(t *testing.T) {
 func TestDeposedPrimaryServesConsistentReplicaReads(t *testing.T) {
 	svc := testService(t, netsim.Zero{})
 	log, _ := svc.CreateLog("shard-rrskew")
-	var partA netsim.Flag
+	partA := faultpoint.New(1)
 	slow := election.NewSkewedClock(clock.NewReal(), 0, 0.35)
 	a, err := NewNode(Config{
 		NodeID: "node-a", ShardID: "shard-rrskew", Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
 		RenewEvery: 30 * time.Millisecond,
-		Clock:      slow, Partition: &partA,
+		Clock:      slow, Faults: partA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,12 +223,12 @@ func TestDeposedPrimaryServesConsistentReplicaReads(t *testing.T) {
 	waitRole(t, b, election.RoleReplica, time.Second)
 
 	mustDo(t, a, "SET", "k", "old-regime")
-	partA.Set(true)
+	setLevel(partA, faultpoint.SiteNodePartition, true)
 	waitRole(t, b, election.RolePrimary, 3*time.Second)
 	mustDo(t, b, "SET", "k", "new-regime")
 
 	// Heal; A discovers the new epoch and rejoins as a replica.
-	partA.Set(false)
+	setLevel(partA, faultpoint.SiteNodePartition, false)
 	waitRole(t, a, election.RoleReplica, 5*time.Second)
 
 	deadline := time.Now().Add(3 * time.Second)

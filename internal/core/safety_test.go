@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"memorydb/internal/election"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 )
 
@@ -27,12 +28,12 @@ func countPrimaries(nodes ...*Node) int {
 func TestLeaderSingularityUnderPartition(t *testing.T) {
 	svc := testService(t, netsim.Zero{})
 	log, _ := svc.CreateLog("shard-1")
-	var partA netsim.Flag
+	partA := faultpoint.New(1)
 	a, err := NewNode(Config{
 		NodeID: "node-a", ShardID: "shard-1", Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
 		RenewEvery: 30 * time.Millisecond,
-		Partition:  &partA,
+		Faults:     partA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func TestLeaderSingularityUnderPartition(t *testing.T) {
 	// Partition ONLY the primary from the log service: it can no longer
 	// renew its lease or commit writes; the healthy replica campaigns
 	// once the backoff elapses (§4.1.3 split-brain scenario).
-	partA.Set(true)
+	setLevel(partA, faultpoint.SiteNodePartition, true)
 	go a.Do(context.Background(), [][]byte{[]byte("SET"), []byte("x"), []byte("y")})
 
 	// During the whole transition, sample: never two primaries at once.
@@ -78,7 +79,7 @@ func TestLeaderSingularityUnderPartition(t *testing.T) {
 		t.Fatalf("unacknowledged write leaked: %v", v)
 	}
 	// Heal the partition: the fenced node rejoins as a replica.
-	partA.Set(false)
+	setLevel(partA, faultpoint.SiteNodePartition, false)
 	waitRole(t, a, election.RoleReplica, 3*time.Second)
 }
 
@@ -168,13 +169,13 @@ func TestDemotedPrimaryRejoinsAsReplica(t *testing.T) {
 // service itself is unreachable, writes fail (no silent data loss) and
 // service resumes when it returns.
 func TestWholeLogOutageHaltsWritesPreservesData(t *testing.T) {
-	svc := testService(t, netsim.Zero{})
+	svc, faults := faultyService(t, netsim.Zero{})
 	log, _ := svc.CreateLog("shard-1")
 	a := testNode(t, "node-a", log, nil)
 	waitRole(t, a, election.RolePrimary, 2*time.Second)
 	mustDo(t, a, "SET", "k", "v")
 
-	svc.SetUnavailable(true)
+	setLevel(faults, faultpoint.SiteLogUnavailable, true)
 	v, err := a.Do(context.Background(), [][]byte{[]byte("SET"), []byte("k"), []byte("lost?")})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +183,7 @@ func TestWholeLogOutageHaltsWritesPreservesData(t *testing.T) {
 	if !v.IsError() {
 		t.Fatalf("write acknowledged during log outage: %v", v)
 	}
-	svc.SetUnavailable(false)
+	setLevel(faults, faultpoint.SiteLogUnavailable, false)
 	waitRole(t, a, election.RolePrimary, 5*time.Second)
 	if got := mustDo(t, a, "GET", "k"); got.Text() != "v" {
 		t.Fatalf("GET = %v; committed value must survive the outage", got)

@@ -7,6 +7,7 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/election"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 )
 
@@ -22,7 +23,7 @@ import (
 func TestSkewedPrimaryIsFenced(t *testing.T) {
 	svc := testService(t, netsim.Zero{})
 	log, _ := svc.CreateLog("shard-skew")
-	var partA netsim.Flag
+	partA := faultpoint.New(1)
 	// Deterministic slow clock: node A experiences time at ~1/3 speed, so
 	// its 120ms lease stretches to ~343ms of real time — far past the
 	// honest 160ms backoff after which B may campaign.
@@ -31,7 +32,7 @@ func TestSkewedPrimaryIsFenced(t *testing.T) {
 		NodeID: "node-a", ShardID: "shard-skew", Log: log,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
 		RenewEvery: 30 * time.Millisecond,
-		Clock:      slow, Partition: &partA,
+		Clock:      slow, Faults: partA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +46,7 @@ func TestSkewedPrimaryIsFenced(t *testing.T) {
 
 	// Cut A off from the log. Its slow clock keeps the lease "valid" long
 	// after honest time has expired it, so it keeps believing it leads.
-	partA.Set(true)
+	setLevel(partA, faultpoint.SiteNodePartition, true)
 	waitRole(t, b, election.RolePrimary, 3*time.Second)
 
 	// The hazard window: both nodes self-identify as primary at once.
@@ -60,7 +61,7 @@ func TestSkewedPrimaryIsFenced(t *testing.T) {
 	// try to commit. The append chains after A's stale tail view; B's
 	// claim entry sits in between, so the conditional append must fail —
 	// the write errors out and is never acknowledged.
-	partA.Set(false)
+	setLevel(partA, faultpoint.SiteNodePartition, false)
 	v, err := a.Do(context.Background(), [][]byte{[]byte("SET"), []byte("split"), []byte("brain")})
 	if err == nil && !v.IsError() {
 		t.Fatalf("fenced primary's write was acknowledged: %v", v)

@@ -12,7 +12,6 @@ package election
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 
@@ -64,28 +63,10 @@ func EncodeClaim(c Claim) []byte {
 	return b
 }
 
-// DecodeClaim parses a leadership claim payload.
-func DecodeClaim(b []byte) (Claim, error) {
-	var c Claim
-	if err := json.Unmarshal(b, &c); err != nil {
-		return Claim{}, fmt.Errorf("election: bad claim payload: %w", err)
-	}
-	return c, nil
-}
-
 // EncodeRenewal serializes a lease renewal.
 func EncodeRenewal(r Renewal) []byte {
 	b, _ := json.Marshal(r)
 	return b
-}
-
-// DecodeRenewal parses a lease renewal payload.
-func DecodeRenewal(b []byte) (Renewal, error) {
-	var r Renewal
-	if err := json.Unmarshal(b, &r); err != nil {
-		return Renewal{}, fmt.Errorf("election: bad renewal payload: %w", err)
-	}
-	return r, nil
 }
 
 // Config holds the lease timing parameters. Backoff must be strictly
@@ -101,17 +82,6 @@ type Config struct {
 	// comfortably below Lease.
 	RenewEvery time.Duration
 	Clock      clock.Clock
-}
-
-// Validate checks the safety constraint between lease and backoff.
-func (c Config) Validate() error {
-	if c.Backoff <= c.Lease {
-		return fmt.Errorf("election: backoff (%v) must be strictly greater than lease (%v)", c.Backoff, c.Lease)
-	}
-	if c.RenewEvery >= c.Lease {
-		return fmt.Errorf("election: renew interval (%v) must be below lease (%v)", c.RenewEvery, c.Lease)
-	}
-	return nil
 }
 
 // Observer is the replica-side lease state machine: it watches lease and
@@ -210,23 +180,4 @@ func Campaign(ctx context.Context, log *txlog.Log, cfg Config, observedTail txlo
 	lease := NewLease(cfg, epoch)
 	lease.Renewed(issued)
 	return lease, id, nil
-}
-
-// Renew appends a lease renewal entry conditioned on after (the primary's
-// last appended entry). On success it extends lease and returns the new
-// tail. Any error means the primary could not renew — on lease expiry it
-// must self-demote.
-func Renew(ctx context.Context, log *txlog.Log, cfg Config, lease *Lease, after txlog.EntryID) (txlog.EntryID, error) {
-	r := Renewal{NodeID: cfg.NodeID, Epoch: lease.Epoch(), LeaseMs: cfg.Lease.Milliseconds()}
-	issued := cfg.Clock.Now()
-	id, err := log.Append(ctx, after, txlog.Entry{
-		Type:    txlog.EntryLease,
-		Epoch:   lease.Epoch(),
-		Payload: EncodeRenewal(r),
-	})
-	if err != nil {
-		return txlog.ZeroID, err
-	}
-	lease.Renewed(issued)
-	return id, nil
 }

@@ -1,7 +1,6 @@
 package election
 
 import (
-	"math/rand"
 	"time"
 
 	"memorydb/internal/clock"
@@ -36,22 +35,6 @@ func NewSkewedClock(inner clock.Clock, offset time.Duration, rate float64) *Skew
 	}
 	return &SkewedClock{inner: inner, offset: offset, rate: rate, epoch: inner.Now()}
 }
-
-// NewSeededSkew draws a reproducible skew from seed: offset uniform in
-// [-maxOffset, +maxOffset], rate uniform in [1-maxDrift, 1+maxDrift].
-// Fixed-seed chaos schedules get the same broken clock every run.
-func NewSeededSkew(inner clock.Clock, seed int64, maxOffset time.Duration, maxDrift float64) *SkewedClock {
-	rng := rand.New(rand.NewSource(seed))
-	offset := time.Duration((rng.Float64()*2 - 1) * float64(maxOffset))
-	rate := 1 + (rng.Float64()*2-1)*maxDrift
-	return NewSkewedClock(inner, offset, rate)
-}
-
-// Offset returns the configured constant offset.
-func (s *SkewedClock) Offset() time.Duration { return s.offset }
-
-// Rate returns the configured drift rate.
-func (s *SkewedClock) Rate() float64 { return s.rate }
 
 // Now returns the skewed wall-clock reading.
 func (s *SkewedClock) Now() time.Time {

@@ -352,12 +352,6 @@ func dedup(keys []string) []string {
 	return out
 }
 
-// SweepExpired proactively expires up to limit keys, producing DEL effects
-// for each (the active expiry cycle).
-func (e *Engine) SweepExpired(limit int) Result {
-	return e.SweepExpiredParts(limit, 0, store.NumParts)
-}
-
 // SweepExpiredParts is SweepExpired restricted to store parts [lo, hi).
 // Sharded workloops sweep only the parts they own so the resulting DEL
 // effects flow through the same group-commit buffer as that shard's

@@ -17,6 +17,9 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add(seed, int64(1))
 	}
+	for _, site := range AllSites() {
+		f.Add(site+"=error:1;"+site+"=delay:1ms:0.5;"+site+"=crash@2", int64(2))
+	}
 	f.Fuzz(func(t *testing.T, spec string, seed int64) {
 		r, err := Parse(spec, seed)
 		if err != nil {

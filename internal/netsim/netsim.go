@@ -1,14 +1,13 @@
-// Package netsim provides latency models and fault flags that simulate the
-// network between MemoryDB components: the multi-AZ quorum commit of the
-// transaction log, cluster-bus gossip, and client links. Partitions and
-// latency spikes are injected here so the rest of the system exercises the
-// same code paths it would against a real network.
+// Package netsim provides the latency models that simulate the network
+// between MemoryDB components: the multi-AZ quorum commit of the
+// transaction log and client links. Failures — partitions, outages,
+// flaky or slow zones — are injected at internal/faultpoint sites, not
+// here.
 package netsim
 
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -82,64 +81,4 @@ func (l *LogNormalish) Sample() time.Duration {
 // load, matching §6.1.2.2.
 func DefaultCommitLatency() LatencyModel {
 	return NewLogNormalish(2200*time.Microsecond, 500*time.Microsecond, 7)
-}
-
-// Flag is an atomically switchable fault condition (e.g. a partition).
-// The zero value is "healthy".
-type Flag struct {
-	v atomic.Bool
-}
-
-// Set raises or clears the fault.
-func (f *Flag) Set(on bool) { f.v.Store(on) }
-
-// On reports whether the fault is active.
-func (f *Flag) On() bool { return f.v.Load() }
-
-// Prob is a seeded Bernoulli fault gate: each Hit independently fires
-// with the configured probability. Used for flaky-link and flaky-AZ
-// injection where faults must be probabilistic but reproducible under a
-// fixed seed. The zero value never fires. Safe for concurrent use.
-type Prob struct {
-	mu  sync.Mutex
-	p   float64
-	rng *rand.Rand
-}
-
-// NewProb returns a gate with probability p and a deterministic seed.
-func NewProb(p float64, seed int64) *Prob {
-	return &Prob{p: p, rng: rand.New(rand.NewSource(seed))}
-}
-
-// SetP updates the fault probability (0 disables).
-func (f *Prob) SetP(p float64) {
-	f.mu.Lock()
-	f.p = p
-	f.mu.Unlock()
-}
-
-// Hit draws once: true means the fault fires.
-func (f *Prob) Hit() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.p <= 0 || f.rng == nil {
-		return false
-	}
-	return f.rng.Float64() < f.p
-}
-
-// Link models one directional network link: a latency distribution plus a
-// partition flag. A partitioned link drops traffic (callers surface an
-// error or timeout).
-type Link struct {
-	Latency     LatencyModel
-	Partitioned Flag
-}
-
-// NewLink returns a healthy link with the given latency model.
-func NewLink(m LatencyModel) *Link {
-	if m == nil {
-		m = Zero{}
-	}
-	return &Link{Latency: m}
 }

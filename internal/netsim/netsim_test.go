@@ -73,22 +73,3 @@ func TestModelsConcurrentSafe(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestFlagAndLink(t *testing.T) {
-	var f Flag
-	if f.On() {
-		t.Fatal("zero Flag must be off")
-	}
-	f.Set(true)
-	if !f.On() {
-		t.Fatal("Set(true)")
-	}
-	l := NewLink(nil)
-	if l.Latency.Sample() != 0 {
-		t.Fatal("nil latency must default to Zero")
-	}
-	l.Partitioned.Set(true)
-	if !l.Partitioned.On() {
-		t.Fatal("partition flag")
-	}
-}

@@ -34,13 +34,6 @@ var buildVersion, buildCommit = func() (string, string) {
 	return version, commit
 }()
 
-// BuildID returns the module version and VCS revision embedded in the
-// running binary ("unknown" when not stamped). Shared by /metrics
-// exposition and the bench artifact metadata envelope.
-func BuildID() (version, commit string) {
-	return buildVersion, buildCommit
-}
-
 // writeRuntimeMetrics emits process-level health: goroutines, GC pause
 // totals, heap gauges, uptime, and build identity. ReadMemStats costs a
 // brief stop-the-world, which is fine at scrape cadence.

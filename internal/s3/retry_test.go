@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/retry"
 )
 
@@ -64,8 +65,9 @@ func TestRetryingDoesNotRetryNoSuchKey(t *testing.T) {
 }
 
 func TestRetryingGivesUpOnPersistentOutage(t *testing.T) {
-	inner := New()
-	inner.SetUnavailable(true)
+	faults := faultpoint.New(1)
+	faults.SetPlan(faultpoint.SiteS3Request, 1, 0, faultpoint.Error)
+	inner := New(WithFaults(faults))
 	st := WithRetry(inner, retry.Policy{Base: 100 * time.Microsecond, Max: time.Millisecond, Attempts: 3})
 	if err := st.Put("k", nil); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable after exhaustion", err)

@@ -1,8 +1,9 @@
 // Package s3 simulates the Simple Storage Service as MemoryDB uses it: a
 // durable object store for snapshots (paper §4.2.1). Objects are immutable
 // blobs addressed by key; List supports the prefix scans the snapshot
-// scheduler and recovery path rely on. An injectable latency model and
-// outage flag let tests exercise slow or unreachable storage.
+// scheduler and recovery path rely on. Every request consults the
+// s3.request fault site, so a fault spec can make storage slow or
+// unreachable.
 package s3
 
 import (
@@ -12,7 +13,7 @@ import (
 	"sync"
 
 	"memorydb/internal/clock"
-	"memorydb/internal/netsim"
+	"memorydb/internal/faultpoint"
 )
 
 // Errors returned by the store.
@@ -23,9 +24,8 @@ var (
 
 // Store is an in-memory object store.
 type Store struct {
-	clk     clock.Clock
-	latency netsim.LatencyModel
-	down    netsim.Flag
+	clk    clock.Clock
+	faults *faultpoint.Registry
 
 	mu      sync.RWMutex
 	objects map[string][]byte
@@ -34,16 +34,16 @@ type Store struct {
 // Option configures a Store.
 type Option func(*Store)
 
-// WithLatency injects a per-operation latency model.
-func WithLatency(m netsim.LatencyModel) Option {
-	return func(s *Store) { s.latency = m }
+// WithFaults makes every request consult r's s3.request site: Error
+// fails it with ErrUnavailable, Delay stalls it (latency).
+func WithFaults(r *faultpoint.Registry) Option {
+	return func(s *Store) { s.faults = r }
 }
 
 // New returns an empty store.
 func New(opts ...Option) *Store {
 	s := &Store{
 		clk:     clock.NewReal(),
-		latency: netsim.Zero{},
 		objects: make(map[string][]byte),
 	}
 	for _, o := range opts {
@@ -52,15 +52,12 @@ func New(opts ...Option) *Store {
 	return s
 }
 
-// SetUnavailable injects (or clears) a storage outage.
-func (s *Store) SetUnavailable(down bool) { s.down.Set(down) }
-
 func (s *Store) simulate() error {
-	if s.down.On() {
+	switch d := s.faults.Hit(faultpoint.SiteS3Request); d.Kind {
+	case faultpoint.Error:
 		return ErrUnavailable
-	}
-	if d := s.latency.Sample(); d > 0 {
-		s.clk.Sleep(d)
+	case faultpoint.Delay:
+		s.clk.Sleep(d.Delay)
 	}
 	return nil
 }
@@ -119,11 +116,4 @@ func (s *Store) List(prefix string) ([]string, error) {
 	s.mu.RUnlock()
 	sort.Strings(keys)
 	return keys, nil
-}
-
-// Size returns the stored size of key, or 0 if absent.
-func (s *Store) Size(key string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.objects[key])
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"memorydb/internal/netsim"
+	"memorydb/internal/faultpoint"
 )
 
 func TestPutGetDelete(t *testing.T) {
@@ -74,9 +74,10 @@ func TestListPrefixSorted(t *testing.T) {
 }
 
 func TestOutageInjection(t *testing.T) {
-	s := New()
+	faults := faultpoint.New(1)
+	s := New(WithFaults(faults))
 	s.Put("k", []byte("v"))
-	s.SetUnavailable(true)
+	faults.SetPlan(faultpoint.SiteS3Request, 1, 0, faultpoint.Error)
 	if _, err := s.Get("k"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Get during outage: %v", err)
 	}
@@ -86,14 +87,22 @@ func TestOutageInjection(t *testing.T) {
 	if _, err := s.List(""); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("List during outage: %v", err)
 	}
-	s.SetUnavailable(false)
+	if err := s.Delete("k"); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Delete during outage: %v", err)
+	}
+	faults.SetPlan(faultpoint.SiteS3Request, 0, 0)
 	if _, err := s.Get("k"); err != nil {
 		t.Fatalf("Get after recovery: %v", err)
+	}
+	if got := faults.Hits(faultpoint.SiteS3Request); got != 6 {
+		t.Fatalf("s3.request hits = %d, want one per request (6)", got)
 	}
 }
 
 func TestLatencyInjection(t *testing.T) {
-	s := New(WithLatency(netsim.Fixed(5 * time.Millisecond)))
+	faults := faultpoint.New(1)
+	faults.SetPlan(faultpoint.SiteS3Request, 1, 5*time.Millisecond, faultpoint.Delay)
+	s := New(WithFaults(faults))
 	start := time.Now()
 	s.Put("k", []byte("v"))
 	if elapsed := time.Since(start); elapsed < 4*time.Millisecond {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/retry"
 	"memorydb/internal/s3"
 )
@@ -15,7 +16,8 @@ import (
 // completes (snapshot/S3 retry discipline).
 func TestBuilderSurvivesBriefS3Outage(t *testing.T) {
 	log, _ := buildLoggedShard(t, 10)
-	store := s3.New()
+	faults := faultpoint.New(1)
+	store := s3.New(s3.WithFaults(faults))
 	mgr := NewManager(store, "snaps")
 	b := &Builder{
 		Manager: mgr, Log: log, ShardID: "s1",
@@ -25,10 +27,10 @@ func TestBuilderSurvivesBriefS3Outage(t *testing.T) {
 
 	// Outage raised before the run, healed mid-run: the restore leg must
 	// retry through it rather than fail the snapshot.
-	store.SetUnavailable(true)
+	faults.SetPlan(faultpoint.SiteS3Request, 1, 0, faultpoint.Error)
 	go func() {
 		time.Sleep(15 * time.Millisecond)
-		store.SetUnavailable(false)
+		faults.SetPlan(faultpoint.SiteS3Request, 0, 0)
 	}()
 	meta, err := b.Full(context.Background())
 	if err != nil {
@@ -42,7 +44,7 @@ func TestBuilderSurvivesBriefS3Outage(t *testing.T) {
 	}
 
 	// A persistent outage still fails (bounded attempts, not forever).
-	store.SetUnavailable(true)
+	faults.SetPlan(faultpoint.SiteS3Request, 1, 0, faultpoint.Error)
 	if _, err := b.Full(context.Background()); !errors.Is(err, s3.ErrUnavailable) {
 		t.Fatalf("persistent outage: err = %v, want ErrUnavailable", err)
 	}

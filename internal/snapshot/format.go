@@ -90,15 +90,6 @@ func Write(w io.Writer, db *store.DB, meta Meta) error {
 	return err
 }
 
-// WriteDelta serializes an incremental snapshot: for each key in keys,
-// the current object in db (replacing whatever the parent chain held) or
-// a tombstone if the key no longer exists. meta must carry Kind=KindDelta
-// and the parent link in BasePos.
-func WriteDelta(w io.Writer, db *store.DB, keys []string, meta Meta) error {
-	_, err := w.Write(encodeFile(db, false, keys, meta))
-	return err
-}
-
 // encodeFile is the one snapshot encoder. A full body holds every key of
 // db; snapshot writers run on quiescent copies (off-box replicas, the
 // builder's private keyspace), so a plain iteration is a consistent cut,
@@ -164,36 +155,6 @@ func frame(meta Meta, bodyLen int, body func([]byte) []byte) []byte {
 	b = body(b)
 	b = binary.BigEndian.AppendUint64(b, crc64.Checksum(b, crcTable))
 	return append(b, magicFooter...)
-}
-
-// Read parses a snapshot, returning a freshly built keyspace and its
-// meta. For a delta file the returned DB holds only the changed objects
-// (tombstones deleting from an empty keyspace are no-ops); chain restores
-// use ReadInto to layer deltas onto their base.
-func Read(r io.Reader) (*store.DB, Meta, error) {
-	db := store.NewDB()
-	meta, err := ReadInto(r, db)
-	if err != nil {
-		return nil, meta, err
-	}
-	return db, meta, nil
-}
-
-// ReadInto parses a snapshot and applies its records onto db: objects
-// replace existing keys, tombstones delete them — exactly the layering a
-// full+delta chain restore needs. The whole-file checksum (header + meta
-// + body) is verified before any record is applied, so a torn or
-// bit-rotted file never half-applies.
-func ReadInto(r io.Reader, db *store.DB) (Meta, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return Meta{}, err
-	}
-	meta, body, err := readFile(data)
-	if err != nil {
-		return meta, err
-	}
-	return meta, applyBody(body, db)
 }
 
 // applyBody decodes a verified body's records into db.

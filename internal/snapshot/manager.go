@@ -68,21 +68,12 @@ func (m *Manager) alarm(msg string) {
 	}
 }
 
-// RecentAlarms returns up to n retained alarms, newest first — the
-// post-mortem view of quarantined snapshots and builder lag.
-func (m *Manager) RecentAlarms(n int) []obs.Alarm { return m.alarms.Recent(n) }
-
 // TornDetected returns how many corrupt or torn snapshot versions this
 // manager (and its retrying derivatives) has skipped during restores.
 func (m *Manager) TornDetected() int64 { return m.torn.Load() }
 
 func (m *Manager) key(shardID string, pos txlog.EntryID) string {
 	return fmt.Sprintf("%s/%s/%020d", m.prefix, shardID, pos.Seq)
-}
-
-// Save serializes db+meta and uploads it.
-func (m *Manager) Save(db *store.DB, meta Meta) error {
-	return m.store.Put(m.key(meta.ShardID, meta.LogPos), encodeFile(db, true, nil, meta))
 }
 
 // SaveRaw uploads pre-serialized snapshot bytes. The store keeps data as

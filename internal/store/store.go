@@ -381,18 +381,13 @@ func (db *DB) Peek(key string) (Object, bool) {
 // Set stores obj at key, replacing any previous value and clearing any TTL
 // (matching SET semantics; commands that preserve TTL must re-arm it). A
 // string is copied into a buffer with key, as SetString does.
-func (db *DB) Set(key string, obj Object) { db.put(key, obj, false) }
-
-// SetKeepTTL stores obj at key preserving an existing expiration.
-func (db *DB) SetKeepTTL(key string, obj Object) { db.put(key, obj, true) }
-
-func (db *DB) put(key string, obj Object, keepTTL bool) {
+func (db *DB) Set(key string, obj Object) {
 	if obj.Kind() == KindString {
 		obj = newString(key, obj.n(), obj.Str())
 	} else {
 		obj = obj.keyed(key)
 	}
-	db.set(obj, keepTTL)
+	db.set(obj, false)
 }
 
 // SetString stores val at key as a string, replacing any previous value
@@ -565,13 +560,6 @@ func (db *DB) SlotKeys(slot uint16) []string {
 
 // SlotCount returns the number of keys in slot.
 func (db *DB) SlotCount(slot uint16) int { return int(db.slotKeys[slot]) }
-
-// SweepExpired removes up to limit keys whose TTL has passed at now and
-// returns them. The engine replicates each as a delete so that replicas and
-// the transaction log observe deterministic expiry.
-func (db *DB) SweepExpired(now time.Time, limit int) []string {
-	return db.SweepExpiredParts(now, limit, 0, NumParts)
-}
 
 // SweepExpiredParts is SweepExpired restricted to parts [lo, hi). Sharded
 // workloops sweep only the parts they own, so an expired delete is always

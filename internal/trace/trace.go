@@ -122,9 +122,6 @@ func (c *Collector) SetRate(rate float64) {
 	c.rateBits.Store(math.Float64bits(rate))
 }
 
-// Rate returns the current sampling rate.
-func (c *Collector) Rate() float64 { return math.Float64frombits(c.rateBits.Load()) }
-
 // Sample draws the deterministic sampling coin; when it fires it mints
 // a fresh root span context. With rate 0 the cost is one atomic load.
 func (c *Collector) Sample() (SpanContext, bool) {

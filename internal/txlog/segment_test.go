@@ -354,7 +354,7 @@ func TestCorruptSealedFooterCaughtOnRecover(t *testing.T) {
 }
 
 func TestAZSegmentResync(t *testing.T) {
-	cfg := Config{SegmentEntries: 4, Clock: clock.NewReal()}
+	cfg := Config{SegmentEntries: 4, Clock: clock.NewReal(), Faults: faultpoint.New(1)}
 	svc := NewService(cfg)
 	l, err := svc.CreateLog("s1")
 	if err != nil {
@@ -364,35 +364,35 @@ func TestAZSegmentResync(t *testing.T) {
 	for i := 0; i < 8; i++ { // two seals, all zones up
 		after = appendData(t, l, after, "p")
 	}
-	svc.AZ(2).SetDown(true)
+	setDown(svc, 2, true)
 	for i := 0; i < 8; i++ { // two seals missed by az-3
 		after = appendData(t, l, after, "p")
 	}
-	if held, missing, _ := svc.AZ(2).Segments(); held != 2 || missing != 2 {
+	if held, missing, _ := svc.azs[2].Segments(); held != 2 || missing != 2 {
 		t.Fatalf("down zone: held=%d missing=%d, want 2/2", held, missing)
 	}
-	if held, missing, _ := svc.AZ(0).Segments(); held != 4 || missing != 0 {
+	if held, missing, _ := svc.azs[0].Segments(); held != 4 || missing != 0 {
 		t.Fatalf("up zone: held=%d missing=%d, want 4/0", held, missing)
 	}
-	svc.AZ(2).SetDown(false)
+	setDown(svc, 2, false)
 	// A healed zone catches up by whole segments on the next seal…
 	for i := 0; i < 4; i++ {
 		after = appendData(t, l, after, "p")
 	}
-	held, missing, resynced := svc.AZ(2).Segments()
+	held, missing, resynced := svc.azs[2].Segments()
 	if held != 5 || missing != 0 || resynced != 2 {
 		t.Fatalf("healed zone: held=%d missing=%d resynced=%d, want 5/0/2", held, missing, resynced)
 	}
 	// …or eagerly via ResyncSegments.
-	svc.AZ(1).SetDown(true)
+	setDown(svc, 1, true)
 	for i := 0; i < 4; i++ {
 		after = appendData(t, l, after, "p")
 	}
-	svc.AZ(1).SetDown(false)
-	if n := svc.AZ(1).ResyncSegments(); n != 1 {
+	setDown(svc, 1, false)
+	if n := svc.azs[1].ResyncSegments(); n != 1 {
 		t.Fatalf("eager resync copied %d segments, want 1", n)
 	}
-	if _, missing, _ := svc.AZ(1).Segments(); missing != 0 {
+	if _, missing, _ := svc.azs[1].Segments(); missing != 0 {
 		t.Fatalf("missing after eager resync = %d", missing)
 	}
 }

@@ -10,13 +10,14 @@
 // system; MemoryDB consumes only its API surface. We model its interior
 // just deeply enough to reproduce its fault envelope: every log is copied
 // to AZCount simulated zone replicas (AZReplica), each with its own
-// latency draw and independently injectable faults (down, flaky, slow).
-// An append is accepted only when a quorum of zones acknowledges it —
-// below quorum the service is unavailable and appends/reads fail with
-// ErrUnavailable — and an accepted entry always commits after the quorum
-// latency (internal reliability). Client-boundary failures (partitions,
-// whole-service outages) are injected on top, which is exactly where
-// MemoryDB observes them.
+// latency draw and its own fault site (down, flaky, slow). An append is
+// accepted only when a quorum of zones acknowledges it — below quorum the
+// service is unavailable and appends/reads fail with ErrUnavailable — and
+// an accepted entry always commits after the quorum latency (internal
+// reliability). A whole-service outage is the txlog.unavailable site, and
+// a node's partition from the service is the node's own node.partition
+// site: both sit at the client boundary, exactly where MemoryDB observes
+// them.
 package txlog
 
 import (
@@ -186,24 +187,20 @@ type Config struct {
 	// replica draws independently and an append commits at the Quorum-th
 	// fastest ack. Defaults to zero.
 	CommitLatency netsim.LatencyModel
-	// SlowExtra is the additional latency a zone marked slow pays per
-	// acknowledgement. Defaults to a fixed 2ms.
-	SlowExtra netsim.LatencyModel
 	// AZCount is the number of availability zone replicas entries are
 	// copied to. Defaults to 3.
 	AZCount int
 	// Quorum is how many AZ acknowledgements an append needs. Defaults to
 	// a majority of AZCount (2 of 3).
 	Quorum int
-	// Seed makes flaky-AZ fault draws deterministic. Zero is a valid seed.
-	Seed int64
 	// SegmentEntries / SegmentBytes are the active-segment rotation
 	// thresholds: crossing either closes the segment (it seals once fully
 	// committed). Defaults: 1024 entries, 1 MiB of payload.
 	SegmentEntries int
 	SegmentBytes   int
-	// Faults is the registry for the txlog.* fault sites (seal, trim,
-	// corrupt_record). Defaults to a fresh registry under Seed.
+	// Faults, when set, is the registry for the txlog.* fault sites
+	// (service outage, each zone's acks, seal, trim, corrupt_record). Nil
+	// injects nothing, at a nil check per site.
 	Faults *faultpoint.Registry
 	// AlarmFn, when set, is invoked for quarantine events (a segment
 	// failed CRC verification). It may be called with the log lock held
@@ -224,9 +221,6 @@ func (c Config) withDefaults() Config {
 	if c.CommitLatency == nil {
 		c.CommitLatency = netsim.Zero{}
 	}
-	if c.SlowExtra == nil {
-		c.SlowExtra = netsim.Fixed(2 * time.Millisecond)
-	}
 	if c.AZCount == 0 {
 		c.AZCount = 3
 	}
@@ -239,9 +233,6 @@ func (c Config) withDefaults() Config {
 	if c.SegmentBytes == 0 {
 		c.SegmentBytes = 1 << 20
 	}
-	if c.Faults == nil {
-		c.Faults = faultpoint.New(c.Seed)
-	}
 	return c
 }
 
@@ -253,7 +244,6 @@ type Service struct {
 	azs  []*AZReplica
 	mu   sync.Mutex
 	logs map[string]*Log
-	down netsim.Flag // whole-service outage injection
 }
 
 // NewService returns an empty log service.
@@ -261,20 +251,14 @@ func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{cfg: cfg, logs: make(map[string]*Log)}
 	for i := 0; i < cfg.AZCount; i++ {
-		s.azs = append(s.azs, newAZReplica(i, cfg.CommitLatency, cfg.SlowExtra, cfg.Seed+int64(i)))
+		s.azs = append(s.azs, newAZReplica(i, cfg.CommitLatency, cfg.Faults))
 	}
 	return s
 }
 
-// SetUnavailable injects (or clears) a whole-service outage.
-func (s *Service) SetUnavailable(down bool) { s.down.Set(down) }
-
 // Flight returns the service's flight recorder ring (nil unless
 // configured) so harnesses can merge it into the cluster timeline.
 func (s *Service) Flight() *trace.Flight { return s.cfg.Flight }
-
-// AZ returns the i-th zone replica for fault injection (0-based).
-func (s *Service) AZ(i int) *AZReplica { return s.azs[i] }
 
 // AZs returns all zone replicas.
 func (s *Service) AZs() []*AZReplica { return append([]*AZReplica(nil), s.azs...) }
@@ -284,7 +268,7 @@ func (s *Service) AZs() []*AZReplica { return append([]*AZReplica(nil), s.azs...
 func (s *Service) HealthyAZs() int {
 	n := 0
 	for _, az := range s.azs {
-		if !az.Down() {
+		if !az.down() {
 			n++
 		}
 	}
@@ -312,10 +296,11 @@ func (s *Service) Degraded() bool {
 }
 
 // readErr reports whether committed entries can currently be served to
-// readers: a whole-service outage or a below-quorum zone set makes reads
-// fail transiently (the data is safe; the service just cannot serve it).
+// readers: a standing whole-service outage or a below-quorum zone set
+// makes reads fail transiently (the data is safe; the service just cannot
+// serve it).
 func (s *Service) readErr() error {
-	if s.down.On() || s.HealthyAZs() < s.cfg.Quorum {
+	if s.cfg.Faults.Standing(faultpoint.SiteLogUnavailable) == faultpoint.Error || s.HealthyAZs() < s.cfg.Quorum {
 		return ErrUnavailable
 	}
 	return nil
@@ -382,19 +367,6 @@ func (s *Service) Log(shardID string) (*Log, bool) {
 	return l, ok
 }
 
-// DeleteLog destroys the log for shardID (end of a scale-in, §5.2).
-func (s *Service) DeleteLog(shardID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.logs[shardID]
-	if !ok {
-		return ErrNoSuchLog
-	}
-	l.closeAll()
-	delete(s.logs, shardID)
-	return nil
-}
-
 // Log is one shard's transaction log: a chain of segments, the last of
 // which is active and accepts appends (see segment.go for the segment
 // lifecycle).
@@ -435,8 +407,7 @@ type Log struct {
 	trimsDeferred    int64
 	tornTruncated    int64
 
-	appendsFailed netsim.Flag
-	closed        bool
+	closed bool
 }
 
 // trimBase returns the trim point: the Seq at or before which reads fail
@@ -498,15 +469,6 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// MeanRecordsPerEntry returns Records/DataAppends (1 when no data was
-// appended) — the effective group-commit amortization factor.
-func (s Stats) MeanRecordsPerEntry() float64 {
-	if s.DataAppends == 0 {
-		return 1
-	}
-	return float64(s.Records) / float64(s.DataAppends)
-}
-
 func newLog(s *Service, shardID string) *Log {
 	l := &Log{
 		svc:     s,
@@ -521,9 +483,6 @@ func newLog(s *Service, shardID string) *Log {
 
 // ShardID returns the owning shard's ID.
 func (l *Log) ShardID() string { return l.shardID }
-
-// FailAppends injects (or clears) append failures for this log only.
-func (l *Log) FailAppends(on bool) { l.appendsFailed.Set(on) }
 
 // Degraded reports whether the owning service currently runs below full
 // replication (at least one AZ down) while still meeting quorum.
@@ -588,7 +547,7 @@ func complete(ps []*Pending, err error) {
 // the primitive that fences stale writers and arbitrates leadership
 // claims (§4.1.1, §4.1.2).
 func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
-	if l.svc.down.On() || l.appendsFailed.On() {
+	if l.svc.cfg.Faults.Hit(faultpoint.SiteLogUnavailable).Kind == faultpoint.Error {
 		return nil, ErrUnavailable
 	}
 	// Per-AZ quorum: sample every zone's acknowledgement before assigning a
@@ -1108,40 +1067,6 @@ func (l *Log) RecoverChain() (quarantined, truncated int) {
 	l.mu.Unlock()
 	complete(torn, ErrTruncated)
 	return quarantined, truncated
-}
-
-// DamageRecord flips one byte of the stored payload of the entry at seq —
-// the at-rest bit-rot injection recovery tests use (the append-time
-// variant is the txlog.corrupt_record fault site). Returns false when
-// the position is trimmed/unknown or carries no payload.
-func (l *Log) DamageRecord(seq uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := l.segFor(seq)
-	if s == nil {
-		return false
-	}
-	e := s.entry(seq)
-	if len(e.Payload) == 0 {
-		return false
-	}
-	cp := append([]byte(nil), e.Payload...)
-	cp[0] ^= 0xff
-	e.Payload = cp
-	return true
-}
-
-// closeAll destroys the log: readers wake to ErrNoSuchLog, appends still
-// in flight fail with it, and the committer exits.
-func (l *Log) closeAll() {
-	l.mu.Lock()
-	l.closed = true
-	lost := l.inflight
-	l.inflight = nil
-	l.wakeReadersLocked()
-	l.mu.Unlock()
-	complete(lost, ErrNoSuchLog)
-	l.wakeCommitter()
 }
 
 // notifyEvery is the cadence of the log's push to subscribers: a commit

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"memorydb/internal/clock"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 )
 
@@ -231,26 +232,26 @@ func TestTrim(t *testing.T) {
 }
 
 func TestServiceUnavailable(t *testing.T) {
-	svc := NewService(Config{})
+	svc := NewService(Config{Faults: faultpoint.New(1)})
 	l, _ := svc.CreateLog("s1")
-	svc.SetUnavailable(true)
+	setUnavailable(svc, true)
 	if _, err := l.Append(context.Background(), ZeroID, Entry{Type: EntryData}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v", err)
 	}
-	svc.SetUnavailable(false)
-	if _, err := l.Append(context.Background(), ZeroID, Entry{Type: EntryData}); err != nil {
-		t.Fatalf("err after recovery = %v", err)
+	if _, _, err := l.NewReader(ZeroID).TryNext(); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("read during a standing outage: err = %v", err)
 	}
-}
-
-func TestPerLogFailInjection(t *testing.T) {
-	l := newTestLog(t, netsim.Zero{})
-	l.FailAppends(true)
-	if _, err := l.Append(context.Background(), ZeroID, Entry{Type: EntryData}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v", err)
+	setUnavailable(svc, false)
+	id := appendData(t, l, ZeroID, "ok")
+	// A one-shot outage fails exactly one append and leaves reads alone.
+	svc.cfg.Faults.Arm(faultpoint.SiteLogUnavailable, faultpoint.Error, 0)
+	if _, err := l.Append(context.Background(), id, Entry{Type: EntryData}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("armed one-shot outage: err = %v", err)
 	}
-	l.FailAppends(false)
-	appendData(t, l, ZeroID, "ok")
+	if _, ok, err := l.NewReader(ZeroID).TryNext(); err != nil || !ok {
+		t.Fatalf("read after a one-shot outage: ok=%v err=%v", ok, err)
+	}
+	appendData(t, l, id, "again")
 }
 
 func TestCreateDeleteLog(t *testing.T) {
