@@ -189,7 +189,9 @@ func (n *Node) startAppend(after txlog.EntryID, e txlog.Entry) (*txlog.Pending, 
 	if err := n.checkpoint(faultpoint.SiteAppendPre); err != nil {
 		return nil, err
 	}
-	if n.partitioned() {
+	// The one counted pass through node.partition: a standing Error is the
+	// partition itself; a one-shot or probabilistic one fails this append.
+	if n.cfg.Faults.Hit(faultpoint.SiteNodePartition).Kind == faultpoint.Error {
 		return nil, txlog.ErrUnavailable
 	}
 	p, err := n.cfg.Log.StartAppend(after, e)
