@@ -151,8 +151,7 @@ func (cl *Client) route(argv [][]byte) (*Shard, error) {
 	if len(argv) == 0 {
 		return nil, fmt.Errorf("cluster: empty command")
 	}
-	cmd, ok := engine.LookupCommand(string(argv[0]))
-	if ok {
+	if cmd := engine.Lookup(argv[0]); cmd != nil {
 		if keys := cmd.Keys(argv); len(keys) > 0 {
 			slot := crc16.Slot(keys[0])
 			if sh := cl.c.SlotOwner(slot); sh != nil {
@@ -172,7 +171,7 @@ func (cl *Client) route(argv [][]byte) (*Shard, error) {
 // replica spreading after a REDIRECT bounce.
 func (cl *Client) pick(sh *Shard, argv [][]byte, forcePrimary bool) (*core.Node, error) {
 	if cl.readonly && !forcePrimary {
-		if cmd, ok := engine.LookupCommand(string(argv[0])); ok && !cmd.Writes() {
+		if cmd := engine.Lookup(argv[0]); cmd != nil && !cmd.Writes() {
 			if reps := sh.Replicas(); len(reps) > 0 {
 				// Cheap spread: pick by first key byte so a single hot
 				// client still fans out.

@@ -352,8 +352,8 @@ func (c *Cluster) Stop() {
 // gateFor builds the slot admission check for nodes of sh: MOVED for
 // slots owned elsewhere, CROSSSLOT for multi-slot commands, TRYAGAIN for
 // writes to a slot whose ownership transfer is in flight.
-func (c *Cluster) gateFor(sh *Shard) func(name string, keys []string, writing bool) (resp.Value, bool) {
-	return func(name string, keys []string, writing bool) (resp.Value, bool) {
+func (c *Cluster) gateFor(sh *Shard) func(name string, keys [][]byte, writing bool) (resp.Value, bool) {
+	return func(name string, keys [][]byte, writing bool) (resp.Value, bool) {
 		if len(keys) == 0 {
 			return resp.Value{}, false
 		}

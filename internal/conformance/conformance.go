@@ -176,7 +176,7 @@ func (g *Generator) expand(tok string) string {
 // deterministic and effect-free too.
 func (g *Generator) fuzzFromSpec() []string {
 	name := g.names[g.rng.Intn(len(g.names))]
-	cmd, _ := engine.LookupCommand(name)
+	cmd := engine.Lookup(name)
 	argc := cmd.Arity
 	if argc < 0 {
 		argc = -argc

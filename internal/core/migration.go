@@ -94,7 +94,7 @@ func (n *Node) EndSlotMigration(slot uint16) {
 // consulted before executing client commands. The cluster layer uses it
 // for MOVED redirects, CROSSSLOT validation, and the brief write block
 // during slot ownership transfer.
-func (n *Node) SetSlotGate(gate func(name string, keys []string, writing bool) (resp.Value, bool)) {
+func (n *Node) SetSlotGate(gate func(name string, keys [][]byte, writing bool) (resp.Value, bool)) {
 	n.mu.Lock()
 	n.slotGate = gate
 	n.mu.Unlock()

@@ -219,7 +219,7 @@ type Node struct {
 	stalled bool // upgrade protection tripped (§7.1)
 	// slotGate, when set by the cluster layer, admits or rejects client
 	// commands by slot (MOVED / CROSSSLOT / migration write block, §5.2).
-	slotGate func(name string, keys []string, writing bool) (resp.Value, bool)
+	slotGate func(name string, keys [][]byte, writing bool) (resp.Value, bool)
 
 	// shards are the keyspace-sharded execution workloops. Each owns a
 	// contiguous range of store parts, a task queue, an engine over the

@@ -37,7 +37,7 @@ func onePathNode(t *testing.T, id string, log *txlog.Log, cfg Config) *Node {
 func crossShardPair(t *testing.T, n *Node) (string, string) {
 	t.Helper()
 	for c := 'b'; c <= 'z'; c++ {
-		if n.shardOfKey(string(c)) != n.shardOfKey("a") {
+		if n.shardOfKey([]byte{byte(c)}) != n.shardOfKey([]byte("a")) {
 			return "a", string(c)
 		}
 	}

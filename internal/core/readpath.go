@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"memorydb/internal/election"
+	"memorydb/internal/engine"
 	"memorydb/internal/obs"
 	"memorydb/internal/resp"
 	"memorydb/internal/txlog"
@@ -105,7 +106,7 @@ func (n *Node) DoReadOnly(ctx context.Context, argv [][]byte) (resp.Value, error
 func (n *Node) DoRead(ctx context.Context, argv [][]byte, opts ReadOpts) (resp.Value, ReadOutcome, error) {
 	t := &task{kind: taskCmd, argv: argv, readonly: true}
 	t.resolve()
-	eligible := t.cmd != nil && !t.cmd.Writes() && !isAlwaysLocal(t.name)
+	eligible := t.cmd != nil && !t.cmd.Writes() && t.cmd.Flags&engine.FlagLocal == 0
 	return n.readLadder(ctx, t, eligible, opts)
 }
 
@@ -114,7 +115,9 @@ func (n *Node) DoRead(ctx context.Context, argv [][]byte, opts ReadOpts) (resp.V
 // as single reads; batches containing writes fall through to the
 // default path (primary-only).
 func (n *Node) DoBatchRead(ctx context.Context, cmds [][][]byte, opts ReadOpts) (resp.Value, ReadOutcome, error) {
-	return n.readLadder(ctx, &task{kind: taskBatch, batch: cmds, readonly: true}, batchIsReadOnly(cmds), opts)
+	t := &task{kind: taskBatch, batch: cmds, readonly: true}
+	t.resolve()
+	return n.readLadder(ctx, t, batchIsReadOnly(t.cmds), opts)
 }
 
 // readLadder submits a readonly task, first clearing an eligible read for

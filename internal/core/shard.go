@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"memorydb/internal/engine"
 	"memorydb/internal/store"
 )
@@ -90,7 +88,7 @@ func (sh *nodeShard) workloop() {
 }
 
 // shardOfKey returns the index of the shard owning key.
-func (n *Node) shardOfKey(key string) int {
+func (n *Node) shardOfKey(key []byte) int {
 	return store.PartOfKey(key) * len(n.shards) / store.NumParts
 }
 
@@ -117,18 +115,15 @@ func ShardOfSlot(slot uint16, shards int) int {
 func (n *Node) route(t *task) *nodeShard {
 	switch t.kind {
 	case taskCmd:
-		name := t.name
-		if name == "INFO" || isAlwaysLocal(name) {
-			return n.shards[0]
-		}
-		if name == "WAIT" {
+		cmd := t.cmd
+		switch {
+		case t.name == "WAIT":
 			// WAIT covers every outstanding write, so every shard's buffer
 			// must flush.
 			return n.barrier
-		}
-		cmd := t.cmd
-		if cmd == nil {
-			// Unknown command: any shard can produce the error reply.
+		case cmd == nil || cmd.Flags&engine.FlagLocal != 0:
+			// INFO, an always-local command, or an unknown one whose error
+			// reply any shard can produce.
 			return n.shards[0]
 		}
 		keys := t.keys
@@ -136,7 +131,7 @@ func (n *Node) route(t *task) *nodeShard {
 			// Keyless: whole-keyspace writes (FLUSHALL) and reads whose
 			// results reflect every shard (KEYS, DBSIZE, …) take the
 			// barrier; other keyless commands are shard-agnostic.
-			if cmd.Writes() || gatesOnFullKeyspace(name) {
+			if cmd.Writes() || cmd.Flags&engine.FlagKeyspace != 0 {
 				return n.barrier
 			}
 			return n.shards[0]
@@ -151,18 +146,13 @@ func (n *Node) route(t *task) *nodeShard {
 		return n.shards[si]
 	case taskBatch:
 		si := -1
-		for _, argv := range t.batch {
-			if len(argv) == 0 {
+		for i, cmd := range t.cmds {
+			if cmd == nil {
 				continue
 			}
-			name := strings.ToUpper(string(argv[0]))
-			cmd, known := engine.LookupCommand(name)
-			if !known {
-				continue
-			}
-			keys := cmd.Keys(argv)
+			keys := cmd.Keys(t.batch[i])
 			if len(keys) == 0 {
-				if cmd.Writes() || gatesOnFullKeyspace(name) {
+				if cmd.Writes() || cmd.Flags&engine.FlagKeyspace != 0 {
 					return n.barrier
 				}
 				continue

@@ -146,7 +146,7 @@ func TestCrossSlotCommandsSpanShards(t *testing.T) {
 			a = k
 			continue
 		}
-		if n.shardOfKey(k) != n.shardOfKey(a) {
+		if n.shardOfKey([]byte(k)) != n.shardOfKey([]byte(a)) {
 			b = k
 			break
 		}
@@ -181,8 +181,8 @@ func TestBarrierConsistentCut(t *testing.T) {
 
 	ctx := context.Background()
 	const left, right = "{cut-l}v", "{cut-r}v"
-	if n.shardOfKey(left) == n.shardOfKey(right) {
-		t.Fatalf("test keys landed on one shard (%d); pick different tags", n.shardOfKey(left))
+	if n.shardOfKey([]byte(left)) == n.shardOfKey([]byte(right)) {
+		t.Fatalf("test keys landed on one shard (%d); pick different tags", n.shardOfKey([]byte(left)))
 	}
 	set := func(val string) [][][]byte {
 		return [][][]byte{

@@ -40,7 +40,12 @@ func (n *Node) traceStart(ctx context.Context, t *task) {
 			return
 		}
 	}
-	name := "cmd:" + t.name
+	var name string
+	if t.cmd != nil {
+		name = t.cmd.SpanName
+	} else {
+		name = "cmd:" + t.name // a batch, INFO, WAIT or an unknown command
+	}
 	ts := &taskSpan{c: n.trace}
 	if fromCtx {
 		ts.root = n.trace.Child(sc, name, n.cfg.NodeID, -1)

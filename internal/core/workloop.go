@@ -54,12 +54,15 @@ type task struct {
 	tr *taskSpan
 
 	// name is the uppercase command name ("EXEC" for a batch), cmd its
-	// command-table entry (nil for a batch or an unknown command) and
-	// keys the keys it names, all set by resolve; shard is the index of
-	// the shard submit routed the task to (-1 = the barrier shard).
+	// command-table entry (nil for a batch, INFO, WAIT or an unknown
+	// command), cmds a batch's entries, one per command, and keys the
+	// keys it names, as views of argv, all set by resolve; shard is the
+	// index of the shard submit routed the task to (-1 = the barrier
+	// shard).
 	name  string
 	cmd   *engine.Command
-	keys  []string
+	cmds  []*engine.Command
+	keys  [][]byte
 	shard int
 
 	// Observability stamps (obs.Now monotonic nanos; 0 = not stamped):
@@ -100,16 +103,24 @@ func (n *Node) DoBatch(ctx context.Context, cmds [][][]byte) (resp.Value, error)
 }
 
 // resolve names a client task and looks its command up, once: routing,
-// admission and the read ladder all read the result.
+// admission, the read ladder and the engine all read the result.
 func (t *task) resolve() {
 	switch {
 	case t.name != "":
 	case t.kind == taskBatch:
 		t.name = "EXEC"
+		t.cmds = make([]*engine.Command, len(t.batch))
+		for i, argv := range t.batch {
+			if len(argv) > 0 {
+				t.cmds[i] = engine.Lookup(argv[0])
+			}
+		}
 	case len(t.argv) > 0:
-		t.name = strings.ToUpper(string(t.argv[0]))
-		if t.cmd, _ = engine.LookupCommand(t.name); t.cmd != nil {
-			t.keys = t.cmd.Keys(t.argv)
+		if t.cmd = engine.Lookup(t.argv[0]); t.cmd != nil {
+			t.name, t.keys = t.cmd.Name, t.cmd.Keys(t.argv)
+		} else {
+			// INFO, WAIT (the node's own) or an unknown command.
+			t.name = strings.ToUpper(string(t.argv[0]))
 		}
 	}
 }
@@ -250,7 +261,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 		n.reply(t, resp.BulkStr(n.infoText()))
 		return
 	}
-	local := isAlwaysLocal(name)
+	local := cmd != nil && cmd.Flags&engine.FlagLocal != 0
 
 	// The admission ladder: the one place a client task reads the node's
 	// role, lease, stall flag and slot gate.
@@ -289,7 +300,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 			// Only an all-read batch is ever verified, so an unverified
 			// READONLY batch — one with a write in it included — bounces
 			// to the primary below instead of failing the pipeline.
-			writes = t.readVerified && !batchIsReadOnly(t.batch)
+			writes = t.readVerified && !batchIsReadOnly(t.cmds)
 		}
 		switch {
 		case stalled:
@@ -311,7 +322,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 	var res engine.Result
 	switch {
 	case batch:
-		res = sh.eng.ExecBatch(t.batch)
+		res = sh.eng.ExecBatch(t.batch, t.cmds)
 	case name == "WAIT":
 		// Every acknowledged write is already durable across AZs, so WAIT
 		// degenerates to a read of the whole keyspace: it gates on the
@@ -319,7 +330,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 		// replicating AZs beyond the primary's.
 		res.Reply = resp.Int64(2)
 	default:
-		res = sh.eng.Exec(t.argv)
+		res = sh.eng.ExecCommand(cmd, t.argv)
 	}
 	if t.deq != 0 {
 		n.obsExecuted(t)
@@ -338,7 +349,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 	// WAIT and read-only transactions (computing the union of read keys
 	// across the group costs more than the conservative gate) wait for
 	// everything outstanding.
-	gateAll := batch || name == "WAIT" || (t.keys == nil && gatesOnFullKeyspace(name))
+	gateAll := batch || name == "WAIT" || (t.keys == nil && cmd != nil && cmd.Flags&engine.FlagKeyspace != 0)
 	// A mutation the read observed may still sit in the group-commit buffer
 	// (no log seq yet): the read then joins the batch and is released with
 	// it. Otherwise the tracker says which issued entry covers it, if any.
@@ -375,16 +386,14 @@ func (n *Node) logMutation(sh *nodeShard, t *task, res engine.Result) {
 	// position the effects take in the batch payload.
 	n.forwardEffects(sh, res.Keys, res.Effects)
 	gc := &sh.gc
-	gc.payload = append(gc.payload, res.Effects...)
+	if len(gc.payload) == 0 {
+		gc.payload = res.Effects // the engine never writes to it again
+	} else {
+		gc.payload = append(gc.payload, res.Effects...)
+	}
 	t.val = res.Reply
 	gc.writes = append(gc.writes, t)
 	gc.dirty = append(gc.dirty, res.Keys...)
-	if gc.keys == nil {
-		gc.keys = make(map[string]struct{}, 16)
-	}
-	for _, k := range res.Keys {
-		gc.keys[k] = struct{}{}
-	}
 	if n.shouldFlush(sh) {
 		n.flushPending(sh)
 	}
@@ -569,37 +578,14 @@ func (n *Node) demote() {
 	}
 }
 
-// batchIsReadOnly reports whether every command in an atomic batch is a
-// known read command — the only batches a replica may serve.
-func batchIsReadOnly(batch [][][]byte) bool {
-	for _, argv := range batch {
-		if len(argv) == 0 {
-			return false
-		}
-		cmd, known := engine.LookupCommand(strings.ToUpper(string(argv[0])))
-		if !known || cmd.Writes() {
+// batchIsReadOnly reports whether every command in an atomic batch, as
+// resolve looked them up, is a known read command — the only batches a
+// replica may serve.
+func batchIsReadOnly(cmds []*engine.Command) bool {
+	for _, cmd := range cmds {
+		if cmd == nil || cmd.Writes() {
 			return false
 		}
 	}
 	return true
-}
-
-// gatesOnFullKeyspace lists keyless reads whose results reflect the whole
-// keyspace and therefore must wait for every outstanding write.
-func gatesOnFullKeyspace(name string) bool {
-	switch name {
-	case "KEYS", "SCAN", "DBSIZE", "RANDOMKEY":
-		return true
-	}
-	return false
-}
-
-// isAlwaysLocal lists commands any node answers regardless of role or
-// READONLY state.
-func isAlwaysLocal(name string) bool {
-	switch name {
-	case "PING", "ECHO", "TIME", "COMMAND", "LATENCY", "SLOWLOG", "TRACE", "DEBUG":
-		return true
-	}
-	return false
 }

@@ -25,27 +25,28 @@ func init() {
 }
 
 // Checksum returns the CRC16-XModem checksum of data.
-func Checksum(data []byte) uint16 {
+func Checksum[K ~string | ~[]byte](data K) uint16 {
 	var crc uint16
-	for _, b := range data {
-		crc = crc<<8 ^ table[byte(crc>>8)^b]
+	for i := 0; i < len(data); i++ {
+		crc = crc<<8 ^ table[byte(crc>>8)^data[i]]
 	}
 	return crc
 }
 
 // Slot returns the hash slot for key, honouring Redis hash tags: if the key
 // contains a "{...}" section with a non-empty interior, only that interior
-// is hashed, letting callers co-locate related keys.
-func Slot(key string) uint16 {
+// is hashed, letting callers co-locate related keys. A key may be a view
+// of a command's argument bytes: Slot neither copies nor keeps it.
+func Slot[K ~string | ~[]byte](key K) uint16 {
 	if tag, ok := hashTag(key); ok {
 		key = tag
 	}
-	return Checksum([]byte(key)) % NumSlots
+	return Checksum(key) % NumSlots
 }
 
 // hashTag extracts the first {...} segment of key. Redis semantics: only
 // the first '{' counts, and the tag must be non-empty.
-func hashTag(key string) (string, bool) {
+func hashTag[K ~string | ~[]byte](key K) (K, bool) {
 	for i := 0; i < len(key); i++ {
 		if key[i] != '{' {
 			continue
@@ -53,12 +54,12 @@ func hashTag(key string) (string, bool) {
 		for j := i + 1; j < len(key); j++ {
 			if key[j] == '}' {
 				if j == i+1 {
-					return "", false // "{}" — empty tag, hash the whole key
+					return key, false // "{}" — empty tag, hash the whole key
 				}
 				return key[i+1 : j], true
 			}
 		}
-		return "", false // unterminated '{'
+		return key, false // unterminated '{'
 	}
-	return "", false
+	return key, false
 }

@@ -12,7 +12,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -42,6 +41,12 @@ const (
 	FlagReadOnly
 	// FlagFast marks O(1)-ish commands (informational).
 	FlagFast
+	// FlagLocal marks commands any node answers, whatever its role or the
+	// client's READONLY state.
+	FlagLocal
+	// FlagKeyspace marks keyless reads whose result reflects the whole
+	// keyspace, so they wait for every outstanding write.
+	FlagKeyspace
 )
 
 // Command is one entry in the command table.
@@ -53,10 +58,16 @@ type Command struct {
 	// Key extraction spec (Redis-style): FirstKey/LastKey/KeyStep, all in
 	// argv indices; LastKey -1 means "through the end".
 	FirstKey, LastKey, KeyStep int
+	// SpanName names a traced run of the command, "cmd:" + Name: set by
+	// the table, a constant per command.
+	SpanName string
 }
 
-// Keys extracts the key arguments of argv according to the command spec.
-func (c *Command) Keys(argv [][]byte) []string {
+// Keys returns the key arguments of argv according to the command spec, as
+// views of argv: a caller that keeps a key past the command must copy it.
+// Keys at consecutive positions are a subslice of argv itself, so only a
+// stepped spec (MSET's key-value pairs) allocates.
+func (c *Command) Keys(argv [][]byte) [][]byte {
 	if c.FirstKey == 0 || len(argv) <= c.FirstKey {
 		return nil
 	}
@@ -64,16 +75,17 @@ func (c *Command) Keys(argv [][]byte) []string {
 	if last < 0 {
 		last = len(argv) + last
 	}
-	if last >= len(argv) {
-		last = len(argv) - 1
+	last = min(last, len(argv)-1)
+	step := max(c.KeyStep, 1)
+	switch {
+	case last < c.FirstKey:
+		return nil
+	case step == 1:
+		return argv[c.FirstKey : last+1 : last+1]
 	}
-	step := c.KeyStep
-	if step <= 0 {
-		step = 1
-	}
-	var keys []string
+	keys := make([][]byte, 0, (last-c.FirstKey)/step+1)
 	for i := c.FirstKey; i <= last; i += step {
-		keys = append(keys, string(argv[i]))
+		keys = append(keys, argv[i])
 	}
 	return keys
 }
@@ -83,15 +95,30 @@ func (c *Command) Writes() bool { return c.Flags&FlagWrite != 0 }
 
 var commandTable = map[string]*Command{}
 
+// maxNameLen bounds a command name, so Lookup folds into a stack buffer.
+const maxNameLen = 32
+
 func register(c *Command) {
+	c.SpanName = "cmd:" + c.Name
 	commandTable[c.Name] = c
 }
 
-// LookupCommand returns the command table entry for name
-// (case-insensitive).
-func LookupCommand(name string) (*Command, bool) {
-	c, ok := commandTable[strings.ToUpper(name)]
-	return c, ok
+// Lookup resolves a command name case-insensitively, without allocating:
+// it upper-cases ASCII into a stack buffer and indexes the table. Nil for
+// an unknown name.
+func Lookup[N ~string | ~[]byte](name N) *Command {
+	if len(name) > maxNameLen {
+		return nil
+	}
+	var buf [maxNameLen]byte
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return commandTable[string(buf[:len(name)])]
 }
 
 // CommandNames returns every registered command name, sorted.
@@ -112,8 +139,9 @@ type Result struct {
 	// so records concatenate into larger records. Empty for a pure read that
 	// caused no lazy expiry. The engine never writes to it again.
 	Effects []byte
-	// Keys are the keys whose data changed; the tracker hazards reads on
-	// them until the covering log entry commits.
+	// Keys are the keys whose data changed, in the order the commands
+	// touched them, repeats included; the tracker hazards reads on them
+	// until the covering log entry commits.
 	Keys []string
 }
 
@@ -187,27 +215,32 @@ func (e *Engine) Now() time.Time { return e.clk.Now() }
 // effects. Only the node workloop may call it. The engine copies any
 // argument bytes it keeps, so argv is the caller's again once Exec
 // returns; the reply may still view it.
-func (e *Engine) Exec(argv [][]byte) Result {
+func (e *Engine) Exec(argv [][]byte) Result { return e.ExecCommand(lookupArgv(argv), argv) }
+
+// ExecCommand is Exec for a command its caller already resolved: cmd is
+// Lookup(argv[0]), nil when that is unknown. Result.Keys may repeat a key.
+func (e *Engine) ExecCommand(cmd *Command, argv [][]byte) Result {
 	e.effects = nil
 	e.dirtyKeys = nil
-	reply := e.dispatch(argv)
-	return Result{Reply: reply, Effects: e.effects, Keys: dedup(e.dirtyKeys)}
+	reply := e.run(cmd, argv)
+	return Result{Reply: reply, Effects: e.effects, Keys: e.dirtyKeys}
 }
 
-// ExecBatch executes an atomic group (MULTI/EXEC or a script-like batch).
-// All replies are collected into one array and all effects into a single
-// Result so the node can log them as one atomic record (§2.1, §3.2).
-func (e *Engine) ExecBatch(cmds [][][]byte) Result {
+// ExecBatch executes an atomic group (MULTI/EXEC or a script-like batch);
+// cmds[i] resolves batch[i] as ExecCommand's cmd does. All replies are
+// collected into one array and all effects into a single Result so the
+// node can log them as one atomic record (§2.1, §3.2).
+func (e *Engine) ExecBatch(batch [][][]byte, cmds []*Command) Result {
 	e.effects = nil
 	e.dirtyKeys = nil
-	replies := make([]resp.Value, 0, len(cmds))
-	for _, argv := range cmds {
-		replies = append(replies, e.dispatch(argv))
+	replies := make([]resp.Value, 0, len(batch))
+	for i, argv := range batch {
+		replies = append(replies, e.run(cmds[i], argv))
 	}
 	return Result{
 		Reply:   resp.ArrayV(replies...),
 		Effects: e.effects,
-		Keys:    dedup(e.dirtyKeys),
+		Keys:    e.dirtyKeys,
 	}
 }
 
@@ -236,11 +269,12 @@ func (e *Engine) ApplyTracked(record []byte) (keys []string, wholesale bool, err
 	for _, argv := range cmds {
 		e.effects = nil
 		e.dirtyKeys = nil
-		if reply := e.dispatch(argv); reply.IsError() {
+		cmd := lookupArgv(argv)
+		if reply := e.run(cmd, argv); reply.IsError() {
 			return nil, false, fmt.Errorf("engine: replicated command %s failed: %s",
 				strings.ToUpper(string(argv[0])), reply.Text())
 		}
-		if bytes.EqualFold(argv[0], flushAll) || bytes.EqualFold(argv[0], flushDB) {
+		if cmd.Name == "FLUSHALL" || cmd.Name == "FLUSHDB" {
 			wholesale = true
 		}
 		if keys == nil {
@@ -252,23 +286,23 @@ func (e *Engine) ApplyTracked(record []byte) (keys []string, wholesale bool, err
 	return dedup(keys), wholesale, nil
 }
 
-var flushAll, flushDB = []byte("FLUSHALL"), []byte("FLUSHDB")
-
-func (e *Engine) dispatch(argv [][]byte) resp.Value {
+// lookupArgv resolves argv's command name; nil for an empty argv.
+func lookupArgv(argv [][]byte) *Command {
 	if len(argv) == 0 {
+		return nil
+	}
+	return Lookup(argv[0])
+}
+
+// run checks argv against its resolved command and executes it.
+func (e *Engine) run(cmd *Command, argv [][]byte) resp.Value {
+	switch {
+	case len(argv) == 0:
 		return resp.Err("ERR empty command")
-	}
-	name := strings.ToUpper(string(argv[0]))
-	cmd, ok := commandTable[name]
-	if !ok {
+	case cmd == nil:
 		return resp.Errf("ERR unknown command '%s'", string(argv[0]))
-	}
-	if cmd.Arity < 0 {
-		if len(argv) != -cmd.Arity {
-			return wrongArity(name)
-		}
-	} else if len(argv) < cmd.Arity {
-		return wrongArity(name)
+	case cmd.Arity < 0 && len(argv) != -cmd.Arity, len(argv) < cmd.Arity:
+		return wrongArity(cmd.Name)
 	}
 	return cmd.Handler(e, argv)
 }
@@ -363,7 +397,7 @@ func (e *Engine) SweepExpiredParts(limit, lo, hi int) Result {
 		e.propagateStrings("DEL", k)
 		e.touch(k)
 	}
-	return Result{Effects: e.effects, Keys: dedup(e.dirtyKeys)}
+	return Result{Effects: e.effects, Keys: e.dirtyKeys}
 }
 
 // Parsing helpers shared by command handlers.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -105,9 +106,9 @@ func TestCommandTableKeySpecs(t *testing.T) {
 		{[]string{"PING"}, nil},
 	}
 	for _, c := range cases {
-		cmd, ok := LookupCommand(c.cmd[0])
-		if !ok {
-			t.Fatalf("LookupCommand(%s) missing", c.cmd[0])
+		cmd := Lookup(c.cmd[0])
+		if cmd == nil {
+			t.Fatalf("Lookup(%s) missing", c.cmd[0])
 		}
 		argv := make([][]byte, len(c.cmd))
 		for i, a := range c.cmd {
@@ -118,9 +119,33 @@ func TestCommandTableKeySpecs(t *testing.T) {
 			t.Fatalf("%v keys = %v, want %v", c.cmd, got, c.keys)
 		}
 		for i := range got {
-			if got[i] != c.keys[i] {
+			if string(got[i]) != c.keys[i] {
 				t.Fatalf("%v keys = %v, want %v", c.cmd, got, c.keys)
 			}
+		}
+	}
+}
+
+// TestLookupAllocatesNothing pins the one lookup a command's name gets:
+// case-insensitive, and free of allocations.
+func TestLookupAllocatesNothing(t *testing.T) {
+	for _, name := range []string{"get", "GET", "gEt"} {
+		b := []byte(name)
+		allocs := testing.AllocsPerRun(100, func() {
+			if Lookup(b) == nil {
+				t.Fatalf("Lookup(%q) = nil", name)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Lookup(%q): %.1f allocations, want 0", name, allocs)
+		}
+	}
+	if Lookup("GETX") != nil || Lookup(bytes.Repeat([]byte("A"), maxNameLen+1)) != nil {
+		t.Fatal("Lookup resolved a name no command has")
+	}
+	for _, name := range CommandNames() {
+		if Lookup(strings.ToLower(name)) != commandTable[name] {
+			t.Fatalf("Lookup(%q) misses a registered command (names are capped at %d bytes)", name, maxNameLen)
 		}
 	}
 }
@@ -135,11 +160,11 @@ func TestCommandNamesSortedAndFlagged(t *testing.T) {
 			t.Fatal("CommandNames not sorted")
 		}
 	}
-	get, _ := LookupCommand("get") // case-insensitive
+	get := Lookup("get") // case-insensitive
 	if get == nil || get.Writes() {
 		t.Fatal("GET lookup/flags broken")
 	}
-	set, _ := LookupCommand("SET")
+	set := Lookup("SET")
 	if !set.Writes() {
 		t.Fatal("SET must be a write")
 	}
@@ -147,7 +172,7 @@ func TestCommandNamesSortedAndFlagged(t *testing.T) {
 
 func TestExecBatchAtomicReplyAndEffects(t *testing.T) {
 	e, _, _ := testEngine(t)
-	res := e.ExecBatch([][][]byte{
+	res := e.execBatch([][][]byte{
 		{[]byte("SET"), []byte("a"), []byte("1")},
 		{[]byte("INCR"), []byte("a")},
 		{[]byte("GET"), []byte("a")},
@@ -159,8 +184,10 @@ func TestExecBatchAtomicReplyAndEffects(t *testing.T) {
 	if cmds, err := DecodeRecord(res.Effects); err != nil || len(cmds) != 2 {
 		t.Fatalf("effects = %q (%v), want 2 commands", cmds, err)
 	}
-	if len(res.Keys) != 1 || res.Keys[0] != "a" {
-		t.Fatalf("keys = %v", res.Keys)
+	// One entry per mutation, repeats included: no consumer needs them
+	// deduplicated.
+	if len(res.Keys) != 2 || res.Keys[0] != "a" || res.Keys[1] != "a" {
+		t.Fatalf("keys = %v, want [a a]", res.Keys)
 	}
 }
 
@@ -221,9 +248,9 @@ func TestApplySuppressesEffects(t *testing.T) {
 
 // TestApplyAllocationBound pins the replica apply path's footprint: one
 // log entry carrying one SET costs the decoder's two slices, the stored
-// buffer, the command name's string and a dirty-key list — five
-// allocations, where copying each argument out of a bufio.Reader sized
-// to the record cost 16.
+// buffer and a dirty-key list — four allocations, where copying each
+// argument out of a bufio.Reader sized to the record cost 16, and
+// upper-casing the command name one more.
 func TestApplyAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -235,8 +262,8 @@ func TestApplyAllocationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 5 {
-		t.Fatalf("Apply of a one-SET record: %.0f allocations, want <= 5", allocs)
+	if allocs > 4 {
+		t.Fatalf("Apply of a one-SET record: %.0f allocations, want <= 4", allocs)
 	}
 }
 

@@ -125,7 +125,7 @@ func goldenRecords(t testing.TB) [][]byte {
 		t.Fatalf("lazy expiry: reply %v, mutated %v", res.Reply, res.Mutated())
 	}
 	records = append(records, res.Effects)
-	res = e.ExecBatch([][][]byte{
+	res = e.execBatch([][][]byte{
 		{[]byte("SET"), []byte("g1"), []byte("1")},
 		{[]byte("INCR"), []byte("g1")},
 		{[]byte("GET"), []byte("g1")},
@@ -155,7 +155,7 @@ func TestEffectsNeverAliased(t *testing.T) {
 	}
 	keep(exec(e, "SET", "a", "1", "PX", "5"))
 	keep(exec(e, "SADD", "s", "x", "y", "z"))
-	keep(e.ExecBatch([][][]byte{{[]byte("INCR"), []byte("n")}, {[]byte("SPOP"), []byte("s")}}))
+	keep(e.execBatch([][][]byte{{[]byte("INCR"), []byte("n")}, {[]byte("SPOP"), []byte("s")}}))
 	clk.Advance(time.Second)
 	keep(exec(e, "GET", "a"))
 	keep(exec(e, "SET", "b", "2", "PX", "5"))

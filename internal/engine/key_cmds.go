@@ -21,18 +21,18 @@ func init() {
 	register(&Command{Name: "PERSIST", Arity: -2, Flags: FlagWrite | FlagFast, Handler: cmdPersist, FirstKey: 1, LastKey: 1, KeyStep: 1})
 	register(&Command{Name: "TTL", Arity: -2, Flags: FlagReadOnly | FlagFast, Handler: cmdTTL, FirstKey: 1, LastKey: 1, KeyStep: 1})
 	register(&Command{Name: "PTTL", Arity: -2, Flags: FlagReadOnly | FlagFast, Handler: cmdPTTL, FirstKey: 1, LastKey: 1, KeyStep: 1})
-	register(&Command{Name: "KEYS", Arity: -2, Flags: FlagReadOnly, Handler: cmdKeys})
-	register(&Command{Name: "SCAN", Arity: 2, Flags: FlagReadOnly, Handler: cmdScan})
-	register(&Command{Name: "DBSIZE", Arity: -1, Flags: FlagReadOnly | FlagFast, Handler: cmdDBSize})
+	register(&Command{Name: "KEYS", Arity: -2, Flags: FlagReadOnly | FlagKeyspace, Handler: cmdKeys})
+	register(&Command{Name: "SCAN", Arity: 2, Flags: FlagReadOnly | FlagKeyspace, Handler: cmdScan})
+	register(&Command{Name: "DBSIZE", Arity: -1, Flags: FlagReadOnly | FlagFast | FlagKeyspace, Handler: cmdDBSize})
 	register(&Command{Name: "FLUSHALL", Arity: 1, Flags: FlagWrite, Handler: cmdFlushAll})
 	register(&Command{Name: "FLUSHDB", Arity: 1, Flags: FlagWrite, Handler: cmdFlushAll})
-	register(&Command{Name: "RANDOMKEY", Arity: -1, Flags: FlagReadOnly, Handler: cmdRandomKey})
+	register(&Command{Name: "RANDOMKEY", Arity: -1, Flags: FlagReadOnly | FlagKeyspace, Handler: cmdRandomKey})
 	register(&Command{Name: "RENAME", Arity: -3, Flags: FlagWrite, Handler: cmdRename, FirstKey: 1, LastKey: 2, KeyStep: 1})
 	register(&Command{Name: "RENAMENX", Arity: -3, Flags: FlagWrite, Handler: cmdRenameNX, FirstKey: 1, LastKey: 2, KeyStep: 1})
-	register(&Command{Name: "PING", Arity: 1, Flags: FlagReadOnly | FlagFast, Handler: cmdPing})
-	register(&Command{Name: "ECHO", Arity: -2, Flags: FlagReadOnly | FlagFast, Handler: cmdEcho})
-	register(&Command{Name: "TIME", Arity: -1, Flags: FlagReadOnly | FlagFast, Handler: cmdTime})
-	register(&Command{Name: "COMMAND", Arity: 1, Flags: FlagReadOnly, Handler: cmdCommand})
+	register(&Command{Name: "PING", Arity: 1, Flags: FlagReadOnly | FlagFast | FlagLocal, Handler: cmdPing})
+	register(&Command{Name: "ECHO", Arity: -2, Flags: FlagReadOnly | FlagFast | FlagLocal, Handler: cmdEcho})
+	register(&Command{Name: "TIME", Arity: -1, Flags: FlagReadOnly | FlagFast | FlagLocal, Handler: cmdTime})
+	register(&Command{Name: "COMMAND", Arity: 1, Flags: FlagReadOnly | FlagLocal, Handler: cmdCommand})
 }
 
 func cmdDel(e *Engine, argv [][]byte) resp.Value {

@@ -15,8 +15,8 @@ import (
 // owning node attached via SetObs.
 
 func init() {
-	register(&Command{Name: "LATENCY", Arity: 1, Flags: FlagReadOnly | FlagFast, Handler: cmdLatency})
-	register(&Command{Name: "SLOWLOG", Arity: 1, Flags: FlagReadOnly | FlagFast, Handler: cmdSlowlog})
+	register(&Command{Name: "LATENCY", Arity: 1, Flags: FlagReadOnly | FlagFast | FlagLocal, Handler: cmdLatency})
+	register(&Command{Name: "SLOWLOG", Arity: 1, Flags: FlagReadOnly | FlagFast | FlagLocal, Handler: cmdSlowlog})
 }
 
 var errObsDisabled = resp.Err("ERR latency tracking is disabled on this node")

@@ -15,8 +15,8 @@ import (
 // SetTrace/SetFlight.
 
 func init() {
-	register(&Command{Name: "TRACE", Arity: 1, Flags: FlagReadOnly | FlagFast, Handler: cmdTrace})
-	register(&Command{Name: "DEBUG", Arity: 1, Flags: FlagReadOnly | FlagFast, Handler: cmdDebug})
+	register(&Command{Name: "TRACE", Arity: 1, Flags: FlagReadOnly | FlagFast | FlagLocal, Handler: cmdTrace})
+	register(&Command{Name: "DEBUG", Arity: 1, Flags: FlagReadOnly | FlagFast | FlagLocal, Handler: cmdDebug})
 }
 
 var errTraceDisabled = resp.Err("ERR tracing is disabled on this node")

@@ -238,3 +238,30 @@ func TestServerConcurrentClients(t *testing.T) {
 		t.Fatalf("counter = %v, want 400", v)
 	}
 }
+
+// TestCommandErrorsKeepRedisText: the front door resolves a name once,
+// without regard to case, and a name that resolves to nothing or an argument
+// count the command refuses still gets Redis's error text.
+func TestCommandErrorsKeepRedisText(t *testing.T) {
+	srv, _ := startMemoryDBServer(t)
+	c := dial(t, srv.Addr().String())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"sEt", "k", "v"}, "OK"},
+		{[]string{"gEt", "k"}, "v"},
+		{[]string{"NOSUCH", "x"}, "ERR unknown command 'NOSUCH'"},
+		{[]string{"nosuch"}, "ERR unknown command 'nosuch'"},
+		{[]string{"get"}, "ERR wrong number of arguments for 'get' command"},
+		{[]string{"GET", "a", "b"}, "ERR wrong number of arguments for 'get' command"},
+		{[]string{"Set", "k"}, "ERR wrong number of arguments for 'set' command"},
+		{[]string{"MSET", "a"}, "ERR wrong number of arguments for 'mset' command"},
+		{[]string{"hset", "h", "f"}, "ERR wrong number of arguments for 'hset' command"},
+		{[]string{"discard"}, "ERR DISCARD without MULTI"},
+	} {
+		if got := c.do(t, tc.args...); got.Text() != tc.want {
+			t.Errorf("%q = %q, want %q", tc.args, got.Text(), tc.want)
+		}
+	}
+}

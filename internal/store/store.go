@@ -36,7 +36,7 @@ const slotsPerPartShift = 8
 func PartOfSlot(slot uint16) int { return int(slot >> slotsPerPartShift) }
 
 // PartOfKey returns the part index owning a key.
-func PartOfKey(key string) int { return PartOfSlot(crc16.Slot(key)) }
+func PartOfKey[K ~string | ~[]byte](key K) int { return PartOfSlot(crc16.Slot(key)) }
 
 // Kind enumerates value types.
 type Kind uint8

@@ -1,6 +1,7 @@
 package tracker
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,11 +10,20 @@ import (
 // gateRead withholds a read the way the node does: Covering says what the
 // read must wait for, and only a read that has to wait is registered.
 func gateRead(trk *Tracker, keys []string, deliver func(aborted bool)) {
-	if seq := trk.Covering(0, keys); seq == 0 {
+	if seq := trk.Covering(0, views(keys)); seq == 0 {
 		deliver(false)
 	} else {
 		trk.RegisterWrite(seq, nil, deliver)
 	}
+}
+
+// views turns test keys into the argument views Covering takes.
+func views(keys []string) [][]byte {
+	out := make([][]byte, len(keys))
+	for i, k := range keys {
+		out[i] = []byte(k)
+	}
+	return out
 }
 
 // TestGateReadDeliveredAfterCoveringWrite pins the delivery ordering
@@ -200,15 +210,37 @@ func TestCoveringShedsStaleHazardsLazily(t *testing.T) {
 	trk.RegisterWrite(1, []string{"a", "b"}, func(bool) {})
 	trk.RegisterWrite(2, []string{"b"}, func(bool) {})
 	trk.Commit(1)
-	if seq := trk.Covering(0, []string{"a", "b"}); seq != 2 {
+	if seq := trk.Covering(0, views([]string{"a", "b"})); seq != 2 {
 		t.Fatalf("Covering = %d, want 2 (b was re-dirtied at 2)", seq)
 	}
 	if _, stale := trk.hazards["a"]; stale || len(trk.hazards) != 1 {
 		t.Fatalf("hazards = %v, want only b", trk.hazards)
 	}
 	trk.Commit(2)
-	if seq := trk.Covering(0, []string{"a", "b"}); seq != 0 || len(trk.hazards) != 0 {
+	if seq := trk.Covering(0, views([]string{"a", "b"})); seq != 0 || len(trk.hazards) != 0 {
 		t.Fatalf("Covering = %d with hazards %v after full commit, want 0 and none", seq, trk.hazards)
+	}
+}
+
+// TestCommitClearsStaleHazardsWholesale: past the shedding size, a commit
+// that makes every hazard durable empties the map at once, and one that
+// leaves a newer hazard pending sheds only the stale ones.
+func TestCommitClearsStaleHazardsWholesale(t *testing.T) {
+	trk := New(0)
+	keys := make([]string, 1100)
+	for i := range keys {
+		keys[i] = fmt.Sprint("k", i)
+	}
+	trk.RegisterWrite(1, keys, func(bool) {})
+	trk.RegisterWrite(2, keys[:3], func(bool) {})
+	trk.Commit(1)
+	if len(trk.hazards) != 3 {
+		t.Fatalf("%d hazards after committing seq 1, want the 3 re-dirtied at 2", len(trk.hazards))
+	}
+	trk.RegisterWrite(3, keys, func(bool) {})
+	trk.Commit(3)
+	if len(trk.hazards) != 0 {
+		t.Fatalf("%d hazards after every write committed, want none", len(trk.hazards))
 	}
 }
 
@@ -225,7 +257,7 @@ func TestCoveringWholeKeyspaceRead(t *testing.T) {
 	}{
 		{0, nil, 0}, {4, nil, 0}, {7, nil, 7}, {5, []string{"k"}, 6}, {7, []string{"k"}, 7},
 	} {
-		if got := trk.Covering(c.tail, c.keys); got != c.want {
+		if got := trk.Covering(c.tail, views(c.keys)); got != c.want {
 			t.Errorf("Covering(%d, %v) = %d, want %d", c.tail, c.keys, got, c.want)
 		}
 	}

@@ -17,8 +17,11 @@ import (
 // log-append completion goroutines report commits.
 type Tracker struct {
 	mu sync.Mutex
-	// hazards maps key -> highest pending log seq that mutated it.
+	// hazards maps key -> highest pending log seq that mutated it, and
+	// newest is the highest seq any hazard holds: once it is durable, every
+	// hazard is stale.
 	hazards map[string]uint64
+	newest  uint64
 	// pending holds gated deliveries — a log entry's replies, or one read's
 	// — in ascending seq order (seqs are assigned monotonically by the log,
 	// so appends keep it sorted).
@@ -59,6 +62,9 @@ func (t *Tracker) RegisterWrite(seq uint64, keys []string, deliver func(aborted 
 				t.hazards[k] = seq
 			}
 		}
+		if len(keys) > 0 {
+			t.newest = max(t.newest, seq)
+		}
 		if seq > t.committed {
 			t.insertLocked(gated{seq: seq, deliver: deliver})
 			t.mu.Unlock()
@@ -75,16 +81,17 @@ func (t *Tracker) RegisterWrite(seq uint64, keys []string, deliver func(aborted 
 // keyspace, 0 for a keyed read) and the writes registered on keys — 0 when
 // everything the read can have observed is durable. An aborted tracker
 // cannot say that of anything: it answers with a seq that never commits,
-// so registering the read at it fails the read.
-func (t *Tracker) Covering(seq uint64, keys []string) uint64 {
+// so registering the read at it fails the read. keys may be views of the
+// read's arguments: the tracker keeps none of them.
+func (t *Tracker) Covering(seq uint64, keys [][]byte) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.aborted {
 		return math.MaxUint64
 	}
 	for _, k := range keys {
-		if h, ok := t.hazards[k]; ok && h <= t.committed {
-			delete(t.hazards, k) // lazily clear stale hazards
+		if h, ok := t.hazards[string(k)]; ok && h <= t.committed {
+			delete(t.hazards, string(k)) // lazily clear stale hazards
 		} else if h > seq {
 			seq = h
 		}
@@ -125,8 +132,12 @@ func (t *Tracker) Commit(seq uint64) {
 	if i > 0 {
 		t.pending, t.spare = append(t.spare[:0], t.pending[i:]...), nil
 	}
-	// Opportunistically shed stale hazards to bound the map.
-	if len(t.hazards) > 1024 {
+	// Opportunistically shed stale hazards to bound the map: wholesale when
+	// every one is stale (the common case, a burst of writes all durable),
+	// else one by one.
+	if len(t.hazards) > 1024 && t.newest <= seq {
+		clear(t.hazards)
+	} else if len(t.hazards) > 1024 {
 		for k, s := range t.hazards {
 			if s <= t.committed {
 				delete(t.hazards, k)
