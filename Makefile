@@ -10,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race benchmark-module fuzz chaos crash obs shards reads soak forkless bench
+.PHONY: check vet build test race benchmark-module fuzz chaos crash obs reads soak forkless bench
 
-check: vet build test race benchmark-module fuzz chaos crash shards reads soak forkless obs
+check: vet build test race benchmark-module fuzz chaos crash reads soak forkless obs
 
 # staticcheck is optional tooling: run it when the runner has it on PATH,
 # skip silently otherwise (the container image does not bake it in). The
@@ -54,19 +54,15 @@ fuzz:
 	done
 
 # matrix runs the internal/cluster tests matching $(1) under the race
-# detector in every cell of seeds {1,2} × execution shards {1,8}: fault
-# schedules must reproduce at two pinned seeds so fault-path regressions
-# are deterministic, at both one shard (the general path with N=1 — no
-# cross-shard traffic, and pinned so schedules don't drift with the
-# runner's GOMAXPROCS) and eight (cross-shard barriers, shards contending
-# for the sequencer). Chaos-family tests read the chaos seed, crash-family
-# the other.
+# detector at seeds {1,2}: fault schedules must reproduce at two pinned
+# seeds so fault-path regressions are deterministic. Chaos-family tests
+# read the chaos seed, crash-family the other.
 define matrix
-	@set -e; for shards in 1 8; do for seed in 1 2; do \
-		echo "MEMORYDB_SHARDS=$$shards seed=$$seed $(GO) test -race -run '$(1)' ./internal/cluster/"; \
-		MEMORYDB_SHARDS=$$shards MEMORYDB_CHAOS_SEED=$$seed MEMORYDB_CRASH_SEED=$$seed \
+	@set -e; for seed in 1 2; do \
+		echo "seed=$$seed $(GO) test -race -run '$(1)' ./internal/cluster/"; \
+		MEMORYDB_CHAOS_SEED=$$seed MEMORYDB_CRASH_SEED=$$seed \
 			$(GO) test -race -run '$(1)' ./internal/cluster/; \
-	done; done
+	done
 endef
 
 # Chaos gate: AZ outages, rolling maintenance, flaky-AZ storm, randomized
@@ -90,12 +86,6 @@ crash:
 # `check` runs it last.
 obs:
 	MEMORYDB_OBS_GUARD=1 $(GO) test -run TestObsOverheadGuard -count=1 ./internal/obs/ ./internal/core/
-
-# Sharded-execution gate: the core suite must hold at both one execution
-# shard (the same path, N=1) and eight under the race detector.
-shards:
-	MEMORYDB_SHARDS=1 $(GO) test -race ./internal/core/
-	MEMORYDB_SHARDS=8 $(GO) test -race ./internal/core/
 
 # Consistent replica-read gate: the replica-read fault schedules
 # (failover storm, bounded-staleness partition, log-trim rebootstrap)

@@ -45,24 +45,14 @@ const (
 // absolute load points like the paper's shared x-axis.
 var figure5Loads = []float64{0.1, 0.3, 0.5, 0.7, 0.85, 0.9}
 
-// runFigure4 sweeps R7gSweep with three arms per instance: Redis,
-// single-workloop MemoryDB, and the keyspace-sharded configuration
-// (Shards=bench.ShardedArmShards).
+// runFigure4 sweeps R7gSweep with two arms per instance: Redis and
+// MemoryDB.
 func runFigure4(b *testing.B, w bench.Workload) {
-	arms := []struct {
-		name   string
-		sys    bench.System
-		shards int
-	}{
-		{"Redis", bench.SystemRedis, 1},
-		{"MemoryDB", bench.SystemMemoryDB, 1},
-		{"MemoryDB-sharded", bench.SystemMemoryDB, bench.ShardedArmShards()},
-	}
 	for _, it := range bench.R7gSweep {
-		for _, arm := range arms {
-			b.Run(it.Name+"/"+arm.name, func(b *testing.B) {
+		for _, sys := range []bench.System{bench.SystemRedis, bench.SystemMemoryDB} {
+			b.Run(it.Name+"/"+sys.String(), func(b *testing.B) {
 				ctx := context.Background()
-				t, err := bench.NewTarget(arm.sys, it, bench.TargetOpts{Shards: arm.shards})
+				t, err := bench.NewTarget(sys, it)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -86,9 +76,7 @@ func runFigure4(b *testing.B, w bench.Workload) {
 func BenchmarkFigure4a(b *testing.B) { runFigure4(b, bench.WorkloadReadOnly) }
 
 // BenchmarkFigure4b reproduces Figure 4b: write-only maximum throughput
-// per instance type. MemoryDB commits every write to the multi-AZ log;
-// the sharded arm flushes one group-commit buffer per execution shard,
-// so append pipelining widens with the shard count.
+// per instance type. MemoryDB commits every write to the multi-AZ log.
 func BenchmarkFigure4b(b *testing.B) { runFigure4(b, bench.WorkloadWriteOnly) }
 
 // runFigure5 sweeps figure5Loads for both systems on r7g.16xlarge.
@@ -103,7 +91,7 @@ func runFigure5(b *testing.B, w bench.Workload) {
 		for _, frac := range figure5Loads {
 			b.Run(fmt.Sprintf("%s/load%.0f%%", sys, frac*100), func(b *testing.B) {
 				ctx := context.Background()
-				t, err := bench.NewTarget(sys, it, bench.TargetOpts{})
+				t, err := bench.NewTarget(sys, it)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -187,43 +175,29 @@ func BenchmarkWriteBandwidth(b *testing.B) {
 	b.ReportMetric(total/float64(b.N), "MB/s")
 }
 
-// BenchmarkPipelinedWrites measures the group-commit ablation: write-only
-// pipelined load against a MemoryDB node with per-mutation appends
-// (batch=1, the pre-group-commit behavior) vs batched appends (default).
-// records_per_entry is read from the transaction log's own counters —
-// with batching enabled it must exceed 1 under this concurrency.
+// BenchmarkPipelinedWrites measures group commit: write-only pipelined
+// load against a MemoryDB node. records_per_entry is read from the
+// transaction log's own counters — it must exceed 1 under this
+// concurrency.
 func BenchmarkPipelinedWrites(b *testing.B) {
-	it := bench.R7g16xlarge
-	for _, mode := range []struct {
-		name   string
-		batch  int
-		shards int
-	}{
-		{"batch=1", 1, 1},
-		{"batch=default", 0, 1},
-		{fmt.Sprintf("batch=default,shards=%d", bench.ShardedArmShards()), 0, bench.ShardedArmShards()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			ctx := context.Background()
-			t, err := bench.NewTarget(bench.SystemMemoryDB, it, bench.TargetOpts{Batch: mode.batch, Shards: mode.shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer t.Close()
-			if err := t.Prefill(ctx, figurePrefill, bench.WorkloadWriteOnly.ValueBytes); err != nil {
-				b.Fatal(err)
-			}
-			var tput, rpe float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ps := bench.RunPipelined(ctx, t, bench.WorkloadWriteOnly, figureClients, figureWindow)
-				tput += ps.Throughput
-				rpe += ps.RecordsPerEntry
-			}
-			b.ReportMetric(tput/float64(b.N), "ops/s")
-			b.ReportMetric(rpe/float64(b.N), "records_per_entry")
-		})
+	ctx := context.Background()
+	t, err := bench.NewTarget(bench.SystemMemoryDB, bench.R7g16xlarge)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer t.Close()
+	if err := t.Prefill(ctx, figurePrefill, bench.WorkloadWriteOnly.ValueBytes); err != nil {
+		b.Fatal(err)
+	}
+	var tput, rpe float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ps := bench.RunPipelined(ctx, t, bench.WorkloadWriteOnly, figureClients, figureWindow)
+		tput += ps.Throughput
+		rpe += ps.RecordsPerEntry
+	}
+	b.ReportMetric(tput/float64(b.N), "ops/s")
+	b.ReportMetric(rpe/float64(b.N), "records_per_entry")
 }
 
 // --- Ablation benches (design choices called out in DESIGN.md) ---

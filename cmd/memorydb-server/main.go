@@ -67,8 +67,6 @@ func main() {
 		"fraction of commands to trace (0 disables sampling)")
 	flightEvents := flag.Int("flight-events", envInt("MEMORYDB_FLIGHT_EVENTS", 0),
 		"flight-recorder ring size per node (0 = 512)")
-	shards := flag.Int("shards", envInt("MEMORYDB_SHARDS", 0),
-		"execution shards per node (0 = GOMAXPROCS)")
 	segmentBytes := flag.Int("segment-bytes", envInt("MEMORYDB_SEGMENT_BYTES", 0),
 		"rotate transaction-log segments at this payload size (0 = 1MiB default)")
 	trimInterval := flag.Duration("trim-interval", envDuration("MEMORYDB_TRIM_INTERVAL", 0),
@@ -122,7 +120,6 @@ func main() {
 			Snapshots:          snaps,
 			Faults:             faults,
 			Obs:                metrics,
-			Shards:             *shards,
 			ReplicaReadTimeout: *replicaReadTimeout,
 			Trace:              collector,
 			FlightEvents:       *flightEvents,

@@ -137,7 +137,7 @@ func RunOffered(ctx context.Context, t *Target, w Workload, offered float64, cli
 // (pipelined) SETs of valueBytes each are driven through the shard and
 // the achieved payload bandwidth is returned in MB/s.
 func WriteBandwidth(ctx context.Context, valueBytes, pipeline int, duration time.Duration) (float64, error) {
-	t, err := NewTarget(SystemMemoryDB, R7g16xlarge, TargetOpts{})
+	t, err := NewTarget(SystemMemoryDB, R7g16xlarge)
 	if err != nil {
 		return 0, err
 	}

@@ -3,13 +3,11 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"memorydb/internal/baseline"
 	"memorydb/internal/clock"
 	"memorydb/internal/core"
-	"memorydb/internal/crc16"
 	"memorydb/internal/election"
 	"memorydb/internal/netsim"
 	"memorydb/internal/txlog"
@@ -25,51 +23,17 @@ type Target struct {
 	bnode *baseline.Node
 	log   *txlog.Log
 
-	// shards is the node's execution-shard count; pacers models the
-	// engine as that many single-threaded service lanes (capped at the
-	// instance's vCPUs), routed by key slot exactly like the node routes
-	// commands. One shard = the classic single-engine queue.
-	shards    int
-	pacers    []Pacer
+	// pacer models the engine as one single-threaded service lane.
+	pacer     Pacer
 	readCost  time.Duration
 	writeCost time.Duration
 
 	closers []func()
 }
 
-// TargetOpts are the MemoryDB node settings a figure varies; the zero
-// value is the default group-commit batch cap on a single execution shard
-// (so comparisons are unaffected by the host's GOMAXPROCS).
-type TargetOpts struct {
-	// Batch is the group-commit batch cap (0 = core default, 1 = one log
-	// entry per mutation).
-	Batch int
-	// Shards is the node's execution-shard count (< 1 = 1). The capacity
-	// model gives each shard its own single-threaded service lane (the
-	// engine parallelism sharding buys), capped at the instance's vCPUs;
-	// the commit path is the real sharded node, so append pipelining
-	// across shard buffers is measured, not modeled.
-	Shards int
-}
-
-// ShardedArmShards is the execution-shard count of the benchmarks'
-// sharded MemoryDB arm: GOMAXPROCS, floored at 8 so the ablation stays
-// meaningful on small CI runners (where GOMAXPROCS would collapse the
-// sharded arm back to the single-workloop configuration), capped at the
-// keyspace's 64 parts.
-func ShardedArmShards() int {
-	return min(max(runtime.GOMAXPROCS(0), 8), 64)
-}
-
 // NewTarget builds a target for the given system and instance type.
-func NewTarget(sys System, it InstanceType, opts TargetOpts) (*Target, error) {
-	shards := max(opts.Shards, 1)
-	t := &Target{Sys: sys, IT: it, shards: shards}
-	lanes := shards
-	if lanes > it.VCPUs {
-		lanes = it.VCPUs
-	}
-	t.pacers = make([]Pacer, lanes)
+func NewTarget(sys System, it InstanceType) (*Target, error) {
+	t := &Target{Sys: sys, IT: it}
 	t.readCost = CostFor(Capacity(sys, OpRead, it))
 	t.writeCost = CostFor(Capacity(sys, OpWrite, it))
 	switch sys {
@@ -87,9 +51,7 @@ func NewTarget(sys System, it InstanceType, opts TargetOpts) (*Target, error) {
 			ShardID: "bench-shard",
 			Log:     log,
 			Lease:   500 * time.Millisecond, Backoff: 650 * time.Millisecond,
-			RenewEvery:      100 * time.Millisecond,
-			MaxBatchRecords: opts.Batch,
-			Shards:          shards,
+			RenewEvery: 100 * time.Millisecond,
 		})
 		if err != nil {
 			return nil, err
@@ -176,18 +138,12 @@ func (t *Target) Op(ctx context.Context, kind OpKind, keyIdx int, val []byte) (t
 	} else {
 		argv = [][]byte{[]byte("GET"), key}
 	}
-	// Route the op to its shard's service lane by key slot, mirroring the
-	// node's own routing; with one shard this is the classic single queue.
-	lane := 0
-	if len(t.pacers) > 1 {
-		lane = core.ShardOfSlot(crc16.Slot(string(key)), t.shards) % len(t.pacers)
-	}
 	// Sub-200µs waits are absorbed rather than slept: Go timer overshoot
 	// at that granularity would dominate the measurement. The pacer's
 	// virtual queue still advances by the full cost, so capacity is
 	// enforced — short waits simply accumulate until they are worth a
 	// real sleep.
-	if wait := t.pacers[lane].Reserve(start, cost); wait > 200*time.Microsecond {
+	if wait := t.pacer.Reserve(start, cost); wait > 200*time.Microsecond {
 		time.Sleep(wait)
 	}
 	var err error

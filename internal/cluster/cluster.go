@@ -39,12 +39,6 @@ type Config struct {
 	ReplicaReadTimeout time.Duration
 	EngineVersion      uint32
 	ChecksumEvery      int
-	// NodeShards is forwarded to every node's execution-shard count
-	// (core.Config.Shards): 0 = core default (MEMORYDB_SHARDS env, else
-	// GOMAXPROCS). Distinct from NumShards, which is the number of
-	// cluster shards (slot-range partitions); NodeShards sub-partitions
-	// the keyspace *within* one node for parallel execution.
-	NodeShards int
 	// RetrySeed seeds every node's transient-failure retry jitter, so
 	// fixed-seed chaos schedules reproduce.
 	RetrySeed int64
@@ -252,7 +246,6 @@ func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
 		ReplicaReadTimeout: c.cfg.ReplicaReadTimeout,
 		Snapshots:          c.cfg.Snapshots,
 		ChecksumEvery:      c.cfg.ChecksumEvery,
-		Shards:             c.cfg.NodeShards,
 		RetrySeed:          c.cfg.RetrySeed,
 		Faults:             c.nodeFaults(nodeID),
 		Trace:              c.cfg.Trace,

@@ -147,22 +147,17 @@ func (c *Cluster) clusterInfoText() string {
 	fmt.Fprintf(&b, "cluster_slots_assigned:%d\r\n", assigned)
 	fmt.Fprintf(&b, "cluster_known_nodes:%d\r\n", nodes)
 	fmt.Fprintf(&b, "cluster_size:%d\r\n", len(shards))
-	// Execution-shard pressure, aggregated across every node: total and
-	// max queued tasks, so a hot sub-shard (skewed slot) shows up from
-	// one INFO call without scraping each node.
-	execShards, depthTotal, depthMax := 0, 0, 0
+	// Workloop pressure, aggregated across every node: total and max
+	// queued tasks, so a hot node shows up from one INFO call without
+	// scraping each node.
+	depthTotal, depthMax := 0, 0
 	for _, sh := range shards {
 		for _, n := range sh.Nodes() {
-			execShards += n.NumShards()
-			for _, d := range n.QueueDepths() {
-				depthTotal += d
-				if d > depthMax {
-					depthMax = d
-				}
-			}
+			d := n.QueueDepth()
+			depthTotal += d
+			depthMax = max(depthMax, d)
 		}
 	}
-	fmt.Fprintf(&b, "cluster_exec_shards:%d\r\n", execShards)
 	fmt.Fprintf(&b, "cluster_exec_queue_depth_total:%d\r\n", depthTotal)
 	fmt.Fprintf(&b, "cluster_exec_queue_depth_max:%d\r\n", depthMax)
 	// Per-AZ transaction-log health: served/dropped ack counts plus the

@@ -32,8 +32,8 @@ func TestClusterInfoPerAZLines(t *testing.T) {
 	if !strings.Contains(info, "_acks_served:") || strings.Count(info, "_acks_served:0\r\n") == 3 {
 		t.Fatalf("no zone served any acks after writes:\n%s", info)
 	}
-	// Execution-shard pressure aggregates (totals across every node).
-	for _, field := range []string{"cluster_exec_shards:", "cluster_exec_queue_depth_total:", "cluster_exec_queue_depth_max:"} {
+	// Workloop pressure aggregates (totals across every node).
+	for _, field := range []string{"cluster_exec_queue_depth_total:", "cluster_exec_queue_depth_max:"} {
 		if !strings.Contains(info, field) {
 			t.Errorf("CLUSTER INFO missing %q:\n%s", field, info)
 		}

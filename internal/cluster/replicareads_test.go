@@ -31,7 +31,7 @@ import (
 // to hang or to pass off stale state as fresh.
 //
 // The CI gate (scripts/check.sh, `make reads`) runs these at fixed
-// seeds via MEMORYDB_CHAOS_SEED under -race at 1 and 8 execution shards.
+// seeds via MEMORYDB_CHAOS_SEED under -race.
 
 // replicaReadCluster provisions a cluster tuned for the replica-read
 // schedules: small log segments (so trim schedules can rotate and seal),

@@ -51,7 +51,7 @@ func tracedCluster(t *testing.T, shards, replicas int) (*Cluster, *trace.Collect
 }
 
 // span mirrors the TRACE GET row layout:
-// [span_id, parent_id, name, node, az, shard, start_usec, dur_usec].
+// [span_id, parent_id, name, node, az, start_usec, dur_usec].
 type respSpan struct {
 	id, parent uint64
 	name, node string
@@ -65,8 +65,8 @@ func parseSpanRows(t *testing.T, v resp.Value) []respSpan {
 	}
 	out := make([]respSpan, 0, len(v.Array))
 	for _, row := range v.Array {
-		if len(row.Array) != 8 {
-			t.Fatalf("span row = %v, want 8 fields", row)
+		if len(row.Array) != 7 {
+			t.Fatalf("span row = %v, want 7 fields", row)
 		}
 		out = append(out, respSpan{
 			id:     uint64(row.Array[0].Int),
@@ -207,47 +207,6 @@ func keys(m map[string]bool) []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-// TestTraceShardAttribution checks satellite 6 at the TRACE surface: on
-// a node running several execution shards, the sampled write's
-// queue_wait/execute spans carry the handling shard's index (not -1).
-func TestTraceShardAttribution(t *testing.T) {
-	col := trace.NewCollector(1.0, 7, 0)
-	svc := txlog.NewService(txlog.Config{Clock: clock.NewReal(), CommitLatency: netsim.Zero{}, Trace: col})
-	c, err := New(Config{
-		Name: "shattr", NumShards: 1, ReplicasPerShard: 0,
-		LogService: svc, NodeShards: 4,
-		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond,
-		RenewEvery: 30 * time.Millisecond,
-		Trace:      col,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	sh := c.Shards()[0]
-	if _, err := sh.WaitForPrimary(c.Clock(), 3*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	cl := c.Client()
-	ctx := context.Background()
-	for i := 0; i < 8; i++ {
-		if v, err := cl.Do(ctx, "SET", fmt.Sprintf("sh-k%d", i), "v"); err != nil || v.IsError() {
-			t.Fatalf("SET: %v %v", v, err)
-		}
-	}
-	shardSeen := false
-	for _, id := range col.RecentTraces(32) {
-		for _, s := range col.Trace(id) {
-			if (s.Name == "queue_wait" || s.Name == "execute") && s.Shard >= 0 {
-				shardSeen = true
-			}
-		}
-	}
-	if !shardSeen {
-		t.Fatal("no queue_wait/execute span carries a shard index on a 4-shard node")
-	}
 }
 
 // dumpTimelineOnFailure arranges the black-box readout: when the test

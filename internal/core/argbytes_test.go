@@ -26,7 +26,7 @@ func TestNodeKeepsNoArgumentBytes(t *testing.T) {
 	n := testNode(t, "node-a", log, nil)
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 	ctx := context.Background()
-	a, b := crossShardPair(t, n)
+	a, b := crossSlotPair(t)
 	read := func(args ...string) [][]byte {
 		argv, err := resp.NewReader(bytes.NewReader(resp.EncodeCommandStrings(args...))).ReadCommand()
 		if err != nil {

@@ -23,39 +23,39 @@ import (
 // ONE EntryData whose payload is the concatenation of every buffered
 // record, and a single tracker.Commit releases every reply gated on it.
 //
-// Each shard — the barrier shard included — owns one of these buffers and
-// flushes independently through the node's sequencer (Node.sequence), the
-// only point where shards serialize. Per-shard pipeline depth means total
-// append concurrency is Shards × MaxInflightAppends.
+// The workloop owns the one buffer and flushes it through the node's
+// sequencer (Node.sequence); at most MaxInflightAppends flushed entries
+// await quorum at once.
 //
 // Correctness invariants:
 //   - A task's reply is delivered exactly once, by whoever holds it: the
-//     shard buffer before the flush (a lost append or a demotion fails it),
+//     buffer before the flush (a lost append or a demotion fails it),
 //     the flushed entry after (the tracker releases the entry once, on
 //     Commit or on Abort). A mutation's reply is thereby withheld until its
 //     covering entry commits.
 //   - Reads that observed a buffered-but-unflushed mutation gate on the
 //     batch itself (the workloop tracks the buffer's dirty-key set), so
-//     undurable data is never exposed even before a seq exists. A key's
-//     reads and writes land on the same shard, so the shard-local
-//     dirty-key set is complete for the keys it can be asked about.
+//     undurable data is never exposed even before a seq exists.
 //   - A flush distinguishes fenced from transient failures: a transient
 //     error (service blip, below-quorum AZ set) re-enters the retry loop
 //     with every buffered reply still withheld, while a fenced append —
 //     or exhausting the lease-bounded retry deadline — demotes the node
 //     and fails every buffered reply.
 //   - Non-data appends (lease renewals, checksums, control records) flush
-//     the affected buffers first, so the log order of entries always
+//     the buffer first, so the log order of entries always
 //     matches execution order where it is observable.
 //   - The running checksum chains over data payloads in sequencer issue
 //     order (see Node.sequence), so an EntryChecksum's payload always
 //     equals the chain over the exact log prefix preceding it.
 
-// maxBatchBytes caps the combined payload of one batched entry
-// (flush-on-bytes).
-const maxBatchBytes = 256 << 10
+// maxBatchRecords and maxBatchBytes cap one batched entry: a buffer that
+// reaches either is flushed whatever the append window says.
+const (
+	maxBatchRecords = 64
+	maxBatchBytes   = 256 << 10
+)
 
-// groupCommit is one shard's workloop-owned batching buffer. A buffered
+// groupCommit is the workloop-owned batching buffer. A buffered
 // task's reply is parked on the task itself (task.val).
 type groupCommit struct {
 	payload []byte  // concatenated effect records for the next entry
@@ -106,26 +106,26 @@ func (g *groupCommit) reset() {
 	}
 }
 
-// shouldFlush reports whether the shard's buffer must be flushed now: a
-// cap was hit, or the shard's append pipeline has room (flushing while
-// the window is open adds no latency — appends to the log pipeline commit
-// in order — and holding back would only delay the buffered replies).
-func (n *Node) shouldFlush(sh *nodeShard) bool {
-	gc := &sh.gc
+// shouldFlush reports whether the buffer must be flushed now: a cap was
+// hit, or the append pipeline has room (flushing while the window is open
+// adds no latency — appends to the log pipeline commit in order — and
+// holding back would only delay the buffered replies).
+func (n *Node) shouldFlush() bool {
+	gc := &n.gc
 	if !gc.pending() {
 		return false
 	}
-	return len(gc.writes) >= n.cfg.MaxBatchRecords ||
+	return len(gc.writes) >= maxBatchRecords ||
 		len(gc.payload) >= maxBatchBytes ||
 		gc.inflight.Load() < int64(n.cfg.MaxInflightAppends)
 }
 
 // flushedEntry is one flushed batch from append to release: the holder of
-// its tasks' replies once they left the shard buffer. Two things happen to
+// its tasks' replies once they left the buffer. Two things happen to
 // it, each once: the log answers for it (committed) and the tracker lets
 // its replies go (released).
 type flushedEntry struct {
-	sh     *nodeShard
+	n      *Node
 	trk    *tracker.Tracker
 	p      *txlog.Pending
 	writes []*task // the batch's mutations, in execution order
@@ -145,12 +145,12 @@ type flushedEntry struct {
 	flushStart, appendDone, ackAt int64
 }
 
-// flushPending appends the shard's buffered batch as one EntryData and
-// hands every buffered reply to the entry, gated on its commit. Returns
-// false when the append failed (the node demoted and all buffered replies
-// were failed).
-func (n *Node) flushPending(sh *nodeShard) bool {
-	gc := &sh.gc
+// flushPending appends the buffered batch as one EntryData and hands
+// every buffered reply to the entry, gated on its commit. Returns false
+// when the append failed (the node demoted and all buffered replies were
+// failed).
+func (n *Node) flushPending() bool {
+	gc := &n.gc
 	if !gc.pending() {
 		return true
 	}
@@ -162,10 +162,10 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		// Demoted (or resyncing) with mutations still buffered: a stale
 		// writer must not append, and the replies were already promised an
 		// error by the demotion.
-		n.abortPending(sh, errDemoted)
+		n.abortPending(errDemoted)
 		return false
 	}
-	fe := &flushedEntry{sh: sh, trk: trk, writes: gc.writes, reads: gc.reads}
+	fe := &flushedEntry{n: n, trk: trk, writes: gc.writes, reads: gc.reads}
 	if n.obs != nil {
 		// Batch residency ends here: every buffered mutation waited from
 		// its engine execution until this flush began.
@@ -175,7 +175,7 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		if w.execDone != 0 {
 			n.obs.Stage(obs.StageBatchWait).ObserveNanos(fe.flushStart - w.execDone)
 			if w.tr != nil {
-				w.tr.c.Emit(w.tr.sc, "batch_wait", n.cfg.NodeID, -1, sh.idx, w.execDone, fe.flushStart)
+				w.tr.c.Emit(w.tr.sc, "batch_wait", n.cfg.NodeID, -1, w.execDone, fe.flushStart)
 			}
 		}
 		if fe.owner == nil {
@@ -196,9 +196,9 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		// buffered changes may be acknowledged or stay visible (§3.2);
 		// resync discards the un-logged local mutations.
 		if errors.Is(err, txlog.ErrConditionFailed) {
-			n.abortPending(sh, errDemoted)
+			n.abortPending(errDemoted)
 		} else {
-			n.abortPending(sh, errLogDown)
+			n.abortPending(errLogDown)
 		}
 		return false
 	}
@@ -208,7 +208,7 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 		fe.appendDone = obs.Now()
 		n.obs.Stage(obs.StageAppend).ObserveNanos(fe.appendDone - fe.flushStart)
 		if fe.owner != nil {
-			fe.owner.c.EmitWithID(fe.appendSpan, fe.owner.sc, "append", n.cfg.NodeID, sh.idx, fe.flushStart, fe.appendDone)
+			fe.owner.c.EmitWithID(fe.appendSpan, fe.owner.sc, "append", n.cfg.NodeID, fe.flushStart, fe.appendDone)
 		}
 	}
 	trk.RegisterWrite(fe.p.ID().Seq, gc.dirty, fe.released)
@@ -221,7 +221,7 @@ func (n *Node) flushPending(sh *nodeShard) bool {
 // committed is the completion-loop half: the log has answered for the
 // entry, with err nil when it is quorum-durable.
 func (fe *flushedEntry) committed(err error) {
-	n, sh := fe.sh.n, fe.sh
+	n := fe.n
 	if err == nil {
 		if fe.appendDone != 0 {
 			fe.ackAt = obs.Now()
@@ -230,7 +230,7 @@ func (fe *flushedEntry) committed(err error) {
 				// Child of the append span, sibling of the per-AZ acks
 				// the log service emitted for the same entry.
 				fe.owner.c.Emit(trace.SpanContext{TraceID: fe.owner.sc.TraceID, SpanID: fe.appendSpan},
-					"quorum_wait", n.cfg.NodeID, -1, sh.idx, fe.appendDone, fe.ackAt)
+					"quorum_wait", n.cfg.NodeID, -1, fe.appendDone, fe.ackAt)
 			}
 		}
 		// Two crash gates inside the committed-but-unacknowledged
@@ -245,12 +245,11 @@ func (fe *flushedEntry) committed(err error) {
 			fe.trk.Commit(fe.p.ID().Seq)
 		}
 	}
-	sh.gc.inflight.Add(-1)
-	// Coalesced poke: wake the shard workloop so the batch that
-	// accumulated behind this round-trip flushes promptly (the barrier
-	// shard has no workloop and a nil channel: never ready).
+	n.gc.inflight.Add(-1)
+	// Coalesced poke: wake the workloop so the batch that accumulated
+	// behind this round-trip flushes promptly.
 	select {
-	case sh.appendAcked <- struct{}{}:
+	case n.appendAcked <- struct{}{}:
 	default:
 	}
 }
@@ -259,13 +258,13 @@ func (fe *flushedEntry) committed(err error) {
 // replies go, or — aborted — the node lost the ability to commit and every
 // write and batch-gated read fails with errDemoted.
 func (fe *flushedEntry) released(aborted bool) {
-	n := fe.sh.n
+	n := fe.n
 	for _, w := range fe.writes {
 		if !aborted && fe.ackAt != 0 {
 			now := obs.Now()
 			n.obs.Stage(obs.StageTrackerRelease).ObserveNanos(now - fe.ackAt)
 			if w.tr != nil {
-				w.tr.c.Emit(w.tr.sc, "tracker_release", n.cfg.NodeID, -1, fe.sh.idx, fe.ackAt, now)
+				w.tr.c.Emit(w.tr.sc, "tracker_release", n.cfg.NodeID, -1, fe.ackAt, now)
 			}
 		}
 		n.release(w, aborted)
@@ -275,11 +274,10 @@ func (fe *flushedEntry) released(aborted bool) {
 	}
 }
 
-// abortPending fails every reply parked in the shard's buffer with
-// errVal. Called on flush failure and on demotion/resync while mutations
-// were buffered.
-func (n *Node) abortPending(sh *nodeShard, errVal resp.Value) {
-	gc := &sh.gc
+// abortPending fails every reply parked in the buffer with errVal. Called
+// on flush failure and on demotion/resync while mutations were buffered.
+func (n *Node) abortPending(errVal resp.Value) {
+	gc := &n.gc
 	for _, w := range gc.writes {
 		n.reply(w, errVal)
 	}

@@ -64,12 +64,13 @@ func TestGroupCommitBatchesUnderLoad(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneAppendsPerMutation pins the MaxBatchRecords=1 contract:
-// with batching disabled every data entry carries exactly one record.
+// TestBatchSizeOneAppendsPerMutation pins the premise of the batch=1 arm
+// the safety tests run under: with an append window no load fills, every
+// data entry carries exactly one record, however many writers race.
 func TestBatchSizeOneAppendsPerMutation(t *testing.T) {
 	svc := testService(t, netsim.Fixed(time.Millisecond))
 	log, _ := svc.CreateLog("shard-1")
-	n := testNodeBatch(t, "node-a", log, nil, 1)
+	n := testNodeWindow(t, "node-a", log, nil, unboundedWindow)
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 
 	ctx := context.Background()
@@ -86,7 +87,7 @@ func TestBatchSizeOneAppendsPerMutation(t *testing.T) {
 
 	ls := log.Stats()
 	if ls.MaxRecordsPerEntry > 1 {
-		t.Fatalf("MaxBatchRecords=1 still batched: max records/entry = %d", ls.MaxRecordsPerEntry)
+		t.Fatalf("unbounded window still batched: max records/entry = %d", ls.MaxRecordsPerEntry)
 	}
 	if ls.Records != ls.DataAppends {
 		t.Fatalf("records (%d) != data appends (%d) with batching disabled", ls.Records, ls.DataAppends)

@@ -17,14 +17,14 @@ import (
 // the linearizability checker.
 func TestLinearizableUnderConcurrency(t *testing.T) {
 	for _, mode := range batchModes {
-		t.Run(mode.name, func(t *testing.T) { linearizableUnderConcurrency(t, mode.batch) })
+		t.Run(mode.name, func(t *testing.T) { linearizableUnderConcurrency(t, mode.window) })
 	}
 }
 
-func linearizableUnderConcurrency(t *testing.T, batch int) {
+func linearizableUnderConcurrency(t *testing.T, window int) {
 	svc := testService(t, netsim.NewUniform(200*time.Microsecond, 2*time.Millisecond, 11))
 	log, _ := svc.CreateLog("shard-1")
-	n := testNodeBatch(t, "node-a", log, nil, batch)
+	n := testNodeWindow(t, "node-a", log, nil, window)
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 
 	rec := lin.NewRecorder()
@@ -66,16 +66,16 @@ func linearizableUnderConcurrency(t *testing.T, batch int) {
 // are reported as errors (ambiguous), never as successes that vanish.
 func TestLinearizableAcrossFailover(t *testing.T) {
 	for _, mode := range batchModes {
-		t.Run(mode.name, func(t *testing.T) { linearizableAcrossFailover(t, mode.batch) })
+		t.Run(mode.name, func(t *testing.T) { linearizableAcrossFailover(t, mode.window) })
 	}
 }
 
-func linearizableAcrossFailover(t *testing.T, batch int) {
+func linearizableAcrossFailover(t *testing.T, window int) {
 	svc := testService(t, netsim.Fixed(300*time.Microsecond))
 	log, _ := svc.CreateLog("shard-1")
-	primary := testNodeBatch(t, "node-a", log, nil, batch)
+	primary := testNodeWindow(t, "node-a", log, nil, window)
 	waitRole(t, primary, election.RolePrimary, 2*time.Second)
-	replica := testNodeBatch(t, "node-b", log, nil, batch)
+	replica := testNodeWindow(t, "node-b", log, nil, window)
 	waitRole(t, replica, election.RoleReplica, time.Second)
 
 	rec := lin.NewRecorder()
@@ -142,15 +142,15 @@ func linearizableAcrossFailover(t *testing.T, batch int) {
 // the write is durable, and must observe it.
 func TestReadYourWritesGating(t *testing.T) {
 	for _, mode := range batchModes {
-		t.Run(mode.name, func(t *testing.T) { readYourWritesGating(t, mode.batch) })
+		t.Run(mode.name, func(t *testing.T) { readYourWritesGating(t, mode.window) })
 	}
 }
 
-func readYourWritesGating(t *testing.T, batch int) {
+func readYourWritesGating(t *testing.T, window int) {
 	commit := 10 * time.Millisecond
 	svc := testService(t, netsim.Fixed(commit))
 	log, _ := svc.CreateLog("shard-1")
-	n := testNodeBatch(t, "node-a", log, nil, batch)
+	n := testNodeWindow(t, "node-a", log, nil, window)
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 
 	ctx := context.Background()

@@ -15,15 +15,12 @@ import (
 var errNotPrimaryErr = errors.New("core: not the primary")
 
 // Slot migration support (paper §5.2). The source primary keeps serving
-// the slot while data moves: keys are dumped through the slot's owner
-// shard workloop into an ordered stream that also carries the replication
-// effects of concurrent mutations on the slot, so the target observes
-// "serialized keys plus replication stream mutations of keys already
-// transmitted" in a single consistent order. A slot maps to exactly one
-// execution shard, so migration tasks route to that shard and the stream
-// ordering argument is unchanged from the single-workloop design.
-// Ownership transfer itself is coordinated by the cluster layer with 2PC
-// records in the transaction logs.
+// the slot while data moves: keys are dumped on the workloop into an
+// ordered stream that also carries the replication effects of concurrent
+// mutations on the slot, so the target observes "serialized keys plus
+// replication stream mutations of keys already transmitted" in a single
+// consistent order. Ownership transfer itself is coordinated by the
+// cluster layer with 2PC records in the transaction logs.
 
 // ForwardItem is one unit of the migration stream: either a batch of
 // commands recreating a dumped key, or the effects of one mutation.
@@ -45,49 +42,47 @@ type MigrationStream struct {
 // EnqueueSlotDump schedules the bulk copy through the same stream.
 func (n *Node) StartSlotMigration(slot uint16) *MigrationStream {
 	ms := &MigrationStream{Slot: slot, C: make(chan ForwardItem, 1024)}
-	sh := n.slotShard(slot)
-	t := &task{kind: taskMigCtl, shard: sh.idx, mig: ms, migOn: true, slot: slot, swapCh: make(chan struct{})}
-	select {
-	case sh.tasks <- t:
-		<-t.swapCh
-	case <-n.stopCtx.Done():
-	}
+	n.run(context.Background(), func() error {
+		n.migStream = ms
+		return nil
+	})
 	return ms
 }
 
 // EnqueueSlotDump dumps every key currently in the slot into the
-// migration stream. It runs inside the slot's owner shard workloop, so
-// the dump point is serialized against mutations: effects emitted after
-// it strictly follow the dumped state.
+// migration stream. It runs on the workloop, so the dump point is
+// serialized against mutations: effects emitted after it strictly follow
+// the dumped state.
 func (n *Node) EnqueueSlotDump(ctx context.Context, slot uint16) error {
-	sh := n.slotShard(slot)
-	t := &task{kind: taskMigDump, shard: sh.idx, slot: slot, swapCh: make(chan struct{})}
-	select {
-	case sh.tasks <- t:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.stopCtx.Done():
-		return ErrStopped
-	}
-	select {
-	case <-t.swapCh:
+	return n.run(ctx, func() error {
+		ms := n.migStream
+		if ms == nil {
+			return nil
+		}
+		for _, key := range n.eng.DB().SlotKeys(slot) {
+			cmds := n.eng.DumpCommands(key)
+			if len(cmds) == 0 {
+				continue
+			}
+			select {
+			case ms.C <- ForwardItem{Cmds: cmds}:
+			case <-n.stopCtx.Done():
+				return ErrStopped
+			}
+		}
 		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.stopCtx.Done():
-		return ErrStopped
-	}
+	})
 }
 
 // EndSlotMigration stops mirroring and closes the stream.
 func (n *Node) EndSlotMigration(slot uint16) {
-	sh := n.slotShard(slot)
-	t := &task{kind: taskMigCtl, shard: sh.idx, migOn: false, slot: slot, swapCh: make(chan struct{})}
-	select {
-	case sh.tasks <- t:
-		<-t.swapCh
-	case <-n.stopCtx.Done():
-	}
+	n.run(context.Background(), func() error {
+		if ms := n.migStream; ms != nil && ms.Slot == slot {
+			close(ms.C)
+			n.migStream = nil
+		}
+		return nil
+	})
 }
 
 // SetSlotGate installs (or clears, with nil) the slot admission check
@@ -101,13 +96,41 @@ func (n *Node) SetSlotGate(gate func(name string, keys [][]byte, writing bool) (
 }
 
 // AppendControl appends a control entry (slot 2PC messages etc.) through
-// the primary's append chain, returning once it is durably committed.
-// Control entries must not overtake buffered mutations, so the append
-// quiesces every shard (each flushes on park) before taking the
-// sequencer.
+// the primary's append chain, returning once it is durably committed. It
+// runs on the workloop behind a flush, so a control entry never overtakes
+// the mutations buffered ahead of it.
 func (n *Node) AppendControl(ctx context.Context, typ txlog.EntryType, payload []byte) (txlog.EntryID, error) {
-	ch := make(chan ctlResult, 1)
-	go n.runControl(typ, payload, ch)
+	type result struct {
+		id  txlog.EntryID
+		err error
+	}
+	ch := make(chan result, 1)
+	err := n.run(ctx, func() error {
+		// A flush failure demotes, so the role is read after it.
+		n.flushPending()
+		n.mu.Lock()
+		role := n.role
+		trk := n.trk
+		n.mu.Unlock()
+		if role != election.RolePrimary {
+			return errNotPrimaryErr
+		}
+		p, err := n.sequence(txlog.Entry{Type: typ, Payload: payload}, &n.stats.AppendsRetried)
+		if err != nil {
+			// Fenced or retried out the lease: the sequencer stepped down.
+			return err
+		}
+		n.onCommit(p, func(err error) {
+			if err == nil {
+				trk.Commit(p.ID().Seq)
+			}
+			ch <- result{p.ID(), err}
+		})
+		return nil
+	})
+	if err != nil {
+		return txlog.ZeroID, err
+	}
 	select {
 	case r := <-ch:
 		return r.id, r.err
@@ -115,80 +138,6 @@ func (n *Node) AppendControl(ctx context.Context, typ txlog.EntryType, payload [
 		return txlog.ZeroID, ctx.Err()
 	case <-n.stopCtx.Done():
 		return txlog.ZeroID, ErrStopped
-	}
-}
-
-type ctlResult struct {
-	id  txlog.EntryID
-	err error
-}
-
-// runControl is the barrier coordinator for one control entry.
-func (n *Node) runControl(typ txlog.EntryType, payload []byte, ch chan ctlResult) {
-	n.barrierMu.Lock()
-	defer n.barrierMu.Unlock()
-	if !n.gate() {
-		ch <- ctlResult{err: ErrStopped}
-		return
-	}
-	if n.Role() != election.RolePrimary {
-		ch <- ctlResult{err: errNotPrimaryErr}
-		return
-	}
-	release, ok := n.holdShards(n.shards)
-	if !ok {
-		ch <- ctlResult{err: ErrStopped}
-		return
-	}
-	defer release()
-	// Parking flushed every shard; a flush failure demotes, so re-check.
-	n.mu.Lock()
-	role := n.role
-	trk := n.trk
-	n.mu.Unlock()
-	if role != election.RolePrimary {
-		ch <- ctlResult{err: errNotPrimaryErr}
-		return
-	}
-	p, err := n.sequence(txlog.Entry{Type: typ, Payload: payload}, &n.stats.AppendsRetried)
-	if err != nil {
-		// Fenced or retried out the lease: the sequencer stepped down.
-		ch <- ctlResult{err: err}
-		return
-	}
-	n.onCommit(p, func(err error) {
-		if err == nil {
-			trk.Commit(p.ID().Seq)
-		}
-		ch <- ctlResult{id: p.ID(), err: err}
-	})
-}
-
-func (n *Node) handleMigCtl(sh *nodeShard, t *task) {
-	if t.migOn {
-		sh.migStream = t.mig
-	} else if sh.migStream != nil {
-		close(sh.migStream.C)
-		sh.migStream = nil
-	}
-	close(t.swapCh)
-}
-
-func (n *Node) handleMigDump(sh *nodeShard, t *task) {
-	defer close(t.swapCh)
-	if sh.migStream == nil {
-		return
-	}
-	for _, key := range sh.eng.DB().SlotKeys(t.slot) {
-		cmds := sh.eng.DumpCommands(key)
-		if len(cmds) == 0 {
-			continue
-		}
-		select {
-		case sh.migStream.C <- ForwardItem{Cmds: cmds}:
-		case <-n.stopCtx.Done():
-			return
-		}
 	}
 }
 
@@ -210,64 +159,47 @@ func (n *Node) StepDown(ctx context.Context) error {
 	return nil
 }
 
-// slotInfo is what a taskSlotInfo reads inside the slot's owner shard
-// workloop, so the view is serialized against writes.
-type slotInfo struct {
-	count int
-	keys  []string
-}
-
-func (n *Node) slotInfo(ctx context.Context, slot uint16, wantKeys bool) (slotInfo, error) {
-	sh := n.slotShard(slot)
-	t := &task{kind: taskSlotInfo, shard: sh.idx, slot: slot, wantKeys: wantKeys, slotCh: make(chan slotInfo, 1)}
-	select {
-	case sh.tasks <- t:
-	case <-ctx.Done():
-		return slotInfo{}, ctx.Err()
-	case <-n.stopCtx.Done():
-		return slotInfo{}, ErrStopped
-	}
-	select {
-	case info := <-t.slotCh:
-		return info, nil
-	case <-ctx.Done():
-		return slotInfo{}, ctx.Err()
-	case <-n.stopCtx.Done():
-		return slotInfo{}, ErrStopped
-	}
-}
-
 // SlotKeys returns the keys currently stored in slot: a scan of the
-// slot's 1/64 of the keyspace inside the workloop, so a caller working
+// slot's 1/64 of the keyspace on the workloop, so a caller working
 // through a slot takes the list once and polls SlotKeyCount.
 func (n *Node) SlotKeys(ctx context.Context, slot uint16) ([]string, error) {
-	info, err := n.slotInfo(ctx, slot, true)
-	return info.keys, err
+	var keys []string
+	if err := n.run(ctx, func() error {
+		keys = n.eng.DB().SlotKeys(slot)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return keys, nil
 }
 
 // SlotKeyCount returns the number of keys in slot, in O(1).
 func (n *Node) SlotKeyCount(ctx context.Context, slot uint16) (int, error) {
-	info, err := n.slotInfo(ctx, slot, false)
-	return info.count, err
+	var count int
+	if err := n.run(ctx, func() error {
+		count = n.eng.DB().SlotCount(slot)
+		return nil
+	}); err != nil {
+		return 0, err
+	}
+	return count, nil
 }
 
-// forwardEffects mirrors a mutation's effects into every migration stream
-// (of the shards sh covers) whose slot one of the touched keys belongs to.
-// Called right after the effects entered sh's group-commit buffer.
-func (n *Node) forwardEffects(sh *nodeShard, keys []string, effects []byte) {
-	for _, o := range sh.covers {
-		ms := o.migStream
-		if ms == nil {
-			continue
-		}
-		for _, k := range keys {
-			if crc16.Slot(k) == ms.Slot {
-				select {
-				case ms.C <- ForwardItem{Effects: effects}:
-				case <-n.stopCtx.Done():
-				}
-				break
+// forwardEffects mirrors a mutation's effects into the migration stream
+// when one of the touched keys belongs to the migrating slot. Called right
+// after the effects entered the group-commit buffer.
+func (n *Node) forwardEffects(keys []string, effects []byte) {
+	ms := n.migStream
+	if ms == nil {
+		return
+	}
+	for _, k := range keys {
+		if crc16.Slot(k) == ms.Slot {
+			select {
+			case ms.C <- ForwardItem{Effects: effects}:
+			case <-n.stopCtx.Done():
 			}
+			return
 		}
 	}
 }

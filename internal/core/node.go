@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,7 +26,6 @@ import (
 	"memorydb/internal/resp"
 	"memorydb/internal/retry"
 	"memorydb/internal/snapshot"
-	"memorydb/internal/store"
 	"memorydb/internal/trace"
 	"memorydb/internal/tracker"
 	"memorydb/internal/txlog"
@@ -56,14 +54,6 @@ type Config struct {
 	// an EntryChecksum after every N data entries (§7.2.1). Defaults to
 	// 64; negative disables injection.
 	ChecksumEvery int
-	// MaxBatchRecords caps how many mutation records group commit may
-	// coalesce into one transaction-log entry. While a quorum append is in
-	// flight the workloop keeps executing queued mutations and buffers
-	// their effects; the buffer is flushed as a single entry when the
-	// in-flight append acknowledges or a cap is hit. 1 disables batching
-	// (every mutation gets its own entry). Defaults to 64; a batch also
-	// flushes once its payload reaches 256 KiB.
-	MaxBatchRecords int
 	// MaxInflightAppends is the group-commit pipeline depth: the buffer is
 	// flushed eagerly while fewer than this many batched data appends are
 	// awaiting quorum acknowledgement, and held (accumulating records)
@@ -71,19 +61,11 @@ type Config struct {
 	// only when the log pipeline is idle — which makes every writer under
 	// sustained load wait ~2 commit latencies (the in-flight entry, then
 	// its own). A deeper window overlaps batches so a write waits only
-	// ~1/depth of a commit before its batch is appended. The window is
-	// per execution shard. Defaults to 8.
+	// ~1/depth of a commit before its batch is appended. While the window
+	// is full the workloop keeps executing queued mutations and buffers
+	// their effects, flushed as one entry when an append acknowledges or
+	// the buffer reaches 64 records or 256 KiB. Defaults to 8.
 	MaxInflightAppends int
-	// Shards is the number of keyspace-sharded execution workloops. Each
-	// shard owns a contiguous range of store parts (crc16 slot ranges) and
-	// runs its own workloop goroutine, task queue and group-commit buffer;
-	// all shards feed one shared transaction-log sequencer that assigns
-	// commit order at flush time. Single-key commands route by slot and
-	// execute in parallel; cross-slot and whole-keyspace commands take a
-	// barrier path that quiesces the shards. Defaults to the
-	// MEMORYDB_SHARDS environment variable when set, otherwise GOMAXPROCS,
-	// clamped to [1, store.NumParts].
-	Shards int
 	// OnRoleChange, when set, is invoked (from node goroutines) after
 	// every role transition — the cluster bus uses it to propagate role
 	// changes to the rest of the cluster.
@@ -163,33 +145,11 @@ func (c Config) withDefaults() Config {
 	if c.ChecksumEvery == 0 {
 		c.ChecksumEvery = 64
 	}
-	if c.MaxBatchRecords == 0 {
-		c.MaxBatchRecords = 64
-	}
-	if c.MaxBatchRecords < 1 {
-		c.MaxBatchRecords = 1
-	}
 	if c.MaxInflightAppends == 0 {
 		c.MaxInflightAppends = 8
 	}
 	if c.MaxInflightAppends < 1 {
 		c.MaxInflightAppends = 1
-	}
-	if c.Shards == 0 {
-		if env := os.Getenv("MEMORYDB_SHARDS"); env != "" {
-			if v, err := strconv.Atoi(env); err == nil {
-				c.Shards = v
-			}
-		}
-		if c.Shards == 0 {
-			c.Shards = runtime.GOMAXPROCS(0)
-		}
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if c.Shards > store.NumParts {
-		c.Shards = store.NumParts
 	}
 	if c.FlightEvents == 0 {
 		if env := os.Getenv("MEMORYDB_FLIGHT_EVENTS"); env != "" {
@@ -221,35 +181,27 @@ type Node struct {
 	// commands by slot (MOVED / CROSSSLOT / migration write block, §5.2).
 	slotGate func(name string, keys [][]byte, writing bool) (resp.Value, bool)
 
-	// shards are the keyspace-sharded execution workloops. Each owns a
-	// contiguous range of store parts, a task queue, an engine over the
-	// shared DB, and a group-commit buffer. Immutable after NewNode; the
-	// per-shard state inside is owned by that shard's workloop goroutine
-	// (or by a barrier coordinator while the shard is parked).
-	shards []*nodeShard
-	// barrier is the shard barrier operations execute on (cross-slot
-	// commands, FLUSHALL, KEYS, replica apply): its engine spans the
-	// whole keyspace and it has no workloop. Guarded by barrierMu
-	// together with parked shards.
-	barrier *nodeShard
-	// dbPtr is the current keyspace, for lock-free monitoring reads
-	// (INFO keyspace section). Swapped by installState.
-	dbPtr atomic.Pointer[store.DB]
-
-	// barrierMu serializes barrier coordinators: cross-slot/whole-keyspace
-	// commands, replica apply, control entries, and state installs
-	// (promotion, resync). Lock order: barrierMu → seqMu → mu.
-	barrierMu sync.Mutex
-
-	// Sequencer state (sequencer.go): every transaction-log append on this
-	// node is issued while holding seqMu, so shards flushing concurrently
-	// receive commit order at flush time. Never acquire seqMu while
-	// holding mu.
-	seqMu      sync.Mutex
-	lastIssued txlog.EntryID
-	// Running checksum over data payloads this primary appended, chained
-	// from the value at its leadership claim; injected into the log
-	// every ChecksumEvery data entries (§7.2.1). Guarded by seqMu.
+	// The workloop's state (workloop.go), tasks through dataSinceSum: the
+	// node's one execution thread owns it, so none of it takes a lock.
+	// Every command and every piece of node-internal work — replica apply,
+	// state installs, control appends, migration — is a task on its queue.
+	tasks chan *task
+	// appendAcked is a coalesced wakeup: the completion loop pokes it after
+	// a flushed entry commits so the workloop flushes the batch that
+	// accumulated behind the quorum round-trip.
+	appendAcked chan struct{}
+	eng         *engine.Engine
+	// gc is the group-commit buffer: mutations executed while a quorum
+	// append is in flight accumulate here until flush.
+	gc groupCommit
+	// migStream, when non-nil, mirrors effects touching the migrating slot.
+	migStream *MigrationStream
+	// Sequencer state (sequencer.go): the tail this node has issued
+	// appends through, and the running checksum over the data payloads
+	// this primary appended, chained from the value at its leadership
+	// claim and injected into the log every ChecksumEvery data entries
+	// (§7.2.1).
+	lastIssued      txlog.EntryID
 	runningChecksum uint64
 	dataSinceSum    int
 
@@ -352,11 +304,10 @@ type Stats struct {
 	// fresh snapshot. Nonzero means the trim coordinator violated its
 	// safety invariant — always alarm-worthy.
 	LogGapRetries atomic.Int64
-	// BarrierOps counts commands that took the barrier path (cross-slot,
-	// whole-keyspace, WAIT at Shards>1); CrossSlotOps counts the subset
-	// whose keys spanned more than one execution shard.
-	BarrierOps   atomic.Int64
-	CrossSlotOps atomic.Int64
+	// BarrierOps counts the reads that gate on every outstanding write
+	// rather than on their own keys: whole-keyspace reads, WAIT and
+	// read-only transactions.
+	BarrierOps atomic.Int64
 	// Consistent replica read ladder outcomes: ReplicaReadsServed counts
 	// reads served linearizably on this replica after the freshness
 	// proof; ReplicaReadsStale counts reads served under an explicit
@@ -391,7 +342,6 @@ type StatsView struct {
 	ReaderRebootstraps    int64
 	LogGapRetries         int64
 	BarrierOps            int64
-	CrossSlotOps          int64
 
 	ReplicaReadsServed     int64
 	ReplicaReadsStale      int64
@@ -420,7 +370,6 @@ func (s *Stats) Snapshot() StatsView {
 		ReaderRebootstraps:    s.ReaderRebootstraps.Load(),
 		LogGapRetries:         s.LogGapRetries.Load(),
 		BarrierOps:            s.BarrierOps.Load(),
-		CrossSlotOps:          s.CrossSlotOps.Load(),
 
 		ReplicaReadsServed:     s.ReplicaReadsServed.Load(),
 		ReplicaReadsStale:      s.ReplicaReadsStale.Load(),
@@ -446,6 +395,8 @@ func NewNode(cfg Config) (*Node, error) {
 		trk:         tracker.New(0),
 		readGate:    NewReadGate(0),
 		completions: make(chan completion, completionBacklog),
+		tasks:       make(chan *task, 4096),
+		appendAcked: make(chan struct{}, 1),
 		roleChanged: make(chan struct{}, 4),
 		retryPol: retry.Policy{
 			Base:  retryBase,
@@ -474,32 +425,16 @@ func NewNode(cfg Config) (*Node, error) {
 		if n.obs == nil {
 			n.obs = obs.New(obs.Options{})
 		}
-		n.obs.EnsureShards(cfg.Shards)
 		n.registerCounters()
 	}
-	db := store.NewDB()
-	n.dbPtr.Store(db)
-	n.shards = make([]*nodeShard, cfg.Shards)
-	for i := range n.shards {
-		n.shards[i] = &nodeShard{
-			idx:         i,
-			n:           n,
-			eng:         n.newEngine(db),
-			tasks:       make(chan *task, 4096),
-			appendAcked: make(chan struct{}, 1),
-			partLo:      ceilDiv(i*store.NumParts, cfg.Shards),
-			partHi:      ceilDiv((i+1)*store.NumParts, cfg.Shards),
-		}
-		n.shards[i].covers = n.shards[i : i+1]
-	}
-	n.barrier = &nodeShard{idx: -1, n: n, eng: n.newEngine(db), covers: n.shards}
+	n.eng = n.newEngine()
 	return n, nil
 }
 
-// newEngine returns an engine over db wired to the node's observability,
-// tracing and flight sinks.
-func (n *Node) newEngine(db *store.DB) *engine.Engine {
-	eng := engine.NewShared(n.clk, db)
+// newEngine returns an engine over an empty keyspace wired to the node's
+// observability, tracing and flight sinks.
+func (n *Node) newEngine() *engine.Engine {
+	eng := engine.New(n.clk)
 	eng.SetObs(n.obs)
 	eng.SetTrace(n.trace)
 	eng.SetFlight(n.flight)
@@ -556,31 +491,16 @@ func (n *Node) AppliedSeq() uint64 { return n.appliedSeq.Load() }
 // EngineVersion returns the engine version this node runs.
 func (n *Node) EngineVersion() uint32 { return n.cfg.EngineVersion }
 
-// Start launches the shard workloops, the completion loop and role
-// management.
+// Start launches the workloop, the completion loop and role management.
 func (n *Node) Start() {
-	n.wg.Add(len(n.shards) + 2)
-	for _, sh := range n.shards {
-		go sh.workloop()
-	}
+	n.wg.Add(3)
+	go n.workloop()
 	go n.completionLoop()
 	go n.roleLoop()
 }
 
-// NumShards returns the node's execution-shard count.
-func (n *Node) NumShards() int { return len(n.shards) }
-
-// QueueDepths returns the instantaneous task-queue depth of every
-// execution shard (monitoring).
-func (n *Node) QueueDepths() []int {
-	out := make([]int, len(n.shards))
-	for i, sh := range n.shards {
-		out[i] = len(sh.tasks)
-	}
-	return out
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
+// QueueDepth returns how many tasks wait on the workloop (monitoring).
+func (n *Node) QueueDepth() int { return len(n.tasks) }
 
 // Stop terminates the node. Pending gated replies are aborted.
 func (n *Node) Stop() {

@@ -48,24 +48,24 @@ func setLevel(r *faultpoint.Registry, site string, on bool) {
 
 func testNode(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Manager) *Node {
 	t.Helper()
-	return testNodeBatch(t, id, log, snaps, 0) // 0 = core default (batching on)
+	return testNodeWindow(t, id, log, snaps, 0) // 0 = core default (batching on)
 }
 
-// testNodeBatch is testNode with an explicit group-commit batch cap, so
-// safety tests can run both with batching enabled and with one log entry
-// per mutation (batch = 1).
-func testNodeBatch(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Manager, batch int) *Node {
+// testNodeWindow is testNode with an explicit group-commit append window,
+// so safety tests can run both with batching enabled and with one log
+// entry per mutation (unboundedWindow).
+func testNodeWindow(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Manager, window int) *Node {
 	t.Helper()
 	n, err := NewNode(Config{
-		NodeID:          id,
-		ShardID:         log.ShardID(),
-		Log:             log,
-		Lease:           120 * time.Millisecond,
-		Backoff:         160 * time.Millisecond,
-		RenewEvery:      30 * time.Millisecond,
-		Snapshots:       snaps,
-		ChecksumEvery:   8,
-		MaxBatchRecords: batch,
+		NodeID:             id,
+		ShardID:            log.ShardID(),
+		Log:                log,
+		Lease:              120 * time.Millisecond,
+		Backoff:            160 * time.Millisecond,
+		RenewEvery:         30 * time.Millisecond,
+		Snapshots:          snaps,
+		ChecksumEvery:      8,
+		MaxInflightAppends: window,
 	})
 	if err != nil {
 		t.Fatalf("NewNode(%s): %v", id, err)
@@ -75,14 +75,18 @@ func testNodeBatch(t *testing.T, id string, log *txlog.Log, snaps *snapshot.Mana
 	return n
 }
 
+// unboundedWindow is an append window no load fills: the buffer is flushed
+// behind every mutation, so each one gets a log entry of its own.
+const unboundedWindow = 1 << 30
+
 // batchModes enumerates the group-commit settings safety-critical tests
 // run under: the default (batching on) and one log entry per mutation.
 var batchModes = []struct {
-	name  string
-	batch int
+	name   string
+	window int
 }{
 	{"batch=default", 0},
-	{"batch=1", 1},
+	{"batch=1", unboundedWindow},
 }
 
 func waitRole(t *testing.T, n *Node, want election.Role, within time.Duration) {
@@ -378,7 +382,7 @@ func TestUpgradeProtectionEntryCommittedBeforeStart(t *testing.T) {
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-			if _, ok := old.dbPtr.Load().Peek("k"); ok {
+			if _, ok := old.liveDB().Peek("k"); ok {
 				t.Fatal("old replica applied the newer-engine record")
 			}
 			if got := old.AppliedSeq(); got >= stallAt {

@@ -30,20 +30,15 @@ func (n *Node) obsFinish(t *task) {
 	if t.execDone != 0 && t.deq != 0 {
 		exec = t.execDone - t.deq
 	}
-	n.obs.FinishCommand(t.name, t.argv, total, queue, exec, t.shard)
+	n.obs.FinishCommand(t.name, t.argv, total, queue, exec, 0)
 }
 
-// obsDequeued stamps a client task's dequeue and records its queue wait,
-// both node-wide and on the handling shard (the barrier shard, -1, has no
-// per-shard histograms: no one execution shard handled the task).
+// obsDequeued stamps a client task's dequeue and records its queue wait.
 func (n *Node) obsDequeued(t *task) {
 	t.deq = obs.Now()
 	n.obs.Stage(obs.StageQueueWait).ObserveNanos(t.deq - t.enq)
-	if ss := n.obs.ShardStage(t.shard); ss != nil {
-		ss.QueueWait.ObserveNanos(t.deq - t.enq)
-	}
 	if t.tr != nil {
-		t.tr.c.Emit(t.tr.sc, "queue_wait", n.cfg.NodeID, -1, t.shard, t.enq, t.deq)
+		t.tr.c.Emit(t.tr.sc, "queue_wait", n.cfg.NodeID, -1, t.enq, t.deq)
 	}
 }
 
@@ -51,11 +46,8 @@ func (n *Node) obsDequeued(t *task) {
 func (n *Node) obsExecuted(t *task) {
 	t.execDone = obs.Now()
 	n.obs.Stage(obs.StageExecute).ObserveNanos(t.execDone - t.deq)
-	if ss := n.obs.ShardStage(t.shard); ss != nil {
-		ss.Execute.ObserveNanos(t.execDone - t.deq)
-	}
 	if t.tr != nil {
-		t.tr.c.Emit(t.tr.sc, "execute", n.cfg.NodeID, -1, t.shard, t.deq, t.execDone)
+		t.tr.c.Emit(t.tr.sc, "execute", n.cfg.NodeID, -1, t.deq, t.execDone)
 	}
 }
 
@@ -85,7 +77,6 @@ func (n *Node) registerCounters() {
 	reg("reader_rebootstraps", &n.stats.ReaderRebootstraps)
 	reg("log_gap_retries", &n.stats.LogGapRetries)
 	reg("barrier_ops", &n.stats.BarrierOps)
-	reg("cross_slot_ops", &n.stats.CrossSlotOps)
 	reg("replica_reads_served", &n.stats.ReplicaReadsServed)
 	reg("replica_reads_stale", &n.stats.ReplicaReadsStale)
 	reg("replica_reads_redirected", &n.stats.ReplicaReadsRedirected)
@@ -126,34 +117,8 @@ func (n *Node) registerCounters() {
 	n.obs.RegisterCounter("flight_events_recorded", label, func() int64 {
 		return int64(n.flight.Total())
 	})
-	n.obs.RegisterGauge("shard_count", label, func() int64 {
-		return int64(len(n.shards))
-	})
-	n.obs.RegisterGauge("shard_queue_depth_max", label, func() int64 {
-		max := 0
-		for _, d := range n.QueueDepths() {
-			if d > max {
-				max = d
-			}
-		}
-		return int64(max)
-	})
-	// Imbalance as max/mean in permille (1000 = perfectly balanced); 0
-	// when every queue is empty.
-	n.obs.RegisterGauge("shard_imbalance_permille", label, func() int64 {
-		depths := n.QueueDepths()
-		total, max := 0, 0
-		for _, d := range depths {
-			total += d
-			if d > max {
-				max = d
-			}
-		}
-		if total == 0 {
-			return 0
-		}
-		mean := float64(total) / float64(len(depths))
-		return int64(float64(max) / mean * 1000)
+	n.obs.RegisterGauge("queue_depth", label, func() int64 {
+		return int64(n.QueueDepth())
 	})
 }
 
@@ -180,20 +145,6 @@ func (n *Node) obsInfoSections() string {
 		fmt.Fprintf(&b, "stage_%s:count=%d,p50_usec=%d,p95_usec=%d,p99_usec=%d,p999_usec=%d,max_usec=%d\r\n",
 			s, h.Count(), usec(q.P50), usec(q.P95), usec(q.P99), usec(q.P999), usec(q.Max))
 	}
-	for i := range n.shards {
-		ss := n.obs.ShardStage(i)
-		if ss == nil {
-			continue
-		}
-		for _, e := range []struct {
-			name string
-			h    *obs.Histogram
-		}{{"queue_wait", &ss.QueueWait}, {"execute", &ss.Execute}} {
-			q := e.h.Quantiles()
-			fmt.Fprintf(&b, "stage_shard%d_%s:count=%d,p50_usec=%d,p99_usec=%d,max_usec=%d\r\n",
-				i, e.name, e.h.Count(), usec(q.P50), usec(q.P99), usec(q.Max))
-		}
-	}
 	fmt.Fprintf(&b, "# Commandstats\r\n")
 	n.obs.EachCommand(func(name string, h *obs.Histogram) {
 		q := h.Quantiles()
@@ -206,8 +157,8 @@ func (n *Node) obsInfoSections() string {
 	fmt.Fprintf(&b, "slowlog_total:%d\r\n", sl.Total())
 	fmt.Fprintf(&b, "slowlog_len:%d\r\n", sl.Len())
 	for i, e := range sl.Recent(8) {
-		fmt.Fprintf(&b, "slowlog_entry_%d:id=%d,cmd=%s,usec=%d,queue_usec=%d,exec_usec=%d,commit_usec=%d,shard=%d\r\n",
-			i, e.ID, e.Cmd, usec(e.Total), usec(e.Queue), usec(e.Exec), usec(e.Commit), e.Shard)
+		fmt.Fprintf(&b, "slowlog_entry_%d:id=%d,cmd=%s,usec=%d,queue_usec=%d,exec_usec=%d,commit_usec=%d\r\n",
+			i, e.ID, e.Cmd, usec(e.Total), usec(e.Queue), usec(e.Exec), usec(e.Commit))
 	}
 	if n.cfg.Alarms != nil {
 		fmt.Fprintf(&b, "alarms_total:%d\r\n", n.cfg.Alarms.Total())

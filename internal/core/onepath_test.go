@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"memorydb/internal/crc16"
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
@@ -16,9 +17,9 @@ import (
 	"memorydb/internal/txlog"
 )
 
-// These tests pin the single command path: the barrier shard is a shard,
-// every append goes through the sequencer, and one sampler feeds both
-// trace surfaces. Each failed on the code that had a private barrier path.
+// These tests pin the single command path: a cross-slot or whole-keyspace
+// command is a command like any other, every append goes through the
+// sequencer, and one sampler feeds both trace surfaces.
 
 func onePathNode(t *testing.T, id string, log *txlog.Log, cfg Config) *Node {
 	t.Helper()
@@ -33,26 +34,24 @@ func onePathNode(t *testing.T, id string, log *txlog.Log, cfg Config) *Node {
 	return n
 }
 
-// crossShardPair returns two keys owned by different execution shards.
-func crossShardPair(t *testing.T, n *Node) (string, string) {
+// crossSlotPair returns two keys in different hash slots.
+func crossSlotPair(t *testing.T) (string, string) {
 	t.Helper()
-	for c := 'b'; c <= 'z'; c++ {
-		if n.shardOfKey([]byte{byte(c)}) != n.shardOfKey([]byte("a")) {
-			return "a", string(c)
-		}
+	a, b := "{cross-a}k", "{cross-b}k"
+	if crc16.Slot(a) == crc16.Slot(b) {
+		t.Fatalf("%s and %s share a slot", a, b)
 	}
-	t.Fatal("no cross-shard key pair found")
-	return "", ""
+	return a, b
 }
 
-// A cross-shard mutation is flushed by the same code as a shard's batch:
-// it records the append/quorum_wait/tracker_release stages and passes the
+// A cross-slot mutation is flushed by the same code as any other: it
+// records the append/quorum_wait/tracker_release stages and passes the
 // core.flush.pre fault site.
 func TestBarrierMutationTakesTheFlushPath(t *testing.T) {
 	svc := testService(t, netsim.Fixed(time.Millisecond))
 	log, _ := svc.CreateLog("shard-onepath-a")
 	faults := faultpoint.New(1)
-	n := onePathNode(t, "node-a", log, Config{Shards: 8, Faults: faults})
+	n := onePathNode(t, "node-a", log, Config{Faults: faults})
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 
 	stages := []obs.Stage{obs.StageAppend, obs.StageQuorumWait, obs.StageTrackerRelease}
@@ -61,66 +60,65 @@ func TestBarrierMutationTakesTheFlushPath(t *testing.T) {
 		before[s] = n.Obs().Stage(s).Count()
 	}
 	hits := faults.Hits(faultpoint.SiteFlushPre)
-	barriers := n.Stats().BarrierOps.Load()
 
-	a, b := crossShardPair(t, n)
+	a, b := crossSlotPair(t)
 	mustDo(t, n, "MSET", a, "1", b, "2")
 
-	if n.Stats().BarrierOps.Load() == barriers {
-		t.Fatal("cross-shard MSET did not take the barrier")
-	}
 	for _, s := range stages {
 		if got := n.Obs().Stage(s).Count(); got <= before[s] {
-			t.Errorf("stage %s count stayed at %d across a barrier mutation", s, got)
+			t.Errorf("stage %s count stayed at %d across a cross-slot mutation", s, got)
 		}
 	}
 	if got := faults.Hits(faultpoint.SiteFlushPre); got <= hits {
-		t.Errorf("%s hits stayed at %d across a barrier mutation", faultpoint.SiteFlushPre, got)
+		t.Errorf("%s hits stayed at %d across a cross-slot mutation", faultpoint.SiteFlushPre, got)
 	}
 }
 
-// The barrier shard has no workloop to flush a buffer on an append ack, so
-// mutations arriving behind a full append pipeline must still be flushed
-// (and stamped) before the coordinator releases the shards.
+// Cross-slot and whole-keyspace mutations arriving behind a full append
+// pipeline buffer like any others: every one replies, and every one
+// reaches the log as a record of a flushed batch.
 func TestBarrierMutationsBeyondPipelineDepthAllReply(t *testing.T) {
 	svc := testService(t, netsim.Fixed(10*time.Millisecond))
 	log, _ := svc.CreateLog("shard-onepath-b")
-	n := onePathNode(t, "node-a", log, Config{Shards: 8})
+	n := onePathNode(t, "node-a", log, Config{})
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
-	a, b := crossShardPair(t, n)
+	a, b := crossSlotPair(t)
 
 	writes := 2*n.cfg.MaxInflightAppends + 4
-	appends := n.Obs().Stage(obs.StageAppend).Count()
+	records := n.Stats().BatchedRecords.Load()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
 	for i := 0; i < writes; i++ {
+		argv := [][]byte{[]byte("MSET"), []byte(a), []byte(fmt.Sprint(i)), []byte(b), []byte(fmt.Sprint(i))}
+		if i%2 == 1 {
+			argv = [][]byte{[]byte("FLUSHALL")}
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			v, err := n.Do(ctx, [][]byte{[]byte("MSET"), []byte(a), []byte(fmt.Sprint(i)), []byte(b), []byte(fmt.Sprint(i))})
+			v, err := n.Do(ctx, argv)
 			if err != nil || v.IsError() {
-				t.Errorf("barrier MSET %d: %v %v", i, v, err)
+				t.Errorf("%s: %v %v", argv[0], v, err)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	if got := n.Obs().Stage(obs.StageAppend).Count() - appends; got < uint64(writes) {
-		t.Fatalf("%d barrier mutations recorded %d append stages", writes, got)
+	if got := n.Stats().BatchedRecords.Load() - records; got != int64(writes) {
+		t.Fatalf("%d mutations replied, %d reached the log", writes, got)
 	}
 }
 
 // A readonly read that reaches a replica without passing the read ladder
-// is bounced with REDIRECT whichever shard it lands on.
+// is bounced with REDIRECT, whether it names a key or the whole keyspace.
 func TestUnverifiedReplicaReadRedirectsOnBothPaths(t *testing.T) {
 	svc := testService(t, netsim.Fixed(time.Millisecond))
 	log, _ := svc.CreateLog("shard-onepath-c")
-	primary := onePathNode(t, "node-a", log, Config{Shards: 8})
+	primary := onePathNode(t, "node-a", log, Config{})
 	waitRole(t, primary, election.RolePrimary, 2*time.Second)
-	replica := onePathNode(t, "node-b", log, Config{Shards: 8})
+	replica := onePathNode(t, "node-b", log, Config{})
 	mustDo(t, primary, "SET", "k", "v")
 
-	barriers := replica.Stats().BarrierOps.Load()
 	for _, argv := range [][][]byte{{[]byte("GET"), []byte("k")}, {[]byte("DBSIZE")}} {
 		// Straight to submit: DoRead would verify (or redirect) first.
 		v, err := replica.submit(context.Background(), &task{kind: taskCmd, argv: argv, readonly: true})
@@ -131,9 +129,6 @@ func TestUnverifiedReplicaReadRedirectsOnBothPaths(t *testing.T) {
 			t.Errorf("unverified readonly %s on a replica = %v, want REDIRECT", argv[0], v)
 		}
 	}
-	if got := replica.Stats().BarrierOps.Load() - barriers; got != 1 {
-		t.Fatalf("%d of the two reads took the barrier, want exactly DBSIZE", got)
-	}
 }
 
 // LATENCY TRACES is a summary of the span trees TRACE GET returns: for the
@@ -141,7 +136,7 @@ func TestUnverifiedReplicaReadRedirectsOnBothPaths(t *testing.T) {
 func TestLatencyTracesMatchTraceGet(t *testing.T) {
 	svc := testService(t, netsim.Fixed(time.Millisecond))
 	log, _ := svc.CreateLog("shard-onepath-d")
-	n := onePathNode(t, "node-a", log, Config{Shards: 2, Trace: trace.NewCollector(1, 7, 0)})
+	n := onePathNode(t, "node-a", log, Config{Trace: trace.NewCollector(1, 7, 0)})
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 	mustDo(t, n, "SET", "k", "v")
 
@@ -156,7 +151,7 @@ func TestLatencyTracesMatchTraceGet(t *testing.T) {
 		dur := func(name string, parent int64) (resp.Value, int64) {
 			for _, s := range spans {
 				if s.Array[2].Text() == name && (parent == 0 || s.Array[1].Int == parent) {
-					return s, s.Array[7].Int
+					return s, s.Array[6].Int
 				}
 			}
 			t.Fatalf("trace %d has no %s span: %v", id, name, spans)

@@ -64,7 +64,8 @@ func (h *handLog) checksum(skew uint64) {
 
 // keyspace renders every string key of db.
 func keyspace(db *store.DB) map[string]string {
-	eng := engine.NewShared(nil, db)
+	eng := engine.New(nil)
+	eng.ResetDB(db)
 	out := make(map[string]string)
 	for _, k := range db.Keys("*", time.Now()) {
 		out[k] = eng.Exec([][]byte{[]byte("GET"), []byte(k)}).Reply.Text()
@@ -72,9 +73,9 @@ func keyspace(db *store.DB) map[string]string {
 	return out
 }
 
-// workloopNode builds an engine-version-2 node with its shard workloops
-// running but no role loop: the test goroutine stands in as the single
-// apply driver, so it sees the error each entry produces.
+// workloopNode builds an engine-version-2 node with its workloop running
+// but no role loop: the test goroutine stands in as the single apply
+// driver, so it sees the error each entry produces.
 func workloopNode(t *testing.T, log *txlog.Log) *Node {
 	t.Helper()
 	n, err := NewNode(Config{
@@ -85,10 +86,8 @@ func workloopNode(t *testing.T, log *txlog.Log) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.wg.Add(len(n.shards))
-	for _, sh := range n.shards {
-		go sh.workloop()
-	}
+	n.wg.Add(1)
+	go n.workloop()
 	t.Cleanup(n.Stop)
 	return n
 }
@@ -153,7 +152,7 @@ func TestReplayInvariantAcrossConsumers(t *testing.T) {
 					t.Error("tailer checksum mismatch left no flight event")
 				}
 			}
-			return n.dbPtr.Load(), err
+			return n.liveDB(), err
 		}},
 		{"resync", func(t *testing.T, h *handLog, suffix func(*handLog)) (*store.DB, error) {
 			suffix(h)
@@ -163,7 +162,8 @@ func TestReplayInvariantAcrossConsumers(t *testing.T) {
 			}
 			// A stall is not a restore failure: the prefix is installed and
 			// the replayer restore seeded refuses the entry when tailed.
-			return n.dbPtr.Load(), tail(n)
+			err := tail(n)
+			return n.liveDB(), err
 		}},
 		{"builder", func(t *testing.T, h *handLog, suffix func(*handLog)) (*store.DB, error) {
 			snaps := snapshot.NewManager(s3.New(), "snaps")

@@ -153,11 +153,7 @@ func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
 				// finished command here (and a data race on its value).
 				waitFor(t, "the log to answer for every flushed entry", func() bool {
 					commit()
-					unanswered := n.barrier.gc.inflight.Load()
-					for _, sh := range n.shards {
-						unanswered += sh.gc.inflight.Load()
-					}
-					return unanswered == 0
+					return n.gc.inflight.Load() == 0
 				})
 				if got := n.Obs().Stage(obs.StageE2E).Count() - finished; got != uint64(len(place.steps)) {
 					t.Fatalf("%d commands sent, %d replies delivered", len(place.steps), got)
@@ -202,7 +198,7 @@ func TestGatedReadsCountsWithheldReads(t *testing.T) {
 		n.mu.Lock()
 		trk := n.trk
 		n.mu.Unlock()
-		waitFor(t, "every issued entry to commit", func() bool { return trk.Committed() >= n.lastIssuedSeq() })
+		waitFor(t, "every issued entry to commit", func() bool { return trk.Committed() >= n.issuedSeq() })
 	}
 
 	quiesce()
@@ -268,10 +264,11 @@ func TestNodeOpAllocations(t *testing.T) {
 	}{
 		{[][]byte{[]byte("SET"), []byte("k"), []byte("v")}, 13, 2000},
 		{[][]byte{[]byte("GET"), []byte("k")}, 2.1, 2000},
-		// Cross-shard, on the barrier shard: 500 of these are the stored
-		// buffers, one per key (1 045 per MSET before its keys were views
-		// and its key list a scan).
-		{mset, 560, 200},
+		// 500 of these are the stored buffers, one per key (1 045 per MSET
+		// before its keys were views and its key list a scan, 529 while a
+		// cross-slot MSET parked keyspace shards from a goroutine of its
+		// own).
+		{mset, 524, 200},
 	} {
 		var before, after runtime.MemStats
 		for i := 0; i < c.ops/4; i++ {

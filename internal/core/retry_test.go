@@ -19,14 +19,14 @@ import (
 // degraded commit latency.
 func TestSingleAZDownNoDemotionNoErrors(t *testing.T) {
 	for _, mode := range batchModes {
-		t.Run(mode.name, func(t *testing.T) { singleAZDownNoDemotion(t, mode.batch) })
+		t.Run(mode.name, func(t *testing.T) { singleAZDownNoDemotion(t, mode.window) })
 	}
 }
 
-func singleAZDownNoDemotion(t *testing.T, batch int) {
+func singleAZDownNoDemotion(t *testing.T, window int) {
 	svc, faults := faultyService(t, netsim.Fixed(500*time.Microsecond))
 	log, _ := svc.CreateLog("shard-1")
-	n := testNodeBatch(t, "node-a", log, nil, batch)
+	n := testNodeWindow(t, "node-a", log, nil, window)
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 
 	setLevel(faults, faultpoint.ZoneAckSite(0), true)
@@ -61,14 +61,14 @@ func singleAZDownNoDemotion(t *testing.T, batch int) {
 // and the leader never demotes.
 func TestServiceBlipShorterThanLeaseSurvives(t *testing.T) {
 	for _, mode := range batchModes {
-		t.Run(mode.name, func(t *testing.T) { serviceBlipSurvives(t, mode.batch) })
+		t.Run(mode.name, func(t *testing.T) { serviceBlipSurvives(t, mode.window) })
 	}
 }
 
-func serviceBlipSurvives(t *testing.T, batch int) {
+func serviceBlipSurvives(t *testing.T, window int) {
 	svc, faults := faultyService(t, netsim.Zero{})
 	log, _ := svc.CreateLog("shard-1")
-	n := testNodeBatch(t, "node-a", log, nil, batch) // 120ms lease
+	n := testNodeWindow(t, "node-a", log, nil, window) // 120ms lease
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 	mustDo(t, n, "SET", "warm", "up")
 
@@ -110,14 +110,14 @@ func serviceBlipSurvives(t *testing.T, batch int) {
 // demotes at once, with zero transient retries spent on it.
 func TestFencedAppendDemotesImmediately(t *testing.T) {
 	for _, mode := range batchModes {
-		t.Run(mode.name, func(t *testing.T) { fencedAppendDemotes(t, mode.batch) })
+		t.Run(mode.name, func(t *testing.T) { fencedAppendDemotes(t, mode.window) })
 	}
 }
 
-func fencedAppendDemotes(t *testing.T, batch int) {
+func fencedAppendDemotes(t *testing.T, window int) {
 	svc := testService(t, netsim.Zero{})
 	log, _ := svc.CreateLog("shard-1")
-	n := testNodeBatch(t, "node-a", log, nil, batch)
+	n := testNodeWindow(t, "node-a", log, nil, window)
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 	mustDo(t, n, "SET", "k", "v1")
 

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"time"
 
 	"memorydb/internal/election"
+	"memorydb/internal/engine"
 	"memorydb/internal/retry"
-	"memorydb/internal/store"
 	"memorydb/internal/trace"
 	"memorydb/internal/tracker"
 	"memorydb/internal/txlog"
@@ -271,10 +272,10 @@ func (n *Node) campaign(observedTail txlog.EntryID) bool {
 	n.trk = tracker.New(claimID.Seq)
 	n.mu.Unlock()
 	// The sequencer chains appends after the claim entry; install the
-	// positions under an all-shard barrier so no workloop observes them
-	// mid-change. The running checksum continues from the log's value at
-	// the claim (the claim is committed, so ChecksumAt cannot fail except
-	// on a concurrent trim, in which case zero restarts verification).
+	// positions on the workloop, which owns them. The running checksum
+	// continues from the log's value at the claim (the claim is committed,
+	// so ChecksumAt cannot fail except on a concurrent trim, in which case
+	// zero restarts verification).
 	sum, _ := n.cfg.Log.ChecksumAt(claimID)
 	if !n.installState(nil, claimID, claimID, sum) {
 		return false
@@ -311,21 +312,10 @@ func (n *Node) runPrimary() {
 				n.demote()
 				return
 			}
-			select {
-			case n.shards[0].tasks <- &task{kind: taskRenew, shard: 0}:
-			case <-n.stopCtx.Done():
-				return
-			}
+			n.post(n.renew, true)
 			sweepCounter++
 			if sweepCounter%4 == 0 {
-				// Every shard sweeps its own part range, so expiry DELs
-				// flow through the owning shard's group-commit buffer.
-				for _, sh := range n.shards {
-					select {
-					case sh.tasks <- &task{kind: taskSweep, shard: sh.idx}:
-					default:
-					}
-				}
+				n.post(n.sweep, false)
 			}
 		}
 	}
@@ -354,7 +344,7 @@ func (n *Node) resync() error {
 	if n.partitioned() {
 		return errors.New("core: partitioned from durable sources")
 	}
-	eng := n.newEngine(store.NewDB())
+	eng := n.newEngine()
 	from := txlog.ZeroID
 	var sum uint64
 	if n.cfg.Snapshots != nil {
@@ -387,8 +377,7 @@ func (n *Node) resync() error {
 	if err != nil && !errors.Is(err, txlog.ErrUpgradeStall) {
 		return err
 	}
-	// Install the rebuilt state under an all-shard barrier, then a fresh
-	// tracker.
+	// Install the rebuilt state on the workloop, then a fresh tracker.
 	if !n.installState(eng, applied, txlog.ZeroID, 0) {
 		return ErrStopped
 	}
@@ -400,24 +389,92 @@ func (n *Node) resync() error {
 	return nil
 }
 
-// drainWorkloop round-trips a barrier task through every shard workloop,
-// blocking until everything queued (and in flight) ahead of it has been
-// handled on each. Returns false when the node stopped instead.
+// drainWorkloop runs a task through the workloop, returning once
+// everything queued (and in flight) ahead of it has been handled. On a
+// node that is no longer primary, buffered mutations can never become
+// durable; their replies fail now, while the step-down is externally
+// observable. Returns false when the node stopped instead.
 func (n *Node) drainWorkloop() bool {
-	for _, sh := range n.shards {
-		t := &task{kind: taskDrain, shard: sh.idx, swapCh: make(chan struct{})}
-		select {
-		case sh.tasks <- t:
-		case <-n.stopCtx.Done():
-			return false
+	return n.run(context.Background(), func() error {
+		if n.Role() != election.RolePrimary {
+			n.abortPending(errDemoted)
 		}
-		select {
-		case <-t.swapCh:
-		case <-n.stopCtx.Done():
-			return false
+		return nil
+	}) == nil
+}
+
+// installState replaces the node's engine state and/or log positions from
+// the role loop (promotion installs positions; resync installs a rebuilt
+// engine) as one workloop task, so no command observes half of it. Any
+// buffered, never-logged mutations are discarded with errors — their
+// clients must see failures, not silence (the node demoted before the
+// resync that produced this install). issued and checksum reposition the
+// sequencer: the claim entry and the log's checksum there on promotion,
+// zero on resync. Returns false when the node stopped.
+func (n *Node) installState(newEng *engine.Engine, newApplied, issued txlog.EntryID, checksum uint64) bool {
+	return n.run(context.Background(), func() error {
+		n.abortPending(errDemoted)
+		if newEng != nil {
+			n.eng = newEng
 		}
+		n.applied = newApplied
+		n.appliedSeq.Store(newApplied.Seq)
+		// The installed state covers everything through newApplied:
+		// release every replica read parked at or below it. On promotion
+		// this hands parked reads to the new primary's fully-caught-up
+		// state; on resync the swap and the release are one task, so a
+		// released read can never observe a half-rebuilt store.
+		n.readGate.Advance(newApplied.Seq)
+		n.lastIssued = issued
+		n.runningChecksum = checksum
+		n.dataSinceSum = 0
+		return nil
+	}) == nil
+}
+
+// applyEntry consumes one replicated log entry through the node's
+// replayer (role loop only), so the tailer enforces exactly what restore
+// enforced on the prefix below it. A stall marks the node and leaves the
+// applied position before the refused entry.
+func (n *Node) applyEntry(e txlog.Entry) error {
+	if err := n.replay.Step(e, n.applyData); err != nil {
+		switch {
+		case errors.Is(err, txlog.ErrUpgradeStall):
+			n.mu.Lock()
+			n.stalled = true
+			n.mu.Unlock()
+		case errors.Is(err, txlog.ErrChecksumMismatch):
+			n.flight.Recordf(trace.EvAlarm, e.ID.Seq, "replica state diverged from the log: %v", err)
+		}
+		return err
 	}
-	return true
+	n.applied = e.ID
+	n.appliedSeq.Store(e.ID.Seq)
+	n.readGate.Advance(e.ID.Seq)
+	return nil
+}
+
+// applyData applies one data entry's payload to the keyspace: the
+// replayer's callback on the tailer. The payload is applied whole, as one
+// workloop task, so a replica read sees an entry entirely or not at all.
+func (n *Node) applyData(e txlog.Entry) error {
+	// A traced entry extends the originating command's span tree onto this
+	// node: the apply interval parents to the primary's append span.
+	var applyStart int64
+	traced := n.trace != nil && e.TraceID != 0
+	if traced {
+		applyStart = trace.Now()
+	}
+	payload := e.Payload
+	if err := n.run(context.Background(), func() error { return n.eng.Apply(payload) }); err != nil {
+		return err
+	}
+	n.stats.EntriesApplied.Add(1)
+	if traced {
+		n.trace.Emit(trace.SpanContext{TraceID: e.TraceID, SpanID: e.TraceSpan},
+			"replica_apply", n.cfg.NodeID, -1, applyStart, trace.Now())
+	}
+	return nil
 }
 
 func (n *Node) waitUntilStopped() {

@@ -12,12 +12,11 @@ import (
 )
 
 // The sequencer is the issue-side twin of txlog.Replayer: every entry this
-// node appends — group-commit flushes (shard or barrier), running-checksum
-// injections, lease renewals, control records — goes through sequence, and
-// nothing outside this file takes seqMu. Shards flushing concurrently
-// receive their commit order here; holding seqMu across a (lease-bounded)
-// append retry is deliberate — it is the serialization one workloop would
-// provide. Lock order: barrierMu → seqMu → mu.
+// node appends — group-commit flushes, running-checksum injections, lease
+// renewals, control records — goes through sequence, and every caller runs
+// on the workloop, which therefore owns the sequencer state without a
+// lock. A (lease-bounded) append retry holds the workloop, as it should:
+// nothing behind it may reach the log first.
 
 // Retry shape for transient log failures: capped exponential backoff with
 // full jitter, bounded overall by the leadership lease.
@@ -29,10 +28,9 @@ const (
 // sequence appends e at the node's log tail. It stamps the writer's epoch,
 // engine version and committed watermark (so tailing replicas continuously
 // learn the primary's ack frontier), retries transient failures, advances
-// lastIssued, chains a data payload into the running checksum and — inside
-// the same critical section, so the checksum entry is contiguous with the
-// prefix it covers even with other shards flushing — injects the
-// EntryChecksum that payload made due (§7.2.1). A lost append — fenced by
+// lastIssued, chains a data payload into the running checksum and — right
+// behind it, so the checksum entry is contiguous with the prefix it covers
+// — injects the EntryChecksum that payload made due (§7.2.1). A lost append — fenced by
 // another writer, or the lease-bounded retry deadline exhausted — is
 // counted, a fencing is recorded on the flight ring, and the node demotes
 // before the error returns: callers only fail the replies they hold, so
@@ -54,7 +52,6 @@ func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, e
 		err = n.checkpoint(faultpoint.SiteFlushPre)
 	}
 	if err == nil {
-		n.seqMu.Lock()
 		p, err = n.startAppendRetry(e, retried)
 		if err == nil && e.Type == txlog.EntryData {
 			n.runningChecksum = txlog.ChainChecksum(n.runningChecksum, e.Payload)
@@ -72,7 +69,6 @@ func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, e
 				}
 			}
 		}
-		n.seqMu.Unlock()
 	}
 
 	if err != nil {
@@ -91,25 +87,6 @@ func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, e
 	// The entry itself landed; a failed checksum injection behind it has
 	// already demoted the node, which aborts whatever the caller gates on p.
 	return p, nil
-}
-
-// lastIssuedSeq reads the sequencer tail (the highest log sequence this
-// node has issued an append for).
-func (n *Node) lastIssuedSeq() uint64 {
-	n.seqMu.Lock()
-	defer n.seqMu.Unlock()
-	return n.lastIssued.Seq
-}
-
-// resetSequencer repositions the sequencer under an all-shard barrier: a
-// promotion chains appends after its claim entry with the log's checksum
-// there; a resync clears the tail (replicas issue nothing).
-func (n *Node) resetSequencer(tail txlog.EntryID, sum uint64) {
-	n.seqMu.Lock()
-	n.lastIssued = tail
-	n.runningChecksum = sum
-	n.dataSinceSum = 0
-	n.seqMu.Unlock()
 }
 
 // commitWatermarkAsync advances the tracker's durable watermark once a
@@ -136,8 +113,8 @@ type completion struct {
 	then func(err error)
 }
 
-// completionBacklog sizes the completion FIFO far above what the shards'
-// append windows let be in flight at once; should it ever fill, the issuer
+// completionBacklog sizes the completion FIFO far above what the append
+// window lets be in flight at once; should it ever fill, the issuer
 // waits in onCommit — a completion is never dropped.
 const completionBacklog = 1024
 
@@ -153,7 +130,7 @@ func (n *Node) onCommit(p *txlog.Pending, then func(err error)) {
 // side of the sequencer: appends are issued in order and the log commits
 // in order, so it waits on each Pending in turn and then runs what its
 // issuer queued — stage stamps, the crash gates between quorum and
-// release, tracker.Commit, the shard's flush-on-ack poke. It is node code
+// release, tracker.Commit, the workloop's flush-on-ack poke. It is node code
 // on a node goroutine on purpose: checkpoint parks while the node is
 // frozen, which must stall this node's acknowledgements and nothing else —
 // run on the log's committer it would stop the log for every other node,
@@ -204,7 +181,7 @@ func (n *Node) startAppend(after txlog.EntryID, e txlog.Entry) (*txlog.Pending, 
 	return p, nil
 }
 
-// startAppendRetry is startAppend after lastIssued (seqMu held) with the
+// startAppendRetry is startAppend after lastIssued with the
 // transient-failure retry discipline (§4.1.3): a transient error (service
 // blip, below-quorum AZ set, partition) leaves the log position unchanged,
 // so the identical append is retried under capped exponential backoff with

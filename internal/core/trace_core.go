@@ -48,7 +48,7 @@ func (n *Node) traceStart(ctx context.Context, t *task) {
 	}
 	ts := &taskSpan{c: n.trace}
 	if fromCtx {
-		ts.root = n.trace.Child(sc, name, n.cfg.NodeID, -1)
+		ts.root = n.trace.Child(sc, name, n.cfg.NodeID)
 	} else {
 		ts.root = n.trace.Root(sc, name, n.cfg.NodeID)
 	}

@@ -19,13 +19,9 @@ type taskKind int
 const (
 	taskCmd taskKind = iota
 	taskBatch
-	taskRenew
-	taskSweep
-	taskMigCtl
-	taskMigDump
-	taskSlotInfo
-	taskDrain
-	taskPark
+	// taskFunc is node-internal work: a lease renewal, an expiry sweep, a
+	// replica apply, a state install, a control append or a migration step.
+	taskFunc
 )
 
 type task struct {
@@ -43,11 +39,14 @@ type task struct {
 	readVerified bool
 
 	// The task is its own reply future: Node.reply writes val, then signals
-	// done (one slot, one send; nil on the expiry sweep's task, which nobody
-	// waits for). While a reply is withheld for durability, val parks the
-	// value it will carry if the covering entry commits.
+	// done (one slot, one send; nil on a task nobody waits for — the expiry
+	// sweep's, a lease renewal). While a reply is withheld for durability,
+	// val parks the value it will carry if the covering entry commits. A
+	// taskFunc hands fn's error back in err instead, then signals done.
 	val  resp.Value
 	done chan struct{}
+	fn   func() error
+	err  error
 
 	// tr is the task's tracing state; nil unless the task was sampled
 	// (or arrived with a span context minted by the server front-end).
@@ -56,35 +55,16 @@ type task struct {
 	// name is the uppercase command name ("EXEC" for a batch), cmd its
 	// command-table entry (nil for a batch, INFO, WAIT or an unknown
 	// command), cmds a batch's entries, one per command, and keys the
-	// keys it names, as views of argv, all set by resolve; shard is the
-	// index of the shard submit routed the task to (-1 = the barrier
-	// shard).
-	name  string
-	cmd   *engine.Command
-	cmds  []*engine.Command
-	keys  [][]byte
-	shard int
+	// keys it names, as views of argv, all set by resolve.
+	name string
+	cmd  *engine.Command
+	cmds []*engine.Command
+	keys [][]byte
 
 	// Observability stamps (obs.Now monotonic nanos; 0 = not stamped):
 	// enq at submit, deq at dequeue, execDone after engine execution.
 	// Only set when the node's obs registry is enabled.
 	enq, deq, execDone int64
-
-	// taskDrain: closed once every task queued ahead of it has been fully
-	// handled.
-	swapCh chan struct{}
-
-	// taskPark: quiesce this shard for a barrier coordinator. The shard
-	// flushes its buffer, signals arrival, and blocks until release.
-	parkArrived chan<- struct{}
-	parkRelease <-chan struct{}
-
-	// taskMigCtl / taskMigDump / taskSlotInfo
-	mig      *MigrationStream
-	migOn    bool
-	slot     uint16
-	wantKeys bool // taskSlotInfo: list the slot's keys, not just count them
-	slotCh   chan slotInfo
 }
 
 // Do executes a client command on this node. Writes require the node to
@@ -95,15 +75,14 @@ func (n *Node) Do(ctx context.Context, argv [][]byte) (resp.Value, error) {
 }
 
 // DoBatch executes an atomic MULTI/EXEC group: all commands run
-// back-to-back on one shard (the barrier shard when the group spans
-// shards) and their effects are logged as a single record, so the group is
-// atomic both locally and in the log (§2.1).
+// back-to-back on the workloop and their effects are logged as a single
+// record, so the group is atomic both locally and in the log (§2.1).
 func (n *Node) DoBatch(ctx context.Context, cmds [][][]byte) (resp.Value, error) {
 	return n.submit(ctx, &task{kind: taskBatch, batch: cmds})
 }
 
-// resolve names a client task and looks its command up, once: routing,
-// admission, the read ladder and the engine all read the result.
+// resolve names a client task and looks its command up, once: admission,
+// the read ladder and the engine all read the result.
 func (t *task) resolve() {
 	switch {
 	case t.name != "":
@@ -134,33 +113,100 @@ func (n *Node) submit(ctx context.Context, t *task) (resp.Value, error) {
 	if n.obs != nil {
 		t.enq = obs.Now()
 	}
-	sh := n.route(t)
-	t.shard = sh.idx
-	if sh == n.barrier {
-		// The coordinator runs in its own goroutine so this submit keeps
-		// honoring ctx cancellation while shards quiesce.
-		go n.runBarrier(t)
-	} else {
-		select {
-		case sh.tasks <- t:
-		case <-ctx.Done():
-			return resp.Value{}, ctx.Err()
-		case <-n.stopCtx.Done():
-			return resp.Value{}, ErrStopped
-		}
+	if err := n.enqueue(ctx, t); err != nil {
+		return resp.Value{}, err
+	}
+	return t.val, nil
+}
+
+// run executes fn on the workloop and returns its error. Node-internal
+// work is a task like any command, so the queue alone serializes it with
+// them: no lock, no quiesce.
+func (n *Node) run(ctx context.Context, fn func() error) error {
+	t := &task{kind: taskFunc, fn: fn, done: make(chan struct{}, 1)}
+	if err := n.enqueue(ctx, t); err != nil {
+		return err
+	}
+	return t.err
+}
+
+// enqueue queues t on the workloop and waits for its done signal. It fails
+// with ctx's error or ErrStopped when either ends first; t may still run.
+func (n *Node) enqueue(ctx context.Context, t *task) error {
+	select {
+	case n.tasks <- t:
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-n.stopCtx.Done():
+		return ErrStopped
 	}
 	select {
 	case <-t.done:
-		return t.val, nil
+		return nil
 	case <-ctx.Done():
-		return resp.Value{}, ctx.Err()
+		return ctx.Err()
 	case <-n.stopCtx.Done():
-		return resp.Value{}, ErrStopped
+		return ErrStopped
+	}
+}
+
+// post queues fire-and-forget node work (a lease renewal, an expiry
+// sweep); wait says whether to block on a full queue or drop the work.
+func (n *Node) post(fn func() error, wait bool) {
+	t := &task{kind: taskFunc, fn: fn}
+	if !wait {
+		select {
+		case n.tasks <- t:
+		default:
+		}
+		return
+	}
+	select {
+	case n.tasks <- t:
+	case <-n.stopCtx.Done():
+	}
+}
+
+// workloop is the node's one execution thread (§3: the engine stays
+// single-threaded). It is pipelined for group commit: tasks already queued
+// are drained greedily (mutations execute and buffer while a quorum append
+// is in flight), append acknowledgements flush the accumulated batch, and
+// the buffer never survives into a blocking wait while no append is
+// outstanding.
+func (n *Node) workloop() {
+	defer n.wg.Done()
+	for {
+		select {
+		case <-n.stopCtx.Done():
+			return
+		case t := <-n.tasks:
+			n.handleTask(t)
+		case <-n.appendAcked:
+			// The oldest in-flight append committed: flush the batch that
+			// accumulated behind its quorum round-trip.
+			n.flushPending()
+		}
+		// Greedy drain: execute everything already queued before blocking
+		// again, so mutations coalesce into the pending batch instead of
+		// paying one wakeup (and potentially one log entry) each.
+	drain:
+		for {
+			select {
+			case <-n.stopCtx.Done():
+				return
+			case t := <-n.tasks:
+				n.handleTask(t)
+			case <-n.appendAcked:
+				n.flushPending()
+			default:
+				break drain
+			}
+		}
 	}
 }
 
 // reply delivers a client task's reply — exactly once per task, by whoever
-// holds it: the handler, the shard buffer or the flushed entry. For a
+// holds it: the handler, the group-commit buffer or the flushed entry. For a
 // mutation that is after the tracker released it, so the latency observed
 // and the root span cover submit → durable → reply.
 func (n *Node) reply(t *task, v resp.Value) {
@@ -188,53 +234,20 @@ func (n *Node) release(t *task, aborted bool) {
 	}
 }
 
-func (n *Node) handleTask(sh *nodeShard, t *task) {
+func (n *Node) handleTask(t *task) {
 	if !n.gate() {
 		// Stopped while frozen: the crashed process is being torn down.
 		// Drop the task without replying — exactly what a dead process
 		// does; submit's stopCtx select fails the caller.
 		return
 	}
-	switch t.kind {
-	case taskCmd, taskBatch:
-		n.handleClient(sh, t)
-	case taskRenew:
-		n.handleRenew(sh)
-	case taskSweep:
-		n.handleSweep(sh)
-	case taskMigCtl:
-		n.handleMigCtl(sh, t)
-	case taskMigDump:
-		n.handleMigDump(sh, t)
-	case taskSlotInfo:
-		info := slotInfo{count: sh.eng.DB().SlotCount(t.slot)}
-		if t.wantKeys {
-			info.keys = sh.eng.DB().SlotKeys(t.slot)
-		}
-		t.slotCh <- info
-	case taskDrain:
-		// Pure synchronization: reaching this point proves every task
-		// queued ahead of the drain — including a flush whose retry loop
-		// was failing out gated replies — has been fully handled. On a
-		// node that is no longer primary, buffered mutations can never
-		// become durable; fail their replies now, while the step-down is
-		// externally observable.
-		if n.Role() != election.RolePrimary {
-			n.abortPending(sh, errDemoted)
-		}
-		close(t.swapCh)
-	case taskPark:
-		// A barrier coordinator is quiescing this shard. Flush first so
-		// the coordinator observes fully-issued state (on a demoted node
-		// this aborts the buffer instead), then block until release. The
-		// coordinator may touch this shard's engine and buffer while we
-		// are parked; the channel handshake orders those accesses.
-		n.flushPending(sh)
-		t.parkArrived <- struct{}{}
-		select {
-		case <-t.parkRelease:
-		case <-n.stopCtx.Done():
-		}
+	if t.kind != taskFunc {
+		n.handleClient(t)
+		return
+	}
+	t.err = t.fn()
+	if t.done != nil {
+		t.done <- struct{}{}
 	}
 }
 
@@ -246,12 +259,10 @@ var (
 )
 
 // handleClient is the one client command path (§3.2): admit, execute on
-// the shard's engine, then either buffer the mutation's effects for the
-// log or gate the read on the writes it observed. It runs on a shard's
-// workloop, or — for the barrier shard, whose engine spans the keyspace —
-// on a coordinator holding every workloop parked; a command and an atomic
-// batch differ only in Exec vs ExecBatch.
-func (n *Node) handleClient(sh *nodeShard, t *task) {
+// the engine, then either buffer the mutation's effects for the log or
+// gate the read on the writes it observed. A single-key command, a
+// cross-slot one and an atomic batch differ only in Exec vs ExecBatch.
+func (n *Node) handleClient(t *task) {
 	n.stats.Commands.Add(1)
 	batch, name, cmd := t.kind == taskBatch, t.name, t.cmd
 	if t.enq != 0 {
@@ -284,7 +295,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 		if lease == nil || !lease.Valid() {
 			// A primary that cannot renew voluntarily stops servicing
 			// reads and writes at the end of its lease (§4.1.3).
-			n.abortPending(sh, errDemoted)
+			n.abortPending(errDemoted)
 			n.demote()
 			n.reply(t, errDemoted)
 			return
@@ -322,7 +333,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 	var res engine.Result
 	switch {
 	case batch:
-		res = sh.eng.ExecBatch(t.batch, t.cmds)
+		res = n.eng.ExecBatch(t.batch, t.cmds)
 	case name == "WAIT":
 		// Every acknowledged write is already durable across AZs, so WAIT
 		// degenerates to a read of the whole keyspace: it gates on the
@@ -330,7 +341,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 		// replicating AZs beyond the primary's.
 		res.Reply = resp.Int64(2)
 	default:
-		res = sh.eng.ExecCommand(cmd, t.argv)
+		res = n.eng.ExecCommand(cmd, t.argv)
 	}
 	if t.deq != 0 {
 		n.obsExecuted(t)
@@ -341,7 +352,7 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 		return
 	}
 	if res.Mutated() {
-		n.logMutation(sh, t, res)
+		n.logMutation(t, res)
 		return
 	}
 	// Read: delay the reply while any observed key has a not-yet-durable
@@ -350,14 +361,17 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 	// across the group costs more than the conservative gate) wait for
 	// everything outstanding.
 	gateAll := batch || name == "WAIT" || (t.keys == nil && cmd != nil && cmd.Flags&engine.FlagKeyspace != 0)
+	if gateAll {
+		n.stats.BarrierOps.Add(1)
+	}
 	// A mutation the read observed may still sit in the group-commit buffer
 	// (no log seq yet): the read then joins the batch and is released with
 	// it. Otherwise the tracker says which issued entry covers it, if any.
-	buffered := sh.gc.pending() && (gateAll || sh.gc.touchesAny(t.keys))
+	buffered := n.gc.pending() && (gateAll || n.gc.touchesAny(t.keys))
 	var seq uint64
 	if !buffered {
 		if gateAll {
-			seq = n.lastIssuedSeq()
+			seq = n.lastIssued.Seq
 		}
 		if seq = trk.Covering(seq, t.keys); seq == 0 {
 			n.reply(t, res.Reply)
@@ -367,25 +381,25 @@ func (n *Node) handleClient(sh *nodeShard, t *task) {
 	t.val = res.Reply
 	n.stats.GatedReads.Add(1)
 	if buffered {
-		sh.gc.reads = append(sh.gc.reads, t)
+		n.gc.reads = append(n.gc.reads, t)
 	} else {
 		trk.RegisterWrite(seq, nil, func(aborted bool) { n.release(t, aborted) })
 	}
 }
 
-// logMutation parks an executed mutation in the shard's group-commit
-// buffer — its effects for the log, its reply on the task until the batch
-// entry commits; the engine already applied it, and the read gating above
+// logMutation parks an executed mutation in the group-commit buffer — its
+// effects for the log, its reply on the task until the batch entry
+// commits; the engine already applied it, and the read gating above
 // controls what other clients see of it meanwhile — and flushes when
 // warranted: immediately when the append pipeline has room (no latency
 // added), on records/bytes caps, and otherwise when an in-flight append
-// acknowledges (flush-on-ack, driven by the shard's appendAcked wakeup).
-func (n *Node) logMutation(sh *nodeShard, t *task, res engine.Result) {
+// acknowledges (flush-on-ack, driven by the appendAcked wakeup).
+func (n *Node) logMutation(t *task, res engine.Result) {
 	n.stats.Mutations.Add(1)
 	// Mirror into the migration stream at execution order — the same
 	// position the effects take in the batch payload.
-	n.forwardEffects(sh, res.Keys, res.Effects)
-	gc := &sh.gc
+	n.forwardEffects(res.Keys, res.Effects)
+	gc := &n.gc
 	if len(gc.payload) == 0 {
 		gc.payload = res.Effects // the engine never writes to it again
 	} else {
@@ -394,15 +408,15 @@ func (n *Node) logMutation(sh *nodeShard, t *task, res engine.Result) {
 	t.val = res.Reply
 	gc.writes = append(gc.writes, t)
 	gc.dirty = append(gc.dirty, res.Keys...)
-	if n.shouldFlush(sh) {
-		n.flushPending(sh)
+	if n.shouldFlush() {
+		n.flushPending()
 	}
 }
 
 // infoText renders the INFO reply: the per-node view the monitoring
-// service polls every few seconds (§5.1). It runs on the barrier shard:
-// the keyspace counters it sums belong to the parts' owners, which the
-// barrier has parked; everything else it reads is atomic or mu-guarded.
+// service polls every few seconds (§5.1). It runs on the workloop, which
+// owns the keyspace counters it sums; everything else it reads is atomic
+// or mu-guarded.
 func (n *Node) infoText() string {
 	n.mu.Lock()
 	role := n.role
@@ -412,7 +426,7 @@ func (n *Node) infoText() string {
 	st := n.stats.Snapshot()
 	logStats := n.cfg.Log.Stats()
 	degraded := n.cfg.Log.Degraded()
-	db := n.dbPtr.Load()
+	db := n.eng.DB()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Replication\r\n")
 	fmt.Fprintf(&b, "role:%s\r\n", role)
@@ -461,22 +475,8 @@ func (n *Node) infoText() string {
 		fmt.Fprintf(&b, "snapshot_chain_depth:%d\r\n", h.ChainDepth.Load())
 		fmt.Fprintf(&b, "snapshot_builder_lag_alarms_total:%d\r\n", h.LagAlarms.Load())
 	}
-	fmt.Fprintf(&b, "shard_count:%d\r\n", len(n.shards))
 	fmt.Fprintf(&b, "barrier_ops:%d\r\n", st.BarrierOps)
-	fmt.Fprintf(&b, "cross_slot_ops:%d\r\n", st.CrossSlotOps)
-	depths := n.QueueDepths()
-	total, maxd := 0, 0
-	for _, d := range depths {
-		total += d
-		if d > maxd {
-			maxd = d
-		}
-	}
-	fmt.Fprintf(&b, "queue_depth_total:%d\r\n", total)
-	fmt.Fprintf(&b, "queue_depth_max:%d\r\n", maxd)
-	for i, d := range depths {
-		fmt.Fprintf(&b, "shard%d_queue_depth:%d\r\n", i, d)
-	}
+	fmt.Fprintf(&b, "queue_depth:%d\r\n", n.QueueDepth())
 	fmt.Fprintf(&b, "# Keyspace\r\n")
 	fmt.Fprintf(&b, "keys:%d\r\n", db.Len())
 	fmt.Fprintf(&b, "used_bytes:%d\r\n", db.UsedBytes())
@@ -484,13 +484,10 @@ func (n *Node) infoText() string {
 	return b.String()
 }
 
-// handleRenew appends a lease renewal (primary only; routed to shard 0).
-// The append is pipelined like any other and the lease extends from issue
-// time — safe because the backoff replicas observe is strictly longer than
-// the lease. Only shard 0's buffer is flushed first: a lease entry carries
-// no data, so its order relative to OTHER shards' buffered mutations is
-// unconstrained — each shard's own flush keeps its per-key order.
-func (n *Node) handleRenew(sh *nodeShard) {
+// renew appends a lease renewal (primary only). The append is pipelined
+// like any other and the lease extends from issue time — safe because the
+// backoff replicas observe is strictly longer than the lease.
+func (n *Node) renew() error {
 	n.mu.Lock()
 	role := n.role
 	lease := n.lease
@@ -498,24 +495,24 @@ func (n *Node) handleRenew(sh *nodeShard) {
 	trk := n.trk
 	n.mu.Unlock()
 	if role != election.RolePrimary || lease == nil {
-		return
+		return nil
 	}
 	if !lease.Valid() {
-		n.abortPending(sh, errDemoted)
+		n.abortPending(errDemoted)
 		n.demote()
-		return
+		return nil
 	}
 	// Flush buffered mutations first so the log order of entries matches
 	// workloop execution order.
-	if !n.flushPending(sh) {
-		return
+	if !n.flushPending() {
+		return nil
 	}
 	// Crash gate on the renewal path: a kill here lets the lease run out
 	// under the frozen primary, so a thawed zombie wakes already expired.
 	// A transient Error decision just skips this tick (the next one
 	// retries), mirroring how a real renewal RPC can be lost.
 	if n.checkpoint(faultpoint.SiteRenew) != nil {
-		return
+		return nil
 	}
 	r := election.Renewal{NodeID: n.cfg.NodeID, Epoch: epoch, LeaseMs: n.cfg.Lease.Milliseconds()}
 	issued := n.clk.Now()
@@ -523,30 +520,32 @@ func (n *Node) handleRenew(sh *nodeShard) {
 	if err != nil {
 		// Fenced by another writer, or the lease expired while the retry
 		// loop was absorbing an outage: the sequencer stepped down.
-		n.abortPending(sh, errDemoted)
-		return
+		n.abortPending(errDemoted)
+		return nil
 	}
 	lease.Renewed(issued)
 	n.commitWatermarkAsync(p, trk)
+	return nil
 }
 
-// handleSweep runs one active-expiry cycle over this shard's owned store
-// parts on the primary, replicating deterministic DELs for reaped keys —
-// through the shard's own group-commit buffer, so per-key order between a
-// SET and its expiry DEL is preserved.
-func (n *Node) handleSweep(sh *nodeShard) {
-	n.mu.Lock()
-	role := n.role
-	n.mu.Unlock()
-	if role != election.RolePrimary {
-		return
+// sweep runs one active-expiry cycle on the primary, replicating
+// deterministic DELs for the reaped keys through the group-commit buffer,
+// so per-key order between a SET and its expiry DEL is preserved. The
+// engine resumes each cycle at the part after the one the last stopped
+// in, so a part that always holds more expired keys than one cycle reaps
+// cannot starve the rest.
+func (n *Node) sweep() error {
+	if n.Role() != election.RolePrimary {
+		return nil
 	}
-	res := sh.eng.SweepExpiredParts(32, sh.partLo, sh.partHi)
-	if !res.Mutated() {
-		return
+	if res := n.eng.SweepExpired(sweepLimit); res.Mutated() {
+		n.logMutation(&task{}, res)
 	}
-	n.logMutation(sh, &task{shard: sh.idx}, res)
+	return nil
 }
+
+// sweepLimit caps the keys one active-expiry cycle reaps.
+const sweepLimit = 32
 
 // demote moves the node to the demoted role; the role loop will
 // resynchronize it from the log and rejoin as a replica.

@@ -168,6 +168,9 @@ type Engine struct {
 	effects   []byte
 	dirtyKeys []string
 	applying  bool // true while replaying replicated effects
+
+	// sweepPart is the store part the next SweepExpired starts at.
+	sweepPart int
 }
 
 // SetObs attaches the observability registry the LATENCY and SLOWLOG
@@ -182,20 +185,11 @@ func (e *Engine) SetFlight(f *trace.Flight) { e.flight = f }
 
 // New returns an engine over a fresh keyspace.
 func New(clk clock.Clock) *Engine {
-	return NewShared(clk, store.NewDB())
-}
-
-// NewShared returns an engine over an existing keyspace. A sharded node
-// creates one engine per sub-shard workloop, all over the same DB: each
-// engine only ever executes commands whose keys fall in the parts its
-// workloop owns, so the shared DB needs no locking. The per-engine scratch
-// state (effects, dirty keys, rng) stays private to each workloop.
-func NewShared(clk clock.Clock, db *store.DB) *Engine {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
 	return &Engine{
-		db:  db,
+		db:  store.NewDB(),
 		clk: clk,
 		rng: rand.New(rand.NewSource(0xda7aba5e)),
 	}
@@ -386,16 +380,24 @@ func dedup(keys []string) []string {
 	return out
 }
 
-// SweepExpiredParts is SweepExpired restricted to store parts [lo, hi).
-// Sharded workloops sweep only the parts they own so the resulting DEL
-// effects flow through the same group-commit buffer as that shard's
-// writes, keeping the per-key replication order intact.
-func (e *Engine) SweepExpiredParts(limit, lo, hi int) Result {
+// SweepExpired proactively expires up to limit keys, producing a DEL
+// effect for each (the active expiry cycle). It visits the store parts
+// round-robin from a cursor that moves past every part it starts, so the
+// next cycle resumes at the part after the one this cycle stopped in: a
+// part that always holds more than limit expired keys cannot starve the
+// parts behind it.
+func (e *Engine) SweepExpired(limit int) Result {
 	e.effects = nil
 	e.dirtyKeys = nil
-	for _, k := range e.db.SweepExpiredParts(e.Now(), limit, lo, hi) {
-		e.propagateStrings("DEL", k)
-		e.touch(k)
+	now := e.Now()
+	for reaped, visited := 0, 0; reaped < limit && visited < store.NumParts; visited++ {
+		part := e.sweepPart
+		e.sweepPart = (part + 1) % store.NumParts
+		for _, k := range e.db.SweepExpiredPart(now, limit-reaped, part) {
+			e.propagateStrings("DEL", k)
+			e.touch(k)
+			reaped++
+		}
 	}
 	return Result{Effects: e.effects, Keys: e.dirtyKeys}
 }

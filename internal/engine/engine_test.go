@@ -2,12 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"memorydb/internal/clock"
 	"memorydb/internal/resp"
+	"memorydb/internal/store"
 )
 
 // testEngine returns an engine on a simulated clock (expiry tests advance
@@ -287,6 +289,40 @@ func TestSweepExpiredEmitsDeleteEffects(t *testing.T) {
 	if err != nil || len(cmds) != 1 || string(cmds[0][0]) != "DEL" {
 		t.Fatalf("sweep effects = %v (%v)", cmds, err)
 	}
+}
+
+// TestSweepExpiredIsFair: a part that always holds more expired keys than
+// one sweep reaps cannot starve the parts behind it. An expired key in
+// the last part is reaped while part 0 is refilled past the limit before
+// every sweep.
+func TestSweepExpiredIsFair(t *testing.T) {
+	e, clk, do := testEngine(t)
+	const limit = 4
+	var hot []string
+	last := ""
+	for i := 0; len(hot) <= limit || last == ""; i++ {
+		k := fmt.Sprintf("k%d", i)
+		switch store.PartOfKey([]byte(k)) {
+		case 0:
+			hot = append(hot, k)
+		case store.NumParts - 1:
+			last = k
+		}
+	}
+	do("SET", last, "v")
+	do("PEXPIRE", last, "1")
+	for sweep := 0; sweep < store.NumParts; sweep++ {
+		for _, k := range hot {
+			do("SET", k, "v")
+			do("PEXPIRE", k, "1")
+		}
+		clk.Advance(10 * time.Millisecond)
+		e.SweepExpired(limit)
+		if _, ok := e.DB().Peek(last); !ok {
+			return
+		}
+	}
+	t.Fatalf("%d sweeps never reaped the expired key in part %d", store.NumParts, store.NumParts-1)
 }
 
 func TestLazyExpiryOnReadEmitsDelete(t *testing.T) {

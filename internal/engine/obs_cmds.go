@@ -28,7 +28,7 @@ func usecV(d time.Duration) resp.Value { return resp.Int64(int64(d / time.Micros
 // [name, count, p50_usec, p95_usec, p99_usec, p999_usec, max_usec].
 // TRACES summarises the n most recent sampled commands (TRACE GET <id>
 // has the full tree), one row each:
-// [trace_id, cmd, total_usec, queue_usec, exec_usec, commit_usec, shard].
+// [trace_id, cmd, total_usec, queue_usec, exec_usec, commit_usec].
 func cmdLatency(e *Engine, argv [][]byte) resp.Value {
 	if e.obs == nil {
 		return errObsDisabled
@@ -85,7 +85,6 @@ func cmdLatency(e *Engine, argv [][]byte) resp.Value {
 					resp.BulkStr(t.Cmd),
 					usecV(time.Duration(t.Total)), usecV(time.Duration(t.Queue)), usecV(time.Duration(t.Exec)),
 					usecV(time.Duration(max(t.Total-t.Queue-t.Exec, 0))),
-					resp.Int64(int64(t.Shard)),
 				))
 			}
 		}
@@ -100,7 +99,7 @@ func cmdLatency(e *Engine, argv [][]byte) resp.Value {
 // cmdSlowlog: SLOWLOG GET [n] | LEN | RESET | THRESHOLD [usec].
 // GET returns entries newest first as
 // [id, unix_seconds, total_usec, [args...],
-// [queue_usec, exec_usec, commit_usec], shard].
+// [queue_usec, exec_usec, commit_usec]].
 func cmdSlowlog(e *Engine, argv [][]byte) resp.Value {
 	if e.obs == nil {
 		return errObsDisabled
@@ -129,7 +128,6 @@ func cmdSlowlog(e *Engine, argv [][]byte) resp.Value {
 				usecV(en.Total),
 				resp.BulkArray(en.Args...),
 				resp.ArrayV(usecV(en.Queue), usecV(en.Exec), usecV(en.Commit)),
-				resp.Int64(int64(en.Shard)),
 			))
 		}
 		return resp.ArrayV(rows...)

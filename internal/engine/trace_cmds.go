@@ -22,7 +22,7 @@ func init() {
 var errTraceDisabled = resp.Err("ERR tracing is disabled on this node")
 
 // spanRow renders one span as
-// [span_id, parent_id, name, node, az, shard, start_usec, dur_usec].
+// [span_id, parent_id, name, node, az, start_usec, dur_usec].
 func spanRow(s trace.Span) resp.Value {
 	return resp.ArrayV(
 		resp.Int64(int64(s.SpanID)),
@@ -30,7 +30,6 @@ func spanRow(s trace.Span) resp.Value {
 		resp.BulkStr(s.Name),
 		resp.BulkStr(s.Node),
 		resp.Int64(int64(s.AZ)),
-		resp.Int64(int64(s.Shard)),
 		resp.Int64(s.Start/1000),
 		resp.Int64(s.Dur()/1000),
 	)

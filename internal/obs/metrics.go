@@ -3,7 +3,6 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,11 +25,6 @@ type Options struct {
 // the same data.
 type Metrics struct {
 	stages [NumStages]Histogram
-
-	// shardStages holds per-execution-shard queue_wait/execute histograms
-	// for nodes running sharded workloops. The slice is installed once via
-	// EnsureShards and read lock-free on the per-command hot path.
-	shardStages atomic.Pointer[[]*ShardStages]
 
 	cmdMu sync.RWMutex
 	cmds  map[string]*Histogram
@@ -72,14 +66,6 @@ type Gauge struct {
 	Name  string
 	Label string
 	Fn    func() int64
-}
-
-// ShardStages is the pair of per-shard write-path histograms a sharded
-// node records: time queued behind the shard's workloop and time executing
-// on its engine.
-type ShardStages struct {
-	QueueWait Histogram
-	Execute   Histogram
 }
 
 // New creates a Metrics registry.
@@ -200,56 +186,6 @@ func (m *Metrics) RegisterGauge(name, label string, fn func() int64) {
 	m.regMu.Unlock()
 }
 
-// EnsureShards grows the per-shard stage histogram set to at least n
-// entries. Call it at node construction, before the workloops start;
-// existing entries keep their recorded samples, so registries shared by
-// several nodes size to the widest node.
-func (m *Metrics) EnsureShards(n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	var cur []*ShardStages
-	if p := m.shardStages.Load(); p != nil {
-		cur = *p
-	}
-	if len(cur) >= n {
-		return
-	}
-	next := make([]*ShardStages, n)
-	copy(next, cur)
-	for i := len(cur); i < n; i++ {
-		next[i] = &ShardStages{}
-	}
-	m.shardStages.Store(&next)
-}
-
-// ShardStage returns the stage histogram pair for shard i, or nil if the
-// registry has not been sized to cover it. Lock-free and allocation-free.
-func (m *Metrics) ShardStage(i int) *ShardStages {
-	if m == nil || i < 0 {
-		return nil
-	}
-	p := m.shardStages.Load()
-	if p == nil || i >= len(*p) {
-		return nil
-	}
-	return (*p)[i]
-}
-
-// NumShardStages returns how many shard stage slots are allocated.
-func (m *Metrics) NumShardStages() int {
-	if m == nil {
-		return 0
-	}
-	p := m.shardStages.Load()
-	if p == nil {
-		return 0
-	}
-	return len(*p)
-}
-
 func (m *Metrics) gaugeSnapshot() []Gauge {
 	m.regMu.Lock()
 	defer m.regMu.Unlock()
@@ -271,11 +207,11 @@ func (m *Metrics) counterSnapshot() []Counter {
 // FinishCommand records a completed command: end-to-end and per-command
 // histograms and the slowlog check. The stage inputs are nanoseconds;
 // commit time — everything between engine execution and reply delivery
-// (batch wait, append, quorum, release) — is derived as total-queue-exec. shard is the execution shard that
-// handled the command (-1 for the barrier shard), retained on slowlog
-// entries so hot-shard skew shows up in SLOWLOG output. With the command
-// under the slowlog threshold this path performs zero allocations.
-func (m *Metrics) FinishCommand(name string, argv [][]byte, totalNanos, queueNanos, execNanos int64, shard int) {
+// (batch wait, append, quorum, release) — is derived as total-queue-exec.
+// The trailing int is unused: it named an execution shard, and the
+// benchmark module (benchmark/ladder.go) still passes one. With the
+// command under the slowlog threshold this path performs zero allocations.
+func (m *Metrics) FinishCommand(name string, argv [][]byte, totalNanos, queueNanos, execNanos int64, _ int) {
 	if m == nil {
 		return
 	}
@@ -287,7 +223,7 @@ func (m *Metrics) FinishCommand(name string, argv [][]byte, totalNanos, queueNan
 	if commit < 0 {
 		commit = 0
 	}
-	m.Slow.maybeNote(name, argv, totalNanos, queueNanos, execNanos, commit, shard)
+	m.Slow.maybeNote(name, argv, totalNanos, queueNanos, execNanos, commit)
 }
 
 // ResetLatency zeroes every stage and per-command histogram (the RESP
@@ -298,12 +234,6 @@ func (m *Metrics) ResetLatency() {
 	}
 	for i := range m.stages {
 		m.stages[i].Reset()
-	}
-	if p := m.shardStages.Load(); p != nil {
-		for _, ss := range *p {
-			ss.QueueWait.Reset()
-			ss.Execute.Reset()
-		}
 	}
 	m.cmdMu.RLock()
 	for _, h := range m.cmds {

@@ -14,11 +14,11 @@ import (
 func TestSlowlogThreshold(t *testing.T) {
 	s := newSlowlog(5*time.Millisecond, 4)
 	argv := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}
-	s.maybeNote("SET", argv, int64(time.Millisecond), 0, 0, 0, 0) // below
+	s.maybeNote("SET", argv, int64(time.Millisecond), 0, 0, 0) // below
 	if s.Len() != 0 || s.Total() != 0 {
 		t.Fatal("below-threshold command was logged")
 	}
-	s.maybeNote("SET", argv, int64(7*time.Millisecond), int64(time.Millisecond), int64(2*time.Millisecond), int64(4*time.Millisecond), 0)
+	s.maybeNote("SET", argv, int64(7*time.Millisecond), int64(time.Millisecond), int64(2*time.Millisecond), int64(4*time.Millisecond))
 	if s.Len() != 1 || s.Total() != 1 {
 		t.Fatal("above-threshold command was not logged")
 	}
@@ -33,7 +33,7 @@ func TestSlowlogThreshold(t *testing.T) {
 	// Ring bound: 10 slow entries in a 4-ring keep the newest 4; IDs
 	// keep counting.
 	for i := 0; i < 10; i++ {
-		s.maybeNote("GET", nil, int64(time.Duration(10+i)*time.Millisecond), 0, 0, 0, 0)
+		s.maybeNote("GET", nil, int64(time.Duration(10+i)*time.Millisecond), 0, 0, 0)
 	}
 	if s.Len() != 4 || s.Total() != 11 {
 		t.Fatalf("len=%d total=%d want 4/11", s.Len(), s.Total())
@@ -44,7 +44,7 @@ func TestSlowlogThreshold(t *testing.T) {
 	}
 	// Threshold is adjustable at runtime.
 	s.SetThreshold(time.Second)
-	s.maybeNote("GET", nil, int64(500*time.Millisecond), 0, 0, 0, 0)
+	s.maybeNote("GET", nil, int64(500*time.Millisecond), 0, 0, 0)
 	if s.Total() != 11 {
 		t.Fatal("raised threshold did not filter")
 	}

@@ -75,17 +75,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		writePromHistogram(w, "memorydb_stage_duration_seconds",
 			fmt.Sprintf("stage=%q", s.String()), &m.stages[s])
 	}
-	if n := m.NumShardStages(); n > 0 {
-		fmt.Fprintf(w, "# HELP memorydb_shard_stage_duration_seconds Per-execution-shard stage latency.\n")
-		fmt.Fprintf(w, "# TYPE memorydb_shard_stage_duration_seconds histogram\n")
-		for i := 0; i < n; i++ {
-			ss := m.ShardStage(i)
-			writePromHistogram(w, "memorydb_shard_stage_duration_seconds",
-				fmt.Sprintf("shard=\"%d\",stage=\"queue_wait\"", i), &ss.QueueWait)
-			writePromHistogram(w, "memorydb_shard_stage_duration_seconds",
-				fmt.Sprintf("shard=\"%d\",stage=\"execute\"", i), &ss.Execute)
-		}
-	}
 	fmt.Fprintf(w, "# HELP memorydb_command_duration_seconds End-to-end command latency by command.\n")
 	fmt.Fprintf(w, "# TYPE memorydb_command_duration_seconds histogram\n")
 	m.EachCommand(func(name string, h *Histogram) {

@@ -22,9 +22,6 @@ type SlowEntry struct {
 	// queue wait, engine execution, and everything durability-related
 	// after execution (batch residency + append + quorum + release).
 	Total, Queue, Exec, Commit time.Duration
-	// Shard is the execution shard that handled the command (-1 for the
-	// all-shard barrier path).
-	Shard int
 }
 
 // Slowlog is a bounded ring of slow commands. The fast path — checking
@@ -88,7 +85,7 @@ func (s *Slowlog) Len() int {
 }
 
 // maybeNote records the command if it crossed the threshold.
-func (s *Slowlog) maybeNote(name string, argv [][]byte, total, queue, exec, commit int64, shard int) {
+func (s *Slowlog) maybeNote(name string, argv [][]byte, total, queue, exec, commit int64) {
 	if s == nil {
 		return
 	}
@@ -119,7 +116,6 @@ func (s *Slowlog) maybeNote(name string, argv [][]byte, total, queue, exec, comm
 		Queue:  time.Duration(queue),
 		Exec:   time.Duration(exec),
 		Commit: time.Duration(commit),
-		Shard:  shard,
 	}
 	s.total.Add(1)
 	s.mu.Lock()

@@ -225,8 +225,8 @@ func decodeRecords(body []byte, part int, db *store.DB) (int, error) {
 // restoreFull decodes a full body into db. Each of db's empty parts is
 // first sized from the index, so a restore into a new keyspace grows no
 // table. Then up to GOMAXPROCS goroutines decode an equal run of parts
-// each — keys hash evenly over the parts — under the rule the node's
-// shard workloops keep: a part has one owner. A part's records must be
+// each — keys hash evenly over the parts — under the store's rule: a part
+// has one owner. A part's records must be
 // its own keys, and as many as the index says.
 func restoreFull(body []byte, index []extent, db *store.DB) error {
 	offs := make([]int, len(index)+1)

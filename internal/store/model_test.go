@@ -130,7 +130,7 @@ func (r *modelRun) step() error {
 		}
 	case op < 98:
 		limit := 1 + r.rng.Intn(4)
-		swept := db.SweepExpiredParts(r.now, limit, r.lo, r.hi)
+		swept := db.sweepParts(r.now, limit, r.lo, r.hi)
 		for _, k := range swept {
 			e, ok := r.model[k]
 			if !ok || !r.expired(e) {

@@ -1,13 +1,13 @@
 // Package store implements the in-memory data structures of the execution
 // engine: strings, hashes, lists, sets, sorted sets (skiplist), streams and
 // HyperLogLogs, with per-key TTLs and per-slot key counts used by cluster
-// resharding. The keyspace is striped into NumParts slot-aligned parts so
-// that sharded engine workloops (package core) can each own a disjoint
-// subset of parts without locking: a part is only ever touched by the
-// workloop that owns its slot range (or by a coordinator that has quiesced
-// every workloop). Within a part the store is not internally synchronized,
-// like Redis, and that includes the part's share of the key count and the
-// footprint: a reader of the totals quiesces the owners first.
+// resharding. The keyspace is striped into NumParts slot-aligned parts, and
+// a part has one owner at a time: the node's workloop (package core), or
+// one of the workers restoring a snapshot in parallel (package snapshot).
+// Within a part the store is not internally synchronized, like Redis, and
+// that includes the part's share of the key count and the footprint: a
+// reader of the totals must own every part (on a node, run on the
+// workloop).
 package store
 
 import (
@@ -340,7 +340,7 @@ func (db *DB) part(key string) *part { return &db.parts[PartOfKey(key)] }
 
 // Len returns the number of live keys (including not-yet-reaped expired
 // keys; callers that need exactness should sweep first). It reads every
-// part, so its caller has quiesced their owners.
+// part, so its caller owns them all.
 func (db *DB) Len() int {
 	n := 0
 	for i := range db.parts {
@@ -594,25 +594,21 @@ func (db *DB) SlotKeys(slot uint16) []string {
 // SlotCount returns the number of keys in slot.
 func (db *DB) SlotCount(slot uint16) int { return int(db.slotKeys[slot]) }
 
-// SweepExpiredParts is SweepExpired restricted to parts [lo, hi). Sharded
-// workloops sweep only the parts they own, so an expired delete is always
-// emitted by — and group-committed behind — the same buffer as the writes
-// that created the key, preserving replica apply order per key. The keys
-// are strings of their own: a string key's table key was a view of a
-// buffer that is now garbage, and the caller's dirty-key list outlives it.
-func (db *DB) SweepExpiredParts(now time.Time, limit, lo, hi int) []string {
+// SweepExpiredPart removes up to limit keys of part whose TTL has passed
+// at now and returns them. The keys are strings of their own: a string
+// key's table key was a view of a buffer that is now garbage, and the
+// caller's dirty-key list outlives it.
+func (db *DB) SweepExpiredPart(now time.Time, limit, part int) []string {
 	nowMs := now.UnixMilli()
 	var out []string
-	for i := lo; i < hi && i < NumParts; i++ {
-		for k, exp := range db.parts[i].expires {
-			if exp <= nowMs {
-				k = strings.Clone(k)
-				db.remove(k)
-				out = append(out, k)
-				if len(out) >= limit {
-					return out
-				}
-			}
+	for k, exp := range db.parts[part].expires {
+		if len(out) >= limit {
+			break
+		}
+		if exp <= nowMs {
+			k = strings.Clone(k)
+			db.remove(k)
+			out = append(out, k)
 		}
 	}
 	return out

@@ -20,7 +20,6 @@ const (
 	EvFencing
 	EvAlarm
 	EvFaultFire
-	EvBarrier
 	EvSegmentSeal
 	EvSegmentTrim
 	EvSegmentQuarantine
@@ -40,7 +39,6 @@ var eventKindNames = [...]string{
 	EvFencing:           "fencing",
 	EvAlarm:             "alarm",
 	EvFaultFire:         "fault_fire",
-	EvBarrier:           "barrier",
 	EvSegmentSeal:       "segment_seal",
 	EvSegmentTrim:       "segment_trim",
 	EvSegmentQuarantine: "segment_quarantine",

@@ -84,7 +84,7 @@ func TestCollectorSampleMissZeroAlloc(t *testing.T) {
 func TestFlightRingBounded(t *testing.T) {
 	f := NewFlight("n1", 8)
 	for i := 1; i <= 20; i++ {
-		f.Record(EvBarrier, uint64(i), "WAIT")
+		f.Record(EvAlarm, uint64(i), "WAIT")
 	}
 	evs := f.Events()
 	if len(evs) != 8 {

@@ -47,8 +47,7 @@ type SpanContext struct {
 }
 
 // Span is one completed operation in a trace. Start/End are Now()
-// nanoseconds. AZ is -1 except for per-AZ log acks; Shard is -1 when
-// the span is not bound to an execution shard.
+// nanoseconds. AZ is -1 except for per-AZ log acks.
 type Span struct {
 	TraceID  uint64
 	SpanID   uint64
@@ -56,7 +55,6 @@ type Span struct {
 	Name     string
 	Node     string
 	AZ       int
-	Shard    int
 	Start    int64
 	End      int64
 }
@@ -156,13 +154,13 @@ func (c *Collector) NewSpanID() uint64 { return c.ids.Add(1) }
 // Root returns the started root span for a freshly minted context.
 // Record it with Finish once the command's reply is written.
 func (c *Collector) Root(sc SpanContext, name, node string) Span {
-	return Span{TraceID: sc.TraceID, SpanID: sc.SpanID, Name: name, Node: node, AZ: -1, Shard: -1, Start: Now()}
+	return Span{TraceID: sc.TraceID, SpanID: sc.SpanID, Name: name, Node: node, AZ: -1, Start: Now()}
 }
 
 // Child returns a started span under parent. Record with Finish.
-func (c *Collector) Child(parent SpanContext, name, node string, shard int) Span {
+func (c *Collector) Child(parent SpanContext, name, node string) Span {
 	return Span{TraceID: parent.TraceID, SpanID: c.ids.Add(1), ParentID: parent.SpanID,
-		Name: name, Node: node, AZ: -1, Shard: shard, Start: Now()}
+		Name: name, Node: node, AZ: -1, Start: Now()}
 }
 
 // Finish stamps the end time (if unset) and records the span.
@@ -179,23 +177,23 @@ func (c *Collector) Finish(s Span) {
 // Emit records a completed child span under parent with explicit
 // edges — used where both timestamps were already taken (reusing the
 // obs stage stamps) or are simulated (per-AZ ack latency draws).
-func (c *Collector) Emit(parent SpanContext, name, node string, az, shard int, start, end int64) {
+func (c *Collector) Emit(parent SpanContext, name, node string, az int, start, end int64) {
 	if parent.TraceID == 0 {
 		return
 	}
 	c.record(Span{TraceID: parent.TraceID, SpanID: c.ids.Add(1), ParentID: parent.SpanID,
-		Name: name, Node: node, AZ: az, Shard: shard, Start: start, End: end})
+		Name: name, Node: node, AZ: az, Start: start, End: end})
 }
 
 // EmitWithID is Emit with a pre-allocated span ID (from NewSpanID) —
 // the append span's ID is fixed before the entry ships so AZ acks and
 // replica applies can parent under it.
-func (c *Collector) EmitWithID(id uint64, parent SpanContext, name, node string, shard int, start, end int64) {
+func (c *Collector) EmitWithID(id uint64, parent SpanContext, name, node string, start, end int64) {
 	if parent.TraceID == 0 {
 		return
 	}
 	c.record(Span{TraceID: parent.TraceID, SpanID: id, ParentID: parent.SpanID,
-		Name: name, Node: node, AZ: -1, Shard: shard, Start: start, End: end})
+		Name: name, Node: node, AZ: -1, Start: start, End: end})
 }
 
 func (c *Collector) record(s Span) {
@@ -280,9 +278,6 @@ type CommandSummary struct {
 	TraceID            uint64
 	Cmd                string
 	Total, Queue, Exec int64
-	// Shard is the execution shard that handled the command (-1 for the
-	// barrier shard).
-	Shard int
 }
 
 // RecentCommands summarises up to n recent traces whose command span has
@@ -302,14 +297,14 @@ func (c *Collector) RecentCommands(n int) []CommandSummary {
 		if cmd < 0 {
 			continue
 		}
-		sum := CommandSummary{TraceID: id, Cmd: spans[cmd].Name[len("cmd:"):], Total: spans[cmd].Dur(), Shard: -1}
+		sum := CommandSummary{TraceID: id, Cmd: spans[cmd].Name[len("cmd:"):], Total: spans[cmd].Dur()}
 		for _, s := range spans {
 			if s.ParentID != spans[cmd].SpanID {
 				continue
 			}
 			switch s.Name {
 			case "queue_wait":
-				sum.Queue, sum.Shard = s.Dur(), s.Shard
+				sum.Queue = s.Dur()
 			case "execute":
 				sum.Exec = s.Dur()
 			}

@@ -38,12 +38,12 @@ func TestSpanTreeAssembly(t *testing.T) {
 		t.Fatal("rate 1 did not sample")
 	}
 	root := c.Root(sc, "cmd:SET", "n1")
-	c.Emit(sc, "queue_wait", "n1", -1, 0, root.Start, root.Start+10)
+	c.Emit(sc, "queue_wait", "n1", -1, root.Start, root.Start+10)
 	appendID := c.NewSpanID()
-	c.EmitWithID(appendID, sc, "append", "n1", 0, root.Start+10, root.Start+50)
+	c.EmitWithID(appendID, sc, "append", "n1", root.Start+10, root.Start+50)
 	parent := SpanContext{TraceID: sc.TraceID, SpanID: appendID}
-	c.Emit(parent, "az_ack", "az-1", 1, -1, root.Start+12, root.Start+30)
-	c.Emit(parent, "replica_apply", "n2", -1, -1, root.Start+60, root.Start+70)
+	c.Emit(parent, "az_ack", "az-1", 1, root.Start+12, root.Start+30)
+	c.Emit(parent, "replica_apply", "n2", -1, root.Start+60, root.Start+70)
 	c.Finish(root)
 
 	spans := c.Trace(sc.TraceID)

@@ -630,7 +630,7 @@ func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
 			parent := trace.SpanContext{TraceID: e.TraceID, SpanID: e.TraceSpan}
 			now := trace.Now()
 			for _, a := range acked {
-				c.Emit(parent, "az_ack", azNodeName(a.az), a.az, -1, now, now+int64(a.lat))
+				c.Emit(parent, "az_ack", azNodeName(a.az), a.az, now, now+int64(a.lat))
 			}
 		}
 	}
