@@ -586,7 +586,7 @@ func TestCrashRestartTornSnapshotFallback(t *testing.T) {
 	}
 
 	// The restarted node's bootstrap resync walked past both damaged
-	// versions; give its role loop a moment to finish the restore.
+	// versions; give its workloop a moment to finish the restore.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && restarted.Stats().TornSnapshotsDetected.Load() < 2 {
 		time.Sleep(5 * time.Millisecond)

@@ -110,8 +110,8 @@ func TestResyncSkipsTornSnapshotAndCounts(t *testing.T) {
 	}
 
 	fresh := testNode(t, "node-fresh", log, snaps)
-	// The bootstrap resync runs asynchronously in the role loop; wait for
-	// it to have walked past the damaged version.
+	// The bootstrap resync runs on the node's workloop, after Start
+	// returns; wait for it to have walked past the damaged version.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && fresh.Stats().TornSnapshotsDetected.Load() < 1 {
 		time.Sleep(2 * time.Millisecond)

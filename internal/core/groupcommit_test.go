@@ -9,9 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"memorydb/internal/clock"
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
+	"memorydb/internal/resp"
 	"memorydb/internal/txlog"
 )
 
@@ -231,28 +233,93 @@ func TestFlushFailureAbortsWholeBatch(t *testing.T) {
 
 // TestWaitCoversBufferedWrites checks the WAIT barrier extends over
 // mutations still in the group-commit buffer, which have no log seq yet.
+// The log commits on a simulated clock the test advances, so with the
+// one-append window full the second SET provably sits in the buffer when
+// WAIT executes, and WAIT may reply only once that SET's entry commits.
 func TestWaitCoversBufferedWrites(t *testing.T) {
-	commit := 10 * time.Millisecond
-	svc := testService(t, netsim.Fixed(commit))
+	sim := clock.NewSim(time.Unix(0, 0))
+	var lat stepLatency // zero until the node leads: its claim commits at once
+	svc := txlog.NewService(txlog.Config{Clock: sim, CommitLatency: &lat})
 	log, _ := svc.CreateLog("shard-1")
-	n := testNodeDepth1(t, "node-a", log)
-	waitRole(t, n, election.RolePrimary, 2*time.Second)
-
-	ctx := context.Background()
-	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("{wb}pipe"), []byte("x")})
-	time.Sleep(2 * time.Millisecond)
-	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("{wb}buffered"), []byte("v")})
-	time.Sleep(2 * time.Millisecond)
-	start := time.Now()
-	v, err := n.Do(ctx, [][]byte{[]byte("WAIT"), []byte("0"), []byte("0")})
+	// No renewal in the test's span: nothing but the test's writes flushes.
+	n, err := NewNode(Config{
+		NodeID: "node-a", ShardID: log.ShardID(), Log: log,
+		Lease: 20 * time.Second, Backoff: 25 * time.Second, RenewEvery: 10 * time.Second,
+		MaxInflightAppends: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.IsError() {
-		t.Fatalf("WAIT failed: %v", v)
+	n.Start()
+	t.Cleanup(n.Stop)
+	waitRole(t, n, election.RolePrimary, 2*time.Second)
+	lat.d.Store(int64(time.Second))
+
+	do := func(args ...string) <-chan resp.Value {
+		argv := make([][]byte, len(args))
+		for i, a := range args {
+			argv[i] = []byte(a)
+		}
+		reply := make(chan resp.Value, 1)
+		go func() {
+			v, err := n.Do(context.Background(), argv)
+			if err != nil {
+				v = resp.Err(err.Error())
+			}
+			reply <- v
+		}()
+		return reply
 	}
-	if lat := time.Since(start); lat < commit/2 {
-		t.Fatalf("WAIT returned in %v with a mutation still buffered (commit %v)", lat, commit)
+	waitCount := func(what string, c *atomic.Int64, want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); c.Load() < want; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s reached %d, want %d", what, c.Load(), want)
+			}
+		}
+	}
+	recv := func(what string, reply <-chan resp.Value) resp.Value {
+		t.Helper()
+		select {
+		case v := <-reply:
+			return v
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never replied", what)
+			return resp.Value{}
+		}
+	}
+	st := n.Stats()
+	mutations, flushes, barriers := st.Mutations.Load(), st.BatchFlushes.Load(), st.BarrierOps.Load()
+	first := do("SET", "{wb}pipe", "x")
+	waitCount("mutations", &st.Mutations, mutations+1) // appended: the window is full
+	second := do("SET", "{wb}buffered", "v")
+	waitCount("mutations", &st.Mutations, mutations+2)
+	wait := do("WAIT", "0", "0")
+	waitCount("barrier ops", &st.BarrierOps, barriers+1)
+	if got := st.BatchFlushes.Load() - flushes; got != 1 {
+		t.Fatalf("%d flushes before WAIT executed, want 1: the second SET was not buffered", got)
+	}
+
+	// The first entry commits; its acknowledgement flushes the second SET.
+	sim.Advance(time.Second)
+	if v := recv("the first SET", first); v.Text() != "OK" {
+		t.Fatalf("first SET: %v", v)
+	}
+	waitCount("flushes", &st.BatchFlushes, flushes+2)
+	// Nothing can commit the buffered SET before the clock moves again, so
+	// no wait here can fail a correct node; it only gives a WAIT released
+	// with the first entry the time to show.
+	select {
+	case v := <-wait:
+		t.Fatalf("WAIT replied %v before the write buffered ahead of it committed", v)
+	case <-time.After(20 * time.Millisecond):
+	}
+	sim.Advance(time.Second)
+	if v := recv("the buffered SET", second); v.Text() != "OK" {
+		t.Fatalf("buffered SET: %v", v)
+	}
+	if v := recv("WAIT", wait); v.IsError() {
+		t.Fatalf("WAIT failed: %v", v)
 	}
 }
 

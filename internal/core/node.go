@@ -66,10 +66,6 @@ type Config struct {
 	// their effects, flushed as one entry when an append acknowledges or
 	// the buffer reaches 64 records or 256 KiB. Defaults to 8.
 	MaxInflightAppends int
-	// OnRoleChange, when set, is invoked (from node goroutines) after
-	// every role transition — the cluster bus uses it to propagate role
-	// changes to the rest of the cluster.
-	OnRoleChange func(nodeID string, role election.Role, epoch uint64)
 	// ReplicaReadTimeout bounds how long a linearizable replica read may
 	// park waiting for the replica's applied position to cover the
 	// committed tail captured at read arrival. On expiry the read
@@ -181,10 +177,10 @@ type Node struct {
 	// commands by slot (MOVED / CROSSSLOT / migration write block, §5.2).
 	slotGate func(name string, keys [][]byte, writing bool) (resp.Value, bool)
 
-	// The workloop's state (workloop.go), tasks through dataSinceSum: the
-	// node's one execution thread owns it, so none of it takes a lock.
-	// Every command and every piece of node-internal work — replica apply,
-	// state installs, control appends, migration — is a task on its queue.
+	// The workloop's state (workloop.go), tasks through life: the node's
+	// one execution thread owns it, so none of it takes a lock. Every
+	// command and every piece of node-internal work — replica apply, state
+	// installs, renewals, control appends, migration — runs there.
 	tasks chan *task
 	// appendAcked is a coalesced wakeup: the completion loop pokes it after
 	// a flushed entry commits so the workloop flushes the batch that
@@ -204,14 +200,15 @@ type Node struct {
 	lastIssued      txlog.EntryID
 	runningChecksum uint64
 	dataSinceSum    int
-
-	// applied is owned by the role loop — the single apply driver on both
-	// the replica tail path and the install paths (promotion, resync).
+	// applied is the log position the keyspace reflects, moved by the
+	// tailer and by the installs of promotion and resync. replay consumes
+	// every entry above it: resync seeds it from the restored snapshot's
+	// log checksum and the tailer keeps stepping it.
 	applied txlog.EntryID
-	// replay consumes every entry above applied: resync seeds it from
-	// the restored snapshot's log checksum and the tailer keeps stepping
-	// it. Role loop only.
-	replay *txlog.Replayer
+	replay  *txlog.Replayer
+	// life is the role state the lifecycle steps drive (roles.go).
+	life lifecycle
+
 	// appliedSeq mirrors applied.Seq for lock-free monitoring reads.
 	appliedSeq atomic.Uint64
 	// readGate parks linearizable replica reads until the applied
@@ -241,6 +238,8 @@ type Node struct {
 	// issued append whose commit the node acts on, in issue order.
 	completions chan completion
 
+	// roleChanged is poked by demote, from whichever goroutine stepped
+	// the primary down, so the workloop quarantines it.
 	roleChanged chan struct{}
 	stopCtx     context.Context
 	stopFn      context.CancelFunc
@@ -397,7 +396,7 @@ func NewNode(cfg Config) (*Node, error) {
 		completions: make(chan completion, completionBacklog),
 		tasks:       make(chan *task, 4096),
 		appendAcked: make(chan struct{}, 1),
-		roleChanged: make(chan struct{}, 4),
+		roleChanged: make(chan struct{}, 1),
 		retryPol: retry.Policy{
 			Base:  retryBase,
 			Max:   retryMax,
@@ -491,12 +490,12 @@ func (n *Node) AppliedSeq() uint64 { return n.appliedSeq.Load() }
 // EngineVersion returns the engine version this node runs.
 func (n *Node) EngineVersion() uint32 { return n.cfg.EngineVersion }
 
-// Start launches the workloop, the completion loop and role management.
+// Start launches the workloop, which restores the node's state and then
+// runs it, and the completion loop.
 func (n *Node) Start() {
-	n.wg.Add(3)
+	n.wg.Add(2)
 	go n.workloop()
 	go n.completionLoop()
-	go n.roleLoop()
 }
 
 // QueueDepth returns how many tasks wait on the workloop (monitoring).
@@ -513,23 +512,14 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
-// setRole transitions the node's role under lock and notifies the role
-// loop and the cluster bus.
+// setRole transitions the node's role (workloop only).
 func (n *Node) setRole(role election.Role, epoch uint64) {
 	n.mu.Lock()
 	n.role = role
 	if epoch > n.epoch {
 		n.epoch = epoch
 	}
-	cb := n.cfg.OnRoleChange
 	n.mu.Unlock()
-	select {
-	case n.roleChanged <- struct{}{}:
-	default:
-	}
-	if cb != nil {
-		cb(n.cfg.NodeID, role, epoch)
-	}
 	n.flight.Record(trace.EvRoleChange, epoch, role.String())
 	switch role {
 	case election.RolePrimary:

@@ -15,7 +15,7 @@ import (
 // the capture, (3) execute against the local engine. The gate itself is
 // a thin wrapper over the tracker's sequence-gating machinery: Park is
 // RegisterWrite against the captured seq, Advance is Commit at the
-// applied position (called from the apply loop and from installState
+// applied position (called by the tailer and by installState
 // after snapshot resync/promotion, which release every parked read at
 // once — a freshly promoted primary's claim position covers all prior
 // commits).
@@ -59,8 +59,8 @@ func (g *ReadGate) Park(seq uint64, deliver func(aborted bool)) {
 }
 
 // Advance moves the applied position to seq, releasing every read
-// parked at or below it. Called by the replica apply loop per applied
-// entry and by installState after a snapshot swap or promotion.
+// parked at or below it. Called by the tailer per applied entry and by
+// installState after a snapshot swap or promotion.
 func (g *ReadGate) Advance(seq uint64) {
 	g.trk.Commit(seq)
 }

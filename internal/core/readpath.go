@@ -24,7 +24,7 @@ import (
 //  2. Park: wait in the ReadGate until the replica's applied position
 //     covers the capture, bounded by Config.ReplicaReadTimeout.
 //  3. Execute: run on the local engine. Applied positions only advance
-//     (installState swaps state atomically, as one workloop task),
+//     (installState swaps state atomically, in one workloop step),
 //     so the state at execution still covers the capture.
 //
 // On any freshness-proof failure — capture unavailable, park deadline,

@@ -73,10 +73,10 @@ func keyspace(db *store.DB) map[string]string {
 	return out
 }
 
-// workloopNode builds an engine-version-2 node with its workloop running
-// but no role loop: the test goroutine stands in as the single apply
-// driver, so it sees the error each entry produces.
-func workloopNode(t *testing.T, log *txlog.Log) *Node {
+// idleNode builds an engine-version-2 node that is never started: the
+// test goroutine stands in as its workloop, so it sees the error each
+// entry produces.
+func idleNode(t *testing.T, log *txlog.Log) *Node {
 	t.Helper()
 	n, err := NewNode(Config{
 		NodeID: "old-engine", ShardID: log.ShardID(), Log: log, EngineVersion: 2,
@@ -86,14 +86,12 @@ func workloopNode(t *testing.T, log *txlog.Log) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.wg.Add(1)
-	go n.workloop()
 	t.Cleanup(n.Stop)
 	return n
 }
 
-// tail steps n through every entry above its applied position, as
-// runReplica does, stopping at the first error.
+// tail steps n through every entry above its applied position, as the
+// tailer does, stopping at the first error.
 func tail(n *Node) error {
 	rd := n.cfg.Log.NewReader(n.applied)
 	for {
@@ -137,7 +135,7 @@ func TestReplayInvariantAcrossConsumers(t *testing.T) {
 		run  func(t *testing.T, h *handLog, suffix func(*handLog)) (*store.DB, error)
 	}{
 		{"tailer", func(t *testing.T, h *handLog, suffix func(*handLog)) (*store.DB, error) {
-			n := workloopNode(t, h.log)
+			n := idleNode(t, h.log)
 			if err := n.resync(); err != nil {
 				t.Fatalf("resync over the clean prefix: %v", err)
 			}
@@ -152,18 +150,18 @@ func TestReplayInvariantAcrossConsumers(t *testing.T) {
 					t.Error("tailer checksum mismatch left no flight event")
 				}
 			}
-			return n.liveDB(), err
+			return n.eng.DB(), err
 		}},
 		{"resync", func(t *testing.T, h *handLog, suffix func(*handLog)) (*store.DB, error) {
 			suffix(h)
-			n := workloopNode(t, h.log)
+			n := idleNode(t, h.log)
 			if err := n.resync(); err != nil {
 				return nil, err // a failed restore installs nothing
 			}
 			// A stall is not a restore failure: the prefix is installed and
 			// the replayer restore seeded refuses the entry when tailed.
 			err := tail(n)
-			return n.liveDB(), err
+			return n.eng.DB(), err
 		}},
 		{"builder", func(t *testing.T, h *handLog, suffix func(*handLog)) (*store.DB, error) {
 			snaps := snapshot.NewManager(s3.New(), "snaps")

@@ -116,7 +116,7 @@ func TestStepDownHandsOverQuickly(t *testing.T) {
 	b := testNode(t, "node-b", log, nil)
 	waitRole(t, b, election.RoleReplica, time.Second)
 	mustDo(t, a, "SET", "k", "v")
-	time.Sleep(10 * time.Millisecond) // let b apply
+	waitApplied(t, b, log.CommittedTail().Seq, 2*time.Second)
 
 	start := time.Now()
 	if err := a.StepDown(context.Background()); err != nil {

@@ -19,8 +19,8 @@ type taskKind int
 const (
 	taskCmd taskKind = iota
 	taskBatch
-	// taskFunc is node-internal work: a lease renewal, an expiry sweep, a
-	// replica apply, a state install, a control append or a migration step.
+	// taskFunc is node-internal work another goroutine hands over: a
+	// control append or a migration step.
 	taskFunc
 )
 
@@ -39,9 +39,9 @@ type task struct {
 	readVerified bool
 
 	// The task is its own reply future: Node.reply writes val, then signals
-	// done (one slot, one send; nil on a task nobody waits for — the expiry
-	// sweep's, a lease renewal). While a reply is withheld for durability,
-	// val parks the value it will carry if the covering entry commits. A
+	// done (one slot, one send; nil on the expiry sweep's task, which
+	// nobody waits for). While a reply is withheld for durability, val
+	// parks the value it will carry if the covering entry commits. A
 	// taskFunc hands fn's error back in err instead, then signals done.
 	val  resp.Value
 	done chan struct{}
@@ -150,31 +150,16 @@ func (n *Node) enqueue(ctx context.Context, t *task) error {
 	}
 }
 
-// post queues fire-and-forget node work (a lease renewal, an expiry
-// sweep); wait says whether to block on a full queue or drop the work.
-func (n *Node) post(fn func() error, wait bool) {
-	t := &task{kind: taskFunc, fn: fn}
-	if !wait {
-		select {
-		case n.tasks <- t:
-		default:
-		}
-		return
-	}
-	select {
-	case n.tasks <- t:
-	case <-n.stopCtx.Done():
-	}
-}
-
 // workloop is the node's one execution thread (§3: the engine stays
-// single-threaded). It is pipelined for group commit: tasks already queued
-// are drained greedily (mutations execute and buffer while a quorum append
-// is in flight), append acknowledgements flush the accumulated batch, and
-// the buffer never survives into a blocking wait while no append is
-// outstanding.
+// single-threaded), and its one event loop: it runs every command, every
+// piece of node-internal work and the node's lifecycle (roles.go). It is
+// pipelined for group commit: mutations execute and buffer while a quorum
+// append is in flight, and append acknowledgements flush the accumulated
+// batch. Every case below is ready-or-not, and Go's select picks among the
+// ready ones at random, so a lagging tailer and the clients take turns.
 func (n *Node) workloop() {
 	defer n.wg.Done()
+	n.restore() // bootstrap: restore state before tailing
 	for {
 		select {
 		case <-n.stopCtx.Done():
@@ -185,22 +170,22 @@ func (n *Node) workloop() {
 			// The oldest in-flight append committed: flush the batch that
 			// accumulated behind its quorum round-trip.
 			n.flushPending()
-		}
-		// Greedy drain: execute everything already queued before blocking
-		// again, so mutations coalesce into the pending batch instead of
-		// paying one wakeup (and potentially one log entry) each.
-	drain:
-		for {
-			select {
-			case <-n.stopCtx.Done():
+		case <-n.life.ready:
+			if !n.gate() {
 				return
-			case t := <-n.tasks:
-				n.handleTask(t)
-			case <-n.appendAcked:
-				n.flushPending()
-			default:
-				break drain
 			}
+			n.tail()
+		case <-n.life.timer:
+			if !n.gate() {
+				return
+			}
+			n.life.timer = nil
+			n.roleTimer()
+		case <-n.roleChanged:
+			if !n.gate() {
+				return
+			}
+			n.roleChangedStep()
 		}
 	}
 }
@@ -246,9 +231,7 @@ func (n *Node) handleTask(t *task) {
 		return
 	}
 	t.err = t.fn()
-	if t.done != nil {
-		t.done <- struct{}{}
-	}
+	t.done <- struct{}{}
 }
 
 var (
@@ -487,7 +470,7 @@ func (n *Node) infoText() string {
 // renew appends a lease renewal (primary only). The append is pipelined
 // like any other and the lease extends from issue time — safe because the
 // backoff replicas observe is strictly longer than the lease.
-func (n *Node) renew() error {
+func (n *Node) renew() {
 	n.mu.Lock()
 	role := n.role
 	lease := n.lease
@@ -495,24 +478,24 @@ func (n *Node) renew() error {
 	trk := n.trk
 	n.mu.Unlock()
 	if role != election.RolePrimary || lease == nil {
-		return nil
+		return
 	}
 	if !lease.Valid() {
 		n.abortPending(errDemoted)
 		n.demote()
-		return nil
+		return
 	}
 	// Flush buffered mutations first so the log order of entries matches
 	// workloop execution order.
 	if !n.flushPending() {
-		return nil
+		return
 	}
 	// Crash gate on the renewal path: a kill here lets the lease run out
 	// under the frozen primary, so a thawed zombie wakes already expired.
 	// A transient Error decision just skips this tick (the next one
 	// retries), mirroring how a real renewal RPC can be lost.
 	if n.checkpoint(faultpoint.SiteRenew) != nil {
-		return nil
+		return
 	}
 	r := election.Renewal{NodeID: n.cfg.NodeID, Epoch: epoch, LeaseMs: n.cfg.Lease.Milliseconds()}
 	issued := n.clk.Now()
@@ -521,11 +504,10 @@ func (n *Node) renew() error {
 		// Fenced by another writer, or the lease expired while the retry
 		// loop was absorbing an outage: the sequencer stepped down.
 		n.abortPending(errDemoted)
-		return nil
+		return
 	}
 	lease.Renewed(issued)
 	n.commitWatermarkAsync(p, trk)
-	return nil
 }
 
 // sweep runs one active-expiry cycle on the primary, replicating
@@ -534,21 +516,21 @@ func (n *Node) renew() error {
 // engine resumes each cycle at the part after the one the last stopped
 // in, so a part that always holds more expired keys than one cycle reaps
 // cannot starve the rest.
-func (n *Node) sweep() error {
+func (n *Node) sweep() {
 	if n.Role() != election.RolePrimary {
-		return nil
+		return
 	}
 	if res := n.eng.SweepExpired(sweepLimit); res.Mutated() {
 		n.logMutation(&task{}, res)
 	}
-	return nil
 }
 
 // sweepLimit caps the keys one active-expiry cycle reaps.
 const sweepLimit = 32
 
-// demote moves the node to the demoted role; the role loop will
-// resynchronize it from the log and rejoin as a replica.
+// demote moves a primary to the demoted role and pokes roleChanged: the
+// workloop then quarantines it, and it resyncs and rejoins as a replica
+// (roles.go). Any goroutine may call it.
 func (n *Node) demote() {
 	n.mu.Lock()
 	if n.role != election.RolePrimary {
@@ -559,7 +541,6 @@ func (n *Node) demote() {
 	n.lease = nil
 	trk := n.trk
 	epoch := n.epoch
-	cb := n.cfg.OnRoleChange
 	n.mu.Unlock()
 	failed := n.abortedReplies.Load()
 	trk.Abort()
@@ -571,9 +552,6 @@ func (n *Node) demote() {
 	select {
 	case n.roleChanged <- struct{}{}:
 	default:
-	}
-	if cb != nil {
-		cb(n.cfg.NodeID, election.RoleDemoted, epoch)
 	}
 }
 

@@ -430,17 +430,21 @@ func nodeGoroutines() []string {
 }
 
 // TestNodeGoroutines pins the node's threads: a started node runs exactly
-// its workloop, completion loop and role loop, and cross-slot commands in
-// flight start no goroutine of their own.
+// its workloop and completion loop — the lifecycle is workloop steps —
+// and neither cross-slot commands in flight nor a replica tailing the
+// primary's writes start a goroutine of their own.
 func TestNodeGoroutines(t *testing.T) {
 	svc := testService(t, netsim.Fixed(time.Millisecond))
 	log, _ := svc.CreateLog("shard-1")
 	n := testNode(t, "node-a", log, nil)
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
-	want := []string{"completionLoop", "roleLoop", "workloop"}
+	want := []string{"completionLoop", "workloop"}
 	if got := nodeGoroutines(); !slices.Equal(got, want) {
 		t.Fatalf("a started node runs %v, want %v", got, want)
 	}
+	replica := testNode(t, "node-b", log, nil)
+	waitApplied(t, replica, log.CommittedTail().Seq, 5*time.Second)
+	want = []string{"completionLoop", "completionLoop", "workloop", "workloop"}
 
 	a, b := crossSlotPair(t)
 	ctx := context.Background()
@@ -462,33 +466,39 @@ func TestNodeGoroutines(t *testing.T) {
 			if samples == 0 {
 				t.Fatal("the MSETs finished before a sample was taken")
 			}
+			waitApplied(t, replica, log.CommittedTail().Seq, 5*time.Second)
+			if got := replica.Stats().EntriesApplied.Load(); got == 0 {
+				t.Fatal("the replica applied none of the MSETs")
+			}
 			return
 		default:
 		}
 		if got := nodeGoroutines(); !slices.Equal(got, want) {
-			t.Fatalf("with cross-slot MSETs in flight the node runs %v, want %v", got, want)
+			t.Fatalf("with cross-slot MSETs in flight and a replica tailing them the nodes run %v, want %v", got, want)
 		}
 	}
 }
 
 // TestReplicaApplyAllocations pins what applying one replicated SET entry
-// costs the heap on a replica: the workloop task that carries it plus the
-// engine's apply. It was 8 when the apply parked every keyspace shard
-// behind a lock (at 1, 2 or 8 shards alike).
+// costs the heap on a replica. The tailer applies it inline on the
+// workloop, with no task, channel or closure around it, so this is the
+// engine's apply alone.
 func TestReplicaApplyAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
 	}
 	svc := testService(t, netsim.Zero{})
 	log, _ := svc.CreateLog("shard-1")
-	primary := testNode(t, "node-a", log, nil)
-	waitRole(t, primary, election.RolePrimary, 2*time.Second)
-	replica := testNode(t, "node-b", log, nil)
-	waitRole(t, replica, election.RoleReplica, time.Second)
+	// Never started: the test goroutine is the replica's workloop.
+	replica, err := NewNode(Config{NodeID: "node-b", ShardID: log.ShardID(), Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(replica.Stop)
 
 	eng := engine.New(nil)
 	e := txlog.Entry{Type: txlog.EntryData, Payload: eng.Exec([][]byte{[]byte("SET"), []byte("applied"), []byte("value")}).Effects}
-	const max = 8
+	const max = 4
 	got := testing.AllocsPerRun(1000, func() {
 		if err := replica.applyData(e); err != nil {
 			t.Fatal(err)

@@ -118,8 +118,8 @@ func (o *Observer) Release() {
 func (o *Observer) CampaignAt() time.Time { return o.campaignAt }
 
 // Lease is the primary-side state: the wall-clock deadline until which
-// this node may serve reads and writes. Safe for concurrent use (the
-// workloop renews while the primary loop validates).
+// this node may serve reads and writes. Safe for concurrent use; a node
+// renews and validates it on its workloop alone.
 type Lease struct {
 	cfg   Config
 	epoch uint64
