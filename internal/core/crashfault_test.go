@@ -198,12 +198,13 @@ func TestCheckpointErrorIsTransient(t *testing.T) {
 	}
 }
 
-// A primary that crashes between quorum and release — its completion loop
-// frozen at core.flush.post with writes in flight — stalls its own
-// acknowledgements and nothing else: the log keeps committing for everyone,
-// so the other node on it wins the election once the backoff has run and
-// acknowledges a write, and the frozen node spawns nothing meanwhile. A
-// completion run on the log's committer would park the log with the node.
+// A primary that crashes between quorum and release — its workloop frozen
+// at core.flush.post while answering for a committed entry, with writes in
+// flight — stalls its own acknowledgements and nothing else: the log keeps
+// committing for everyone, so the other node on it wins the election once
+// the backoff has run and acknowledges a write, and the frozen node spawns
+// nothing meanwhile. A completion run on the log's committer would park the
+// log with the node.
 func TestFrozenPrimaryDoesNotHoldTheLog(t *testing.T) {
 	svc := testService(t, netsim.Fixed(2*time.Millisecond))
 	log, _ := svc.CreateLog("shard-frozen")
@@ -251,9 +252,9 @@ func TestFrozenPrimaryDoesNotHoldTheLog(t *testing.T) {
 	if v := mustDo(t, b, "SET", "k", "after"); v.Text() != "OK" {
 		t.Fatalf("write on the successor: %v", v)
 	}
-	// Entries keep committing behind the frozen node's completion loop; it
-	// waits on them one at a time, from one goroutine. (The log's wake-up
-	// of a tailing replica lives a millisecond: wait it out.)
+	// Entries keep committing behind the frozen node's workloop; they wait
+	// in its FIFO of issued appends, on no goroutine of their own. (The
+	// log's wake-up of a tailing replica lives a millisecond: wait it out.)
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > frozenWith; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines grew from %d to %d while the primary was frozen", frozenWith, runtime.NumGoroutine())

@@ -13,13 +13,15 @@ import (
 	"memorydb/internal/txlog"
 )
 
-// simReplica starts a replica of log whose clock is sim — which the tests
-// below advance only when they mean to, so anything the tailer does
-// meanwhile it does on the log's commit signal alone.
-func simReplica(t *testing.T, log *txlog.Log, sim *clock.Sim, part *faultpoint.Registry) *Node {
+// simNode starts node id of log on clock sim — which the tests advance
+// only when they mean to, so anything the node does meanwhile it does on
+// the log's signals alone. The first node of a pristine shard claims it at
+// once and, its clock stopped, keeps the lease; a later one tails the log
+// and never campaigns.
+func simNode(t *testing.T, id string, log *txlog.Log, sim *clock.Sim, part *faultpoint.Registry) *Node {
 	t.Helper()
 	n, err := NewNode(Config{
-		NodeID: "node-sim", ShardID: log.ShardID(), Log: log, Clock: sim,
+		NodeID: id, ShardID: log.ShardID(), Log: log, Clock: sim,
 		Lease: 20 * time.Second, Backoff: 25 * time.Second, RenewEvery: 10 * time.Second,
 		Faults: part,
 	})
@@ -41,7 +43,7 @@ func TestReplicaFollowsLogWithoutClock(t *testing.T) {
 	waitRole(t, primary, election.RolePrimary, 2*time.Second)
 	mustDo(t, primary, "SET", "k", "first")
 
-	replica := simReplica(t, log, clock.NewSim(time.Unix(0, 0)), nil)
+	replica := simNode(t, "node-sim", log, clock.NewSim(time.Unix(0, 0)), nil)
 	waitApplied(t, replica, log.CommittedTail().Seq, 5*time.Second)
 
 	last := ""
@@ -81,7 +83,7 @@ func TestPartitionedTailerSleepsOneBackoffStep(t *testing.T) {
 
 	sim := clock.NewSim(time.Unix(0, 0))
 	part := faultpoint.New(1)
-	replica := simReplica(t, log, sim, part)
+	replica := simNode(t, "node-sim", log, sim, part)
 	waitApplied(t, replica, log.CommittedTail().Seq, 5*time.Second)
 	// Caught up, the tailer parks beside its campaign timer.
 	for deadline := time.Now().Add(2 * time.Second); sim.PendingWaiters() == 0; {

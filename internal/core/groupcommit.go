@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
@@ -68,10 +67,9 @@ type groupCommit struct {
 	dirty   []string
 	index   map[string]struct{}
 	indexed int
-	// inflight counts flushed-but-unacknowledged data appends. Written by
-	// the completion loop too, read by the workloop (hence atomic —
-	// everything else in this struct is workloop-only).
-	inflight atomic.Int64
+	// inflight counts the data appends in the FIFO of issued appends:
+	// flushed, not yet answered for.
+	inflight int
 }
 
 // pending reports whether the buffer holds anything to flush or gate on.
@@ -117,7 +115,7 @@ func (n *Node) shouldFlush() bool {
 	}
 	return len(gc.writes) >= maxBatchRecords ||
 		len(gc.payload) >= maxBatchBytes ||
-		gc.inflight.Load() < int64(n.cfg.MaxInflightAppends)
+		gc.inflight < n.cfg.MaxInflightAppends
 }
 
 // flushedEntry is one flushed batch from append to release: the holder of
@@ -140,8 +138,9 @@ type flushedEntry struct {
 	appendSpan uint64
 	// Stage stamps (obs.Now nanos, 0 = not taken): the flush began, the
 	// append returned, the quorum acknowledged. ackAt is written by
-	// committed and read by released — both on the completion loop, or
-	// released first, on the flushing workloop, before committed is queued.
+	// committed and read by released, both on the workloop; released finds
+	// it 0 when it ran first — the tracker aborted, or the checksum entry
+	// queued ahead of this one released it with its own commit.
 	flushStart, appendDone, ackAt int64
 }
 
@@ -213,13 +212,13 @@ func (n *Node) flushPending() bool {
 	}
 	trk.RegisterWrite(fe.p.ID().Seq, gc.dirty, fe.released)
 	gc.reset()
-	gc.inflight.Add(1)
+	gc.inflight++
 	n.onCommit(fe.p, fe.committed)
 	return true
 }
 
-// committed is the completion-loop half: the log has answered for the
-// entry, with err nil when it is quorum-durable.
+// committed runs once the log has answered for the entry, with err nil
+// when it is quorum-durable.
 func (fe *flushedEntry) committed(err error) {
 	n := fe.n
 	if err == nil {
@@ -237,21 +236,15 @@ func (fe *flushedEntry) committed(err error) {
 		// window: the entry is quorum-durable, but a kill at either
 		// point means no gated reply is ever delivered — the harness's
 		// "durable yet unacknowledged" case. On a checkpoint failure the
-		// commit is skipped but the inflight decrement and wakeup below
-		// still run, so a thawed zombie's workloop is not wedged.
+		// commit is skipped but the inflight decrement below still runs,
+		// so a thawed zombie's append window is not wedged.
 		if n.checkpoint(faultpoint.SiteFlushPost) == nil &&
 			n.checkpoint(faultpoint.SiteTrackerRelease) == nil {
 			n.noteAZHealth(fe.p)
 			fe.trk.Commit(fe.p.ID().Seq)
 		}
 	}
-	n.gc.inflight.Add(-1)
-	// Coalesced poke: wake the workloop so the batch that accumulated
-	// behind this round-trip flushes promptly.
-	select {
-	case n.appendAcked <- struct{}{}:
-	default:
-	}
+	n.gc.inflight--
 }
 
 // released is the tracker's deliver for the entry: its Commit let the

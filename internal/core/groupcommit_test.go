@@ -325,8 +325,8 @@ func TestWaitCoversBufferedWrites(t *testing.T) {
 
 // Goroutines are flat in in-flight depth: hundreds of writes waiting out a
 // slow commit are waited for by the log's committer and the node's
-// completion loop, which exist already — the only goroutines they add are
-// the callers blocked in Do.
+// workloop, which exist already — the only goroutines they add are the
+// callers blocked in Do.
 func TestInflightWritesAddNoGoroutines(t *testing.T) {
 	svc := testService(t, netsim.Fixed(20*time.Millisecond))
 	log, _ := svc.CreateLog("shard-flat")

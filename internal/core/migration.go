@@ -148,15 +148,14 @@ func (n *Node) AppendControl(ctx context.Context, typ txlog.EntryType, payload [
 var LeaseReleasePayload = []byte("lease-release")
 
 // StepDown performs a collaborative leadership transfer: the primary
-// appends a lease-release entry and demotes itself. It returns once the
-// release is durably committed (or the node was not primary).
+// appends a lease-release entry and, once it is durably committed, demotes
+// itself on the workloop. It returns once the node has demoted (or failed
+// if it was not primary).
 func (n *Node) StepDown(ctx context.Context) error {
-	_, err := n.AppendControl(ctx, txlog.EntryControl, LeaseReleasePayload)
-	if err != nil {
+	if _, err := n.AppendControl(ctx, txlog.EntryControl, LeaseReleasePayload); err != nil {
 		return err
 	}
-	n.demote()
-	return nil
+	return n.run(ctx, func() error { n.demote(); return nil })
 }
 
 // SlotKeys returns the keys currently stored in slot: a scan of the

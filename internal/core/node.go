@@ -177,16 +177,13 @@ type Node struct {
 	// commands by slot (MOVED / CROSSSLOT / migration write block, §5.2).
 	slotGate func(name string, keys [][]byte, writing bool) (resp.Value, bool)
 
-	// The workloop's state (workloop.go), tasks through life: the node's
-	// one execution thread owns it, so none of it takes a lock. Every
+	// The workloop's state (workloop.go), tasks through degradedSince: the
+	// node's one goroutine owns it, so none of it takes a lock. Every
 	// command and every piece of node-internal work — replica apply, state
-	// installs, renewals, control appends, migration — runs there.
+	// installs, renewals, control appends, migration, reply release — runs
+	// there.
 	tasks chan *task
-	// appendAcked is a coalesced wakeup: the completion loop pokes it after
-	// a flushed entry commits so the workloop flushes the batch that
-	// accumulated behind the quorum round-trip.
-	appendAcked chan struct{}
-	eng         *engine.Engine
+	eng   *engine.Engine
 	// gc is the group-commit buffer: mutations executed while a quorum
 	// append is in flight accumulate here until flush.
 	gc groupCommit
@@ -200,14 +197,25 @@ type Node struct {
 	lastIssued      txlog.EntryID
 	runningChecksum uint64
 	dataSinceSum    int
+	// issued is the FIFO of issued appends whose commit the node acts on,
+	// in issue order; the workloop waits on its head.
+	issued []completion
 	// applied is the log position the keyspace reflects, moved by the
 	// tailer and by the installs of promotion and resync. replay consumes
 	// every entry above it: resync seeds it from the restored snapshot's
 	// log checksum and the tailer keeps stepping it.
 	applied txlog.EntryID
 	replay  *txlog.Replayer
-	// life is the role state the lifecycle steps drive (roles.go).
-	life lifecycle
+	// life is the role state the lifecycle steps drive (roles.go), and
+	// roleChanged, set by demote, has the workloop quarantine a primary
+	// that stepped down at the end of the turn.
+	life        lifecycle
+	roleChanged bool
+	// degradedSince is the UnixNano timestamp when the node first saw a
+	// partial-quorum commit (fewer acks than AZs), 0 while fully
+	// replicated. Closed out into Stats.DegradedMillis on the first
+	// full-replication commit after the window.
+	degradedSince int64
 
 	// appliedSeq mirrors applied.Seq for lock-free monitoring reads.
 	appliedSeq atomic.Uint64
@@ -220,30 +228,18 @@ type Node struct {
 
 	// retryPol shapes transient-failure retries against the log service.
 	retryPol retry.Policy
-	// degradedSince is the UnixNano timestamp when the node first saw a
-	// partial-quorum commit (fewer acks than AZs), 0 while fully
-	// replicated. Closed out into Stats.DegradedMillis on the first
-	// full-replication commit after the window.
-	degradedSince atomic.Int64
 
-	// frozenCh gates every node goroutine while the node is "crashed":
-	// non-nil while frozen (goroutines park on it at their next gate),
-	// nil while running. Closed and nilled by Thaw. Guarded by frozenMu —
+	// frozenCh gates the workloop while the node is "crashed": non-nil
+	// while frozen (the workloop parks on it at its next gate), nil while
+	// running. Closed and nilled by Thaw. Guarded by frozenMu —
 	// deliberately separate from mu, so freezing never contends with the
 	// serving paths it is about to halt.
 	frozenMu sync.Mutex
 	frozenCh chan struct{}
 
-	// completions is the completion loop's FIFO (sequencer.go): every
-	// issued append whose commit the node acts on, in issue order.
-	completions chan completion
-
-	// roleChanged is poked by demote, from whichever goroutine stepped
-	// the primary down, so the workloop quarantines it.
-	roleChanged chan struct{}
-	stopCtx     context.Context
-	stopFn      context.CancelFunc
-	wg          sync.WaitGroup
+	stopCtx context.Context
+	stopFn  context.CancelFunc
+	wg      sync.WaitGroup
 
 	stats Stats
 	// abortedReplies counts withheld replies a tracker abort failed; a
@@ -388,15 +384,12 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("core: backoff (%v) must be strictly greater than lease (%v)", cfg.Backoff, cfg.Lease)
 	}
 	n := &Node{
-		cfg:         cfg,
-		clk:         cfg.Clock,
-		role:        election.RoleReplica,
-		trk:         tracker.New(0),
-		readGate:    NewReadGate(0),
-		completions: make(chan completion, completionBacklog),
-		tasks:       make(chan *task, 4096),
-		appendAcked: make(chan struct{}, 1),
-		roleChanged: make(chan struct{}, 1),
+		cfg:      cfg,
+		clk:      cfg.Clock,
+		role:     election.RoleReplica,
+		trk:      tracker.New(0),
+		readGate: NewReadGate(0),
+		tasks:    make(chan *task, 4096),
 		retryPol: retry.Policy{
 			Base:  retryBase,
 			Max:   retryMax,
@@ -491,11 +484,10 @@ func (n *Node) AppliedSeq() uint64 { return n.appliedSeq.Load() }
 func (n *Node) EngineVersion() uint32 { return n.cfg.EngineVersion }
 
 // Start launches the workloop, which restores the node's state and then
-// runs it, and the completion loop.
+// runs it.
 func (n *Node) Start() {
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.workloop()
-	go n.completionLoop()
 }
 
 // QueueDepth returns how many tasks wait on the workloop (monitoring).
@@ -536,9 +528,9 @@ func (n *Node) partitioned() bool {
 	return n.cfg.Faults.Standing(faultpoint.SiteNodePartition) == faultpoint.Error
 }
 
-// Freeze halts the node as an OS-level kill would: every node goroutine
-// parks at its next crash gate, no cleanup runs, no reply is delivered,
-// and in-flight appends are left in limbo (entries the log already
+// Freeze halts the node as an OS-level kill would: the workloop parks at
+// its next crash gate, no cleanup runs, no reply is delivered, and
+// in-flight appends are left in limbo (entries the log already
 // assigned still commit — the durable-but-unacknowledged window a real
 // crash produces). The node can then either be discarded and replaced by
 // a fresh process that resyncs from S3 + the log (cluster.Restart), or
@@ -620,15 +612,14 @@ func (n *Node) checkpoint(site string) error {
 // noteAZHealth folds one committed append's acknowledgement count into the
 // degraded-time accounting: the first partial-quorum commit opens a
 // degraded window, the first fully replicated commit after it closes the
-// window into Stats.DegradedMillis. Called from the completion loop.
+// window into Stats.DegradedMillis. Workloop only.
 func (n *Node) noteAZHealth(p *txlog.Pending) {
 	if p.Acks() < p.AZTotal() {
-		n.degradedSince.CompareAndSwap(0, n.clk.Now().UnixNano())
-		return
-	}
-	if since := n.degradedSince.Swap(0); since != 0 {
-		if ms := (n.clk.Now().UnixNano() - since) / int64(time.Millisecond); ms > 0 {
-			n.stats.DegradedMillis.Add(ms)
+		if n.degradedSince == 0 {
+			n.degradedSince = n.clk.Now().UnixNano()
 		}
+	} else if n.degradedSince != 0 {
+		n.stats.DegradedMillis.Add((n.clk.Now().UnixNano() - n.degradedSince) / int64(time.Millisecond))
+		n.degradedSince = 0
 	}
 }

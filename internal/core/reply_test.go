@@ -10,6 +10,7 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/election"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 	"memorydb/internal/obs"
 	"memorydb/internal/resp"
@@ -32,8 +33,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // latency — an entry stays in flight until commit() — and the node on
 // another: its lease neither renews nor expires until expire(), which runs
 // it out. Both are pumped until the node holds the lease, then stopped.
-// One append window keeps the second write in the shard buffer.
-func heldNode(t *testing.T) (n *Node, commit, expire func()) {
+// window is the append window (one keeps the second write in the buffer);
+// faults, when set, is the node's fault registry.
+func heldNode(t *testing.T, window int, faults *faultpoint.Registry) (n *Node, commit, expire func()) {
 	t.Helper()
 	logClk, nodeClk := clock.NewSim(time.Unix(1700000000, 0)), clock.NewSim(time.Unix(1700000000, 0))
 	svc := txlog.NewService(txlog.Config{Clock: logClk, CommitLatency: netsim.Fixed(time.Second)})
@@ -41,7 +43,7 @@ func heldNode(t *testing.T) (n *Node, commit, expire func()) {
 	n, err := NewNode(Config{
 		NodeID: "node-a", ShardID: log.ShardID(), Log: log, Clock: nodeClk,
 		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond, RenewEvery: 30 * time.Millisecond,
-		MaxInflightAppends: 1,
+		MaxInflightAppends: window, Faults: faults,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +107,7 @@ func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
 	} {
 		for _, outcome := range []string{"commit", "demote"} {
 			t.Run(place.name+"/"+outcome, func(t *testing.T) {
-				n, commit, expire := heldNode(t)
+				n, commit, expire := heldNode(t, 1, nil)
 				base := n.Stats().Snapshot()
 				finished := n.Obs().Stage(obs.StageE2E).Count()
 				replies := make([]chan resp.Value, len(place.steps))
@@ -153,7 +155,12 @@ func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
 				// finished command here (and a data race on its value).
 				waitFor(t, "the log to answer for every flushed entry", func() bool {
 					commit()
-					return n.gc.inflight.Load() == 0
+					inflight := -1
+					n.run(context.Background(), func() error {
+						inflight = n.gc.inflight
+						return nil
+					})
+					return inflight == 0
 				})
 				if got := n.Obs().Stage(obs.StageE2E).Count() - finished; got != uint64(len(place.steps)) {
 					t.Fatalf("%d commands sent, %d replies delivered", len(place.steps), got)

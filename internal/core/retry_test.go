@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"memorydb/internal/clock"
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
+	"memorydb/internal/resp"
 	"memorydb/internal/txlog"
 )
 
@@ -102,6 +104,73 @@ func serviceBlipSurvives(t *testing.T, window int) {
 	}
 	if st.DegradedMillis == 0 {
 		t.Fatal("expected DegradedMillis > 0 from backoff sleeps during the blip")
+	}
+}
+
+// TestRetryAnswersCommittedWrites: a flush retrying a transient failure
+// first answers for the appends that committed before it. The first SET's
+// entry commits while the workloop flushes the second SET into a one-shot
+// node.partition Error; the first SET gets OK while the retry's backoff
+// sleeps on a node clock only the test moves. A retry that held it back
+// would answer it after the outage at best, and CLUSTERDOWN once an outage
+// outlasted the lease.
+func TestRetryAnswersCommittedWrites(t *testing.T) {
+	faults := faultpoint.New(1)
+	n, commit, _ := heldNode(t, 2, faults)
+	nodeClk := n.clk.(*clock.Sim)
+	ctx := context.Background()
+	st := n.Stats()
+	flushes, retried := st.BatchFlushes.Load(), st.AppendsRetried.Load()
+
+	first := make(chan resp.Value, 1)
+	go func() {
+		v, err := n.Do(ctx, [][]byte{[]byte("SET"), []byte("{r}a"), []byte("1")})
+		if err != nil {
+			v = resp.Err(err.Error())
+		}
+		first <- v
+	}()
+	waitFor(t, "the first SET's entry to be issued", func() bool { return st.BatchFlushes.Load() == flushes+1 })
+
+	faults.Arm(faultpoint.SiteNodePartition, faultpoint.Error, 0)
+	second := &task{kind: taskCmd, argv: [][]byte{[]byte("SET"), []byte("{r}b"), []byte("2")}, done: make(chan struct{}, 1)}
+	second.resolve()
+	holding := make(chan struct{})
+	go n.run(ctx, func() error {
+		// The workloop is held here, so nothing answers for the first
+		// entry before the second SET's flush meets the partition.
+		close(holding)
+		<-n.issued[0].p.Done()
+		n.handleClient(second)
+		return nil
+	})
+	<-holding
+	commit()
+	select {
+	case v := <-first:
+		if v.Text() != "OK" {
+			t.Fatalf("the committed SET got %v during the retry, want OK", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the committed SET was not answered while the retry slept")
+	}
+	if got := st.AppendsRetried.Load() - retried; got != 1 {
+		t.Fatalf("%d append retries, want the second SET's one", got)
+	}
+
+	// The backoff ends on the node clock; the second SET lands and commits.
+	waitFor(t, "the second SET's reply", func() bool {
+		nodeClk.Advance(retryBase)
+		commit()
+		select {
+		case <-second.done:
+			return true
+		default:
+			return false
+		}
+	})
+	if second.val.Text() != "OK" {
+		t.Fatalf("the retried SET got %v, want OK", second.val)
 	}
 }
 

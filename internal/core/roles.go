@@ -25,12 +25,12 @@ func (n *Node) electionConfig() election.Config {
 // The node's lifecycle runs on its workloop, as Redis runs its master
 // link, serverCron and RDB loading on its one event loop: replica (tail
 // the log, campaign when the primary goes silent) → primary (renew the
-// lease) → demoted (sit out the backoff, resynchronize) → replica. Three
-// of the workloop's select cases drive it: the tailer's cached Ready
-// channel, the one role timer, and roleChanged, which every step-down
-// pokes. No step waits on another loop, and a step that blocks — a
-// resync, a campaign's claim commit — holds the workloop, as Redis's
-// -LOADING does.
+// lease) → demoted (sit out the backoff, resynchronize) → replica. Two of
+// the workloop's select cases drive it, the tailer's cached Ready channel
+// and the one role timer, and so does the roleChanged flag every step-down
+// sets, which the workloop checks at the end of each turn. No step waits
+// on another loop, and a step that blocks — a resync, a campaign's claim
+// commit — holds the workloop, as Redis's -LOADING does.
 
 // phase is the lifecycle step the role timer runs when it fires.
 type phase int
@@ -112,9 +112,9 @@ func (n *Node) roleTimer() {
 	}
 }
 
-// roleChangedStep runs when roleChanged is poked: a primary that stepped
-// down — its lease ran out, an append was fenced, the log gave up an
-// entry, StepDown — goes into quarantine.
+// roleChangedStep runs at the end of a turn that set roleChanged: a
+// primary that stepped down — its lease ran out, an append was fenced, the
+// log gave up an entry, StepDown — goes into quarantine.
 func (n *Node) roleChangedStep() {
 	if n.life.phase == phaseLead && n.Role() != election.RolePrimary {
 		n.quarantine()

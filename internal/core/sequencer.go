@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -14,9 +15,10 @@ import (
 // The sequencer is the issue-side twin of txlog.Replayer: every entry this
 // node appends — group-commit flushes, running-checksum injections, lease
 // renewals, control records — goes through sequence, and every caller runs
-// on the workloop, which therefore owns the sequencer state without a
-// lock. A (lease-bounded) append retry holds the workloop, as it should:
-// nothing behind it may reach the log first.
+// on the workloop, which therefore owns the sequencer state, and the FIFO
+// of issued appends it waits on, without a lock. A (lease-bounded) append
+// retry holds the workloop, as it should: nothing behind it may reach the
+// log first. It still answers for the appends that committed before it.
 
 // Retry shape for transient log failures: capped exponential backoff with
 // full jitter, bounded overall by the leadership lease.
@@ -113,48 +115,42 @@ type completion struct {
 	then func(err error)
 }
 
-// completionBacklog sizes the completion FIFO far above what the append
-// window lets be in flight at once; should it ever fill, the issuer
-// waits in onCommit — a completion is never dropped.
-const completionBacklog = 1024
-
-// onCommit queues then behind p on the completion loop.
+// onCommit queues then behind p on the FIFO of issued appends. The
+// workloop waits on the head's Done beside its tasks and timers.
 func (n *Node) onCommit(p *txlog.Pending, then func(err error)) {
-	select {
-	case n.completions <- completion{p, then}:
-	case <-n.stopCtx.Done():
-	}
+	n.issued = append(n.issued, completion{p, then})
 }
 
-// completionLoop is the node's one waiter on the log, the acknowledgement
-// side of the sequencer: appends are issued in order and the log commits
-// in order, so it waits on each Pending in turn and then runs what its
+// runCompleted is the acknowledgement side of the sequencer: appends are
+// issued in order and the log commits in order, so it takes every head of
+// the FIFO the log has answered for, in issue order, and runs what its
 // issuer queued — stage stamps, the crash gates between quorum and
-// release, tracker.Commit, the workloop's flush-on-ack poke. It is node code
-// on a node goroutine on purpose: checkpoint parks while the node is
-// frozen, which must stall this node's acknowledgements and nothing else —
-// run on the log's committer it would stop the log for every other node,
-// the successor's election claim included. A log error (the entry was
-// truncated from a torn tail, or the log destroyed) means nothing gated on
-// the entry may ever be acknowledged: the node steps down, which fails
-// every withheld reply.
-func (n *Node) completionLoop() {
-	defer n.wg.Done()
-	for {
+// release, tracker.Commit. It is node code on the node's goroutine on
+// purpose: checkpoint parks while the node is frozen, which must stall
+// this node's acknowledgements and nothing else — run on the log's
+// committer it would stop the log for every other node, the successor's
+// election claim included. A log error (the entry was truncated from a
+// torn tail, or the log destroyed) means nothing gated on the entry may
+// ever be acknowledged: the node steps down, which fails every withheld
+// reply.
+func (n *Node) runCompleted() {
+	for len(n.issued) > 0 {
+		c := n.issued[0]
 		select {
-		case c := <-n.completions:
-			_, err := c.p.Wait(n.stopCtx)
-			if n.stopCtx.Err() != nil {
-				return
-			}
-			if err != nil {
-				n.flight.Recordf(trace.EvAlarm, c.p.ID().Seq, "log gave up an issued entry: %v", err)
-				n.demote()
-			}
-			c.then(err)
-		case <-n.stopCtx.Done():
+		case <-c.p.Done():
+		default:
 			return
 		}
+		n.issued = slices.Delete(n.issued, 0, 1)
+		_, err := c.p.Wait(n.stopCtx)
+		if n.stopCtx.Err() != nil {
+			return
+		}
+		if err != nil {
+			n.flight.Recordf(trace.EvAlarm, c.p.ID().Seq, "log gave up an issued entry: %v", err)
+			n.demote()
+		}
+		c.then(err)
 	}
 }
 
@@ -196,6 +192,9 @@ func (n *Node) startAppendRetry(e txlog.Entry, retried *atomic.Int64) (*txlog.Pe
 	if err != nil && txlog.IsTransient(err) {
 		bo := n.retryPol.New()
 		for err != nil && txlog.IsTransient(err) {
+			// Answer for what committed before the failure: a reply whose
+			// entry is durable must not wait out the outage.
+			n.runCompleted()
 			n.mu.Lock()
 			lease := n.lease
 			n.mu.Unlock()

@@ -20,7 +20,7 @@ const (
 	taskCmd taskKind = iota
 	taskBatch
 	// taskFunc is node-internal work another goroutine hands over: a
-	// control append or a migration step.
+	// control append, a step-down or a migration step.
 	taskFunc
 )
 
@@ -150,25 +150,33 @@ func (n *Node) enqueue(ctx context.Context, t *task) error {
 	}
 }
 
-// workloop is the node's one execution thread (§3: the engine stays
+// workloop is the node's one goroutine (§3: the engine stays
 // single-threaded), and its one event loop: it runs every command, every
-// piece of node-internal work and the node's lifecycle (roles.go). It is
-// pipelined for group commit: mutations execute and buffer while a quorum
-// append is in flight, and append acknowledgements flush the accumulated
-// batch. Every case below is ready-or-not, and Go's select picks among the
-// ready ones at random, so a lagging tailer and the clients take turns.
+// piece of node-internal work, the node's lifecycle (roles.go) and reply
+// release. It is pipelined for group commit: mutations execute and buffer
+// while quorum appends are in flight, and the oldest append's commit
+// answers for every committed append and flushes the accumulated batch.
+// Go's select picks among the ready cases at random, so a lagging tailer
+// and the clients take turns. A turn's step-down is handled at its end.
 func (n *Node) workloop() {
 	defer n.wg.Done()
 	n.restore() // bootstrap: restore state before tailing
 	for {
+		var head <-chan struct{} // nil, never ready, while nothing is in flight
+		if len(n.issued) > 0 {
+			head = n.issued[0].p.Done()
+		}
 		select {
 		case <-n.stopCtx.Done():
 			return
 		case t := <-n.tasks:
 			n.handleTask(t)
-		case <-n.appendAcked:
-			// The oldest in-flight append committed: flush the batch that
-			// accumulated behind its quorum round-trip.
+		case <-head:
+			if !n.gate() {
+				return
+			}
+			n.runCompleted()
+			// Flush the batch that accumulated behind the quorum round-trip.
 			n.flushPending()
 		case <-n.life.ready:
 			if !n.gate() {
@@ -181,10 +189,9 @@ func (n *Node) workloop() {
 			}
 			n.life.timer = nil
 			n.roleTimer()
-		case <-n.roleChanged:
-			if !n.gate() {
-				return
-			}
+		}
+		if n.roleChanged {
+			n.roleChanged = false
 			n.roleChangedStep()
 		}
 	}
@@ -376,7 +383,7 @@ func (n *Node) handleClient(t *task) {
 // controls what other clients see of it meanwhile — and flushes when
 // warranted: immediately when the append pipeline has room (no latency
 // added), on records/bytes caps, and otherwise when an in-flight append
-// acknowledges (flush-on-ack, driven by the appendAcked wakeup).
+// acknowledges (flush-on-ack, the workloop's case on the oldest append).
 func (n *Node) logMutation(t *task, res engine.Result) {
 	n.stats.Mutations.Add(1)
 	// Mirror into the migration stream at execution order — the same
@@ -528,9 +535,9 @@ func (n *Node) sweep() {
 // sweepLimit caps the keys one active-expiry cycle reaps.
 const sweepLimit = 32
 
-// demote moves a primary to the demoted role and pokes roleChanged: the
-// workloop then quarantines it, and it resyncs and rejoins as a replica
-// (roles.go). Any goroutine may call it.
+// demote moves a primary to the demoted role and sets roleChanged: at the
+// end of the turn the workloop quarantines it, and it resyncs and rejoins
+// as a replica (roles.go). Workloop only.
 func (n *Node) demote() {
 	n.mu.Lock()
 	if n.role != election.RolePrimary {
@@ -549,10 +556,7 @@ func (n *Node) demote() {
 	}
 	n.stats.Demotions.Add(1)
 	n.flight.Record(trace.EvDemotion, epoch, "lease lost or fenced")
-	select {
-	case n.roleChanged <- struct{}{}:
-	default:
-	}
+	n.roleChanged = true
 }
 
 // batchIsReadOnly reports whether every command in an atomic batch, as

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"memorydb/internal/clock"
 	"memorydb/internal/election"
 	"memorydb/internal/engine"
 	"memorydb/internal/lin"
@@ -430,21 +431,23 @@ func nodeGoroutines() []string {
 }
 
 // TestNodeGoroutines pins the node's threads: a started node runs exactly
-// its workloop and completion loop — the lifecycle is workloop steps —
-// and neither cross-slot commands in flight nor a replica tailing the
-// primary's writes start a goroutine of their own.
+// its workloop — the lifecycle and the release of committed replies are
+// workloop steps — and neither cross-slot commands in flight nor a replica
+// tailing the primary's writes start a goroutine of their own. Both nodes
+// run on stopped clocks, so no stack dump's stop of the world can cost the
+// primary its lease.
 func TestNodeGoroutines(t *testing.T) {
 	svc := testService(t, netsim.Fixed(time.Millisecond))
 	log, _ := svc.CreateLog("shard-1")
-	n := testNode(t, "node-a", log, nil)
+	n := simNode(t, "node-a", log, clock.NewSim(time.Unix(0, 0)), nil)
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
-	want := []string{"completionLoop", "workloop"}
+	want := []string{"workloop"}
 	if got := nodeGoroutines(); !slices.Equal(got, want) {
 		t.Fatalf("a started node runs %v, want %v", got, want)
 	}
-	replica := testNode(t, "node-b", log, nil)
+	replica := simNode(t, "node-b", log, clock.NewSim(time.Unix(0, 0)), nil)
 	waitApplied(t, replica, log.CommittedTail().Seq, 5*time.Second)
-	want = []string{"completionLoop", "completionLoop", "workloop", "workloop"}
+	want = []string{"workloop", "workloop"}
 
 	a, b := crossSlotPair(t)
 	ctx := context.Background()

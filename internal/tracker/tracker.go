@@ -13,8 +13,9 @@ import (
 )
 
 // Tracker gates replies on transaction log commit progress. It is safe
-// for concurrent use: the engine workloop registers writes and reads, and
-// log-append completion goroutines report commits.
+// for concurrent use: a node's workloop registers writes and reads and
+// reports commits, while a stopping node aborts it, and a replica's read
+// gate parks reads on it, from other goroutines.
 type Tracker struct {
 	mu sync.Mutex
 	// hazards maps key -> highest pending log seq that mutated it, and

@@ -514,6 +514,10 @@ func (p *Pending) Acks() int { return p.acks }
 // AZTotal returns the configured number of AZ replicas.
 func (p *Pending) AZTotal() int { return p.azTotal }
 
+// Done is closed once the log has answered for the entry: Wait then
+// returns at once with its outcome.
+func (p *Pending) Done() <-chan struct{} { return p.done }
+
 // Wait blocks until the entry is durably committed (nil), the log has
 // given it up (ErrTruncated, ErrNoSuchLog — it will never commit) or ctx
 // is cancelled. A cancelled wait does not abort the append: the entry

@@ -21,7 +21,7 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20330
+	ceilingNonTestLines = 20321
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 21
@@ -36,7 +36,7 @@ const (
 	ceilingWallClockWaits = 0
 	// go statements in non-test internal/ code: each goroutine the program
 	// starts has an owner site, and a new one is a design change.
-	ceilingGoStatements = 14
+	ceilingGoStatements = 13
 )
 
 // allowUnnamed are paper mechanisms that only tests drive today, kept in
