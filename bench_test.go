@@ -219,8 +219,8 @@ func newBenchNode(b *testing.B, commit netsim.LatencyModel) *core.Node {
 	}
 	n.Start()
 	b.Cleanup(n.Stop)
-	for n.Role() != election.RolePrimary {
-		time.Sleep(time.Millisecond)
+	for changed := n.Changed(); n.Role() != election.RolePrimary; changed = n.Changed() {
+		<-changed
 	}
 	return n
 }

@@ -129,8 +129,8 @@ func main() {
 		}
 		node.Start()
 		defer node.Stop()
-		for node.Role() != election.RolePrimary {
-			time.Sleep(5 * time.Millisecond)
+		for changed := node.Changed(); node.Role() != election.RolePrimary; changed = node.Changed() {
+			<-changed
 		}
 		// Forkless snapshots: a log-tailing builder materializes the
 		// keyspace off the critical path and streams delta snapshots to

@@ -46,8 +46,8 @@ func main() {
 	}
 	node.Start()
 	defer node.Stop()
-	for node.Role() != election.RolePrimary {
-		time.Sleep(2 * time.Millisecond)
+	for changed := node.Changed(); node.Role() != election.RolePrimary; changed = node.Changed() {
+		<-changed
 	}
 
 	// 3. Use it like Redis — except every acknowledged write is durable.

@@ -17,6 +17,8 @@ type Clock interface {
 	Sleep(d time.Duration)
 	// After returns a channel that delivers the time after d has elapsed.
 	After(d time.Duration) <-chan time.Time
+	// AfterFunc calls f once d has elapsed. f must not block.
+	AfterFunc(d time.Duration, f func())
 }
 
 // Real is a Clock backed by the wall clock.
@@ -34,9 +36,12 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
+// AfterFunc implements Clock.
+func (Real) AfterFunc(d time.Duration, f func()) { time.AfterFunc(d, f) }
+
 // Sim is a manually advanced clock. Goroutines blocked in Sleep or on an
-// After channel are released when Advance moves the clock past their
-// deadline. The zero value is not usable; call NewSim.
+// After channel are released, and AfterFunc calls made, when Advance moves
+// the clock past their deadline. The zero value is not usable; call NewSim.
 type Sim struct {
 	mu      sync.Mutex
 	now     time.Time
@@ -45,7 +50,7 @@ type Sim struct {
 
 type simWaiter struct {
 	deadline time.Time
-	ch       chan time.Time
+	f        func()
 }
 
 // NewSim returns a simulated clock starting at start.
@@ -68,15 +73,21 @@ func (s *Sim) Sleep(d time.Duration) {
 
 // After implements Clock.
 func (s *Sim) After(d time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	s.AfterFunc(d, func() { ch <- s.Now() })
+	return ch
+}
+
+// AfterFunc implements Clock: f runs at once for d <= 0, else in Advance.
+func (s *Sim) AfterFunc(d time.Duration, f func()) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	w := &simWaiter{deadline: s.now.Add(d), ch: make(chan time.Time, 1)}
-	if d <= 0 {
-		w.ch <- s.now
-		return w.ch
+	if d > 0 {
+		s.waiters = append(s.waiters, &simWaiter{deadline: s.now.Add(d), f: f})
+		s.mu.Unlock()
+		return
 	}
-	s.waiters = append(s.waiters, w)
-	return w.ch
+	s.mu.Unlock()
+	f()
 }
 
 // Advance moves the simulated time forward by d, waking every waiter whose
@@ -97,7 +108,7 @@ func (s *Sim) Advance(d time.Duration) {
 	s.waiters = remaining
 	s.mu.Unlock()
 	for _, w := range fire {
-		w.ch <- now
+		w.f()
 	}
 }
 

@@ -87,3 +87,21 @@ func TestSimMultipleWaitersWakeInAnyOrder(t *testing.T) {
 	<-ch1
 	<-ch2
 }
+
+func TestSimAfterFuncRunsOnAdvance(t *testing.T) {
+	c := NewSim(time.Unix(0, 0))
+	fired := 0
+	c.AfterFunc(time.Second, func() { fired++ })
+	c.Advance(999 * time.Millisecond)
+	if fired != 0 {
+		t.Fatal("AfterFunc ran before its deadline")
+	}
+	c.Advance(time.Millisecond)
+	if fired != 1 || c.PendingWaiters() != 0 {
+		t.Fatalf("fired %d times, %d waiters left; want 1 and 0", fired, c.PendingWaiters())
+	}
+	c.AfterFunc(0, func() { fired++ })
+	if fired != 2 {
+		t.Fatal("AfterFunc(0) must run at once")
+	}
+}

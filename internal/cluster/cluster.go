@@ -9,6 +9,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -102,6 +103,15 @@ type Shard struct {
 
 	mu    sync.RWMutex
 	nodes []*core.Node
+	// changed is closed, and replaced, whenever nodes changes (see
+	// WaitForPrimary).
+	changed chan struct{}
+}
+
+// nodesChangedLocked wakes every WaitForPrimary on the shard. s.mu held.
+func (s *Shard) nodesChangedLocked() {
+	close(s.changed)
+	s.changed = make(chan struct{})
 }
 
 // Nodes returns the shard's current nodes.
@@ -139,18 +149,36 @@ func (s *Shard) Replicas() []*core.Node {
 }
 
 // WaitForPrimary blocks until the shard has a primary or the timeout
-// elapses.
+// elapses on clk. It sleeps on one deadline timer and wakes at each change
+// that can give the shard a primary: a node's role, freeze or stop
+// (core.Node.Changed), or a node joining or leaving.
 func (s *Shard) WaitForPrimary(clk clock.Clock, timeout time.Duration) (*core.Node, error) {
-	deadline := clk.Now().Add(timeout)
+	if p, ok := s.Primary(); ok {
+		return p, nil
+	}
+	deadline := reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(clk.After(timeout))}
 	for {
+		wake := append(s.changes(), deadline)
 		if p, ok := s.Primary(); ok {
 			return p, nil
 		}
-		if clk.Now().After(deadline) {
+		if i, _, _ := reflect.Select(wake); i == len(wake)-1 {
 			return nil, fmt.Errorf("cluster: shard %s has no primary after %v", s.ID, timeout)
 		}
-		clk.Sleep(2 * time.Millisecond)
 	}
+}
+
+// changes returns select cases that fire at the next change of the shard's
+// membership or of any node's state, taken before that state is read.
+func (s *Shard) changes() []reflect.SelectCase {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	cases := make([]reflect.SelectCase, 0, len(s.nodes)+2)
+	cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(s.changed)})
+	for _, n := range s.nodes {
+		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(n.Changed())})
+	}
+	return cases
 }
 
 // New provisions and starts a cluster: one transaction log per shard,
@@ -187,7 +215,7 @@ func (c *Cluster) addShard() (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &Shard{ID: shardID, Log: log}
+	sh := &Shard{ID: shardID, Log: log, changed: make(chan struct{})}
 	for r := 0; r <= c.cfg.ReplicasPerShard; r++ {
 		if _, err := c.addNode(sh); err != nil {
 			return nil, err
@@ -258,6 +286,7 @@ func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
 	n.Start()
 	sh.mu.Lock()
 	sh.nodes = append(sh.nodes, n)
+	sh.nodesChangedLocked()
 	sh.mu.Unlock()
 	return n, nil
 }
@@ -282,6 +311,7 @@ func (c *Cluster) ReplaceNode(nodeID string) (*core.Node, error) {
 			if n.ID() == nodeID {
 				n.Stop()
 				sh.nodes = append(sh.nodes[:i], sh.nodes[i+1:]...)
+				sh.nodesChangedLocked()
 				sh.mu.Unlock()
 				return c.addNode(sh)
 			}

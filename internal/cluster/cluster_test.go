@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"memorydb/internal/clock"
+	"memorydb/internal/core"
 	"memorydb/internal/crc16"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 	"memorydb/internal/txlog"
 )
@@ -242,5 +245,111 @@ func TestMonitorReplacesDeadReplica(t *testing.T) {
 	}
 	if got := len(sh.Nodes()); got != 2 {
 		t.Fatalf("shard has %d nodes after replacement, want 2", got)
+	}
+}
+
+// countingClock is the wall clock, counting the timers registered on it.
+type countingClock struct {
+	clock.Real
+	timers atomic.Int64
+}
+
+func (c *countingClock) Sleep(d time.Duration) { c.timers.Add(1); c.Real.Sleep(d) }
+
+func (c *countingClock) After(d time.Duration) <-chan time.Time {
+	c.timers.Add(1)
+	return c.Real.After(d)
+}
+
+func (c *countingClock) AfterFunc(d time.Duration, f func()) {
+	c.timers.Add(1)
+	c.Real.AfterFunc(d, f)
+}
+
+// TestNodeWaitsRegisterOneTimer: waiting for a replica to catch up and for
+// a primary after a failover each sleep on one deadline timer and wake on
+// the node, not on a poll interval.
+func TestNodeWaitsRegisterOneTimer(t *testing.T) {
+	c := testCluster(t, 1, 1)
+	sh := c.Shards()[0]
+	p, _ := sh.Primary()
+	replica := sh.Replicas()[0]
+	cl := c.Client()
+	ctx := context.Background()
+
+	// Catch-up: the replica is cut off from the log while the primary
+	// commits, and reconnects while the wait is under way.
+	part := c.nodeFaults(replica.ID())
+	setLevel(part, faultpoint.SiteNodePartition, true)
+	for i := 0; i < 20; i++ {
+		if v, err := cl.Do(ctx, "SET", fmt.Sprintf("k%d", i), "v"); err != nil || v.IsError() {
+			t.Fatalf("SET: %v %v", v, err)
+		}
+	}
+	if replica.AppliedSeq() >= sh.Log.CommittedTail().Seq {
+		t.Fatal("setup: a partitioned replica applied the primary's writes")
+	}
+	time.AfterFunc(50*time.Millisecond, func() { setLevel(part, faultpoint.SiteNodePartition, false) })
+	clk := &countingClock{}
+	if err := waitCaughtUp(clk, sh, replica); err != nil {
+		t.Fatal(err)
+	}
+	if n := clk.timers.Load(); n != 1 {
+		t.Fatalf("waiting for a catch-up registered %d timers, want 1 (the deadline)", n)
+	}
+
+	// Failover: the primary dies and the replica wins the next election.
+	if err := c.Kill(p.ID()); err != nil {
+		t.Fatal(err)
+	}
+	clk = &countingClock{}
+	got, err := sh.WaitForPrimary(clk, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != replica {
+		t.Fatalf("primary after the failover is %s, want %s", got.ID(), replica.ID())
+	}
+	if n := clk.timers.Load(); n != 1 {
+		t.Fatalf("waiting for a primary registered %d timers, want 1 (the deadline)", n)
+	}
+}
+
+// TestWaitForPrimaryWakesOnNewNode: a node that joins the shard after the
+// wait began, and wins its election, ends the wait long before the
+// deadline.
+func TestWaitForPrimaryWakesOnNewNode(t *testing.T) {
+	c := testCluster(t, 1, 0)
+	sh := c.Shards()[0]
+	p, _ := sh.Primary()
+	if err := c.Kill(p.ID()); err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 30 * time.Second
+	clk := &countingClock{}
+	type result struct {
+		p   *core.Node
+		err error
+	}
+	done := make(chan result, 1)
+	start := time.Now()
+	go func() {
+		p, err := sh.WaitForPrimary(clk, timeout)
+		done <- result{p, err}
+	}()
+	// The wait arms its deadline once it has found no primary.
+	for clk.timers.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	added, err := c.AddReplica(sh.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil || r.p != added {
+		t.Fatalf("WaitForPrimary = %v, %v; want the added node %s", r.p, r.err, added.ID())
+	}
+	if waited := time.Since(start); waited > timeout/2 {
+		t.Fatalf("WaitForPrimary returned after %v: the new node's election did not wake it", waited)
 	}
 }

@@ -42,20 +42,16 @@ func TestCrashRestartSilentLogFailover(t *testing.T) {
 		t.Fatalf("seed write: %v %v", v, err)
 	}
 	replica := sh.Replicas()[0]
-	if err := waitCaughtUp(c, sh, replica); err != nil {
+	if err := waitCaughtUp(c.Clock(), sh, replica); err != nil {
 		t.Fatal(err)
 	}
 
 	if err := c.Kill(p.ID()); err != nil {
 		t.Fatal(err)
 	}
-	killed := time.Now()
 	tail := sh.Log.CommittedTail()
-	for replica.Role() != election.RolePrimary {
-		if time.Since(killed) > 2*backoff {
-			t.Fatalf("parked replica not promoted %v after the primary died (backoff %v): nothing woke it", time.Since(killed), backoff)
-		}
-		time.Sleep(time.Millisecond)
+	if !waitNode(replica, 2*backoff, func() bool { return replica.Role() == election.RolePrimary }) {
+		t.Fatalf("parked replica not promoted %v after the primary died: nothing woke it", 2*backoff)
 	}
 	if e, ok := sh.Log.Get(txlog.EntryID{Seq: tail.Seq + 1}); !ok || e.Type != txlog.EntryLeadership {
 		t.Fatalf("entry after the silent tail is %v (found %v), want the replica's leadership claim", e.Type, ok)
@@ -162,7 +158,7 @@ func TestCrashRestartMixedVersionReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := waitCaughtUp(c, sh, upgraded); err != nil {
+	if err := waitCaughtUp(c.Clock(), sh, upgraded); err != nil {
 		t.Fatal(err)
 	}
 	if err := oldPrimary.StepDown(ctx); err != nil {
@@ -186,11 +182,8 @@ func TestCrashRestartMixedVersionReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); !v1.Stalled(); {
-		if time.Now().After(deadline) {
-			t.Fatalf("restarted v1 replica never stalled (applied %d, tail %d)", v1.AppliedSeq(), sh.Log.CommittedTail().Seq)
-		}
-		time.Sleep(time.Millisecond)
+	if !waitNode(v1, 5*time.Second, v1.Stalled) {
+		t.Fatalf("restarted v1 replica never stalled (applied %d, tail %d)", v1.AppliedSeq(), sh.Log.CommittedTail().Seq)
 	}
 	firstV2 := uint64(0)
 	for r := sh.Log.NewReader(txlog.ZeroID); firstV2 == 0; {
@@ -229,7 +222,7 @@ func TestCrashRestartMixedVersionReplica(t *testing.T) {
 	}
 	close(stop)
 	writer.Wait()
-	if err := waitCaughtUp(c, sh, v2); err != nil {
+	if err := waitCaughtUp(c.Clock(), sh, v2); err != nil {
 		t.Fatal(err)
 	}
 	if v2.Stalled() {

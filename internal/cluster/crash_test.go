@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"memorydb/internal/clock"
+	"memorydb/internal/core"
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/lin"
@@ -101,17 +102,40 @@ func nodeDo(ctx context.Context, c *Cluster, nodeID string, args ...string) (isO
 	return strings.EqualFold(v.Text(), "OK"), v.IsError(), nil
 }
 
-// waitFrozen polls until nodeID crash-freezes (its armed fault fired) or
+// waitFrozen waits until nodeID crash-freezes (its armed fault fired) or
 // the deadline passes; reports whether it froze.
 func waitFrozen(c *Cluster, nodeID string, within time.Duration) bool {
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		if _, n, ok := c.findNode(nodeID); ok && n.Frozen() {
+	_, n, ok := c.findNode(nodeID)
+	return ok && waitNode(n, within, n.Frozen)
+}
+
+// waitNode waits on n's change signal until cond holds, and reports false
+// if it does not within the deadline. cond reads what core.Node.Changed
+// covers: role, epoch, freeze, upgrade stall, stop.
+func waitNode(n *core.Node, within time.Duration, cond func() bool) bool {
+	deadline := time.NewTimer(within)
+	defer deadline.Stop()
+	for {
+		changed := n.Changed()
+		if cond() {
 			return true
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-changed:
+		case <-deadline.C:
+			return cond()
+		}
 	}
-	return false
+}
+
+// waitApplied waits until n has applied the log through seq.
+func waitApplied(t *testing.T, n *core.Node, seq uint64, within time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	if err := n.WaitApplied(ctx, seq); err != nil {
+		t.Fatalf("node %s applied %d, want >= %d: %v", n.ID(), n.AppliedSeq(), seq, err)
+	}
 }
 
 // TestCrashRestartRecovery is the randomized fixed-seed schedule: while
@@ -846,7 +870,7 @@ func TestCrashRestartTailerRebootstrapAfterTrim(t *testing.T) {
 	// Freeze it only once it is tailing: a replica frozen before its first
 	// restore would, on waking, restore straight from the new snapshot and
 	// never exercise the tailer path this test pins.
-	if err := waitCaughtUp(c, sh, lag); err != nil {
+	if err := waitCaughtUp(c.Clock(), sh, lag); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
 	if err := c.Kill(lag.ID()); err != nil {
@@ -889,12 +913,7 @@ func TestCrashRestartTailerRebootstrapAfterTrim(t *testing.T) {
 	if got := lag.Stats().ReaderRebootstraps.Load(); got == 0 {
 		t.Fatal("woken replica never re-bootstrapped from snapshot")
 	}
-	for time.Now().Before(deadline) && lag.AppliedSeq() < tail.Seq {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := lag.AppliedSeq(); got < tail.Seq {
-		t.Fatalf("replica stuck at %d, want >= %d", got, tail.Seq)
-	}
+	waitApplied(t, lag, tail.Seq, time.Until(deadline))
 	// The re-bootstrapped replica serves the full dataset locally.
 	v, err := lag.DoReadOnly(ctx, [][]byte{[]byte("GET"), []byte("lag-79")})
 	if err != nil || v.Text() != "v79" {

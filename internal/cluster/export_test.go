@@ -23,6 +23,7 @@ func (c *Cluster) RemoveReplica(shardID string) error {
 		if n.Role() == election.RoleReplica && !n.Stopped() {
 			n.Stop()
 			sh.nodes = append(sh.nodes[:i], sh.nodes[i+1:]...)
+			sh.nodesChangedLocked()
 			return nil
 		}
 	}

@@ -71,6 +71,7 @@ func (c *Cluster) Restart(nodeID string) (*core.Node, error) {
 	for i, m := range sh.nodes {
 		if m == n {
 			sh.nodes = append(sh.nodes[:i], sh.nodes[i+1:]...)
+			sh.nodesChangedLocked()
 			break
 		}
 	}

@@ -3,10 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"time"
 
+	"memorydb/internal/clock"
 	"memorydb/internal/core"
-	"memorydb/internal/election"
 )
 
 // RollingUpgrade performs the N+1 rolling upgrade of §5.1/§7.1: for each
@@ -33,7 +32,7 @@ func (c *Cluster) RollingUpgrade(ctx context.Context, newVersion uint32) error {
 			if err != nil {
 				return fmt.Errorf("cluster: upgrading replica %s: %w", r.ID(), err)
 			}
-			if err := waitCaughtUp(c, sh, upgraded); err != nil {
+			if err := waitCaughtUp(c.cfg.Clock, sh, upgraded); err != nil {
 				return err
 			}
 		}
@@ -59,18 +58,19 @@ func (c *Cluster) RollingUpgrade(ctx context.Context, newVersion uint32) error {
 }
 
 // waitCaughtUp blocks until node has applied the shard log's committed
-// tail as of now.
-func waitCaughtUp(c *Cluster, sh *Shard, node *core.Node) error {
+// tail as of now, for at most waitPrimaryTimeout on clk. A node that stops
+// or stalls (§7.1) fails it at once.
+func waitCaughtUp(clk clock.Clock, sh *Shard, node *core.Node) error {
 	target := sh.Log.CommittedTail().Seq
-	deadline := c.cfg.Clock.Now().Add(waitPrimaryTimeout)
-	for node.AppliedSeq() < target {
-		if node.Stopped() || node.Role() == election.RoleDemoted && node.Stalled() {
-			return fmt.Errorf("cluster: node %s cannot catch up", node.ID())
-		}
-		if c.cfg.Clock.Now().After(deadline) {
-			return fmt.Errorf("cluster: node %s did not catch up to %d (at %d)", node.ID(), target, node.AppliedSeq())
-		}
-		c.cfg.Clock.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	clk.AfterFunc(waitPrimaryTimeout, cancel)
+	switch err := node.WaitApplied(ctx, target); {
+	case err == nil:
+		return nil
+	case ctx.Err() != nil:
+		return fmt.Errorf("cluster: node %s did not catch up to %d (at %d)", node.ID(), target, node.AppliedSeq())
+	default:
+		return fmt.Errorf("cluster: node %s cannot catch up: %w", node.ID(), err)
 	}
-	return nil
 }

@@ -105,12 +105,8 @@ func TestAddRemoveReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The new replica restores from durable sources and catches up.
-	deadline := time.Now().Add(3 * time.Second)
-	for n.AppliedSeq() < sh.Log.CommittedTail().Seq {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica stuck at %d / %d", n.AppliedSeq(), sh.Log.CommittedTail().Seq)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := waitCaughtUp(c.Clock(), sh, n); err != nil {
+		t.Fatal(err)
 	}
 	if len(sh.Replicas()) != 1 {
 		t.Fatalf("replicas = %d", len(sh.Replicas()))

@@ -386,7 +386,7 @@ func TestReplicaReadsTrimRebootstrap(t *testing.T) {
 	lag := sh.Replicas()[0]
 	// Freeze it only once it is tailing: frozen before its first restore
 	// it would wake, restore from the new snapshot, and skip this path.
-	if err := waitCaughtUp(c, sh, lag); err != nil {
+	if err := waitCaughtUp(c.Clock(), sh, lag); err != nil {
 		t.Fatalf("setup: %v", err)
 	}
 	if err := c.Kill(lag.ID()); err != nil {
@@ -423,12 +423,7 @@ func TestReplicaReadsTrimRebootstrap(t *testing.T) {
 	if lag.Stats().ReaderRebootstraps.Load() == 0 {
 		t.Fatal("woken replica never re-bootstrapped from snapshot")
 	}
-	for time.Now().Before(deadline) && lag.AppliedSeq() < tail {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := lag.AppliedSeq(); got < tail {
-		t.Fatalf("re-bootstrapped replica stuck at %d, want >= %d", got, tail)
-	}
+	waitApplied(t, lag, tail, time.Until(deadline))
 
 	wg.Wait()
 	if tally.linearized.Load() == 0 {

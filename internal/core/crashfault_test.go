@@ -112,13 +112,7 @@ func TestResyncSkipsTornSnapshotAndCounts(t *testing.T) {
 	fresh := testNode(t, "node-fresh", log, snaps)
 	// The bootstrap resync runs on the node's workloop, after Start
 	// returns; wait for it to have walked past the damaged version.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && fresh.Stats().TornSnapshotsDetected.Load() < 1 {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := fresh.Stats().TornSnapshotsDetected.Load(); got < 1 {
-		t.Fatalf("TornSnapshotsDetected = %d, want >= 1", got)
-	}
+	waitFor(t, "the restore to skip the torn snapshot", func() bool { return fresh.Stats().TornSnapshotsDetected.Load() >= 1 })
 	waitRole(t, fresh, election.RoleReplica, 2*time.Second)
 	v, err := fresh.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("later")})
 	if err != nil || v.Text() != "2" {
@@ -241,10 +235,8 @@ func TestFrozenPrimaryDoesNotHoldTheLog(t *testing.T) {
 			}
 		}(i)
 	}
-	for deadline := time.Now().Add(5 * time.Second); !a.Frozen(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("core.flush.post never crashed the primary")
-		}
+	if !waitChanged(a, 5*time.Second, a.Frozen) {
+		t.Fatal("core.flush.post never crashed the primary")
 	}
 	frozenWith := runtime.NumGoroutine()
 

@@ -132,17 +132,18 @@ func TestReadGatedOnBufferedWrite(t *testing.T) {
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 
 	ctx := context.Background()
+	base := n.Stats().Mutations.Load()
 	// First write flushes immediately (no append in flight) and keeps the
 	// pipeline busy for one commit latency...
 	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("{rg}pipe"), []byte("x")})
-	time.Sleep(2 * time.Millisecond)
+	waitMutations(t, n, base+1)
 	// ...so this second write lands in the group-commit buffer.
 	writeDone := make(chan struct{})
 	go func() {
 		defer close(writeDone)
 		n.Do(ctx, [][]byte{[]byte("SET"), []byte("{rg}buffered"), []byte("v")})
 	}()
-	time.Sleep(2 * time.Millisecond)
+	waitMutations(t, n, base+2)
 
 	start := time.Now()
 	v, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("{rg}buffered")})
@@ -161,9 +162,9 @@ func TestReadGatedOnBufferedWrite(t *testing.T) {
 	// An unrelated key is not gated on the batch (key-level hazards).
 	mustDo(t, n, "SET", "{rg}other", "x")
 	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("{rg}pipe"), []byte("y")})
-	time.Sleep(2 * time.Millisecond)
+	waitMutations(t, n, base+4)
 	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("{rg}buffered"), []byte("w")})
-	time.Sleep(2 * time.Millisecond)
+	waitMutations(t, n, base+5)
 	start = time.Now()
 	if _, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("{rg}other")}); err != nil {
 		t.Fatal(err)
@@ -185,10 +186,11 @@ func TestFlushFailureAbortsWholeBatch(t *testing.T) {
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 
 	ctx := context.Background()
+	base := n.Stats().Mutations.Load()
 	// Occupy the pipeline, then buffer two mutations behind it (one
 	// slot, so they share a shard buffer at any shard count).
 	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("{fb}pipe"), []byte("x")})
-	time.Sleep(2 * time.Millisecond)
+	waitMutations(t, n, base+1)
 	type reply struct {
 		isErr bool
 		err   error
@@ -200,7 +202,7 @@ func TestFlushFailureAbortsWholeBatch(t *testing.T) {
 			replies <- reply{isErr: v.IsError(), err: err}
 		}(i)
 	}
-	time.Sleep(2 * time.Millisecond)
+	waitMutations(t, n, base+3)
 	// Fail appends before the in-flight entry acknowledges: the flush of
 	// the buffered batch will hit the unavailable log.
 	setLevel(faults, faultpoint.SiteLogUnavailable, true)
@@ -221,14 +223,9 @@ func TestFlushFailureAbortsWholeBatch(t *testing.T) {
 	}
 	// The node steps down (it may already have resynced back to replica by
 	// the time we look, so check the demotion counter, not the live role).
-	deadline := time.Now().Add(2 * time.Second)
-	for n.Stats().Demotions.Load() == 0 || n.Role() == election.RolePrimary {
-		if time.Now().After(deadline) {
-			t.Fatalf("node never stepped down after flush failure (role %v, demotions %d)",
-				n.Role(), n.Stats().Demotions.Load())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitFor(t, "the node to step down after the flush failure", func() bool {
+		return n.Stats().Demotions.Load() > 0 && n.Role() != election.RolePrimary
+	})
 }
 
 // TestWaitCoversBufferedWrites checks the WAIT barrier extends over
@@ -349,11 +346,7 @@ func TestInflightWritesAddNoGoroutines(t *testing.T) {
 	}
 	// Every write executed and none acknowledged yet (the first commit is
 	// 20 ms away): the append windows are as full as they get.
-	for deadline := time.Now().Add(5 * time.Second); n.Stats().Mutations.Load() < issued+writers; time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d writes executed", n.Stats().Mutations.Load()-issued, writers)
-		}
-	}
+	waitMutations(t, n, issued+writers)
 	if grew := runtime.NumGoroutine() - before; grew > writers {
 		t.Errorf("%d writes in flight grew the process by %d goroutines: %d beyond the callers", writers, grew, grew-writers)
 	}

@@ -154,13 +154,14 @@ func readYourWritesGating(t *testing.T, window int) {
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 
 	ctx := context.Background()
+	base := n.Stats().Mutations.Load()
 	writeDone := make(chan time.Duration, 1)
 	writeIssued := time.Now()
 	go func() {
 		n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
 		writeDone <- time.Since(writeIssued)
 	}()
-	time.Sleep(2 * time.Millisecond) // let the write execute (not commit)
+	waitMutations(t, n, base+1) // executed, not yet committed
 	v, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("k")})
 	// Measured from the write's issue, not the read's: however late this
 	// goroutine was scheduled, a gated read cannot return before the
@@ -181,7 +182,7 @@ func readYourWritesGating(t *testing.T, window int) {
 	// A read of an unrelated key is NOT gated (key-level hazards).
 	n.Do(ctx, [][]byte{[]byte("SET"), []byte("other"), []byte("x")})
 	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v2")})
-	time.Sleep(2 * time.Millisecond)
+	waitMutations(t, n, base+3)
 	start := time.Now()
 	if _, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("other")}); err != nil {
 		t.Fatal(err)

@@ -173,6 +173,10 @@ type Node struct {
 	lease   *election.Lease
 	trk     *tracker.Tracker
 	stalled bool // upgrade protection tripped (§7.1)
+	frozen  bool // crashed (Freeze): the workloop parks at its next gate
+	// changed is closed, and replaced, at the node's next change of role
+	// or epoch, freeze, thaw, upgrade stall or stop (see Changed).
+	changed chan struct{}
 	// slotGate, when set by the cluster layer, admits or rejects client
 	// commands by slot (MOVED / CROSSSLOT / migration write block, §5.2).
 	slotGate func(name string, keys [][]byte, writing bool) (resp.Value, bool)
@@ -228,14 +232,6 @@ type Node struct {
 
 	// retryPol shapes transient-failure retries against the log service.
 	retryPol retry.Policy
-
-	// frozenCh gates the workloop while the node is "crashed": non-nil
-	// while frozen (the workloop parks on it at its next gate), nil while
-	// running. Closed and nilled by Thaw. Guarded by frozenMu —
-	// deliberately separate from mu, so freezing never contends with the
-	// serving paths it is about to halt.
-	frozenMu sync.Mutex
-	frozenCh chan struct{}
 
 	stopCtx context.Context
 	stopFn  context.CancelFunc
@@ -387,6 +383,7 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		clk:      cfg.Clock,
 		role:     election.RoleReplica,
+		changed:  make(chan struct{}),
 		trk:      tracker.New(0),
 		readGate: NewReadGate(0),
 		tasks:    make(chan *task, 4096),
@@ -480,6 +477,53 @@ func (n *Node) Stopped() bool { return n.stopCtx.Err() != nil }
 // the monitoring view of replica lag.
 func (n *Node) AppliedSeq() uint64 { return n.appliedSeq.Load() }
 
+// Changed returns a channel that is closed at the node's next change of
+// role or epoch, freeze, thaw, upgrade stall or stop. Take it before
+// reading the state it guards, then wait on it: a change in between
+// closes it, so no change is missed.
+func (n *Node) Changed() <-chan struct{} {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.changed
+}
+
+// changedLocked wakes every Changed waiter and arms a fresh channel for
+// the next change. n.mu held.
+func (n *Node) changedLocked() {
+	close(n.changed)
+	n.changed = make(chan struct{})
+}
+
+// WaitApplied blocks until the node has applied the log through seq. It
+// parks on the read gate linearizable replica reads use, so the apply path
+// pays nothing for it, and re-reads AppliedSeq once the gate releases. It
+// returns ErrStopped when the node stops, txlog.ErrUpgradeStall when
+// upgrade protection halts it short of seq (§7.1), and ctx's error when
+// ctx ends first.
+func (n *Node) WaitApplied(ctx context.Context, seq uint64) error {
+	released := make(chan bool, 1)
+	n.readGate.Park(seq, func(aborted bool) { released <- aborted })
+	for {
+		changed := n.Changed()
+		switch {
+		case n.AppliedSeq() >= seq:
+			return nil
+		case n.Stalled():
+			return txlog.ErrUpgradeStall
+		}
+		select {
+		case aborted := <-released:
+			if aborted {
+				return ErrStopped
+			}
+			released = nil
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
 // EngineVersion returns the engine version this node runs.
 func (n *Node) EngineVersion() uint32 { return n.cfg.EngineVersion }
 
@@ -497,6 +541,7 @@ func (n *Node) QueueDepth() int { return len(n.tasks) }
 func (n *Node) Stop() {
 	n.stopFn()
 	n.mu.Lock()
+	n.changedLocked()
 	trk := n.trk
 	n.mu.Unlock()
 	trk.Abort()
@@ -511,6 +556,7 @@ func (n *Node) setRole(role election.Role, epoch uint64) {
 	if epoch > n.epoch {
 		n.epoch = epoch
 	}
+	n.changedLocked()
 	n.mu.Unlock()
 	n.flight.Record(trace.EvRoleChange, epoch, role.String())
 	switch role {
@@ -535,48 +581,44 @@ func (n *Node) partitioned() bool {
 // crash produces). The node can then either be discarded and replaced by
 // a fresh process that resyncs from S3 + the log (cluster.Restart), or
 // thawed in place as a zombie that must be fenced (cluster.Resurrect).
-func (n *Node) Freeze() {
-	n.frozenMu.Lock()
-	if n.frozenCh == nil {
-		n.frozenCh = make(chan struct{})
-	}
-	n.frozenMu.Unlock()
-}
+func (n *Node) Freeze() { n.setFrozen(true) }
 
 // Thaw resumes a frozen node exactly where it stopped — the zombie case:
 // the stale process wakes believing whatever it believed at the kill
 // instant, and only the log's conditional-append fencing (plus its
 // expired lease) keeps it from acknowledging anything new.
-func (n *Node) Thaw() {
-	n.frozenMu.Lock()
-	if n.frozenCh != nil {
-		close(n.frozenCh)
-		n.frozenCh = nil
-	}
-	n.frozenMu.Unlock()
+func (n *Node) Thaw() { n.setFrozen(false) }
+
+// setFrozen sets the crash flag and wakes the gate and every other waiter.
+func (n *Node) setFrozen(frozen bool) {
+	n.mu.Lock()
+	n.frozen = frozen
+	n.changedLocked()
+	n.mu.Unlock()
 }
 
 // Frozen reports whether the node is currently crash-frozen.
 func (n *Node) Frozen() bool {
-	n.frozenMu.Lock()
-	defer n.frozenMu.Unlock()
-	return n.frozenCh != nil
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.frozen
 }
 
-// gate blocks while the node is frozen. It returns false when the node
-// was stopped (the crashed process is being torn down for replacement) —
-// callers must unwind without side effects; true means the node is live
-// (possibly thawed as a zombie) and execution may continue.
+// gate blocks while the node is frozen, waiting on its change signal. It
+// returns false when the node was stopped (the crashed process is being
+// torn down for replacement) — callers must unwind without side effects;
+// true means the node is live (possibly thawed as a zombie) and execution
+// may continue.
 func (n *Node) gate() bool {
 	for {
-		n.frozenMu.Lock()
-		ch := n.frozenCh
-		n.frozenMu.Unlock()
-		if ch == nil {
+		n.mu.Lock()
+		frozen, changed := n.frozen, n.changed
+		n.mu.Unlock()
+		if !frozen {
 			return n.stopCtx.Err() == nil
 		}
 		select {
-		case <-ch:
+		case <-changed:
 		case <-n.stopCtx.Done():
 			return false
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -89,16 +90,30 @@ var batchModes = []struct {
 	{"batch=1", unboundedWindow},
 }
 
+// waitChanged waits on n's change signal until cond holds, and reports
+// false if it does not within the deadline. cond reads what Changed
+// covers: role, epoch, freeze, upgrade stall, stop.
+func waitChanged(n *Node, within time.Duration, cond func() bool) bool {
+	deadline := time.NewTimer(within)
+	defer deadline.Stop()
+	for {
+		changed := n.Changed()
+		if cond() {
+			return true
+		}
+		select {
+		case <-changed:
+		case <-deadline.C:
+			return cond()
+		}
+	}
+}
+
 func waitRole(t *testing.T, n *Node, want election.Role, within time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		if n.Role() == want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !waitChanged(n, within, func() bool { return n.Role() == want }) {
+		t.Fatalf("node %s: role %v, want %v", n.ID(), n.Role(), want)
 	}
-	t.Fatalf("node %s: role %v, want %v", n.ID(), n.Role(), want)
 }
 
 func mustDo(t *testing.T, n *Node, args ...string) resp.Value {
@@ -147,24 +162,14 @@ func TestReplicaAppliesAndServesReads(t *testing.T) {
 	waitRole(t, replica, election.RoleReplica, time.Second)
 
 	mustDo(t, primary, "SET", "k", "v1")
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		v, err := replica.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("k")})
-		if err != nil {
-			t.Fatalf("replica read: %v", err)
-		}
-		if v.Text() == "v1" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never saw committed write; last = %v", v)
-		}
-		time.Sleep(2 * time.Millisecond)
+	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
+	v, err := replica.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("k")})
+	if err != nil || v.Text() != "v1" {
+		t.Fatalf("replica applied the committed write but reads %v (%v)", v, err)
 	}
 
 	// Writes on the replica are rejected.
-	v, err := replica.Do(context.Background(), [][]byte{[]byte("SET"), []byte("x"), []byte("y")})
+	v, err = replica.Do(context.Background(), [][]byte{[]byte("SET"), []byte("x"), []byte("y")})
 	if err != nil {
 		t.Fatalf("replica write: %v", err)
 	}
@@ -245,19 +250,10 @@ func TestRecoveryFromSnapshotAndLogSuffix(t *testing.T) {
 	// primary.
 	replica := testNode(t, "node-c", log, mgr)
 	waitRole(t, replica, election.RoleReplica, time.Second)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		v, err := replica.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("after-snap")})
-		if err != nil {
-			t.Fatalf("replica read: %v", err)
-		}
-		if v.Text() == "yes" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("restored replica never caught up")
-		}
-		time.Sleep(2 * time.Millisecond)
+	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
+	v, err := replica.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("after-snap")})
+	if err != nil || v.Text() != "yes" {
+		t.Fatalf("restored replica caught up but reads %v (%v)", v, err)
 	}
 	if replica.Stats().Snapshot().SnapshotRestores == 0 {
 		t.Fatal("replica did not restore from snapshot")
@@ -316,12 +312,10 @@ func TestUpgradeProtectionStallsOldReplica(t *testing.T) {
 
 	mustDo(t, newPrimary, "SET", "k", "v")
 
-	deadline := time.Now().Add(2 * time.Second)
-	for !oldReplica.Stalled() {
-		if time.Now().After(deadline) {
-			t.Fatal("old replica did not stall on newer-version stream")
-		}
-		time.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := oldReplica.WaitApplied(ctx, log.CommittedTail().Seq); !errors.Is(err, txlog.ErrUpgradeStall) {
+		t.Fatalf("waiting on the old replica to apply a newer-version stream: %v, want %v", err, txlog.ErrUpgradeStall)
 	}
 }
 
@@ -374,13 +368,9 @@ func TestUpgradeProtectionEntryCommittedBeforeStart(t *testing.T) {
 			}
 
 			old := start(t, cfg("old-engine", log, 2))
-			deadline := time.Now().Add(2 * time.Second)
-			for !old.Stalled() {
-				if time.Now().After(deadline) {
-					t.Fatalf("old replica did not stall (applied %d, newer-engine record at or before %d)",
-						old.AppliedSeq(), stallAt)
-				}
-				time.Sleep(2 * time.Millisecond)
+			if !waitChanged(old, 2*time.Second, old.Stalled) {
+				t.Fatalf("old replica did not stall (applied %d, newer-engine record at or before %d)",
+					old.AppliedSeq(), stallAt)
 			}
 			if _, ok := old.liveDB().Peek("k"); ok {
 				t.Fatal("old replica applied the newer-engine record")
@@ -398,5 +388,36 @@ func TestUpgradeProtectionEntryCommittedBeforeStart(t *testing.T) {
 				t.Fatalf("stalled replica campaigned: role %v, epoch %d -> %d", role, epoch, log.CurrentEpoch())
 			}
 		})
+	}
+}
+
+// TestWaitApplied: WaitApplied returns once the node applies the position
+// it waits for, ctx's error when ctx ends first, and ErrStopped when the
+// node stops.
+func TestWaitApplied(t *testing.T) {
+	svc := testService(t, netsim.Zero{})
+	log, _ := svc.CreateLog("shard-1")
+	primary := testNode(t, "node-a", log, nil)
+	waitRole(t, primary, election.RolePrimary, 2*time.Second)
+	replica := testNode(t, "node-b", log, nil)
+	mustDo(t, primary, "SET", "k", "v")
+	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
+
+	beyond := log.CommittedTail().Seq + 1000
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := replica.WaitApplied(ctx, beyond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WaitApplied past the tail with a 10ms context: %v, want %v", err, context.DeadlineExceeded)
+	}
+	done := make(chan error, 1)
+	go func() { done <- replica.WaitApplied(context.Background(), beyond) }()
+	replica.Stop()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("WaitApplied on a stopped node: %v, want %v", err, ErrStopped)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("WaitApplied did not return when the node stopped")
 	}
 }

@@ -41,7 +41,6 @@ type ReadGate struct {
 	watermark uint64
 	epoch     uint64
 	fenced    int64
-	stopped   bool
 }
 
 // NewReadGate returns a gate whose applied position starts at seq.
@@ -69,14 +68,9 @@ func (g *ReadGate) Advance(seq uint64) {
 func (g *ReadGate) Applied() uint64 { return g.trk.Committed() }
 
 // Stop aborts every parked read and makes future Parks abort
-// immediately. Used on role change and node shutdown so no read ever
+// immediately. Used on node shutdown so no read, nor WaitApplied, ever
 // waits on a feed that will not advance.
-func (g *ReadGate) Stop() {
-	g.mu.Lock()
-	g.stopped = true
-	g.mu.Unlock()
-	g.trk.Abort()
-}
+func (g *ReadGate) Stop() { g.trk.Abort() }
 
 // NoteFresh records a replica-local instant at which the tailer had
 // provably drained the log (TryNext returned "nothing more" with no

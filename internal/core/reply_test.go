@@ -17,8 +17,10 @@ import (
 	"memorydb/internal/txlog"
 )
 
-// waitFor polls cond (a counter or a role, never a sleep standing in for
-// one) and fails the test when it does not hold within two seconds.
+// waitFor polls cond — a counter, or a step that pumps simulated time —
+// and fails the test when it does not hold within two seconds. A wait on a
+// role, a freeze or a stall uses waitChanged, and one on an applied
+// position waitApplied: the node signals those.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(200 * time.Microsecond) {
@@ -26,6 +28,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
+}
+
+// waitMutations waits until n has executed want mutations in all: every
+// write counted is in the group-commit buffer or the log.
+func waitMutations(t *testing.T, n *Node, want int64) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d mutations to execute", want), func() bool { return n.Stats().Mutations.Load() >= want })
 }
 
 // heldNode returns a primary on which time passes only when the test says
@@ -128,7 +137,7 @@ func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
 				}
 				if outcome == "demote" {
 					expire()
-					waitFor(t, "the node to step down", func() bool { return n.Stats().Demotions.Load() > base.Demotions })
+					waitRole(t, n, election.RoleDemoted, 2*time.Second)
 				}
 				for i, s := range place.steps {
 					var v resp.Value
@@ -313,8 +322,8 @@ func BenchmarkNodeOpPath(b *testing.B) {
 	}
 	n.Start()
 	b.Cleanup(n.Stop)
-	for n.Role() != election.RolePrimary {
-		time.Sleep(time.Millisecond)
+	for changed := n.Changed(); n.Role() != election.RolePrimary; changed = n.Changed() {
+		<-changed
 	}
 	ctx := context.Background()
 	n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v")})

@@ -316,12 +316,9 @@ func TestReplicaTailerSurvivesLogOutage(t *testing.T) {
 
 func waitApplied(t *testing.T, n *Node, seq uint64, within time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		if n.AppliedSeq() >= seq {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	if err := n.WaitApplied(ctx, seq); err != nil {
+		t.Fatalf("node %s applied %d, want >= %d: %v", n.ID(), n.AppliedSeq(), seq, err)
 	}
-	t.Fatalf("node %s applied %d, want >= %d", n.ID(), n.AppliedSeq(), seq)
 }

@@ -251,6 +251,7 @@ func (n *Node) tail() {
 		n.mu.Lock()
 		if e.Epoch > n.epoch {
 			n.epoch = e.Epoch
+			n.changedLocked()
 		}
 		n.mu.Unlock()
 		l.observer.ObserveRenewal()
@@ -432,6 +433,7 @@ func (n *Node) applyEntry(e txlog.Entry) error {
 		case errors.Is(err, txlog.ErrUpgradeStall):
 			n.mu.Lock()
 			n.stalled = true
+			n.changedLocked()
 			n.mu.Unlock()
 		case errors.Is(err, txlog.ErrChecksumMismatch):
 			n.flight.Recordf(trace.EvAlarm, e.ID.Seq, "replica state diverged from the log: %v", err)

@@ -546,6 +546,7 @@ func (n *Node) demote() {
 	}
 	n.role = election.RoleDemoted
 	n.lease = nil
+	n.changedLocked()
 	trk := n.trk
 	epoch := n.epoch
 	n.mu.Unlock()

@@ -313,13 +313,7 @@ func TestReplicaApplyUnderConcurrentReads(t *testing.T) {
 			t.Fatalf("cross-slot batch: %v %v", v, err)
 		}
 	}
-	tail := log.CommittedTail().Seq
-	for deadline := time.Now().Add(2 * time.Second); replica.AppliedSeq() < tail; {
-		if time.Now().After(deadline) {
-			t.Fatalf("replica applied %d of %d", replica.AppliedSeq(), tail)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
 	close(stop)
 	wg.Wait()
 

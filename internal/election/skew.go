@@ -49,6 +49,9 @@ func (s *SkewedClock) Sleep(d time.Duration) { s.inner.Sleep(s.scale(d)) }
 // After fires after d of skewed time.
 func (s *SkewedClock) After(d time.Duration) <-chan time.Time { return s.inner.After(s.scale(d)) }
 
+// AfterFunc calls f after d of skewed time.
+func (s *SkewedClock) AfterFunc(d time.Duration, f func()) { s.inner.AfterFunc(s.scale(d), f) }
+
 func (s *SkewedClock) scale(d time.Duration) time.Duration {
 	if d <= 0 {
 		return d

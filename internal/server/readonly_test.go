@@ -37,21 +37,9 @@ func startReplicaServer(t *testing.T) (*Server, *core.Node, *core.Node) {
 		return n
 	}
 	primary := mk("n1")
-	deadline := time.Now().Add(3 * time.Second)
-	for primary.Role() != election.RolePrimary {
-		if time.Now().After(deadline) {
-			t.Fatal("node never became primary")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRole(t, primary, election.RolePrimary)
 	replica := mk("n2")
-	deadline = time.Now().Add(3 * time.Second)
-	for replica.Role() != election.RoleReplica {
-		if time.Now().After(deadline) {
-			t.Fatal("second node never became replica")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRole(t, replica, election.RoleReplica)
 	srv := New(Config{Addr: "127.0.0.1:0", Backend: NodeBackend{Node: replica}})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)

@@ -14,6 +14,19 @@ import (
 	"memorydb/internal/txlog"
 )
 
+// waitRole waits on n's change signal until it holds role want.
+func waitRole(t *testing.T, n *core.Node, want election.Role) {
+	t.Helper()
+	deadline := time.After(3 * time.Second)
+	for changed := n.Changed(); n.Role() != want; changed = n.Changed() {
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("node %s never became %v", n.ID(), want)
+		}
+	}
+}
+
 // startMemoryDBServer boots a single-node MemoryDB behind a TCP server.
 func startMemoryDBServer(t *testing.T) (*Server, *core.Node) {
 	t.Helper()
@@ -29,13 +42,7 @@ func startMemoryDBServer(t *testing.T) (*Server, *core.Node) {
 	}
 	n.Start()
 	t.Cleanup(n.Stop)
-	deadline := time.Now().Add(3 * time.Second)
-	for n.Role() != election.RolePrimary {
-		if time.Now().After(deadline) {
-			t.Fatal("node never became primary")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitRole(t, n, election.RolePrimary)
 	srv := New(Config{Addr: "127.0.0.1:0", Backend: NodeBackend{Node: n}})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)

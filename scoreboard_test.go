@@ -21,7 +21,7 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20321
+	ceilingNonTestLines = 20404
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 21
@@ -37,6 +37,15 @@ const (
 	// go statements in non-test internal/ code: each goroutine the program
 	// starts has an owner site, and a new one is a design change.
 	ceilingGoStatements = 13
+	// Sleeps of a fixed interval inside a for body in non-test code under
+	// internal/, cmd/ and examples/, outside internal/clock and
+	// internal/bench (see sleepPoll): a loop that sleeps and looks again is
+	// a poll, where a wait on a signal belongs. The three left pace on
+	// purpose: the slot drain between DEL batches
+	// (internal/cluster/resharding.go, §5.2), the baseline's model of
+	// Redis WAIT (internal/baseline/node.go) and the failover example's
+	// trickle of writes (examples/failover/main.go).
+	ceilingSleepPolls = 3
 )
 
 // allowUnnamed are paper mechanisms that only tests drive today, kept in
@@ -71,6 +80,10 @@ type scoreboard struct {
 	// for a func literal, the function that starts it.
 	goStatements []string
 	goOwners     []string
+	// sleepPolls lists "file:line" of each sleepPoll inside a for body in
+	// non-test code under internal/, cmd/ and examples/, outside
+	// internal/clock and internal/bench.
+	sleepPolls []string
 }
 
 // measureTree walks the non-test Go files under root, skipping what the go
@@ -119,6 +132,17 @@ func measureTree(t *testing.T, root string) scoreboard {
 		}
 		internal := strings.HasPrefix(dir, "internal/")
 		waitsOnWallClock := internal && !strings.HasPrefix(dir+"/", "internal/clock/") && !strings.HasPrefix(dir+"/", "internal/bench/")
+		pollsCount := waitsOnWallClock || strings.HasPrefix(dir+"/", "cmd/") || strings.HasPrefix(dir+"/", "examples/")
+		polled := make(map[*ast.CallExpr]bool) // a sleep in nested loops counts once
+		notePolls := func(body *ast.BlockStmt) {
+			ast.Inspect(body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && !polled[call] && sleepPoll(call) {
+					polled[call] = true
+					sb.sleepPolls = append(sb.sleepPolls, rel+":"+strconv.Itoa(fset.Position(call.Pos()).Line))
+				}
+				return true
+			})
+		}
 		declared := make(map[*ast.Ident]bool)
 		enclosing := "" // the FuncDecl being walked
 		note := func(owner string, id *ast.Ident) {
@@ -156,6 +180,14 @@ func measureTree(t *testing.T, root string) scoreboard {
 					(n.Sel.Name == "Sleep" || n.Sel.Name == "After") {
 					sb.wallClockWaits = append(sb.wallClockWaits, rel+":"+strconv.Itoa(fset.Position(n.Pos()).Line))
 				}
+			case *ast.ForStmt:
+				if pollsCount {
+					notePolls(n.Body)
+				}
+			case *ast.RangeStmt:
+				if pollsCount {
+					notePolls(n.Body)
+				}
 			case *ast.GoStmt:
 				if internal {
 					sb.goStatements = append(sb.goStatements, rel+":"+strconv.Itoa(fset.Position(n.Pos()).Line))
@@ -187,6 +219,30 @@ func measureTree(t *testing.T, root string) scoreboard {
 	}
 	sort.Strings(sb.unnamed)
 	return sb
+}
+
+// sleepPoll reports whether call is x.Sleep(d) with d a fixed interval:
+// literals and time's constants only. A retry's backoff (b.Sleep()), an
+// injected fault's delay (Sleep(d.Delay)) and a sampled network delay are
+// computed, and are not polls.
+func sleepPoll(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Sleep" && len(call.Args) == 1 && fixedInterval(call.Args[0])
+}
+
+func fixedInterval(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return true
+	case *ast.SelectorExpr:
+		pkg, ok := e.X.(*ast.Ident)
+		return ok && pkg.Name == "time"
+	case *ast.BinaryExpr:
+		return fixedInterval(e.X) && fixedInterval(e.Y)
+	case *ast.ParenExpr:
+		return fixedInterval(e.X)
+	}
+	return false
 }
 
 // structFields counts the fields of the named struct type declared in
@@ -244,6 +300,7 @@ func overCeilings(sb scoreboard, coreFields, clusterFields int) []string {
 	check("exported identifiers no non-test code names "+strings.Join(sb.unnamed, " "), len(sb.unnamed), ceilingUnnamedExports)
 	check("wall-clock waits outside internal/clock "+strings.Join(sb.wallClockWaits, " "), len(sb.wallClockWaits), ceilingWallClockWaits)
 	check("go statements in internal/ "+strings.Join(sb.goStatements, " "), len(sb.goStatements), ceilingGoStatements)
+	check("sleeps in a loop (polls) "+strings.Join(sb.sleepPolls, " "), len(sb.sleepPolls), ceilingSleepPolls)
 	for _, f := range sb.benchImporters {
 		out = append(out, f+" imports "+bannedImport+" (only root *_test.go files may)")
 	}
@@ -309,8 +366,8 @@ func TestScoreboard(t *testing.T) {
 	sb := measureTree(t, ".")
 	coreFields := structFields(t, filepath.Join("internal", "core"), "Config")
 	clusterFields := structFields(t, filepath.Join("internal", "cluster"), "Config")
-	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d unnamed exports, %d wall-clock waits, %d go statements",
-		sb.nonTestLines, coreFields, clusterFields, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements))
+	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d unnamed exports, %d wall-clock waits, %d go statements, sleep polls %v",
+		sb.nonTestLines, coreFields, clusterFields, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements), sb.sleepPolls)
 	for _, msg := range overCeilings(sb, coreFields, clusterFields) {
 		t.Error(msg)
 	}
@@ -327,8 +384,9 @@ func TestScoreboard(t *testing.T) {
 // tree with one line too many, a program that imports the capacity
 // model, an export only a test names, a wall-clock sleep and a go
 // statement, a go statement no "Who runs what" row names and a row no go
-// statement starts, and that it skips test files, benchmark/'s lines,
-// internal/clock's sleeps and goroutines started outside internal/.
+// statement starts, and a loop that polls on a fixed sleep, and that it
+// skips test files, benchmark/'s lines, internal/clock's sleeps,
+// goroutines started outside internal/ and computed sleeps in a loop.
 func TestScoreboardNegativeControl(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -347,9 +405,16 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		"type T struct{ Field int }\n\nfunc Used() { time.Sleep(0); go Used() }\n\nfunc (T) Unnamed() {}\n")
 	write("internal/a/a_test.go", "package a\n\nimport \"time\"\n\nvar _ = T{}.Unnamed\n\nfunc init() { time.Sleep(0); go Used() }\n")
 	write("internal/clock/c.go", "package clock\n\nimport \"time\"\n\nfunc Wait() { <-time.After(0) }\n")
+	write("examples/p/p.go", "package p\n\nimport \"time\"\n\n"+
+		"func Poll(ready func() bool, d time.Duration) {\n\tfor !ready() {\n\t\tfor range 2 {\n"+
+		"\t\t\ttime.Sleep(2 * time.Millisecond)\n\t\t}\n\t\ttime.Sleep(d)\n\t}\n\ttime.Sleep(1)\n}\n")
+	write("examples/p/p_test.go", "package p\n\nimport \"time\"\n\nfunc init() {\n\tfor {\n\t\ttime.Sleep(1)\n\t}\n}\n")
 	sb := measureTree(t, root)
-	if sb.nonTestLines != 5+9+5 {
-		t.Fatalf("counted %d lines, want 19 (main.go, a.go, c.go)", sb.nonTestLines)
+	if sb.nonTestLines != 5+9+5+13 {
+		t.Fatalf("counted %d lines, want 32 (main.go, a.go, c.go, p.go)", sb.nonTestLines)
+	}
+	if len(sb.sleepPolls) != 1 || sb.sleepPolls[0] != filepath.Join("examples", "p", "p.go")+":8" {
+		t.Fatalf("sleep polls = %v, want only examples/p/p.go:8", sb.sleepPolls)
 	}
 	if len(sb.benchImporters) != 1 || sb.benchImporters[0] != filepath.Join("cmd", "x", "main.go") {
 		t.Fatalf("importers = %v, want only cmd/x/main.go", sb.benchImporters)
@@ -387,6 +452,9 @@ func TestScoreboardNegativeControl(t *testing.T) {
 	for range ceilingGoStatements {
 		clean.goStatements = append(clean.goStatements, "g")
 	}
+	for range ceilingSleepPolls {
+		clean.sleepPolls = append(clean.sleepPolls, "p")
+	}
 	if msgs := overCeilings(clean, ceilingCoreConfigFields, ceilingClusterConfigFields); len(msgs) != 0 {
 		t.Fatalf("tree at its ceilings convicted: %v", msgs)
 	}
@@ -395,10 +463,12 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		func(sb *scoreboard) { sb.unnamed = append(sb.unnamed, "y") },
 		func(sb *scoreboard) { sb.wallClockWaits = append(sb.wallClockWaits, "z") },
 		func(sb *scoreboard) { sb.goStatements = append(sb.goStatements, "g") },
+		func(sb *scoreboard) { sb.sleepPolls = append(sb.sleepPolls, "p") },
 	} {
 		over := clean
 		over.unnamed = append([]string(nil), clean.unnamed...)
 		over.goStatements = append([]string(nil), clean.goStatements...)
+		over.sleepPolls = append([]string(nil), clean.sleepPolls...)
 		grow(&over)
 		if msgs := overCeilings(over, ceilingCoreConfigFields, ceilingClusterConfigFields); len(msgs) != 1 {
 			t.Fatalf("one over a ceiling: %v, want one violation", msgs)
