@@ -18,6 +18,7 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/cluster"
+	"memorydb/internal/engine"
 	"memorydb/internal/netsim"
 	"memorydb/internal/s3"
 	"memorydb/internal/server"
@@ -64,7 +65,7 @@ func main() {
 	mon := &cluster.Monitor{Cluster: c, Interval: 5 * time.Second}
 	go mon.Run(ctx)
 	for _, sh := range c.Shards() {
-		builder := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 2}
+		builder := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: engine.Version}
 		go builder.Run(ctx)
 		trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID, Interval: 10 * time.Second}
 		go trimmer.Run(ctx)

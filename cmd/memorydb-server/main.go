@@ -45,6 +45,7 @@ import (
 	"memorydb/internal/clock"
 	"memorydb/internal/core"
 	"memorydb/internal/election"
+	"memorydb/internal/engine"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 	"memorydb/internal/obs"
@@ -140,7 +141,7 @@ func main() {
 		if *deltaInterval > 0 || *trimInterval > 0 {
 			builder := &snapshot.Builder{
 				Manager: snaps, Log: logHandle, ShardID: "shard-0",
-				EngineVersion: 1,
+				EngineVersion: engine.Version,
 				DeltaInterval: uint64(*deltaInterval),
 				CompactEvery:  *compactEvery,
 				Faults:        faults,

@@ -17,7 +17,7 @@ import (
 // TestNodeKeepsNoArgumentBytes: a command's argument bytes are the
 // caller's again once Node.Do returns. The RESP reader hands each command
 // one buffer, so a view kept anywhere downstream — the store, the log
-// record, the tracker — would pin that buffer and see it change. Each
+// record, the hazard index — would pin that buffer and see it change. Each
 // write's argv is zeroed as soon as its call returns; later reads, and an
 // engine replaying the log, must still see the original bytes.
 func TestNodeKeepsNoArgumentBytes(t *testing.T) {

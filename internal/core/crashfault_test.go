@@ -13,6 +13,7 @@ import (
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
+	"memorydb/internal/obs"
 	"memorydb/internal/s3"
 	"memorydb/internal/snapshot"
 	"memorydb/internal/txlog"
@@ -254,5 +255,50 @@ func TestFrozenPrimaryDoesNotHoldTheLog(t *testing.T) {
 	}
 	if !a.Frozen() {
 		t.Fatal("the crashed primary thawed by itself")
+	}
+}
+
+// An injected transient failure at either gate between quorum and release
+// has nothing left to fail: the entry is durable. It is ignored, so a
+// release it hits is never stranded: the write's reply is delivered when
+// its own entry is answered for, once, and the next write's after it.
+func TestPostCommitErrorStrandsNoRelease(t *testing.T) {
+	for _, site := range []string{faultpoint.SiteFlushPost, faultpoint.SiteTrackerRelease} {
+		t.Run(site, func(t *testing.T) {
+			svc := testService(t, netsim.Fixed(time.Millisecond))
+			log, _ := svc.CreateLog("shard-1")
+			faults := faultpoint.New(1)
+			// No renewal falls inside the test: only the writes' own
+			// entries can answer for them.
+			n, err := NewNode(Config{NodeID: "node-a", ShardID: log.ShardID(), Log: log, Faults: faults,
+				Lease: 20 * time.Second, Backoff: 25 * time.Second, RenewEvery: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Start()
+			t.Cleanup(n.Stop)
+			waitRole(t, n, election.RolePrimary, 2*time.Second)
+			finished := n.Obs().Stage(obs.StageE2E).Count()
+
+			faults.Arm(site, faultpoint.Error, 0)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			for _, k := range []string{"k1", "k2"} {
+				v, err := n.Do(ctx, [][]byte{[]byte("SET"), []byte(k), []byte("v")})
+				if err != nil || v.Text() != "OK" {
+					t.Fatalf("SET %s = %v, %v; want OK", k, v, err)
+				}
+			}
+			if got := faults.Fired(site, faultpoint.Error); got != 1 {
+				t.Fatalf("%s fired %d Errors, want 1", site, got)
+			}
+			waitFor(t, "the log to answer for every issued entry", func() bool {
+				entries, _ := n.fifo()
+				return entries == 0
+			})
+			if got := n.Obs().Stage(obs.StageE2E).Count() - finished; got != 2 {
+				t.Fatalf("2 writes sent, %d replies delivered", got)
+			}
+		})
 	}
 }

@@ -29,14 +29,15 @@ func (n *Node) liveDB() *store.DB {
 	return db
 }
 
-// issuedSeq returns the sequencer tail, read on the workloop that owns it.
-func (n *Node) issuedSeq() uint64 {
-	var seq uint64
-	if n.run(context.Background(), func() error {
-		seq = n.lastIssued.Seq
+// fifo returns how many issued entries the node has yet to answer for and
+// how many gated reads they hold, read on the workloop that owns them.
+func (n *Node) fifo() (entries, reads int) {
+	n.run(context.Background(), func() error {
+		entries = len(n.issued)
+		for _, e := range n.issued {
+			reads += len(e.reads)
+		}
 		return nil
-	}) != nil {
-		return 0
-	}
-	return seq
+	})
+	return entries, reads
 }

@@ -4,11 +4,8 @@ import (
 	"errors"
 
 	"memorydb/internal/election"
-	"memorydb/internal/faultpoint"
 	"memorydb/internal/obs"
 	"memorydb/internal/resp"
-	"memorydb/internal/trace"
-	"memorydb/internal/tracker"
 	"memorydb/internal/txlog"
 )
 
@@ -20,21 +17,22 @@ import (
 // accumulates their effect records here; when the in-flight append
 // acknowledges — or a records/bytes cap is hit — the buffer is flushed as
 // ONE EntryData whose payload is the concatenation of every buffered
-// record, and a single tracker.Commit releases every reply gated on it.
+// record, and answering for that one entry releases every reply it holds.
 //
 // The workloop owns the one buffer and flushes it through the node's
 // sequencer (Node.sequence); at most MaxInflightAppends flushed entries
 // await quorum at once.
 //
 // Correctness invariants:
-//   - A task's reply is delivered exactly once, by whoever holds it: the
-//     buffer before the flush (a lost append or a demotion fails it),
-//     the flushed entry after (the tracker releases the entry once, on
-//     Commit or on Abort). A mutation's reply is thereby withheld until its
-//     covering entry commits.
-//   - Reads that observed a buffered-but-unflushed mutation gate on the
-//     batch itself (the workloop tracks the buffer's dirty-key set), so
-//     undurable data is never exposed even before a seq exists.
+//   - A task's reply is delivered exactly once, by the entry that holds it:
+//     the open one (the buffer) until the flush, then the same entry on
+//     the FIFO of issued appends, released once when the workloop answers
+//     for it, or failed once by a lost append or a demotion. A mutation's
+//     reply is thereby withheld until its covering entry commits.
+//   - A read that observed a write not yet answered for joins the entry
+//     that wrote it — the node's one hazard index names it, the open
+//     buffer included — so undurable data is never exposed, even before a
+//     seq exists.
 //   - A flush distinguishes fenced from transient failures: a transient
 //     error (service blip, below-quorum AZ set) re-enters the retry loop
 //     with every buffered reply still withheld, while a fenced append —
@@ -57,52 +55,18 @@ const (
 // groupCommit is the workloop-owned batching buffer. A buffered
 // task's reply is parked on the task itself (task.val).
 type groupCommit struct {
-	payload []byte  // concatenated effect records for the next entry
-	writes  []*task // the mutations behind them, one per record, in execution order
-	reads   []*task // reads/barriers gated on this batch
-	// dirty lists the keys the buffered mutations dirtied, repeats
-	// included, for the tracker and touchesAny. index is a set over
-	// dirty[:indexed], which touchesAny brings up to date when a read
-	// probes the buffer, so a buffer no read probes builds none.
-	dirty   []string
-	index   map[string]struct{}
-	indexed int
+	payload []byte // concatenated effect records for the next entry
+	// open is the data entry the buffer fills: the mutations behind the
+	// payload, one per record, in execution order, and the reads gated on
+	// them. Nil until the first mutation after a flush.
+	open *issuedEntry
 	// inflight counts the data appends in the FIFO of issued appends:
 	// flushed, not yet answered for.
 	inflight int
 }
 
 // pending reports whether the buffer holds anything to flush or gate on.
-func (g *groupCommit) pending() bool { return len(g.writes) > 0 }
-
-// touchesAny reports whether any of keys was dirtied by a buffered
-// mutation.
-func (g *groupCommit) touchesAny(keys [][]byte) bool {
-	if g.index == nil {
-		g.index = make(map[string]struct{}, len(g.dirty))
-	}
-	for _, d := range g.dirty[g.indexed:] {
-		g.index[d] = struct{}{}
-	}
-	g.indexed = len(g.dirty)
-	for _, k := range keys {
-		if _, ok := g.index[string(k)]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *groupCommit) reset() {
-	// The log entry owns the flushed payload now and the flushed entry the
-	// task lists; start fresh ones rather than reusing the backing arrays.
-	g.payload, g.writes, g.reads = nil, nil, nil
-	g.dirty = g.dirty[:0]
-	if g.indexed > 0 {
-		clear(g.index)
-		g.indexed = 0
-	}
-}
+func (g *groupCommit) pending() bool { return g.open != nil }
 
 // shouldFlush reports whether the buffer must be flushed now: a cap was
 // hit, or the append pipeline has room (flushing while the window is open
@@ -113,91 +77,143 @@ func (n *Node) shouldFlush() bool {
 	if !gc.pending() {
 		return false
 	}
-	return len(gc.writes) >= maxBatchRecords ||
+	return len(gc.open.writes) >= maxBatchRecords ||
 		len(gc.payload) >= maxBatchBytes ||
 		gc.inflight < n.cfg.MaxInflightAppends
 }
 
-// flushedEntry is one flushed batch from append to release: the holder of
-// its tasks' replies once they left the buffer. Two things happen to
-// it, each once: the log answers for it (committed) and the tracker lets
-// its replies go (released).
-type flushedEntry struct {
-	n      *Node
-	trk    *tracker.Tracker
-	p      *txlog.Pending
-	writes []*task // the batch's mutations, in execution order
-	reads  []*task // reads that observed one of them while it was buffered
-	// owner is the first traced write. The append and quorum intervals are
-	// shared by every reply in the batch, so one trace records them, and
-	// the entry carries that trace's context into the log so per-AZ acks
-	// and remote replica applies attach to the same tree. appendSpan is
-	// allocated up front — it must be on the entry before the append is
-	// issued, but the span itself is only emitted once the append returns.
-	owner      *taskSpan
-	appendSpan uint64
-	// Stage stamps (obs.Now nanos, 0 = not taken): the flush began, the
-	// append returned, the quorum acknowledged. ackAt is written by
-	// committed and read by released, both on the workloop; released finds
-	// it 0 when it ran first — the tracker aborted, or the checksum entry
-	// queued ahead of this one released it with its own commit.
-	flushStart, appendDone, ackAt int64
+// hazards is the node's one hazard index (§3.2): every key a write not yet
+// answered for dirtied, mapped to the ordinal (Node.entries) of the newest
+// entry that wrote it — the open buffer's included. The workloop owns it.
+type hazards struct {
+	m map[string]uint64
+	// newest is the highest ordinal m holds: once the entry at it is
+	// answered for, every key in m is stale.
+	newest uint64
 }
 
-// flushPending appends the buffered batch as one EntryData and hands
-// every buffered reply to the entry, gated on its commit. Returns false
-// when the append failed (the node demoted and all buffered replies were
-// failed).
+// note records that the entry at ord wrote keys. ord never falls: writes
+// only ever go to the open buffer.
+func (h *hazards) note(keys []string, ord uint64) {
+	if h.m == nil {
+		h.m = make(map[string]uint64)
+	}
+	for _, k := range keys {
+		h.m[k] = ord
+	}
+	if len(keys) > 0 {
+		h.newest = ord
+	}
+}
+
+// covering returns the newest ordinal any of keys was written at, 0 when
+// none of them is outstanding. A key whose entry was answered for — its
+// ordinal is below first — is stale, and the lookup that finds it drops it.
+// keys may be views of the read's arguments: the index keeps none of them.
+func (h *hazards) covering(keys [][]byte, first uint64) uint64 {
+	var ord uint64
+	for _, k := range keys {
+		if o, ok := h.m[string(k)]; ok && o < first {
+			delete(h.m, string(k))
+		} else if o > ord {
+			ord = o
+		}
+	}
+	return ord
+}
+
+// shed bounds the index once every entry below first has been answered
+// for: past 1 024 keys it drops the stale ones — wholesale when every one
+// is (the common case, a burst of writes all durable).
+func (h *hazards) shed(first uint64) {
+	if len(h.m) <= 1024 {
+		return
+	}
+	if h.newest < first {
+		clear(h.m)
+		return
+	}
+	for k, o := range h.m {
+		if o < first {
+			delete(h.m, k)
+		}
+	}
+}
+
+// cover returns the reads of the entry a read must wait for: the newest
+// one that wrote a key the read observed — reading everything, the newest
+// entry of all — where the open buffer counts as the newest. Nil when every
+// write the read can have observed has been answered for.
+func (n *Node) cover(keys [][]byte, all bool) *[]*task {
+	open, first := n.entries+1, n.unanswered()
+	ord := n.hazards.covering(keys, first)
+	if all {
+		ord = open
+		if !n.gc.pending() {
+			ord--
+		}
+	}
+	switch {
+	case ord < first:
+		return nil
+	case ord == open:
+		return &n.gc.open.reads
+	}
+	return &n.issued[ord-first].reads
+}
+
+// unanswered is the ordinal of the oldest entry not answered for: the
+// FIFO's head, or the open buffer's entry while the FIFO is empty.
+func (n *Node) unanswered() uint64 { return n.entries + 1 - uint64(len(n.issued)) }
+
+// flushPending appends the buffered batch as one EntryData: its entry,
+// with every buffered reply, joins the FIFO of issued appends. Returns
+// false when the append failed (the node demoted and all buffered replies
+// were failed).
 func (n *Node) flushPending() bool {
 	gc := &n.gc
 	if !gc.pending() {
 		return true
 	}
-	n.mu.Lock()
-	role := n.role
-	trk := n.trk
-	n.mu.Unlock()
-	if role != election.RolePrimary {
+	if n.Role() != election.RolePrimary {
 		// Demoted (or resyncing) with mutations still buffered: a stale
 		// writer must not append, and the replies were already promised an
 		// error by the demotion.
-		n.abortPending(errDemoted)
+		n.abortHeld(errDemoted)
 		return false
 	}
-	fe := &flushedEntry{n: n, trk: trk, writes: gc.writes, reads: gc.reads}
+	fe := gc.open
+	entry := txlog.Entry{Type: txlog.EntryData, Records: uint32(len(fe.writes)), Payload: gc.payload}
+	gc.open, gc.payload = nil, nil // the log entry owns the payload now
+	var flushStart int64
 	if n.obs != nil {
 		// Batch residency ends here: every buffered mutation waited from
 		// its engine execution until this flush began.
-		fe.flushStart = obs.Now()
+		flushStart = obs.Now()
 	}
 	for _, w := range fe.writes {
 		if w.execDone != 0 {
-			n.obs.Stage(obs.StageBatchWait).ObserveNanos(fe.flushStart - w.execDone)
-			if w.tr != nil {
-				w.tr.c.Emit(w.tr.sc, "batch_wait", n.cfg.NodeID, -1, w.execDone, fe.flushStart)
-			}
+			n.stage(obs.StageBatchWait, w.tr.ctx(), 0, w.execDone, flushStart)
 		}
-		if fe.owner == nil {
-			fe.owner = w.tr
+		if fe.owner.TraceID == 0 {
+			fe.owner = w.tr.ctx()
 		}
 	}
-	entry := txlog.Entry{Type: txlog.EntryData, Records: uint32(len(fe.writes)), Payload: gc.payload}
-	if fe.owner != nil {
-		fe.appendSpan = fe.owner.c.NewSpanID()
-		entry.TraceID = fe.owner.sc.TraceID
+	if fe.owner.TraceID != 0 {
+		fe.appendSpan = n.trace.NewSpanID()
+		entry.TraceID = fe.owner.TraceID
 		entry.TraceSpan = fe.appendSpan
 	}
-	var err error
-	if fe.p, err = n.sequence(entry, &n.stats.AppendsRetried); err != nil {
+	if err := n.sequence(entry, &n.stats.AppendsRetried, fe); err != nil {
 		// Transient failures were already absorbed by the retry loop
 		// (replies stayed withheld throughout); reaching here means the
 		// append is genuinely lost and the node has demoted. None of the
 		// buffered changes may be acknowledged or stay visible (§3.2);
 		// resync discards the un-logged local mutations.
 		if errors.Is(err, txlog.ErrConditionFailed) {
-			n.abortPending(errDemoted)
+			n.failEntry(fe, errDemoted)
 		} else {
-			n.abortPending(errLogDown)
+			n.failEntry(fe, errLogDown)
 		}
 		return false
 	}
@@ -205,77 +221,35 @@ func (n *Node) flushPending() bool {
 	n.stats.BatchedRecords.Add(int64(len(fe.writes)))
 	if n.obs != nil {
 		fe.appendDone = obs.Now()
-		n.obs.Stage(obs.StageAppend).ObserveNanos(fe.appendDone - fe.flushStart)
-		if fe.owner != nil {
-			fe.owner.c.EmitWithID(fe.appendSpan, fe.owner.sc, "append", n.cfg.NodeID, fe.flushStart, fe.appendDone)
-		}
+		n.stage(obs.StageAppend, fe.owner, fe.appendSpan, flushStart, fe.appendDone)
 	}
-	trk.RegisterWrite(fe.p.ID().Seq, gc.dirty, fe.released)
-	gc.reset()
 	gc.inflight++
-	n.onCommit(fe.p, fe.committed)
 	return true
 }
 
-// committed runs once the log has answered for the entry, with err nil
-// when it is quorum-durable.
-func (fe *flushedEntry) committed(err error) {
-	n := fe.n
-	if err == nil {
-		if fe.appendDone != 0 {
-			fe.ackAt = obs.Now()
-			n.obs.Stage(obs.StageQuorumWait).ObserveNanos(fe.ackAt - fe.appendDone)
-			if fe.owner != nil {
-				// Child of the append span, sibling of the per-AZ acks
-				// the log service emitted for the same entry.
-				fe.owner.c.Emit(trace.SpanContext{TraceID: fe.owner.sc.TraceID, SpanID: fe.appendSpan},
-					"quorum_wait", n.cfg.NodeID, -1, fe.appendDone, fe.ackAt)
-			}
-		}
-		// Two crash gates inside the committed-but-unacknowledged
-		// window: the entry is quorum-durable, but a kill at either
-		// point means no gated reply is ever delivered — the harness's
-		// "durable yet unacknowledged" case. On a checkpoint failure the
-		// commit is skipped but the inflight decrement below still runs,
-		// so a thawed zombie's append window is not wedged.
-		if n.checkpoint(faultpoint.SiteFlushPost) == nil &&
-			n.checkpoint(faultpoint.SiteTrackerRelease) == nil {
-			n.noteAZHealth(fe.p)
-			fe.trk.Commit(fe.p.ID().Seq)
-		}
+// abortHeld fails every reply the node withholds — the open buffer's and
+// every issued entry's — with errVal, and forgets every hazard: the node
+// lost the ability to commit (a lost append, a demotion), so
+// unacknowledged writes must not be exposed. The entries stay on the FIFO
+// until the log answers for them, releasing nothing.
+func (n *Node) abortHeld(errVal resp.Value) {
+	if n.gc.open != nil {
+		n.failEntry(n.gc.open, errVal)
+		n.gc.open, n.gc.payload = nil, nil
 	}
-	n.gc.inflight--
+	for _, e := range n.issued {
+		n.failEntry(e, errVal)
+	}
+	clear(n.hazards.m)
 }
 
-// released is the tracker's deliver for the entry: its Commit let the
-// replies go, or — aborted — the node lost the ability to commit and every
-// write and batch-gated read fails with errDemoted.
-func (fe *flushedEntry) released(aborted bool) {
-	n := fe.n
-	for _, w := range fe.writes {
-		if !aborted && fe.ackAt != 0 {
-			now := obs.Now()
-			n.obs.Stage(obs.StageTrackerRelease).ObserveNanos(now - fe.ackAt)
-			if w.tr != nil {
-				w.tr.c.Emit(w.tr.sc, "tracker_release", n.cfg.NodeID, -1, fe.ackAt, now)
-			}
-		}
-		n.release(w, aborted)
+// failEntry fails every reply e holds with errVal.
+func (n *Node) failEntry(e *issuedEntry, errVal resp.Value) {
+	for _, t := range e.writes {
+		n.fail(t, errVal)
 	}
-	for _, r := range fe.reads {
-		n.release(r, aborted)
+	for _, t := range e.reads {
+		n.fail(t, errVal)
 	}
-}
-
-// abortPending fails every reply parked in the buffer with errVal. Called
-// on flush failure and on demotion/resync while mutations were buffered.
-func (n *Node) abortPending(errVal resp.Value) {
-	gc := &n.gc
-	for _, w := range gc.writes {
-		n.reply(w, errVal)
-	}
-	for _, r := range gc.reads {
-		n.reply(r, errVal)
-	}
-	gc.reset()
+	e.writes, e.reads = nil, nil
 }

@@ -408,24 +408,3 @@ func TestTruncatedEntryFailsItsWriteAndDemotes(t *testing.T) {
 	waitFor(t, "the node to step down after the log dropped an entry it had issued",
 		func() bool { return n.Stats().Demotions.Load() > 0 })
 }
-
-// TestTouchesAnySeesLaterKeysAndForgetsAtReset: the buffered-key check
-// sees keys dirtied after a read last probed it, and forgets every key at
-// reset.
-func TestTouchesAnySeesLaterKeysAndForgetsAtReset(t *testing.T) {
-	var g groupCommit
-	key := func(i int) []byte { return []byte(fmt.Sprint("key", i)) }
-	for i := 0; i < 8; i++ {
-		g.dirty = append(g.dirty, string(key(i)))
-		for _, probe := range []int{0, i, i + 1} {
-			if got := g.touchesAny([][]byte{[]byte("other"), key(probe)}); got != (probe <= i) {
-				t.Fatalf("%d dirty keys: touchesAny(key%d) = %v", i+1, probe, got)
-			}
-		}
-	}
-	g.reset()
-	g.dirty = append(g.dirty, "fresh0")
-	if g.touchesAny([][]byte{key(0)}) || !g.touchesAny([][]byte{[]byte("fresh0")}) {
-		t.Fatal("touchesAny answered from keys flushed before the reset")
-	}
-}

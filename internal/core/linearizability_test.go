@@ -137,7 +137,7 @@ func linearizableAcrossFailover(t *testing.T, window int) {
 	}
 }
 
-// TestReadYourWritesGating exercises the tracker visibly: with a slow
+// TestReadYourWritesGating exercises read gating visibly: with a slow
 // commit, a read issued immediately after a write must not return before
 // the write is durable, and must observe it.
 func TestReadYourWritesGating(t *testing.T) {

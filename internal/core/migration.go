@@ -100,40 +100,23 @@ func (n *Node) SetSlotGate(gate func(name string, keys [][]byte, writing bool) (
 // runs on the workloop behind a flush, so a control entry never overtakes
 // the mutations buffered ahead of it.
 func (n *Node) AppendControl(ctx context.Context, typ txlog.EntryType, payload []byte) (txlog.EntryID, error) {
-	type result struct {
-		id  txlog.EntryID
-		err error
-	}
-	ch := make(chan result, 1)
+	answered := make(chan error, 1)
+	e := &issuedEntry{control: answered}
 	err := n.run(ctx, func() error {
 		// A flush failure demotes, so the role is read after it.
 		n.flushPending()
-		n.mu.Lock()
-		role := n.role
-		trk := n.trk
-		n.mu.Unlock()
-		if role != election.RolePrimary {
+		if n.Role() != election.RolePrimary {
 			return errNotPrimaryErr
 		}
-		p, err := n.sequence(txlog.Entry{Type: typ, Payload: payload}, &n.stats.AppendsRetried)
-		if err != nil {
-			// Fenced or retried out the lease: the sequencer stepped down.
-			return err
-		}
-		n.onCommit(p, func(err error) {
-			if err == nil {
-				trk.Commit(p.ID().Seq)
-			}
-			ch <- result{p.ID(), err}
-		})
-		return nil
+		// Fenced or retried out the lease: the sequencer stepped down.
+		return n.sequence(txlog.Entry{Type: typ, Payload: payload}, &n.stats.AppendsRetried, e)
 	})
 	if err != nil {
 		return txlog.ZeroID, err
 	}
 	select {
-	case r := <-ch:
-		return r.id, r.err
+	case err := <-answered:
+		return e.p.ID(), err
 	case <-ctx.Done():
 		return txlog.ZeroID, ctx.Err()
 	case <-n.stopCtx.Done():

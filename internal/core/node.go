@@ -2,10 +2,11 @@
 // engine whose replication stream is intercepted and redirected into the
 // durable multi-AZ transaction log (paper §3). A primary executes
 // mutations locally, appends their effects to the log, and withholds
-// client replies through the tracker until the log acknowledges
-// durability. Replicas tail the log and apply the same effects, giving an
-// eventually consistent copy that is always a prefix of the committed
-// history — which is what makes consistent failover possible (§4.1.2).
+// client replies on the log entries that carry them until the log
+// acknowledges durability. Replicas tail the log and apply the same
+// effects, giving an eventually consistent copy that is always a prefix of
+// the committed history — which is what makes consistent failover
+// possible (§4.1.2).
 package core
 
 import (
@@ -27,7 +28,6 @@ import (
 	"memorydb/internal/retry"
 	"memorydb/internal/snapshot"
 	"memorydb/internal/trace"
-	"memorydb/internal/tracker"
 	"memorydb/internal/txlog"
 )
 
@@ -171,7 +171,6 @@ type Node struct {
 	role    election.Role
 	epoch   uint64
 	lease   *election.Lease
-	trk     *tracker.Tracker
 	stalled bool // upgrade protection tripped (§7.1)
 	frozen  bool // crashed (Freeze): the workloop parks at its next gate
 	// changed is closed, and replaced, at the node's next change of role
@@ -194,16 +193,24 @@ type Node struct {
 	// migStream, when non-nil, mirrors effects touching the migrating slot.
 	migStream *MigrationStream
 	// Sequencer state (sequencer.go): the tail this node has issued
-	// appends through, and the running checksum over the data payloads
-	// this primary appended, chained from the value at its leadership
-	// claim and injected into the log every ChecksumEvery data entries
-	// (§7.2.1).
+	// appends through, the seq of the newest entry answered for (the
+	// durable watermark every append carries), and the running checksum
+	// over the data payloads this primary appended, chained from the value
+	// at its leadership claim and injected into the log every
+	// ChecksumEvery data entries (§7.2.1).
 	lastIssued      txlog.EntryID
+	durable         uint64
 	runningChecksum uint64
 	dataSinceSum    int
-	// issued is the FIFO of issued appends whose commit the node acts on,
-	// in issue order; the workloop waits on its head.
-	issued []completion
+	// issued is the FIFO of issued appends the node has yet to answer for,
+	// in issue order; the workloop waits on its head. entries counts every
+	// entry ever issued, so the FIFO holds ordinals entries-len(issued)+1
+	// through entries, and the open buffer's entry will be entries+1.
+	issued  []*issuedEntry
+	entries uint64
+	// hazards maps the keys of writes not yet answered for to their
+	// entries' ordinals (groupcommit.go).
+	hazards hazards
 	// applied is the log position the keyspace reflects, moved by the
 	// tailer and by the installs of promotion and resync. replay consumes
 	// every entry above it: resync seeds it from the restored snapshot's
@@ -238,8 +245,8 @@ type Node struct {
 	wg      sync.WaitGroup
 
 	stats Stats
-	// abortedReplies counts withheld replies a tracker abort failed; a
-	// step-down reports its share on the flight ring.
+	// abortedReplies counts withheld replies the node failed; a step-down
+	// reports its share on the flight ring.
 	abortedReplies atomic.Int64
 
 	// obs is the observability registry (nil when Config.NoObs). Histogram
@@ -384,7 +391,6 @@ func NewNode(cfg Config) (*Node, error) {
 		clk:      cfg.Clock,
 		role:     election.RoleReplica,
 		changed:  make(chan struct{}),
-		trk:      tracker.New(0),
 		readGate: NewReadGate(0),
 		tasks:    make(chan *task, 4096),
 		retryPol: retry.Policy{
@@ -537,14 +543,13 @@ func (n *Node) Start() {
 // QueueDepth returns how many tasks wait on the workloop (monitoring).
 func (n *Node) QueueDepth() int { return len(n.tasks) }
 
-// Stop terminates the node. Pending gated replies are aborted.
+// Stop terminates the node. Withheld replies are dropped with the
+// workloop: every caller waiting on one already returns ErrStopped.
 func (n *Node) Stop() {
 	n.stopFn()
 	n.mu.Lock()
 	n.changedLocked()
-	trk := n.trk
 	n.mu.Unlock()
-	trk.Abort()
 	n.readGate.Stop()
 	n.wg.Wait()
 }
@@ -647,6 +652,17 @@ func (n *Node) checkpoint(site string) error {
 		n.clk.Sleep(d.Delay)
 	case faultpoint.Error:
 		return txlog.ErrUnavailable
+	}
+	return nil
+}
+
+// postCommitGate is checkpoint at a site past an entry's commit: nothing
+// is left there for an injected transient failure to fail, so Error is
+// ignored, as Corrupt is everywhere, and the release goes ahead. It fails
+// only when the node was stopped while crashed there.
+func (n *Node) postCommitGate(site string) error {
+	if err := n.checkpoint(site); err == ErrStopped {
+		return err
 	}
 	return nil
 }

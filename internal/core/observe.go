@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"memorydb/internal/obs"
+	"memorydb/internal/trace"
 )
 
 // This file is the node side of the observability layer: stage-stamp
@@ -13,7 +14,8 @@ import (
 // and the INFO sections (# Latency, # Commandstats, # Slowlog).
 //
 // Stage stamps live on the task (enq/deq/execDone, obs.Now monotonic
-// nanos, 0 = unset) and on the flushed entry in groupcommit.go.
+// nanos, 0 = unset) and on the issued entry (sequencer.go); Node.stage
+// records each interval.
 // Everything here is gated on n.obs != nil so NoObs nodes pay one
 // pointer check per site.
 
@@ -36,19 +38,28 @@ func (n *Node) obsFinish(t *task) {
 // obsDequeued stamps a client task's dequeue and records its queue wait.
 func (n *Node) obsDequeued(t *task) {
 	t.deq = obs.Now()
-	n.obs.Stage(obs.StageQueueWait).ObserveNanos(t.deq - t.enq)
-	if t.tr != nil {
-		t.tr.c.Emit(t.tr.sc, "queue_wait", n.cfg.NodeID, -1, t.enq, t.deq)
-	}
+	n.stage(obs.StageQueueWait, t.tr.ctx(), 0, t.enq, t.deq)
 }
 
 // obsExecuted stamps engine-execution completion.
 func (n *Node) obsExecuted(t *task) {
 	t.execDone = obs.Now()
-	n.obs.Stage(obs.StageExecute).ObserveNanos(t.execDone - t.deq)
-	if t.tr != nil {
-		t.tr.c.Emit(t.tr.sc, "execute", n.cfg.NodeID, -1, t.deq, t.execDone)
+	n.stage(obs.StageExecute, t.tr.ctx(), 0, t.deq, t.execDone)
+}
+
+// stage records one stage interval, from and to in obs.Now nanos, into the
+// stage's histogram and — under a traced command's parent context — as
+// the span named after the stage. id is the span's pre-allocated ID, 0 for
+// a fresh one.
+func (n *Node) stage(s obs.Stage, parent trace.SpanContext, id uint64, from, to int64) {
+	n.obs.Stage(s).ObserveNanos(to - from)
+	if parent.TraceID == 0 {
+		return
 	}
+	if id == 0 {
+		id = n.trace.NewSpanID()
+	}
+	n.trace.EmitWithID(id, parent, s.String(), n.cfg.NodeID, from, to)
 }
 
 // registerCounters exposes every Stats field (plus log-service counters)

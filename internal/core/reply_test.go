@@ -99,10 +99,9 @@ func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
 	inflight := step{"SET {p}a 1", "OK", func(n *Node, b StatsView) bool { return n.Stats().BatchFlushes.Load() == b.BatchFlushes+1 }}
 	buffered := step{"SET {p}b 2", "OK", func(n *Node, b StatsView) bool { return n.Stats().Mutations.Load() == b.Mutations+2 }}
 	counted := func(n *Node, b StatsView) bool { return n.Stats().GatedReads.Load() == b.GatedReads+1 }
-	onTracker := func(n *Node, _ StatsView) bool { // beside the in-flight write's entry
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.trk.PendingCount() == 2
+	onFIFO := func(n *Node, _ StatsView) bool { // on the in-flight write's entry
+		_, reads := n.fifo()
+		return reads == 1
 	}
 	for _, place := range []struct {
 		name  string
@@ -110,8 +109,8 @@ func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
 	}{
 		{"buffered write", []step{inflight, buffered}},
 		{"read gated on the buffer", []step{inflight, buffered, {"GET {p}b", "2", counted}}},
-		{"read gated on a key hazard", []step{inflight, {"GET {p}a", "1", onTracker}}},
-		{"read gated on everything", []step{inflight, {"DBSIZE", "", onTracker}}},
+		{"read gated on a key hazard", []step{inflight, {"GET {p}a", "1", onFIFO}}},
+		{"read gated on everything", []step{inflight, {"DBSIZE", "", onFIFO}}},
 		{"barrier-shard mutation", []step{{"FLUSHALL", "OK", inflight.parked}}},
 	} {
 		for _, outcome := range []string{"commit", "demote"} {
@@ -211,10 +210,10 @@ func TestGatedReadsCountsWithheldReads(t *testing.T) {
 		return done
 	}
 	quiesce := func() {
-		n.mu.Lock()
-		trk := n.trk
-		n.mu.Unlock()
-		waitFor(t, "every issued entry to commit", func() bool { return trk.Committed() >= n.issuedSeq() })
+		waitFor(t, "every issued entry to be answered for", func() bool {
+			entries, _ := n.fifo()
+			return entries == 0
+		})
 	}
 
 	quiesce()
@@ -257,7 +256,7 @@ func TestGatedReadsCountsWithheldReads(t *testing.T) {
 }
 
 // TestNodeOpAllocations pins what one command costs the heap on the node
-// path — task, engine, group commit, log append, tracker, reply — on a
+// path — task, engine, group commit, log append, reply release — on a
 // zero-latency log. Process-wide Mallocs, so the node's background work
 // (a lease renewal or two) is in the count too.
 func TestNodeOpAllocations(t *testing.T) {
@@ -278,7 +277,7 @@ func TestNodeOpAllocations(t *testing.T) {
 		max  float64
 		ops  int
 	}{
-		{[][]byte{[]byte("SET"), []byte("k"), []byte("v")}, 13, 2000},
+		{[][]byte{[]byte("SET"), []byte("k"), []byte("v")}, 11, 2000},
 		{[][]byte{[]byte("GET"), []byte("k")}, 2.1, 2000},
 		// 500 of these are the stored buffers, one per key (1 045 per MSET
 		// before its keys were views and its key list a scan, 529 while a
@@ -301,10 +300,59 @@ func TestNodeOpAllocations(t *testing.T) {
 			t.Logf("%s: %.1f allocations per Node.Do", c.argv[0], per)
 		}
 	}
+
+	// A GET of a key whose SET is still in flight, 20 ms from durable: the
+	// read joins the SET's entry and is answered with it. Counted per pair;
+	// the SETs come from one caller goroutine, and no renewal falls inside.
+	svc = testService(t, netsim.Fixed(20*time.Millisecond))
+	log, _ = svc.CreateLog("shard-2")
+	gn, err := NewNode(Config{NodeID: "node-b", ShardID: log.ShardID(), Log: log,
+		Lease: 20 * time.Second, Backoff: 25 * time.Second, RenewEvery: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gn.Start()
+	t.Cleanup(gn.Stop)
+	waitRole(t, gn, election.RolePrimary, 2*time.Second)
+	set, get := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}, [][]byte{[]byte("GET"), []byte("k")}
+	sets, setDone := make(chan struct{}), make(chan struct{})
+	defer close(sets)
+	go func() {
+		for range sets {
+			gn.Do(ctx, set)
+			setDone <- struct{}{}
+		}
+	}()
+	pair := func() {
+		executed := gn.Stats().Mutations.Load() + 1
+		sets <- struct{}{}
+		for gn.Stats().Mutations.Load() < executed {
+			runtime.Gosched()
+		}
+		gn.Do(ctx, get)
+		<-setDone
+	}
+	const pairs, maxPair = 50, 28
+	pair()
+	gated := gn.Stats().GatedReads.Load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	if got := gn.Stats().GatedReads.Load() - gated; got != pairs {
+		t.Fatalf("%d of %d GETs gated on the SET in flight", got, pairs)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / pairs; per > maxPair {
+		t.Errorf("SET + gated GET: %.1f allocations per pair, want <= %d", per, maxPair)
+	} else {
+		t.Logf("SET + gated GET: %.1f allocations per pair", per)
+	}
 }
 
 // BenchmarkNodeOpPath measures the raw single-op path through the node
-// workloop (tracker + dispatch + engine), no commit latency — the fixed
+// workloop (dispatch + engine + reply release), no commit latency — the fixed
 // overhead MemoryDB adds over a bare engine call (engine's
 // BenchmarkEngineDispatch).
 func BenchmarkNodeOpPath(b *testing.B) {

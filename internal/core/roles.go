@@ -8,7 +8,6 @@ import (
 	"memorydb/internal/engine"
 	"memorydb/internal/retry"
 	"memorydb/internal/trace"
-	"memorydb/internal/tracker"
 	"memorydb/internal/txlog"
 )
 
@@ -292,8 +291,6 @@ func (n *Node) campaign(observedTail txlog.EntryID) bool {
 	n.mu.Lock()
 	n.lease = lease
 	n.epoch = lease.Epoch()
-	// Fresh tracker: the durable watermark starts at the claim entry.
-	n.trk = tracker.New(claimID.Seq)
 	n.mu.Unlock()
 	// The sequencer chains appends after the claim entry. The running
 	// checksum continues from the log's value at the claim (the claim is
@@ -320,15 +317,13 @@ func (n *Node) tick() {
 	n.life.timer = n.clk.After(n.cfg.RenewEvery)
 }
 
-// quarantine fails the replies buffered under the lost leadership now,
-// while the step-down is externally observable, then sits the deposed
-// primary out one full backoff window before it resyncs and rejoins. The
-// window guarantees failed writers see their errors while the node is
-// still demoted, never after it re-entered the fleet, and that a
-// caught-up successor has had time to claim leadership, so the rejoin
+// quarantine sits the deposed primary out one full backoff window before
+// it resyncs and rejoins. The step-down already failed every reply it
+// withheld; the window guarantees failed writers see their errors while
+// the node is still demoted, never after it re-entered the fleet, and that
+// a caught-up successor has had time to claim leadership, so the rejoin
 // replays the new regime's history rather than racing its election.
 func (n *Node) quarantine() {
-	n.abortPending(errDemoted)
 	n.enter(phaseQuarantine, n.cfg.Backoff)
 }
 
@@ -391,7 +386,6 @@ func (n *Node) resync() error {
 	n.installState(eng, applied, txlog.ZeroID, 0)
 	n.replay = replay
 	n.mu.Lock()
-	n.trk = tracker.New(applied.Seq)
 	n.stalled = false
 	n.mu.Unlock()
 	return nil
@@ -399,14 +393,12 @@ func (n *Node) resync() error {
 
 // installState replaces the node's engine state and/or log positions
 // (promotion installs positions; resync installs a rebuilt engine) in one
-// workloop step, so no command observes half of it. Any buffered,
-// never-logged mutations are discarded with errors — their clients must
-// see failures, not silence (the node demoted before the resync that
-// produced this install). issued and checksum reposition the sequencer:
-// the claim entry and the log's checksum there on promotion, zero on
-// resync.
+// workloop step, so no command observes half of it. It holds no withheld
+// reply: only a primary withholds any, and its step-down failed them.
+// issued and checksum reposition the sequencer: the claim entry — durable,
+// so the watermark starts there — and the log's checksum at it on
+// promotion, zero on resync.
 func (n *Node) installState(newEng *engine.Engine, newApplied, issued txlog.EntryID, checksum uint64) {
-	n.abortPending(errDemoted)
 	if newEng != nil {
 		n.eng = newEng
 	}
@@ -419,6 +411,7 @@ func (n *Node) installState(newEng *engine.Engine, newApplied, issued txlog.Entr
 	// observe a half-rebuilt store.
 	n.readGate.Advance(newApplied.Seq)
 	n.lastIssued = issued
+	n.durable = issued.Seq
 	n.runningChecksum = checksum
 	n.dataSinceSum = 0
 }

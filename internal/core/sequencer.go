@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"memorydb/internal/faultpoint"
+	"memorydb/internal/obs"
 	"memorydb/internal/trace"
-	"memorydb/internal/tracker"
 	"memorydb/internal/txlog"
 )
 
@@ -27,25 +27,24 @@ const (
 	retryMax  = 16 * time.Millisecond
 )
 
-// sequence appends e at the node's log tail. It stamps the writer's epoch,
-// engine version and committed watermark (so tailing replicas continuously
-// learn the primary's ack frontier), retries transient failures, advances
-// lastIssued, chains a data payload into the running checksum and — right
-// behind it, so the checksum entry is contiguous with the prefix it covers
-// — injects the EntryChecksum that payload made due (§7.2.1). A lost append — fenced by
+// sequence appends e at the node's log tail and puts it, as entry, on the
+// FIFO of issued appends. It stamps the writer's epoch, engine version and
+// durable watermark (so tailing replicas continuously learn the primary's
+// ack frontier), retries transient failures, advances lastIssued, chains a
+// data payload into the running checksum and — right behind it, so the
+// checksum entry is contiguous with the prefix it covers — injects the
+// EntryChecksum that payload made due (§7.2.1). A lost append — fenced by
 // another writer, or the lease-bounded retry deadline exhausted — is
 // counted, a fencing is recorded on the flight ring, and the node demotes
 // before the error returns: callers only fail the replies they hold, so
 // clients observe the error once the step-down is visible.
-func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, error) {
+func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64, entry *issuedEntry) error {
 	n.mu.Lock()
 	e.Epoch = n.epoch
-	trk := n.trk
 	n.mu.Unlock()
 	e.EngineVersion = n.cfg.EngineVersion
-	e.Watermark = trk.Committed()
+	e.Watermark = n.durable
 
-	var p, sum *txlog.Pending
 	var err error
 	if e.Type == txlog.EntryData {
 		// Crashed (and later stopped) or transiently failed at the head of
@@ -54,11 +53,15 @@ func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, e
 		err = n.checkpoint(faultpoint.SiteFlushPre)
 	}
 	if err == nil {
-		p, err = n.startAppendRetry(e, retried)
-		if err == nil && e.Type == txlog.EntryData {
+		entry.p, err = n.startAppendRetry(e, retried)
+	}
+	if err == nil {
+		n.issue(entry)
+		if e.Type == txlog.EntryData {
 			n.runningChecksum = txlog.ChainChecksum(n.runningChecksum, e.Payload)
 			n.dataSinceSum++
 			if n.cfg.ChecksumEvery > 0 && n.dataSinceSum >= n.cfg.ChecksumEvery {
+				var sum *txlog.Pending
 				sum, err = n.startAppendRetry(txlog.Entry{
 					Type:          txlog.EntryChecksum,
 					Epoch:         e.Epoch,
@@ -68,6 +71,7 @@ func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, e
 				}, &n.stats.AppendsRetried)
 				if err == nil {
 					n.dataSinceSum = 0
+					n.issue(&issuedEntry{p: sum})
 				}
 			}
 		}
@@ -80,77 +84,114 @@ func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64) (*txlog.Pending, e
 		}
 		n.demote()
 	}
-	if sum != nil {
-		n.commitWatermarkAsync(sum, trk)
-	}
-	if p == nil {
-		return nil, err
+	if entry.p == nil {
+		return err
 	}
 	// The entry itself landed; a failed checksum injection behind it has
-	// already demoted the node, which aborts whatever the caller gates on p.
-	return p, nil
+	// already demoted the node, which failed what the entry holds.
+	return nil
 }
 
-// commitWatermarkAsync advances the tracker's durable watermark once a
-// non-data entry commits, so reads gated at lastIssued are not stuck
-// behind control traffic.
-func (n *Node) commitWatermarkAsync(p *txlog.Pending, trk *tracker.Tracker) {
-	n.onCommit(p, func(err error) {
-		// Crash gate before the watermark advances: a kill here leaves
-		// the entry durable but every gated reply undelivered — clients
-		// time out and must treat the write as ambiguous.
-		if err != nil || n.checkpoint(faultpoint.SiteTrackerRelease) != nil {
-			return
-		}
-		n.noteAZHealth(p)
-		trk.Commit(p.ID().Seq)
-	})
+// issuedEntry is one append on the FIFO of issued appends, from issue
+// until the log answers for it, and the holder of the replies that answer
+// releases: a data entry's writes, and the reads gated on any entry.
+type issuedEntry struct {
+	p      *txlog.Pending
+	data   bool    // a group-commit flush: counted in groupCommit.inflight
+	writes []*task // a data entry's mutations, in execution order
+	reads  []*task // reads that observed one of them, or gated on everything
+	// control, set by AppendControl, hears the log's answer.
+	control chan<- error
+	// owner is the first traced write's span context. The append and quorum
+	// intervals are shared by every reply in the batch, so one trace
+	// records them, and the entry carries that trace's context into the log
+	// so per-AZ acks and remote replica applies attach to the same tree.
+	// appendSpan is allocated up front — it must be on the entry before the
+	// append is issued, but the span itself is only emitted once the append
+	// returns, at appendDone (obs.Now nanos, 0 = not taken).
+	owner      trace.SpanContext
+	appendSpan uint64
+	appendDone int64
 }
 
-// completion is one issued append and what the node does once the log has
-// answered for it: err is nil when the entry committed, the log's reason
-// when it never will.
-type completion struct {
-	p    *txlog.Pending
-	then func(err error)
-}
-
-// onCommit queues then behind p on the FIFO of issued appends. The
+// issue puts e, whose append was just issued, at the tail of the FIFO. The
 // workloop waits on the head's Done beside its tasks and timers.
-func (n *Node) onCommit(p *txlog.Pending, then func(err error)) {
-	n.issued = append(n.issued, completion{p, then})
+func (n *Node) issue(e *issuedEntry) {
+	n.issued = append(n.issued, e)
+	n.entries++
 }
 
 // runCompleted is the acknowledgement side of the sequencer: appends are
 // issued in order and the log commits in order, so it takes every head of
-// the FIFO the log has answered for, in issue order, and runs what its
-// issuer queued — stage stamps, the crash gates between quorum and
-// release, tracker.Commit. It is node code on the node's goroutine on
-// purpose: checkpoint parks while the node is frozen, which must stall
-// this node's acknowledgements and nothing else — run on the log's
-// committer it would stop the log for every other node, the successor's
-// election claim included. A log error (the entry was truncated from a
-// torn tail, or the log destroyed) means nothing gated on the entry may
-// ever be acknowledged: the node steps down, which fails every withheld
-// reply.
+// the FIFO the log has answered for, in issue order, and answers for it. It
+// is node code on the node's goroutine on purpose: checkpoint parks while
+// the node is frozen, which must stall this node's acknowledgements and
+// nothing else — run on the log's committer it would stop the log for
+// every other node, the successor's election claim included. A log error
+// (the entry was truncated from a torn tail, or the log destroyed) means
+// nothing gated on the entry may ever be acknowledged: the node steps
+// down, which fails every withheld reply, the entry's own included.
 func (n *Node) runCompleted() {
 	for len(n.issued) > 0 {
-		c := n.issued[0]
+		e := n.issued[0]
 		select {
-		case <-c.p.Done():
+		case <-e.p.Done():
 		default:
 			return
 		}
-		n.issued = slices.Delete(n.issued, 0, 1)
-		_, err := c.p.Wait(n.stopCtx)
+		_, err := e.p.Wait(n.stopCtx)
 		if n.stopCtx.Err() != nil {
 			return
 		}
 		if err != nil {
-			n.flight.Recordf(trace.EvAlarm, c.p.ID().Seq, "log gave up an issued entry: %v", err)
+			n.flight.Recordf(trace.EvAlarm, e.p.ID().Seq, "log gave up an issued entry: %v", err)
 			n.demote()
 		}
-		c.then(err)
+		n.issued = slices.Delete(n.issued, 0, 1)
+		n.answer(e, err)
+	}
+}
+
+// answer acts on the log's answer for e, the head just taken off the FIFO:
+// err is nil when the entry committed. A committed entry advances the
+// durable watermark and releases every reply it holds; between quorum and
+// release lie the crash gates of the committed-but-unacknowledged window.
+func (n *Node) answer(e *issuedEntry, err error) {
+	if e.data {
+		n.gc.inflight--
+	}
+	if err == nil {
+		var ackAt int64
+		if e.appendDone != 0 {
+			ackAt = obs.Now()
+			// Child of the append span, sibling of the per-AZ acks the log
+			// service emitted for the same entry.
+			n.stage(obs.StageQuorumWait, trace.SpanContext{TraceID: e.owner.TraceID, SpanID: e.appendSpan}, 0, e.appendDone, ackAt)
+		}
+		// A kill at either gate leaves the entry quorum-durable with no
+		// reply ever delivered — the harness's "durable yet
+		// unacknowledged" case. A control entry's waiter passes neither.
+		if (e.data && n.postCommitGate(faultpoint.SiteFlushPost) != nil) ||
+			(e.control == nil && n.postCommitGate(faultpoint.SiteTrackerRelease) != nil) {
+			return
+		}
+		n.noteAZHealth(e.p)
+		// An entry from a lost leadership may be answered after the claim
+		// that set the watermark.
+		n.durable = max(n.durable, e.p.ID().Seq)
+		for _, w := range e.writes {
+			if ackAt != 0 {
+				n.stage(obs.StageTrackerRelease, w.tr.ctx(), 0, ackAt, obs.Now())
+			}
+			n.reply(w, w.val)
+		}
+		for _, r := range e.reads {
+			n.reply(r, r.val)
+		}
+		n.hazards.shed(n.unanswered())
+	}
+	if e.control != nil {
+		e.control <- err
 	}
 }
 

@@ -9,20 +9,27 @@ import (
 // This file is the node side of cross-node causal tracing: adopting (or
 // minting) a span context at submit; Node.reply finishes the task's root
 // span when the reply is delivered — for a mutation that is after the
-// tracker released it, so the span covers the full submit→durable→reply
-// interval. Stage child spans are emitted next to
-// the existing obs stage stamps (observe.go, groupcommit.go), reusing
-// the timestamps already taken there; the group-commit flush stamps the
-// context onto the txlog entry so AZ acks and remote replica applies
-// join the same tree.
+// workloop answered for its entry, so the span covers the full
+// submit→durable→reply interval. Stage child spans are emitted with the
+// obs stage stamps (Node.stage), reusing the timestamps taken there; the
+// group-commit flush stamps the context onto the txlog entry so AZ acks
+// and remote replica applies join the same tree.
 
 // taskSpan is a sampled task's tracing state. Tasks that miss the
 // sampling coin carry a nil *taskSpan, so the unsampled hot path costs
 // one pointer check per site.
 type taskSpan struct {
-	c    *trace.Collector
 	sc   trace.SpanContext // the task's node-level span; children attach here
 	root trace.Span        // started at submit, finished at reply delivery
+}
+
+// ctx is the span context a task's stages attach under: zero, which
+// records no span, when the task is not traced.
+func (ts *taskSpan) ctx() trace.SpanContext {
+	if ts == nil {
+		return trace.SpanContext{}
+	}
+	return ts.sc
 }
 
 // traceStart attaches tracing state to a task at submit: it adopts the
@@ -46,7 +53,7 @@ func (n *Node) traceStart(ctx context.Context, t *task) {
 	} else {
 		name = "cmd:" + t.name // a batch, INFO, WAIT or an unknown command
 	}
-	ts := &taskSpan{c: n.trace}
+	ts := &taskSpan{}
 	if fromCtx {
 		ts.root = n.trace.Child(sc, name, n.cfg.NodeID)
 	} else {

@@ -198,9 +198,9 @@ func (n *Node) workloop() {
 }
 
 // reply delivers a client task's reply — exactly once per task, by whoever
-// holds it: the handler, the group-commit buffer or the flushed entry. For a
-// mutation that is after the tracker released it, so the latency observed
-// and the root span cover submit → durable → reply.
+// holds it: the handler or the entry the reply waits on. For a mutation
+// that is after the workloop answered for its entry, so the latency
+// observed and the root span cover submit → durable → reply.
 func (n *Node) reply(t *task, v resp.Value) {
 	if t.done == nil {
 		return
@@ -209,20 +209,18 @@ func (n *Node) reply(t *task, v resp.Value) {
 		n.obsFinish(t)
 	}
 	if t.tr != nil {
-		t.tr.c.Finish(t.tr.root)
+		n.trace.Finish(t.tr.root)
 	}
 	t.val = v
 	t.done <- struct{}{}
 }
 
-// release delivers a withheld reply: the value parked on the task once its
-// covering entry committed, errDemoted when it never will.
-func (n *Node) release(t *task, aborted bool) {
-	if !aborted {
-		n.reply(t, t.val)
-	} else if t.done != nil { // the sweep's task holds no reply to fail
+// fail delivers errVal in place of a withheld reply whose entry will never
+// be answered for, and counts it.
+func (n *Node) fail(t *task, errVal resp.Value) {
+	if t.done != nil { // the sweep's task holds no reply to fail
 		n.abortedReplies.Add(1)
-		n.reply(t, errDemoted)
+		n.reply(t, errVal)
 	}
 }
 
@@ -269,7 +267,6 @@ func (n *Node) handleClient(t *task) {
 	n.mu.Lock()
 	role := n.role
 	lease := n.lease
-	trk := n.trk
 	stalled := n.stalled
 	gate := n.slotGate
 	n.mu.Unlock()
@@ -285,7 +282,6 @@ func (n *Node) handleClient(t *task) {
 		if lease == nil || !lease.Valid() {
 			// A primary that cannot renew voluntarily stops servicing
 			// reads and writes at the end of its lease (§4.1.3).
-			n.abortPending(errDemoted)
 			n.demote()
 			n.reply(t, errDemoted)
 			return
@@ -354,27 +350,16 @@ func (n *Node) handleClient(t *task) {
 	if gateAll {
 		n.stats.BarrierOps.Add(1)
 	}
-	// A mutation the read observed may still sit in the group-commit buffer
-	// (no log seq yet): the read then joins the batch and is released with
-	// it. Otherwise the tracker says which issued entry covers it, if any.
-	buffered := n.gc.pending() && (gateAll || n.gc.touchesAny(t.keys))
-	var seq uint64
-	if !buffered {
-		if gateAll {
-			seq = n.lastIssued.Seq
-		}
-		if seq = trk.Covering(seq, t.keys); seq == 0 {
-			n.reply(t, res.Reply)
-			return
-		}
+	// The read joins the entry whose answer covers it — the buffer's, if a
+	// mutation it observed has no log seq yet.
+	held := n.cover(t.keys, gateAll)
+	if held == nil {
+		n.reply(t, res.Reply)
+		return
 	}
 	t.val = res.Reply
 	n.stats.GatedReads.Add(1)
-	if buffered {
-		n.gc.reads = append(n.gc.reads, t)
-	} else {
-		trk.RegisterWrite(seq, nil, func(aborted bool) { n.release(t, aborted) })
-	}
+	*held = append(*held, t)
 }
 
 // logMutation parks an executed mutation in the group-commit buffer — its
@@ -396,8 +381,11 @@ func (n *Node) logMutation(t *task, res engine.Result) {
 		gc.payload = append(gc.payload, res.Effects...)
 	}
 	t.val = res.Reply
-	gc.writes = append(gc.writes, t)
-	gc.dirty = append(gc.dirty, res.Keys...)
+	if gc.open == nil {
+		gc.open = &issuedEntry{data: true}
+	}
+	gc.open.writes = append(gc.open.writes, t)
+	n.hazards.note(res.Keys, n.entries+1)
 	if n.shouldFlush() {
 		n.flushPending()
 	}
@@ -482,13 +470,11 @@ func (n *Node) renew() {
 	role := n.role
 	lease := n.lease
 	epoch := n.epoch
-	trk := n.trk
 	n.mu.Unlock()
 	if role != election.RolePrimary || lease == nil {
 		return
 	}
 	if !lease.Valid() {
-		n.abortPending(errDemoted)
 		n.demote()
 		return
 	}
@@ -506,15 +492,12 @@ func (n *Node) renew() {
 	}
 	r := election.Renewal{NodeID: n.cfg.NodeID, Epoch: epoch, LeaseMs: n.cfg.Lease.Milliseconds()}
 	issued := n.clk.Now()
-	p, err := n.sequence(txlog.Entry{Type: txlog.EntryLease, Payload: election.EncodeRenewal(r)}, &n.stats.RenewalsRetried)
-	if err != nil {
+	if n.sequence(txlog.Entry{Type: txlog.EntryLease, Payload: election.EncodeRenewal(r)}, &n.stats.RenewalsRetried, &issuedEntry{}) != nil {
 		// Fenced by another writer, or the lease expired while the retry
 		// loop was absorbing an outage: the sequencer stepped down.
-		n.abortPending(errDemoted)
 		return
 	}
 	lease.Renewed(issued)
-	n.commitWatermarkAsync(p, trk)
 }
 
 // sweep runs one active-expiry cycle on the primary, replicating
@@ -535,9 +518,10 @@ func (n *Node) sweep() {
 // sweepLimit caps the keys one active-expiry cycle reaps.
 const sweepLimit = 32
 
-// demote moves a primary to the demoted role and sets roleChanged: at the
-// end of the turn the workloop quarantines it, and it resyncs and rejoins
-// as a replica (roles.go). Workloop only.
+// demote moves a primary to the demoted role, fails every reply it
+// withholds, and sets roleChanged: at the end of the turn the workloop
+// quarantines it, and it resyncs and rejoins as a replica (roles.go).
+// Workloop only.
 func (n *Node) demote() {
 	n.mu.Lock()
 	if n.role != election.RolePrimary {
@@ -547,11 +531,10 @@ func (n *Node) demote() {
 	n.role = election.RoleDemoted
 	n.lease = nil
 	n.changedLocked()
-	trk := n.trk
 	epoch := n.epoch
 	n.mu.Unlock()
 	failed := n.abortedReplies.Load()
-	trk.Abort()
+	n.abortHeld(errDemoted)
 	if failed = n.abortedReplies.Load() - failed; failed > 0 {
 		n.flight.Recordf(trace.EvAbort, uint64(failed), "aborted %d gated replies on step-down", failed)
 	}

@@ -112,8 +112,9 @@ const (
 	// before any reply is released — the committed-but-unacknowledged
 	// window.
 	SiteFlushPost = "core.flush.post"
-	// SiteTrackerRelease fires immediately before the tracker releases
-	// gated replies for a committed entry.
+	// SiteTrackerRelease fires immediately before the workloop releases
+	// the replies a committed entry holds. An Error at it, or at
+	// SiteFlushPost, has nothing left to fail and is ignored.
 	SiteTrackerRelease = "core.tracker.release"
 	// SiteRenew fires before a lease-renewal append.
 	SiteRenew = "core.renew"

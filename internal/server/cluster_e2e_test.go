@@ -41,7 +41,7 @@ func startClusterServer(t *testing.T) (*Server, *cluster.Cluster) {
 }
 
 // TestClusterEndToEndOverTCP drives the full stack — TCP, RESP, routing,
-// node, tracker, log — from a plain client connection.
+// node, group commit, log — from a plain client connection.
 func TestClusterEndToEndOverTCP(t *testing.T) {
 	srv, _ := startClusterServer(t)
 	c := dial(t, srv.Addr().String())

@@ -1,39 +1,28 @@
-// Package tracker implements MemoryDB's client-blocking layer (paper
-// §3.2). Because MemoryDB uses write-behind logging, a mutation executes
-// on the primary before it is durable; its reply is stored here until the
-// transaction log acknowledges persistence. Non-mutating operations run
-// immediately but must consult the tracker: if a key they read was
-// modified by a not-yet-persisted operation, their reply is delayed until
-// every covering log write commits. Hazards are detected at the key level.
+// Package tracker is a sequence gate: waiters park at a log seq and are
+// delivered, in seq order, once a watermark reaches it. A replica's read
+// gate parks linearizable reads on one until the applied position covers
+// the committed tail they captured (paper §3.2's consistent replica
+// reads). The primary's client-blocking layer does not use it: its
+// workloop releases each reply from the log entry that carries it.
 package tracker
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
-// Tracker gates replies on transaction log commit progress. It is safe
-// for concurrent use: a node's workloop registers writes and reads and
-// reports commits, while a stopping node aborts it, and a replica's read
-// gate parks reads on it, from other goroutines.
+// Tracker gates deliveries on a watermark over log seqs. It is safe for
+// concurrent use: reads park on it from their connections' goroutines
+// while the workloop advances it and a stopping node aborts it.
 type Tracker struct {
 	mu sync.Mutex
-	// hazards maps key -> highest pending log seq that mutated it, and
-	// newest is the highest seq any hazard holds: once it is durable, every
-	// hazard is stale.
-	hazards map[string]uint64
-	newest  uint64
-	// pending holds gated deliveries — a log entry's replies, or one read's
-	// — in ascending seq order (seqs are assigned monotonically by the log,
-	// so appends keep it sorted).
+	// pending holds gated deliveries in ascending seq order, equal seqs in
+	// registration order.
 	pending []gated
 	// spare is the array pending does not occupy: Commit moves what stays
 	// gated there and swaps the two, so a steady register/commit cycle
 	// allocates nothing. Nil while a Commit still delivers out of it, outside
 	// mu: a racing registration must not overwrite an undelivered entry.
 	spare []gated
-	// committed is the durable watermark: every seq <= committed has been
-	// acknowledged by the log.
+	// committed is the watermark: every seq <= committed has been
+	// reached.
 	committed uint64
 	aborted   bool
 }
@@ -43,64 +32,26 @@ type gated struct {
 	deliver func(aborted bool)
 }
 
-// New returns an empty tracker with the durable watermark at start
-// (usually the log's committed tail when the node became primary).
+// New returns an empty tracker with the watermark at start.
 func New(start uint64) *Tracker {
-	return &Tracker{hazards: make(map[string]uint64), committed: start}
+	return &Tracker{committed: start}
 }
 
-// RegisterWrite records that the log entry at seq touched keys, and gates
-// deliver until seq commits. deliver is invoked exactly once —
-// immediately if seq is somehow already durable, else on Commit or Abort
-// (aborted=true means the entry never became durable and the client must
-// see an error, not the buffered reply). A read waits the same way, with
-// no keys, at the seq Covering gave it.
+// RegisterWrite gates deliver until seq is reached. deliver is invoked
+// exactly once — immediately if seq already is, else on Commit or Abort
+// (aborted=true means seq was never reached and the waiter must see an
+// error, not success). keys is unused: it names what the waiter wrote,
+// for callers that register a log entry's replies.
 func (t *Tracker) RegisterWrite(seq uint64, keys []string, deliver func(aborted bool)) {
 	t.mu.Lock()
-	if !t.aborted {
-		for _, k := range keys {
-			if t.hazards[k] < seq {
-				t.hazards[k] = seq
-			}
-		}
-		if len(keys) > 0 {
-			t.newest = max(t.newest, seq)
-		}
-		if seq > t.committed {
-			t.insertLocked(gated{seq: seq, deliver: deliver})
-			t.mu.Unlock()
-			return
-		}
+	if !t.aborted && seq > t.committed {
+		t.insertLocked(gated{seq: seq, deliver: deliver})
+		t.mu.Unlock()
+		return
 	}
 	aborted := t.aborted
 	t.mu.Unlock()
 	deliver(aborted)
-}
-
-// Covering returns the seq a read must wait for: the highest one not yet
-// durable among seq itself (the sequencer tail for a read of the whole
-// keyspace, 0 for a keyed read) and the writes registered on keys — 0 when
-// everything the read can have observed is durable. An aborted tracker
-// cannot say that of anything: it answers with a seq that never commits,
-// so registering the read at it fails the read. keys may be views of the
-// read's arguments: the tracker keeps none of them.
-func (t *Tracker) Covering(seq uint64, keys [][]byte) uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.aborted {
-		return math.MaxUint64
-	}
-	for _, k := range keys {
-		if h, ok := t.hazards[string(k)]; ok && h <= t.committed {
-			delete(t.hazards, string(k)) // lazily clear stale hazards
-		} else if h > seq {
-			seq = h
-		}
-	}
-	if seq <= t.committed {
-		return 0
-	}
-	return seq
 }
 
 // insertLocked keeps pending sorted by seq. Appends are the common case;
@@ -115,9 +66,9 @@ func (t *Tracker) insertLocked(g gated) {
 	t.pending[i] = g
 }
 
-// Commit advances the durable watermark to seq (the log commits in order,
-// so acknowledgement of seq implies everything below it) and delivers all
-// replies gated at or below it.
+// Commit advances the watermark to seq (the log commits and a replica
+// applies in order, so reaching seq implies everything below it) and
+// delivers every waiter gated at or below it.
 func (t *Tracker) Commit(seq uint64) {
 	t.mu.Lock()
 	if seq <= t.committed || t.aborted {
@@ -132,18 +83,6 @@ func (t *Tracker) Commit(seq uint64) {
 	release := t.pending[:i]
 	if i > 0 {
 		t.pending, t.spare = append(t.spare[:0], t.pending[i:]...), nil
-	}
-	// Opportunistically shed stale hazards to bound the map: wholesale when
-	// every one is stale (the common case, a burst of writes all durable),
-	// else one by one.
-	if len(t.hazards) > 1024 && t.newest <= seq {
-		clear(t.hazards)
-	} else if len(t.hazards) > 1024 {
-		for k, s := range t.hazards {
-			if s <= t.committed {
-				delete(t.hazards, k)
-			}
-		}
 	}
 	t.mu.Unlock()
 	if i == 0 {
@@ -160,10 +99,8 @@ func (t *Tracker) Commit(seq uint64) {
 	t.mu.Unlock()
 }
 
-// Abort fails every gated reply: the node lost the ability to commit
-// (partition, demotion) so unacknowledged writes must not be exposed.
-// Subsequent registrations also deliver aborted until the tracker is
-// replaced (a demoted node resynchronizes with fresh state).
+// Abort fails every gated waiter: the watermark will not advance again (the
+// node stopped). Subsequent registrations also deliver aborted.
 func (t *Tracker) Abort() {
 	t.mu.Lock()
 	if t.aborted {
@@ -173,14 +110,13 @@ func (t *Tracker) Abort() {
 	t.aborted = true
 	release := t.pending
 	t.pending = nil
-	t.hazards = make(map[string]uint64)
 	t.mu.Unlock()
 	for _, g := range release {
 		g.deliver(true)
 	}
 }
 
-// Committed returns the durable watermark.
+// Committed returns the watermark.
 func (t *Tracker) Committed() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

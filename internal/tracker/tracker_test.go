@@ -34,77 +34,6 @@ func TestAlreadyDurableWriteDeliversImmediately(t *testing.T) {
 	}
 }
 
-func TestReadOnCleanKeyImmediate(t *testing.T) {
-	trk := New(0)
-	got := make(chan bool, 1)
-	gateRead(trk, []string{"clean"}, func(aborted bool) { got <- aborted })
-	select {
-	case <-got:
-	default:
-		t.Fatal("clean read was gated")
-	}
-}
-
-func TestReadOnHazardedKeyWaitsForCoveringCommit(t *testing.T) {
-	trk := New(0)
-	wrote := make(chan bool, 1)
-	trk.RegisterWrite(1, []string{"k"}, func(bool) { wrote <- true })
-	read := make(chan bool, 1)
-	gateRead(trk, []string{"k"}, func(aborted bool) { read <- aborted })
-	select {
-	case <-read:
-		t.Fatal("hazarded read released before commit")
-	default:
-	}
-	trk.Commit(1)
-	<-wrote
-	if aborted := <-read; aborted {
-		t.Fatal("read aborted after commit")
-	}
-}
-
-func TestReadGatesOnHighestCoveringSeq(t *testing.T) {
-	trk := New(0)
-	trk.RegisterWrite(1, []string{"k"}, func(bool) {})
-	trk.RegisterWrite(2, []string{"k"}, func(bool) {})
-	read := make(chan bool, 1)
-	gateRead(trk, []string{"k"}, func(aborted bool) { read <- aborted })
-	trk.Commit(1)
-	select {
-	case <-read:
-		t.Fatal("read released at seq 1, but key was re-dirtied at seq 2")
-	default:
-	}
-	trk.Commit(2)
-	<-read
-}
-
-func TestReadOnOtherKeyNotGated(t *testing.T) {
-	trk := New(0)
-	trk.RegisterWrite(1, []string{"a"}, func(bool) {})
-	read := make(chan bool, 1)
-	gateRead(trk, []string{"b"}, func(aborted bool) { read <- aborted })
-	select {
-	case <-read:
-	default:
-		t.Fatal("read on unrelated key was gated (hazards must be key-level)")
-	}
-}
-
-func TestMultiKeyReadGatesOnAnyHazard(t *testing.T) {
-	trk := New(0)
-	trk.RegisterWrite(3, []string{"b"}, func(bool) {})
-	read := make(chan bool, 1)
-	gateRead(trk, []string{"a", "b", "c"}, func(aborted bool) { read <- aborted })
-	select {
-	case <-read:
-		t.Fatal("multi-key read missed the hazard on b")
-	default:
-	}
-	trk.Commit(3)
-	<-read
-}
-
 func TestCommitAdvancesWatermarkMonotonically(t *testing.T) {
 	trk := New(0)
 	var order []uint64
@@ -140,7 +69,7 @@ func TestAbortFailsAllPendingAndFuture(t *testing.T) {
 	w := make(chan bool, 1)
 	r := make(chan bool, 1)
 	trk.RegisterWrite(1, []string{"k"}, func(aborted bool) { w <- aborted })
-	gateRead(trk, []string{"k"}, func(aborted bool) { r <- aborted })
+	trk.RegisterWrite(1, nil, func(aborted bool) { r <- aborted })
 	trk.Abort()
 	if !<-w || !<-r {
 		t.Fatal("pending replies not aborted")
@@ -152,9 +81,9 @@ func TestAbortFailsAllPendingAndFuture(t *testing.T) {
 		t.Fatal("post-abort registration not failed")
 	}
 	afterRead := make(chan bool, 1)
-	gateRead(trk, []string{"k"}, func(aborted bool) { afterRead <- aborted })
+	trk.RegisterWrite(0, nil, func(aborted bool) { afterRead <- aborted })
 	if !<-afterRead {
-		t.Fatal("post-abort read not failed")
+		t.Fatal("post-abort registration at a reached seq not failed")
 	}
 }
 
@@ -207,7 +136,7 @@ func TestAbortFailsEveryBatchedReply(t *testing.T) {
 	for i := 0; i < batch; i++ {
 		trk.RegisterWrite(3, []string{"k"}, func(aborted bool) { got <- aborted })
 	}
-	gateRead(trk, []string{"k"}, func(aborted bool) { got <- aborted })
+	trk.RegisterWrite(3, nil, func(aborted bool) { got <- aborted })
 	trk.Abort()
 	for i := 0; i < batch+1; i++ {
 		select {
