@@ -1,11 +1,12 @@
 # Tier-1 verification gate: everything a change must pass before merge.
 # `make check` = vet + build + full test suite, a race-detector pass over
 # the packages with the most cross-goroutine traffic (the node workloop +
-# group commit, the reply tracker, the transaction log, and the front-end's
-# goroutine per connection) and over the keyspace whose only synchronization
-# is "one owner per part" (store, the engine that drives it, and the
-# snapshot restore that builds it on parallel workers from the objects S3
-# shares with every reader), then the fixed-seed fault gates below.
+# group commit, the transaction log, and the front-end's goroutine per
+# connection), over the sequence gate the benchmark ladder times, and over
+# the keyspace whose only synchronization is "one owner per part" (store,
+# the engine that drives it, and the snapshot restore that builds it on
+# parallel workers from the objects S3 shares with every reader), then the
+# fixed-seed fault gates below.
 # scripts/check.sh is `exec make check`.
 
 GO ?= go
@@ -87,7 +88,7 @@ crash:
 obs:
 	MEMORYDB_OBS_GUARD=1 $(GO) test -run TestObsOverheadGuard -count=1 ./internal/obs/ ./internal/core/
 
-# Consistent replica-read gate: the replica-read fault schedules
+# Consistent replica reads: the replica-read fault schedules
 # (failover storm, bounded-staleness partition, log-trim rebootstrap)
 # must hold linearizability — no stale value ever served as
 # linearizable, bounded-stale serves within their declared bound.

@@ -2,19 +2,10 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"memorydb/internal/store"
 )
-
-// Parked returns the number of reads currently parked.
-func (g *ReadGate) Parked() int { return g.trk.PendingCount() }
-
-// Fenced returns how many watermark pairs were rejected by epoch fencing.
-func (g *ReadGate) Fenced() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.fenced
-}
 
 // liveDB returns the node's keyspace, read on the workloop that owns it
 // (nil when the node stopped).
@@ -40,4 +31,24 @@ func (n *Node) fifo() (entries, reads int) {
 		return nil
 	})
 	return entries, reads
+}
+
+// parkedReads returns how many tasks wait on the node's list of parked
+// reads, read on the workloop that owns it.
+func (n *Node) parkedReads() (parked int) {
+	n.run(context.Background(), func() error {
+		parked = len(n.parked)
+		return nil
+	})
+	return parked
+}
+
+// stalenessNow returns the replica-local staleness at the node's clock,
+// read on the workloop that owns the caught-up proof.
+func (n *Node) stalenessNow() (d time.Duration) {
+	n.run(context.Background(), func() error {
+		d = n.staleness(n.clk.Now())
+		return nil
+	})
+	return d
 }

@@ -180,7 +180,7 @@ type Node struct {
 	// commands by slot (MOVED / CROSSSLOT / migration write block, §5.2).
 	slotGate func(name string, keys [][]byte, writing bool) (resp.Value, bool)
 
-	// The workloop's state (workloop.go), tasks through degradedSince: the
+	// The workloop's state (workloop.go), tasks through feedEpoch: the
 	// node's one goroutine owns it, so none of it takes a lock. Every
 	// command and every piece of node-internal work — replica apply, state
 	// installs, renewals, control appends, migration, reply release — runs
@@ -227,15 +227,21 @@ type Node struct {
 	// replicated. Closed out into Stats.DegradedMillis on the first
 	// full-replication commit after the window.
 	degradedSince int64
+	// The replica read ladder's state (readpath.go, parked.go). parked
+	// lists the replica reads waiting for the applied position to cover
+	// their capture, in deadline order, and the WaitApplied callers, which
+	// have no deadline; it lives across role changes (a promotion's install
+	// releases every parked read). readTimer is the one timer for the
+	// earliest deadline, nil while disarmed. freshAt is the replica-local
+	// instant the tailer last proved it had drained the log, and feedEpoch
+	// the newest epoch a tailed entry carried.
+	parked    []parkedRead
+	readTimer <-chan time.Time
+	freshAt   time.Time
+	feedEpoch uint64
 
 	// appliedSeq mirrors applied.Seq for lock-free monitoring reads.
 	appliedSeq atomic.Uint64
-	// readGate parks linearizable replica reads until the applied
-	// position covers their captured committed tail, and tracks the
-	// replica-local freshness proof bounded-staleness serving needs.
-	// Advanced by applyEntry and installState; lives across role changes
-	// (a promoted primary's install releases every parked read).
-	readGate *ReadGate
 
 	// retryPol shapes transient-failure retries against the log service.
 	retryPol retry.Policy
@@ -387,12 +393,11 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("core: backoff (%v) must be strictly greater than lease (%v)", cfg.Backoff, cfg.Lease)
 	}
 	n := &Node{
-		cfg:      cfg,
-		clk:      cfg.Clock,
-		role:     election.RoleReplica,
-		changed:  make(chan struct{}),
-		readGate: NewReadGate(0),
-		tasks:    make(chan *task, 4096),
+		cfg:     cfg,
+		clk:     cfg.Clock,
+		role:    election.RoleReplica,
+		changed: make(chan struct{}),
+		tasks:   make(chan *task, 4096),
 		retryPol: retry.Policy{
 			Base:  retryBase,
 			Max:   retryMax,
@@ -501,33 +506,24 @@ func (n *Node) changedLocked() {
 }
 
 // WaitApplied blocks until the node has applied the log through seq. It
-// parks on the read gate linearizable replica reads use, so the apply path
-// pays nothing for it, and re-reads AppliedSeq once the gate releases. It
-// returns ErrStopped when the node stops, txlog.ErrUpgradeStall when
-// upgrade protection halts it short of seq (§7.1), and ctx's error when
-// ctx ends first.
+// parks on the workloop's list beside the replica reads waiting on the
+// applied position, so the apply path pays nothing for it while none
+// waits. It returns ErrStopped when the node stops, txlog.ErrUpgradeStall
+// when upgrade protection halts it short of seq (§7.1), and ctx's error
+// when ctx ends first.
 func (n *Node) WaitApplied(ctx context.Context, seq uint64) error {
-	released := make(chan bool, 1)
-	n.readGate.Park(seq, func(aborted bool) { released <- aborted })
-	for {
-		changed := n.Changed()
-		switch {
-		case n.AppliedSeq() >= seq:
-			return nil
-		case n.Stalled():
-			return txlog.ErrUpgradeStall
-		}
-		select {
-		case aborted := <-released:
-			if aborted {
-				return ErrStopped
-			}
-			released = nil
-		case <-changed:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if n.AppliedSeq() >= seq {
+		return nil
 	}
+	t := &task{kind: taskWait, done: make(chan struct{}, 1)}
+	t.fn = func() error {
+		n.parked = append(n.parked, parkedRead{t: t, seq: seq})
+		return nil
+	}
+	if err := n.enqueue(ctx, t); err != nil {
+		return err
+	}
+	return t.err
 }
 
 // EngineVersion returns the engine version this node runs.
@@ -543,14 +539,14 @@ func (n *Node) Start() {
 // QueueDepth returns how many tasks wait on the workloop (monitoring).
 func (n *Node) QueueDepth() int { return len(n.tasks) }
 
-// Stop terminates the node. Withheld replies are dropped with the
-// workloop: every caller waiting on one already returns ErrStopped.
+// Stop terminates the node. Withheld replies and parked reads are dropped
+// with the workloop: every caller waiting on one already returns
+// ErrStopped.
 func (n *Node) Stop() {
 	n.stopFn()
 	n.mu.Lock()
 	n.changedLocked()
 	n.mu.Unlock()
-	n.readGate.Stop()
 	n.wg.Wait()
 }
 

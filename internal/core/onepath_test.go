@@ -109,24 +109,32 @@ func TestBarrierMutationsBeyondPipelineDepthAllReply(t *testing.T) {
 	}
 }
 
-// A readonly read that reaches a replica without passing the read ladder
-// is bounced with REDIRECT, whether it names a key or the whole keyspace.
-func TestUnverifiedReplicaReadRedirectsOnBothPaths(t *testing.T) {
+// A readonly read on a replica takes the workloop's read ladder whether it
+// names a key or the whole keyspace: caught up, both are served
+// linearizably; cut off from the log, neither can be proven fresh, and both
+// are redirected.
+func TestReplicaReadLadderRunsOnBothPaths(t *testing.T) {
 	svc := testService(t, netsim.Fixed(time.Millisecond))
 	log, _ := svc.CreateLog("shard-onepath-c")
 	primary := onePathNode(t, "node-a", log, Config{})
 	waitRole(t, primary, election.RolePrimary, 2*time.Second)
-	replica := onePathNode(t, "node-b", log, Config{})
+	part := faultpoint.New(1)
+	replica := onePathNode(t, "node-b", log, Config{Faults: part})
 	mustDo(t, primary, "SET", "k", "v")
+	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
 
-	for _, argv := range [][][]byte{{[]byte("GET"), []byte("k")}, {[]byte("DBSIZE")}} {
-		// Straight to submit: DoRead would verify (or redirect) first.
-		v, err := replica.submit(context.Background(), &task{kind: taskCmd, argv: argv, readonly: true})
-		if err != nil {
-			t.Fatalf("%s: %v", argv[0], err)
+	reads := [][][]byte{{[]byte("GET"), []byte("k")}, {[]byte("DBSIZE")}}
+	for _, argv := range reads {
+		v, outcome, err := replica.DoRead(context.Background(), argv, ReadOpts{})
+		if err != nil || outcome != ReadOutcomeLinearizable || v.IsError() {
+			t.Errorf("%s on a caught-up replica = %v, %v, %v; want a linearizable reply", argv[0], v, outcome, err)
 		}
-		if !IsRedirect(v) {
-			t.Errorf("unverified readonly %s on a replica = %v, want REDIRECT", argv[0], v)
+	}
+	setLevel(part, faultpoint.SiteNodePartition, true)
+	for _, argv := range reads {
+		v, outcome, err := replica.DoRead(context.Background(), argv, ReadOpts{})
+		if err != nil || outcome != ReadOutcomeRedirected || !IsRedirect(v) {
+			t.Errorf("%s on a partitioned replica = %v, %v, %v; want REDIRECT", argv[0], v, outcome, err)
 		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"memorydb/internal/election"
-	"memorydb/internal/engine"
-	"memorydb/internal/obs"
 	"memorydb/internal/resp"
+	"memorydb/internal/trace"
 	"memorydb/internal/txlog"
 )
 
@@ -21,14 +19,17 @@ import (
 //     not the primary's clock, not the piggybacked watermark — is the
 //     authority: every acknowledged write has a sequence <= that tail,
 //     and a partitioned replica cannot obtain a capture at all.
-//  2. Park: wait in the ReadGate until the replica's applied position
-//     covers the capture, bounded by Config.ReplicaReadTimeout.
+//  2. Park: wait on the workloop's list of parked reads until the
+//     replica's applied position covers the capture, bounded by
+//     Config.ReplicaReadTimeout.
 //  3. Execute: run on the local engine. Applied positions only advance
 //     (installState swaps state atomically, in one workloop step),
 //     so the state at execution still covers the capture.
 //
-// On any freshness-proof failure — capture unavailable, park deadline,
-// gate aborted — the read degrades down an explicit ladder:
+// The whole ladder runs on the replica's workloop: the read is submitted
+// once, captured when it is dequeued, and parked, released and degraded
+// there. On any freshness-proof failure — capture unavailable, park
+// deadline — the read degrades down an explicit ladder:
 // linearizable → bounded-stale (only if the client declared a bound it
 // can tolerate, checked against the replica-local caught-up proof) →
 // REDIRECT to the primary. A replica read is never silently served
@@ -101,116 +102,120 @@ func (n *Node) DoReadOnly(ctx context.Context, argv [][]byte) (resp.Value, error
 
 // DoRead executes a read-eligible command under an explicit consistency
 // level and reports which ladder rung served it. Non-read commands
-// (writes, unknown, always-local, INFO/WAIT) fall through to the
-// default execution path — on a replica the workloop rejects writes.
+// (writes, unknown, always-local, INFO/WAIT) take the default execution
+// path — on a replica the workloop rejects writes.
 func (n *Node) DoRead(ctx context.Context, argv [][]byte, opts ReadOpts) (resp.Value, ReadOutcome, error) {
-	t := &task{kind: taskCmd, argv: argv, readonly: true}
-	t.resolve()
-	eligible := t.cmd != nil && !t.cmd.Writes() && t.cmd.Flags&engine.FlagLocal == 0
-	return n.readLadder(ctx, t, eligible, opts)
+	return n.submitRead(ctx, &task{kind: taskCmd, argv: argv, readonly: true, opts: opts})
 }
 
 // DoBatchRead executes an atomic batch with replica reads permitted
 // (READONLY pipeline). All-read batches take the same freshness ladder
-// as single reads; batches containing writes fall through to the
-// default path (primary-only).
+// as single reads; a batch with a write in it is REDIRECTed off a replica.
 func (n *Node) DoBatchRead(ctx context.Context, cmds [][][]byte, opts ReadOpts) (resp.Value, ReadOutcome, error) {
-	t := &task{kind: taskBatch, batch: cmds, readonly: true}
-	t.resolve()
-	return n.readLadder(ctx, t, batchIsReadOnly(t.cmds), opts)
+	return n.submitRead(ctx, &task{kind: taskBatch, batch: cmds, readonly: true, opts: opts})
 }
 
-// readLadder submits a readonly task, first clearing an eligible read for
-// replica serving (task.readVerified) at the rung the client asked for.
-func (n *Node) readLadder(ctx context.Context, t *task, eligible bool, opts ReadOpts) (resp.Value, ReadOutcome, error) {
-	// Off a live replica the default path is right: the primary is already
-	// linearizable (key-hazard gating), demoted nodes fail in the workloop,
-	// and a frozen node behaves like a dead process — enqueue and let the
-	// caller time out rather than emit a REDIRECT no crashed process could
-	// send.
-	outcome := ReadOutcomePrimary
-	switch {
-	case !eligible:
-	case opts.Consistency == ReadEventual:
-		t.readVerified, outcome = true, ReadOutcomeEventual
-	case n.Role() == election.RoleReplica && !n.Frozen():
-		var err error
-		if outcome, err = n.verifyReplicaRead(ctx, opts); err != nil {
-			return resp.Value{}, outcome, err
-		}
-		switch outcome {
-		case ReadOutcomeLinearizable:
-			n.stats.ReplicaReadsServed.Add(1)
-		case ReadOutcomeStale:
-			n.stats.ReplicaReadsStale.Add(1)
-		case ReadOutcomeRedirected:
-			n.stats.ReplicaReadsRedirected.Add(1)
-			return errRedirect, outcome, nil
-		}
-		t.readVerified = true
-	}
+// submitRead submits a readonly task once and reports the rung that
+// answered it: a read the replica parks waits on its workloop, not here.
+func (n *Node) submitRead(ctx context.Context, t *task) (resp.Value, ReadOutcome, error) {
 	v, err := n.submit(ctx, t)
-	return v, outcome, err
+	if err != nil {
+		// The workloop may still hold t: its outcome is not ours to read.
+		return v, ReadOutcomePrimary, err
+	}
+	return v, t.outcome, nil
 }
 
-// verifyReplicaRead runs the capture-and-park freshness proof and maps
-// its result onto the ladder. It returns one of ReadOutcomeLinearizable
-// (proof succeeded), ReadOutcomeStale (proof failed but the client's
-// bound holds) or ReadOutcomeRedirected; a non-nil error means the
-// caller's context or the node ended first.
-func (n *Node) verifyReplicaRead(ctx context.Context, opts ReadOpts) (ReadOutcome, error) {
-	// Capture AFTER arrival. A node partitioned from the log service
-	// must not capture: its view of the committed tail may be
-	// arbitrarily old (this is exactly the asymmetric-partition case —
-	// reachable by clients, cut off from the feed).
-	var capture txlog.EntryID
-	captureErr := txlog.ErrUnavailable
+// readLadder runs a readonly read's rung of the ladder on a replica's
+// workloop and reports whether the read executes now. A read already
+// cleared — released from the list of parked reads, or degraded to stale —
+// executes, and so does an eventual one. A linearizable or bounded-stale
+// read captures the committed tail: it executes if the applied position
+// covers the capture, parks if not, and degrades if there is none.
+func (n *Node) readLadder(t *task) bool {
+	switch {
+	case t.outcome != ReadOutcomePrimary:
+		return true
+	case t.opts.Consistency == ReadEventual:
+		t.outcome = ReadOutcomeEventual
+		return true
+	}
+	// Capture AFTER arrival. A node partitioned from the log service must
+	// not capture: its view of the committed tail may be arbitrarily old
+	// (the asymmetric partition — reachable by clients, cut off from the
+	// feed).
+	capture, err := txlog.ZeroID, error(txlog.ErrUnavailable)
 	if !n.partitioned() {
-		capture, captureErr = n.cfg.Log.ConsistentTail()
+		capture, err = n.cfg.Log.ConsistentTail()
 	}
-	if captureErr == nil {
-		if n.readGate.Applied() >= capture.Seq {
-			return ReadOutcomeLinearizable, nil
-		}
-		var waitStart int64
-		if n.obs != nil {
-			waitStart = obs.Now()
-		}
-		// Buffered so a late gate delivery after timeout never blocks
-		// the delivering goroutine; the abandoned registration is
-		// swept by the gate's next Advance.
-		done := make(chan bool, 1)
-		n.readGate.Park(capture.Seq, func(aborted bool) {
-			select {
-			case done <- aborted:
-			default:
-			}
-		})
-		var verified, finished bool
-		select {
-		case aborted := <-done:
-			verified, finished = !aborted, true
-		case <-n.clk.After(n.cfg.ReplicaReadTimeout):
-		case <-ctx.Done():
-			return ReadOutcomeRedirected, ctx.Err()
-		case <-n.stopCtx.Done():
-			return ReadOutcomeRedirected, ErrStopped
-		}
-		if n.obs != nil {
-			n.obs.Stage(obs.StageReplicaReadWait).ObserveNanos(obs.Now() - waitStart)
-		}
-		if finished && verified {
-			return ReadOutcomeLinearizable, nil
-		}
+	switch {
+	case err != nil:
+		return n.degrade(t)
+	case n.applied.Seq >= capture.Seq:
+		t.outcome = ReadOutcomeLinearizable
+		n.stats.ReplicaReadsServed.Add(1)
+		return true
 	}
-	// Freshness proof failed (no capture, park deadline, or gate
-	// aborted): degrade. Bounded-stale serving leans on the
-	// replica-LOCAL caught-up proof (ReadGate.NoteFresh from the
-	// tailer's drain loop), never the primary's clock — so a skewed or
-	// deposed primary cannot extend the bound.
-	if opts.Consistency == ReadBoundedStale && opts.StalenessBound > 0 &&
-		n.readGate.Staleness(n.clk.Now()) <= opts.StalenessBound {
-		return ReadOutcomeStale, nil
+	// Every deadline is stamped here, at dequeue, so the list is in
+	// deadline order and one timer, for the earliest, serves every read on
+	// it (parked.go).
+	n.parked = append(n.parked, parkedRead{t: t, seq: capture.Seq, deadline: n.clk.Now().Add(n.cfg.ReplicaReadTimeout)})
+	return false
+}
+
+// degrade walks a read whose freshness proof failed — no capture, or its
+// park deadline passed — down the ladder and reports whether it executes:
+// bounded-stale if the client declared a bound the replica-LOCAL caught-up
+// proof meets (never the primary's clock, so a skewed or deposed primary
+// cannot extend it), else REDIRECT.
+func (n *Node) degrade(t *task) bool {
+	if b := t.opts.StalenessBound; t.opts.Consistency == ReadBoundedStale && b > 0 && n.staleness(n.clk.Now()) <= b {
+		t.outcome = ReadOutcomeStale
+		n.stats.ReplicaReadsStale.Add(1)
+		return true
 	}
-	return ReadOutcomeRedirected, nil
+	n.redirect(t)
+	return false
+}
+
+// redirect answers a replica read with REDIRECT: the client retries it on
+// the primary.
+func (n *Node) redirect(t *task) {
+	t.outcome = ReadOutcomeRedirected
+	n.stats.ReplicaReadsRedirected.Add(1)
+	n.reply(t, errRedirect)
+}
+
+// noteFresh records a replica-local instant at which the tailer had
+// provably drained the log (TryNext returned "nothing more" with no
+// availability error). Under a partition or log outage the drain never
+// reaches that point, so freshAt freezes and staleness grows without
+// bound — exactly the signal the degradation ladder needs.
+func (n *Node) noteFresh(now time.Time) {
+	if now.After(n.freshAt) {
+		n.freshAt = now
+	}
+}
+
+// staleness returns the replica-local duration since the last caught-up
+// proof. Before any proof it is effectively unbounded.
+func (n *Node) staleness(now time.Time) time.Duration {
+	if n.freshAt.IsZero() {
+		return time.Duration(1<<62 - 1)
+	}
+	return now.Sub(n.freshAt)
+}
+
+// fenceEpoch folds a tailed entry's epoch into the newest the feed has
+// shown. Entries arrive in log order, so an in-log epoch regression is
+// impossible (conditional appends fence stale writers); the check is
+// defense-in-depth against a replayed feed, and an entry from an older
+// epoch — a deposed primary's — is counted and recorded.
+func (n *Node) fenceEpoch(e txlog.Entry) {
+	if e.Epoch < n.feedEpoch {
+		n.stats.WatermarksFenced.Add(1)
+		n.flight.Recordf(trace.EvWatermarkFence, e.ID.Seq, "stale watermark from epoch %d rejected", e.Epoch)
+		return
+	}
+	n.feedEpoch = e.Epoch
 }

@@ -116,7 +116,7 @@ func TestReplicaReadDegradesUnderAsymmetricPartition(t *testing.T) {
 			t.Fatalf("DoRead: %v", err)
 		}
 		if outcome == ReadOutcomeLinearizable && v.Text() == "v1" &&
-			replica.readGate.Staleness(time.Now()) < time.Second {
+			replica.stalenessNow() < time.Second {
 			break
 		}
 		if time.Now().After(deadline) {

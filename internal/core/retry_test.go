@@ -145,15 +145,27 @@ func TestRetryAnswersCommittedWrites(t *testing.T) {
 		return nil
 	})
 	<-holding
-	commit()
-	select {
-	case v := <-first:
-		if v.Text() != "OK" {
-			t.Fatalf("the committed SET got %v during the retry, want OK", v)
+	// The log's committer arms its timer for the entry from a Now it read
+	// earlier, so one Advance can land before the timer and miss it: pump
+	// the log clock until the reply arrives. The node clock stays stopped,
+	// so the retry sleeps throughout.
+	var v resp.Value
+	waitFor(t, "the committed SET's reply while the retry slept", func() bool {
+		commit()
+		select {
+		case v = <-first:
+			return true
+		default:
+			return false
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the committed SET was not answered while the retry slept")
+	})
+	if v.Text() != "OK" {
+		t.Fatalf("the committed SET got %v during the retry, want OK", v)
 	}
+	// The retry loop answers for the committed entry before it counts the
+	// retry, so the reply can arrive first; the count then holds at one
+	// until the backoff ends on the stopped node clock.
+	waitFor(t, "the second SET's retry", func() bool { return st.AppendsRetried.Load() > retried })
 	if got := st.AppendsRetried.Load() - retried; got != 1 {
 		t.Fatalf("%d append retries, want the second SET's one", got)
 	}

@@ -216,7 +216,7 @@ func (n *Node) tail() {
 		// measures from. Under a partition or outage this point is never
 		// reached, so the proof freezes and staleness grows.
 		now := n.clk.Now()
-		n.readGate.NoteFresh(now)
+		n.noteFresh(now)
 		at := l.observer.CampaignAt()
 		if !now.Before(at) {
 			if n.campaign(l.reader.Position()) {
@@ -236,15 +236,7 @@ func (n *Node) tail() {
 	}
 	l.ready = readNow
 
-	// Fold in the piggybacked primary watermark. Entries arrive in log
-	// order, so an in-log epoch regression is impossible (conditional
-	// appends fence stale writers); the epoch check is defense-in-depth
-	// against a replayed feed, and anything it rejects is counted — a
-	// deposed primary's view must not advance staleness accounting.
-	if !n.readGate.NoteWatermark(e.Epoch, e.Watermark) {
-		n.stats.WatermarksFenced.Add(1)
-		n.flight.Recordf(trace.EvWatermarkFence, e.ID.Seq, "stale watermark from epoch %d rejected", e.Epoch)
-	}
+	n.fenceEpoch(e)
 	switch e.Type {
 	case txlog.EntryLeadership:
 		n.mu.Lock()
@@ -402,14 +394,13 @@ func (n *Node) installState(newEng *engine.Engine, newApplied, issued txlog.Entr
 	if newEng != nil {
 		n.eng = newEng
 	}
+	// The installed state covers everything through newApplied: the end of
+	// this turn releases every replica read parked at or below it. On
+	// promotion that hands parked reads to the new primary's caught-up
+	// state; on resync the release follows the whole swap, so a released
+	// read can never observe a half-rebuilt store.
 	n.applied = newApplied
 	n.appliedSeq.Store(newApplied.Seq)
-	// The installed state covers everything through newApplied: release
-	// every replica read parked at or below it. On promotion this hands
-	// parked reads to the new primary's fully-caught-up state; on resync
-	// the swap and the release are one step, so a released read can never
-	// observe a half-rebuilt store.
-	n.readGate.Advance(newApplied.Seq)
 	n.lastIssued = issued
 	n.durable = issued.Seq
 	n.runningChecksum = checksum
@@ -435,7 +426,6 @@ func (n *Node) applyEntry(e txlog.Entry) error {
 	}
 	n.applied = e.ID
 	n.appliedSeq.Store(e.ID.Seq)
-	n.readGate.Advance(e.ID.Seq)
 	return nil
 }
 

@@ -14,7 +14,7 @@ import (
 	"memorydb/internal/txlog"
 )
 
-type taskKind int
+type taskKind uint8
 
 const (
 	taskCmd taskKind = iota
@@ -22,27 +22,29 @@ const (
 	// taskFunc is node-internal work another goroutine hands over: a
 	// control append, a step-down or a migration step.
 	taskFunc
+	// taskWait is a WaitApplied: fn parks it beside the replica's parked
+	// reads, and the end of a turn answers it (readpath.go).
+	taskWait
 )
 
 type task struct {
 	kind     taskKind
+	readonly bool // client opted into replica reads (READONLY)
 	argv     [][]byte
 	batch    [][][]byte
-	readonly bool // client opted into replica reads (READONLY)
-	// readVerified marks a readonly task the read ladder has cleared for
-	// replica serving: either its freshness proof succeeded (the applied
-	// position covers the committed tail captured at arrival), the
-	// client's declared staleness bound holds, or the client opted into
-	// eventual consistency. Replicas serve ONLY verified readonly tasks;
-	// anything else is redirected, so stale data is never silently
-	// returned as consistent.
-	readVerified bool
+	// opts is a readonly read's declared consistency and outcome the rung
+	// of the replica read ladder that answers it, set on the workloop
+	// (readpath.go): a replica serves a readonly read only once the ladder
+	// cleared it, so stale data is never silently returned as consistent.
+	opts    ReadOpts
+	outcome ReadOutcome
 
 	// The task is its own reply future: Node.reply writes val, then signals
 	// done (one slot, one send; nil on the expiry sweep's task, which
 	// nobody waits for). While a reply is withheld for durability, val
 	// parks the value it will carry if the covering entry commits. A
-	// taskFunc hands fn's error back in err instead, then signals done.
+	// taskFunc hands fn's error back in err instead, then signals done, and
+	// so does a taskWait with WaitApplied's result once it is answered.
 	val  resp.Value
 	done chan struct{}
 	fn   func() error
@@ -157,7 +159,8 @@ func (n *Node) enqueue(ctx context.Context, t *task) error {
 // while quorum appends are in flight, and the oldest append's commit
 // answers for every committed append and flushes the accumulated batch.
 // Go's select picks among the ready cases at random, so a lagging tailer
-// and the clients take turns. A turn's step-down is handled at its end.
+// and the clients take turns. A turn's step-down is handled at its end, and
+// so are the parked tasks it can answer.
 func (n *Node) workloop() {
 	defer n.wg.Done()
 	n.restore() // bootstrap: restore state before tailing
@@ -170,6 +173,12 @@ func (n *Node) workloop() {
 		case <-n.stopCtx.Done():
 			return
 		case t := <-n.tasks:
+			if !n.gate() {
+				// Stopped while frozen: the crashed process is being torn
+				// down. Drop the task without replying — exactly what a dead
+				// process does; submit's stopCtx select fails the caller.
+				return
+			}
 			n.handleTask(t)
 		case <-head:
 			if !n.gate() {
@@ -189,10 +198,18 @@ func (n *Node) workloop() {
 			}
 			n.life.timer = nil
 			n.roleTimer()
+		case <-n.readTimer:
+			if !n.gate() {
+				return
+			}
+			n.readTimer = nil // unpark degrades the expired reads
 		}
 		if n.roleChanged {
 			n.roleChanged = false
 			n.roleChangedStep()
+		}
+		if len(n.parked) > 0 {
+			n.unpark()
 		}
 	}
 }
@@ -225,18 +242,15 @@ func (n *Node) fail(t *task, errVal resp.Value) {
 }
 
 func (n *Node) handleTask(t *task) {
-	if !n.gate() {
-		// Stopped while frozen: the crashed process is being torn down.
-		// Drop the task without replying — exactly what a dead process
-		// does; submit's stopCtx select fails the caller.
-		return
-	}
-	if t.kind != taskFunc {
+	switch t.kind {
+	case taskFunc:
+		t.err = t.fn()
+		t.done <- struct{}{}
+	case taskWait:
+		t.fn()
+	default:
 		n.handleClient(t)
-		return
 	}
-	t.err = t.fn()
-	t.done <- struct{}{}
 }
 
 var (
@@ -252,14 +266,21 @@ var (
 // cross-slot one and an atomic batch differ only in Exec vs ExecBatch.
 func (n *Node) handleClient(t *task) {
 	n.stats.Commands.Add(1)
-	batch, name, cmd := t.kind == taskBatch, t.name, t.cmd
 	if t.enq != 0 {
 		n.obsDequeued(t)
 	}
-	if name == "INFO" {
+	if t.name == "INFO" {
 		n.reply(t, resp.BulkStr(n.infoText()))
 		return
 	}
+	n.serve(t)
+}
+
+// serve is the admission ladder and everything after it. A replica read
+// the ladder parked comes back here when it leaves the list of parked
+// reads, so it is admitted against the node as it is then.
+func (n *Node) serve(t *task) {
+	batch, name, cmd := t.kind == taskBatch, t.name, t.cmd
 	local := cmd != nil && cmd.Flags&engine.FlagLocal != 0
 
 	// The admission ladder: the one place a client task reads the node's
@@ -288,17 +309,10 @@ func (n *Node) handleClient(t *task) {
 		}
 	case election.RoleReplica:
 		// A replica serves always-local commands, and reads the client
-		// opted into (READONLY) that passed the read ladder's freshness
-		// proof before enqueue. A readonly read that arrives unverified
-		// (e.g. the node became a replica between verification and
-		// execution) must not be served as consistent: bounce it.
-		writes := cmd == nil || (cmd.Writes() && name != "PING")
-		if batch {
-			// Only an all-read batch is ever verified, so an unverified
-			// READONLY batch — one with a write in it included — bounces
-			// to the primary below instead of failing the pipeline.
-			writes = t.readVerified && !batchIsReadOnly(t.cmds)
-		}
+		// opted into (READONLY) once the read ladder clears them. A
+		// READONLY batch with a write in it bounces to the primary instead
+		// of failing the pipeline.
+		writes := !batch && (cmd == nil || (cmd.Writes() && name != "PING"))
 		switch {
 		case stalled:
 			n.reply(t, errStalledVal)
@@ -306,9 +320,10 @@ func (n *Node) handleClient(t *task) {
 		case writes, !local && !t.readonly:
 			n.reply(t, errNotPrimary)
 			return
-		case !local && !t.readVerified:
-			n.stats.ReplicaReadsRedirected.Add(1)
-			n.reply(t, errRedirect)
+		case batch && !batchIsReadOnly(t.cmds):
+			n.redirect(t)
+			return
+		case !local && !n.readLadder(t):
 			return
 		}
 	default:

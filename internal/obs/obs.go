@@ -42,9 +42,10 @@ const (
 	// StageTrackerRelease: quorum ack to the tracker delivering the
 	// gated reply.
 	StageTrackerRelease
-	// StageReplicaReadWait: a linearizable replica read parked in the
-	// ReadGate between capturing the committed tail and the replica's
-	// applied position covering it (zero on the primary path).
+	// StageReplicaReadWait: a linearizable replica read parked on the
+	// replica's workloop between capturing the committed tail and the
+	// applied position covering it or its deadline passing (zero on the
+	// primary path).
 	StageReplicaReadWait
 	// StageReplyWrite: server serializing+flushing the reply.
 	StageReplyWrite

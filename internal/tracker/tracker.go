@@ -1,16 +1,16 @@
 // Package tracker is a sequence gate: waiters park at a log seq and are
-// delivered, in seq order, once a watermark reaches it. A replica's read
-// gate parks linearizable reads on one until the applied position covers
-// the committed tail they captured (paper §3.2's consistent replica
-// reads). The primary's client-blocking layer does not use it: its
-// workloop releases each reply from the log entry that carries it.
+// delivered, in seq order, once a watermark reaches it. The node uses none:
+// a primary's workloop releases each reply from the log entry that carries
+// it, and a replica's workloop parks its reads until the applied position
+// covers their capture. Only the benchmark's ladder still times a
+// register-and-commit cycle on one.
 package tracker
 
 import "sync"
 
 // Tracker gates deliveries on a watermark over log seqs. It is safe for
-// concurrent use: reads park on it from their connections' goroutines
-// while the workloop advances it and a stopping node aborts it.
+// concurrent use: waiters may register from any goroutine while another
+// advances or aborts it.
 type Tracker struct {
 	mu sync.Mutex
 	// pending holds gated deliveries in ascending seq order, equal seqs in
@@ -97,35 +97,4 @@ func (t *Tracker) Commit(seq uint64) {
 		t.spare = release[:0]
 	}
 	t.mu.Unlock()
-}
-
-// Abort fails every gated waiter: the watermark will not advance again (the
-// node stopped). Subsequent registrations also deliver aborted.
-func (t *Tracker) Abort() {
-	t.mu.Lock()
-	if t.aborted {
-		t.mu.Unlock()
-		return
-	}
-	t.aborted = true
-	release := t.pending
-	t.pending = nil
-	t.mu.Unlock()
-	for _, g := range release {
-		g.deliver(true)
-	}
-}
-
-// Committed returns the watermark.
-func (t *Tracker) Committed() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.committed
-}
-
-// PendingCount returns the number of gated deliveries (metrics/tests).
-func (t *Tracker) PendingCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pending)
 }

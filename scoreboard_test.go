@@ -21,7 +21,7 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20351
+	ceilingNonTestLines = 20296
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 21
