@@ -915,7 +915,7 @@ func TestCrashRestartTailerRebootstrapAfterTrim(t *testing.T) {
 	}
 	waitApplied(t, lag, tail.Seq, time.Until(deadline))
 	// The re-bootstrapped replica serves the full dataset locally.
-	v, err := lag.DoReadOnly(ctx, [][]byte{[]byte("GET"), []byte("lag-79")})
+	v, _, err := lag.DoRead(ctx, [][]byte{[]byte("GET"), []byte("lag-79")}, core.ReadOpts{})
 	if err != nil || v.Text() != "v79" {
 		t.Fatalf("replica GET lag-79 = %q (%v), want v79", v.Text(), err)
 	}

@@ -115,7 +115,7 @@ func TestResyncSkipsTornSnapshotAndCounts(t *testing.T) {
 	// returns; wait for it to have walked past the damaged version.
 	waitFor(t, "the restore to skip the torn snapshot", func() bool { return fresh.Stats().TornSnapshotsDetected.Load() >= 1 })
 	waitRole(t, fresh, election.RoleReplica, 2*time.Second)
-	v, err := fresh.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("later")})
+	v, _, err := fresh.DoRead(context.Background(), [][]byte{[]byte("GET"), []byte("later")}, ReadOpts{})
 	if err != nil || v.Text() != "2" {
 		t.Fatalf("replica read after torn-snapshot fallback: %q %v", v.Text(), err)
 	}

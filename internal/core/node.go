@@ -520,7 +520,7 @@ func (n *Node) WaitApplied(ctx context.Context, seq uint64) error {
 		n.parked = append(n.parked, parkedRead{t: t, seq: seq})
 		return nil
 	}
-	if err := n.enqueue(ctx, t); err != nil {
+	if err := n.send(ctx, t).wait(ctx); err != nil {
 		return err
 	}
 	return t.err

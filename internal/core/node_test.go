@@ -163,7 +163,7 @@ func TestReplicaAppliesAndServesReads(t *testing.T) {
 
 	mustDo(t, primary, "SET", "k", "v1")
 	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
-	v, err := replica.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("k")})
+	v, _, err := replica.DoRead(context.Background(), [][]byte{[]byte("GET"), []byte("k")}, ReadOpts{})
 	if err != nil || v.Text() != "v1" {
 		t.Fatalf("replica applied the committed write but reads %v (%v)", v, err)
 	}
@@ -251,7 +251,7 @@ func TestRecoveryFromSnapshotAndLogSuffix(t *testing.T) {
 	replica := testNode(t, "node-c", log, mgr)
 	waitRole(t, replica, election.RoleReplica, time.Second)
 	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
-	v, err := replica.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("after-snap")})
+	v, _, err := replica.DoRead(context.Background(), [][]byte{[]byte("GET"), []byte("after-snap")}, ReadOpts{})
 	if err != nil || v.Text() != "yes" {
 		t.Fatalf("restored replica caught up but reads %v (%v)", v, err)
 	}

@@ -93,37 +93,19 @@ func IsRedirect(v resp.Value) bool {
 	return v.IsError() && strings.HasPrefix(string(v.Str), "REDIRECT")
 }
 
-// DoReadOnly executes a command with replica reads permitted (the client
-// issued READONLY) at the default, linearizable consistency.
-func (n *Node) DoReadOnly(ctx context.Context, argv [][]byte) (resp.Value, error) {
-	v, _, err := n.DoRead(ctx, argv, ReadOpts{})
-	return v, err
-}
-
 // DoRead executes a read-eligible command under an explicit consistency
 // level and reports which ladder rung served it. Non-read commands
 // (writes, unknown, always-local, INFO/WAIT) take the default execution
 // path — on a replica the workloop rejects writes.
 func (n *Node) DoRead(ctx context.Context, argv [][]byte, opts ReadOpts) (resp.Value, ReadOutcome, error) {
-	return n.submitRead(ctx, &task{kind: taskCmd, argv: argv, readonly: true, opts: opts})
+	return n.Submit(ctx, Request{Argv: argv, ReadOnly: true, Opts: opts}).Wait(ctx)
 }
 
 // DoBatchRead executes an atomic batch with replica reads permitted
 // (READONLY pipeline). All-read batches take the same freshness ladder
 // as single reads; a batch with a write in it is REDIRECTed off a replica.
 func (n *Node) DoBatchRead(ctx context.Context, cmds [][][]byte, opts ReadOpts) (resp.Value, ReadOutcome, error) {
-	return n.submitRead(ctx, &task{kind: taskBatch, batch: cmds, readonly: true, opts: opts})
-}
-
-// submitRead submits a readonly task once and reports the rung that
-// answered it: a read the replica parks waits on its workloop, not here.
-func (n *Node) submitRead(ctx context.Context, t *task) (resp.Value, ReadOutcome, error) {
-	v, err := n.submit(ctx, t)
-	if err != nil {
-		// The workloop may still hold t: its outcome is not ours to read.
-		return v, ReadOutcomePrimary, err
-	}
-	return v, t.outcome, nil
+	return n.Submit(ctx, Request{Batch: cmds, ReadOnly: true, Opts: opts}).Wait(ctx)
 }
 
 // readLadder runs a readonly read's rung of the ladder on a replica's

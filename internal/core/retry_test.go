@@ -313,7 +313,7 @@ func TestReplicaTailerSurvivesLogOutage(t *testing.T) {
 
 	mustDo(t, primary, "SET", "k2", "v2")
 	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
-	v, err := replica.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("k2")})
+	v, _, err := replica.DoRead(context.Background(), [][]byte{[]byte("GET"), []byte("k2")}, ReadOpts{})
 	if err != nil || v.Text() != "v2" {
 		t.Fatalf("replica read after outage: %v %v", v, err)
 	}

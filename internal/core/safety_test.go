@@ -154,7 +154,7 @@ func TestDemotedPrimaryRejoinsAsReplica(t *testing.T) {
 	waitRole(t, a, election.RoleReplica, 3*time.Second)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		v, err := a.DoReadOnly(context.Background(), [][]byte{[]byte("GET"), []byte("k")})
+		v, _, err := a.DoRead(context.Background(), [][]byte{[]byte("GET"), []byte("k")}, ReadOpts{})
 		if err == nil && v.Text() == "v2" {
 			break
 		}

@@ -69,18 +69,65 @@ type task struct {
 	enq, deq, execDone int64
 }
 
-// Do executes a client command on this node. Writes require the node to
-// be a primary holding a valid lease; replies for mutations are withheld
-// until the transaction log acknowledges durability.
-func (n *Node) Do(ctx context.Context, argv [][]byte) (resp.Value, error) {
-	return n.submit(ctx, &task{kind: taskCmd, argv: argv})
+// Request is one client command, or, when Batch is set, one atomic
+// MULTI/EXEC group: its commands run back to back on the workloop and
+// their effects are logged as one record (§2.1). ReadOnly opts a read into
+// replica reads (the client issued READONLY) at Opts' consistency.
+type Request struct {
+	Argv     [][]byte
+	Batch    [][][]byte
+	ReadOnly bool
+	Opts     ReadOpts
 }
 
-// DoBatch executes an atomic MULTI/EXEC group: all commands run
-// back-to-back on the workloop and their effects are logged as a single
-// record, so the group is atomic both locally and in the log (§2.1).
+// Call is a submitted request's reply future: the task the workloop
+// answers, or the error that kept it off the queue.
+type Call struct {
+	n   *Node
+	t   *task
+	err error
+}
+
+// Submit queues req on the workloop without waiting on its reply. One
+// workloop takes every task in submit order, so requests submitted before
+// any is waited on execute, and are answered, in that order. Writes need a
+// primary holding a valid lease; their replies are withheld until the
+// transaction log acknowledges durability.
+func (n *Node) Submit(ctx context.Context, req Request) Call {
+	t := &task{kind: taskCmd, argv: req.Argv, readonly: req.ReadOnly, opts: req.Opts}
+	if req.Batch != nil {
+		t.kind, t.batch = taskBatch, req.Batch
+	}
+	t.resolve()
+	t.done = make(chan struct{}, 1)
+	if n.trace != nil {
+		n.traceStart(ctx, t)
+	}
+	if n.obs != nil {
+		t.enq = obs.Now()
+	}
+	return n.send(ctx, t)
+}
+
+// Wait blocks until the call is answered and returns its reply and the
+// rung of the replica read ladder that answered it.
+func (c Call) Wait(ctx context.Context) (resp.Value, ReadOutcome, error) {
+	if err := c.wait(ctx); err != nil {
+		return resp.Value{}, ReadOutcomePrimary, err
+	}
+	return c.t.val, c.t.outcome, nil
+}
+
+// Do executes one command and waits for its reply.
+func (n *Node) Do(ctx context.Context, argv [][]byte) (resp.Value, error) {
+	v, _, err := n.Submit(ctx, Request{Argv: argv}).Wait(ctx)
+	return v, err
+}
+
+// DoBatch executes an atomic MULTI/EXEC group and waits for its reply.
 func (n *Node) DoBatch(ctx context.Context, cmds [][][]byte) (resp.Value, error) {
-	return n.submit(ctx, &task{kind: taskBatch, batch: cmds})
+	v, _, err := n.Submit(ctx, Request{Batch: cmds}).Wait(ctx)
+	return v, err
 }
 
 // resolve names a client task and looks its command up, once: admission,
@@ -106,48 +153,43 @@ func (t *task) resolve() {
 	}
 }
 
-func (n *Node) submit(ctx context.Context, t *task) (resp.Value, error) {
-	t.resolve()
-	t.done = make(chan struct{}, 1)
-	if n.trace != nil {
-		n.traceStart(ctx, t)
-	}
-	if n.obs != nil {
-		t.enq = obs.Now()
-	}
-	if err := n.enqueue(ctx, t); err != nil {
-		return resp.Value{}, err
-	}
-	return t.val, nil
-}
-
 // run executes fn on the workloop and returns its error. Node-internal
 // work is a task like any command, so the queue alone serializes it with
 // them: no lock, no quiesce.
 func (n *Node) run(ctx context.Context, fn func() error) error {
 	t := &task{kind: taskFunc, fn: fn, done: make(chan struct{}, 1)}
-	if err := n.enqueue(ctx, t); err != nil {
+	if err := n.send(ctx, t).wait(ctx); err != nil {
 		return err
 	}
 	return t.err
 }
 
-// enqueue queues t on the workloop and waits for its done signal. It fails
-// with ctx's error or ErrStopped when either ends first; t may still run.
-func (n *Node) enqueue(ctx context.Context, t *task) error {
+// send queues t on the workloop and returns its reply future. Queueing
+// fails with ctx's error or ErrStopped when either ends first.
+func (n *Node) send(ctx context.Context, t *task) Call {
 	select {
 	case n.tasks <- t:
+		return Call{n: n, t: t}
 	case <-ctx.Done():
-		return ctx.Err()
+		return Call{err: ctx.Err()}
 	case <-n.stopCtx.Done():
-		return ErrStopped
+		return Call{err: ErrStopped}
+	}
+}
+
+// wait waits for the call's done signal. It fails with ctx's error or
+// ErrStopped when either ends first; the workloop may still run the task,
+// so its reply is not the caller's to read.
+func (c Call) wait(ctx context.Context) error {
+	if c.err != nil {
+		return c.err
 	}
 	select {
-	case <-t.done:
+	case <-c.t.done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-n.stopCtx.Done():
+	case <-c.n.stopCtx.Done():
 		return ErrStopped
 	}
 }

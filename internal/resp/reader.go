@@ -40,6 +40,11 @@ type Reader struct {
 // also the longest line it accepts.
 func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReaderSize(r, maxLineLen)} }
 
+// Buffered returns how many bytes have arrived that no read consumed yet:
+// a read starts on them without waiting on the stream, unless they end
+// inside a command.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
+
 // ReadValue decodes the next RESP value.
 func (r *Reader) ReadValue() (Value, error) {
 	t, err := r.br.ReadByte()

@@ -21,29 +21,38 @@ func readOpts(mode ReadMode) core.ReadOpts {
 	}
 }
 
-// NodeBackend serves one MemoryDB node.
+// NodeBackend serves one MemoryDB node. It implements the submit
+// interface the pipelined connection loop needs.
 type NodeBackend struct {
 	Node *core.Node
 }
 
+// Submit queues one command on the node under the connection's read mode
+// without waiting on its reply.
+func (b NodeBackend) Submit(ctx context.Context, argv [][]byte, mode ReadMode) core.Call {
+	return b.Node.Submit(ctx, request(core.Request{Argv: argv}, mode))
+}
+
 // Do implements Backend.
 func (b NodeBackend) Do(ctx context.Context, argv [][]byte, mode ReadMode) (resp.Value, error) {
-	if mode.ReadOnly {
-		v, _, err := b.Node.DoRead(ctx, argv, readOpts(mode))
-		return v, err
-	}
-	return b.Node.Do(ctx, argv)
+	v, _, err := b.Submit(ctx, argv, mode).Wait(ctx)
+	return v, err
 }
 
 // DoBatch implements Backend. The connection's read mode is threaded
 // through so a READONLY pipeline's all-read batches take the replica
 // read ladder instead of silently requiring the primary.
 func (b NodeBackend) DoBatch(ctx context.Context, cmds [][][]byte, mode ReadMode) (resp.Value, error) {
+	v, _, err := b.Node.Submit(ctx, request(core.Request{Batch: cmds}, mode)).Wait(ctx)
+	return v, err
+}
+
+// request sets req's replica-read opt-in from the connection's read mode.
+func request(req core.Request, mode ReadMode) core.Request {
 	if mode.ReadOnly {
-		v, _, err := b.Node.DoBatchRead(ctx, cmds, readOpts(mode))
-		return v, err
+		req.ReadOnly, req.Opts = true, readOpts(mode)
 	}
-	return b.Node.DoBatch(ctx, cmds)
+	return req
 }
 
 // ClusterOps is implemented by backends that can answer CLUSTER

@@ -1,16 +1,22 @@
 package server
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
 	"memorydb/internal/baseline"
+	"memorydb/internal/netsim"
 	"memorydb/internal/obs"
 )
 
 // TestServerRecordsFrontEndStages checks that the TCP front-end feeds the
 // shared registry: after a few commands over a real socket, read_parse and
-// reply_write both carry samples.
+// reply_write both carry samples. A pipeline observes read_parse once per
+// command and reply_write once per flush: in front of a node, which takes
+// a whole pipeline before it answers any, a depth-32 pipeline is 32
+// read_parse samples and one reply_write, two if its bytes arrive in two
+// reads.
 func TestServerRecordsFrontEndStages(t *testing.T) {
 	m := obs.New(obs.Options{})
 	node := baseline.NewPrimary(baseline.Config{NodeID: "b1"})
@@ -42,5 +48,34 @@ func TestServerRecordsFrontEndStages(t *testing.T) {
 	}
 	if max := m.Stage(obs.StageReplyWrite).Max(); max <= 0 || max > time.Second {
 		t.Errorf("reply_write max = %v, want small positive duration", max)
+	}
+
+	const depth = 32
+	pm := obs.New(obs.Options{})
+	psrv := New(Config{Addr: "127.0.0.1:0", Backend: NodeBackend{Node: startPrimary(t, netsim.Zero{})}, Obs: pm})
+	if err := psrv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(psrv.Close)
+	pc := dial(t, psrv.Addr().String())
+	for i := 0; i < depth; i++ {
+		pc.w.WriteCommandStrings("SET", "k", strconv.Itoa(i))
+	}
+	if err := pc.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < depth; i++ {
+		if v, err := pc.r.ReadValue(); err != nil || v.Text() != "OK" {
+			t.Fatalf("pipelined SET %d = %v, %v", i, v, err)
+		}
+	}
+	// The last stamp can land after the client read the reply: Close waits
+	// for the connection's goroutine.
+	psrv.Close()
+	if got := pm.Stage(obs.StageReadParse).Count(); got != depth {
+		t.Errorf("pipelined read_parse count = %d, want %d", got, depth)
+	}
+	if got := pm.Stage(obs.StageReplyWrite).Count(); got < 1 || got > 2 {
+		t.Errorf("pipelined reply_write count = %d, want 1 or 2", got)
 	}
 }

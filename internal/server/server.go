@@ -1,10 +1,13 @@
 // Package server is the TCP front-end: it speaks RESP to clients,
 // maintains per-connection state (MULTI transactions, READONLY opt-in),
 // and forwards commands to a backend — a single node or a cluster
-// dispatcher. One goroutine per connection reads a command, calls the
-// backend itself and writes the reply; the paper's §6.1.1 Enhanced IO
-// Multiplexing is reproduced as a capacity model in internal/bench, not
-// here.
+// dispatcher. One goroutine per connection pipelines, as the paper's
+// §6.1.1 Enhanced IO Multiplexing does with its IO threads: it submits
+// every whole command already buffered before it waits on any, then
+// writes their replies in order with one flush, so a depth-N pipeline of
+// writes shares the node's group commit instead of paying N commit
+// rounds. A backend that cannot take a command without waiting on it is
+// served one command at a time.
 package server
 
 import (
@@ -17,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"memorydb/internal/core"
 	"memorydb/internal/obs"
 	"memorydb/internal/resp"
 	"memorydb/internal/trace"
@@ -152,69 +156,193 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// connState holds per-connection protocol state.
-type connState struct {
-	mode     ReadMode
-	inMulti  bool
-	queued   [][][]byte
-	multiErr bool
+// submitter is the optional Backend interface the pipelined loop needs:
+// take a command without waiting on it and return its reply future. The
+// server finds it by type assertion, as it finds ClusterOps.
+type submitter interface {
+	Submit(ctx context.Context, argv [][]byte, mode ReadMode) core.Call
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// A connection keeps at most maxInflight commands submitted and not yet
+// answered, and fewer when its replies are large: each drain takes as
+// many as the last flush's mean reply size fits in maxReplyBytes. At the
+// bound the loop stops reading its socket, so TCP pushes back on a flood
+// instead of the node holding it.
+const (
+	maxInflight   = 128
+	maxReplyBytes = 1 << 20
+)
+
+// noteInflight, when set, sees a connection's in-flight count per drain.
+var noteInflight func(int)
+
+// inflight is a submitted command: its reply future and the root span a
+// sampled command finishes when the reply is ready.
+type inflight struct {
+	call core.Call
+	root trace.Span
+}
+
+// conn is one client connection and its protocol state (MULTI, READONLY).
+// Its goroutine alternates between drain, which reads and submits
+// commands, and answer, which waits on their replies in submit order and
+// writes them; flush then sends them.
+type conn struct {
+	s    *Server
+	nc   net.Conn
+	r    *resp.Reader
+	w    *resp.Writer
+	sub  submitter // nil: each command is answered before the next is read
+	fifo []inflight
+	// window bounds the FIFO; replies, bytes and writeNanos are the
+	// replies written since the last flush, their size and the time spent
+	// encoding them.
+	window, replies, bytes int
+	writeNanos             int64
+
+	mode    ReadMode
+	inMulti bool
+	queued  [][][]byte
+}
+
+// Write sends reply bytes to the socket, counting them.
+func (c *conn) Write(p []byte) (int, error) {
+	n, err := c.nc.Write(p)
+	c.bytes += n
+	return n, err
+}
+
+func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, nc)
 		s.mu.Unlock()
-		conn.Close()
+		nc.Close()
 	}()
-	r := resp.NewReader(conn)
-	w := resp.NewWriter(conn)
-	st := &connState{}
-	m := s.cfg.Obs
+	c := &conn{s: s, nc: nc, r: resp.NewReader(nc), window: maxInflight}
+	c.w = resp.NewWriter(c)
+	c.sub, _ = s.cfg.Backend.(submitter)
 	for {
-		var readStart int64
-		if m != nil {
-			readStart = obs.Now()
+		open := c.drain()
+		if noteInflight != nil {
+			noteInflight(len(c.fifo))
 		}
-		argv, err := r.ReadCommand()
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Protocol error: best-effort error reply, then close.
-				_ = w.WriteValue(resp.Errf("ERR Protocol error: %v", err))
-				_ = w.Flush()
-			}
-			return
-		}
-		if m != nil {
-			m.Stage(obs.StageReadParse).ObserveNanos(obs.Now() - readStart)
-		}
-		if len(argv) == 0 {
-			continue
-		}
-		reply, quit := s.handle(st, argv)
-		var writeStart int64
-		if m != nil {
-			writeStart = obs.Now()
-		}
-		if err := w.WriteValue(reply); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if m != nil {
-			m.Stage(obs.StageReplyWrite).ObserveNanos(obs.Now() - writeStart)
-		}
-		if quit {
+		if !c.answer() || !c.flush() || !open {
 			return
 		}
 	}
 }
 
-// handle processes one command against the connection state, forwarding
-// to the backend when appropriate.
-func (s *Server) handle(st *connState, argv [][]byte) (reply resp.Value, quit bool) {
+// drain reads and submits commands, in order, until the FIFO fills its
+// window or reading on would wait on the socket while replies are owed (a
+// client sends a whole command before it waits on replies, so one partly
+// buffered is read to its end). It reports false once the connection is to
+// close: the client hung up or quit, or sent a malformed frame, whose
+// error reply follows every reply before it.
+func (c *conn) drain() bool {
+	m := c.s.cfg.Obs
+	for len(c.fifo) < c.window {
+		if c.r.Buffered() == 0 && (len(c.fifo) > 0 || c.replies > 0) {
+			return true
+		}
+		start := obs.Now()
+		argv, err := c.r.ReadCommand()
+		switch {
+		case err != nil:
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && c.answer() {
+				c.reply(resp.Errf("ERR Protocol error: %v", err), nil, trace.Span{})
+			}
+			return false
+		case m != nil:
+			m.Stage(obs.StageReadParse).ObserveNanos(obs.Now() - start)
+		}
+		switch {
+		case len(argv) == 0:
+		case c.inMulti || connCommand(argv[0]):
+			// A barrier: the command reads or changes the connection's
+			// state, so everything in flight is answered before it runs.
+			if !c.answer() {
+				return false
+			}
+			reply, quit := c.handle(argv)
+			if !c.reply(reply, nil, trace.Span{}) || quit {
+				return false
+			}
+		case c.sub == nil:
+			ctx, root := c.s.mintSpan(argv[0])
+			if v, err := c.s.cfg.Backend.Do(ctx, argv, c.mode); !c.reply(v, err, root) {
+				return false
+			}
+		default:
+			// argv owns its buffer, so it stays valid while later
+			// commands are read.
+			ctx, root := c.s.mintSpan(argv[0])
+			c.fifo = append(c.fifo, inflight{call: c.sub.Submit(ctx, argv, c.mode), root: root})
+		}
+	}
+	return true
+}
+
+// answer waits for every in-flight reply in submit order and writes it.
+// It reports whether every write succeeded.
+func (c *conn) answer() bool {
+	ok := true
+	for _, f := range c.fifo {
+		v, _, err := f.call.Wait(c.s.ctx)
+		ok = c.reply(v, err, f.root) && ok
+	}
+	clear(c.fifo) // drop the replies and argv they hold
+	c.fifo = c.fifo[:0]
+	return ok
+}
+
+// reply finishes a command's root span and encodes its reply into the
+// connection's buffer.
+func (c *conn) reply(v resp.Value, err error, root trace.Span) bool {
+	if root.TraceID != 0 {
+		c.s.cfg.Trace.Finish(root)
+	}
+	if err != nil {
+		v = resp.Errf("ERR backend: %v", err)
+	}
+	start := obs.Now()
+	err = c.w.WriteValue(v)
+	c.writeNanos += obs.Now() - start
+	c.replies++
+	return err == nil
+}
+
+// flush sends the replies written since the last flush: once per drain.
+// It observes reply_write once, covering their encoding and the flush,
+// and sizes the next drain's window from their mean size.
+func (c *conn) flush() bool {
+	if c.replies == 0 {
+		return true
+	}
+	start := obs.Now()
+	err := c.w.Flush()
+	if m := c.s.cfg.Obs; m != nil && err == nil {
+		m.Stage(obs.StageReplyWrite).ObserveNanos(c.writeNanos + obs.Now() - start)
+	}
+	c.window = max(1, min(maxInflight, maxReplyBytes*c.replies/max(c.bytes, 1)))
+	c.bytes, c.replies, c.writeNanos = 0, 0, 0
+	return err == nil
+}
+
+// connCommand reports whether handle answers name itself: the command
+// reads or changes the connection's state.
+func connCommand(name []byte) bool {
+	for _, c := range [...]string{"QUIT", "READONLY", "READWRITE", "MULTI", "EXEC", "DISCARD", "AUTH", "SELECT", "CLUSTER"} {
+		if is(name, c) {
+			return true
+		}
+	}
+	return false
+}
+
+// handle answers a connection command, or queues a command inside MULTI.
+func (c *conn) handle(argv [][]byte) (reply resp.Value, quit bool) {
 	name := argv[0]
 	switch {
 	case is(name, "QUIT"):
@@ -241,43 +369,39 @@ func (s *Server) handle(st *connState, argv [][]byte) (reply resp.Value, quit bo
 				return resp.Err("ERR syntax error"), false
 			}
 		}
-		st.mode = mode
+		c.mode = mode
 		return resp.OK, false
 	case is(name, "READWRITE"):
-		st.mode = ReadMode{}
+		c.mode = ReadMode{}
 		return resp.OK, false
 	case is(name, "MULTI"):
-		if st.inMulti {
+		if c.inMulti {
 			return resp.Err("ERR MULTI calls can not be nested"), false
 		}
-		st.inMulti = true
-		st.queued = nil
-		st.multiErr = false
+		c.inMulti = true
+		c.queued = nil
 		return resp.OK, false
 	case is(name, "DISCARD"):
-		if !st.inMulti {
+		if !c.inMulti {
 			return resp.Err("ERR DISCARD without MULTI"), false
 		}
-		st.inMulti = false
-		st.queued = nil
+		c.inMulti = false
+		c.queued = nil
 		return resp.OK, false
 	case is(name, "EXEC"):
-		if !st.inMulti {
+		if !c.inMulti {
 			return resp.Err("ERR EXEC without MULTI"), false
 		}
-		st.inMulti = false
-		cmds := st.queued
-		st.queued = nil
-		if st.multiErr {
-			return resp.Err("EXECABORT Transaction discarded because of previous errors."), false
-		}
+		c.inMulti = false
+		cmds := c.queued
+		c.queued = nil
 		if len(cmds) == 0 {
 			return resp.ArrayV(), false
 		}
-		ctx, root, traced := s.mintSpan(name)
-		v, err := s.cfg.Backend.DoBatch(ctx, cmds, st.mode)
-		if traced {
-			s.cfg.Trace.Finish(root)
+		ctx, root := c.s.mintSpan(name)
+		v, err := c.s.cfg.Backend.DoBatch(ctx, cmds, c.mode)
+		if root.TraceID != 0 {
+			c.s.cfg.Trace.Finish(root)
 		}
 		if err != nil {
 			return resp.Errf("ERR backend: %v", err), false
@@ -288,8 +412,8 @@ func (s *Server) handle(st *connState, argv [][]byte) (reply resp.Value, quit bo
 		// ignore in this reproduction.
 		return resp.OK, false
 	case is(name, "CLUSTER"):
-		if co, ok := s.cfg.Backend.(ClusterOps); ok {
-			return co.ClusterCommand(s.ctx, argv), false
+		if co, ok := c.s.cfg.Backend.(ClusterOps); ok {
+			return co.ClusterCommand(c.s.ctx, argv), false
 		}
 		return resp.Err("ERR This instance has cluster support disabled"), false
 	case is(name, "SELECT"):
@@ -299,22 +423,10 @@ func (s *Server) handle(st *connState, argv [][]byte) (reply resp.Value, quit bo
 		return resp.Err("ERR DB index is out of range"), false
 	}
 
-	if st.inMulti {
-		// Queue; malformed commands poison the transaction like Redis. argv
-		// owns its buffer, so the queue keeps it as read.
-		st.queued = append(st.queued, argv)
-		return resp.Queued, false
-	}
-
-	ctx, root, traced := s.mintSpan(name)
-	v, err := s.cfg.Backend.Do(ctx, argv, st.mode)
-	if traced {
-		s.cfg.Trace.Finish(root)
-	}
-	if err != nil {
-		return resp.Errf("ERR backend: %v", err), false
-	}
-	return v, false
+	// Inside MULTI: queue, and EXEC answers even a malformed command in its
+	// place. argv owns its buffer, so the queue keeps it as read.
+	c.queued = append(c.queued, argv)
+	return resp.Queued, false
 }
 
 // is reports whether name is the upper-case command c, in any case,
@@ -326,15 +438,15 @@ func is(name []byte, c string) bool {
 // mintSpan draws the sampling coin at command parse. On a hit it returns
 // a ctx carrying the fresh trace's span context (the backend's stages
 // become children) plus the front-end root span, named for the command
-// and finished when the reply is ready to write.
-func (s *Server) mintSpan(name []byte) (context.Context, trace.Span, bool) {
+// and finished when the reply is ready to write; on a miss the span is
+// zero.
+func (s *Server) mintSpan(name []byte) (context.Context, trace.Span) {
 	if s.cfg.Trace == nil {
-		return s.ctx, trace.Span{}, false
+		return s.ctx, trace.Span{}
 	}
 	sc, ok := s.cfg.Trace.Sample()
 	if !ok {
-		return s.ctx, trace.Span{}, false
+		return s.ctx, trace.Span{}
 	}
-	root := s.cfg.Trace.Root(sc, "cmd:"+strings.ToUpper(string(name)), "server")
-	return trace.NewContext(s.ctx, sc), root, true
+	return trace.NewContext(s.ctx, sc), s.cfg.Trace.Root(sc, "cmd:"+strings.ToUpper(string(name)), "server")
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // waitRole waits on n's change signal until it holds role want.
-func waitRole(t *testing.T, n *core.Node, want election.Role) {
+func waitRole(t testing.TB, n *core.Node, want election.Role) {
 	t.Helper()
 	deadline := time.After(3 * time.Second)
 	for changed := n.Changed(); n.Role() != want; changed = n.Changed() {
@@ -30,7 +30,15 @@ func waitRole(t *testing.T, n *core.Node, want election.Role) {
 // startMemoryDBServer boots a single-node MemoryDB behind a TCP server.
 func startMemoryDBServer(t *testing.T) (*Server, *core.Node) {
 	t.Helper()
-	svc := txlog.NewService(txlog.Config{Clock: clock.NewReal(), CommitLatency: netsim.Zero{}})
+	n := startPrimary(t, netsim.Zero{})
+	return serve(t, NodeBackend{Node: n}), n
+}
+
+// startPrimary boots a single node on its own log, with the given commit
+// latency, and waits until it leads.
+func startPrimary(t testing.TB, commit netsim.LatencyModel) *core.Node {
+	t.Helper()
+	svc := txlog.NewService(txlog.Config{Clock: clock.NewReal(), CommitLatency: commit})
 	log, _ := svc.CreateLog("s1")
 	n, err := core.NewNode(core.Config{
 		NodeID: "n1", ShardID: "s1", Log: log,
@@ -43,12 +51,18 @@ func startMemoryDBServer(t *testing.T) (*Server, *core.Node) {
 	n.Start()
 	t.Cleanup(n.Stop)
 	waitRole(t, n, election.RolePrimary)
-	srv := New(Config{Addr: "127.0.0.1:0", Backend: NodeBackend{Node: n}})
+	return n
+}
+
+// serve starts a TCP server in front of b.
+func serve(t testing.TB, b Backend) *Server {
+	t.Helper()
+	srv := New(Config{Addr: "127.0.0.1:0", Backend: b})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	return srv, n
+	return srv
 }
 
 type testClient struct {

@@ -21,7 +21,7 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20296
+	ceilingNonTestLines = 20446
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 21
@@ -29,7 +29,7 @@ const (
 	// Exported funcs, methods, types and struct fields under internal/
 	// that no non-test code names (see unnamedExports), allowUnnamed
 	// aside.
-	ceilingUnnamedExports = 34
+	ceilingUnnamedExports = 33
 	// time.Sleep / time.After calls in non-test internal/ code outside
 	// internal/clock and internal/bench: everything else waits on a
 	// clock.Clock, so a simulated clock can drive it.
