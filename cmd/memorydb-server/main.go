@@ -76,8 +76,6 @@ func main() {
 		"snapshot builder: emit an incremental delta snapshot every N log entries (0 = disabled unless -trim-interval is set, then 512)")
 	compactEvery := flag.Int("compact-every", envInt("MEMORYDB_COMPACT_EVERY", 8),
 		"snapshot builder: compact the full+delta chain into a new full snapshot after N deltas")
-	replicaReadTimeout := flag.Duration("replica-read-timeout", envDuration("MEMORYDB_REPLICA_READ_TIMEOUT", 0),
-		"max time a linearizable replica read waits for its freshness proof before degrading (0 = 50ms default)")
 	flag.Parse()
 
 	// One shared metrics registry spans the front-end (read_parse,
@@ -115,15 +113,14 @@ func main() {
 		}
 		snaps := snapshot.NewManager(s3.New(s3.WithFaults(faults)), "snapshots")
 		node, err := core.NewNode(core.Config{
-			NodeID:             "node-0",
-			ShardID:            "shard-0",
-			Log:                logHandle,
-			Snapshots:          snaps,
-			Faults:             faults,
-			Obs:                metrics,
-			ReplicaReadTimeout: *replicaReadTimeout,
-			Trace:              collector,
-			FlightEvents:       *flightEvents,
+			NodeID:       "node-0",
+			ShardID:      "shard-0",
+			Log:          logHandle,
+			Snapshots:    snaps,
+			Faults:       faults,
+			Obs:          metrics,
+			Trace:        collector,
+			FlightEvents: *flightEvents,
 		})
 		if err != nil {
 			log.Fatalf("create node: %v", err)

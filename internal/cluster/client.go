@@ -103,17 +103,9 @@ func (cl *Client) DoArgvOutcome(ctx context.Context, argv [][]byte) (resp.Value,
 
 // MultiExec runs an atomic transaction (MULTI/EXEC) against the shard
 // owning the commands' keys. All keys must hash to one slot.
-func (cl *Client) MultiExec(ctx context.Context, cmds [][]string) (resp.Value, error) {
-	if len(cmds) == 0 {
+func (cl *Client) MultiExec(ctx context.Context, batch [][][]byte) (resp.Value, error) {
+	if len(batch) == 0 {
 		return resp.ArrayV(), nil
-	}
-	batch := make([][][]byte, len(cmds))
-	for i, cmd := range cmds {
-		argv := make([][]byte, len(cmd))
-		for j, a := range cmd {
-			argv[j] = []byte(a)
-		}
-		batch[i] = argv
 	}
 	sh, err := cl.route(batch[0])
 	if err != nil {

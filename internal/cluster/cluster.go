@@ -35,11 +35,8 @@ type Config struct {
 	AZs              []string
 	// Node timing knobs, applied to every provisioned node.
 	Lease, Backoff, RenewEvery time.Duration
-	// ReplicaReadTimeout bounds how long a linearizable replica read
-	// parks for its freshness proof before degrading (0 = core default).
-	ReplicaReadTimeout time.Duration
-	EngineVersion      uint32
-	ChecksumEvery      int
+	EngineVersion              uint32
+	ChecksumEvery              int
 	// RetrySeed seeds every node's transient-failure retry jitter, so
 	// fixed-seed chaos schedules reproduce.
 	RetrySeed int64
@@ -262,22 +259,21 @@ func (c *Cluster) nodeFaults(nodeID string) *faultpoint.Registry {
 // on the same host.
 func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
 	n, err := core.NewNode(core.Config{
-		NodeID:             nodeID,
-		ShardID:            sh.ID,
-		AZ:                 az,
-		Log:                sh.Log,
-		Clock:              c.cfg.Clock,
-		EngineVersion:      c.cfg.EngineVersion,
-		Lease:              c.cfg.Lease,
-		Backoff:            c.cfg.Backoff,
-		RenewEvery:         c.cfg.RenewEvery,
-		ReplicaReadTimeout: c.cfg.ReplicaReadTimeout,
-		Snapshots:          c.cfg.Snapshots,
-		ChecksumEvery:      c.cfg.ChecksumEvery,
-		RetrySeed:          c.cfg.RetrySeed,
-		Faults:             c.nodeFaults(nodeID),
-		Trace:              c.cfg.Trace,
-		Flight:             c.nodeFlight(nodeID),
+		NodeID:        nodeID,
+		ShardID:       sh.ID,
+		AZ:            az,
+		Log:           sh.Log,
+		Clock:         c.cfg.Clock,
+		EngineVersion: c.cfg.EngineVersion,
+		Lease:         c.cfg.Lease,
+		Backoff:       c.cfg.Backoff,
+		RenewEvery:    c.cfg.RenewEvery,
+		Snapshots:     c.cfg.Snapshots,
+		ChecksumEvery: c.cfg.ChecksumEvery,
+		RetrySeed:     c.cfg.RetrySeed,
+		Faults:        c.nodeFaults(nodeID),
+		Trace:         c.cfg.Trace,
+		Flight:        c.nodeFlight(nodeID),
 	})
 	if err != nil {
 		return nil, err

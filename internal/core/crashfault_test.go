@@ -293,7 +293,7 @@ func TestPostCommitErrorStrandsNoRelease(t *testing.T) {
 				t.Fatalf("%s fired %d Errors, want 1", site, got)
 			}
 			waitFor(t, "the log to answer for every issued entry", func() bool {
-				entries, _ := n.fifo()
+				entries := n.fifo()
 				return entries == 0
 			})
 			if got := n.Obs().Stage(obs.StageE2E).Count() - finished; got != 2 {

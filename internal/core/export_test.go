@@ -20,17 +20,14 @@ func (n *Node) liveDB() *store.DB {
 	return db
 }
 
-// fifo returns how many issued entries the node has yet to answer for and
-// how many gated reads they hold, read on the workloop that owns them.
-func (n *Node) fifo() (entries, reads int) {
+// fifo returns how many issued entries the node has yet to answer for,
+// read on the workloop that owns them.
+func (n *Node) fifo() (entries int) {
 	n.run(context.Background(), func() error {
 		entries = len(n.issued)
-		for _, e := range n.issued {
-			reads += len(e.reads)
-		}
 		return nil
 	})
-	return entries, reads
+	return entries
 }
 
 // parkedReads returns how many tasks wait on the node's list of parked

@@ -147,47 +147,20 @@ func TestReadYourWritesGating(t *testing.T) {
 }
 
 func readYourWritesGating(t *testing.T, window int) {
-	commit := 10 * time.Millisecond
-	svc := testService(t, netsim.Fixed(commit))
-	log, _ := svc.CreateLog("shard-1")
-	n := testNodeWindow(t, "node-a", log, nil, window)
-	waitRole(t, n, election.RolePrimary, 2*time.Second)
+	h := newHarness(t, harnessConfig{window: window})
+	set := h.do("SET", "k", "v")
+	get := h.do("GET", "k")
+	// Until the write's entry commits, neither reply may leave the node.
+	h.mustWait(set)
+	h.mustWait(get)
+	h.commit()
+	h.mustReply(set, "OK")
+	h.mustReply(get, "v")
 
-	ctx := context.Background()
-	base := n.Stats().Mutations.Load()
-	writeDone := make(chan time.Duration, 1)
-	writeIssued := time.Now()
-	go func() {
-		n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v")})
-		writeDone <- time.Since(writeIssued)
-	}()
-	waitMutations(t, n, base+1) // executed, not yet committed
-	v, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("k")})
-	// Measured from the write's issue, not the read's: however late this
-	// goroutine was scheduled, a gated read cannot return before the
-	// commit latency has passed since the write began.
-	sinceWrite := time.Since(writeIssued)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Text() != "v" {
-		t.Fatalf("read missed the in-flight write: %v", v)
-	}
-	if sinceWrite < commit {
-		t.Fatalf("read returned %v after the write was issued — before the %v commit, exposing undurable data", sinceWrite, commit)
-	}
-	if wl := <-writeDone; wl < commit {
-		t.Fatalf("write acknowledged in %v, before the %v commit latency", wl, commit)
-	}
 	// A read of an unrelated key is NOT gated (key-level hazards).
-	n.Do(ctx, [][]byte{[]byte("SET"), []byte("other"), []byte("x")})
-	go n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v2")})
-	waitMutations(t, n, base+3)
-	start := time.Now()
-	if _, err := n.Do(ctx, [][]byte{[]byte("GET"), []byte("other")}); err != nil {
-		t.Fatal(err)
-	}
-	if lat := time.Since(start); lat > commit/2 {
-		t.Fatalf("unrelated read gated for %v — hazards must be per key", lat)
-	}
+	other := h.do("SET", "other", "x")
+	h.commit()
+	h.mustReply(other, "OK")
+	h.do("SET", "k", "v2")
+	h.mustReply(h.do("GET", "other"), "x")
 }

@@ -13,8 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,8 +112,7 @@ type Config struct {
 	// its predecessor's timeline.
 	Flight *trace.Flight
 	// FlightEvents sizes the private flight ring created when Flight is
-	// nil. Defaults to the MEMORYDB_FLIGHT_EVENTS environment variable
-	// when set, otherwise trace.DefaultFlightEvents.
+	// nil. Defaults to trace.DefaultFlightEvents.
 	FlightEvents int
 }
 
@@ -146,13 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflightAppends < 1 {
 		c.MaxInflightAppends = 1
-	}
-	if c.FlightEvents == 0 {
-		if env := os.Getenv("MEMORYDB_FLIGHT_EVENTS"); env != "" {
-			if v, err := strconv.Atoi(env); err == nil {
-				c.FlightEvents = v
-			}
-		}
 	}
 	return c
 }

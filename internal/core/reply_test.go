@@ -4,16 +4,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"memorydb/internal/clock"
 	"memorydb/internal/election"
-	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
-	"memorydb/internal/obs"
-	"memorydb/internal/resp"
 	"memorydb/internal/txlog"
 )
 
@@ -37,220 +35,119 @@ func waitMutations(t *testing.T, n *Node, want int64) {
 	waitFor(t, fmt.Sprintf("%d mutations to execute", want), func() bool { return n.Stats().Mutations.Load() >= want })
 }
 
-// heldNode returns a primary on which time passes only when the test says
-// so. The log service runs on one simulated clock with a one-second commit
-// latency — an entry stays in flight until commit() — and the node on
-// another: its lease neither renews nor expires until expire(), which runs
-// it out. Both are pumped until the node holds the lease, then stopped.
-// window is the append window (one keeps the second write in the buffer);
-// faults, when set, is the node's fault registry.
-func heldNode(t *testing.T, window int, faults *faultpoint.Registry) (n *Node, commit, expire func()) {
-	t.Helper()
-	logClk, nodeClk := clock.NewSim(time.Unix(1700000000, 0)), clock.NewSim(time.Unix(1700000000, 0))
-	svc := txlog.NewService(txlog.Config{Clock: logClk, CommitLatency: netsim.Fixed(time.Second)})
-	log, _ := svc.CreateLog("shard-1")
-	n, err := NewNode(Config{
-		NodeID: "node-a", ShardID: log.ShardID(), Log: log, Clock: nodeClk,
-		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond, RenewEvery: 30 * time.Millisecond,
-		MaxInflightAppends: window, Faults: faults,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit = func() { logClk.Advance(time.Second) }
-	expire = func() { nodeClk.Advance(200 * time.Millisecond) }
-	n.Start()
-	t.Cleanup(func() {
-		// A demoted node sits out its backoff on the node clock.
-		stopped := make(chan struct{})
-		go func() { n.Stop(); close(stopped) }()
-		waitFor(t, "the node to stop", func() bool {
-			expire()
-			select {
-			case <-stopped:
-				return true
-			default:
-				return false
-			}
-		})
-	})
-	waitFor(t, "the node to win the lease", func() bool {
-		nodeClk.Advance(20 * time.Millisecond)
-		commit()
-		return n.Role() == election.RolePrimary
-	})
-	return n, commit, expire
-}
-
 // TestParkedReplyDeliveredExactlyOnce walks every place a reply can be
 // withheld and ends the wait both ways: the covering entry commits (the
 // caller gets its value) or the node loses its lease first (the caller gets
 // errDemoted, and the entry's late commit delivers nothing). Every caller
-// returns, and the node finished exactly as many commands as were sent.
+// is answered exactly once.
 func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
-	// Each step is one command sent from its own caller, then a counter that
-	// says it has reached its parking place. All keys share a slot, so they
-	// share a shard buffer at any shard count.
+	// Each step is one command and where its reply waits: on an issued
+	// entry, or on the open buffer's.
 	type step struct {
 		cmd    string
 		want   string // reply text once the entry commits
-		parked func(n *Node, base StatsView) bool
+		onOpen bool
 	}
-	inflight := step{"SET {p}a 1", "OK", func(n *Node, b StatsView) bool { return n.Stats().BatchFlushes.Load() == b.BatchFlushes+1 }}
-	buffered := step{"SET {p}b 2", "OK", func(n *Node, b StatsView) bool { return n.Stats().Mutations.Load() == b.Mutations+2 }}
-	counted := func(n *Node, b StatsView) bool { return n.Stats().GatedReads.Load() == b.GatedReads+1 }
-	onFIFO := func(n *Node, _ StatsView) bool { // on the in-flight write's entry
-		_, reads := n.fifo()
-		return reads == 1
-	}
+	inflight := step{"SET {p}a 1", "OK", false}
+	buffered := step{"SET {p}b 2", "OK", true}
 	for _, place := range []struct {
 		name  string
 		steps []step
 	}{
 		{"buffered write", []step{inflight, buffered}},
-		{"read gated on the buffer", []step{inflight, buffered, {"GET {p}b", "2", counted}}},
-		{"read gated on a key hazard", []step{inflight, {"GET {p}a", "1", onFIFO}}},
-		{"read gated on everything", []step{inflight, {"DBSIZE", "", onFIFO}}},
-		{"barrier-shard mutation", []step{{"FLUSHALL", "OK", inflight.parked}}},
+		{"read gated on the buffer", []step{inflight, buffered, {"GET {p}b", "2", true}}},
+		{"read gated on a key hazard", []step{inflight, {"GET {p}a", "1", false}}},
+		{"read gated on everything", []step{inflight, {"DBSIZE", "", false}}},
+		{"barrier-shard mutation", []step{{"FLUSHALL", "OK", false}}},
 	} {
 		for _, outcome := range []string{"commit", "demote"} {
 			t.Run(place.name+"/"+outcome, func(t *testing.T) {
-				n, commit, expire := heldNode(t, 1, nil)
-				base := n.Stats().Snapshot()
-				finished := n.Obs().Stage(obs.StageE2E).Count()
-				replies := make([]chan resp.Value, len(place.steps))
+				h := newHarness(t, harnessConfig{window: 1})
+				calls := make([]*call, len(place.steps))
 				for i, s := range place.steps {
-					argv := [][]byte{}
-					for _, a := range strings.Fields(s.cmd) {
-						argv = append(argv, []byte(a))
+					calls[i] = h.do(strings.Fields(s.cmd)...)
+					h.mustWait(calls[i])
+					if open := h.primary.gc.open; (open != nil && open.holdsTask(calls[i].t)) != s.onOpen {
+						t.Fatalf("%s: held by the open buffer = %v, want %v", s.cmd, !s.onOpen, s.onOpen)
 					}
-					replies[i] = make(chan resp.Value, 1)
-					go func(ch chan resp.Value) {
-						v, err := n.Do(context.Background(), argv)
-						if err != nil {
-							v = resp.Err(err.Error())
-						}
-						ch <- v
-					}(replies[i])
-					waitFor(t, s.cmd+" to park", func() bool { return s.parked(n, base) })
 				}
 				if outcome == "demote" {
-					expire()
-					waitRole(t, n, election.RoleDemoted, 2*time.Second)
+					h.expire()
+					if h.primary.Role() != election.RoleDemoted {
+						t.Fatalf("role %v after the lease ran out, want demoted", h.primary.Role())
+					}
+				}
+				// Every issued entry becomes durable and is answered for —
+				// after the abort, in the demote case: nothing is left to
+				// deliver then.
+				for len(h.primary.issued) > 0 {
+					h.commit()
 				}
 				for i, s := range place.steps {
-					var v resp.Value
-					waitFor(t, s.cmd+"'s caller to return", func() bool {
-						if outcome == "commit" {
-							commit() // again: a buffered batch is appended once the entry ahead commits
-						}
-						select {
-						case v = <-replies[i]:
-							return true
-						default:
-							return false
-						}
-					})
+					v := h.mustReply(calls[i], "")
 					if outcome == "demote" && !v.Equal(errDemoted) {
 						t.Errorf("%s: reply %v after the lease ran out, want %v", s.cmd, v, errDemoted)
 					} else if outcome == "commit" && (v.IsError() || (s.want != "" && v.Text() != s.want)) {
 						t.Errorf("%s: reply %v, want %q", s.cmd, v, s.want)
 					}
-				}
-				// Every flushed entry becomes durable and is answered for —
-				// after the abort, in the demote case: nothing is left to
-				// deliver. A second reply to any task would be a second
-				// finished command here (and a data race on its value).
-				waitFor(t, "the log to answer for every flushed entry", func() bool {
-					commit()
-					inflight := -1
-					n.run(context.Background(), func() error {
-						inflight = n.gc.inflight
-						return nil
-					})
-					return inflight == 0
-				})
-				if got := n.Obs().Stage(obs.StageE2E).Count() - finished; got != uint64(len(place.steps)) {
-					t.Fatalf("%d commands sent, %d replies delivered", len(place.steps), got)
+					if calls[i].replies != 1 {
+						t.Errorf("%s: %d replies, want 1", s.cmd, calls[i].replies)
+					}
 				}
 			})
 		}
 	}
 }
 
+// holdsTask reports whether e holds t's reply.
+func (e *issuedEntry) holdsTask(t *task) bool {
+	return slices.Contains(e.writes, t) || slices.Contains(e.reads, t)
+}
+
 // TestGatedReadsCountsWithheldReads: gated_reads counts the reads whose
 // reply was actually withheld — on the key-level hazard, the common case,
 // and not for a read that found nothing outstanding.
 func TestGatedReadsCountsWithheldReads(t *testing.T) {
-	svc := testService(t, netsim.Fixed(20*time.Millisecond))
-	log, _ := svc.CreateLog("shard-1")
-	// No renewal falls inside the test: an in-flight lease entry would
-	// rightly gate WAIT.
-	n, err := NewNode(Config{NodeID: "node-a", ShardID: log.ShardID(), Log: log,
-		Lease: 20 * time.Second, Backoff: 25 * time.Second, RenewEvery: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	t.Cleanup(n.Stop)
-	waitRole(t, n, election.RolePrimary, 2*time.Second)
-	mustDo(t, n, "SET", "untouched", "x")
+	h := newHarness(t, harnessConfig{})
+	gated := h.primary.Stats().GatedReads.Load
+	h.do("SET", "untouched", "x")
+	h.commit()
 
-	ctx := context.Background()
-	gated := func() int64 { return n.Stats().GatedReads.Load() }
-	// writeInFlight issues a SET and returns once its entry is in the log
-	// but, 20 ms from durable, cannot have committed.
-	writeInFlight := func() (done chan struct{}) {
-		flushes, done := n.Stats().BatchFlushes.Load(), make(chan struct{})
-		go func() {
-			defer close(done)
-			n.Do(ctx, [][]byte{[]byte("SET"), []byte("hot"), []byte("v")})
-		}()
-		waitFor(t, "the SET's entry to be issued", func() bool { return n.Stats().BatchFlushes.Load() > flushes })
-		return done
-	}
-	quiesce := func() {
-		waitFor(t, "every issued entry to be answered for", func() bool {
-			entries, _ := n.fifo()
-			return entries == 0
-		})
-	}
-
-	quiesce()
 	base := gated()
-	done := writeInFlight()
-	if v := mustDo(t, n, "GET", "hot"); v.Text() != "v" {
-		t.Fatalf("GET hot = %v", v)
-	}
+	h.do("SET", "hot", "v")
+	get := h.do("GET", "hot")
+	h.mustWait(get)
 	if got := gated() - base; got != 1 {
 		t.Errorf("GET of a key with a SET in flight: gated_reads +%d, want +1", got)
 	}
-	<-done
+	h.commit()
+	h.mustReply(get, "v")
 
-	done = writeInFlight()
+	h.do("SET", "hot", "v")
 	base = gated()
-	mustDo(t, n, "GET", "untouched")
+	h.mustReply(h.do("GET", "untouched"), "x")
 	if got := gated() - base; got != 0 {
 		t.Errorf("GET of an untouched key: gated_reads +%d, want +0", got)
 	}
-	<-done
+	h.commit()
 
-	quiesce()
 	base = gated()
-	mustDo(t, n, "WAIT", "0", "0")
+	h.mustReply(h.do("WAIT", "0", "0"), "")
 	if got := gated() - base; got != 0 {
 		t.Errorf("WAIT with nothing outstanding: gated_reads +%d, want +0", got)
 	}
 
-	done = writeInFlight()
+	h.do("SET", "hot", "v")
 	base = gated()
-	mustDo(t, n, "WAIT", "0", "0")
+	wait := h.do("WAIT", "0", "0")
+	h.mustWait(wait)
 	if got := gated() - base; got != 1 {
 		t.Errorf("WAIT behind an in-flight write: gated_reads +%d, want +1", got)
 	}
-	<-done
+	h.commit()
+	h.mustReply(wait, "")
 
-	if info := mustDo(t, n, "INFO").Text(); !strings.Contains(info, "\r\ngated_reads:2\r\n") {
+	if info := h.info(h.primary); !strings.Contains(info, "\ngated_reads:2\n") {
 		t.Error("INFO's # Stats does not report gated_reads:2")
 	}
 }

@@ -7,11 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"memorydb/internal/clock"
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
-	"memorydb/internal/netsim"
-	"memorydb/internal/resp"
 	"memorydb/internal/txlog"
 )
 
@@ -26,33 +23,27 @@ func TestSingleAZDownNoDemotionNoErrors(t *testing.T) {
 }
 
 func singleAZDownNoDemotion(t *testing.T, window int) {
-	svc, faults := faultyService(t, netsim.Fixed(500*time.Microsecond))
-	log, _ := svc.CreateLog("shard-1")
-	n := testNodeWindow(t, "node-a", log, nil, window)
-	waitRole(t, n, election.RolePrimary, 2*time.Second)
-
+	faults := faultpoint.New(1)
+	h := newHarness(t, harnessConfig{window: window, faults: faults})
 	setLevel(faults, faultpoint.ZoneAckSite(0), true)
-	defer setLevel(faults, faultpoint.ZoneAckSite(0), false)
-
 	for i := 0; i < 25; i++ {
-		mustDo(t, n, "SET", fmt.Sprintf("k%d", i), "v")
+		set := h.do("SET", fmt.Sprintf("k%d", i), "v")
+		h.commit()
+		h.mustReply(set, "OK")
 	}
 	for i := 0; i < 25; i++ {
-		if v := mustDo(t, n, "GET", fmt.Sprintf("k%d", i)); v.Text() != "v" {
-			t.Fatalf("GET k%d = %v", i, v)
-		}
+		h.mustReply(h.do("GET", fmt.Sprintf("k%d", i)), "v")
 	}
-	if n.Role() != election.RolePrimary {
-		t.Fatalf("role = %v after single-AZ outage, want primary", n.Role())
+	if h.primary.Role() != election.RolePrimary {
+		t.Fatalf("role = %v after single-AZ outage, want primary", h.primary.Role())
 	}
-	st := n.Stats().Snapshot()
-	if st.Demotions != 0 {
-		t.Fatalf("Demotions = %d under single-AZ outage, want 0", st.Demotions)
+	if d := h.primary.Stats().Demotions.Load(); d != 0 {
+		t.Fatalf("Demotions = %d under single-AZ outage, want 0", d)
 	}
-	if !log.Degraded() {
+	if !h.log.Degraded() {
 		t.Fatal("log should report degraded with one AZ down")
 	}
-	if log.Stats().DegradedAppends == 0 {
+	if h.log.Stats().DegradedAppends == 0 {
 		t.Fatal("expected degraded (partial-ack) appends recorded")
 	}
 }
@@ -68,39 +59,32 @@ func TestServiceBlipShorterThanLeaseSurvives(t *testing.T) {
 }
 
 func serviceBlipSurvives(t *testing.T, window int) {
-	svc, faults := faultyService(t, netsim.Zero{})
-	log, _ := svc.CreateLog("shard-1")
-	n := testNodeWindow(t, "node-a", log, nil, window) // 120ms lease
-	waitRole(t, n, election.RolePrimary, 2*time.Second)
-	mustDo(t, n, "SET", "warm", "up")
+	faults := faultpoint.New(1)
+	h := newHarness(t, harnessConfig{window: window, faults: faults})
+	warm := h.do("SET", "warm", "up")
+	h.commit()
+	h.mustReply(warm, "OK")
 
-	const blip = 50 * time.Millisecond
-	setLevel(faults, faultpoint.SiteLogUnavailable, true)
-	go func() {
-		time.Sleep(blip)
-		setLevel(faults, faultpoint.SiteLogUnavailable, false)
-	}()
-
-	start := time.Now()
-	v := mustDo(t, n, "SET", "k", "v") // must block through the blip, then succeed
-	if v.Text() != "OK" {
-		t.Fatalf("SET reply = %v", v)
+	// The blip: the service fails the next eight appends, a few
+	// milliseconds of backoff on the node's clock against a 20 s lease.
+	const blip = 8
+	for range blip {
+		faults.Arm(faultpoint.SiteLogUnavailable, faultpoint.Error, 0)
 	}
-	if d := time.Since(start); d < blip/2 {
-		t.Fatalf("write acknowledged in %v — during the outage?", d)
+	set := h.do("SET", "k", "v") // its flush retries through the blip in this turn
+	h.mustWait(set)
+	h.commit()
+	h.mustReply(set, "OK")
+	h.mustReply(h.do("GET", "k"), "v")
+	if h.primary.Role() != election.RolePrimary {
+		t.Fatalf("role = %v after blip, want primary", h.primary.Role())
 	}
-	if got := mustDo(t, n, "GET", "k"); got.Text() != "v" {
-		t.Fatalf("GET k = %v", got)
-	}
-	if n.Role() != election.RolePrimary {
-		t.Fatalf("role = %v after blip, want primary", n.Role())
-	}
-	st := n.Stats().Snapshot()
+	st := h.primary.Stats().Snapshot()
 	if st.Demotions != 0 {
 		t.Fatalf("Demotions = %d after a sub-lease blip, want 0", st.Demotions)
 	}
-	if st.AppendsRetried == 0 {
-		t.Fatal("expected AppendsRetried > 0: the blip must have been absorbed by retries")
+	if st.AppendsRetried != blip {
+		t.Fatalf("AppendsRetried = %d, want the blip's %d: it must be absorbed by retries", st.AppendsRetried, blip)
 	}
 	if st.DegradedMillis == 0 {
 		t.Fatal("expected DegradedMillis > 0 from backoff sleeps during the blip")
@@ -109,81 +93,29 @@ func serviceBlipSurvives(t *testing.T, window int) {
 
 // TestRetryAnswersCommittedWrites: a flush retrying a transient failure
 // first answers for the appends that committed before it. The first SET's
-// entry commits while the workloop flushes the second SET into a one-shot
-// node.partition Error; the first SET gets OK while the retry's backoff
-// sleeps on a node clock only the test moves. A retry that held it back
-// would answer it after the outage at best, and CLUSTERDOWN once an outage
-// outlasted the lease.
+// entry has committed, unanswered, when the second SET's flush meets a
+// one-shot node.partition Error; the first SET gets OK within that turn,
+// while the retry backs off. A retry that held it back would answer it
+// after the outage at best, and CLUSTERDOWN once an outage outlasted the
+// lease.
 func TestRetryAnswersCommittedWrites(t *testing.T) {
 	faults := faultpoint.New(1)
-	n, commit, _ := heldNode(t, 2, faults)
-	nodeClk := n.clk.(*clock.Sim)
-	ctx := context.Background()
-	st := n.Stats()
-	flushes, retried := st.BatchFlushes.Load(), st.AppendsRetried.Load()
-
-	first := make(chan resp.Value, 1)
-	go func() {
-		v, err := n.Do(ctx, [][]byte{[]byte("SET"), []byte("{r}a"), []byte("1")})
-		if err != nil {
-			v = resp.Err(err.Error())
-		}
-		first <- v
-	}()
-	waitFor(t, "the first SET's entry to be issued", func() bool { return st.BatchFlushes.Load() == flushes+1 })
+	h := newHarness(t, harnessConfig{window: 2, faults: faults})
+	st := h.primary.Stats()
+	first := h.do("SET", "{r}a", "1")
+	h.commitHead()
+	h.mustWait(first)
 
 	faults.Arm(faultpoint.SiteNodePartition, faultpoint.Error, 0)
-	second := &task{kind: taskCmd, argv: [][]byte{[]byte("SET"), []byte("{r}b"), []byte("2")}, done: make(chan struct{}, 1)}
-	second.resolve()
-	holding := make(chan struct{})
-	go n.run(ctx, func() error {
-		// The workloop is held here, so nothing answers for the first
-		// entry before the second SET's flush meets the partition.
-		close(holding)
-		<-n.issued[0].p.Done()
-		n.handleClient(second)
-		return nil
-	})
-	<-holding
-	// The log's committer arms its timer for the entry from a Now it read
-	// earlier, so one Advance can land before the timer and miss it: pump
-	// the log clock until the reply arrives. The node clock stays stopped,
-	// so the retry sleeps throughout.
-	var v resp.Value
-	waitFor(t, "the committed SET's reply while the retry slept", func() bool {
-		commit()
-		select {
-		case v = <-first:
-			return true
-		default:
-			return false
-		}
-	})
-	if v.Text() != "OK" {
-		t.Fatalf("the committed SET got %v during the retry, want OK", v)
-	}
-	// The retry loop answers for the committed entry before it counts the
-	// retry, so the reply can arrive first; the count then holds at one
-	// until the backoff ends on the stopped node clock.
-	waitFor(t, "the second SET's retry", func() bool { return st.AppendsRetried.Load() > retried })
+	retried := st.AppendsRetried.Load()
+	second := h.do("SET", "{r}b", "2")
+	h.mustReply(first, "OK")
 	if got := st.AppendsRetried.Load() - retried; got != 1 {
 		t.Fatalf("%d append retries, want the second SET's one", got)
 	}
-
-	// The backoff ends on the node clock; the second SET lands and commits.
-	waitFor(t, "the second SET's reply", func() bool {
-		nodeClk.Advance(retryBase)
-		commit()
-		select {
-		case <-second.done:
-			return true
-		default:
-			return false
-		}
-	})
-	if second.val.Text() != "OK" {
-		t.Fatalf("the retried SET got %v, want OK", second.val)
-	}
+	h.mustWait(second)
+	h.commit()
+	h.mustReply(second, "OK")
 }
 
 // TestFencedAppendDemotesImmediately is the third criterion: a fenced
@@ -196,32 +128,23 @@ func TestFencedAppendDemotesImmediately(t *testing.T) {
 }
 
 func fencedAppendDemotes(t *testing.T, window int) {
-	svc := testService(t, netsim.Zero{})
-	log, _ := svc.CreateLog("shard-1")
-	n := testNodeWindow(t, "node-a", log, nil, window)
-	waitRole(t, n, election.RolePrimary, 2*time.Second)
-	mustDo(t, n, "SET", "k", "v1")
+	h := newHarness(t, harnessConfig{window: window})
+	set := h.do("SET", "k", "v1")
+	h.commit()
+	h.mustReply(set, "OK")
 
 	// Usurp the tail directly, as a competing writer would: the primary's
 	// next append no longer follows the tail and must fence.
-	for {
-		if _, err := log.Append(context.Background(), log.AssignedTail(),
-			txlog.Entry{Type: txlog.EntryData, Payload: []byte("usurper")}); err == nil {
-			break
-		}
+	if _, err := h.log.StartAppend(h.log.AssignedTail(), txlog.Entry{Type: txlog.EntryData, Payload: []byte("usurper")}); err != nil {
+		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && n.Role() == election.RolePrimary {
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		n.Do(ctx, [][]byte{[]byte("SET"), []byte("k"), []byte("v2")})
-		cancel()
-		time.Sleep(2 * time.Millisecond)
+	if v := h.mustReply(h.do("SET", "k", "v2"), ""); !v.IsError() {
+		t.Fatalf("a fenced write was acknowledged: %v", v)
 	}
-	if n.Role() == election.RolePrimary {
+	if h.primary.Role() == election.RolePrimary {
 		t.Fatal("fenced primary never demoted")
 	}
-	st := n.Stats().Snapshot()
+	st := h.primary.Stats().Snapshot()
 	if st.Demotions == 0 {
 		t.Fatal("Demotions = 0, want >= 1")
 	}
@@ -237,89 +160,86 @@ func fencedAppendDemotes(t *testing.T, window int) {
 // renewal path through its retry loop (RenewalsRetried) — all without a
 // single demotion. The counters must also surface in INFO.
 func TestRobustnessCountersUnderAZFlap(t *testing.T) {
-	svc, faults := faultyService(t, netsim.Fixed(200*time.Microsecond))
-	log, _ := svc.CreateLog("shard-1")
-	n := testNode(t, "node-a", log, nil)
-	waitRole(t, n, election.RolePrimary, 2*time.Second)
-	mustDo(t, n, "SET", "warm", "up")
+	faults := faultpoint.New(1)
+	h := newHarness(t, harnessConfig{faults: faults})
+	set := func(key string) {
+		t.Helper()
+		c := h.do("SET", key, "v")
+		h.commit()
+		h.mustReply(c, "OK")
+	}
+	set("warm")
 
 	// Single-AZ flap: partial-ack commits open the degraded window...
 	setLevel(faults, faultpoint.ZoneAckSite(1), true)
-	mustDo(t, n, "SET", "a", "1")
-	time.Sleep(40 * time.Millisecond)
-	mustDo(t, n, "SET", "b", "2")
+	set("a")
+	h.primary.clk.Advance(40 * time.Millisecond)
+	set("b")
 	// ...and the first full-replication commit after healing closes it.
 	setLevel(faults, faultpoint.ZoneAckSite(1), false)
-	mustDo(t, n, "SET", "c", "3")
-
-	st := n.Stats().Snapshot()
-	if st.DegradedMillis < 30 {
-		t.Fatalf("DegradedMillis = %d after a ~40ms single-AZ flap, want >= 30", st.DegradedMillis)
-	}
-	if st.Demotions != 0 {
-		t.Fatalf("Demotions = %d, want 0", st.Demotions)
+	set("c")
+	st := h.primary.Stats()
+	if got := st.DegradedMillis.Load(); got != 40 {
+		t.Fatalf("DegradedMillis = %d after a 40 ms single-AZ flap, want 40", got)
 	}
 
 	// Whole-service flap with no writes queued: the renewal tick itself
-	// hits the outage and retries through it.
-	setLevel(faults, faultpoint.SiteLogUnavailable, true)
-	time.Sleep(45 * time.Millisecond) // > RenewEvery (30ms), < lease (120ms)
-	setLevel(faults, faultpoint.SiteLogUnavailable, false)
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) && n.Stats().RenewalsRetried.Load() == 0 {
-		time.Sleep(2 * time.Millisecond)
+	// meets the outage and retries through it.
+	const flap = 3
+	for range flap {
+		faults.Arm(faultpoint.SiteLogUnavailable, faultpoint.Error, 0)
 	}
-	st = n.Stats().Snapshot()
-	if st.RenewalsRetried == 0 {
-		t.Fatal("RenewalsRetried = 0 after a whole-service flap spanning a renew tick")
+	h.tick()
+	if got := st.RenewalsRetried.Load(); got != flap {
+		t.Fatalf("RenewalsRetried = %d after a service flap across a renewal, want %d", got, flap)
 	}
-	if st.Demotions != 0 {
-		t.Fatalf("Demotions = %d after sub-lease service flap, want 0", st.Demotions)
+	if got := st.Demotions.Load(); got != 0 {
+		t.Fatalf("Demotions = %d after sub-lease flaps, want 0", got)
 	}
-	if n.Role() != election.RolePrimary {
-		t.Fatalf("role = %v, want primary", n.Role())
+	if h.primary.Role() != election.RolePrimary {
+		t.Fatalf("role = %v, want primary", h.primary.Role())
 	}
 
-	info := mustDo(t, n, "INFO").Text()
-	for _, field := range []string{"appends_retried:", "renewals_retried:", "degraded_millis:", "log_degraded:", "log_degraded_appends:"} {
+	info := h.info(h.primary)
+	for _, field := range []string{"appends_retried:", "renewals_retried:3\n", "degraded_millis:", "log_degraded:", "log_degraded_appends:"} {
 		if !strings.Contains(info, field) {
 			t.Fatalf("INFO missing %q:\n%s", field, info)
 		}
 	}
-	if !strings.Contains(info, fmt.Sprintf("renewals_retried:%d", st.RenewalsRetried)) &&
-		!strings.Contains(info, "renewals_retried:") {
-		t.Fatalf("INFO renewals_retried mismatch:\n%s", info)
-	}
 }
 
-// TestReplicaTailerSurvivesLogOutage: a replica polling the log across a
-// service blip must not demote or restore — it reconnects and resumes
-// applying from its cursor.
+// TestReplicaTailerSurvivesLogOutage: a replica reading the log across a
+// service blip must not demote or restore — it backs off, reconnects and
+// resumes applying from its cursor.
 func TestReplicaTailerSurvivesLogOutage(t *testing.T) {
-	svc, faults := faultyService(t, netsim.Zero{})
-	log, _ := svc.CreateLog("shard-1")
-	primary := testNode(t, "node-a", log, nil)
-	waitRole(t, primary, election.RolePrimary, 2*time.Second)
-	replica := testNode(t, "node-b", log, nil)
-	waitRole(t, replica, election.RoleReplica, time.Second)
-
-	mustDo(t, primary, "SET", "k1", "v1")
-	waitApplied(t, replica, log.CommittedTail().Seq, time.Second)
-	restoresBefore := replica.Stats().SnapshotRestores.Load()
+	faults := faultpoint.New(1)
+	h := newHarness(t, harnessConfig{replica: true, faults: faults})
+	replica := h.replica
+	k1 := h.do("SET", "k1", "v1")
+	h.commit()
+	h.mustReply(k1, "OK")
+	h.apply()
+	if replica.applied.Seq != h.log.CommittedTail().Seq {
+		t.Fatalf("replica applied %d, want the committed tail %d", replica.applied.Seq, h.log.CommittedTail().Seq)
+	}
+	restores := replica.Stats().SnapshotRestores.Load()
 
 	setLevel(faults, faultpoint.SiteLogUnavailable, true)
-	time.Sleep(30 * time.Millisecond)
-	setLevel(faults, faultpoint.SiteLogUnavailable, false)
-
-	mustDo(t, primary, "SET", "k2", "v2")
-	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
-	v, _, err := replica.DoRead(context.Background(), [][]byte{[]byte("GET"), []byte("k2")}, ReadOpts{})
-	if err != nil || v.Text() != "v2" {
-		t.Fatalf("replica read after outage: %v %v", v, err)
+	h.apply()
+	if replica.life.ready != nil || replica.life.timer == nil {
+		t.Fatal("a tailer cut off from the log must wait on its backoff timer, not read again")
 	}
-	if got := replica.Stats().SnapshotRestores.Load(); got != restoresBefore {
-		t.Fatalf("replica restored (%d -> %d) across a transient outage instead of reconnecting",
-			restoresBefore, got)
+	setLevel(faults, faultpoint.SiteLogUnavailable, false)
+	k2 := h.do("SET", "k2", "v2")
+	h.commit()
+	h.mustReply(k2, "OK")
+
+	// The backoff ends; the tailer reads again from its unchanged cursor.
+	replica.clk.Advance(retryMax)
+	h.turn(replica, input{kind: inRoleTimer})
+	h.mustReply(h.submit(replica, true, "GET", "k2"), "v2")
+	if got := replica.Stats().SnapshotRestores.Load(); got != restores {
+		t.Fatalf("replica restored (%d -> %d) across a transient outage instead of reconnecting", restores, got)
 	}
 	if replica.Stats().Demotions.Load() != 0 {
 		t.Fatal("replica demoted across a transient log outage")

@@ -25,11 +25,12 @@ func (n *Node) electionConfig() election.Config {
 // link, serverCron and RDB loading on its one event loop: replica (tail
 // the log, campaign when the primary goes silent) → primary (renew the
 // lease) → demoted (sit out the backoff, resynchronize) → replica. Two of
-// the workloop's select cases drive it, the tailer's cached Ready channel
-// and the one role timer, and so does the roleChanged flag every step-down
-// sets, which the workloop checks at the end of each turn. No step waits
-// on another loop, and a step that blocks — a resync, a campaign's claim
-// commit — holds the workloop, as Redis's -LOADING does.
+// the workloop's inputs drive it, inReady (the tailer's cached Ready
+// channel) and inRoleTimer (the one role timer), and so does the
+// roleChanged flag every step-down sets, which step checks at the end of
+// each turn. No step waits on another loop, and a step that blocks — a
+// resync, a campaign's claim commit — holds the workloop, as Redis's
+// -LOADING does.
 
 // phase is the lifecycle step the role timer runs when it fires.
 type phase int

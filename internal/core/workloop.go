@@ -200,59 +200,96 @@ func (c Call) wait(ctx context.Context) error {
 // release. It is pipelined for group commit: mutations execute and buffer
 // while quorum appends are in flight, and the oldest append's commit
 // answers for every committed append and flushes the accumulated batch.
-// Go's select picks among the ready cases at random, so a lagging tailer
-// and the clients take turns. A turn's step-down is handled at its end, and
-// so are the parked tasks it can answer.
+// next is its one wait and step its body; a test drives the same step from
+// a goroutine of its own, choosing each input itself.
 func (n *Node) workloop() {
 	defer n.wg.Done()
 	n.restore() // bootstrap: restore state before tailing
 	for {
-		var head <-chan struct{} // nil, never ready, while nothing is in flight
-		if len(n.issued) > 0 {
-			head = n.issued[0].p.Done()
-		}
-		select {
-		case <-n.stopCtx.Done():
+		in, ok := n.next()
+		// Stopped, or stopped while frozen: the crashed process is being
+		// torn down. Drop the input without acting on it — exactly what a
+		// dead process does; submit's stopCtx select fails the caller.
+		if !ok || !n.gate() {
 			return
-		case t := <-n.tasks:
-			if !n.gate() {
-				// Stopped while frozen: the crashed process is being torn
-				// down. Drop the task without replying — exactly what a dead
-				// process does; submit's stopCtx select fails the caller.
-				return
-			}
-			n.handleTask(t)
-		case <-head:
-			if !n.gate() {
-				return
-			}
-			n.runCompleted()
-			// Flush the batch that accumulated behind the quorum round-trip.
-			n.flushPending()
-		case <-n.life.ready:
-			if !n.gate() {
-				return
-			}
-			n.tail()
-		case <-n.life.timer:
-			if !n.gate() {
-				return
-			}
-			n.life.timer = nil
-			n.roleTimer()
-		case <-n.readTimer:
-			if !n.gate() {
-				return
-			}
-			n.readTimer = nil // unpark degrades the expired reads
 		}
-		if n.roleChanged {
-			n.roleChanged = false
-			n.roleChangedStep()
+		n.step(in)
+	}
+}
+
+// input is what woke the workloop: a value, so taking one allocates
+// nothing.
+type input struct {
+	kind inputKind
+	t    *task // inTask's task
+}
+
+type inputKind uint8
+
+const (
+	inTask      inputKind = iota // a task off the queue
+	inHead                       // the log answered for the FIFO's head
+	inReady                      // the tailer may have entries to apply
+	inRoleTimer                  // the role timer fired
+	inReadTimer                  // the read timer fired
+)
+
+// next waits for the workloop's next input, false once the node stopped.
+// Go's select picks among the ready cases at random, so a lagging tailer
+// and the clients take turns.
+func (n *Node) next() (input, bool) {
+	var head <-chan struct{} // nil, never ready, while nothing is in flight
+	if len(n.issued) > 0 {
+		head = n.issued[0].p.Done()
+	}
+	select {
+	case <-n.stopCtx.Done():
+		return input{}, false
+	case t := <-n.tasks:
+		return input{kind: inTask, t: t}, true
+	case <-head:
+		return input{kind: inHead}, true
+	case <-n.life.ready:
+		return input{kind: inReady}, true
+	case <-n.life.timer:
+		return input{kind: inRoleTimer}, true
+	case <-n.readTimer:
+		return input{kind: inReadTimer}, true
+	}
+}
+
+// step is one turn of the workloop: it acts on in, then handles the
+// turn's step-down and answers the parked tasks the turn can answer.
+func (n *Node) step(in input) {
+	switch t := in.t; in.kind {
+	case inTask:
+		switch t.kind {
+		case taskFunc:
+			t.err = t.fn()
+			t.done <- struct{}{}
+		case taskWait:
+			t.fn()
+		default:
+			n.handleClient(t)
 		}
-		if len(n.parked) > 0 {
-			n.unpark()
-		}
+	case inHead:
+		n.runCompleted()
+		// Flush the batch that accumulated behind the quorum round-trip.
+		n.flushPending()
+	case inReady:
+		n.tail()
+	case inRoleTimer:
+		n.life.timer = nil
+		n.roleTimer()
+	case inReadTimer:
+		n.readTimer = nil // unpark degrades the expired reads
+	}
+	if n.roleChanged {
+		n.roleChanged = false
+		n.roleChangedStep()
+	}
+	if len(n.parked) > 0 {
+		n.unpark()
 	}
 }
 
@@ -280,18 +317,6 @@ func (n *Node) fail(t *task, errVal resp.Value) {
 	if t.done != nil { // the sweep's task holds no reply to fail
 		n.abortedReplies.Add(1)
 		n.reply(t, errVal)
-	}
-}
-
-func (n *Node) handleTask(t *task) {
-	switch t.kind {
-	case taskFunc:
-		t.err = t.fn()
-		t.done <- struct{}{}
-	case taskWait:
-		t.fn()
-	default:
-		n.handleClient(t)
 	}
 }
 

@@ -84,19 +84,11 @@ func (b ClusterBackend) Do(ctx context.Context, argv [][]byte, mode ReadMode) (r
 
 // DoBatch implements Backend.
 func (b ClusterBackend) DoBatch(ctx context.Context, cmds [][][]byte, mode ReadMode) (resp.Value, error) {
-	strCmds := make([][]string, len(cmds))
-	for i, c := range cmds {
-		ss := make([]string, len(c))
-		for j, a := range c {
-			ss[j] = string(a)
-		}
-		strCmds[i] = ss
-	}
 	cl := b.Cluster.Client()
 	if mode.ReadOnly {
 		cl = b.Cluster.ReadClient(readOpts(mode))
 	}
-	return cl.MultiExec(ctx, strCmds)
+	return cl.MultiExec(ctx, cmds)
 }
 
 // BaselineBackend serves an OSS-mode node.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/cluster"
+	"memorydb/internal/crc16"
 	"memorydb/internal/netsim"
 	"memorydb/internal/resp"
 	"memorydb/internal/txlog"
@@ -111,5 +113,51 @@ func TestClusterFailoverBehindTCP(t *testing.T) {
 			t.Fatalf("data unreachable after failover: %v", v)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// A READONLY MULTI through the cluster endpoint: a transaction of reads
+// only is served by the shard's replica, and one with a write in it by the
+// primary, after the replica bounces it.
+func TestClusterReadonlyMultiExec(t *testing.T) {
+	srv, cl := startClusterServer(t)
+	c := dial(t, srv.Addr().String())
+	if v := c.do(t, "SET", "{ro}a", "1"); v.Text() != "OK" {
+		t.Fatalf("SET = %v", v)
+	}
+	sh := cl.SlotOwner(crc16.Slot("{ro}a"))
+	primary, _ := sh.Primary()
+	replica := sh.Replicas()[0]
+	ctx := context.Background()
+	if err := replica.WaitApplied(ctx, sh.Log.CommittedTail().Seq); err != nil {
+		t.Fatal(err)
+	}
+	st := replica.Stats()
+	c.do(t, "READONLY")
+
+	served := st.ReplicaReadsServed.Load()
+	c.do(t, "MULTI")
+	c.do(t, "GET", "{ro}a")
+	c.do(t, "GET", "{ro}b")
+	if v := c.do(t, "EXEC"); v.Type != resp.Array || len(v.Array) != 2 || v.Array[0].Text() != "1" || !v.Array[1].Null {
+		t.Fatalf("read-only EXEC = %v", v)
+	}
+	if st.ReplicaReadsServed.Load() == served {
+		t.Fatal("the read-only transaction was not served by the replica")
+	}
+
+	served, redirected := st.ReplicaReadsServed.Load(), st.ReplicaReadsRedirected.Load()
+	mutations := primary.Stats().Mutations.Load()
+	c.do(t, "MULTI")
+	c.do(t, "GET", "{ro}a")
+	c.do(t, "SET", "{ro}a", "2")
+	if v := c.do(t, "EXEC"); v.Type != resp.Array || len(v.Array) != 2 || v.Array[0].Text() != "1" || v.Array[1].Text() != "OK" {
+		t.Fatalf("EXEC with a write = %v", v)
+	}
+	if st.ReplicaReadsServed.Load() != served || st.ReplicaReadsRedirected.Load() == redirected {
+		t.Fatal("the replica did not bounce the transaction with a write to the primary")
+	}
+	if primary.Stats().Mutations.Load() == mutations {
+		t.Fatal("the primary did not run the transaction with a write")
 	}
 }

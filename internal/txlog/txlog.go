@@ -688,7 +688,13 @@ func (l *Log) commitLoop() {
 		l.inflight = l.inflight[:rest]
 		headDue = nil
 		if rest > 0 {
-			headDue = clk.After(l.inflight[0].due.Sub(now))
+			due := l.inflight[0].due
+			headDue = clk.After(due.Sub(now))
+			// A clock that moved past due after now was read armed the
+			// timer late: look again at once instead.
+			if !clk.Now().Before(due) {
+				l.wakeCommitter()
+			}
 		}
 		if n > 0 {
 			l.notifyLocked()

@@ -21,11 +21,11 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20446
+	ceilingNonTestLines = 20445
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 21
-	ceilingClusterConfigFields = 17
+	ceilingClusterConfigFields = 16
 	// Exported funcs, methods, types and struct fields under internal/
 	// that no non-test code names (see unnamedExports), allowUnnamed
 	// aside.
@@ -46,7 +46,16 @@ const (
 	// Redis WAIT (internal/baseline/node.go) and the failover example's
 	// trickle of writes (examples/failover/main.go).
 	ceilingSleepPolls = 3
+	// time.Sleep calls in the _test.go files of sleepyTestDirs: a test
+	// that sleeps hopes another goroutine got somewhere by then, where the
+	// step harness (internal/core) or a signal the node gives would let it
+	// know.
+	ceilingTestSleeps = 42
 )
+
+// sleepyTestDirs are the packages whose tests' sleeps the scoreboard
+// counts: the node and the layers that drive it.
+var sleepyTestDirs = map[string]bool{"internal/core": true, "internal/cluster": true, "internal/server": true}
 
 // allowUnnamed are paper mechanisms that only tests drive today, kept in
 // the program on purpose: slot migration (§5.2), rolling upgrades
@@ -84,6 +93,9 @@ type scoreboard struct {
 	// non-test code under internal/, cmd/ and examples/, outside
 	// internal/clock and internal/bench.
 	sleepPolls []string
+	// testSleeps lists "file:line" of each time.Sleep call in the _test.go
+	// files of sleepyTestDirs.
+	testSleeps []string
 }
 
 // measureTree walks the non-test Go files under root, skipping what the go
@@ -109,7 +121,28 @@ func measureTree(t *testing.T, root string) scoreboard {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		if strings.HasSuffix(name, "_test.go") {
+			rel, _ := filepath.Rel(root, path)
+			if !sleepyTestDirs[filepath.ToSlash(filepath.Dir(rel))] {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
+							sb.testSleeps = append(sb.testSleeps, rel+":"+strconv.Itoa(fset.Position(call.Pos()).Line))
+						}
+					}
+				}
+				return true
+			})
 			return nil
 		}
 		src, err := os.ReadFile(path)
@@ -301,6 +334,7 @@ func overCeilings(sb scoreboard, coreFields, clusterFields int) []string {
 	check("wall-clock waits outside internal/clock "+strings.Join(sb.wallClockWaits, " "), len(sb.wallClockWaits), ceilingWallClockWaits)
 	check("go statements in internal/ "+strings.Join(sb.goStatements, " "), len(sb.goStatements), ceilingGoStatements)
 	check("sleeps in a loop (polls) "+strings.Join(sb.sleepPolls, " "), len(sb.sleepPolls), ceilingSleepPolls)
+	check("time.Sleep calls in the tests of internal/core, internal/cluster and internal/server", len(sb.testSleeps), ceilingTestSleeps)
 	for _, f := range sb.benchImporters {
 		out = append(out, f+" imports "+bannedImport+" (only root *_test.go files may)")
 	}
@@ -366,8 +400,8 @@ func TestScoreboard(t *testing.T) {
 	sb := measureTree(t, ".")
 	coreFields := structFields(t, filepath.Join("internal", "core"), "Config")
 	clusterFields := structFields(t, filepath.Join("internal", "cluster"), "Config")
-	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d unnamed exports, %d wall-clock waits, %d go statements, sleep polls %v",
-		sb.nonTestLines, coreFields, clusterFields, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements), sb.sleepPolls)
+	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d unnamed exports, %d wall-clock waits, %d go statements, sleep polls %v, %d sleeps in tests",
+		sb.nonTestLines, coreFields, clusterFields, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements), sb.sleepPolls, len(sb.testSleeps))
 	for _, msg := range overCeilings(sb, coreFields, clusterFields) {
 		t.Error(msg)
 	}
@@ -384,9 +418,11 @@ func TestScoreboard(t *testing.T) {
 // tree with one line too many, a program that imports the capacity
 // model, an export only a test names, a wall-clock sleep and a go
 // statement, a go statement no "Who runs what" row names and a row no go
-// statement starts, and a loop that polls on a fixed sleep, and that it
-// skips test files, benchmark/'s lines, internal/clock's sleeps,
-// goroutines started outside internal/ and computed sleeps in a loop.
+// statement starts, a loop that polls on a fixed sleep and a sleep in a
+// test of internal/server, and that it skips test files (their sleeps
+// outside sleepyTestDirs too), benchmark/'s lines, internal/clock's
+// sleeps, goroutines started outside internal/ and computed sleeps in a
+// loop.
 func TestScoreboardNegativeControl(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, src string) {
@@ -409,7 +445,11 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		"func Poll(ready func() bool, d time.Duration) {\n\tfor !ready() {\n\t\tfor range 2 {\n"+
 		"\t\t\ttime.Sleep(2 * time.Millisecond)\n\t\t}\n\t\ttime.Sleep(d)\n\t}\n\ttime.Sleep(1)\n}\n")
 	write("examples/p/p_test.go", "package p\n\nimport \"time\"\n\nfunc init() {\n\tfor {\n\t\ttime.Sleep(1)\n\t}\n}\n")
+	write("internal/server/s_test.go", "package server\n\nimport \"time\"\n\nfunc init() { time.Sleep(1) }\n")
 	sb := measureTree(t, root)
+	if len(sb.testSleeps) != 1 || sb.testSleeps[0] != filepath.Join("internal", "server", "s_test.go")+":5" {
+		t.Fatalf("sleeps in tests = %v, want only internal/server/s_test.go:5", sb.testSleeps)
+	}
 	if sb.nonTestLines != 5+9+5+13 {
 		t.Fatalf("counted %d lines, want 32 (main.go, a.go, c.go, p.go)", sb.nonTestLines)
 	}
@@ -455,6 +495,9 @@ func TestScoreboardNegativeControl(t *testing.T) {
 	for range ceilingSleepPolls {
 		clean.sleepPolls = append(clean.sleepPolls, "p")
 	}
+	for range ceilingTestSleeps {
+		clean.testSleeps = append(clean.testSleeps, "s")
+	}
 	if msgs := overCeilings(clean, ceilingCoreConfigFields, ceilingClusterConfigFields); len(msgs) != 0 {
 		t.Fatalf("tree at its ceilings convicted: %v", msgs)
 	}
@@ -464,11 +507,13 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		func(sb *scoreboard) { sb.wallClockWaits = append(sb.wallClockWaits, "z") },
 		func(sb *scoreboard) { sb.goStatements = append(sb.goStatements, "g") },
 		func(sb *scoreboard) { sb.sleepPolls = append(sb.sleepPolls, "p") },
+		func(sb *scoreboard) { sb.testSleeps = append(sb.testSleeps, "s") },
 	} {
 		over := clean
 		over.unnamed = append([]string(nil), clean.unnamed...)
 		over.goStatements = append([]string(nil), clean.goStatements...)
 		over.sleepPolls = append([]string(nil), clean.sleepPolls...)
+		over.testSleeps = append([]string(nil), clean.testSleeps...)
 		grow(&over)
 		if msgs := overCeilings(over, ceilingCoreConfigFields, ceilingClusterConfigFields); len(msgs) != 1 {
 			t.Fatalf("one over a ceiling: %v, want one violation", msgs)
