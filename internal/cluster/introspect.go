@@ -148,7 +148,8 @@ func (c *Cluster) clusterInfoText() string {
 	fmt.Fprintf(&b, "cluster_known_nodes:%d\r\n", nodes)
 	fmt.Fprintf(&b, "cluster_size:%d\r\n", len(shards))
 	// Workloop pressure, aggregated across every node: total and max
-	// queued tasks, so a hot node shows up from one INFO call without
+	// queued inputs (Node.QueueDepth: a connection's drained pipeline
+	// counts once), so a hot node shows up from one INFO call without
 	// scraping each node.
 	depthTotal, depthMax := 0, 0
 	for _, sh := range shards {

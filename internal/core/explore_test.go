@@ -55,11 +55,17 @@ var exOps = []exOp{
 	{replica: true, args: []string{"GET", "a"}, keys: []string{"a"}},
 }
 
+// exRunOps is the run the explorer's clients can send the primary as one
+// input, as a connection hands over a pipeline: two free clients send
+// exOps[exRunOps[0]] and exOps[exRunOps[1]] together.
+var exRunOps = [2]int{0, 1} // SET a, GET a
+
 // exKind is one kind of input the explorer gives.
 type exKind uint8
 
 const (
 	exSubmit    exKind = iota // a free client sends exOps[op]
+	exPipe                    // two free clients send exRunOps as one run
 	exCommit                  // the log commits the primary's head
 	exFail                    // the log truncates every append in flight
 	exAnswer                  // the primary's turn on its answered head
@@ -78,7 +84,7 @@ type exAct struct {
 }
 
 func (a exAct) String() string {
-	names := []string{"submit", "commit head", "fail head", "answer head", "tick", "demote", "apply", "read timer", "freeze", "thaw"}
+	names := []string{"submit", "run", "commit head", "fail head", "answer head", "tick", "demote", "apply", "read timer", "freeze", "thaw"}
 	switch a.kind {
 	case exSubmit:
 		op := exOps[a.op]
@@ -87,6 +93,8 @@ func (a exAct) String() string {
 			on = "replica"
 		}
 		return fmt.Sprintf("%s to the %s", strings.Join(op.args, " "), on)
+	case exPipe:
+		return fmt.Sprintf("run [%s, %s] to the primary", strings.Join(exOps[exRunOps[0]].args, " "), strings.Join(exOps[exRunOps[1]].args, " "))
 	case exFreeze, exThaw:
 		return fmt.Sprintf("%s %s", names[a.kind], []string{"primary", "replica"}[a.node])
 	}
@@ -130,32 +138,37 @@ func (r *exRun) to(op exOp) *hnode {
 	return r.h.primary
 }
 
-// freeClient is the lowest client with no call in flight, -1 if none.
-func (r *exRun) freeClient() int {
+// freeClients lists the clients with no call in flight, lowest first.
+func (r *exRun) freeClients() []int {
 	busy := make([]bool, exClients)
 	for _, c := range r.calls {
 		if c.replies == 0 {
 			busy[c.client] = true
 		}
 	}
+	var free []int
 	for i, b := range busy {
 		if !b {
-			return i
+			free = append(free, i)
 		}
 	}
-	return -1
+	return free
 }
 
 // enabled lists the inputs the explorer may give next, in a fixed order.
 func (r *exRun) enabled() []exAct {
 	var acts []exAct
 	p, rep := r.h.primary, r.h.replica
-	if r.freeClient() >= 0 {
+	free := len(r.freeClients())
+	if free > 0 {
 		for i, op := range exOps {
 			if !r.to(op).Frozen() {
 				acts = append(acts, exAct{kind: exSubmit, op: i})
 			}
 		}
+	}
+	if free > 1 && !p.Frozen() {
+		acts = append(acts, exAct{kind: exPipe})
 	}
 	if len(p.issued) > 0 {
 		if !done(p.issued[0].p) {
@@ -201,14 +214,16 @@ func (r *exRun) run(a exAct) {
 	switch a.kind {
 	case exSubmit:
 		op := exOps[a.op]
-		client := r.freeClient()
-		value := fmt.Sprintf("v%d", client)
-		args := make([]string, len(op.args))
-		for i, s := range op.args {
-			args[i] = strings.ReplaceAll(s, "$", value)
+		client := r.freeClients()[0]
+		c := h.submit(r.to(op), op.replica, exArgs(op, client)...)
+		r.calls = append(r.calls, &exCall{call: c, client: client, op: op, value: exValue(client)})
+	case exPipe:
+		free := r.freeClients()
+		ops := [2]exOp{exOps[exRunOps[0]], exOps[exRunOps[1]]}
+		calls := h.run(h.primary, exArgs(ops[0], free[0]), exArgs(ops[1], free[1]))
+		for i, c := range calls {
+			r.calls = append(r.calls, &exCall{call: c, client: free[i], op: ops[i], value: exValue(free[i])})
 		}
-		c := h.submit(r.to(op), op.replica, args...)
-		r.calls = append(r.calls, &exCall{call: c, client: client, op: op, value: value})
 	case exCommit:
 		h.commitHead()
 	case exFail:
@@ -231,6 +246,18 @@ func (r *exRun) run(a exAct) {
 		h.settle()
 	}
 	r.check()
+}
+
+// exValue is the value client writes.
+func exValue(client int) string { return fmt.Sprintf("v%d", client) }
+
+// exArgs is op as client sends it.
+func exArgs(op exOp, client int) []string {
+	args := make([]string, len(op.args))
+	for i, s := range op.args {
+		args[i] = strings.ReplaceAll(s, "$", exValue(client))
+	}
+	return args
 }
 
 // committed reports whether p's entry has committed.

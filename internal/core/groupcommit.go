@@ -12,16 +12,18 @@ import (
 // Group commit (write batching). The paper's write path acknowledges a
 // mutation only after its log entry commits to a quorum of AZs (§3.2), so
 // naive per-mutation appends bound write throughput by one quorum
-// round-trip per command. Group commit amortizes the round-trip: while an
-// append is in flight the workloop keeps executing queued mutations and
-// accumulates their effect records here; when the in-flight append
-// acknowledges — or a records/bytes cap is hit — the buffer is flushed as
-// ONE EntryData whose payload is the concatenation of every buffered
-// record, and answering for that one entry releases every reply it holds.
+// round-trip per command. Group commit amortizes the round-trip: the
+// mutations of one workloop turn — a connection's drained pipeline is one
+// input, served whole — accumulate their effect records here, and the end
+// of the turn flushes the buffer as ONE EntryData whose payload is the
+// concatenation of every buffered record; answering for that one entry
+// releases every reply it holds. While MaxInflightAppends flushed entries
+// await quorum the buffer is held instead, across turns, until the log
+// answers for one of them; a buffer that reaches a records/bytes cap is
+// flushed at once, even partway through a turn.
 //
 // The workloop owns the one buffer and flushes it through the node's
-// sequencer (Node.sequence); at most MaxInflightAppends flushed entries
-// await quorum at once.
+// sequencer (Node.sequence).
 //
 // Correctness invariants:
 //   - A task's reply is delivered exactly once, by the entry that holds it:
@@ -46,7 +48,7 @@ import (
 //     equals the chain over the exact log prefix preceding it.
 
 // maxBatchRecords and maxBatchBytes cap one batched entry: a buffer that
-// reaches either is flushed whatever the append window says.
+// reaches either is flushed at once, whatever the append window says.
 const (
 	maxBatchRecords = 64
 	maxBatchBytes   = 256 << 10
@@ -67,20 +69,6 @@ type groupCommit struct {
 
 // pending reports whether the buffer holds anything to flush or gate on.
 func (g *groupCommit) pending() bool { return g.open != nil }
-
-// shouldFlush reports whether the buffer must be flushed now: a cap was
-// hit, or the append pipeline has room (flushing while the window is open
-// adds no latency — appends to the log pipeline commit in order — and
-// holding back would only delay the buffered replies).
-func (n *Node) shouldFlush() bool {
-	gc := &n.gc
-	if !gc.pending() {
-		return false
-	}
-	return len(gc.open.writes) >= maxBatchRecords ||
-		len(gc.payload) >= maxBatchBytes ||
-		gc.inflight < n.cfg.MaxInflightAppends
-}
 
 // hazards is the node's one hazard index (§3.2): every key a write not yet
 // answered for dirtied, mapped to the ordinal (Node.entries) of the newest

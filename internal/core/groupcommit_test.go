@@ -11,6 +11,7 @@ import (
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
+	"memorydb/internal/txlog"
 )
 
 // TestGroupCommitBatchesUnderLoad drives many concurrent writers against a
@@ -231,5 +232,78 @@ func TestTruncatedEntryFailsItsWriteAndDemotes(t *testing.T) {
 	}
 	if h.primary.Stats().Demotions.Load() == 0 {
 		t.Fatal("the node did not step down after the log dropped an entry it had issued")
+	}
+}
+
+// A run is one turn, and its writes are one entry: [SET a, GET a, SET b]
+// issues one entry of two records, and the GET, which observed the first
+// SET in the open buffer, joins that entry and is answered with it.
+func TestRunSharesOneEntry(t *testing.T) {
+	h := newHarness(t, harnessConfig{})
+	st := h.primary.Stats()
+	flushes, records := st.BatchFlushes.Load(), st.BatchedRecords.Load()
+	calls := h.run(h.primary, []string{"SET", "a", "1"}, []string{"GET", "a"}, []string{"SET", "b", "2"})
+	if len(h.primary.issued) != 1 {
+		t.Fatalf("the run issued %d entries, want 1", len(h.primary.issued))
+	}
+	if e := h.head(); len(e.writes) != 2 || !e.holdsTask(calls[1].t) {
+		t.Fatalf("the entry holds %d writes and the GET: %v, want 2 and true", len(e.writes), e.holdsTask(calls[1].t))
+	}
+	if f, r := st.BatchFlushes.Load()-flushes, st.BatchedRecords.Load()-records; f != 1 || r != 2 {
+		t.Fatalf("batch flushes +%d, batched records +%d; want +1, +2", f, r)
+	}
+	for _, c := range calls {
+		h.mustWait(c)
+	}
+	h.commit()
+	h.mustReply(calls[0], "OK")
+	h.mustReply(calls[1], "1")
+	h.mustReply(calls[2], "OK")
+}
+
+// The caps bound a run's entry too: 65 SETs make an entry of 64 records,
+// flushed partway through the turn, and one of 1 at its end.
+func TestRunSplitsAtRecordCap(t *testing.T) {
+	h := newHarness(t, harnessConfig{})
+	cmds := make([][]string, maxBatchRecords+1)
+	for i := range cmds {
+		cmds[i] = []string{"SET", fmt.Sprintf("k%d", i), "v"}
+	}
+	h.run(h.primary, cmds...)
+	var sizes []int
+	for _, e := range h.primary.issued {
+		sizes = append(sizes, len(e.writes))
+	}
+	if len(sizes) != 2 || sizes[0] != maxBatchRecords || sizes[1] != 1 {
+		t.Fatalf("entries of %v records, want [%d 1]", sizes, maxBatchRecords)
+	}
+}
+
+// A demotion partway through a run fails the rest of it: the cap flush
+// meets a log another writer took over, the node steps down, and the
+// entry's writes and every command after them in the run are answered
+// errDemoted. The read before them was answered as it ran.
+func TestRunDemotedPartway(t *testing.T) {
+	h := newHarness(t, harnessConfig{})
+	set := h.do("SET", "k", "v1")
+	h.commit()
+	h.mustReply(set, "OK")
+	if _, err := h.log.StartAppend(h.log.AssignedTail(), txlog.Entry{Type: txlog.EntryData, Payload: []byte("usurper")}); err != nil {
+		t.Fatal(err)
+	}
+	cmds := [][]string{{"GET", "k"}}
+	for i := 0; i < maxBatchRecords; i++ {
+		cmds = append(cmds, []string{"SET", fmt.Sprintf("k%d", i), "v"})
+	}
+	cmds = append(cmds, []string{"SET", "k", "v2"}, []string{"GET", "k"})
+	calls := h.run(h.primary, cmds...)
+	h.mustReply(calls[0], "v1")
+	for _, c := range calls[1:] {
+		if v := h.mustReply(c, ""); !v.Equal(errDemoted) {
+			t.Fatalf("%s = %v, want %v", c.t.name, v, errDemoted)
+		}
+	}
+	if h.primary.Role() == election.RolePrimary {
+		t.Fatal("the fenced primary did not step down")
 	}
 }

@@ -224,6 +224,27 @@ func (h *harness) settle() {
 // submit hands hn a client command, as a task taken off its queue. A
 // readonly one is a replica read at ReadLinearizable.
 func (h *harness) submit(hn *hnode, readonly bool, args ...string) *call {
+	c := h.newCall(hn, readonly, args)
+	h.turn(hn, input{kind: inTask, t: c.t})
+	return c
+}
+
+// run hands hn the commands as one run, taken off its queue in one turn,
+// as a connection hands over the pipeline it drained.
+func (h *harness) run(hn *hnode, cmds ...[]string) []*call {
+	calls := make([]*call, len(cmds))
+	for i, args := range cmds {
+		calls[i] = h.newCall(hn, false, args)
+		if i > 0 {
+			calls[i-1].t.next = calls[i].t
+		}
+	}
+	h.turn(hn, input{kind: inTask, t: calls[0].t})
+	return calls
+}
+
+// newCall readies a client command for hn as the next turn's.
+func (h *harness) newCall(hn *hnode, readonly bool, args []string) *call {
 	argv := make([][]byte, len(args))
 	for i, a := range args {
 		argv[i] = []byte(a)
@@ -233,7 +254,6 @@ func (h *harness) submit(hn *hnode, readonly bool, args ...string) *call {
 	t.resolve()
 	c := &call{t: t, on: hn, sent: *h.turns + 1}
 	h.calls = append(h.calls, c)
-	h.turn(hn, input{kind: inTask, t: t})
 	return c
 }
 

@@ -52,17 +52,18 @@ type Config struct {
 	// an EntryChecksum after every N data entries (§7.2.1). Defaults to
 	// 64; negative disables injection.
 	ChecksumEvery int
-	// MaxInflightAppends is the group-commit pipeline depth: the buffer is
-	// flushed eagerly while fewer than this many batched data appends are
-	// awaiting quorum acknowledgement, and held (accumulating records)
-	// once the window is full. Depth 1 is classic group commit — flush
-	// only when the log pipeline is idle — which makes every writer under
-	// sustained load wait ~2 commit latencies (the in-flight entry, then
-	// its own). A deeper window overlaps batches so a write waits only
-	// ~1/depth of a commit before its batch is appended. While the window
-	// is full the workloop keeps executing queued mutations and buffers
-	// their effects, flushed as one entry when an append acknowledges or
-	// the buffer reaches 64 records or 256 KiB. Defaults to 8.
+	// MaxInflightAppends is the group-commit pipeline depth: how many
+	// batched data appends may await quorum acknowledgement at once. The
+	// writes of one workloop turn — one command, or a whole pipeline a
+	// connection handed over as a run — share one entry, flushed at the
+	// end of the turn while fewer than this many are in flight. Once the
+	// window is full the buffer is held across turns, accumulating records,
+	// and flushed as one entry when the log answers for an append or the
+	// buffer reaches 64 records or 256 KiB. Depth 1 is classic group
+	// commit — flush only when the log pipeline is idle — which makes every
+	// writer under sustained load wait ~2 commit latencies (the in-flight
+	// entry, then its own); a deeper window overlaps the entries of
+	// successive turns. Defaults to 8.
 	MaxInflightAppends int
 	// ReplicaReadTimeout bounds how long a linearizable replica read may
 	// park waiting for the replica's applied position to cover the
@@ -510,10 +511,8 @@ func (n *Node) WaitApplied(ctx context.Context, seq uint64) error {
 		n.parked = append(n.parked, parkedRead{t: t, seq: seq})
 		return nil
 	}
-	if err := n.send(ctx, t).wait(ctx); err != nil {
-		return err
-	}
-	return t.err
+	n.send(ctx, t)
+	return Call{n: n, t: t}.wait(ctx)
 }
 
 // EngineVersion returns the engine version this node runs.
@@ -526,7 +525,10 @@ func (n *Node) Start() {
 	go n.workloop()
 }
 
-// QueueDepth returns how many tasks wait on the workloop (monitoring).
+// QueueDepth returns how many inputs wait on the workloop's queue
+// (monitoring): a run of commands a connection drained together counts
+// once, as does each node-internal task. It reads the channel's length,
+// so it costs the hot path nothing.
 func (n *Node) QueueDepth() int { return len(n.tasks) }
 
 // Stop terminates the node. Withheld replies and parked reads are dropped

@@ -128,6 +128,7 @@ func (n *Node) registerCounters() {
 	n.obs.RegisterCounter("flight_events_recorded", label, func() int64 {
 		return int64(n.flight.Total())
 	})
+	// Queued inputs, as QueueDepth counts them: runs, not commands.
 	n.obs.RegisterGauge("queue_depth", label, func() int64 {
 		return int64(n.QueueDepth())
 	})

@@ -61,7 +61,7 @@ type ReadOpts struct {
 }
 
 // ReadOutcome reports which rung of the ladder actually served a read.
-type ReadOutcome int
+type ReadOutcome uint8
 
 const (
 	// ReadOutcomePrimary: the read did not take the replica-gated path

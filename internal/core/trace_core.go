@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"memorydb/internal/trace"
-)
+import "memorydb/internal/trace"
 
 // This file is the node side of cross-node causal tracing: adopting (or
 // minting) a span context at submit; Node.reply finishes the task's root
@@ -32,16 +28,13 @@ func (ts *taskSpan) ctx() trace.SpanContext {
 	return ts.sc
 }
 
-// traceStart attaches tracing state to a task at submit: it adopts the
-// span context minted at command parse in the server front-end when the
-// caller's ctx carries one, and otherwise draws the node-local sampling
+// traceStart attaches tracing state to a task at submit: it adopts sc,
+// the span context minted at command parse in the server front-end, when
+// the request carries one, and otherwise draws the node-local sampling
 // coin (so embedded/cluster-test nodes trace without a front-end).
-func (n *Node) traceStart(ctx context.Context, t *task) {
-	if n.trace == nil {
-		return
-	}
-	sc, fromCtx := trace.FromContext(ctx)
-	if !fromCtx {
+func (n *Node) traceStart(sc trace.SpanContext, t *task) {
+	adopted := sc.TraceID != 0
+	if !adopted {
 		var ok bool
 		if sc, ok = n.trace.Sample(); !ok {
 			return
@@ -54,7 +47,7 @@ func (n *Node) traceStart(ctx context.Context, t *task) {
 		name = "cmd:" + t.name // a batch, INFO, WAIT or an unknown command
 	}
 	ts := &taskSpan{}
-	if fromCtx {
+	if adopted {
 		ts.root = n.trace.Child(sc, name, n.cfg.NodeID)
 	} else {
 		ts.root = n.trace.Root(sc, name, n.cfg.NodeID)

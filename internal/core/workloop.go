@@ -30,21 +30,23 @@ const (
 type task struct {
 	kind     taskKind
 	readonly bool // client opted into replica reads (READONLY)
-	argv     [][]byte
-	batch    [][][]byte
 	// opts is a readonly read's declared consistency and outcome the rung
 	// of the replica read ladder that answers it, set on the workloop
 	// (readpath.go): a replica serves a readonly read only once the ladder
 	// cleared it, so stale data is never silently returned as consistent.
-	opts    ReadOpts
+	// outcome is a byte beside kind, which keeps a task in 288 bytes.
 	outcome ReadOutcome
+	opts    ReadOpts
+	argv    [][]byte
+	batch   [][][]byte
 
 	// The task is its own reply future: Node.reply writes val, then signals
 	// done (one slot, one send; nil on the expiry sweep's task, which
 	// nobody waits for). While a reply is withheld for durability, val
 	// parks the value it will carry if the covering entry commits. A
 	// taskFunc hands fn's error back in err instead, then signals done, and
-	// so does a taskWait with WaitApplied's result once it is answered.
+	// so does a taskWait with WaitApplied's result once it is answered, and
+	// any task send could not queue.
 	val  resp.Value
 	done chan struct{}
 	fn   func() error
@@ -67,33 +69,42 @@ type task struct {
 	// enq at submit, deq at dequeue, execDone after engine execution.
 	// Only set when the node's obs registry is enabled.
 	enq, deq, execDone int64
+
+	// next is the task after this one in its run (Run), nil at the run's
+	// end: the workloop serves a run in one turn.
+	next *task
 }
 
 // Request is one client command, or, when Batch is set, one atomic
 // MULTI/EXEC group: its commands run back to back on the workloop and
 // their effects are logged as one record (§2.1). ReadOnly opts a read into
-// replica reads (the client issued READONLY) at Opts' consistency.
+// replica reads (the client issued READONLY) at Opts' consistency. Span,
+// when set, is the span context the front end minted for the command, and
+// the node's spans for it become its children.
 type Request struct {
 	Argv     [][]byte
 	Batch    [][][]byte
 	ReadOnly bool
 	Opts     ReadOpts
+	Span     trace.SpanContext
 }
 
 // Call is a submitted request's reply future: the task the workloop
-// answers, or the error that kept it off the queue.
+// answers.
 type Call struct {
-	n   *Node
-	t   *task
-	err error
+	n *Node
+	t *task
 }
 
-// Submit queues req on the workloop without waiting on its reply. One
-// workloop takes every task in submit order, so requests submitted before
-// any is waited on execute, and are answered, in that order. Writes need a
-// primary holding a valid lease; their replies are withheld until the
-// transaction log acknowledges durability.
-func (n *Node) Submit(ctx context.Context, req Request) Call {
+// Run is requests handed to the workloop together, as a connection drains
+// a pipeline: the workloop serves a run's requests in order in one turn,
+// so the writes among them share one log entry. The zero Run is empty.
+type Run struct{ head, tail *task }
+
+// Add readies req as r's next request and returns its reply future, which
+// is answered once r is submitted and served. A zero req.Span has the node
+// draw its own sampling coin.
+func (n *Node) Add(r *Run, req Request) Call {
 	t := &task{kind: taskCmd, argv: req.Argv, readonly: req.ReadOnly, opts: req.Opts}
 	if req.Batch != nil {
 		t.kind, t.batch = taskBatch, req.Batch
@@ -101,12 +112,49 @@ func (n *Node) Submit(ctx context.Context, req Request) Call {
 	t.resolve()
 	t.done = make(chan struct{}, 1)
 	if n.trace != nil {
-		n.traceStart(ctx, t)
+		n.traceStart(req.Span, t)
 	}
+	if r.head == nil {
+		r.head = t
+	} else {
+		r.tail.next = t
+	}
+	r.tail = t
+	return Call{n: n, t: t}
+}
+
+// SubmitRun queues r on the workloop without waiting on its replies, and
+// empties r. If r cannot be queued, every call in it fails with ctx's
+// error or ErrStopped, whichever ended first.
+func (n *Node) SubmitRun(ctx context.Context, r *Run) {
+	head := r.head
+	if head == nil {
+		return
+	}
+	*r = Run{}
 	if n.obs != nil {
-		t.enq = obs.Now()
+		now := obs.Now()
+		for t := head; t != nil; t = t.next {
+			t.enq = now
+		}
 	}
-	return n.send(ctx, t)
+	n.send(ctx, head)
+}
+
+// Submit queues req on the workloop without waiting on its reply: a run of
+// one. One workloop takes every run in submit order, so requests submitted
+// before any is waited on execute, and are answered, in that order. Writes
+// need a primary holding a valid lease; their replies are withheld until
+// the transaction log acknowledges durability. A req without a Span
+// adopts the span context ctx carries, if any.
+func (n *Node) Submit(ctx context.Context, req Request) Call {
+	if n.trace != nil && req.Span.TraceID == 0 {
+		req.Span, _ = trace.FromContext(ctx)
+	}
+	var r Run
+	c := n.Add(&r, req)
+	n.SubmitRun(ctx, &r)
+	return c
 }
 
 // Wait blocks until the call is answered and returns its reply and the
@@ -158,35 +206,38 @@ func (t *task) resolve() {
 // them: no lock, no quiesce.
 func (n *Node) run(ctx context.Context, fn func() error) error {
 	t := &task{kind: taskFunc, fn: fn, done: make(chan struct{}, 1)}
-	if err := n.send(ctx, t).wait(ctx); err != nil {
-		return err
-	}
-	return t.err
+	n.send(ctx, t)
+	return Call{n: n, t: t}.wait(ctx)
 }
 
-// send queues t on the workloop and returns its reply future. Queueing
-// fails with ctx's error or ErrStopped when either ends first.
-func (n *Node) send(ctx context.Context, t *task) Call {
+// send queues t, and the rest of its run, on the workloop. When ctx or the
+// node ends first, it fails every task of the run with ctx's error or
+// ErrStopped instead.
+func (n *Node) send(ctx context.Context, t *task) {
+	var err error
 	select {
 	case n.tasks <- t:
-		return Call{n: n, t: t}
+		return
 	case <-ctx.Done():
-		return Call{err: ctx.Err()}
+		err = ctx.Err()
 	case <-n.stopCtx.Done():
-		return Call{err: ErrStopped}
+		err = ErrStopped
+	}
+	for ; t != nil; t = t.next {
+		t.err = err
+		t.done <- struct{}{}
 	}
 }
 
-// wait waits for the call's done signal. It fails with ctx's error or
-// ErrStopped when either ends first; the workloop may still run the task,
-// so its reply is not the caller's to read.
+// wait waits for the call's done signal and returns the task's error: a
+// taskFunc's, a taskWait's, or the one that kept the task off the queue.
+// It fails with ctx's error or ErrStopped when either ends first; the
+// workloop may still run the task, so its reply is not the caller's to
+// read.
 func (c Call) wait(ctx context.Context) error {
-	if c.err != nil {
-		return c.err
-	}
 	select {
 	case <-c.t.done:
-		return nil
+		return c.t.err
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-c.n.stopCtx.Done():
@@ -258,8 +309,9 @@ func (n *Node) next() (input, bool) {
 	}
 }
 
-// step is one turn of the workloop: it acts on in, then handles the
-// turn's step-down and answers the parked tasks the turn can answer.
+// step is one turn of the workloop: it acts on in — a whole run, when in
+// is one — then flushes the turn's writes, handles the turn's step-down
+// and answers the parked tasks the turn can answer.
 func (n *Node) step(in input) {
 	switch t := in.t; in.kind {
 	case inTask:
@@ -270,12 +322,12 @@ func (n *Node) step(in input) {
 		case taskWait:
 			t.fn()
 		default:
-			n.handleClient(t)
+			for ; t != nil; t = t.next {
+				n.handleClient(t)
+			}
 		}
 	case inHead:
 		n.runCompleted()
-		// Flush the batch that accumulated behind the quorum round-trip.
-		n.flushPending()
 	case inReady:
 		n.tail()
 	case inRoleTimer:
@@ -283,6 +335,11 @@ func (n *Node) step(in input) {
 		n.roleTimer()
 	case inReadTimer:
 		n.readTimer = nil // unpark degrades the expired reads
+	}
+	// The writes of one turn share one entry: it goes out now if the append
+	// window has room, and otherwise when the log answers for an append.
+	if n.gc.pending() && n.gc.inflight < n.cfg.MaxInflightAppends {
+		n.flushPending()
 	}
 	if n.roleChanged {
 		n.roleChanged = false
@@ -447,10 +504,9 @@ func (n *Node) serve(t *task) {
 // logMutation parks an executed mutation in the group-commit buffer — its
 // effects for the log, its reply on the task until the batch entry
 // commits; the engine already applied it, and the read gating above
-// controls what other clients see of it meanwhile — and flushes when
-// warranted: immediately when the append pipeline has room (no latency
-// added), on records/bytes caps, and otherwise when an in-flight append
-// acknowledges (flush-on-ack, the workloop's case on the oldest append).
+// controls what other clients see of it meanwhile. A buffer that reaches
+// a cap is flushed at once; otherwise the end of the turn flushes it
+// (Node.step).
 func (n *Node) logMutation(t *task, res engine.Result) {
 	n.stats.Mutations.Add(1)
 	// Mirror into the migration stream at execution order — the same
@@ -468,7 +524,7 @@ func (n *Node) logMutation(t *task, res engine.Result) {
 	}
 	gc.open.writes = append(gc.open.writes, t)
 	n.hazards.note(res.Keys, n.entries+1)
-	if n.shouldFlush() {
+	if len(gc.open.writes) >= maxBatchRecords || len(gc.payload) >= maxBatchBytes {
 		n.flushPending()
 	}
 }
@@ -536,7 +592,7 @@ func (n *Node) infoText() string {
 		fmt.Fprintf(&b, "snapshot_builder_lag_alarms_total:%d\r\n", h.LagAlarms.Load())
 	}
 	fmt.Fprintf(&b, "barrier_ops:%d\r\n", st.BarrierOps)
-	fmt.Fprintf(&b, "queue_depth:%d\r\n", n.QueueDepth())
+	fmt.Fprintf(&b, "queue_depth:%d\r\n", n.QueueDepth()) // runs, not commands
 	fmt.Fprintf(&b, "# Keyspace\r\n")
 	fmt.Fprintf(&b, "keys:%d\r\n", db.Len())
 	fmt.Fprintf(&b, "used_bytes:%d\r\n", db.UsedBytes())

@@ -7,6 +7,7 @@ import (
 	"memorydb/internal/cluster"
 	"memorydb/internal/core"
 	"memorydb/internal/resp"
+	"memorydb/internal/trace"
 )
 
 // readOpts maps a connection's ReadMode onto the node's read ladder.
@@ -21,21 +22,24 @@ func readOpts(mode ReadMode) core.ReadOpts {
 	}
 }
 
-// NodeBackend serves one MemoryDB node. It implements the submit
-// interface the pipelined connection loop needs.
+// NodeBackend serves one MemoryDB node. It implements the run interface
+// the pipelined connection loop needs.
 type NodeBackend struct {
 	Node *core.Node
 }
 
-// Submit queues one command on the node under the connection's read mode
-// without waiting on its reply.
-func (b NodeBackend) Submit(ctx context.Context, argv [][]byte, mode ReadMode) core.Call {
-	return b.Node.Submit(ctx, request(core.Request{Argv: argv}, mode))
+// Add puts one command on run under the connection's read mode, with the
+// span context the front end minted for it, without queueing it yet.
+func (b NodeBackend) Add(run *core.Run, argv [][]byte, mode ReadMode, span trace.SpanContext) core.Call {
+	return b.Node.Add(run, request(core.Request{Argv: argv, Span: span}, mode))
 }
+
+// Submit hands run to the node, which serves it in one turn.
+func (b NodeBackend) Submit(ctx context.Context, run *core.Run) { b.Node.SubmitRun(ctx, run) }
 
 // Do implements Backend.
 func (b NodeBackend) Do(ctx context.Context, argv [][]byte, mode ReadMode) (resp.Value, error) {
-	v, _, err := b.Submit(ctx, argv, mode).Wait(ctx)
+	v, _, err := b.Node.Submit(ctx, request(core.Request{Argv: argv}, mode)).Wait(ctx)
 	return v, err
 }
 

@@ -189,6 +189,41 @@ func checkProgramOrder(t *testing.T, history []pipeOp) {
 	}
 }
 
+// TestPipelineIsOneEntry pins the hand-off: a connection hands the node a
+// drained pipeline as one run, served in one turn, so a depth-32 SET
+// pipeline is exactly one data entry of 32 records — with no commit
+// latency and with a 2 ms one. A READONLY in the middle is a barrier: it
+// ends the run, and the pipeline is two entries of 16.
+func TestPipelineIsOneEntry(t *testing.T) {
+	const depth = 32
+	for _, commit := range []time.Duration{0, 2 * time.Millisecond} {
+		n := startPrimary(t, netsim.Fixed(commit))
+		srv := serve(t, NodeBackend{Node: n})
+		for _, split := range []bool{false, true} {
+			var stream []byte
+			for i := 0; i < depth; i++ {
+				if split && i == depth/2 {
+					stream = resp.AppendCommand(stream, "READONLY")
+				}
+				stream = resp.AppendCommand(stream, "SET", fmt.Sprintf("k%d", i), "v")
+			}
+			st := n.Stats()
+			flushes, records := st.BatchFlushes.Load(), st.BatchedRecords.Load()
+			out := exchange(t, srv.Addr().String(), stream)
+			if want := bytes.Repeat([]byte("+OK\r\n"), bytes.Count(stream, []byte("*"))); !bytes.Equal(out, want) {
+				t.Fatalf("commit %v, split %v: replies %q", commit, split, out)
+			}
+			wantFlushes := int64(1)
+			if split {
+				wantFlushes = 2
+			}
+			if f, r := st.BatchFlushes.Load()-flushes, st.BatchedRecords.Load()-records; f != wantFlushes || r != depth {
+				t.Errorf("commit %v, split %v: batch flushes +%d, batched records +%d; want +%d, +%d", commit, split, f, r, wantFlushes, depth)
+			}
+		}
+	}
+}
+
 // TestPipelineFloodCannotGrowNode has a client write 100 000 SETs without
 // reading a reply until it has sent them all. The connection never holds
 // more than maxInflight commands in flight, the process's live heap grows

@@ -2,12 +2,14 @@
 // maintains per-connection state (MULTI transactions, READONLY opt-in),
 // and forwards commands to a backend — a single node or a cluster
 // dispatcher. One goroutine per connection pipelines, as the paper's
-// §6.1.1 Enhanced IO Multiplexing does with its IO threads: it submits
-// every whole command already buffered before it waits on any, then
-// writes their replies in order with one flush, so a depth-N pipeline of
-// writes shares the node's group commit instead of paying N commit
-// rounds. A backend that cannot take a command without waiting on it is
-// served one command at a time.
+// §6.1.1 Enhanced IO Multiplexing does with its IO threads: it reads every
+// whole command already buffered and hands them to the node as one run
+// before it waits on any, then writes their replies in order with one
+// flush. The node serves a run in one turn, so a depth-N pipeline of
+// writes shares one log entry and pays one commit round instead of N. A
+// connection command (READONLY, MULTI, QUIT, …) ends a run: it is
+// answered after everything before it. A backend that cannot take a run
+// is served one command at a time.
 package server
 
 import (
@@ -156,11 +158,13 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// submitter is the optional Backend interface the pipelined loop needs:
-// take a command without waiting on it and return its reply future. The
-// server finds it by type assertion, as it finds ClusterOps.
-type submitter interface {
-	Submit(ctx context.Context, argv [][]byte, mode ReadMode) core.Call
+// runner is the optional Backend interface the pipelined loop needs: put
+// a command on a run without queueing it, returning its reply future, and
+// hand the run over. The server finds it by type assertion, as it finds
+// ClusterOps.
+type runner interface {
+	Add(run *core.Run, argv [][]byte, mode ReadMode, span trace.SpanContext) core.Call
+	Submit(ctx context.Context, run *core.Run)
 }
 
 // A connection keeps at most maxInflight commands submitted and not yet
@@ -184,16 +188,18 @@ type inflight struct {
 }
 
 // conn is one client connection and its protocol state (MULTI, READONLY).
-// Its goroutine alternates between drain, which reads and submits
-// commands, and answer, which waits on their replies in submit order and
-// writes them; flush then sends them.
+// Its goroutine alternates between drain, which reads commands and puts
+// them on a run, and answer, which hands the run to the node as one input,
+// then waits on its replies in order and writes them; flush then sends
+// them.
 type conn struct {
 	s    *Server
 	nc   net.Conn
 	r    *resp.Reader
 	w    *resp.Writer
-	sub  submitter // nil: each command is answered before the next is read
-	fifo []inflight
+	sub  runner // nil: each command is answered before the next is read
+	run  core.Run
+	fifo []inflight // the run's calls, in order
 	// window bounds the FIFO; replies, bytes and writeNanos are the
 	// replies written since the last flush, their size and the time spent
 	// encoding them.
@@ -222,7 +228,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}()
 	c := &conn{s: s, nc: nc, r: resp.NewReader(nc), window: maxInflight}
 	c.w = resp.NewWriter(c)
-	c.sub, _ = s.cfg.Backend.(submitter)
+	c.sub, _ = s.cfg.Backend.(runner)
 	for {
 		open := c.drain()
 		if noteInflight != nil {
@@ -234,12 +240,13 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
-// drain reads and submits commands, in order, until the FIFO fills its
-// window or reading on would wait on the socket while replies are owed (a
-// client sends a whole command before it waits on replies, so one partly
-// buffered is read to its end). It reports false once the connection is to
-// close: the client hung up or quit, or sent a malformed frame, whose
-// error reply follows every reply before it.
+// drain reads commands and puts them on the run, in order, until the FIFO
+// fills its window or reading on would wait on the socket while replies
+// are owed (a client sends a whole command before it waits on replies, so
+// one partly buffered is read to its end); a barrier answers the run
+// before it first. It reports false once the connection is to close: the
+// client hung up or quit, or sent a malformed frame, whose error reply
+// follows every reply before it.
 func (c *conn) drain() bool {
 	m := c.s.cfg.Obs
 	for len(c.fifo) < c.window {
@@ -270,23 +277,26 @@ func (c *conn) drain() bool {
 				return false
 			}
 		case c.sub == nil:
-			ctx, root := c.s.mintSpan(argv[0])
-			if v, err := c.s.cfg.Backend.Do(ctx, argv, c.mode); !c.reply(v, err, root) {
+			sc, root := c.s.mintSpan(argv[0])
+			if v, err := c.s.cfg.Backend.Do(c.s.spanCtx(sc), argv, c.mode); !c.reply(v, err, root) {
 				return false
 			}
 		default:
 			// argv owns its buffer, so it stays valid while later
 			// commands are read.
-			ctx, root := c.s.mintSpan(argv[0])
-			c.fifo = append(c.fifo, inflight{call: c.sub.Submit(ctx, argv, c.mode), root: root})
+			sc, root := c.s.mintSpan(argv[0])
+			c.fifo = append(c.fifo, inflight{call: c.sub.Add(&c.run, argv, c.mode, sc), root: root})
 		}
 	}
 	return true
 }
 
-// answer waits for every in-flight reply in submit order and writes it.
-// It reports whether every write succeeded.
+// answer submits the run drain built, then waits for every reply in order
+// and writes it. It reports whether every write succeeded.
 func (c *conn) answer() bool {
+	if c.sub != nil {
+		c.sub.Submit(c.s.ctx, &c.run)
+	}
 	ok := true
 	for _, f := range c.fifo {
 		v, _, err := f.call.Wait(c.s.ctx)
@@ -398,8 +408,8 @@ func (c *conn) handle(argv [][]byte) (reply resp.Value, quit bool) {
 		if len(cmds) == 0 {
 			return resp.ArrayV(), false
 		}
-		ctx, root := c.s.mintSpan(name)
-		v, err := c.s.cfg.Backend.DoBatch(ctx, cmds, c.mode)
+		sc, root := c.s.mintSpan(name)
+		v, err := c.s.cfg.Backend.DoBatch(c.s.spanCtx(sc), cmds, c.mode)
 		if root.TraceID != 0 {
 			c.s.cfg.Trace.Finish(root)
 		}
@@ -436,17 +446,25 @@ func is(name []byte, c string) bool {
 }
 
 // mintSpan draws the sampling coin at command parse. On a hit it returns
-// a ctx carrying the fresh trace's span context (the backend's stages
-// become children) plus the front-end root span, named for the command
-// and finished when the reply is ready to write; on a miss the span is
-// zero.
-func (s *Server) mintSpan(name []byte) (context.Context, trace.Span) {
+// the fresh trace's span context (the backend's stages become children)
+// plus the front-end root span, named for the command and finished when
+// the reply is ready to write; on a miss both are zero.
+func (s *Server) mintSpan(name []byte) (trace.SpanContext, trace.Span) {
 	if s.cfg.Trace == nil {
-		return s.ctx, trace.Span{}
+		return trace.SpanContext{}, trace.Span{}
 	}
 	sc, ok := s.cfg.Trace.Sample()
 	if !ok {
-		return s.ctx, trace.Span{}
+		return trace.SpanContext{}, trace.Span{}
 	}
-	return trace.NewContext(s.ctx, sc), s.cfg.Trace.Root(sc, "cmd:"+strings.ToUpper(string(name)), "server")
+	return sc, s.cfg.Trace.Root(sc, "cmd:"+strings.ToUpper(string(name)), "server")
+}
+
+// spanCtx is the server's ctx carrying sc, if it is set, for a backend
+// that takes its span context from the ctx.
+func (s *Server) spanCtx(sc trace.SpanContext) context.Context {
+	if sc.TraceID == 0 {
+		return s.ctx
+	}
+	return trace.NewContext(s.ctx, sc)
 }
