@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,6 +156,97 @@ func TestFreezeThawGate(t *testing.T) {
 	cancel()
 	if err != nil {
 		t.Fatalf("command against thawed node: %v", err)
+	}
+}
+
+// TestStatusRacesFreezeThaw: four goroutines freeze and thaw a started
+// node while its workloop steps down and campaigns again, so their swaps
+// of the published status race the workloop's. A watcher takes Changed,
+// then reads the state; whenever a later read differs, the channel it took
+// before must be closed once every writer is done. Each writer's last
+// write is a thaw, so Frozen ends false.
+func TestStatusRacesFreezeThaw(t *testing.T) {
+	svc := testService(t, netsim.Zero{})
+	log, _ := svc.CreateLog("shard-status")
+	n := testNode(t, "node-a", log, nil)
+	waitRole(t, n, election.RolePrimary, 2*time.Second)
+
+	type view struct {
+		role    election.Role
+		epoch   uint64
+		frozen  bool
+		stalled bool
+	}
+	look := func() (<-chan struct{}, view) {
+		ch := n.Changed()
+		return ch, view{n.Role(), n.Epoch(), n.Frozen(), n.Stalled()}
+	}
+	var done atomic.Bool
+	quiet := make(chan struct{}) // closed once nothing publishes any more
+	watched := make(chan error, 1)
+	go func() {
+		ch, was := look()
+		for {
+			select {
+			case <-quiet:
+				watched <- nil
+				return
+			default:
+			}
+			next, now := look()
+			if now != was {
+				select {
+				case <-ch:
+				case <-quiet:
+					select {
+					case <-ch:
+					default:
+						watched <- fmt.Errorf("state went from %+v to %+v, and the Changed channel taken before is open", was, now)
+						return
+					}
+				}
+			}
+			ch, was = next, now
+			runtime.Gosched()
+		}
+	}()
+	var writers sync.WaitGroup
+	for range 4 {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for !done.Load() {
+				n.Freeze()
+				runtime.Gosched()
+				n.Thaw()
+				runtime.Gosched()
+			}
+		}()
+	}
+	// Three step-downs, each followed by a new campaign: the workloop
+	// publishes a role change and an epoch between the writers' swaps.
+	finish := sync.OnceFunc(func() {
+		done.Store(true)
+		writers.Wait()
+		n.Stop()
+		close(quiet)
+	})
+	defer finish()
+	promotions := n.Stats().Promotions.Load()
+	for i := range int64(3) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		n.StepDown(ctx) // may find the lease already lost
+		cancel()
+		if !waitChanged(n, 10*time.Second, func() bool { return n.Stats().Promotions.Load() > promotions+i }) {
+			t.Fatalf("no campaign won after step-down %d", i+1)
+		}
+	}
+	finish()
+	if err := <-watched; err != nil {
+		t.Fatal(err)
+	}
+	if n.Frozen() {
+		t.Fatal("Frozen() true after every writer's last Thaw")
 	}
 }
 

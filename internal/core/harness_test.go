@@ -29,7 +29,7 @@ import (
 //     setup, while the log still commits at once.
 //
 // After every input checkTurn asserts the workloop's invariants on each
-// node.
+// node, and checkStatus those of the status it publishes.
 
 // stepClock is a simulated clock whose Sleep advances it.
 type stepClock struct{ *clock.Sim }
@@ -60,10 +60,12 @@ func (l harnessLatency) Sample() time.Duration {
 	return harnessCommit + time.Duration(*l.turns)
 }
 
-// hnode is a node the harness steps, and its clock.
+// hnode is a node the harness steps, its clock, and the status it had
+// published at the end of the last turn.
 type hnode struct {
 	*Node
-	clk *clock.Sim
+	clk  *clock.Sim
+	seen *status
 }
 
 // call is one command the harness submitted and what came back for it.
@@ -162,7 +164,7 @@ func (h *harness) node(id string, cfg harnessConfig) *hnode {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	return &hnode{Node: n, clk: clk}
+	return &hnode{Node: n, clk: clk, seen: n.st.Load()}
 }
 
 func (h *harness) nodes() []*hnode {
@@ -182,7 +184,7 @@ func (h *harness) turn(hn *hnode, in input) {
 }
 
 // settle ends a harness turn: it stamps the due time of every append the
-// turn issued, collects the replies and checks every node.
+// turn issued, collects the replies and checks every node and its status.
 func (h *harness) settle() {
 	for _, hn := range h.nodes() {
 		for _, e := range hn.issued {
@@ -218,7 +220,33 @@ func (h *harness) settle() {
 		if err := hn.checkTurn(h.log); err != nil {
 			h.fail("turn %d, %s: %v", *h.turns, hn.ID(), err)
 		}
+		if err := hn.checkStatus(); err != nil {
+			h.fail("turn %d, %s: %v", *h.turns, hn.ID(), err)
+		}
 	}
+}
+
+// checkStatus reports the first invariant of hn's published status that
+// did not hold across the turn, then keeps the status for the next one:
+//   - the epoch never falls;
+//   - no change goes unannounced: if any field differs, the Changed
+//     channel a caller took before the turn is closed.
+func (hn *hnode) checkStatus() error {
+	was, now := hn.seen, hn.st.Load()
+	hn.seen = now
+	if now.epoch < was.epoch {
+		return fmt.Errorf("epoch fell from %d to %d", was.epoch, now.epoch)
+	}
+	before, after := *was, *now
+	before.changed, after.changed = nil, nil
+	if before != after {
+		select {
+		case <-was.changed:
+		default:
+			return fmt.Errorf("status went from %+v to %+v, and Changed is still open", before, after)
+		}
+	}
+	return nil
 }
 
 // submit hands hn a client command, as a task taken off its queue. A
@@ -381,7 +409,8 @@ func (h *harness) mustWait(c *call) {
 //   - the parked reads are in deadline order, with the read timer armed;
 //   - no task is held twice: by two entries, or by an entry and the parked
 //     list;
-//   - a demoted node holds no reply.
+//   - a demoted node holds no reply;
+//   - a primary holds a lease.
 func (n *Node) checkTurn(log *txlog.Log) error {
 	var last uint64
 	for _, e := range n.issued {
@@ -434,6 +463,9 @@ func (n *Node) checkTurn(log *txlog.Log) error {
 	byEntries := len(held)
 	if byEntries > 0 && n.Role() == election.RoleDemoted {
 		return fmt.Errorf("demoted, yet its entries hold %d replies", byEntries)
+	}
+	if n.Role() == election.RolePrimary && n.lease == nil {
+		return fmt.Errorf("primary without a lease")
 	}
 	var deadline time.Time
 	for _, p := range n.parked {

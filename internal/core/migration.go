@@ -88,11 +88,10 @@ func (n *Node) EndSlotMigration(slot uint16) {
 // SetSlotGate installs (or clears, with nil) the slot admission check
 // consulted before executing client commands. The cluster layer uses it
 // for MOVED redirects, CROSSSLOT validation, and the brief write block
-// during slot ownership transfer.
+// during slot ownership transfer. Call it before Start: the workloop
+// reads the gate without a lock.
 func (n *Node) SetSlotGate(gate func(name string, keys [][]byte, writing bool) (resp.Value, bool)) {
-	n.mu.Lock()
 	n.slotGate = gate
-	n.mu.Unlock()
 }
 
 // AppendControl appends a control entry (slot 2PC messages etc.) through

@@ -158,24 +158,20 @@ type Node struct {
 	cfg Config
 	clk clock.Clock
 
-	mu      sync.Mutex
-	role    election.Role
-	epoch   uint64
-	lease   *election.Lease
-	stalled bool // upgrade protection tripped (§7.1)
-	frozen  bool // crashed (Freeze): the workloop parks at its next gate
-	// changed is closed, and replaced, at the node's next change of role
-	// or epoch, freeze, thaw, upgrade stall or stop (see Changed).
-	changed chan struct{}
-	// slotGate, when set by the cluster layer, admits or rejects client
-	// commands by slot (MOVED / CROSSSLOT / migration write block, §5.2).
+	// st is the node's published status (see status): one load gives a
+	// reader the state and the channel its next change closes.
+	st atomic.Pointer[status]
+	// slotGate, when set by the cluster layer before Start, admits or
+	// rejects client commands by slot (MOVED / CROSSSLOT / migration write
+	// block, §5.2).
 	slotGate func(name string, keys [][]byte, writing bool) (resp.Value, bool)
 
-	// The workloop's state (workloop.go), tasks through feedEpoch: the
+	// The workloop's state (workloop.go), lease through feedEpoch: the
 	// node's one goroutine owns it, so none of it takes a lock. Every
 	// command and every piece of node-internal work — replica apply, state
 	// installs, renewals, control appends, migration, reply release — runs
 	// there.
+	lease *election.Lease
 	tasks chan *task
 	eng   *engine.Engine
 	// gc is the group-commit buffer: mutations executed while a quorum
@@ -384,11 +380,9 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("core: backoff (%v) must be strictly greater than lease (%v)", cfg.Backoff, cfg.Lease)
 	}
 	n := &Node{
-		cfg:     cfg,
-		clk:     cfg.Clock,
-		role:    election.RoleReplica,
-		changed: make(chan struct{}),
-		tasks:   make(chan *task, 4096),
+		cfg:   cfg,
+		clk:   cfg.Clock,
+		tasks: make(chan *task, 4096),
 		retryPol: retry.Policy{
 			Base:  retryBase,
 			Max:   retryMax,
@@ -396,6 +390,7 @@ func NewNode(cfg Config) (*Node, error) {
 			Seed:  retry.SaltSeed(cfg.RetrySeed),
 		},
 	}
+	n.st.Store(&status{role: election.RoleReplica, changed: make(chan struct{})})
 	n.stopCtx, n.stopFn = context.WithCancel(context.Background())
 	n.trace = cfg.Trace
 	n.flight = cfg.Flight
@@ -447,27 +442,45 @@ func (n *Node) ShardID() string { return n.cfg.ShardID }
 // AZ returns the node's availability zone label.
 func (n *Node) AZ() string { return n.cfg.AZ }
 
-// Role returns the node's current role.
-func (n *Node) Role() election.Role {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.role
+// status is what the node publishes of its state: its role and epoch,
+// the upgrade stall and crash flags, and the channel the next change
+// closes. Nothing writes a status once it is published; publish swaps in
+// a changed copy, so a reader's one load gives it a consistent view.
+type status struct {
+	role    election.Role
+	epoch   uint64
+	stalled bool // upgrade protection tripped (§7.1)
+	frozen  bool // crashed (Freeze): the workloop parks at its next gate
+	// changed is closed when the next status replaces this one.
+	changed chan struct{}
 }
 
-// Epoch returns the node's current leadership epoch view.
-func (n *Node) Epoch() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.epoch
+// publish applies change to a copy of the node's status, arms a fresh
+// change channel, swaps the copy in and closes the old channel. Freeze,
+// Thaw and Stop race the workloop, so a lost swap retries on the newer
+// status.
+func (n *Node) publish(change func(*status)) {
+	for {
+		old := n.st.Load()
+		s := *old
+		change(&s)
+		s.changed = make(chan struct{})
+		if n.st.CompareAndSwap(old, &s) {
+			close(old.changed)
+			return
+		}
+	}
 }
+
+// Role returns the node's current role.
+func (n *Node) Role() election.Role { return n.st.Load().role }
+
+// Epoch returns the node's current leadership epoch view.
+func (n *Node) Epoch() uint64 { return n.st.Load().epoch }
 
 // Stalled reports whether upgrade protection has stopped this replica
 // from consuming the log (§7.1).
-func (n *Node) Stalled() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stalled
-}
+func (n *Node) Stalled() bool { return n.st.Load().stalled }
 
 // Stats exposes the node's counters.
 func (n *Node) Stats() *Stats { return &n.stats }
@@ -483,18 +496,7 @@ func (n *Node) AppliedSeq() uint64 { return n.appliedSeq.Load() }
 // role or epoch, freeze, thaw, upgrade stall or stop. Take it before
 // reading the state it guards, then wait on it: a change in between
 // closes it, so no change is missed.
-func (n *Node) Changed() <-chan struct{} {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.changed
-}
-
-// changedLocked wakes every Changed waiter and arms a fresh channel for
-// the next change. n.mu held.
-func (n *Node) changedLocked() {
-	close(n.changed)
-	n.changed = make(chan struct{})
-}
+func (n *Node) Changed() <-chan struct{} { return n.st.Load().changed }
 
 // WaitApplied blocks until the node has applied the log through seq. It
 // parks on the workloop's list beside the replica reads waiting on the
@@ -536,21 +538,16 @@ func (n *Node) QueueDepth() int { return len(n.tasks) }
 // ErrStopped.
 func (n *Node) Stop() {
 	n.stopFn()
-	n.mu.Lock()
-	n.changedLocked()
-	n.mu.Unlock()
+	n.publish(func(*status) {})
 	n.wg.Wait()
 }
 
 // setRole transitions the node's role (workloop only).
 func (n *Node) setRole(role election.Role, epoch uint64) {
-	n.mu.Lock()
-	n.role = role
-	if epoch > n.epoch {
-		n.epoch = epoch
-	}
-	n.changedLocked()
-	n.mu.Unlock()
+	n.publish(func(s *status) {
+		s.role = role
+		s.epoch = max(s.epoch, epoch)
+	})
 	n.flight.Record(trace.EvRoleChange, epoch, role.String())
 	switch role {
 	case election.RolePrimary:
@@ -574,28 +571,16 @@ func (n *Node) partitioned() bool {
 // crash produces). The node can then either be discarded and replaced by
 // a fresh process that resyncs from S3 + the log (cluster.Restart), or
 // thawed in place as a zombie that must be fenced (cluster.Resurrect).
-func (n *Node) Freeze() { n.setFrozen(true) }
+func (n *Node) Freeze() { n.publish(func(s *status) { s.frozen = true }) }
 
 // Thaw resumes a frozen node exactly where it stopped — the zombie case:
 // the stale process wakes believing whatever it believed at the kill
 // instant, and only the log's conditional-append fencing (plus its
 // expired lease) keeps it from acknowledging anything new.
-func (n *Node) Thaw() { n.setFrozen(false) }
-
-// setFrozen sets the crash flag and wakes the gate and every other waiter.
-func (n *Node) setFrozen(frozen bool) {
-	n.mu.Lock()
-	n.frozen = frozen
-	n.changedLocked()
-	n.mu.Unlock()
-}
+func (n *Node) Thaw() { n.publish(func(s *status) { s.frozen = false }) }
 
 // Frozen reports whether the node is currently crash-frozen.
-func (n *Node) Frozen() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.frozen
-}
+func (n *Node) Frozen() bool { return n.st.Load().frozen }
 
 // gate blocks while the node is frozen, waiting on its change signal. It
 // returns false when the node was stopped (the crashed process is being
@@ -604,14 +589,12 @@ func (n *Node) Frozen() bool {
 // may continue.
 func (n *Node) gate() bool {
 	for {
-		n.mu.Lock()
-		frozen, changed := n.frozen, n.changed
-		n.mu.Unlock()
-		if !frozen {
+		st := n.st.Load()
+		if !st.frozen {
 			return n.stopCtx.Err() == nil
 		}
 		select {
-		case <-changed:
+		case <-st.changed:
 		case <-n.stopCtx.Done():
 			return false
 		}

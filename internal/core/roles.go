@@ -240,12 +240,9 @@ func (n *Node) tail() {
 	n.fenceEpoch(e)
 	switch e.Type {
 	case txlog.EntryLeadership:
-		n.mu.Lock()
-		if e.Epoch > n.epoch {
-			n.epoch = e.Epoch
-			n.changedLocked()
+		if e.Epoch > n.Epoch() {
+			n.publish(func(s *status) { s.epoch = e.Epoch })
 		}
-		n.mu.Unlock()
 		l.observer.ObserveRenewal()
 	case txlog.EntryLease:
 		l.observer.ObserveRenewal()
@@ -281,10 +278,7 @@ func (n *Node) campaign(observedTail txlog.EntryID) bool {
 	if err != nil {
 		return false
 	}
-	n.mu.Lock()
 	n.lease = lease
-	n.epoch = lease.Epoch()
-	n.mu.Unlock()
 	// The sequencer chains appends after the claim entry. The running
 	// checksum continues from the log's value at the claim (the claim is
 	// committed, so ChecksumAt cannot fail except on a concurrent trim,
@@ -378,9 +372,9 @@ func (n *Node) resync() error {
 	}
 	n.installState(eng, applied, txlog.ZeroID, 0)
 	n.replay = replay
-	n.mu.Lock()
-	n.stalled = false
-	n.mu.Unlock()
+	if n.Stalled() {
+		n.publish(func(s *status) { s.stalled = false })
+	}
 	return nil
 }
 
@@ -416,10 +410,7 @@ func (n *Node) applyEntry(e txlog.Entry) error {
 	if err := n.replay.Step(e, n.applyData); err != nil {
 		switch {
 		case errors.Is(err, txlog.ErrUpgradeStall):
-			n.mu.Lock()
-			n.stalled = true
-			n.changedLocked()
-			n.mu.Unlock()
+			n.publish(func(s *status) { s.stalled = true })
 		case errors.Is(err, txlog.ErrChecksumMismatch):
 			n.flight.Recordf(trace.EvAlarm, e.ID.Seq, "replica state diverged from the log: %v", err)
 		}

@@ -39,9 +39,7 @@ const (
 // before the error returns: callers only fail the replies they hold, so
 // clients observe the error once the step-down is visible.
 func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64, entry *issuedEntry) error {
-	n.mu.Lock()
-	e.Epoch = n.epoch
-	n.mu.Unlock()
+	e.Epoch = n.Epoch()
 	e.EngineVersion = n.cfg.EngineVersion
 	e.Watermark = n.durable
 
@@ -236,10 +234,7 @@ func (n *Node) startAppendRetry(e txlog.Entry, retried *atomic.Int64) (*txlog.Pe
 			// Answer for what committed before the failure: a reply whose
 			// entry is durable must not wait out the outage.
 			n.runCompleted()
-			n.mu.Lock()
-			lease := n.lease
-			n.mu.Unlock()
-			if lease == nil || !lease.Valid() || n.stopCtx.Err() != nil {
+			if n.lease == nil || !n.lease.Valid() || n.stopCtx.Err() != nil {
 				break
 			}
 			retried.Add(1)

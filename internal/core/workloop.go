@@ -409,22 +409,16 @@ func (n *Node) serve(t *task) {
 
 	// The admission ladder: the one place a client task reads the node's
 	// role, lease, stall flag and slot gate.
-	n.mu.Lock()
-	role := n.role
-	lease := n.lease
-	stalled := n.stalled
-	gate := n.slotGate
-	n.mu.Unlock()
-
-	if gate != nil && cmd != nil && !local {
-		if errReply, rejected := gate(name, t.keys, cmd.Writes()); rejected {
+	st := n.st.Load()
+	if n.slotGate != nil && cmd != nil && !local {
+		if errReply, rejected := n.slotGate(name, t.keys, cmd.Writes()); rejected {
 			n.reply(t, errReply)
 			return
 		}
 	}
-	switch role {
+	switch st.role {
 	case election.RolePrimary:
-		if lease == nil || !lease.Valid() {
+		if n.lease == nil || !n.lease.Valid() {
 			// A primary that cannot renew voluntarily stops servicing
 			// reads and writes at the end of its lease (§4.1.3).
 			n.demote()
@@ -438,7 +432,7 @@ func (n *Node) serve(t *task) {
 		// of failing the pipeline.
 		writes := !batch && (cmd == nil || (cmd.Writes() && name != "PING"))
 		switch {
-		case stalled:
+		case st.stalled:
 			n.reply(t, errStalledVal)
 			return
 		case writes, !local && !t.readonly:
@@ -471,7 +465,7 @@ func (n *Node) serve(t *task) {
 	if t.deq != 0 {
 		n.obsExecuted(t)
 	}
-	if role == election.RoleReplica {
+	if st.role == election.RoleReplica {
 		// Mutations only become visible here once committed to the log.
 		n.reply(t, res.Reply)
 		return
@@ -532,24 +526,20 @@ func (n *Node) logMutation(t *task, res engine.Result) {
 // infoText renders the INFO reply: the per-node view the monitoring
 // service polls every few seconds (§5.1). It runs on the workloop, which
 // owns the keyspace counters it sums; everything else it reads is atomic
-// or mu-guarded.
+// or the published status.
 func (n *Node) infoText() string {
-	n.mu.Lock()
-	role := n.role
-	epoch := n.epoch
-	stalled := n.stalled
-	n.mu.Unlock()
+	view := n.st.Load()
 	st := n.stats.Snapshot()
 	logStats := n.cfg.Log.Stats()
 	degraded := n.cfg.Log.Degraded()
 	db := n.eng.DB()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Replication\r\n")
-	fmt.Fprintf(&b, "role:%s\r\n", role)
-	fmt.Fprintf(&b, "epoch:%d\r\n", epoch)
+	fmt.Fprintf(&b, "role:%s\r\n", view.role)
+	fmt.Fprintf(&b, "epoch:%d\r\n", view.epoch)
 	fmt.Fprintf(&b, "applied_seq:%d\r\n", n.appliedSeq.Load())
 	fmt.Fprintf(&b, "log_committed_seq:%d\r\n", n.cfg.Log.CommittedTail().Seq)
-	fmt.Fprintf(&b, "upgrade_stalled:%v\r\n", stalled)
+	fmt.Fprintf(&b, "upgrade_stalled:%v\r\n", view.stalled)
 	fmt.Fprintf(&b, "engine_version:%d\r\n", n.cfg.EngineVersion)
 	fmt.Fprintf(&b, "# Stats\r\n")
 	fmt.Fprintf(&b, "commands:%d\r\n", st.Commands)
@@ -604,12 +594,8 @@ func (n *Node) infoText() string {
 // like any other and the lease extends from issue time — safe because the
 // backoff replicas observe is strictly longer than the lease.
 func (n *Node) renew() {
-	n.mu.Lock()
-	role := n.role
-	lease := n.lease
-	epoch := n.epoch
-	n.mu.Unlock()
-	if role != election.RolePrimary || lease == nil {
+	st, lease := n.st.Load(), n.lease
+	if st.role != election.RolePrimary || lease == nil {
 		return
 	}
 	if !lease.Valid() {
@@ -628,7 +614,7 @@ func (n *Node) renew() {
 	if n.checkpoint(faultpoint.SiteRenew) != nil {
 		return
 	}
-	r := election.Renewal{NodeID: n.cfg.NodeID, Epoch: epoch, LeaseMs: n.cfg.Lease.Milliseconds()}
+	r := election.Renewal{NodeID: n.cfg.NodeID, Epoch: st.epoch, LeaseMs: n.cfg.Lease.Milliseconds()}
 	issued := n.clk.Now()
 	if n.sequence(txlog.Entry{Type: txlog.EntryLease, Payload: election.EncodeRenewal(r)}, &n.stats.RenewalsRetried, &issuedEntry{}) != nil {
 		// Fenced by another writer, or the lease expired while the retry
@@ -661,23 +647,18 @@ const sweepLimit = 32
 // quarantines it, and it resyncs and rejoins as a replica (roles.go).
 // Workloop only.
 func (n *Node) demote() {
-	n.mu.Lock()
-	if n.role != election.RolePrimary {
-		n.mu.Unlock()
+	if n.Role() != election.RolePrimary {
 		return
 	}
-	n.role = election.RoleDemoted
 	n.lease = nil
-	n.changedLocked()
-	epoch := n.epoch
-	n.mu.Unlock()
+	n.publish(func(s *status) { s.role = election.RoleDemoted })
 	failed := n.abortedReplies.Load()
 	n.abortHeld(errDemoted)
 	if failed = n.abortedReplies.Load() - failed; failed > 0 {
 		n.flight.Recordf(trace.EvAbort, uint64(failed), "aborted %d gated replies on step-down", failed)
 	}
 	n.stats.Demotions.Add(1)
-	n.flight.Record(trace.EvDemotion, epoch, "lease lost or fenced")
+	n.flight.Record(trace.EvDemotion, n.Epoch(), "lease lost or fenced")
 	n.roleChanged = true
 }
 

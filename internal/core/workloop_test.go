@@ -170,6 +170,12 @@ func TestBarrierConsistentCut(t *testing.T) {
 			}
 		}(c)
 	}
+	// Every exit, a failed read's too, stops the writers and waits for
+	// them: none may report after the test has returned.
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 	// Readers: snapshot both keys in one cross-slot transaction.
 	reads := 0
 	deadline := time.Now().Add(800 * time.Millisecond)
@@ -189,8 +195,6 @@ func TestBarrierConsistentCut(t *testing.T) {
 		}
 		reads++
 	}
-	close(stop)
-	wg.Wait()
 	if reads < 10 {
 		t.Fatalf("only %d consistent-cut reads completed", reads)
 	}

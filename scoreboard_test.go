@@ -21,11 +21,14 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20508
+	ceilingNonTestLines = 20457
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 21
 	ceilingClusterConfigFields = 16
+	// sync.Mutex / sync.RWMutex fields of core.Node: the workloop owns the
+	// node's state, and what others read of it is one published value.
+	ceilingNodeLocks = 0
 	// Exported funcs, methods, types and struct fields under internal/
 	// that no non-test code names (see unnamedExports), allowUnnamed
 	// aside.
@@ -282,6 +285,37 @@ func fixedInterval(e ast.Expr) bool {
 // the non-test files of dir.
 func structFields(t *testing.T, dir, typeName string) int {
 	t.Helper()
+	n := 0
+	for _, field := range structType(t, dir, typeName).Fields.List {
+		n += max(len(field.Names), 1)
+	}
+	return n
+}
+
+// lockFields counts the sync.Mutex and sync.RWMutex fields, embedded or
+// pointed to, of the named struct type declared in the non-test files of
+// dir.
+func lockFields(t *testing.T, dir, typeName string) int {
+	t.Helper()
+	n := 0
+	for _, field := range structType(t, dir, typeName).Fields.List {
+		typ := field.Type
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		if sel, ok := typ.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" {
+				n += max(len(field.Names), 1)
+			}
+		}
+	}
+	return n
+}
+
+// structType returns the named struct type declared in the non-test files
+// of dir.
+func structType(t *testing.T, dir, typeName string) *ast.StructType {
+	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -295,31 +329,26 @@ func structFields(t *testing.T, dir, typeName string) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := -1
+		var found *ast.StructType
 		ast.Inspect(f, func(node ast.Node) bool {
 			ts, ok := node.(*ast.TypeSpec)
 			if !ok || ts.Name.Name != typeName {
-				return n < 0
+				return found == nil
 			}
-			if st, ok := ts.Type.(*ast.StructType); ok {
-				n = 0
-				for _, field := range st.Fields.List {
-					n += max(len(field.Names), 1)
-				}
-			}
+			found, _ = ts.Type.(*ast.StructType)
 			return false
 		})
-		if n >= 0 {
-			return n
+		if found != nil {
+			return found
 		}
 	}
 	t.Fatalf("no struct %s in %s", typeName, dir)
-	return 0
+	return nil
 }
 
 // overCeilings returns one message per scoreboard number above its
 // ceiling.
-func overCeilings(sb scoreboard, coreFields, clusterFields int) []string {
+func overCeilings(sb scoreboard, coreFields, clusterFields, nodeLocks int) []string {
 	var out []string
 	check := func(what string, got, ceiling int) {
 		if got > ceiling {
@@ -330,6 +359,7 @@ func overCeilings(sb scoreboard, coreFields, clusterFields int) []string {
 	check("non-test Go lines outside benchmark/", sb.nonTestLines, ceilingNonTestLines)
 	check("core.Config fields", coreFields, ceilingCoreConfigFields)
 	check("cluster.Config fields", clusterFields, ceilingClusterConfigFields)
+	check("sync.Mutex / sync.RWMutex fields of core.Node", nodeLocks, ceilingNodeLocks)
 	check("exported identifiers no non-test code names "+strings.Join(sb.unnamed, " "), len(sb.unnamed), ceilingUnnamedExports)
 	check("wall-clock waits outside internal/clock "+strings.Join(sb.wallClockWaits, " "), len(sb.wallClockWaits), ceilingWallClockWaits)
 	check("go statements in internal/ "+strings.Join(sb.goStatements, " "), len(sb.goStatements), ceilingGoStatements)
@@ -400,9 +430,10 @@ func TestScoreboard(t *testing.T) {
 	sb := measureTree(t, ".")
 	coreFields := structFields(t, filepath.Join("internal", "core"), "Config")
 	clusterFields := structFields(t, filepath.Join("internal", "cluster"), "Config")
-	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d unnamed exports, %d wall-clock waits, %d go statements, sleep polls %v, %d sleeps in tests",
-		sb.nonTestLines, coreFields, clusterFields, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements), sb.sleepPolls, len(sb.testSleeps))
-	for _, msg := range overCeilings(sb, coreFields, clusterFields) {
+	nodeLocks := lockFields(t, filepath.Join("internal", "core"), "Node")
+	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d locks in core.Node, %d unnamed exports, %d wall-clock waits, %d go statements, sleep polls %v, %d sleeps in tests",
+		sb.nonTestLines, coreFields, clusterFields, nodeLocks, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements), sb.sleepPolls, len(sb.testSleeps))
+	for _, msg := range overCeilings(sb, coreFields, clusterFields, nodeLocks) {
 		t.Error(msg)
 	}
 	design, err := os.ReadFile("DESIGN.md")
@@ -418,8 +449,8 @@ func TestScoreboard(t *testing.T) {
 // tree with one line too many, a program that imports the capacity
 // model, an export only a test names, a wall-clock sleep and a go
 // statement, a go statement no "Who runs what" row names and a row no go
-// statement starts, a loop that polls on a fixed sleep and a sleep in a
-// test of internal/server, and that it skips test files (their sleeps
+// statement starts, a loop that polls on a fixed sleep, a sleep in a
+// test of internal/server and a lock in core.Node, and that it skips test files (their sleeps
 // outside sleepyTestDirs too), benchmark/'s lines, internal/clock's
 // sleeps, goroutines started outside internal/ and computed sleeps in a
 // loop.
@@ -485,6 +516,15 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		}
 	}
 
+	locks := t.TempDir()
+	if err := os.WriteFile(filepath.Join(locks, "n.go"), []byte("package n\n\n"+
+		"type Node struct {\n\tmu sync.Mutex\n\ta, b *sync.RWMutex\n\tsync.Mutex\n\twg sync.WaitGroup\n\tx other.Mutex\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := lockFields(t, locks, "Node"); got != 4 {
+		t.Fatalf("lock fields = %d, want 4 (mu, a, b and the embedded sync.Mutex)", got)
+	}
+
 	clean := scoreboard{nonTestLines: ceilingNonTestLines}
 	for range ceilingUnnamedExports {
 		clean.unnamed = append(clean.unnamed, "x")
@@ -498,7 +538,7 @@ func TestScoreboardNegativeControl(t *testing.T) {
 	for range ceilingTestSleeps {
 		clean.testSleeps = append(clean.testSleeps, "s")
 	}
-	if msgs := overCeilings(clean, ceilingCoreConfigFields, ceilingClusterConfigFields); len(msgs) != 0 {
+	if msgs := overCeilings(clean, ceilingCoreConfigFields, ceilingClusterConfigFields, ceilingNodeLocks); len(msgs) != 0 {
 		t.Fatalf("tree at its ceilings convicted: %v", msgs)
 	}
 	for _, grow := range []func(*scoreboard){
@@ -515,11 +555,14 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		over.sleepPolls = append([]string(nil), clean.sleepPolls...)
 		over.testSleeps = append([]string(nil), clean.testSleeps...)
 		grow(&over)
-		if msgs := overCeilings(over, ceilingCoreConfigFields, ceilingClusterConfigFields); len(msgs) != 1 {
+		if msgs := overCeilings(over, ceilingCoreConfigFields, ceilingClusterConfigFields, ceilingNodeLocks); len(msgs) != 1 {
 			t.Fatalf("one over a ceiling: %v, want one violation", msgs)
 		}
 	}
-	if msgs := overCeilings(clean, ceilingCoreConfigFields+1, ceilingClusterConfigFields); len(msgs) != 1 {
+	if msgs := overCeilings(clean, ceilingCoreConfigFields+1, ceilingClusterConfigFields, ceilingNodeLocks); len(msgs) != 1 {
 		t.Fatalf("one extra core.Config field: %v, want one violation", msgs)
+	}
+	if msgs := overCeilings(clean, ceilingCoreConfigFields, ceilingClusterConfigFields, ceilingNodeLocks+1); len(msgs) != 1 {
+		t.Fatalf("one extra lock in core.Node: %v, want one violation", msgs)
 	}
 }
