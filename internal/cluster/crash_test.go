@@ -215,7 +215,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	coreSites := []string{
 		faultpoint.SiteAppendPre, faultpoint.SiteAppendPost,
 		faultpoint.SiteFlushPre, faultpoint.SiteFlushPost,
-		faultpoint.SiteTrackerRelease, faultpoint.SiteRenew,
+		faultpoint.SiteReplyRelease, faultpoint.SiteRenew,
 	}
 	kills, restarts, zombies := 0, 0, 0
 	for round := 0; round < len(coreSites); round++ {

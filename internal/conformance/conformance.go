@@ -54,7 +54,8 @@ func NewGenerator(cfg GenConfig) *Generator {
 }
 
 // Curated templates: $k expands to a pooled key, $v to a biased value,
-// $i to a small integer, $f to a float, $m to a member name.
+// $i to a small integer, $f to a float, $m to a member name, $x to one of
+// the first stream IDs XADD * assigns on the pair's frozen clock.
 var templates = [][]string{
 	{"SET", "$k", "$v"},
 	{"SET", "$k", "$v", "EX", "$i"},
@@ -117,6 +118,20 @@ var templates = [][]string{
 	{"ZREMRANGEBYSCORE", "$k", "0", "$f"},
 	{"XADD", "$k", "*", "$m", "$v"},
 	{"XTRIM", "$k", "MAXLEN", "$i"},
+	// Removal churn: members come and go while their keys live on, which
+	// is what moves an aggregate's used_bytes both ways. The adds of
+	// several members let an aggregate grow past one before a removal.
+	{"SADD", "$k", "$m", "$m", "$m"},
+	{"ZADD", "$k", "$f", "$m", "$f", "$m", "$f", "$m"},
+	{"RPUSH", "$k", "$v", "$v", "$v"},
+	{"XADD", "$k", "*", "$m", "$v", "$m", "$v"},
+	{"XADD", "$k", "MAXLEN", "1", "*", "$m", "$v"},
+	{"HDEL", "$k", "$m", "$m"},
+	{"SREM", "$k", "$m", "$m"},
+	{"ZREM", "$k", "$m", "$m"},
+	{"LREM", "$k", "$i", "$v"},
+	{"LTRIM", "$k", "1", "-1"},
+	{"XDEL", "$k", "$x"},
 	{"XRANGE", "$k", "-", "+"},
 	{"PFADD", "$k", "$v", "$v"},
 	{"PFCOUNT", "$k"},
@@ -166,6 +181,8 @@ func (g *Generator) expand(tok string) string {
 		return biasedFloats[g.rng.Intn(len(biasedFloats))]
 	case "$m":
 		return biasedMember[g.rng.Intn(len(biasedMember))]
+	case "$x":
+		return fmt.Sprintf("%d-%d", pairStart.UnixMilli(), g.rng.Intn(4))
 	}
 	return tok
 }
@@ -205,8 +222,33 @@ func (g *Generator) fuzzFromSpec() []string {
 // NewEnginePair returns two engines on the same frozen simulated clock,
 // so time-dependent state (TTLs, stream auto-IDs) is comparable.
 func NewEnginePair() (primary, replica *engine.Engine) {
-	start := time.Unix(1700000000, 0)
-	return engine.New(clock.NewSim(start)), engine.New(clock.NewSim(start))
+	return engine.New(clock.NewSim(pairStart)), engine.New(clock.NewSim(pairStart))
+}
+
+// pairStart is the instant NewEnginePair's clocks stand at.
+var pairStart = time.Unix(1700000000, 0)
+
+// ChargeDivergence describes the first aggregate kind two keyspaces are
+// charged differently for — the sum of the Cost of their keys of that kind
+// — or returns "" when they are charged alike. Keyspaces that hold the
+// same contents must be: an aggregate's charge follows its contents, not
+// how they were built. A string is charged its buffer, whose size is
+// history (APPEND grows it to a power of two; a restore sizes it to the
+// value), so strings are left out.
+func ChargeDivergence(a, b *store.DB) string {
+	var charged [2][store.KindStream + 1]int64
+	for i, db := range []*store.DB{a, b} {
+		db.ForEach(time.Time{}, func(_ string, obj store.Object, _ int64) bool {
+			charged[i][obj.Kind()] += obj.Cost()
+			return true
+		})
+	}
+	for k := store.KindHash; k <= store.KindStream; k++ {
+		if charged[0][k] != charged[1][k] {
+			return fmt.Sprintf("used_bytes for %s keys: %d against %d", k, charged[0][k], charged[1][k])
+		}
+	}
+	return ""
 }
 
 // StateDigest canonically serializes an engine's full keyspace: keys
@@ -228,13 +270,9 @@ func StateDigest(e *engine.Engine) string {
 		case store.KindString:
 			fmt.Fprintf(&b, "%q", obj.Str())
 		case store.KindHash:
-			fields := make([]string, 0, len(obj.Hash()))
-			for f := range obj.Hash() {
-				fields = append(fields, f)
-			}
-			sort.Strings(fields)
-			for _, f := range fields {
-				fmt.Fprintf(&b, "%q=%q ", f, obj.Hash()[f])
+			for _, f := range obj.Hash().Fields() {
+				v, _ := obj.Hash().Get(f)
+				fmt.Fprintf(&b, "%q=%q ", f, v)
 			}
 		case store.KindList:
 			obj.List().Walk(func(v []byte) bool {
@@ -242,12 +280,7 @@ func StateDigest(e *engine.Engine) string {
 				return true
 			})
 		case store.KindSet:
-			members := make([]string, 0, len(obj.Set()))
-			for m := range obj.Set() {
-				members = append(members, m)
-			}
-			sort.Strings(members)
-			for _, m := range members {
+			for _, m := range obj.Set().Members() {
 				fmt.Fprintf(&b, "%q ", m)
 			}
 		case store.KindZSet:
@@ -274,7 +307,8 @@ func StateDigest(e *engine.Engine) string {
 
 // RunDifferential executes rounds generated commands on primary,
 // applies each resulting effect record to replica, and reports the
-// first divergence (empty string = none). It also returns how many
+// first divergence (empty string = none): of their keyspaces, or of what
+// used_bytes charges each kind in them. It also returns how many
 // commands succeeded vs errored, so callers can assert real coverage.
 func RunDifferential(g *Generator, primary, replica *engine.Engine, rounds int) (divergence string, okCount, errCount int) {
 	for i := 0; i < rounds; i++ {
@@ -301,6 +335,9 @@ func RunDifferential(g *Generator, primary, replica *engine.Engine, rounds int) 
 	pd, rd := StateDigest(primary), StateDigest(replica)
 	if pd != rd {
 		return fmt.Sprintf("state divergence after %d rounds:\nprimary:\n%s\nreplica:\n%s", rounds, pd, rd), okCount, errCount
+	}
+	if d := ChargeDivergence(primary.DB(), replica.DB()); d != "" {
+		return fmt.Sprintf("after %d rounds, primary and replica differ in %s", rounds, d), okCount, errCount
 	}
 	return "", okCount, errCount
 }

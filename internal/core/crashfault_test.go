@@ -355,7 +355,7 @@ func TestFrozenPrimaryDoesNotHoldTheLog(t *testing.T) {
 // release it hits is never stranded: the write's reply is delivered when
 // its own entry is answered for, once, and the next write's after it.
 func TestPostCommitErrorStrandsNoRelease(t *testing.T) {
-	for _, site := range []string{faultpoint.SiteFlushPost, faultpoint.SiteTrackerRelease} {
+	for _, site := range []string{faultpoint.SiteFlushPost, faultpoint.SiteReplyRelease} {
 		t.Run(site, func(t *testing.T) {
 			svc := testService(t, netsim.Fixed(time.Millisecond))
 			log, _ := svc.CreateLog("shard-1")

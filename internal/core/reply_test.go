@@ -11,7 +11,6 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/election"
-	"memorydb/internal/netsim"
 	"memorydb/internal/txlog"
 )
 
@@ -153,95 +152,102 @@ func TestGatedReadsCountsWithheldReads(t *testing.T) {
 }
 
 // TestNodeOpAllocations pins what one command costs the heap on the node
-// path — task, engine, group commit, log append, reply release — on a
-// zero-latency log. Process-wide Mallocs, so the node's background work
-// (a lease renewal or two) is in the count too.
+// path — task, engine, group commit, log append, reply release. It counts
+// the node's own allocations only: the harness steps the primary from the
+// test's goroutine and counts across the submit and each step, nothing
+// else, and no other goroutine allocates meanwhile. The node's clock moves
+// only when the harness moves it, so no lease renewal falls inside, and
+// every append is due the moment it is issued, so the log's committer
+// commits it without arming a timer.
 func TestNodeOpAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
 	}
-	svc := testService(t, netsim.Zero{})
-	log, _ := svc.CreateLog("shard-1")
-	n := testNode(t, "node-a", log, nil)
-	waitRole(t, n, election.RolePrimary, 2*time.Second)
-	ctx := context.Background()
+	hs := newHarnessService(nil)
+	h := newHarness(t, harnessConfig{svc: hs})
+	*hs.turns = 0 // harnessLatency: every append commits at once
+	n := h.primary
+	var mallocs uint64
+	counted := func(fn func()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	submit := func(argv [][]byte) (c Call) {
+		counted(func() {
+			var r Run
+			c = n.Add(&r, Request{Argv: argv})
+			n.step(input{kind: inTask, t: r.head})
+		})
+		return c
+	}
+	// answer waits until the log has answered for every append in flight
+	// and steps the node on each answer.
+	answer := func(calls ...Call) {
+		for len(n.issued) > 0 {
+			<-n.issued[0].p.Done()
+			counted(func() { n.step(input{kind: inHead}) })
+		}
+		for _, c := range calls {
+			if v, _, err := c.Wait(context.Background()); err != nil || v.IsError() {
+				t.Fatalf("%s: %v, %v", c.t.name, v, err)
+			}
+		}
+		if err := n.checkTurn(h.log); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mset := [][]byte{[]byte("MSET")}
 	for i := 0; i < 500; i++ {
 		mset = append(mset, []byte(fmt.Sprintf("key:%08d", i)), []byte("value"))
 	}
+	set, get := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}, [][]byte{[]byte("GET"), []byte("k")}
 	for _, c := range []struct {
 		argv [][]byte
 		max  float64
 		ops  int
 	}{
-		{[][]byte{[]byte("SET"), []byte("k"), []byte("v")}, 11, 2000},
-		{[][]byte{[]byte("GET"), []byte("k")}, 2.1, 2000},
+		{set, 11, 2000},
+		{get, 2.1, 2000},
 		// 500 of these are the stored buffers, one per key (1 045 per MSET
 		// before its keys were views and its key list a scan, 529 while a
 		// cross-slot MSET parked keyspace shards from a goroutine of its
 		// own).
 		{mset, 524, 200},
 	} {
-		var before, after runtime.MemStats
 		for i := 0; i < c.ops/4; i++ {
-			n.Do(ctx, c.argv)
+			answer(submit(c.argv))
 		}
-		runtime.ReadMemStats(&before)
+		mallocs = 0
 		for i := 0; i < c.ops; i++ {
-			n.Do(ctx, c.argv)
+			answer(submit(c.argv))
 		}
-		runtime.ReadMemStats(&after)
-		if per := float64(after.Mallocs-before.Mallocs) / float64(c.ops); per > c.max {
-			t.Errorf("%s: %.1f allocations per Node.Do, want <= %.1f", c.argv[0], per, c.max)
+		if per := float64(mallocs) / float64(c.ops); per > c.max {
+			t.Errorf("%s: %.1f allocations per command, want <= %.1f", c.argv[0], per, c.max)
 		} else {
-			t.Logf("%s: %.1f allocations per Node.Do", c.argv[0], per)
+			t.Logf("%s: %.1f allocations per command", c.argv[0], per)
 		}
 	}
 
-	// A GET of a key whose SET is still in flight, 20 ms from durable: the
-	// read joins the SET's entry and is answered with it. Counted per pair;
-	// the SETs come from one caller goroutine, and no renewal falls inside.
-	svc = testService(t, netsim.Fixed(20*time.Millisecond))
-	log, _ = svc.CreateLog("shard-2")
-	gn, err := NewNode(Config{NodeID: "node-b", ShardID: log.ShardID(), Log: log,
-		Lease: 20 * time.Second, Backoff: 25 * time.Second, RenewEvery: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gn.Start()
-	t.Cleanup(gn.Stop)
-	waitRole(t, gn, election.RolePrimary, 2*time.Second)
-	set, get := [][]byte{[]byte("SET"), []byte("k"), []byte("v")}, [][]byte{[]byte("GET"), []byte("k")}
-	sets, setDone := make(chan struct{}), make(chan struct{})
-	defer close(sets)
-	go func() {
-		for range sets {
-			gn.Do(ctx, set)
-			setDone <- struct{}{}
-		}
-	}()
+	// A GET of a key whose SET is still in flight: the read joins the SET's
+	// entry and is answered with it. Counted per pair.
+	const pairs, maxPair = 50, 14
 	pair := func() {
-		executed := gn.Stats().Mutations.Load() + 1
-		sets <- struct{}{}
-		for gn.Stats().Mutations.Load() < executed {
-			runtime.Gosched()
-		}
-		gn.Do(ctx, get)
-		<-setDone
+		s := submit(set)
+		answer(s, submit(get))
 	}
-	const pairs, maxPair = 50, 28
 	pair()
-	gated := gn.Stats().GatedReads.Load()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	gated := n.Stats().GatedReads.Load()
+	mallocs = 0
 	for i := 0; i < pairs; i++ {
 		pair()
 	}
-	runtime.ReadMemStats(&after)
-	if got := gn.Stats().GatedReads.Load() - gated; got != pairs {
+	if got := n.Stats().GatedReads.Load() - gated; got != pairs {
 		t.Fatalf("%d of %d GETs gated on the SET in flight", got, pairs)
 	}
-	if per := float64(after.Mallocs-before.Mallocs) / pairs; per > maxPair {
+	if per := float64(mallocs) / pairs; per > maxPair {
 		t.Errorf("SET + gated GET: %.1f allocations per pair, want <= %d", per, maxPair)
 	} else {
 		t.Logf("SET + gated GET: %.1f allocations per pair", per)

@@ -170,7 +170,7 @@ func (n *Node) answer(e *issuedEntry, err error) {
 		// reply ever delivered — the harness's "durable yet
 		// unacknowledged" case. A control entry's waiter passes neither.
 		if (e.data && n.postCommitGate(faultpoint.SiteFlushPost) != nil) ||
-			(e.control == nil && n.postCommitGate(faultpoint.SiteTrackerRelease) != nil) {
+			(e.control == nil && n.postCommitGate(faultpoint.SiteReplyRelease) != nil) {
 			return
 		}
 		n.noteAZHealth(e.p)

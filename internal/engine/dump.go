@@ -31,9 +31,7 @@ func (e *Engine) DumpCommands(key string) [][][]byte {
 		add("SET", key, string(obj.Str()))
 	case store.KindHash:
 		args := []string{"HSET", key}
-		for f, v := range obj.Hash() {
-			args = append(args, f, string(v))
-		}
+		obj.Hash().Walk(func(f string, v []byte) { args = append(args, f, string(v)) })
 		add(args...)
 	case store.KindList:
 		args := []string{"RPUSH", key}
@@ -44,10 +42,7 @@ func (e *Engine) DumpCommands(key string) [][][]byte {
 		add(args...)
 	case store.KindSet:
 		args := []string{"SADD", key}
-		for m := range obj.Set() {
-			args = append(args, m)
-		}
-		add(args...)
+		add(append(args, obj.Set().Members()...)...)
 	case store.KindZSet:
 		args := []string{"ZADD", key}
 		for _, en := range obj.ZSet().Range(0, obj.ZSet().Len()-1) {

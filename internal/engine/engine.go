@@ -360,6 +360,17 @@ func (e *Engine) lookupKind(key string, kind store.Kind) (store.Object, resp.Val
 	return obj, resp.Value{}, true
 }
 
+// aggregateAt returns the aggregate of kind at key, first storing an empty
+// one there when create is set and key holds nothing.
+func (e *Engine) aggregateAt(key string, kind store.Kind, create bool) (store.Object, resp.Value, bool) {
+	obj, errReply, ok := e.lookupKind(key, kind)
+	if ok && !obj.Exists() && create {
+		obj = store.New(kind)
+		e.db.Set(key, obj)
+	}
+	return obj, errReply, ok
+}
+
 func wrongType() resp.Value {
 	return resp.Err("WRONGTYPE Operation against a key holding the wrong kind of value")
 }

@@ -357,13 +357,28 @@ func TestRecordEncodeDecodeMulti(t *testing.T) {
 }
 
 // BenchmarkEngineDispatch measures the bare engine (no node, no log) as
-// the baseline for core's BenchmarkNodeOpPath.
+// the baseline for core's BenchmarkNodeOpPath: a string's GET and SET, and
+// the reads and writes of a 5-member hash, set and sorted set — each write
+// rewrites a member the aggregate already holds, so the contents hold
+// still — the rows a smaller aggregate encoding must beat.
 func BenchmarkEngineDispatch(b *testing.B) {
 	e := New(clock.NewReal())
-	e.Exec([][]byte{[]byte("SET"), []byte("k"), []byte("v")})
-	argv := [][]byte{[]byte("GET"), []byte("k")}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Exec(argv)
+	for _, load := range []string{"SET k v", "HSET h f1 v f2 v f3 v f4 v f5 v",
+		"SADD s m1 m2 m3 m4 m5", "ZADD z 1 m1 2 m2 3 m3 4 m4 5 m5"} {
+		exec(e, strings.Fields(load)...)
+	}
+	for _, cmd := range []string{"GET k", "SET k v", "HSET h f3 v", "HGET h f3",
+		"SADD s m3", "SISMEMBER s m3", "ZADD z 3 m3", "ZSCORE z m3"} {
+		args := strings.Fields(cmd)
+		argv := make([][]byte, len(args))
+		for i, a := range args {
+			argv[i] = []byte(a)
+		}
+		b.Run(args[0], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Exec(argv)
+			}
+		})
 	}
 }

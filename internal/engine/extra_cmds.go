@@ -126,7 +126,7 @@ func cmdPExpireTime(e *Engine, argv [][]byte) resp.Value {
 
 // cmdLPos implements LPOS key element [RANK r] [COUNT c].
 func cmdLPos(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := listAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindList, false)
 	if !ok {
 		return errReply
 	}
@@ -227,7 +227,7 @@ func cmdLInsert(e *Engine, argv [][]byte) resp.Value {
 	default:
 		return errSyntax()
 	}
-	obj, errReply, ok := listAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindList, false)
 	if !ok {
 		return errReply
 	}
@@ -237,14 +237,13 @@ func cmdLInsert(e *Engine, argv [][]byte) resp.Value {
 	if !obj.List().Insert(argv[3], bytes.Clone(argv[4]), before) {
 		return resp.Int64(-1)
 	}
-	e.db.AdjustUsed(obj, int64(len(argv[4])))
 	e.touch(key)
 	e.propagateVerbatim(argv)
 	return resp.Int64(int64(obj.List().Len()))
 }
 
 func cmdSMIsMember(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := setAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindSet, false)
 	if !ok {
 		return errReply
 	}
@@ -252,7 +251,7 @@ func cmdSMIsMember(e *Engine, argv [][]byte) resp.Value {
 	for _, m := range argv[2:] {
 		present := int64(0)
 		if obj.Exists() {
-			if _, exists := obj.Set()[string(m)]; exists {
+			if obj.Set().Has(string(m)) {
 				present = 1
 			}
 		}
@@ -298,7 +297,7 @@ func cmdSInterCard(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdZMScore(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := zsetAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -319,7 +318,7 @@ func cmdZMScore(e *Engine, argv [][]byte) resp.Value {
 
 // cmdHRandField implements HRANDFIELD key [count [WITHVALUES]].
 func cmdHRandField(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := hashAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindHash, false)
 	if !ok {
 		return errReply
 	}
@@ -327,7 +326,7 @@ func cmdHRandField(e *Engine, argv [][]byte) resp.Value {
 		if !obj.Exists() {
 			return resp.Nil
 		}
-		fields := sortedHashFields(obj)
+		fields := obj.Hash().Fields()
 		return resp.BulkStr(fields[e.rng.Intn(len(fields))])
 	}
 	n, okN := parseInt(argv[2])
@@ -346,7 +345,7 @@ func cmdHRandField(e *Engine, argv [][]byte) resp.Value {
 	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	fields := sortedHashFields(obj)
+	fields := obj.Hash().Fields()
 	var chosen []string
 	if n >= 0 {
 		if n > int64(len(fields)) {
@@ -364,28 +363,11 @@ func cmdHRandField(e *Engine, argv [][]byte) resp.Value {
 	for _, f := range chosen {
 		out = append(out, resp.BulkStr(f))
 		if withValues {
-			out = append(out, resp.Bulk(obj.Hash()[f]))
+			v, _ := obj.Hash().Get(f)
+			out = append(out, resp.Bulk(v))
 		}
 	}
 	return resp.ArrayV(out...)
-}
-
-func sortedHashFields(obj store.Object) []string {
-	fields := make([]string, 0, len(obj.Hash()))
-	for f := range obj.Hash() {
-		fields = append(fields, f)
-	}
-	// Sorted for determinism of tests that seed the engine RNG.
-	sortStrings(fields)
-	return fields
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // cmdSetBit implements SETBIT key offset 0|1.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"sort"
 	"strconv"
 
 	"memorydb/internal/resp"
@@ -26,37 +25,20 @@ func init() {
 	register(&Command{Name: "HINCRBYFLOAT", Arity: -4, Flags: FlagWrite | FlagFast, Handler: cmdHIncrByFloat, FirstKey: 1, LastKey: 1, KeyStep: 1})
 }
 
-// hashAt returns the hash at key, creating it when create is set.
-func hashAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
-	obj, errReply, ok := e.lookupKind(key, store.KindHash)
-	if !ok {
-		return store.Object{}, errReply, false
-	}
-	if !obj.Exists() && create {
-		obj = store.New(store.KindHash)
-		e.db.Set(key, obj)
-	}
-	return obj, resp.Value{}, true
-}
-
 func cmdHSet(e *Engine, argv [][]byte) resp.Value {
 	if len(argv)%2 != 0 {
 		return wrongArity("HSET")
 	}
 	key := string(argv[1])
-	obj, errReply, ok := hashAt(e, key, true)
+	obj, errReply, ok := e.aggregateAt(key, store.KindHash, true)
 	if !ok {
 		return errReply
 	}
 	added := int64(0)
 	for i := 2; i < len(argv); i += 2 {
-		f := string(argv[i])
-		old, existed := obj.Hash()[f]
-		if !existed {
+		if obj.Hash().Put(string(argv[i]), bytes.Clone(argv[i+1])) {
 			added++
 		}
-		e.db.AdjustUsed(obj, int64(len(argv[i+1])-len(old)))
-		obj.Hash()[f] = bytes.Clone(argv[i+1])
 	}
 	e.touch(key)
 	e.propagateVerbatim(argv)
@@ -72,30 +54,30 @@ func cmdHMSet(e *Engine, argv [][]byte) resp.Value {
 
 func cmdHSetNX(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := hashAt(e, key, true)
+	obj, errReply, ok := e.aggregateAt(key, store.KindHash, true)
 	if !ok {
 		return errReply
 	}
+	h := obj.Hash()
 	f := string(argv[2])
-	if _, exists := obj.Hash()[f]; exists {
+	if _, exists := h.Get(f); exists {
 		return resp.Int64(0)
 	}
-	obj.Hash()[f] = bytes.Clone(argv[3])
-	e.db.AdjustUsed(obj, int64(len(argv[3])))
+	h.Put(f, bytes.Clone(argv[3]))
 	e.touch(key)
 	e.propagateVerbatim(argv)
 	return resp.Int64(1)
 }
 
 func cmdHGet(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := hashAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindHash, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.Nil
 	}
-	v, exists := obj.Hash()[string(argv[2])]
+	v, exists := obj.Hash().Get(string(argv[2]))
 	if !exists {
 		return resp.Nil
 	}
@@ -103,7 +85,7 @@ func cmdHGet(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdHMGet(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := hashAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindHash, false)
 	if !ok {
 		return errReply
 	}
@@ -113,7 +95,7 @@ func cmdHMGet(e *Engine, argv [][]byte) resp.Value {
 			out = append(out, resp.Nil)
 			continue
 		}
-		if v, exists := obj.Hash()[string(f)]; exists {
+		if v, exists := obj.Hash().Get(string(f)); exists {
 			out = append(out, resp.Bulk(v))
 		} else {
 			out = append(out, resp.Nil)
@@ -124,7 +106,7 @@ func cmdHMGet(e *Engine, argv [][]byte) resp.Value {
 
 func cmdHDel(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := hashAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindHash, false)
 	if !ok {
 		return errReply
 	}
@@ -133,14 +115,12 @@ func cmdHDel(e *Engine, argv [][]byte) resp.Value {
 	}
 	n := int64(0)
 	for _, f := range argv[2:] {
-		if v, exists := obj.Hash()[string(f)]; exists {
-			e.db.AdjustUsed(obj, -int64(len(f)+len(v)))
-			delete(obj.Hash(), string(f))
+		if obj.Hash().Delete(string(f)) {
 			n++
 		}
 	}
 	if n > 0 {
-		if len(obj.Hash()) == 0 {
+		if obj.Hash().Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -150,95 +130,85 @@ func cmdHDel(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdHGetAll(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := hashAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindHash, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	fields := make([]string, 0, len(obj.Hash()))
-	for f := range obj.Hash() {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields) // deterministic reply order (diverges from Redis, which is unordered)
+	fields := obj.Hash().Fields() // deterministic reply order (diverges from Redis, which is unordered)
 	out := make([]resp.Value, 0, len(fields)*2)
 	for _, f := range fields {
-		out = append(out, resp.BulkStr(f), resp.Bulk(obj.Hash()[f]))
+		v, _ := obj.Hash().Get(f)
+		out = append(out, resp.BulkStr(f), resp.Bulk(v))
 	}
 	return resp.ArrayV(out...)
 }
 
 func cmdHExists(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := hashAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindHash, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	if _, exists := obj.Hash()[string(argv[2])]; exists {
+	if _, exists := obj.Hash().Get(string(argv[2])); exists {
 		return resp.Int64(1)
 	}
 	return resp.Int64(0)
 }
 
 func cmdHLen(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := hashAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindHash, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(len(obj.Hash())))
+	return resp.Int64(int64(obj.Hash().Len()))
 }
 
 func cmdHKeys(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := hashAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindHash, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	fields := make([]string, 0, len(obj.Hash()))
-	for f := range obj.Hash() {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
-	return resp.BulkArray(fields...)
+	return resp.BulkArray(obj.Hash().Fields()...)
 }
 
 func cmdHVals(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := hashAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindHash, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	fields := make([]string, 0, len(obj.Hash()))
-	for f := range obj.Hash() {
-		fields = append(fields, f)
-	}
-	sort.Strings(fields)
+	fields := obj.Hash().Fields()
 	out := make([]resp.Value, 0, len(fields))
 	for _, f := range fields {
-		out = append(out, resp.Bulk(obj.Hash()[f]))
+		v, _ := obj.Hash().Get(f)
+		out = append(out, resp.Bulk(v))
 	}
 	return resp.ArrayV(out...)
 }
 
 func cmdHStrlen(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := hashAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindHash, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(len(obj.Hash()[string(argv[2])])))
+	v, _ := obj.Hash().Get(string(argv[2]))
+	return resp.Int64(int64(len(v)))
 }
 
 func cmdHIncrBy(e *Engine, argv [][]byte) resp.Value {
@@ -247,13 +217,13 @@ func cmdHIncrBy(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errNotInt()
 	}
-	obj, errReply, ok := hashAt(e, key, true)
+	obj, errReply, ok := e.aggregateAt(key, store.KindHash, true)
 	if !ok {
 		return errReply
 	}
 	f := string(argv[2])
 	var cur int64
-	if v, exists := obj.Hash()[f]; exists {
+	if v, exists := obj.Hash().Get(f); exists {
 		n, ok := parseInt(v)
 		if !ok {
 			return resp.Err("ERR hash value is not an integer")
@@ -265,7 +235,7 @@ func cmdHIncrBy(e *Engine, argv [][]byte) resp.Value {
 	}
 	cur += delta
 	s := strconv.AppendInt(nil, cur, 10)
-	obj.Hash()[f] = s
+	obj.Hash().Put(f, s)
 	e.touch(key)
 	e.propagateStrings("HSET", key, f, string(s))
 	return resp.Int64(cur)
@@ -277,13 +247,13 @@ func cmdHIncrByFloat(e *Engine, argv [][]byte) resp.Value {
 	if !ok {
 		return errNotFloat()
 	}
-	obj, errReply, ok := hashAt(e, key, true)
+	obj, errReply, ok := e.aggregateAt(key, store.KindHash, true)
 	if !ok {
 		return errReply
 	}
 	f := string(argv[2])
 	var cur float64
-	if v, exists := obj.Hash()[f]; exists {
+	if v, exists := obj.Hash().Get(f); exists {
 		x, ok := parseFloat(v)
 		if !ok {
 			return resp.Err("ERR hash value is not a float")
@@ -292,7 +262,7 @@ func cmdHIncrByFloat(e *Engine, argv [][]byte) resp.Value {
 	}
 	cur += delta
 	s := strconv.FormatFloat(cur, 'f', -1, 64)
-	obj.Hash()[f] = []byte(s)
+	obj.Hash().Put(f, []byte(s))
 	e.touch(key)
 	e.propagateStrings("HSET", key, f, s)
 	return resp.BulkStr(s)

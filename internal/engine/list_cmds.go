@@ -24,21 +24,9 @@ func init() {
 	register(&Command{Name: "LTRIM", Arity: -4, Flags: FlagWrite, Handler: cmdLTrim, FirstKey: 1, LastKey: 1, KeyStep: 1})
 }
 
-func listAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
-	obj, errReply, ok := e.lookupKind(key, store.KindList)
-	if !ok {
-		return store.Object{}, errReply, false
-	}
-	if !obj.Exists() && create {
-		obj = store.New(store.KindList)
-		e.db.Set(key, obj)
-	}
-	return obj, resp.Value{}, true
-}
-
 func pushGeneric(e *Engine, argv [][]byte, front, mustExist bool) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := listAt(e, key, !mustExist)
+	obj, errReply, ok := e.aggregateAt(key, store.KindList, !mustExist)
 	if !ok {
 		return errReply
 	}
@@ -52,7 +40,6 @@ func pushGeneric(e *Engine, argv [][]byte, front, mustExist bool) resp.Value {
 		} else {
 			obj.List().PushBack(v)
 		}
-		e.db.AdjustUsed(obj, int64(len(v)))
 	}
 	e.touch(key)
 	e.propagateVerbatim(argv)
@@ -66,7 +53,7 @@ func cmdRPushX(e *Engine, argv [][]byte) resp.Value { return pushGeneric(e, argv
 
 func popGeneric(e *Engine, argv [][]byte, front bool) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := listAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindList, false)
 	if !ok {
 		return errReply
 	}
@@ -97,7 +84,6 @@ func popGeneric(e *Engine, argv [][]byte, front bool) resp.Value {
 			break
 		}
 		popped = append(popped, v)
-		e.db.AdjustUsed(obj, -int64(len(v)))
 	}
 	if len(popped) > 0 {
 		if obj.List().Len() == 0 {
@@ -132,14 +118,14 @@ func cmdRPop(e *Engine, argv [][]byte) resp.Value { return popGeneric(e, argv, f
 
 func cmdRPopLPush(e *Engine, argv [][]byte) resp.Value {
 	src, dst := string(argv[1]), string(argv[2])
-	srcObj, errReply, ok := listAt(e, src, false)
+	srcObj, errReply, ok := e.aggregateAt(src, store.KindList, false)
 	if !ok {
 		return errReply
 	}
 	if !srcObj.Exists() {
 		return resp.Nil
 	}
-	dstObj, errReply, ok := listAt(e, dst, true)
+	dstObj, errReply, ok := e.aggregateAt(dst, store.KindList, true)
 	if !ok {
 		return errReply
 	}
@@ -161,7 +147,7 @@ func cmdRPopLPush(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdLLen(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := listAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindList, false)
 	if !ok {
 		return errReply
 	}
@@ -172,7 +158,7 @@ func cmdLLen(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdLRange(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := listAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindList, false)
 	if !ok {
 		return errReply
 	}
@@ -193,7 +179,7 @@ func cmdLRange(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdLIndex(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := listAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindList, false)
 	if !ok {
 		return errReply
 	}
@@ -213,7 +199,7 @@ func cmdLIndex(e *Engine, argv [][]byte) resp.Value {
 
 func cmdLSet(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := listAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindList, false)
 	if !ok {
 		return errReply
 	}
@@ -234,7 +220,7 @@ func cmdLSet(e *Engine, argv [][]byte) resp.Value {
 
 func cmdLRem(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := listAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindList, false)
 	if !ok {
 		return errReply
 	}
@@ -258,7 +244,7 @@ func cmdLRem(e *Engine, argv [][]byte) resp.Value {
 
 func cmdLTrim(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := listAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindList, false)
 	if !ok {
 		return errReply
 	}

@@ -150,12 +150,58 @@ func bytesPerAggregate(t *testing.T, cmd string, pair bool) float64 {
 	return perKey
 }
 
+// TestUsedBytesHoldsUnderChurn adds a member to an aggregate and takes it
+// away again 1 000 times per kind: the contents end as they began, and so
+// must used_bytes, to the byte. An aggregate is charged what its contents
+// cost, so no cycle of mutations can move it.
+func TestUsedBytesHoldsUnderChurn(t *testing.T) {
+	e := New(clock.NewSim(time.Unix(1700000000, 0)))
+	for _, c := range []struct {
+		load        []string
+		grow, cycle []string
+	}{
+		{[]string{"HSET", "hash", "f1", "a", "f2", "bb"}, []string{"HSET", "hash", "extra", "value"}, []string{"HDEL", "hash", "extra"}},
+		{[]string{"SADD", "set", "m1", "m2"}, []string{"SADD", "set", "extra"}, []string{"SREM", "set", "extra"}},
+		{[]string{"ZADD", "zset", "1", "a", "2", "b"}, []string{"ZADD", "zset", "3", "extra"}, []string{"ZREM", "zset", "extra"}},
+		{[]string{"RPUSH", "list", "a", "b"}, []string{"RPUSH", "list", "extra"}, []string{"LTRIM", "list", "0", "1"}},
+	} {
+		if r := exec(e, c.load...); r.Reply.IsError() {
+			t.Fatalf("%v: %v", c.load, r.Reply)
+		}
+		start := e.DB().UsedBytes()
+		for i := 0; i < 1000; i++ {
+			exec(e, c.grow...)
+			exec(e, c.cycle...)
+		}
+		if got := e.DB().UsedBytes(); got != start {
+			t.Errorf("1 000 cycles of %s / %s moved used_bytes from %d to %d", c.grow[0], c.cycle[0], start, got)
+		}
+	}
+}
+
+// TestHSetChargesWithoutWalking: an HSET into a 10 000-field hash
+// allocates what one into a 10-field hash does. The hash charges the field
+// it changed; nothing walks the others to price the whole.
+func TestHSetChargesWithoutWalking(t *testing.T) {
+	e := New(clock.NewSim(time.Unix(1700000000, 0)))
+	allocs := make(map[int]float64)
+	for _, fields := range []int{10, 10_000} {
+		key := fmt.Sprintf("hash:%d", fields)
+		for i := 0; i < fields; i++ {
+			exec(e, "HSET", key, fmt.Sprintf("f%d", i), "v")
+		}
+		argv := [][]byte{[]byte("HSET"), []byte(key), []byte("f3"), []byte("value")}
+		allocs[fields] = testing.AllocsPerRun(100, func() { e.Exec(argv) })
+	}
+	if allocs[10_000] != allocs[10] {
+		t.Errorf("HSET allocates %.1f times into 10 000 fields, %.1f into 10", allocs[10_000], allocs[10])
+	}
+}
+
 // TestUsedBytesReturnsToZero loads keys of every kind, mutates each in
-// place the ways the commands that charge AdjustUsed do, and deletes them:
-// used_bytes and the key count must come back to exactly zero, with no
-// clamp to hide drift. A deleted aggregate takes back what it was charged,
-// however well the commands estimated their mutations. FLUSHALL must do
-// the same.
+// place, and deletes them: used_bytes and the key count must come back to
+// exactly zero, with no clamp to hide drift. A deleted aggregate takes
+// back what it was charged. FLUSHALL must do the same.
 func TestUsedBytesReturnsToZero(t *testing.T) {
 	e := New(clock.NewSim(time.Unix(1700000000, 0)))
 	load := func() []string {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"maps"
 	"sort"
 
 	"memorydb/internal/resp"
@@ -25,30 +24,15 @@ func init() {
 	register(&Command{Name: "SDIFFSTORE", Arity: 3, Flags: FlagWrite, Handler: cmdSDiffStore, FirstKey: 1, LastKey: -1, KeyStep: 1})
 }
 
-func setAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
-	obj, errReply, ok := e.lookupKind(key, store.KindSet)
-	if !ok {
-		return store.Object{}, errReply, false
-	}
-	if !obj.Exists() && create {
-		obj = store.New(store.KindSet)
-		e.db.Set(key, obj)
-	}
-	return obj, resp.Value{}, true
-}
-
 func cmdSAdd(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := setAt(e, key, true)
+	obj, errReply, ok := e.aggregateAt(key, store.KindSet, true)
 	if !ok {
 		return errReply
 	}
 	n := int64(0)
 	for _, m := range argv[2:] {
-		member := string(m)
-		if _, exists := obj.Set()[member]; !exists {
-			obj.Set()[member] = struct{}{}
-			e.db.AdjustUsed(obj, int64(len(member)))
+		if obj.Set().Add(string(m)) {
 			n++
 		}
 	}
@@ -61,7 +45,7 @@ func cmdSAdd(e *Engine, argv [][]byte) resp.Value {
 
 func cmdSRem(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := setAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindSet, false)
 	if !ok {
 		return errReply
 	}
@@ -70,15 +54,12 @@ func cmdSRem(e *Engine, argv [][]byte) resp.Value {
 	}
 	n := int64(0)
 	for _, m := range argv[2:] {
-		member := string(m)
-		if _, exists := obj.Set()[member]; exists {
-			delete(obj.Set(), member)
-			e.db.AdjustUsed(obj, -int64(len(member)))
+		if obj.Set().Remove(string(m)) {
 			n++
 		}
 	}
 	if n > 0 {
-		if len(obj.Set()) == 0 {
+		if obj.Set().Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -88,48 +69,39 @@ func cmdSRem(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdSCard(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := setAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindSet, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	return resp.Int64(int64(len(obj.Set())))
+	return resp.Int64(int64(obj.Set().Len()))
 }
 
 func cmdSIsMember(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := setAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindSet, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.Int64(0)
 	}
-	if _, exists := obj.Set()[string(argv[2])]; exists {
+	if obj.Set().Has(string(argv[2])) {
 		return resp.Int64(1)
 	}
 	return resp.Int64(0)
 }
 
-func sortedMembers(obj store.Object) []string {
-	out := make([]string, 0, len(obj.Set()))
-	for m := range obj.Set() {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func cmdSMembers(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := setAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindSet, false)
 	if !ok {
 		return errReply
 	}
 	if !obj.Exists() {
 		return resp.ArrayV()
 	}
-	return resp.BulkArray(sortedMembers(obj)...)
+	return resp.BulkArray(obj.Set().Members()...)
 }
 
 // cmdSPop is the canonical non-deterministic command (§2.1): the primary
@@ -137,7 +109,7 @@ func cmdSMembers(e *Engine, argv [][]byte) resp.Value {
 // deterministically.
 func cmdSPop(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := setAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindSet, false)
 	if !ok {
 		return errReply
 	}
@@ -158,7 +130,7 @@ func cmdSPop(e *Engine, argv [][]byte) resp.Value {
 		}
 		return resp.Nil
 	}
-	members := sortedMembers(obj)
+	members := obj.Set().Members()
 	if count > len(members) {
 		count = len(members)
 	}
@@ -172,12 +144,11 @@ func cmdSPop(e *Engine, argv [][]byte) resp.Value {
 	eff := make([]string, 0, 2+len(picked))
 	eff = append(eff, "SREM", key)
 	for _, m := range picked {
-		delete(obj.Set(), m)
-		e.db.AdjustUsed(obj, -int64(len(m)))
+		obj.Set().Remove(m)
 		eff = append(eff, m)
 	}
 	if len(picked) > 0 {
-		if len(obj.Set()) == 0 {
+		if obj.Set().Len() == 0 {
 			e.db.Delete(key, e.Now())
 		}
 		e.touch(key)
@@ -193,7 +164,7 @@ func cmdSPop(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdSRandMember(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := setAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindSet, false)
 	if !ok {
 		return errReply
 	}
@@ -204,7 +175,7 @@ func cmdSRandMember(e *Engine, argv [][]byte) resp.Value {
 		}
 		return resp.Nil
 	}
-	members := sortedMembers(obj)
+	members := obj.Set().Members()
 	if !withCount {
 		return resp.BulkStr(members[e.rng.Intn(len(members))])
 	}
@@ -234,23 +205,23 @@ func cmdSRandMember(e *Engine, argv [][]byte) resp.Value {
 func cmdSMove(e *Engine, argv [][]byte) resp.Value {
 	src, dst := string(argv[1]), string(argv[2])
 	member := string(argv[3])
-	srcObj, errReply, ok := setAt(e, src, false)
+	srcObj, errReply, ok := e.aggregateAt(src, store.KindSet, false)
 	if !ok {
 		return errReply
 	}
 	if !srcObj.Exists() {
 		return resp.Int64(0)
 	}
-	if _, exists := srcObj.Set()[member]; !exists {
+	if !srcObj.Set().Has(member) {
 		return resp.Int64(0)
 	}
-	dstObj, errReply, ok := setAt(e, dst, true)
+	dstObj, errReply, ok := e.aggregateAt(dst, store.KindSet, true)
 	if !ok {
 		return errReply
 	}
-	delete(srcObj.Set(), member)
-	dstObj.Set()[member] = struct{}{}
-	if len(srcObj.Set()) == 0 {
+	srcObj.Set().Remove(member)
+	dstObj.Set().Add(member)
+	if srcObj.Set().Len() == 0 {
 		e.db.Delete(src, e.Now())
 	}
 	e.touch(src)
@@ -262,41 +233,23 @@ func cmdSMove(e *Engine, argv [][]byte) resp.Value {
 func setOp(e *Engine, keys [][]byte, op byte) (map[string]struct{}, resp.Value, bool) {
 	acc := make(map[string]struct{})
 	for i, k := range keys {
-		obj, errReply, ok := setAt(e, string(k), false)
+		obj, errReply, ok := e.aggregateAt(string(k), store.KindSet, false)
 		if !ok {
 			return nil, errReply, false
 		}
-		cur := map[string]struct{}{}
-		if obj.Exists() {
-			cur = obj.Set()
-		}
-		switch op {
-		case 'u':
-			for m := range cur {
-				acc[m] = struct{}{}
-			}
-		case 'i':
-			if i == 0 {
-				for m := range cur {
-					acc[m] = struct{}{}
-				}
-			} else {
-				for m := range acc {
-					if _, ok := cur[m]; !ok {
-						delete(acc, m)
-					}
-				}
-			}
-		case 'd':
-			if i == 0 {
-				for m := range cur {
-					acc[m] = struct{}{}
-				}
-			} else {
-				for m := range cur {
+		cur := obj.Set()
+		switch {
+		case op == 'i' && i > 0:
+			for m := range acc {
+				if cur == nil || !cur.Has(m) {
 					delete(acc, m)
 				}
 			}
+		case cur == nil:
+		case op == 'u' || i == 0:
+			cur.Walk(func(m string) { acc[m] = struct{}{} })
+		case op == 'd':
+			cur.Walk(func(m string) { delete(acc, m) })
 		}
 	}
 	return acc, resp.Value{}, true
@@ -350,12 +303,14 @@ func setOpStore(e *Engine, argv [][]byte, op byte) resp.Value {
 		return resp.Int64(0)
 	}
 	obj := store.New(store.KindSet)
-	maps.Copy(obj.Set(), acc)
+	for m := range acc {
+		obj.Set().Add(m)
+	}
 	e.db.Set(dst, obj)
 	e.touch(dst)
 	// Deterministic store result: replicate DEL + SADD of the exact
 	// resulting members (in sorted order) rather than re-running the op.
-	members := sortedMembers(obj)
+	members := obj.Set().Members()
 	eff := append([]string{"SADD", dst}, members...)
 	e.propagateStrings("DEL", dst)
 	e.propagateStrings(eff...)

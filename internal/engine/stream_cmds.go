@@ -17,18 +17,6 @@ func init() {
 	register(&Command{Name: "XREAD", Arity: 4, Flags: FlagReadOnly, Handler: cmdXRead})
 }
 
-func streamAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
-	obj, errReply, ok := e.lookupKind(key, store.KindStream)
-	if !ok {
-		return store.Object{}, errReply, false
-	}
-	if !obj.Exists() && create {
-		obj = store.New(store.KindStream)
-		e.db.Set(key, obj)
-	}
-	return obj, resp.Value{}, true
-}
-
 // cmdXAdd appends a stream entry. Auto-generated IDs ("*") are another
 // non-determinism source: the chosen ID is replicated explicitly so every
 // consumer of the log stores the identical entry.
@@ -60,7 +48,7 @@ func cmdXAdd(e *Engine, argv [][]byte) resp.Value {
 	if len(fields) == 0 || len(fields)%2 != 0 {
 		return wrongArity("XADD")
 	}
-	obj, errReply, ok := streamAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindStream, false)
 	if !ok {
 		return errReply
 	}
@@ -120,7 +108,7 @@ func cmdXAdd(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdXLen(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := streamAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindStream, false)
 	if !ok {
 		return errReply
 	}
@@ -139,7 +127,7 @@ func entryReply(en store.StreamEntry) resp.Value {
 }
 
 func cmdXRange(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := streamAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindStream, false)
 	if !ok {
 		return errReply
 	}
@@ -171,7 +159,7 @@ func cmdXRange(e *Engine, argv [][]byte) resp.Value {
 
 func cmdXDel(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := streamAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindStream, false)
 	if !ok {
 		return errReply
 	}
@@ -211,7 +199,7 @@ func cmdXTrim(e *Engine, argv [][]byte) resp.Value {
 	if !ok || n < 0 {
 		return errNotInt()
 	}
-	obj, errReply, ok := streamAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindStream, false)
 	if !ok {
 		return errReply
 	}
@@ -255,7 +243,7 @@ func cmdXRead(e *Engine, argv [][]byte) resp.Value {
 	for s := 0; s < nStreams; s++ {
 		key := string(rest[s])
 		idArg := string(rest[nStreams+s])
-		obj, errReply, ok := streamAt(e, key, false)
+		obj, errReply, ok := e.aggregateAt(key, store.KindStream, false)
 		if !ok {
 			return errReply
 		}

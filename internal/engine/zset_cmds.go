@@ -26,18 +26,6 @@ func init() {
 	register(&Command{Name: "ZREMRANGEBYSCORE", Arity: -4, Flags: FlagWrite, Handler: cmdZRemRangeByScore, FirstKey: 1, LastKey: 1, KeyStep: 1})
 }
 
-func zsetAt(e *Engine, key string, create bool) (store.Object, resp.Value, bool) {
-	obj, errReply, ok := e.lookupKind(key, store.KindZSet)
-	if !ok {
-		return store.Object{}, errReply, false
-	}
-	if !obj.Exists() && create {
-		obj = store.New(store.KindZSet)
-		e.db.Set(key, obj)
-	}
-	return obj, resp.Value{}, true
-}
-
 // parseScoreBound parses a ZRANGEBYSCORE bound: a float, "(float", "-inf",
 // or "+inf".
 func parseScoreBound(b []byte) (val float64, exclusive bool, ok bool) {
@@ -103,7 +91,7 @@ scanOpts:
 		}
 		scores = append(scores, score)
 	}
-	obj, errReply, ok := zsetAt(e, key, true)
+	obj, errReply, ok := e.aggregateAt(key, store.KindZSet, true)
 	if !ok {
 		return errReply
 	}
@@ -152,7 +140,7 @@ func cmdZIncrBy(e *Engine, argv [][]byte) resp.Value {
 	if !okF {
 		return errNotFloat()
 	}
-	obj, errReply, ok := zsetAt(e, key, true)
+	obj, errReply, ok := e.aggregateAt(key, store.KindZSet, true)
 	if !ok {
 		return errReply
 	}
@@ -165,7 +153,7 @@ func cmdZIncrBy(e *Engine, argv [][]byte) resp.Value {
 
 func cmdZRem(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := zsetAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -189,7 +177,7 @@ func cmdZRem(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdZScore(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := zsetAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -204,7 +192,7 @@ func cmdZScore(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdZCard(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := zsetAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -215,7 +203,7 @@ func cmdZCard(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdZRank(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := zsetAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -230,7 +218,7 @@ func cmdZRank(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdZRevRank(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := zsetAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -264,7 +252,7 @@ func cmdZRevRange(e *Engine, argv [][]byte) resp.Value {
 }
 
 func zrangeGeneric(e *Engine, argv [][]byte, rev bool) resp.Value {
-	obj, errReply, ok := zsetAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -295,7 +283,7 @@ func zrangeGeneric(e *Engine, argv [][]byte, rev bool) resp.Value {
 }
 
 func cmdZRangeByScore(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := zsetAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -332,7 +320,7 @@ func cmdZRangeByScore(e *Engine, argv [][]byte) resp.Value {
 }
 
 func cmdZCount(e *Engine, argv [][]byte) resp.Value {
-	obj, errReply, ok := zsetAt(e, string(argv[1]), false)
+	obj, errReply, ok := e.aggregateAt(string(argv[1]), store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -349,7 +337,7 @@ func cmdZCount(e *Engine, argv [][]byte) resp.Value {
 
 func zpopGeneric(e *Engine, argv [][]byte, min bool) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := zsetAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -395,7 +383,7 @@ func cmdZPopMax(e *Engine, argv [][]byte) resp.Value { return zpopGeneric(e, arg
 
 func cmdZRemRangeByRank(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := zsetAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindZSet, false)
 	if !ok {
 		return errReply
 	}
@@ -413,7 +401,7 @@ func cmdZRemRangeByRank(e *Engine, argv [][]byte) resp.Value {
 
 func cmdZRemRangeByScore(e *Engine, argv [][]byte) resp.Value {
 	key := string(argv[1])
-	obj, errReply, ok := zsetAt(e, key, false)
+	obj, errReply, ok := e.aggregateAt(key, store.KindZSet, false)
 	if !ok {
 		return errReply
 	}

@@ -90,9 +90,7 @@ func zsetMembersOf(e *Engine, key string) (map[string]float64, resp.Value, bool)
 			out[en.Member] = en.Score
 		}
 	case store.KindSet:
-		for m := range obj.Set() {
-			out[m] = 1
-		}
+		obj.Set().Walk(func(m string) { out[m] = 1 })
 	default:
 		return nil, wrongType(), false
 	}
@@ -207,7 +205,7 @@ func cmdZRangeStore(e *Engine, argv [][]byte) resp.Value {
 	if limit >= 0 && !byScore {
 		return resp.Err("ERR syntax error, LIMIT is only supported in combination with either BYSCORE or BYLEX")
 	}
-	obj, errReply, ok := zsetAt(e, src, false)
+	obj, errReply, ok := e.aggregateAt(src, store.KindZSet, false)
 	if !ok {
 		return errReply
 	}

@@ -1,5 +1,5 @@
 // Package faultpoint is the one way a failure is injected. The critical
-// write paths (workloop appends, group-commit flushes, tracker release,
+// write paths (workloop appends, group-commit flushes, reply release,
 // lease renewal, off-box snapshot build/upload), the log service (whole
 // service, each zone's acknowledgements), S3 requests and a node's link to
 // the log each consult a named fault site before proceeding; a Registry
@@ -112,10 +112,10 @@ const (
 	// before any reply is released — the committed-but-unacknowledged
 	// window.
 	SiteFlushPost = "core.flush.post"
-	// SiteTrackerRelease fires immediately before the workloop releases
-	// the replies a committed entry holds. An Error at it, or at
-	// SiteFlushPost, has nothing left to fail and is ignored.
-	SiteTrackerRelease = "core.tracker.release"
+	// SiteReplyRelease fires immediately before the workloop releases the
+	// replies an answered entry holds. An Error at it, or at SiteFlushPost,
+	// has nothing left to fail and is ignored.
+	SiteReplyRelease = "core.reply.release"
 	// SiteRenew fires before a lease-renewal append.
 	SiteRenew = "core.renew"
 	// SiteSnapBuild fires after an off-box snapshot is serialized but
@@ -180,7 +180,7 @@ func AllSites() []string {
 	return []string{
 		SiteAppendPre, SiteAppendPost,
 		SiteFlushPre, SiteFlushPost,
-		SiteTrackerRelease, SiteRenew,
+		SiteReplyRelease, SiteRenew,
 		SiteSnapBuild, SiteSnapUpload, SiteS3Put,
 		SiteLogSealPre, SiteLogSealPost,
 		SiteLogTrimPre, SiteLogTrimPost,

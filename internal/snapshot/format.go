@@ -376,10 +376,8 @@ func appendObject(b []byte, key string, obj store.Object, expireAt int64) []byte
 	case store.KindString:
 		b = appendString(append(b, wireString), obj.Str())
 	case store.KindHash:
-		b = binary.BigEndian.AppendUint32(append(b, wireHash), uint32(len(obj.Hash())))
-		for f, v := range obj.Hash() {
-			b = appendString(appendString(b, f), v)
-		}
+		b = binary.BigEndian.AppendUint32(append(b, wireHash), uint32(obj.Hash().Len()))
+		obj.Hash().Walk(func(f string, v []byte) { b = appendString(appendString(b, f), v) })
 	case store.KindList:
 		b = binary.BigEndian.AppendUint32(append(b, wireList), uint32(obj.List().Len()))
 		obj.List().Walk(func(v []byte) bool {
@@ -387,10 +385,8 @@ func appendObject(b []byte, key string, obj store.Object, expireAt int64) []byte
 			return true
 		})
 	case store.KindSet:
-		b = binary.BigEndian.AppendUint32(append(b, wireSet), uint32(len(obj.Set())))
-		for m := range obj.Set() {
-			b = appendString(b, m)
-		}
+		b = binary.BigEndian.AppendUint32(append(b, wireSet), uint32(obj.Set().Len()))
+		obj.Set().Walk(func(m string) { b = appendString(b, m) })
 	case store.KindZSet:
 		b = binary.BigEndian.AppendUint32(append(b, wireZSet), uint32(obj.ZSet().Len()))
 		for _, en := range obj.ZSet().Range(0, obj.ZSet().Len()-1) {
@@ -455,9 +451,11 @@ func decodeObject(r *cursor, part int, db *store.DB) error {
 			if err != nil {
 				return err
 			}
-			if obj.Hash()[f], err = r.bytes(); err != nil {
+			v, err := r.bytes()
+			if err != nil {
 				return err
 			}
+			obj.Hash().Put(f, v)
 		}
 	case wireList:
 		n, err := r.count()
@@ -483,7 +481,7 @@ func decodeObject(r *cursor, part int, db *store.DB) error {
 			if err != nil {
 				return err
 			}
-			obj.Set()[m] = struct{}{}
+			obj.Set().Add(m)
 		}
 	case wireZSet:
 		n, err := r.count()

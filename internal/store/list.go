@@ -3,12 +3,15 @@ package store
 // List is a doubly linked list of byte-string elements, the backing
 // structure for LPUSH/RPUSH et al. A deque of chunks would be closer to
 // Redis's quicklist; a plain linked list preserves the same asymptotics
-// for the operations we expose while staying simple.
+// for the operations we expose while staying simple. An element costs its
+// bytes and listEntry, its node.
 type List struct {
+	aggregate
 	head, tail *listNode
 	length     int
-	bytes      int64
 }
+
+const listEntry = 40
 
 type listNode struct {
 	val        []byte
@@ -21,8 +24,8 @@ func NewList() *List { return &List{} }
 // Len returns the number of elements.
 func (l *List) Len() int { return l.length }
 
-// MemUsage estimates the footprint in bytes.
-func (l *List) MemUsage() int64 { return l.bytes + int64(l.length)*40 }
+// elemCost is what list element v costs.
+func elemCost(v []byte) int64 { return int64(len(v)) + listEntry }
 
 // PushFront prepends v.
 func (l *List) PushFront(v []byte) {
@@ -34,7 +37,7 @@ func (l *List) PushFront(v []byte) {
 	}
 	l.head = n
 	l.length++
-	l.bytes += int64(len(v))
+	l.charge(elemCost(v))
 }
 
 // PushBack appends v.
@@ -47,7 +50,7 @@ func (l *List) PushBack(v []byte) {
 	}
 	l.tail = n
 	l.length++
-	l.bytes += int64(len(v))
+	l.charge(elemCost(v))
 }
 
 // PopFront removes and returns the first element.
@@ -63,7 +66,7 @@ func (l *List) PopFront() ([]byte, bool) {
 		l.tail = nil
 	}
 	l.length--
-	l.bytes -= int64(len(n.val))
+	l.charge(-elemCost(n.val))
 	return n.val, true
 }
 
@@ -80,7 +83,7 @@ func (l *List) PopBack() ([]byte, bool) {
 		l.head = nil
 	}
 	l.length--
-	l.bytes -= int64(len(n.val))
+	l.charge(-elemCost(n.val))
 	return n.val, true
 }
 
@@ -111,7 +114,7 @@ func (l *List) Insert(pivot, v []byte, before bool) bool {
 		l.tail = n
 	}
 	l.length++
-	l.bytes += int64(len(v))
+	l.charge(elemCost(v))
 	return true
 }
 
@@ -130,7 +133,7 @@ func (l *List) SetIndex(idx int, v []byte) bool {
 	if n == nil {
 		return false
 	}
-	l.bytes += int64(len(v)) - int64(len(n.val))
+	l.charge(int64(len(v) - len(n.val)))
 	n.val = v
 	return true
 }
@@ -177,7 +180,8 @@ func (l *List) Trim(start, stop int) int {
 	s, e, ok := clampRange(start, stop, l.length)
 	if !ok {
 		removed := l.length
-		*l = List{}
+		l.head, l.tail, l.length = nil, nil, 0
+		l.charge(-l.bytes)
 		return removed
 	}
 	removed := 0
@@ -209,7 +213,7 @@ func (l *List) Remove(count int, v []byte) int {
 			l.tail = n.prev
 		}
 		l.length--
-		l.bytes -= int64(len(n.val))
+		l.charge(-elemCost(n.val))
 		removed++
 	}
 	if count >= 0 {

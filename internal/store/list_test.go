@@ -139,12 +139,20 @@ func TestListRemove(t *testing.T) {
 }
 
 func TestListMemUsageTracksBytes(t *testing.T) {
-	l := NewList()
-	l.PushBack(make([]byte, 100))
-	before := l.MemUsage()
-	l.PopBack()
-	if l.MemUsage() >= before {
-		t.Fatalf("MemUsage did not shrink: %d -> %d", before, l.MemUsage())
+	o := New(KindList)
+	empty := o.Cost()
+	o.List().PushBack(make([]byte, 100))
+	if got, want := o.Cost(), empty+elemCost(make([]byte, 100)); got != want {
+		t.Fatalf("Cost after a push = %d, want %d", got, want)
+	}
+	o.List().PopBack()
+	if got := o.Cost(); got != empty {
+		t.Fatalf("Cost after the pop = %d, want the empty list's %d", got, empty)
+	}
+	o.List().PushBack([]byte("a"))
+	o.List().PushBack([]byte("b"))
+	if o.List().Trim(1, 0); o.Cost() != empty {
+		t.Fatalf("Cost after a trim to nothing = %d, want the empty list's %d", o.Cost(), empty)
 	}
 }
 

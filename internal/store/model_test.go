@@ -80,9 +80,16 @@ func (r *modelRun) step() error {
 		db.SetString(key, []byte(val))
 		r.model[key] = modelEntry{val: val}
 	case op < 30:
-		// A hash replaces whatever the key held, and a string it.
+		// A hash replaces whatever the key held, and a string it; half the
+		// time a hash's field is rewritten in place instead.
+		if e, ok := r.model[key]; ok && e.hash && r.rng.Intn(2) == 0 {
+			obj, _ := db.Peek(key)
+			obj.Hash().Put("f", []byte(val))
+			r.model[key] = modelEntry{val: val, hash: true, exp: e.exp}
+			break
+		}
 		h := New(KindHash)
-		h.Hash()["f"] = []byte(val)
+		h.Hash().Put("f", []byte(val))
 		db.Set(key, h)
 		r.model[key] = modelEntry{val: val, hash: true}
 	case op < 38:
@@ -155,6 +162,12 @@ func (r *modelRun) step() error {
 	return r.check(key)
 }
 
+// hashField is field "f" of hash o.
+func hashField(o Object) string {
+	v, _ := o.Hash().Get("f")
+	return string(v)
+}
+
 func (r *modelRun) check(key string) error {
 	db := r.db
 	obj, present := db.Peek(key)
@@ -162,7 +175,7 @@ func (r *modelRun) check(key string) error {
 	if present != want {
 		return fmt.Errorf("%s: stored %v, model %v %+v", key, present, want, e)
 	}
-	if present && e.hash && (obj.Kind() != KindHash || len(obj.Hash()) != 1 || string(obj.Hash()["f"]) != e.val) {
+	if present && e.hash && (obj.Kind() != KindHash || obj.Hash().Len() != 1 || hashField(obj) != e.val) {
 		return fmt.Errorf("%s: stored a %v, model holds hash f=%q", key, obj.Kind(), e.val)
 	}
 	if present && !e.hash && (obj.Kind() != KindString || string(obj.Str()) != e.val) {
@@ -184,9 +197,18 @@ func (r *modelRun) check(key string) error {
 	if fmt.Sprint(got) != fmt.Sprint(inSlot) || db.SlotCount(slot) != len(inSlot) {
 		return fmt.Errorf("slot %d: SlotKeys %v, SlotCount %d, model %v", slot, got, db.SlotCount(slot), inSlot)
 	}
-	n, used := 0, int64(0)
+	n, used, charged := 0, int64(0), int64(0)
 	for i := r.lo; i < r.hi; i++ {
-		n, used = n+db.parts[i].table.n, used+db.parts[i].used
+		p := &db.parts[i]
+		n, used = n+p.table.n, used+p.used
+		charged += arrayBytes(len(p.table.cur.tags)) + arrayBytes(len(p.table.old.tags))
+		p.table.each(0, func(o Object) bool {
+			charged += o.Cost()
+			return true
+		})
+	}
+	if used != charged {
+		return fmt.Errorf("the owner's parts charge %d bytes, their arrays and objects cost %d", used, charged)
 	}
 	if r.whole && (n != db.Len() || used != db.UsedBytes()) {
 		return fmt.Errorf("Len, UsedBytes = %d, %d; the parts sum to %d, %d", db.Len(), db.UsedBytes(), n, used)
@@ -235,7 +257,7 @@ func (r *tableRun) step(op byte, key string) error {
 		r.model[key] = modelEntry{val: val}
 	case 5, 6:
 		h := New(KindHash)
-		h.Hash()["f"] = []byte(val)
+		h.Hash().Put("f", []byte(val))
 		r.t.put(key, h.keyed(key))
 		r.model[key] = modelEntry{val: val, hash: true}
 	case 7, 8, 9, 10:
@@ -269,7 +291,7 @@ func (r *tableRun) check(key string) error {
 	case s == nil:
 	case s.key() != key:
 		return fmt.Errorf("%s: found under %q", key, s.key())
-	case e.hash && (s.Kind() != KindHash || string(s.Hash()["f"]) != e.val):
+	case e.hash && (s.Kind() != KindHash || hashField(*s) != e.val):
 		return fmt.Errorf("%s: holds a %v, model a hash f=%q", key, s.Kind(), e.val)
 	case !e.hash && (s.Kind() != KindString || string(s.Str()) != e.val):
 		return fmt.Errorf("%s: holds %v %q, model the string %q", key, s.Kind(), s.Str(), e.val)

@@ -79,8 +79,9 @@ func (k Kind) String() string {
 // immutable up to the longest length any object over it has had: a reply
 // may still hold the value, so a command that changes a string stores a
 // new buffer, and only APPEND writes into an old one, past its end. Every
-// other kind's p is its *aggregate, which carries the key and whose one
-// populated field the accessors (Hash, Set, List, ZSet, Stream) read.
+// other kind's p is its representation — a Hash, Set, List, ZSet or Stream,
+// which the accessors of those names return — headed by an aggregate that
+// carries the key.
 //
 // The zero Object is no value: Lookup and Peek return it for a missing key.
 type Object struct {
@@ -112,52 +113,71 @@ func objectMeta(kind Kind, klen, n int, grown bool) uint64 {
 	return m
 }
 
-// aggregate is the representation of a non-string object: the key it is
-// stored under, what used_bytes holds for it, and the one field the
-// object's kind names.
+// aggregate heads the representation of every non-string object: Hash,
+// Set, List, ZSet and Stream embed it as their first field, so an Object's
+// pointer addresses both. It holds the key the object is stored under, what
+// the object's contents cost under its kind's formula, and, while the object
+// is stored, the used_bytes share of its part. Every mutation of the
+// contents charges its delta through charge, so used_bytes follows the
+// contents themselves: however they were built — by commands, by a replica's
+// effects or by a snapshot restore — the same contents cost the same.
 type aggregate struct {
-	key     string
-	charged int64
-	hash    map[string][]byte
-	set     map[string]struct{}
-	list    *List
-	zset    *ZSet
-	stream  *Stream
+	key   string
+	bytes int64
+	used  *int64
+}
+
+// charge adds n to what the contents cost, and to the part's used_bytes
+// while the object is stored.
+func (a *aggregate) charge(n int64) {
+	a.bytes += n
+	if a.used != nil {
+		*a.used += n
+	}
+}
+
+// shellBytes is what the header of each aggregate kind costs.
+var shellBytes = [...]int64{
+	KindHash:   allocSize(int(unsafe.Sizeof(Hash{}))),
+	KindList:   allocSize(int(unsafe.Sizeof(List{}))),
+	KindSet:    allocSize(int(unsafe.Sizeof(Set{}))),
+	KindZSet:   allocSize(int(unsafe.Sizeof(ZSet{}))),
+	KindStream: allocSize(int(unsafe.Sizeof(Stream{}))),
 }
 
 // New returns an empty object of the given aggregate kind. Strings are
 // only ever made by the DB, with their key (SetString).
 func New(kind Kind) Object {
-	a := &aggregate{}
+	var p unsafe.Pointer
 	switch kind {
 	case KindHash:
-		a.hash = make(map[string][]byte)
+		p = unsafe.Pointer(&Hash{m: make(map[string][]byte)})
 	case KindSet:
-		a.set = make(map[string]struct{})
+		p = unsafe.Pointer(&Set{m: make(map[string]struct{})})
 	case KindList:
-		a.list = NewList()
+		p = unsafe.Pointer(NewList())
 	case KindZSet:
-		a.zset = NewZSet()
+		p = unsafe.Pointer(NewZSet())
 	case KindStream:
-		a.stream = NewStream()
+		p = unsafe.Pointer(NewStream())
 	default:
 		panic("store: New of kind " + kind.String())
 	}
-	return Object{p: unsafe.Pointer(a), m: objectMeta(kind, 0, 0, false)}
+	return Object{p: p, m: objectMeta(kind, 0, 0, false)}
 }
 
-// keyed returns aggregate o as stored under key: carrying key, or a copy
-// carrying it if o is another key's.
+// keyed returns aggregate o as stored under key. An aggregate is stored
+// under one key at a time: RENAME deletes the old key before it stores the
+// object under the new one.
 func (o Object) keyed(key string) Object {
 	a := o.agg()
 	if a.key != key {
-		if a.key != "" {
-			c := *a
-			a = &c
+		if a.used != nil {
+			panic("store: an aggregate stored under " + a.key + " stored again under " + key)
 		}
 		a.key = key
 	}
-	return Object{p: unsafe.Pointer(a), m: objectMeta(o.Kind(), len(key), 0, false)}
+	return Object{p: o.p, m: objectMeta(o.Kind(), len(key), 0, false)}
 }
 
 // newString builds the one buffer of a string key: the key, then the
@@ -227,20 +247,27 @@ func (o Object) agg() *aggregate {
 	return (*aggregate)(o.p)
 }
 
-// Hash returns a hash's field map.
-func (o Object) Hash() map[string][]byte { return o.agg().hash }
+// Hash returns a hash, or nil if o is not one.
+func (o Object) Hash() *Hash { return (*Hash)(o.as(KindHash)) }
 
-// Set returns a set's member map.
-func (o Object) Set() map[string]struct{} { return o.agg().set }
+// Set returns a set, or nil if o is not one.
+func (o Object) Set() *Set { return (*Set)(o.as(KindSet)) }
 
-// List returns a list.
-func (o Object) List() *List { return o.agg().list }
+// List returns a list, or nil if o is not one.
+func (o Object) List() *List { return (*List)(o.as(KindList)) }
 
-// ZSet returns a sorted set.
-func (o Object) ZSet() *ZSet { return o.agg().zset }
+// ZSet returns a sorted set, or nil if o is not one.
+func (o Object) ZSet() *ZSet { return (*ZSet)(o.as(KindZSet)) }
 
-// Stream returns a stream.
-func (o Object) Stream() *Stream { return o.agg().stream }
+// Stream returns a stream, or nil if o is not one.
+func (o Object) Stream() *Stream { return (*Stream)(o.as(KindStream)) }
+
+func (o Object) as(kind Kind) unsafe.Pointer {
+	if o.Kind() != kind {
+		return nil
+	}
+	return o.p
+}
 
 // allocSize approximates what the allocator hands out for n bytes: its
 // size classes step by 16 up to 256 bytes and by about an eighth of the
@@ -253,38 +280,36 @@ func allocSize(n int) int64 {
 	return int64((n + step - 1) / step * step)
 }
 
-// charge is INFO's used_bytes share of stored object o, beyond its table
-// slot, which the table's arrays charge: a string's buffer, or what an
-// aggregate was charged when stored plus every AdjustUsed since. Taking
-// back exactly what was charged keeps used_bytes from drifting however
-// well AdjustUsed estimates a mutation.
-func (o Object) charge() int64 {
-	if o.Kind() == KindString {
+// Cost is INFO's used_bytes share of stored object o, beyond its table
+// slot, which the table's arrays charge: a string's buffer, or an
+// aggregate's key, its header and its contents under its kind's formula.
+// The zero Object costs nothing.
+func (o Object) Cost() int64 {
+	switch kind := o.Kind(); kind {
+	case KindNone:
+		return 0
+	case KindString:
 		return allocSize(o.klen() + max(o.capacity(), 1))
+	default:
+		a := o.agg()
+		return allocSize(len(a.key)) + shellBytes[kind] + a.bytes
 	}
-	return o.agg().charged
 }
 
-// size estimates what aggregate o stored under key costs.
-func (o Object) size(key string) int64 {
-	n := allocSize(len(key)) + allocSize(int(unsafe.Sizeof(aggregate{})))
-	switch o.Kind() {
-	case KindHash:
-		for f, v := range o.Hash() {
-			n += int64(len(f)+len(v)) + 64
-		}
-	case KindSet:
-		for m := range o.Set() {
-			n += int64(len(m)) + 48
-		}
-	case KindList:
-		n += o.List().MemUsage()
-	case KindZSet:
-		n += o.ZSet().MemUsage()
-	case KindStream:
-		n += o.Stream().MemUsage()
+// stored charges o to part p, and lets its later mutations follow.
+func (p *part) stored(o Object) {
+	if a := o.agg(); a != nil {
+		a.used = &p.used
 	}
-	return n
+	p.used += o.Cost()
+}
+
+// dropped takes back what o was charged to part p.
+func (p *part) dropped(o Object) {
+	p.used -= o.Cost()
+	if a := o.agg(); a != nil {
+		a.used = nil
+	}
 }
 
 // part is one slot-aligned stripe of the keyspace. Its counters are plain
@@ -468,7 +493,7 @@ func (db *DB) set(obj Object, keepTTL bool) {
 	slot := crc16.Slot(key)
 	p := &db.parts[PartOfSlot(slot)]
 	if old := p.table.put(key, obj); old.Exists() {
-		p.used -= old.charge() // before obj's: old may be the same aggregate
+		p.dropped(old) // before obj is stored: old may be the same aggregate
 		if len(p.expires) > 0 {
 			if !keepTTL {
 				delete(p.expires, key)
@@ -479,19 +504,7 @@ func (db *DB) set(obj Object, keepTTL bool) {
 	} else {
 		db.slotKeys[slot]++
 	}
-	if a := obj.agg(); a != nil {
-		a.charged = obj.size(key)
-	}
-	p.used += obj.charge()
-}
-
-// AdjustUsed charges a footprint delta to stored aggregate obj after an
-// in-place mutation; it is taken back with the rest of obj's charge when
-// obj is deleted or replaced.
-func (db *DB) AdjustUsed(obj Object, delta int64) {
-	a := obj.agg()
-	a.charged += delta
-	db.parts[PartOfKey(a.key)].used += delta
+	p.stored(obj)
 }
 
 // Delete removes key, returning whether it existed (expired keys count as
@@ -509,7 +522,7 @@ func (db *DB) remove(key string) bool {
 	if !o.Exists() {
 		return false
 	}
-	p.used -= o.charge()
+	p.dropped(o)
 	delete(p.expires, key)
 	db.slotKeys[slot]--
 	return true
@@ -637,7 +650,8 @@ func (db *DB) ForEachIn(i int, now time.Time, fn func(key string, obj Object, ex
 	})
 }
 
-// Flush drops the entire keyspace.
+// Flush drops the entire keyspace. An aggregate it dropped still points at
+// its part's counter, so it must not be mutated again.
 func (db *DB) Flush() { db.reset() }
 
 // RandomKey returns an arbitrary live key at now, or "" if empty: the first

@@ -69,11 +69,12 @@ type StreamEntry struct {
 
 // Stream is an append-only log of entries ordered by ID. Redis uses a radix
 // tree of listpacks; a sorted slice preserves the same externally visible
-// behaviour with O(log n) range seeks.
+// behaviour with O(log n) range seeks. An entry costs its fields' bytes
+// and streamEntry.
 type Stream struct {
+	aggregate
 	entries []StreamEntry
 	lastID  StreamID
-	bytes   int64
 	// MaxDeletedID and entries-added counters exist in Redis for
 	// consistency across trims; we track lastID only, which the commands
 	// we support require.
@@ -88,8 +89,16 @@ func (s *Stream) Len() int { return len(s.entries) }
 // LastID returns the maximum ID ever added.
 func (s *Stream) LastID() StreamID { return s.lastID }
 
-// MemUsage estimates the footprint in bytes.
-func (s *Stream) MemUsage() int64 { return s.bytes + int64(len(s.entries))*48 }
+const streamEntry = 48
+
+// cost is what entry e costs.
+func (e StreamEntry) cost() int64 {
+	n := int64(streamEntry)
+	for _, f := range e.Fields {
+		n += int64(len(f))
+	}
+	return n
+}
 
 // ErrStreamIDTooSmall mirrors Redis's XADD error when an explicit ID is not
 // greater than the last one.
@@ -110,9 +119,7 @@ func (s *Stream) Add(id StreamID, auto bool, nowMs uint64, fields [][]byte) (Str
 	e := StreamEntry{ID: id, Fields: fields}
 	s.entries = append(s.entries, e)
 	s.lastID = id
-	for _, f := range fields {
-		s.bytes += int64(len(f))
-	}
+	s.charge(e.cost())
 	return id, nil
 }
 
@@ -147,9 +154,7 @@ func (s *Stream) TrimMaxLen(maxLen int) int {
 	}
 	drop := len(s.entries) - maxLen
 	for _, e := range s.entries[:drop] {
-		for _, f := range e.Fields {
-			s.bytes -= int64(len(f))
-		}
+		s.charge(-e.cost())
 	}
 	s.entries = append([]StreamEntry(nil), s.entries[drop:]...)
 	return drop
@@ -161,9 +166,7 @@ func (s *Stream) Delete(id StreamID) bool {
 	if i >= len(s.entries) || s.entries[i].ID != id {
 		return false
 	}
-	for _, f := range s.entries[i].Fields {
-		s.bytes -= int64(len(f))
-	}
+	s.charge(-s.entries[i].cost())
 	s.entries = append(s.entries[:i], s.entries[i+1:]...)
 	return true
 }

@@ -3,8 +3,10 @@ package store
 import "math"
 
 // ZSet is a sorted set: members ordered by (score, member) implemented as
-// a skiplist plus a member→score dictionary, mirroring Redis's design.
+// a skiplist plus a member→score dictionary, mirroring Redis's design. A
+// member costs its bytes twice, once in each, and zsetEntry.
 type ZSet struct {
+	aggregate
 	dict map[string]float64
 	sl   *skiplist
 	rng  splitmix64
@@ -37,14 +39,7 @@ func (s *splitmix64) next() uint64 {
 // Len returns the cardinality.
 func (z *ZSet) Len() int { return len(z.dict) }
 
-// MemUsage estimates the footprint in bytes.
-func (z *ZSet) MemUsage() int64 {
-	var n int64
-	for m := range z.dict {
-		n += int64(len(m))*2 + 96 // dict entry + skiplist node
-	}
-	return n
-}
+const zsetEntry = 96
 
 // Score returns the score of member.
 func (z *ZSet) Score(member string) (float64, bool) {
@@ -65,6 +60,7 @@ func (z *ZSet) Add(member string, score float64) bool {
 	}
 	z.dict[member] = score
 	z.sl.insert(score, member, &z.rng)
+	z.charge(int64(len(member))*2 + zsetEntry)
 	return true
 }
 
@@ -84,6 +80,7 @@ func (z *ZSet) Remove(member string) bool {
 	}
 	delete(z.dict, member)
 	z.sl.delete(s, member)
+	z.charge(-int64(len(member))*2 - zsetEntry)
 	return true
 }
 

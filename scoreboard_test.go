@@ -21,7 +21,7 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20457
+	ceilingNonTestLines = 20494
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 21
@@ -54,6 +54,14 @@ const (
 	// step harness (internal/core) or a signal the node gives would let it
 	// know.
 	ceilingTestSleeps = 42
+	// Exported identifiers of internal/store whose signature mentions a Go
+	// map (see mapSignature): an aggregate's members are reached through
+	// its type, which owns what they cost.
+	ceilingStoreMapSignatures = 0
+	// Calls in non-test internal/engine code to a byte-charging store API
+	// (see chargesParam): a command body that states a footprint delta
+	// can state a wrong one, or forget it.
+	ceilingEngineCharges = 0
 )
 
 // sleepyTestDirs are the packages whose tests' sleeps the scoreboard
@@ -99,6 +107,12 @@ type scoreboard struct {
 	// testSleeps lists "file:line" of each time.Sleep call in the _test.go
 	// files of sleepyTestDirs.
 	testSleeps []string
+	// storeMapSignatures lists the exported identifiers of non-test
+	// internal/store code whose signature mentions a map.
+	storeMapSignatures []string
+	// engineCharges lists "file:line" of each call in non-test
+	// internal/engine code to a byte-charging store API.
+	engineCharges []string
 }
 
 // measureTree walks the non-test Go files under root, skipping what the go
@@ -112,6 +126,9 @@ func measureTree(t *testing.T, root string) scoreboard {
 	type decl struct{ where, name string }
 	var decls []decl
 	uses := make(map[string]int)
+	charging := make(map[string]bool) // byte-charging store APIs, by name
+	type call struct{ where, name string }
+	var engineCalls []call
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -179,6 +196,12 @@ func measureTree(t *testing.T, root string) scoreboard {
 				return true
 			})
 		}
+		if dir == "internal/store" {
+			sb.storeMapSignatures = append(sb.storeMapSignatures, mapSignatures(f)...)
+			for _, fn := range chargingFuncs(f) {
+				charging[fn] = true
+			}
+		}
 		declared := make(map[*ast.Ident]bool)
 		enclosing := "" // the FuncDecl being walked
 		note := func(owner string, id *ast.Ident) {
@@ -240,6 +263,10 @@ func measureTree(t *testing.T, root string) scoreboard {
 				if !declared[n] {
 					uses[n.Name]++
 				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && dir == "internal/engine" {
+					engineCalls = append(engineCalls, call{rel + ":" + strconv.Itoa(fset.Position(n.Pos()).Line), sel.Sel.Name})
+				}
 			}
 			return true
 		})
@@ -247,6 +274,11 @@ func measureTree(t *testing.T, root string) scoreboard {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range engineCalls {
+		if charging[c.name] {
+			sb.engineCharges = append(sb.engineCharges, c.where)
+		}
 	}
 	for _, d := range decls {
 		if uses[d.name] == 0 && !allowUnnamed[d.where] {
@@ -279,6 +311,102 @@ func fixedInterval(e ast.Expr) bool {
 		return fixedInterval(e.X)
 	}
 	return false
+}
+
+// mapSignatures returns the exported identifiers declared in f whose
+// signature mentions a map: a func or method whose parameters or results
+// do, a struct field of such a type, a type defined as one.
+func mapSignatures(f *ast.File) []string {
+	var out []string
+	mentions := func(n ast.Node) bool {
+		found := false
+		ast.Inspect(n, func(n ast.Node) bool {
+			_, isMap := n.(*ast.MapType)
+			found = found || isMap
+			return !found
+		})
+		return found
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Name.IsExported() && mentions(d.Type) {
+				out = append(out, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					if ts.Name.IsExported() && mentions(ts.Type) {
+						out = append(out, ts.Name.Name)
+					}
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						if id.IsExported() && mentions(field.Type) {
+							out = append(out, ts.Name.Name+"."+id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// chargingFuncs returns the exported funcs and methods declared in f that
+// charge bytes a caller states: their body adds an integer parameter, as
+// it is, to something (chargesParam).
+func chargingFuncs(f *ast.File) []string {
+	var out []string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() && fn.Body != nil && chargesParam(fn) {
+			out = append(out, fn.Name.Name)
+		}
+	}
+	return out
+}
+
+// chargesParam reports whether fn has an integer parameter p and a
+// statement x += p or x -= p, p perhaps negated, parenthesized or
+// converted: what DB.AdjustUsed(obj, delta) did, the API that let command
+// bodies charge their own deltas.
+func chargesParam(fn *ast.FuncDecl) bool {
+	ints := make(map[string]bool)
+	for _, field := range fn.Type.Params.List {
+		if id, ok := field.Type.(*ast.Ident); ok && strings.Contains(" int int8 int16 int32 int64 uint uint8 uint16 uint32 uint64 uintptr ", " "+id.Name+" ") {
+			for _, name := range field.Names {
+				ints[name.Name] = true
+			}
+		}
+	}
+	var param func(e ast.Expr) bool
+	param = func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return ints[e.Name]
+		case *ast.ParenExpr:
+			return param(e.X)
+		case *ast.UnaryExpr:
+			return e.Op == token.SUB && param(e.X)
+		case *ast.CallExpr:
+			return len(e.Args) == 1 && param(e.Args[0])
+		}
+		return false
+	}
+	found := false
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && (as.Tok == token.ADD_ASSIGN || as.Tok == token.SUB_ASSIGN) && param(as.Rhs[0]) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // structFields counts the fields of the named struct type declared in
@@ -365,6 +493,8 @@ func overCeilings(sb scoreboard, coreFields, clusterFields, nodeLocks int) []str
 	check("go statements in internal/ "+strings.Join(sb.goStatements, " "), len(sb.goStatements), ceilingGoStatements)
 	check("sleeps in a loop (polls) "+strings.Join(sb.sleepPolls, " "), len(sb.sleepPolls), ceilingSleepPolls)
 	check("time.Sleep calls in the tests of internal/core, internal/cluster and internal/server", len(sb.testSleeps), ceilingTestSleeps)
+	check("exported store identifiers whose signature mentions a map "+strings.Join(sb.storeMapSignatures, " "), len(sb.storeMapSignatures), ceilingStoreMapSignatures)
+	check("engine calls into a byte-charging store API "+strings.Join(sb.engineCharges, " "), len(sb.engineCharges), ceilingEngineCharges)
 	for _, f := range sb.benchImporters {
 		out = append(out, f+" imports "+bannedImport+" (only root *_test.go files may)")
 	}
@@ -431,8 +561,8 @@ func TestScoreboard(t *testing.T) {
 	coreFields := structFields(t, filepath.Join("internal", "core"), "Config")
 	clusterFields := structFields(t, filepath.Join("internal", "cluster"), "Config")
 	nodeLocks := lockFields(t, filepath.Join("internal", "core"), "Node")
-	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d locks in core.Node, %d unnamed exports, %d wall-clock waits, %d go statements, sleep polls %v, %d sleeps in tests",
-		sb.nonTestLines, coreFields, clusterFields, nodeLocks, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements), sb.sleepPolls, len(sb.testSleeps))
+	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d locks in core.Node, %d unnamed exports, %d wall-clock waits, %d go statements, sleep polls %v, %d sleeps in tests, store map signatures %v, engine charges %v",
+		sb.nonTestLines, coreFields, clusterFields, nodeLocks, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements), sb.sleepPolls, len(sb.testSleeps), sb.storeMapSignatures, sb.engineCharges)
 	for _, msg := range overCeilings(sb, coreFields, clusterFields, nodeLocks) {
 		t.Error(msg)
 	}
@@ -450,7 +580,9 @@ func TestScoreboard(t *testing.T) {
 // model, an export only a test names, a wall-clock sleep and a go
 // statement, a go statement no "Who runs what" row names and a row no go
 // statement starts, a loop that polls on a fixed sleep, a sleep in a
-// test of internal/server and a lock in core.Node, and that it skips test files (their sleeps
+// test of internal/server, a lock in core.Node, a map in an exported store
+// signature and an engine call that charges bytes it states, and that it
+// skips test files (their sleeps
 // outside sleepyTestDirs too), benchmark/'s lines, internal/clock's
 // sleeps, goroutines started outside internal/ and computed sleeps in a
 // loop.
@@ -525,6 +657,32 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		t.Fatalf("lock fields = %d, want 4 (mu, a, b and the embedded sync.Mutex)", got)
 	}
 
+	aggs := t.TempDir()
+	for rel, src := range map[string]string{
+		"internal/store/s.go": "package store\n\ntype DB struct{ used int64 }\n\ntype Object struct{ Members map[string]int }\n\n" +
+			"type Index map[string]int\n\nfunc (db *DB) AdjustUsed(o Object, delta int64) { db.used += delta }\n\n" +
+			"func (db *DB) Grow(n int) { db.used -= -int64(n) }\n\nfunc (db *DB) Put(v []byte) { db.used += int64(len(v)) }\n\n" +
+			"func (o Object) Hash() map[string][]byte { return nil }\n\nfunc (o Object) hash() map[string][]byte { return nil }\n",
+		"internal/store/s_test.go": "package store\n\nfunc Walk(m map[string]int) {}\n",
+		"internal/engine/e.go":     "package engine\n\nfunc run(db *store.DB, o store.Object) {\n\tdb.AdjustUsed(o, 3)\n\tdb.Put(nil)\n\tdb.Grow(1)\n}\n",
+		"internal/core/c.go":       "package core\n\nfunc run(db *store.DB) { db.AdjustUsed(o, 3) }\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(aggs, filepath.Dir(rel)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(aggs, rel), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sb = measureTree(t, aggs)
+	if want := "Object.Members Index Hash"; strings.Join(sb.storeMapSignatures, " ") != want {
+		t.Fatalf("store map signatures = %v, want %s", sb.storeMapSignatures, want)
+	}
+	e := filepath.Join("internal", "engine", "e.go")
+	if want := e + ":4 " + e + ":6"; strings.Join(sb.engineCharges, " ") != want {
+		t.Fatalf("engine charges = %v, want %s (AdjustUsed and Grow, not Put)", sb.engineCharges, want)
+	}
+
 	clean := scoreboard{nonTestLines: ceilingNonTestLines}
 	for range ceilingUnnamedExports {
 		clean.unnamed = append(clean.unnamed, "x")
@@ -548,6 +706,8 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		func(sb *scoreboard) { sb.goStatements = append(sb.goStatements, "g") },
 		func(sb *scoreboard) { sb.sleepPolls = append(sb.sleepPolls, "p") },
 		func(sb *scoreboard) { sb.testSleeps = append(sb.testSleeps, "s") },
+		func(sb *scoreboard) { sb.storeMapSignatures = append(sb.storeMapSignatures, "m") },
+		func(sb *scoreboard) { sb.engineCharges = append(sb.engineCharges, "c") },
 	} {
 		over := clean
 		over.unnamed = append([]string(nil), clean.unnamed...)
