@@ -17,7 +17,7 @@ type Clock interface {
 	Sleep(d time.Duration)
 	// After returns a channel that delivers the time after d has elapsed.
 	After(d time.Duration) <-chan time.Time
-	// AfterFunc calls f once d has elapsed. f must not block.
+	// AfterFunc calls f once d has elapsed, never early. f must not block; a short lock is fine.
 	AfterFunc(d time.Duration, f func())
 }
 

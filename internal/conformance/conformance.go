@@ -306,10 +306,11 @@ func StateDigest(e *engine.Engine) string {
 }
 
 // RunDifferential executes rounds generated commands on primary,
-// applies each resulting effect record to replica, and reports the
-// first divergence (empty string = none): of their keyspaces, or of what
-// used_bytes charges each kind in them. It also returns how many
-// commands succeeded vs errored, so callers can assert real coverage.
+// applies each resulting effect record to replica, and after every
+// mutating command compares the two: it reports the first command that
+// diverged their keyspaces, or what used_bytes charges each kind in them
+// (empty string = none). It also returns how many commands succeeded vs
+// errored, so callers can assert real coverage.
 func RunDifferential(g *Generator, primary, replica *engine.Engine, rounds int) (divergence string, okCount, errCount int) {
 	for i := 0; i < rounds; i++ {
 		args := g.Next()
@@ -326,18 +327,18 @@ func RunDifferential(g *Generator, primary, replica *engine.Engine, rounds int) 
 			continue
 		}
 		okCount++
-		if res.Mutated() {
-			if err := replica.Apply(res.Effects); err != nil {
-				return fmt.Sprintf("replica rejected effects of %q: %v", args, err), okCount, errCount
-			}
+		if !res.Mutated() {
+			continue
 		}
-	}
-	pd, rd := StateDigest(primary), StateDigest(replica)
-	if pd != rd {
-		return fmt.Sprintf("state divergence after %d rounds:\nprimary:\n%s\nreplica:\n%s", rounds, pd, rd), okCount, errCount
-	}
-	if d := ChargeDivergence(primary.DB(), replica.DB()); d != "" {
-		return fmt.Sprintf("after %d rounds, primary and replica differ in %s", rounds, d), okCount, errCount
+		if err := replica.Apply(res.Effects); err != nil {
+			return fmt.Sprintf("replica rejected effects of %q: %v", args, err), okCount, errCount
+		}
+		if pd, rd := StateDigest(primary), StateDigest(replica); pd != rd {
+			return fmt.Sprintf("command %d %q diverged the keyspaces:\nprimary:\n%s\nreplica:\n%s", i+1, args, pd, rd), okCount, errCount
+		}
+		if d := ChargeDivergence(primary.DB(), replica.DB()); d != "" {
+			return fmt.Sprintf("command %d %q diverged primary and replica in %s", i+1, args, d), okCount, errCount
+		}
 	}
 	return "", okCount, errCount
 }

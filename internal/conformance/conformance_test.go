@@ -10,8 +10,9 @@ import (
 
 // TestDifferentialReplication is the §7.2.2.2 workhorse: thousands of
 // biased commands over a tiny key pool (maximal type collisions), with
-// the replica applying the effect stream; the final keyspaces must be
-// byte-identical and error paths must never leak effects.
+// the replica applying the effect stream; the keyspaces must be
+// byte-identical after every mutating command and error paths must never
+// leak effects.
 func TestDifferentialReplication(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed

@@ -290,8 +290,8 @@ func TestCheckpointErrorIsTransient(t *testing.T) {
 // flight — stalls its own acknowledgements and nothing else: the log keeps
 // committing for everyone, so the other node on it wins the election once
 // the backoff has run and acknowledges a write, and the frozen node spawns
-// nothing meanwhile. A completion run on the log's committer would park the
-// log with the node.
+// nothing meanwhile. A completion run in the log's commit round would park
+// the log with the node.
 func TestFrozenPrimaryDoesNotHoldTheLog(t *testing.T) {
 	svc := testService(t, netsim.Fixed(2*time.Millisecond))
 	log, _ := svc.CreateLog("shard-frozen")

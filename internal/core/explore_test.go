@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/lin"
 	"memorydb/internal/txlog"
 )
@@ -22,13 +23,12 @@ import (
 //   - the history is linearizable (internal/lin);
 //
 // and, through the harness, checkTurn's invariants. A state is replayed
-// from a fresh harness: nodes are not copied. Each replay leaves its log's
-// committer goroutine behind (only txlog's own tests can destroy a log),
-// so the search stays near a thousand states: four inputs reach each of
-// the five mutants EXPERIMENTS.md "Explorer" lists.
+// from a fresh harness: nodes are not copied. A harness starts no
+// goroutine, so a replay it is done with is garbage, and the search is
+// bounded by time, not memory.
 
 // exploreDepth is how many inputs the explorer takes along a path.
-const exploreDepth = 4
+const exploreDepth = 5
 
 // exKeys are the keys the explorer's clients use, and exClients how many
 // calls can be in flight at once.
@@ -75,6 +75,9 @@ const (
 	exReadTimer               // the replica's read timer
 	exFreeze                  // node freezes
 	exThaw                    // node thaws
+	exLose                    // the primary's next flush is lost at core.flush.pre
+	exStepDown                // StepDown's first turn: the lease-release entry
+	exStepDone                // StepDown's second turn, once the log answered
 )
 
 type exAct struct {
@@ -84,7 +87,8 @@ type exAct struct {
 }
 
 func (a exAct) String() string {
-	names := []string{"submit", "run", "commit head", "fail head", "answer head", "tick", "demote", "apply", "read timer", "freeze", "thaw"}
+	names := []string{"submit", "run", "commit head", "fail head", "answer head", "tick", "demote", "apply", "read timer", "freeze", "thaw",
+		"lose the next flush", "step down", "step-down demotes"}
 	switch a.kind {
 	case exSubmit:
 		op := exOps[a.op]
@@ -115,11 +119,24 @@ type exRun struct {
 	h     *harness
 	calls []*exCall
 	fault string // the first violation, "" while none
+	// faults is the harness's registry; lose is its core.flush.pre hit
+	// count when exLose armed it, -1 while it is not armed.
+	faults *faultpoint.Registry
+	lose   int64
+	sd     *exStepping
 }
 
-func newExRun(t testing.TB, svc *harnessService) *exRun {
-	r := &exRun{}
-	r.h = newHarness(t, harnessConfig{window: 2, replica: true, noObs: true, svc: svc})
+// exStepping is a StepDown the primary was given: the log's answer for its
+// lease-release entry, once heard, and whether its demotion turn ran.
+type exStepping struct {
+	answered       chan error
+	err            error // the first turn's error, else the log's answer
+	heard, demoted bool
+}
+
+func newExRun(t testing.TB) *exRun {
+	r := &exRun{faults: faultpoint.New(1), lose: -1}
+	r.h = newHarness(t, harnessConfig{window: 2, replica: true, noObs: true, faults: r.faults})
 	r.h.fail = func(format string, args ...any) {
 		if r.fault == "" {
 			r.fault = fmt.Sprintf(format, args...)
@@ -196,6 +213,17 @@ func (r *exRun) enabled() []exAct {
 			acts = append(acts, exAct{kind: exFreeze, node: i})
 		}
 	}
+	if !p.Frozen() && p.life.phase == phaseLead {
+		if r.lose < 0 {
+			acts = append(acts, exAct{kind: exLose})
+		}
+		if r.sd == nil {
+			acts = append(acts, exAct{kind: exStepDown})
+		}
+	}
+	if sd := r.sd; sd != nil && sd.heard && sd.err == nil && !sd.demoted && !p.Frozen() {
+		acts = append(acts, exAct{kind: exStepDone})
+	}
 	return acts
 }
 
@@ -244,8 +272,37 @@ func (r *exRun) run(a exAct) {
 	case exThaw:
 		r.hn(a.node).Thaw()
 		h.settle()
+	case exLose:
+		r.lose = r.faults.Hits(faultpoint.SiteFlushPre)
+		r.faults.Arm(faultpoint.SiteFlushPre, faultpoint.Error, 0)
+	case exStepDown:
+		r.sd = &exStepping{answered: make(chan error, 1)}
+		e := &issuedEntry{control: r.sd.answered}
+		r.sd.err = r.funcTurn(func() error { return h.primary.controlTurn(txlog.EntryControl, LeaseReleasePayload, e) })
+		r.sd.heard = r.sd.err != nil
+	case exStepDone:
+		r.sd.demoted = true
+		r.funcTurn(func() error { h.primary.demote(); return nil })
+	}
+	if r.lose >= 0 && r.faults.Hits(faultpoint.SiteFlushPre) > r.lose {
+		r.lose = -1 // the armed flush was lost
+	}
+	if sd := r.sd; sd != nil && !sd.heard {
+		select {
+		case sd.err = <-sd.answered:
+			sd.heard = true
+		default:
+		}
 	}
 	r.check()
+}
+
+// funcTurn is the primary's turn on node-internal work, as Node.run hands
+// it over; it returns fn's error.
+func (r *exRun) funcTurn(fn func() error) error {
+	t := &task{kind: taskFunc, fn: fn, done: make(chan struct{}, 1)}
+	r.h.turn(r.h.primary, input{kind: inTask, t: t})
+	return t.err
 }
 
 // exValue is the value client writes.
@@ -388,7 +445,10 @@ func (r *exRun) state() string {
 		}
 		b.WriteString("||")
 	}
-	fmt.Fprintf(&b, "log %d/%d|", r.h.log.CommittedTail().Seq, r.h.log.AssignedTail().Seq)
+	fmt.Fprintf(&b, "log %d/%d|lose %v|", r.h.log.CommittedTail().Seq, r.h.log.AssignedTail().Seq, r.lose >= 0)
+	if sd := r.sd; sd != nil {
+		fmt.Fprintf(&b, "step-down %v %v %v|", sd.heard, sd.err, sd.demoted)
+	}
 	for _, c := range r.calls {
 		if c.replies == 0 {
 			fmt.Fprintf(&b, "c%d:%s,", c.client, strings.Join(c.op.args, " "))
@@ -401,17 +461,14 @@ func (r *exRun) state() string {
 // distinct states it reached; it stops at the first violation and
 // returns it with the inputs that led there.
 func explore(t testing.TB) (states int, fault string, trace []exAct) {
-	svc := newHarnessService(nil)
 	seen := make(map[string]int) // state → the most inputs left when explored
 	var path []exAct
-	var live *exRun // the one run still in use: every other is drained
 	replay := func() *exRun {
-		live.h.drain()
-		live = newExRun(t, svc)
+		r := newExRun(t)
 		for _, a := range path {
-			live.run(a)
+			r.run(a)
 		}
-		return live
+		return r
 	}
 	var dfs func(r *exRun, left int) bool
 	dfs = func(r *exRun, left int) bool {
@@ -440,18 +497,23 @@ func explore(t testing.TB) (states int, fault string, trace []exAct) {
 		}
 		return true
 	}
-	live = newExRun(t, svc)
-	seen[live.state()] = exploreDepth
+	r := newExRun(t)
+	seen[r.state()] = exploreDepth
 	states = 1
-	dfs(live, exploreDepth)
-	live.h.drain()
+	dfs(r, exploreDepth)
 	return states, fault, trace
 }
 
 // TestExploreStepInputs searches the workloop's inputs on a primary and a
-// replica of one log for a broken promise to a client.
+// replica of one log for a broken promise to a client. The search leaves
+// no goroutine behind: none that the program's code started is live after
+// it that was not before (a goroutine an earlier test left may exit).
 func TestExploreStepInputs(t *testing.T) {
+	before := len(goroutinesCreatedBy("memorydb/"))
 	states, fault, trace := explore(t)
+	if after := len(goroutinesCreatedBy("memorydb/")); after > before {
+		t.Errorf("the search left %d goroutines behind", after-before)
+	}
 	if fault != "" {
 		var steps []string
 		for _, a := range trace {

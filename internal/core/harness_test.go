@@ -21,12 +21,14 @@ import (
 // for. Nothing it runs waits on the wall clock:
 //   - each node runs on a stepClock, whose Sleep advances it, so the retry
 //     backoff inside a step returns at once with the time gone by;
-//   - the log keeps its committer goroutine, on a simulated clock of its
-//     own that only commitHead moves: an append commits once the harness
-//     has moved that clock to the append's due time, and the harness waits
-//     on its Pending;
+//   - the log runs on a simulated clock of its own that only commitHead
+//     moves: an append commits inside the Advance that reaches its due
+//     time, so the log has answered for it once commitHead returns;
 //   - the one step that waits on a commit, the primary's campaign, runs in
-//     setup, while the log still commits at once.
+//     setup, while the log still commits at once, inside StartAppend.
+//
+// A harness owns its log service and starts no goroutine, so one that is
+// no longer in use is garbage, whatever it left in flight.
 //
 // After every input checkTurn asserts the workloop's invariants on each
 // node, and checkStatus those of the status it publishes.
@@ -49,8 +51,6 @@ const (
 // up, so the claim commits at once, then harnessCommit plus a nanosecond
 // per turn, so the appends of a later turn commit later and commitHead can
 // commit one turn's appends alone.
-// It reads the turn count through a pointer of its own: the log outlives
-// the harness, and must not keep its nodes alive.
 type harnessLatency struct{ turns *int }
 
 func (l harnessLatency) Sample() time.Duration {
@@ -88,29 +88,6 @@ type harnessConfig struct {
 	// harness builds its own.
 	faults *faultpoint.Registry
 	noObs  bool
-	// svc, when set, is a log service harnesses share, each on a log of
-	// its own; nil gives the harness a service of its own.
-	svc *harnessService
-}
-
-// harnessService is a log service on a simulated clock, with the turn
-// count of the harness running on it, which its commit latency reads.
-// Harnesses run on it one at a time. Nothing outside txlog's own tests can
-// destroy a log, so a harness leaves its log and the log's committer
-// behind: a search that builds thousands of harnesses shares one service,
-// and drains each harness it is done with, so what it leaves waits on
-// nothing and runs no more.
-type harnessService struct {
-	svc   *txlog.Service
-	clk   *clock.Sim
-	turns *int
-	logs  int
-}
-
-func newHarnessService(faults *faultpoint.Registry) *harnessService {
-	hs := &harnessService{clk: clock.NewSim(time.Unix(1700000000, 0)), turns: new(int)}
-	hs.svc = txlog.NewService(txlog.Config{Clock: hs.clk, CommitLatency: harnessLatency{hs.turns}, Faults: faults})
-	return hs
 }
 
 type harness struct {
@@ -131,14 +108,9 @@ type harness struct {
 // cfg.replica is set, a replica that has drained the log.
 func newHarness(t testing.TB, cfg harnessConfig) *harness {
 	t.Helper()
-	hs := cfg.svc
-	if hs == nil {
-		hs = newHarnessService(cfg.faults)
-	}
-	*hs.turns = 0
-	hs.logs++
-	h := &harness{t: t, logClk: hs.clk, due: make(map[*txlog.Pending]time.Time), turns: hs.turns, fail: t.Fatalf}
-	h.log, _ = hs.svc.CreateLog(fmt.Sprintf("shard-%d", hs.logs))
+	h := &harness{t: t, logClk: clock.NewSim(time.Unix(1700000000, 0)), due: make(map[*txlog.Pending]time.Time), turns: new(int), fail: t.Fatalf}
+	svc := txlog.NewService(txlog.Config{Clock: h.logClk, CommitLatency: harnessLatency{h.turns}, Faults: cfg.faults})
+	h.log, _ = svc.CreateLog("shard")
 	h.primary = h.node("node-a", cfg)
 	h.primary.restore()
 	h.primary.step(input{kind: inReady}) // the pristine log's first tailer campaigns
@@ -297,17 +269,11 @@ func (h *harness) head() *issuedEntry {
 }
 
 // commitHead lets the log commit the primary's oldest append, and with it
-// every append issued in the same turn, and waits until the log has
-// answered for them.
+// every append issued in the same turn: the Advance to their due time
+// commits them before it returns.
 func (h *harness) commitHead() {
-	target := h.due[h.head().p]
-	if d := target.Sub(h.logClk.Now()); d > 0 {
+	if d := h.due[h.head().p].Sub(h.logClk.Now()); d > 0 {
 		h.logClk.Advance(d)
-	}
-	for _, e := range h.primary.issued {
-		if !h.due[e.p].After(target) {
-			<-e.p.Done()
-		}
 	}
 	h.settle()
 }
@@ -319,22 +285,6 @@ func (h *harness) answer() { h.turn(h.primary, input{kind: inHead}) }
 func (h *harness) commit() {
 	h.commitHead()
 	h.answer()
-}
-
-// drain commits every append the primary left in flight and waits until
-// the log has answered for them: a harness no longer in use leaves its
-// log's committer with nothing to do.
-func (h *harness) drain() {
-	target := h.logClk.Now()
-	for _, e := range h.primary.issued {
-		if d := h.due[e.p]; d.After(target) {
-			target = d
-		}
-	}
-	h.logClk.Advance(target.Sub(h.logClk.Now()))
-	for _, e := range h.primary.issued {
-		<-e.p.Done()
-	}
 }
 
 // failHead truncates every append in flight as the log service's restart

@@ -101,16 +101,7 @@ func (n *Node) SetSlotGate(gate func(name string, keys [][]byte, writing bool) (
 func (n *Node) AppendControl(ctx context.Context, typ txlog.EntryType, payload []byte) (txlog.EntryID, error) {
 	answered := make(chan error, 1)
 	e := &issuedEntry{control: answered}
-	err := n.run(ctx, func() error {
-		// A flush failure demotes, so the role is read after it.
-		n.flushPending()
-		if n.Role() != election.RolePrimary {
-			return errNotPrimaryErr
-		}
-		// Fenced or retried out the lease: the sequencer stepped down.
-		return n.sequence(txlog.Entry{Type: typ, Payload: payload}, &n.stats.AppendsRetried, e)
-	})
-	if err != nil {
+	if err := n.run(ctx, func() error { return n.controlTurn(typ, payload, e) }); err != nil {
 		return txlog.ZeroID, err
 	}
 	select {
@@ -121,6 +112,18 @@ func (n *Node) AppendControl(ctx context.Context, typ txlog.EntryType, payload [
 	case <-n.stopCtx.Done():
 		return txlog.ZeroID, ErrStopped
 	}
+}
+
+// controlTurn is AppendControl's turn on the workloop: it issues e, the
+// control entry, behind a flush.
+func (n *Node) controlTurn(typ txlog.EntryType, payload []byte, e *issuedEntry) error {
+	// A flush failure demotes, so the role is read after it.
+	n.flushPending()
+	if n.Role() != election.RolePrimary {
+		return errNotPrimaryErr
+	}
+	// Fenced or retried out the lease: the sequencer stepped down.
+	return n.sequence(txlog.Entry{Type: typ, Payload: payload}, &n.stats.AppendsRetried, e)
 }
 
 // LeaseReleasePayload marks a voluntary leadership hand-over: replicas

@@ -157,15 +157,14 @@ func TestGatedReadsCountsWithheldReads(t *testing.T) {
 // test's goroutine and counts across the submit and each step, nothing
 // else, and no other goroutine allocates meanwhile. The node's clock moves
 // only when the harness moves it, so no lease renewal falls inside, and
-// every append is due the moment it is issued, so the log's committer
-// commits it without arming a timer.
+// every append is due the moment it is issued, so it commits inside
+// StartAppend without arming a timer.
 func TestNodeOpAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
 	}
-	hs := newHarnessService(nil)
-	h := newHarness(t, harnessConfig{svc: hs})
-	*hs.turns = 0 // harnessLatency: every append commits at once
+	h := newHarness(t, harnessConfig{})
+	*h.turns = 0 // harnessLatency: every append commits at once
 	n := h.primary
 	var mallocs uint64
 	counted := func(fn func()) {
@@ -183,11 +182,13 @@ func TestNodeOpAllocations(t *testing.T) {
 		})
 		return c
 	}
-	// answer waits until the log has answered for every append in flight
-	// and steps the node on each answer.
+	// answer steps the node on each append in flight, which the log has
+	// answered for by the time StartAppend returned.
 	answer := func(calls ...Call) {
 		for len(n.issued) > 0 {
-			<-n.issued[0].p.Done()
+			if !done(n.issued[0].p) {
+				t.Fatal("an append due at once is still in flight after StartAppend returned")
+			}
 			counted(func() { n.step(input{kind: inHead}) })
 		}
 		for _, c := range calls {

@@ -124,7 +124,7 @@ func (n *Node) issue(e *issuedEntry) {
 // the FIFO the log has answered for, in issue order, and answers for it. It
 // is node code on the node's goroutine on purpose: checkpoint parks while
 // the node is frozen, which must stall this node's acknowledgements and
-// nothing else — run on the log's committer it would stop the log for
+// nothing else — run in the log's commit round it would stop the log for
 // every other node, the successor's election claim included. A log error
 // (the entry was truncated from a torn tail, or the log destroyed) means
 // nothing gated on the entry may ever be acknowledged: the node steps

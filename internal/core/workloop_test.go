@@ -278,6 +278,10 @@ func TestReplicaApplyUnderConcurrentReads(t *testing.T) {
 	left, right := crossSlotPair(t)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// Every exit stops the readers, a failed one too: left running on a
+	// stopped replica they spin, and starve the tests after this one.
+	stopReaders := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopReaders()
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -318,8 +322,7 @@ func TestReplicaApplyUnderConcurrentReads(t *testing.T) {
 		}
 	}
 	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
-	close(stop)
-	wg.Wait()
+	stopReaders()
 
 	primary.Stop()
 	waitRole(t, replica, election.RolePrimary, 3*time.Second)
@@ -402,9 +405,9 @@ func TestInfoUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
-// nodeGoroutines lists, sorted, the entry function of every goroutine a
-// Node method started.
-func nodeGoroutines() []string {
+// goroutinesCreatedBy lists, sorted, the entry function of every live
+// goroutine that a function whose name begins with prefix started.
+func goroutinesCreatedBy(prefix string) []string {
 	buf := make([]byte, 1<<20)
 	for {
 		if n := runtime.Stack(buf, true); n < len(buf) {
@@ -417,9 +420,11 @@ func nodeGoroutines() []string {
 	for _, g := range strings.Split(string(buf), "\n\n") {
 		lines := strings.Split(g, "\n")
 		for i, l := range lines {
-			if strings.HasPrefix(l, "created by memorydb/internal/core.(*Node).") && i >= 2 {
+			if strings.HasPrefix(l, "created by "+prefix) && i >= 2 {
 				entry := lines[i-2]
-				entry = entry[:strings.LastIndex(entry, "(")]
+				if j := strings.LastIndex(entry, "("); j >= 0 {
+					entry = entry[:j]
+				}
 				out = append(out, entry[strings.LastIndex(entry, ".")+1:])
 			}
 		}
@@ -427,6 +432,10 @@ func nodeGoroutines() []string {
 	slices.Sort(out)
 	return out
 }
+
+// nodeGoroutines lists, sorted, the entry function of every goroutine a
+// Node method started.
+func nodeGoroutines() []string { return goroutinesCreatedBy("memorydb/internal/core.(*Node).") }
 
 // TestNodeGoroutines pins the node's threads: a started node runs exactly
 // its workloop — the lifecycle and the release of committed replies are

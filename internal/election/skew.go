@@ -1,6 +1,7 @@
 package election
 
 import (
+	"math"
 	"time"
 
 	"memorydb/internal/clock"
@@ -18,8 +19,8 @@ import (
 //
 // Now() = epoch + offset + (inner.Now() - epoch) * rate, so rate < 1 is a
 // slow clock (time dilates), rate > 1 a fast one. Sleep and After scale
-// the requested duration by 1/rate: a slow clock's "100ms" lasts longer in
-// real time, exactly like a slow oscillator driving a timer wheel.
+// the requested duration by 1/rate, rounded up so none fires early: a slow
+// clock's "100ms" lasts longer in real time, like a slow oscillator.
 type SkewedClock struct {
 	inner  clock.Clock
 	offset time.Duration
@@ -53,8 +54,5 @@ func (s *SkewedClock) After(d time.Duration) <-chan time.Time { return s.inner.A
 func (s *SkewedClock) AfterFunc(d time.Duration, f func()) { s.inner.AfterFunc(s.scale(d), f) }
 
 func (s *SkewedClock) scale(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	return time.Duration(float64(d) / s.rate)
+	return time.Duration(math.Ceil(float64(d) / s.rate))
 }

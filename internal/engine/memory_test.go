@@ -100,9 +100,15 @@ func TestStringChurnHoldsNoOldBuffers(t *testing.T) {
 // TestBytesPerSortedSet pins a small sorted set's footprint. It was 6.8 KB
 // while every set carried its own math/rand source (a 4.9 KB state) for
 // the skiplist's coin flips; an 8-byte generator leaves the set itself.
+// used_bytes must say at least 80% of it: it said 47% while it left out
+// the skiplist's 32-level head.
 func TestBytesPerSortedSet(t *testing.T) {
-	if perSet := bytesPerAggregate(t, "ZADD", true); perSet > 1500 {
+	perSet, used := bytesPerAggregate(t, "ZADD", true)
+	if perSet > 1500 {
 		t.Errorf("a 5-member sorted set costs %.0f B of heap, want <= 1500", perSet)
+	}
+	if used < 0.8*perSet {
+		t.Errorf("used_bytes says %.0f B of a sorted set's %.0f, want >= 80%%", used, perSet)
 	}
 }
 
@@ -119,15 +125,16 @@ func TestBytesPerSmallAggregate(t *testing.T) {
 		pair bool
 		max  float64
 	}{{"HSET", true, 693}, {"SADD", false, 517}, {"RPUSH", false, 565}} {
-		if perKey := bytesPerAggregate(t, c.cmd, c.pair); perKey > c.max {
+		if perKey, _ := bytesPerAggregate(t, c.cmd, c.pair); perKey > c.max {
 			t.Errorf("%s of 5 members costs %.0f B of heap, want <= %.0f", c.cmd, perKey, c.max)
 		}
 	}
 }
 
 // bytesPerAggregate returns the heap per key of 1 000 keys that cmd gives
-// five members each (score or field first, if pair).
-func bytesPerAggregate(t *testing.T, cmd string, pair bool) float64 {
+// five members each (score or field first, if pair), and what used_bytes
+// says per key.
+func bytesPerAggregate(t *testing.T, cmd string, pair bool) (perKey, used float64) {
 	const keys = 1000
 	before := heapBytes()
 	e := New(clock.NewSim(time.Unix(1700000000, 0)))
@@ -143,11 +150,11 @@ func bytesPerAggregate(t *testing.T, cmd string, pair bool) float64 {
 			t.Fatal(r.Reply)
 		}
 	}
-	perKey := float64(heapBytes()-before) / keys
-	used := float64(e.DB().UsedBytes()) / keys
+	perKey = float64(heapBytes()-before) / keys
+	used = float64(e.DB().UsedBytes()) / keys
 	runtime.KeepAlive(e)
 	t.Logf("%s: %.1f B per 5-member key, used_bytes says %.0f", cmd, perKey, used)
-	return perKey
+	return perKey, used
 }
 
 // TestUsedBytesHoldsUnderChurn adds a member to an aggregate and takes it

@@ -136,12 +136,14 @@ func (a *aggregate) charge(n int64) {
 	}
 }
 
-// shellBytes is what the header of each aggregate kind costs.
+// shellBytes is what the header of each aggregate kind costs; a sorted
+// set's includes its skiplist's header and maxLevel-link head node.
 var shellBytes = [...]int64{
-	KindHash:   allocSize(int(unsafe.Sizeof(Hash{}))),
-	KindList:   allocSize(int(unsafe.Sizeof(List{}))),
-	KindSet:    allocSize(int(unsafe.Sizeof(Set{}))),
-	KindZSet:   allocSize(int(unsafe.Sizeof(ZSet{}))),
+	KindHash: allocSize(int(unsafe.Sizeof(Hash{}))),
+	KindList: allocSize(int(unsafe.Sizeof(List{}))),
+	KindSet:  allocSize(int(unsafe.Sizeof(Set{}))),
+	KindZSet: allocSize(int(unsafe.Sizeof(ZSet{}))) + allocSize(int(unsafe.Sizeof(skiplist{}))) +
+		allocSize(int(unsafe.Sizeof(slNode{}))) + allocSize(maxLevel*int(unsafe.Sizeof(slLink{}))),
 	KindStream: allocSize(int(unsafe.Sizeof(Stream{}))),
 }
 

@@ -17,7 +17,8 @@ func (s *Service) DeleteLog(shardID string) error {
 }
 
 // closeAll destroys the log: readers wake to ErrNoSuchLog, appends still
-// in flight fail with it, and the committer exits.
+// in flight fail with it, and a commit timer still armed finds nothing to
+// do.
 func (l *Log) closeAll() {
 	l.mu.Lock()
 	l.closed = true
@@ -26,7 +27,6 @@ func (l *Log) closeAll() {
 	l.wakeReadersLocked()
 	l.mu.Unlock()
 	complete(lost, ErrNoSuchLog)
-	l.wakeCommitter()
 }
 
 // MeanRecordsPerEntry returns Records/DataAppends (1 when no data was

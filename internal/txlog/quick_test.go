@@ -70,8 +70,8 @@ func TestQuickSingleTotalOrder(t *testing.T) {
 }
 
 // Property: under any interleaving of pipelined appends and clock advances,
-// with jittered per-zone latencies, the committer is indistinguishable from
-// the model — entry k is due at its append time plus the second fastest of
+// with jittered per-zone latencies, the commit rounds are indistinguishable
+// from the model — entry k is due at its append time plus the second fastest of
 // three zone draws and commits at max(due_1 … due_k). After every step the
 // committed tail is exactly the model's prefix, a Pending is complete iff it
 // is inside it (with nil), checksums and zone copies are the sequential
@@ -111,21 +111,16 @@ func TestQuickCommitterMatchesModel(t *testing.T) {
 				sim.Advance(d)
 			}
 			want := sort.Search(len(commitAt), func(i int) bool { return commitAt[i] > now })
-			// Settled: the watermark is where the model says and the
-			// committer is asleep until its head is due (or on nothing).
-			asleep := 0
+			// The step has committed what it made due: the watermark is
+			// where the model says, and one timer is armed for the head's
+			// due time (none while nothing is in flight).
+			armed := 0
 			if want < len(pendings) {
-				asleep = 1
+				armed = 1
 			}
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
-				got := int(l.CommittedTail().Seq)
-				if got == want && sim.PendingWaiters() == asleep {
-					break
-				}
-				if got > want || time.Now().After(deadline) {
-					t.Logf("committed %d with %d timers armed, model says %d and %d", got, sim.PendingWaiters(), want, asleep)
-					return false
-				}
+			if got := int(l.CommittedTail().Seq); got != want || sim.PendingWaiters() != armed {
+				t.Logf("committed %d with %d timers armed, model says %d and %d", got, sim.PendingWaiters(), want, armed)
+				return false
 			}
 			for i, p := range pendings {
 				if i < want {

@@ -229,19 +229,6 @@ func TestRecoverChainTruncatesTornTail(t *testing.T) {
 	}
 }
 
-// waitTimers parks until n timers are armed on sim — the committer asleep
-// until its head is due is one — so the Advance that follows cannot race
-// the arming.
-func waitTimers(t *testing.T, sim *clock.Sim, n int) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); sim.PendingWaiters() != n; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d timers armed on the log's clock, want %d", sim.PendingWaiters(), n)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // A truncated entry leaves nothing behind that could commit whichever
 // entry is assigned its sequence number next: the fresh entry commits at
 // its own due time, not at the torn one's.
@@ -252,7 +239,9 @@ func TestTruncatedSequenceIsNotCommittedEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitTimers(t, sim, 1)
+	if armed := sim.PendingWaiters(); armed != 1 {
+		t.Fatalf("%d timers armed for the torn entry, want 1", armed)
+	}
 	sim.Advance(40 * time.Millisecond)
 	if _, trunc := l.RecoverChain(); trunc != 1 {
 		t.Fatalf("RecoverChain truncated %d entries, want 1", trunc)
@@ -267,13 +256,16 @@ func TestTruncatedSequenceIsNotCommittedEarly(t *testing.T) {
 	if err != nil || fresh.ID().Seq != 1 {
 		t.Fatalf("fresh append: %v %v, want seq 1", fresh, err)
 	}
-	waitTimers(t, sim, 2)              // the torn entry's timer (50 ms) and the fresh one's (90 ms)
+	// The torn entry's timer (50 ms) and the fresh one's (90 ms).
+	if armed := sim.PendingWaiters(); armed != 2 {
+		t.Fatalf("%d timers armed, want 2", armed)
+	}
 	sim.Advance(10 * time.Millisecond) // 50 ms: the torn entry's due time
-	// Nothing is due, so there is no event to wait for: watch for a while.
-	for until := time.Now().Add(30 * time.Millisecond); time.Now().Before(until); time.Sleep(time.Millisecond) {
-		if got := l.CommittedTail().Seq; got != 0 {
-			t.Fatalf("seq %d committed at the truncated entry's due time, 40 ms before its own", got)
-		}
+	if got := l.CommittedTail().Seq; got != 0 {
+		t.Fatalf("seq %d committed at the truncated entry's due time, 40 ms before its own", got)
+	}
+	if armed := sim.PendingWaiters(); armed != 1 {
+		t.Fatalf("the truncated entry's timer left %d timers armed, want the fresh entry's 1", armed)
 	}
 	sim.Advance(40 * time.Millisecond) // 90 ms
 	if _, err := fresh.Wait(ctx); err != nil {

@@ -377,14 +377,17 @@ type Log struct {
 	assigned  uint64     // highest assigned Seq
 	committed uint64     // highest committed Seq (visible watermark)
 	// inflight holds the appends in (committed, assigned] in sequence
-	// order: the committer's FIFO. kick wakes the committer when an append
-	// lands on an empty FIFO (or the log is destroyed); otherwise it is
-	// asleep until the head's due time and needs no telling.
-	inflight []*Pending
-	kick     chan struct{}
+	// order: the FIFO commitDue pops, one timer armed for its head's due
+	// time. batch is a round's popped heads, reused round to round, and
+	// commitFn and wakeFn, commitDue and the readers' wake-up, are bound
+	// once: a round allocates nothing of its own.
+	inflight         []*Pending
+	committing       bool // a round is running
+	batch            []*Pending
+	commitFn, wakeFn func()
 	// notify is what a caught-up Reader.Ready waits on: closed and replaced
 	// notifyEvery after the watermark advances, if a reader asked since the
-	// last wake-up was scheduled (notifyWanted) — see notifyLocked.
+	// last wake-up was scheduled (notifyWanted) — see commitDue.
 	notify       chan struct{}
 	notifyWanted bool
 
@@ -472,10 +475,14 @@ func newLog(s *Service, shardID string) *Log {
 		svc:     s,
 		shardID: shardID,
 		segs:    []*segment{{}},
-		kick:    make(chan struct{}, 1),
 		notify:  make(chan struct{}),
 	}
-	go l.commitLoop()
+	l.commitFn = l.commitDue
+	l.wakeFn = func() {
+		l.mu.Lock()
+		l.wakeReadersLocked()
+		l.mu.Unlock()
+	}
 	return l
 }
 
@@ -621,9 +628,7 @@ func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
 		l.segs = append(l.segs, &segment{base: act.maxSeq()})
 	}
 	l.inflight = append(l.inflight, p)
-	if len(l.inflight) == 1 {
-		l.wakeCommitter()
-	}
+	head := len(l.inflight) == 1
 	l.mu.Unlock()
 
 	// Traced entry: attach one span per acknowledging zone under the
@@ -636,6 +641,15 @@ func (l *Log) StartAppend(after EntryID, e Entry) (*Pending, error) {
 			for _, a := range acked {
 				c.Emit(parent, "az_ack", azNodeName(a.az), a.az, now, now+int64(a.lat))
 			}
+		}
+	}
+	// The new head gets the log's one commit timer; one already due
+	// commits here, before the caller sees its Pending.
+	if head {
+		if d := p.due.Sub(l.svc.cfg.Clock.Now()); d > 0 {
+			l.svc.cfg.Clock.AfterFunc(d, l.commitFn)
+		} else {
+			l.commitDue()
 		}
 	}
 	return p, nil
@@ -651,69 +665,63 @@ func (l *Log) Append(ctx context.Context, after EntryID, e Entry) (EntryID, erro
 	return p.Wait(ctx)
 }
 
-// commitLoop is the log's one committer, started with the log and stopped
-// by its destruction. An acknowledgement implies the whole prefix is
-// durable, so entry k commits at max(due_1 … due_k): the committer only
-// ever looks at the head of the in-flight FIFO — whatever the latency
-// model, no entry can commit before the one ahead of it. Each round it
-// pops every head that is due, advances the watermark over them in order,
-// seals what that made due and only then completes their Pendings; with
-// nothing due it sleeps until the head is. It touches log state only and
-// takes no lock but mu: what a caller does on completion (a node's reply
-// path, its crash gates) runs on the caller's goroutines, so one stalled
-// consumer cannot hold up the log for the others.
-func (l *Log) commitLoop() {
+// commitDue is one commit round, run by the timer armed for the FIFO's
+// head or by the appender whose append is due at once. An acknowledgement
+// implies the whole prefix is durable, so entry k commits at
+// max(due_1 … due_k), whatever the latency model. A round pops every due
+// head, advances the watermark over them in order, schedules the readers'
+// wake-up, seals what became due and only then completes their Pendings;
+// it repeats while the new head is due, else arms one timer for it. Rounds
+// are serialised (a call that finds one running leaves the head to its end
+// check), so Pendings complete in order and one sealer runs. A timer that
+// finds nothing due (AfterFunc never fires early) is stale: RecoverChain
+// truncated its head, or the log was destroyed; it arms nothing. What a
+// caller does on completion runs on its own goroutines, not the log's.
+func (l *Log) commitDue() {
 	clk := l.svc.cfg.Clock
-	var headDue <-chan time.Time // nil, never ready, while nothing is in flight
-	var batch []*Pending
-	for {
-		select {
-		case <-l.kick:
-		case <-headDue:
-		}
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
+	l.mu.Lock()
+	if l.committing {
+		l.mu.Unlock()
+		return
+	}
+	l.committing = true
+	var wait time.Duration
+	for !l.closed {
 		now := clk.Now()
 		n := 0
 		for n < len(l.inflight) && !l.inflight[n].due.After(now) {
 			l.commitLocked(l.inflight[n])
 			n++
 		}
-		batch = append(batch[:0], l.inflight[:n]...)
+		l.batch = append(l.batch[:0], l.inflight[:n]...)
 		rest := copy(l.inflight, l.inflight[n:])
 		clear(l.inflight[rest:])
 		l.inflight = l.inflight[:rest]
-		headDue = nil
-		if rest > 0 {
-			due := l.inflight[0].due
-			headDue = clk.After(due.Sub(now))
-			// A clock that moved past due after now was read armed the
-			// timer late: look again at once instead.
-			if !clk.Now().Before(due) {
-				l.wakeCommitter()
-			}
-		}
-		if n > 0 {
-			l.notifyLocked()
+		if n > 0 && l.notifyWanted {
+			l.notifyWanted = false
+			clk.AfterFunc(notifyEvery, l.wakeFn)
 		}
 		sealDue := l.sealDueLocked() != nil
 		l.mu.Unlock()
 		if sealDue {
 			l.finalizeSeals()
 		}
-		complete(batch, nil)
+		complete(l.batch, nil)
+		l.mu.Lock()
+		if len(l.inflight) == 0 {
+			break
+		}
+		if wait = l.inflight[0].due.Sub(clk.Now()); wait > 0 {
+			if n == 0 {
+				wait = 0 // a stale timer: the head has its own
+			}
+			break
+		}
 	}
-}
-
-// wakeCommitter makes the committer look at the log again; wake-ups
-// coalesce.
-func (l *Log) wakeCommitter() {
-	select {
-	case l.kick <- struct{}{}:
-	default:
+	l.committing = false
+	l.mu.Unlock()
+	if wait > 0 {
+		clk.AfterFunc(wait, l.commitFn)
 	}
 }
 
@@ -741,17 +749,18 @@ func (l *Log) sealDueLocked() *segment {
 	return nil
 }
 
-// finalizeSeals seals every due segment. It runs on the committer — the
+// finalizeSeals seals every due segment. It runs in a commit round — the
 // only sealer — with the log lock released, between advancing the
 // watermark and acknowledging the entries that advanced it: a segment is
-// sealed by the time the append that completed it returns, and an injected
-// sealer stall (txlog.seal.pre Delay) never blocks StartAppend but does
-// hold back the acknowledgements queued behind it, as a stalled log
-// service would. Error/Crash at txlog.seal.pre models the sealer dying
-// before the footer write: the segment stays closed-but-unsealed (and
-// untrimmable) until a later commit retries; Corrupt writes a bad footer
-// the restart verification pass must catch. txlog.seal.post fires once the
-// segment is immutable.
+// sealed by the time the append that completed it returns. A stall there
+// (txlog.seal.pre Delay) stalls whoever runs the round, as a stalled log
+// service would: the acks behind it, an appender due at once (a primary's
+// workloop) and, on a clock.Sim, the Advance it runs in, until another
+// goroutine advances the clock. Error/Crash at txlog.seal.pre models the
+// sealer dying before the footer write: the segment stays
+// closed-but-unsealed (and untrimmable) until a later commit retries;
+// Corrupt writes a bad footer the restart verification pass must catch.
+// txlog.seal.post fires once the segment is immutable.
 func (l *Log) finalizeSeals() {
 	faults := l.svc.cfg.Faults
 	clk := l.svc.cfg.Clock
@@ -1065,7 +1074,7 @@ func (l *Log) RecoverChain() (quarantined, truncated int) {
 		}
 		l.assigned = l.committed
 		l.tornTruncated += int64(truncated)
-		// Everything in flight is the torn tail: off the committer's FIFO
+		// Everything in flight is the torn tail: off the commit FIFO
 		// here, under the lock that dropped the entries, so no timer armed
 		// for one of them can commit whichever entry reuses its sequence.
 		torn, l.inflight = l.inflight, nil
@@ -1084,26 +1093,10 @@ func (l *Log) RecoverChain() (quarantined, truncated int) {
 // everything committed since — however fast the primary commits, a caught-up
 // subscriber is woken about once per notifyEvery. A reader that is behind
 // never waits on it (its Ready is already closed). This one constant is the
-// floor under replication lag; deleting it — the committer closing notify
+// floor under replication lag; deleting it — a commit round closing notify
 // as it advances the watermark — waits on a benchmark that can accept the
 // gain.
 const notifyEvery = time.Millisecond
-
-// notifyLocked schedules one wake-up of the readers parked on notify, if
-// one asked since the last was scheduled. Caller holds mu.
-func (l *Log) notifyLocked() {
-	if !l.notifyWanted {
-		return
-	}
-	l.notifyWanted = false
-	due := l.svc.cfg.Clock.After(notifyEvery)
-	go func() {
-		<-due
-		l.mu.Lock()
-		l.wakeReadersLocked()
-		l.mu.Unlock()
-	}()
-}
 
 func (l *Log) wakeReadersLocked() {
 	close(l.notify)

@@ -3,7 +3,9 @@ package txlog
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -328,13 +330,13 @@ func TestWaitAbandonedStillCommits(t *testing.T) {
 	}
 }
 
-// In-flight appends cost no goroutine each: a thousand of them wait on the
-// log's one committer, which is asleep on one timer — the head's — and one
-// Advance past their due time completes all of them, in order.
+// In-flight appends cost no goroutine each: a thousand of them wait on one
+// timer, the head's, and one Advance past their due time completes all of
+// them, in order, before it returns.
 func TestInflightAppendsShareOneCommitter(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0))
 	l := segTestLog(t, Config{Clock: sim, CommitLatency: netsim.Fixed(50 * time.Millisecond)})
-	before := runtime.NumGoroutine()
+	before := goroutinesStartedIn("memorydb/internal/txlog.")
 	const n = 1000
 	pendings := make([]*Pending, n)
 	after := ZeroID
@@ -345,23 +347,56 @@ func TestInflightAppendsShareOneCommitter(t *testing.T) {
 		}
 		pendings[i], after = p, p.ID()
 	}
-	if grew := runtime.NumGoroutine() - before; grew > 2 {
-		t.Fatalf("%d appends in flight grew the process by %d goroutines, want <= 2", n, grew)
+	if grew := goroutinesStartedIn("memorydb/internal/txlog.") - before; grew != 0 {
+		t.Fatalf("%d appends in flight grew the process by %d goroutines, want 0", n, grew)
 	}
-	waitTimers(t, sim, 1)
+	if armed := sim.PendingWaiters(); armed != 1 {
+		t.Fatalf("%d timers armed for %d appends in flight, want 1", armed, n)
+	}
 	sim.Advance(50 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if id, err := pendings[n-1].Wait(ctx); err != nil || l.CommittedTail() != id {
-		t.Fatalf("last append: %v, committed tail %v, want %v", err, l.CommittedTail(), id)
+	if l.CommittedTail() != after {
+		t.Fatalf("committed tail %v after the Advance past every due time, want %v", l.CommittedTail(), after)
 	}
 	for i, p := range pendings {
 		select {
 		case <-p.done:
 		default:
-			t.Fatalf("append %d still pending after append %d completed", i+1, n)
+			t.Fatalf("append %d still pending after the Advance returned", i+1)
 		}
 	}
+}
+
+// A log is state, not a task: creating a thousand of them starts no
+// goroutine, and neither does an append on each that waits for its due
+// time.
+func TestCreatingLogsStartsNoGoroutine(t *testing.T) {
+	svc := NewService(Config{Clock: clock.NewSim(time.Unix(0, 0)), CommitLatency: netsim.Fixed(time.Millisecond)})
+	before := goroutinesStartedIn("memorydb/internal/txlog.")
+	for i := 0; i < 1000; i++ {
+		l, err := svc.CreateLog(fmt.Sprint("log-", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.StartAppend(ZeroID, Entry{Type: EntryData, Payload: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := goroutinesStartedIn("memorydb/internal/txlog.") - before; grew != 0 {
+		t.Fatalf("1000 logs started %d goroutines, want 0", grew)
+	}
+}
+
+// goroutinesStartedIn counts the live goroutines started by a function
+// whose name begins with prefix. Unlike runtime.NumGoroutine, it does not
+// move when a goroutine an earlier test left behind exits, or a wall-clock
+// timer's callback runs.
+func goroutinesStartedIn(prefix string) int {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for ; n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	return strings.Count(string(buf[:n]), "\ncreated by "+prefix)
 }
 
 // Destroying a log fails the appends still in flight on it, at once: a
