@@ -55,9 +55,10 @@ var exOps = []exOp{
 	{replica: true, args: []string{"GET", "a"}, keys: []string{"a"}},
 }
 
-// exRunOps is the run the explorer's clients can send the primary as one
-// input, as a connection hands over a pipeline: two free clients send
-// exOps[exRunOps[0]] and exOps[exRunOps[1]] together.
+// exRunOps are the commands two free clients send the primary in one
+// input: exOps[exRunOps[0]] and exOps[exRunOps[1]] together, as one run (a
+// connection hands over a pipeline) or as two runs queued while the
+// workloop is busy, which its next turn drains.
 var exRunOps = [2]int{0, 1} // SET a, GET a
 
 // exKind is one kind of input the explorer gives.
@@ -78,17 +79,22 @@ const (
 	exLose                    // the primary's next flush is lost at core.flush.pre
 	exStepDown                // StepDown's first turn: the lease-release entry
 	exStepDone                // StepDown's second turn, once the log answered
+	exQueue                   // two free clients queue exRunOps as two runs; one turn takes both
 )
 
 type exAct struct {
 	kind exKind
 	op   int // exSubmit's op
 	node int // exFreeze's and exThaw's node: 0 the primary, 1 the replica
+	// ahead is set on a StepDown turn that a free client's SET a, queued
+	// ahead of it, shares: the write is the turn's input, and the StepDown's
+	// work drained behind it.
+	ahead bool
 }
 
 func (a exAct) String() string {
 	names := []string{"submit", "run", "commit head", "fail head", "answer head", "tick", "demote", "apply", "read timer", "freeze", "thaw",
-		"lose the next flush", "step down", "step-down demotes"}
+		"lose the next flush", "step down", "step-down demotes", "queue"}
 	switch a.kind {
 	case exSubmit:
 		op := exOps[a.op]
@@ -99,8 +105,13 @@ func (a exAct) String() string {
 		return fmt.Sprintf("%s to the %s", strings.Join(op.args, " "), on)
 	case exPipe:
 		return fmt.Sprintf("run [%s, %s] to the primary", strings.Join(exOps[exRunOps[0]].args, " "), strings.Join(exOps[exRunOps[1]].args, " "))
+	case exQueue:
+		return fmt.Sprintf("[%s] and [%s] queued to the primary", strings.Join(exOps[exRunOps[0]].args, " "), strings.Join(exOps[exRunOps[1]].args, " "))
 	case exFreeze, exThaw:
 		return fmt.Sprintf("%s %s", names[a.kind], []string{"primary", "replica"}[a.node])
+	}
+	if a.ahead {
+		return fmt.Sprintf("%s, behind SET a queued ahead of it", names[a.kind])
 	}
 	return names[a.kind]
 }
@@ -136,7 +147,7 @@ type exStepping struct {
 
 func newExRun(t testing.TB) *exRun {
 	r := &exRun{faults: faultpoint.New(1), lose: -1}
-	r.h = newHarness(t, harnessConfig{window: 2, replica: true, noObs: true, faults: r.faults})
+	r.h = newHarness(t, harnessConfig{replica: true, noObs: true, faults: r.faults})
 	r.h.fail = func(format string, args ...any) {
 		if r.fault == "" {
 			r.fault = fmt.Sprintf(format, args...)
@@ -185,7 +196,7 @@ func (r *exRun) enabled() []exAct {
 		}
 	}
 	if free > 1 && !p.Frozen() {
-		acts = append(acts, exAct{kind: exPipe})
+		acts = append(acts, exAct{kind: exPipe}, exAct{kind: exQueue})
 	}
 	if len(p.issued) > 0 {
 		if !done(p.issued[0].p) {
@@ -219,10 +230,16 @@ func (r *exRun) enabled() []exAct {
 		}
 		if r.sd == nil {
 			acts = append(acts, exAct{kind: exStepDown})
+			if free > 0 {
+				acts = append(acts, exAct{kind: exStepDown, ahead: true})
+			}
 		}
 	}
 	if sd := r.sd; sd != nil && sd.heard && sd.err == nil && !sd.demoted && !p.Frozen() {
 		acts = append(acts, exAct{kind: exStepDone})
+		if free > 0 {
+			acts = append(acts, exAct{kind: exStepDone, ahead: true})
+		}
 	}
 	return acts
 }
@@ -245,10 +262,16 @@ func (r *exRun) run(a exAct) {
 		client := r.freeClients()[0]
 		c := h.submit(r.to(op), op.replica, exArgs(op, client)...)
 		r.calls = append(r.calls, &exCall{call: c, client: client, op: op, value: exValue(client)})
-	case exPipe:
+	case exPipe, exQueue:
 		free := r.freeClients()
 		ops := [2]exOp{exOps[exRunOps[0]], exOps[exRunOps[1]]}
-		calls := h.run(h.primary, exArgs(ops[0], free[0]), exArgs(ops[1], free[1]))
+		var calls []*call
+		if a.kind == exPipe {
+			calls = h.run(h.primary, exArgs(ops[0], free[0]), exArgs(ops[1], free[1]))
+		} else {
+			calls = []*call{h.queue(h.primary, exArgs(ops[0], free[0])...), h.queue(h.primary, exArgs(ops[1], free[1])...)}
+			h.take(h.primary)
+		}
 		for i, c := range calls {
 			r.calls = append(r.calls, &exCall{call: c, client: free[i], op: ops[i], value: exValue(free[i])})
 		}
@@ -278,11 +301,11 @@ func (r *exRun) run(a exAct) {
 	case exStepDown:
 		r.sd = &exStepping{answered: make(chan error, 1)}
 		e := &issuedEntry{control: r.sd.answered}
-		r.sd.err = r.funcTurn(func() error { return h.primary.controlTurn(txlog.EntryControl, LeaseReleasePayload, e) })
+		r.sd.err = r.funcTurn(a.ahead, func() error { return h.primary.controlTurn(txlog.EntryControl, LeaseReleasePayload, e) })
 		r.sd.heard = r.sd.err != nil
 	case exStepDone:
 		r.sd.demoted = true
-		r.funcTurn(func() error { h.primary.demote(); return nil })
+		r.funcTurn(a.ahead, func() error { h.primary.demote(); return nil })
 	}
 	if r.lose >= 0 && r.faults.Hits(faultpoint.SiteFlushPre) > r.lose {
 		r.lose = -1 // the armed flush was lost
@@ -298,10 +321,20 @@ func (r *exRun) run(a exAct) {
 }
 
 // funcTurn is the primary's turn on node-internal work, as Node.run hands
-// it over; it returns fn's error.
-func (r *exRun) funcTurn(fn func() error) error {
-	t := &task{kind: taskFunc, fn: fn, done: make(chan struct{}, 1)}
-	r.h.turn(r.h.primary, input{kind: inTask, t: t})
+// it over; it returns fn's error. With ahead, a free client's SET a is
+// queued ahead of the work: the turn takes the write, then drains the
+// work, which finds the write in the open buffer.
+func (r *exRun) funcTurn(ahead bool, fn func() error) error {
+	var c *exCall
+	if ahead {
+		client, op := r.freeClients()[0], exOps[0]
+		c = &exCall{call: r.h.queue(r.h.primary, exArgs(op, client)...), client: client, op: op, value: exValue(client)}
+	}
+	t := r.h.queueFunc(r.h.primary, fn)
+	r.h.take(r.h.primary)
+	if c != nil {
+		r.calls = append(r.calls, c)
+	}
 	return t.err
 }
 
@@ -426,11 +459,6 @@ func (r *exRun) state() string {
 			hn.applied.Seq, hn.durable, hn.entries, hn.life.timer != nil, hn.readTimer != nil)
 		for _, k := range exKeys {
 			fmt.Fprintf(&b, "%s=%s,", k, hn.get(k))
-		}
-		if o := hn.gc.open; o != nil {
-			b.WriteString("open:")
-			tasks(o.writes)
-			tasks(o.reads)
 		}
 		for _, e := range hn.issued {
 			fmt.Fprintf(&b, "e%d %v:", e.p.ID().Seq, done(e.p))

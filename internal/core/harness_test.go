@@ -82,7 +82,6 @@ type call struct {
 }
 
 type harnessConfig struct {
-	window  int // MaxInflightAppends; 0 is the node's default
 	replica bool
 	// faults is every node's registry, and the log service's when the
 	// harness builds its own.
@@ -131,7 +130,10 @@ func (h *harness) node(id string, cfg harnessConfig) *hnode {
 	n, err := NewNode(Config{
 		NodeID: id, ShardID: h.log.ShardID(), Log: h.log, Clock: stepClock{clk},
 		Lease: harnessLease, Backoff: harnessLease + harnessLease/4, RenewEvery: harnessRenew,
-		MaxInflightAppends: cfg.window, Faults: cfg.faults, NoObs: cfg.noObs, RetrySeed: 1,
+		Faults: cfg.faults, NoObs: cfg.noObs, RetrySeed: 1,
+		// A harness run records a few dozen events, and the default ring
+		// of 512 is a fifth of what a node costs the explorer's replays.
+		FlightEvents: 64,
 	})
 	if err != nil {
 		h.t.Fatal(err)
@@ -232,6 +234,15 @@ func (h *harness) submit(hn *hnode, readonly bool, args ...string) *call {
 // run hands hn the commands as one run, taken off its queue in one turn,
 // as a connection hands over the pipeline it drained.
 func (h *harness) run(hn *hnode, cmds ...[]string) []*call {
+	calls := h.queueRun(hn, cmds...)
+	h.take(hn)
+	return calls
+}
+
+// queueRun puts the commands on hn's queue as one run, as a connection
+// hands over the pipeline it drained while the workloop was busy: the next
+// task turn takes it, or drains it behind its own input.
+func (h *harness) queueRun(hn *hnode, cmds ...[]string) []*call {
 	calls := make([]*call, len(cmds))
 	for i, args := range cmds {
 		calls[i] = h.newCall(hn, false, args)
@@ -239,9 +250,23 @@ func (h *harness) run(hn *hnode, cmds ...[]string) []*call {
 			calls[i-1].t.next = calls[i].t
 		}
 	}
-	h.turn(hn, input{kind: inTask, t: calls[0].t})
+	hn.tasks <- calls[0].t
 	return calls
 }
+
+// queue puts a client command on hn's queue as a run of one.
+func (h *harness) queue(hn *hnode, args ...string) *call { return h.queueRun(hn, args)[0] }
+
+// queueFunc puts node-internal work on hn's queue, as Node.run hands it
+// over.
+func (h *harness) queueFunc(hn *hnode, fn func() error) *task {
+	t := &task{kind: taskFunc, fn: fn, done: make(chan struct{}, 1)}
+	hn.tasks <- t
+	return t
+}
+
+// take is hn's turn on the oldest task on its queue: it drains the rest.
+func (h *harness) take(hn *hnode) { h.turn(hn, input{kind: inTask, t: <-hn.tasks}) }
 
 // newCall readies a client command for hn as the next turn's.
 func (h *harness) newCall(hn *hnode, readonly bool, args []string) *call {
@@ -352,6 +377,7 @@ func (h *harness) mustWait(c *call) {
 
 // checkTurn reports the first invariant of the workloop's state that does
 // not hold between two turns:
+//   - the group-commit buffer is empty: every turn flushed what it wrote;
 //   - the FIFO of issued appends is in log order;
 //   - the durable watermark is no newer than the log's committed tail;
 //   - every unanswered write's keys name its entry, or a newer one, in the
@@ -362,6 +388,9 @@ func (h *harness) mustWait(c *call) {
 //   - a demoted node holds no reply;
 //   - a primary holds a lease.
 func (n *Node) checkTurn(log *txlog.Log) error {
+	if n.gc.open != nil || len(n.gc.payload) > 0 {
+		return fmt.Errorf("the group-commit buffer holds %d bytes across turns", len(n.gc.payload))
+	}
 	var last uint64
 	for _, e := range n.issued {
 		if seq := e.p.ID().Seq; seq <= last {
@@ -405,11 +434,6 @@ func (n *Node) checkTurn(log *txlog.Log) error {
 			return err
 		}
 	}
-	if n.gc.open != nil {
-		if err := entry(n.gc.open, n.entries+1); err != nil {
-			return err
-		}
-	}
 	byEntries := len(held)
 	if byEntries > 0 && n.Role() == election.RoleDemoted {
 		return fmt.Errorf("demoted, yet its entries hold %d replies", byEntries)
@@ -445,9 +469,6 @@ func (n *Node) holds(t *task) bool {
 			}
 		}
 		return false
-	}
-	if o := n.gc.open; o != nil && (in(o.writes) || in(o.reads)) {
-		return true
 	}
 	for _, e := range n.issued {
 		if in(e.writes) || in(e.reads) {

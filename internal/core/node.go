@@ -52,19 +52,6 @@ type Config struct {
 	// an EntryChecksum after every N data entries (§7.2.1). Defaults to
 	// 64; negative disables injection.
 	ChecksumEvery int
-	// MaxInflightAppends is the group-commit pipeline depth: how many
-	// batched data appends may await quorum acknowledgement at once. The
-	// writes of one workloop turn — one command, or a whole pipeline a
-	// connection handed over as a run — share one entry, flushed at the
-	// end of the turn while fewer than this many are in flight. Once the
-	// window is full the buffer is held across turns, accumulating records,
-	// and flushed as one entry when the log answers for an append or the
-	// buffer reaches 64 records or 256 KiB. Depth 1 is classic group
-	// commit — flush only when the log pipeline is idle — which makes every
-	// writer under sustained load wait ~2 commit latencies (the in-flight
-	// entry, then its own); a deeper window overlaps the entries of
-	// successive turns. Defaults to 8.
-	MaxInflightAppends int
 	// ReplicaReadTimeout bounds how long a linearizable replica read may
 	// park waiting for the replica's applied position to cover the
 	// committed tail captured at read arrival. On expiry the read
@@ -139,12 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.ChecksumEvery == 0 {
 		c.ChecksumEvery = 64
 	}
-	if c.MaxInflightAppends == 0 {
-		c.MaxInflightAppends = 8
-	}
-	if c.MaxInflightAppends < 1 {
-		c.MaxInflightAppends = 1
-	}
 	return c
 }
 
@@ -174,8 +155,8 @@ type Node struct {
 	lease *election.Lease
 	tasks chan *task
 	eng   *engine.Engine
-	// gc is the group-commit buffer: mutations executed while a quorum
-	// append is in flight accumulate here until flush.
+	// gc is the group-commit buffer: the mutations of the current turn
+	// accumulate here until its flush.
 	gc groupCommit
 	// migStream, when non-nil, mirrors effects touching the migrating slot.
 	migStream *MigrationStream

@@ -74,9 +74,10 @@ func TestBarrierMutationTakesTheFlushPath(t *testing.T) {
 	}
 }
 
-// Cross-slot and whole-keyspace mutations arriving behind a full append
-// pipeline buffer like any others: every one replies, and every one
-// reaches the log as a record of a flushed batch.
+// Cross-slot and whole-keyspace mutations from many callers at once, while
+// a 10 ms commit keeps earlier entries in flight, buffer like any others:
+// every one replies, and every one reaches the log as a record of a
+// flushed batch.
 func TestBarrierMutationsBeyondPipelineDepthAllReply(t *testing.T) {
 	svc := testService(t, netsim.Fixed(10*time.Millisecond))
 	log, _ := svc.CreateLog("shard-onepath-b")
@@ -84,7 +85,7 @@ func TestBarrierMutationsBeyondPipelineDepthAllReply(t *testing.T) {
 	waitRole(t, n, election.RolePrimary, 2*time.Second)
 	a, b := crossSlotPair(t)
 
-	writes := 2*n.cfg.MaxInflightAppends + 4
+	const writes = 20
 	records := n.Stats().BatchedRecords.Load()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

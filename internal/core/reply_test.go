@@ -36,12 +36,16 @@ func waitMutations(t *testing.T, n *Node, want int64) {
 
 // TestParkedReplyDeliveredExactlyOnce walks every place a reply can be
 // withheld and ends the wait both ways: the covering entry commits (the
-// caller gets its value) or the node loses its lease first (the caller gets
+// caller gets its value) or the node demotes first (the caller gets
 // errDemoted, and the entry's late commit delivers nothing). Every caller
 // is answered exactly once.
 func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
-	// Each step is one command and where its reply waits: on an issued
-	// entry, or on the open buffer's.
+	// Each step is one command and where its reply waits as the last run's
+	// turn ends: on an issued entry, or on the open buffer's. The buffer
+	// holds a write only inside the turn that ran it, so a probe drained
+	// behind the last run sees where each reply waits before the turn's
+	// flush; in the demote case the probe then demotes the node, as a
+	// StepDown's demotion queued behind the run would.
 	type step struct {
 		cmd    string
 		want   string // reply text once the entry commits
@@ -50,31 +54,56 @@ func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
 	inflight := step{"SET {p}a 1", "OK", false}
 	buffered := step{"SET {p}b 2", "OK", true}
 	for _, place := range []struct {
-		name  string
-		steps []step
+		name string
+		runs [][]step // one turn each
 	}{
-		{"buffered write", []step{inflight, buffered}},
-		{"read gated on the buffer", []step{inflight, buffered, {"GET {p}b", "2", true}}},
-		{"read gated on a key hazard", []step{inflight, {"GET {p}a", "1", false}}},
-		{"read gated on everything", []step{inflight, {"DBSIZE", "", false}}},
-		{"barrier-shard mutation", []step{{"FLUSHALL", "OK", false}}},
+		{"buffered write", [][]step{{inflight}, {buffered}}},
+		{"read gated on the buffer", [][]step{{inflight}, {buffered, {"GET {p}b", "2", true}}}},
+		{"read gated on a key hazard", [][]step{{inflight}, {{"GET {p}a", "1", false}}}},
+		{"read gated on everything", [][]step{{inflight}, {{"DBSIZE", "", false}}}},
+		{"barrier-shard mutation", [][]step{{{"FLUSHALL", "OK", true}}}},
 	} {
 		for _, outcome := range []string{"commit", "demote"} {
 			t.Run(place.name+"/"+outcome, func(t *testing.T) {
-				h := newHarness(t, harnessConfig{window: 1})
-				calls := make([]*call, len(place.steps))
-				for i, s := range place.steps {
-					calls[i] = h.do(strings.Fields(s.cmd)...)
-					h.mustWait(calls[i])
-					if open := h.primary.gc.open; (open != nil && open.holdsTask(calls[i].t)) != s.onOpen {
-						t.Fatalf("%s: held by the open buffer = %v, want %v", s.cmd, !s.onOpen, s.onOpen)
+				h := newHarness(t, harnessConfig{})
+				var steps []step
+				var calls []*call
+				for i, run := range place.runs {
+					cmds := make([][]string, len(run))
+					for j, s := range run {
+						cmds[j] = strings.Fields(s.cmd)
+					}
+					steps = append(steps, run...)
+					if i < len(place.runs)-1 {
+						calls = append(calls, h.run(h.primary, cmds...)...)
+						continue
+					}
+					calls = append(calls, h.queueRun(h.primary, cmds...)...)
+					var onOpen, held []bool
+					h.queueFunc(h.primary, func() error {
+						open := h.primary.gc.open
+						for _, c := range calls {
+							o := open != nil && open.holdsTask(c.t)
+							onOpen, held = append(onOpen, o), append(held, o || h.primary.holds(c.t))
+						}
+						if outcome == "demote" {
+							h.primary.demote()
+						}
+						return nil
+					})
+					h.take(h.primary)
+					for j, s := range steps {
+						if onOpen[j] != s.onOpen || !held[j] {
+							t.Fatalf("%s: held = %v, by the open buffer = %v; want true, %v", s.cmd, held[j], onOpen[j], s.onOpen)
+						}
 					}
 				}
-				if outcome == "demote" {
-					h.expire()
-					if h.primary.Role() != election.RoleDemoted {
-						t.Fatalf("role %v after the lease ran out, want demoted", h.primary.Role())
+				if outcome == "commit" {
+					for _, c := range calls {
+						h.mustWait(c)
 					}
+				} else if h.primary.Role() != election.RoleDemoted {
+					t.Fatalf("role %v after the step-down, want demoted", h.primary.Role())
 				}
 				// Every issued entry becomes durable and is answered for —
 				// after the abort, in the demote case: nothing is left to
@@ -82,10 +111,10 @@ func TestParkedReplyDeliveredExactlyOnce(t *testing.T) {
 				for len(h.primary.issued) > 0 {
 					h.commit()
 				}
-				for i, s := range place.steps {
+				for i, s := range steps {
 					v := h.mustReply(calls[i], "")
 					if outcome == "demote" && !v.Equal(errDemoted) {
-						t.Errorf("%s: reply %v after the lease ran out, want %v", s.cmd, v, errDemoted)
+						t.Errorf("%s: reply %v after the step-down, want %v", s.cmd, v, errDemoted)
 					} else if outcome == "commit" && (v.IsError() || (s.want != "" && v.Text() != s.want)) {
 						t.Errorf("%s: reply %v, want %q", s.cmd, v, s.want)
 					}

@@ -95,7 +95,7 @@ func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64, entry *issuedEntry
 // releases: a data entry's writes, and the reads gated on any entry.
 type issuedEntry struct {
 	p      *txlog.Pending
-	data   bool    // a group-commit flush: counted in groupCommit.inflight
+	data   bool    // a group-commit flush: it passes the core.flush.post gate
 	writes []*task // a data entry's mutations, in execution order
 	reads  []*task // reads that observed one of them, or gated on everything
 	// control, set by AppendControl, hears the log's answer.
@@ -155,9 +155,6 @@ func (n *Node) runCompleted() {
 // durable watermark and releases every reply it holds; between quorum and
 // release lie the crash gates of the committed-but-unacknowledged window.
 func (n *Node) answer(e *issuedEntry, err error) {
-	if e.data {
-		n.gc.inflight--
-	}
 	if err == nil {
 		var ackAt int64
 		if e.appendDone != 0 {

@@ -152,7 +152,7 @@ func (r *Result) Mutated() bool { return len(r.Effects) > 0 }
 type Engine struct {
 	db  *store.DB
 	clk clock.Clock
-	rng *rand.Rand
+	rng *rand.Rand // nil until the first random pick: see rand
 
 	// obs, when set by the owning node, backs the LATENCY/SLOWLOG
 	// introspection commands. The engine only reads from it.
@@ -188,11 +188,16 @@ func New(clk clock.Clock) *Engine {
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	return &Engine{
-		db:  store.NewDB(),
-		clk: clk,
-		rng: rand.New(rand.NewSource(0xda7aba5e)),
+	return &Engine{db: store.NewDB(), clk: clk}
+}
+
+// rand is the source of the engine's random picks, seeded on first use: a
+// seeded source is 5 KB to fill, and most engines never pick.
+func (e *Engine) rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(0xda7aba5e))
 	}
+	return e.rng
 }
 
 // DB exposes the underlying keyspace (snapshotting, tests).

@@ -327,7 +327,7 @@ func cmdHRandField(e *Engine, argv [][]byte) resp.Value {
 			return resp.Nil
 		}
 		fields := obj.Hash().Fields()
-		return resp.BulkStr(fields[e.rng.Intn(len(fields))])
+		return resp.BulkStr(fields[e.rand().Intn(len(fields))])
 	}
 	n, okN := parseInt(argv[2])
 	if !okN {
@@ -351,12 +351,12 @@ func cmdHRandField(e *Engine, argv [][]byte) resp.Value {
 		if n > int64(len(fields)) {
 			n = int64(len(fields))
 		}
-		for _, i := range e.rng.Perm(len(fields))[:n] {
+		for _, i := range e.rand().Perm(len(fields))[:n] {
 			chosen = append(chosen, fields[i])
 		}
 	} else {
 		for i := int64(0); i < -n; i++ {
-			chosen = append(chosen, fields[e.rng.Intn(len(fields))])
+			chosen = append(chosen, fields[e.rand().Intn(len(fields))])
 		}
 	}
 	out := make([]resp.Value, 0, len(chosen)*2)

@@ -137,7 +137,7 @@ func cmdSPop(e *Engine, argv [][]byte) resp.Value {
 	// Random selection without replacement.
 	picked := make([]string, 0, count)
 	for i := 0; i < count; i++ {
-		j := e.rng.Intn(len(members))
+		j := e.rand().Intn(len(members))
 		picked = append(picked, members[j])
 		members = append(members[:j], members[j+1:]...)
 	}
@@ -177,7 +177,7 @@ func cmdSRandMember(e *Engine, argv [][]byte) resp.Value {
 	}
 	members := obj.Set().Members()
 	if !withCount {
-		return resp.BulkStr(members[e.rng.Intn(len(members))])
+		return resp.BulkStr(members[e.rand().Intn(len(members))])
 	}
 	n, okN := parseInt(argv[2])
 	if !okN {
@@ -189,14 +189,14 @@ func cmdSRandMember(e *Engine, argv [][]byte) resp.Value {
 		if int(n) > len(members) {
 			n = int64(len(members))
 		}
-		idx := e.rng.Perm(len(members))[:n]
+		idx := e.rand().Perm(len(members))[:n]
 		for _, i := range idx {
 			out = append(out, members[i])
 		}
 	} else {
 		// With replacement, exactly -n members.
 		for i := int64(0); i < -n; i++ {
-			out = append(out, members[e.rng.Intn(len(members))])
+			out = append(out, members[e.rand().Intn(len(members))])
 		}
 	}
 	return resp.BulkArray(out...)
