@@ -95,9 +95,9 @@ obs:
 reads:
 	$(call matrix,ReplicaReads)
 
-# Bounded-log soak gate: sustained write load with the snapshot builder
-# and trim coordinator at their normal cadence must keep live log bytes
-# under twice the segment threshold after every maintenance pass — the
+# Bounded-log soak gate: sustained write load with the snapshot builder,
+# which trims behind each verified full, at its normal cadence must keep
+# live log bytes under twice the segment threshold at every sample — the
 # log may never grow without bound.
 soak:
 	MEMORYDB_SOAK=1 $(GO) test -run TestSoakBoundedLog -count=1 ./internal/cluster/
@@ -107,7 +107,8 @@ soak:
 # fallback, restore from a deep full+delta chain) must restore the exact
 # acknowledged state — zero trimmed-gap retries, zero restore failures
 # through quarantined chains. The snapshot package's chain-fallback
-# property test and builder-vs-trimmer race run alongside.
+# property test and the builder-trim race (builder, writer and a log
+# tailer) run alongside.
 forkless:
 	$(call matrix,SnapshotCrash)
 	$(GO) test -race -run 'Builder|ChainFallback' ./internal/snapshot/

@@ -60,15 +60,13 @@ func main() {
 	defer cancel()
 
 	// Background control plane: monitoring and, per shard, a forkless
-	// snapshot builder plus a trim coordinator that verifies each new tip
-	// before it lets the log drop the segments below it.
+	// snapshot builder that verifies each new full before it lets the log
+	// drop the segments below it.
 	mon := &cluster.Monitor{Cluster: c, Interval: 5 * time.Second}
 	go mon.Run(ctx)
 	for _, sh := range c.Shards() {
 		builder := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: engine.Version}
 		go builder.Run(ctx)
-		trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID, Interval: 10 * time.Second}
-		go trimmer.Run(ctx)
 	}
 
 	srv := server.New(server.Config{Addr: *addr, Backend: server.ClusterBackend{Cluster: c}})

@@ -70,10 +70,8 @@ func main() {
 		"flight-recorder ring size per node (0 = 512)")
 	segmentBytes := flag.Int("segment-bytes", envInt("MEMORYDB_SEGMENT_BYTES", 0),
 		"rotate transaction-log segments at this payload size (0 = 1MiB default)")
-	trimInterval := flag.Duration("trim-interval", envDuration("MEMORYDB_TRIM_INTERVAL", 0),
-		"verify new snapshots and trim the log behind them at this cadence; also starts the snapshot builder (0 = disabled)")
 	deltaInterval := flag.Int("delta-interval", envInt("MEMORYDB_DELTA_INTERVAL", 0),
-		"snapshot builder: emit an incremental delta snapshot every N log entries (0 = disabled unless -trim-interval is set, then 512)")
+		"snapshot builder: emit an incremental delta snapshot every N log entries, and trim the log behind each verified full (0 = disabled)")
 	compactEvery := flag.Int("compact-every", envInt("MEMORYDB_COMPACT_EVERY", 8),
 		"snapshot builder: compact the full+delta chain into a new full snapshot after N deltas")
 	flag.Parse()
@@ -133,9 +131,10 @@ func main() {
 		// Forkless snapshots: a log-tailing builder materializes the
 		// keyspace off the critical path and streams delta snapshots to
 		// S3 — the engine never forks (contrast Figure 6's BGSave
-		// collapse). Compaction bounds restore chains at -compact-every.
-		// Trimming needs snapshots to trim behind, so either flag starts it.
-		if *deltaInterval > 0 || *trimInterval > 0 {
+		// collapse). Compaction bounds restore chains at -compact-every,
+		// and the pass after each full rehearses a restore from it and
+		// drops every sealed segment the verified chain's base covers.
+		if *deltaInterval > 0 {
 			builder := &snapshot.Builder{
 				Manager: snaps, Log: logHandle, ShardID: "shard-0",
 				EngineVersion: engine.Version,
@@ -148,16 +147,8 @@ func main() {
 			sctx, scancel := context.WithCancel(context.Background())
 			defer scancel()
 			go builder.Run(sctx)
-			fmt.Printf("forkless snapshot builder running (-delta-interval %d, -compact-every %d; 0 = default)\n",
+			fmt.Printf("forkless snapshot builder running (-delta-interval %d, -compact-every %d)\n",
 				*deltaInterval, *compactEvery)
-			// Bounded durable log: at -trim-interval cadence the trim
-			// coordinator rehearses a restore from each new snapshot tip and
-			// drops every sealed segment the verified chain's base covers.
-			if *trimInterval > 0 {
-				trimmer := &snapshot.Trimmer{Manager: snaps, Log: logHandle, ShardID: "shard-0", Interval: *trimInterval}
-				go trimmer.Run(sctx)
-				fmt.Printf("log trim coordinator running every %v\n", *trimInterval)
-			}
 		}
 		backend = server.NodeBackend{Node: node}
 	case "redis":

@@ -333,13 +333,14 @@ func TestCrashRestartRecovery(t *testing.T) {
 			snaps.Health().DeltasEmitted.Load(), snaps.Health().Compactions.Load()-fulls)
 	}
 
-	// Trim leg: with a verified snapshot in the store, the coordinator may
-	// drop every sealed segment it covers — exercising txlog.trim.* and
-	// forcing any tailer still below the base through the re-bootstrap
-	// path rather than a demotion.
-	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
-	trimmer.Tick()
-	if trimmed, _ := trimmer.Stats(); trimmed == 0 {
+	// Trim leg: the pass after the compaction rehearses it and drops every
+	// sealed segment it covers — exercising txlog.trim.* and forcing any
+	// tailer still below the base through the re-bootstrap path rather
+	// than a demotion.
+	if err := builder.Tick(ctx); err != nil {
+		t.Fatalf("trim pass: %v", err)
+	}
+	if sh.Log.SegmentStats().Trimmed == 0 {
 		t.Error("trim leg dropped no segments — segment threshold too large for the workload?")
 	}
 
@@ -424,11 +425,11 @@ func TestCrashRestartRecovery(t *testing.T) {
 		t.Fatalf("crash-restart history not linearizable (key %s, %d ops)", badKey, len(history))
 	}
 
-	// (6) The trim coordinator never violated its safety invariant: no
+	// (6) Trimming never violated its safety invariant: no
 	// node ever found the log trimmed past the newest usable snapshot.
 	for _, n := range sh.Nodes() {
 		if gaps := n.Stats().LogGapRetries.Load(); gaps != 0 {
-			t.Errorf("node %s hit %d trimmed-gap retries — trim coordinator unsafe", n.ID(), gaps)
+			t.Errorf("node %s hit %d trimmed-gap retries — builder trim unsafe", n.ID(), gaps)
 		}
 	}
 	t.Logf("crash harness: %d ops, %d acked keys intact, %d torn snapshots skipped",
@@ -639,7 +640,7 @@ func TestCrashRestartTornSnapshotFallback(t *testing.T) {
 }
 
 // TestCrashRestartVerifyQuarantine: when the builder uploads a corrupt
-// snapshot, the trim coordinator's restore rehearsal must quarantine it
+// snapshot, its restore rehearsal on the next pass must quarantine it
 // (delete, so no restore can use it), trim nothing on its authority, and
 // page through the monitor's alarm channel.
 func TestCrashRestartVerifyQuarantine(t *testing.T) {
@@ -667,11 +668,12 @@ func TestCrashRestartVerifyQuarantine(t *testing.T) {
 	if _, err := cp.Full(ctx); err != nil {
 		t.Fatalf("corrupt-build snapshot: %v", err)
 	}
-	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
-	trimmer.Tick()
+	if err := cp.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
 
-	if trimmed, passes := trimmer.Stats(); trimmed != 0 || passes != 1 {
-		t.Fatalf("trimmer stats = (%d segments trimmed, %d passes), want (0, 1)", trimmed, passes)
+	if trimmed, rehearsals := sh.Log.SegmentStats().Trimmed, cp.Stats().Rehearsals; trimmed != 0 || rehearsals != 1 {
+		t.Fatalf("%d segments trimmed over %d rehearsals, want 0 over 1", trimmed, rehearsals)
 	}
 	alarms := mon.Alarms()
 	if len(alarms) == 0 || !strings.Contains(alarms[0], "verification failed") {
@@ -689,7 +691,7 @@ func TestCrashRestartVerifyQuarantine(t *testing.T) {
 // restarted, every seal and trim attempt has a seeded chance of erroring
 // or stalling (txlog.seal.pre / txlog.trim.pre). Deferred lifecycle steps
 // must retry to completion once the faults clear, acknowledged writes must
-// survive, and the trim coordinator must never create a gap a tailer can
+// survive, and the builder's trims must never create a gap a tailer can
 // fall into.
 func TestCrashRestartMidSealTrimStorm(t *testing.T) {
 	if testing.Short() {
@@ -738,17 +740,18 @@ func TestCrashRestartMidSealTrimStorm(t *testing.T) {
 		}(w)
 	}
 
-	// Storm: snapshot + trim every round so the coordinator runs against
-	// the faulty lifecycle, with two primary kill/restart cycles in the
-	// middle of it.
+	// Storm: snapshot + trim every round so trimming runs against the
+	// faulty lifecycle, with two primary kill/restart cycles in the middle
+	// of it.
 	cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1}
-	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
 	for round := 0; round < 6; round++ {
 		time.Sleep(120 * time.Millisecond)
 		if _, err := cp.Full(ctx); err != nil {
 			t.Fatalf("round %d snapshot: %v", round, err)
 		}
-		trimmer.Tick()
+		if err := cp.Tick(ctx); err != nil {
+			t.Fatalf("round %d trim pass: %v", round, err)
+		}
 		if round == 1 || round == 3 {
 			p, err := sh.WaitForPrimary(c.Clock(), 5*time.Second)
 			if err != nil {
@@ -809,7 +812,9 @@ func TestCrashRestartMidSealTrimStorm(t *testing.T) {
 	if _, err := cp.Full(ctx); err != nil {
 		t.Fatalf("final snapshot: %v", err)
 	}
-	trimmer.Tick()
+	if err := cp.Tick(ctx); err != nil {
+		t.Fatalf("final trim pass: %v", err)
+	}
 
 	st := sh.Log.SegmentStats()
 	if st.Sealed == 0 || st.Trimmed == 0 {
@@ -842,7 +847,7 @@ func TestCrashRestartMidSealTrimStorm(t *testing.T) {
 	// past the newest usable snapshot.
 	for _, n := range sh.Nodes() {
 		if gaps := n.Stats().LogGapRetries.Load(); gaps != 0 {
-			t.Errorf("node %s hit %d trimmed-gap retries — trim coordinator unsafe", n.ID(), gaps)
+			t.Errorf("node %s hit %d trimmed-gap retries — builder trim unsafe", n.ID(), gaps)
 		}
 	}
 	t.Logf("seal/trim storm: %d acked keys intact, stats %+v", len(keys), st)
@@ -888,12 +893,14 @@ func TestCrashRestartTailerRebootstrapAfterTrim(t *testing.T) {
 		cancel()
 	}
 	tail := sh.Log.CommittedTail()
-	if _, err := (&snapshot.Builder{Manager: snaps, EngineVersion: 1, Log: sh.Log, ShardID: sh.ID}).Full(ctx); err != nil {
+	cp := &snapshot.Builder{Manager: snaps, EngineVersion: 1, Log: sh.Log, ShardID: sh.ID}
+	if _, err := cp.Full(ctx); err != nil {
 		t.Fatal(err)
 	}
-	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
-	trimmer.Tick()
-	if trimmed, _ := trimmer.Stats(); trimmed == 0 {
+	if err := cp.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if sh.Log.SegmentStats().Trimmed == 0 {
 		t.Fatal("setup: nothing trimmed")
 	}
 	if base := sh.Log.TrimBase().Seq; base <= frozenAt {

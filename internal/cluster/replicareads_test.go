@@ -394,7 +394,6 @@ func TestReplicaReadsTrimRebootstrap(t *testing.T) {
 	}
 	frozen := lag.AppliedSeq()
 	cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1}
-	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
 	for round := 0; round < 10 && sh.Log.TrimBase().Seq <= frozen; round++ {
 		for i := 0; i < 40; i++ {
 			cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
@@ -407,7 +406,9 @@ func TestReplicaReadsTrimRebootstrap(t *testing.T) {
 		if _, err := cp.Full(ctx); err != nil {
 			t.Fatal(err)
 		}
-		trimmer.Tick()
+		if err := cp.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if base := sh.Log.TrimBase().Seq; base <= frozen {
 		t.Fatalf("setup: trim base %d never passed the frozen tailer at %d", base, frozen)

@@ -315,12 +315,10 @@ func TestSnapshotCrashDeepChainRestore(t *testing.T) {
 		t.Fatalf("chain depth %d, want >= 5 (deep-chain schedule)", chain.Depth)
 	}
 
-	// Trim everything the chain base covers: the restore below cannot
-	// substitute log replay for the chain prefix.
-	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
-	trimmer.Tick()
-	if trimmed, _ := trimmer.Stats(); trimmed == 0 {
-		t.Fatal("setup: nothing trimmed below the chain base")
+	// The pass after the base full trimmed everything it covers: the
+	// restore below cannot substitute log replay for the chain prefix.
+	if sh.Log.SegmentStats().Trimmed == 0 {
+		t.Fatalf("setup: nothing trimmed below the chain base %v", chain.Base.LogPos)
 	}
 
 	restarted := snapRestartPrimary(t, c)

@@ -18,8 +18,8 @@ import (
 
 // TestSoakBoundedLog is the bounded-log gate (`make soak`, armed by
 // MEMORYDB_SOAK=1): under sustained write load with the snapshot
-// builder and trim coordinator running at their normal cadence, the
-// live transaction log must stay bounded — after every maintenance pass
+// builder, which trims behind each verified full, running at its normal
+// cadence, the live transaction log must stay bounded — at every sample
 // the retained bytes may never exceed twice the segment threshold (the
 // partial active segment plus at most one sealed segment the newest
 // snapshot does not yet cover). An unbounded log here means trimming
@@ -58,9 +58,9 @@ func TestSoakBoundedLog(t *testing.T) {
 	}
 
 	// Production wiring: the builder tails the log on its own cadence —
-	// every other snapshot a full, so the chain base the trimmer may trim
-	// to stays within a few dozen entries of the tail — and the trim
-	// coordinator follows it.
+	// every other snapshot a full, so the chain base it may trim to stays
+	// within a few dozen entries of the tail — and trims on the pass
+	// after each full.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	builder := &snapshot.Builder{
@@ -68,7 +68,6 @@ func TestSoakBoundedLog(t *testing.T) {
 		DeltaInterval: 16, CompactEvery: 1,
 	}
 	go builder.Run(ctx)
-	trimmer := &snapshot.Trimmer{Manager: snaps, Log: sh.Log, ShardID: sh.ID}
 
 	stop := make(chan struct{})
 	var writers sync.WaitGroup
@@ -106,7 +105,6 @@ func TestSoakBoundedLog(t *testing.T) {
 	samples := 0
 	for time.Since(start) < duration {
 		time.Sleep(150 * time.Millisecond)
-		trimmer.Tick()
 		if time.Since(start) < warmup {
 			continue
 		}
@@ -116,16 +114,17 @@ func TestSoakBoundedLog(t *testing.T) {
 			maxLive = st.LiveBytes
 		}
 		if st.LiveBytes > 2*segBytes {
-			t.Errorf("live log bytes %d exceed the 2x segment bound (%d) after a maintenance pass: %+v",
+			t.Errorf("live log bytes %d exceed the 2x segment bound (%d): %+v",
 				st.LiveBytes, 2*segBytes, st)
 		}
 	}
 	close(stop)
 	writers.Wait()
-	if err := builder.Tick(ctx); err != nil {
-		t.Fatalf("final builder pass: %v", err)
+	for range 2 { // catch up, then judge a full that pass emitted
+		if err := builder.Tick(ctx); err != nil {
+			t.Fatalf("final builder pass: %v", err)
+		}
 	}
-	trimmer.Tick()
 
 	if samples == 0 {
 		t.Fatal("soak produced no post-warmup samples")
@@ -137,13 +136,13 @@ func TestSoakBoundedLog(t *testing.T) {
 		t.Fatal("soak acknowledged no writes")
 	}
 	st := sh.Log.SegmentStats()
-	trimmed, passes := trimmer.Stats()
-	if st.Trimmed == 0 || trimmed == 0 {
-		t.Fatalf("soak never trimmed: %+v (coordinator: %d segments, %d passes)", st, trimmed, passes)
+	rehearsals := builder.Stats().Rehearsals
+	if st.Trimmed == 0 {
+		t.Fatalf("soak never trimmed: %+v (%d rehearsals)", st, rehearsals)
 	}
 	if st.LiveBytes > 2*segBytes {
 		t.Fatalf("final live log bytes %d exceed the 2x segment bound (%d): %+v", st.LiveBytes, 2*segBytes, st)
 	}
-	t.Logf("soak: %d writes (%d failed), %d samples, max live %d bytes (bound %d), %d segments trimmed over %d passes",
-		w, f, samples, maxLive, 2*segBytes, trimmed, passes)
+	t.Logf("soak: %d writes (%d failed), %d samples, max live %d bytes (bound %d), %d segments trimmed over %d rehearsals",
+		w, f, samples, maxLive, 2*segBytes, st.Trimmed, rehearsals)
 }

@@ -154,7 +154,9 @@ type Node struct {
 	// there.
 	lease *election.Lease
 	tasks chan *task
-	eng   *engine.Engine
+	// eng is built by the first restore (resync), or empty by restore
+	// should that fail.
+	eng *engine.Engine
 	// gc is the group-commit buffer: the mutations of the current turn
 	// accumulate here until its flush.
 	gc groupCommit
@@ -273,7 +275,7 @@ type Stats struct {
 	ReaderRebootstraps atomic.Int64
 	// LogGapRetries counts re-bootstraps that found the log trimmed past
 	// the newest usable snapshot (ErrLogTrimmedGap) and had to wait for a
-	// fresh snapshot. Nonzero means the trim coordinator violated its
+	// fresh snapshot. Nonzero means the builder's trim violated its
 	// safety invariant — always alarm-worthy.
 	LogGapRetries atomic.Int64
 	// BarrierOps counts the reads that gate on every outstanding write
@@ -394,7 +396,6 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 		n.registerCounters()
 	}
-	n.eng = n.newEngine()
 	return n, nil
 }
 

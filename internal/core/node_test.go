@@ -14,6 +14,7 @@ import (
 	"memorydb/internal/resp"
 	"memorydb/internal/s3"
 	"memorydb/internal/snapshot"
+	"memorydb/internal/store"
 	"memorydb/internal/txlog"
 )
 
@@ -112,6 +113,49 @@ func mustDo(t *testing.T, n *Node, args ...string) resp.Value {
 		t.Fatalf("Do(%v) returned error reply: %s", args, v.Text())
 	}
 	return v
+}
+
+// TestNewNodeBuildsNoKeyspace: a node's keyspace comes from its first
+// restore, so NewNode builds none for the restore to replace — it
+// allocates fewer objects than one empty store.DB (a slot array and a map
+// per part).
+func TestNewNodeBuildsNoKeyspace(t *testing.T) {
+	log, err := testService(t, netsim.Fixed(0)).CreateLog("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{NodeID: "n", ShardID: "s", Log: log, NoObs: true}
+	node := testing.AllocsPerRun(10, func() {
+		if _, err := NewNode(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	db := testing.AllocsPerRun(10, func() { store.NewDB() })
+	if node >= db {
+		t.Fatalf("NewNode allocates %.0f objects, an empty store.DB %.0f: it builds a keyspace", node, db)
+	}
+}
+
+// TestFailedFirstRestoreServesEmptyKeyspace: a node cut off from the log
+// at start fails its first restore, and its workloop goes on answering
+// INFO between attempts, over an empty keyspace.
+func TestFailedFirstRestoreServesEmptyKeyspace(t *testing.T) {
+	log, err := testService(t, netsim.Fixed(0)).CreateLog("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := faultpoint.New(1)
+	faults.SetPlan(faultpoint.SiteNodePartition, 1, 0, faultpoint.Error)
+	// Never started: the test goroutine is the workloop.
+	n, err := NewNode(Config{NodeID: "n", ShardID: "s", Log: log, Faults: faults, NoObs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	n.restore()
+	if info := n.infoText(); !strings.Contains(info, "keys:0\r\n") {
+		t.Fatalf("INFO after a failed first restore:\n%s", info)
+	}
 }
 
 func TestPrimaryBootstrapAndReadWrite(t *testing.T) {

@@ -124,7 +124,7 @@ func (n *Node) roleChangedStep() {
 // restore runs one resync attempt: on success the node (rejoining as a
 // replica if it was demoted) follows the log from the restored position;
 // on failure — the log or S3 unavailable, a partition, or the one loud
-// case, ErrLogTrimmedGap (the trim coordinator discarded entries no
+// case, ErrLogTrimmedGap (the snapshot builder trimmed entries no
 // snapshot covers; counted so tests and alarms can assert it never
 // happens) — the timer retries it one backoff step later.
 func (n *Node) restore() {
@@ -138,6 +138,11 @@ func (n *Node) restore() {
 	}
 	if errors.Is(err, ErrLogTrimmedGap) {
 		n.stats.LogGapRetries.Add(1)
+	}
+	if n.eng == nil {
+		// The workloop serves INFO, PING and replica reads between
+		// attempts: over an empty keyspace until a restore succeeds.
+		n.eng = n.newEngine()
 	}
 	n.backOff()
 }
@@ -184,7 +189,7 @@ func (n *Node) tail() {
 		n.backOff()
 		return
 	case errors.Is(err, txlog.ErrTrimmed) || errors.Is(err, txlog.ErrCorruptSegment):
-		// The trim coordinator dropped segments behind us (a lagging
+		// The snapshot builder trimmed segments behind us (a lagging
 		// tailer on a healthy, bounded log), or the segment under the
 		// cursor was quarantined. Either way the log can no longer serve
 		// our position — but a snapshot can: re-bootstrap in place from

@@ -499,12 +499,14 @@ func TestReplicaApplyAllocations(t *testing.T) {
 	}
 	svc := testService(t, netsim.Zero{})
 	log, _ := svc.CreateLog("shard-1")
-	// Never started: the test goroutine is the replica's workloop.
+	// Never started: the test goroutine is the replica's workloop, and
+	// restores first, as the workloop does.
 	replica, err := NewNode(Config{NodeID: "node-b", ShardID: log.ShardID(), Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(replica.Stop)
+	replica.restore()
 
 	eng := engine.New(nil)
 	e := txlog.Entry{Type: txlog.EntryData, Payload: eng.Exec([][]byte{[]byte("SET"), []byte("applied"), []byte("value")}).Effects}

@@ -18,7 +18,6 @@ func TestManagerRetainsAlarmsWithoutAlarmFn(t *testing.T) {
 	mgr := NewManager(s3.New(), "snaps") // AlarmFn deliberately nil.
 	faults := faultpoint.New(1)
 	b := &Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 1, Faults: faults}
-	tr := &Trimmer{Manager: mgr, Log: log, ShardID: "s1"}
 	ctx := context.Background()
 
 	if got := mgr.RecentAlarms(8); len(got) != 0 {
@@ -28,11 +27,13 @@ func TestManagerRetainsAlarmsWithoutAlarmFn(t *testing.T) {
 	if _, err := b.Full(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tr.Tick()
-	if trimmed, passes := tr.Stats(); trimmed != 0 || passes != 1 {
-		t.Fatalf("corrupt snapshot: trimmed %d segments over %d passes, want 0 over 1", trimmed, passes)
+	if err := b.Tick(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok, _ := mgr.LatestPos("s1"); ok {
+	if trimmed, rehearsals := log.SegmentStats().Trimmed, b.Stats().Rehearsals; trimmed != 0 || rehearsals != 1 {
+		t.Fatalf("corrupt snapshot: trimmed %d segments over %d rehearsals, want 0 over 1", trimmed, rehearsals)
+	}
+	if chain, ok, _ := mgr.Resolve("s1", false); ok || chain.Skipped != 0 {
 		t.Fatal("snapshot that failed verification was not quarantined")
 	}
 	alarms := mgr.RecentAlarms(8)
@@ -48,7 +49,9 @@ func TestManagerRetainsAlarmsWithoutAlarmFn(t *testing.T) {
 	if _, err := b.Full(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tr.Tick()
+	if err := b.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if len(paged) != 1 || !strings.Contains(paged[0], "verification failed") {
 		t.Fatalf("AlarmFn pages = %v, want one verification failure", paged)
 	}
@@ -60,8 +63,10 @@ func TestManagerRetainsAlarmsWithoutAlarmFn(t *testing.T) {
 	if _, err := b.Full(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tr.Tick()
-	if trimmed, _ := tr.Stats(); trimmed == 0 {
+	if err := b.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if log.SegmentStats().Trimmed == 0 {
 		t.Fatal("verified snapshot authorized no trim")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/obs"
 	"memorydb/internal/retry"
+	"memorydb/internal/s3"
 	"memorydb/internal/trace"
 	"memorydb/internal/txlog"
 )
@@ -44,6 +45,17 @@ type BuilderHealth struct {
 // it compacts the chain by dumping its materialized copy as a fresh full
 // snapshot. The engine never forks, never pauses, and write latency stays
 // flat while snapshots stream out.
+//
+// It is also the one log trimmer (§4.2.3: everything below a verified
+// snapshot is redundant). The pass after a full lands puts the newest
+// chain through the §7.2.1 restore rehearsal (Verify) and trims the log
+// behind that chain's base only if it passes, and the log itself only
+// drops whole sealed segments at or below that position. The two gates
+// compose into the trim-safety invariant: any replica or restore path
+// that needs entry N either finds a snapshot at position >= N, or the log
+// still holds N. A reader that still hits ErrTrimmed after
+// re-bootstrapping from the latest snapshot has found a trim bug, which
+// core surfaces as the loud ErrLogTrimmedGap — never a normal condition.
 type Builder struct {
 	Manager *Manager
 	Log     *txlog.Log
@@ -91,9 +103,17 @@ type Builder struct {
 	// needFull forces the next emit to be a full snapshot: set on
 	// bootstrap (no base yet) and on wholesale rewrites (FLUSHALL) that
 	// per-key deltas cannot describe.
-	needFull     bool
+	needFull bool
+	// judge is set when a full has landed (this builder's emit, or the
+	// chain it bootstrapped onto) and no verdict on the newest chain has
+	// been reached since: the next pass rehearses it. judged is the base
+	// of the last chain a verdict was reached on, so rebuilding onto a
+	// judged chain does not judge it again.
+	judge        bool
+	judged       txlog.EntryID
 	booted       bool
 	rebootstraps int64
+	rehearsals   int64
 }
 
 // ErrBuilderCrashed reports that a fault schedule killed the builder
@@ -135,13 +155,16 @@ type BuilderStats struct {
 	Pos             txlog.EntryID
 	DeltasSinceFull int
 	Rebootstraps    int64
+	// Rehearsals counts the restore rehearsals that reached a verdict.
+	Rehearsals int64
 }
 
 // Stats returns the builder's current progress counters.
 func (b *Builder) Stats() BuilderStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BuilderStats{Pos: b.pos, DeltasSinceFull: b.deltasSinceFull, Rebootstraps: b.rebootstraps}
+	return BuilderStats{Pos: b.pos, DeltasSinceFull: b.deltasSinceFull, Rebootstraps: b.rebootstraps,
+		Rehearsals: b.rehearsals}
 }
 
 // bootstrap (re)builds the private materialized copy from the durable
@@ -162,6 +185,7 @@ func (b *Builder) bootstrap() error {
 	b.deltasSinceFull = chain.Depth
 	b.dirty = make(map[string]struct{})
 	b.needFull = !ok
+	b.judge = b.judge || ok && chain.Base.LogPos != b.judged
 	b.reader = b.Log.NewReader(b.pos)
 	b.replay = txlog.NewReplayer(engine.Version, chain.Tip.LogChecksum)
 	b.booted = true
@@ -175,15 +199,19 @@ func (b *Builder) rebootstrap() {
 	b.rebootstraps++
 }
 
-// Tick performs one builder pass: catch the private copy up with the
-// log and emit a delta or compaction snapshot when the log-distance
-// cadence is due. Transient log unavailability ends the drain early;
-// ErrTrimmed or a quarantined segment under the tailer re-bootstraps from
-// the chain, and a crash decision kills the in-memory copy
+// Tick performs one builder pass: judge the newest chain if a full has
+// landed since the last verdict, catch the private copy up with the log,
+// and emit a delta or compaction snapshot when the log-distance cadence
+// is due. Transient log unavailability ends the drain early; ErrTrimmed
+// or a quarantined segment under the tailer re-bootstraps from the
+// chain, and a crash decision kills the in-memory copy
 // (ErrBuilderCrashed).
 func (b *Builder) Tick(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.judge {
+		b.judgeNewest()
+	}
 	if err := b.catchUp(); err != nil {
 		return err
 	}
@@ -212,6 +240,51 @@ func (b *Builder) Full(ctx context.Context) (Meta, error) {
 	return b.emit(true)
 }
 
+// judgeNewest rehearses a restore from the newest chain and acts on the
+// verdict. Only the chain's base may authorize a trim: restoring past a
+// damaged tip delta falls back to an older prefix of the chain and
+// replays the log from that lower position, so trimming to the tip would
+// strand every delta above the base.
+func (b *Builder) judgeNewest() {
+	chain, err := Verify(b.Manager, b.ShardID, b.Log, b.clk())
+	if errors.Is(err, s3.ErrUnavailable) || errors.Is(err, txlog.ErrUnavailable) {
+		return // storage blip, not a verdict: the next pass, not a retry here, judges it
+	}
+	b.rehearsals++
+	switch {
+	case err == nil:
+		b.Log.Trim(chain.Base.LogPos)
+		b.judged = chain.Base.LogPos
+	case errors.Is(err, errChainDamaged):
+		// Evidence against the snapshot itself: quarantine it (idempotent
+		// delete) so no restore can pick it up, and page. A tip this
+		// builder never emitted leaves the judgement pending, so the next
+		// pass judges the version below; if the builder's own chain runs
+		// through the removed tip, a delta would land on a removed base,
+		// so the next emit is a full, and that full is judged.
+		_ = b.Manager.Remove(b.ShardID, chain.Tip.LogPos)
+		b.alarmVerify(chain, err)
+		if b.lastEmit.Less(chain.Tip.LogPos) {
+			return
+		}
+		b.needFull = true
+	default:
+		// The log cannot be replayed past a snapshot whose own checksums
+		// passed: not the snapshot's fault, so keep it, trim nothing and
+		// page once. A shard that cannot verify snapshots is one trim
+		// away from unrecoverable.
+		b.alarmVerify(chain, err)
+		b.judged = chain.Base.LogPos
+	}
+	b.judge = false
+}
+
+// alarmVerify pages that the judged chain failed its rehearsal.
+func (b *Builder) alarmVerify(chain Chain, err error) {
+	b.Manager.alarm(fmt.Sprintf("snapshot verification failed for shard %s at seq %d: %v",
+		b.ShardID, chain.Tip.LogPos.Seq, err))
+}
+
 // catchUp checks the trim horizon and drains every committed entry into
 // the private copy.
 func (b *Builder) catchUp() error {
@@ -233,8 +306,8 @@ func (b *Builder) catchUp() error {
 	}
 	// A builder below the trim horizon has lost the suffix it was tailing
 	// — the alarmable condition the trim-safety invariant exists to
-	// prevent. Recover by re-bootstrapping from the chain (which the
-	// trimmer guaranteed is at or above the horizon).
+	// prevent. Recover by re-bootstrapping from the chain (trimming only
+	// behind a verified base keeps it at or above the horizon).
 	if base := b.Log.TrimBase(); b.pos.Seq < base.Seq {
 		b.Manager.Health().LagAlarms.Add(1)
 		b.Flight.Recordf(trace.EvBuilderLag, b.pos.Seq, "%s lag exceeded trim horizon (base %d)", b.ShardID, base.Seq)
@@ -396,6 +469,7 @@ func (b *Builder) emit(full bool) (Meta, error) {
 	if full {
 		b.deltasSinceFull = 0
 		b.needFull = false
+		b.judge = true
 		health.Compactions.Add(1)
 	} else {
 		b.deltasSinceFull++
@@ -414,17 +488,13 @@ const passInterval = 25 * time.Millisecond
 // crashes) are absorbed: the dirty set and cursor survive — or
 // re-bootstrap from the chain — and the next tick retries.
 func (b *Builder) Run(ctx context.Context) {
-	every(ctx, b.clk(), passInterval, func() { _ = b.Tick(ctx) })
-}
-
-// every calls fn once per interval until ctx is cancelled.
-func every(ctx context.Context, clk clock.Clock, interval time.Duration, fn func()) {
+	clk := b.clk()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-clk.After(interval):
-			fn()
+		case <-clk.After(passInterval):
+			_ = b.Tick(ctx)
 		}
 	}
 }

@@ -49,3 +49,40 @@ func TestBuilderSurvivesBriefS3Outage(t *testing.T) {
 		t.Fatalf("persistent outage: err = %v, want ErrUnavailable", err)
 	}
 }
+
+// TestBuilderJudgesAgainAfterS3Outage: a rehearsal that S3 cuts short is
+// no verdict. The pass neither retries it, since the next pass is the
+// retry, nor counts it, nor trims; the pass after the outage judges and
+// trims.
+func TestBuilderJudgesAgainAfterS3Outage(t *testing.T) {
+	log, _ := buildSegmentedShard(t, 40, 8)
+	faults := faultpoint.New(1)
+	mgr := NewManager(s3.New(s3.WithFaults(faults)), "snaps")
+	b := &Builder{
+		Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2,
+		Retry: retry.Policy{Base: time.Millisecond, Max: 10 * time.Millisecond, Attempts: 12},
+	}
+	ctx := context.Background()
+	if _, err := b.Full(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	faults.SetPlan(faultpoint.SiteS3Request, 1, 0, faultpoint.Error)
+	if err := b.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if fired := faults.Fired(faultpoint.SiteS3Request, faultpoint.Error); fired != 1 {
+		t.Fatalf("the judging pass made %d failed S3 requests, want 1: no retries inside the pass", fired)
+	}
+	if got, base := b.Stats().Rehearsals, log.TrimBase(); got != 0 || base.Seq != 0 {
+		t.Fatalf("after an outage: %d rehearsals, trim base %v; want none and none", got, base)
+	}
+
+	faults.SetPlan(faultpoint.SiteS3Request, 0, 0)
+	if err := b.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, trimmed := b.Stats().Rehearsals, log.SegmentStats().Trimmed; got != 1 || trimmed == 0 {
+		t.Fatalf("after the outage healed: %d rehearsals, %d segments trimmed; want 1 and some", got, trimmed)
+	}
+}

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"memorydb/internal/clock"
 	"memorydb/internal/engine"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/s3"
 	"memorydb/internal/txlog"
 )
@@ -318,23 +320,103 @@ func TestChainFallbackAnyDamagedSuffix(t *testing.T) {
 	}
 }
 
-// TestBuilderTrimRace runs the builder, the trim coordinator, and a paced
-// writer concurrently (meaningful under -race): because the trimmer gates
-// on the chain *base*, the builder's tailer — which is always at or above
-// the chain tip — must never observe a trimmed gap, re-bootstrap, or raise
-// a lag alarm, no matter how the ticks interleave.
+// TestBuilderJudgesEachFullOnce pins when the builder rehearses a
+// restore over a fixed schedule: on the pass after each full, so every
+// full is judged once, no delta tip is judged and no tip twice.
+func TestBuilderJudgesEachFullOnce(t *testing.T) {
+	h := newShardHarness(t, 8)
+	mgr := NewManager(s3.New(), "snaps")
+	b := &Builder{Manager: mgr, Log: h.log, ShardID: "s1", EngineVersion: 1,
+		DeltaInterval: 4, CompactEvery: 3}
+	ctx := context.Background()
+
+	fullLanded := false
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 4; i++ {
+			h.do("SET", fmt.Sprintf("k%d", i), fmt.Sprintf("r%d", round))
+		}
+		fulls, rehearsals := mgr.Health().Compactions.Load(), b.Stats().Rehearsals
+		if err := b.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if fullLanded {
+			want = 1
+		}
+		if got := b.Stats().Rehearsals - rehearsals; got != want {
+			t.Fatalf("round %d ran %d rehearsals, want %d (a full landed last pass: %v)", round, got, want, fullLanded)
+		}
+		fullLanded = mgr.Health().Compactions.Load() > fulls
+	}
+	// A quiet pass judges the last full, if one is pending, and nothing
+	// else; a second one judges nothing.
+	for range 2 {
+		if err := b.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Stats().Rehearsals; got != 3 || got != mgr.Health().Compactions.Load() {
+		t.Fatalf("%d rehearsals for %d fulls, want 3 for 3", got, mgr.Health().Compactions.Load())
+	}
+	h.checkRestore(mgr)
+}
+
+// TestBuilderQuarantineForcesFull: a full that fails its rehearsal is
+// quarantined, and since the builder's own chain runs through it, the
+// next emit is a full, not a delta on the removed base. One fault raises
+// one alarm, and from the judgement on the newest snapshot restores.
+func TestBuilderQuarantineForcesFull(t *testing.T) {
+	h := newShardHarness(t, 8)
+	mgr := NewManager(s3.New(), "snaps")
+	faults := faultpoint.New(1)
+	faults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0) // the bootstrap full
+	b := &Builder{Manager: mgr, Log: h.log, ShardID: "s1", EngineVersion: 1,
+		DeltaInterval: 2, CompactEvery: 8, Faults: faults}
+	ctx := context.Background()
+
+	for round := 0; round < 6; round++ {
+		h.do("SET", fmt.Sprintf("a%d", round), "x")
+		h.do("SET", fmt.Sprintf("b%d", round), "y")
+		fulls := mgr.Health().Compactions.Load()
+		if err := b.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			continue // the corrupt full is judged on the next pass
+		}
+		if round == 1 && mgr.Health().Compactions.Load() != fulls+1 {
+			t.Fatal("the emit after quarantining the builder's base was not a full")
+		}
+		chain, ok, err := mgr.Resolve("s1", false)
+		if err != nil || !ok || chain.Skipped != 0 {
+			t.Fatalf("round %d: newest chain unusable: ok=%v skipped=%d err=%v", round, ok, chain.Skipped, err)
+		}
+		h.checkRestore(mgr)
+	}
+	if alarms := mgr.RecentAlarms(16); len(alarms) != 1 {
+		t.Fatalf("one corrupt full raised %d alarms, want 1: %+v", len(alarms), alarms)
+	}
+}
+
+// TestBuilderTrimRace runs the builder — which trims behind each verified
+// full — against a paced writer and a reader following the log like a
+// replica tailer (meaningful under -race). The builder trims only to the
+// chain *base*, and its own tailer is always at or above the chain tip,
+// so it must never observe a trimmed gap, re-bootstrap, or raise a lag
+// alarm, however the passes interleave with the writes. A reader the trim
+// passes re-bootstraps from the chain, whose tip must not be below the
+// trim base: no gap for a tailer either.
 func TestBuilderTrimRace(t *testing.T) {
 	h := newShardHarness(t, 4)
 	mgr := NewManager(s3.New(), "snaps")
 	b := &Builder{Manager: mgr, Log: h.log, ShardID: "s1", EngineVersion: 1,
 		DeltaInterval: 4, CompactEvery: 3}
-	tr := &Trimmer{Manager: mgr, Log: h.log, ShardID: "s1"}
 	ctx := context.Background()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { // builder ticks as fast as it can
+	go func() { // builder passes as fast as it can
 		defer wg.Done()
 		for {
 			select {
@@ -349,16 +431,32 @@ func TestBuilderTrimRace(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	go func() { // trimmer races the builder
+	r := h.log.NewReader(txlog.ZeroID)
+	go func() { // the tailer: reads until stopped and caught up
 		defer wg.Done()
 		for {
-			select {
-			case <-stop:
+			_, ok, err := r.TryNext()
+			switch {
+			case errors.Is(err, txlog.ErrTrimmed):
+				base := h.log.TrimBase()
+				chain, found, err := mgr.Resolve("s1", false)
+				if err != nil || !found || chain.Tip.LogPos.Less(base) {
+					t.Errorf("tailer at %v trimmed past: newest chain tip %v (found %v, err %v) below trim base %v",
+						r.Position(), chain.Tip.LogPos, found, err, base)
+					return
+				}
+				r = h.log.NewReader(chain.Tip.LogPos)
+			case err != nil:
+				t.Errorf("tailer: %v", err)
 				return
-			default:
+			case !ok:
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				time.Sleep(200 * time.Microsecond)
 			}
-			tr.Tick()
-			time.Sleep(300 * time.Microsecond)
 		}
 	}()
 	for i := 0; i < 400; i++ {
@@ -368,11 +466,14 @@ func TestBuilderTrimRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if trimmed, _ := tr.Stats(); trimmed == 0 {
+	if h.log.SegmentStats().Trimmed == 0 {
 		t.Fatal("race never trimmed a segment — segment threshold too large to exercise the invariant")
 	}
 	if mgr.Health().DeltasEmitted.Load() == 0 {
 		t.Fatal("race never emitted a delta")
+	}
+	if r.Position() != h.log.CommittedTail() {
+		t.Fatalf("tailer stopped at %v, tail %v", r.Position(), h.log.CommittedTail())
 	}
 	st := b.Stats()
 	if st.Rebootstraps != 0 {

@@ -1,9 +1,9 @@
 // Package snapshot implements MemoryDB's point-in-time snapshots: a
 // compact, checksummed serialization of the keyspace stamped with the
 // transaction log position (and running log checksum) it covers. The
-// package also provides the off-box snapshotter (§4.2.2), its
-// verify-then-trim coordinator, and the restore rehearsal verifier
-// (§7.2.1).
+// package also provides the off-box snapshotter (§4.2.2), which trims
+// the log behind each snapshot its restore rehearsal verifier (§7.2.1)
+// passes.
 package snapshot
 
 import (

@@ -231,8 +231,8 @@ func (m *Manager) loadChain(shardID string, tip txlog.EntryID) (Chain, bool, err
 }
 
 // quarantine removes a damaged chain link and alarms — the same
-// Remove/alarm path the trim coordinator uses for snapshots that fail
-// their restore rehearsal.
+// Remove/alarm path the builder takes for a snapshot that fails its
+// restore rehearsal.
 func (m *Manager) quarantine(shardID string, pos txlog.EntryID, reason string) {
 	_ = m.Remove(shardID, pos)
 	m.alarm(fmt.Sprintf("snapshot: quarantined %s seq %d: %s", shardID, pos.Seq, reason))
@@ -249,23 +249,4 @@ func seqOfKey(key string) (uint64, bool) {
 // it up.
 func (m *Manager) Remove(shardID string, pos txlog.EntryID) error {
 	return m.store.Delete(m.key(shardID, pos))
-}
-
-// LatestPos returns the log position of the freshest snapshot without
-// fetching its body (the trim coordinator's cheap has-anything-changed
-// probe).
-func (m *Manager) LatestPos(shardID string) (txlog.EntryID, bool, error) {
-	keys, err := m.store.List(m.prefix + "/" + shardID + "/")
-	if err != nil {
-		return txlog.ZeroID, false, err
-	}
-	if len(keys) == 0 {
-		return txlog.ZeroID, false, nil
-	}
-	k := keys[len(keys)-1]
-	seq, ok := seqOfKey(k)
-	if !ok {
-		return txlog.ZeroID, false, fmt.Errorf("snapshot: bad key %q", k)
-	}
-	return txlog.EntryID{Seq: seq}, true, nil
 }

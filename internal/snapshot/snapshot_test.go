@@ -252,10 +252,6 @@ func TestManagerLatestOrdering(t *testing.T) {
 	if chain.Tip.LogPos.Seq != 100 {
 		t.Fatalf("Resolve picked seq %d, want 100 (zero-padded key ordering)", chain.Tip.LogPos.Seq)
 	}
-	pos, ok, _ := mgr.LatestPos("s1")
-	if !ok || pos.Seq != 100 {
-		t.Fatalf("LatestPos = %v %v", pos, ok)
-	}
 	if _, ok, _ := mgr.Resolve("other-shard", false); ok {
 		t.Fatal("Resolve for unknown shard reported ok")
 	}

@@ -970,10 +970,11 @@ func (l *Log) ChecksumAt(id EntryID) (uint64, error) {
 // ChecksumAt stays answerable at every retained position (and, via the
 // recorded base checksum, at the boundary itself). Reads from trimmed
 // positions fail with ErrTrimmed; recovery must start from a snapshot at
-// or after the trim point — the coordinator (snapshot.Trimmer) only ever
+// or after the trim point — the one caller (snapshot.Builder) only ever
 // passes positions covered by a durable, verified snapshot. Returns how
 // many segments were dropped; an Error/Crash decision at txlog.trim.pre
-// aborts the call with no state change (the coordinator retries).
+// aborts the call with no state change (the builder trims again behind
+// its next verified full).
 func (l *Log) Trim(upTo EntryID) int {
 	faults := l.svc.cfg.Faults
 	switch d := faults.Hit(faultpoint.SiteLogTrimPre); d.Kind {

@@ -21,7 +21,7 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20510
+	ceilingNonTestLines = 20457
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 20
@@ -62,6 +62,10 @@ const (
 	// (see chargesParam): a command body that states a footprint delta
 	// can state a wrong one, or forget it.
 	ceilingEngineCharges = 0
+	// Settings an operator can turn (see settingNames): flag definitions
+	// in non-test cmd/ and examples/ code, plus each MEMORYDB_* name read
+	// there that backs no flag (MEMORYDB_FAULTPOINTS, MEMORYDB_CRASH_SEED).
+	ceilingSettings = 16
 )
 
 // sleepyTestDirs are the packages whose tests' sleeps the scoreboard
@@ -113,6 +117,34 @@ type scoreboard struct {
 	// engineCharges lists "file:line" of each call in non-test
 	// internal/engine code to a byte-charging store API.
 	engineCharges []string
+	// settings counts the flag definitions in non-test cmd/ and examples/
+	// code, plus each MEMORYDB_* name read there that backs no flag.
+	settings int
+}
+
+// flagDefiners are the flag package's functions that define a flag.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// envName matches a string literal naming one of the program's
+// environment settings.
+var envName = regexp.MustCompile(`^"MEMORYDB_[A-Z0-9_]+"$`)
+
+// settingNames returns the MEMORYDB_* names the string literals under n
+// spell.
+func settingNames(n ast.Node) []string {
+	var names []string
+	ast.Inspect(n, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && envName.MatchString(lit.Value) {
+			names = append(names, lit.Value)
+		}
+		return true
+	})
+	return names
 }
 
 // measureTree walks the non-test Go files under root, skipping what the go
@@ -129,6 +161,7 @@ func measureTree(t *testing.T, root string) scoreboard {
 	charging := make(map[string]bool) // byte-charging store APIs, by name
 	type call struct{ where, name string }
 	var engineCalls []call
+	envRead, envBacked := make(map[string]bool), make(map[string]bool)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -185,7 +218,13 @@ func measureTree(t *testing.T, root string) scoreboard {
 		}
 		internal := strings.HasPrefix(dir, "internal/")
 		waitsOnWallClock := internal && !strings.HasPrefix(dir+"/", "internal/clock/") && !strings.HasPrefix(dir+"/", "internal/bench/")
-		pollsCount := waitsOnWallClock || strings.HasPrefix(dir+"/", "cmd/") || strings.HasPrefix(dir+"/", "examples/")
+		program := strings.HasPrefix(dir+"/", "cmd/") || strings.HasPrefix(dir+"/", "examples/")
+		pollsCount := waitsOnWallClock || program
+		if program {
+			for _, name := range settingNames(f) {
+				envRead[name] = true
+			}
+		}
 		polled := make(map[*ast.CallExpr]bool) // a sleep in nested loops counts once
 		notePolls := func(body *ast.BlockStmt) {
 			ast.Inspect(body, func(n ast.Node) bool {
@@ -267,6 +306,14 @@ func measureTree(t *testing.T, root string) scoreboard {
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && dir == "internal/engine" {
 					engineCalls = append(engineCalls, call{rel + ":" + strconv.Itoa(fset.Position(n.Pos()).Line), sel.Sel.Name})
 				}
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && program && flagDefiners[sel.Sel.Name] {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "flag" {
+						sb.settings++
+						for _, name := range settingNames(n) {
+							envBacked[name] = true
+						}
+					}
+				}
 			}
 			return true
 		})
@@ -274,6 +321,11 @@ func measureTree(t *testing.T, root string) scoreboard {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for name := range envRead {
+		if !envBacked[name] {
+			sb.settings++
+		}
 	}
 	for _, c := range engineCalls {
 		if charging[c.name] {
@@ -495,6 +547,7 @@ func overCeilings(sb scoreboard, coreFields, clusterFields, nodeLocks int) []str
 	check("time.Sleep calls in the tests of internal/core, internal/cluster and internal/server", len(sb.testSleeps), ceilingTestSleeps)
 	check("exported store identifiers whose signature mentions a map "+strings.Join(sb.storeMapSignatures, " "), len(sb.storeMapSignatures), ceilingStoreMapSignatures)
 	check("engine calls into a byte-charging store API "+strings.Join(sb.engineCharges, " "), len(sb.engineCharges), ceilingEngineCharges)
+	check("settings (flags in cmd/ and examples/, plus MEMORYDB_* names no flag backs)", sb.settings, ceilingSettings)
 	for _, f := range sb.benchImporters {
 		out = append(out, f+" imports "+bannedImport+" (only root *_test.go files may)")
 	}
@@ -561,8 +614,8 @@ func TestScoreboard(t *testing.T) {
 	coreFields := structFields(t, filepath.Join("internal", "core"), "Config")
 	clusterFields := structFields(t, filepath.Join("internal", "cluster"), "Config")
 	nodeLocks := lockFields(t, filepath.Join("internal", "core"), "Node")
-	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d locks in core.Node, %d unnamed exports, %d wall-clock waits, %d go statements, sleep polls %v, %d sleeps in tests, store map signatures %v, engine charges %v",
-		sb.nonTestLines, coreFields, clusterFields, nodeLocks, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements), sb.sleepPolls, len(sb.testSleeps), sb.storeMapSignatures, sb.engineCharges)
+	t.Logf("non-test lines %d, core.Config %d fields, cluster.Config %d fields, %d locks in core.Node, %d unnamed exports, %d wall-clock waits, %d go statements, sleep polls %v, %d sleeps in tests, store map signatures %v, engine charges %v, %d settings",
+		sb.nonTestLines, coreFields, clusterFields, nodeLocks, len(sb.unnamed), len(sb.wallClockWaits), len(sb.goStatements), sb.sleepPolls, len(sb.testSleeps), sb.storeMapSignatures, sb.engineCharges, sb.settings)
 	for _, msg := range overCeilings(sb, coreFields, clusterFields, nodeLocks) {
 		t.Error(msg)
 	}
@@ -609,12 +662,22 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		"\t\t\ttime.Sleep(2 * time.Millisecond)\n\t\t}\n\t\ttime.Sleep(d)\n\t}\n\ttime.Sleep(1)\n}\n")
 	write("examples/p/p_test.go", "package p\n\nimport \"time\"\n\nfunc init() {\n\tfor {\n\t\ttime.Sleep(1)\n\t}\n}\n")
 	write("internal/server/s_test.go", "package server\n\nimport \"time\"\n\nfunc init() { time.Sleep(1) }\n")
+	// Settings: two flags (one backed by MEMORYDB_A) and MEMORYDB_B read
+	// twice; a test's flag and a name only internal/ spells do not count.
+	write("cmd/y/main.go", "package main\n\nvar (\n\ta = flag.Int(\"a\", envInt(\"MEMORYDB_A\"), \"\")\n"+
+		"\tb = flag.String(\"b\", os.Getenv(\"MEMORYDB_A\"), \"\")\n\tc = os.Getenv(\"MEMORYDB_B\")\n"+
+		"\td = os.Getenv(\"MEMORYDB_B\")\n\te = fmt.Errorf(\"MEMORYDB_B: %w\", err)\n)\n")
+	write("cmd/y/main_test.go", "package main\n\nvar t = flag.Bool(\"t\", os.Getenv(\"MEMORYDB_T\") != \"\", \"\")\n")
+	write("internal/c/c.go", "package c\n\nvar _ = os.Getenv(\"MEMORYDB_C\")\n")
 	sb := measureTree(t, root)
+	if sb.settings != 3 {
+		t.Fatalf("settings = %d, want 3 (flags a and b, MEMORYDB_B)", sb.settings)
+	}
 	if len(sb.testSleeps) != 1 || sb.testSleeps[0] != filepath.Join("internal", "server", "s_test.go")+":5" {
 		t.Fatalf("sleeps in tests = %v, want only internal/server/s_test.go:5", sb.testSleeps)
 	}
-	if sb.nonTestLines != 5+9+5+13 {
-		t.Fatalf("counted %d lines, want 32 (main.go, a.go, c.go, p.go)", sb.nonTestLines)
+	if sb.nonTestLines != 5+9+5+13+9+3 {
+		t.Fatalf("counted %d lines, want 44 (main.go, a.go, c.go, p.go, y/main.go, c/c.go)", sb.nonTestLines)
 	}
 	if len(sb.sleepPolls) != 1 || sb.sleepPolls[0] != filepath.Join("examples", "p", "p.go")+":8" {
 		t.Fatalf("sleep polls = %v, want only examples/p/p.go:8", sb.sleepPolls)
@@ -683,7 +746,7 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		t.Fatalf("engine charges = %v, want %s (AdjustUsed and Grow, not Put)", sb.engineCharges, want)
 	}
 
-	clean := scoreboard{nonTestLines: ceilingNonTestLines}
+	clean := scoreboard{nonTestLines: ceilingNonTestLines, settings: ceilingSettings}
 	for range ceilingUnnamedExports {
 		clean.unnamed = append(clean.unnamed, "x")
 	}
@@ -708,6 +771,7 @@ func TestScoreboardNegativeControl(t *testing.T) {
 		func(sb *scoreboard) { sb.testSleeps = append(sb.testSleeps, "s") },
 		func(sb *scoreboard) { sb.storeMapSignatures = append(sb.storeMapSignatures, "m") },
 		func(sb *scoreboard) { sb.engineCharges = append(sb.engineCharges, "c") },
+		func(sb *scoreboard) { sb.settings++ },
 	} {
 		over := clean
 		over.unnamed = append([]string(nil), clean.unnamed...)
