@@ -109,16 +109,21 @@ func main() {
 		for _, az := range svc.AZs() {
 			metrics.RegisterHistogram("az_append", fmt.Sprintf("az=%q", az.Name()), az.AckLatency())
 		}
+		// The node's flight ring also takes the snapshot pipeline's
+		// alarms, so DEBUG FLIGHT DUMP shows a quarantined chain link or a
+		// failed rehearsal next to the node's own transitions.
+		flight := trace.NewFlight("node-0", *flightEvents)
 		snaps := snapshot.NewManager(s3.New(s3.WithFaults(faults)), "snapshots")
+		snaps.Flight = flight
 		node, err := core.NewNode(core.Config{
-			NodeID:       "node-0",
-			ShardID:      "shard-0",
-			Log:          logHandle,
-			Snapshots:    snaps,
-			Faults:       faults,
-			Obs:          metrics,
-			Trace:        collector,
-			FlightEvents: *flightEvents,
+			NodeID:    "node-0",
+			ShardID:   "shard-0",
+			Log:       logHandle,
+			Snapshots: snaps,
+			Faults:    faults,
+			Obs:       metrics,
+			Trace:     collector,
+			Flight:    flight,
 		})
 		if err != nil {
 			log.Fatalf("create node: %v", err)
@@ -142,7 +147,6 @@ func main() {
 				CompactEvery:  *compactEvery,
 				Faults:        faults,
 				Obs:           metrics,
-				Flight:        node.FlightRecorder(),
 			}
 			sctx, scancel := context.WithCancel(context.Background())
 			defer scancel()

@@ -11,8 +11,10 @@ import (
 	"memorydb/internal/clock"
 	"memorydb/internal/core"
 	"memorydb/internal/crc16"
+	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
+	"memorydb/internal/trace"
 	"memorydb/internal/txlog"
 )
 
@@ -245,6 +247,49 @@ func TestMonitorReplacesDeadReplica(t *testing.T) {
 	}
 	if got := len(sh.Nodes()); got != 2 {
 		t.Fatalf("shard has %d nodes after replacement, want 2", got)
+	}
+}
+
+// TestMonitorAlarmsOnPrimarylessShard: the Monitor alarms on a shard with
+// no primary once PrimaryAlarmAfter has gone by over its Ticks, as one
+// EvAlarm on the cluster's merged timeline, and never while a primary
+// exists.
+func TestMonitorAlarmsOnPrimarylessShard(t *testing.T) {
+	c := testCluster(t, 1, 0)
+	sh := c.Shards()[0]
+	m := &Monitor{Cluster: c, Interval: 10 * time.Millisecond, PrimaryAlarmAfter: 30 * time.Millisecond}
+	alarms := func() (n int) {
+		for _, e := range c.MergedTimeline() {
+			if e.Kind == trace.EvAlarm && strings.Contains(e.Detail, sh.ID+" has no primary") {
+				n++
+			}
+		}
+		return n
+	}
+	for range 5 {
+		m.Tick()
+	}
+	if n := alarms(); n != 0 {
+		t.Fatalf("%d primaryless alarms while a primary exists", n)
+	}
+
+	// Cut the only node off from the log: it cannot renew its lease, so
+	// it steps down, and nothing can win the shard back.
+	p, _ := sh.Primary()
+	setLevel(c.nodeFaults(p.ID()), faultpoint.SiteNodePartition, true)
+	deadline := time.After(5 * time.Second)
+	for changed := p.Changed(); p.Role() == election.RolePrimary; changed = p.Changed() {
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatal("a primary cut off from the log never stepped down")
+		}
+	}
+	for tick := 1; tick <= 3; tick++ {
+		m.Tick()
+		if want := tick / 3; alarms() != want {
+			t.Fatalf("after %d primaryless ticks of 10ms: %d alarms, want %d", tick, alarms(), want)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"memorydb/internal/netsim"
 	"memorydb/internal/s3"
 	"memorydb/internal/snapshot"
+	"memorydb/internal/trace"
 	"memorydb/internal/txlog"
 )
 
@@ -642,7 +643,7 @@ func TestCrashRestartTornSnapshotFallback(t *testing.T) {
 // TestCrashRestartVerifyQuarantine: when the builder uploads a corrupt
 // snapshot, its restore rehearsal on the next pass must quarantine it
 // (delete, so no restore can use it), trim nothing on its authority, and
-// page through the monitor's alarm channel.
+// raise an alarm on the cluster's merged timeline.
 func TestCrashRestartVerifyQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash harness skipped in -short mode")
@@ -662,8 +663,6 @@ func TestCrashRestartVerifyQuarantine(t *testing.T) {
 
 	cpFaults := faultpoint.New(seed)
 	cpFaults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
-	mon := &Monitor{Cluster: c}
-	snaps.AlarmFn = mon.RaiseAlarm
 	cp := &snapshot.Builder{Manager: snaps, Log: sh.Log, ShardID: sh.ID, EngineVersion: 1, Faults: cpFaults}
 	if _, err := cp.Full(ctx); err != nil {
 		t.Fatalf("corrupt-build snapshot: %v", err)
@@ -675,9 +674,14 @@ func TestCrashRestartVerifyQuarantine(t *testing.T) {
 	if trimmed, rehearsals := sh.Log.SegmentStats().Trimmed, cp.Stats().Rehearsals; trimmed != 0 || rehearsals != 1 {
 		t.Fatalf("%d segments trimmed over %d rehearsals, want 0 over 1", trimmed, rehearsals)
 	}
-	alarms := mon.Alarms()
-	if len(alarms) == 0 || !strings.Contains(alarms[0], "verification failed") {
-		t.Fatalf("no verification alarm raised: %v", alarms)
+	var alarms []string
+	for _, e := range c.MergedTimeline() {
+		if e.Kind == trace.EvAlarm {
+			alarms = append(alarms, e.Detail)
+		}
+	}
+	if len(alarms) != 1 || !strings.Contains(alarms[0], "verification failed") {
+		t.Fatalf("alarms on the merged timeline = %q, want one verification failure", alarms)
 	}
 	// Quarantined: the corrupt version is gone, so a restore sees a clean
 	// (empty) snapshot store and replays the log — never the bad bytes.

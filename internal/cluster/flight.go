@@ -24,20 +24,25 @@ func (c *Cluster) nodeFlight(nodeID string) *trace.Flight {
 	return f
 }
 
-// MergedTimeline merges every node's flight ring — plus the shared log
-// service's, which records segment seals, trims and quarantines — into
-// one causally-ordered cluster timeline. This is the black-box readout:
-// call it when a test fails, a node demotes unexpectedly, or an operator
-// runs DEBUG FLIGHT DUMP and wants more than one node's view.
+// MergedTimeline merges every identity's flight ring — each node's and
+// the Monitor's — plus the shared log service's, which records segment
+// seals, trims and quarantines, and the snapshot Manager's, which holds
+// the snapshot pipeline's alarms, into one causally-ordered cluster
+// timeline. This is the black-box readout: call it when a test fails, a
+// node demotes unexpectedly, or an operator runs DEBUG FLIGHT DUMP and
+// wants more than one node's view.
 func (c *Cluster) MergedTimeline() []trace.Event {
 	c.mu.RLock()
-	flights := make([]*trace.Flight, 0, len(c.flights)+1)
+	flights := make([]*trace.Flight, 0, len(c.flights)+2)
 	for _, f := range c.flights {
 		flights = append(flights, f)
 	}
 	c.mu.RUnlock()
 	if c.cfg.LogService != nil {
 		flights = append(flights, c.cfg.LogService.Flight())
+	}
+	if c.cfg.Snapshots != nil {
+		flights = append(flights, c.cfg.Snapshots.Flight)
 	}
 	return trace.Merge(flights...)
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"memorydb/internal/election"
-	"memorydb/internal/obs"
+	"memorydb/internal/trace"
 )
 
 // Monitor is the external monitoring service (paper §4.2, §5.1): it polls
@@ -23,45 +23,13 @@ type Monitor struct {
 	PrimaryAlarmAfter time.Duration
 
 	mu             sync.Mutex
-	alarms         *obs.AlarmLog
 	replaced       int
 	primarylessFor map[string]time.Duration
 }
 
-// monitorAlarmRing bounds retained alarm history. A wedged shard raising
-// an alarm per tick used to grow the alarm slice without limit; a ring
-// keeps the newest window (Total() still counts everything) so long
-// chaos runs cannot leak memory through the alarm path.
-const monitorAlarmRing = 256
-
-// AlarmLog returns the bounded alarm ring (created on first use), for
-// wiring into node INFO output.
-func (m *Monitor) AlarmLog() *obs.AlarmLog {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.alarms == nil {
-		m.alarms = obs.NewAlarmLog(monitorAlarmRing)
-	}
-	return m.alarms
-}
-
-// Alarms returns retained alarm messages, oldest first.
-func (m *Monitor) Alarms() []string {
-	log := m.AlarmLog()
-	rec := log.Oldest(monitorAlarmRing)
-	out := make([]string, len(rec))
-	for i, a := range rec {
-		out[i] = a.Msg
-	}
-	return out
-}
-
-// RaiseAlarm records an externally detected fault — e.g. wired as the
-// snapshot manager's AlarmFn, so a snapshot that fails verification pages
-// through the same channel as a primaryless shard.
-func (m *Monitor) RaiseAlarm(msg string) {
-	m.AlarmLog().Raise(msg)
-}
+// monitorFlight names the Monitor's identity-keyed ring: its alarms are
+// EvAlarm events there, on the cluster's merged timeline.
+const monitorFlight = "monitor"
 
 // Tick performs one monitoring pass. Run calls this on an interval; tests
 // may call it directly.
@@ -100,9 +68,7 @@ func (m *Monitor) Tick() {
 				limit = 30 * time.Second
 			}
 			if m.primarylessFor[sh.ID] >= limit {
-				m.mu.Unlock()
-				m.RaiseAlarm("shard " + sh.ID + " has no primary")
-				m.mu.Lock()
+				m.Cluster.nodeFlight(monitorFlight).Recordf(trace.EvAlarm, 0, "shard %s has no primary", sh.ID)
 				m.primarylessFor[sh.ID] = 0
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"memorydb/internal/engine"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/resp"
+	"memorydb/internal/trace"
 	"memorydb/internal/txlog"
 )
 
@@ -24,8 +25,9 @@ import (
 //   - the log runs on a simulated clock of its own that only commitHead
 //     moves: an append commits inside the Advance that reaches its due
 //     time, so the log has answered for it once commitHead returns;
-//   - the one step that waits on a commit, the primary's campaign, runs in
-//     setup, while the log still commits at once, inside StartAppend.
+//   - the one step that waits on a commit, a campaign, runs while the log
+//     commits at once, inside StartAppend: the primary's in setup, the
+//     replica's in failover.
 //
 // A harness owns its log service and starts no goroutine, so one that is
 // no longer in use is garbage, whatever it left in flight.
@@ -48,16 +50,16 @@ const (
 )
 
 // harnessLatency is the log's commit latency: none while the harness sets
-// up, so the claim commits at once, then harnessCommit plus a nanosecond
-// per turn, so the appends of a later turn commit later and commitHead can
-// commit one turn's appends alone.
-type harnessLatency struct{ turns *int }
+// up or a failover campaigns, so the claim commits at once, else
+// harnessCommit plus a nanosecond per turn, so the appends of a later turn
+// commit later and commitHead can commit one turn's appends alone.
+type harnessLatency struct{ h *harness }
 
 func (l harnessLatency) Sample() time.Duration {
-	if *l.turns == 0 {
+	if *l.h.turns == 0 || l.h.campaigning {
 		return 0
 	}
-	return harnessCommit + time.Duration(*l.turns)
+	return harnessCommit + time.Duration(*l.h.turns)
 }
 
 // hnode is a node the harness steps, its clock, and the status it had
@@ -99,6 +101,8 @@ type harness struct {
 	due   map[*txlog.Pending]time.Time
 	calls []*call
 	turns *int
+	// campaigning is set while failover's campaign runs.
+	campaigning bool
 	// fail reports a violated invariant; it defaults to t.Fatalf.
 	fail func(format string, args ...any)
 }
@@ -108,7 +112,7 @@ type harness struct {
 func newHarness(t testing.TB, cfg harnessConfig) *harness {
 	t.Helper()
 	h := &harness{t: t, logClk: clock.NewSim(time.Unix(1700000000, 0)), due: make(map[*txlog.Pending]time.Time), turns: new(int), fail: t.Fatalf}
-	svc := txlog.NewService(txlog.Config{Clock: h.logClk, CommitLatency: harnessLatency{h.turns}, Faults: cfg.faults})
+	svc := txlog.NewService(txlog.Config{Clock: h.logClk, CommitLatency: harnessLatency{h}, Faults: cfg.faults})
 	h.log, _ = svc.CreateLog("shard")
 	h.primary = h.node("node-a", cfg)
 	h.primary.restore()
@@ -133,7 +137,7 @@ func (h *harness) node(id string, cfg harnessConfig) *hnode {
 		Faults: cfg.faults, NoObs: cfg.noObs, RetrySeed: 1,
 		// A harness run records a few dozen events, and the default ring
 		// of 512 is a fifth of what a node costs the explorer's replays.
-		FlightEvents: 64,
+		Flight: trace.NewFlight(id, 64),
 	})
 	if err != nil {
 		h.t.Fatal(err)
@@ -163,7 +167,7 @@ func (h *harness) settle() {
 	for _, hn := range h.nodes() {
 		for _, e := range hn.issued {
 			if _, ok := h.due[e.p]; !ok {
-				h.due[e.p] = h.logClk.Now().Add(harnessLatency{h.turns}.Sample())
+				h.due[e.p] = h.logClk.Now().Add(harnessLatency{h}.Sample())
 			}
 			for _, w := range e.writes {
 				for _, c := range h.calls {
@@ -268,14 +272,36 @@ func (h *harness) queueFunc(hn *hnode, fn func() error) *task {
 // take is hn's turn on the oldest task on its queue: it drains the rest.
 func (h *harness) take(hn *hnode) { h.turn(hn, input{kind: inTask, t: <-hn.tasks}) }
 
+// submitBatch hands hn an atomic MULTI/EXEC group, as a task taken off its
+// queue. A readonly one is a replica read at ReadEventual, which a replica
+// serves from whatever it has applied.
+func (h *harness) submitBatch(hn *hnode, readonly bool, cmds ...[]string) *call {
+	t := &task{kind: taskBatch, readonly: readonly, opts: ReadOpts{Consistency: ReadEventual}}
+	for _, args := range cmds {
+		t.batch = append(t.batch, argvOf(args))
+	}
+	c := h.newTask(hn, t)
+	h.turn(hn, input{kind: inTask, t: c.t})
+	return c
+}
+
 // newCall readies a client command for hn as the next turn's.
 func (h *harness) newCall(hn *hnode, readonly bool, args []string) *call {
+	return h.newTask(hn, &task{kind: taskCmd, argv: argvOf(args), readonly: readonly})
+}
+
+func argvOf(args []string) [][]byte {
 	argv := make([][]byte, len(args))
 	for i, a := range args {
 		argv[i] = []byte(a)
 	}
+	return argv
+}
+
+// newTask readies t for hn as the next turn's.
+func (h *harness) newTask(hn *hnode, t *task) *call {
 	// Room for two replies, so a second one is counted, not blocked on.
-	t := &task{kind: taskCmd, argv: argv, readonly: readonly, done: make(chan struct{}, 2)}
+	t.done = make(chan struct{}, 2)
 	t.resolve()
 	c := &call{t: t, on: hn, sent: *h.turns + 1}
 	h.calls = append(h.calls, c)
@@ -335,6 +361,19 @@ func (h *harness) tick() {
 
 // apply is the replica's tailer turn: it applies the next committed entry.
 func (h *harness) apply() { h.turn(h.replica, input{kind: inReady}) }
+
+// failover has the replica, caught up, win the shard from a primary that
+// froze: the replica's backoff runs out and its tailer campaigns.
+func (h *harness) failover() {
+	h.primary.Freeze()
+	h.replica.clk.Advance(harnessLease + harnessLease/4)
+	h.campaigning = true
+	h.apply()
+	h.campaigning = false
+	if h.replica.Role() != election.RolePrimary {
+		h.t.Fatalf("the replica did not win the shard: %v", h.replica.Role())
+	}
+}
 
 // fireReadTimer moves hn's clock to its earliest parked deadline and fires
 // the read timer.

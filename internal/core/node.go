@@ -83,10 +83,6 @@ type Config struct {
 	// ablation arm of the overhead-guard benchmark, not a production
 	// setting.
 	NoObs bool
-	// Alarms, when set, is surfaced in INFO's # Slowlog section so
-	// operational alarms (snapshot quarantines, primaryless shards) are
-	// visible next to the latency outliers they usually explain.
-	Alarms *obs.AlarmLog
 	// Trace, when set, enables cross-node causal tracing: sampled
 	// commands carry a span context from submit through group commit
 	// onto the log entry, and this node's stages (plus replica applies
@@ -95,13 +91,10 @@ type Config struct {
 	// TRACES. Nil disables tracing entirely (zero overhead).
 	Trace *trace.Collector
 	// Flight, when set, is this node's black-box flight recorder ring.
-	// Nil creates a private one — the recorder is always on. The cluster
-	// layer passes identity-keyed rings so a restarted node continues
-	// its predecessor's timeline.
+	// Nil creates a private one of trace.DefaultFlightEvents — the
+	// recorder is always on. The cluster layer passes identity-keyed
+	// rings so a restarted node continues its predecessor's timeline.
 	Flight *trace.Flight
-	// FlightEvents sizes the private flight ring created when Flight is
-	// nil. Defaults to trace.DefaultFlightEvents.
-	FlightEvents int
 }
 
 func (c Config) withDefaults() Config {
@@ -378,7 +371,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.trace = cfg.Trace
 	n.flight = cfg.Flight
 	if n.flight == nil {
-		n.flight = trace.NewFlight(cfg.NodeID, cfg.FlightEvents)
+		n.flight = trace.NewFlight(cfg.NodeID, 0)
 	}
 	if cfg.Faults != nil {
 		// Injected faults that actually fire land on the flight timeline,
@@ -411,9 +404,6 @@ func (n *Node) newEngine() *engine.Engine {
 
 // Obs returns the node's observability registry (nil when disabled).
 func (n *Node) Obs() *obs.Metrics { return n.obs }
-
-// FlightRecorder returns the node's black-box event ring (never nil).
-func (n *Node) FlightRecorder() *trace.Flight { return n.flight }
 
 // ID returns the node ID.
 func (n *Node) ID() string { return n.cfg.NodeID }

@@ -8,14 +8,18 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"memorydb/internal/election"
+	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
 	"memorydb/internal/obs"
+	"memorydb/internal/s3"
+	"memorydb/internal/snapshot"
 	"memorydb/internal/trace"
 )
 
@@ -258,5 +262,42 @@ func TestObsOverheadGuard(t *testing.T) {
 		if median > 1+obsOverheadBar {
 			t.Errorf("%s overhead too high: median CPU ratio %.4f (> %.2f)", arms[i].name, median, 1+obsOverheadBar)
 		}
+	}
+}
+
+// TestFailedRehearsalShowsInFlightDump wires a node and its snapshot
+// Manager to one flight ring, as memorydb-server does, so a snapshot that
+// fails its restore rehearsal is on the timeline DEBUG FLIGHT DUMP
+// renders through the node.
+func TestFailedRehearsalShowsInFlightDump(t *testing.T) {
+	log, _ := testService(t, netsim.Zero{}).CreateLog("shard-0")
+	flight := trace.NewFlight("node-0", 0)
+	snaps := snapshot.NewManager(s3.New(), "snapshots")
+	snaps.Flight = flight
+	n, err := NewNode(Config{NodeID: "node-0", ShardID: log.ShardID(), Log: log, Snapshots: snaps, Flight: flight,
+		Lease: 120 * time.Millisecond, Backoff: 160 * time.Millisecond, RenewEvery: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	defer n.Stop()
+	waitRole(t, n, election.RolePrimary, 2*time.Second)
+	for i := 0; i < 8; i++ {
+		mustDo(t, n, "SET", fmt.Sprintf("k%d", i), "v")
+	}
+	faults := faultpoint.New(1)
+	faults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
+	b := &snapshot.Builder{Manager: snaps, Log: log, ShardID: log.ShardID(), EngineVersion: 1, Faults: faults}
+	if _, err := b.Full(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Tick(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if b.Stats().Rehearsals != 1 {
+		t.Fatalf("%d rehearsals, want the corrupt full judged once", b.Stats().Rehearsals)
+	}
+	if dump := mustDo(t, n, "DEBUG", "FLIGHT", "DUMP").Text(); !strings.Contains(dump, "verification failed") {
+		t.Fatalf("DEBUG FLIGHT DUMP shows no failed rehearsal:\n%s", dump)
 	}
 }

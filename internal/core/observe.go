@@ -172,11 +172,5 @@ func (n *Node) obsInfoSections() string {
 		fmt.Fprintf(&b, "slowlog_entry_%d:id=%d,cmd=%s,usec=%d,queue_usec=%d,exec_usec=%d,commit_usec=%d\r\n",
 			i, e.ID, e.Cmd, usec(e.Total), usec(e.Queue), usec(e.Exec), usec(e.Commit))
 	}
-	if n.cfg.Alarms != nil {
-		fmt.Fprintf(&b, "alarms_total:%d\r\n", n.cfg.Alarms.Total())
-		for i, a := range n.cfg.Alarms.Recent(8) {
-			fmt.Fprintf(&b, "alarm_%d:%s\r\n", i, a.Msg)
-		}
-	}
 	return b.String()
 }

@@ -236,7 +236,7 @@ func TestReplicaFencesOlderEpochEntry(t *testing.T) {
 		})
 	}
 	fences := func() (n int) {
-		for _, ev := range replica.FlightRecorder().Events() {
+		for _, ev := range replica.flight.Events() {
 			if ev.Kind == trace.EvWatermarkFence {
 				n++
 			}

@@ -143,7 +143,7 @@ func TestReplayInvariantAcrossConsumers(t *testing.T) {
 			err := tail(n)
 			if errors.Is(err, txlog.ErrChecksumMismatch) {
 				diverged := false
-				for _, ev := range n.FlightRecorder().Events() {
+				for _, ev := range n.flight.Events() {
 					diverged = diverged || (ev.Kind == trace.EvAlarm && strings.Contains(ev.Detail, "diverged"))
 				}
 				if !diverged {

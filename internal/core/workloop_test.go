@@ -261,79 +261,47 @@ func TestCrossSlotLinearizability(t *testing.T) {
 }
 
 // TestReplicaApplyUnderConcurrentReads applies the primary's entries on a
-// replica while its readers run: single-key reads, whole-keyspace reads
-// and cross-slot transactions. An entry is applied whole, as one workloop
-// task, so a reader never sees half of a cross-slot batch; under -race,
-// apply touching the keyspace off the workloop would be reported. A
-// promoted replica then serves every acknowledged write.
+// replica with a read between every two of its turns: a cross-slot batch
+// read never sees half of a cross-slot write, since an entry is applied
+// whole, in one workloop turn. The replica lags the primary by a growing
+// distance, then catches up. Promoted, it serves every acknowledged write.
 func TestReplicaApplyUnderConcurrentReads(t *testing.T) {
-	svc := testService(t, netsim.Fixed(time.Millisecond))
-	log, _ := svc.CreateLog("shard-1")
-	primary := testNode(t, "node-a", log, nil)
-	waitRole(t, primary, election.RolePrimary, 2*time.Second)
-	replica := testNode(t, "node-b", log, nil)
-	waitRole(t, replica, election.RoleReplica, time.Second)
-
-	ctx := context.Background()
+	h := newHarness(t, harnessConfig{replica: true})
 	left, right := crossSlotPair(t)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Every exit stops the readers, a failed one too: left running on a
-	// stopped replica they spin, and starve the tests after this one.
-	stopReaders := sync.OnceFunc(func() { close(stop); wg.Wait() })
-	defer stopReaders()
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				opts := ReadOpts{Consistency: ReadEventual}
-				switch r {
-				case 0:
-					replica.DoRead(ctx, [][]byte{[]byte("GET"), []byte(fmt.Sprintf("k%d", i%32))}, opts)
-				case 1:
-					replica.DoRead(ctx, [][]byte{[]byte("DBSIZE")}, opts)
-				default:
-					v, _, err := replica.DoBatchRead(ctx, [][][]byte{
-						{[]byte("GET"), []byte(left)},
-						{[]byte("GET"), []byte(right)},
-					}, opts)
-					if err == nil && !v.IsError() && v.Array[0].Text() != v.Array[1].Text() {
-						t.Errorf("torn replica read: %s=%q %s=%q", left, v.Array[0].Text(), right, v.Array[1].Text())
-						return
-					}
-				}
-			}
-		}(r)
+	checkCut := func() {
+		t.Helper()
+		v := h.mustReply(h.submitBatch(h.replica, true, []string{"GET", left}, []string{"GET", right}), "")
+		if len(v.Array) != 2 || v.Array[0].Text() != v.Array[1].Text() {
+			t.Fatalf("torn replica read at applied %d: %v", h.replica.applied.Seq, v)
+		}
+	}
+	apply := func() {
+		t.Helper()
+		h.apply()
+		checkCut()
 	}
 	const keys = 32
 	for i := 0; i < keys; i++ {
-		mustDo(t, primary, "SET", fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
-		if v, err := primary.DoBatch(ctx, [][][]byte{
-			{[]byte("SET"), []byte(left), []byte(fmt.Sprint(i))},
-			{[]byte("SET"), []byte(right), []byte(fmt.Sprint(i))},
-		}); err != nil || v.IsError() {
-			t.Fatalf("cross-slot batch: %v %v", v, err)
-		}
+		set := h.do("SET", fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
+		h.commit()
+		h.mustReply(set, "OK")
+		batch := h.submitBatch(h.primary, false, []string{"SET", left, fmt.Sprint(i)}, []string{"SET", right, fmt.Sprint(i)})
+		h.commit()
+		h.mustReply(batch, "")
+		apply()
 	}
-	waitApplied(t, replica, log.CommittedTail().Seq, 2*time.Second)
-	stopReaders()
+	for h.replica.applied.Seq < h.log.CommittedTail().Seq {
+		apply()
+	}
+	if v := h.mustReply(h.submitBatch(h.replica, true, []string{"GET", right}), ""); v.Array[0].Text() != fmt.Sprint(keys-1) {
+		t.Fatalf("caught-up replica read %s = %v", right, v)
+	}
 
-	primary.Stop()
-	waitRole(t, replica, election.RolePrimary, 3*time.Second)
+	h.failover()
 	for i := 0; i < keys; i++ {
-		if v := mustDo(t, replica, "GET", fmt.Sprintf("k%d", i)); v.Text() != fmt.Sprintf("v%d", i) {
-			t.Fatalf("k%d lost across failover: %v", i, v)
-		}
+		h.mustReply(h.submit(h.replica, false, "GET", fmt.Sprintf("k%d", i)), fmt.Sprintf("v%d", i))
 	}
-	if v := mustDo(t, replica, "GET", right); v.Text() != fmt.Sprint(keys-1) {
-		t.Fatalf("%s lost across failover: %v", right, v)
-	}
+	h.mustReply(h.submit(h.replica, false, "GET", right), fmt.Sprint(keys-1))
 }
 
 // TestSingleShardLogsEveryRecord pins that serialized single-key writes

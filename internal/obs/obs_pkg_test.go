@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"net/http/httptest"
 	"strconv"
@@ -51,27 +50,6 @@ func TestSlowlogThreshold(t *testing.T) {
 	s.Reset()
 	if s.Len() != 0 {
 		t.Fatal("reset kept entries")
-	}
-}
-
-func TestAlarmLogRing(t *testing.T) {
-	a := NewAlarmLog(3)
-	if a.Total() != 0 || len(a.Recent(5)) != 0 {
-		t.Fatal("fresh alarm log not empty")
-	}
-	for i := 0; i < 5; i++ {
-		a.Raise(fmt.Sprintf("alarm-%d", i))
-	}
-	if a.Total() != 5 {
-		t.Fatalf("total=%d want 5", a.Total())
-	}
-	rec := a.Recent(10)
-	if len(rec) != 3 || rec[0].Msg != "alarm-4" || rec[2].Msg != "alarm-2" {
-		t.Fatalf("recent wrong: %+v", rec)
-	}
-	old := a.Oldest(10)
-	if old[0].Msg != "alarm-2" || old[2].Msg != "alarm-4" {
-		t.Fatalf("oldest wrong: %+v", old)
 	}
 }
 

@@ -166,91 +166,3 @@ func (s *Slowlog) Reset() {
 	s.filled = false
 	s.mu.Unlock()
 }
-
-// Alarm is one operational alarm with its wall-clock time.
-type Alarm struct {
-	At  time.Time
-	Msg string
-}
-
-// AlarmLog is a bounded ring of operational alarms (snapshot
-// verification failures, primaryless shards, …). It replaces unbounded
-// `[]string` accumulation and — unlike an optional callback — never
-// drops history when no pager is wired up.
-type AlarmLog struct {
-	mu      sync.Mutex
-	ring    []Alarm
-	nextIdx int
-	filled  bool
-	total   int64
-}
-
-// NewAlarmLog creates an alarm ring holding the last size alarms.
-func NewAlarmLog(size int) *AlarmLog {
-	if size <= 0 {
-		size = 64
-	}
-	return &AlarmLog{ring: make([]Alarm, size)}
-}
-
-// Raise records an alarm.
-func (a *AlarmLog) Raise(msg string) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.ring[a.nextIdx] = Alarm{At: time.Now(), Msg: msg}
-	a.nextIdx++
-	if a.nextIdx == len(a.ring) {
-		a.nextIdx = 0
-		a.filled = true
-	}
-	a.total++
-	a.mu.Unlock()
-}
-
-// Total returns how many alarms were ever raised.
-func (a *AlarmLog) Total() int64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
-}
-
-// Recent returns up to n alarms, newest first.
-func (a *AlarmLog) Recent(n int) []Alarm {
-	if a == nil || n <= 0 {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	have := a.nextIdx
-	if a.filled {
-		have = len(a.ring)
-	}
-	if n > have {
-		n = have
-	}
-	out := make([]Alarm, 0, n)
-	idx := a.nextIdx
-	for i := 0; i < n; i++ {
-		idx--
-		if idx < 0 {
-			idx = len(a.ring) - 1
-		}
-		out = append(out, a.ring[idx])
-	}
-	return out
-}
-
-// Oldest returns up to n alarms, oldest first (the order an unbounded
-// append-only slice would have preserved).
-func (a *AlarmLog) Oldest(n int) []Alarm {
-	rec := a.Recent(n)
-	for i, j := 0, len(rec)-1; i < j; i, j = i+1, j-1 {
-		rec[i], rec[j] = rec[j], rec[i]
-	}
-	return rec
-}

@@ -9,19 +9,18 @@ import (
 	"memorydb/internal/s3"
 )
 
-// TestManagerRetainsAlarmsWithoutAlarmFn covers the dropped-alarm fix: with
-// no pager wired up (AlarmFn == nil) a verification failure must still be
-// retained in the manager's bounded ring, where post-mortems can find it,
-// and the failed snapshot must be quarantined rather than authorize a trim.
+// TestManagerRetainsAlarmsWithoutAlarmFn: a Manager nobody wired still
+// keeps its alarms, on the ring NewManager gave it, and the snapshot that
+// failed verification is quarantined rather than authorize a trim.
 func TestManagerRetainsAlarmsWithoutAlarmFn(t *testing.T) {
 	log, _ := buildSegmentedShard(t, 20, 4)
-	mgr := NewManager(s3.New(), "snaps") // AlarmFn deliberately nil.
+	mgr := NewManager(s3.New(), "snaps") // no ring wired
 	faults := faultpoint.New(1)
 	b := &Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 1, Faults: faults}
 	ctx := context.Background()
 
-	if got := mgr.RecentAlarms(8); len(got) != 0 {
-		t.Fatalf("alarms before any pass: %v", got)
+	if got := alarms(mgr.Flight); len(got) != 0 {
+		t.Fatalf("alarms before any pass: %q", got)
 	}
 	faults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
 	if _, err := b.Full(ctx); err != nil {
@@ -36,15 +35,10 @@ func TestManagerRetainsAlarmsWithoutAlarmFn(t *testing.T) {
 	if chain, ok, _ := mgr.Resolve("s1", false); ok || chain.Skipped != 0 {
 		t.Fatal("snapshot that failed verification was not quarantined")
 	}
-	alarms := mgr.RecentAlarms(8)
-	if len(alarms) != 1 || !strings.Contains(alarms[0].Msg, "verification failed") {
-		t.Fatalf("retained alarms = %+v, want one verification failure", alarms)
+	if got := alarms(mgr.Flight); len(got) != 1 || !strings.Contains(got[0], "verification failed") {
+		t.Fatalf("retained alarms = %q, want one verification failure", got)
 	}
 
-	// When a pager IS wired, it gets the message too — the ring is in
-	// addition to AlarmFn, not instead of it.
-	var paged []string
-	mgr.AlarmFn = func(msg string) { paged = append(paged, msg) }
 	faults.Arm(faultpoint.SiteSnapBuild, faultpoint.Corrupt, 0)
 	if _, err := b.Full(ctx); err != nil {
 		t.Fatal(err)
@@ -52,10 +46,7 @@ func TestManagerRetainsAlarmsWithoutAlarmFn(t *testing.T) {
 	if err := b.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(paged) != 1 || !strings.Contains(paged[0], "verification failed") {
-		t.Fatalf("AlarmFn pages = %v, want one verification failure", paged)
-	}
-	if got := mgr.RecentAlarms(8); len(got) != 2 {
+	if got := alarms(mgr.Flight); len(got) != 2 {
 		t.Fatalf("retained alarms after second failure = %d, want 2", len(got))
 	}
 

@@ -83,9 +83,6 @@ type Builder struct {
 	// snapshot_delta_build / snapshot_delta_upload durations into named
 	// histograms.
 	Obs *obs.Metrics
-	// Flight, when set, records builder-lag incidents on the node's
-	// black-box timeline alongside the page.
-	Flight *trace.Flight
 
 	mu     sync.Mutex
 	eng    *engine.Engine
@@ -244,7 +241,8 @@ func (b *Builder) Full(ctx context.Context) (Meta, error) {
 // verdict. Only the chain's base may authorize a trim: restoring past a
 // damaged tip delta falls back to an older prefix of the chain and
 // replays the log from that lower position, so trimming to the tip would
-// strand every delta above the base.
+// strand every delta above the base. A pass also prunes every version
+// below the base, which the trim leaves unrestorable.
 func (b *Builder) judgeNewest() {
 	chain, err := Verify(b.Manager, b.ShardID, b.Log, b.clk())
 	if errors.Is(err, s3.ErrUnavailable) || errors.Is(err, txlog.ErrUnavailable) {
@@ -254,6 +252,7 @@ func (b *Builder) judgeNewest() {
 	switch {
 	case err == nil:
 		b.Log.Trim(chain.Base.LogPos)
+		b.Manager.removeBelow(b.ShardID, chain.Base.LogPos)
 		b.judged = chain.Base.LogPos
 	case errors.Is(err, errChainDamaged):
 		// Evidence against the snapshot itself: quarantine it (idempotent
@@ -281,8 +280,8 @@ func (b *Builder) judgeNewest() {
 
 // alarmVerify pages that the judged chain failed its rehearsal.
 func (b *Builder) alarmVerify(chain Chain, err error) {
-	b.Manager.alarm(fmt.Sprintf("snapshot verification failed for shard %s at seq %d: %v",
-		b.ShardID, chain.Tip.LogPos.Seq, err))
+	b.Manager.Flight.Recordf(trace.EvAlarm, chain.Tip.LogPos.Seq, "snapshot verification failed for shard %s at seq %d: %v",
+		b.ShardID, chain.Tip.LogPos.Seq, err)
 }
 
 // catchUp checks the trim horizon and drains every committed entry into
@@ -310,9 +309,8 @@ func (b *Builder) catchUp() error {
 	// behind a verified base keeps it at or above the horizon).
 	if base := b.Log.TrimBase(); b.pos.Seq < base.Seq {
 		b.Manager.Health().LagAlarms.Add(1)
-		b.Flight.Recordf(trace.EvBuilderLag, b.pos.Seq, "%s lag exceeded trim horizon (base %d)", b.ShardID, base.Seq)
-		b.Manager.alarm(fmt.Sprintf("builder: %s lag exceeded trim horizon (pos %d < base %d)",
-			b.ShardID, b.pos.Seq, base.Seq))
+		b.Manager.Flight.Recordf(trace.EvBuilderLag, b.pos.Seq, "builder: %s lag exceeded trim horizon (pos %d < base %d)",
+			b.ShardID, b.pos.Seq, base.Seq)
 		if err := b.bootstrap(); err != nil {
 			return err
 		}

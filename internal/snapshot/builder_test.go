@@ -361,6 +361,53 @@ func TestBuilderJudgesEachFullOnce(t *testing.T) {
 	h.checkRestore(mgr)
 }
 
+// TestBuilderPrunesBelowVerifiedBase: a full that passes its rehearsal
+// removes every version below it, since restoring one would need log
+// entries that the same verdict trims. After three verified fulls the
+// store holds only the newest chain, and a fresh restore still works.
+func TestBuilderPrunesBelowVerifiedBase(t *testing.T) {
+	h := newShardHarness(t, 8)
+	mgr := NewManager(s3.New(), "snaps")
+	b := &Builder{Manager: mgr, Log: h.log, ShardID: "s1", EngineVersion: 1,
+		DeltaInterval: 4, CompactEvery: 3}
+	ctx := context.Background()
+
+	for round := 0; round < 13; round++ {
+		for i := 0; i < 4; i++ {
+			h.do("SET", fmt.Sprintf("k%d", i+round%3), fmt.Sprintf("r%d", round))
+		}
+		if err := b.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Tick(ctx); err != nil { // judges the last full
+		t.Fatal(err)
+	}
+	if fulls, rehearsals := mgr.Health().Compactions.Load(), b.Stats().Rehearsals; fulls < 3 || rehearsals != fulls {
+		t.Fatalf("%d rehearsals for %d fulls, want at least 3 judged", rehearsals, fulls)
+	}
+	chain, ok, err := mgr.Resolve("s1", true)
+	if err != nil || !ok {
+		t.Fatalf("newest chain: ok=%v err=%v", ok, err)
+	}
+	keys, err := mgr.store.List("snaps/s1/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if seq, _ := seqOfKey(k); seq < chain.Base.LogPos.Seq {
+			t.Fatalf("version %s survived below the verified base %d (store: %v)", k, chain.Base.LogPos.Seq, keys)
+		}
+	}
+	if len(keys) != chain.Depth+1 {
+		t.Fatalf("store holds %d versions, want the newest chain's %d", len(keys), chain.Depth+1)
+	}
+	if h.log.TrimBase().Seq == 0 {
+		t.Fatal("no verified full trimmed the log")
+	}
+	h.checkRestore(mgr)
+}
+
 // TestBuilderQuarantineForcesFull: a full that fails its rehearsal is
 // quarantined, and since the builder's own chain runs through it, the
 // next emit is a full, not a delta on the removed base. One fault raises
@@ -393,8 +440,8 @@ func TestBuilderQuarantineForcesFull(t *testing.T) {
 		}
 		h.checkRestore(mgr)
 	}
-	if alarms := mgr.RecentAlarms(16); len(alarms) != 1 {
-		t.Fatalf("one corrupt full raised %d alarms, want 1: %+v", len(alarms), alarms)
+	if got := alarms(mgr.Flight); len(got) != 1 {
+		t.Fatalf("one corrupt full raised %d alarms, want 1: %q", len(got), got)
 	}
 }
 

@@ -3,13 +3,21 @@ package snapshot
 import (
 	"io"
 
-	"memorydb/internal/obs"
 	"memorydb/internal/store"
+	"memorydb/internal/trace"
 )
 
-// RecentAlarms returns up to n retained alarms, newest first — the
-// post-mortem view of quarantined snapshots and builder lag.
-func (m *Manager) RecentAlarms(n int) []obs.Alarm { return m.alarms.Recent(n) }
+// alarms returns the details of the alarms on f — EvAlarm and
+// EvBuilderLag events — oldest first.
+func alarms(f *trace.Flight) []string {
+	var out []string
+	for _, e := range f.Events() {
+		if e.Kind == trace.EvAlarm || e.Kind == trace.EvBuilderLag {
+			out = append(out, e.Detail)
+		}
+	}
+	return out
+}
 
 // Save serializes db+meta and uploads it.
 func (m *Manager) Save(db *store.DB, meta Meta) error {

@@ -7,10 +7,10 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"memorydb/internal/obs"
 	"memorydb/internal/retry"
 	"memorydb/internal/s3"
 	"memorydb/internal/store"
+	"memorydb/internal/trace"
 	"memorydb/internal/txlog"
 )
 
@@ -27,13 +27,12 @@ type Manager struct {
 	// health carries the forkless builder's exported gauges/counters,
 	// shared with derivatives so nodes can read them off any handle.
 	health *BuilderHealth
-	// alarms retains the last alarms raised through this manager, so
-	// history survives with no pager wired up. Shared with derivatives.
-	alarms *obs.AlarmLog
-	// AlarmFn, when set, is the pager: invoked for every alarm — a
-	// quarantined chain link, a snapshot that failed its restore
-	// rehearsal, a builder that fell behind the trim horizon.
-	AlarmFn func(msg string)
+	// Flight is where the snapshot pipeline's alarms land: an EvAlarm
+	// for a quarantined chain link or a snapshot that failed its restore
+	// rehearsal, an EvBuilderLag for a builder that fell behind the trim
+	// horizon. NewManager gives it a ring of its own; a server hands it
+	// the node's, so DEBUG FLIGHT DUMP shows them. Derivatives share it.
+	Flight *trace.Flight
 }
 
 // NewManager returns a manager writing under prefix. st is typically a
@@ -44,29 +43,20 @@ func NewManager(st s3.Interface, prefix string) *Manager {
 		prefix = "snapshots"
 	}
 	return &Manager{store: st, prefix: prefix, torn: new(atomic.Int64), health: &BuilderHealth{},
-		alarms: obs.NewAlarmLog(64)}
+		Flight: trace.NewFlight("snapshots", 0)}
 }
 
 // WithRetries returns a Manager reading and writing through a retrying
 // wrapper with the given policy, sharing the underlying store.
 func (m *Manager) WithRetries(pol retry.Policy) *Manager {
 	return &Manager{store: s3.WithRetry(m.store, pol), prefix: m.prefix,
-		torn: m.torn, health: m.health, alarms: m.alarms, AlarmFn: m.AlarmFn}
+		torn: m.torn, health: m.health, Flight: m.Flight}
 }
 
 // Health returns the builder health block shared by every derivative of
 // this manager — the node-side observability reads lag, delta and
 // compaction counts from here.
 func (m *Manager) Health() *BuilderHealth { return m.health }
-
-// alarm is the one alarm path of the snapshot pipeline: msg is retained
-// in the bounded ring and forwarded to AlarmFn when wired.
-func (m *Manager) alarm(msg string) {
-	m.alarms.Raise(msg)
-	if m.AlarmFn != nil {
-		m.AlarmFn(msg)
-	}
-}
 
 // TornDetected returns how many corrupt or torn snapshot versions this
 // manager (and its retrying derivatives) has skipped during restores.
@@ -235,7 +225,7 @@ func (m *Manager) loadChain(shardID string, tip txlog.EntryID) (Chain, bool, err
 // restore rehearsal.
 func (m *Manager) quarantine(shardID string, pos txlog.EntryID, reason string) {
 	_ = m.Remove(shardID, pos)
-	m.alarm(fmt.Sprintf("snapshot: quarantined %s seq %d: %s", shardID, pos.Seq, reason))
+	m.Flight.Recordf(trace.EvAlarm, pos.Seq, "snapshot: quarantined %s seq %d: %s", shardID, pos.Seq, reason)
 }
 
 // seqOfKey parses the log position encoded in a snapshot key.
@@ -249,4 +239,20 @@ func seqOfKey(key string) (uint64, bool) {
 // it up.
 func (m *Manager) Remove(shardID string, pos txlog.EntryID) error {
 	return m.store.Delete(m.key(shardID, pos))
+}
+
+// removeBelow deletes every version of shardID below pos: once a chain
+// based at pos has passed its rehearsal and the log is trimmed to pos,
+// restoring any of them would need entries that are gone. A failed List
+// or Delete leaves the rest for the next verified chain.
+func (m *Manager) removeBelow(shardID string, pos txlog.EntryID) {
+	keys, err := m.store.List(m.prefix + "/" + shardID + "/")
+	if err != nil {
+		return
+	}
+	for _, k := range keys {
+		if seq, ok := seqOfKey(k); ok && seq < pos.Seq {
+			_ = m.store.Delete(k)
+		}
+	}
 }

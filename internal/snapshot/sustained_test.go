@@ -33,8 +33,8 @@ const sustainedRate = 20_000
 //   - cpu-µs/entry, B/entry and allocs/entry over the whole process, the
 //     writer's share included.
 //
-// Snapshots older than the third-newest full are deleted between passes,
-// so the in-memory store stays a few fulls in size however long it runs.
+// Each verified full prunes the versions below it, so the in-memory store
+// stays a chain or two in size however long it runs.
 func BenchmarkBuilderUnderSustainedWrites(b *testing.B) {
 	for _, keys := range []int{passKeys, 4 * passKeys} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) { builderUnderSustainedWrites(b, keys) })
@@ -53,7 +53,6 @@ func builderUnderSustainedWrites(b *testing.B, keys int) {
 		b.Fatal(err)
 	}
 	before := bld.Stats().Rehearsals
-	fulls := []txlog.EntryID{bld.Stats().Pos}
 
 	runtime.GC()
 	var ms0, ms1 runtime.MemStats
@@ -75,27 +74,19 @@ func builderUnderSustainedWrites(b *testing.B, keys int) {
 		case <-time.After(passInterval):
 		}
 		lags = append(lags, log.CommittedTail().Seq-bld.Stats().Pos.Seq)
-		compactions := mgr.Health().Compactions.Load()
 		t0 := time.Now()
 		if err := bld.Tick(ctx); err != nil {
 			b.Fatal(err)
 		}
 		passes = append(passes, time.Since(t0))
-		if mgr.Health().Compactions.Load() > compactions {
-			fulls = append(fulls, bld.Stats().Pos)
-			if len(fulls) > 3 {
-				fulls = fulls[1:]
-				pruneBelow(b, mgr, fulls[0])
-			}
-		}
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
 	cpu := cpuTime(b) - cpu0
 	runtime.ReadMemStats(&ms1)
 
-	if alarms := mgr.RecentAlarms(8); len(alarms) != 0 {
-		b.Fatalf("alarms raised: %v", alarms)
+	if got := alarms(mgr.Flight); len(got) != 0 {
+		b.Fatalf("alarms raised: %q", got)
 	}
 	slices.Sort(passes)
 	var lagSum, lagMax uint64
@@ -133,21 +124,6 @@ func writeAtRate(ctx context.Context, log *txlog.Log, n, keys int, start time.Ti
 		}
 	}
 	return nil
-}
-
-// pruneBelow deletes every snapshot version of s1 below pos.
-func pruneBelow(tb testing.TB, mgr *Manager, pos txlog.EntryID) {
-	keys, err := mgr.store.List("snaps/s1/")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, k := range keys {
-		if seq, ok := seqOfKey(k); ok && seq < pos.Seq {
-			if err := mgr.Remove("s1", txlog.EntryID{Seq: seq}); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
 }
 
 // cpuTime is the process's user plus system CPU time so far.

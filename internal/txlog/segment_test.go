@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"memorydb/internal/clock"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
+	"memorydb/internal/trace"
 )
 
 // segTestLog builds a log over a service with a small entry threshold so
@@ -73,13 +73,8 @@ func TestSegmentRotationByBytes(t *testing.T) {
 }
 
 func TestCorruptRecordQuarantine(t *testing.T) {
-	var mu sync.Mutex
-	var alarms []string
-	l := segTestLog(t, Config{SegmentEntries: 4, AlarmFn: func(msg string) {
-		mu.Lock()
-		alarms = append(alarms, msg)
-		mu.Unlock()
-	}})
+	flight := trace.NewFlight("txlog", 0)
+	l := segTestLog(t, Config{SegmentEntries: 4, Flight: flight})
 	after := ZeroID
 	for i := 0; i < 8; i++ {
 		after = appendData(t, l, after, "payload")
@@ -99,11 +94,14 @@ func TestCorruptRecordQuarantine(t *testing.T) {
 	if st := l.SegmentStats(); st.Quarantined != 1 {
 		t.Fatalf("quarantined = %d, want 1", st.Quarantined)
 	}
-	mu.Lock()
-	na := len(alarms)
-	mu.Unlock()
-	if na != 1 || !strings.Contains(alarms[0], "quarantined segment [1,4]") {
-		t.Fatalf("alarms = %v", alarms)
+	var quarantines []string
+	for _, e := range flight.Events() {
+		if e.Kind == trace.EvSegmentQuarantine {
+			quarantines = append(quarantines, e.Detail)
+		}
+	}
+	if len(quarantines) != 1 || !strings.Contains(quarantines[0], "quarantined segment [1,4]") {
+		t.Fatalf("quarantine events = %q", quarantines)
 	}
 	// The whole segment is condemned: an undamaged neighbour is
 	// unreadable too, and ChecksumAt inside the segment fails loudly.

@@ -200,10 +200,6 @@ type Config struct {
 	// (service outage, each zone's acks, seal, trim, corrupt_record). Nil
 	// injects nothing, at a nil check per site.
 	Faults *faultpoint.Registry
-	// AlarmFn, when set, is invoked for quarantine events (a segment
-	// failed CRC verification). It may be called with the log lock held
-	// and must not call back into the log.
-	AlarmFn func(msg string)
 	// Trace, when set, records per-AZ acknowledgement spans for entries
 	// stamped with a trace context (Entry.TraceID != 0).
 	Trace *trace.Collector
@@ -895,11 +891,8 @@ func (l *Log) quarantineLocked(s *segment, reason string) {
 		s.closed = true
 		l.segs = append(l.segs, &segment{base: s.maxSeq()})
 	}
-	if fn := l.svc.cfg.AlarmFn; fn != nil {
-		fn(fmt.Sprintf("txlog %s: quarantined segment [%d,%d]: %s",
-			l.shardID, s.minSeq(), s.maxSeq(), reason))
-	}
-	l.svc.cfg.Flight.Record(trace.EvSegmentQuarantine, s.maxSeq(), reason)
+	l.svc.cfg.Flight.Recordf(trace.EvSegmentQuarantine, s.maxSeq(), "txlog %s: quarantined segment [%d,%d]: %s",
+		l.shardID, s.minSeq(), s.maxSeq(), reason)
 }
 
 // verifyRecordLocked re-checks the stored record at seq against its

@@ -21,10 +21,10 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20457
+	ceilingNonTestLines = 20325
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
-	ceilingCoreConfigFields    = 20
+	ceilingCoreConfigFields    = 18
 	ceilingClusterConfigFields = 16
 	// sync.Mutex / sync.RWMutex fields of core.Node: the workloop owns the
 	// node's state, and what others read of it is one published value.
