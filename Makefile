@@ -5,8 +5,9 @@
 # connection), over the sequence gate the benchmark ladder times, and over
 # the keyspace whose only synchronization is "one owner per part" (store,
 # the engine that drives it, and the snapshot restore that builds it on
-# parallel workers from the objects S3 shares with every reader), then the
-# fixed-seed fault gates below.
+# parallel workers from the objects S3 shares with every reader), and over
+# the server binary's wiring (a cluster, its builders and Monitor behind
+# one endpoint), then the fixed-seed fault gates below.
 # scripts/check.sh is `exec make check`.
 
 GO ?= go
@@ -32,7 +33,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/tracker/ ./internal/txlog/ ./internal/store/ ./internal/engine/ ./internal/snapshot/ ./internal/s3/ ./internal/server/
+	$(GO) test -race ./internal/core/ ./internal/tracker/ ./internal/txlog/ ./internal/store/ ./internal/engine/ ./internal/snapshot/ ./internal/s3/ ./internal/server/ ./cmd/memorydb-server/
 
 # The frozen benchmark is its own module importing this one (`go build
 # ./...` never sees it): a change to the surface it uses must fail here,

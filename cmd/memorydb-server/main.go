@@ -1,32 +1,28 @@
-// Command memorydb-server runs a single-shard server speaking RESP.
+// Command memorydb-server runs a MemoryDB cluster behind one RESP
+// endpoint.
 //
 // In -mode=memorydb (default) it provisions an in-process multi-AZ
-// transaction log service, an S3 simulator for snapshots, and one primary
-// node: every write is durably committed across the simulated AZs before
-// it is acknowledged. In -mode=redis it runs the same engine as an OSS
-// Redis-style node: writes are acknowledged immediately and durability is
-// best-effort.
+// transaction log service, an S3 simulator for snapshots, -shards shards
+// of one primary and -replicas replicas each, placed across the log's
+// AZs, one forkless snapshot builder per shard and the monitoring
+// service. A write is acknowledged once the simulated AZs commit it. The
+// endpoint speaks Redis Cluster over 16384 slots: it routes a command to
+// the shard owning its key, pipelines what one primary can take, and
+// answers CROSSSLOT to keys in different slots (hash tags co-locate
+// them). In -mode=redis it runs the same engine as an OSS Redis-style
+// node: writes are acknowledged at once and durability is best-effort.
 //
-// Try it:
-//
-//	go run ./cmd/memorydb-server -addr 127.0.0.1:6379
+//	go run ./cmd/memorydb-server -addr 127.0.0.1:6379 -shards 3
 //	go run ./cmd/memorydb-cli -addr 127.0.0.1:6379 SET hello world
 //
-// Observability knobs (flags, with env fallbacks):
-//
-//	-metrics-addr / MEMORYDB_METRICS_ADDR  — serve Prometheus text on
-//	    http://<addr>/metrics (empty = disabled)
-//	-slowlog-threshold / MEMORYDB_SLOWLOG_THRESHOLD — end-to-end latency
-//	    above which a command is recorded in the slowlog
-//	-trace-sample / MEMORYDB_TRACE_SAMPLE — fraction of commands traced:
-//	    drives both the per-command slowlog tracer and the distributed
-//	    span collector behind TRACE GET/RECENT (0 disables sampling;
-//	    span collection stays armed so TRACE RESET + live sampling knobs
-//	    keep working)
-//	-flight-events / MEMORYDB_FLIGHT_EVENTS — per-node flight-recorder
-//	    ring size (0 = 512); DEBUG FLIGHT DUMP renders it
-//	pprof — when -metrics-addr is set, the standard /debug/pprof/
-//	    handlers (profile, heap, goroutine, trace) share its mux
+// -metrics-addr serves Prometheus text on /metrics and the standard
+// /debug/pprof/ handlers. -trace-sample drives the slowlog tracer and
+// the span collector behind TRACE GET/RECENT. DEBUG FLIGHT DUMP renders
+// the cluster's merged flight timeline: every node's ring, the log's, the
+// Monitor's and the snapshot pipeline's. MEMORYDB_FAULTPOINTS (grammar in
+// faultpoint.Parse), seeded by MEMORYDB_CRASH_SEED, arms one registry for
+// the log service, S3 and the builders, and each node's own registry, so
+// 'txlog.az-1.ack=error:1' takes a zone down.
 package main
 
 import (
@@ -39,12 +35,12 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
+	"sync"
 	"time"
 
 	"memorydb/internal/baseline"
 	"memorydb/internal/clock"
-	"memorydb/internal/core"
-	"memorydb/internal/election"
+	"memorydb/internal/cluster"
 	"memorydb/internal/engine"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/netsim"
@@ -56,121 +52,84 @@ import (
 	"memorydb/internal/txlog"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:6379", "listen address")
-	mode := flag.String("mode", "memorydb", "memorydb or redis")
-	commitLat := flag.Duration("commit-latency", 2*time.Millisecond, "base multi-AZ commit latency")
-	metricsAddr := flag.String("metrics-addr", os.Getenv("MEMORYDB_METRICS_ADDR"),
+// options is what the process runs from: its flags and the fault
+// injection environment.
+type options struct {
+	addr, mode, metricsAddr     string
+	commitLatency, slowlog      time.Duration
+	traceSample                 float64
+	shards, replicas            int
+	segmentBytes                int
+	deltaInterval, compactEvery int
+	faultSpec                   string
+	faultSeed                   int64
+}
+
+// defineFlags registers the flags, which flag.Parse fills in, and reads
+// the fault-injection spec ("site=kind[@N|:prob]" clauses separated by
+// ';', see faultpoint.Parse) from MEMORYDB_FAULTPOINTS and its seed from
+// MEMORYDB_CRASH_SEED.
+func defineFlags() *options {
+	o := &options{faultSpec: os.Getenv("MEMORYDB_FAULTPOINTS"), faultSeed: 1}
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:6379", "listen address")
+	flag.StringVar(&o.mode, "mode", "memorydb", "memorydb or redis")
+	flag.DurationVar(&o.commitLatency, "commit-latency", 2*time.Millisecond, "base multi-AZ commit latency")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", os.Getenv("MEMORYDB_METRICS_ADDR"),
 		"serve Prometheus metrics on this address (empty = disabled)")
-	slowlogThresh := flag.Duration("slowlog-threshold", envDuration("MEMORYDB_SLOWLOG_THRESHOLD", 10*time.Millisecond),
+	flag.DurationVar(&o.slowlog, "slowlog-threshold", envDuration("MEMORYDB_SLOWLOG_THRESHOLD", 10*time.Millisecond),
 		"record commands slower than this in the slowlog")
-	traceSample := flag.Float64("trace-sample", envFloat("MEMORYDB_TRACE_SAMPLE", 0),
+	flag.Float64Var(&o.traceSample, "trace-sample", envFloat("MEMORYDB_TRACE_SAMPLE", 0),
 		"fraction of commands to trace (0 disables sampling)")
-	flightEvents := flag.Int("flight-events", envInt("MEMORYDB_FLIGHT_EVENTS", 0),
-		"flight-recorder ring size per node (0 = 512)")
-	segmentBytes := flag.Int("segment-bytes", envInt("MEMORYDB_SEGMENT_BYTES", 0),
+	flag.IntVar(&o.shards, "shards", 1, "number of shards")
+	flag.IntVar(&o.replicas, "replicas", 1, "replicas per shard")
+	flag.IntVar(&o.segmentBytes, "segment-bytes", envInt("MEMORYDB_SEGMENT_BYTES", 0),
 		"rotate transaction-log segments at this payload size (0 = 1MiB default)")
-	deltaInterval := flag.Int("delta-interval", envInt("MEMORYDB_DELTA_INTERVAL", 0),
-		"snapshot builder: emit an incremental delta snapshot every N log entries, and trim the log behind each verified full (0 = disabled)")
-	compactEvery := flag.Int("compact-every", envInt("MEMORYDB_COMPACT_EVERY", 8),
-		"snapshot builder: compact the full+delta chain into a new full snapshot after N deltas")
+	flag.IntVar(&o.deltaInterval, "delta-interval", envInt("MEMORYDB_DELTA_INTERVAL", 512),
+		"snapshot builders: emit an incremental delta snapshot every N log entries, and trim the log behind each verified full (0 = no snapshots)")
+	flag.IntVar(&o.compactEvery, "compact-every", envInt("MEMORYDB_COMPACT_EVERY", 8),
+		"snapshot builders: compact the full+delta chain into a new full snapshot after N deltas")
+	if s := os.Getenv("MEMORYDB_CRASH_SEED"); s != "" {
+		seed, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			log.Fatalf("MEMORYDB_CRASH_SEED: %v", err)
+		}
+		o.faultSeed = seed
+	}
+	return o
+}
+
+func main() {
+	o := defineFlags()
 	flag.Parse()
 
-	// One shared metrics registry spans the front-end (read_parse,
-	// reply_write), the node's workloop and commit pipeline, and the
-	// per-AZ log replicas — so /metrics and INFO see the whole path.
-	metrics := obs.New(obs.Options{SlowlogThreshold: *slowlogThresh})
-	// The distributed span collector and the log service's flight ring are
-	// shared by every component in the process, so one sampled command's
-	// spans — front-end, workloop stages, log quorum acks — assemble into
-	// a single tree behind TRACE GET (and its LATENCY TRACES summary):
-	// -trace-sample drives the one sampling coin.
-	collector := trace.NewCollector(*traceSample, 1, 0)
-
-	var backend server.Backend
-	switch *mode {
+	var metrics *obs.Metrics
+	switch o.mode {
 	case "memorydb":
-		faults, err := faultRegistryFromEnv()
+		d, err := provision(*o)
 		if err != nil {
-			log.Fatalf("MEMORYDB_FAULTPOINTS: %v", err)
+			log.Fatal(err)
 		}
-		svc := txlog.NewService(txlog.Config{
-			Clock:         clock.NewReal(),
-			CommitLatency: fixedOr(*commitLat),
-			SegmentBytes:  *segmentBytes,
-			Faults:        faults,
-			Trace:         collector,
-			Flight:        trace.NewFlight("txlog", *flightEvents),
-		})
-		logHandle, err := svc.CreateLog("shard-0")
-		if err != nil {
-			log.Fatalf("create log: %v", err)
+		defer d.close()
+		metrics = d.metrics
+		fmt.Printf("cluster of %d shard(s) × %d replica(s) listening on %s\n", o.shards, o.replicas, d.srv.Addr())
+		if o.faultSpec != "" {
+			fmt.Printf("fault injection armed: %s (seed %d)\n", o.faultSpec, o.faultSeed)
 		}
-		for _, az := range svc.AZs() {
-			metrics.RegisterHistogram("az_append", fmt.Sprintf("az=%q", az.Name()), az.AckLatency())
-		}
-		// The node's flight ring also takes the snapshot pipeline's
-		// alarms, so DEBUG FLIGHT DUMP shows a quarantined chain link or a
-		// failed rehearsal next to the node's own transitions.
-		flight := trace.NewFlight("node-0", *flightEvents)
-		snaps := snapshot.NewManager(s3.New(s3.WithFaults(faults)), "snapshots")
-		snaps.Flight = flight
-		node, err := core.NewNode(core.Config{
-			NodeID:    "node-0",
-			ShardID:   "shard-0",
-			Log:       logHandle,
-			Snapshots: snaps,
-			Faults:    faults,
-			Obs:       metrics,
-			Trace:     collector,
-			Flight:    flight,
-		})
-		if err != nil {
-			log.Fatalf("create node: %v", err)
-		}
-		node.Start()
-		defer node.Stop()
-		for changed := node.Changed(); node.Role() != election.RolePrimary; changed = node.Changed() {
-			<-changed
-		}
-		// Forkless snapshots: a log-tailing builder materializes the
-		// keyspace off the critical path and streams delta snapshots to
-		// S3 — the engine never forks (contrast Figure 6's BGSave
-		// collapse). Compaction bounds restore chains at -compact-every,
-		// and the pass after each full rehearses a restore from it and
-		// drops every sealed segment the verified chain's base covers.
-		if *deltaInterval > 0 {
-			builder := &snapshot.Builder{
-				Manager: snaps, Log: logHandle, ShardID: "shard-0",
-				EngineVersion: engine.Version,
-				DeltaInterval: uint64(*deltaInterval),
-				CompactEvery:  *compactEvery,
-				Faults:        faults,
-				Obs:           metrics,
-			}
-			sctx, scancel := context.WithCancel(context.Background())
-			defer scancel()
-			go builder.Run(sctx)
-			fmt.Printf("forkless snapshot builder running (-delta-interval %d, -compact-every %d)\n",
-				*deltaInterval, *compactEvery)
-		}
-		backend = server.NodeBackend{Node: node}
 	case "redis":
+		metrics = obs.New(obs.Options{SlowlogThreshold: o.slowlog})
 		node := baseline.NewPrimary(baseline.Config{NodeID: "redis-0"})
 		defer node.Stop()
-		backend = server.BaselineBackend{Node: node}
+		srv := server.New(server.Config{Addr: o.addr, Backend: server.BaselineBackend{Node: node}, Obs: metrics})
+		if err := srv.Start(); err != nil {
+			log.Fatalf("listen: %v", err)
+		}
+		defer srv.Close()
+		fmt.Printf("redis-mode server listening on %s\n", srv.Addr())
 	default:
-		log.Fatalf("unknown mode %q", *mode)
+		log.Fatalf("unknown mode %q", o.mode)
 	}
 
-	srv := server.New(server.Config{Addr: *addr, Backend: backend, Obs: metrics, Trace: collector})
-	if err := srv.Start(); err != nil {
-		log.Fatalf("listen: %v", err)
-	}
-	defer srv.Close()
-	fmt.Printf("%s-mode server listening on %s\n", *mode, srv.Addr())
-
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler(metrics))
 		// Standard pprof surface on the same mux: CPU/heap/goroutine
@@ -181,14 +140,14 @@ func main() {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		msrv := &http.Server{Addr: *metricsAddr, Handler: mux}
+		msrv := &http.Server{Addr: o.metricsAddr, Handler: mux}
 		go func() {
 			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Printf("metrics server: %v", err)
 			}
 		}()
 		defer msrv.Close()
-		fmt.Printf("metrics on http://%s/metrics\n", *metricsAddr)
+		fmt.Printf("metrics on http://%s/metrics\n", o.metricsAddr)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -197,31 +156,108 @@ func main() {
 	fmt.Println("shutting down")
 }
 
-// faultRegistryFromEnv builds the process's one fault registry from the
-// MEMORYDB_FAULTPOINTS spec ("site=kind[@N|:prob]" clauses separated by
-// ';' — see faultpoint.Parse) seeded by MEMORYDB_CRASH_SEED. The log
-// service, the node, the snapshot builder and the S3 store all consult
-// it, so e.g. 'txlog.az-1.ack=error:1' takes a zone down. Returns nil
-// (faults disabled) when the spec is unset.
-func faultRegistryFromEnv() (*faultpoint.Registry, error) {
-	spec := os.Getenv("MEMORYDB_FAULTPOINTS")
-	if spec == "" {
-		return nil, nil
-	}
-	var seed int64 = 1
-	if s := os.Getenv("MEMORYDB_CRASH_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("MEMORYDB_CRASH_SEED: %w", err)
+// deployment is a running memorydb-mode process: the cluster, its
+// control plane (one snapshot builder per shard and the Monitor) and the
+// endpoint in front of it.
+type deployment struct {
+	cluster *cluster.Cluster
+	monitor *cluster.Monitor
+	metrics *obs.Metrics
+	srv     *server.Server
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup
+}
+
+// provision starts a deployment once every shard has a primary.
+func provision(o options) (*deployment, error) {
+	// One metrics registry spans the front-end (read_parse, reply_write),
+	// every node's workloop and commit pipeline, the builders and the
+	// per-AZ log replicas, so /metrics and INFO see the whole path. The
+	// span collector is shared the same way, so one sampled command's
+	// spans assemble into a single tree behind TRACE GET.
+	metrics := obs.New(obs.Options{SlowlogThreshold: o.slowlog})
+	collector := trace.NewCollector(o.traceSample, 1, 0)
+	// The process's own registry, for the log service, S3 and the
+	// builders, stays nil (faults disabled, one nil check per site) when
+	// no spec is set.
+	var faults *faultpoint.Registry
+	if o.faultSpec != "" {
+		var err error
+		if faults, err = faultpoint.Parse(o.faultSpec, o.faultSeed); err != nil {
+			return nil, fmt.Errorf("MEMORYDB_FAULTPOINTS: %w", err)
 		}
-		seed = v
 	}
-	reg, err := faultpoint.Parse(spec, seed)
+	svc := txlog.NewService(txlog.Config{
+		Clock:         clock.NewReal(),
+		CommitLatency: fixedOr(o.commitLatency),
+		SegmentBytes:  o.segmentBytes,
+		Faults:        faults,
+		Trace:         collector,
+		Flight:        trace.NewFlight("txlog", 0),
+	})
+	for _, az := range svc.AZs() {
+		metrics.RegisterHistogram("az_append", fmt.Sprintf("az=%q", az.Name()), az.AckLatency())
+	}
+	snaps := snapshot.NewManager(s3.New(s3.WithFaults(faults)), "snapshots")
+	c, err := cluster.New(cluster.Config{
+		NumShards:        o.shards,
+		ReplicasPerShard: o.replicas,
+		LogService:       svc,
+		Snapshots:        snaps,
+		FaultSpec:        o.faultSpec,
+		FaultSeed:        o.faultSeed,
+		Obs:              metrics,
+		Trace:            collector,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("provision: %w", err)
 	}
-	fmt.Printf("fault injection armed: %s (seed %d)\n", spec, seed)
-	return reg, nil
+	for _, sh := range c.Shards() {
+		if _, err := sh.WaitForPrimary(c.Clock(), 10*time.Second); err != nil {
+			c.Stop()
+			return nil, err
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	d := &deployment{cluster: c, monitor: &cluster.Monitor{Cluster: c, Interval: 5 * time.Second}, metrics: metrics, cancel: cancel}
+	d.wg.Add(1)
+	go func() { defer d.wg.Done(); d.monitor.Run(ctx) }()
+	// Forkless snapshots: a log-tailing builder per shard materializes
+	// the keyspace off the critical path and streams delta snapshots to
+	// S3; the engine never forks (contrast Figure 6's BGSave collapse).
+	// The pass after each full rehearses a restore from it and trims the
+	// log behind it.
+	for _, sh := range c.Shards() {
+		if o.deltaInterval <= 0 {
+			break
+		}
+		b := &snapshot.Builder{
+			Manager: snaps, Log: sh.Log, ShardID: sh.ID,
+			EngineVersion: engine.Version,
+			DeltaInterval: uint64(o.deltaInterval),
+			CompactEvery:  o.compactEvery,
+			Faults:        faults,
+			Obs:           metrics,
+		}
+		d.wg.Add(1)
+		go func() { defer d.wg.Done(); b.Run(ctx) }()
+	}
+	d.srv = server.New(server.Config{Addr: o.addr, Backend: server.ClusterBackend{Cluster: c}, Obs: metrics, Trace: collector})
+	if err := d.srv.Start(); err != nil {
+		d.close()
+		return nil, fmt.Errorf("listen: %w", err)
+	}
+	return d, nil
+}
+
+// close stops the endpoint, then the control plane, then every node.
+func (d *deployment) close() {
+	if d.srv != nil {
+		d.srv.Close()
+	}
+	d.cancel()
+	d.wg.Wait()
+	d.cluster.Stop()
 }
 
 func envDuration(key string, def time.Duration) time.Duration {

@@ -62,7 +62,7 @@ func (cl *Client) DoArgv(ctx context.Context, argv [][]byte) (resp.Value, error)
 // Linearizability harnesses use the outcome to decide which checker a
 // read participates in.
 func (cl *Client) DoArgvOutcome(ctx context.Context, argv [][]byte) (resp.Value, core.ReadOutcome, error) {
-	sh, err := cl.route(argv)
+	sh, err := cl.c.route(argv)
 	if err != nil {
 		return resp.Value{}, core.ReadOutcomePrimary, err
 	}
@@ -107,7 +107,7 @@ func (cl *Client) MultiExec(ctx context.Context, batch [][][]byte) (resp.Value, 
 	if len(batch) == 0 {
 		return resp.ArrayV(), nil
 	}
-	sh, err := cl.route(batch[0])
+	sh, err := cl.c.route(batch[0])
 	if err != nil {
 		return resp.Value{}, err
 	}
@@ -139,24 +139,33 @@ const waitPrimaryTimeout = 5 * time.Second
 
 // route picks the shard owning the command's first key; keyless commands
 // go to the first shard.
-func (cl *Client) route(argv [][]byte) (*Shard, error) {
+func (c *Cluster) route(argv [][]byte) (*Shard, error) {
 	if len(argv) == 0 {
 		return nil, fmt.Errorf("cluster: empty command")
 	}
 	if cmd := engine.Lookup(argv[0]); cmd != nil {
 		if keys := cmd.Keys(argv); len(keys) > 0 {
 			slot := crc16.Slot(keys[0])
-			if sh := cl.c.SlotOwner(slot); sh != nil {
+			if sh := c.SlotOwner(slot); sh != nil {
 				return sh, nil
 			}
 			return nil, fmt.Errorf("cluster: slot %d not served", slot)
 		}
 	}
-	shards := cl.c.Shards()
+	shards := c.Shards()
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards")
 	}
 	return shards[0], nil
+}
+
+// PrimaryFor returns the live primary of the shard Client routes argv
+// to, if it has one.
+func (c *Cluster) PrimaryFor(argv [][]byte) (*core.Node, bool) {
+	if sh, err := c.route(argv); err == nil {
+		return sh.Primary()
+	}
+	return nil, false
 }
 
 // pick selects the node to talk to within the shard. forcePrimary skips

@@ -9,6 +9,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"sync"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"memorydb/internal/crc16"
 	"memorydb/internal/election"
 	"memorydb/internal/faultpoint"
+	"memorydb/internal/obs"
 	"memorydb/internal/resp"
 	"memorydb/internal/snapshot"
 	"memorydb/internal/trace"
@@ -32,7 +34,6 @@ type Config struct {
 	LogService       *txlog.Service
 	Snapshots        *snapshot.Manager
 	Clock            clock.Clock
-	AZs              []string
 	// Node timing knobs, applied to every provisioned node.
 	Lease, Backoff, RenewEvery time.Duration
 	EngineVersion              uint32
@@ -40,18 +41,19 @@ type Config struct {
 	// RetrySeed seeds every node's transient-failure retry jitter, so
 	// fixed-seed chaos schedules reproduce.
 	RetrySeed int64
-	// FaultSeed seeds every node's fault registry (plus a stable hash of
-	// the node's identity), so fixed-seed site schedules reproduce.
+	// FaultSpec (faultpoint.Parse) arms each node's own fault registry,
+	// which FaultSeed seeds (plus a stable hash of the node's identity),
+	// so fixed-seed site schedules reproduce.
+	FaultSpec string
 	FaultSeed int64
+	// Obs, when set, is the one metrics registry every node records into;
+	// a node's series carry its ID and leave when it stops.
+	Obs *obs.Metrics
 	// Trace, when set, is shared by every node (and the log service, when
 	// it carries the same collector): one command's spans land in one
 	// place regardless of which process emitted them, so TRACE GET on any
 	// node assembles the full cross-node tree.
 	Trace *trace.Collector
-	// FlightEvents sizes each node's flight-recorder ring (0 = default).
-	// Rings are identity-keyed like fault registries: a restarted node
-	// continues its predecessor's timeline.
-	FlightEvents int
 }
 
 func (c Config) withDefaults() Config {
@@ -63,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = clock.NewReal()
-	}
-	if len(c.AZs) == 0 {
-		c.AZs = []string{"az-1", "az-2", "az-3"}
 	}
 	return c
 }
@@ -186,6 +185,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.LogService == nil {
 		return nil, errors.New("cluster: Config.LogService is required")
 	}
+	if _, err := faultpoint.Parse(cfg.FaultSpec, 0); err != nil {
+		return nil, fmt.Errorf("cluster: Config.FaultSpec: %w", err)
+	}
 	c := &Cluster{cfg: cfg, blockedSlots: make(map[uint16]bool), faults: make(map[string]*faultpoint.Registry)}
 	for i := 0; i < cfg.NumShards; i++ {
 		sh, err := c.addShard()
@@ -224,31 +226,30 @@ func (c *Cluster) addShard() (*Shard, error) {
 	return sh, nil
 }
 
-// addNode provisions one node into sh, placed round-robin across AZs.
+// addNode provisions one node into sh, placed round-robin across the log
+// service's AZs.
 func (c *Cluster) addNode(sh *Shard) (*core.Node, error) {
+	azs := c.cfg.LogService.AZs()
 	c.mu.Lock()
 	nodeID := fmt.Sprintf("%s-node-%d", sh.ID, c.nodeSeq)
-	az := c.cfg.AZs[c.nodeSeq%len(c.cfg.AZs)]
+	az := azs[c.nodeSeq%len(azs)].Name()
 	c.nodeSeq++
 	c.mu.Unlock()
 	return c.addNodeAs(sh, nodeID, az)
 }
 
 // nodeFaults returns (creating on first use) the fault registry for
-// nodeID. Seeds are derived from FaultSeed plus a stable FNV hash of the
-// node's identity, so a fixed seed reproduces the same per-node schedules
-// regardless of provisioning interleaving.
+// nodeID, armed from FaultSpec. Seeds are derived from FaultSeed plus a
+// stable FNV hash of the node's identity, so a fixed seed reproduces the
+// same per-node schedules regardless of provisioning interleaving.
 func (c *Cluster) nodeFaults(nodeID string) *faultpoint.Registry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.faults[nodeID]
 	if !ok {
-		var h uint64 = 14695981039346656037
-		for i := 0; i < len(nodeID); i++ {
-			h ^= uint64(nodeID[i])
-			h *= 1099511628211
-		}
-		r = faultpoint.New(c.cfg.FaultSeed ^ int64(h&0x7fffffffffffffff))
+		h := fnv.New64a()
+		h.Write([]byte(nodeID))
+		r, _ = faultpoint.Parse(c.cfg.FaultSpec, c.cfg.FaultSeed^int64(h.Sum64()&0x7fffffffffffffff)) // New checked the spec
 		c.faults[nodeID] = r
 	}
 	return r
@@ -272,6 +273,7 @@ func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
 		ChecksumEvery: c.cfg.ChecksumEvery,
 		RetrySeed:     c.cfg.RetrySeed,
 		Faults:        c.nodeFaults(nodeID),
+		Obs:           c.cfg.Obs,
 		Trace:         c.cfg.Trace,
 		Flight:        c.nodeFlight(nodeID),
 	})

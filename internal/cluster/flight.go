@@ -18,7 +18,7 @@ func (c *Cluster) nodeFlight(nodeID string) *trace.Flight {
 	}
 	f, ok := c.flights[nodeID]
 	if !ok {
-		f = trace.NewFlight(nodeID, c.cfg.FlightEvents)
+		f = trace.NewFlight(nodeID, 0)
 		c.flights[nodeID] = f
 	}
 	return f
@@ -32,17 +32,31 @@ func (c *Cluster) nodeFlight(nodeID string) *trace.Flight {
 // node demotes unexpectedly, or an operator runs DEBUG FLIGHT DUMP and
 // wants more than one node's view.
 func (c *Cluster) MergedTimeline() []trace.Event {
+	return trace.Merge(c.rings()...)
+}
+
+// FlightTotal is the number of events ever recorded on the rings
+// MergedTimeline merges, including those the rings have since dropped.
+func (c *Cluster) FlightTotal() uint64 {
+	var total uint64
+	for _, f := range c.rings() {
+		total += f.Total()
+	}
+	return total
+}
+
+// rings lists every identity's flight ring, the log service's and the
+// snapshot Manager's.
+func (c *Cluster) rings() []*trace.Flight {
 	c.mu.RLock()
 	flights := make([]*trace.Flight, 0, len(c.flights)+2)
 	for _, f := range c.flights {
 		flights = append(flights, f)
 	}
 	c.mu.RUnlock()
-	if c.cfg.LogService != nil {
-		flights = append(flights, c.cfg.LogService.Flight())
-	}
+	flights = append(flights, c.cfg.LogService.Flight())
 	if c.cfg.Snapshots != nil {
 		flights = append(flights, c.cfg.Snapshots.Flight)
 	}
-	return trace.Merge(flights...)
+	return flights
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"memorydb/internal/election"
 	"memorydb/internal/trace"
 )
 
@@ -34,15 +33,11 @@ const monitorFlight = "monitor"
 // Tick performs one monitoring pass. Run calls this on an interval; tests
 // may call it directly.
 func (m *Monitor) Tick() {
-	if m.primarylessFor == nil {
-		m.primarylessFor = make(map[string]time.Duration)
-	}
 	interval := m.Interval
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
 	for _, sh := range m.Cluster.Shards() {
-		hasPrimary := false
 		for _, n := range sh.Nodes() {
 			if n.Stopped() {
 				// A dead replica is a valid configuration to fix:
@@ -52,13 +47,13 @@ func (m *Monitor) Tick() {
 					m.replaced++
 					m.mu.Unlock()
 				}
-				continue
-			}
-			if n.Role() == election.RolePrimary {
-				hasPrimary = true
 			}
 		}
+		_, hasPrimary := sh.Primary() // a crash-frozen primary answers no one
 		m.mu.Lock()
+		if m.primarylessFor == nil {
+			m.primarylessFor = make(map[string]time.Duration)
+		}
 		if hasPrimary {
 			m.primarylessFor[sh.ID] = 0
 		} else {

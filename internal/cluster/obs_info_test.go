@@ -4,6 +4,12 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
+
+	"memorydb/internal/clock"
+	"memorydb/internal/netsim"
+	"memorydb/internal/obs"
+	"memorydb/internal/txlog"
 )
 
 // TestClusterInfoPerAZLines checks that CLUSTER INFO surfaces each zone's
@@ -37,5 +43,67 @@ func TestClusterInfoPerAZLines(t *testing.T) {
 		if !strings.Contains(info, field) {
 			t.Errorf("CLUSTER INFO missing %q:\n%s", field, info)
 		}
+	}
+}
+
+// TestSharedRegistryForgetsStoppedNodes replaces a stopped replica three
+// times under one registry: every live node keeps the same number of
+// series, and no stopped node's label is left in /metrics.
+func TestSharedRegistryForgetsStoppedNodes(t *testing.T) {
+	m := obs.New(obs.Options{})
+	c, err := New(Config{
+		Name: "t", ReplicasPerShard: 1, Obs: m,
+		LogService: txlog.NewService(txlog.Config{Clock: clock.NewReal(), CommitLatency: netsim.Zero{}}),
+		Lease:      120 * time.Millisecond, Backoff: 160 * time.Millisecond, RenewEvery: 30 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	sh := c.Shards()[0]
+	if _, err := sh.WaitForPrimary(c.Clock(), 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// series counts /metrics lines per node label.
+	series := func() map[string]int {
+		var b strings.Builder
+		m.WritePrometheus(&b)
+		out := make(map[string]int)
+		for _, line := range strings.Split(b.String(), "\n") {
+			if _, rest, ok := strings.Cut(line, `node="`); ok {
+				id, _, _ := strings.Cut(rest, `"`)
+				out[id]++
+			}
+		}
+		return out
+	}
+	perNode := series()[sh.Nodes()[0].ID()]
+	if perNode == 0 {
+		t.Fatal("no series carry a node label")
+	}
+	mon := &Monitor{Cluster: c}
+	var stopped []string
+	for range 3 {
+		r := sh.Replicas()
+		if len(r) == 0 {
+			t.Fatal("no replica to stop")
+		}
+		r[0].Stop()
+		stopped = append(stopped, r[0].ID())
+		mon.Tick()
+	}
+	got := series()
+	for _, id := range stopped {
+		if got[id] != 0 {
+			t.Errorf("stopped node %s still has %d series", id, got[id])
+		}
+	}
+	for _, n := range sh.Nodes() {
+		if got[n.ID()] != perNode {
+			t.Errorf("live node %s has %d series, want %d", n.ID(), got[n.ID()], perNode)
+		}
+	}
+	if len(got) != len(sh.Nodes()) || mon.Replacements() != 3 {
+		t.Errorf("labels %v for %d live nodes after %d replacements", got, len(sh.Nodes()), mon.Replacements())
 	}
 }

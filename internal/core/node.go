@@ -507,11 +507,13 @@ func (n *Node) QueueDepth() int { return len(n.tasks) }
 
 // Stop terminates the node. Withheld replies and parked reads are dropped
 // with the workloop: every caller waiting on one already returns
-// ErrStopped.
+// ErrStopped. The node's series leave its metrics registry, which a
+// process may share with the node that replaces it.
 func (n *Node) Stop() {
 	n.stopFn()
 	n.publish(func(*status) {})
 	n.wg.Wait()
+	n.obs.Unregister(n.obsLabel())
 }
 
 // setRole transitions the node's role (workloop only).

@@ -266,9 +266,10 @@ func TestObsOverheadGuard(t *testing.T) {
 }
 
 // TestFailedRehearsalShowsInFlightDump wires a node and its snapshot
-// Manager to one flight ring, as memorydb-server does, so a snapshot that
-// fails its restore rehearsal is on the timeline DEBUG FLIGHT DUMP
-// renders through the node.
+// Manager to one flight ring, so a snapshot that fails its restore
+// rehearsal is on the timeline DEBUG FLIGHT DUMP renders through the node
+// alone. memorydb-server keeps the Manager's own ring, which the cluster
+// endpoint's DEBUG FLIGHT DUMP merges with every node's.
 func TestFailedRehearsalShowsInFlightDump(t *testing.T) {
 	log, _ := testService(t, netsim.Zero{}).CreateLog("shard-0")
 	flight := trace.NewFlight("node-0", 0)

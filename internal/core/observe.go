@@ -67,7 +67,7 @@ func (n *Node) stage(s obs.Stage, parent trace.SpanContext, id uint64, from, to 
 // surface. Labels carry the node ID so shared registries keep nodes
 // distinguishable.
 func (n *Node) registerCounters() {
-	label := fmt.Sprintf("node=%q", n.cfg.NodeID)
+	label := n.obsLabel()
 	reg := func(name string, v interface{ Load() int64 }) {
 		n.obs.RegisterCounter(name, label, v.Load)
 	}
@@ -133,6 +133,10 @@ func (n *Node) registerCounters() {
 		return int64(n.QueueDepth())
 	})
 }
+
+// obsLabel is the label of every series the node registers; Stop
+// unregisters it.
+func (n *Node) obsLabel() string { return fmt.Sprintf("node=%q", n.cfg.NodeID) }
 
 // usec rounds up, so any recorded sub-microsecond stage reports as 1µs
 // rather than vanishing to 0 in INFO (a stage that ran is never "free").

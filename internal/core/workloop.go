@@ -99,8 +99,15 @@ type Call struct {
 
 // Run is requests handed to the workloop together, as a connection drains
 // a pipeline: the workloop serves a run's requests in order in one turn,
-// so the writes among them share one log entry. The zero Run is empty.
-type Run struct{ head, tail *task }
+// so the writes among them share one log entry. The zero Run is empty; a
+// run's first Add names the node it goes to.
+type Run struct {
+	head, tail *task
+	n          *Node
+}
+
+// Node returns the node r's requests were added for, nil while r is empty.
+func (r *Run) Node() *Node { return r.n }
 
 // Add readies req as r's next request and returns its reply future, which
 // is answered once r is submitted and served. A zero req.Span has the node
@@ -116,7 +123,7 @@ func (n *Node) Add(r *Run, req Request) Call {
 		n.traceStart(req.Span, t)
 	}
 	if r.head == nil {
-		r.head = t
+		r.head, r.n = t, n
 	} else {
 		r.tail.next = t
 	}

@@ -83,25 +83,30 @@ func cmdTrace(e *Engine, argv [][]byte) resp.Value {
 	return resp.Errf("ERR unknown TRACE subcommand '%s'", argv[1])
 }
 
-// cmdDebug: DEBUG FLIGHT DUMP | FLIGHT TOTAL. DUMP renders this node's
-// flight-recorder ring as a readable timeline (the cluster harness
-// merges rings across nodes; one node's ring is still useful alone).
+// cmdDebug: DEBUG FLIGHT DUMP | FLIGHT TOTAL on this node's flight ring
+// (the cluster endpoint answers it from every ring it merges).
 func cmdDebug(e *Engine, argv [][]byte) resp.Value {
-	if len(argv) >= 2 && strings.ToUpper(string(argv[1])) == "FLIGHT" {
-		if e.flight == nil {
-			return resp.Err("ERR flight recorder is disabled on this node")
-		}
-		sub := "DUMP"
-		if len(argv) >= 3 {
-			sub = strings.ToUpper(string(argv[2]))
-		}
-		switch sub {
-		case "DUMP":
-			return resp.BulkStr(trace.FormatTimeline(e.flight.Events()))
-		case "TOTAL":
-			return resp.Int64(int64(e.flight.Total()))
-		}
-		return resp.Errf("ERR unknown DEBUG FLIGHT subcommand '%s'", argv[2])
+	if e.flight == nil {
+		return resp.Err("ERR flight recorder is disabled on this node")
 	}
-	return resp.Err("ERR unknown DEBUG subcommand (supported: FLIGHT DUMP|TOTAL)")
+	return DebugFlight(argv, e.flight.Events(), e.flight.Total())
+}
+
+// DebugFlight answers DEBUG FLIGHT DUMP | FLIGHT TOTAL: DUMP renders
+// events as a timeline, TOTAL answers total, the events recorded.
+func DebugFlight(argv [][]byte, events []trace.Event, total uint64) resp.Value {
+	if len(argv) < 2 || strings.ToUpper(string(argv[1])) != "FLIGHT" {
+		return resp.Err("ERR unknown DEBUG subcommand (supported: FLIGHT DUMP|TOTAL)")
+	}
+	sub := "DUMP"
+	if len(argv) >= 3 {
+		sub = strings.ToUpper(string(argv[2]))
+	}
+	switch sub {
+	case "DUMP":
+		return resp.BulkStr(trace.FormatTimeline(events))
+	case "TOTAL":
+		return resp.Int64(int64(total))
+	}
+	return resp.Errf("ERR unknown DEBUG FLIGHT subcommand '%s'", argv[2])
 }

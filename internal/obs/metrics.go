@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -184,6 +185,19 @@ func (m *Metrics) RegisterGauge(name, label string, fn func() int64) {
 	m.regMu.Lock()
 	m.gauges = append(m.gauges, Gauge{Name: name, Label: label, Fn: fn})
 	m.regMu.Unlock()
+}
+
+// Unregister drops every series registered under label, and with their
+// callbacks what they reach.
+func (m *Metrics) Unregister(label string) {
+	if m == nil {
+		return
+	}
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
+	m.named = slices.DeleteFunc(m.named, func(h NamedHistogram) bool { return h.Label == label })
+	m.counter = slices.DeleteFunc(m.counter, func(c Counter) bool { return c.Label == label })
+	m.gauges = slices.DeleteFunc(m.gauges, func(g Gauge) bool { return g.Label == label })
 }
 
 func (m *Metrics) gaugeSnapshot() []Gauge {

@@ -15,12 +15,14 @@ import (
 	"memorydb/internal/txlog"
 )
 
-// startClusterServer boots a 2-shard cluster behind one TCP endpoint.
-func startClusterServer(t *testing.T) (*Server, *cluster.Cluster) {
+// startCluster boots a cluster of shards × (1 + replicas) nodes on its
+// own log service, with the given commit latency, and waits until every
+// shard has a primary.
+func startCluster(t testing.TB, shards, replicas int, commit netsim.LatencyModel) *cluster.Cluster {
 	t.Helper()
-	svc := txlog.NewService(txlog.Config{Clock: clock.NewReal(), CommitLatency: netsim.Zero{}})
+	svc := txlog.NewService(txlog.Config{Clock: clock.NewReal(), CommitLatency: commit})
 	c, err := cluster.New(cluster.Config{
-		Name: "e2e", NumShards: 2, ReplicasPerShard: 1,
+		Name: "e2e", NumShards: shards, ReplicasPerShard: replicas,
 		LogService: svc,
 		Lease:      200 * time.Millisecond, Backoff: 260 * time.Millisecond,
 		RenewEvery: 50 * time.Millisecond,
@@ -34,12 +36,14 @@ func startClusterServer(t *testing.T) (*Server, *cluster.Cluster) {
 			t.Fatal(err)
 		}
 	}
-	srv := New(Config{Addr: "127.0.0.1:0", Backend: ClusterBackend{Cluster: c}})
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	return srv, c
+	return c
+}
+
+// startClusterServer boots a 2-shard cluster behind one TCP endpoint.
+func startClusterServer(t *testing.T) (*Server, *cluster.Cluster) {
+	t.Helper()
+	c := startCluster(t, 2, 1, netsim.Zero{})
+	return serve(t, ClusterBackend{Cluster: c}), c
 }
 
 // TestClusterEndToEndOverTCP drives the full stack — TCP, RESP, routing,

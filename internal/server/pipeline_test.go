@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"memorydb/internal/core"
 	"memorydb/internal/engine"
 	"memorydb/internal/lin"
 	"memorydb/internal/netsim"
@@ -192,33 +193,47 @@ func checkProgramOrder(t *testing.T, history []pipeOp) {
 // TestPipelineIsOneEntry pins the hand-off: a connection hands the node a
 // drained pipeline as one run, served in one turn, so a depth-32 SET
 // pipeline is exactly one data entry of 32 records — with no commit
-// latency and with a 2 ms one. A READONLY in the middle is a barrier: it
-// ends the run, and the pipeline is two entries of 16.
+// latency and with a 2 ms one, through a node and through a one-shard
+// cluster. A READONLY in the middle is a barrier: it ends the run, and the
+// pipeline is two entries of 16 through the node. The cluster serves a
+// READONLY connection one command at a time, so there the second half is
+// 16 entries of one.
 func TestPipelineIsOneEntry(t *testing.T) {
 	const depth = 32
 	for _, commit := range []time.Duration{0, 2 * time.Millisecond} {
 		n := startPrimary(t, netsim.Fixed(commit))
-		srv := serve(t, NodeBackend{Node: n})
-		for _, split := range []bool{false, true} {
-			var stream []byte
-			for i := 0; i < depth; i++ {
-				if split && i == depth/2 {
-					stream = resp.AppendCommand(stream, "READONLY")
+		c := startCluster(t, 1, 0, netsim.Fixed(commit))
+		p, _ := c.Shards()[0].Primary()
+		for _, be := range []struct {
+			node         *core.Node
+			backend      Backend
+			splitFlushes int64
+		}{
+			{n, NodeBackend{Node: n}, 2},
+			{p, ClusterBackend{Cluster: c}, 1 + depth/2},
+		} {
+			srv := serve(t, be.backend)
+			for _, split := range []bool{false, true} {
+				var stream []byte
+				for i := 0; i < depth; i++ {
+					if split && i == depth/2 {
+						stream = resp.AppendCommand(stream, "READONLY")
+					}
+					stream = resp.AppendCommand(stream, "SET", fmt.Sprintf("k%d", i), "v")
 				}
-				stream = resp.AppendCommand(stream, "SET", fmt.Sprintf("k%d", i), "v")
-			}
-			st := n.Stats()
-			flushes, records := st.BatchFlushes.Load(), st.BatchedRecords.Load()
-			out := exchange(t, srv.Addr().String(), stream)
-			if want := bytes.Repeat([]byte("+OK\r\n"), bytes.Count(stream, []byte("*"))); !bytes.Equal(out, want) {
-				t.Fatalf("commit %v, split %v: replies %q", commit, split, out)
-			}
-			wantFlushes := int64(1)
-			if split {
-				wantFlushes = 2
-			}
-			if f, r := st.BatchFlushes.Load()-flushes, st.BatchedRecords.Load()-records; f != wantFlushes || r != depth {
-				t.Errorf("commit %v, split %v: batch flushes +%d, batched records +%d; want +%d, +%d", commit, split, f, r, wantFlushes, depth)
+				st := be.node.Stats()
+				flushes, records := st.BatchFlushes.Load(), st.BatchedRecords.Load()
+				out := exchange(t, srv.Addr().String(), stream)
+				if want := bytes.Repeat([]byte("+OK\r\n"), bytes.Count(stream, []byte("*"))); !bytes.Equal(out, want) {
+					t.Fatalf("%T, commit %v, split %v: replies %q", be.backend, commit, split, out)
+				}
+				wantFlushes := int64(1)
+				if split {
+					wantFlushes = be.splitFlushes
+				}
+				if f, r := st.BatchFlushes.Load()-flushes, st.BatchedRecords.Load()-records; f != wantFlushes || r != depth {
+					t.Errorf("%T, commit %v, split %v: batch flushes +%d, batched records +%d; want +%d, +%d", be.backend, commit, split, f, r, wantFlushes, depth)
+				}
 			}
 		}
 	}
@@ -286,9 +301,16 @@ func TestPipelineFloodCannotGrowNode(t *testing.T) {
 	t.Logf("peak in flight %d, live heap %d → %d KiB", peak.Load(), base>>10, top>>10)
 }
 
-// serialBackend hides NodeBackend's submit interface, so a server in
-// front of it answers each command before it reads the next.
+// serialBackend hides a backend's run interface, so a server in front of
+// it answers each command before it reads the next.
 type serialBackend struct{ Backend }
+
+// serialCluster is a serialBackend in front of a cluster, which still
+// answers CLUSTER.
+type serialCluster struct {
+	serialBackend
+	ClusterOps
+}
 
 // fuzzCommands are the commands FuzzPipelineModes lets through: the
 // connection's own, and engine commands whose replies depend only on the
@@ -304,8 +326,10 @@ var fuzzCommands = map[string]bool{
 
 // fuzzable reports whether every command of stream that a server would
 // run is in fuzzCommands or unknown to the engine (its error is fixed
-// text); SET takes no expiry option.
-func fuzzable(stream []byte) bool {
+// text); SET takes no expiry option. For a cluster it also rejects CLUSTER
+// INFO, whose per-AZ ack counts count log entries: a pipelining endpoint
+// writes fewer of them.
+func fuzzable(stream []byte, cluster bool) bool {
 	for len(stream) > 0 {
 		argv, rest, err := resp.ParseCommand(nil, stream)
 		if err != nil {
@@ -315,6 +339,9 @@ func fuzzable(stream []byte) bool {
 			name := strings.ToUpper(string(argv[0]))
 			known := engine.Lookup(argv[0]) != nil || name == "INFO"
 			if (known && !fuzzCommands[name]) || (name == "SET" && len(argv) > 3) {
+				return false
+			}
+			if cluster && name == "CLUSTER" && len(argv) > 1 && strings.EqualFold(string(argv[1]), "INFO") {
 				return false
 			}
 		}
@@ -344,11 +371,14 @@ func exchange(t *testing.T, addr string, stream []byte) []byte {
 	return out
 }
 
-// FuzzPipelineModes feeds one byte stream to two servers, each in front of
-// its own node: one pipelines, one serves a command at a time. The serial
+// FuzzPipelineModes feeds one byte stream to two pairs of servers: in
+// each pair one pipelines and one serves a command at a time. The serial
 // loop is the oracle: the two reply streams must be byte for byte equal.
-// Both nodes see the same streams in the same order, so their keyspaces
-// stay equal; FLUSHALL resets both anyway.
+// One pair is in front of a node each, the other in front of a 2-shard
+// cluster each, where a run ends at every command for the other shard.
+// Both backends of a pair see the same streams in the same order, so
+// their keyspaces stay equal; FLUSHALL resets both anyway (a cluster's
+// first shard only).
 func FuzzPipelineModes(f *testing.F) {
 	cmds := func(lines ...string) []byte { return []byte(strings.Join(lines, "\r\n") + "\r\n") }
 	f.Add(cmds("SET a 1", "GET a", "INCR a", "INCR a", "GET a", "DEL a", "GET a"))
@@ -360,20 +390,37 @@ func FuzzPipelineModes(f *testing.F) {
 	f.Add(append(cmds("SET a 1", "INCR a"), "*2\r\n$3\r\nGET\r\n$x\r\na\r\nGET a\r\n"...))
 	f.Add(append(cmds("RPUSH l a b c", "LRANGE l 0 -1"), "*2\r\n$4\r\nLPOP\r\n$1\r\nl"...))
 	f.Add(cmds("AUTH x", "SELECT 0", "SELECT 1", "CLUSTER INFO", "MSET a 1 b 2", "MGET a b c", "DBSIZE", "WAIT 1 0"))
+	// a and b hash to different shards of a 2-shard cluster.
+	f.Add(cmds("SET a 1", "SET b 2", "INCR a", "INCR b", "GET a", "GET b", "PING", "INCR a", "INCR a", "GET b"))
+	f.Add(cmds("MSET a 1 b 2", "MSET {t}a 1 {t}b 2", "MGET {t}a {t}b", "GET a", "DEL a b", "DEL {t}a {t}b", "CLUSTER KEYSLOT a"))
 
-	pipelined := serve(f, NodeBackend{Node: startPrimary(f, netsim.Zero{})})
-	serial := serve(f, serialBackend{NodeBackend{Node: startPrimary(f, netsim.Zero{})}})
+	nodes := [2]*Server{
+		serve(f, NodeBackend{Node: startPrimary(f, netsim.Zero{})}),
+		serve(f, serialBackend{NodeBackend{Node: startPrimary(f, netsim.Zero{})}}),
+	}
+	serialC := ClusterBackend{Cluster: startCluster(f, 2, 0, netsim.Zero{})}
+	clusters := [2]*Server{
+		serve(f, ClusterBackend{Cluster: startCluster(f, 2, 0, netsim.Zero{})}),
+		serve(f, serialCluster{serialBackend{serialC}, serialC}),
+	}
 	flush := resp.AppendCommand(nil, "FLUSHALL")
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		if len(stream) > 16<<10 || !fuzzable(stream) {
+		if len(stream) > 16<<10 || !fuzzable(stream, false) {
 			t.Skip()
 		}
-		if p, s := exchange(t, pipelined.Addr().String(), flush), exchange(t, serial.Addr().String(), flush); !bytes.Equal(p, s) {
-			t.Fatalf("FLUSHALL: pipelined %q, serial %q", p, s)
+		pairs := [][2]*Server{nodes}
+		if fuzzable(stream, true) {
+			pairs = append(pairs, clusters)
 		}
-		p, s := exchange(t, pipelined.Addr().String(), stream), exchange(t, serial.Addr().String(), stream)
-		if !bytes.Equal(p, s) {
-			t.Fatalf("stream %q:\npipelined %q\nserial    %q", stream, p, s)
+		for _, pair := range pairs {
+			pipelined, serial := pair[0].Addr().String(), pair[1].Addr().String()
+			if p, s := exchange(t, pipelined, flush), exchange(t, serial, flush); !bytes.Equal(p, s) {
+				t.Fatalf("FLUSHALL: pipelined %q, serial %q", p, s)
+			}
+			p, s := exchange(t, pipelined, stream), exchange(t, serial, stream)
+			if !bytes.Equal(p, s) {
+				t.Fatalf("%T: stream %q:\npipelined %q\nserial    %q", pair[0].cfg.Backend, stream, p, s)
+			}
 		}
 	})
 }

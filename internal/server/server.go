@@ -8,8 +8,9 @@
 // flush. The node serves a run in one turn, so a depth-N pipeline of
 // writes shares one log entry and pays one commit round instead of N. A
 // connection command (READONLY, MULTI, QUIT, …) ends a run: it is
-// answered after everything before it. A backend that cannot take a run
-// is served one command at a time.
+// answered after everything before it, and so is a command the backend
+// declines to put on the run. A backend that cannot take a run is served
+// one command at a time.
 package server
 
 import (
@@ -160,10 +161,11 @@ func (s *Server) acceptLoop() {
 
 // runner is the optional Backend interface the pipelined loop needs: put
 // a command on a run without queueing it, returning its reply future, and
-// hand the run over. The server finds it by type assertion, as it finds
-// ClusterOps.
+// hand the run over. Add may decline a command, which the connection then
+// serves alone with Do once the run before it is answered. The server
+// finds it by type assertion, as it finds ClusterOps.
 type runner interface {
-	Add(run *core.Run, argv [][]byte, mode ReadMode, span trace.SpanContext) core.Call
+	Add(run *core.Run, argv [][]byte, mode ReadMode, span trace.SpanContext) (core.Call, bool)
 	Submit(ctx context.Context, run *core.Run)
 }
 
@@ -276,16 +278,23 @@ func (c *conn) drain() bool {
 			if !c.reply(reply, nil, trace.Span{}) || quit {
 				return false
 			}
-		case c.sub == nil:
+		default:
 			sc, root := c.s.mintSpan(argv[0])
+			if c.sub != nil {
+				// argv owns its buffer, so it stays valid while later
+				// commands are read.
+				if call, ok := c.sub.Add(&c.run, argv, c.mode, sc); ok {
+					c.fifo = append(c.fifo, inflight{call: call, root: root})
+					continue
+				}
+			}
+			// Served alone, after everything before it.
+			if !c.answer() {
+				return false
+			}
 			if v, err := c.s.cfg.Backend.Do(c.s.spanCtx(sc), argv, c.mode); !c.reply(v, err, root) {
 				return false
 			}
-		default:
-			// argv owns its buffer, so it stays valid while later
-			// commands are read.
-			sc, root := c.s.mintSpan(argv[0])
-			c.fifo = append(c.fifo, inflight{call: c.sub.Add(&c.run, argv, c.mode, sc), root: root})
 		}
 	}
 	return true

@@ -21,7 +21,7 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20325
+	ceilingNonTestLines = 20365
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 18
@@ -32,7 +32,7 @@ const (
 	// Exported funcs, methods, types and struct fields under internal/
 	// that no non-test code names (see unnamedExports), allowUnnamed
 	// aside.
-	ceilingUnnamedExports = 33
+	ceilingUnnamedExports = 32
 	// time.Sleep / time.After calls in non-test internal/ code outside
 	// internal/clock and internal/bench: everything else waits on a
 	// clock.Clock, so a simulated clock can drive it.
@@ -65,7 +65,7 @@ const (
 	// Settings an operator can turn (see settingNames): flag definitions
 	// in non-test cmd/ and examples/ code, plus each MEMORYDB_* name read
 	// there that backs no flag (MEMORYDB_FAULTPOINTS, MEMORYDB_CRASH_SEED).
-	ceilingSettings = 16
+	ceilingSettings = 14
 )
 
 // sleepyTestDirs are the packages whose tests' sleeps the scoreboard
