@@ -3,6 +3,10 @@ package main
 import (
 	"fmt"
 	"net"
+	"os"
+	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -230,6 +234,109 @@ func TestDefaultSnapshotsTrim(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatal("default snapshot flags: the soak trimmed no segment")
 			}
+		}
+	}
+}
+
+// signalNames returns the sorted INFO field names of d's first primary
+// and the memorydb_* family names on d's /metrics. Per-command and
+// per-entry lines (cmdstat_*, slowlog_entry_*) name data, not signals,
+// and are left out.
+func signalNames(t *testing.T, d *deployment) []string {
+	t.Helper()
+	c := dial(t, d)
+	c.must(t, "SET", "a", "1")
+	c.must(t, "GET", "a")
+	var names []string
+	for _, line := range strings.Split(c.must(t, "INFO").Text(), "\r\n") {
+		name, _, ok := strings.Cut(line, ":")
+		if ok && !strings.HasPrefix(name, "cmdstat_") && !strings.HasPrefix(name, "slowlog_entry_") {
+			names = append(names, name)
+		}
+	}
+	for _, line := range strings.Split(metrics(d), "\n") {
+		if family, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			names = append(names, strings.Fields(family)[0])
+		}
+	}
+	sort.Strings(names)
+	return slices.Compact(names)
+}
+
+// TestSignalNamesKeepGolden: every INFO field and /metrics family a
+// primary with snapshots and tracing on showed before INFO and /metrics
+// were read off one list of node signals is still there. The only names
+// added are the signals that were on one surface and are now on both.
+func TestSignalNamesKeepGolden(t *testing.T) {
+	d := start(t, func(o *options) { o.traceSample = 1 })
+	got := signalNames(t, d)
+	raw, err := os.ReadFile("testdata/signal_names.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := strings.Fields(string(raw))
+	for _, name := range golden {
+		if _, found := slices.BinarySearch(got, name); !found {
+			t.Errorf("%s is gone", name)
+		}
+	}
+	var added []string
+	for _, name := range got {
+		if _, found := slices.BinarySearch(golden, name); !found {
+			added = append(added, name)
+		}
+	}
+	// INFO gains the counters only /metrics had, and /metrics the one
+	// only INFO had.
+	moved := []string{
+		"appends_failed", "flight_events_recorded", "memorydb_log_degraded_appends_total",
+		"snapshot_restores", "trace_spans_recorded", "trace_traces_sampled",
+	}
+	if !slices.Equal(added, moved) {
+		t.Errorf("names added %v, want %v", added, moved)
+	}
+}
+
+// serveConns counts the goroutines serving a connection.
+func serveConns() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Server).serveConn(")
+}
+
+// TestHangupOnFrozenPrimaryFreesConnection: a write is in flight when its
+// primary crash-freezes, and the client hangs up. The Monitor's next tick
+// replaces the frozen node, the write's waiter fails (an error, never an
+// acknowledgement), and the connection's goroutine ends instead of staying
+// parked on a node that will never answer.
+func TestHangupOnFrozenPrimaryFreesConnection(t *testing.T) {
+	d := start(t, func(o *options) { o.faultSpec = "core.flush.post=crash@0" })
+	p, ok := d.cluster.Shards()[0].Primary()
+	if !ok {
+		t.Fatal("no primary")
+	}
+	before := serveConns()
+	c := dial(t, d)
+	acked := make(chan bool, 1)
+	go func() {
+		v, err := c.do("SET", "k", "v")
+		acked <- err == nil && v.Text() == "OK"
+	}()
+	deadline := time.After(10 * time.Second)
+	for changed := p.Changed(); !p.Frozen(); changed = p.Changed() {
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatal("the primary never crashed")
+		}
+	}
+	c.nc.Close()
+	if <-acked {
+		t.Fatal("a write to a crash-frozen primary was acknowledged")
+	}
+	d.monitor.Tick()
+	for end := time.Now().Add(5 * time.Second); serveConns() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d connection goroutines outlive their hung-up client", serveConns()-before)
 		}
 	}
 }

@@ -370,6 +370,10 @@ func (c *Cluster) Stop() {
 	}
 }
 
+// errCrossSlot answers a command or a MULTI/EXEC batch whose keys span
+// more than one slot.
+var errCrossSlot = resp.Err("CROSSSLOT Keys in request don't hash to the same slot")
+
 // gateFor builds the slot admission check for nodes of sh: MOVED for
 // slots owned elsewhere, CROSSSLOT for multi-slot commands, TRYAGAIN for
 // writes to a slot whose ownership transfer is in flight.
@@ -381,7 +385,7 @@ func (c *Cluster) gateFor(sh *Shard) func(name string, keys [][]byte, writing bo
 		slot := crc16.Slot(keys[0])
 		for _, k := range keys[1:] {
 			if crc16.Slot(k) != slot {
-				return resp.Err("CROSSSLOT Keys in request don't hash to the same slot"), true
+				return errCrossSlot, true
 			}
 		}
 		c.mu.RLock()

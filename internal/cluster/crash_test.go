@@ -315,9 +315,9 @@ func TestCrashRestartRecovery(t *testing.T) {
 	cpFaults.Arm(faultpoint.SiteDeltaUpload, faultpoint.Crash, 0)
 	builderCrashed := false
 	// The snapshot leg's three fulls already count as compactions.
-	fulls := snaps.Health().Compactions.Load()
+	fulls := snaps.Health(sh.ID).Compactions.Load()
 	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline) &&
-		snaps.Health().Compactions.Load() == fulls; {
+		snaps.Health(sh.ID).Compactions.Load() == fulls; {
 		advance("builder")
 		if err := builder.Tick(ctx); errors.Is(err, snapshot.ErrBuilderCrashed) {
 			builderCrashed = true
@@ -329,9 +329,9 @@ func TestCrashRestartRecovery(t *testing.T) {
 	if builder.Stats().Rebootstraps == 0 {
 		t.Fatal("crashed builder never re-bootstrapped from the durable chain")
 	}
-	if snaps.Health().DeltasEmitted.Load() == 0 || snaps.Health().Compactions.Load() == fulls {
+	if snaps.Health(sh.ID).DeltasEmitted.Load() == 0 || snaps.Health(sh.ID).Compactions.Load() == fulls {
 		t.Fatalf("builder leg produced %d deltas, %d compactions — want both nonzero",
-			snaps.Health().DeltasEmitted.Load(), snaps.Health().Compactions.Load()-fulls)
+			snaps.Health(sh.ID).DeltasEmitted.Load(), snaps.Health(sh.ID).Compactions.Load()-fulls)
 	}
 
 	// Trim leg: the pass after the compaction rehearses it and drops every

@@ -10,10 +10,10 @@ import (
 
 // Monitor is the external monitoring service (paper §4.2, §5.1): it polls
 // every node on an interval to form an external view of cluster health,
-// repairs configurations that are valid to repair (dead replicas are
-// replaced), and alarms on invalid ones (a shard with no primary in
-// sight). Node-internal failure detection — lease expiry in the log — is
-// the internal view; recovery actions consult both.
+// repairs configurations that are valid to repair (stopped and
+// crash-frozen nodes are replaced), and alarms on invalid ones (a shard
+// with no primary in sight). Node-internal failure detection — lease
+// expiry in the log — is the internal view; recovery actions consult both.
 type Monitor struct {
 	Cluster  *Cluster
 	Interval time.Duration
@@ -39,9 +39,10 @@ func (m *Monitor) Tick() {
 	}
 	for _, sh := range m.Cluster.Shards() {
 		for _, n := range sh.Nodes() {
-			if n.Stopped() {
-				// A dead replica is a valid configuration to fix:
-				// provision a replacement that restores from S3 + log.
+			if n.Stopped() || n.Frozen() {
+				// A dead node is a valid configuration to fix: provision
+				// a replacement that restores from S3 + log. Terminating
+				// a crash-frozen one fails the calls still waiting on it.
 				if _, err := m.Cluster.ReplaceNode(n.ID()); err == nil {
 					m.mu.Lock()
 					m.replaced++

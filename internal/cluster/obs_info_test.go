@@ -9,6 +9,8 @@ import (
 	"memorydb/internal/clock"
 	"memorydb/internal/netsim"
 	"memorydb/internal/obs"
+	"memorydb/internal/s3"
+	"memorydb/internal/snapshot"
 	"memorydb/internal/txlog"
 )
 
@@ -105,5 +107,49 @@ func TestSharedRegistryForgetsStoppedNodes(t *testing.T) {
 	}
 	if len(got) != len(sh.Nodes()) || mon.Replacements() != 3 {
 		t.Errorf("labels %v for %d live nodes after %d replacements", got, len(sh.Nodes()), mon.Replacements())
+	}
+}
+
+// TestBuilderHealthPerShard: two shards share one snapshot Manager and
+// only the first shard's builder takes a full. Every node's INFO and
+// /metrics show its own shard's builder, not whichever builder wrote last.
+func TestBuilderHealthPerShard(t *testing.T) {
+	m := obs.New(obs.Options{})
+	snaps := snapshot.NewManager(s3.New(), "snapshots")
+	c, err := New(Config{
+		Name: "t", NumShards: 2, Obs: m, Snapshots: snaps,
+		LogService: txlog.NewService(txlog.Config{Clock: clock.NewReal(), CommitLatency: netsim.Zero{}}),
+		Lease:      120 * time.Millisecond, Backoff: 160 * time.Millisecond, RenewEvery: 30 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	for _, sh := range c.Shards() {
+		if _, err := sh.WaitForPrimary(c.Clock(), 3*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	first := c.Shards()[0]
+	if _, err := (&snapshot.Builder{Manager: snaps, Log: first.Log, ShardID: first.ID, EngineVersion: 1}).Full(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var metrics strings.Builder
+	m.WritePrometheus(&metrics)
+	for i, sh := range c.Shards() {
+		fulls := itoa(1 - i)
+		for _, n := range sh.Nodes() {
+			info, err := n.Do(ctx, [][]byte{[]byte("INFO")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(info.Text(), "\r\nsnapshot_compactions_total:"+fulls+"\r\n") {
+				t.Errorf("%s of %s: INFO shows another shard's fulls, want %s:\n%s", n.ID(), sh.ID, fulls, info.Text())
+			}
+			if series := "memorydb_snapshot_compactions_total{node=\"" + n.ID() + "\"} " + fulls + "\n"; !strings.Contains(metrics.String(), series) {
+				t.Errorf("/metrics has no %q", series)
+			}
+		}
 	}
 }

@@ -110,7 +110,7 @@ func TestSnapshotCrashMidDelta(t *testing.T) {
 	if err := b.Tick(ctx); err != nil { // bootstrap full snapshot
 		t.Fatal(err)
 	}
-	if snaps.Health().Compactions.Load() != 1 {
+	if snaps.Health(b.ShardID).Compactions.Load() != 1 {
 		t.Fatal("setup: no base full snapshot emitted")
 	}
 
@@ -123,7 +123,7 @@ func TestSnapshotCrashMidDelta(t *testing.T) {
 		t.Fatalf("Rebootstraps = %d after crash, want 1", b.Stats().Rebootstraps)
 	}
 	// The crash uploaded nothing: the chain still ends at the base full.
-	if got := snaps.Health().DeltasEmitted.Load(); got != 0 {
+	if got := snaps.Health(b.ShardID).DeltasEmitted.Load(); got != 0 {
 		t.Fatalf("crashed delta was counted as emitted (%d)", got)
 	}
 
@@ -132,7 +132,7 @@ func TestSnapshotCrashMidDelta(t *testing.T) {
 	if err := b.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := snaps.Health().DeltasEmitted.Load(); got != 1 {
+	if got := snaps.Health(b.ShardID).DeltasEmitted.Load(); got != 1 {
 		t.Fatalf("DeltasEmitted = %d after recovery tick, want 1", got)
 	}
 
@@ -171,7 +171,7 @@ func TestSnapshotCrashMidCompaction(t *testing.T) {
 	if err := b.Tick(ctx); err != nil { // delta 1 (CompactEvery=1 → next emit compacts)
 		t.Fatal(err)
 	}
-	if snaps.Health().DeltasEmitted.Load() != 1 {
+	if snaps.Health(b.ShardID).DeltasEmitted.Load() != 1 {
 		t.Fatal("setup: chain has no delta to compact")
 	}
 
@@ -194,16 +194,16 @@ func TestSnapshotCrashMidCompaction(t *testing.T) {
 	}
 
 	// The re-bootstrapped builder completes the compaction it died in.
-	before := snaps.Health().Compactions.Load()
+	before := snaps.Health(b.ShardID).Compactions.Load()
 	fill("retry", 3)
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && snaps.Health().Compactions.Load() == before {
+	for time.Now().Before(deadline) && snaps.Health(b.ShardID).Compactions.Load() == before {
 		if err := b.Tick(ctx); err != nil {
 			t.Fatal(err)
 		}
 		fill(fmt.Sprintf("pad%d", time.Now().UnixNano()%1000), 1)
 	}
-	if snaps.Health().Compactions.Load() == before {
+	if snaps.Health(b.ShardID).Compactions.Load() == before {
 		t.Fatal("compaction never completed after the crash")
 	}
 	snapAudit(t, c, want)
@@ -242,7 +242,7 @@ func TestSnapshotCrashCorruptDeltaFallback(t *testing.T) {
 	if err := b.Tick(ctx); err != nil { // delta 2: intact, but its parent is rotten
 		t.Fatal(err)
 	}
-	if snaps.Health().DeltasEmitted.Load() != 2 {
+	if snaps.Health(b.ShardID).DeltasEmitted.Load() != 2 {
 		t.Fatal("setup: expected two deltas on the chain")
 	}
 

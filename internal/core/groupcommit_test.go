@@ -47,11 +47,11 @@ func TestGroupCommitBatchesUnderLoad(t *testing.T) {
 	if ls.Records < writers {
 		t.Fatalf("log saw %d records, want >= %d", ls.Records, writers)
 	}
-	st := n.Stats().Snapshot()
-	if st.BatchFlushes == 0 || st.BatchedRecords < int64(writers) {
-		t.Fatalf("node batch counters off: %+v", st)
+	flushes, records := n.Stats().BatchFlushes.Load(), n.Stats().BatchedRecords.Load()
+	if flushes == 0 || records < int64(writers) {
+		t.Fatalf("node batch counters off: %d records in %d flushes", records, flushes)
 	}
-	if mean := float64(st.BatchedRecords) / float64(st.BatchFlushes); mean <= 1.0 {
+	if mean := float64(records) / float64(flushes); mean <= 1.0 {
 		t.Fatalf("mean records/entry %.2f, want > 1 under concurrent load", mean)
 	}
 	// Every acknowledged write must be readable.
@@ -215,15 +215,15 @@ func TestStopWhileFrozenInDrainActsNoFurther(t *testing.T) {
 	first := h.queue(n, "SET", "first", "v")
 	h.queueFunc(n, func() error { n.Freeze(); n.stopFn(); return nil })
 	h.queue(n, "SET", "dropped", "v")
-	before := n.Stats().Snapshot()
+	st := n.Stats()
+	mutations, failed, demotions := st.Mutations.Load(), st.AppendsFailed.Load(), st.Demotions.Load()
 	n.step(input{kind: inTask, t: <-n.tasks})
-	after := n.Stats().Snapshot()
-	if ran := after.Mutations - before.Mutations; ran != 1 {
+	if ran := st.Mutations.Load() - mutations; ran != 1 {
 		t.Fatalf("%d SETs ran, want only the one taken before the stop", ran)
 	}
-	if len(n.issued) != 0 || after.AppendsFailed != before.AppendsFailed || after.Demotions != before.Demotions {
+	if len(n.issued) != 0 || st.AppendsFailed.Load() != failed || st.Demotions.Load() != demotions {
 		t.Fatalf("the stopped turn went on: %d entries issued, appends failed %d -> %d, demotions %d -> %d",
-			len(n.issued), before.AppendsFailed, after.AppendsFailed, before.Demotions, after.Demotions)
+			len(n.issued), failed, st.AppendsFailed.Load(), demotions, st.Demotions.Load())
 	}
 	if n.Role() != election.RolePrimary {
 		t.Fatalf("the stopped node published role %v", n.Role())

@@ -214,6 +214,8 @@ type Node struct {
 	wg      sync.WaitGroup
 
 	stats Stats
+	// signals lists what INFO and /metrics show of the node (observe.go).
+	signals []signal
 	// abortedReplies counts withheld replies the node failed; a step-down
 	// reports its share on the flight ring.
 	abortedReplies atomic.Int64
@@ -289,59 +291,21 @@ type Stats struct {
 	WatermarksFenced       atomic.Int64
 }
 
-// StatsView is a plain copy of the counters at one instant.
+// StatsView is a plain copy of the three counters the benchmark harness
+// reads around a measured run; INFO and /metrics read every counter
+// through the node's signals (observe.go).
 type StatsView struct {
-	Commands         int64
-	Mutations        int64
-	GatedReads       int64
-	AppendsFailed    int64
-	Demotions        int64
-	Promotions       int64
-	EntriesApplied   int64
-	SnapshotRestores int64
-	BatchFlushes     int64
-	BatchedRecords   int64
-	AppendsRetried   int64
-	RenewalsRetried  int64
-	DegradedMillis   int64
-
-	TornSnapshotsDetected int64
-	ReaderRebootstraps    int64
-	LogGapRetries         int64
-	BarrierOps            int64
-
-	ReplicaReadsServed     int64
-	ReplicaReadsStale      int64
+	AppendsRetried         int64
+	BarrierOps             int64
 	ReplicaReadsRedirected int64
-	WatermarksFenced       int64
 }
 
-// Snapshot returns a copy of the counters.
+// Snapshot returns a copy of the counters StatsView holds.
 func (s *Stats) Snapshot() StatsView {
 	return StatsView{
-		Commands:         s.Commands.Load(),
-		Mutations:        s.Mutations.Load(),
-		GatedReads:       s.GatedReads.Load(),
-		AppendsFailed:    s.AppendsFailed.Load(),
-		Demotions:        s.Demotions.Load(),
-		Promotions:       s.Promotions.Load(),
-		EntriesApplied:   s.EntriesApplied.Load(),
-		SnapshotRestores: s.SnapshotRestores.Load(),
-		BatchFlushes:     s.BatchFlushes.Load(),
-		BatchedRecords:   s.BatchedRecords.Load(),
-		AppendsRetried:   s.AppendsRetried.Load(),
-		RenewalsRetried:  s.RenewalsRetried.Load(),
-		DegradedMillis:   s.DegradedMillis.Load(),
-
-		TornSnapshotsDetected: s.TornSnapshotsDetected.Load(),
-		ReaderRebootstraps:    s.ReaderRebootstraps.Load(),
-		LogGapRetries:         s.LogGapRetries.Load(),
-		BarrierOps:            s.BarrierOps.Load(),
-
-		ReplicaReadsServed:     s.ReplicaReadsServed.Load(),
-		ReplicaReadsStale:      s.ReplicaReadsStale.Load(),
+		AppendsRetried:         s.AppendsRetried.Load(),
+		BarrierOps:             s.BarrierOps.Load(),
 		ReplicaReadsRedirected: s.ReplicaReadsRedirected.Load(),
-		WatermarksFenced:       s.WatermarksFenced.Load(),
 	}
 }
 
@@ -382,6 +346,7 @@ func NewNode(cfg Config) (*Node, error) {
 			fl.Recordf(trace.EvFaultFire, 0, "%s (%s)", site, k)
 		})
 	}
+	n.signals = n.newSignals()
 	if !cfg.NoObs {
 		n.obs = cfg.Obs
 		if n.obs == nil {

@@ -281,7 +281,7 @@ func TestRecoveryFromSnapshotAndLogSuffix(t *testing.T) {
 	if err != nil || v.Text() != "yes" {
 		t.Fatalf("restored replica caught up but reads %v (%v)", v, err)
 	}
-	if replica.Stats().Snapshot().SnapshotRestores == 0 {
+	if replica.Stats().SnapshotRestores.Load() == 0 {
 		t.Fatal("replica did not restore from snapshot")
 	}
 }

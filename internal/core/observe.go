@@ -7,11 +7,13 @@ import (
 
 	"memorydb/internal/obs"
 	"memorydb/internal/trace"
+	"memorydb/internal/txlog"
 )
 
 // This file is the node side of the observability layer: stage-stamp
-// bookkeeping for tasks, counter registration for Prometheus export,
-// and the INFO sections (# Latency, # Commandstats, # Slowlog).
+// bookkeeping for tasks, the node's signals (INFO's # Stats, # GroupCommit
+// and # Robustness, and their Prometheus export), and the INFO sections
+// # Latency, # Commandstats and # Slowlog.
 //
 // Stage stamps live on the task (enq/deq/execDone, obs.Now monotonic
 // nanos, 0 = unset) and on the issued entry (sequencer.go); Node.stage
@@ -62,76 +64,113 @@ func (n *Node) stage(s obs.Stage, parent trace.SpanContext, id uint64, from, to 
 	n.trace.EmitWithID(id, parent, s.String(), n.cfg.NodeID, from, to)
 }
 
-// registerCounters exposes every Stats field (plus log-service counters)
-// through the registry so /metrics covers the pre-existing counter
-// surface. Labels carry the node ID so shared registries keep nodes
-// distinguishable.
+// The INFO sections whose lines are node signals.
+const (
+	secStats       = "Stats"
+	secGroupCommit = "GroupCommit"
+	secRobustness  = "Robustness"
+)
+
+// signalKind is how /metrics types a signal.
+type signalKind uint8
+
+const (
+	counter signalKind = iota
+	gauge
+)
+
+// signal is one node signal, and its row is the one place its name is
+// written: INFO shows it as name:value in its section, /metrics as
+// memorydb_<name>, a counter's with _total appended unless the name
+// already ends in it.
+type signal struct {
+	section, name string
+	kind          signalKind
+	read          func() int64
+}
+
+// newSignals lists the node's signals in INFO order: the Stats counters,
+// the log's segment chain, the shard's snapshot builder, tracing and the
+// flight ring, and the run queue. What is not one number (role, epoch,
+// positions, log_degraded, the mean batch size, the keyspace) infoText
+// writes by hand.
+func (n *Node) newSignals() []signal {
+	st, lg := &n.stats, n.cfg.Log
+	seg := func(f func(txlog.SegmentStats) int64) func() int64 {
+		return func() int64 { return f(lg.SegmentStats()) }
+	}
+	sigs := []signal{
+		{secStats, "commands", counter, st.Commands.Load},
+		{secStats, "mutations", counter, st.Mutations.Load},
+		{secStats, "gated_reads", counter, st.GatedReads.Load},
+		{secStats, "entries_applied", counter, st.EntriesApplied.Load},
+		{secStats, "snapshot_restores", counter, st.SnapshotRestores.Load},
+		{secStats, "promotions", counter, st.Promotions.Load},
+		{secStats, "demotions", counter, st.Demotions.Load},
+		{secStats, "flight_events_recorded", counter, func() int64 { return int64(n.flight.Total()) }},
+		{secGroupCommit, "batch_flushes", counter, st.BatchFlushes.Load},
+		{secGroupCommit, "batched_records", counter, st.BatchedRecords.Load},
+		{secRobustness, "appends_retried", counter, st.AppendsRetried.Load},
+		{secRobustness, "appends_failed", counter, st.AppendsFailed.Load},
+		{secRobustness, "renewals_retried", counter, st.RenewalsRetried.Load},
+		{secRobustness, "degraded_millis", counter, st.DegradedMillis.Load},
+		{secRobustness, "log_degraded_appends", counter, func() int64 { return lg.Stats().DegradedAppends }},
+		{secRobustness, "torn_snapshots_detected", counter, st.TornSnapshotsDetected.Load},
+		{secRobustness, "reader_rebootstraps", counter, st.ReaderRebootstraps.Load},
+		{secRobustness, "log_gap_retries", counter, st.LogGapRetries.Load},
+		{secRobustness, "replica_reads_served", counter, st.ReplicaReadsServed.Load},
+		{secRobustness, "replica_reads_stale", counter, st.ReplicaReadsStale.Load},
+		{secRobustness, "replica_reads_redirected", counter, st.ReplicaReadsRedirected.Load},
+		{secRobustness, "replica_read_watermarks_fenced", counter, st.WatermarksFenced.Load},
+		{secRobustness, "log_segments_live", gauge, seg(func(s txlog.SegmentStats) int64 { return int64(s.LiveSegments) })},
+		{secRobustness, "log_bytes_live", gauge, seg(func(s txlog.SegmentStats) int64 { return s.LiveBytes })},
+		{secRobustness, "log_segments_sealed_total", counter, seg(func(s txlog.SegmentStats) int64 { return s.Sealed })},
+		{secRobustness, "log_segments_trimmed_total", counter, seg(func(s txlog.SegmentStats) int64 { return s.Trimmed })},
+		{secRobustness, "log_segments_quarantined_total", counter, seg(func(s txlog.SegmentStats) int64 { return s.Quarantined })},
+	}
+	if snaps := n.cfg.Snapshots; snaps != nil {
+		// The health block of this shard's builder, read off the manager.
+		h := snaps.Health(n.cfg.ShardID)
+		sigs = append(sigs,
+			signal{secRobustness, "snapshot_builder_lag_entries", gauge, h.LagEntries.Load},
+			signal{secRobustness, "snapshot_deltas_emitted_total", counter, h.DeltasEmitted.Load},
+			signal{secRobustness, "snapshot_compactions_total", counter, h.Compactions.Load},
+			signal{secRobustness, "snapshot_chain_depth", gauge, h.ChainDepth.Load},
+			signal{secRobustness, "snapshot_builder_lag_alarms_total", counter, h.LagAlarms.Load})
+	}
+	if n.trace != nil {
+		sigs = append(sigs,
+			signal{secStats, "trace_traces_sampled", counter, n.trace.SampledCount},
+			signal{secStats, "trace_spans_recorded", counter, n.trace.SpanCount})
+	}
+	return append(sigs,
+		signal{secRobustness, "barrier_ops", counter, st.BarrierOps.Load},
+		// Queued inputs, as QueueDepth counts them: runs, not commands.
+		signal{secRobustness, "queue_depth", gauge, func() int64 { return int64(n.QueueDepth()) }})
+}
+
+// registerCounters exposes every node signal through the registry,
+// labelled with the node ID so a shared registry keeps nodes apart.
 func (n *Node) registerCounters() {
 	label := n.obsLabel()
-	reg := func(name string, v interface{ Load() int64 }) {
-		n.obs.RegisterCounter(name, label, v.Load)
+	for _, s := range n.signals {
+		if s.kind == gauge {
+			n.obs.RegisterGauge(s.name, label, s.read)
+		} else {
+			n.obs.RegisterCounter(s.name, label, s.read)
+		}
 	}
-	reg("commands", &n.stats.Commands)
-	reg("mutations", &n.stats.Mutations)
-	reg("gated_reads", &n.stats.GatedReads)
-	reg("appends_failed", &n.stats.AppendsFailed)
-	reg("demotions", &n.stats.Demotions)
-	reg("promotions", &n.stats.Promotions)
-	reg("entries_applied", &n.stats.EntriesApplied)
-	reg("snapshot_restores", &n.stats.SnapshotRestores)
-	reg("batch_flushes", &n.stats.BatchFlushes)
-	reg("batched_records", &n.stats.BatchedRecords)
-	reg("appends_retried", &n.stats.AppendsRetried)
-	reg("renewals_retried", &n.stats.RenewalsRetried)
-	reg("degraded_millis", &n.stats.DegradedMillis)
-	reg("torn_snapshots_detected", &n.stats.TornSnapshotsDetected)
-	reg("reader_rebootstraps", &n.stats.ReaderRebootstraps)
-	reg("log_gap_retries", &n.stats.LogGapRetries)
-	reg("barrier_ops", &n.stats.BarrierOps)
-	reg("replica_reads_served", &n.stats.ReplicaReadsServed)
-	reg("replica_reads_stale", &n.stats.ReplicaReadsStale)
-	reg("replica_reads_redirected", &n.stats.ReplicaReadsRedirected)
-	reg("replica_read_watermarks_fenced", &n.stats.WatermarksFenced)
-	// Segmented-log health: live footprint gauges plus lifecycle counters,
-	// sampled straight from the shared log's segment chain.
-	n.obs.RegisterGauge("log_segments_live", label, func() int64 {
-		return int64(n.cfg.Log.SegmentStats().LiveSegments)
-	})
-	n.obs.RegisterGauge("log_bytes_live", label, func() int64 {
-		return n.cfg.Log.SegmentStats().LiveBytes
-	})
-	n.obs.RegisterCounter("log_segments_sealed", label, func() int64 {
-		return n.cfg.Log.SegmentStats().Sealed
-	})
-	n.obs.RegisterCounter("log_segments_trimmed", label, func() int64 {
-		return n.cfg.Log.SegmentStats().Trimmed
-	})
-	n.obs.RegisterCounter("log_segments_quarantined", label, func() int64 {
-		return n.cfg.Log.SegmentStats().Quarantined
-	})
-	// Forkless snapshot builder health, read off the shared manager: lag
-	// behind the committed tail, chain production counters, and the
-	// lag-exceeded-trim-horizon alarm count.
-	if snaps := n.cfg.Snapshots; snaps != nil {
-		h := snaps.Health()
-		n.obs.RegisterGauge("snapshot_builder_lag_entries", label, h.LagEntries.Load)
-		n.obs.RegisterCounter("snapshot_deltas_emitted_total", label, h.DeltasEmitted.Load)
-		n.obs.RegisterCounter("snapshot_compactions_total", label, h.Compactions.Load)
-		n.obs.RegisterGauge("snapshot_chain_depth", label, h.ChainDepth.Load)
-		n.obs.RegisterCounter("snapshot_builder_lag_alarms_total", label, h.LagAlarms.Load)
+}
+
+// infoSignals renders an INFO section's header and its signals, in list
+// order.
+func (n *Node) infoSignals(b *strings.Builder, section string) {
+	fmt.Fprintf(b, "# %s\r\n", section)
+	for _, s := range n.signals {
+		if s.section == section {
+			fmt.Fprintf(b, "%s:%d\r\n", s.name, s.read())
+		}
 	}
-	// Tracing/flight health: span volume plus the black box's write count.
-	if n.trace != nil {
-		n.obs.RegisterCounter("trace_traces_sampled", label, n.trace.SampledCount)
-		n.obs.RegisterCounter("trace_spans_recorded", label, n.trace.SpanCount)
-	}
-	n.obs.RegisterCounter("flight_events_recorded", label, func() int64 {
-		return int64(n.flight.Total())
-	})
-	// Queued inputs, as QueueDepth counts them: runs, not commands.
-	n.obs.RegisterGauge("queue_depth", label, func() int64 {
-		return int64(n.QueueDepth())
-	})
 }
 
 // obsLabel is the label of every series the node registers; Stop

@@ -71,14 +71,14 @@ func serviceBlipSurvives(t *testing.T) {
 	if h.primary.Role() != election.RolePrimary {
 		t.Fatalf("role = %v after blip, want primary", h.primary.Role())
 	}
-	st := h.primary.Stats().Snapshot()
-	if st.Demotions != 0 {
-		t.Fatalf("Demotions = %d after a sub-lease blip, want 0", st.Demotions)
+	st := h.primary.Stats()
+	if n := st.Demotions.Load(); n != 0 {
+		t.Fatalf("Demotions = %d after a sub-lease blip, want 0", n)
 	}
-	if st.AppendsRetried != blip {
-		t.Fatalf("AppendsRetried = %d, want the blip's %d: it must be absorbed by retries", st.AppendsRetried, blip)
+	if n := st.AppendsRetried.Load(); n != blip {
+		t.Fatalf("AppendsRetried = %d, want the blip's %d: it must be absorbed by retries", n, blip)
 	}
-	if st.DegradedMillis == 0 {
+	if st.DegradedMillis.Load() == 0 {
 		t.Fatal("expected DegradedMillis > 0 from backoff sleeps during the blip")
 	}
 }
@@ -132,13 +132,13 @@ func fencedAppendDemotes(t *testing.T) {
 	if h.primary.Role() == election.RolePrimary {
 		t.Fatal("fenced primary never demoted")
 	}
-	st := h.primary.Stats().Snapshot()
-	if st.Demotions == 0 {
+	st := h.primary.Stats()
+	if st.Demotions.Load() == 0 {
 		t.Fatal("Demotions = 0, want >= 1")
 	}
-	if st.AppendsRetried != 0 || st.RenewalsRetried != 0 {
+	if st.AppendsRetried.Load() != 0 || st.RenewalsRetried.Load() != 0 {
 		t.Fatalf("fencing must not be retried: AppendsRetried=%d RenewalsRetried=%d",
-			st.AppendsRetried, st.RenewalsRetried)
+			st.AppendsRetried.Load(), st.RenewalsRetried.Load())
 	}
 }
 

@@ -213,11 +213,11 @@ func TestMonitoringCountersAdvance(t *testing.T) {
 	waitRole(t, a, election.RolePrimary, 2*time.Second)
 	mustDo(t, a, "SET", "k", "v")
 	mustDo(t, a, "GET", "k")
-	st := a.Stats().Snapshot()
-	if st.Commands < 2 || st.Mutations < 1 || st.Promotions < 1 {
-		t.Fatalf("stats = %+v", st)
+	st := a.Stats()
+	if st.Commands.Load() < 2 || st.Mutations.Load() < 1 || st.Promotions.Load() < 1 {
+		t.Fatalf("commands %d, mutations %d, promotions %d", st.Commands.Load(), st.Mutations.Load(), st.Promotions.Load())
 	}
-	if a.AppliedSeq() == 0 && st.EntriesApplied == 0 {
+	if a.AppliedSeq() == 0 && st.EntriesApplied.Load() == 0 {
 		// Primary does not apply, but AppliedSeq was set at promotion.
 		t.Fatalf("applied seq = %d", a.AppliedSeq())
 	}

@@ -577,9 +577,6 @@ func (n *Node) logMutation(t *task, res engine.Result) {
 // or the published status.
 func (n *Node) infoText() string {
 	view := n.st.Load()
-	st := n.stats.Snapshot()
-	logStats := n.cfg.Log.Stats()
-	degraded := n.cfg.Log.Degraded()
 	db := n.eng.DB()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Replication\r\n")
@@ -589,48 +586,13 @@ func (n *Node) infoText() string {
 	fmt.Fprintf(&b, "log_committed_seq:%d\r\n", n.cfg.Log.CommittedTail().Seq)
 	fmt.Fprintf(&b, "upgrade_stalled:%v\r\n", view.stalled)
 	fmt.Fprintf(&b, "engine_version:%d\r\n", n.cfg.EngineVersion)
-	fmt.Fprintf(&b, "# Stats\r\n")
-	fmt.Fprintf(&b, "commands:%d\r\n", st.Commands)
-	fmt.Fprintf(&b, "mutations:%d\r\n", st.Mutations)
-	fmt.Fprintf(&b, "gated_reads:%d\r\n", st.GatedReads)
-	fmt.Fprintf(&b, "entries_applied:%d\r\n", st.EntriesApplied)
-	fmt.Fprintf(&b, "promotions:%d\r\n", st.Promotions)
-	fmt.Fprintf(&b, "demotions:%d\r\n", st.Demotions)
-	fmt.Fprintf(&b, "# GroupCommit\r\n")
-	fmt.Fprintf(&b, "batch_flushes:%d\r\n", st.BatchFlushes)
-	fmt.Fprintf(&b, "batched_records:%d\r\n", st.BatchedRecords)
-	if st.BatchFlushes > 0 {
-		fmt.Fprintf(&b, "mean_records_per_entry:%.2f\r\n", float64(st.BatchedRecords)/float64(st.BatchFlushes))
+	n.infoSignals(&b, secStats)
+	n.infoSignals(&b, secGroupCommit)
+	if flushes := n.stats.BatchFlushes.Load(); flushes > 0 {
+		fmt.Fprintf(&b, "mean_records_per_entry:%.2f\r\n", float64(n.stats.BatchedRecords.Load())/float64(flushes))
 	}
-	fmt.Fprintf(&b, "# Robustness\r\n")
-	fmt.Fprintf(&b, "appends_retried:%d\r\n", st.AppendsRetried)
-	fmt.Fprintf(&b, "renewals_retried:%d\r\n", st.RenewalsRetried)
-	fmt.Fprintf(&b, "degraded_millis:%d\r\n", st.DegradedMillis)
-	fmt.Fprintf(&b, "log_degraded:%v\r\n", degraded)
-	fmt.Fprintf(&b, "log_degraded_appends:%d\r\n", logStats.DegradedAppends)
-	fmt.Fprintf(&b, "torn_snapshots_detected:%d\r\n", st.TornSnapshotsDetected)
-	fmt.Fprintf(&b, "reader_rebootstraps:%d\r\n", st.ReaderRebootstraps)
-	fmt.Fprintf(&b, "log_gap_retries:%d\r\n", st.LogGapRetries)
-	fmt.Fprintf(&b, "replica_reads_served:%d\r\n", st.ReplicaReadsServed)
-	fmt.Fprintf(&b, "replica_reads_stale:%d\r\n", st.ReplicaReadsStale)
-	fmt.Fprintf(&b, "replica_reads_redirected:%d\r\n", st.ReplicaReadsRedirected)
-	fmt.Fprintf(&b, "replica_read_watermarks_fenced:%d\r\n", st.WatermarksFenced)
-	segStats := n.cfg.Log.SegmentStats()
-	fmt.Fprintf(&b, "log_segments_live:%d\r\n", segStats.LiveSegments)
-	fmt.Fprintf(&b, "log_bytes_live:%d\r\n", segStats.LiveBytes)
-	fmt.Fprintf(&b, "log_segments_sealed_total:%d\r\n", segStats.Sealed)
-	fmt.Fprintf(&b, "log_segments_trimmed_total:%d\r\n", segStats.Trimmed)
-	fmt.Fprintf(&b, "log_segments_quarantined_total:%d\r\n", segStats.Quarantined)
-	if snaps := n.cfg.Snapshots; snaps != nil {
-		h := snaps.Health()
-		fmt.Fprintf(&b, "snapshot_builder_lag_entries:%d\r\n", h.LagEntries.Load())
-		fmt.Fprintf(&b, "snapshot_deltas_emitted_total:%d\r\n", h.DeltasEmitted.Load())
-		fmt.Fprintf(&b, "snapshot_compactions_total:%d\r\n", h.Compactions.Load())
-		fmt.Fprintf(&b, "snapshot_chain_depth:%d\r\n", h.ChainDepth.Load())
-		fmt.Fprintf(&b, "snapshot_builder_lag_alarms_total:%d\r\n", h.LagAlarms.Load())
-	}
-	fmt.Fprintf(&b, "barrier_ops:%d\r\n", st.BarrierOps)
-	fmt.Fprintf(&b, "queue_depth:%d\r\n", n.QueueDepth()) // runs, not commands
+	n.infoSignals(&b, secRobustness)
+	fmt.Fprintf(&b, "log_degraded:%v\r\n", n.cfg.Log.Degraded())
 	fmt.Fprintf(&b, "# Keyspace\r\n")
 	fmt.Fprintf(&b, "keys:%d\r\n", db.Len())
 	fmt.Fprintf(&b, "used_bytes:%d\r\n", db.UsedBytes())

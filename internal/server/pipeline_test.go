@@ -377,8 +377,8 @@ func exchange(t *testing.T, addr string, stream []byte) []byte {
 // One pair is in front of a node each, the other in front of a 2-shard
 // cluster each, where a run ends at every command for the other shard.
 // Both backends of a pair see the same streams in the same order, so
-// their keyspaces stay equal; FLUSHALL resets both anyway (a cluster's
-// first shard only).
+// their keyspaces stay equal; FLUSHALL resets both anyway (every shard of
+// a cluster).
 func FuzzPipelineModes(f *testing.F) {
 	cmds := func(lines ...string) []byte { return []byte(strings.Join(lines, "\r\n") + "\r\n") }
 	f.Add(cmds("SET a 1", "GET a", "INCR a", "INCR a", "GET a", "DEL a", "GET a"))

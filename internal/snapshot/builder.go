@@ -20,8 +20,9 @@ import (
 )
 
 // BuilderHealth is the builder's exported health block, hung off the
-// shard's snapshot Manager so every node holding the manager can export
-// it (Prometheus gauges, INFO # Robustness) without holding the builder.
+// snapshot Manager under the builder's shard ID, so every node of the
+// shard can export it (Prometheus gauges, INFO # Robustness) without
+// holding the builder.
 type BuilderHealth struct {
 	// LagEntries is the builder's distance behind the committed tail.
 	LagEntries atomic.Int64
@@ -308,7 +309,7 @@ func (b *Builder) catchUp() error {
 	// prevent. Recover by re-bootstrapping from the chain (trimming only
 	// behind a verified base keeps it at or above the horizon).
 	if base := b.Log.TrimBase(); b.pos.Seq < base.Seq {
-		b.Manager.Health().LagAlarms.Add(1)
+		b.Manager.Health(b.ShardID).LagAlarms.Add(1)
 		b.Manager.Flight.Recordf(trace.EvBuilderLag, b.pos.Seq, "builder: %s lag exceeded trim horizon (pos %d < base %d)",
 			b.ShardID, b.pos.Seq, base.Seq)
 		if err := b.bootstrap(); err != nil {
@@ -318,7 +319,7 @@ func (b *Builder) catchUp() error {
 	if err := b.drain(); err != nil {
 		return err
 	}
-	b.Manager.Health().LagEntries.Store(int64(b.Log.CommittedTail().Seq - b.pos.Seq))
+	b.Manager.Health(b.ShardID).LagEntries.Store(int64(b.Log.CommittedTail().Seq - b.pos.Seq))
 	return nil
 }
 
@@ -463,7 +464,7 @@ func (b *Builder) emit(full bool) (Meta, error) {
 	b.lastEmit = meta.LogPos
 	b.chainDepth = meta.ChainDepth
 	b.dirty = make(map[string]struct{})
-	health := b.Manager.Health()
+	health := b.Manager.Health(b.ShardID)
 	if full {
 		b.deltasSinceFull = 0
 		b.needFull = false

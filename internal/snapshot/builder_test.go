@@ -115,7 +115,7 @@ func TestBuilderDeltaAndCompactionCadence(t *testing.T) {
 	if err := b.Tick(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := mgr.Health().Compactions.Load(); got != 1 {
+	if got := mgr.Health("s1").Compactions.Load(); got != 1 {
 		t.Fatalf("first emit produced %d compactions, want 1 (no chain to extend)", got)
 	}
 	chain := h.checkRestore(mgr)
@@ -139,10 +139,10 @@ func TestBuilderDeltaAndCompactionCadence(t *testing.T) {
 			t.Fatalf("delta %d has no parent link", d)
 		}
 	}
-	if got := mgr.Health().DeltasEmitted.Load(); got != 3 {
+	if got := mgr.Health("s1").DeltasEmitted.Load(); got != 3 {
 		t.Fatalf("DeltasEmitted = %d, want 3", got)
 	}
-	if got := mgr.Health().ChainDepth.Load(); got != 3 {
+	if got := mgr.Health("s1").ChainDepth.Load(); got != 3 {
 		t.Fatalf("ChainDepth gauge = %d, want 3", got)
 	}
 
@@ -158,10 +158,10 @@ func TestBuilderDeltaAndCompactionCadence(t *testing.T) {
 	if chain.Tip.Kind != KindFull || chain.Depth != 0 {
 		t.Fatalf("post-compaction chain = %v depth %d, want full depth 0", chain.Tip.Kind, chain.Depth)
 	}
-	if got := mgr.Health().Compactions.Load(); got != 2 {
+	if got := mgr.Health("s1").Compactions.Load(); got != 2 {
 		t.Fatalf("Compactions = %d, want 2", got)
 	}
-	if got := mgr.Health().ChainDepth.Load(); got != 0 {
+	if got := mgr.Health("s1").ChainDepth.Load(); got != 0 {
 		t.Fatalf("ChainDepth gauge = %d after compaction, want 0", got)
 	}
 }
@@ -335,7 +335,7 @@ func TestBuilderJudgesEachFullOnce(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			h.do("SET", fmt.Sprintf("k%d", i), fmt.Sprintf("r%d", round))
 		}
-		fulls, rehearsals := mgr.Health().Compactions.Load(), b.Stats().Rehearsals
+		fulls, rehearsals := mgr.Health("s1").Compactions.Load(), b.Stats().Rehearsals
 		if err := b.Tick(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestBuilderJudgesEachFullOnce(t *testing.T) {
 		if got := b.Stats().Rehearsals - rehearsals; got != want {
 			t.Fatalf("round %d ran %d rehearsals, want %d (a full landed last pass: %v)", round, got, want, fullLanded)
 		}
-		fullLanded = mgr.Health().Compactions.Load() > fulls
+		fullLanded = mgr.Health("s1").Compactions.Load() > fulls
 	}
 	// A quiet pass judges the last full, if one is pending, and nothing
 	// else; a second one judges nothing.
@@ -355,8 +355,8 @@ func TestBuilderJudgesEachFullOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := b.Stats().Rehearsals; got != 3 || got != mgr.Health().Compactions.Load() {
-		t.Fatalf("%d rehearsals for %d fulls, want 3 for 3", got, mgr.Health().Compactions.Load())
+	if got := b.Stats().Rehearsals; got != 3 || got != mgr.Health("s1").Compactions.Load() {
+		t.Fatalf("%d rehearsals for %d fulls, want 3 for 3", got, mgr.Health("s1").Compactions.Load())
 	}
 	h.checkRestore(mgr)
 }
@@ -383,7 +383,7 @@ func TestBuilderPrunesBelowVerifiedBase(t *testing.T) {
 	if err := b.Tick(ctx); err != nil { // judges the last full
 		t.Fatal(err)
 	}
-	if fulls, rehearsals := mgr.Health().Compactions.Load(), b.Stats().Rehearsals; fulls < 3 || rehearsals != fulls {
+	if fulls, rehearsals := mgr.Health("s1").Compactions.Load(), b.Stats().Rehearsals; fulls < 3 || rehearsals != fulls {
 		t.Fatalf("%d rehearsals for %d fulls, want at least 3 judged", rehearsals, fulls)
 	}
 	chain, ok, err := mgr.Resolve("s1", true)
@@ -424,14 +424,14 @@ func TestBuilderQuarantineForcesFull(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		h.do("SET", fmt.Sprintf("a%d", round), "x")
 		h.do("SET", fmt.Sprintf("b%d", round), "y")
-		fulls := mgr.Health().Compactions.Load()
+		fulls := mgr.Health("s1").Compactions.Load()
 		if err := b.Tick(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if round == 0 {
 			continue // the corrupt full is judged on the next pass
 		}
-		if round == 1 && mgr.Health().Compactions.Load() != fulls+1 {
+		if round == 1 && mgr.Health("s1").Compactions.Load() != fulls+1 {
 			t.Fatal("the emit after quarantining the builder's base was not a full")
 		}
 		chain, ok, err := mgr.Resolve("s1", false)
@@ -516,7 +516,7 @@ func TestBuilderTrimRace(t *testing.T) {
 	if h.log.SegmentStats().Trimmed == 0 {
 		t.Fatal("race never trimmed a segment — segment threshold too large to exercise the invariant")
 	}
-	if mgr.Health().DeltasEmitted.Load() == 0 {
+	if mgr.Health("s1").DeltasEmitted.Load() == 0 {
 		t.Fatal("race never emitted a delta")
 	}
 	if r.Position() != h.log.CommittedTail() {
@@ -526,7 +526,7 @@ func TestBuilderTrimRace(t *testing.T) {
 	if st.Rebootstraps != 0 {
 		t.Fatalf("builder re-bootstrapped %d times — trim passed its tailer", st.Rebootstraps)
 	}
-	if got := mgr.Health().LagAlarms.Load(); got != 0 {
+	if got := mgr.Health("s1").LagAlarms.Load(); got != 0 {
 		t.Fatalf("builder raised %d lag alarms during the race", got)
 	}
 	// Final settle: one more tick drains the tail, and the chain restores

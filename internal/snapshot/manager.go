@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"memorydb/internal/retry"
@@ -24,9 +25,9 @@ type Manager struct {
 	// Resolve across all shards. Shared (by pointer) with every
 	// WithRetries derivative so the count survives rewrapping.
 	torn *atomic.Int64
-	// health carries the forkless builder's exported gauges/counters,
-	// shared with derivatives so nodes can read them off any handle.
-	health *BuilderHealth
+	// health holds each shard's builder health block by shard ID, shared
+	// with derivatives so nodes can read them off any handle.
+	health *sync.Map
 	// Flight is where the snapshot pipeline's alarms land: an EvAlarm
 	// for a quarantined chain link or a snapshot that failed its restore
 	// rehearsal, an EvBuilderLag for a builder that fell behind the trim
@@ -42,7 +43,7 @@ func NewManager(st s3.Interface, prefix string) *Manager {
 	if prefix == "" {
 		prefix = "snapshots"
 	}
-	return &Manager{store: st, prefix: prefix, torn: new(atomic.Int64), health: &BuilderHealth{},
+	return &Manager{store: st, prefix: prefix, torn: new(atomic.Int64), health: new(sync.Map),
 		Flight: trace.NewFlight("snapshots", 0)}
 }
 
@@ -53,10 +54,16 @@ func (m *Manager) WithRetries(pol retry.Policy) *Manager {
 		torn: m.torn, health: m.health, Flight: m.Flight}
 }
 
-// Health returns the builder health block shared by every derivative of
-// this manager — the node-side observability reads lag, delta and
-// compaction counts from here.
-func (m *Manager) Health() *BuilderHealth { return m.health }
+// Health returns the health block of shardID's builder, shared by every
+// derivative of this manager: a shard's nodes read its lag, delta and
+// compaction counts from here, and no other shard's builder writes them.
+func (m *Manager) Health(shardID string) *BuilderHealth {
+	if h, ok := m.health.Load(shardID); ok {
+		return h.(*BuilderHealth)
+	}
+	h, _ := m.health.LoadOrStore(shardID, new(BuilderHealth))
+	return h.(*BuilderHealth)
+}
 
 // TornDetected returns how many corrupt or torn snapshot versions this
 // manager (and its retrying derivatives) has skipped during restores.

@@ -52,7 +52,7 @@ func fullPass(tb testing.TB, log *txlog.Log) *Manager {
 	if err := b.Tick(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
-	if got := mgr.Health().Compactions.Load(); got != 1 {
+	if got := mgr.Health("s1").Compactions.Load(); got != 1 {
 		tb.Fatalf("the pass emitted %d full snapshots, want 1", got)
 	}
 	return mgr

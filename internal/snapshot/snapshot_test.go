@@ -325,8 +325,8 @@ func TestBuilderFullFromPreviousSnapshot(t *testing.T) {
 	if meta2.LogPos != log.CommittedTail() {
 		t.Fatalf("second snapshot pos %v", meta2.LogPos)
 	}
-	if st := second.Stats(); st.Pos != meta2.LogPos || mgr.Health().Compactions.Load() != 2 {
-		t.Fatalf("second builder at %v after %d fulls", st.Pos, mgr.Health().Compactions.Load())
+	if st := second.Stats(); st.Pos != meta2.LogPos || mgr.Health("s1").Compactions.Load() != 2 {
+		t.Fatalf("second builder at %v after %d fulls", st.Pos, mgr.Health("s1").Compactions.Load())
 	}
 	chain, _, _ := mgr.Resolve("s1", false)
 	if _, ok := chain.DB.Peek("extra"); !ok {
