@@ -31,7 +31,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -70,31 +70,25 @@ type options struct {
 // ';', see faultpoint.Parse) from MEMORYDB_FAULTPOINTS and its seed from
 // MEMORYDB_CRASH_SEED.
 func defineFlags() *options {
-	o := &options{faultSpec: os.Getenv("MEMORYDB_FAULTPOINTS"), faultSeed: 1}
+	o := &options{faultSpec: os.Getenv("MEMORYDB_FAULTPOINTS")}
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:6379", "listen address")
 	flag.StringVar(&o.mode, "mode", "memorydb", "memorydb or redis")
 	flag.DurationVar(&o.commitLatency, "commit-latency", 2*time.Millisecond, "base multi-AZ commit latency")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", os.Getenv("MEMORYDB_METRICS_ADDR"),
 		"serve Prometheus metrics on this address (empty = disabled)")
-	flag.DurationVar(&o.slowlog, "slowlog-threshold", envDuration("MEMORYDB_SLOWLOG_THRESHOLD", 10*time.Millisecond),
+	flag.DurationVar(&o.slowlog, "slowlog-threshold", env("MEMORYDB_SLOWLOG_THRESHOLD", 10*time.Millisecond, time.ParseDuration),
 		"record commands slower than this in the slowlog")
-	flag.Float64Var(&o.traceSample, "trace-sample", envFloat("MEMORYDB_TRACE_SAMPLE", 0),
+	flag.Float64Var(&o.traceSample, "trace-sample", env("MEMORYDB_TRACE_SAMPLE", 0, parseFloat),
 		"fraction of commands to trace (0 disables sampling)")
 	flag.IntVar(&o.shards, "shards", 1, "number of shards")
 	flag.IntVar(&o.replicas, "replicas", 1, "replicas per shard")
-	flag.IntVar(&o.segmentBytes, "segment-bytes", envInt("MEMORYDB_SEGMENT_BYTES", 0),
+	flag.IntVar(&o.segmentBytes, "segment-bytes", env("MEMORYDB_SEGMENT_BYTES", 0, strconv.Atoi),
 		"rotate transaction-log segments at this payload size (0 = 1MiB default)")
-	flag.IntVar(&o.deltaInterval, "delta-interval", envInt("MEMORYDB_DELTA_INTERVAL", 512),
+	flag.IntVar(&o.deltaInterval, "delta-interval", env("MEMORYDB_DELTA_INTERVAL", 512, strconv.Atoi),
 		"snapshot builders: emit an incremental delta snapshot every N log entries, and trim the log behind each verified full (0 = no snapshots)")
-	flag.IntVar(&o.compactEvery, "compact-every", envInt("MEMORYDB_COMPACT_EVERY", 8),
+	flag.IntVar(&o.compactEvery, "compact-every", env("MEMORYDB_COMPACT_EVERY", 8, strconv.Atoi),
 		"snapshot builders: compact the full+delta chain into a new full snapshot after N deltas")
-	if s := os.Getenv("MEMORYDB_CRASH_SEED"); s != "" {
-		seed, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			log.Fatalf("MEMORYDB_CRASH_SEED: %v", err)
-		}
-		o.faultSeed = seed
-	}
+	o.faultSeed = env("MEMORYDB_CRASH_SEED", 1, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
 	return o
 }
 
@@ -132,14 +126,11 @@ func main() {
 	if o.metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler(metrics))
-		// Standard pprof surface on the same mux: CPU/heap/goroutine
-		// profiles and the runtime execution tracer, for production
-		// debugging next to the metrics scrape.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		// Standard pprof surface on the same mux (net/http/pprof
+		// registers it on the default mux): CPU/heap/goroutine profiles
+		// and the runtime execution tracer, for production debugging
+		// next to the metrics scrape.
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 		msrv := &http.Server{Addr: o.metricsAddr, Handler: mux}
 		go func() {
 			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -260,41 +251,21 @@ func (d *deployment) close() {
 	d.cluster.Stop()
 }
 
-func envDuration(key string, def time.Duration) time.Duration {
+// env parses the environment's value for key, or answers def when key
+// is unset.
+func env[T any](key string, def T, parse func(string) (T, error)) T {
 	s := os.Getenv(key)
 	if s == "" {
 		return def
 	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		log.Fatalf("%s: %v", key, err)
-	}
-	return d
-}
-
-func envInt(key string, def int) int {
-	s := os.Getenv(key)
-	if s == "" {
-		return def
-	}
-	v, err := strconv.Atoi(s)
+	v, err := parse(s)
 	if err != nil {
 		log.Fatalf("%s: %v", key, err)
 	}
 	return v
 }
 
-func envFloat(key string, def float64) float64 {
-	s := os.Getenv(key)
-	if s == "" {
-		return def
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		log.Fatalf("%s: %v", key, err)
-	}
-	return v
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 func fixedOr(d time.Duration) netsim.LatencyModel {
 	if d <= 0 {

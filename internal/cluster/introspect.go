@@ -123,23 +123,31 @@ func (c *Cluster) countKeysInSlot(ctx context.Context, slot uint16) resp.Value {
 }
 
 func (c *Cluster) clusterInfoText() string {
-	shards := c.Shards()
 	assigned := 0
-	ok := true
-	for s := 0; s < crc16.NumSlots; s++ {
-		if c.SlotOwner(uint16(s)) != nil {
+	c.mu.RLock()
+	for _, sh := range &c.slotOwner {
+		if sh != nil {
 			assigned++
-		} else {
-			ok = false
 		}
 	}
+	c.mu.RUnlock()
 	state := "ok"
-	if !ok {
+	if assigned < crc16.NumSlots {
 		state = "fail"
 	}
-	nodes := 0
+	// Workloop pressure, aggregated across every node: total and max
+	// queued inputs (Node.QueueDepth: a connection's drained pipeline
+	// counts once), so a hot node shows up from one INFO call without
+	// scraping each node.
+	shards := c.Shards()
+	nodes, depthTotal, depthMax := 0, 0, 0
 	for _, sh := range shards {
-		nodes += len(sh.Nodes())
+		for _, n := range sh.Nodes() {
+			d := n.QueueDepth()
+			nodes++
+			depthTotal += d
+			depthMax = max(depthMax, d)
+		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster_enabled:1\r\n")
@@ -147,18 +155,6 @@ func (c *Cluster) clusterInfoText() string {
 	fmt.Fprintf(&b, "cluster_slots_assigned:%d\r\n", assigned)
 	fmt.Fprintf(&b, "cluster_known_nodes:%d\r\n", nodes)
 	fmt.Fprintf(&b, "cluster_size:%d\r\n", len(shards))
-	// Workloop pressure, aggregated across every node: total and max
-	// queued inputs (Node.QueueDepth: a connection's drained pipeline
-	// counts once), so a hot node shows up from one INFO call without
-	// scraping each node.
-	depthTotal, depthMax := 0, 0
-	for _, sh := range shards {
-		for _, n := range sh.Nodes() {
-			d := n.QueueDepth()
-			depthTotal += d
-			depthMax = max(depthMax, d)
-		}
-	}
 	fmt.Fprintf(&b, "cluster_exec_queue_depth_total:%d\r\n", depthTotal)
 	fmt.Fprintf(&b, "cluster_exec_queue_depth_max:%d\r\n", depthMax)
 	// Per-AZ transaction-log health: served/dropped ack counts plus the

@@ -30,10 +30,9 @@ type Metrics struct {
 	cmdMu sync.RWMutex
 	cmds  map[string]*Histogram
 
-	regMu   sync.Mutex
-	named   []NamedHistogram
-	counter []Counter
-	gauges  []Gauge
+	regMu  sync.Mutex
+	named  []NamedHistogram
+	values []series
 
 	// Slow is the slowlog; always non-nil on instances from New.
 	Slow *Slowlog
@@ -50,23 +49,14 @@ type NamedHistogram struct {
 	H     *Histogram
 }
 
-// Counter is a monotonic counter exported by callback, letting existing
-// atomic counters (core.Stats and friends) appear in /metrics without
-// changing how they are recorded.
-type Counter struct {
-	// Name is the bare metric name; exposition prefixes "memorydb_"
-	// and suffixes "_total".
-	Name  string
-	Label string
-	Fn    func() int64
-}
-
-// Gauge is an instantaneous value exported by callback (queue depths,
-// imbalance ratios). Exposition prefixes "memorydb_" with no suffix.
-type Gauge struct {
-	Name  string
-	Label string
-	Fn    func() int64
+// series is a value exported by callback, letting existing atomic
+// counters (core.Stats and friends) appear in /metrics without changing
+// how they are recorded: a counter (monotonic) or a gauge
+// (instantaneous: queue depths, imbalance ratios).
+type series struct {
+	name, label string
+	counter     bool
+	fn          func() int64
 }
 
 // New creates a Metrics registry.
@@ -124,11 +114,9 @@ func (m *Metrics) EachCommand(fn func(name string, h *Histogram)) {
 	}
 	m.cmdMu.RLock()
 	names := make([]string, 0, len(m.cmds))
-	for n := range m.cmds {
-		names = append(names, n)
-	}
 	hists := make(map[string]*Histogram, len(m.cmds))
 	for n, h := range m.cmds {
+		names = append(names, n)
 		hists[n] = h
 	}
 	m.cmdMu.RUnlock()
@@ -169,21 +157,20 @@ func (m *Metrics) Named(name string) *Histogram {
 
 // RegisterCounter exposes a monotonic counter by callback.
 func (m *Metrics) RegisterCounter(name, label string, fn func() int64) {
-	if m == nil || fn == nil {
-		return
-	}
-	m.regMu.Lock()
-	m.counter = append(m.counter, Counter{Name: name, Label: label, Fn: fn})
-	m.regMu.Unlock()
+	m.register(series{name, label, true, fn})
 }
 
 // RegisterGauge exposes an instantaneous value by callback.
 func (m *Metrics) RegisterGauge(name, label string, fn func() int64) {
-	if m == nil || fn == nil {
+	m.register(series{name, label, false, fn})
+}
+
+func (m *Metrics) register(s series) {
+	if m == nil || s.fn == nil {
 		return
 	}
 	m.regMu.Lock()
-	m.gauges = append(m.gauges, Gauge{Name: name, Label: label, Fn: fn})
+	m.values = append(m.values, s)
 	m.regMu.Unlock()
 }
 
@@ -196,26 +183,14 @@ func (m *Metrics) Unregister(label string) {
 	m.regMu.Lock()
 	defer m.regMu.Unlock()
 	m.named = slices.DeleteFunc(m.named, func(h NamedHistogram) bool { return h.Label == label })
-	m.counter = slices.DeleteFunc(m.counter, func(c Counter) bool { return c.Label == label })
-	m.gauges = slices.DeleteFunc(m.gauges, func(g Gauge) bool { return g.Label == label })
+	m.values = slices.DeleteFunc(m.values, func(s series) bool { return s.label == label })
 }
 
-func (m *Metrics) gaugeSnapshot() []Gauge {
+// registered copies one of m's registered lists.
+func registered[T any](m *Metrics, list *[]T) []T {
 	m.regMu.Lock()
 	defer m.regMu.Unlock()
-	return append([]Gauge(nil), m.gauges...)
-}
-
-func (m *Metrics) namedSnapshot() []NamedHistogram {
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	return append([]NamedHistogram(nil), m.named...)
-}
-
-func (m *Metrics) counterSnapshot() []Counter {
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	return append([]Counter(nil), m.counter...)
+	return append([]T(nil), *list...)
 }
 
 // FinishCommand records a completed command: end-to-end and per-command

@@ -88,6 +88,11 @@ func TestPrometheusExposition(t *testing.T) {
 	m.Named("snapshot_build").Observe(80 * time.Millisecond)
 	m.RegisterCounter("commands", `node="n1"`, func() int64 { return 42 })
 	m.RegisterCounter("appends_failed", "", func() int64 { return 3 })
+	m.RegisterCounter("deltas_emitted_total", "", func() int64 { return 5 })
+	m.RegisterGauge("queue_depth", `node="n1"`, func() int64 { return 7 })
+	var off *Metrics // instrumentation off: registering is a no-op
+	off.RegisterCounter("commands", "", func() int64 { return 1 })
+	off.RegisterGauge("queue_depth", "", func() int64 { return 1 })
 
 	rr := httptest.NewRecorder()
 	Handler(m).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
@@ -105,6 +110,10 @@ func TestPrometheusExposition(t *testing.T) {
 		"memorydb_snapshot_build_duration_seconds_count 1",
 		`memorydb_commands_total{node="n1"} 42`,
 		"memorydb_appends_failed_total 3",
+		"# TYPE memorydb_appends_failed_total counter",
+		"memorydb_deltas_emitted_total 5",
+		"# TYPE memorydb_queue_depth gauge",
+		`memorydb_queue_depth{node="n1"} 7`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)

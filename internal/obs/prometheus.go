@@ -81,72 +81,29 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		writePromHistogram(w, "memorydb_command_duration_seconds",
 			fmt.Sprintf("cmd=%q", name), h)
 	})
-	// Named histograms, grouped by metric name so TYPE headers appear
-	// once per family.
-	named := m.namedSnapshot()
-	byName := map[string][]NamedHistogram{}
-	names := []string{}
-	for _, nh := range named {
-		if _, ok := byName[nh.Name]; !ok {
-			names = append(names, nh.Name)
-		}
-		byName[nh.Name] = append(byName[nh.Name], nh)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		full := "memorydb_" + n + "_duration_seconds"
+	// Named histograms, counters and gauges, grouped by metric name so
+	// TYPE headers appear once per family.
+	for _, fam := range families(registered(m, &m.named), func(h NamedHistogram) string { return h.Name }) {
+		full := "memorydb_" + fam[0].Name + "_duration_seconds"
 		fmt.Fprintf(w, "# TYPE %s histogram\n", full)
-		for _, nh := range byName[n] {
+		for _, nh := range fam {
 			writePromHistogram(w, full, nh.Label, nh.H)
 		}
 	}
-	// Counters, grouped the same way.
-	ctrs := m.counterSnapshot()
-	byCtr := map[string][]Counter{}
-	cnames := []string{}
-	for _, c := range ctrs {
-		if _, ok := byCtr[c.Name]; !ok {
-			cnames = append(cnames, c.Name)
+	// A counter family's name gains "_total" unless the registered name
+	// already carries it (e.g. snapshot_deltas_emitted_total, which INFO
+	// reports verbatim), so the suffix is never doubled.
+	for _, fam := range families(registered(m, &m.values), func(s series) string { return s.name }) {
+		full, typ := "memorydb_"+fam[0].name, "gauge"
+		if fam[0].counter {
+			full, typ = strings.TrimSuffix(full, "_total")+"_total", "counter"
 		}
-		byCtr[c.Name] = append(byCtr[c.Name], c)
-	}
-	sort.Strings(cnames)
-	for _, n := range cnames {
-		// Registered names that already carry the conventional counter
-		// suffix (e.g. snapshot_deltas_emitted_total, which INFO reports
-		// verbatim) must not have it doubled on exposition.
-		full := "memorydb_" + n
-		if !strings.HasSuffix(n, "_total") {
-			full += "_total"
-		}
-		fmt.Fprintf(w, "# TYPE %s counter\n", full)
-		for _, c := range byCtr[n] {
-			if c.Label != "" {
-				fmt.Fprintf(w, "%s{%s} %d\n", full, c.Label, c.Fn())
+		fmt.Fprintf(w, "# TYPE %s %s\n", full, typ)
+		for _, s := range fam {
+			if s.label != "" {
+				fmt.Fprintf(w, "%s{%s} %d\n", full, s.label, s.fn())
 			} else {
-				fmt.Fprintf(w, "%s %d\n", full, c.Fn())
-			}
-		}
-	}
-	// Gauges, grouped by name like counters but with no suffix.
-	gs := m.gaugeSnapshot()
-	byGauge := map[string][]Gauge{}
-	gnames := []string{}
-	for _, g := range gs {
-		if _, ok := byGauge[g.Name]; !ok {
-			gnames = append(gnames, g.Name)
-		}
-		byGauge[g.Name] = append(byGauge[g.Name], g)
-	}
-	sort.Strings(gnames)
-	for _, n := range gnames {
-		full := "memorydb_" + n
-		fmt.Fprintf(w, "# TYPE %s gauge\n", full)
-		for _, g := range byGauge[n] {
-			if g.Label != "" {
-				fmt.Fprintf(w, "%s{%s} %d\n", full, g.Label, g.Fn())
-			} else {
-				fmt.Fprintf(w, "%s %d\n", full, g.Fn())
+				fmt.Fprintf(w, "%s %d\n", full, s.fn())
 			}
 		}
 	}
@@ -154,6 +111,25 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE memorydb_slowlog_entries_total counter\n")
 	fmt.Fprintf(w, "memorydb_slowlog_entries_total %d\n", m.Slow.Total())
 	writeRuntimeMetrics(w)
+}
+
+// families groups xs by name in sorted name order, each family in
+// registration order.
+func families[T any](xs []T, name func(T) string) [][]T {
+	byName := map[string][]T{}
+	var names []string
+	for _, x := range xs {
+		if _, ok := byName[name(x)]; !ok {
+			names = append(names, name(x))
+		}
+		byName[name(x)] = append(byName[name(x)], x)
+	}
+	sort.Strings(names)
+	out := make([][]T, len(names))
+	for i, n := range names {
+		out[i] = byName[n]
+	}
+	return out
 }
 
 // Handler serves the registry at any path (mount it at /metrics) in
