@@ -7,7 +7,9 @@
 # the engine that drives it, and the snapshot restore that builds it on
 # parallel workers from the objects S3 shares with every reader), and over
 # the server binary's wiring (a cluster, its builders and Monitor behind
-# one endpoint), then the fixed-seed fault gates below.
+# one endpoint), and over slot migration (a dump and a replay of the
+# source's log applied on the target while both shards serve), then the
+# fixed-seed fault gates below.
 # scripts/check.sh is `exec make check`.
 
 GO ?= go
@@ -34,6 +36,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/core/ ./internal/tracker/ ./internal/txlog/ ./internal/store/ ./internal/engine/ ./internal/snapshot/ ./internal/s3/ ./internal/server/ ./cmd/memorydb-server/
+	$(GO) test -race -run 'Migrat|SlotMigration|ScaleOut|ReplaySlot' ./internal/cluster/
 
 # The frozen benchmark is its own module importing this one (`go build
 # ./...` never sees it): a change to the surface it uses must fail here,

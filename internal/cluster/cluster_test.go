@@ -193,20 +193,32 @@ func TestMigrationWithConcurrentWrites(t *testing.T) {
 		}
 	}
 
+	// One writer, so each key's last acknowledged value is known; a write
+	// that fails is retried with the same value, so only the last one
+	// tried may land unacknowledged.
+	type written struct {
+		n     int
+		acked [20]string
+	}
 	stop := make(chan struct{})
-	writes := make(chan int, 1)
+	writes := make(chan written, 1)
 	go func() {
-		n := 0
+		var w written
+		for i := range w.acked {
+			w.acked[i] = "init"
+		}
 		for {
 			select {
 			case <-stop:
-				writes <- n
+				writes <- w
 				return
 			default:
 			}
-			v, err := cl.Do(ctx, "SET", fmt.Sprintf("{hot}k%d", n%20), fmt.Sprintf("gen%d", n))
+			val := fmt.Sprintf("gen%d", w.n)
+			v, err := cl.Do(ctx, "SET", fmt.Sprintf("{hot}k%d", w.n%20), val)
 			if err == nil && !v.IsError() {
-				n++
+				w.acked[w.n%20] = val
+				w.n++
 			} else if v.IsError() && strings.HasPrefix(v.Text(), "TRYAGAIN") {
 				time.Sleep(time.Millisecond)
 			}
@@ -217,17 +229,18 @@ func TestMigrationWithConcurrentWrites(t *testing.T) {
 		t.Fatalf("MigrateSlot: %v", err)
 	}
 	close(stop)
-	n := <-writes
-	if n == 0 {
+	w := <-writes
+	if w.n == 0 {
 		t.Fatal("no writes succeeded during migration")
 	}
-	// Every key's latest acknowledged generation must be present on the
-	// new owner.
-	for i := 0; i < 20; i++ {
+	// The new owner must answer every key with its last acknowledged
+	// value.
+	dstP, _ := dst.Primary()
+	for i, want := range w.acked {
 		k := fmt.Sprintf("{hot}k%d", i)
-		v, err := cl.Do(ctx, "GET", k)
-		if err != nil || v.Null {
-			t.Fatalf("key %s lost after migration under writes: %v %v", k, v, err)
+		v, err := dstP.Do(ctx, [][]byte{[]byte("GET"), []byte(k)})
+		if err != nil || v.Text() != want && (i != w.n%20 || v.Text() != fmt.Sprintf("gen%d", w.n)) {
+			t.Fatalf("key %s = %v (%v) at the new owner after migration under writes, want the last acknowledged %q", k, v, err, want)
 		}
 	}
 }

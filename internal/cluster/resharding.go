@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
+	"slices"
 
-	"memorydb/internal/clock"
 	"memorydb/internal/core"
+	"memorydb/internal/crc16"
 	"memorydb/internal/engine"
 	"memorydb/internal/txlog"
 )
@@ -73,58 +73,48 @@ func (c *Cluster) MigrateSlot(ctx context.Context, slot uint16, toID string) (er
 		return fmt.Errorf("cluster: prepare on target: %w", err)
 	}
 
-	// Data movement: stream dump + live mutations, in source-serial
-	// order, applying each item on the target primary (which commits it
-	// to its own transaction log so target replicas converge too).
-	stream := srcP.StartSlotMigration(slot)
-	// A forwarder that failed keeps draining, or the dump would wedge the
-	// source's workloop on a full stream; forwardErr is closed after its
-	// one result, so abort can wait for the forwarder whether or not the
-	// result was already taken.
-	forwardErr := make(chan error, 1)
-	go func() {
-		err := forwardStream(ctx, stream, dstP)
-		for range stream.C {
-		}
-		forwardErr <- err
-		close(forwardErr)
-	}()
-
 	abort := func(cause error) error {
 		c.setSlotBlocked(slot, false)
-		srcP.EndSlotMigration(slot)
-		<-forwardErr
 		// Direct the target to delete all transferred data; resuming
 		// writes on the source makes the abort externally invisible.
 		msg := encodeSlotMsg(slotMsg{Phase: "abort", Slot: slot, From: src.ID, To: dst.ID})
 		_, _ = srcP.AppendControl(ctx, txlog.EntrySlot, msg)
 		_, _ = dstP.AppendControl(ctx, txlog.EntrySlot, msg)
-		deleteSlotKeys(ctx, c.cfg.Clock, dstP, slot)
+		deleteSlotKeys(ctx, dstP, slot)
 		return cause
 	}
 
-	if err := srcP.EnqueueSlotDump(ctx, slot); err != nil {
+	// Data movement: the slot's keys as of a position of the source's
+	// log, then the log itself past that position — the replication
+	// stream of later mutations (§5.2). The source keeps serving
+	// throughout; the target commits every batch to its own log, so its
+	// replicas converge too.
+	pos, sum, dump, err := srcP.DumpSlot(ctx, slot)
+	if err != nil {
 		return abort(fmt.Errorf("cluster: slot dump: %w", err))
 	}
+	if err := applyBatches(ctx, dstP, dump); err != nil {
+		return abort(fmt.Errorf("cluster: applying the slot dump: %w", err))
+	}
+	replay := txlog.NewReplayer(engine.Version, sum)
+	if pos, err = replaySlot(ctx, replay, src.Log, pos, slot, dstP); err != nil {
+		return abort(err)
+	}
 
-	// Ownership transfer: block new writes, flush in-progress ones (the
-	// final re-dump is serialized behind them in the source workloop and
-	// is idempotent), then handshake.
+	// Ownership transfer: block new writes, wait until the ones in
+	// progress are in the source's log (the DBSIZE barrier inside
+	// slotKeyCount), replay the log once more, then handshake.
 	c.setSlotBlocked(slot, true)
-	if err := srcP.EnqueueSlotDump(ctx, slot); err != nil {
-		return abort(fmt.Errorf("cluster: final slot dump: %w", err))
-	}
-	srcP.EndSlotMigration(slot)
-	if err := <-forwardErr; err != nil {
-		return abort(fmt.Errorf("cluster: forwarding: %w", err))
-	}
-
-	// Data integrity handshake: both sides must agree on the slot's key
-	// count before ownership changes hands.
 	srcCount, err := slotKeyCount(ctx, srcP, slot)
 	if err != nil {
 		return abort(err)
 	}
+	if _, err := replaySlot(ctx, replay, src.Log, pos, slot, dstP); err != nil {
+		return abort(err)
+	}
+
+	// Data integrity handshake: both sides must agree on the slot's key
+	// count before ownership changes hands.
 	dstCount, err := slotKeyCount(ctx, dstP, slot)
 	if err != nil {
 		return abort(err)
@@ -149,8 +139,9 @@ func (c *Cluster) MigrateSlot(ctx context.Context, slot uint16, toID string) (er
 	c.mu.Unlock()
 
 	// The old owner now redirects (the gate consults slotOwner) and
-	// deletes the transferred data in a rate-limited background task.
-	go deleteSlotKeys(context.Background(), c.cfg.Clock, srcP, slot)
+	// deletes the transferred data in the background, one commit round
+	// per 64 keys.
+	go deleteSlotKeys(context.Background(), srcP, slot)
 	return nil
 }
 
@@ -164,22 +155,27 @@ func (c *Cluster) setSlotBlocked(slot uint16, blocked bool) {
 	c.mu.Unlock()
 }
 
-// forwardStream applies the migration stream to the target primary in
-// order. Dump items arrive as decoded commands; live effects arrive as
-// one RESP-encoded record.
-func forwardStream(ctx context.Context, ms *core.MigrationStream, dst *core.Node) error {
-	for item := range ms.C {
-		batch := item.Cmds
-		if batch == nil {
-			var err error
-			if batch, err = engine.DecodeRecord(item.Effects); err != nil {
-				return err
-			}
+// maxRunBatches caps a run applyBatches hands the target: a run is one
+// turn, so its batches share a log entry up to the buffer's byte cap.
+const maxRunBatches = 64
+
+// applyBatches applies batches on n, in order, as runs of at most
+// maxRunBatches atomic batches, and waits for every reply. The slot gate
+// does not judge a batch, so it reaches a node that does not own the
+// slot yet.
+func applyBatches(ctx context.Context, n *core.Node, batches [][][][]byte) error {
+	var calls []core.Call
+	for len(batches) > 0 {
+		var r core.Run
+		k := min(maxRunBatches, len(batches))
+		for _, b := range batches[:k] {
+			calls = append(calls, n.Add(&r, core.Request{Batch: b}))
 		}
-		if len(batch) == 0 {
-			continue
-		}
-		v, err := dst.DoBatch(ctx, batch)
+		batches = batches[k:]
+		n.SubmitRun(ctx, &r)
+	}
+	for _, call := range calls {
+		v, _, err := call.Wait(ctx)
 		if err != nil {
 			return err
 		}
@@ -188,6 +184,52 @@ func forwardStream(ctx context.Context, ms *core.MigrationStream, dst *core.Node
 		}
 	}
 	return nil
+}
+
+// replaySlot steps rp through log's committed entries after from and
+// applies on dst, one batch per data entry, the commands that name a key
+// in slot. It returns the position it replayed through. A log read error
+// (ErrTrimmed, ErrUnavailable), a checksum the replay disagrees with or a
+// command it cannot resolve fails it, and nothing of the failed pass is
+// applied.
+func replaySlot(ctx context.Context, rp *txlog.Replayer, log *txlog.Log, from txlog.EntryID, slot uint16, dst *core.Node) (txlog.EntryID, error) {
+	var batches [][][][]byte
+	end, err := rp.Range(log, from, log.CommittedTail(), func(e txlog.Entry) error {
+		cmds, err := slotCommands(e.Payload, slot)
+		if len(cmds) > 0 {
+			batches = append(batches, cmds)
+		}
+		return err
+	})
+	if err != nil {
+		return end, fmt.Errorf("cluster: replaying the source's log: %w", err)
+	}
+	return end, applyBatches(ctx, dst, batches)
+}
+
+// slotCommands decodes a data entry's payload and keeps, in order, the
+// commands that name a key in slot. A keyless command (FLUSHALL) names
+// none and is skipped: the key-count handshake judges what it did. A
+// command the engine cannot resolve fails the move; it is never dropped.
+func slotCommands(payload []byte, slot uint16) ([][][]byte, error) {
+	cmds, err := engine.DecodeRecord(payload)
+	if err != nil {
+		return nil, err
+	}
+	var kept [][][]byte
+	for _, argv := range cmds {
+		var cmd *engine.Command
+		if len(argv) > 0 {
+			cmd = engine.Lookup(argv[0])
+		}
+		if cmd == nil {
+			return nil, fmt.Errorf("cluster: replayed command %q is unknown", argv)
+		}
+		if slices.ContainsFunc(cmd.Keys(argv), func(k []byte) bool { return crc16.Slot(k) == slot }) {
+			kept = append(kept, argv)
+		}
+	}
+	return kept, nil
 }
 
 // slotKeyCount counts the slot's keys on a node via its engine (through
@@ -204,13 +246,13 @@ func slotKeyCount(ctx context.Context, n *core.Node, slot uint16) (int, error) {
 }
 
 // deleteSlotKeys drains slot on n. It lists the slot once — a scan of the
-// slot's part inside the workloop — deletes in batches of 64 with a pause
-// between them so the deletion does not disturb foreground traffic
-// (§5.2), and lists again only while the O(1) count says a key is left.
-// n does not own the slot (any more, or yet) and the slot gate would
-// bounce a plain DEL with MOVED; like the migration stream's, the deletes
-// go in as batches, which the gate does not judge.
-func deleteSlotKeys(ctx context.Context, clk clock.Clock, n *core.Node, slot uint16) {
+// slot's part inside the workloop — deletes in batches of 64, each
+// waiting out its own commit round so the deletion does not crowd out
+// foreground traffic (§5.2), and lists again only while the O(1) count
+// says a key is left. n does not own the slot (any more, or yet) and the
+// slot gate would bounce a plain DEL with MOVED; like the migration's
+// copy, the deletes go in as batches, which the gate does not judge.
+func deleteSlotKeys(ctx context.Context, n *core.Node, slot uint16) {
 	for {
 		if left, err := n.SlotKeyCount(ctx, slot); err != nil || left == 0 {
 			return
@@ -229,7 +271,6 @@ func deleteSlotKeys(ctx context.Context, clk clock.Clock, n *core.Node, slot uin
 			if v, err := n.DoBatch(ctx, [][][]byte{del}); err != nil || v.IsError() {
 				return
 			}
-			clk.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"memorydb/internal/crc16"
 	"memorydb/internal/election"
 	"memorydb/internal/resp"
 	"memorydb/internal/txlog"
@@ -14,75 +13,38 @@ import (
 // control-plane callers.
 var errNotPrimaryErr = errors.New("core: not the primary")
 
-// Slot migration support (paper §5.2). The source primary keeps serving
-// the slot while data moves: keys are dumped on the workloop into an
-// ordered stream that also carries the replication effects of concurrent
-// mutations on the slot, so the target observes "serialized keys plus
-// replication stream mutations of keys already transmitted" in a single
-// consistent order. Ownership transfer itself is coordinated by the
-// cluster layer with 2PC records in the transaction logs.
-
-// ForwardItem is one unit of the migration stream: either a batch of
-// commands recreating a dumped key, or the effects of one mutation.
-type ForwardItem struct {
-	// Cmds are decoded commands to apply at the target (dump path).
-	Cmds [][][]byte
-	// Effects is the replication record of one mutation (live path).
-	Effects []byte
-}
-
-// MigrationStream receives the ordered dump+effect stream for one slot.
-type MigrationStream struct {
-	Slot uint16
-	C    chan ForwardItem
-}
-
-// StartSlotMigration begins streaming mode for slot: subsequent mutations
-// touching keys in the slot are mirrored into the returned stream, and
-// EnqueueSlotDump schedules the bulk copy through the same stream.
-func (n *Node) StartSlotMigration(slot uint16) *MigrationStream {
-	ms := &MigrationStream{Slot: slot, C: make(chan ForwardItem, 1024)}
-	n.run(context.Background(), func() error {
-		n.migStream = ms
-		return nil
+// DumpSlot is the source's half of a slot move (paper §5.2): it returns,
+// for each key in slot, the commands that recreate it
+// (engine.DumpCommands), with the log position and running checksum the
+// dump stands at. It runs as one workloop turn behind a flush and refuses
+// on a node that is not primary, so the dump reflects every mutation at
+// or below pos and none above it: replaying the shard's log after pos,
+// seeded with sum, carries the copy forward while the source keeps
+// serving. Ownership transfer itself is coordinated by the cluster layer
+// with 2PC records in the transaction logs.
+func (n *Node) DumpSlot(ctx context.Context, slot uint16) (pos txlog.EntryID, sum uint64, dump [][][][]byte, err error) {
+	err = n.run(ctx, func() error {
+		var err error
+		pos, sum, dump, err = n.dumpSlotTurn(slot)
+		return err
 	})
-	return ms
+	return pos, sum, dump, err
 }
 
-// EnqueueSlotDump dumps every key currently in the slot into the
-// migration stream. It runs on the workloop, so the dump point is
-// serialized against mutations: effects emitted after it strictly follow
-// the dumped state.
-func (n *Node) EnqueueSlotDump(ctx context.Context, slot uint16) error {
-	return n.run(ctx, func() error {
-		ms := n.migStream
-		if ms == nil {
-			return nil
+// dumpSlotTurn is DumpSlot's turn on the workloop.
+func (n *Node) dumpSlotTurn(slot uint16) (txlog.EntryID, uint64, [][][][]byte, error) {
+	// A flush failure demotes, so the role is read after it.
+	n.flushPending()
+	if n.Role() != election.RolePrimary {
+		return txlog.ZeroID, 0, nil, errNotPrimaryErr
+	}
+	var dump [][][][]byte
+	for _, key := range n.eng.DB().SlotKeys(slot) {
+		if cmds := n.eng.DumpCommands(key); len(cmds) > 0 {
+			dump = append(dump, cmds)
 		}
-		for _, key := range n.eng.DB().SlotKeys(slot) {
-			cmds := n.eng.DumpCommands(key)
-			if len(cmds) == 0 {
-				continue
-			}
-			select {
-			case ms.C <- ForwardItem{Cmds: cmds}:
-			case <-n.stopCtx.Done():
-				return ErrStopped
-			}
-		}
-		return nil
-	})
-}
-
-// EndSlotMigration stops mirroring and closes the stream.
-func (n *Node) EndSlotMigration(slot uint16) {
-	n.run(context.Background(), func() error {
-		if ms := n.migStream; ms != nil && ms.Slot == slot {
-			close(ms.C)
-			n.migStream = nil
-		}
-		return nil
-	})
+	}
+	return n.lastIssued, n.runningChecksum, dump, nil
 }
 
 // SetSlotGate installs (or clears, with nil) the slot admission check
@@ -167,23 +129,4 @@ func (n *Node) SlotKeyCount(ctx context.Context, slot uint16) (int, error) {
 		return 0, err
 	}
 	return count, nil
-}
-
-// forwardEffects mirrors a mutation's effects into the migration stream
-// when one of the touched keys belongs to the migrating slot. Called right
-// after the effects entered the group-commit buffer.
-func (n *Node) forwardEffects(keys []string, effects []byte) {
-	ms := n.migStream
-	if ms == nil {
-		return
-	}
-	for _, k := range keys {
-		if crc16.Slot(k) == ms.Slot {
-			select {
-			case ms.C <- ForwardItem{Effects: effects}:
-			case <-n.stopCtx.Done():
-			}
-			return
-		}
-	}
 }

@@ -143,7 +143,7 @@ type Node struct {
 	// The workloop's state (workloop.go), lease through feedEpoch: the
 	// node's one goroutine owns it, so none of it takes a lock. Every
 	// command and every piece of node-internal work — replica apply, state
-	// installs, renewals, control appends, migration, reply release — runs
+	// installs, renewals, control appends, slot dumps, reply release — runs
 	// there.
 	lease *election.Lease
 	tasks chan *task
@@ -153,8 +153,6 @@ type Node struct {
 	// gc is the group-commit buffer: the mutations of the current turn
 	// accumulate here until its flush.
 	gc groupCommit
-	// migStream, when non-nil, mirrors effects touching the migrating slot.
-	migStream *MigrationStream
 	// Sequencer state (sequencer.go): the tail this node has issued
 	// appends through, the seq of the newest entry answered for (the
 	// durable watermark every append carries), and the running checksum

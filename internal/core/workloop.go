@@ -21,7 +21,7 @@ const (
 	taskCmd taskKind = iota
 	taskBatch
 	// taskFunc is node-internal work another goroutine hands over: a
-	// control append, a step-down or a migration step.
+	// control append, a step-down or a slot dump.
 	taskFunc
 	// taskWait is a WaitApplied: fn parks it beside the replica's parked
 	// reads, and the end of a turn answers it (readpath.go).
@@ -551,9 +551,6 @@ func (n *Node) serve(t *task) {
 // (Node.step).
 func (n *Node) logMutation(t *task, res engine.Result) {
 	n.stats.Mutations.Add(1)
-	// Mirror into the migration stream at execution order — the same
-	// position the effects take in the batch payload.
-	n.forwardEffects(res.Keys, res.Effects)
 	gc := &n.gc
 	if len(gc.payload) == 0 {
 		gc.payload = res.Effects // the engine never writes to it again
