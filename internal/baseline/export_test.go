@@ -55,20 +55,6 @@ func (a *AOF) RecoverInto(ctx context.Context, n *Node) error {
 // ExecInWorkloop runs fn inside the workloop (BGSave-style consistent
 // access to the keyspace).
 func (n *Node) ExecInWorkloop(ctx context.Context, fn func()) error {
-	t := &task{snapshotW: fn, reply: make(chan resp.Value, 1)}
-	select {
-	case n.tasks <- t:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.stopCh:
-		return ErrStopped
-	}
-	select {
-	case <-t.reply:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.stopCh:
-		return ErrStopped
-	}
+	_, err := n.submit(ctx, &task{snapshotW: fn, reply: make(chan resp.Value, 1)})
+	return err
 }

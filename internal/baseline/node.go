@@ -63,6 +63,7 @@ type replItem struct {
 
 type task struct {
 	argv      [][]byte
+	batch     [][][]byte // a MULTI/EXEC group, run as one command when set
 	reply     chan resp.Value
 	snapshotW func() // closure executed inside the workloop (BGSave, applies)
 }
@@ -145,7 +146,18 @@ func (n *Node) AckedOffset() int64 { return n.ackedOffset.Load() }
 // is exactly the window where OSS Redis can lose acknowledged writes on
 // failover (§2.2).
 func (n *Node) Do(ctx context.Context, argv [][]byte) (resp.Value, error) {
-	t := &task{argv: argv, reply: make(chan resp.Value, 1)}
+	return n.submit(ctx, &task{argv: argv, reply: make(chan resp.Value, 1)})
+}
+
+// DoBatch executes a MULTI/EXEC group as one workloop task, so no other
+// client's command runs between its commands, and its effects reach the
+// AOF and the replicas as one payload. The reply is EXEC's array.
+func (n *Node) DoBatch(ctx context.Context, cmds [][][]byte) (resp.Value, error) {
+	return n.submit(ctx, &task{batch: cmds, reply: make(chan resp.Value, 1)})
+}
+
+// submit queues t on the workloop and waits for its reply.
+func (n *Node) submit(ctx context.Context, t *task) (resp.Value, error) {
 	select {
 	case n.tasks <- t:
 	case <-n.stopCh:
@@ -206,7 +218,7 @@ func (n *Node) workloop() {
 				}
 				continue
 			}
-			res := n.eng.Exec(t.argv)
+			res := n.exec(t)
 			if res.Mutated() && n.IsPrimary() {
 				payload := res.Effects
 				off := n.masterOffset.Add(int64(len(payload)))
@@ -229,6 +241,20 @@ func (n *Node) workloop() {
 			t.reply <- res.Reply
 		}
 	}
+}
+
+// exec runs t's command, or its MULTI/EXEC group, on the engine.
+func (n *Node) exec(t *task) engine.Result {
+	if t.batch == nil {
+		return n.eng.Exec(t.argv)
+	}
+	cmds := make([]*engine.Command, len(t.batch))
+	for i, argv := range t.batch {
+		if len(argv) > 0 {
+			cmds[i] = engine.Lookup(argv[0])
+		}
+	}
+	return n.eng.ExecBatch(t.batch, cmds)
 }
 
 // replApplyLoop applies the asynchronous replication stream on a replica

@@ -183,13 +183,30 @@ func TestReplayInvariantAcrossConsumers(t *testing.T) {
 		}},
 		{"verify", func(t *testing.T, h *handLog, suffix func(*handLog)) (*store.DB, error) {
 			snaps := snapshot.NewManager(s3.New(), "snaps")
-			b := &snapshot.Builder{Manager: snaps, Log: h.log, ShardID: h.log.ShardID(), EngineVersion: 1}
+			b := &snapshot.Builder{Manager: snaps, Log: h.log, ShardID: h.log.ShardID(), EngineVersion: 1, DeltaInterval: 1}
 			if _, err := b.Full(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			suffix(h)
-			// The rehearsal replays into the chain's keyspace.
-			chain, err := snapshot.Verify(snaps, h.log.ShardID(), h.log, nil)
+			// The pass after the full rebuilds the builder's copy from it,
+			// and its drain of the suffix is the restore rehearsal: one
+			// verdict, paged if it fails.
+			err := b.Tick(context.Background())
+			if got := b.Stats().Rehearsals; got != 1 {
+				t.Errorf("the pass after the full reached %d verdicts, want 1", got)
+			}
+			alarmed := false
+			for _, ev := range snaps.Flight.Events() {
+				alarmed = alarmed || (ev.Kind == trace.EvAlarm && strings.Contains(ev.Detail, "verification failed"))
+			}
+			if alarmed != (err != nil) {
+				t.Errorf("rehearsal error %v, verification alarm raised: %v", err, alarmed)
+			}
+			// A passing rehearsal emits the keyspace it replayed into.
+			chain, _, rerr := snaps.Resolve(h.log.ShardID(), false)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
 			return chain.DB, err
 		}},
 	}

@@ -152,13 +152,5 @@ func (b BaselineBackend) DoBatch(ctx context.Context, cmds [][][]byte, mode Read
 	if mode.ReadOnly {
 		return errReadOnlyOSS, nil
 	}
-	replies := make([]resp.Value, 0, len(cmds))
-	for _, argv := range cmds {
-		v, err := b.Node.Do(ctx, argv)
-		if err != nil {
-			return resp.Value{}, err
-		}
-		replies = append(replies, v)
-	}
-	return resp.ArrayV(replies...), nil
+	return b.Node.DoBatch(ctx, cmds)
 }

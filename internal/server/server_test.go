@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -284,5 +285,57 @@ func TestCommandErrorsKeepRedisText(t *testing.T) {
 		if got := c.do(t, tc.args...); got.Text() != tc.want {
 			t.Errorf("%q = %q, want %q", tc.args, got.Text(), tc.want)
 		}
+	}
+}
+
+// TestBaselineExecIsAtomic: in OSS mode an EXEC runs its queued commands
+// as one, so a reader on another connection never sees a transaction's
+// first INCR without its second.
+func TestBaselineExecIsAtomic(t *testing.T) {
+	node := baseline.NewPrimary(baseline.Config{NodeID: "r1"})
+	t.Cleanup(node.Stop)
+	srv := serve(t, BaselineBackend{Node: node})
+	w, r := dial(t, srv.Addr().String()), dial(t, srv.Addr().String())
+	const txns = 3000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < txns; i++ {
+			for _, cmd := range [][]string{{"MULTI"}, {"INCR", "k"}, {"INCR", "k"}, {"EXEC"}} {
+				if err := w.w.WriteCommandStrings(cmd...); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := w.w.Flush(); err != nil {
+				t.Error(err)
+				return
+			}
+			for range 4 {
+				if _, err := w.r.ReadValue(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	torn := 0
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if v := r.do(t, "GET", "k"); !v.Null {
+			if n, err := strconv.Atoi(v.Text()); err != nil || n%2 != 0 {
+				torn++
+			}
+		}
+	}
+	if torn > 0 {
+		t.Fatalf("a reader saw %d odd counters: an EXEC of two INCRs was interleaved", torn)
+	}
+	if v := r.do(t, "GET", "k"); v.Text() != strconv.Itoa(2*txns) {
+		t.Fatalf("k = %v after %d transactions, want %d", v, txns, 2*txns)
 	}
 }

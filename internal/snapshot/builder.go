@@ -48,9 +48,10 @@ type BuilderHealth struct {
 // flat while snapshots stream out.
 //
 // It is also the one log trimmer (§4.2.3: everything below a verified
-// snapshot is redundant). The pass after a full lands puts the newest
-// chain through the §7.2.1 restore rehearsal (Verify) and trims the log
-// behind that chain's base only if it passes, and the log itself only
+// snapshot is redundant). The pass after a full lands drops the private
+// copy and rebuilds it from the newest chain: that restore is the chain's
+// §7.2.1 rehearsal, and the builder trims the log behind the chain's base
+// only if it passes. The log itself only
 // drops whole sealed segments at or below that position. The two gates
 // compose into the trim-safety invariant: any replica or restore path
 // that needs entry N either finds a snapshot at position >= N, or the log
@@ -85,12 +86,13 @@ type Builder struct {
 	// histograms.
 	Obs *obs.Metrics
 
-	mu     sync.Mutex
-	eng    *engine.Engine
-	reader *txlog.Reader
-	// replay consumes every entry the reader delivers: seeded from the
-	// chain tip's log checksum at bootstrap, its running sum is what the
-	// next snapshot records.
+	mu sync.Mutex
+	// eng is the private materialized copy; nil means the next pass
+	// rebuilds it from the newest chain.
+	eng *engine.Engine
+	// replay consumes every entry drained into eng: seeded from the chain
+	// tip's log checksum at bootstrap, its running sum is what the next
+	// snapshot records.
 	replay   *txlog.Replayer
 	pos      txlog.EntryID // last log entry applied to the private copy
 	lastEmit txlog.EntryID // position of the last emitted snapshot
@@ -102,14 +104,13 @@ type Builder struct {
 	// bootstrap (no base yet) and on wholesale rewrites (FLUSHALL) that
 	// per-key deltas cannot describe.
 	needFull bool
-	// judge is set when a full has landed (this builder's emit, or the
-	// chain it bootstrapped onto) and no verdict on the newest chain has
-	// been reached since: the next pass rehearses it. judged is the base
-	// of the last chain a verdict was reached on, so rebuilding onto a
-	// judged chain does not judge it again.
+	// judge is set while the newest chain (this builder's full, or the
+	// chain it rebuilt onto) is owed a verdict: the next Tick rebuilds the
+	// copy from it, and that rebuild is its restore rehearsal. judged is
+	// the base of the last chain a verdict was reached on, so rebuilding
+	// onto a judged chain does not judge it again.
 	judge        bool
 	judged       txlog.EntryID
-	booted       bool
 	rebootstraps int64
 	rehearsals   int64
 }
@@ -165,58 +166,110 @@ func (b *Builder) Stats() BuilderStats {
 		Rehearsals: b.rehearsals}
 }
 
-// bootstrap (re)builds the private materialized copy from the durable
-// chain — the same path a recovering replica takes — and points the
-// tailer at the chain tip.
-func (b *Builder) bootstrap() error {
-	chain, ok, err := b.mgr().Resolve(b.ShardID, false)
+// bootstrap rebuilds the private copy from the newest restorable chain —
+// the path a recovering replica takes — and seeds the replayer at its
+// tip. In a Tick (judging), a rebuild onto a chain owed a verdict is that
+// chain's restore rehearsal (§7.2.1), and the rebuild runs its first two
+// gates:
+//
+//  1. every link of the chain passes its checksum; with a verdict owed,
+//     resolution judges the newest chain and does not fall back past it;
+//  2. the tip's stored log checksum matches the log's running checksum at
+//     the tip: the chain is equivalent to the log prefix it claims.
+//
+// A tip that fails either is evidence against the snapshot: it is
+// quarantined (an idempotent delete) so no restore picks it up, the
+// failure pages, the rebuild falls back to the chain below, and the next
+// emit is a full, which is judged in turn. Gate 3 is catchUp's drain. A
+// rehearsal resolves without retries: a storage blip is no verdict, and
+// the next pass is its retry.
+func (b *Builder) bootstrap(judging bool) (Chain, error) {
+	for owed := false; ; owed = true {
+		newest := judging && (b.judge || owed)
+		m := b.mgr()
+		if newest {
+			m = b.Manager
+		}
+		chain, ok, err := m.Resolve(b.ShardID, newest)
+		if judging && ok && (b.judge || chain.Base.LogPos != b.judged) {
+			err = b.matchLog(chain)
+		}
+		if errors.Is(err, errChainDamaged) {
+			b.rehearsals++
+			b.alarmVerify(chain.Tip.LogPos, err)
+			if err := b.Manager.Remove(b.ShardID, chain.Tip.LogPos); err != nil {
+				return Chain{}, fmt.Errorf("builder: quarantine: %w", err)
+			}
+			continue
+		}
+		if err != nil {
+			return Chain{}, fmt.Errorf("builder: bootstrap: %w", err)
+		}
+		b.eng = engine.New(b.clk())
+		if ok {
+			b.eng.ResetDB(chain.DB)
+		}
+		b.pos = chain.Tip.LogPos
+		b.lastEmit = b.pos
+		b.chainDepth = chain.Tip.ChainDepth
+		b.deltasSinceFull = chain.Depth
+		b.dirty = make(map[string]struct{})
+		b.needFull = !ok || owed
+		b.judge = ok && (b.judge || chain.Base.LogPos != b.judged)
+		b.replay = txlog.NewReplayer(engine.Version, chain.Tip.LogChecksum)
+		return chain, nil
+	}
+}
+
+// matchLog is gate 2 on chain's tip. A log that cannot answer at the tip
+// is no evidence against the snapshot: that verdict is reached here, and
+// the rebuild goes on.
+func (b *Builder) matchLog(chain Chain) error {
+	tip := chain.Tip
+	want, err := b.Log.ChecksumAt(tip.LogPos)
 	if err != nil {
-		return fmt.Errorf("builder: bootstrap: %w", err)
+		b.rule(chain, fmt.Errorf("log prefix unavailable at %v: %w", tip.LogPos, err))
+		return nil
 	}
-	b.eng = engine.New(b.clk())
-	if ok {
-		b.eng.ResetDB(chain.DB)
+	if want != tip.LogChecksum {
+		return fmt.Errorf("%w: %w at %v: snapshot has %#x, log has %#x",
+			errChainDamaged, txlog.ErrChecksumMismatch, tip.LogPos, tip.LogChecksum, want)
 	}
-	b.pos = chain.Tip.LogPos
-	b.lastEmit = b.pos
-	b.chainDepth = chain.Tip.ChainDepth
-	b.deltasSinceFull = chain.Depth
-	b.dirty = make(map[string]struct{})
-	b.needFull = !ok
-	b.judge = b.judge || ok && chain.Base.LogPos != b.judged
-	b.reader = b.Log.NewReader(b.pos)
-	b.replay = txlog.NewReplayer(engine.Version, chain.Tip.LogChecksum)
-	b.booted = true
 	return nil
 }
 
-// rebootstrap drops the private copy and counts the restart; the caller's
-// next step rebuilds from the chain.
+// rebootstrap drops the private copy and counts the restart; the next
+// drain rebuilds it from the chain.
 func (b *Builder) rebootstrap() {
-	b.booted = false
+	b.eng = nil
 	b.rebootstraps++
 }
 
-// Tick performs one builder pass: judge the newest chain if a full has
-// landed since the last verdict, catch the private copy up with the log,
-// and emit a delta or compaction snapshot when the log-distance cadence
-// is due. Transient log unavailability ends the drain early; ErrTrimmed
-// or a quarantined segment under the tailer re-bootstraps from the
-// chain, and a crash decision kills the in-memory copy
-// (ErrBuilderCrashed).
+// Tick performs one builder pass: rebuild the private copy from the
+// newest chain if a full has landed since the last verdict (the
+// rehearsal), catch the copy up with the log, and emit a delta or
+// compaction snapshot when the log-distance cadence is due. Transient log
+// unavailability ends the drain early and an S3 outage defers a rebuild
+// to the next pass; ErrTrimmed or a quarantined segment under the copy
+// rebuilds it from the chain, and a crash decision kills the in-memory
+// copy (ErrBuilderCrashed).
 func (b *Builder) Tick(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.judge {
-		b.judgeNewest()
+		b.eng = nil // the rebuild from the newest chain is its rehearsal
 	}
-	if err := b.catchUp(); err != nil {
+	err := b.catchUp(true)
+	if b.eng == nil && errors.Is(err, s3.ErrUnavailable) {
+		return nil // no copy until S3 answers: the next pass rebuilds it
+	}
+	if err != nil {
 		return err
 	}
 	if b.pos.Seq-b.lastEmit.Seq < b.deltaInterval() {
 		return nil
 	}
-	_, err := b.emit(b.fullDue())
+	_, err = b.emit(b.fullDue())
 	return err
 }
 
@@ -228,66 +281,51 @@ func (b *Builder) fullDue() bool {
 
 // Full catches up with the log and dumps the private copy as a full
 // snapshot at that position regardless of cadence, returning its meta —
-// what an operator-requested or pre-trim checkpoint runs.
+// what an operator-requested or pre-trim checkpoint runs. It never
+// judges: the next Tick does.
 func (b *Builder) Full(ctx context.Context) (Meta, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err := b.catchUp(); err != nil {
+	if err := b.catchUp(false); err != nil {
 		return Meta{}, err
 	}
 	return b.emit(true)
 }
 
-// judgeNewest rehearses a restore from the newest chain and acts on the
-// verdict. Only the chain's base may authorize a trim: restoring past a
-// damaged tip delta falls back to an older prefix of the chain and
-// replays the log from that lower position, so trimming to the tip would
-// strand every delta above the base. A pass also prunes every version
-// below the base, which the trim leaves unrestorable.
-func (b *Builder) judgeNewest() {
-	chain, err := Verify(b.Manager, b.ShardID, b.Log, b.clk())
-	if errors.Is(err, s3.ErrUnavailable) || errors.Is(err, txlog.ErrUnavailable) {
-		return // storage blip, not a verdict: the next pass, not a retry here, judges it
-	}
+// rule acts on the verdict of chain's rehearsal. A pass trims the log
+// behind the chain's base and prunes every version below it. Only the
+// base may authorize a trim: restoring past a damaged tip delta falls
+// back to an older prefix of the chain and replays the log from there,
+// so trimming to the tip would strand every delta above the base. A
+// failure once the chain's own checksums passed is the log disagreeing
+// with itself, not the snapshot's fault: keep it, trim nothing and page
+// once. A shard that cannot verify snapshots is one trim away from
+// unrecoverable.
+func (b *Builder) rule(chain Chain, err error) {
 	b.rehearsals++
-	switch {
-	case err == nil:
-		b.Log.Trim(chain.Base.LogPos)
-		b.Manager.removeBelow(b.ShardID, chain.Base.LogPos)
-		b.judged = chain.Base.LogPos
-	case errors.Is(err, errChainDamaged):
-		// Evidence against the snapshot itself: quarantine it (idempotent
-		// delete) so no restore can pick it up, and page. A tip this
-		// builder never emitted leaves the judgement pending, so the next
-		// pass judges the version below; if the builder's own chain runs
-		// through the removed tip, a delta would land on a removed base,
-		// so the next emit is a full, and that full is judged.
-		_ = b.Manager.Remove(b.ShardID, chain.Tip.LogPos)
-		b.alarmVerify(chain, err)
-		if b.lastEmit.Less(chain.Tip.LogPos) {
-			return
-		}
-		b.needFull = true
-	default:
-		// The log cannot be replayed past a snapshot whose own checksums
-		// passed: not the snapshot's fault, so keep it, trim nothing and
-		// page once. A shard that cannot verify snapshots is one trim
-		// away from unrecoverable.
-		b.alarmVerify(chain, err)
-		b.judged = chain.Base.LogPos
-	}
 	b.judge = false
+	b.judged = chain.Base.LogPos
+	if err != nil {
+		b.alarmVerify(chain.Tip.LogPos, err)
+		return
+	}
+	b.Log.Trim(chain.Base.LogPos)
+	b.Manager.removeBelow(b.ShardID, chain.Base.LogPos)
 }
 
-// alarmVerify pages that the judged chain failed its rehearsal.
-func (b *Builder) alarmVerify(chain Chain, err error) {
-	b.Manager.Flight.Recordf(trace.EvAlarm, chain.Tip.LogPos.Seq, "snapshot verification failed for shard %s at seq %d: %v",
-		b.ShardID, chain.Tip.LogPos.Seq, err)
+// alarmVerify pages that the chain with tip failed its rehearsal.
+func (b *Builder) alarmVerify(tip txlog.EntryID, err error) {
+	b.Manager.Flight.Recordf(trace.EvAlarm, tip.Seq, "snapshot verification failed for shard %s at seq %d: %v",
+		b.ShardID, tip.Seq, err)
 }
 
-// catchUp checks the trim horizon and drains every committed entry into
-// the private copy.
-func (b *Builder) catchUp() error {
+// catchUp drains every committed entry through the replayer into the
+// private copy, rebuilding the copy from the chain first when it is gone.
+// After a rehearsal's rebuild the drain is gate 3: the replayer chains
+// the running checksum from the tip's stored value and compares it with
+// every checksum entry, as a restoring node does, and reaching the
+// committed tail is the verdict.
+func (b *Builder) catchUp(judging bool) error {
 	// Lag gate: every pass consults builder.lag with the current horizon.
 	switch d := b.Faults.Hit(faultpoint.SiteBuilderLag); d.Kind {
 	case faultpoint.Crash:
@@ -299,68 +337,55 @@ func (b *Builder) catchUp() error {
 	case faultpoint.Delay:
 		b.clk().Sleep(d.Delay)
 	}
-	if !b.booted {
-		if err := b.bootstrap(); err != nil {
-			return err
-		}
-	}
-	// A builder below the trim horizon has lost the suffix it was tailing
-	// — the alarmable condition the trim-safety invariant exists to
-	// prevent. Recover by re-bootstrapping from the chain (trimming only
-	// behind a verified base keeps it at or above the horizon).
-	if base := b.Log.TrimBase(); b.pos.Seq < base.Seq {
-		b.Manager.Health(b.ShardID).LagAlarms.Add(1)
-		b.Manager.Flight.Recordf(trace.EvBuilderLag, b.pos.Seq, "builder: %s lag exceeded trim horizon (pos %d < base %d)",
-			b.ShardID, b.pos.Seq, base.Seq)
-		if err := b.bootstrap(); err != nil {
-			return err
-		}
-	}
-	if err := b.drain(); err != nil {
-		return err
-	}
-	b.Manager.Health(b.ShardID).LagEntries.Store(int64(b.Log.CommittedTail().Seq - b.pos.Seq))
-	return nil
-}
-
-// drain steps every currently committed entry through the replayer into
-// the private copy.
-func (b *Builder) drain() error {
+	var chain Chain
+	var stuck txlog.EntryID // where the log lost the copy's next entry
+	var lost error          // what the log said there; nil until then
 	for {
-		e, ok, err := b.reader.TryNext()
-		if errors.Is(err, txlog.ErrUnavailable) {
-			return nil // transient: cursor unchanged, retry next tick
-		}
-		if errors.Is(err, txlog.ErrTrimmed) || errors.Is(err, txlog.ErrCorruptSegment) {
-			// The log no longer serves this position, but the chain may
-			// cover it. If bootstrapping from the chain does not get past
-			// it, nothing does: fail loudly instead of spinning.
-			stuck := b.pos
-			b.rebootstrap()
-			if err := b.bootstrap(); err != nil {
+		if b.eng == nil {
+			var err error
+			if chain, err = b.bootstrap(judging); err != nil {
 				return err
 			}
-			if !stuck.Less(b.pos) {
-				return fmt.Errorf("builder: no snapshot covers the log past %v: %w", stuck, err)
+			if lost != nil && !stuck.Less(b.pos) {
+				// The chain does not get past the entry the log lost, so
+				// nothing does: fail loudly instead of spinning.
+				return fmt.Errorf("builder: no snapshot covers the log past %v: %w", stuck, lost)
 			}
+		}
+		var err error
+		b.pos, err = b.replay.Range(b.Log, b.pos, b.Log.CommittedTail(), b.applyTracked)
+		if judging && b.judge && !errors.Is(err, txlog.ErrUnavailable) {
+			b.rule(chain, err)
+		}
+		if errors.Is(err, txlog.ErrTrimmed) || errors.Is(err, txlog.ErrCorruptSegment) {
+			// The log no longer serves the copy's next entry, but the
+			// chain may cover it. A copy below the trim horizon has lost
+			// the suffix it was tailing — the alarmable condition the
+			// trim-safety invariant exists to prevent (trimming only
+			// behind a verified base keeps it at or above the horizon).
+			if base := b.Log.TrimBase(); b.pos.Seq < base.Seq {
+				b.Manager.Health(b.ShardID).LagAlarms.Add(1)
+				b.Manager.Flight.Recordf(trace.EvBuilderLag, b.pos.Seq, "builder: %s lag exceeded trim horizon (pos %d < base %d)",
+					b.ShardID, b.pos.Seq, base.Seq)
+			}
+			stuck, lost = b.pos, err
+			b.rebootstrap()
 			continue
 		}
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil // caught up
-		}
-		if err := b.replay.Step(e, b.applyTracked); err != nil {
-			// An entry this builder may not consume (newer engine) or whose
-			// outcome contradicts the log: the cursor is already past it,
-			// so drop the private copy — the next pass rebuilds from the
-			// chain and meets the same entry again, never emitting past it.
+		if err != nil && !errors.Is(err, txlog.ErrUnavailable) {
+			// An entry this builder may not consume (newer engine) or
+			// whose outcome contradicts the log: drop the private copy —
+			// the next pass rebuilds from the chain and meets the same
+			// entry again, never emitting past it.
 			b.rebootstrap()
 			return fmt.Errorf("builder: %w", err)
 		}
-		b.pos = e.ID
+		// Caught up, or the log is briefly unavailable: the cursor stays
+		// and the next pass goes on from it.
+		break
 	}
+	b.Manager.Health(b.ShardID).LagEntries.Store(int64(b.Log.CommittedTail().Seq - b.pos.Seq))
+	return nil
 }
 
 // applyTracked is the replayer's callback: apply one data entry to the

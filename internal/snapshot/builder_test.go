@@ -536,3 +536,63 @@ func TestBuilderTrimRace(t *testing.T) {
 	}
 	h.checkRestore(mgr)
 }
+
+// probeClock is a clock that calls now on every read. Every engine the
+// builder makes reads the builder's Clock once per SET it applies, so a
+// probe counts a pass's applies, whichever keyspace takes them.
+type probeClock struct {
+	clock.Clock
+	now func()
+}
+
+func (c probeClock) Now() time.Time {
+	c.now()
+	return c.Clock.Now()
+}
+
+// TestBuilderRehearsalHoldsOneKeyspace pins what the pass after a full
+// costs: the builder drops its copy before it rebuilds it from the new
+// chain, so no entry is applied while it still holds the old one, and it
+// replays each suffix entry once, into the rebuilt copy — as many applies
+// as a plain pass draining as many entries.
+func TestBuilderRehearsalHoldsOneKeyspace(t *testing.T) {
+	const entries = 8
+	h := newShardHarness(t, 8)
+	var b *Builder
+	var before *engine.Engine // the copy the builder held when the pass began
+	applies, kept := 0, false
+	clk := probeClock{Clock: clock.NewReal(), now: func() {
+		applies++
+		kept = kept || b.eng == before
+	}}
+	b = &Builder{Manager: NewManager(s3.New(), "snaps"), Log: h.log, ShardID: "s1", EngineVersion: 1,
+		DeltaInterval: 1 << 40, Clock: clk}
+	ctx := context.Background()
+	pass := func(round int) {
+		t.Helper()
+		for i := 0; i < entries; i++ {
+			h.do("SET", fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", round))
+		}
+		before, applies, kept = b.eng, 0, false
+		if err := b.Tick(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass(0)
+	pass(1) // a plain pass over as many overwrites, into the copy it held
+	plain := applies
+	if plain == 0 || !kept {
+		t.Fatalf("a plain pass made %d applies (into the copy held before it: %v), want some", plain, kept)
+	}
+	if _, err := b.Full(ctx); err != nil {
+		t.Fatal(err)
+	}
+	pass(2)
+	if b.Stats().Rehearsals != 1 {
+		t.Fatalf("the pass after a full reached %d verdicts, want 1", b.Stats().Rehearsals)
+	}
+	if kept || applies != plain {
+		t.Fatalf("the pass after a full made %d applies (a plain pass %d), the old copy still held: %v; want %d, not held",
+			applies, plain, kept, plain)
+	}
+}

@@ -159,8 +159,8 @@ func TestRestoreAllocationsPerKey(t *testing.T) {
 
 // TestRestoreLeavesTheObjectUnchanged: S3 hands every reader the stored
 // object itself, so a restore — its parallel decode, the layering of
-// deltas on the base, and the rehearsal that then writes into the
-// restored keyspace — must never write into the bytes it read.
+// deltas on the base, and the rehearsal's drain that then writes into
+// the restored keyspace — must never write into the bytes it read.
 func TestRestoreLeavesTheObjectUnchanged(t *testing.T) {
 	h := newShardHarness(t, 8)
 	mgr := NewManager(s3.New(), "snaps")
@@ -185,8 +185,12 @@ func TestRestoreLeavesTheObjectUnchanged(t *testing.T) {
 		sums[k] = sha256.Sum256(data)
 	}
 	h.do("SET", "k0", "after the chain")
-	if _, err := Verify(mgr, "s1", h.log, nil); err != nil {
-		t.Fatal(err)
+	// A restarted builder rebuilds from the chain, which it has not
+	// judged: the rebuild is the rehearsal, and its drain writes into the
+	// restored keyspace.
+	restarted := &Builder{Manager: mgr, Log: h.log, ShardID: "s1", EngineVersion: 1, DeltaInterval: 1 << 40}
+	if err := restarted.Tick(ctx); err != nil || restarted.Stats().Rehearsals != 1 {
+		t.Fatalf("rehearsal of the chain: %d verdicts, %v", restarted.Stats().Rehearsals, err)
 	}
 	chain, ok, err := mgr.Resolve("s1", false)
 	if err != nil || !ok || chain.Depth != 2 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -334,23 +335,33 @@ func TestBuilderFullFromPreviousSnapshot(t *testing.T) {
 	}
 }
 
+// TestVerifyAcceptsGoodSnapshot: the pass after a full rebuilds
+// the builder's copy from it, and a sound chain passes all three gates.
 func TestVerifyAcceptsGoodSnapshot(t *testing.T) {
 	log, _ := buildLoggedShard(t, 30)
 	mgr := NewManager(s3.New(), "snaps")
 	ctx := context.Background()
-	if _, err := (&Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}).Full(ctx); err != nil {
+	b := &Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}
+	if _, err := b.Full(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(mgr, "s1", log, nil); err != nil {
-		t.Fatalf("Verify rejected a good snapshot: %v", err)
+	if err := b.Tick(ctx); err != nil {
+		t.Fatalf("the rehearsal of a good snapshot: %v", err)
+	}
+	if got, alarms := b.Stats().Rehearsals, alarms(mgr.Flight); got != 1 || len(alarms) != 0 {
+		t.Fatalf("%d rehearsals, alarms %q; want one that passed", got, alarms)
 	}
 }
 
+// TestVerifyRejectsTamperedSnapshot: a well-formed snapshot
+// whose stored log checksum disagrees with the log at its position fails
+// gate 2 and is quarantined, and the builder rebuilds from the log.
 func TestVerifyRejectsTamperedSnapshot(t *testing.T) {
 	log, _ := buildLoggedShard(t, 30)
 	mgr := NewManager(s3.New(), "snaps")
 	ctx := context.Background()
-	meta, err := (&Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}).Full(ctx)
+	b := &Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}
+	meta, err := b.Full(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,18 +377,37 @@ func TestVerifyRejectsTamperedSnapshot(t *testing.T) {
 	if err := mgr.SaveRaw("s1", meta.LogPos, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(mgr, "s1", log, nil); !errors.Is(err, txlog.ErrChecksumMismatch) {
-		t.Fatalf("Verify of a snapshot whose checksum does not match its log prefix = %v, want ErrChecksumMismatch", err)
+	if err := b.Tick(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := alarms(mgr.Flight); len(got) != 1 || !strings.Contains(got[0], txlog.ErrChecksumMismatch.Error()) {
+		t.Fatalf("alarms = %q, want one checksum mismatch", got)
+	}
+	if _, ok, _ := mgr.Resolve("s1", false); ok {
+		t.Fatal("the tampered snapshot was not quarantined")
+	}
+	if _, ok := b.eng.DB().Peek("evil"); ok || b.eng.DB().Len() == 0 {
+		t.Fatal("the builder rebuilt its copy from the tampered snapshot, not the log")
 	}
 }
 
+// TestVerifyChecksumEntriesDuringReplay: gate 3 is the
+// builder's own drain from the rebuilt chain's tip, which chains the
+// running checksum from the tip's stored value across the log's checksum
+// entries.
 func TestVerifyChecksumEntriesDuringReplay(t *testing.T) {
-	// Build a log with primary-injected checksum entries and snapshot at
-	// an early position so Verify replays across them.
 	svc := txlog.NewService(txlog.Config{})
 	log, _ := svc.CreateLog("s1")
-	e := engine.New(clock.NewReal())
+	mgr := NewManager(s3.New(), "snaps")
 	ctx := context.Background()
+	b := &Builder{Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2}
+	// A full at position zero: empty dataset, checksum 0.
+	if _, err := b.Full(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Primary-injected checksum entries above it, so the rehearsal
+	// replays across them.
+	e := engine.New(clock.NewReal())
 	after := txlog.ZeroID
 	var running uint64
 	for i := 0; i < 20; i++ {
@@ -397,20 +427,24 @@ func TestVerifyChecksumEntriesDuringReplay(t *testing.T) {
 			after = id
 		}
 	}
-	mgr := NewManager(s3.New(), "snaps")
-	// Snapshot at position zero: empty dataset, checksum 0.
-	if err := mgr.Save(store.NewDB(), Meta{ShardID: "s1", LogPos: txlog.ZeroID}); err != nil {
-		t.Fatal(err)
+	if err := b.Tick(ctx); err != nil {
+		t.Fatalf("rehearsal across checksum entries: %v", err)
 	}
-	if _, err := Verify(mgr, "s1", log, nil); err != nil {
-		t.Fatalf("Verify with checksum entries: %v", err)
+	if got := b.Stats().Rehearsals; got != 1 || len(alarms(mgr.Flight)) != 0 {
+		t.Fatalf("%d rehearsals, alarms %q; want one that passed", got, alarms(mgr.Flight))
 	}
 	// A checksum entry that disagrees with the chain over the payloads
-	// before it fails the rehearsal.
-	if _, err := log.Append(ctx, after, txlog.Entry{Type: txlog.EntryChecksum, Payload: txlog.EncodeChecksumPayload(running + 1)}); err != nil {
+	// before it fails the rehearsal of the next full.
+	if _, err := b.Full(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(mgr, "s1", log, nil); !errors.Is(err, txlog.ErrChecksumMismatch) {
-		t.Fatalf("Verify across a wrong checksum entry = %v, want ErrChecksumMismatch", err)
+	if _, err := log.Append(ctx, log.CommittedTail(), txlog.Entry{Type: txlog.EntryChecksum, Payload: txlog.EncodeChecksumPayload(running + 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Tick(ctx); !errors.Is(err, txlog.ErrChecksumMismatch) {
+		t.Fatalf("rehearsal across a wrong checksum entry = %v, want ErrChecksumMismatch", err)
+	}
+	if got := alarms(mgr.Flight); b.Stats().Rehearsals != 2 || len(got) != 1 || !strings.Contains(got[0], "verification failed") {
+		t.Fatalf("%d rehearsals, alarms %q; want the second to fail", b.Stats().Rehearsals, got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"syscall"
 	"testing"
@@ -31,7 +32,10 @@ const sustainedRate = 20_000
 //   - rehearsals/s, and the passes' p50 and max in ms;
 //   - lag-mean and lag-max, the entries a pass finds not yet replayed;
 //   - cpu-µs/entry, B/entry and allocs/entry over the whole process, the
-//     writer's share included.
+//     writer's share included;
+//   - peak-heap-MB, the largest heap object bytes sampled every
+//     millisecond (runtime/metrics), the log and the writer's garbage
+//     included: what the builder's keyspace copies cost at their peak.
 //
 // Each verified full prunes the versions below it, so the in-memory store
 // stays a chain or two in size however long it runs.
@@ -58,6 +62,8 @@ func builderUnderSustainedWrites(b *testing.B, keys int) {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	cpu0 := cpuTime(b)
+	stopSampling := make(chan struct{})
+	peak := peakHeap(stopSampling)
 	b.ResetTimer()
 	start := time.Now()
 	done := make(chan error, 1)
@@ -82,6 +88,7 @@ func builderUnderSustainedWrites(b *testing.B, keys int) {
 	}
 	elapsed := time.Since(start)
 	b.StopTimer()
+	close(stopSampling)
 	cpu := cpuTime(b) - cpu0
 	runtime.ReadMemStats(&ms1)
 
@@ -103,6 +110,30 @@ func builderUnderSustainedWrites(b *testing.B, keys int) {
 	b.ReportMetric(float64(cpu.Microseconds())/n, "cpu-µs/entry")
 	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/n, "B/entry")
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/n, "allocs/entry")
+	b.ReportMetric(float64(<-peak)/(1<<20), "peak-heap-MB")
+}
+
+// peakHeap samples the heap's object bytes every millisecond until stop
+// is closed, then sends the largest sample.
+func peakHeap(stop <-chan struct{}) <-chan uint64 {
+	out := make(chan uint64, 1)
+	go func() {
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		var peak uint64
+		for {
+			metrics.Read(sample)
+			peak = max(peak, sample[0].Value.Uint64())
+			select {
+			case <-stop:
+				out <- peak
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return out
 }
 
 // writeAtRate appends n single-SET entries over keys string keys to log

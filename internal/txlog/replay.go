@@ -18,9 +18,10 @@ var (
 	ErrChecksumMismatch = errors.New("txlog: running checksum does not match the log")
 )
 
-// Replayer is the one rule for consuming a log entry, shared by every
-// materializer of the log — the replica tailer, restore, the snapshot
-// builder and snapshot verification. It carries the replaying engine's
+// Replayer is the one rule for consuming a log entry, shared by the
+// three materializers of the log — the replica tailer, restore and the
+// snapshot builder, whose rebuild after each full is that snapshot's
+// restore rehearsal. It carries the replaying engine's
 // version and the running checksum of the prefix consumed so far, so a
 // consumer seeded from a snapshot's LogChecksum keeps verifying as it
 // moves from restore into tailing.

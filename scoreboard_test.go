@@ -21,7 +21,7 @@ import (
 const (
 	// Physical lines (what `wc -l` counts) of non-test .go files outside
 	// benchmark/ and .bench_build/.
-	ceilingNonTestLines = 20333
+	ceilingNonTestLines = 20257
 	// Fields of core.Config and cluster.Config (a line declaring
 	// `A, B time.Duration` is two).
 	ceilingCoreConfigFields    = 18
@@ -32,7 +32,7 @@ const (
 	// Exported funcs, methods, types and struct fields under internal/
 	// that no non-test code names (see unnamedExports), allowUnnamed
 	// aside.
-	ceilingUnnamedExports = 32
+	ceilingUnnamedExports = 30
 	// time.Sleep / time.After calls in non-test internal/ code outside
 	// internal/clock and internal/bench: everything else waits on a
 	// clock.Clock, so a simulated clock can drive it.
