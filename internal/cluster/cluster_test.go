@@ -104,6 +104,72 @@ func TestCrossSlotRejected(t *testing.T) {
 	}
 }
 
+// keyOn returns the first key named prefix<i> that shard sh owns.
+func keyOn(c *Cluster, sh *Shard, prefix string) string {
+	for i := 0; ; i++ {
+		if k := fmt.Sprintf("%s%d", prefix, i); c.SlotOwner(crc16.Slot(k)) == sh {
+			return k
+		}
+	}
+}
+
+// TestXReadRoutesToItsStream: XREAD reaches the shard owning the stream
+// it names after STREAMS, not the first shard.
+func TestXReadRoutesToItsStream(t *testing.T) {
+	c := testCluster(t, 2, 0)
+	cl := c.Client()
+	ctx := context.Background()
+	s := keyOn(c, c.Shards()[1], "s")
+	if v, err := cl.Do(ctx, "XADD", s, "1-1", "f", "v"); err != nil || v.Text() != "1-1" {
+		t.Fatalf("XADD: %v %v", v, err)
+	}
+	v, err := cl.Do(ctx, "XREAD", "STREAMS", s, "0")
+	if err != nil || len(v.Array) != 1 || v.Array[0].Array[0].Text() != s {
+		t.Fatalf("XREAD STREAMS %s 0 = %v %v, want the stream's entry", s, v, err)
+	}
+}
+
+// TestZUnionStoreAcrossShardsIsCrossSlot: a source key on another shard
+// is a key of the command, so ZUNIONSTORE answers CROSSSLOT and leaves
+// its destination as it was.
+func TestZUnionStoreAcrossShardsIsCrossSlot(t *testing.T) {
+	c := testCluster(t, 2, 0)
+	cl := c.Client()
+	ctx := context.Background()
+	dst, src := keyOn(c, c.Shards()[0], "k"), keyOn(c, c.Shards()[1], "k")
+	for _, k := range []string{dst, src} {
+		if v, err := cl.Do(ctx, "ZADD", k, "1", "m"); err != nil || v.IsError() {
+			t.Fatalf("ZADD %s: %v %v", k, v, err)
+		}
+	}
+	if v, err := cl.Do(ctx, "ZUNIONSTORE", dst, "1", src); err != nil || !strings.HasPrefix(v.Text(), "CROSSSLOT") {
+		t.Fatalf("ZUNIONSTORE %s 1 %s = %v %v, want CROSSSLOT", dst, src, v, err)
+	}
+	if v, err := cl.Do(ctx, "ZCARD", dst); err != nil || v.Int != 1 {
+		t.Fatalf("ZCARD %s after the refused ZUNIONSTORE = %v %v, want 1", dst, v, err)
+	}
+}
+
+// TestNumKeysOptionsAreNotKeys: the options after a numkeys command's
+// keys (ZDIFF's WITHSCORES, SINTERCARD's LIMIT) are not keys, so on one
+// shard they do not make the command cross slots.
+func TestNumKeysOptionsAreNotKeys(t *testing.T) {
+	c := testCluster(t, 1, 0)
+	cl := c.Client()
+	ctx := context.Background()
+	for _, cmd := range [][]string{{"ZADD", "a", "1", "m"}, {"SADD", "s", "m"}} {
+		if v, err := cl.Do(ctx, cmd...); err != nil || v.IsError() {
+			t.Fatalf("%v: %v %v", cmd, v, err)
+		}
+	}
+	if v, err := cl.Do(ctx, "ZDIFF", "1", "a", "WITHSCORES"); err != nil || len(v.Array) != 2 || v.Array[0].Text() != "m" {
+		t.Fatalf("ZDIFF 1 a WITHSCORES = %v %v, want [m 1]", v, err)
+	}
+	if v, err := cl.Do(ctx, "SINTERCARD", "1", "s", "LIMIT", "5"); err != nil || v.IsError() || v.Int != 1 {
+		t.Fatalf("SINTERCARD 1 s LIMIT 5 = %v %v, want 1", v, err)
+	}
+}
+
 func TestMovedRedirect(t *testing.T) {
 	c := testCluster(t, 2, 0)
 	ctx := context.Background()

@@ -94,6 +94,24 @@ func TestReadGatedOnBufferedWrite(t *testing.T) {
 	h.mustReply(calls[2], "x")
 }
 
+// TestXReadWaitsForTheXAddItSees: XREAD is a read of the streams named
+// after STREAMS, so like GET after SET it is answered only once the XADD
+// it observes is durable (§3.2), and a read of another stream is not held.
+func TestXReadWaitsForTheXAddItSees(t *testing.T) {
+	h := newHarness(t, harnessConfig{})
+	add := h.do("XADD", "{x}s", "1-1", "f", "v")
+	read := h.do("XREAD", "COUNT", "5", "STREAMS", "{x}s", "0")
+	other := h.do("XREAD", "STREAMS", "{x}other", "0")
+	h.mustReply(other, "")
+	h.mustWait(add)
+	h.mustWait(read)
+	h.commit()
+	h.mustReply(add, "1-1")
+	if v := h.mustReply(read, ""); len(v.Array) != 1 {
+		t.Fatalf("XREAD after the commit = %v, want the one stream", v)
+	}
+}
+
 // TestFlushFailureAbortsWholeBatch cuts the log off while mutations are
 // buffered behind an entry that committed unanswered: the flush fails, so
 // every buffered write must be answered with an error (never silence,

@@ -14,6 +14,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,6 +59,9 @@ type Command struct {
 	// Key extraction spec (Redis-style): FirstKey/LastKey/KeyStep, all in
 	// argv indices; LastKey -1 means "through the end".
 	FirstKey, LastKey, KeyStep int
+	// FindKeys, when set, finds the keys of a command whose keys move with
+	// its arguments (a numkeys count, XREAD's STREAMS) in place of the spec.
+	FindKeys func(argv [][]byte) [][]byte
 	// SpanName names a traced run of the command, "cmd:" + Name: set by
 	// the table, a constant per command.
 	SpanName string
@@ -66,8 +70,12 @@ type Command struct {
 // Keys returns the key arguments of argv according to the command spec, as
 // views of argv: a caller that keeps a key past the command must copy it.
 // Keys at consecutive positions are a subslice of argv itself, so only a
-// stepped spec (MSET's key-value pairs) allocates.
+// stepped spec (MSET's key-value pairs) or a numkeys count (ZDIFF's)
+// allocates.
 func (c *Command) Keys(argv [][]byte) [][]byte {
+	if c.FindKeys != nil {
+		return c.FindKeys(argv)
+	}
 	if c.FirstKey == 0 || len(argv) <= c.FirstKey {
 		return nil
 	}
@@ -88,6 +96,31 @@ func (c *Command) Keys(argv [][]byte) [][]byte {
 		keys = append(keys, argv[i])
 	}
 	return keys
+}
+
+// numKeysAt is the FindKeys of a command whose argv[i] counts the keys
+// that follow it, behind the keys before it (ZUNIONSTORE's destination):
+// those alone when the count is not a number in 1..the arguments left.
+func numKeysAt(i int) func(argv [][]byte) [][]byte {
+	return func(argv [][]byte) [][]byte {
+		if len(argv) <= i {
+			return nil
+		}
+		if n, ok := parseInt(argv[i]); ok && n >= 1 && n < int64(len(argv)-i) {
+			return slices.Concat(argv[1:i], argv[i+1:i+1+int(n)])
+		}
+		return argv[1:i:i]
+	}
+}
+
+// streamKeys is XREAD's FindKeys: the first half of the arguments after
+// STREAMS, whose second half are their IDs.
+func streamKeys(argv [][]byte) [][]byte {
+	i := slices.IndexFunc(argv, func(a []byte) bool { return strings.EqualFold(string(a), "STREAMS") })
+	if rest := argv[i+1:]; i > 0 && len(rest)%2 == 0 {
+		return rest[: len(rest)/2 : len(rest)/2]
+	}
+	return nil
 }
 
 // Writes reports whether the command may mutate.

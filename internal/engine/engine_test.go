@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,34 +97,82 @@ func TestWrongTypeErrors(t *testing.T) {
 	wantErrPrefix(t, do("LPUSH", "str", "x"), "WRONGTYPE")
 }
 
+// TestCommandTableKeySpecs pins the keys Command.Keys finds for a sample
+// argv of every command whose keys are more than one fixed position: a
+// range, a stepped list, a numkeys count or XREAD's STREAMS. Each such
+// command needs a sample here, and a command with no key spec must be
+// FlagLocal, FlagKeyspace or a flush: a keyless read would skip the read
+// gate and route to the first shard.
 func TestCommandTableKeySpecs(t *testing.T) {
-	cases := []struct {
-		cmd  []string
+	samples := []struct {
+		cmd  string
 		keys []string
 	}{
-		{[]string{"GET", "k"}, []string{"k"}},
-		{[]string{"MSET", "a", "1", "b", "2"}, []string{"a", "b"}},
-		{[]string{"MGET", "a", "b", "c"}, []string{"a", "b", "c"}},
-		{[]string{"SMOVE", "s", "d", "m"}, []string{"s", "d"}},
-		{[]string{"PING"}, nil},
+		{"GET k", []string{"k"}},
+		{"PING", nil},
+		{"DEL a b", []string{"a", "b"}},
+		{"EXISTS a b", []string{"a", "b"}},
+		{"MGET a b c", []string{"a", "b", "c"}},
+		{"MSET a 1 b 2", []string{"a", "b"}},
+		{"MSETNX a 1 b 2", []string{"a", "b"}},
+		{"PFCOUNT a b", []string{"a", "b"}},
+		{"PFMERGE d a b", []string{"d", "a", "b"}},
+		{"RENAME a b", []string{"a", "b"}},
+		{"RENAMENX a b", []string{"a", "b"}},
+		{"RPOPLPUSH a b", []string{"a", "b"}},
+		{"SDIFF a b", []string{"a", "b"}},
+		{"SDIFFSTORE d a b", []string{"d", "a", "b"}},
+		{"SINTER a b", []string{"a", "b"}},
+		{"SINTERCARD 2 a b", []string{"a", "b"}},
+		{"SINTERCARD 1 s LIMIT 5", []string{"s"}},
+		{"SINTERSTORE d a b", []string{"d", "a", "b"}},
+		{"SMOVE s d m", []string{"s", "d"}},
+		{"SUNION a b", []string{"a", "b"}},
+		{"SUNIONSTORE d a b", []string{"d", "a", "b"}},
+		{"TOUCH a b", []string{"a", "b"}},
+		{"UNLINK a b", []string{"a", "b"}},
+		{"XREAD STREAMS s 0", []string{"s"}},
+		{"XREAD COUNT 2 STREAMS a b 0 $", []string{"a", "b"}},
+		{"XREAD STREAMS a b 0", nil},
+		{"ZDIFF 2 a b", []string{"a", "b"}},
+		{"ZDIFF 1 a WITHSCORES", []string{"a"}},
+		{"ZDIFF 3 a b", nil},
+		{"ZINTERSTORE d 2 a b WEIGHTS 1 2", []string{"d", "a", "b"}},
+		{"ZRANGESTORE d a 0 -1", []string{"d", "a"}},
+		{"ZUNIONSTORE k2 1 k0", []string{"k2", "k0"}},
+		{"ZUNIONSTORE d 2 a b AGGREGATE MAX", []string{"d", "a", "b"}},
+		{"ZUNIONSTORE d x a", []string{"d"}},
 	}
-	for _, c := range cases {
-		cmd := Lookup(c.cmd[0])
-		if cmd == nil {
-			t.Fatalf("Lookup(%s) missing", c.cmd[0])
-		}
-		argv := make([][]byte, len(c.cmd))
-		for i, a := range c.cmd {
+	sampled := map[string]bool{}
+	for _, s := range samples {
+		args := strings.Fields(s.cmd)
+		argv := make([][]byte, len(args))
+		for i, a := range args {
 			argv[i] = []byte(a)
 		}
-		got := cmd.Keys(argv)
-		if len(got) != len(c.keys) {
-			t.Fatalf("%v keys = %v, want %v", c.cmd, got, c.keys)
+		cmd := Lookup(args[0])
+		if cmd == nil {
+			t.Fatalf("Lookup(%s) missing", args[0])
 		}
-		for i := range got {
-			if string(got[i]) != c.keys[i] {
-				t.Fatalf("%v keys = %v, want %v", c.cmd, got, c.keys)
-			}
+		sampled[args[0]] = true
+		var got []string
+		for _, k := range cmd.Keys(argv) {
+			got = append(got, string(k))
+		}
+		if !slices.Equal(got, s.keys) {
+			t.Errorf("%s: keys %q, want %q", s.cmd, got, s.keys)
+		}
+	}
+	for _, name := range CommandNames() {
+		c := Lookup(name)
+		switch {
+		case sampled[name], c.FirstKey > 0 && c.LastKey == c.FirstKey:
+			// Pinned above, or one key at a fixed position.
+		case c.Flags&(FlagLocal|FlagKeyspace) != 0, name == "FLUSHALL", name == "FLUSHDB":
+			// Keyless by design.
+		default:
+			t.Errorf("%s has no sample here, and it neither takes one key at a fixed position "+
+				"nor is local, keyspace-wide or a flush", name)
 		}
 	}
 }

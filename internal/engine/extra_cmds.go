@@ -19,7 +19,7 @@ func init() {
 	register(&Command{Name: "LPOS", Arity: 3, Flags: FlagReadOnly, Handler: cmdLPos, FirstKey: 1, LastKey: 1, KeyStep: 1})
 	register(&Command{Name: "LINSERT", Arity: -5, Flags: FlagWrite, Handler: cmdLInsert, FirstKey: 1, LastKey: 1, KeyStep: 1})
 	register(&Command{Name: "SMISMEMBER", Arity: 3, Flags: FlagReadOnly | FlagFast, Handler: cmdSMIsMember, FirstKey: 1, LastKey: 1, KeyStep: 1})
-	register(&Command{Name: "SINTERCARD", Arity: 3, Flags: FlagReadOnly, Handler: cmdSInterCard, FirstKey: 2, LastKey: -1, KeyStep: 1})
+	register(&Command{Name: "SINTERCARD", Arity: 3, Flags: FlagReadOnly, Handler: cmdSInterCard, FindKeys: numKeysAt(1)})
 	register(&Command{Name: "ZMSCORE", Arity: 3, Flags: FlagReadOnly | FlagFast, Handler: cmdZMScore, FirstKey: 1, LastKey: 1, KeyStep: 1})
 	register(&Command{Name: "HRANDFIELD", Arity: 2, Flags: FlagReadOnly, Handler: cmdHRandField, FirstKey: 1, LastKey: 1, KeyStep: 1})
 	register(&Command{Name: "SETBIT", Arity: -4, Flags: FlagWrite, Handler: cmdSetBit, FirstKey: 1, LastKey: 1, KeyStep: 1})

@@ -14,7 +14,7 @@ func init() {
 	register(&Command{Name: "XRANGE", Arity: 4, Flags: FlagReadOnly, Handler: cmdXRange, FirstKey: 1, LastKey: 1, KeyStep: 1})
 	register(&Command{Name: "XDEL", Arity: 3, Flags: FlagWrite | FlagFast, Handler: cmdXDel, FirstKey: 1, LastKey: 1, KeyStep: 1})
 	register(&Command{Name: "XTRIM", Arity: -4, Flags: FlagWrite, Handler: cmdXTrim, FirstKey: 1, LastKey: 1, KeyStep: 1})
-	register(&Command{Name: "XREAD", Arity: 4, Flags: FlagReadOnly, Handler: cmdXRead})
+	register(&Command{Name: "XREAD", Arity: 4, Flags: FlagReadOnly, Handler: cmdXRead, FindKeys: streamKeys})
 }
 
 // cmdXAdd appends a stream entry. Auto-generated IDs ("*") are another

@@ -8,10 +8,10 @@ import (
 )
 
 func init() {
-	register(&Command{Name: "ZUNIONSTORE", Arity: 4, Flags: FlagWrite, Handler: cmdZUnionStore, FirstKey: 1, LastKey: 1, KeyStep: 1})
-	register(&Command{Name: "ZINTERSTORE", Arity: 4, Flags: FlagWrite, Handler: cmdZInterStore, FirstKey: 1, LastKey: 1, KeyStep: 1})
+	register(&Command{Name: "ZUNIONSTORE", Arity: 4, Flags: FlagWrite, Handler: cmdZUnionStore, FirstKey: 1, LastKey: 1, KeyStep: 1, FindKeys: numKeysAt(2)})
+	register(&Command{Name: "ZINTERSTORE", Arity: 4, Flags: FlagWrite, Handler: cmdZInterStore, FirstKey: 1, LastKey: 1, KeyStep: 1, FindKeys: numKeysAt(2)})
 	register(&Command{Name: "ZRANGESTORE", Arity: 5, Flags: FlagWrite, Handler: cmdZRangeStore, FirstKey: 1, LastKey: 2, KeyStep: 1})
-	register(&Command{Name: "ZDIFF", Arity: 3, Flags: FlagReadOnly, Handler: cmdZDiff, FirstKey: 2, LastKey: -1, KeyStep: 1})
+	register(&Command{Name: "ZDIFF", Arity: 3, Flags: FlagReadOnly, Handler: cmdZDiff, FindKeys: numKeysAt(1)})
 }
 
 type zaggMode int

@@ -1,14 +1,14 @@
-// Package retry implements the transient-failure retry discipline shared
-// by every client of the durable substrates (transaction log, S3): capped
-// exponential backoff with full jitter. The paper's availability story
-// (§4.1, §4.2) depends on clients absorbing brief service blips — a
-// single-AZ outage, a slow quorum, a throttled S3 PUT — instead of
-// escalating them into leader churn or failed snapshots. Only *fatal*
-// errors (fencing, corrupted state) may bypass this package.
+// Package retry draws the backoff a node waits between attempts against
+// the transaction log: capped exponential backoff with full jitter. The
+// paper's availability story (§4.1) depends on a node absorbing brief
+// service blips — a single-AZ outage, a slow quorum — instead of
+// escalating them into leader churn. The loop that retries is the
+// caller's own (an append's, a role timer's); this package only paces it.
+// S3 has no backoff here: a snapshot builder's next pass retries its
+// failed request.
 package retry
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"time"
@@ -23,10 +23,6 @@ type Policy struct {
 	// Max caps every individual sleep (the exponential growth plateau).
 	// Defaults to 50ms.
 	Max time.Duration
-	// Attempts bounds Do to this many calls of the operation (the initial
-	// call counts). Defaults to 6. Backoff loops driven by Next ignore it
-	// (their deadline is external, e.g. a leadership lease).
-	Attempts int
 	// Clock drives the sleeps. Defaults to the wall clock.
 	Clock clock.Clock
 	// Seed makes the jitter deterministic for fixed-seed chaos tests.
@@ -40,9 +36,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Max <= 0 {
 		p.Max = 50 * time.Millisecond
-	}
-	if p.Attempts <= 0 {
-		p.Attempts = 6
 	}
 	if p.Clock == nil {
 		p.Clock = clock.NewReal()
@@ -88,34 +81,9 @@ func (b *Backoff) Next() time.Duration {
 // Sleep blocks for Next() on the policy's clock.
 func (b *Backoff) Sleep() { b.pol.Clock.Sleep(b.Next()) }
 
-// Attempts returns how many retry sleeps have been drawn.
-func (b *Backoff) Attempts() int { return b.attempt }
-
 // Slept returns the cumulative sleep time drawn so far — the caller's
 // measure of time spent in degraded state.
 func (b *Backoff) Slept() time.Duration { return b.slept }
-
-// Do runs f, retrying while transient(err) reports the failure is
-// retryable, the attempt budget lasts, and ctx is alive. It returns nil on
-// the first success, the last error otherwise. Fatal errors (transient
-// returns false) are returned immediately.
-func (p Policy) Do(ctx context.Context, transient func(error) bool, f func() error) error {
-	p = p.withDefaults()
-	b := p.New()
-	for {
-		err := f()
-		if err == nil || !transient(err) {
-			return err
-		}
-		if b.Attempts() >= p.Attempts-1 {
-			return err
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return err
-		}
-		b.Sleep()
-	}
-}
 
 // seedCounter salts DefaultSeed so concurrently created policies do not
 // share jitter phase.

@@ -3,7 +3,9 @@
 // blobs addressed by key; List supports the prefix scans the snapshot
 // scheduler and recovery path rely on. Every request consults the
 // s3.request fault site, so a fault spec can make storage slow or
-// unreachable.
+// unreachable. A request is made once: a failed one returns
+// ErrUnavailable, and the caller's own loop retries it (the snapshot
+// builder's next pass, a node's role timer).
 package s3
 
 import (

@@ -13,7 +13,6 @@ import (
 	"memorydb/internal/engine"
 	"memorydb/internal/faultpoint"
 	"memorydb/internal/obs"
-	"memorydb/internal/retry"
 	"memorydb/internal/s3"
 	"memorydb/internal/trace"
 	"memorydb/internal/txlog"
@@ -74,10 +73,6 @@ type Builder struct {
 	// emit is a full snapshot, resetting the chain (default 8).
 	CompactEvery int
 	Clock        clock.Clock
-	// Retry shapes the backoff applied to the S3 restore and upload legs,
-	// so a brief storage blip degrades one pass's latency instead of
-	// failing it. The zero value uses the library defaults.
-	Retry retry.Policy
 	// Faults injects crash faults into the pipeline (the emitSites of a
 	// full or a delta, plus builder.lag). Production leaves it nil.
 	Faults *faultpoint.Registry
@@ -141,14 +136,6 @@ func (b *Builder) compactEvery() int {
 	return b.CompactEvery
 }
 
-func (b *Builder) mgr() *Manager {
-	pol := b.Retry
-	if pol.Clock == nil {
-		pol.Clock = b.clk()
-	}
-	return b.Manager.WithRetries(pol)
-}
-
 // BuilderStats is a test/inspection view of builder progress.
 type BuilderStats struct {
 	Pos             txlog.EntryID
@@ -180,17 +167,13 @@ func (b *Builder) Stats() BuilderStats {
 // A tip that fails either is evidence against the snapshot: it is
 // quarantined (an idempotent delete) so no restore picks it up, the
 // failure pages, the rebuild falls back to the chain below, and the next
-// emit is a full, which is judged in turn. Gate 3 is catchUp's drain. A
-// rehearsal resolves without retries: a storage blip is no verdict, and
-// the next pass is its retry.
+// emit is a full, which is judged in turn. Gate 3 is catchUp's drain.
+// Every S3 request is made once: a storage blip is no verdict, and the
+// next pass is its retry.
 func (b *Builder) bootstrap(judging bool) (Chain, error) {
 	for owed := false; ; owed = true {
 		newest := judging && (b.judge || owed)
-		m := b.mgr()
-		if newest {
-			m = b.Manager
-		}
-		chain, ok, err := m.Resolve(b.ShardID, newest)
+		chain, ok, err := b.Manager.Resolve(b.ShardID, newest)
 		if judging && ok && (b.judge || chain.Base.LogPos != b.judged) {
 			err = b.matchLog(chain)
 		}
@@ -480,7 +463,7 @@ func (b *Builder) emit(full bool) (Meta, error) {
 			}
 		}
 	}
-	if err := b.mgr().SaveRaw(b.ShardID, meta.LogPos, data); err != nil {
+	if err := b.Manager.SaveRaw(b.ShardID, meta.LogPos, data); err != nil {
 		return Meta{}, fmt.Errorf("builder: %s upload: %w", meta.Kind, err)
 	}
 	if b.Obs != nil {

@@ -3,50 +3,68 @@ package snapshot
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
-	"time"
 
 	"memorydb/internal/faultpoint"
-	"memorydb/internal/retry"
 	"memorydb/internal/s3"
 )
 
-// TestBuilderSurvivesBriefS3Outage: a snapshot pass must not fail because
-// S3 blipped — the retrying wrapper absorbs the outage and the pass
-// completes (snapshot/S3 retry discipline).
-func TestBuilderSurvivesBriefS3Outage(t *testing.T) {
-	log, _ := buildLoggedShard(t, 10)
+// TestBuilderRetriesS3OnlyOnItsNextPass: the builder's pass is the only
+// retry of its S3 requests. During an outage a pass — a Full that must
+// first restore, and a Tick with a delta due — makes exactly one S3
+// request, which fails, and returns s3.ErrUnavailable. Once S3 heals, the
+// next pass lands the snapshot at the committed tail, and a restore holds
+// every key.
+func TestBuilderRetriesS3OnlyOnItsNextPass(t *testing.T) {
+	h := newShardHarness(t, 8)
 	faults := faultpoint.New(1)
-	store := s3.New(s3.WithFaults(faults))
-	mgr := NewManager(store, "snaps")
-	b := &Builder{
-		Manager: mgr, Log: log, ShardID: "s1",
-		EngineVersion: 2,
-		Retry:         retry.Policy{Base: time.Millisecond, Max: 10 * time.Millisecond, Attempts: 12},
+	mgr := NewManager(s3.New(s3.WithFaults(faults)), "snaps")
+	b := &Builder{Manager: mgr, Log: h.log, ShardID: "s1", EngineVersion: 2, DeltaInterval: 4}
+	ctx := context.Background()
+	write := func(round int) {
+		for i := 0; i < 4; i++ {
+			h.do("SET", fmt.Sprintf("k%d-%d", round, i), fmt.Sprintf("v%d", i))
+		}
 	}
-
-	// Outage raised before the run, healed mid-run: the restore leg must
-	// retry through it rather than fail the snapshot.
-	faults.SetPlan(faultpoint.SiteS3Request, 1, 0, faultpoint.Error)
-	go func() {
-		time.Sleep(15 * time.Millisecond)
+	outage := func(pass string, run func() error) {
+		t.Helper()
+		faults.SetPlan(faultpoint.SiteS3Request, 1, 0, faultpoint.Error)
+		hits, fired := faults.Hits(faultpoint.SiteS3Request), faults.Fired(faultpoint.SiteS3Request, faultpoint.Error)
+		if err := run(); !errors.Is(err, s3.ErrUnavailable) {
+			t.Fatalf("%s during an S3 outage: err = %v, want ErrUnavailable", pass, err)
+		}
+		hits = faults.Hits(faultpoint.SiteS3Request) - hits
+		fired = faults.Fired(faultpoint.SiteS3Request, faultpoint.Error) - fired
+		if hits != 1 || fired != 1 {
+			t.Fatalf("%s during an S3 outage made %d S3 requests (%d failed), want 1 failed: the next pass is the retry",
+				pass, hits, fired)
+		}
 		faults.SetPlan(faultpoint.SiteS3Request, 0, 0)
-	}()
-	meta, err := b.Full(context.Background())
-	if err != nil {
-		t.Fatalf("snapshot pass across S3 blip: %v", err)
-	}
-	if meta.LogPos != log.CommittedTail() {
-		t.Fatalf("snapshot at %v, want %v", meta.LogPos, log.CommittedTail())
-	}
-	if _, ok, err := mgr.Resolve("s1", false); err != nil || !ok {
-		t.Fatalf("snapshot not retrievable after the pass: %v %v", ok, err)
 	}
 
-	// A persistent outage still fails (bounded attempts, not forever).
-	faults.SetPlan(faultpoint.SiteS3Request, 1, 0, faultpoint.Error)
-	if _, err := b.Full(context.Background()); !errors.Is(err, s3.ErrUnavailable) {
-		t.Fatalf("persistent outage: err = %v, want ErrUnavailable", err)
+	write(0)
+	outage("Full", func() error { _, err := b.Full(ctx); return err })
+	meta, err := b.Full(ctx)
+	if err != nil {
+		t.Fatalf("Full after S3 healed: %v", err)
+	}
+	if meta.LogPos != h.log.CommittedTail() {
+		t.Fatalf("full at %v, want the committed tail %v", meta.LogPos, h.log.CommittedTail())
+	}
+	h.checkRestore(mgr)
+	if err := b.Tick(ctx); err != nil { // the full's rehearsal
+		t.Fatal(err)
+	}
+
+	write(1)
+	outage("Tick", func() error { return b.Tick(ctx) })
+	if err := b.Tick(ctx); err != nil {
+		t.Fatalf("Tick after S3 healed: %v", err)
+	}
+	if chain := h.checkRestore(mgr); chain.Tip.Kind != KindDelta || chain.Tip.LogPos != h.log.CommittedTail() {
+		t.Fatalf("after the outage: tip %v at %v, want a delta at the committed tail %v",
+			chain.Tip.Kind, chain.Tip.LogPos, h.log.CommittedTail())
 	}
 }
 
@@ -60,7 +78,6 @@ func TestBuilderJudgesAgainAfterS3Outage(t *testing.T) {
 	mgr := NewManager(s3.New(s3.WithFaults(faults)), "snaps")
 	b := &Builder{
 		Manager: mgr, Log: log, ShardID: "s1", EngineVersion: 2,
-		Retry: retry.Policy{Base: time.Millisecond, Max: 10 * time.Millisecond, Attempts: 12},
 	}
 	ctx := context.Background()
 	if _, err := b.Full(ctx); err != nil {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"memorydb/internal/retry"
 	"memorydb/internal/s3"
 	"memorydb/internal/store"
 	"memorydb/internal/trace"
@@ -19,44 +18,35 @@ import (
 // "<prefix>/<shardID>/<logPos padded>" so the lexically greatest key for a
 // shard is also the freshest snapshot.
 type Manager struct {
-	store  s3.Interface
+	store  *s3.Store
 	prefix string
 	// torn counts corrupt/truncated snapshot versions skipped by
-	// Resolve across all shards. Shared (by pointer) with every
-	// WithRetries derivative so the count survives rewrapping.
-	torn *atomic.Int64
-	// health holds each shard's builder health block by shard ID, shared
-	// with derivatives so nodes can read them off any handle.
-	health *sync.Map
+	// Resolve across all shards.
+	torn atomic.Int64
+	// health holds each shard's builder health block by shard ID.
+	health sync.Map
 	// Flight is where the snapshot pipeline's alarms land: an EvAlarm
 	// for a quarantined chain link or a snapshot that failed its restore
 	// rehearsal, an EvBuilderLag for a builder that fell behind the trim
 	// horizon. NewManager gives it a ring of its own; a server hands it
-	// the node's, so DEBUG FLIGHT DUMP shows them. Derivatives share it.
+	// the node's, so DEBUG FLIGHT DUMP shows them.
 	Flight *trace.Flight
 }
 
-// NewManager returns a manager writing under prefix. st is typically a
-// *s3.Store, or an *s3.Retrying wrapping one so transient storage blips
-// are absorbed instead of failing a scheduled snapshot or a restore.
-func NewManager(st s3.Interface, prefix string) *Manager {
+// NewManager returns a manager writing under prefix in st. Every request
+// is made once: a failed one returns its error (s3.ErrUnavailable during
+// an outage), and the caller's own loop is its retry — the builder's next
+// pass, a node's role timer.
+func NewManager(st *s3.Store, prefix string) *Manager {
 	if prefix == "" {
 		prefix = "snapshots"
 	}
-	return &Manager{store: st, prefix: prefix, torn: new(atomic.Int64), health: new(sync.Map),
-		Flight: trace.NewFlight("snapshots", 0)}
+	return &Manager{store: st, prefix: prefix, Flight: trace.NewFlight("snapshots", 0)}
 }
 
-// WithRetries returns a Manager reading and writing through a retrying
-// wrapper with the given policy, sharing the underlying store.
-func (m *Manager) WithRetries(pol retry.Policy) *Manager {
-	return &Manager{store: s3.WithRetry(m.store, pol), prefix: m.prefix,
-		torn: m.torn, health: m.health, Flight: m.Flight}
-}
-
-// Health returns the health block of shardID's builder, shared by every
-// derivative of this manager: a shard's nodes read its lag, delta and
-// compaction counts from here, and no other shard's builder writes them.
+// Health returns the health block of shardID's builder: a shard's nodes
+// read its lag, delta and compaction counts from here, and no other
+// shard's builder writes them.
 func (m *Manager) Health(shardID string) *BuilderHealth {
 	if h, ok := m.health.Load(shardID); ok {
 		return h.(*BuilderHealth)
@@ -66,7 +56,7 @@ func (m *Manager) Health(shardID string) *BuilderHealth {
 }
 
 // TornDetected returns how many corrupt or torn snapshot versions this
-// manager (and its retrying derivatives) has skipped during restores.
+// manager has skipped during restores.
 func (m *Manager) TornDetected() int64 { return m.torn.Load() }
 
 func (m *Manager) key(shardID string, pos txlog.EntryID) string {
