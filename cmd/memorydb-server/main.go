@@ -9,8 +9,10 @@
 // endpoint speaks Redis Cluster over 16384 slots: it routes a command to
 // the shard owning its key, pipelines what one primary can take, and
 // answers CROSSSLOT to keys in different slots (hash tags co-locate
-// them). In -mode=redis it runs the same engine as an OSS Redis-style
-// node: writes are acknowledged at once and durability is best-effort.
+// them). -mode=redis provisions the same cluster on OSS Redis's release
+// rule (cluster.Config.AckOnExecute): a write is acknowledged once it
+// executes, before its log entry commits, so a primary that dies in
+// between loses it.
 //
 //	go run ./cmd/memorydb-server -addr 127.0.0.1:6379 -shards 3
 //	go run ./cmd/memorydb-cli -addr 127.0.0.1:6379 SET hello world
@@ -38,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"memorydb/internal/baseline"
 	"memorydb/internal/clock"
 	"memorydb/internal/cluster"
 	"memorydb/internal/engine"
@@ -96,36 +97,22 @@ func main() {
 	o := defineFlags()
 	flag.Parse()
 
-	var metrics *obs.Metrics
-	switch o.mode {
-	case "memorydb":
-		d, err := provision(*o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer d.close()
-		metrics = d.metrics
-		fmt.Printf("cluster of %d shard(s) × %d replica(s) listening on %s\n", o.shards, o.replicas, d.srv.Addr())
-		if o.faultSpec != "" {
-			fmt.Printf("fault injection armed: %s (seed %d)\n", o.faultSpec, o.faultSeed)
-		}
-	case "redis":
-		metrics = obs.New(obs.Options{SlowlogThreshold: o.slowlog})
-		node := baseline.NewPrimary(baseline.Config{NodeID: "redis-0"})
-		defer node.Stop()
-		srv := server.New(server.Config{Addr: o.addr, Backend: server.BaselineBackend{Node: node}, Obs: metrics})
-		if err := srv.Start(); err != nil {
-			log.Fatalf("listen: %v", err)
-		}
-		defer srv.Close()
-		fmt.Printf("redis-mode server listening on %s\n", srv.Addr())
-	default:
+	if o.mode != "memorydb" && o.mode != "redis" {
 		log.Fatalf("unknown mode %q", o.mode)
+	}
+	d, err := provision(*o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer d.close()
+	fmt.Printf("%s-mode cluster of %d shard(s) × %d replica(s) listening on %s\n", o.mode, o.shards, o.replicas, d.srv.Addr())
+	if o.faultSpec != "" {
+		fmt.Printf("fault injection armed: %s (seed %d)\n", o.faultSpec, o.faultSeed)
 	}
 
 	if o.metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(metrics))
+		mux.Handle("/metrics", obs.Handler(d.metrics))
 		// Standard pprof surface on the same mux (net/http/pprof
 		// registers it on the default mux): CPU/heap/goroutine profiles
 		// and the runtime execution tracer, for production debugging
@@ -147,7 +134,7 @@ func main() {
 	fmt.Println("shutting down")
 }
 
-// deployment is a running memorydb-mode process: the cluster, its
+// deployment is a running process: the cluster, its
 // control plane (one snapshot builder per shard and the Monitor) and the
 // endpoint in front of it.
 type deployment struct {
@@ -199,6 +186,7 @@ func provision(o options) (*deployment, error) {
 		FaultSeed:        o.faultSeed,
 		Obs:              metrics,
 		Trace:            collector,
+		AckOnExecute:     o.mode == "redis",
 	})
 	if err != nil {
 		return nil, fmt.Errorf("provision: %w", err)

@@ -74,15 +74,13 @@ type PipelineSummary struct {
 // effects. The returned summary includes the observed records-per-entry
 // from the transaction log's own counters.
 func RunPipelined(ctx context.Context, t *Target, w Workload, clients int, duration time.Duration) PipelineSummary {
-	before, hasLog := t.LogStats()
+	before := t.log.Stats()
 	sum := RunClosedLoop(ctx, t, w, clients, duration)
-	ps := PipelineSummary{Summary: sum, RecordsPerEntry: 1}
-	if after, ok := t.LogStats(); ok && hasLog {
-		ps.Entries = after.DataAppends - before.DataAppends
-		ps.Records = after.Records - before.Records
-		if ps.Entries > 0 {
-			ps.RecordsPerEntry = float64(ps.Records) / float64(ps.Entries)
-		}
+	after := t.log.Stats()
+	ps := PipelineSummary{Summary: sum, RecordsPerEntry: 1,
+		Entries: after.DataAppends - before.DataAppends, Records: after.Records - before.Records}
+	if ps.Entries > 0 {
+		ps.RecordsPerEntry = float64(ps.Records) / float64(ps.Entries)
 	}
 	return ps
 }

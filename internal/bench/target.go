@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"memorydb/internal/baseline"
 	"memorydb/internal/clock"
 	"memorydb/internal/core"
 	"memorydb/internal/election"
@@ -13,22 +12,21 @@ import (
 	"memorydb/internal/txlog"
 )
 
-// Target is a system under test: a real MemoryDB or Redis-mode node with
-// the instance-type capacity model in front of the engine.
+// Target is a system under test: a real node with the instance-type
+// capacity model in front of the engine. Both systems are the same node
+// on the same log; Redis answers a write once it executes
+// (core.Config.AckOnExecute), MemoryDB once its entry commits.
 type Target struct {
 	Sys System
 	IT  InstanceType
 
-	node  *core.Node
-	bnode *baseline.Node
-	log   *txlog.Log
+	node *core.Node
+	log  *txlog.Log
 
 	// pacer models the engine as one single-threaded service lane.
 	pacer     Pacer
 	readCost  time.Duration
 	writeCost time.Duration
-
-	closers []func()
 }
 
 // NewTarget builds a target for the given system and instance type.
@@ -36,61 +34,41 @@ func NewTarget(sys System, it InstanceType) (*Target, error) {
 	t := &Target{Sys: sys, IT: it}
 	t.readCost = CostFor(Capacity(sys, OpRead, it))
 	t.writeCost = CostFor(Capacity(sys, OpWrite, it))
-	switch sys {
-	case SystemMemoryDB:
-		svc := txlog.NewService(txlog.Config{
-			Clock:         clock.NewReal(),
-			CommitLatency: netsim.DefaultCommitLatency(),
-		})
-		log, err := svc.CreateLog("bench-shard")
-		if err != nil {
-			return nil, err
+	svc := txlog.NewService(txlog.Config{
+		Clock:         clock.NewReal(),
+		CommitLatency: netsim.DefaultCommitLatency(),
+	})
+	log, err := svc.CreateLog("bench-shard")
+	if err != nil {
+		return nil, err
+	}
+	n, err := core.NewNode(core.Config{
+		NodeID:  "bench-" + sys.String(),
+		ShardID: "bench-shard",
+		Log:     log,
+		Lease:   500 * time.Millisecond, Backoff: 650 * time.Millisecond,
+		RenewEvery:   100 * time.Millisecond,
+		AckOnExecute: sys == SystemRedis,
+	})
+	if err != nil {
+		return nil, err
+	}
+	n.Start()
+	t.node, t.log = n, log
+	deadline := time.After(5 * time.Second)
+	for changed := n.Changed(); n.Role() != election.RolePrimary; changed = n.Changed() {
+		select {
+		case <-changed:
+		case <-deadline:
+			n.Stop()
+			return nil, fmt.Errorf("bench: node never became primary")
 		}
-		n, err := core.NewNode(core.Config{
-			NodeID:  "bench-primary",
-			ShardID: "bench-shard",
-			Log:     log,
-			Lease:   500 * time.Millisecond, Backoff: 650 * time.Millisecond,
-			RenewEvery: 100 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		n.Start()
-		t.node = n
-		t.log = log
-		t.closers = append(t.closers, n.Stop)
-		deadline := time.Now().Add(5 * time.Second)
-		for n.Role() != election.RolePrimary {
-			if time.Now().After(deadline) {
-				n.Stop()
-				return nil, fmt.Errorf("bench: node never became primary")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	case SystemRedis:
-		n := baseline.NewPrimary(baseline.Config{NodeID: "bench-redis"})
-		t.bnode = n
-		t.closers = append(t.closers, n.Stop)
 	}
 	return t, nil
 }
 
-// LogStats returns the transaction-log append counters (group-commit
-// observability); ok is false for targets without a log (Redis mode).
-func (t *Target) LogStats() (txlog.Stats, bool) {
-	if t.log == nil {
-		return txlog.Stats{}, false
-	}
-	return t.log.Stats(), true
-}
-
 // Close tears the target down.
-func (t *Target) Close() {
-	for _, c := range t.closers {
-		c()
-	}
-}
+func (t *Target) Close() { t.node.Stop() }
 
 // Prefill loads n keys of valueBytes each so reads hit (§6.1.1 pre-fills
 // 1M keys; scale with the run length you can afford).
@@ -105,16 +83,8 @@ func (t *Target) Prefill(ctx context.Context, n, valueBytes int) error {
 		for i := base; i < base+batch && i < n; i++ {
 			cmds = append(cmds, [][]byte{[]byte("SET"), benchKey(i), val})
 		}
-		if t.node != nil {
-			if _, err := t.node.DoBatch(ctx, cmds); err != nil {
-				return err
-			}
-		} else {
-			for _, argv := range cmds {
-				if _, err := t.bnode.Do(ctx, argv); err != nil {
-					return err
-				}
-			}
+		if _, err := t.node.DoBatch(ctx, cmds); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -146,11 +116,6 @@ func (t *Target) Op(ctx context.Context, kind OpKind, keyIdx int, val []byte) (t
 	if wait := t.pacer.Reserve(start, cost); wait > 200*time.Microsecond {
 		time.Sleep(wait)
 	}
-	var err error
-	if t.node != nil {
-		_, err = t.node.Do(ctx, argv)
-	} else {
-		_, err = t.bnode.Do(ctx, argv)
-	}
+	_, err := t.node.Do(ctx, argv)
 	return time.Since(start), err
 }

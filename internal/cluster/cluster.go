@@ -54,6 +54,10 @@ type Config struct {
 	// place regardless of which process emitted them, so TRACE GET on any
 	// node assembles the full cross-node tree.
 	Trace *trace.Collector
+	// AckOnExecute puts every node on OSS Redis's release rule
+	// (core.Config.AckOnExecute): the cluster is the paper's Redis
+	// baseline on the same log, elections and replicas.
+	AckOnExecute bool
 }
 
 func (c Config) withDefaults() Config {
@@ -227,7 +231,8 @@ func (c *Cluster) addShard() (*Shard, error) {
 }
 
 // addNode provisions one node into sh, placed round-robin across the log
-// service's AZs.
+// service's AZs. As a shard's extra replica, the new node restores from
+// S3 + the log without touching its peers (§5.2, §4.2.1).
 func (c *Cluster) addNode(sh *Shard) (*core.Node, error) {
 	azs := c.cfg.LogService.AZs()
 	c.mu.Lock()
@@ -276,6 +281,7 @@ func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
 		Obs:           c.cfg.Obs,
 		Trace:         c.cfg.Trace,
 		Flight:        c.nodeFlight(nodeID),
+		AckOnExecute:  c.cfg.AckOnExecute,
 	})
 	if err != nil {
 		return nil, err
@@ -287,16 +293,6 @@ func (c *Cluster) addNodeAs(sh *Shard, nodeID, az string) (*core.Node, error) {
 	sh.nodesChangedLocked()
 	sh.mu.Unlock()
 	return n, nil
-}
-
-// AddReplica scales a shard's replica count up by one. The new node
-// restores from S3 + the log without touching its peers (§5.2, §4.2.1).
-func (c *Cluster) AddReplica(shardID string) (*core.Node, error) {
-	sh, ok := c.ShardByID(shardID)
-	if !ok {
-		return nil, fmt.Errorf("cluster: no shard %q", shardID)
-	}
-	return c.addNode(sh)
 }
 
 // ReplaceNode terminates nodeID and provisions a fresh node in the same

@@ -465,7 +465,7 @@ func TestWaitForPrimaryWakesOnNewNode(t *testing.T) {
 	for clk.timers.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	added, err := c.AddReplica(sh.ID)
+	added, err := c.addNode(sh)
 	if err != nil {
 		t.Fatal(err)
 	}

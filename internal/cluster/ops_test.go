@@ -100,7 +100,7 @@ func TestAddRemoveReplica(t *testing.T) {
 		cl.Do(ctx, "SET", fmt.Sprintf("k%d", i), "v")
 	}
 	sh := c.Shards()[0]
-	n, err := c.AddReplica(sh.ID)
+	n, err := c.addNode(sh)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func (n *Node) flushPending() bool {
 		return false
 	}
 	fe := gc.open
-	entry := txlog.Entry{Type: txlog.EntryData, Records: uint32(len(fe.writes)), Payload: gc.payload}
+	entry := txlog.Entry{Type: txlog.EntryData, Records: fe.records, Payload: gc.payload}
 	gc.open, gc.payload = nil, nil // the log entry owns the payload now
 	var flushStart int64
 	if n.obs != nil {
@@ -202,7 +202,7 @@ func (n *Node) flushPending() bool {
 		return false
 	}
 	n.stats.BatchFlushes.Add(1)
-	n.stats.BatchedRecords.Add(int64(len(fe.writes)))
+	n.stats.BatchedRecords.Add(int64(fe.records))
 	if n.obs != nil {
 		fe.appendDone = obs.Now()
 		n.stage(obs.StageAppend, fe.owner, fe.appendSpan, flushStart, fe.appendDone)

@@ -89,6 +89,8 @@ type harnessConfig struct {
 	// harness builds its own.
 	faults *faultpoint.Registry
 	noObs  bool
+	// ackOnExecute puts every node on the Redis rule (Config.AckOnExecute).
+	ackOnExecute bool
 }
 
 type harness struct {
@@ -134,7 +136,7 @@ func (h *harness) node(id string, cfg harnessConfig) *hnode {
 	n, err := NewNode(Config{
 		NodeID: id, ShardID: h.log.ShardID(), Log: h.log, Clock: stepClock{clk},
 		Lease: harnessLease, Backoff: harnessLease + harnessLease/4, RenewEvery: harnessRenew,
-		Faults: cfg.faults, NoObs: cfg.noObs, RetrySeed: 1,
+		Faults: cfg.faults, NoObs: cfg.noObs, RetrySeed: 1, AckOnExecute: cfg.ackOnExecute,
 		// A harness run records a few dozen events, and the default ring
 		// of 512 is a fifth of what a node costs the explorer's replays.
 		Flight: trace.NewFlight(id, 64),

@@ -95,6 +95,12 @@ type Config struct {
 	// recorder is always on. The cluster layer passes identity-keyed
 	// rings so a restarted node continues its predecessor's timeline.
 	Flight *trace.Flight
+	// AckOnExecute is OSS Redis's release rule (§2.2): a primary answers
+	// a write as soon as it executes and gates no read on the log but
+	// WAIT. The turn's flush still appends the write, so a crash before
+	// it (core.flush.pre) loses writes already acknowledged. Off, the
+	// MemoryDB rule withholds each reply until its entry commits (§3.2).
+	AckOnExecute bool
 }
 
 func (c Config) withDefaults() Config {

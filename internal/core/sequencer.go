@@ -94,10 +94,13 @@ func (n *Node) sequence(e txlog.Entry, retried *atomic.Int64, entry *issuedEntry
 // until the log answers for it, and the holder of the replies that answer
 // releases: a data entry's writes, and the reads gated on any entry.
 type issuedEntry struct {
-	p      *txlog.Pending
-	data   bool    // a group-commit flush: it passes the core.flush.post gate
-	writes []*task // a data entry's mutations, in execution order
-	reads  []*task // reads that observed one of them, or gated on everything
+	p    *txlog.Pending
+	data bool // a group-commit flush: it passes the core.flush.post gate
+	// records counts a data entry's mutations; writes holds those whose
+	// replies it withholds, all of them but under the Redis rule.
+	records uint32
+	writes  []*task // in execution order
+	reads   []*task // reads that observed one of them, or gated on everything
 	// control, set by AppendControl, hears the log's answer.
 	control chan<- error
 	// owner is the first traced write's span context. The append and quorum

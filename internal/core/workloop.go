@@ -526,8 +526,8 @@ func (n *Node) serve(t *task) {
 	// mutation (key-level hazards, §3.2). Keyless whole-keyspace reads,
 	// WAIT and read-only transactions (computing the union of read keys
 	// across the group costs more than the conservative gate) wait for
-	// everything outstanding.
-	gateAll := batch || name == "WAIT" || (t.keys == nil && cmd != nil && cmd.Flags&engine.FlagKeyspace != 0)
+	// everything outstanding. Under the Redis rule only WAIT waits.
+	gateAll := name == "WAIT" || (!n.cfg.AckOnExecute && (batch || (t.keys == nil && cmd != nil && cmd.Flags&engine.FlagKeyspace != 0)))
 	if gateAll {
 		n.stats.BarrierOps.Add(1)
 	}
@@ -546,9 +546,10 @@ func (n *Node) serve(t *task) {
 // logMutation parks an executed mutation in the group-commit buffer — its
 // effects for the log, its reply on the task until the batch entry
 // commits; the engine already applied it, and the read gating above
-// controls what other clients see of it meanwhile. A buffer that reaches
-// a cap is flushed at once; otherwise the end of the turn flushes it
-// (Node.step).
+// controls what other clients see of it meanwhile. Under the Redis rule
+// (Config.AckOnExecute) the reply leaves now and no hazard is noted. A
+// buffer that reaches a cap is flushed at once; otherwise the end of the
+// turn flushes it (Node.step).
 func (n *Node) logMutation(t *task, res engine.Result) {
 	n.stats.Mutations.Add(1)
 	gc := &n.gc
@@ -557,13 +558,18 @@ func (n *Node) logMutation(t *task, res engine.Result) {
 	} else {
 		gc.payload = append(gc.payload, res.Effects...)
 	}
-	t.val = res.Reply
 	if gc.open == nil {
 		gc.open = &issuedEntry{data: true}
 	}
-	gc.open.writes = append(gc.open.writes, t)
-	n.hazards.note(res.Keys, n.entries+1)
-	if len(gc.open.writes) >= maxBatchRecords || len(gc.payload) >= maxBatchBytes {
+	gc.open.records++
+	if n.cfg.AckOnExecute {
+		n.reply(t, res.Reply)
+	} else {
+		t.val = res.Reply
+		gc.open.writes = append(gc.open.writes, t)
+		n.hazards.note(res.Keys, n.entries+1)
+	}
+	if gc.open.records >= maxBatchRecords || len(gc.payload) >= maxBatchBytes {
 		n.flushPending()
 	}
 }

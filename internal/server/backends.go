@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 
-	"memorydb/internal/baseline"
 	"memorydb/internal/cluster"
 	"memorydb/internal/core"
 	"memorydb/internal/engine"
@@ -124,33 +123,4 @@ func (b ClusterBackend) client(mode ReadMode) *cluster.Client {
 		return b.Cluster.ReadClient(readOpts(mode))
 	}
 	return b.Cluster.Client()
-}
-
-// BaselineBackend serves an OSS-mode node.
-type BaselineBackend struct {
-	Node *baseline.Node
-}
-
-// errReadOnlyOSS rejects READONLY-mode traffic in OSS mode. This is an
-// intentional divergence surfaced loudly: the baseline node has no
-// durable log, no replicas and no replica read protocol, so a READONLY
-// opt-in cannot take effect — and pretending it did (by serving from
-// the only node there is) would let clients believe they exercised the
-// replica read path when they did not.
-var errReadOnlyOSS = resp.Err("ERR READONLY not supported in OSS mode")
-
-// Do implements Backend.
-func (b BaselineBackend) Do(ctx context.Context, argv [][]byte, mode ReadMode) (resp.Value, error) {
-	if mode.ReadOnly {
-		return errReadOnlyOSS, nil
-	}
-	return b.Node.Do(ctx, argv)
-}
-
-// DoBatch implements Backend.
-func (b BaselineBackend) DoBatch(ctx context.Context, cmds [][][]byte, mode ReadMode) (resp.Value, error) {
-	if mode.ReadOnly {
-		return errReadOnlyOSS, nil
-	}
-	return b.Node.DoBatch(ctx, cmds)
 }

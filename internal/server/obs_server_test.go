@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"memorydb/internal/baseline"
 	"memorydb/internal/netsim"
 	"memorydb/internal/obs"
 )
@@ -19,9 +18,7 @@ import (
 // reads.
 func TestServerRecordsFrontEndStages(t *testing.T) {
 	m := obs.New(obs.Options{})
-	node := baseline.NewPrimary(baseline.Config{NodeID: "b1"})
-	t.Cleanup(node.Stop)
-	srv := New(Config{Addr: "127.0.0.1:0", Backend: BaselineBackend{Node: node}, Obs: m})
+	srv := New(Config{Addr: "127.0.0.1:0", Backend: NodeBackend{Node: startPrimary(t, netsim.Zero{})}, Obs: m})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,9 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
-	"memorydb/internal/baseline"
 	"memorydb/internal/clock"
 	"memorydb/internal/core"
 	"memorydb/internal/election"
@@ -155,42 +153,5 @@ func TestReadonlyStalenessGrammar(t *testing.T) {
 	// The connection still works after rejected mode changes.
 	if v := c.do(t, "PING"); v.Text() != "PONG" {
 		t.Fatalf("PING = %v", v)
-	}
-}
-
-// TestBaselineRejectsReadonly pins the intentional divergence: OSS mode
-// has no replicas and no freshness protocol, so READONLY traffic fails
-// loudly instead of silently serving from the only node there is.
-func TestBaselineRejectsReadonly(t *testing.T) {
-	node := baseline.NewPrimary(baseline.Config{NodeID: "r1"})
-	t.Cleanup(node.Stop)
-	srv := New(Config{Addr: "127.0.0.1:0", Backend: BaselineBackend{Node: node}})
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	c := dial(t, srv.Addr().String())
-	if v := c.do(t, "SET", "k", "v"); v.Text() != "OK" {
-		t.Fatalf("SET = %v", v)
-	}
-	if v := c.do(t, "READONLY"); v.Text() != "OK" {
-		t.Fatalf("READONLY = %v", v)
-	}
-	v := c.do(t, "GET", "k")
-	if !v.IsError() || !strings.Contains(v.Text(), "READONLY not supported in OSS mode") {
-		t.Fatalf("OSS READONLY read = %v, want explicit rejection", v)
-	}
-	// Pipelines are rejected the same way.
-	c.do(t, "MULTI")
-	c.do(t, "GET", "k")
-	if v := c.do(t, "EXEC"); !v.IsError() || !strings.Contains(v.Text(), "READONLY not supported") {
-		t.Fatalf("OSS READONLY pipeline = %v", v)
-	}
-	// READWRITE restores service.
-	if v := c.do(t, "READWRITE"); v.Text() != "OK" {
-		t.Fatalf("READWRITE = %v", v)
-	}
-	if v := c.do(t, "GET", "k"); v.Text() != "v" {
-		t.Fatalf("GET after READWRITE = %v", v)
 	}
 }
